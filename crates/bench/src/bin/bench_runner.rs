@@ -23,6 +23,10 @@
 //! * `kernel/distance/cached`, `kernel/distance/bounded` — the verification
 //!   plane sweep over the cached per-node sorted-coordinate state, without
 //!   and with a k-th-best cutoff, against the fresh-state unbounded sweep.
+//! * `kernel/inverted/build`, `kernel/inverted/verify` — building one leaf's
+//!   columnar inverted index from its entries, and one exact verification
+//!   (sorted query merged against a leaf's key column).  No same-run
+//!   baseline: the rows are compared across snapshots.
 //! * `batch/ojsp`, `batch/cjsp` — the shared frontier traversal against the
 //!   per-query search loop over the same local indexes.
 //! * `knn/per-query` — the bounded kNN verification kernel against the
@@ -37,6 +41,12 @@
 //! per-query p50/p99 for each.  Answers are asserted identical to the
 //! in-process oracle before either transport is timed.
 //!
+//! The `index` block sizes what every process of the federation carries:
+//! keys, postings and bytes of the leaf inverted indexes (bytes per posting
+//! from `InvertedIndex::memory_bytes`), the DITS-L total, and the process's
+//! resident set before and after `MultiSourceFramework::build`
+//! (`/proc/self/status`).
+//!
 //! The `phases` section reports each engine entry's source-side
 //! traversal-vs-verification time split, measured through a traced
 //! (`SearchRequest::with_trace`) run of the same workload, and the `env`
@@ -49,9 +59,11 @@
 use std::time::{Duration, Instant};
 
 use bench::ExperimentEnv;
+use dits::local::NodeKind;
 use dits::{
     coverage_search, coverage_search_batch, nearest_datasets, nearest_datasets_unbounded,
-    overlap_search, overlap_search_batch, CoverageConfig, DitsLocal, DitsLocalConfig,
+    overlap_search, overlap_search_batch, CoverageConfig, DatasetNode, DitsLocal, DitsLocalConfig,
+    InvertedIndex,
 };
 use multisource::{
     DataCenter, FrameworkConfig, QueryEngine, SearchRequest, SearchResponse, ShardMode,
@@ -75,8 +87,17 @@ Usage: bench-runner [--quick] [--out PATH]
 /// verification-sweep kernels (`kernel/distance/*`, `knn/per-query` delta)
 /// and requires the phase breakdown to cover every engine mode; v4 added
 /// the `transport` section (per-call TCP vs pooled pipelined QPS and
-/// p50/p99 over a loopback source-server fleet).
-const SCHEMA_VERSION: u64 = 4;
+/// p50/p99 over a loopback source-server fleet); v5 added the
+/// `kernel/inverted/*` rows and the `index` block.
+const SCHEMA_VERSION: u64 = 5;
+
+/// The oldest schema `--validate` still accepts, so the previous snapshot
+/// can stay in the tree beside the new one; the v5 additions are required
+/// from v5 snapshots only.
+const OLDEST_SCHEMA_VERSION: u64 = 4;
+
+/// Kernel rows every v5 snapshot must carry.
+const REQUIRED_INDEX_KERNELS: [&str; 2] = ["kernel/inverted/build", "kernel/inverted/verify"];
 
 /// Engine entries whose traversal/verify phase split every snapshot must
 /// report — a snapshot that drops one silently loses the trajectory of the
@@ -157,6 +178,17 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out}");
+    let ix = &suite.index;
+    println!(
+        "  index: {} postings in {} bytes of leaf inverted indexes ({:.2} B/posting), \
+         DITS-L {} bytes, RSS {:.1} -> {:.1} MiB across the framework build",
+        ix.postings,
+        ix.inverted_bytes,
+        ix.bytes_per_posting(),
+        ix.local_index_bytes,
+        ix.rss_before_build_mb,
+        ix.rss_after_build_mb,
+    );
     for d in &suite.deltas {
         println!("  {:<40} {:>6.2}x vs {}", d.name, d.speedup, d.baseline);
     }
@@ -227,11 +259,41 @@ impl TransportReport {
     }
 }
 
+/// What the leaf inverted indexes and the built framework weigh.
+struct IndexReport {
+    leaves: usize,
+    keys: usize,
+    postings: usize,
+    inverted_bytes: usize,
+    local_index_bytes: usize,
+    rss_before_build_mb: f64,
+    rss_after_build_mb: f64,
+}
+
+impl IndexReport {
+    fn bytes_per_posting(&self) -> f64 {
+        self.inverted_bytes as f64 / self.postings.max(1) as f64
+    }
+}
+
 struct Suite {
     kernels: Vec<KernelReport>,
     deltas: Vec<Delta>,
     transport: Vec<TransportReport>,
     phases: Vec<PhaseReport>,
+    index: IndexReport,
+}
+
+/// The process's resident set in MiB (`VmRSS` of `/proc/self/status`), or 0
+/// where there is no procfs.
+fn rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
 /// Extracts the traversal/verify split out of a traced [`SearchResponse`].
@@ -338,7 +400,7 @@ fn run_suite(quick: bool) -> Suite {
     let mut deltas = Vec::new();
 
     // -- Kernel: dense-grid cell intersection, word-parallel vs scalar ------
-    eprintln!("[1/7] kernel/intersection/dense-grid");
+    eprintln!("[1/8] kernel/intersection/dense-grid");
     let pairs: Vec<(CellSet, CellSet)> = (0..32)
         .map(|i| {
             let bx = (i as u32 % 8) * 96;
@@ -393,8 +455,16 @@ fn run_suite(quick: bool) -> Suite {
     kernels.extend([packed, scalar, adaptive]);
 
     // -- Kernel: verification plane sweep, fresh vs cached vs bounded -------
-    eprintln!("[2/7] kernel/distance (verification sweep variants)");
+    eprintln!("[2/8] kernel/distance (verification sweep variants)");
     let env = ExperimentEnv::new(divisor, 0xBEEF);
+    // The framework is built before anything else allocates, so the resident
+    // set around the build is the framework's own.
+    let rss_before_build_mb = rss_mb();
+    let fw = env.framework(FrameworkConfig {
+        resolution: theta,
+        ..FrameworkConfig::default()
+    });
+    let rss_after_build_mb = rss_mb();
     let indexes: Vec<DitsLocal> = (0..env.source_data.len())
         .map(|s| DitsLocal::build(env.dataset_nodes(s, theta), DitsLocalConfig::default()))
         .collect();
@@ -471,8 +541,83 @@ fn run_suite(quick: bool) -> Suite {
     ));
     kernels.extend([sweep_unbounded, sweep_cached, sweep_bounded]);
 
+    // -- Leaf inverted index: column build and exact verification -----------
+    eprintln!("[3/8] kernel/inverted (leaf column build + verification merge)");
+    let leaves: Vec<(&[DatasetNode], &InvertedIndex)> = indexes
+        .iter()
+        .flat_map(|index| {
+            index
+                .leaves()
+                .into_iter()
+                .filter_map(move |l| match &index.node(l).kind {
+                    NodeKind::Leaf { entries, inverted } => Some((entries.as_slice(), inverted)),
+                    NodeKind::Internal { .. } => None,
+                })
+        })
+        .collect();
+    let index_report = IndexReport {
+        leaves: leaves.len(),
+        keys: leaves.iter().map(|(_, inv)| inv.key_count()).sum(),
+        postings: leaves
+            .iter()
+            .flat_map(|(entries, _)| entries.iter().map(DatasetNode::coverage))
+            .sum(),
+        // Measured before any query packs the bound sets: the columns alone.
+        inverted_bytes: leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum(),
+        local_index_bytes: indexes.iter().map(DitsLocal::memory_bytes).sum(),
+        rss_before_build_mb,
+        rss_after_build_mb,
+    };
+    let inverted_build = measure(
+        "kernel/inverted/build",
+        kernel_samples,
+        leaves.len(),
+        || {
+            for (entries, _) in &leaves {
+                std::hint::black_box(InvertedIndex::build(
+                    entries.iter().map(|e| (e.id, &e.cells)),
+                ));
+            }
+        },
+    );
+    // Every (query, leaf) pair that shares a cell: what verification sees.
+    let verify_pairs: Vec<(&CellSet, &[DatasetNode], &InvertedIndex)> = queries
+        .iter()
+        .flat_map(|q| leaves.iter().map(move |&(entries, inv)| (q, entries, inv)))
+        .filter(|(q, _, inv)| !inv.intersection_counts(q).is_empty())
+        .take(256)
+        .collect();
+    assert!(
+        !verify_pairs.is_empty(),
+        "verify workload must not be empty"
+    );
+    for &(q, entries, inv) in &verify_pairs {
+        let mut exact: Vec<_> = entries
+            .iter()
+            .map(|e| (e.id, e.cells.intersection_size(q)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        exact.sort_unstable();
+        assert_eq!(
+            inv.intersection_counts(q),
+            exact,
+            "leaf verification diverged from per-dataset intersection"
+        );
+    }
+    let inverted_verify = measure(
+        "kernel/inverted/verify",
+        kernel_samples,
+        verify_pairs.len(),
+        || {
+            for &(q, _, inv) in &verify_pairs {
+                std::hint::black_box(inv.intersection_counts(std::hint::black_box(q)));
+            }
+        },
+    );
+    kernels.extend([inverted_build, inverted_verify]);
+
     // -- Batch OJSP / CJSP over the five local indexes ----------------------
-    eprintln!("[3/7] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
+    eprintln!("[4/8] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
 
     for index in &indexes {
         let solo: Vec<_> = queries
@@ -527,7 +672,7 @@ fn run_suite(quick: bool) -> Suite {
     deltas.push(delta("batch/cjsp", &cjsp_frontier, &cjsp_per_query));
     kernels.extend([cjsp_per_query, cjsp_frontier]);
 
-    eprintln!("[4/7] knn/per-query bounded vs unbounded oracle");
+    eprintln!("[5/8] knn/per-query bounded vs unbounded oracle");
     for index in &indexes {
         for q in &queries {
             assert_eq!(
@@ -555,11 +700,7 @@ fn run_suite(quick: bool) -> Suite {
     kernels.extend([knn_unbounded, knn_bounded]);
 
     // -- Engine shard modes over the full multi-source framework ------------
-    eprintln!("[5/7] engine/ojsp shard modes");
-    let fw = env.framework(FrameworkConfig {
-        resolution: theta,
-        ..FrameworkConfig::default()
-    });
+    eprintln!("[6/8] engine/ojsp shard modes");
     let raw_queries = env.query_datasets(queries_n);
     let per_query_engine = fw.engine();
     let mut config = *per_query_engine.config();
@@ -595,7 +736,7 @@ fn run_suite(quick: bool) -> Suite {
     // same workload is answered through one-connection-per-request TCP and
     // through the pooled transport, after asserting both match the
     // in-process oracle bit for bit.
-    eprintln!("[6/7] transport/per-call vs transport/pooled (loopback fleet)");
+    eprintln!("[7/8] transport/per-call vs transport/pooled (loopback fleet)");
     let servers: Vec<SourceServer> = fw
         .sources()
         .iter()
@@ -648,7 +789,7 @@ fn run_suite(quick: bool) -> Suite {
     // Phase breakdown: one traced run per engine entry splits the sources'
     // time into index traversal vs. candidate verification (ROADMAP item 3's
     // "verification dominates" claim, now measured instead of asserted).
-    eprintln!("[7/7] phase breakdown (traced engine runs)");
+    eprintln!("[8/8] phase breakdown (traced engine runs)");
     let traced_ojsp = ojsp_request.clone().with_trace(true);
     let phases = vec![
         phase_report(
@@ -687,6 +828,7 @@ fn run_suite(quick: bool) -> Suite {
         deltas,
         transport,
         phases,
+        index: index_report,
     }
 }
 
@@ -761,7 +903,22 @@ fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> Str
             if i + 1 < suite.phases.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ]\n");
+    s.push_str("  ],\n");
+    let ix = &suite.index;
+    s.push_str(&format!(
+        "  \"index\": {{\"leaves\": {}, \"keys\": {}, \"postings\": {}, \
+         \"inverted_bytes\": {}, \"bytes_per_posting\": {:.2}, \
+         \"local_index_bytes\": {}, \"rss_before_build_mb\": {:.1}, \
+         \"rss_after_build_mb\": {:.1}}}\n",
+        ix.leaves,
+        ix.keys,
+        ix.postings,
+        ix.inverted_bytes,
+        ix.bytes_per_posting(),
+        ix.local_index_bytes,
+        ix.rss_before_build_mb,
+        ix.rss_after_build_mb,
+    ));
     s.push_str("}\n");
     s
 }
@@ -1023,7 +1180,7 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
         .get("schema_version")
         .and_then(Json::as_number)
         .ok_or("missing numeric schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
+    if !(OLDEST_SCHEMA_VERSION as f64..=SCHEMA_VERSION as f64).contains(&version) {
         return Err(format!("unsupported schema_version {version}"));
     }
     let date = root
@@ -1202,6 +1359,41 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
     for required in REQUIRED_PHASES {
         if !phase_names.contains(&required) {
             return Err(format!("phases missing required engine entry {required:?}"));
+        }
+    }
+
+    if version >= 5.0 {
+        for required in REQUIRED_INDEX_KERNELS {
+            if !kernel_names.contains(&required) {
+                return Err(format!("kernels missing required row {required:?}"));
+            }
+        }
+        let index = root.get("index").ok_or("missing index object")?;
+        for field in [
+            "leaves",
+            "keys",
+            "postings",
+            "inverted_bytes",
+            "bytes_per_posting",
+            "local_index_bytes",
+        ] {
+            let n = index
+                .get(field)
+                .and_then(Json::as_number)
+                .ok_or(format!("index missing numeric {field}"))?;
+            if !n.is_finite() || n <= 0.0 {
+                return Err(format!("index.{field} = {n} is not a positive size"));
+            }
+        }
+        // 0 is what a machine without procfs reports.
+        for field in ["rss_before_build_mb", "rss_after_build_mb"] {
+            let n = index
+                .get(field)
+                .and_then(Json::as_number)
+                .ok_or(format!("index missing numeric {field}"))?;
+            if !n.is_finite() || n < 0.0 {
+                return Err(format!("index.{field} = {n} is not a valid size"));
+            }
         }
     }
 

@@ -44,39 +44,24 @@ pub fn leaf_overlap_lower_bound(
 
 /// Both bounds of Lemmas 2–3.
 ///
-/// Fast path: the inverted index caches its cell universe and its
-/// fully-shared cells as [`CellSet`]s, so both bounds reduce to set
-/// intersections evaluated by the word-parallel AND+popcount kernel over the
-/// packed block forms — no per-cell posting-list walks.  When the cached
-/// summary does not match the caller's `leaf_size`, the original scalar walk
-/// is used; the standalone [`leaf_overlap_upper_bound`] /
-/// [`leaf_overlap_lower_bound`] functions keep the scalar definition as a
-/// parity cross-check.
+/// The inverted index holds its cell universe (the key column) and its
+/// fully-shared cells as [`CellSet`]s, so both bounds are set intersections
+/// evaluated by the word-parallel AND+popcount kernel — no per-cell
+/// posting-list walks.  `leaf_size` is `|N_leaf.ch|`, which the tree
+/// invariants keep equal to the index's own dataset count.  The standalone
+/// [`leaf_overlap_upper_bound`] / [`leaf_overlap_lower_bound`] functions keep
+/// the scalar definition as a parity cross-check.
 pub fn leaf_overlap_bounds(
     inverted: &InvertedIndex,
     query: &CellSet,
     leaf_size: usize,
 ) -> (usize, usize) {
-    if let Some((all, full)) = inverted.overlap_bound_sets(leaf_size) {
-        let ub = query.intersection_size_packed(all);
-        let lb = if leaf_size == 0 {
-            0
-        } else {
-            query.intersection_size_packed(full)
-        };
-        return (lb, ub);
-    }
-    let mut ub = 0usize;
-    let mut lb = 0usize;
-    for c in query.iter() {
-        if let Some(pl) = inverted.posting_list(c) {
-            ub += 1;
-            if leaf_size > 0 && pl.len() == leaf_size {
-                lb += 1;
-            }
-        }
-    }
-    (lb, ub)
+    debug_assert_eq!(leaf_size, inverted.dataset_count());
+    let (all, full) = inverted.overlap_bound_sets();
+    (
+        query.intersection_size_packed(full),
+        query.intersection_size_packed(all),
+    )
 }
 
 /// Distance bounds of Lemma 4: the cell-based dataset distance between the
@@ -156,24 +141,13 @@ mod tests {
         let mut inv = InvertedIndex::build([(1u32, &d1), (2u32, &d2)]);
         let query = cs(&[(0, 0), (1, 0), (5, 5)]);
         assert_eq!(leaf_overlap_bounds(&inv, &query, 2), (1, 3));
-        // Maintenance invalidates the packed summary; the recomputed bounds
-        // must track the new postings exactly.
+        // Maintenance rebuilds the columns; the bounds must track the new
+        // postings exactly.
         inv.remove_dataset(2, &d2);
         let (lb, ub) = leaf_overlap_bounds(&inv, &query, 1);
         assert_eq!(ub, leaf_overlap_upper_bound(&inv, &query));
         assert_eq!(lb, leaf_overlap_lower_bound(&inv, &query, 1));
         assert_eq!((lb, ub), (2, 2));
-    }
-
-    #[test]
-    fn mismatched_leaf_size_falls_back_to_scalar() {
-        let d1 = cs(&[(0, 0), (1, 0)]);
-        let inv = InvertedIndex::build([(1u32, &d1)]);
-        // A leaf_size that disagrees with the indexed dataset count cannot use
-        // the packed summary; the scalar walk still yields sound bounds.
-        assert!(inv.overlap_bound_sets(3).is_none());
-        let query = cs(&[(0, 0), (1, 0)]);
-        assert_eq!(leaf_overlap_bounds(&inv, &query, 3), (0, 2));
     }
 
     #[test]

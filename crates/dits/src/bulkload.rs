@@ -23,7 +23,7 @@
 //! that would take unreasonably long.
 
 use crate::inverted::InvertedIndex;
-use crate::local::{DitsLocal, DitsLocalConfig, NodeKind, TreeNode};
+use crate::local::{inverted_of, DitsLocal, DitsLocalConfig, NodeKind, TreeNode};
 use crate::node::{DatasetNode, NodeGeometry};
 use spatial::Mbr;
 
@@ -62,7 +62,7 @@ pub fn build_bottom_up(dataset_nodes: Vec<DatasetNode>, config: DitsLocalConfig)
         .into_iter()
         .map(|entries| {
             let geometry = geometry_of_entries(&entries);
-            let inverted = InvertedIndex::build(entries.iter().map(|n| (n.id, &n.cells)));
+            let inverted = inverted_of(&entries);
             index.push_node(TreeNode {
                 geometry,
                 parent: None,

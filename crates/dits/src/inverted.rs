@@ -9,50 +9,46 @@
 //! 2. the exact verification step of OverlapSearch scans the posting lists of
 //!    a candidate leaf once to obtain exact intersection counts for *all*
 //!    datasets in the leaf simultaneously.
+//!
+//! The index is three columns (CSR), not a map: `keys`, the sorted distinct
+//! cells, held as a [`CellSet`] because it *is* the Lemma 2 bound set (the
+//! packed-word cache of the bound kernel hangs off the key column itself);
+//! `offsets`, `keys.len() + 1` positions delimiting key `i`'s list as
+//! `postings[offsets[i]..offsets[i + 1]]`; and `postings`, every list back to
+//! back, each ascending by dataset id.  The Lemma 3 bound set (`full`: keys
+//! whose list covers every indexed dataset) is read off the list lengths as
+//! the columns are built.  A leaf holds at most `f` datasets, so the columns
+//! come from one k-way merge of the datasets' already-sorted cell sets and
+//! are never patched in place: every mutation rebuilds them.
 
 use serde::{Deserialize, Serialize};
 use spatial::{CellId, CellSet, DatasetId};
-use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
 
-/// Lazily-built packed summary of the index for the Lemma 2/3 bounds: the
-/// set of all indexed cells (whose intersection with a query is the Lemma 2
-/// upper bound) and the set of cells contained in *every* indexed dataset
-/// (whose intersection is the Lemma 3 lower bound).  Both are [`CellSet`]s,
-/// so the bounds are computed by the word-parallel AND+popcount kernel over
-/// their packed block forms instead of per-cell posting-list walks.
-#[derive(Debug, Clone)]
-struct OverlapSummary {
-    /// Number of distinct datasets indexed when the summary was built.
-    datasets: usize,
-    /// Every indexed cell.
-    all: CellSet,
-    /// Cells whose posting list covers every indexed dataset.
-    full: CellSet,
-}
-
-impl OverlapSummary {
-    fn memory_bytes(&self) -> usize {
-        self.all.memory_bytes() + self.full.memory_bytes()
-    }
-}
-
-/// An inverted index from cell ID to the dataset IDs containing the cell.
-///
-/// Alongside the posting lists the index lazily caches an [`OverlapSummary`]
-/// (same `OnceLock` pattern as the packed cells of `CellSet`), invalidated by
-/// [`add_dataset`](Self::add_dataset) / [`remove_dataset`](Self::remove_dataset);
-/// equality and the serialized shape are defined by the postings alone.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// An inverted index from cell ID to the dataset IDs containing the cell
+/// (columnar; see the module docs).  Two indexes are equal when they hold the
+/// same postings: lists are canonical, ascending by id.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct InvertedIndex {
-    postings: HashMap<CellId, Vec<DatasetId>>,
-    summary: OnceLock<OverlapSummary>,
+    keys: CellSet,
+    offsets: Vec<u32>,
+    postings: Vec<DatasetId>,
+    /// Keys whose posting list holds all `datasets` ids (Lemma 3).
+    full: CellSet,
+    /// Number of distinct dataset ids in `postings`.
+    datasets: usize,
 }
 
-impl PartialEq for InvertedIndex {
-    fn eq(&self, other: &Self) -> bool {
-        self.postings == other.postings
+/// Index of the first element of the sorted `slice` that is `>= target`,
+/// found by exponential probing from the front: a hop of `d` elements costs
+/// `O(log d)`, so a merge that gallops is never worse than a linear one.
+fn gallop(slice: &[CellId], target: CellId) -> usize {
+    let mut hi = 1usize;
+    while slice.get(hi - 1).is_some_and(|&c| c < target) {
+        hi <<= 1;
     }
+    let lo = hi >> 1;
+    let window = slice.get(lo..hi.min(slice.len())).unwrap_or(&[]);
+    lo + window.partition_point(|&c| c < target)
 }
 
 impl InvertedIndex {
@@ -61,130 +57,293 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Builds the index of a collection of `(dataset id, cell set)` pairs.
+    /// Builds the index of a collection of `(dataset id, cell set)` pairs by
+    /// a k-way merge of the sorted cell sets.  An id given more than once
+    /// indexes the union of its cell sets.
     pub fn build<'a, I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (DatasetId, &'a CellSet)>,
     {
-        let mut idx = Self::new();
-        for (id, cells) in entries {
-            idx.add_dataset(id, cells);
+        // Cursors are visited in ascending id order, which is what makes
+        // every posting list come out ascending.
+        let mut cursors: Vec<(DatasetId, &[CellId])> = entries
+            .into_iter()
+            .map(|(id, cells)| (id, cells.cells()))
+            .filter(|(_, cells)| !cells.is_empty())
+            .collect();
+        cursors.sort_by_key(|&(id, _)| id);
+        let mut ids: Vec<DatasetId> = cursors.iter().map(|&(id, _)| id).collect();
+        ids.dedup();
+        let datasets = ids.len();
+
+        let total: usize = cursors.iter().map(|(_, cells)| cells.len()).sum();
+        let mut keys: Vec<CellId> = Vec::new();
+        let mut offsets: Vec<u32> = vec![0];
+        let mut postings: Vec<DatasetId> = Vec::with_capacity(total);
+        let mut full: Vec<CellId> = Vec::new();
+        while let Some(cell) = cursors.iter().filter_map(|(_, c)| c.first().copied()).min() {
+            let start = postings.len();
+            for (id, cells) in cursors.iter_mut() {
+                if let Some((&head, rest)) = cells.split_first() {
+                    if head == cell {
+                        *cells = rest;
+                        // A repeated id sits in adjacent cursors.
+                        if postings.get(start..).and_then(<[_]>::last) != Some(&*id) {
+                            postings.push(*id);
+                        }
+                    }
+                }
+            }
+            if postings.len() - start == datasets {
+                full.push(cell);
+            }
+            keys.push(cell);
+            // lint:allow(panic-freedom): a leaf holds at most `f` datasets, so 2^32 postings would need tens of gigabytes of cell sets in one leaf; wrapping an offset instead would silently corrupt every list after it
+            offsets.push(u32::try_from(postings.len()).expect("under 2^32 postings per leaf"));
         }
-        idx
+        if keys.is_empty() {
+            return Self::default();
+        }
+        offsets.shrink_to_fit();
+        postings.shrink_to_fit();
+        Self {
+            keys: CellSet::from_cells(keys),
+            offsets,
+            postings,
+            full: CellSet::from_cells(full),
+            datasets,
+        }
     }
 
-    /// Adds one dataset's cells to the index.
-    pub fn add_dataset(&mut self, id: DatasetId, cells: &CellSet) {
-        self.summary.take(); // maintenance invalidates the packed summary
-        for cell in cells.iter() {
-            let list = self.postings.entry(cell).or_default();
-            if !list.contains(&id) {
-                list.push(id);
+    /// The indexed cell set of every dataset id: the inverse of
+    /// [`build`](Self::build).
+    fn cell_sets(&self) -> Vec<(DatasetId, CellSet)> {
+        let mut lists: Vec<(DatasetId, Vec<CellId>)> = Vec::with_capacity(self.datasets);
+        for (cell, list) in self.iter() {
+            for &id in list {
+                match lists.iter_mut().find(|(d, _)| *d == id) {
+                    Some((_, cells)) => cells.push(cell),
+                    None => lists.push((id, vec![cell])),
+                }
             }
         }
+        lists
+            .into_iter()
+            .map(|(id, cells)| (id, CellSet::from_cells(cells)))
+            .collect()
+    }
+
+    /// Adds one dataset's cells to the index.  Like
+    /// [`remove_dataset`](Self::remove_dataset) this rebuilds the columns, at
+    /// a cost proportional to the whole index; leaf maintenance rebuilds from
+    /// the leaf's entries with [`build`](Self::build) instead.
+    pub fn add_dataset(&mut self, id: DatasetId, cells: &CellSet) {
+        let sets = self.cell_sets();
+        *self = Self::build(sets.iter().map(|(d, set)| (*d, set)).chain([(id, cells)]));
     }
 
     /// Removes one dataset's cells from the index.
     pub fn remove_dataset(&mut self, id: DatasetId, cells: &CellSet) {
-        self.summary.take();
-        for cell in cells.iter() {
-            if let Some(list) = self.postings.get_mut(&cell) {
-                list.retain(|d| *d != id);
-                if list.is_empty() {
-                    self.postings.remove(&cell);
-                }
+        let mut sets = self.cell_sets();
+        for (d, set) in &mut sets {
+            if *d == id {
+                *set = set.iter().filter(|&c| !cells.contains(c)).collect();
             }
         }
+        *self = Self::build(sets.iter().map(|(d, set)| (*d, set)));
     }
 
     /// Number of distinct cells indexed.
     pub fn key_count(&self) -> usize {
-        self.postings.len()
+        self.keys.len()
     }
 
     /// Returns `true` when no cell is indexed.
     pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
+        self.keys.is_empty()
     }
 
-    /// The posting list of a cell, if the cell is indexed.
+    /// Number of distinct datasets indexed.
+    pub fn dataset_count(&self) -> usize {
+        self.datasets
+    }
+
+    /// The posting list of the `i`-th key.
+    fn list_at(&self, i: usize) -> Option<&[DatasetId]> {
+        let start = *self.offsets.get(i)? as usize;
+        let end = *self.offsets.get(i + 1)? as usize;
+        self.postings.get(start..end)
+    }
+
+    /// `(cell, posting list)` pairs in ascending cell order.
+    fn iter(&self) -> impl Iterator<Item = (CellId, &[DatasetId])> {
+        let lists = (0..self.keys.len()).filter_map(|i| self.list_at(i));
+        self.keys.iter().zip(lists)
+    }
+
+    /// The posting list of a cell (ascending dataset ids), if the cell is
+    /// indexed.
     pub fn posting_list(&self, cell: CellId) -> Option<&[DatasetId]> {
-        self.postings.get(&cell).map(|v| v.as_slice())
+        self.list_at(self.keys.cells().binary_search(&cell).ok()?)
     }
 
     /// Returns `true` when the cell appears in at least one indexed dataset.
     pub fn contains_cell(&self, cell: CellId) -> bool {
-        self.postings.contains_key(&cell)
+        self.keys.contains(cell)
     }
 
     /// Exact intersection counts between a query cell set and every dataset
-    /// indexed here: one pass over the query, summing posting lists.
+    /// indexed here: one forward merge of the sorted query against the key
+    /// column, galloping over whichever side is behind, summing the posting
+    /// lists of the cells both hold.
     ///
     /// Returns `(dataset id, |S_Q ∩ S_D|)` pairs for datasets with a
-    /// non-zero intersection.
+    /// non-zero intersection, ascending by id.
     pub fn intersection_counts(&self, query: &CellSet) -> Vec<(DatasetId, usize)> {
-        let mut counts: HashMap<DatasetId, usize> = HashMap::new();
-        for cell in query.iter() {
-            if let Some(list) = self.postings.get(&cell) {
-                for &id in list {
-                    *counts.entry(id).or_insert(0) += 1;
+        let mut counts: Vec<(DatasetId, usize)> = Vec::with_capacity(self.datasets);
+        let keys = self.keys.cells();
+        let mut rest = query.cells();
+        let mut k = 0usize;
+        while let Some(&cell) = rest.first() {
+            k += gallop(keys.get(k..).unwrap_or(&[]), cell);
+            let Some(&key) = keys.get(k) else {
+                break;
+            };
+            if key != cell {
+                rest = rest.get(gallop(rest, key)..).unwrap_or(&[]);
+                continue;
+            }
+            for &id in self.list_at(k).unwrap_or(&[]) {
+                match counts.iter_mut().find(|(d, _)| *d == id) {
+                    Some((_, n)) => *n += 1,
+                    None => counts.push((id, 1)),
                 }
             }
+            rest = rest.get(1..).unwrap_or(&[]);
+            k += 1;
         }
-        let mut counts: Vec<(DatasetId, usize)> = counts.into_iter().collect();
-        counts.sort_unstable_by_key(|(id, _)| *id);
+        counts.sort_unstable_by_key(|&(id, _)| id);
         counts
     }
 
-    /// The packed Lemma 2/3 bound sets `(all cells, fully-shared cells)`,
-    /// building and caching them on first use.
-    ///
-    /// `leaf_size` is the caller's view of how many datasets the leaf holds;
-    /// when it disagrees with the summary's own distinct-dataset count (it
-    /// cannot, under the tree invariants, but the scalar fallback keeps the
-    /// bounds correct regardless) `None` is returned.
-    pub fn overlap_bound_sets(&self, leaf_size: usize) -> Option<(&CellSet, &CellSet)> {
-        let summary = self.summary.get_or_init(|| {
-            let mut ids: HashSet<DatasetId> = HashSet::new();
-            for list in self.postings.values() {
-                ids.extend(list.iter().copied());
-            }
-            let datasets = ids.len();
-            let all = CellSet::from_cells(self.postings.keys().copied());
-            let full = CellSet::from_cells(
-                self.postings
-                    .iter()
-                    .filter(|(_, list)| datasets > 0 && list.len() == datasets)
-                    .map(|(&cell, _)| cell),
-            );
-            OverlapSummary {
-                datasets,
-                all,
-                full,
-            }
-        });
-        (summary.datasets == leaf_size).then_some((&summary.all, &summary.full))
+    /// The Lemma 2/3 bound sets `(all cells, fully-shared cells)`: the key
+    /// column itself and the keys whose list covers every indexed dataset.
+    /// Their packed block forms are cached on first use, so both bounds are
+    /// word-parallel set intersections.
+    pub fn overlap_bound_sets(&self) -> (&CellSet, &CellSet) {
+        (&self.keys, &self.full)
     }
 
-    /// Estimated heap memory of the index in bytes (Fig. 8 right), including
-    /// the packed bound-set summary when it has been built.
+    /// Heap memory of the index in bytes (Fig. 8 right): capacity × element
+    /// size of each column, plus the two bound sets' caches once built.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = 0usize;
-        for (_, list) in self.postings.iter() {
-            bytes += std::mem::size_of::<CellId>()
-                + std::mem::size_of::<Vec<DatasetId>>()
-                + list.capacity() * std::mem::size_of::<DatasetId>();
-        }
-        bytes + self.summary.get().map_or(0, OverlapSummary::memory_bytes)
+        self.keys.memory_bytes()
+            + self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.postings.capacity() * std::mem::size_of::<DatasetId>()
+            + self.full.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::{leaf_overlap_bounds, leaf_overlap_lower_bound, leaf_overlap_upper_bound};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn cs(ids: &[u64]) -> CellSet {
         CellSet::from_cells(ids.iter().copied())
+    }
+
+    /// The hash-map form the columns replaced, kept as the oracle.
+    #[derive(Default)]
+    struct HashOracle {
+        postings: HashMap<CellId, Vec<DatasetId>>,
+    }
+
+    impl HashOracle {
+        fn add_dataset(&mut self, id: DatasetId, cells: &CellSet) {
+            for cell in cells.iter() {
+                let list = self.postings.entry(cell).or_default();
+                if !list.contains(&id) {
+                    list.push(id);
+                }
+            }
+        }
+
+        fn remove_dataset(&mut self, id: DatasetId, cells: &CellSet) {
+            for cell in cells.iter() {
+                if let Some(list) = self.postings.get_mut(&cell) {
+                    list.retain(|d| *d != id);
+                    if list.is_empty() {
+                        self.postings.remove(&cell);
+                    }
+                }
+            }
+        }
+
+        fn posting_list(&self, cell: CellId) -> Option<Vec<DatasetId>> {
+            let mut list = self.postings.get(&cell)?.clone();
+            list.sort_unstable();
+            Some(list)
+        }
+
+        fn dataset_count(&self) -> usize {
+            let mut ids: Vec<DatasetId> = self.postings.values().flatten().copied().collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len()
+        }
+
+        fn intersection_counts(&self, query: &CellSet) -> Vec<(DatasetId, usize)> {
+            let mut counts: HashMap<DatasetId, usize> = HashMap::new();
+            for cell in query.iter() {
+                for &id in self.postings.get(&cell).into_iter().flatten() {
+                    *counts.entry(id).or_insert(0) += 1;
+                }
+            }
+            let mut counts: Vec<(DatasetId, usize)> = counts.into_iter().collect();
+            counts.sort_unstable();
+            counts
+        }
+    }
+
+    /// Every read of the columnar index agrees with the oracle, over the
+    /// cells of `universe` (which covers every cell either side may hold).
+    fn assert_matches_oracle(
+        idx: &InvertedIndex,
+        oracle: &HashOracle,
+        universe: std::ops::Range<u64>,
+        query: &CellSet,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(idx.key_count(), oracle.postings.len());
+        prop_assert_eq!(idx.is_empty(), oracle.postings.is_empty());
+        prop_assert_eq!(idx.dataset_count(), oracle.dataset_count());
+        for cell in universe {
+            prop_assert_eq!(
+                idx.posting_list(cell).map(<[_]>::to_vec),
+                oracle.posting_list(cell)
+            );
+            prop_assert_eq!(idx.contains_cell(cell), oracle.postings.contains_key(&cell));
+        }
+        prop_assert_eq!(
+            idx.intersection_counts(query),
+            oracle.intersection_counts(query)
+        );
+        let n = idx.dataset_count();
+        let (lb, ub) = leaf_overlap_bounds(idx, query, n);
+        prop_assert_eq!(ub, leaf_overlap_upper_bound(idx, query));
+        prop_assert_eq!(lb, leaf_overlap_lower_bound(idx, query, n));
+        let shared = |cell: &u64| oracle.postings.get(cell).is_some_and(|l| l.len() == n);
+        prop_assert_eq!(
+            ub,
+            query
+                .iter()
+                .filter(|c| oracle.postings.contains_key(c))
+                .count()
+        );
+        prop_assert_eq!(lb, query.iter().filter(shared).count());
+        Ok(())
     }
 
     #[test]
@@ -203,6 +362,15 @@ mod tests {
     }
 
     #[test]
+    fn posting_lists_ascend_whatever_the_build_order() {
+        let a = cs(&[1, 2]);
+        let b = cs(&[2, 3]);
+        let idx = InvertedIndex::build([(7u32, &a), (3u32, &b)]);
+        assert_eq!(idx.posting_list(2), Some(&[3u32, 7][..]));
+        assert_eq!(idx, InvertedIndex::build([(3u32, &b), (7u32, &a)]));
+    }
+
+    #[test]
     fn intersection_counts_are_exact() {
         let a = cs(&[1, 2, 3]);
         let b = cs(&[3, 4]);
@@ -218,12 +386,23 @@ mod tests {
     }
 
     #[test]
+    fn gallop_finds_the_first_element_not_below_the_target() {
+        let slice: Vec<u64> = (0..100).map(|i| i * 3).collect();
+        for target in 0..310u64 {
+            let expected = slice.partition_point(|&c| c < target);
+            assert_eq!(gallop(&slice, target), expected, "target {target}");
+        }
+        assert_eq!(gallop(&[], 5), 0);
+    }
+
+    #[test]
     fn add_is_idempotent_per_cell() {
         let a = cs(&[5]);
         let mut idx = InvertedIndex::new();
         idx.add_dataset(1, &a);
         idx.add_dataset(1, &a);
         assert_eq!(idx.posting_list(5), Some(&[1u32][..]));
+        assert_eq!(idx.dataset_count(), 1);
     }
 
     #[test]
@@ -245,5 +424,76 @@ mod tests {
         let a = cs(&(0..50u64).collect::<Vec<_>>());
         let idx = InvertedIndex::build([(1u32, &a)]);
         assert!(idx.memory_bytes() >= 50 * std::mem::size_of::<CellId>());
+    }
+
+    #[test]
+    fn memory_bytes_is_the_sum_of_the_columns() {
+        let a = cs(&(0..300u64).collect::<Vec<_>>());
+        let b = cs(&(200..450u64).step_by(2).collect::<Vec<_>>());
+        let idx = InvertedIndex::build([(1u32, &a), (2u32, &b)]);
+        let columns = idx.keys.cells().len() * 8
+            + idx.offsets.capacity() * 4
+            + idx.postings.capacity() * 4
+            + idx.full.cells().len() * 8;
+        assert_eq!(idx.memory_bytes(), columns);
+        // Nothing is over-allocated: 375 keys, 376 offsets, 425 postings and
+        // the 50 even cells of 200..300 that both datasets hold.
+        assert_eq!(columns, 375 * 8 + 376 * 4 + 425 * 4 + 50 * 8);
+        // The bound kernel packs the two bound sets on first use; the
+        // estimate grows by exactly those caches.
+        let query = cs(&[250, 251]);
+        assert_eq!(leaf_overlap_bounds(&idx, &query, 2), (1, 2));
+        assert_eq!(
+            idx.memory_bytes(),
+            columns + (idx.keys.memory_bytes() - 375 * 8) + (idx.full.memory_bytes() - 50 * 8)
+        );
+        assert!(idx.memory_bytes() > columns);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        // Random add / remove / rebuild sequences over a small id and cell
+        // universe, so duplicate adds, removals of absent ids, emptied
+        // indexes and cells shared by all or by one dataset all occur.
+        #[test]
+        fn prop_columns_match_the_hash_map_oracle(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u32..5, proptest::collection::vec(0u64..40, 0..12)), 1..40),
+            query in proptest::collection::vec(0u64..48, 0..24),
+        ) {
+            let query = cs(&query);
+            let mut idx = InvertedIndex::new();
+            let mut oracle = HashOracle::default();
+            // What `build` would be handed: the live cell set of every id.
+            let mut live: HashMap<DatasetId, CellSet> = HashMap::new();
+            for (op, id, cells) in ops {
+                let cells = cs(&cells);
+                match op {
+                    0 | 1 => {
+                        idx.add_dataset(id, &cells);
+                        oracle.add_dataset(id, &cells);
+                        let merged = live.entry(id).or_default().union(&cells);
+                        live.insert(id, merged);
+                    }
+                    2 => {
+                        idx.remove_dataset(id, &cells);
+                        oracle.remove_dataset(id, &cells);
+                        if let Some(set) = live.get_mut(&id) {
+                            *set = CellSet::from_cells(set.iter().filter(|&c| !cells.contains(c)));
+                        }
+                    }
+                    3 => {
+                        // Remove a whole dataset, the way leaf maintenance does.
+                        let set = live.remove(&id).unwrap_or_default();
+                        idx.remove_dataset(id, &set);
+                        oracle.remove_dataset(id, &set);
+                    }
+                    _ => idx = InvertedIndex::build(live.iter().map(|(id, set)| (*id, set))),
+                }
+                assert_matches_oracle(&idx, &oracle, 0..48, &query)?;
+                let rebuilt = InvertedIndex::build(live.iter().map(|(id, set)| (*id, set)));
+                prop_assert_eq!(&idx, &rebuilt);
+            }
+        }
     }
 }

@@ -5,7 +5,10 @@
 //! as the split dimension, dataset nodes are partitioned by the median of
 //! their pivots on that dimension, and the recursion stops when a node holds
 //! at most `f` (the leaf capacity) dataset nodes, at which point an inverted
-//! index over the contained datasets' cells is materialised.
+//! index over the contained datasets' cells is materialised: three columns
+//! (sorted distinct cells, offsets, dataset ids) merged from the entries'
+//! sorted cell sets and rebuilt, never patched, when the entries change —
+//! see [`crate::inverted`].
 //!
 //! The tree is stored as an arena of [`TreeNode`]s with parent indices, the
 //! "bidirectional pointer structure" the paper relies on for efficient
@@ -35,11 +38,11 @@ impl Default for DitsLocalConfig {
 
 /// Content of a tree node: either an internal node with two children or a
 /// leaf holding dataset nodes plus their inverted index.
-// The Leaf variant is large (the inverted index carries packed word-parallel
-// summaries), but boxing it would put a pointer chase on the verification
-// hot path, and internal nodes' hot traversal fields already live in the
-// separate SoA `TraversalLayout` — the arena slack is idle memory, not
-// touched per query.
+// The Leaf variant is large (the inverted index's two bound sets are inline
+// `CellSet`s, 168 B of cache slots each: `TreeNode` is 488 B), but boxing it
+// would put a pointer chase on the verification hot path, and internal
+// nodes' hot traversal fields already live in the separate SoA
+// `TraversalLayout` — the arena slack is idle memory, not touched per query.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum NodeKind {
@@ -136,7 +139,7 @@ impl DitsLocal {
     ) -> NodeIdx {
         let geometry = geometry_of(&entries);
         if entries.len() <= self.config.leaf_capacity {
-            let inverted = InvertedIndex::build(entries.iter().map(|n| (n.id, &n.cells)));
+            let inverted = inverted_of(&entries);
             return self.push_node(TreeNode {
                 geometry,
                 parent,
@@ -532,6 +535,12 @@ impl DitsLocal {
         }
         idx
     }
+}
+
+/// The inverted index of a leaf's entries: the one constructor behind every
+/// leaf (construction, bulk load, decoded image, maintenance).
+pub(crate) fn inverted_of(entries: &[DatasetNode]) -> InvertedIndex {
+    InvertedIndex::build(entries.iter().map(|e| (e.id, &e.cells)))
 }
 
 /// Geometry of a set of dataset nodes (an empty set gets a degenerate MBR at

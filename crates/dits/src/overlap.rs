@@ -118,26 +118,12 @@ pub(crate) fn verify_candidates(
         }
         stats.leaves_verified += 1;
         if let NodeKind::Leaf { inverted, entries } = &index.node(leaf).kind {
-            // Exact verification: one pass over the query against the leaf's
-            // posting lists yields the intersection count of every dataset in
-            // the leaf.  The per-leaf accumulator is a small vector (at most
-            // `f` entries), which avoids a hash map allocation per leaf.
-            let mut counts: Vec<(DatasetId, usize)> =
-                entries.iter().map(|e| (e.id, 0usize)).collect();
-            for cell in query.iter() {
-                if let Some(list) = inverted.posting_list(cell) {
-                    for id in list {
-                        if let Some(slot) = counts.iter_mut().find(|(d, _)| d == id) {
-                            slot.1 += 1;
-                        }
-                    }
-                }
-            }
+            // Exact verification: one merge of the sorted query against the
+            // leaf's key column yields the intersection count of every
+            // dataset in the leaf that shares a cell with the query.
+            let counts = inverted.intersection_counts(query);
             stats.exact_computations += entries.len();
             for (dataset, overlap) in counts {
-                if overlap == 0 {
-                    continue;
-                }
                 stats.candidates += 1;
                 let entry = Reverse((overlap, Reverse(dataset)));
                 if heap.len() < k {

@@ -21,8 +21,7 @@
 //! disagreeing with its entries).
 
 use crate::global::{DitsGlobal, GlobalNode};
-use crate::inverted::InvertedIndex;
-use crate::local::{DitsLocal, DitsLocalConfig, NodeIdx, NodeKind, TreeNode};
+use crate::local::{inverted_of, DitsLocal, DitsLocalConfig, NodeIdx, NodeKind, TreeNode};
 use crate::node::{DatasetNode, NodeGeometry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spatial::{CellSet, Mbr, Point, SourceId};
@@ -439,7 +438,7 @@ fn decode_tree_node(buf: &mut &[u8]) -> Result<TreeNode, PersistError> {
             for _ in 0..entry_count {
                 entries.push(decode_dataset_node(buf)?);
             }
-            let inverted = InvertedIndex::build(entries.iter().map(|e| (e.id, &e.cells)));
+            let inverted = inverted_of(&entries);
             NodeKind::Leaf { entries, inverted }
         }
         other => {

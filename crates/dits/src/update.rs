@@ -30,7 +30,7 @@
 //! rebuild reclaims them.
 
 use crate::inverted::InvertedIndex;
-use crate::local::{geometry_of, DitsLocal, NodeIdx, NodeKind};
+use crate::local::{geometry_of, inverted_of, DitsLocal, NodeIdx, NodeKind};
 use crate::node::DatasetNode;
 use crate::stats::MaintenanceStats;
 use spatial::DatasetId;
@@ -67,10 +67,13 @@ impl DitsLocal {
         {
             let node = self.node_mut(leaf);
             if let NodeKind::Leaf { entries, inverted } = &mut node.kind {
-                inverted.add_dataset(dataset.id, &dataset.cells);
                 entries.push(dataset);
                 node.geometry = geometry_of(entries);
                 needs_split = entries.len() > capacity;
+                // An over-full leaf is about to be split into fresh leaves.
+                if !needs_split {
+                    *inverted = inverted_of(entries);
+                }
             } else {
                 unreachable!("descend_to_closest_leaf returned a non-leaf");
             }
@@ -111,11 +114,9 @@ impl DitsLocal {
             {
                 let node = self.node_mut(leaf);
                 if let NodeKind::Leaf { entries, inverted } = &mut node.kind {
-                    if let Some(pos) = entries.iter().position(|e| e.id == dataset.id) {
-                        let old = &entries[pos];
-                        inverted.remove_dataset(old.id, &old.cells);
-                        inverted.add_dataset(dataset.id, &dataset.cells);
-                        entries[pos] = dataset;
+                    if let Some(slot) = entries.iter_mut().find(|e| e.id == dataset.id) {
+                        *slot = dataset;
+                        *inverted = inverted_of(entries);
                         node.geometry = geometry_of(entries);
                     }
                 }
@@ -165,8 +166,8 @@ impl DitsLocal {
                     .iter()
                     .position(|e| e.id == id)
                     .expect("find_dataset located this leaf");
-                let old = entries.remove(pos);
-                inverted.remove_dataset(old.id, &old.cells);
+                entries.remove(pos);
+                *inverted = inverted_of(entries);
                 node.geometry = geometry_of(entries);
                 now_empty = entries.is_empty();
             } else {

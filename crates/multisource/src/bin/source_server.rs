@@ -139,16 +139,19 @@ fn load_datasets(path: &str) -> Result<Vec<SpatialDataset>, String> {
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let grid = Grid::global(args.resolution).map_err(|e| e.to_string())?;
-    let datasets = load_datasets(&args.data)?;
-    let source = DataSource::build(
-        args.id,
-        args.name.clone(),
-        grid,
-        &datasets,
-        DitsLocalConfig {
-            leaf_capacity: args.leaf_capacity,
-        },
-    );
+    // Scoped: the raw points are freed once gridded, before `LISTENING`.
+    let source = {
+        let datasets = load_datasets(&args.data)?;
+        DataSource::build(
+            args.id,
+            args.name.clone(),
+            grid,
+            &datasets,
+            DitsLocalConfig {
+                leaf_capacity: args.leaf_capacity,
+            },
+        )
+    };
     let listener =
         TcpListener::bind(&args.listen).map_err(|e| format!("bind {}: {e}", args.listen))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;

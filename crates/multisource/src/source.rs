@@ -123,7 +123,6 @@ pub struct DataSource {
     pub name: String,
     grid: Grid,
     index: DitsLocal,
-    dataset_nodes: Vec<DatasetNode>,
     metrics: SourceMetrics,
 }
 
@@ -141,13 +140,12 @@ impl DataSource {
             .iter()
             .filter_map(|d| DatasetNode::from_dataset(&grid, d).ok())
             .collect();
-        let index = DitsLocal::build(dataset_nodes.clone(), config);
+        let index = DitsLocal::build(dataset_nodes, config);
         Self {
             id,
             name: name.into(),
             grid,
             index,
-            dataset_nodes,
             metrics: SourceMetrics::new(),
         }
     }
@@ -211,45 +209,14 @@ impl DataSource {
             });
         }
         let mut stats = MaintenanceStats::new();
-        // The raw-collection cache (scanned by the index-free baselines) is
-        // maintained op by op — one clone per *applied* operation — rather
-        // than rebuilt from the index per batch, which would cost a clone
-        // of every indexed cell set no matter how small the batch.
         for op in prepared {
-            match op {
-                PreparedOp::Insert(node) => {
-                    if self.index.insert_with_stats(node.clone(), &mut stats) {
-                        self.dataset_nodes.push(node);
-                    } else {
-                        stats.rejected += 1;
-                    }
-                }
-                PreparedOp::Update(node) => {
-                    if self.index.update_with_stats(node.clone(), &mut stats) {
-                        // The cache mirrors the index, so the id is present;
-                        // resync by appending if it ever is not (a request
-                        // handler must stay total).
-                        let pos = self.dataset_nodes.iter().position(|e| e.id == node.id);
-                        debug_assert!(pos.is_some(), "cache is in sync with the index");
-                        match pos.and_then(|p| self.dataset_nodes.get_mut(p)) {
-                            Some(slot) => *slot = node,
-                            None => self.dataset_nodes.push(node),
-                        }
-                    } else {
-                        stats.rejected += 1;
-                    }
-                }
-                PreparedOp::Delete(id) => {
-                    if self.index.delete_with_stats(id, &mut stats) {
-                        let pos = self.dataset_nodes.iter().position(|e| e.id == id);
-                        debug_assert!(pos.is_some(), "cache is in sync with the index");
-                        if let Some(pos) = pos {
-                            self.dataset_nodes.swap_remove(pos);
-                        }
-                    } else {
-                        stats.rejected += 1;
-                    }
-                }
+            let applied = match op {
+                PreparedOp::Insert(node) => self.index.insert_with_stats(node, &mut stats),
+                PreparedOp::Update(node) => self.index.update_with_stats(node, &mut stats),
+                PreparedOp::Delete(id) => self.index.delete_with_stats(id, &mut stats),
+            };
+            if !applied {
+                stats.rejected += 1;
             }
             // Debug-build hardening: validate DITS-L after every applied op
             // (not just the batch) so a violation is pinned to the op that
@@ -285,10 +252,9 @@ impl DataSource {
         }))
     }
 
-    /// The dataset nodes held by the source (used by the SG baseline, which
-    /// scans the raw collection instead of an index).
-    pub fn dataset_nodes(&self) -> &[DatasetNode] {
-        &self.dataset_nodes
+    /// The dataset nodes held by the source's index.
+    pub fn dataset_nodes(&self) -> Vec<&DatasetNode> {
+        self.index.dataset_nodes()
     }
 
     /// Number of indexed datasets.
