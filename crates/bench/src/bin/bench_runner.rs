@@ -41,6 +41,14 @@
 //! per-query p50/p99 for each.  Answers are asserted identical to the
 //! in-process oracle before either transport is timed.
 //!
+//! The `maintenance` section weighs the one maintenance exchange: a fixed
+//! 72-op batch (24 inserts, 24 updates, 24 deletes against the largest
+//! source) as the [`Message::ApplyUpdates`] the center puts on the wire —
+//! bytes per op, and encode / decode time per op.  Before timing, the
+//! decoded batch served by one copy of the source and the raw ops applied to
+//! another (`DataSource::apply_updates`) must leave byte-identical
+//! `encode_local` images.
+//!
 //! The `index` block sizes what every process of the federation carries:
 //! keys, postings and bytes of the leaf inverted indexes (bytes per posting
 //! from `InvertedIndex::memory_bytes`), the DITS-L total, and the process's
@@ -66,13 +74,13 @@ use dits::{
     InvertedIndex,
 };
 use multisource::{
-    DataCenter, FrameworkConfig, QueryEngine, SearchRequest, SearchResponse, ShardMode,
-    SourceServer, TcpTransport,
+    DataCenter, FrameworkConfig, Message, QueryEngine, SearchRequest, SearchResponse, ShardMode,
+    SourceServer, TcpTransport, UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded, dataset_distance_uncached};
 use spatial::zorder::cell_id;
-use spatial::CellSet;
+use spatial::{CellSet, SpatialDataset};
 
 const USAGE: &str = "\
 Usage: bench-runner [--quick] [--out PATH]
@@ -88,13 +96,18 @@ Usage: bench-runner [--quick] [--out PATH]
 /// and requires the phase breakdown to cover every engine mode; v4 added
 /// the `transport` section (per-call TCP vs pooled pipelined QPS and
 /// p50/p99 over a loopback source-server fleet); v5 added the
-/// `kernel/inverted/*` rows and the `index` block.
-const SCHEMA_VERSION: u64 = 5;
+/// `kernel/inverted/*` rows and the `index` block; v6 added the
+/// `maintenance` section.
+const SCHEMA_VERSION: u64 = 6;
 
 /// The oldest schema `--validate` still accepts, so the previous snapshot
-/// can stay in the tree beside the new one; the v5 additions are required
-/// from v5 snapshots only.
+/// can stay in the tree beside the new one; each version's additions are
+/// required from that version on only.
 const OLDEST_SCHEMA_VERSION: u64 = 4;
+
+/// The maintenance row every v6 snapshot must carry, and its batch size.
+const MAINTENANCE_ROW: &str = "maintenance/apply_updates";
+const MAINTENANCE_BATCH_OPS: usize = 72;
 
 /// Kernel rows every v5 snapshot must carry.
 const REQUIRED_INDEX_KERNELS: [&str; 2] = ["kernel/inverted/build", "kernel/inverted/verify"];
@@ -198,6 +211,11 @@ fn main() {
             t.name, t.qps, t.p50_ns, t.p99_ns
         );
     }
+    let m = &suite.maintenance;
+    println!(
+        "  {:<40} {:>8.1} B/op  encode {:>7.1} ns/op  decode {:>7.1} ns/op",
+        m.name, m.bytes_per_op, m.encode_ns_per_op, m.decode_ns_per_op
+    );
     for p in &suite.phases {
         println!(
             "  {:<40} verify {:>5.1}% of source time",
@@ -276,10 +294,21 @@ impl IndexReport {
     }
 }
 
+/// What one maintenance batch weighs on the wire and costs to encode and
+/// decode, per operation.
+struct MaintenanceReport {
+    name: String,
+    ops: usize,
+    bytes_per_op: f64,
+    encode_ns_per_op: f64,
+    decode_ns_per_op: f64,
+}
+
 struct Suite {
     kernels: Vec<KernelReport>,
     deltas: Vec<Delta>,
     transport: Vec<TransportReport>,
+    maintenance: MaintenanceReport,
     phases: Vec<PhaseReport>,
     index: IndexReport,
 }
@@ -400,7 +429,7 @@ fn run_suite(quick: bool) -> Suite {
     let mut deltas = Vec::new();
 
     // -- Kernel: dense-grid cell intersection, word-parallel vs scalar ------
-    eprintln!("[1/8] kernel/intersection/dense-grid");
+    eprintln!("[1/9] kernel/intersection/dense-grid");
     let pairs: Vec<(CellSet, CellSet)> = (0..32)
         .map(|i| {
             let bx = (i as u32 % 8) * 96;
@@ -455,7 +484,7 @@ fn run_suite(quick: bool) -> Suite {
     kernels.extend([packed, scalar, adaptive]);
 
     // -- Kernel: verification plane sweep, fresh vs cached vs bounded -------
-    eprintln!("[2/8] kernel/distance (verification sweep variants)");
+    eprintln!("[2/9] kernel/distance (verification sweep variants)");
     let env = ExperimentEnv::new(divisor, 0xBEEF);
     // The framework is built before anything else allocates, so the resident
     // set around the build is the framework's own.
@@ -542,7 +571,7 @@ fn run_suite(quick: bool) -> Suite {
     kernels.extend([sweep_unbounded, sweep_cached, sweep_bounded]);
 
     // -- Leaf inverted index: column build and exact verification -----------
-    eprintln!("[3/8] kernel/inverted (leaf column build + verification merge)");
+    eprintln!("[3/9] kernel/inverted (leaf column build + verification merge)");
     let leaves: Vec<(&[DatasetNode], &InvertedIndex)> = indexes
         .iter()
         .flat_map(|index| {
@@ -617,7 +646,7 @@ fn run_suite(quick: bool) -> Suite {
     kernels.extend([inverted_build, inverted_verify]);
 
     // -- Batch OJSP / CJSP over the five local indexes ----------------------
-    eprintln!("[4/8] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
+    eprintln!("[4/9] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
 
     for index in &indexes {
         let solo: Vec<_> = queries
@@ -672,7 +701,7 @@ fn run_suite(quick: bool) -> Suite {
     deltas.push(delta("batch/cjsp", &cjsp_frontier, &cjsp_per_query));
     kernels.extend([cjsp_per_query, cjsp_frontier]);
 
-    eprintln!("[5/8] knn/per-query bounded vs unbounded oracle");
+    eprintln!("[5/9] knn/per-query bounded vs unbounded oracle");
     for index in &indexes {
         for q in &queries {
             assert_eq!(
@@ -700,7 +729,7 @@ fn run_suite(quick: bool) -> Suite {
     kernels.extend([knn_unbounded, knn_bounded]);
 
     // -- Engine shard modes over the full multi-source framework ------------
-    eprintln!("[6/8] engine/ojsp shard modes");
+    eprintln!("[6/9] engine/ojsp shard modes");
     let raw_queries = env.query_datasets(queries_n);
     let per_query_engine = fw.engine();
     let mut config = *per_query_engine.config();
@@ -736,7 +765,7 @@ fn run_suite(quick: bool) -> Suite {
     // same workload is answered through one-connection-per-request TCP and
     // through the pooled transport, after asserting both match the
     // in-process oracle bit for bit.
-    eprintln!("[7/8] transport/per-call vs transport/pooled (loopback fleet)");
+    eprintln!("[7/9] transport/per-call vs transport/pooled (loopback fleet)");
     let servers: Vec<SourceServer> = fw
         .sources()
         .iter()
@@ -786,10 +815,68 @@ fn run_suite(quick: bool) -> Suite {
         server.shutdown();
     }
 
+    // -- Maintenance: the ApplyUpdates exchange on a fixed 72-op batch --------
+    eprintln!("[8/9] {MAINTENANCE_ROW} ({MAINTENANCE_BATCH_OPS}-op batch on the wire)");
+    let (target_idx, target) = fw
+        .sources()
+        .iter()
+        .enumerate()
+        .max_by_key(|(_, s)| s.dataset_count())
+        .expect("the framework has sources");
+    let resident = env.source(target_idx);
+    let pick = |i: usize| &resident[i * 7 % resident.len()];
+    let raw_ops: Vec<UpdateOp> = (0..MAINTENANCE_BATCH_OPS)
+        .map(|i| match i % 3 {
+            0 => UpdateOp::Insert(SpatialDataset::new(
+                1_000_000 + i as u32,
+                pick(i).points.clone(),
+            )),
+            1 => UpdateOp::Update(SpatialDataset::new(pick(i).id, pick(i + 1).points.clone())),
+            _ => UpdateOp::Delete(pick(i).id),
+        })
+        .collect();
+    let batch = Message::ApplyUpdates {
+        resolution: theta,
+        ops: raw_ops
+            .iter()
+            .map(|op| op.grid(target.grid()).expect("resident datasets grid"))
+            .collect(),
+    };
+    let batch_bytes = batch.encode();
+    let decoded = Message::decode(batch_bytes.clone()).expect("the batch decodes");
+    assert_eq!(decoded, batch, "the batch changed across the codec");
+    let (mut over_wire, mut raw_twin) = (target.clone(), target.clone());
+    over_wire.serve(&decoded);
+    raw_twin.apply_updates(&raw_ops).expect("valid batch");
+    assert_ne!(
+        dits::encode_local(raw_twin.index()),
+        dits::encode_local(target.index()),
+        "the maintenance batch changed nothing"
+    );
+    assert_eq!(
+        dits::encode_local(over_wire.index()),
+        dits::encode_local(raw_twin.index()),
+        "cells over the wire diverged from raw ops applied in place"
+    );
+    let encode = measure("encode", kernel_samples, MAINTENANCE_BATCH_OPS, || {
+        std::hint::black_box(std::hint::black_box(&batch).encode());
+    });
+    let decode = measure("decode", kernel_samples, MAINTENANCE_BATCH_OPS, || {
+        std::hint::black_box(Message::decode(std::hint::black_box(&batch_bytes).clone()))
+            .expect("the batch decodes");
+    });
+    let maintenance = MaintenanceReport {
+        name: MAINTENANCE_ROW.to_string(),
+        ops: MAINTENANCE_BATCH_OPS,
+        bytes_per_op: batch_bytes.len() as f64 / MAINTENANCE_BATCH_OPS as f64,
+        encode_ns_per_op: encode.p50_ns,
+        decode_ns_per_op: decode.p50_ns,
+    };
+
     // Phase breakdown: one traced run per engine entry splits the sources'
     // time into index traversal vs. candidate verification (ROADMAP item 3's
     // "verification dominates" claim, now measured instead of asserted).
-    eprintln!("[8/8] phase breakdown (traced engine runs)");
+    eprintln!("[9/9] phase breakdown (traced engine runs)");
     let traced_ojsp = ojsp_request.clone().with_trace(true);
     let phases = vec![
         phase_report(
@@ -827,6 +914,7 @@ fn run_suite(quick: bool) -> Suite {
         kernels,
         deltas,
         transport,
+        maintenance,
         phases,
         index: index_report,
     }
@@ -891,6 +979,16 @@ fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> Str
         ));
     }
     s.push_str("  ],\n");
+    let m = &suite.maintenance;
+    s.push_str(&format!(
+        "  \"maintenance\": [\n    {{\"name\": \"{}\", \"ops\": {}, \"bytes_per_op\": {:.1}, \
+         \"encode_ns_per_op\": {:.1}, \"decode_ns_per_op\": {:.1}}}\n  ],\n",
+        escape_json(&m.name),
+        m.ops,
+        m.bytes_per_op,
+        m.encode_ns_per_op,
+        m.decode_ns_per_op,
+    ));
     s.push_str("  \"phases\": [\n");
     for (i, p) in suite.phases.iter().enumerate() {
         s.push_str(&format!(
@@ -1393,6 +1491,35 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
                 .ok_or(format!("index missing numeric {field}"))?;
             if !n.is_finite() || n < 0.0 {
                 return Err(format!("index.{field} = {n} is not a valid size"));
+            }
+        }
+    }
+
+    if version >= 6.0 {
+        let row = root
+            .get("maintenance")
+            .and_then(Json::as_array)
+            .and_then(|rows| {
+                rows.iter()
+                    .find(|r| r.get("name").and_then(Json::as_str) == Some(MAINTENANCE_ROW))
+            })
+            .ok_or(format!(
+                "maintenance section has no {MAINTENANCE_ROW:?} row"
+            ))?;
+        for field in [
+            "ops",
+            "bytes_per_op",
+            "encode_ns_per_op",
+            "decode_ns_per_op",
+        ] {
+            let n = row
+                .get(field)
+                .and_then(Json::as_number)
+                .ok_or(format!("{MAINTENANCE_ROW} missing numeric {field}"))?;
+            if !n.is_finite() || n <= 0.0 {
+                return Err(format!(
+                    "{MAINTENANCE_ROW}.{field} = {n} is not a positive measurement"
+                ));
             }
         }
     }

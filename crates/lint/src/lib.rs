@@ -5,7 +5,7 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | `panic-freedom` | no `unwrap`/`expect`/`panic!`/`unreachable!`/unchecked indexing on query, wire, or maintenance paths |
-//! | `wire-tags` | every `Message` variant's `TAG_*` constant appears in `encode`, `decode`, the transport fuzz list, and the README protocol table; inner `UpdateOp`/`MetricValue` tags are named constants wired through both codec directions |
+//! | `wire-tags` | every `Message` variant's `TAG_*` constant appears in `encode`, `decode`, the transport fuzz list, and the README protocol table; inner `CellOp`/`MetricValue` tags are named constants wired through both codec directions |
 //! | `cache-invalidation` | every `&mut self` `CellSet` method touching `cells` calls `invalidate_caches()` |
 //! | `float-ordering` | distance ordering uses `total_cmp`, never `partial_cmp` or `f64::max`/`min` |
 //! | `metrics-registration` | metric names are registered exactly once, in the pre-registration block |
@@ -33,7 +33,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "wire-tags",
-        "every Message variant's TAG_* constant appears in encode, decode, the fuzz list, and the README table; inner UpdateOp/MetricValue tags are named and wired through both codec directions",
+        "every Message variant's TAG_* constant appears in encode, decode, the fuzz list, and the README table; inner CellOp/MetricValue tags are named and wired through both codec directions",
     ),
     (
         "cache-invalidation",

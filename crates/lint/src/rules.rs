@@ -428,7 +428,7 @@ fn tag_consts(toks: &[Tok], prefix: &str, out: &mut Vec<RuleFinding>) -> Vec<(St
 /// L2 — wire-tags: every `Message` variant's `TAG_*` constant exists, has a
 /// distinct value, and appears in `encode`, `decode`, the transport fuzz-tag
 /// list, and the README protocol table; and every inner enum framed inside a
-/// variant's payload (`UpdateOp`, `MetricValue`) has its own named tag
+/// variant's payload (`CellOp`, `MetricValue`) has its own named tag
 /// family (`OP_TAG_*`, `METRIC_TAG_*`) wired through both `encode` and
 /// `decode`.  All findings anchor to message.rs lines (the variant or
 /// constant that is out of sync).
@@ -536,13 +536,13 @@ pub fn wire_tags(inp: &WireInputs) -> Vec<RuleFinding> {
 
     // Inner tag families: each enum framed inside a variant's payload gets
     // one byte of tag on the wire, named in message.rs and wired through
-    // both codec directions.  `UpdateOp` is declared in message.rs itself;
+    // both codec directions.  `CellOp` is declared in message.rs itself;
     // `MetricValue` lives in obs, so its variant list is read from the
     // lexed metrics file when available.
     inner_tag_family(
         toks,
         Some(toks),
-        "UpdateOp",
+        "CellOp",
         "OP_TAG_",
         &encode_idents,
         &decode_idents,

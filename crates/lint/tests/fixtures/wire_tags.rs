@@ -16,7 +16,7 @@ pub enum Message {
     Ack,
 }
 
-pub enum UpdateOp {
+pub enum CellOp {
     Set,
     Clear,
     Drop,

@@ -3,7 +3,10 @@
 //! The federated deployment of the paper's Fig. 3, for real: the server
 //! loads raw datasets, grids them at its own resolution, builds its DITS-L,
 //! then serves the framed multi-source protocol (OJSP / CJSP / kNN queries
-//! and `ApplyUpdates` maintenance batches) over TCP.  A data center reaches
+//! and `ApplyUpdates` maintenance batches) over TCP.  Only the start-up file
+//! holds points: a maintenance batch arrives as cell sets the data center
+//! already gridded at `--resolution`, and one gridded at any other θ is
+//! rejected whole.  A data center reaches
 //! it through [`multisource::TcpTransport`] and bootstraps its DITS-G with
 //! [`multisource::DataCenter::from_transport`].
 //!

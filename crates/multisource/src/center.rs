@@ -166,21 +166,10 @@ impl DataCenter {
     ) -> Result<Self, SearchError> {
         let mut summaries = Vec::new();
         for source in transport.source_ids() {
-            let reply = transport.call(source, &Message::ApplyUpdates { ops: vec![] }, false)?;
-            match reply.message {
-                Message::SummaryRefresh {
-                    summary,
-                    dataset_count,
-                    ..
-                } => {
-                    if dataset_count > 0 {
-                        summaries.push(summary);
-                    }
-                }
-                Message::Error { code, detail } => {
-                    return Err(TransportError::Remote { code, detail }.into())
-                }
-                _ => return Err(TransportError::UnexpectedReply("SummaryRefresh").into()),
+            let reply = transport.call(source, &Message::summary_poll(), false)?;
+            let (summary, dataset_count) = Self::refreshed_summary(reply.message)?;
+            if dataset_count > 0 {
+                summaries.push(summary);
             }
         }
         Ok(Self {
@@ -207,41 +196,61 @@ impl DataCenter {
     /// [`ExclusiveTransport`](crate::ExclusiveTransport)) and remote ones
     /// (via [`TcpTransport`](crate::TcpTransport)).
     ///
-    /// The exchange is transactional at the batch level: a structurally
-    /// invalid dataset rejects the whole batch with nothing mutated anywhere
-    /// ([`SearchError::Rejected`]), while individually impossible operations
-    /// (duplicate insert, missing update/delete target) are skipped and
-    /// counted in [`MaintenanceStats::rejected`].  By the time this returns
-    /// `Ok`, the next query batch is planned against a DITS-G that agrees
-    /// with the mutated local index, so `candidate_sources` pruning stays
-    /// lossless.
+    /// The center grids every insert/update dataset at the source's own
+    /// resolution — read from its DITS-G summary, or from a summary poll
+    /// when DITS-G holds none (the source was empty) — so cells travel, not
+    /// points.  A poll's bytes count in the outcome's [`CommStats`].
+    ///
+    /// The exchange is transactional at the batch level: a dataset that
+    /// grids to nothing, or a batch the source refuses
+    /// ([`BatchError`](crate::BatchError)), rejects the whole batch with
+    /// nothing mutated anywhere ([`SearchError::Rejected`]), while
+    /// individually impossible operations (duplicate insert, missing
+    /// update/delete target) are skipped and counted in
+    /// [`MaintenanceStats::rejected`].  By the time this returns `Ok`, the
+    /// next query batch is planned against a DITS-G that agrees with the
+    /// mutated local index, so `candidate_sources` pruning stays lossless.
     pub fn apply_updates(
         &mut self,
         transport: &dyn SourceTransport,
         source: SourceId,
         ops: &[UpdateOp],
     ) -> Result<MaintenanceOutcome, SearchError> {
-        let request = Message::ApplyUpdates { ops: ops.to_vec() };
         let mut comm = CommStats::new();
         comm.sources_contacted += 1;
+        let request = if ops.is_empty() {
+            Message::summary_poll()
+        } else {
+            let registered = self
+                .global
+                .summaries()
+                .into_iter()
+                .find(|s| s.source == source);
+            let resolution = match registered {
+                Some(summary) => summary.resolution,
+                None => {
+                    let poll = transport.call(source, &Message::summary_poll(), false)?;
+                    comm.record_request(poll.request_bytes);
+                    comm.record_reply(poll.reply_bytes);
+                    Self::refreshed_summary(poll.message)?.0.resolution
+                }
+            };
+            let grid = Grid::global(resolution)
+                .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
+            let ops = ops
+                .iter()
+                .map(|op| op.grid(&grid))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| SearchError::Rejected {
+                    detail: e.to_string(),
+                })?;
+            Message::ApplyUpdates { resolution, ops }
+        };
         let reply = transport.call(source, &request, true)?;
         comm.record_request(reply.request_bytes);
         comm.record_reply(reply.reply_bytes);
         let mut stats = reply.maintenance.unwrap_or_default();
-        let (summary, dataset_count) = match reply.message {
-            Message::SummaryRefresh {
-                summary,
-                dataset_count,
-                ..
-            } => (summary, dataset_count),
-            Message::Error { code, detail } if code == crate::message::ERR_REJECTED_BATCH => {
-                return Err(SearchError::Rejected { detail })
-            }
-            Message::Error { code, detail } => {
-                return Err(TransportError::Remote { code, detail }.into())
-            }
-            _ => return Err(TransportError::UnexpectedReply("SummaryRefresh").into()),
-        };
+        let (summary, dataset_count) = Self::refreshed_summary(reply.message)?;
         if dataset_count == 0 {
             // The batch emptied the source.  An empty index has only a
             // degenerate placeholder geometry and can answer no query, so
@@ -263,6 +272,23 @@ impl DataCenter {
             stats,
             comm,
         })
+    }
+
+    /// Unwraps the [`Message::SummaryRefresh`] answering a maintenance batch
+    /// or a summary poll into the source's summary and dataset count.
+    fn refreshed_summary(reply: Message) -> Result<(SourceSummary, u64), SearchError> {
+        match reply {
+            Message::SummaryRefresh {
+                summary,
+                dataset_count,
+                ..
+            } => Ok((summary, dataset_count)),
+            Message::Error { code, detail } if code == crate::message::ERR_REJECTED_BATCH => {
+                Err(SearchError::Rejected { detail })
+            }
+            Message::Error { code, detail } => Err(TransportError::Remote { code, detail }.into()),
+            _ => Err(TransportError::UnexpectedReply("SummaryRefresh").into()),
+        }
     }
 
     /// Folds a source's refreshed root summary into DITS-G — the center half

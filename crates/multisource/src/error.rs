@@ -11,6 +11,11 @@
 //!   whole: bad configuration, transport failure, or a source rejecting a
 //!   maintenance batch.
 //!
+//! [`BatchError`] sits beside them: why a source refused a maintenance
+//! batch as a whole.  It crosses the wire as an `ERR_REJECTED_BATCH`
+//! [`Message::Error`](crate::message::Message::Error) and reaches the caller
+//! as [`SearchError::Rejected`].
+//!
 //! Lower layers convert losslessly into higher ones (`From` impls), so the
 //! public entry points — `Framework::search`, `DataCenter::apply_updates` —
 //! report a single [`SearchError`] while preserving the root cause.
@@ -18,7 +23,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use spatial::{SourceId, SpatialError};
+use spatial::{CellId, DatasetId, SourceId, SpatialError};
 
 /// Why a byte buffer could not be decoded into a `Message`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +39,10 @@ pub enum WireError {
     BadVarint(&'static str),
     /// A delta-encoded cell id overflowed `u64`.
     CellOverflow,
+    /// A cell delta after the first was zero: cell sets travel strictly
+    /// increasing, so every buffer has exactly one decoding and
+    /// `encode(decode(b)) == b`.
+    DuplicateCell,
     /// A length prefix exceeds the protocol's sanity limit.
     Oversized(&'static str),
     /// A string field was not valid UTF-8.
@@ -48,6 +57,7 @@ impl fmt::Display for WireError {
             WireError::BadOpTag(tag) => write!(f, "unknown maintenance op tag {tag}"),
             WireError::BadVarint(what) => write!(f, "malformed varint in {what}"),
             WireError::CellOverflow => write!(f, "delta-encoded cell id overflowed"),
+            WireError::DuplicateCell => write!(f, "delta-encoded cell set repeats a cell"),
             WireError::Oversized(what) => write!(f, "{what} exceeds the protocol size limit"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
         }
@@ -161,6 +171,56 @@ impl From<WireError> for TransportError {
     }
 }
 
+/// Why a source refused a maintenance batch as a whole, with nothing
+/// applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchError {
+    /// The batch's cells were gridded at another resolution than the
+    /// source's own grid, so its cell ids mean different places there.
+    ResolutionMismatch {
+        /// The resolution the batch states.
+        batch: u32,
+        /// The resolution of the source's grid.
+        source: u32,
+    },
+    /// An insert or update carries no cells: the dataset gridded to nothing,
+    /// has no MBR and can never be indexed.
+    EmptyDataset,
+    /// A cell id lies outside the source's grid (`cell ≥ 4^θ`).
+    CellOutOfGrid {
+        /// The dataset whose cell set holds the cell.
+        dataset: DatasetId,
+        /// The offending cell id.
+        cell: CellId,
+        /// The resolution θ of the source's grid.
+        resolution: u32,
+    },
+}
+
+impl fmt::Display for BatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BatchError::ResolutionMismatch { batch, source } => write!(
+                f,
+                "batch gridded at θ={batch} but the source indexes at θ={source}"
+            ),
+            // The words of the center's own gridding failure, so the caller
+            // reads the same rejection whichever side noticed.
+            BatchError::EmptyDataset => write!(f, "{}", SpatialError::EmptyDataset),
+            BatchError::CellOutOfGrid {
+                dataset,
+                cell,
+                resolution,
+            } => write!(
+                f,
+                "dataset {dataset} holds cell {cell}, outside the θ={resolution} grid"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BatchError {}
+
 /// Why a framework configuration is invalid.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
@@ -192,10 +252,11 @@ pub enum SearchError {
     UnknownSource(SourceId),
     /// A request could not be exchanged with a source.
     Transport(TransportError),
-    /// A source rejected a maintenance batch before applying anything (e.g.
-    /// a structurally invalid dataset); nothing was mutated anywhere.
+    /// A maintenance batch was rejected before anything was applied — by the
+    /// center while gridding it (a dataset that grids to nothing) or by the
+    /// source ([`BatchError`]); nothing was mutated anywhere.
     Rejected {
-        /// Human-readable reason produced by the source.
+        /// Human-readable reason.
         detail: String,
     },
     /// An invariant of the engine itself was violated (worker panic, lost
@@ -268,6 +329,7 @@ mod tests {
             WireError::BadTag(200),
             WireError::BadVarint("k"),
             WireError::CellOverflow,
+            WireError::DuplicateCell,
             WireError::BadUtf8,
         ] {
             assert!(!e.to_string().is_empty());

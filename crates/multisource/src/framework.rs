@@ -11,9 +11,10 @@
 //! [`DataCenter::from_transport`] and [`TcpTransport`](crate::TcpTransport).
 //!
 //! Index maintenance flows through [`MultiSourceFramework::apply_updates`]:
-//! a batch of [`UpdateOp`]s travels to one source as a
+//! the center grids a batch of [`UpdateOp`]s at the target source's
+//! resolution, the cells travel to that source as a
 //! [`Message::ApplyUpdates`](crate::message::Message::ApplyUpdates) through
-//! an [`ExclusiveTransport`], the source applies it to its DITS-L, and the
+//! an [`ExclusiveTransport`], the source applies them to its DITS-L, and the
 //! returned summary refresh is folded into the center's DITS-G before the
 //! call returns — so query batches issued afterwards are planned against
 //! summaries that agree with every local index.

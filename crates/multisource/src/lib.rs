@@ -41,8 +41,9 @@
 //!
 //! Index mutation flows through
 //! [`framework::MultiSourceFramework::apply_updates`] (in-process) or
-//! [`DataCenter::apply_updates`] (any transport): maintenance batches travel
-//! as [`message::Message::ApplyUpdates`], each source applies them
+//! [`DataCenter::apply_updates`] (any transport): the center grids each
+//! batch at the target source's resolution, the cells travel as
+//! [`message::Message::ApplyUpdates`], each source applies them
 //! transactionally to its DITS-L, and the
 //! [`message::Message::SummaryRefresh`] acknowledgement is folded into the
 //! center's DITS-G before the next query batch is planned — the consistency
@@ -74,9 +75,9 @@ pub use center::{
 };
 pub use comm::{CommConfig, CommStats};
 pub use engine::{BatchOutcome, EngineConfig, QueryEngine, ShardMode};
-pub use error::{ConfigError, SearchError, TransportError, WireError};
+pub use error::{BatchError, ConfigError, SearchError, TransportError, WireError};
 pub use framework::{FrameworkConfig, MultiSourceFramework};
-pub use message::{CoverageCandidate, Message, UpdateOp};
+pub use message::{CellOp, CoverageCandidate, Message, UpdateOp};
 pub use source::{DataSource, SourceMetrics};
 pub use transport::{
     scrape_metrics, serve_source, serve_source_until, CallOptions, ExclusiveTransport,

@@ -19,12 +19,19 @@
 //! across the deployment:
 //!
 //! * [`Message::ApplyUpdates`] (center → source) carries a batch of
-//!   [`UpdateOp`]s — raw datasets for inserts/updates (each source grids
-//!   them at its own resolution) and dataset ids for deletes.  An *empty*
-//!   batch doubles as a summary poll: it mutates nothing and is answered
-//!   with the source's current summary, which is how a data center
-//!   bootstraps DITS-G from remote sources
-//!   ([`DataCenter::from_transport`](crate::DataCenter::from_transport)).
+//!   [`CellOp`]s: a dataset id and its [`CellSet`] for every insert/update,
+//!   a dataset id for every delete, and — once per non-empty batch — the
+//!   resolution θ the cells were gridded at.  No raw point and no dataset
+//!   name crosses the wire: a source keeps cells only, so the center grids
+//!   each caller-side [`UpdateOp`] at the target source's resolution (the
+//!   one its DITS-G summary states, and the grid it already grids every
+//!   query for that source with) and ships the cells in the layout query
+//!   cells travel in.  An *empty* batch doubles as a summary poll: it
+//!   carries no resolution, mutates nothing and is answered with the
+//!   source's current summary, which is how a data center bootstraps DITS-G
+//!   from remote sources
+//!   ([`DataCenter::from_transport`](crate::DataCenter::from_transport)) and
+//!   how it learns the resolution of a source DITS-G holds no summary of.
 //! * [`Message::SummaryRefresh`] (source → center) acknowledges the batch
 //!   and carries the source's *new root summary* plus applied/rejected
 //!   counts, so the data center can refresh DITS-G without another round
@@ -36,16 +43,19 @@
 //! losslessly instead of dying as a closed socket.
 //!
 //! **Consistency guarantee.** A source validates the whole batch before
-//! mutating anything (a structurally invalid op — e.g. an empty dataset —
-//! rejects the batch with no partial application), and the data center
-//! refreshes DITS-G with the returned summary before any later query batch
-//! is planned.  Queries therefore never observe a summary that disagrees
-//! with its source's local index, which is exactly the property
+//! mutating anything — a resolution other than its own grid's, an empty
+//! cell set or a cell id `≥ 4^θ` rejects the batch
+//! ([`BatchError`](crate::BatchError)) with no partial application — and the
+//! data center refreshes DITS-G with the returned summary before any later
+//! query batch is planned.  Queries therefore never observe a summary that
+//! disagrees with its source's local index, which is exactly the property
 //! `candidate_sources` pruning needs to stay lossless.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dits::{Neighbor, OverlapResult, SourceSummary};
-use spatial::{CellId, CellSet, DatasetId, Mbr, Point, SourceId, SpatialDataset};
+use spatial::{
+    CellId, CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset, SpatialError,
+};
 
 use crate::error::WireError;
 
@@ -61,18 +71,58 @@ pub const ERR_REJECTED_BATCH: u16 = 1;
 /// over TCP.
 const MAX_ERROR_DETAIL_BYTES: usize = 1 << 20;
 
-/// One maintenance operation shipped to a data source as part of a
-/// [`Message::ApplyUpdates`] batch.
-///
-/// Inserts and updates carry the *raw* dataset (points in longitude /
-/// latitude): sources index at their own resolution, so gridding happens on
-/// the receiving side, exactly like the initial upload.
+/// One maintenance operation as a caller states it: inserts and updates name
+/// the *raw* dataset (points in longitude / latitude).  Raw datasets never
+/// travel — [`DataCenter::apply_updates`](crate::DataCenter::apply_updates)
+/// grids each op into the [`CellOp`] that does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UpdateOp {
     /// Add a new dataset to the source.
     Insert(SpatialDataset),
     /// Replace the content of an existing dataset.
     Update(SpatialDataset),
+    /// Remove a dataset.
+    Delete(DatasetId),
+}
+
+impl UpdateOp {
+    /// Grids the operation into its wire form.  Points outside the grid's
+    /// space are skipped, as everywhere a dataset is gridded; a dataset left
+    /// with no cell at all is [`SpatialError::EmptyDataset`].
+    pub fn grid(&self, grid: &Grid) -> Result<CellOp, SpatialError> {
+        Ok(match self {
+            UpdateOp::Insert(d) => CellOp::Insert {
+                dataset: d.id,
+                cells: d.to_cell_set(grid)?,
+            },
+            UpdateOp::Update(d) => CellOp::Update {
+                dataset: d.id,
+                cells: d.to_cell_set(grid)?,
+            },
+            UpdateOp::Delete(id) => CellOp::Delete(*id),
+        })
+    }
+}
+
+/// One maintenance operation as it travels inside a
+/// [`Message::ApplyUpdates`] batch: datasets are cell sets on the grid whose
+/// resolution the batch states.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CellOp {
+    /// Add a new dataset to the source.
+    Insert {
+        /// The new dataset's id.
+        dataset: DatasetId,
+        /// Its cell-based representation.
+        cells: CellSet,
+    },
+    /// Replace the content of an existing dataset.
+    Update {
+        /// The dataset to replace.
+        dataset: DatasetId,
+        /// Its new cell-based representation.
+        cells: CellSet,
+    },
     /// Remove a dataset.
     Delete(DatasetId),
 }
@@ -128,11 +178,11 @@ pub const TAG_METRICS_SNAPSHOT: u8 = 14;
 // Named for the same reason as the frame-level set — repo-lint cross-checks
 // that every inner enum variant's tag is wired through both encode and
 // decode, which a bare literal defeats.
-/// Inner tag of [`UpdateOp::Insert`] inside `ApplyUpdates`.
+/// Inner tag of [`CellOp::Insert`] inside `ApplyUpdates`.
 pub const OP_TAG_INSERT: u8 = 0;
-/// Inner tag of [`UpdateOp::Update`] inside `ApplyUpdates`.
+/// Inner tag of [`CellOp::Update`] inside `ApplyUpdates`.
 pub const OP_TAG_UPDATE: u8 = 1;
-/// Inner tag of [`UpdateOp::Delete`] inside `ApplyUpdates`.
+/// Inner tag of [`CellOp::Delete`] inside `ApplyUpdates`.
 pub const OP_TAG_DELETE: u8 = 2;
 /// Inner tag of [`obs::MetricValue::Counter`] inside `MetricsSnapshot`.
 pub const METRIC_TAG_COUNTER: u8 = 0;
@@ -176,10 +226,15 @@ pub enum Message {
         candidates: Vec<CoverageCandidate>,
     },
     /// Data center → source: apply a batch of index-maintenance operations.
-    /// An empty batch is a read-only summary poll.
+    /// An empty batch is a read-only summary poll
+    /// ([`Message::summary_poll`]).
     ApplyUpdates {
+        /// The resolution θ every cell set of the batch was gridded at; the
+        /// source rejects the batch unless it is its own.  Travels only with
+        /// a non-empty batch: a summary poll decodes with `0`.
+        resolution: u32,
         /// The operations, applied in order.
-        ops: Vec<UpdateOp>,
+        ops: Vec<CellOp>,
     },
     /// Source → data center: maintenance acknowledgement carrying the
     /// source's refreshed root summary, so DITS-G can be updated without a
@@ -276,6 +331,14 @@ pub enum Message {
 }
 
 impl Message {
+    /// The read-only summary poll: an empty maintenance batch.
+    pub fn summary_poll() -> Self {
+        Message::ApplyUpdates {
+            resolution: 0,
+            ops: Vec::new(),
+        }
+    }
+
     /// Serialises the message into its wire form.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
@@ -310,20 +373,23 @@ impl Message {
                     put_cells(&mut buf, &c.cells);
                 }
             }
-            Message::ApplyUpdates { ops } => {
+            Message::ApplyUpdates { resolution, ops } => {
                 buf.put_u8(TAG_APPLY_UPDATES);
                 put_varint(&mut buf, ops.len() as u64);
+                if !ops.is_empty() {
+                    put_varint(&mut buf, u64::from(*resolution));
+                }
                 for op in ops {
                     match op {
-                        UpdateOp::Insert(dataset) => {
+                        CellOp::Insert { dataset, cells } => {
                             buf.put_u8(OP_TAG_INSERT);
-                            put_dataset(&mut buf, dataset);
+                            put_gridded(&mut buf, *dataset, cells);
                         }
-                        UpdateOp::Update(dataset) => {
+                        CellOp::Update { dataset, cells } => {
                             buf.put_u8(OP_TAG_UPDATE);
-                            put_dataset(&mut buf, dataset);
+                            put_gridded(&mut buf, *dataset, cells);
                         }
-                        UpdateOp::Delete(id) => {
+                        CellOp::Delete(id) => {
                             buf.put_u8(OP_TAG_DELETE);
                             put_varint(&mut buf, *id as u64);
                         }
@@ -519,22 +585,34 @@ impl Message {
             }
             TAG_APPLY_UPDATES => {
                 let n = get_varint(&mut data, "op count")? as usize;
+                let resolution = if n == 0 {
+                    0
+                } else {
+                    u32::try_from(get_varint(&mut data, "batch resolution")?)
+                        .map_err(|_| WireError::Oversized("batch resolution"))?
+                };
                 let mut ops = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
                     if !data.has_remaining() {
                         return Err(WireError::Truncated("op tag"));
                     }
                     let op = match data.get_u8() {
-                        OP_TAG_INSERT => UpdateOp::Insert(get_dataset(&mut data)?),
-                        OP_TAG_UPDATE => UpdateOp::Update(get_dataset(&mut data)?),
+                        OP_TAG_INSERT => {
+                            let (dataset, cells) = get_gridded(&mut data)?;
+                            CellOp::Insert { dataset, cells }
+                        }
+                        OP_TAG_UPDATE => {
+                            let (dataset, cells) = get_gridded(&mut data)?;
+                            CellOp::Update { dataset, cells }
+                        }
                         OP_TAG_DELETE => {
-                            UpdateOp::Delete(get_varint(&mut data, "delete target")? as DatasetId)
+                            CellOp::Delete(get_varint(&mut data, "delete target")? as DatasetId)
                         }
                         other => return Err(WireError::BadOpTag(other)),
                     };
                     ops.push(op);
                 }
-                Ok(Message::ApplyUpdates { ops })
+                Ok(Message::ApplyUpdates { resolution, ops })
             }
             TAG_SUMMARY_REFRESH => {
                 if data.remaining() < 2 + 4 + 4 * 8 {
@@ -750,44 +828,15 @@ impl Message {
     }
 }
 
-/// Writes a raw spatial dataset: id, name and longitude/latitude points.
-/// Maintenance ships raw points (not cells) because every source grids at
-/// its own resolution.
-fn put_dataset(buf: &mut BytesMut, dataset: &SpatialDataset) {
-    put_varint(buf, dataset.id as u64);
-    put_varint(buf, dataset.name.len() as u64);
-    buf.put_slice(dataset.name.as_bytes());
-    put_varint(buf, dataset.points.len() as u64);
-    for p in &dataset.points {
-        buf.put_f64(p.x);
-        buf.put_f64(p.y);
-    }
+/// Writes a gridded dataset: its id, then its cells.
+fn put_gridded(buf: &mut BytesMut, dataset: DatasetId, cells: &CellSet) {
+    put_varint(buf, dataset as u64);
+    put_cells(buf, cells);
 }
 
-fn get_dataset(data: &mut Bytes) -> Result<SpatialDataset, WireError> {
-    let id = get_varint(data, "dataset id")? as DatasetId;
-    let name_len = get_varint(data, "dataset name length")? as usize;
-    if data.remaining() < name_len {
-        return Err(WireError::Truncated("dataset name"));
-    }
-    let raw = data
-        .chunk()
-        .get(..name_len)
-        .ok_or(WireError::Truncated("dataset name"))?;
-    let name = String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)?;
-    data.advance(name_len);
-    let n = get_varint(data, "point count")? as usize;
-    let needed = n
-        .checked_mul(16)
-        .ok_or(WireError::Oversized("point count"))?;
-    if data.remaining() < needed {
-        return Err(WireError::Truncated("dataset points"));
-    }
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        points.push(Point::new(data.get_f64(), data.get_f64()));
-    }
-    Ok(SpatialDataset::named(id, name, points))
+fn get_gridded(data: &mut Bytes) -> Result<(DatasetId, CellSet), WireError> {
+    let dataset = get_varint(data, "dataset id")? as DatasetId;
+    Ok((dataset, get_cells(data)?))
 }
 
 /// Writes a cell set as a count followed by delta-encoded varints (the cells
@@ -801,16 +850,24 @@ fn put_cells(buf: &mut BytesMut, cells: &CellSet) {
     }
 }
 
+/// Reads a cell set, accepting exactly the bytes [`put_cells`] writes: a zero
+/// delta after the first cell repeats a cell and is rejected, so the cells
+/// arrive strictly increasing and are wrapped as they are.
 fn get_cells(data: &mut Bytes) -> Result<CellSet, WireError> {
-    let n = get_varint(data, "cell count")? as usize;
-    let mut cells = Vec::with_capacity(n.min(1 << 20));
+    let n = get_varint(data, "cell count")?;
+    // Every delta takes at least one byte, so a count beyond the bytes left
+    // is a cut-off buffer — known before anything is allocated for it.
+    if n > data.remaining() as u64 {
+        return Err(WireError::Truncated("cell delta"));
+    }
+    let mut cells = Vec::with_capacity(n as usize);
     let mut previous: CellId = 0;
     for _ in 0..n {
         let delta = get_varint(data, "cell delta")?;
         previous = previous.checked_add(delta).ok_or(WireError::CellOverflow)?;
         cells.push(previous);
     }
-    Ok(CellSet::from_cells(cells))
+    CellSet::from_sorted_cells(cells).ok_or(WireError::DuplicateCell)
 }
 
 /// Metric names and label strings come from in-process registries and are
@@ -1017,14 +1074,17 @@ mod tests {
     fn maintenance_messages_roundtrip() {
         use spatial::Point;
         let batch = Message::ApplyUpdates {
+            resolution: 12,
             ops: vec![
-                UpdateOp::Insert(SpatialDataset::named(
-                    7,
-                    "bus-route-7",
-                    vec![Point::new(-77.01, 38.9), Point::new(-77.02, 38.91)],
-                )),
-                UpdateOp::Update(SpatialDataset::new(3, vec![Point::new(116.3, 39.9)])),
-                UpdateOp::Delete(42),
+                CellOp::Insert {
+                    dataset: 7,
+                    cells: cs(&[0, 5, 100, 4096]),
+                },
+                CellOp::Update {
+                    dataset: 3,
+                    cells: cs(&[16_777_215]),
+                },
+                CellOp::Delete(42),
             ],
         };
         let encoded = batch.encode();
@@ -1047,17 +1107,49 @@ mod tests {
 
     #[test]
     fn empty_maintenance_batch_roundtrips() {
-        let m = Message::ApplyUpdates { ops: vec![] };
-        assert_eq!(Message::decode(m.encode()), Ok(m));
+        let m = Message::summary_poll();
+        let encoded = m.encode();
+        // The tag and a zero op count: no resolution rides an empty batch.
+        assert_eq!(encoded.as_ref(), &[TAG_APPLY_UPDATES, 0]);
+        assert_eq!(Message::decode(encoded), Ok(m));
+    }
+
+    #[test]
+    fn update_ops_grid_into_cell_ops() {
+        use spatial::Point;
+        let grid = Grid::global(10).unwrap();
+        let points = vec![Point::new(-77.01, 38.9), Point::new(-77.02, 38.91)];
+        let named = SpatialDataset::named(7, "bus-route-7", points.clone());
+        let cells = CellSet::from_points(&grid, &points);
+        assert_eq!(
+            UpdateOp::Insert(named.clone()).grid(&grid),
+            Ok(CellOp::Insert {
+                dataset: 7,
+                cells: cells.clone(),
+            })
+        );
+        assert_eq!(
+            UpdateOp::Update(named).grid(&grid),
+            Ok(CellOp::Update { dataset: 7, cells })
+        );
+        assert_eq!(UpdateOp::Delete(9).grid(&grid), Ok(CellOp::Delete(9)));
+        // Nothing inside the grid's space: nothing to index.
+        for points in [vec![], vec![Point::new(500.0, 500.0)]] {
+            assert_eq!(
+                UpdateOp::Insert(SpatialDataset::new(1, points)).grid(&grid),
+                Err(SpatialError::EmptyDataset)
+            );
+        }
     }
 
     #[test]
     fn malformed_maintenance_messages_are_rejected() {
         let batch = Message::ApplyUpdates {
-            ops: vec![UpdateOp::Insert(SpatialDataset::new(
-                1,
-                vec![spatial::Point::new(1.0, 2.0)],
-            ))],
+            resolution: 10,
+            ops: vec![CellOp::Insert {
+                dataset: 1,
+                cells: cs(&[3, 9, 700]),
+            }],
         };
         let enc = batch.encode();
         for cut in 1..enc.len() {
@@ -1066,12 +1158,101 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
-        // Unknown op tag.
+        // Unknown op tag (after the frame tag, the op count and θ).
         let mut raw = enc.to_vec();
-        raw[2] = 9;
+        raw[3] = 9;
         assert_eq!(
             Message::decode(Bytes::from(raw)),
             Err(WireError::BadOpTag(9))
+        );
+
+        // Batches that decode but do not fit the source's grid: each is a
+        // typed rejection of the whole batch, the valid leading op included,
+        // and leaves the source byte for byte as it was.
+        let grid = Grid::global(10).unwrap();
+        let seed: Vec<SpatialDataset> = (0..4)
+            .map(|i| SpatialDataset::new(i, vec![spatial::Point::new(f64::from(i), 1.0)]))
+            .collect();
+        let mut source = crate::DataSource::build(0, "s", grid, &seed, Default::default());
+        let image = dits::encode_local(source.index());
+        let leading = CellOp::Delete(0);
+        let first_outside = grid.cell_count();
+        for (resolution, op, expected) in [
+            (
+                12,
+                CellOp::Delete(1),
+                crate::BatchError::ResolutionMismatch {
+                    batch: 12,
+                    source: 10,
+                },
+            ),
+            (
+                10,
+                CellOp::Insert {
+                    dataset: 50,
+                    cells: cs(&[4, first_outside]),
+                },
+                crate::BatchError::CellOutOfGrid {
+                    dataset: 50,
+                    cell: first_outside,
+                    resolution: 10,
+                },
+            ),
+            (
+                10,
+                CellOp::Update {
+                    dataset: 1,
+                    cells: CellSet::new(),
+                },
+                crate::BatchError::EmptyDataset,
+            ),
+        ] {
+            let request = Message::ApplyUpdates {
+                resolution,
+                ops: vec![leading.clone(), op],
+            };
+            // The batch crosses the wire intact; it is the source that
+            // refuses it.
+            let request = Message::decode(request.encode()).unwrap();
+            assert_eq!(
+                source.serve(&request).message,
+                Message::Error {
+                    code: ERR_REJECTED_BATCH,
+                    detail: expected.to_string(),
+                }
+            );
+            assert_eq!(source.dataset_count(), 4);
+            assert_eq!(dits::encode_local(source.index()), image);
+        }
+    }
+
+    #[test]
+    fn cell_sets_have_exactly_one_encoding() {
+        let query_with = |cells: &[u8]| {
+            let mut raw = vec![TAG_OVERLAP_QUERY, 1]; // k = 1
+            raw.extend_from_slice(cells);
+            Message::decode(Bytes::from(raw))
+        };
+        // A zero delta after the first cell repeats a cell: rejected, not
+        // repaired.
+        assert_eq!(query_with(&[2, 5, 0]), Err(WireError::DuplicateCell));
+        assert_eq!(query_with(&[3, 0, 1, 0]), Err(WireError::DuplicateCell));
+        // Cell 0 itself is a zero *first* delta and fine.
+        assert_eq!(
+            query_with(&[2, 0, 1]),
+            Ok(Message::OverlapQuery {
+                query: cs(&[0, 1]),
+                k: 1
+            })
+        );
+        // A count beyond the bytes left fails before allocating for it.
+        assert_eq!(
+            query_with(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1]),
+            Err(WireError::Truncated("cell delta"))
+        );
+        assert_eq!(
+            query_with(&[3, 1, 1]),
+            Err(WireError::Truncated("cell delta"))
         );
     }
 
@@ -1313,6 +1494,26 @@ mod tests {
                 }],
             };
             prop_assert_eq!(Message::decode(r.encode()), Ok(r));
+        }
+
+        // Whatever decodes re-encodes to the very bytes it came from.
+        #[test]
+        fn prop_decoded_cell_sets_reencode_identically(
+            deltas in proptest::collection::vec(0u64..300, 0..40),
+            claimed in 0usize..48,
+        ) {
+            let mut buf = BytesMut::new();
+            buf.put_u8(TAG_KNN_QUERY);
+            put_varint(&mut buf, 3);
+            put_varint(&mut buf, claimed as u64);
+            for d in &deltas {
+                put_varint(&mut buf, *d);
+            }
+            let raw = buf.freeze();
+            if let Ok(message) = Message::decode(raw.clone()) {
+                let used = message.encode();
+                prop_assert_eq!(&raw[..used.len()], &used[..]);
+            }
         }
 
         #[test]

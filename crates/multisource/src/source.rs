@@ -12,7 +12,10 @@ use dits::{
 };
 use spatial::{CellSet, DatasetId, Grid, SourceId, SpatialDataset, SpatialError};
 
-use crate::message::{CoverageCandidate, Message, UpdateOp, ERR_REJECTED_BATCH, ERR_UNSUPPORTED};
+use crate::error::BatchError;
+use crate::message::{
+    CellOp, CoverageCandidate, Message, UpdateOp, ERR_REJECTED_BATCH, ERR_UNSUPPORTED,
+};
 use crate::transport::ServedReply;
 
 /// The request kinds a source counts separately (the `kind` label of
@@ -32,7 +35,7 @@ fn request_kind_index(request: &Message) -> usize {
         Message::OverlapQuery { .. } | Message::OverlapBatchQuery { .. } => 0,
         Message::CoverageQuery { .. } | Message::CoverageBatchQuery { .. } => 1,
         Message::KnnQuery { .. } => 2,
-        Message::ApplyUpdates { ops } if !ops.is_empty() => 3,
+        Message::ApplyUpdates { ops, .. } if !ops.is_empty() => 3,
         Message::ApplyUpdates { .. } => 4,
         Message::MetricsQuery => 5,
         _ => 6,
@@ -106,8 +109,9 @@ impl SourceMetrics {
     }
 }
 
-/// A maintenance operation whose dataset has already been gridded — the
-/// validated form [`DataSource::apply_updates`] executes.
+/// A validated maintenance operation: its dataset is a non-empty cell set on
+/// this source's grid, with its geometry computed — the form
+/// [`DataSource::apply_prepared`] executes.
 enum PreparedOp {
     Insert(DatasetNode),
     Update(DatasetNode),
@@ -179,16 +183,18 @@ impl DataSource {
         &self.index
     }
 
-    /// Applies a batch of maintenance operations to the local index.
+    /// Applies a batch of caller-side maintenance operations to the local
+    /// index: grids every insert/update dataset on the source's own grid,
+    /// then runs the cell-level apply the wire path
+    /// ([`Self::apply_cell_updates`]) also ends in.
     ///
-    /// The batch is *validated before anything mutates*: every insert/update
-    /// dataset is gridded up front, so a structurally invalid dataset (e.g.
-    /// an empty one, which has no MBR and can never be indexed) returns
-    /// [`SpatialError`] with the index untouched.  Individually impossible
-    /// operations — inserting a duplicate id, updating or deleting a missing
-    /// id — are not errors: they are skipped and counted in
-    /// [`MaintenanceStats::rejected`], matching the idempotent semantics a
-    /// replayed maintenance log needs.
+    /// The batch is *validated before anything mutates*: a structurally
+    /// invalid dataset (one that grids to nothing has no MBR and can never
+    /// be indexed) returns [`SpatialError`] with the index untouched.
+    /// Individually impossible operations — inserting a duplicate id,
+    /// updating or deleting a missing id — are not errors: they are skipped
+    /// and counted in [`MaintenanceStats::rejected`], matching the idempotent
+    /// semantics a replayed maintenance log needs.
     ///
     /// On success, returns the source's refreshed root summary (what the
     /// data center folds into DITS-G) plus the maintenance statistics.
@@ -198,16 +204,63 @@ impl DataSource {
     ) -> Result<(SourceSummary, MaintenanceStats), SpatialError> {
         let mut prepared = Vec::with_capacity(ops.len());
         for op in ops {
-            prepared.push(match op {
-                UpdateOp::Insert(d) => {
-                    PreparedOp::Insert(DatasetNode::from_dataset(&self.grid, d)?)
-                }
-                UpdateOp::Update(d) => {
-                    PreparedOp::Update(DatasetNode::from_dataset(&self.grid, d)?)
-                }
-                UpdateOp::Delete(id) => PreparedOp::Delete(*id),
+            prepared.push(Self::prepare(op.grid(&self.grid)?).ok_or(SpatialError::EmptyDataset)?);
+        }
+        Ok(self.apply_prepared(prepared))
+    }
+
+    /// Applies a batch of center-gridded operations — what a
+    /// [`Message::ApplyUpdates`] carries — with the semantics of
+    /// [`Self::apply_updates`].  The cells come from outside the process, so
+    /// the whole batch is checked against this source's grid first: another
+    /// resolution than its own, an empty cell set or a cell id `≥ 4^θ`
+    /// rejects it with nothing applied.
+    pub fn apply_cell_updates(
+        &mut self,
+        resolution: u32,
+        ops: &[CellOp],
+    ) -> Result<(SourceSummary, MaintenanceStats), BatchError> {
+        if resolution != self.grid.resolution() {
+            return Err(BatchError::ResolutionMismatch {
+                batch: resolution,
+                source: self.grid.resolution(),
             });
         }
+        let mut prepared = Vec::with_capacity(ops.len());
+        for op in ops {
+            if let CellOp::Insert { dataset, cells } | CellOp::Update { dataset, cells } = op {
+                // Cell sets are sorted: the last cell is the largest.
+                if let Some(&cell) = cells.cells().last() {
+                    if cell >= self.grid.cell_count() {
+                        return Err(BatchError::CellOutOfGrid {
+                            dataset: *dataset,
+                            cell,
+                            resolution,
+                        });
+                    }
+                }
+            }
+            prepared.push(Self::prepare(op.clone()).ok_or(BatchError::EmptyDataset)?);
+        }
+        Ok(self.apply_prepared(prepared))
+    }
+
+    /// Computes the geometry of an operation's dataset; `None` when its cell
+    /// set is empty.
+    fn prepare(op: CellOp) -> Option<PreparedOp> {
+        Some(match op {
+            CellOp::Insert { dataset, cells } => {
+                PreparedOp::Insert(DatasetNode::from_cell_set(dataset, cells)?)
+            }
+            CellOp::Update { dataset, cells } => {
+                PreparedOp::Update(DatasetNode::from_cell_set(dataset, cells)?)
+            }
+            CellOp::Delete(id) => PreparedOp::Delete(id),
+        })
+    }
+
+    /// The one cell-level apply: executes validated operations in order.
+    fn apply_prepared(&mut self, prepared: Vec<PreparedOp>) -> (SourceSummary, MaintenanceStats) {
         let mut stats = MaintenanceStats::new();
         for op in prepared {
             let applied = match op {
@@ -225,7 +278,7 @@ impl DataSource {
             debug_assert_eq!(self.index.check_invariants(), Ok(()));
         }
         debug_assert_eq!(self.index.check_invariants(), Ok(()));
-        Ok((self.summary(), stats))
+        (self.summary(), stats)
     }
 
     /// Handles one maintenance request, producing the
@@ -235,21 +288,24 @@ impl DataSource {
     pub fn handle_maintenance(
         &mut self,
         request: &Message,
-    ) -> Option<Result<(Message, MaintenanceStats), SpatialError>> {
-        let Message::ApplyUpdates { ops } = request else {
+    ) -> Option<Result<(Message, MaintenanceStats), BatchError>> {
+        let Message::ApplyUpdates { resolution, ops } = request else {
             return None;
         };
-        Some(self.apply_updates(ops).map(|(summary, stats)| {
-            (
-                Message::SummaryRefresh {
-                    summary,
-                    dataset_count: self.index.dataset_count() as u64,
-                    applied: stats.applied() as u64,
-                    rejected: stats.rejected as u64,
-                },
-                stats,
-            )
-        }))
+        Some(
+            self.apply_cell_updates(*resolution, ops)
+                .map(|(summary, stats)| {
+                    (
+                        Message::SummaryRefresh {
+                            summary,
+                            dataset_count: self.index.dataset_count() as u64,
+                            applied: stats.applied() as u64,
+                            rejected: stats.rejected as u64,
+                        },
+                        stats,
+                    )
+                }),
+        )
     }
 
     /// The dataset nodes held by the source's index.
@@ -422,7 +478,7 @@ impl DataSource {
     /// transport and behind a TCP socket.
     pub fn serve(&mut self, request: &Message) -> ServedReply {
         match request {
-            Message::ApplyUpdates { ops } if !ops.is_empty() => {
+            Message::ApplyUpdates { ops, .. } if !ops.is_empty() => {
                 // Discard any phase residue a non-serve caller left on this
                 // thread, so the drain in `finish` sees only this request.
                 let _ = take_phase_timings();
@@ -456,7 +512,7 @@ impl DataSource {
         let _ = take_phase_timings();
         let started = Instant::now();
         let reply = match request {
-            Message::ApplyUpdates { ops } if ops.is_empty() => {
+            Message::ApplyUpdates { ops, .. } if ops.is_empty() => {
                 ServedReply::plain(self.summary_message())
             }
             Message::ApplyUpdates { .. } => ServedReply::plain(Message::Error {
@@ -715,7 +771,8 @@ mod tests {
     fn handle_maintenance_produces_summary_refresh() {
         let mut s = source_with_routes();
         let request = Message::ApplyUpdates {
-            ops: vec![UpdateOp::Delete(3), UpdateOp::Delete(999_999)],
+            resolution: 10,
+            ops: vec![CellOp::Delete(3), CellOp::Delete(999_999)],
         };
         let (reply, stats) = s.handle_maintenance(&request).unwrap().unwrap();
         match reply {

@@ -315,7 +315,7 @@ impl SourceTransport for InProcessTransport<'_> {
             // A mutating batch cannot be applied through a shared borrow;
             // fail loudly instead of answering with a protocol error, so
             // the caller reaches for `ExclusiveTransport`.
-            Message::ApplyUpdates { ops } if !ops.is_empty() => {
+            Message::ApplyUpdates { ops, .. } if !ops.is_empty() => {
                 Err(TransportError::ExclusiveRequired)
             }
             other => Ok(src
@@ -869,7 +869,7 @@ fn serve_connection(
             Err(other) => return Err(other),
         };
         let needs_exclusive =
-            matches!(&frame.message, Message::ApplyUpdates { ops } if !ops.is_empty());
+            matches!(&frame.message, Message::ApplyUpdates { ops, .. } if !ops.is_empty());
         let served = if needs_exclusive {
             match source.write() {
                 Ok(mut guard) => guard.serve(&frame.message),
@@ -1089,9 +1089,7 @@ mod tests {
         assert_eq!(no_stats.message, reply.message);
         assert!(no_stats.search.is_none());
         // Summary poll is read-only and allowed.
-        let poll = t
-            .call(0, &Message::ApplyUpdates { ops: vec![] }, false)
-            .unwrap();
+        let poll = t.call(0, &Message::summary_poll(), false).unwrap();
         assert!(matches!(
             poll.message,
             Message::SummaryRefresh {
@@ -1104,7 +1102,8 @@ mod tests {
             .call(
                 0,
                 &Message::ApplyUpdates {
-                    ops: vec![crate::message::UpdateOp::Delete(0)],
+                    resolution: 10,
+                    ops: vec![crate::message::CellOp::Delete(0)],
                 },
                 false,
             )
@@ -1124,7 +1123,8 @@ mod tests {
             .call(
                 0,
                 &Message::ApplyUpdates {
-                    ops: vec![crate::message::UpdateOp::Delete(2)],
+                    resolution: 10,
+                    ops: vec![crate::message::CellOp::Delete(2)],
                 },
                 true,
             )

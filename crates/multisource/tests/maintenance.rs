@@ -6,17 +6,25 @@
 //! raw data — OJSP and CJSP answers, per-source kNN, and the
 //! `candidate_sources` routing decisions alike.  A divergence in any of
 //! them means a maintenance path corrupted an index or let DITS-G go stale.
+//!
+//! A second seeded suite holds the two ways into a source to one result: the
+//! same op stream sent center → wire → source as gridded cells, and applied
+//! to a twin source as raw ops (`DataSource::apply_updates`), must leave
+//! byte-identical index images behind.
 
 use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
 use dits::{
     decode_global, decode_local, encode_global, encode_local, nearest_datasets,
     nearest_datasets_unbounded, overlap_search,
 };
+use multisource::transport::{CallOptions, TransportReply};
 use multisource::{
-    DistributionStrategy, FrameworkConfig, MultiSourceFramework, SearchRequest, UpdateOp,
+    DataCenter, DataSource, DistributionStrategy, EngineConfig, FrameworkConfig, Message,
+    MultiSourceFramework, QueryEngine, SearchError, SearchRequest, SourceTransport, TransportError,
+    UpdateOp,
 };
 use proptest::prelude::*;
-use spatial::{Point, SourceId, SpatialDataset};
+use spatial::{Grid, Point, SourceId, SpatialDataset, SpatialError};
 
 fn build_data(seed: u64) -> Vec<(String, Vec<SpatialDataset>)> {
     let config = GeneratorConfig {
@@ -215,7 +223,7 @@ impl Drop for ReplayOnPanic {
     fn drop(&mut self) {
         if std::thread::panicking() {
             eprintln!(
-                "maintenance case failed; replay it with `run_case({})` from a #[test]",
+                "maintenance case failed; replay it with `run_case({0})` or `run_wire_case({0})` from a #[test]",
                 self.0
             );
         }
@@ -316,6 +324,250 @@ proptest! {
     }
 }
 
+/// An in-process transport that really goes through the codec: the request
+/// is encoded and decoded before the source serves it, and so is the reply —
+/// what a socket does to them, with the sources left where the test can
+/// read their indexes.  Keeps the last reply as the source sent it.
+#[derive(Debug)]
+struct WireTransport {
+    sources: std::sync::Mutex<Vec<DataSource>>,
+    last_reply: std::sync::Mutex<Option<TransportReply>>,
+}
+
+impl SourceTransport for WireTransport {
+    fn source_ids(&self) -> Vec<SourceId> {
+        self.sources.lock().unwrap().iter().map(|s| s.id).collect()
+    }
+
+    fn call_with(
+        &self,
+        source: SourceId,
+        request: &Message,
+        opts: CallOptions,
+    ) -> Result<TransportReply, TransportError> {
+        let request_bytes = request.encode();
+        let decoded = Message::decode(request_bytes.clone())?;
+        let mut sources = self.sources.lock().unwrap();
+        let src = sources
+            .iter_mut()
+            .find(|s| s.id == source)
+            .ok_or(TransportError::UnknownSource(source))?;
+        let served = src.serve(&decoded);
+        let reply_bytes = served.message.encode();
+        let reply = TransportReply {
+            message: Message::decode(reply_bytes.clone())?,
+            request_bytes: request_bytes.len(),
+            reply_bytes: reply_bytes.len(),
+            search: served.search.filter(|_| opts.want_stats),
+            maintenance: served.maintenance.filter(|_| opts.want_stats),
+            service: None,
+            trace: None,
+        };
+        *self.last_reply.lock().unwrap() = Some(reply.clone());
+        Ok(reply)
+    }
+}
+
+/// A dataset for the wire-parity stream.  `shape` picks what its points do
+/// to a grid: lie inside cells, sit exactly on cell borders (of θ = 10, hence
+/// of θ = 12 too), straddle the edge of the space (`from_points` skips what
+/// falls outside), or grid to nothing at all.
+fn shaped_dataset(id: u32, salt: u32, shape: u8) -> SpatialDataset {
+    let outside = [Point::new(200.0, 95.0), Point::new(-181.0, 0.0)];
+    match shape % 6 {
+        0..=2 => synth_dataset(id, salt),
+        3 => {
+            let (lon_step, lat_step) = (360.0 / 1024.0, 180.0 / 1024.0);
+            let points = (0..2 + salt % 4)
+                .map(|j| {
+                    Point::new(
+                        -180.0 + f64::from(300 + salt % 90 + j) * lon_step,
+                        -90.0 + f64::from(650 + salt % 40 + j % 2) * lat_step,
+                    )
+                })
+                .collect();
+            SpatialDataset::new(id, points)
+        }
+        4 => {
+            let mut d = synth_dataset(id, salt);
+            d.points.extend(outside);
+            d.points.push(Point::new(180.0, 90.0)); // the space's own corner
+            d
+        }
+        _ if salt.is_multiple_of(2) => SpatialDataset::new(id, Vec::new()),
+        _ => SpatialDataset::new(id, outside.to_vec()),
+    }
+}
+
+/// One wire-parity case, fully determined by `case_seed`: a coarse source
+/// (θ = 10, seeded with data) and a fine one (θ = 12, empty at first, so the
+/// center has to poll it for its resolution) each receive the same batches
+/// twice — as cells through [`WireTransport`], as raw ops on a twin.
+fn run_wire_case(case_seed: u64) {
+    let _replay = ReplayOnPanic(case_seed);
+    let mut rng = TestRng::from_name(&format!("wire-{case_seed}"));
+    let batches = proptest::collection::vec(
+        (
+            0u8..2,
+            proptest::collection::vec((0u8..3, any::<u8>(), any::<u8>()), 1..5),
+        ),
+        4..16,
+    )
+    .generate(&mut rng);
+
+    let seeded: Vec<SpatialDataset> = (0..12).map(|i| synth_dataset(i, i * 5 + 1)).collect();
+    let mut twins = vec![
+        DataSource::build(
+            0,
+            "coarse",
+            Grid::global(10).unwrap(),
+            &seeded,
+            Default::default(),
+        ),
+        DataSource::build(
+            1,
+            "fine",
+            Grid::global(12).unwrap(),
+            &[],
+            Default::default(),
+        ),
+    ];
+    let wire = WireTransport {
+        sources: std::sync::Mutex::new(twins.clone()),
+        last_reply: std::sync::Mutex::new(None),
+    };
+    let mut center = DataCenter::from_transport(&wire, 10).unwrap();
+    assert_eq!(center.global().source_count(), 1);
+
+    let mut seq = 0u32;
+    for (src_sel, raw_ops) in batches {
+        let source = SourceId::from(src_sel);
+        let twin = &mut twins[usize::from(src_sel)];
+        let live: Vec<u32> = twin.dataset_nodes().iter().map(|n| n.id).collect();
+        let target = |x: u8, seq: u32| {
+            if live.is_empty() || x.is_multiple_of(5) {
+                200_000 + seq
+            } else {
+                live[usize::from(x) % live.len()]
+            }
+        };
+        let ops: Vec<UpdateOp> = raw_ops
+            .into_iter()
+            .map(|(kind, x, shape)| {
+                seq += 1;
+                match kind {
+                    0 if x.is_multiple_of(4) => {
+                        UpdateOp::Insert(shaped_dataset(target(x, seq), seq, shape))
+                    }
+                    0 => UpdateOp::Insert(shaped_dataset(100_000 + seq, seq, shape)),
+                    1 => UpdateOp::Update(shaped_dataset(target(x, seq), seq * 7, shape)),
+                    _ => UpdateOp::Delete(target(x, seq)),
+                }
+            })
+            .collect();
+
+        let registered = center
+            .global()
+            .summaries()
+            .iter()
+            .any(|s| s.source == source);
+        let image_before = encode_local(twin.index());
+        let over_wire = center.apply_updates(&wire, source, &ops);
+        match twin.apply_updates(&ops) {
+            Ok((summary, stats)) => {
+                let outcome = over_wire.unwrap();
+                assert_eq!(outcome.summary, summary);
+                // The source's own reply and statistics, as they crossed.
+                let reply = wire.last_reply.lock().unwrap().take().unwrap();
+                assert_eq!(
+                    reply.message,
+                    Message::SummaryRefresh {
+                        summary,
+                        dataset_count: twin.dataset_count() as u64,
+                        applied: stats.applied() as u64,
+                        rejected: stats.rejected as u64,
+                    }
+                );
+                assert_eq!(reply.maintenance, Some(stats));
+                // One source contacted; a source DITS-G held no summary of
+                // cost one poll more, and the poll's bytes are counted.
+                let exchanges = if registered { 1 } else { 2 };
+                assert_eq!(outcome.comm.sources_contacted, 1);
+                assert_eq!(outcome.comm.requests, exchanges);
+                assert_eq!(outcome.comm.replies, exchanges);
+                let poll = Message::summary_poll().wire_size();
+                assert_eq!(
+                    outcome.comm.bytes_to_sources,
+                    reply.request_bytes + (exchanges - 1) * poll
+                );
+            }
+            Err(e) => {
+                // A dataset gridding to nothing: the center refuses the
+                // batch in the raw path's own words, and neither side moved.
+                assert_eq!(e, SpatialError::EmptyDataset);
+                assert_eq!(
+                    over_wire.unwrap_err(),
+                    SearchError::Rejected {
+                        detail: e.to_string()
+                    }
+                );
+                assert_eq!(encode_local(twin.index()), image_before);
+            }
+        }
+    }
+
+    // Byte-identical indexes on both sides of the wire.
+    let sources = wire.sources.lock().unwrap().clone();
+    for (over_wire, twin) in sources.iter().zip(&twins) {
+        assert_eq!(over_wire.grid().resolution(), twin.grid().resolution());
+        assert_eq!(
+            encode_local(over_wire.index()),
+            encode_local(twin.index()),
+            "source {} diverged from its raw-op twin",
+            twin.id
+        );
+    }
+
+    // And identical OJSP answers: per source with its statistics, and
+    // through the engine against a center built from the twins.
+    let queries: Vec<SpatialDataset> = (0..6)
+        .map(|i| shaped_dataset(900_000 + i, i * 13, 0))
+        .chain((0..3).map(|i| shaped_dataset(900_010 + i, i * 29, 3)))
+        .collect();
+    for (over_wire, twin) in sources.iter().zip(&twins) {
+        for q in &queries {
+            let cells = twin.grid_query(q);
+            assert_eq!(
+                overlap_search(over_wire.index(), &cells, 5),
+                overlap_search(twin.index(), &cells, 5)
+            );
+        }
+    }
+    let twin_center = DataCenter::build(&twins, 10);
+    assert_eq!(
+        center.global().summaries(),
+        twin_center.global().summaries()
+    );
+    let request = SearchRequest::ojsp_batch(queries).k(5);
+    let config = EngineConfig::default();
+    let answered = QueryEngine::new(&center, &wire, config)
+        .run(&request)
+        .unwrap();
+    let expected = QueryEngine::in_process(&twin_center, &twins, config)
+        .run(&request)
+        .unwrap();
+    assert_eq!(answered.results, expected.results);
+    assert_eq!(answered.comm, expected.comm);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn prop_cells_over_the_wire_match_raw_ops_on_a_twin(case_seed in any::<u64>()) {
+        run_wire_case(case_seed);
+    }
+}
+
 #[test]
 fn sustained_churn_triggers_global_rebuild_without_losing_parity() {
     let mut data = build_data(7);
@@ -369,9 +621,16 @@ fn draining_a_source_drops_it_from_global_routing_until_data_returns() {
     assert_answer_parity(&fw, &scratch, &queries);
 
     // Give the source data again: it is readmitted and routable.
+    // DITS-G holds no summary to read the source's resolution from any
+    // more, so this batch polls first: one source, two exchanges.
     let refill = synth_dataset(700_001, 9);
-    fw.apply_updates(drained, &[UpdateOp::Insert(refill.clone())])
+    let outcome = fw
+        .apply_updates(drained, &[UpdateOp::Insert(refill.clone())])
         .unwrap();
+    assert_eq!(outcome.comm.sources_contacted, 1);
+    assert_eq!(outcome.comm.requests, 2);
+    assert_eq!(outcome.comm.replies, 2);
+    assert_eq!(outcome.stats.summary_refreshes, 1);
     data[usize::from(drained)].1.push(refill.clone());
     assert_eq!(fw.center().global().source_count(), 5);
     let response = fw

@@ -28,9 +28,9 @@ use multisource::message::{
     TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
 };
 use multisource::{
-    DataCenter, DistributionStrategy, EngineConfig, FrameworkConfig, Message, MultiSourceFramework,
-    QueryEngine, SearchError, SearchRequest, ShardMode, SourceServer, SourceTransport,
-    TcpTransport, UpdateOp, WireError,
+    BatchError, CellOp, DataCenter, DistributionStrategy, EngineConfig, ExclusiveTransport,
+    FrameworkConfig, Message, MultiSourceFramework, QueryEngine, SearchError, SearchRequest,
+    ShardMode, SourceServer, SourceTransport, TcpTransport, UpdateOp, WireError,
 };
 use net::PooledTcpTransport;
 use proptest::prelude::*;
@@ -333,6 +333,131 @@ fn maintenance_over_tcp_matches_in_process() {
             .apply_updates(&tcp, 77, &[UpdateOp::Delete(1)])
             .unwrap_err(),
         SearchError::UnknownSource(77)
+    );
+}
+
+/// A batch a source must refuse — gridded at another resolution, holding a
+/// cell beyond the grid, or carrying an empty cell set — is refused with the
+/// same typed `Error` message in process, over per-call TCP and over the
+/// pooled transport, and nothing of it (not the valid leading delete) is
+/// applied anywhere.
+#[test]
+fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
+    let data = build_data(8);
+    let fw = framework(&data);
+    let mut local_sources = fw.sources().to_vec();
+    let victim = data[1].1[0].id;
+    let theta = fw.config().resolution;
+    let beyond = fw.sources()[1].grid().cell_count();
+    let images = |sources: &[multisource::DataSource]| -> Vec<Bytes> {
+        sources
+            .iter()
+            .map(|s| dits::encode_local(s.index()))
+            .collect()
+    };
+    let untouched = images(fw.sources());
+
+    let servers: Vec<SourceServer> = fw
+        .sources()
+        .iter()
+        .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
+        .collect();
+    let endpoints: Vec<_> = servers.iter().map(SourceServer::endpoint).collect();
+    let tcp = TcpTransport::new(endpoints.clone());
+    let pooled = PooledTcpTransport::new(endpoints).expect("pooled transport");
+    let poll = || tcp.call(1, &Message::summary_poll(), false).expect("poll");
+    let before = poll();
+
+    let cells = |ids: &[u64]| spatial::CellSet::from_cells(ids.iter().copied());
+    for (resolution, op, reason) in [
+        (
+            theta + 1,
+            CellOp::Insert {
+                dataset: 820_000,
+                cells: cells(&[1, 2]),
+            },
+            BatchError::ResolutionMismatch {
+                batch: theta + 1,
+                source: theta,
+            },
+        ),
+        (
+            theta,
+            CellOp::Insert {
+                dataset: 820_001,
+                cells: cells(&[1, beyond + 7]),
+            },
+            BatchError::CellOutOfGrid {
+                dataset: 820_001,
+                cell: beyond + 7,
+                resolution: theta,
+            },
+        ),
+        (
+            theta,
+            CellOp::Update {
+                dataset: victim,
+                cells: cells(&[]),
+            },
+            BatchError::EmptyDataset,
+        ),
+    ] {
+        let request = Message::ApplyUpdates {
+            resolution,
+            ops: vec![CellOp::Delete(victim), op],
+        };
+        let expected = Message::Error {
+            code: multisource::message::ERR_REJECTED_BATCH,
+            detail: reason.to_string(),
+        };
+        let in_process = ExclusiveTransport::new(&mut local_sources)
+            .call(1, &request, true)
+            .expect("in-process call");
+        let per_call = tcp.call(1, &request, true).expect("per-call TCP");
+        let over_pool = pooled.call(1, &request, true).expect("pooled TCP");
+        for reply in [&in_process, &per_call, &over_pool] {
+            assert_eq!(reply.message, expected);
+            assert_eq!(reply.maintenance, None);
+            assert_eq!(reply.request_bytes, request.wire_size());
+            assert_eq!(reply.reply_bytes, expected.wire_size());
+        }
+    }
+
+    // Nothing was applied on either side of the sockets: the local images
+    // are byte for byte what they were, and the server still counts the
+    // dataset the leading delete named.
+    assert_eq!(images(&local_sources), untouched);
+    assert_eq!(poll(), before);
+    drop(pooled);
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// What the maintenance exchange is for: a dataset's cells are a fraction of
+/// its points.  A 1 000-point insert must encode in under an eighth of the
+/// 16 B per point the raw coordinates alone would take.
+#[test]
+fn a_thousand_point_insert_travels_as_cells() {
+    let config = GeneratorConfig {
+        scale: SourceScale::Custom(60),
+        seed: 3,
+        max_points_per_dataset: Some(1_000),
+    };
+    let dataset = paper_sources()
+        .iter()
+        .flat_map(|p| generate_source(p, &config))
+        .find(|d| d.points.len() == 1_000)
+        .expect("the generator caps some dataset at 1 000 points");
+    let grid = spatial::Grid::global(12).unwrap();
+    let request = Message::ApplyUpdates {
+        resolution: 12,
+        ops: vec![UpdateOp::Insert(dataset).grid(&grid).unwrap()],
+    };
+    let bytes = request.wire_size();
+    assert!(
+        bytes < 1_000 * 16 / 8,
+        "a 1 000-point insert took {bytes} B on the wire"
     );
 }
 
@@ -737,22 +862,21 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
             candidates: coverage_candidates(ids),
         },
         TAG_APPLY_UPDATES => Message::ApplyUpdates {
+            // No resolution rides an empty batch.
+            resolution: if ids.is_empty() { 0 } else { u32::from(code) },
             ops: ids
                 .iter()
                 .enumerate()
-                .map(|(i, &id)| {
-                    let dataset = SpatialDataset::new(
-                        id,
-                        vec![
-                            Point::new(delta - 10.0, delta),
-                            Point::new(delta, delta + 1.0),
-                        ],
-                    );
-                    match i % 3 {
-                        0 => UpdateOp::Insert(dataset),
-                        1 => UpdateOp::Update(dataset),
-                        _ => UpdateOp::Delete(id),
-                    }
+                .map(|(i, &id)| match i % 3 {
+                    0 => CellOp::Insert {
+                        dataset: id,
+                        cells: query.clone(),
+                    },
+                    1 => CellOp::Update {
+                        dataset: id,
+                        cells: query.clone(),
+                    },
+                    _ => CellOp::Delete(id),
                 })
                 .collect(),
         },

@@ -344,6 +344,16 @@ impl CellSet {
         Self::from_unsorted(v)
     }
 
+    /// Wraps a cell vector that is already strictly increasing — the shape a
+    /// delta decoder produces — without the sort and dedup of
+    /// [`Self::from_cells`].  Returns `None` when it is not.
+    pub fn from_sorted_cells(cells: Vec<CellId>) -> Option<Self> {
+        cells
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if a < b))
+            .then(|| Self::from_sorted(cells))
+    }
+
     /// Builds the cell-based representation `S_{D,Cθ}` of a point dataset on
     /// a grid, skipping points that fall outside the grid's bounded space
     /// (real portals contain a handful of out-of-range records; the paper
@@ -775,6 +785,17 @@ mod tests {
         assert_eq!(s.cells(), &[3, 9, 11]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn from_sorted_cells_accepts_only_strictly_increasing_input() {
+        assert_eq!(
+            CellSet::from_sorted_cells(vec![3, 9, 11]),
+            Some(set(&[3, 9, 11]))
+        );
+        assert_eq!(CellSet::from_sorted_cells(vec![]), Some(CellSet::new()));
+        assert_eq!(CellSet::from_sorted_cells(vec![3, 3, 11]), None);
+        assert_eq!(CellSet::from_sorted_cells(vec![9, 3]), None);
     }
 
     #[test]
