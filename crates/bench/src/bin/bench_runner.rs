@@ -27,12 +27,13 @@
 //!   columnar inverted index from its entries, and one exact verification
 //!   (sorted query merged against a leaf's key column).  No same-run
 //!   baseline: the rows are compared across snapshots.
-//! * `batch/ojsp`, `batch/cjsp` — the shared frontier traversal against the
-//!   per-query search loop over the same local indexes.
+//! * `batch/ojsp/per-query`, `batch/cjsp/per-query` — the per-query search
+//!   loop over the five local indexes.  No same-run baseline: the rows are
+//!   compared across snapshots.
 //! * `knn/per-query` — the bounded kNN verification kernel against the
 //!   unbounded fresh-state oracle over the same indexes.
-//! * `engine/ojsp` — the multi-source engine's per-source batched shard
-//!   mode against the per-(query, source) oracle.
+//! * `engine/ojsp/per-query` — the same OJSP batch end to end through the
+//!   in-process multi-source engine.  Compared across snapshots.
 //!
 //! The `transport` section measures the federated deployment itself: the
 //! same OJSP / kNN workload driven over loopback TCP through the per-call
@@ -69,13 +70,12 @@ use std::time::{Duration, Instant};
 use bench::ExperimentEnv;
 use dits::local::NodeKind;
 use dits::{
-    coverage_search, coverage_search_batch, nearest_datasets, nearest_datasets_unbounded,
-    overlap_search, overlap_search_batch, CoverageConfig, DatasetNode, DitsLocal, DitsLocalConfig,
-    InvertedIndex,
+    coverage_search, nearest_datasets, nearest_datasets_unbounded, overlap_search, CoverageConfig,
+    DatasetNode, DitsLocal, DitsLocalConfig, InvertedIndex,
 };
 use multisource::{
-    DataCenter, FrameworkConfig, Message, QueryEngine, SearchRequest, SearchResponse, ShardMode,
-    SourceServer, TcpTransport, UpdateOp,
+    DataCenter, FrameworkConfig, Message, QueryEngine, SearchRequest, SearchResponse, SourceServer,
+    TcpTransport, UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded, dataset_distance_uncached};
@@ -97,8 +97,9 @@ Usage: bench-runner [--quick] [--out PATH]
 /// the `transport` section (per-call TCP vs pooled pipelined QPS and
 /// p50/p99 over a loopback source-server fleet); v5 added the
 /// `kernel/inverted/*` rows and the `index` block; v6 added the
-/// `maintenance` section.
-const SCHEMA_VERSION: u64 = 6;
+/// `maintenance` section; v7 dropped the `batch/*/frontier` and
+/// `engine/ojsp/per-source-batch` rows with the code they measured.
+const SCHEMA_VERSION: u64 = 7;
 
 /// The oldest schema `--validate` still accepts, so the previous snapshot
 /// can stay in the tree beside the new one; each version's additions are
@@ -115,9 +116,8 @@ const REQUIRED_INDEX_KERNELS: [&str; 2] = ["kernel/inverted/build", "kernel/inve
 /// Engine entries whose traversal/verify phase split every snapshot must
 /// report — a snapshot that drops one silently loses the trajectory of the
 /// paper's "verification dominates" claim.
-const REQUIRED_PHASES: [&str; 4] = [
+const REQUIRED_PHASES: [&str; 3] = [
     "engine/ojsp/per-query",
-    "engine/ojsp/per-source-batch",
     "engine/cjsp/per-query",
     "engine/knn/per-query",
 ];
@@ -648,58 +648,21 @@ fn run_suite(quick: bool) -> Suite {
     // -- Batch OJSP / CJSP over the five local indexes ----------------------
     eprintln!("[4/9] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
 
-    for index in &indexes {
-        let solo: Vec<_> = queries
-            .iter()
-            .map(|q| overlap_search(index, q, k))
-            .collect();
-        assert_eq!(
-            overlap_search_batch(index, &queries, k),
-            solo,
-            "frontier OJSP diverged from the per-query oracle"
-        );
-        let config = CoverageConfig::new(k, delta_cells);
-        let solo: Vec<_> = queries
-            .iter()
-            .map(|q| coverage_search(index, q, config))
-            .collect();
-        assert_eq!(
-            coverage_search_batch(index, &queries, config),
-            solo,
-            "frontier CJSP diverged from the per-query oracle"
-        );
-    }
-
-    let ojsp_per_query = measure("batch/ojsp/per-query", samples, batch_ops, || {
+    kernels.push(measure("batch/ojsp/per-query", samples, batch_ops, || {
         for index in &indexes {
             for q in &queries {
                 std::hint::black_box(overlap_search(index, q, k));
             }
         }
-    });
-    let ojsp_frontier = measure("batch/ojsp/frontier", samples, batch_ops, || {
-        for index in &indexes {
-            std::hint::black_box(overlap_search_batch(index, &queries, k));
-        }
-    });
-    deltas.push(delta("batch/ojsp", &ojsp_frontier, &ojsp_per_query));
-    kernels.extend([ojsp_per_query, ojsp_frontier]);
-
+    }));
     let coverage_config = CoverageConfig::new(k, delta_cells);
-    let cjsp_per_query = measure("batch/cjsp/per-query", samples, batch_ops, || {
+    kernels.push(measure("batch/cjsp/per-query", samples, batch_ops, || {
         for index in &indexes {
             for q in &queries {
                 std::hint::black_box(coverage_search(index, q, coverage_config));
             }
         }
-    });
-    let cjsp_frontier = measure("batch/cjsp/frontier", samples, batch_ops, || {
-        for index in &indexes {
-            std::hint::black_box(coverage_search_batch(index, &queries, coverage_config));
-        }
-    });
-    deltas.push(delta("batch/cjsp", &cjsp_frontier, &cjsp_per_query));
-    kernels.extend([cjsp_per_query, cjsp_frontier]);
+    }));
 
     eprintln!("[5/9] knn/per-query bounded vs unbounded oracle");
     for index in &indexes {
@@ -728,37 +691,19 @@ fn run_suite(quick: bool) -> Suite {
     deltas.push(delta("knn/per-query", &knn_bounded, &knn_unbounded));
     kernels.extend([knn_unbounded, knn_bounded]);
 
-    // -- Engine shard modes over the full multi-source framework ------------
-    eprintln!("[6/9] engine/ojsp shard modes");
+    // -- The in-process engine over the full multi-source framework ----------
+    eprintln!("[6/9] engine/ojsp/per-query");
     let raw_queries = env.query_datasets(queries_n);
-    let per_query_engine = fw.engine();
-    let mut config = *per_query_engine.config();
-    config.shard_mode = ShardMode::PerSourceBatch;
-    let batched_engine = QueryEngine::in_process(fw.center(), fw.sources(), config);
+    let in_process_engine = fw.engine();
     let ojsp_request = SearchRequest::ojsp_batch(raw_queries.clone()).k(k);
-    let oracle = per_query_engine
-        .run(&ojsp_request)
-        .expect("in-process OJSP");
-    let fast = batched_engine
-        .run(&ojsp_request)
-        .expect("in-process batched OJSP");
-    assert_eq!(
-        oracle.results, fast.results,
-        "batched shard mode diverged from the per-query oracle"
-    );
-    let engine_per_query = measure("engine/ojsp/per-query", samples, raw_queries.len(), || {
-        std::hint::black_box(per_query_engine.run(&ojsp_request).expect("OJSP"));
-    });
-    let engine_batched = measure(
-        "engine/ojsp/per-source-batch",
+    kernels.push(measure(
+        "engine/ojsp/per-query",
         samples,
         raw_queries.len(),
         || {
-            std::hint::black_box(batched_engine.run(&ojsp_request).expect("OJSP"));
+            std::hint::black_box(in_process_engine.run(&ojsp_request).expect("OJSP"));
         },
-    );
-    deltas.push(delta("engine/ojsp", &engine_batched, &engine_per_query));
-    kernels.extend([engine_per_query, engine_batched]);
+    ));
 
     // -- Transports: per-call TCP vs pooled pipelined over a loopback fleet -
     // Every source runs as its own server (real sockets, real frames); the
@@ -779,13 +724,13 @@ fn run_suite(quick: bool) -> Suite {
         DataCenter::from_transport(&per_call, leaf_capacity).expect("summary poll (per-call)");
     let pooled_center =
         DataCenter::from_transport(&pooled, leaf_capacity).expect("summary poll (pooled)");
-    let wire_config = *per_query_engine.config();
+    let wire_config = *in_process_engine.config();
     let per_call_engine = QueryEngine::new(&per_call_center, &per_call, wire_config);
     let pooled_engine = QueryEngine::new(&pooled_center, &pooled, wire_config);
     let knn_request = SearchRequest::knn_batch(raw_queries.clone()).k(k);
     let mut transport = Vec::new();
     for (kind, request) in [("ojsp", &ojsp_request), ("knn", &knn_request)] {
-        let truth = per_query_engine.run(request).expect("in-process oracle");
+        let truth = in_process_engine.run(request).expect("in-process oracle");
         for (deployment, engine) in [("per-call", &per_call_engine), ("pooled", &pooled_engine)] {
             let over_wire = engine.run(request).expect("federated run");
             assert_eq!(
@@ -881,15 +826,11 @@ fn run_suite(quick: bool) -> Suite {
     let phases = vec![
         phase_report(
             "engine/ojsp/per-query",
-            &per_query_engine.run(&traced_ojsp).expect("traced OJSP"),
-        ),
-        phase_report(
-            "engine/ojsp/per-source-batch",
-            &batched_engine.run(&traced_ojsp).expect("traced OJSP"),
+            &in_process_engine.run(&traced_ojsp).expect("traced OJSP"),
         ),
         phase_report(
             "engine/cjsp/per-query",
-            &per_query_engine
+            &in_process_engine
                 .run(
                     &SearchRequest::cjsp_batch(raw_queries.clone())
                         .k(k)
@@ -900,7 +841,7 @@ fn run_suite(quick: bool) -> Suite {
         ),
         phase_report(
             "engine/knn/per-query",
-            &per_query_engine
+            &in_process_engine
                 .run(
                     &SearchRequest::knn_batch(raw_queries.clone())
                         .k(k)

@@ -152,16 +152,14 @@ pub fn coverage_search(
     (result, stats)
 }
 
-/// The greedy choice of Algorithm 3, shared between the per-query search and
-/// the batch frontier traversal so both make identical selections and count
-/// identical statistics: the connected dataset with the maximum marginal
-/// gain, with the paper's size filter `|N_D.S_D| ≥ τ` as a cheap pre-test (a
-/// dataset with fewer cells than the best gain found so far can never match
-/// it).  Ties are broken by the smaller dataset id so every greedy variant
+/// The greedy choice of Algorithm 3: the connected dataset with the maximum
+/// marginal gain, with the paper's size filter `|N_D.S_D| ≥ τ` as a cheap
+/// pre-test (a dataset with fewer cells than the best gain found so far can
+/// never match it).  Ties are broken by the smaller dataset id so every greedy variant
 /// (CoverageSearch, SG+DITS, SG) makes identical choices and stays
 /// comparable.  Returns the winner and its gain `τ`; the caller stops when
 /// the gain is not positive.
-pub(crate) fn greedy_pick<'a>(
+fn greedy_pick<'a>(
     connected: &[&'a DatasetNode],
     selected: &HashSet<DatasetId>,
     merged_cells: &CellSet,
@@ -275,7 +273,7 @@ fn find_connect_set<'a>(
 }
 
 /// Adds every dataset node in the subtree to the output.
-pub(crate) fn collect_all<'a>(
+fn collect_all<'a>(
     index: &'a DitsLocal,
     node_idx: NodeIdx,
     out: &mut Vec<&'a DatasetNode>,

@@ -26,7 +26,6 @@
 pub mod bounds;
 pub mod bulkload;
 pub mod coverage;
-pub mod frontier;
 pub mod global;
 pub mod inverted;
 pub mod knn;
@@ -40,9 +39,6 @@ pub mod update;
 
 pub use bulkload::build_bottom_up;
 pub use coverage::{coverage_search, CoverageConfig, CoverageResult};
-pub use frontier::{
-    coverage_search_batch, overlap_search_batch, overlap_search_batch_with_options,
-};
 pub use global::{DitsGlobal, SourceSummary};
 pub use inverted::InvertedIndex;
 pub use knn::{nearest_datasets, nearest_datasets_unbounded, range_datasets, Neighbor};

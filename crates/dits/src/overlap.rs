@@ -86,14 +86,13 @@ pub fn overlap_search_with_options(
 
 /// A candidate leaf awaiting verification: `(upper bound, lower bound, leaf)`
 /// as produced by phase 1 in recursion order.
-pub(crate) type LeafCandidate = (usize, usize, NodeIdx);
+type LeafCandidate = (usize, usize, NodeIdx);
 
-/// Phase 2 of Algorithm 2, shared between the per-query search and the batch
-/// frontier traversal so both produce identical results and statistics:
-/// sorts the candidate leaves by decreasing upper bound, then verifies them
-/// exactly with a min-heap of the current top-k, pruning once the next upper
-/// bound cannot beat the `k`-th best intersection.
-pub(crate) fn verify_candidates(
+/// Phase 2 of Algorithm 2: sorts the candidate leaves by decreasing upper
+/// bound, then verifies them exactly with a min-heap of the current top-k,
+/// pruning once the next upper bound cannot beat the `k`-th best
+/// intersection.
+fn verify_candidates(
     index: &DitsLocal,
     query: &CellSet,
     k: usize,

@@ -1,10 +1,9 @@
 //! A thread-local traversal-vs-verification phase clock for the search
 //! algorithms.
 //!
-//! ROADMAP item 3's claim that "candidate verification dominates traversal"
-//! was inferred from batch deltas; this module measures it directly. The
-//! overlap/coverage search paths (including the shared-frontier batch
-//! variants) charge wall-clock time to one of two phases:
+//! Whether candidate verification or tree traversal dominates a search is
+//! measured directly here: the overlap, coverage and kNN search paths charge
+//! wall-clock time to one of two phases:
 //!
 //! * **traversal** — walking the DITS-L tree and computing the Lemma 2–4
 //!   bounds that prune it (candidate collection, connect-set discovery);
@@ -15,7 +14,7 @@
 //! single thread (an engine worker for in-process transports, a connection
 //! thread for TCP), so accumulation needs no synchronisation, and — the
 //! load-bearing property — `SearchStats` stays untouched, preserving every
-//! exact-equality parity test between batch and per-query execution.
+//! exact-equality parity test on the counters.
 //!
 //! Serving code drains the clock with [`take_phase_timings`] after each
 //! request (and resets it before dispatch), then ships the split on the

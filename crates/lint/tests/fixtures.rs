@@ -129,3 +129,46 @@ fn workspace_is_lint_clean_modulo_committed_baseline() {
         stale.join("\n")
     );
 }
+
+/// A path a rule is scoped to must exist: deleting or renaming the file has
+/// to fail the run, not quietly drop the file from the rule's scope.
+#[test]
+fn analyze_names_every_scoped_path_missing_under_the_root() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("missing-scoped-path");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("crates")).unwrap();
+    let scoped_paths = |err: &str| -> Vec<String> {
+        err.split([' ', ','])
+            .filter(|word| word.ends_with(".rs"))
+            .map(str::to_string)
+            .collect()
+    };
+
+    // An empty tree: every list is reported, each path once.
+    let all = scoped_paths(&analyze(&root, None).unwrap_err());
+    for expected in [
+        "crates/multisource/src/engine.rs",
+        "crates/multisource/src/center.rs",
+        "crates/obs/src/slowlog.rs",
+        "crates/spatial/src/cellset.rs",
+        "crates/multisource/src/message.rs",
+        "crates/multisource/tests/transport.rs",
+        "crates/obs/src/metrics.rs",
+    ] {
+        assert_eq!(all.iter().filter(|p| *p == expected).count(), 1, "{all:?}");
+    }
+
+    // Everything present but one file: exactly that file is named, also
+    // when a single rule is asked for.
+    for rel in &all {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, "").unwrap();
+    }
+    assert!(analyze(&root, None).is_ok(), "a complete tree must analyze");
+    std::fs::remove_file(root.join("crates/dits/src/knn.rs")).unwrap();
+    for only in [None, Some("wire-tags")] {
+        let err = analyze(&root, only).unwrap_err();
+        assert_eq!(scoped_paths(&err), ["crates/dits/src/knn.rs"], "{err}");
+    }
+}

@@ -29,7 +29,6 @@ use spatial::{SourceId, SpatialDataset};
 
 use crate::center::{AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DistributionStrategy};
 use crate::comm::CommStats;
-use crate::engine::ShardMode;
 use crate::error::SearchError;
 
 /// Which search problem a [`SearchRequest`] asks for.
@@ -59,7 +58,6 @@ pub struct SearchRequest {
     workers: Option<usize>,
     strategy: Option<DistributionStrategy>,
     delta_cells: Option<f64>,
-    shard_mode: Option<ShardMode>,
     skip_failed_sources: Option<bool>,
     collect_stats: bool,
     collect_trace: bool,
@@ -74,7 +72,6 @@ impl SearchRequest {
             workers: None,
             strategy: None,
             delta_cells: None,
-            shard_mode: None,
             skip_failed_sources: None,
             collect_stats: true,
             collect_trace: false,
@@ -137,16 +134,6 @@ impl SearchRequest {
         self
     }
 
-    /// Overrides how the batch is sharded across sources for this request
-    /// (OJSP/CJSP only; kNN always runs per query).
-    /// [`ShardMode::PerSourceBatch`] answers each source's whole sub-batch
-    /// with one shared frontier traversal — identical answers, fewer
-    /// messages, one index walk per batch instead of one per query.
-    pub fn shard_mode(mut self, mode: ShardMode) -> Self {
-        self.shard_mode = Some(mode);
-        self
-    }
-
     /// Whether sources should report their off-wire search statistics
     /// (default `true`).  Opting out never changes the counted protocol
     /// bytes — the statistics ride in the transport frame, not the message.
@@ -183,11 +170,6 @@ impl SearchRequest {
     /// The δ override, if any.
     pub fn requested_delta_cells(&self) -> Option<f64> {
         self.delta_cells
-    }
-
-    /// The shard-mode override, if any.
-    pub fn requested_shard_mode(&self) -> Option<ShardMode> {
-        self.shard_mode
     }
 
     /// Overrides the engine's degradation mode for this request.  With

@@ -14,7 +14,6 @@ use dits::{DitsGlobal, MaintenanceStats, Neighbor, NodeGeometry, OverlapResult, 
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset};
 
 use crate::comm::CommStats;
-use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::{ConfigError, SearchError, TransportError};
 use crate::message::{Message, UpdateOp};
 use crate::source::DataSource;
@@ -357,68 +356,6 @@ impl DataCenter {
         Ok(delta_cells.max(0.0) * degrees_per_cell)
     }
 
-    /// Runs the multi-source overlap joinable search for one query over
-    /// in-process sources.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SearchRequest` and run it through `QueryEngine::run`"
-    )]
-    pub fn ojsp(
-        &self,
-        sources: &[DataSource],
-        query: &SpatialDataset,
-        k: usize,
-        strategy: DistributionStrategy,
-    ) -> Result<(AggregatedOverlap, CommStats), SearchError> {
-        let engine = QueryEngine::in_process(
-            self,
-            sources,
-            EngineConfig {
-                strategy,
-                ..EngineConfig::default()
-            },
-        );
-        let outcome = engine.run_ojsp(std::slice::from_ref(query), k)?;
-        let answer = outcome
-            .answers
-            .into_iter()
-            .next()
-            .ok_or(SearchError::Internal("batch of one produced no answer"))?;
-        Ok((answer, outcome.comm))
-    }
-
-    /// Runs the multi-source coverage joinable search for one query over
-    /// in-process sources.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SearchRequest` and run it through `QueryEngine::run`"
-    )]
-    pub fn cjsp(
-        &self,
-        sources: &[DataSource],
-        query: &SpatialDataset,
-        k: usize,
-        delta_cells: f64,
-        strategy: DistributionStrategy,
-    ) -> Result<(AggregatedCoverage, CommStats), SearchError> {
-        let engine = QueryEngine::in_process(
-            self,
-            sources,
-            EngineConfig {
-                strategy,
-                delta_cells,
-                ..EngineConfig::default()
-            },
-        );
-        let outcome = engine.run_cjsp(std::slice::from_ref(query), k)?;
-        let answer = outcome
-            .answers
-            .into_iter()
-            .next()
-            .ok_or(SearchError::Internal("batch of one produced no answer"))?;
-        Ok((answer, outcome.comm))
-    }
-
     /// Chooses which sources to contact for an overlap / coverage query,
     /// purely from the summaries registered in DITS-G (ascending by source
     /// id).  Under `Broadcast` every registered source is contacted; the
@@ -524,6 +461,8 @@ impl DataCenter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::SearchRequest;
+    use crate::engine::{EngineConfig, QueryEngine};
     use crate::transport::InProcessTransport;
     use dits::DitsLocalConfig;
     use spatial::Grid;
@@ -572,7 +511,6 @@ mod tests {
         )
     }
 
-    #[allow(deprecated)]
     fn run_ojsp(
         center: &DataCenter,
         sources: &[DataSource],
@@ -580,10 +518,13 @@ mod tests {
         k: usize,
         strategy: DistributionStrategy,
     ) -> (AggregatedOverlap, CommStats) {
-        center.ojsp(sources, query, k, strategy).unwrap()
+        let request = SearchRequest::ojsp(query.clone()).k(k).strategy(strategy);
+        let response = QueryEngine::in_process(center, sources, EngineConfig::default())
+            .run(&request)
+            .unwrap();
+        (response.overlap().unwrap()[0].clone(), response.comm)
     }
 
-    #[allow(deprecated)]
     fn run_cjsp(
         center: &DataCenter,
         sources: &[DataSource],
@@ -592,7 +533,14 @@ mod tests {
         delta: f64,
         strategy: DistributionStrategy,
     ) -> (AggregatedCoverage, CommStats) {
-        center.cjsp(sources, query, k, delta, strategy).unwrap()
+        let request = SearchRequest::cjsp(query.clone())
+            .k(k)
+            .delta_cells(delta)
+            .strategy(strategy);
+        let response = QueryEngine::in_process(center, sources, EngineConfig::default())
+            .run(&request)
+            .unwrap();
+        (response.coverage().unwrap()[0].clone(), response.comm)
     }
 
     #[test]

@@ -1,32 +1,34 @@
 //! The batched, parallel query engine — the single execution path for every
 //! multi-source search in the repository.
 //!
-//! [`QueryEngine`] owns query execution end to end.  It accepts a
-//! [`SearchRequest`] (or a typed batch through `run_ojsp` / `run_cjsp` /
-//! `run_knn`) and fans it out as one task per `(query, candidate source)`
-//! pair — one source is one shard, matching the deployment of the paper's
-//! Fig. 3 where every data source runs its local search concurrently.
-//! Tasks are executed by a fixed pool of scoped worker threads; each worker
-//! keeps its *own* [`CommStats`] / [`SearchStats`] / per-source timing
-//! accumulators (no shared counters, no locks on the hot path) and the
-//! per-worker blocks are merged once at the end, so the reported totals are
-//! identical to a sequential run of the same plan.
+//! [`QueryEngine::run`] takes a [`SearchRequest`] and fans it out as one task
+//! per `(query, candidate source)` pair — one source is one shard, matching
+//! the deployment of the paper's Fig. 3 where every data source runs its
+//! local search concurrently.  Tasks are executed by a fixed pool of scoped
+//! worker threads; each worker keeps its *own* [`CommStats`] /
+//! [`SearchStats`] / per-source timing accumulators (no shared counters, no
+//! locks on the hot path) and the per-worker blocks are merged once at the
+//! end, so the reported totals are identical to a sequential run of the same
+//! plan.
 //!
 //! The engine is **transport-agnostic**: it plans entirely from the
-//! [`SourceSummary`]s in DITS-G and executes every shard through a
-//! [`SourceTransport`] — in-process function calls and framed TCP exchanges
-//! run the exact same plan and move the exact same protocol bytes.
+//! [`SourceSummary`](dits::SourceSummary)s in DITS-G and executes every
+//! shard through a [`SourceTransport`] — in-process function calls and
+//! framed TCP exchanges run the exact same plan and move the exact same
+//! protocol bytes.
 //!
-//! The engine split is:
+//! OJSP, CJSP and kNN share one pipeline, `QueryEngine::drive`; what
+//! differs between them is stated once per kind as a `QueryKind`:
 //!
-//! 1. **Plan** (sequential, cheap): route each query through DITS-G, clip it
-//!    per candidate source, and materialise the request messages.
+//! 1. **Plan** (sequential, cheap): route each query through DITS-G (by MBR
+//!    intersection, or by distance bounds for kNN), clip it per candidate
+//!    source, and materialise the request messages.
 //! 2. **Execute** (parallel): serialise requests, deliver them through the
 //!    transport, account bytes — the expensive part, embarrassingly
 //!    parallel.
-//! 3. **Aggregate**: merge per-source answers into the global top-`k`
-//!    (OJSP, kNN) or run the cross-source greedy selection (CJSP, itself
-//!    parallelised over the queries of the batch).
+//! 3. **Reduce**: bucket the replies per query, then merge them into the
+//!    global top-`k` (OJSP, kNN) or run the cross-source greedy selection
+//!    (CJSP, itself parallelised over the queries of the batch).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,34 +45,11 @@ use crate::center::{
     AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DataCenter, DistributionStrategy,
     GridCache, QueryCellsCache,
 };
-use crate::comm::{CommConfig, CommStats};
+use crate::comm::CommStats;
 use crate::error::{SearchError, TransportError};
 use crate::message::{CoverageCandidate, Message};
 use crate::source::DataSource;
 use crate::transport::{CallOptions, InProcessTransport, SourceTransport};
-
-/// How the engine shards a query batch across its sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardMode {
-    /// One shard task per `(query, source)` pair: every routed query becomes
-    /// its own request message.  The historical mode, kept as the parity
-    /// oracle the batched mode is tested against.
-    #[default]
-    PerQuery,
-    /// One shard task per *source*, carrying every query of the batch routed
-    /// to it.  The source answers the whole batch with a single shared
-    /// frontier traversal of its index
-    /// ([`overlap_search_batch`](dits::overlap_search_batch) /
-    /// [`coverage_search_batch`](dits::coverage_search_batch)), touching each
-    /// index node at most once per batch instead of once per query.
-    ///
-    /// Answers are identical to [`ShardMode::PerQuery`] and the accumulated
-    /// [`SearchStats`] are the same per-query sums; only the protocol
-    /// framing differs (fewer, larger messages).  kNN requests always run
-    /// per query — distance ranking needs the unclipped query and gains
-    /// nothing from frontier sharing.
-    PerSourceBatch,
-}
 
 /// Configuration of the query engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,8 +63,6 @@ pub struct EngineConfig {
     /// Whether sources report their off-wire search statistics (never
     /// changes the counted protocol bytes).
     pub collect_stats: bool,
-    /// How the batch is sharded across sources (OJSP/CJSP only).
-    pub shard_mode: ShardMode,
     /// Degradation mode: with `true`, a shard whose source is slow or dead
     /// is skipped and reported per source instead of failing the whole
     /// batch — answers are aggregated from the sources that did reply and
@@ -109,38 +86,9 @@ impl Default for EngineConfig {
             strategy: DistributionStrategy::PrunedClipped,
             delta_cells: 10.0,
             collect_stats: true,
-            shard_mode: ShardMode::PerQuery,
             skip_failed_sources: false,
             collect_trace: false,
         }
-    }
-}
-
-/// Result of one batch run: per-query answers plus accumulated costs.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome<T> {
-    /// One aggregated answer per query, in query order.
-    pub answers: Vec<T>,
-    /// Communication statistics accumulated over the whole batch.
-    pub comm: CommStats,
-    /// Local-search statistics accumulated over every contacted source.
-    pub search: SearchStats,
-    /// Per-source transport timing, ascending by source id.
-    pub per_source: Vec<SourceTiming>,
-    /// Sources a degraded run skipped ([`EngineConfig::skip_failed_sources`]),
-    /// ascending by source id; always empty for fail-fast runs.
-    pub failures: Vec<SourceFailure>,
-    /// Wall-clock time spent planning, searching and aggregating.
-    pub elapsed: Duration,
-    /// The structured trace of the run (`None` unless
-    /// [`EngineConfig::collect_trace`] is set).
-    pub trace: Option<obs::Trace>,
-}
-
-impl<T> BatchOutcome<T> {
-    /// Transmission time implied by the accumulated bytes, in milliseconds.
-    pub fn transmission_time_ms(&self, config: &CommConfig) -> f64 {
-        self.comm.transmission_time_ms(config)
     }
 }
 
@@ -237,9 +185,8 @@ impl<'a> QueryEngine<'a> {
         self.transport.get().source_ids().into_iter().collect()
     }
 
-    /// Executes a unified [`SearchRequest`]: applies its option overrides,
-    /// dispatches on its [`SearchKind`] and packages the typed answers into
-    /// a [`SearchResponse`].
+    /// Executes a unified [`SearchRequest`]: applies its option overrides
+    /// and drives it through the one pipeline as its [`SearchKind`].
     pub fn run(&self, request: &SearchRequest) -> Result<SearchResponse, SearchError> {
         let mut config = self.config;
         if let Some(workers) = request.requested_workers() {
@@ -250,9 +197,6 @@ impl<'a> QueryEngine<'a> {
         }
         if let Some(delta) = request.requested_delta_cells() {
             config.delta_cells = delta;
-        }
-        if let Some(mode) = request.requested_shard_mode() {
-            config.shard_mode = mode;
         }
         if let Some(skip) = request.requested_skip_failed_sources() {
             config.skip_failed_sources = skip;
@@ -265,61 +209,18 @@ impl<'a> QueryEngine<'a> {
             config,
             slow_log: self.slow_log,
         };
-        let k = request.requested_k();
-        let (results, kind_name, comm, search, per_source, failures, elapsed, trace) =
-            match request.kind() {
-                SearchKind::Ojsp => {
-                    let out = engine.run_ojsp(request.queries(), k)?;
-                    (
-                        SearchResults::Overlap(out.answers),
-                        "ojsp",
-                        out.comm,
-                        out.search,
-                        out.per_source,
-                        out.failures,
-                        out.elapsed,
-                        out.trace,
-                    )
-                }
-                SearchKind::Cjsp => {
-                    let out = engine.run_cjsp(request.queries(), k)?;
-                    (
-                        SearchResults::Coverage(out.answers),
-                        "cjsp",
-                        out.comm,
-                        out.search,
-                        out.per_source,
-                        out.failures,
-                        out.elapsed,
-                        out.trace,
-                    )
-                }
-                SearchKind::Knn => {
-                    let out = engine.run_knn(request.queries(), k)?;
-                    (
-                        SearchResults::Knn(out.answers),
-                        "knn",
-                        out.comm,
-                        out.search,
-                        out.per_source,
-                        out.failures,
-                        out.elapsed,
-                        out.trace,
-                    )
-                }
-            };
-        if let Some(log) = self.slow_log {
-            log.record(kind_name, elapsed, trace.as_ref().map(|t| t.id));
+        let (queries, k) = (request.queries(), request.requested_k());
+        match request.kind() {
+            SearchKind::Ojsp => engine.drive(&Ojsp, queries, k),
+            SearchKind::Cjsp => engine.drive(
+                &Cjsp {
+                    delta: config.delta_cells,
+                },
+                queries,
+                k,
+            ),
+            SearchKind::Knn => engine.drive(&Knn, queries, k),
         }
-        Ok(SearchResponse {
-            results,
-            comm,
-            search: request.wants_stats().then_some(search),
-            per_source,
-            failures,
-            elapsed,
-            trace,
-        })
     }
 
     /// Delivers one request through the transport, accounting bytes, timing
@@ -387,33 +288,31 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Executes planned shard tasks, honouring the engine's degradation
-    /// mode.  Fail-fast (the default) aborts the batch on the first shard
-    /// error; skip-and-report ([`EngineConfig::skip_failed_sources`]) keeps
-    /// going, drops the failed shards' contributions (`None` slots) and
-    /// records one [`SourceFailure`] per failed source — the first error in
-    /// task order, so the report is deterministic for a deterministic plan.
+    /// Executes planned shard tasks — one exchange each, unpacked as `K`'s
+    /// reply — honouring the engine's degradation mode.  Fail-fast (the
+    /// default) aborts the batch on the first shard error; skip-and-report
+    /// ([`EngineConfig::skip_failed_sources`]) keeps going, drops the failed
+    /// shards' contributions (`None` slots) and records one
+    /// [`SourceFailure`] per failed source — the first error in task order,
+    /// so the report is deterministic for a deterministic plan.
     ///
     /// A failed exchange accounts no [`CommStats`] bytes or requests (the
     /// transport surfaces the error before anything is recorded), so the
     /// merged counters describe exactly the completed shards.
-    fn execute_shards<T, R, F>(
+    fn execute_shards<K: QueryKind>(
         &self,
-        tasks: &[T],
+        tasks: &[ShardTask],
         trace: Option<u64>,
-        source_of: impl Fn(&T) -> SourceId,
-        f: F,
-    ) -> Result<ShardOutcome<R>, SearchError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T, &mut WorkerCtx) -> Result<R, SearchError> + Sync,
-    {
+    ) -> Result<ShardOutcome<Vec<K::Item>>, SearchError> {
+        let shard = |task: &ShardTask, ctx: &mut WorkerCtx| {
+            K::items(self.exchange(task.source, &task.request, ctx)?)
+                .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
+        };
         if !self.config.skip_failed_sources {
-            let (results, ctx) = run_parallel(tasks, self.config.workers, trace, f)?;
+            let (results, ctx) = run_parallel(tasks, self.config.workers, trace, shard)?;
             return Ok((results.into_iter().map(Some).collect(), ctx, Vec::new()));
         }
-        let (per_task, ctx) = run_parallel_core(tasks, self.config.workers, trace, false, f)?;
+        let (per_task, ctx) = run_parallel_core(tasks, self.config.workers, trace, false, shard)?;
         let mut failures: Vec<SourceFailure> = Vec::new();
         let results = tasks
             .iter()
@@ -421,9 +320,11 @@ impl<'a> QueryEngine<'a> {
             .map(|(task, result)| match result {
                 Ok(r) => Some(r),
                 Err(error) => {
-                    let source = source_of(task);
-                    if !failures.iter().any(|f| f.source == source) {
-                        failures.push(SourceFailure { source, error });
+                    if !failures.iter().any(|f| f.source == task.source) {
+                        failures.push(SourceFailure {
+                            source: task.source,
+                            error,
+                        });
                     }
                     None
                 }
@@ -433,114 +334,200 @@ impl<'a> QueryEngine<'a> {
         Ok((results, ctx, failures))
     }
 
-    /// Runs a batch of overlap joinable searches.
-    pub fn run_ojsp(
+    /// The one pipeline behind [`Self::run`]: plan → execute → bucket →
+    /// reduce, with `kind` supplying everything that differs between OJSP,
+    /// CJSP and kNN.
+    fn drive<K: QueryKind>(
         &self,
+        kind: &K,
         queries: &[SpatialDataset],
         k: usize,
-    ) -> Result<BatchOutcome<AggregatedOverlap>, SearchError> {
+    ) -> Result<SearchResponse, SearchError> {
         let start = Instant::now();
         let trace_id = self.config.collect_trace.then(obs::next_trace_id);
+        let strategy = self.config.strategy;
 
-        // Plan: route and clip every query, materialise the wire requests.
+        // Plan: route every query, clip it per target source and materialise
+        // the wire requests.  A routed source counts as contacted even when
+        // the clip leaves nothing to send it.
         let mut comm = CommStats::new();
         let mut grids = GridCache::new();
         let reachable = self.reachable_sources();
+        let routing = kind.routing(self.center, &mut grids)?;
+        let clip_slack = kind.clip_slack();
         let mut tasks: Vec<ShardTask> = Vec::new();
+        let mut query_cells: Vec<Option<CellSet>> = if K::KEEPS_QUERY_CELLS {
+            vec![None; queries.len()]
+        } else {
+            Vec::new()
+        };
         for (query_idx, query) in queries.iter().enumerate() {
+            let mut cells_cache = QueryCellsCache::new();
             let targets = retain_reachable(
-                self.center.route(query, 0.0, self.config.strategy),
+                match routing {
+                    Routing::Intersecting { slack_lonlat } => {
+                        self.center.route(query, slack_lonlat, strategy)
+                    }
+                    Routing::DistanceBounds => {
+                        self.center
+                            .knn_route(query, k, strategy, &mut grids, &mut cells_cache)?
+                    }
+                },
                 &reachable,
             );
             comm.sources_contacted += targets.len();
-            let mut query_cells = QueryCellsCache::new();
             for summary in targets {
                 let grid = grids.get(summary.resolution)?;
-                let cells = query_cells.get(grid, &query.points);
-                let cells =
-                    DataCenter::clip_for_source(&summary, grid, cells, 0.0, self.config.strategy);
+                let full = cells_cache.get(grid, &query.points);
+                let cells = match clip_slack {
+                    Some(slack) => {
+                        DataCenter::clip_for_source(&summary, grid, full, slack, strategy)
+                    }
+                    None => full.clone(),
+                };
                 if cells.is_empty() {
                     continue;
+                }
+                if let Some(slot @ None) = query_cells.get_mut(query_idx) {
+                    *slot = Some(full.clone());
                 }
                 tasks.push(ShardTask {
                     query_idx,
                     source: summary.source,
-                    request: Message::OverlapQuery { query: cells, k },
+                    request: kind.request(cells, k),
                 });
             }
         }
 
-        // Execute, bucketing replies per query.  The final per-query sort
-        // uses a total order (overlap desc, then source, then dataset), so
-        // the bucket fill order — task order per query vs. source order per
-        // batch — cannot change the aggregated answers.
-        let mut buckets: Vec<Vec<(SourceId, dits::OverlapResult)>> =
-            (0..queries.len()).map(|_| Vec::new()).collect();
+        // Execute one task per (query, source) shard, in parallel, and
+        // bucket the replies per query.  Every reducer ranks through a total
+        // order, so the bucket fill order cannot change the answers.
         let plan_elapsed = start.elapsed();
-        let (mut ctx, failures) = match self.config.shard_mode {
-            // One task per (query, source) shard, in parallel.
-            ShardMode::PerQuery => {
-                let (per_task, ctx, failures) = self.execute_shards(
-                    &tasks,
-                    trace_id,
-                    |task| task.source,
-                    |task, ctx| match self.exchange(task.source, &task.request, ctx)? {
-                        Message::OverlapReply { source, results } => {
-                            let pairs: Vec<(SourceId, dits::OverlapResult)> =
-                                results.into_iter().map(|r| (source, r)).collect();
-                            Ok(pairs)
-                        }
-                        _ => Err(TransportError::UnexpectedReply("OverlapReply").into()),
-                    },
-                )?;
-                for (task, results) in tasks.iter().zip(per_task) {
-                    let Some(results) = results else { continue };
-                    if let Some(bucket) = buckets.get_mut(task.query_idx) {
-                        bucket.extend(results);
-                    }
-                }
-                (ctx, failures)
-            }
-            // One task per source carrying its whole routed sub-batch; the
-            // source answers with a single shared frontier traversal.
-            ShardMode::PerSourceBatch => {
-                let batches = group_overlap_batches(tasks, k);
-                let (per_batch, ctx, failures) = self.execute_shards(
-                    &batches,
-                    trace_id,
-                    |batch| batch.source,
-                    |batch, ctx| match self.exchange(batch.source, &batch.request, ctx)? {
-                        Message::OverlapBatchReply { source, results }
-                            if results.len() == batch.query_idxs.len() =>
-                        {
-                            let per_query: Vec<Vec<(SourceId, dits::OverlapResult)>> = results
-                                .into_iter()
-                                .map(|rs| rs.into_iter().map(|r| (source, r)).collect())
-                                .collect();
-                            Ok(per_query)
-                        }
-                        _ => Err(TransportError::UnexpectedReply(
-                            "OverlapBatchReply of matching arity",
-                        )
-                        .into()),
-                    },
-                )?;
-                for (batch, per_query) in batches.iter().zip(per_batch) {
-                    let Some(per_query) = per_query else { continue };
-                    for (&query_idx, results) in batch.query_idxs.iter().zip(per_query) {
-                        if let Some(bucket) = buckets.get_mut(query_idx) {
-                            bucket.extend(results);
-                        }
-                    }
-                }
-                (ctx, failures)
-            }
-        };
+        let (per_task, mut ctx, failures) = self.execute_shards::<K>(&tasks, trace_id)?;
         comm.merge(&ctx.comm);
+        let mut buckets: Vec<Vec<K::Item>> = (0..queries.len()).map(|_| Vec::new()).collect();
+        for (task, items) in tasks.iter().zip(per_task) {
+            let Some(items) = items else { continue };
+            if let Some(bucket) = buckets.get_mut(task.query_idx) {
+                bucket.extend(items);
+            }
+        }
 
-        // Aggregate: global top-k per query.
         let agg_started = Instant::now();
-        let answers = buckets
+        let answers = kind.reduce(self.config.workers, query_cells, buckets, k)?;
+        let aggregate_elapsed = agg_started.elapsed();
+
+        let spans = std::mem::take(&mut ctx.spans);
+        let elapsed = start.elapsed();
+        let trace = assemble_trace(trace_id, plan_elapsed, spans, aggregate_elapsed);
+        if let Some(log) = self.slow_log {
+            log.record(K::NAME, elapsed, trace.as_ref().map(|t| t.id));
+        }
+        Ok(SearchResponse {
+            results: K::results(answers),
+            comm,
+            search: self.config.collect_stats.then_some(ctx.search),
+            per_source: ctx.into_timings(),
+            failures,
+            elapsed,
+            trace,
+        })
+    }
+}
+
+/// How a search kind picks the sources a query is sent to.
+#[derive(Debug, Clone, Copy)]
+enum Routing {
+    /// Sources whose DITS-G summary intersects the query's MBR widened by
+    /// this slack, in degrees.
+    Intersecting { slack_lonlat: f64 },
+    /// Sources whose distance lower bound to the query can still reach the
+    /// top-k (see `DataCenter::knn_route`).
+    DistanceBounds,
+}
+
+/// What differs between the search kinds — routing, clipping, the exchange
+/// and the reducer.  Everything else is [`QueryEngine::drive`].
+trait QueryKind {
+    /// What one source's reply contributes to one query's bucket.
+    type Item: Send;
+    /// The aggregated answer to one query.
+    type Answer;
+    /// The kind's name in the slow-query log.
+    const NAME: &'static str;
+    /// The reply variant that answers this kind's request.
+    const REPLY: &'static str;
+    /// Whether [`Self::reduce`] works against the queries themselves, so
+    /// planning keeps each query's unclipped cells for it.
+    const KEEPS_QUERY_CELLS: bool = false;
+
+    /// How queries of this kind are routed.
+    fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError>;
+
+    /// The slack, in cell units, around a source's root MBR beyond which
+    /// query cells are clipped away; `None` sends every source the whole
+    /// query.
+    fn clip_slack(&self) -> Option<f64>;
+
+    /// The request carrying one query's cells to one source.
+    fn request(&self, query: CellSet, k: usize) -> Message;
+
+    /// Unpacks the reply named by [`Self::REPLY`]; `None` for anything else.
+    fn items(reply: Message) -> Option<Vec<Self::Item>>;
+
+    /// Turns each query's bucket into its answer, in query order.
+    /// `query_cells` is empty unless [`Self::KEEPS_QUERY_CELLS`].
+    fn reduce(
+        &self,
+        workers: usize,
+        query_cells: Vec<Option<CellSet>>,
+        buckets: Vec<Vec<Self::Item>>,
+        k: usize,
+    ) -> Result<Vec<Self::Answer>, SearchError>;
+
+    /// Wraps the answers in their [`SearchResults`] variant.
+    fn results(answers: Vec<Self::Answer>) -> SearchResults;
+}
+
+/// Overlap joinable search: exact-intersection routing, clipping to each
+/// source's root MBR, global top-k by overlap.
+struct Ojsp;
+
+impl QueryKind for Ojsp {
+    type Item = (SourceId, dits::OverlapResult);
+    type Answer = AggregatedOverlap;
+    const NAME: &'static str = "ojsp";
+    const REPLY: &'static str = "OverlapReply";
+
+    fn routing(&self, _: &DataCenter, _: &mut GridCache) -> Result<Routing, SearchError> {
+        Ok(Routing::Intersecting { slack_lonlat: 0.0 })
+    }
+
+    fn clip_slack(&self) -> Option<f64> {
+        Some(0.0)
+    }
+
+    fn request(&self, query: CellSet, k: usize) -> Message {
+        Message::OverlapQuery { query, k }
+    }
+
+    fn items(reply: Message) -> Option<Vec<Self::Item>> {
+        match reply {
+            Message::OverlapReply { source, results } => {
+                Some(results.into_iter().map(|r| (source, r)).collect())
+            }
+            _ => None,
+        }
+    }
+
+    fn reduce(
+        &self,
+        _workers: usize,
+        _query_cells: Vec<Option<CellSet>>,
+        buckets: Vec<Vec<Self::Item>>,
+        k: usize,
+    ) -> Result<Vec<AggregatedOverlap>, SearchError> {
+        Ok(buckets
             .into_iter()
             .map(|mut all| {
                 all.sort_unstable_by(|a, b| {
@@ -552,233 +539,118 @@ impl<'a> QueryEngine<'a> {
                 all.truncate(k);
                 AggregatedOverlap { results: all }
             })
-            .collect();
+            .collect())
+    }
 
-        let spans = std::mem::take(&mut ctx.spans);
-        Ok(BatchOutcome {
-            answers,
-            comm,
-            search: ctx.search,
-            per_source: ctx.into_timings(),
-            failures,
-            elapsed: start.elapsed(),
-            trace: assemble_trace(trace_id, plan_elapsed, spans, agg_started.elapsed()),
+    fn results(answers: Vec<AggregatedOverlap>) -> SearchResults {
+        SearchResults::Overlap(answers)
+    }
+}
+
+/// Coverage joinable search: routing and clipping widened by the
+/// connectivity threshold, cross-source greedy selection at the center.
+struct Cjsp {
+    /// Connectivity threshold δ in cell units.
+    delta: f64,
+}
+
+impl QueryKind for Cjsp {
+    type Item = CoverageCandidate;
+    type Answer = AggregatedCoverage;
+    const NAME: &'static str = "cjsp";
+    const REPLY: &'static str = "CoverageReply";
+    const KEEPS_QUERY_CELLS: bool = true;
+
+    fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
+        Ok(Routing::Intersecting {
+            slack_lonlat: center.route_slack_lonlat(self.delta, grids)?,
         })
     }
 
-    /// Runs a batch of coverage joinable searches.
-    pub fn run_cjsp(
-        &self,
-        queries: &[SpatialDataset],
-        k: usize,
-    ) -> Result<BatchOutcome<AggregatedCoverage>, SearchError> {
-        let start = Instant::now();
-        let trace_id = self.config.collect_trace.then(obs::next_trace_id);
-        let delta = self.config.delta_cells;
+    fn clip_slack(&self) -> Option<f64> {
+        Some(self.delta)
+    }
 
-        // Plan: route with the connectivity slack, clip, materialise requests
-        // and capture each query's un-clipped cell set in the shared grid
-        // (used by the final aggregation at the center).
-        let mut comm = CommStats::new();
-        let mut grids = GridCache::new();
-        let reachable = self.reachable_sources();
-        let route_slack = self.center.route_slack_lonlat(delta, &mut grids)?;
-        let mut tasks: Vec<ShardTask> = Vec::new();
-        let mut query_cells: Vec<Option<CellSet>> = vec![None; queries.len()];
-        for (query_idx, query) in queries.iter().enumerate() {
-            let targets = retain_reachable(
-                self.center.route(query, route_slack, self.config.strategy),
-                &reachable,
-            );
-            comm.sources_contacted += targets.len();
-            let mut cells_cache = QueryCellsCache::new();
-            for summary in targets {
-                let grid = grids.get(summary.resolution)?;
-                let full = cells_cache.get(grid, &query.points);
-                let cells =
-                    DataCenter::clip_for_source(&summary, grid, full, delta, self.config.strategy);
-                if cells.is_empty() {
-                    continue;
-                }
-                if let Some(slot @ None) = query_cells.get_mut(query_idx) {
-                    *slot = Some(full.clone());
-                }
-                tasks.push(ShardTask {
-                    query_idx,
-                    source: summary.source,
-                    request: Message::CoverageQuery {
-                        query: cells,
-                        k,
-                        delta,
-                    },
-                });
-            }
+    fn request(&self, query: CellSet, k: usize) -> Message {
+        Message::CoverageQuery {
+            query,
+            k,
+            delta: self.delta,
         }
+    }
 
-        // Execute local coverage searches, bucketing candidates per query.
-        // The greedy aggregation below picks its winner through a total
-        // order on (gain, source, dataset), so the bucket fill order cannot
-        // change the selected sets.
-        let mut buckets: Vec<Vec<CoverageCandidate>> =
-            (0..queries.len()).map(|_| Vec::new()).collect();
-        let plan_elapsed = start.elapsed();
-        let (mut ctx, failures) = match self.config.shard_mode {
-            ShardMode::PerQuery => {
-                let (per_task, ctx, failures) = self.execute_shards(
-                    &tasks,
-                    trace_id,
-                    |task| task.source,
-                    |task, ctx| match self.exchange(task.source, &task.request, ctx)? {
-                        Message::CoverageReply { candidates, .. } => Ok(candidates),
-                        _ => Err(TransportError::UnexpectedReply("CoverageReply").into()),
-                    },
-                )?;
-                for (task, candidates) in tasks.iter().zip(per_task) {
-                    let Some(candidates) = candidates else {
-                        continue;
-                    };
-                    if let Some(bucket) = buckets.get_mut(task.query_idx) {
-                        bucket.extend(candidates);
-                    }
-                }
-                (ctx, failures)
-            }
-            ShardMode::PerSourceBatch => {
-                let batches = group_coverage_batches(tasks, k, delta);
-                let (per_batch, ctx, failures) = self.execute_shards(
-                    &batches,
-                    trace_id,
-                    |batch| batch.source,
-                    |batch, ctx| match self.exchange(batch.source, &batch.request, ctx)? {
-                        Message::CoverageBatchReply { candidates, .. }
-                            if candidates.len() == batch.query_idxs.len() =>
-                        {
-                            Ok(candidates)
-                        }
-                        _ => Err(TransportError::UnexpectedReply(
-                            "CoverageBatchReply of matching arity",
-                        )
-                        .into()),
-                    },
-                )?;
-                for (batch, per_query) in batches.iter().zip(per_batch) {
-                    let Some(per_query) = per_query else { continue };
-                    for (&query_idx, candidates) in batch.query_idxs.iter().zip(per_query) {
-                        if let Some(bucket) = buckets.get_mut(query_idx) {
-                            bucket.extend(candidates);
-                        }
-                    }
-                }
-                (ctx, failures)
-            }
-        };
-        comm.merge(&ctx.comm);
+    fn items(reply: Message) -> Option<Vec<CoverageCandidate>> {
+        match reply {
+            Message::CoverageReply { candidates, .. } => Some(candidates),
+            _ => None,
+        }
+    }
 
-        // Aggregate: cross-source greedy selection, parallelised over the
-        // queries of the batch (each query's greedy run is independent).
-        let agg_started = Instant::now();
-        let agg_inputs: Vec<(CellSet, Vec<CoverageCandidate>)> = query_cells
+    /// Each query's greedy run is independent, so the batch is reduced on
+    /// the worker pool.
+    fn reduce(
+        &self,
+        workers: usize,
+        query_cells: Vec<Option<CellSet>>,
+        buckets: Vec<Vec<CoverageCandidate>>,
+        k: usize,
+    ) -> Result<Vec<AggregatedCoverage>, SearchError> {
+        let inputs: Vec<(CellSet, Vec<CoverageCandidate>)> = query_cells
             .into_iter()
             .zip(buckets)
             .map(|(cells, candidates)| (cells.unwrap_or_default(), candidates))
             .collect();
-        let (answers, _) = run_parallel(
-            &agg_inputs,
-            self.config.workers,
-            None,
-            |(cells, candidates), _| Ok(aggregate_coverage(cells, candidates, k, delta)),
-        )?;
-
-        let spans = std::mem::take(&mut ctx.spans);
-        Ok(BatchOutcome {
-            answers,
-            comm,
-            search: ctx.search,
-            per_source: ctx.into_timings(),
-            failures,
-            elapsed: start.elapsed(),
-            trace: assemble_trace(trace_id, plan_elapsed, spans, agg_started.elapsed()),
-        })
+        let (answers, _) = run_parallel(&inputs, workers, None, |(cells, candidates), _| {
+            Ok(aggregate_coverage(cells, candidates, k, self.delta))
+        })?;
+        Ok(answers)
     }
 
-    /// Runs a batch of k-nearest-datasets searches across the federation —
-    /// the first multi-source surface for the [`dits::knn`] machinery.
-    ///
-    /// Routing prunes whole sources through DITS-G distance bounds (see
-    /// `DataCenter::knn_route`); each contacted source answers with its
-    /// local top-k and the center merges to the global top-k.  The query
-    /// travels unclipped: removing far query cells could only inflate the
-    /// distance and corrupt the ranking.
-    pub fn run_knn(
+    fn results(answers: Vec<AggregatedCoverage>) -> SearchResults {
+        SearchResults::Coverage(answers)
+    }
+}
+
+/// k-nearest datasets: whole sources are pruned through DITS-G distance
+/// bounds, the query travels unclipped (dropping far query cells could only
+/// inflate the distance and corrupt the ranking), global top-k by distance.
+struct Knn;
+
+impl QueryKind for Knn {
+    type Item = (SourceId, Neighbor);
+    type Answer = AggregatedKnn;
+    const NAME: &'static str = "knn";
+    const REPLY: &'static str = "KnnReply";
+
+    fn routing(&self, _: &DataCenter, _: &mut GridCache) -> Result<Routing, SearchError> {
+        Ok(Routing::DistanceBounds)
+    }
+
+    fn clip_slack(&self) -> Option<f64> {
+        None
+    }
+
+    fn request(&self, query: CellSet, k: usize) -> Message {
+        Message::KnnQuery { query, k }
+    }
+
+    fn items(reply: Message) -> Option<Vec<Self::Item>> {
+        match reply {
+            Message::KnnReply { source, neighbors } => {
+                Some(neighbors.into_iter().map(|n| (source, n)).collect())
+            }
+            _ => None,
+        }
+    }
+
+    fn reduce(
         &self,
-        queries: &[SpatialDataset],
+        _workers: usize,
+        _query_cells: Vec<Option<CellSet>>,
+        buckets: Vec<Vec<Self::Item>>,
         k: usize,
-    ) -> Result<BatchOutcome<AggregatedKnn>, SearchError> {
-        let start = Instant::now();
-        let trace_id = self.config.collect_trace.then(obs::next_trace_id);
-
-        // Plan: distance-bound routing, full (unclipped) query cells.
-        let mut comm = CommStats::new();
-        let mut grids = GridCache::new();
-        let reachable = self.reachable_sources();
-        let mut tasks: Vec<ShardTask> = Vec::new();
-        for (query_idx, query) in queries.iter().enumerate() {
-            let mut cells_cache = QueryCellsCache::new();
-            let targets = retain_reachable(
-                self.center.knn_route(
-                    query,
-                    k,
-                    self.config.strategy,
-                    &mut grids,
-                    &mut cells_cache,
-                )?,
-                &reachable,
-            );
-            comm.sources_contacted += targets.len();
-            for summary in targets {
-                let grid = grids.get(summary.resolution)?;
-                let cells = cells_cache.get(grid, &query.points).clone();
-                if cells.is_empty() {
-                    continue;
-                }
-                tasks.push(ShardTask {
-                    query_idx,
-                    source: summary.source,
-                    request: Message::KnnQuery { query: cells, k },
-                });
-            }
-        }
-
-        // Execute.  kNN ignores the shard mode: distance ranking needs the
-        // unclipped query at every source and gains nothing from frontier
-        // sharing, so it always runs one task per (query, source).
-        let plan_elapsed = start.elapsed();
-        let (per_task, mut ctx, failures) = self.execute_shards(
-            &tasks,
-            trace_id,
-            |task| task.source,
-            |task, ctx| match self.exchange(task.source, &task.request, ctx)? {
-                Message::KnnReply { source, neighbors } => {
-                    let pairs: Vec<(SourceId, Neighbor)> =
-                        neighbors.into_iter().map(|n| (source, n)).collect();
-                    Ok(pairs)
-                }
-                _ => Err(TransportError::UnexpectedReply("KnnReply").into()),
-            },
-        )?;
-        comm.merge(&ctx.comm);
-
-        // Aggregate: global k nearest per query.
-        let agg_started = Instant::now();
-        let mut buckets: Vec<Vec<(SourceId, Neighbor)>> =
-            (0..queries.len()).map(|_| Vec::new()).collect();
-        for (task, neighbors) in tasks.iter().zip(per_task) {
-            let Some(neighbors) = neighbors else { continue };
-            if let Some(bucket) = buckets.get_mut(task.query_idx) {
-                bucket.extend(neighbors);
-            }
-        }
-        let answers = buckets
+    ) -> Result<Vec<AggregatedKnn>, SearchError> {
+        Ok(buckets
             .into_iter()
             .map(|mut all| {
                 all.sort_unstable_by(|a, b| {
@@ -790,76 +662,12 @@ impl<'a> QueryEngine<'a> {
                 all.truncate(k);
                 AggregatedKnn { neighbors: all }
             })
-            .collect();
-
-        let spans = std::mem::take(&mut ctx.spans);
-        Ok(BatchOutcome {
-            answers,
-            comm,
-            search: ctx.search,
-            per_source: ctx.into_timings(),
-            failures,
-            elapsed: start.elapsed(),
-            trace: assemble_trace(trace_id, plan_elapsed, spans, agg_started.elapsed()),
-        })
+            .collect())
     }
-}
 
-/// One planned per-source batch task ([`ShardMode::PerSourceBatch`]): the
-/// whole sub-batch of queries routed to one source, plus the positions of
-/// those queries in the original batch so replies can be bucketed back.
-struct BatchShard {
-    source: SourceId,
-    query_idxs: Vec<usize>,
-    request: Message,
-}
-
-/// Groups planned per-(query, source) overlap tasks into one
-/// [`Message::OverlapBatchQuery`] per source, preserving query order within
-/// each source's sub-batch.
-fn group_overlap_batches(tasks: Vec<ShardTask>, k: usize) -> Vec<BatchShard> {
-    let mut grouped: BTreeMap<SourceId, (Vec<usize>, Vec<CellSet>)> = BTreeMap::new();
-    for task in tasks {
-        // Planning only ever materialises overlap requests here; stay total
-        // rather than panicking on an impossible variant.
-        let Message::OverlapQuery { query, .. } = task.request else {
-            continue;
-        };
-        let entry = grouped.entry(task.source).or_default();
-        entry.0.push(task.query_idx);
-        entry.1.push(query);
+    fn results(answers: Vec<AggregatedKnn>) -> SearchResults {
+        SearchResults::Knn(answers)
     }
-    grouped
-        .into_iter()
-        .map(|(source, (query_idxs, queries))| BatchShard {
-            source,
-            query_idxs,
-            request: Message::OverlapBatchQuery { queries, k },
-        })
-        .collect()
-}
-
-/// Groups planned per-(query, source) coverage tasks into one
-/// [`Message::CoverageBatchQuery`] per source, preserving query order within
-/// each source's sub-batch.
-fn group_coverage_batches(tasks: Vec<ShardTask>, k: usize, delta: f64) -> Vec<BatchShard> {
-    let mut grouped: BTreeMap<SourceId, (Vec<usize>, Vec<CellSet>)> = BTreeMap::new();
-    for task in tasks {
-        let Message::CoverageQuery { query, .. } = task.request else {
-            continue;
-        };
-        let entry = grouped.entry(task.source).or_default();
-        entry.0.push(task.query_idx);
-        entry.1.push(query);
-    }
-    grouped
-        .into_iter()
-        .map(|(source, (query_idxs, queries))| BatchShard {
-            source,
-            query_idxs,
-            request: Message::CoverageBatchQuery { queries, k, delta },
-        })
-        .collect()
 }
 
 /// Keeps only the routed summaries the transport can deliver to.
@@ -1259,17 +1067,29 @@ mod tests {
         assert_eq!(err, SearchError::Internal("boom"));
     }
 
+    /// One request per search kind over the same batch, with the `k` each
+    /// kind's tests have always used.
+    fn one_request_per_kind(queries: &[SpatialDataset]) -> [SearchRequest; 3] {
+        [
+            SearchRequest::ojsp_batch(queries.to_vec()).k(5),
+            SearchRequest::cjsp_batch(queries.to_vec()).k(3),
+            SearchRequest::knn_batch(queries.to_vec()).k(4),
+        ]
+    }
+
     #[test]
     fn batch_ojsp_matches_per_query_runs() {
         let (fw, queries) = five_source_framework();
-        let batch = fw.engine().run_ojsp(&queries, 5).unwrap();
-        assert_eq!(batch.answers.len(), queries.len());
+        let batch = fw
+            .search(&SearchRequest::ojsp_batch(queries.clone()).k(5))
+            .unwrap();
+        let answers = batch.overlap().unwrap();
+        assert_eq!(answers.len(), queries.len());
         let mut merged = CommStats::new();
-        for (query, batched) in queries.iter().zip(&batch.answers) {
-            #[allow(deprecated)]
-            let (single, comm) = fw.ojsp(query, 5).unwrap();
-            assert_eq!(&single, batched);
-            merged.merge(&comm);
+        for (query, batched) in queries.iter().zip(answers) {
+            let single = fw.search(&SearchRequest::ojsp(query.clone()).k(5)).unwrap();
+            assert_eq!(single.overlap().unwrap(), std::slice::from_ref(batched));
+            merged.merge(&single.comm);
         }
         assert_eq!(merged.total_bytes(), batch.comm.total_bytes());
         assert_eq!(merged.sources_contacted, batch.comm.sources_contacted);
@@ -1278,14 +1098,16 @@ mod tests {
     #[test]
     fn batch_cjsp_matches_per_query_runs() {
         let (fw, queries) = five_source_framework();
-        let batch = fw.engine().run_cjsp(&queries, 3).unwrap();
-        assert_eq!(batch.answers.len(), queries.len());
+        let batch = fw
+            .search(&SearchRequest::cjsp_batch(queries.clone()).k(3))
+            .unwrap();
+        let answers = batch.coverage().unwrap();
+        assert_eq!(answers.len(), queries.len());
         let mut merged = CommStats::new();
-        for (query, batched) in queries.iter().zip(&batch.answers) {
-            #[allow(deprecated)]
-            let (single, comm) = fw.cjsp(query, 3).unwrap();
-            assert_eq!(&single, batched);
-            merged.merge(&comm);
+        for (query, batched) in queries.iter().zip(answers) {
+            let single = fw.search(&SearchRequest::cjsp(query.clone()).k(3)).unwrap();
+            assert_eq!(single.coverage().unwrap(), std::slice::from_ref(batched));
+            merged.merge(&single.comm);
         }
         assert_eq!(merged.total_bytes(), batch.comm.total_bytes());
     }
@@ -1293,12 +1115,13 @@ mod tests {
     #[test]
     fn search_stats_are_threaded_through_the_engine() {
         let (fw, queries) = five_source_framework();
-        let outcome = fw.engine().run_ojsp(&queries, 5).unwrap();
-        assert!(
-            outcome.search.nodes_visited > 0,
-            "engine must surface search stats"
-        );
-        assert!(outcome.search.exact_computations > 0);
+        let outcome = fw
+            .engine()
+            .run(&SearchRequest::ojsp_batch(queries).k(5))
+            .unwrap();
+        let search = outcome.search.expect("stats are on by default");
+        assert!(search.nodes_visited > 0, "engine must surface search stats");
+        assert!(search.exact_computations > 0);
         // Per-source timing covers every contacted source.
         assert!(!outcome.per_source.is_empty());
         assert_eq!(
@@ -1314,23 +1137,24 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let (fw, _) = five_source_framework();
-        let outcome = fw.engine().run_ojsp(&[], 5).unwrap();
-        assert!(outcome.answers.is_empty());
-        assert_eq!(outcome.comm.total_bytes(), 0);
-        let outcome = fw.engine().run_cjsp(&[], 5).unwrap();
-        assert!(outcome.answers.is_empty());
-        assert_eq!(outcome.comm, CommStats::new());
-        let outcome = fw.engine().run_knn(&[], 5).unwrap();
-        assert!(outcome.answers.is_empty());
+        for request in one_request_per_kind(&[]) {
+            let outcome = fw.engine().run(&request).unwrap();
+            assert!(outcome.results.is_empty(), "{:?}", request.kind());
+            assert_eq!(outcome.comm, CommStats::new(), "{:?}", request.kind());
+        }
     }
 
     #[test]
     fn multi_source_knn_matches_merged_local_searches() {
         let (fw, queries) = five_source_framework();
         let k = 6;
-        let batch = fw.engine().run_knn(&queries, k).unwrap();
-        assert_eq!(batch.answers.len(), queries.len());
-        for (query, answer) in queries.iter().zip(&batch.answers) {
+        let batch = fw
+            .engine()
+            .run(&SearchRequest::knn_batch(queries.clone()).k(k))
+            .unwrap();
+        let answers = batch.knn().unwrap();
+        assert_eq!(answers.len(), queries.len());
+        for (query, answer) in queries.iter().zip(answers) {
             // Oracle: run the local kNN on every source and merge.
             let mut expected: Vec<(SourceId, Neighbor)> = Vec::new();
             for s in fw.sources() {
@@ -1357,74 +1181,13 @@ mod tests {
         let broadcast = fw
             .engine()
             .run(
-                &crate::SearchRequest::knn_batch(queries.clone())
+                &SearchRequest::knn_batch(queries.clone())
                     .k(k)
                     .strategy(DistributionStrategy::Broadcast),
             )
             .unwrap();
         assert!(batch.comm.sources_contacted <= broadcast.comm.sources_contacted);
-        match broadcast.results {
-            SearchResults::Knn(answers) => assert_eq!(answers, batch.answers),
-            other => panic!("unexpected results {other:?}"),
-        }
-    }
-
-    /// The shard-mode parity check: the per-source batched mode must produce
-    /// exactly the answers and summed `SearchStats` of the per-query oracle,
-    /// while contacting the same sources with fewer requests.
-    #[test]
-    fn batched_shard_mode_matches_per_query_oracle() {
-        let (fw, queries) = five_source_framework();
-        let per_query = fw.engine();
-        let mut config = *per_query.config();
-        config.shard_mode = ShardMode::PerSourceBatch;
-        let batched = QueryEngine::in_process(fw.center(), fw.sources(), config);
-
-        let oracle = per_query.run_ojsp(&queries, 5).unwrap();
-        let fast = batched.run_ojsp(&queries, 5).unwrap();
-        assert_eq!(oracle.answers, fast.answers);
-        assert_eq!(
-            oracle.search, fast.search,
-            "frontier sharing must not change the summed search stats"
-        );
-        assert_eq!(oracle.comm.sources_contacted, fast.comm.sources_contacted);
-        assert!(
-            fast.comm.requests < oracle.comm.requests,
-            "batching must collapse requests ({} vs {})",
-            fast.comm.requests,
-            oracle.comm.requests
-        );
-
-        let oracle = per_query.run_cjsp(&queries, 3).unwrap();
-        let fast = batched.run_cjsp(&queries, 3).unwrap();
-        assert_eq!(oracle.answers, fast.answers);
-        assert_eq!(oracle.search, fast.search);
-        assert!(fast.comm.requests < oracle.comm.requests);
-
-        // kNN ignores the shard mode entirely.
-        let oracle = per_query.run_knn(&queries, 4).unwrap();
-        let fast = batched.run_knn(&queries, 4).unwrap();
-        assert_eq!(oracle.answers, fast.answers);
-        assert_eq!(oracle.comm, fast.comm);
-    }
-
-    /// The shard mode is reachable through the unified request API.
-    #[test]
-    fn search_request_can_pick_the_batched_shard_mode() {
-        let (fw, queries) = five_source_framework();
-        let oracle = fw
-            .search(&SearchRequest::ojsp_batch(queries.clone()).k(5))
-            .unwrap();
-        let fast = fw
-            .search(
-                &SearchRequest::ojsp_batch(queries.clone())
-                    .k(5)
-                    .shard_mode(ShardMode::PerSourceBatch),
-            )
-            .unwrap();
-        assert_eq!(oracle.results, fast.results);
-        assert_eq!(oracle.search, fast.search);
-        assert!(fast.comm.requests < oracle.comm.requests);
+        assert_eq!(broadcast.knn().unwrap(), answers);
     }
 
     /// Tracing is opt-in, assembles center-side and per-source spans, and
@@ -1432,40 +1195,43 @@ mod tests {
     #[test]
     fn traced_requests_return_spans_without_changing_bytes() {
         let (fw, queries) = five_source_framework();
-        let plain = fw
-            .search(&SearchRequest::ojsp_batch(queries.clone()).k(5))
-            .unwrap();
-        assert!(plain.trace.is_none(), "tracing must be opt-in");
-        let traced = fw
-            .search(
-                &SearchRequest::ojsp_batch(queries.clone())
-                    .k(5)
-                    .with_trace(true),
-            )
-            .unwrap();
-        assert_eq!(plain.results, traced.results);
-        assert_eq!(
-            plain.comm, traced.comm,
-            "tracing must not change the counted protocol bytes"
-        );
-        let trace = traced.trace.expect("trace was requested");
-        assert!(trace.id > 0, "0 is reserved as the no-trace wire marker");
-        assert_eq!(trace.spans_named("plan").count(), 1);
-        assert_eq!(trace.spans_named("aggregate").count(), 1);
-        // One call/service/traversal/verify span per exchanged request, each
-        // naming the source it was measured on.
-        for name in ["call", "service", "traversal", "verify"] {
-            assert_eq!(trace.spans_named(name).count(), traced.comm.requests);
-            assert!(trace.spans_named(name).all(|s| s.source.is_some()));
+        for request in one_request_per_kind(&queries) {
+            let kind = request.kind();
+            let plain = fw.search(&request).unwrap();
+            assert!(plain.trace.is_none(), "{kind:?}: tracing must be opt-in");
+            let traced = fw.search(&request.with_trace(true)).unwrap();
+            assert_eq!(plain.results, traced.results, "{kind:?}");
+            assert_eq!(
+                plain.comm, traced.comm,
+                "{kind:?}: tracing must not change the counted protocol bytes"
+            );
+            let trace = traced.trace.expect("trace was requested");
+            assert!(trace.id > 0, "0 is reserved as the no-trace wire marker");
+            assert_eq!(trace.spans_named("plan").count(), 1);
+            assert_eq!(trace.spans_named("aggregate").count(), 1);
+            // One call/service/traversal/verify span per exchanged request,
+            // each naming the source it was measured on.
+            for name in ["call", "service", "traversal", "verify"] {
+                assert_eq!(
+                    trace.spans_named(name).count(),
+                    traced.comm.requests,
+                    "{kind:?}"
+                );
+                assert!(trace.spans_named(name).all(|s| s.source.is_some()));
+            }
+            // Canonical order puts center-side spans first.
+            assert_eq!(trace.spans[0].source, None);
+            assert!(trace.total_named("traversal") > Duration::ZERO, "{kind:?}");
+            // Service time surfaced per source, bounded by the transport
+            // time.
+            assert!(
+                traced
+                    .per_source
+                    .iter()
+                    .all(|t| t.service > Duration::ZERO && t.service <= t.elapsed),
+                "{kind:?}"
+            );
         }
-        // Canonical order puts center-side spans first.
-        assert_eq!(trace.spans[0].source, None);
-        assert!(trace.total_named("traversal") > Duration::ZERO);
-        // Service time surfaced per source, bounded by the transport time.
-        assert!(traced
-            .per_source
-            .iter()
-            .all(|t| t.service > Duration::ZERO && t.service <= t.elapsed));
     }
 
     /// Every run crossing the slow-query threshold is recorded with its kind
@@ -1525,10 +1291,28 @@ mod tests {
         }
     }
 
-    /// The degradation contract: fail-fast aborts on a dead source, while
-    /// skip-and-report completes the batch with the healthy sources'
-    /// answers, reports the dead source exactly once, and accounts only the
-    /// completed shards' bytes.
+    /// The sources named anywhere in a response's answers.
+    fn answering_sources(results: &SearchResults) -> Vec<SourceId> {
+        match results {
+            SearchResults::Overlap(answers) => answers
+                .iter()
+                .flat_map(|a| a.results.iter().map(|(s, _)| *s))
+                .collect(),
+            SearchResults::Coverage(answers) => answers
+                .iter()
+                .flat_map(|a| a.selected.iter().map(|(s, _)| *s))
+                .collect(),
+            SearchResults::Knn(answers) => answers
+                .iter()
+                .flat_map(|a| a.neighbors.iter().map(|(s, _)| *s))
+                .collect(),
+        }
+    }
+
+    /// The degradation contract, for every search kind: fail-fast aborts on
+    /// a dead source, while skip-and-report completes the batch with the
+    /// healthy sources' answers, reports the dead source exactly once, and
+    /// accounts only the completed shards' bytes.
     #[test]
     fn degraded_runs_skip_dead_sources_and_report_them() {
         let (fw, queries) = five_source_framework();
@@ -1537,73 +1321,71 @@ mod tests {
             inner: InProcessTransport::new(fw.sources()),
             dead,
         };
-
-        // Fail-fast (the default): the shard error aborts the whole batch.
-        let config = EngineConfig::default();
-        let err = QueryEngine::new(fw.center(), &faulty, config)
-            .run_ojsp(&queries, 5)
-            .unwrap_err();
-        assert!(
-            matches!(err, SearchError::Transport(TransportError::Timeout { .. })),
-            "{err:?}"
-        );
-
-        // Skip-and-report: the batch completes without the dead source.
-        let config = EngineConfig {
-            skip_failed_sources: true,
-            ..EngineConfig::default()
-        };
-        let degraded = QueryEngine::new(fw.center(), &faulty, config)
-            .run_ojsp(&queries, 5)
-            .unwrap();
-        assert_eq!(degraded.answers.len(), queries.len());
-        assert_eq!(degraded.failures.len(), 1, "{:?}", degraded.failures);
-        assert_eq!(degraded.failures[0].source, dead);
-        assert!(matches!(
-            degraded.failures[0].error,
-            SearchError::Transport(TransportError::Timeout { .. })
-        ));
-        for answer in &degraded.answers {
-            assert!(
-                answer.results.iter().all(|(s, _)| *s != dead),
-                "a skipped source leaked results into the aggregate"
-            );
-        }
-
-        // Oracle: the same plan over a deployment that never had the dead
-        // source.  Answers, accounted bytes and search stats must match —
-        // the degraded run's counters describe exactly the completed
-        // shards.  Only `sources_contacted` differs: the degraded run
-        // planned (and failed) contacts to the dead source.
         let healthy: Vec<DataSource> = fw
             .sources()
             .iter()
             .filter(|s| s.id != dead)
             .cloned()
             .collect();
-        let oracle = QueryEngine::in_process(fw.center(), &healthy, EngineConfig::default())
-            .run_ojsp(&queries, 5)
-            .unwrap();
-        assert_eq!(degraded.answers, oracle.answers);
-        assert_eq!(degraded.comm.total_bytes(), oracle.comm.total_bytes());
-        assert_eq!(degraded.comm.requests, oracle.comm.requests);
-        assert_eq!(degraded.search, oracle.search);
-        assert!(degraded.comm.sources_contacted > oracle.comm.sources_contacted);
-        assert!(oracle.failures.is_empty());
-
-        // The mode is reachable per request, for every search kind.
         let engine = QueryEngine::new(fw.center(), &faulty, EngineConfig::default());
-        for request in [
-            SearchRequest::ojsp_batch(queries.clone()).k(5),
-            SearchRequest::cjsp_batch(queries.clone()).k(3),
-            SearchRequest::knn_batch(queries.clone()).k(4),
-        ] {
-            let response = engine
-                .run(&request.skip_failed_sources(true))
+
+        for request in one_request_per_kind(&queries) {
+            let kind = request.kind();
+            // Fail-fast (the default): the shard error aborts the whole
+            // batch.
+            let err = engine.run(&request).unwrap_err();
+            assert!(
+                matches!(err, SearchError::Transport(TransportError::Timeout { .. })),
+                "{kind:?}: {err:?}"
+            );
+
+            // Skip-and-report, through the engine configuration: the batch
+            // completes without the dead source.
+            let config = EngineConfig {
+                skip_failed_sources: true,
+                ..EngineConfig::default()
+            };
+            let degraded = QueryEngine::new(fw.center(), &faulty, config)
+                .run(&request)
                 .expect("degraded run must not park the batch");
-            assert!(!response.is_complete());
-            assert_eq!(response.failures.len(), 1);
-            assert_eq!(response.failures[0].source, dead);
+            assert_eq!(degraded.results.len(), queries.len());
+            assert!(!degraded.is_complete());
+            assert_eq!(degraded.failures.len(), 1, "{:?}", degraded.failures);
+            assert_eq!(degraded.failures[0].source, dead);
+            assert!(matches!(
+                degraded.failures[0].error,
+                SearchError::Transport(TransportError::Timeout { .. })
+            ));
+            assert!(
+                !answering_sources(&degraded.results).contains(&dead),
+                "{kind:?}: a skipped source leaked results into the aggregate"
+            );
+
+            // The mode is reachable per request, with the same outcome.
+            let per_request = engine
+                .run(&request.clone().skip_failed_sources(true))
+                .unwrap();
+            assert_eq!(per_request.results, degraded.results, "{kind:?}");
+            assert_eq!(per_request.failures, degraded.failures, "{kind:?}");
+
+            // Oracle: the same plan over a deployment that never had the
+            // dead source.  Answers, accounted bytes and search stats must
+            // match — the degraded run's counters describe exactly the
+            // completed shards.  Only `sources_contacted` differs: the
+            // degraded run planned (and failed) contacts to the dead source.
+            let oracle = QueryEngine::in_process(fw.center(), &healthy, EngineConfig::default())
+                .run(&request)
+                .unwrap();
+            assert_eq!(degraded.results, oracle.results, "{kind:?}");
+            assert_eq!(
+                degraded.comm.total_bytes(),
+                oracle.comm.total_bytes(),
+                "{kind:?}"
+            );
+            assert_eq!(degraded.comm.requests, oracle.comm.requests, "{kind:?}");
+            assert_eq!(degraded.search, oracle.search, "{kind:?}");
+            assert!(degraded.comm.sources_contacted > oracle.comm.sources_contacted);
+            assert!(oracle.failures.is_empty());
         }
     }
 
@@ -1613,28 +1395,19 @@ mod tests {
     #[test]
     fn parallel_and_sequential_engines_agree() {
         let (fw, queries) = five_source_framework();
-        let seq = fw.engine_with_workers(1).run_ojsp(&queries, 4).unwrap();
-        let par = fw.engine_with_workers(8).run_ojsp(&queries, 4).unwrap();
-        assert_eq!(seq.answers, par.answers);
-        assert_eq!(
-            seq.comm, par.comm,
-            "CommStats must merge to identical totals"
-        );
-        assert_eq!(
-            seq.search, par.search,
-            "SearchStats must merge to identical totals"
-        );
-
-        let seq = fw.engine_with_workers(1).run_cjsp(&queries, 3).unwrap();
-        let par = fw.engine_with_workers(8).run_cjsp(&queries, 3).unwrap();
-        assert_eq!(seq.answers, par.answers);
-        assert_eq!(seq.comm, par.comm);
-        assert_eq!(seq.search, par.search);
-
-        let seq = fw.engine_with_workers(1).run_knn(&queries, 4).unwrap();
-        let par = fw.engine_with_workers(8).run_knn(&queries, 4).unwrap();
-        assert_eq!(seq.answers, par.answers);
-        assert_eq!(seq.comm, par.comm);
-        assert_eq!(seq.search, par.search);
+        for request in one_request_per_kind(&queries) {
+            let kind = request.kind();
+            let seq = fw.engine_with_workers(1).run(&request).unwrap();
+            let par = fw.engine_with_workers(8).run(&request).unwrap();
+            assert_eq!(seq.results, par.results, "{kind:?}");
+            assert_eq!(
+                seq.comm, par.comm,
+                "{kind:?}: CommStats must merge to identical totals"
+            );
+            assert_eq!(
+                seq.search, par.search,
+                "{kind:?}: SearchStats must merge to identical totals"
+            );
+        }
     }
 }

@@ -23,11 +23,9 @@ use dits::DitsLocalConfig;
 use spatial::{Grid, SourceId, SpatialDataset};
 
 use crate::api::{SearchRequest, SearchResponse};
-use crate::center::{
-    AggregatedCoverage, AggregatedOverlap, DataCenter, DistributionStrategy, MaintenanceOutcome,
-};
-use crate::comm::{CommConfig, CommStats};
-use crate::engine::{BatchOutcome, EngineConfig, QueryEngine};
+use crate::center::{DataCenter, DistributionStrategy, MaintenanceOutcome};
+use crate::comm::CommConfig;
+use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::{ConfigError, SearchError};
 use crate::message::UpdateOp;
 use crate::source::DataSource;
@@ -203,80 +201,12 @@ impl MultiSourceFramework {
             },
         )
     }
-
-    /// Runs the overlap joinable search for one query.
-    #[deprecated(since = "0.1.0", note = "use `search` with `SearchRequest::ojsp`")]
-    pub fn ojsp(
-        &self,
-        query: &SpatialDataset,
-        k: usize,
-    ) -> Result<(AggregatedOverlap, CommStats), SearchError> {
-        let response = self.search(&SearchRequest::ojsp(query.clone()).k(k))?;
-        let comm = response.comm;
-        match response.results {
-            crate::api::SearchResults::Overlap(answers) => answers
-                .into_iter()
-                .next()
-                .map(|a| (a, comm))
-                .ok_or(SearchError::Internal("batch of one produced no answer")),
-            _ => Err(SearchError::Internal(
-                "OJSP request produced non-OJSP results",
-            )),
-        }
-    }
-
-    /// Runs the coverage joinable search for one query.
-    #[deprecated(since = "0.1.0", note = "use `search` with `SearchRequest::cjsp`")]
-    pub fn cjsp(
-        &self,
-        query: &SpatialDataset,
-        k: usize,
-    ) -> Result<(AggregatedCoverage, CommStats), SearchError> {
-        let response = self.search(&SearchRequest::cjsp(query.clone()).k(k))?;
-        let comm = response.comm;
-        match response.results {
-            crate::api::SearchResults::Coverage(answers) => answers
-                .into_iter()
-                .next()
-                .map(|a| (a, comm))
-                .ok_or(SearchError::Internal("batch of one produced no answer")),
-            _ => Err(SearchError::Internal(
-                "CJSP request produced non-CJSP results",
-            )),
-        }
-    }
-
-    /// Runs OJSP over a batch of queries through the query engine.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `search` with `SearchRequest::ojsp_batch`"
-    )]
-    pub fn run_ojsp(
-        &self,
-        queries: &[SpatialDataset],
-        k: usize,
-    ) -> Result<BatchOutcome<AggregatedOverlap>, SearchError> {
-        self.engine().run_ojsp(queries, k)
-    }
-
-    /// Runs CJSP over a batch of queries through the query engine.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `search` with `SearchRequest::cjsp_batch`"
-    )]
-    pub fn run_cjsp(
-        &self,
-        queries: &[SpatialDataset],
-        k: usize,
-    ) -> Result<BatchOutcome<AggregatedCoverage>, SearchError> {
-        self.engine().run_cjsp(queries, k)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{SearchRequest, SearchResults};
+    use crate::api::SearchRequest;
     use crate::error::{ConfigError, SearchError};
     use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
     use spatial::Point;
@@ -467,32 +397,6 @@ mod tests {
                 "δ={delta}: routing pruned a source the aggregation needed"
             );
         }
-    }
-
-    /// The deprecated tuple shims still answer identically to the unified
-    /// API they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_search() {
-        let (fw, queries) = tiny_framework(DistributionStrategy::PrunedClipped);
-        let (answer, comm) = fw.ojsp(&queries[0], 5).unwrap();
-        let response = fw
-            .search(&SearchRequest::ojsp(queries[0].clone()).k(5))
-            .unwrap();
-        assert_eq!(
-            response.results,
-            SearchResults::Overlap(vec![answer.clone()])
-        );
-        assert_eq!(response.comm, comm);
-        assert!(!answer.results.is_empty());
-
-        let (coverage, _) = fw.cjsp(&queries[0], 3).unwrap();
-        assert!(coverage.coverage >= coverage.query_coverage);
-
-        let batch = fw.run_ojsp(&queries, 5).unwrap();
-        assert_eq!(batch.answers.len(), queries.len());
-        let batch = fw.run_cjsp(&queries, 3).unwrap();
-        assert_eq!(batch.answers.len(), queries.len());
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use center::{
     MaintenanceOutcome,
 };
 pub use comm::{CommConfig, CommStats};
-pub use engine::{BatchOutcome, EngineConfig, QueryEngine, ShardMode};
+pub use engine::{EngineConfig, QueryEngine};
 pub use error::{BatchError, ConfigError, SearchError, TransportError, WireError};
 pub use framework::{FrameworkConfig, MultiSourceFramework};
 pub use message::{CellOp, CoverageCandidate, Message, UpdateOp};

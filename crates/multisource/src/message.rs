@@ -161,14 +161,8 @@ pub const TAG_KNN_QUERY: u8 = 6;
 pub const TAG_KNN_REPLY: u8 = 7;
 /// Wire tag of [`Message::Error`].
 pub const TAG_ERROR: u8 = 8;
-/// Wire tag of [`Message::OverlapBatchQuery`].
-pub const TAG_OVERLAP_BATCH_QUERY: u8 = 9;
-/// Wire tag of [`Message::OverlapBatchReply`].
-pub const TAG_OVERLAP_BATCH_REPLY: u8 = 10;
-/// Wire tag of [`Message::CoverageBatchQuery`].
-pub const TAG_COVERAGE_BATCH_QUERY: u8 = 11;
-/// Wire tag of [`Message::CoverageBatchReply`].
-pub const TAG_COVERAGE_BATCH_REPLY: u8 = 12;
+// Tags 9–12 are retired and must never be reused: old peers may still send
+// them, and they decode to `WireError::BadTag` like any unknown tag.
 /// Wire tag of [`Message::MetricsQuery`].
 pub const TAG_METRICS_QUERY: u8 = 13;
 /// Wire tag of [`Message::MetricsSnapshot`].
@@ -278,44 +272,6 @@ pub enum Message {
         code: u16,
         /// Human-readable reason.
         detail: String,
-    },
-    /// Data center → source: run a local overlap search for a whole batch of
-    /// queries in one round trip.  The source answers all of them with one
-    /// shared frontier walk of its index
-    /// ([`overlap_search_batch`](dits::overlap_search_batch)) — the wire
-    /// counterpart of the engine's per-(source, batch) shard mode.
-    OverlapBatchQuery {
-        /// The (possibly clipped) query cell sets, one per batched query.
-        queries: Vec<CellSet>,
-        /// Number of results requested per query.
-        k: usize,
-    },
-    /// Source → data center: local overlap results for a batched query, one
-    /// result list per query, in query order.
-    OverlapBatchReply {
-        /// The replying source.
-        source: SourceId,
-        /// Per-query local top-k results, in query order.
-        results: Vec<Vec<OverlapResult>>,
-    },
-    /// Data center → source: run a local coverage search for a whole batch
-    /// of queries in one round trip (shared-frontier counterpart of
-    /// [`Message::CoverageQuery`]).
-    CoverageBatchQuery {
-        /// The (possibly clipped) query cell sets, one per batched query.
-        queries: Vec<CellSet>,
-        /// Number of results requested per query.
-        k: usize,
-        /// Connectivity threshold δ in cell units.
-        delta: f64,
-    },
-    /// Source → data center: local coverage candidates for a batched query,
-    /// one candidate list per query, in query order.
-    CoverageBatchReply {
-        /// The replying source.
-        source: SourceId,
-        /// Per-query candidate datasets with their cells, in query order.
-        candidates: Vec<Vec<CoverageCandidate>>,
     },
     /// Data center → source: scrape the source's metrics registry (remote
     /// introspection; served read-only, like a summary poll).
@@ -436,48 +392,6 @@ impl Message {
                 }
                 put_varint(&mut buf, len as u64);
                 buf.put_slice(detail.as_bytes().get(..len).unwrap_or_default());
-            }
-            Message::OverlapBatchQuery { queries, k } => {
-                buf.put_u8(TAG_OVERLAP_BATCH_QUERY);
-                put_varint(&mut buf, *k as u64);
-                put_varint(&mut buf, queries.len() as u64);
-                for query in queries {
-                    put_cells(&mut buf, query);
-                }
-            }
-            Message::OverlapBatchReply { source, results } => {
-                buf.put_u8(TAG_OVERLAP_BATCH_REPLY);
-                buf.put_u16(*source);
-                put_varint(&mut buf, results.len() as u64);
-                for per_query in results {
-                    put_varint(&mut buf, per_query.len() as u64);
-                    for r in per_query {
-                        put_varint(&mut buf, r.dataset as u64);
-                        put_varint(&mut buf, r.overlap as u64);
-                    }
-                }
-            }
-            Message::CoverageBatchQuery { queries, k, delta } => {
-                buf.put_u8(TAG_COVERAGE_BATCH_QUERY);
-                put_varint(&mut buf, *k as u64);
-                buf.put_f64(*delta);
-                put_varint(&mut buf, queries.len() as u64);
-                for query in queries {
-                    put_cells(&mut buf, query);
-                }
-            }
-            Message::CoverageBatchReply { source, candidates } => {
-                buf.put_u8(TAG_COVERAGE_BATCH_REPLY);
-                buf.put_u16(*source);
-                put_varint(&mut buf, candidates.len() as u64);
-                for per_query in candidates {
-                    put_varint(&mut buf, per_query.len() as u64);
-                    for c in per_query {
-                        buf.put_u16(c.source);
-                        put_varint(&mut buf, c.dataset as u64);
-                        put_cells(&mut buf, &c.cells);
-                    }
-                }
             }
             Message::MetricsQuery => {
                 buf.put_u8(TAG_METRICS_QUERY);
@@ -678,74 +592,6 @@ impl Message {
                 data.advance(len);
                 Ok(Message::Error { code, detail })
             }
-            TAG_OVERLAP_BATCH_QUERY => {
-                let k = get_varint(&mut data, "k")? as usize;
-                let n = get_varint(&mut data, "batch query count")? as usize;
-                let mut queries = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    queries.push(get_cells(&mut data)?);
-                }
-                Ok(Message::OverlapBatchQuery { queries, k })
-            }
-            TAG_OVERLAP_BATCH_REPLY => {
-                if data.remaining() < 2 {
-                    return Err(WireError::Truncated("source id"));
-                }
-                let source = data.get_u16();
-                let n = get_varint(&mut data, "batch reply count")? as usize;
-                let mut results = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    let m = get_varint(&mut data, "result count")? as usize;
-                    let mut per_query = Vec::with_capacity(m.min(1 << 16));
-                    for _ in 0..m {
-                        let dataset = get_varint(&mut data, "result dataset id")? as DatasetId;
-                        let overlap = get_varint(&mut data, "result overlap")? as usize;
-                        per_query.push(OverlapResult { dataset, overlap });
-                    }
-                    results.push(per_query);
-                }
-                Ok(Message::OverlapBatchReply { source, results })
-            }
-            TAG_COVERAGE_BATCH_QUERY => {
-                let k = get_varint(&mut data, "k")? as usize;
-                if data.remaining() < 8 {
-                    return Err(WireError::Truncated("delta"));
-                }
-                let delta = data.get_f64();
-                let n = get_varint(&mut data, "batch query count")? as usize;
-                let mut queries = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    queries.push(get_cells(&mut data)?);
-                }
-                Ok(Message::CoverageBatchQuery { queries, k, delta })
-            }
-            TAG_COVERAGE_BATCH_REPLY => {
-                if data.remaining() < 2 {
-                    return Err(WireError::Truncated("source id"));
-                }
-                let source = data.get_u16();
-                let n = get_varint(&mut data, "batch reply count")? as usize;
-                let mut candidates = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    let m = get_varint(&mut data, "candidate count")? as usize;
-                    let mut per_query = Vec::with_capacity(m.min(1 << 16));
-                    for _ in 0..m {
-                        if data.remaining() < 2 {
-                            return Err(WireError::Truncated("candidate source id"));
-                        }
-                        let src = data.get_u16();
-                        let dataset = get_varint(&mut data, "candidate dataset id")? as DatasetId;
-                        let cells = get_cells(&mut data)?;
-                        per_query.push(CoverageCandidate {
-                            source: src,
-                            dataset,
-                            cells,
-                        });
-                    }
-                    candidates.push(per_query);
-                }
-                Ok(Message::CoverageBatchReply { source, candidates })
-            }
             TAG_METRICS_QUERY => Ok(Message::MetricsQuery),
             TAG_METRICS_SNAPSHOT => {
                 if data.remaining() < 2 {
@@ -811,15 +657,6 @@ impl Message {
             }
             other => Err(WireError::BadTag(other)),
         }
-    }
-
-    /// Deserialises a message, collapsing the failure reason.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `decode`, which reports why decoding failed"
-    )]
-    pub fn decode_opt(data: Bytes) -> Option<Self> {
-        Self::decode(data).ok()
     }
 
     /// Size of the message on the wire, in bytes.
@@ -1057,17 +894,30 @@ mod tests {
             Message::decode(Bytes::from(raw)),
             Err(WireError::BadVarint("k"))
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_option_shim_still_works() {
-        let m = Message::KnnQuery {
-            query: cs(&[1]),
-            k: 1,
+        // The retired tags 9–12 are unknown tags, while their neighbours 13
+        // and 14 keep their bytes.
+        for tag in 9..=12u8 {
+            assert_eq!(
+                Message::decode(Bytes::from(vec![tag, 1, 0])),
+                Err(WireError::BadTag(tag))
+            );
+        }
+        let query = Bytes::from_static(&[13]);
+        assert_eq!(Message::decode(query.clone()), Ok(Message::MetricsQuery));
+        assert_eq!(Message::MetricsQuery.encode(), query);
+        let pinned = Bytes::from_static(&[14, 0, 3, 1, 2, b'u', b'p', 1, 1, b'k', 1, b'v', 0, 5]);
+        let snapshot = Message::MetricsSnapshot {
+            source: 3,
+            snapshot: obs::MetricsSnapshot {
+                samples: vec![obs::MetricSample {
+                    name: "up".into(),
+                    labels: vec![("k".into(), "v".into())],
+                    value: obs::MetricValue::Counter(5),
+                }],
+            },
         };
-        assert_eq!(Message::decode_opt(m.encode()), Some(m));
-        assert_eq!(Message::decode_opt(Bytes::new()), None);
+        assert_eq!(Message::decode(pinned.clone()), Ok(snapshot.clone()));
+        assert_eq!(snapshot.encode(), pinned);
     }
 
     #[test]
@@ -1254,119 +1104,6 @@ mod tests {
             query_with(&[3, 1, 1]),
             Err(WireError::Truncated("cell delta"))
         );
-    }
-
-    #[test]
-    fn batch_messages_roundtrip() {
-        let oq = Message::OverlapBatchQuery {
-            queries: vec![cs(&[1, 5, 100]), cs(&[]), cs(&[4096])],
-            k: 10,
-        };
-        let encoded = oq.encode();
-        assert_eq!(Message::decode(encoded.clone()), Ok(oq.clone()));
-        assert_eq!(oq.wire_size(), encoded.len());
-
-        let or = Message::OverlapBatchReply {
-            source: 3,
-            results: vec![
-                vec![
-                    OverlapResult {
-                        dataset: 7,
-                        overlap: 42,
-                    },
-                    OverlapResult {
-                        dataset: 1000,
-                        overlap: 1,
-                    },
-                ],
-                vec![],
-            ],
-        };
-        assert_eq!(Message::decode(or.encode()), Ok(or));
-
-        let cq = Message::CoverageBatchQuery {
-            queries: vec![cs(&[0, 2, 9]), cs(&[7])],
-            k: 5,
-            delta: 10.0,
-        };
-        assert_eq!(Message::decode(cq.encode()), Ok(cq));
-
-        let cr = Message::CoverageBatchReply {
-            source: 1,
-            candidates: vec![
-                vec![CoverageCandidate {
-                    source: 1,
-                    dataset: 4,
-                    cells: cs(&[9, 10, 11]),
-                }],
-                vec![],
-            ],
-        };
-        assert_eq!(Message::decode(cr.encode()), Ok(cr));
-    }
-
-    #[test]
-    fn empty_batch_messages_roundtrip() {
-        for m in [
-            Message::OverlapBatchQuery {
-                queries: vec![],
-                k: 3,
-            },
-            Message::OverlapBatchReply {
-                source: 0,
-                results: vec![],
-            },
-            Message::CoverageBatchQuery {
-                queries: vec![],
-                k: 3,
-                delta: 1.0,
-            },
-            Message::CoverageBatchReply {
-                source: 0,
-                candidates: vec![],
-            },
-        ] {
-            assert_eq!(Message::decode(m.encode()), Ok(m));
-        }
-    }
-
-    #[test]
-    fn malformed_batch_messages_are_rejected() {
-        let messages = [
-            Message::OverlapBatchQuery {
-                queries: vec![cs(&[1, 2, 3]), cs(&[10])],
-                k: 2,
-            },
-            Message::OverlapBatchReply {
-                source: 2,
-                results: vec![vec![OverlapResult {
-                    dataset: 5,
-                    overlap: 3,
-                }]],
-            },
-            Message::CoverageBatchQuery {
-                queries: vec![cs(&[1, 2])],
-                k: 2,
-                delta: 4.0,
-            },
-            Message::CoverageBatchReply {
-                source: 2,
-                candidates: vec![vec![CoverageCandidate {
-                    source: 2,
-                    dataset: 6,
-                    cells: cs(&[3, 4]),
-                }]],
-            },
-        ];
-        for m in messages {
-            let enc = m.encode();
-            for cut in 1..enc.len() {
-                assert!(
-                    Message::decode(enc.slice(0..cut)).is_err(),
-                    "truncation at {cut} of {m:?} must fail"
-                );
-            }
-        }
     }
 
     fn sample_snapshot() -> obs::MetricsSnapshot {

@@ -6,9 +6,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dits::{
-    coverage_search, coverage_search_batch, nearest_datasets, overlap_search, overlap_search_batch,
-    take_phase_timings, CoverageConfig, DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats,
-    PhaseTimings, SearchStats, SourceSummary,
+    coverage_search, nearest_datasets, overlap_search, take_phase_timings, CoverageConfig,
+    DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats, PhaseTimings, SearchStats,
+    SourceSummary,
 };
 use spatial::{CellSet, DatasetId, Grid, SourceId, SpatialDataset, SpatialError};
 
@@ -32,8 +32,8 @@ const REQUEST_KINDS: [&str; 7] = [
 
 fn request_kind_index(request: &Message) -> usize {
     match request {
-        Message::OverlapQuery { .. } | Message::OverlapBatchQuery { .. } => 0,
-        Message::CoverageQuery { .. } | Message::CoverageBatchQuery { .. } => 1,
+        Message::OverlapQuery { .. } => 0,
+        Message::CoverageQuery { .. } => 1,
         Message::KnnQuery { .. } => 2,
         Message::ApplyUpdates { ops, .. } if !ops.is_empty() => 3,
         Message::ApplyUpdates { .. } => 4,
@@ -402,57 +402,6 @@ impl DataSource {
                     stats,
                 ))
             }
-            Message::OverlapBatchQuery { queries, k } => {
-                // One shared frontier walk answers the whole batch; the reply
-                // carries the per-query results in query order and the stats
-                // channel reports the batch total (the per-query stats sum,
-                // so per-query and batched shard modes agree on aggregates).
-                let mut merged = SearchStats::new();
-                let results = overlap_search_batch(&self.index, queries, *k)
-                    .into_iter()
-                    .map(|(results, stats)| {
-                        merged.merge(&stats);
-                        results
-                    })
-                    .collect();
-                Some((
-                    Message::OverlapBatchReply {
-                        source: self.id,
-                        results,
-                    },
-                    merged,
-                ))
-            }
-            Message::CoverageBatchQuery { queries, k, delta } => {
-                let mut merged = SearchStats::new();
-                let candidates =
-                    coverage_search_batch(&self.index, queries, CoverageConfig::new(*k, *delta))
-                        .into_iter()
-                        .map(|(result, stats)| {
-                            merged.merge(&stats);
-                            result
-                                .datasets
-                                .iter()
-                                .filter_map(|id| {
-                                    self.index.find_dataset(*id).map(|(_, node)| {
-                                        CoverageCandidate {
-                                            source: self.id,
-                                            dataset: *id,
-                                            cells: node.cells.clone(),
-                                        }
-                                    })
-                                })
-                                .collect()
-                        })
-                        .collect();
-                Some((
-                    Message::CoverageBatchReply {
-                        source: self.id,
-                        candidates,
-                    },
-                    merged,
-                ))
-            }
             // Maintenance requests need `&mut self` and flow through
             // [`Self::handle_maintenance`], metrics scrapes through
             // [`Self::serve_readonly`]; replies are never requests.
@@ -462,8 +411,6 @@ impl DataSource {
             | Message::CoverageReply { .. }
             | Message::SummaryRefresh { .. }
             | Message::KnnReply { .. }
-            | Message::OverlapBatchReply { .. }
-            | Message::CoverageBatchReply { .. }
             | Message::MetricsSnapshot { .. }
             | Message::Error { .. } => None,
         }
@@ -626,86 +573,6 @@ mod tests {
             }
             other => panic!("unexpected reply {other:?}"),
         }
-    }
-
-    #[test]
-    fn batch_queries_match_per_query_replies_and_summed_stats() {
-        let s = source_with_routes();
-        let queries: Vec<CellSet> = [
-            vec![Point::new(-77.0, 38.9), Point::new(-76.9, 38.95)],
-            vec![Point::new(-76.0, 38.92)],
-            vec![], // empty query rides along without disturbing the batch
-            vec![Point::new(-75.0, 38.95), Point::new(-74.8, 39.0)],
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, pts)| s.grid_query(&SpatialDataset::new(100 + i as u32, pts)))
-        .collect();
-
-        // Overlap: the batched reply must be the per-query replies in query
-        // order, and the batch stats must be the per-query sum.
-        let (batch_reply, batch_stats) = s
-            .handle_with_stats(&Message::OverlapBatchQuery {
-                queries: queries.clone(),
-                k: 5,
-            })
-            .unwrap();
-        let mut expected_stats = SearchStats::new();
-        let mut expected_results = Vec::new();
-        for q in &queries {
-            let (reply, stats) = s
-                .handle_with_stats(&Message::OverlapQuery {
-                    query: q.clone(),
-                    k: 5,
-                })
-                .unwrap();
-            expected_stats.merge(&stats);
-            match reply {
-                Message::OverlapReply { results, .. } => expected_results.push(results),
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert_eq!(
-            batch_reply,
-            Message::OverlapBatchReply {
-                source: 1,
-                results: expected_results,
-            }
-        );
-        assert_eq!(batch_stats, expected_stats);
-
-        // Coverage: same contract.
-        let (batch_reply, batch_stats) = s
-            .handle_with_stats(&Message::CoverageBatchQuery {
-                queries: queries.clone(),
-                k: 3,
-                delta: 10.0,
-            })
-            .unwrap();
-        let mut expected_stats = SearchStats::new();
-        let mut expected_candidates = Vec::new();
-        for q in &queries {
-            let (reply, stats) = s
-                .handle_with_stats(&Message::CoverageQuery {
-                    query: q.clone(),
-                    k: 3,
-                    delta: 10.0,
-                })
-                .unwrap();
-            expected_stats.merge(&stats);
-            match reply {
-                Message::CoverageReply { candidates, .. } => expected_candidates.push(candidates),
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert_eq!(
-            batch_reply,
-            Message::CoverageBatchReply {
-                source: 1,
-                candidates: expected_candidates,
-            }
-        );
-        assert_eq!(batch_stats, expected_stats);
     }
 
     #[test]

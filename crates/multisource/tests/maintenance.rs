@@ -126,22 +126,20 @@ fn assert_answer_parity(
     scratch: &MultiSourceFramework,
     queries: &[SpatialDataset],
 ) {
-    let a = maintained.engine().run_ojsp(queries, 5).unwrap();
-    let b = scratch.engine().run_ojsp(queries, 5).unwrap();
-    assert_eq!(a.answers, b.answers, "OJSP answers diverged");
-
-    let a = maintained.engine().run_cjsp(queries, 3).unwrap();
-    let b = scratch.engine().run_cjsp(queries, 3).unwrap();
-    assert_eq!(a.answers, b.answers, "CJSP answers diverged");
-
-    // Multi-source kNN parity through the unified request API.
-    let a = maintained
-        .search(&SearchRequest::knn_batch(queries.to_vec()).k(4))
-        .unwrap();
-    let b = scratch
-        .search(&SearchRequest::knn_batch(queries.to_vec()).k(4))
-        .unwrap();
-    assert_eq!(a.results, b.results, "multi-source kNN diverged");
+    for request in [
+        SearchRequest::ojsp_batch(queries.to_vec()).k(5),
+        SearchRequest::cjsp_batch(queries.to_vec()).k(3),
+        SearchRequest::knn_batch(queries.to_vec()).k(4),
+    ] {
+        let a = maintained.search(&request).unwrap();
+        let b = scratch.search(&request).unwrap();
+        assert_eq!(
+            a.results,
+            b.results,
+            "{:?} answers diverged",
+            request.kind()
+        );
+    }
 
     // Per-source kNN parity: the maintained local trees must rank datasets
     // exactly like trees built from scratch on the same content.

@@ -22,15 +22,14 @@ use std::time::Duration;
 use bytes::Bytes;
 use datagen::{generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale};
 use multisource::message::{
-    TAG_APPLY_UPDATES, TAG_COVERAGE_BATCH_QUERY, TAG_COVERAGE_BATCH_REPLY, TAG_COVERAGE_QUERY,
-    TAG_COVERAGE_REPLY, TAG_ERROR, TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_METRICS_QUERY,
-    TAG_METRICS_SNAPSHOT, TAG_OVERLAP_BATCH_QUERY, TAG_OVERLAP_BATCH_REPLY, TAG_OVERLAP_QUERY,
-    TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
+    TAG_APPLY_UPDATES, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY, TAG_ERROR, TAG_KNN_QUERY,
+    TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT, TAG_OVERLAP_QUERY, TAG_OVERLAP_REPLY,
+    TAG_SUMMARY_REFRESH,
 };
 use multisource::{
     BatchError, CellOp, DataCenter, DistributionStrategy, EngineConfig, ExclusiveTransport,
     FrameworkConfig, Message, MultiSourceFramework, QueryEngine, SearchError, SearchRequest,
-    ShardMode, SourceServer, SourceTransport, TcpTransport, UpdateOp, WireError,
+    SourceServer, SourceTransport, TcpTransport, UpdateOp, WireError,
 };
 use net::PooledTcpTransport;
 use proptest::prelude::*;
@@ -119,15 +118,6 @@ fn assert_transport_parity(
         SearchRequest::knn_batch(queries.to_vec())
             .k(2)
             .strategy(DistributionStrategy::Broadcast),
-        // The per-source batched shard mode moves different (batched) wire
-        // messages; it must stay byte- and stats-identical across transports
-        // too.
-        SearchRequest::ojsp_batch(queries.to_vec())
-            .k(5)
-            .shard_mode(ShardMode::PerSourceBatch),
-        SearchRequest::cjsp_batch(queries.to_vec())
-            .k(3)
-            .shard_mode(ShardMode::PerSourceBatch),
     ] {
         let local = fw.search(&request).expect("in-process search");
         let over_tcp = remote.run(&request).expect("TCP search");
@@ -812,7 +802,7 @@ fn metrics_scrape_renders_valid_prometheus_over_tcp() {
 /// Every protocol tag, so the truncation/bit-flip fuzzers exercise the whole
 /// wire surface.  repo-lint's `wire-tags` rule keeps this list exhaustive: a
 /// new `Message` variant whose tag is missing here fails the analysis job.
-const FUZZ_TAGS: [u8; 15] = [
+const FUZZ_TAGS: [u8; 11] = [
     TAG_OVERLAP_QUERY,
     TAG_OVERLAP_REPLY,
     TAG_COVERAGE_QUERY,
@@ -822,10 +812,6 @@ const FUZZ_TAGS: [u8; 15] = [
     TAG_KNN_QUERY,
     TAG_KNN_REPLY,
     TAG_ERROR,
-    TAG_OVERLAP_BATCH_QUERY,
-    TAG_OVERLAP_BATCH_REPLY,
-    TAG_COVERAGE_BATCH_QUERY,
-    TAG_COVERAGE_BATCH_REPLY,
     TAG_METRICS_QUERY,
     TAG_METRICS_SNAPSHOT,
 ];
@@ -833,33 +819,29 @@ const FUZZ_TAGS: [u8; 15] = [
 /// Builds one message of any protocol kind from raw fuzz ingredients.
 fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], code: u16) -> Message {
     let query = spatial::CellSet::from_cells(cells.iter().copied());
-    let overlap_results = |ids: &[u32]| {
-        ids.iter()
-            .map(|&id| dits::OverlapResult {
-                dataset: id,
-                overlap: k,
-            })
-            .collect::<Vec<_>>()
-    };
-    let coverage_candidates = |ids: &[u32]| {
-        ids.iter()
-            .map(|&id| multisource::CoverageCandidate {
-                source: code,
-                dataset: id,
-                cells: query.clone(),
-            })
-            .collect::<Vec<_>>()
-    };
     match FUZZ_TAGS[(kind as usize) % FUZZ_TAGS.len()] {
         TAG_OVERLAP_QUERY => Message::OverlapQuery { query, k },
         TAG_OVERLAP_REPLY => Message::OverlapReply {
             source: code,
-            results: overlap_results(ids),
+            results: ids
+                .iter()
+                .map(|&id| dits::OverlapResult {
+                    dataset: id,
+                    overlap: k,
+                })
+                .collect(),
         },
         TAG_COVERAGE_QUERY => Message::CoverageQuery { query, k, delta },
         TAG_COVERAGE_REPLY => Message::CoverageReply {
             source: code,
-            candidates: coverage_candidates(ids),
+            candidates: ids
+                .iter()
+                .map(|&id| multisource::CoverageCandidate {
+                    source: code,
+                    dataset: id,
+                    cells: query.clone(),
+                })
+                .collect(),
         },
         TAG_APPLY_UPDATES => Message::ApplyUpdates {
             // No resolution rides an empty batch.
@@ -897,23 +879,6 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
         TAG_ERROR => Message::Error {
             code,
             detail: format!("fuzz error {code}"),
-        },
-        TAG_OVERLAP_BATCH_QUERY => Message::OverlapBatchQuery {
-            queries: vec![query, spatial::CellSet::new()],
-            k,
-        },
-        TAG_OVERLAP_BATCH_REPLY => Message::OverlapBatchReply {
-            source: code,
-            results: vec![overlap_results(ids), Vec::new()],
-        },
-        TAG_COVERAGE_BATCH_QUERY => Message::CoverageBatchQuery {
-            queries: vec![query],
-            k,
-            delta,
-        },
-        TAG_COVERAGE_BATCH_REPLY => Message::CoverageBatchReply {
-            source: code,
-            candidates: vec![coverage_candidates(ids)],
         },
         TAG_METRICS_QUERY => Message::MetricsQuery,
         TAG_METRICS_SNAPSHOT => Message::MetricsSnapshot {
@@ -957,7 +922,7 @@ proptest! {
     // never a bogus success.
     #[test]
     fn prop_truncations_fail_closed(
-        kind in 0u8..15,
+        kind in 0u8..11,
         cells in proptest::collection::vec(0u64..1_000_000, 0..60),
         k in 0usize..50,
         delta in 0.0f64..30.0,
@@ -982,7 +947,7 @@ proptest! {
     // fail with a typed error -- decode must be total.
     #[test]
     fn prop_bit_flips_never_panic(
-        kind in 0u8..15,
+        kind in 0u8..11,
         cells in proptest::collection::vec(0u64..1_000_000, 0..60),
         k in 0usize..50,
         delta in 0.0f64..30.0,

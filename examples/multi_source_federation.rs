@@ -5,10 +5,9 @@
 //! their local results — while the communication cost of every exchange is
 //! measured in actual bytes.
 //!
-//! The tuple-returning `ojsp`/`cjsp`/`run_ojsp`/`run_cjsp` methods shown
-//! here in earlier revisions are deprecated; `SearchRequest` +
-//! `MultiSourceFramework::search` is the query surface.  (For the same
-//! requests over a real TCP federation, see `examples/federated_tcp.rs`.)
+//! `SearchRequest` + `MultiSourceFramework::search` is the query surface.
+//! (For the same requests over a real TCP federation, see
+//! `examples/federated_tcp.rs`.)
 //!
 //! ```text
 //! cargo run --release --example multi_source_federation
