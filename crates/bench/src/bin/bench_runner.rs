@@ -36,11 +36,10 @@
 //!   in-process multi-source engine.  Compared across snapshots.
 //!
 //! The `transport` section measures the federated deployment itself: the
-//! same OJSP / kNN workload driven over loopback TCP through the per-call
-//! [`TcpTransport`] (one connection per request) and through the pooled,
+//! same OJSP / kNN workload driven over loopback TCP through the pooled,
 //! pipelined [`net::PooledTcpTransport`], reporting sustained QPS plus
-//! per-query p50/p99 for each.  Answers are asserted identical to the
-//! in-process oracle before either transport is timed.
+//! per-query p50/p99.  Answers are asserted identical to the in-process
+//! oracle before the transport is timed.
 //!
 //! The `maintenance` section weighs the one maintenance exchange: a fixed
 //! 72-op batch (24 inserts, 24 updates, 24 deletes against the largest
@@ -75,7 +74,7 @@ use dits::{
 };
 use multisource::{
     DataCenter, FrameworkConfig, Message, QueryEngine, SearchRequest, SearchResponse, SourceServer,
-    TcpTransport, UpdateOp,
+    UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded, dataset_distance_uncached};
@@ -94,12 +93,12 @@ Usage: bench-runner [--quick] [--out PATH]
 /// v2 added the `env` block and the `phases` breakdown; v3 added the
 /// verification-sweep kernels (`kernel/distance/*`, `knn/per-query` delta)
 /// and requires the phase breakdown to cover every engine mode; v4 added
-/// the `transport` section (per-call TCP vs pooled pipelined QPS and
-/// p50/p99 over a loopback source-server fleet); v5 added the
-/// `kernel/inverted/*` rows and the `index` block; v6 added the
-/// `maintenance` section; v7 dropped the `batch/*/frontier` and
-/// `engine/ojsp/per-source-batch` rows with the code they measured.
-const SCHEMA_VERSION: u64 = 7;
+/// the `transport` section (QPS and p50/p99 over a loopback source-server
+/// fleet); v5 added the `kernel/inverted/*` rows and the `index` block; v6
+/// added the `maintenance` section; v7 dropped the `batch/*/frontier` and
+/// `engine/ojsp/per-source-batch` rows with the code they measured; v8
+/// dropped the `transport/per-call/*` rows likewise.
+const SCHEMA_VERSION: u64 = 8;
 
 /// The oldest schema `--validate` still accepts, so the previous snapshot
 /// can stay in the tree beside the new one; each version's additions are
@@ -122,10 +121,8 @@ const REQUIRED_PHASES: [&str; 3] = [
     "engine/knn/per-query",
 ];
 
-/// Both federated deployments every snapshot's `transport` section must
-/// cover — without the per-call rows the pooled numbers have no same-run
-/// baseline, and vice versa.
-const REQUIRED_TRANSPORT_PREFIXES: [&str; 2] = ["transport/per-call/", "transport/pooled/"];
+/// The federated deployment every snapshot's `transport` section must cover.
+const REQUIRED_TRANSPORT_PREFIX: &str = "transport/pooled/";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -705,52 +702,43 @@ fn run_suite(quick: bool) -> Suite {
         },
     ));
 
-    // -- Transports: per-call TCP vs pooled pipelined over a loopback fleet -
+    // -- Transport: pooled pipelined TCP over a loopback fleet --------------
     // Every source runs as its own server (real sockets, real frames); the
-    // same workload is answered through one-connection-per-request TCP and
-    // through the pooled transport, after asserting both match the
-    // in-process oracle bit for bit.
-    eprintln!("[7/9] transport/per-call vs transport/pooled (loopback fleet)");
+    // same workload is answered through the pooled transport, after
+    // asserting it matches the in-process oracle bit for bit.
+    eprintln!("[7/9] transport/pooled (loopback fleet)");
     let servers: Vec<SourceServer> = fw
         .sources()
         .iter()
         .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
         .collect();
-    let endpoints: Vec<_> = servers.iter().map(SourceServer::endpoint).collect();
-    let per_call = TcpTransport::new(endpoints.clone());
-    let pooled = PooledTcpTransport::new(endpoints).expect("pooled transport");
-    let leaf_capacity = fw.config().leaf_capacity;
-    let per_call_center =
-        DataCenter::from_transport(&per_call, leaf_capacity).expect("summary poll (per-call)");
+    let pooled = PooledTcpTransport::new(servers.iter().map(SourceServer::endpoint))
+        .expect("pooled transport");
     let pooled_center =
-        DataCenter::from_transport(&pooled, leaf_capacity).expect("summary poll (pooled)");
-    let wire_config = *in_process_engine.config();
-    let per_call_engine = QueryEngine::new(&per_call_center, &per_call, wire_config);
-    let pooled_engine = QueryEngine::new(&pooled_center, &pooled, wire_config);
+        DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
+    let pooled_engine = QueryEngine::new(&pooled_center, &pooled, *in_process_engine.config());
     let knn_request = SearchRequest::knn_batch(raw_queries.clone()).k(k);
     let mut transport = Vec::new();
     for (kind, request) in [("ojsp", &ojsp_request), ("knn", &knn_request)] {
         let truth = in_process_engine.run(request).expect("in-process oracle");
-        for (deployment, engine) in [("per-call", &per_call_engine), ("pooled", &pooled_engine)] {
-            let over_wire = engine.run(request).expect("federated run");
-            assert_eq!(
-                truth.results, over_wire.results,
-                "transport/{deployment}/{kind} diverged from the in-process oracle"
-            );
-            assert_eq!(
-                truth.comm, over_wire.comm,
-                "transport/{deployment}/{kind} changed the counted protocol bytes"
-            );
-            let report = measure(
-                &format!("transport/{deployment}/{kind}"),
-                samples,
-                raw_queries.len(),
-                || {
-                    std::hint::black_box(engine.run(request).expect("federated run"));
-                },
-            );
-            transport.push(TransportReport::from_kernel(&report));
-        }
+        let over_wire = pooled_engine.run(request).expect("federated run");
+        assert_eq!(
+            truth.results, over_wire.results,
+            "transport/pooled/{kind} diverged from the in-process oracle"
+        );
+        assert_eq!(
+            truth.comm, over_wire.comm,
+            "transport/pooled/{kind} changed the counted protocol bytes"
+        );
+        let report = measure(
+            &format!("transport/pooled/{kind}"),
+            samples,
+            raw_queries.len(),
+            || {
+                std::hint::black_box(pooled_engine.run(request).expect("federated run"));
+            },
+        );
+        transport.push(TransportReport::from_kernel(&report));
     }
     // Drain the fleet so the run exits cleanly instead of leaking accept
     // loops; the pooled transport's connections close once its event loop
@@ -1346,17 +1334,15 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
             }
         }
     }
-    let transport_names: Vec<&str> = transport
+    if !transport
         .iter()
         .filter_map(|t| t.get("name").and_then(Json::as_str))
-        .collect();
-    for prefix in REQUIRED_TRANSPORT_PREFIXES {
-        if !transport_names.iter().any(|n| n.starts_with(prefix)) {
-            return Err(format!(
-                "transport section has no {prefix}* rows — both federated \
-                 deployments must be measured"
-            ));
-        }
+        .any(|n| n.starts_with(REQUIRED_TRANSPORT_PREFIX))
+    {
+        return Err(format!(
+            "transport section has no {REQUIRED_TRANSPORT_PREFIX}* rows — the \
+             federated deployment must be measured"
+        ));
     }
 
     let phases = root

@@ -11,14 +11,13 @@
 //!
 //! ```text
 //! load-gen --rate 200 --duration 5 --concurrency 8 --mix 2:1:1
-//! load-gen --transport per-call --rate 50 --duration 2
 //! load-gen --server-bin target/release/source-server --rate 100
 //! ```
 //!
 //! The last stdout line is machine-readable:
 //!
 //! ```text
-//! RESULT transport=pooled sent=1003 completed=1003 errors=0 qps=199.8 p50_ns=812345 p99_ns=2345678
+//! RESULT sent=1003 completed=1003 errors=0 qps=199.8 p50_ns=812345 p99_ns=2345678
 //! ```
 //!
 //! Everything is deterministic given `--seed` (data, arrival schedule, and
@@ -33,7 +32,6 @@ use std::time::{Duration, Instant};
 use bench::ExperimentEnv;
 use multisource::{
     DataCenter, EngineConfig, FrameworkConfig, QueryEngine, SearchRequest, SourceServer,
-    SourceTransport, TcpTransport,
 };
 use net::PooledTcpTransport;
 use rand::prelude::*;
@@ -48,35 +46,17 @@ Open-loop Poisson load against a loopback source-server fleet.
   --duration SECS     how long to schedule arrivals for   (default: 5)
   --concurrency N     worker threads issuing requests     (default: 8)
   --mix A:B:C         ojsp:cjsp:knn weight mix            (default: 1:1:1)
-  --transport KIND    pooled | per-call                   (default: pooled)
   --server-bin PATH   spawn PATH per source instead of in-process threads
   --queries N         distinct query datasets to cycle    (default: 16)
   --k N               top-k per query                     (default: 5)
   --divisor N         datagen scale divisor               (default: 400)
   --seed N            deterministic seed                  (default: 53621)";
 
-/// Which federated transport carries the load.
-#[derive(Clone, Copy, PartialEq)]
-enum TransportChoice {
-    Pooled,
-    PerCall,
-}
-
-impl TransportChoice {
-    fn name(self) -> &'static str {
-        match self {
-            TransportChoice::Pooled => "pooled",
-            TransportChoice::PerCall => "per-call",
-        }
-    }
-}
-
 struct Args {
     rate: f64,
     duration: f64,
     concurrency: usize,
     mix: [u64; 3],
-    transport: TransportChoice,
     server_bin: Option<String>,
     queries: usize,
     k: usize,
@@ -90,7 +70,6 @@ fn parse_args() -> Result<Args, String> {
         duration: 5.0,
         concurrency: 8,
         mix: [1, 1, 1],
-        transport: TransportChoice::Pooled,
         server_bin: None,
         queries: 16,
         k: 5,
@@ -124,13 +103,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--concurrency: {e}"))?
             }
             "--mix" => parsed.mix = parse_mix(&value("--mix")?)?,
-            "--transport" => {
-                parsed.transport = match value("--transport")?.as_str() {
-                    "pooled" => TransportChoice::Pooled,
-                    "per-call" => TransportChoice::PerCall,
-                    other => return Err(format!("--transport: {other:?} is not pooled/per-call")),
-                }
-            }
             "--server-bin" => parsed.server_bin = Some(value("--server-bin")?),
             "--queries" => {
                 parsed.queries = value("--queries")?
@@ -343,14 +315,8 @@ fn run() -> Result<(), String> {
     let resolution = 11;
 
     eprintln!(
-        "load-gen: transport={}, rate={}/s for {}s, concurrency={}, mix ojsp:cjsp:knn = {}:{}:{}",
-        args.transport.name(),
-        args.rate,
-        args.duration,
-        args.concurrency,
-        args.mix[0],
-        args.mix[1],
-        args.mix[2],
+        "load-gen: rate={}/s for {}s, concurrency={}, mix ojsp:cjsp:knn = {}:{}:{}",
+        args.rate, args.duration, args.concurrency, args.mix[0], args.mix[1], args.mix[2],
     );
 
     let env = ExperimentEnv::new(args.divisor, args.seed);
@@ -366,23 +332,14 @@ fn run() -> Result<(), String> {
         },
     );
 
-    // One engine over the chosen transport; the data center bootstraps its
+    // One engine over the pooled transport; the data center bootstraps its
     // DITS-G from the fleet itself, exactly as a real deployment would.
-    let per_call_transport;
-    let mut pooled_transport: Option<PooledTcpTransport> = None;
-    let transport: &dyn SourceTransport = match args.transport {
-        TransportChoice::PerCall => {
-            per_call_transport = TcpTransport::new(endpoints);
-            &per_call_transport
-        }
-        TransportChoice::Pooled => pooled_transport.insert(
-            PooledTcpTransport::new(endpoints).map_err(|e| format!("pooled transport: {e}"))?,
-        ),
-    };
+    let transport =
+        PooledTcpTransport::new(endpoints).map_err(|e| format!("pooled transport: {e}"))?;
     let leaf_capacity = FrameworkConfig::default().leaf_capacity;
-    let center = DataCenter::from_transport(transport, leaf_capacity)
+    let center = DataCenter::from_transport(&transport, leaf_capacity)
         .map_err(|e| format!("summary poll: {e}"))?;
-    let engine = QueryEngine::new(&center, transport, EngineConfig::default());
+    let engine = QueryEngine::new(&center, &transport, EngineConfig::default());
 
     // Single-query request templates, one per (kind, query): the hot loop
     // only indexes into this table.
@@ -499,19 +456,16 @@ fn run() -> Result<(), String> {
         per_kind.join(", "),
         elapsed.as_secs_f64(),
     );
-    if let Some(pooled) = &pooled_transport {
-        let metrics = pooled.metrics();
-        eprintln!(
-            "load-gen: pool retries={} timeouts={} backpressure={}",
-            metrics.retries.get(),
-            metrics.timeouts.get(),
-            metrics.backpressure.get(),
-        );
-    }
+    let metrics = transport.metrics();
+    eprintln!(
+        "load-gen: pool retries={} timeouts={} backpressure={}",
+        metrics.retries.get(),
+        metrics.timeouts.get(),
+        metrics.backpressure.get(),
+    );
     println!(
-        "RESULT transport={} sent={} completed={completed} errors={errors} qps={qps:.1} \
+        "RESULT sent={} completed={completed} errors={errors} qps={qps:.1} \
          p50_ns={p50} p99_ns={p99}",
-        args.transport.name(),
         arrivals.len(),
     );
 

@@ -1,5 +1,5 @@
-//! Shared experiment environment used by both the `experiments` binary and
-//! the criterion benches.
+//! Shared experiment environment used by the `experiments`, `bench-runner`
+//! and `load-gen` binaries.
 //!
 //! The environment generates the five synthetic data sources once (at a
 //! configurable scale), grids them at any requested resolution θ, builds any
@@ -87,11 +87,6 @@ impl ExperimentEnv {
         Self { source_data, seed }
     }
 
-    /// A small environment suitable for unit tests and bench smoke runs.
-    pub fn small() -> Self {
-        Self::new(200, 0xBEEF)
-    }
-
     /// Total number of datasets across the five sources.
     pub fn dataset_count(&self) -> usize {
         self.source_data.iter().map(|(_, d)| d.len()).sum()
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn environment_generates_five_sources() {
-        let env = ExperimentEnv::small();
+        let env = ExperimentEnv::new(200, 0xBEEF);
         assert_eq!(env.source_data.len(), 5);
         assert!(env.dataset_count() > 0);
         assert!(env.source_name(3).contains("Transit"));
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn all_index_kinds_build_and_answer_queries() {
-        let env = ExperimentEnv::small();
+        let env = ExperimentEnv::new(200, 0xBEEF);
         let nodes = env.dataset_nodes(3, 10);
         assert!(!nodes.is_empty());
         let queries = env.query_cells(3, 10);
@@ -178,7 +173,7 @@ mod tests {
 
     #[test]
     fn query_selection_is_stable() {
-        let env = ExperimentEnv::small();
+        let env = ExperimentEnv::new(200, 0xBEEF);
         let a = env.query_datasets(10);
         let b = env.query_datasets(10);
         assert_eq!(a.len(), 10);

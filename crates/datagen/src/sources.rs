@@ -15,7 +15,7 @@ use spatial::{Mbr, Point};
 pub enum SourceScale {
     /// Full Table I sizes (6 581 + 3 204 + 1 093 + 1 967 + 5 453 datasets).
     Full,
-    /// One tenth of the datasets and points — the default for `cargo bench`.
+    /// One tenth of the datasets and points — the generator's default.
     Tenth,
     /// One fiftieth — used by the unit/integration tests.
     Fiftieth,

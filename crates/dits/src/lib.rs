@@ -44,7 +44,7 @@ pub use inverted::InvertedIndex;
 pub use knn::{nearest_datasets, nearest_datasets_unbounded, range_datasets, Neighbor};
 pub use local::{DitsLocal, DitsLocalConfig, TraversalLayout};
 pub use node::{DatasetNode, NodeGeometry};
-pub use overlap::{overlap_search, overlap_search_with_options, OverlapResult};
+pub use overlap::{overlap_search, OverlapResult};
 pub use persist::{
     decode_global, decode_local, encode_global, encode_local, load_global, load_local, save_global,
     save_local, PersistError,

@@ -39,18 +39,6 @@ pub fn overlap_search(
     query: &CellSet,
     k: usize,
 ) -> (Vec<OverlapResult>, SearchStats) {
-    overlap_search_with_options(index, query, k, true)
-}
-
-/// OverlapSearch with the leaf-bound pruning optionally disabled; the
-/// ablation benchmark uses `use_bounds = false` to quantify the benefit of
-/// Lemmas 2–3.
-pub fn overlap_search_with_options(
-    index: &DitsLocal,
-    query: &CellSet,
-    k: usize,
-    use_bounds: bool,
-) -> (Vec<OverlapResult>, SearchStats) {
     let mut stats = SearchStats::new();
     if k == 0 || query.is_empty() {
         return (Vec::new(), stats);
@@ -72,14 +60,13 @@ pub fn overlap_search_with_options(
         layout.root(),
         &query_rect,
         query,
-        use_bounds,
         &mut candidates,
         &mut stats,
     );
     crate::phase::add_traversal(started.elapsed());
 
     let started = std::time::Instant::now();
-    let results = verify_candidates(index, query, k, use_bounds, candidates, &mut stats);
+    let results = verify_candidates(index, query, k, candidates, &mut stats);
     crate::phase::add_verify(started.elapsed());
     (results, stats)
 }
@@ -96,7 +83,6 @@ fn verify_candidates(
     index: &DitsLocal,
     query: &CellSet,
     k: usize,
-    use_bounds: bool,
     mut candidates: Vec<LeafCandidate>,
     stats: &mut SearchStats,
 ) -> Vec<OverlapResult> {
@@ -105,12 +91,8 @@ fn verify_candidates(
 
     let mut heap: BinaryHeap<Reverse<(usize, Reverse<DatasetId>)>> = BinaryHeap::new();
     for (ub, _lb, leaf) in candidates {
-        let kth_best = if heap.len() >= k {
-            heap.peek().map(|Reverse((o, _))| *o).unwrap_or(0)
-        } else {
-            0
-        };
-        if use_bounds && heap.len() >= k && ub <= kth_best {
+        let kth_best = heap.peek().map_or(0, |Reverse((o, _))| *o);
+        if heap.len() >= k && ub <= kth_best {
             // No dataset in this or any later leaf can improve the result.
             stats.leaves_pruned_by_bounds += 1;
             continue;
@@ -149,14 +131,12 @@ fn verify_candidates(
 /// (`node_idx` is a layout index): prunes subtrees not intersecting the
 /// query MBR and computes leaf bounds.  Candidates carry *arena* indices so
 /// verification can reach the leaf payloads.
-#[allow(clippy::too_many_arguments)]
 fn collect_candidate_leaves(
     index: &DitsLocal,
     layout: &TraversalLayout,
     node_idx: NodeIdx,
     query_rect: &Mbr,
     query: &CellSet,
-    use_bounds: bool,
     out: &mut Vec<(usize, usize, NodeIdx)>,
     stats: &mut SearchStats,
 ) {
@@ -172,12 +152,8 @@ fn collect_candidate_leaves(
                 if entries.is_empty() {
                     return;
                 }
-                let (lb, ub) = if use_bounds {
-                    leaf_overlap_bounds(inverted, query, entries.len())
-                } else {
-                    (0, usize::MAX)
-                };
-                if use_bounds && ub == 0 {
+                let (lb, ub) = leaf_overlap_bounds(inverted, query, entries.len());
+                if ub == 0 {
                     // The leaf shares no cell with the query at all.
                     stats.leaves_pruned_by_bounds += 1;
                     return;
@@ -186,12 +162,8 @@ fn collect_candidate_leaves(
             }
         }
         Some((left, right)) => {
-            collect_candidate_leaves(
-                index, layout, left, query_rect, query, use_bounds, out, stats,
-            );
-            collect_candidate_leaves(
-                index, layout, right, query_rect, query, use_bounds, out, stats,
-            );
+            collect_candidate_leaves(index, layout, left, query_rect, query, out, stats);
+            collect_candidate_leaves(index, layout, right, query_rect, query, out, stats);
         }
     }
 }
@@ -320,17 +292,6 @@ mod tests {
             let brute = overlap_search_bruteforce(&nodes, &query, k);
             assert_eq!(fast, brute, "mismatch at k={k}");
         }
-    }
-
-    #[test]
-    fn bounds_off_gives_same_results_with_more_work() {
-        let nodes = random_nodes(200, 7);
-        let idx = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: 5 });
-        let query = cs(&[(50, 50), (51, 51), (52, 52), (60, 60)]);
-        let (with_bounds, stats_with) = overlap_search_with_options(&idx, &query, 10, true);
-        let (without_bounds, stats_without) = overlap_search_with_options(&idx, &query, 10, false);
-        assert_eq!(with_bounds, without_bounds);
-        assert!(stats_with.leaves_verified <= stats_without.leaves_verified);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Search statistics: counters reported by the search algorithms so the
-//! benchmark harness (and the ablation benches) can explain *why* a strategy
-//! is faster, not only that it is.
+//! benchmark harness can explain *why* a strategy is faster, not only that it
+//! is.
 
 use serde::{Deserialize, Serialize};
 
@@ -91,7 +91,7 @@ impl<'a> std::iter::Sum<&'a SearchStats> for SearchStats {
 
 /// Counters accumulated while applying maintenance operations (Appendix
 /// IX-C) to the local and global indexes.  The multi-source maintenance
-/// pipeline threads one block per `ApplyUpdates` batch so the benches (and
+/// pipeline threads one block per `ApplyUpdates` batch so the harness (and
 /// operators) can see *how* the indexes absorbed a batch — how many updates
 /// relocated a dataset across leaves, how often an emptied leaf was
 /// collapsed into its sibling, and whether the data center decided to

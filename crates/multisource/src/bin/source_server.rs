@@ -7,7 +7,7 @@
 //! holds points: a maintenance batch arrives as cell sets the data center
 //! already gridded at `--resolution`, and one gridded at any other θ is
 //! rejected whole.  A data center reaches
-//! it through [`multisource::TcpTransport`] and bootstraps its DITS-G with
+//! it through `net::PooledTcpTransport` and bootstraps its DITS-G with
 //! [`multisource::DataCenter::from_transport`].
 //!
 //! ```text

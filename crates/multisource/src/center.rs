@@ -193,7 +193,7 @@ impl DataCenter {
     /// — the full cross-layer pipeline of Appendix IX-C, working identically
     /// for in-process sources (via
     /// [`ExclusiveTransport`](crate::ExclusiveTransport)) and remote ones
-    /// (via [`TcpTransport`](crate::TcpTransport)).
+    /// (via `net::PooledTcpTransport`).
     ///
     /// The center grids every insert/update dataset at the source's own
     /// resolution — read from its DITS-G summary, or from a summary poll

@@ -8,7 +8,7 @@
 //! [`InProcessTransport`] — the framework plans nothing itself; it only
 //! assembles the deployment and hands requests to the engine.  The same
 //! requests run unchanged against remote sources: see
-//! [`DataCenter::from_transport`] and [`TcpTransport`](crate::TcpTransport).
+//! [`DataCenter::from_transport`] and `net::PooledTcpTransport`.
 //!
 //! Index maintenance flows through [`MultiSourceFramework::apply_updates`]:
 //! the center grids a batch of [`UpdateOp`]s at the target source's
@@ -166,7 +166,7 @@ impl MultiSourceFramework {
     /// cross-layer pipeline of Appendix IX-C.  See
     /// [`DataCenter::apply_updates`] for the transactional semantics; the
     /// same call works against remote sources over a
-    /// [`TcpTransport`](crate::TcpTransport).
+    /// `net::PooledTcpTransport`.
     pub fn apply_updates(
         &mut self,
         source: SourceId,
@@ -187,8 +187,8 @@ impl MultiSourceFramework {
     }
 
     /// A query engine over this deployment with an explicit worker count
-    /// (`0` means one per available CPU).  Used by the scaling benches and
-    /// the sequential-vs-parallel parity tests.
+    /// (`0` means one per available CPU).  Used by the sequential-vs-parallel
+    /// parity tests.
     pub fn engine_with_workers(&self, workers: usize) -> QueryEngine<'_> {
         QueryEngine::in_process(
             &self.center,

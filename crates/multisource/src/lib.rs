@@ -25,10 +25,10 @@
 //!   simulation deployment; every request and response is still serialised
 //!   into actual bytes by [`message`], and [`comm::CommStats`] accounts
 //!   them), and
-//! * [`TcpTransport`] — sources as independent processes speaking
-//!   length-prefixed frames over TCP (the `source-server` binary, or
-//!   [`SourceServer`] threads), with **identical answers and identical
-//!   protocol byte counts**.
+//! * `net::PooledTcpTransport` (in `crates/net`) — sources as independent
+//!   processes speaking length-prefixed frames over TCP (the `source-server`
+//!   binary, or [`SourceServer`] threads), with **identical answers and
+//!   identical protocol byte counts**.
 //!
 //! A federated data center bootstraps itself with
 //! [`DataCenter::from_transport`], which polls every remote source for its
@@ -82,5 +82,5 @@ pub use source::{DataSource, SourceMetrics};
 pub use transport::{
     scrape_metrics, serve_source, serve_source_until, CallOptions, ExclusiveTransport,
     InProcessTransport, ServedReply, ShutdownSignal, SourceServer, SourceTrace, SourceTransport,
-    TcpTransport, TransportReply,
+    TransportReply,
 };

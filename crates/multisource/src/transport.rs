@@ -13,9 +13,10 @@
 //! * [`ExclusiveTransport`] — in-process with exclusive access
 //!   (`&mut Vec<DataSource>` behind a mutex): the full protocol including
 //!   mutating maintenance batches.
-//! * [`TcpTransport`] — each source is a remote process reached over
-//!   length-prefixed frames on `std::net::TcpStream`, speaking exactly the
-//!   bytes [`Message::encode`] produces.  [`SourceServer`] (and the
+//! * `net::PooledTcpTransport` (in `crates/net`, which depends on this
+//!   crate) — each source is a remote process reached over length-prefixed
+//!   frames on pooled, pipelined TCP connections, speaking exactly the bytes
+//!   [`Message::encode`] produces.  [`SourceServer`] (and the
 //!   `source-server` binary) are the other end of that socket.
 //!
 //! Byte accounting ([`CommStats`](crate::CommStats)) counts
@@ -45,7 +46,6 @@
 //! opting in or out never changes the protocol bytes the paper's
 //! communication figures count.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -377,92 +377,9 @@ impl SourceTransport for ExclusiveTransport<'_> {
     }
 }
 
-/// The TCP federation transport: every source is an independent process (or
-/// thread) listening on its own socket, and a call is one framed
-/// request/reply exchange on a fresh connection.
-///
-/// Connections are per-call on purpose: the engine's worker threads each
-/// open their own sockets, so no pooling, no locking, and a crashed source
-/// affects exactly the calls addressed to it.
-#[derive(Debug, Clone)]
-pub struct TcpTransport {
-    endpoints: BTreeMap<SourceId, String>,
-    timeout: Option<Duration>,
-}
-
-impl TcpTransport {
-    /// A transport over `(source id, "host:port")` endpoints.
-    pub fn new(endpoints: impl IntoIterator<Item = (SourceId, String)>) -> Self {
-        Self {
-            endpoints: endpoints.into_iter().collect(),
-            timeout: Some(Duration::from_secs(30)),
-        }
-    }
-
-    /// Overrides the per-call read/write timeout (`None` blocks forever).
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// The registered endpoints.
-    pub fn endpoints(&self) -> &BTreeMap<SourceId, String> {
-        &self.endpoints
-    }
-}
-
-impl SourceTransport for TcpTransport {
-    fn source_ids(&self) -> Vec<SourceId> {
-        self.endpoints.keys().copied().collect()
-    }
-
-    fn call_with(
-        &self,
-        source: SourceId,
-        request: &Message,
-        opts: CallOptions,
-    ) -> Result<TransportReply, TransportError> {
-        let addr = self
-            .endpoints
-            .get(&source)
-            .ok_or(TransportError::UnknownSource(source))?;
-        let io_err = |stage: &str, e: std::io::Error| {
-            TransportError::Io(format!("{stage} {addr} (source {source}): {e}"))
-        };
-        let mut stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
-        stream
-            .set_read_timeout(self.timeout)
-            .and_then(|()| stream.set_write_timeout(self.timeout))
-            .and_then(|()| stream.set_nodelay(true))
-            .map_err(|e| io_err("configure", e))?;
-        // The request frame carries the trace id (zeroed phases) so the
-        // source's reply can echo it — the id rides the frame, not the
-        // message, keeping the counted protocol bytes trace-invariant.
-        let request_bytes = write_frame(
-            &mut stream,
-            &ServedReply::plain(request.clone()).traced(opts.trace),
-            opts.want_stats,
-        )
-        .map_err(|e| io_err("send to", e))?;
-        let frame = read_frame(&mut stream).map_err(|e| match e {
-            FrameError::Io(e) => io_err("receive from", e),
-            FrameError::Wire(w) => TransportError::Wire(w),
-        })?;
-        Ok(TransportReply {
-            message: frame.message,
-            request_bytes,
-            reply_bytes: frame.message_bytes,
-            search: frame.search,
-            maintenance: frame.maintenance,
-            service: frame.service,
-            trace: frame.trace,
-        })
-    }
-}
-
 /// One decoded frame.  Public so out-of-crate transports (the pooled,
 /// pipelined client in `crates/net`) can speak the exact same frames as
-/// [`TcpTransport`] and [`serve_connection`].
+/// [`serve_connection`].
 #[derive(Debug)]
 pub struct DecodedFrame {
     /// Request flag: the peer asked for statistics on the reply.
@@ -738,7 +655,7 @@ impl SourceServer {
         self.addr
     }
 
-    /// The `(id, endpoint)` pair [`TcpTransport::new`] consumes.
+    /// The `(id, endpoint)` pair a TCP transport's constructor consumes.
     pub fn endpoint(&self) -> (SourceId, String) {
         (self.id, self.addr.to_string())
     }
@@ -1025,17 +942,23 @@ mod tests {
             traversal: Duration::from_nanos(1_234),
             verify: Duration::from_nanos(987_654_321),
         };
+        // The reply frame of a traced, pipelined call: every block at once.
         let served = ServedReply::search(msg.clone(), SearchStats::from_array([1, 2, 3, 4, 5, 6]))
             .with_timing(Duration::from_micros(42), phases)
-            .traced(Some(7_000_000_123));
+            .traced(Some(7_000_000_123))
+            .correlated(Some(300));
         let mut buf = Vec::new();
-        write_frame(&mut buf, &served, false).unwrap();
+        let counted = write_frame(&mut buf, &served, false).unwrap();
         let frame = match read_frame(&mut &buf[..]) {
             Ok(f) => f,
             Err(FrameError::Io(e)) => panic!("io: {e}"),
             Err(FrameError::Wire(e)) => panic!("wire: {e}"),
         };
         assert_eq!(frame.message, msg);
+        assert_eq!(frame.message_bytes, counted);
+        assert_eq!(frame.message_bytes, msg.wire_size());
+        assert_eq!(frame.search, served.search);
+        assert_eq!(frame.correlation_id, Some(300));
         assert_eq!(frame.service, Some(Duration::from_micros(42)));
         assert_eq!(
             frame.trace,
@@ -1139,86 +1062,5 @@ mod tests {
         ));
         assert_eq!(reply.maintenance.map(|m| m.deletes), Some(1));
         assert_eq!(sources[0].dataset_count(), 5);
-    }
-
-    #[test]
-    fn tcp_roundtrip_matches_in_process() {
-        let sources = vec![tiny_source(0)];
-        let server = SourceServer::spawn("127.0.0.1:0", sources[0].clone()).unwrap();
-        let tcp = TcpTransport::new([server.endpoint()]);
-        let in_process = InProcessTransport::new(&sources);
-        let query = Message::OverlapQuery {
-            query: sources[0].grid_query(&SpatialDataset::new(99, vec![Point::new(10.2, 50.0)])),
-            k: 3,
-        };
-        let a = tcp.call(0, &query, true).unwrap();
-        let b = in_process.call(0, &query, true).unwrap();
-        // Everything except the measured timings must be identical across
-        // transports; the service time is wall-clock and cannot be equal.
-        assert_eq!(a.message, b.message);
-        assert_eq!(a.request_bytes, b.request_bytes);
-        assert_eq!(a.reply_bytes, b.reply_bytes);
-        assert_eq!(a.search, b.search);
-        assert_eq!(a.maintenance, b.maintenance);
-        assert!(a.service.is_some() && b.service.is_some());
-        assert_eq!(a.trace, None);
-        assert_eq!(b.trace, None);
-        assert_eq!(
-            tcp.call(7, &query, false).unwrap_err(),
-            TransportError::UnknownSource(7)
-        );
-    }
-
-    #[test]
-    fn traced_tcp_call_echoes_the_trace_id() {
-        let sources = [tiny_source(0)];
-        let server = SourceServer::spawn("127.0.0.1:0", sources[0].clone()).unwrap();
-        let tcp = TcpTransport::new([server.endpoint()]);
-        let query = Message::OverlapQuery {
-            query: sources[0].grid_query(&SpatialDataset::new(99, vec![Point::new(10.2, 50.0)])),
-            k: 3,
-        };
-        let traced = tcp
-            .call_with(0, &query, CallOptions::stats(true).traced(424_242))
-            .unwrap();
-        let trace = traced.trace.expect("traced call returns a trace echo");
-        assert_eq!(trace.trace_id, 424_242);
-        // The overlap query ran a real search, so the source observed a
-        // nonzero traversal+verification split.
-        assert!(trace.phases.traversal + trace.phases.verify > Duration::ZERO);
-        // Tracing never changes the counted protocol bytes.
-        let untraced = tcp.call(0, &query, true).unwrap();
-        assert_eq!(traced.request_bytes, untraced.request_bytes);
-        assert_eq!(traced.reply_bytes, untraced.reply_bytes);
-        assert_eq!(untraced.trace, None);
-    }
-
-    #[test]
-    fn metrics_scrape_over_both_transports() {
-        let sources = vec![tiny_source(0)];
-        // Serve a query first so the registry has something to report.
-        let in_process = InProcessTransport::new(&sources);
-        let query = Message::OverlapQuery {
-            query: sources[0].grid_query(&SpatialDataset::new(99, vec![Point::new(10.2, 50.0)])),
-            k: 3,
-        };
-        in_process.call(0, &query, true).unwrap();
-        let local = scrape_metrics(&in_process, 0).unwrap();
-        let requests = local
-            .find("source_requests_total", &[("kind", "overlap")])
-            .expect("overlap request counter registered");
-        assert!(matches!(requests.value, obs::MetricValue::Counter(n) if n >= 1));
-
-        // The TCP server clones the source, which shares the same registry,
-        // so the scrape sees the query served above plus anything since.
-        let server = SourceServer::spawn("127.0.0.1:0", sources[0].clone()).unwrap();
-        let tcp = TcpTransport::new([server.endpoint()]);
-        let remote = scrape_metrics(&tcp, 0).unwrap();
-        assert!(remote
-            .find("source_requests_total", &[("kind", "overlap")])
-            .is_some());
-        assert!(remote.find("source_service_nanos", &[]).is_some_and(
-            |s| matches!(s.value, obs::MetricValue::Histogram { count, .. } if count >= 1)
-        ));
     }
 }

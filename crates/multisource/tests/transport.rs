@@ -4,10 +4,11 @@
 //!   output through `Message::decode`, asserting it never panics and always
 //!   reports a typed [`WireError`] for malformed input.
 //! * A loopback TCP federation ([`SourceServer`] threads, real sockets, the
-//!   framed protocol) must answer every OJSP / CJSP / kNN `SearchRequest`
-//!   **byte-identically** to the in-process transport — same answers, same
-//!   `CommStats`, same `SearchStats` — and apply maintenance batches with
-//!   the same transactional semantics.
+//!   framed protocol, reached through [`PooledTcpTransport`]) must answer
+//!   every OJSP / CJSP / kNN `SearchRequest` **byte-identically** to the
+//!   in-process transport — same answers, same `CommStats`, same
+//!   `SearchStats` — and apply maintenance batches with the same
+//!   transactional semantics.
 //! * The `source-server` *binary* is spawned as real child processes and
 //!   served the same checks end to end.
 //! * Observability crosses the wire without perturbing it: a traced request
@@ -27,9 +28,10 @@ use multisource::message::{
     TAG_SUMMARY_REFRESH,
 };
 use multisource::{
-    BatchError, CellOp, DataCenter, DistributionStrategy, EngineConfig, ExclusiveTransport,
-    FrameworkConfig, Message, MultiSourceFramework, QueryEngine, SearchError, SearchRequest,
-    SourceServer, SourceTransport, TcpTransport, UpdateOp, WireError,
+    BatchError, CallOptions, CellOp, DataCenter, DistributionStrategy, EngineConfig,
+    ExclusiveTransport, FrameworkConfig, InProcessTransport, Message, MultiSourceFramework,
+    QueryEngine, SearchError, SearchRequest, SourceServer, SourceTransport, TransportError,
+    UpdateOp, WireError,
 };
 use net::PooledTcpTransport;
 use proptest::prelude::*;
@@ -76,8 +78,8 @@ fn engine_config(fw: &MultiSourceFramework) -> EngineConfig {
 }
 
 /// Spawns one `SourceServer` thread per in-process source and returns the
-/// TCP transport reaching them.
-fn spawn_federation(fw: &MultiSourceFramework) -> TcpTransport {
+/// pooled TCP transport reaching them.
+fn spawn_federation(fw: &MultiSourceFramework) -> PooledTcpTransport {
     let endpoints: Vec<_> = fw
         .sources()
         .iter()
@@ -87,13 +89,11 @@ fn spawn_federation(fw: &MultiSourceFramework) -> TcpTransport {
                 .endpoint()
         })
         .collect();
-    TcpTransport::new(endpoints)
+    PooledTcpTransport::new(endpoints).expect("pooled transport")
 }
 
 /// The core parity assertion: every search kind, identical answers, comm
-/// bytes and search stats across the two transports.  Takes any transport
-/// so the per-call TCP transport and the pooled, pipelined one are held to
-/// the same contract.
+/// bytes and search stats across the in-process framework and `tcp`.
 fn assert_transport_parity(
     fw: &MultiSourceFramework,
     tcp: &dyn SourceTransport,
@@ -138,34 +138,16 @@ fn assert_transport_parity(
     }
 }
 
-#[test]
-fn loopback_tcp_federation_matches_in_process() {
-    let data = build_data(21);
-    let fw = framework(&data);
-    let queries = probe_queries(&data);
-    let tcp = spawn_federation(&fw);
-    assert_transport_parity(&fw, &tcp, &queries);
-}
-
 /// The pooled, pipelined transport must be indistinguishable from the
-/// per-call one above: the correlation id rides the frame, not the message,
-/// so answers, `CommStats` and `SearchStats` stay byte-identical even
-/// though the wire traffic is multiplexed over shared connections.
+/// in-process one: the correlation id rides the frame, not the message, so
+/// answers, `CommStats` and `SearchStats` stay byte-identical even though
+/// the wire traffic is multiplexed over shared connections.
 #[test]
 fn pooled_tcp_federation_matches_in_process() {
     let data = build_data(21);
     let fw = framework(&data);
     let queries = probe_queries(&data);
-    let endpoints: Vec<_> = fw
-        .sources()
-        .iter()
-        .map(|s| {
-            SourceServer::spawn("127.0.0.1:0", s.clone())
-                .expect("bind loopback")
-                .endpoint()
-        })
-        .collect();
-    let pooled = PooledTcpTransport::new(endpoints).expect("pooled transport");
+    let pooled = spawn_federation(&fw);
     assert_transport_parity(&fw, &pooled, &queries);
 }
 
@@ -245,7 +227,7 @@ fn unreachable_sources_are_skipped_not_fatal() {
     // A center that knows every source, over a transport that lost one.
     let center = DataCenter::from_global(fw.center().global().clone());
     let partial: Vec<multisource::DataSource> = fw.sources()[..2].to_vec();
-    let transport = multisource::InProcessTransport::new(&partial);
+    let transport = InProcessTransport::new(&partial);
     let engine = QueryEngine::new(&center, &transport, engine_config(&fw));
     for request in [
         SearchRequest::ojsp_batch(queries.clone()).k(5),
@@ -328,9 +310,8 @@ fn maintenance_over_tcp_matches_in_process() {
 
 /// A batch a source must refuse — gridded at another resolution, holding a
 /// cell beyond the grid, or carrying an empty cell set — is refused with the
-/// same typed `Error` message in process, over per-call TCP and over the
-/// pooled transport, and nothing of it (not the valid leading delete) is
-/// applied anywhere.
+/// same typed `Error` message in process and over the pooled transport, and
+/// nothing of it (not the valid leading delete) is applied anywhere.
 #[test]
 fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
     let data = build_data(8);
@@ -352,10 +333,13 @@ fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
         .iter()
         .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
         .collect();
-    let endpoints: Vec<_> = servers.iter().map(SourceServer::endpoint).collect();
-    let tcp = TcpTransport::new(endpoints.clone());
-    let pooled = PooledTcpTransport::new(endpoints).expect("pooled transport");
-    let poll = || tcp.call(1, &Message::summary_poll(), false).expect("poll");
+    let pooled = PooledTcpTransport::new(servers.iter().map(SourceServer::endpoint))
+        .expect("pooled transport");
+    let poll = || {
+        pooled
+            .call(1, &Message::summary_poll(), false)
+            .expect("poll")
+    };
     let before = poll();
 
     let cells = |ids: &[u64]| spatial::CellSet::from_cells(ids.iter().copied());
@@ -403,9 +387,8 @@ fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
         let in_process = ExclusiveTransport::new(&mut local_sources)
             .call(1, &request, true)
             .expect("in-process call");
-        let per_call = tcp.call(1, &request, true).expect("per-call TCP");
         let over_pool = pooled.call(1, &request, true).expect("pooled TCP");
-        for reply in [&in_process, &per_call, &over_pool] {
+        for reply in [&in_process, &over_pool] {
             assert_eq!(reply.message, expected);
             assert_eq!(reply.maintenance, None);
             assert_eq!(reply.request_bytes, request.wire_size());
@@ -517,29 +500,16 @@ fn spawn_server_binary(
     }
 }
 
-#[test]
-fn source_server_processes_answer_identically_to_in_process() {
-    let data = build_data(33);
-    let fw = framework(&data);
-    let queries = probe_queries(&data);
-
-    let dir = std::env::temp_dir().join(format!("source-server-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let servers: Vec<ServerProcess> = data
-        .iter()
-        .enumerate()
-        .map(|(i, (_, datasets))| spawn_server_binary(i as u16, &dir, datasets))
-        .collect();
-    let tcp = TcpTransport::new(
+/// The pooled transport reaching spawned `source-server` children, source
+/// ids in spawn order.
+fn pooled_over(servers: &[ServerProcess]) -> PooledTcpTransport {
+    PooledTcpTransport::new(
         servers
             .iter()
             .enumerate()
             .map(|(i, s)| (i as u16, s.addr.clone())),
-    );
-
-    assert_transport_parity(&fw, &tcp, &queries);
-    drop(servers);
-    let _ = std::fs::remove_dir_all(&dir);
+    )
+    .expect("pooled transport")
 }
 
 /// The pooled transport against spawned `source-server` child processes —
@@ -557,13 +527,7 @@ fn pooled_transport_over_server_processes_matches_in_process() {
         .enumerate()
         .map(|(i, (_, datasets))| spawn_server_binary(i as u16, &dir, datasets))
         .collect();
-    let pooled = PooledTcpTransport::new(
-        servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u16, s.addr.clone())),
-    )
-    .expect("pooled transport");
+    let pooled = pooled_over(&servers);
 
     assert_transport_parity(&fw, &pooled, &queries);
     drop(servers);
@@ -575,29 +539,38 @@ fn pooled_transport_over_server_processes_matches_in_process() {
 /// endpoint is gone.
 #[test]
 fn source_server_shutdown_drains_open_connections() {
-    use multisource::SourceTransport as _;
-
     let data = build_data(61);
     let fw = framework(&data);
     let server = SourceServer::spawn("127.0.0.1:0", fw.sources()[0].clone()).expect("bind");
     let source_id = server.id();
-    let tcp = TcpTransport::new([(source_id, server.addr().to_string())]);
+    let tcp = PooledTcpTransport::new([server.endpoint()]).expect("pooled transport");
     // Serve one request so the transport holds an open, idle connection
     // through the shutdown.
     let reply = tcp
         .call(source_id, &Message::MetricsQuery, false)
         .expect("request before shutdown");
     assert!(matches!(reply.message, Message::MetricsSnapshot { .. }));
+    assert!(
+        tcp.metrics().open_connections.get() >= 1.0,
+        "the pool must keep the served connection open"
+    );
 
     // Blocks until drained: the idle connection notices the signal and
     // closes instead of being severed mid-frame.
     server.shutdown();
 
-    // The endpoint no longer serves: the cached connection is closed and
-    // the listener is gone.
+    // The endpoint no longer serves: the pooled connection is closed and
+    // the listener is gone, so every attempt of the retry budget fails at
+    // the socket.
+    let err = tcp
+        .call(source_id, &Message::MetricsQuery, false)
+        .expect_err("a drained server must not accept further requests");
     assert!(
-        tcp.call(source_id, &Message::MetricsQuery, false).is_err(),
-        "a drained server must not accept further requests"
+        matches!(
+            &err,
+            TransportError::RetriesExhausted { last, .. } if matches!(**last, TransportError::Io(_))
+        ),
+        "expected the retry budget spent on I/O failures, got {err:?}"
     );
 }
 
@@ -606,14 +579,12 @@ fn source_server_shutdown_drains_open_connections() {
 /// whose stdin merely sits open (or closes without the line) keeps serving.
 #[test]
 fn source_server_binary_drains_on_shutdown_line() {
-    use multisource::SourceTransport as _;
-
     let data = build_data(77);
     let dir = std::env::temp_dir().join(format!("source-server-drain-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let mut server = spawn_server_binary(9, &dir, &data[0].1);
 
-    let tcp = TcpTransport::new([(9u16, server.addr.clone())]);
+    let tcp = PooledTcpTransport::new([(9u16, server.addr.clone())]).expect("pooled transport");
     tcp.call(9, &Message::MetricsQuery, false)
         .expect("request before shutdown");
 
@@ -725,12 +696,7 @@ fn traced_span_structure_is_transport_invariant() {
         .enumerate()
         .map(|(i, (_, datasets))| spawn_server_binary(i as u16, &dir, datasets))
         .collect();
-    let spawned = TcpTransport::new(
-        servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u16, s.addr.clone())),
-    );
+    let spawned = pooled_over(&servers);
     let center =
         DataCenter::from_transport(&spawned, fw.config().leaf_capacity).expect("summary poll");
     let remote = QueryEngine::new(&center, &spawned, engine_config(&fw));
@@ -750,8 +716,6 @@ fn traced_span_structure_is_transport_invariant() {
 /// and the snapshot renders to Prometheus text the mini-parser accepts.
 #[test]
 fn metrics_scrape_renders_valid_prometheus_over_tcp() {
-    use multisource::SourceTransport as _;
-
     let data = build_data(5);
     let fw = framework(&data);
     let queries = probe_queries(&data);
@@ -792,7 +756,46 @@ fn metrics_scrape_renders_valid_prometheus_over_tcp() {
         let json = obs::render_json(&snapshot);
         assert!(json.contains("source_requests_total"));
         assert!(json.contains("source_service_nanos"));
+
+        // The servers cloned `fw`'s sources, which share their registries:
+        // a scrape through the in-process transport sees the queries the
+        // sockets served.
+        let local = multisource::scrape_metrics(&InProcessTransport::new(fw.sources()), source)
+            .expect("in-process scrape");
+        let requests = local
+            .find("source_requests_total", &[("kind", "overlap")])
+            .expect("overlap request counter registered");
+        assert!(matches!(requests.value, obs::MetricValue::Counter(n) if n >= 1));
     }
+}
+
+/// A traced call over a real socket returns the center-assigned trace id and
+/// the source's measured phase split in the reply frame, and the counted
+/// protocol bytes are those of the untraced call.
+#[test]
+fn traced_pooled_call_echoes_the_trace_id() {
+    let data = build_data(5);
+    let fw = framework(&data);
+    let source = &fw.sources()[0];
+    let server = SourceServer::spawn("127.0.0.1:0", source.clone()).expect("bind loopback");
+    let pooled = PooledTcpTransport::new([server.endpoint()]).expect("pooled transport");
+    let query = Message::OverlapQuery {
+        query: source.grid_query(&data[0].1[0]),
+        k: 3,
+    };
+    let traced = pooled
+        .call_with(source.id, &query, CallOptions::stats(true).traced(424_242))
+        .expect("traced call");
+    let trace = traced.trace.expect("traced call returns a trace echo");
+    assert_eq!(trace.trace_id, 424_242);
+    // The overlap query ran a real search, so the source observed a
+    // nonzero traversal+verification split.
+    assert!(trace.phases.traversal + trace.phases.verify > Duration::ZERO);
+    // Tracing never changes the counted protocol bytes.
+    let untraced = pooled.call(source.id, &query, true).expect("untraced call");
+    assert_eq!(traced.request_bytes, untraced.request_bytes);
+    assert_eq!(traced.reply_bytes, untraced.reply_bytes);
+    assert_eq!(untraced.trace, None);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@
 //! Without the connectivity constraint this combination is the classic
 //! `(1 − 1/√e)`-approximation; with it the guarantee degrades the same way
 //! the paper's Theorem 1 needs its connectivity assumption, but the empirical
-//! behaviour (tracked by the benches) mirrors the unbudgeted CoverageSearch.
+//! behaviour mirrors the unbudgeted CoverageSearch.
 
 use crate::model::PriceBook;
 use dits::bounds::node_distance_bounds;

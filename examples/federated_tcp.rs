@@ -19,9 +19,10 @@ use joinable_spatial_search::datagen::{
 };
 use joinable_spatial_search::dits::DitsLocalConfig;
 use joinable_spatial_search::multisource::{
-    DataCenter, DataSource, EngineConfig, QueryEngine, SearchRequest, SourceServer, TcpTransport,
+    DataCenter, DataSource, EngineConfig, QueryEngine, SearchRequest, SourceServer,
 };
 use joinable_spatial_search::spatial::{Grid, SpatialDataset};
+use net::PooledTcpTransport;
 
 fn main() {
     let resolution = 12;
@@ -61,7 +62,7 @@ fn main() {
     }
 
     // The data center learns the federation by polling summaries over TCP.
-    let transport = TcpTransport::new(endpoints);
+    let transport = PooledTcpTransport::new(endpoints).expect("pooled transport");
     let center =
         DataCenter::from_transport(&transport, leaf_capacity).expect("summary poll over TCP");
     println!(
