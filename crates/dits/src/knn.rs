@@ -5,16 +5,18 @@
 //! "which datasets are *closest* to my query region?" (k-nearest datasets by
 //! the cell-based dataset distance of Definition 6) and "which datasets lie
 //! within δ of it?" (the range query that `FindConnectSet` performs
-//! internally).  Both reuse the Lemma 4 distance bounds for pruning:
+//! internally).  Both prune with the Lemma 4 distance bounds:
 //!
 //! * [`nearest_datasets`] — best-first (branch-and-bound) k-NN over the tree,
 //!   expanding nodes in order of their lower distance bound and stopping once
 //!   the bound exceeds the current k-th best exact distance.
-//! * [`range_datasets`] — all datasets within a distance threshold, i.e. the
-//!   public form of the connectivity candidate search.
+//! * [`range_datasets`] — all datasets within a distance threshold: a thin
+//!   wrapper over [`find_connect_set`], the one δ-range walk, which its
+//!   brute-force proptest therefore guards for every caller.
 
 use crate::bounds::node_distance_bounds;
-use crate::local::{DitsLocal, NodeIdx, NodeKind, TraversalLayout};
+use crate::coverage::find_connect_set;
+use crate::local::{DitsLocal, NodeIdx, NodeKind};
 use crate::node::NodeGeometry;
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
@@ -23,7 +25,7 @@ use spatial::distance::{
 };
 use spatial::{CellSet, DatasetId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 use std::time::{Duration, Instant};
 
 /// One neighbour: a dataset and its exact cell-based distance to the query.
@@ -245,117 +247,46 @@ impl Ord for ResultEntry {
 /// ascending exact distance.
 ///
 /// This is the public form of the connectivity candidate search used by
-/// CoverageSearch; the same Lemma 4 pruning applies.
+/// CoverageSearch: one [`find_connect_set`] walk for the query, then the
+/// exact distance of every dataset it found.
 pub fn range_datasets(
     index: &DitsLocal,
     query: &CellSet,
     delta: f64,
 ) -> (Vec<Neighbor>, SearchStats) {
     let mut stats = SearchStats::new();
-    if query.is_empty() || index.dataset_count() == 0 || delta < 0.0 {
-        return (Vec::new(), stats);
-    }
     let Some(rect) = query.mbr_cell_space() else {
         return (Vec::new(), stats);
     };
-    let query_geometry = NodeGeometry::from_mbr(rect);
-    let probe = NeighborProbe::new(query);
-    let mut out = Vec::new();
-    let started = Instant::now();
-    let mut verify_time = Duration::ZERO;
-    let layout = index.traversal_layout();
-    range_recurse(
+    if index.dataset_count() == 0 {
+        return (Vec::new(), stats);
+    }
+    let mut connected = Vec::new();
+    find_connect_set(
         index,
-        layout,
-        layout.root(),
-        query,
-        &query_geometry,
-        &probe,
+        &NodeGeometry::from_mbr(rect),
+        &NeighborProbe::new(query),
         delta,
-        &mut out,
+        &mut connected,
+        &mut HashSet::new(),
         &mut stats,
-        &mut verify_time,
     );
-    out.sort_unstable_by(|a: &Neighbor, b: &Neighbor| {
+    let started = Instant::now();
+    stats.exact_computations += connected.len();
+    let mut out: Vec<Neighbor> = connected
+        .iter()
+        .map(|node| Neighbor {
+            dataset: node.id,
+            distance: dataset_distance(query, &node.cells),
+        })
+        .collect();
+    out.sort_unstable_by(|a, b| {
         a.distance
             .total_cmp(&b.distance)
             .then(a.dataset.cmp(&b.dataset))
     });
-    crate::phase::add_verify(verify_time);
-    crate::phase::add_traversal(started.elapsed().saturating_sub(verify_time));
+    crate::phase::add_verify(started.elapsed());
     (out, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn range_recurse(
-    index: &DitsLocal,
-    layout: &TraversalLayout,
-    node_idx: NodeIdx,
-    query: &CellSet,
-    query_geometry: &NodeGeometry,
-    probe: &NeighborProbe,
-    delta: f64,
-    out: &mut Vec<Neighbor>,
-    stats: &mut SearchStats,
-    verify_time: &mut Duration,
-) {
-    stats.nodes_visited += 1;
-    let (lb, _) = node_distance_bounds(layout.geometry(node_idx), query_geometry);
-    if lb > delta {
-        stats.nodes_pruned += 1;
-        return;
-    }
-    match layout.children(node_idx) {
-        None => {
-            if let NodeKind::Leaf { entries, .. } = &index.node(layout.arena_index(node_idx)).kind {
-                let base = layout.entry_range(node_idx).start;
-                for (offset, entry) in entries.iter().enumerate() {
-                    let (elb, _) =
-                        node_distance_bounds(layout.entry_geometry(base + offset), query_geometry);
-                    if elb > delta {
-                        continue;
-                    }
-                    stats.exact_computations += 1;
-                    let verify_started = Instant::now();
-                    if probe.within(&entry.cells, delta) {
-                        let distance = dataset_distance(query, &entry.cells);
-                        out.push(Neighbor {
-                            dataset: entry.id,
-                            distance,
-                        });
-                        stats.candidates += 1;
-                    }
-                    *verify_time += verify_started.elapsed();
-                }
-            }
-        }
-        Some((left, right)) => {
-            range_recurse(
-                index,
-                layout,
-                left,
-                query,
-                query_geometry,
-                probe,
-                delta,
-                out,
-                stats,
-                verify_time,
-            );
-            range_recurse(
-                index,
-                layout,
-                right,
-                query,
-                query_geometry,
-                probe,
-                delta,
-                out,
-                stats,
-                verify_time,
-            );
-        }
-    }
 }
 
 /// Brute-force k-NN over dataset nodes: the correctness oracle for tests.

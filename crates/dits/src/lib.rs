@@ -16,15 +16,15 @@
 //!   Problem, driven by the per-leaf upper/lower bounds of Lemmas 2–3.
 //! * [`CoverageSearch`](coverage::coverage_search) (Section VI-C,
 //!   Algorithm 3): a greedy `(1−1/e)`-style approximation for the NP-hard
-//!   Coverage Joinable Search Problem, driven by the node-distance bounds of
-//!   Lemma 4 and a spatial-merge strategy.
+//!   Coverage Joinable Search Problem: one Lemma 4 range walk
+//!   ([`find_connect_set`]) and one greedy loop ([`greedy_cover`]), shared
+//!   with the data center, the pricing variants and the SG+DITS baseline.
 //! * [Index maintenance](update) (Appendix IX-C): insert / update / delete
 //!   without rebuilding.
 
 #![warn(missing_docs)]
 
 pub mod bounds;
-pub mod bulkload;
 pub mod coverage;
 pub mod global;
 pub mod inverted;
@@ -37,8 +37,9 @@ pub mod phase;
 pub mod stats;
 pub mod update;
 
-pub use bulkload::build_bottom_up;
-pub use coverage::{coverage_search, CoverageConfig, CoverageResult};
+pub use coverage::{
+    coverage_search, find_connect_set, greedy_cover, CoverageConfig, CoverageResult,
+};
 pub use global::{DitsGlobal, SourceSummary};
 pub use inverted::InvertedIndex;
 pub use knn::{nearest_datasets, nearest_datasets_unbounded, range_datasets, Neighbor};

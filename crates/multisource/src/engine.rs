@@ -28,7 +28,8 @@
 //!    parallel.
 //! 3. **Reduce**: bucket the replies per query, then merge them into the
 //!    global top-`k` (OJSP, kNN) or run the cross-source greedy selection
-//!    (CJSP, itself parallelised over the queries of the batch).
+//!    (CJSP: [`dits::greedy_cover`], the loop every source runs, over the
+//!    reply candidates — parallelised over the queries of the batch).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use dits::{Neighbor, SearchStats};
 use spatial::distance::NeighborProbe;
-use spatial::{CellSet, DatasetId, SourceId, SpatialDataset};
+use spatial::{CellSet, SourceId};
 
 use crate::api::{
     SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
@@ -60,9 +61,6 @@ pub struct EngineConfig {
     pub strategy: DistributionStrategy,
     /// Connectivity threshold δ in cell units (CJSP only).
     pub delta_cells: f64,
-    /// Whether sources report their off-wire search statistics (never
-    /// changes the counted protocol bytes).
-    pub collect_stats: bool,
     /// Degradation mode: with `true`, a shard whose source is slow or dead
     /// is skipped and reported per source instead of failing the whole
     /// batch — answers are aggregated from the sources that did reply and
@@ -71,12 +69,6 @@ pub struct EngineConfig {
     /// behaviour for parity testing and in-process deployments where a
     /// failure means a bug rather than a network condition.
     pub skip_failed_sources: bool,
-    /// Whether runs assemble a structured [`obs::Trace`]: a center-assigned
-    /// trace id propagated to every contacted source plus timed spans for
-    /// planning, each transport call, the sources' traversal/verification
-    /// split and aggregation.  Like the statistics channel, tracing never
-    /// changes the counted protocol bytes.
-    pub collect_trace: bool,
 }
 
 impl Default for EngineConfig {
@@ -85,9 +77,7 @@ impl Default for EngineConfig {
             workers: 0,
             strategy: DistributionStrategy::PrunedClipped,
             delta_cells: 10.0,
-            collect_stats: true,
             skip_failed_sources: false,
-            collect_trace: false,
         }
     }
 }
@@ -201,39 +191,38 @@ impl<'a> QueryEngine<'a> {
         if let Some(skip) = request.requested_skip_failed_sources() {
             config.skip_failed_sources = skip;
         }
-        config.collect_stats = request.wants_stats();
-        config.collect_trace = request.wants_trace();
         let engine = Self {
             center: self.center,
             transport: self.transport,
             config,
             slow_log: self.slow_log,
         };
-        let (queries, k) = (request.queries(), request.requested_k());
         match request.kind() {
-            SearchKind::Ojsp => engine.drive(&Ojsp, queries, k),
+            SearchKind::Ojsp => engine.drive(&Ojsp, request),
             SearchKind::Cjsp => engine.drive(
                 &Cjsp {
                     delta: config.delta_cells,
                 },
-                queries,
-                k,
+                request,
             ),
-            SearchKind::Knn => engine.drive(&Knn, queries, k),
+            SearchKind::Knn => engine.drive(&Knn, request),
         }
     }
 
     /// Delivers one request through the transport, accounting bytes, timing
-    /// and statistics, and returns the reply message.
+    /// and statistics, and returns the reply message.  `want_stats` asks the
+    /// source for its off-wire search statistics; like tracing, it never
+    /// changes the counted protocol bytes.
     fn exchange(
         &self,
         source: SourceId,
         request: &Message,
+        want_stats: bool,
         ctx: &mut WorkerCtx,
     ) -> Result<Message, SearchError> {
         let started = Instant::now();
         let opts = CallOptions {
-            want_stats: self.config.collect_stats,
+            want_stats,
             trace: ctx.trace,
         };
         let reply = self.transport.get().call_with(source, request, opts)?;
@@ -302,10 +291,11 @@ impl<'a> QueryEngine<'a> {
     fn execute_shards<K: QueryKind>(
         &self,
         tasks: &[ShardTask],
+        want_stats: bool,
         trace: Option<u64>,
     ) -> Result<ShardOutcome<Vec<K::Item>>, SearchError> {
         let shard = |task: &ShardTask, ctx: &mut WorkerCtx| {
-            K::items(self.exchange(task.source, &task.request, ctx)?)
+            K::items(self.exchange(task.source, &task.request, want_stats, ctx)?)
                 .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
         };
         if !self.config.skip_failed_sources {
@@ -336,15 +326,18 @@ impl<'a> QueryEngine<'a> {
 
     /// The one pipeline behind [`Self::run`]: plan → execute → bucket →
     /// reduce, with `kind` supplying everything that differs between OJSP,
-    /// CJSP and kNN.
+    /// CJSP and kNN.  A traced request gets a center-assigned trace id,
+    /// propagated to every contacted source, plus timed spans for planning,
+    /// each transport call, the sources' traversal/verification split and
+    /// aggregation.
     fn drive<K: QueryKind>(
         &self,
         kind: &K,
-        queries: &[SpatialDataset],
-        k: usize,
+        request: &SearchRequest,
     ) -> Result<SearchResponse, SearchError> {
         let start = Instant::now();
-        let trace_id = self.config.collect_trace.then(obs::next_trace_id);
+        let (queries, k) = (request.queries(), request.requested_k());
+        let trace_id = request.wants_trace().then(obs::next_trace_id);
         let strategy = self.config.strategy;
 
         // Plan: route every query, clip it per target source and materialise
@@ -403,7 +396,8 @@ impl<'a> QueryEngine<'a> {
         // bucket the replies per query.  Every reducer ranks through a total
         // order, so the bucket fill order cannot change the answers.
         let plan_elapsed = start.elapsed();
-        let (per_task, mut ctx, failures) = self.execute_shards::<K>(&tasks, trace_id)?;
+        let (per_task, mut ctx, failures) =
+            self.execute_shards::<K>(&tasks, request.wants_stats(), trace_id)?;
         comm.merge(&ctx.comm);
         let mut buckets: Vec<Vec<K::Item>> = (0..queries.len()).map(|_| Vec::new()).collect();
         for (task, items) in tasks.iter().zip(per_task) {
@@ -426,7 +420,7 @@ impl<'a> QueryEngine<'a> {
         Ok(SearchResponse {
             results: K::results(answers),
             comm,
-            search: self.config.collect_stats.then_some(ctx.search),
+            search: request.wants_stats().then_some(ctx.search),
             per_source: ctx.into_timings(),
             failures,
             elapsed,
@@ -680,60 +674,37 @@ fn retain_reachable(
 }
 
 /// The cross-source greedy selection of CoverageSearch's aggregation phase
-/// (Section VI-C applied at the data center): repeatedly picks the connected
-/// candidate with the largest marginal gain until `k` datasets are selected
-/// or no candidate adds coverage.
+/// (Section VI-C applied at the data center): [`dits::greedy_cover`] — the
+/// loop every source runs — keyed by `(source, dataset)`, whose connect step
+/// is a linear scan of the not-yet-connected reply candidates against the
+/// newest member.
 fn aggregate_coverage(
     query_cells: &CellSet,
     candidates: &[CoverageCandidate],
     k: usize,
     delta_cells: f64,
 ) -> AggregatedCoverage {
-    let query_coverage = query_cells.len();
-    let mut merged = query_cells.clone();
-    let mut selected: Vec<(SourceId, DatasetId)> = Vec::new();
-    let mut remaining: Vec<&CoverageCandidate> = candidates.iter().collect();
-    while selected.len() < k && !remaining.is_empty() {
-        let probe = NeighborProbe::new(&merged);
-        // Connectivity first (cheap bound checks), then one batched exact
-        // intersection pass over only the connected candidates.  Candidates
-        // are carried by reference so the loop never indexes a slice.
-        let connected: Vec<(usize, &CoverageCandidate)> = remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, cand)| probe.within(&cand.cells, delta_cells))
-            .map(|(pos, &cand)| (pos, cand))
-            .collect();
-        let overlaps = merged.intersection_size_many(connected.iter().map(|(_, cand)| &cand.cells));
-        // (position in remaining, candidate, gain)
-        let mut best: Option<(usize, &CoverageCandidate, usize)> = None;
-        for (&(pos, cand), overlap) in connected.iter().zip(&overlaps) {
-            let gain = cand.cells.len() - overlap;
-            let wins = match best {
-                None => true,
-                Some((_, best_cand, best_gain)) => {
-                    gain > best_gain
-                        || (gain == best_gain
-                            && (cand.source, cand.dataset) < (best_cand.source, best_cand.dataset))
+    let mut unconnected: Vec<&CoverageCandidate> = candidates.iter().collect();
+    let (selected, _, coverage) = dits::greedy_cover(
+        query_cells,
+        k,
+        &mut SearchStats::new(),
+        |candidate: &&CoverageCandidate| ((candidate.source, candidate.dataset), &candidate.cells),
+        |newest, connected, _| {
+            let probe = NeighborProbe::new(newest.map_or(query_cells, |member| &member.cells));
+            unconnected.retain(|&candidate| {
+                let within = probe.within(&candidate.cells, delta_cells);
+                if within {
+                    connected.push(candidate);
                 }
-            };
-            if wins {
-                best = Some((pos, cand, gain));
-            }
-        }
-        let Some((pos, cand, gain)) = best else { break };
-        if gain == 0 {
-            break;
-        }
-        remaining.swap_remove(pos);
-        merged.union_in_place(&cand.cells);
-        selected.push((cand.source, cand.dataset));
-    }
-
+                !within
+            });
+        },
+    );
     AggregatedCoverage {
         selected,
-        coverage: merged.len(),
-        query_coverage,
+        coverage,
+        query_coverage: query_cells.len(),
     }
 }
 
@@ -986,6 +957,7 @@ mod tests {
     use super::*;
     use crate::framework::{FrameworkConfig, MultiSourceFramework};
     use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
+    use spatial::SpatialDataset;
 
     fn five_source_framework() -> (MultiSourceFramework, Vec<SpatialDataset>) {
         let config = GeneratorConfig {
@@ -1110,6 +1082,40 @@ mod tests {
             merged.merge(&single.comm);
         }
         assert_eq!(merged.total_bytes(), batch.comm.total_bytes());
+    }
+
+    /// The center and a source run one greedy loop: fed a single source's
+    /// reply, the aggregation re-selects that source's own sequence.
+    #[test]
+    fn aggregating_one_reply_reselects_the_sources_own_sequence() {
+        let (fw, queries) = five_source_framework();
+        let (k, delta) = (5, 10.0);
+        let mut compared = 0;
+        for source in fw.sources() {
+            for query in &queries {
+                let cells = source.grid_query(query);
+                let (own, _) = dits::coverage_search(
+                    source.index(),
+                    &cells,
+                    dits::CoverageConfig::new(k, delta),
+                );
+                let served = source.serve_readonly(&Message::CoverageQuery {
+                    query: cells.clone(),
+                    k,
+                    delta,
+                });
+                let Message::CoverageReply { candidates, .. } = served.message else {
+                    panic!("unexpected reply {:?}", served.message);
+                };
+                let aggregated = aggregate_coverage(&cells, &candidates, k, delta);
+                let expected: Vec<(SourceId, spatial::DatasetId)> =
+                    own.datasets.iter().map(|&d| (source.id, d)).collect();
+                assert_eq!(aggregated.selected, expected);
+                assert_eq!(aggregated.coverage, own.coverage);
+                compared += own.datasets.len();
+            }
+        }
+        assert!(compared > 0, "no query reached any source");
     }
 
     #[test]

@@ -140,11 +140,7 @@ impl DataSource {
         datasets: &[SpatialDataset],
         config: DitsLocalConfig,
     ) -> Self {
-        let dataset_nodes: Vec<DatasetNode> = datasets
-            .iter()
-            .filter_map(|d| DatasetNode::from_dataset(&grid, d).ok())
-            .collect();
-        let index = DitsLocal::build(dataset_nodes, config);
+        let index = DitsLocal::build_from_datasets(&grid, datasets, config);
         Self {
             id,
             name: name.into(),
@@ -185,8 +181,8 @@ impl DataSource {
 
     /// Applies a batch of caller-side maintenance operations to the local
     /// index: grids every insert/update dataset on the source's own grid,
-    /// then runs the cell-level apply the wire path
-    /// ([`Self::apply_cell_updates`]) also ends in.
+    /// then runs the cell-level apply a served [`Message::ApplyUpdates`]
+    /// ([`Self::serve`]) also ends in.
     ///
     /// The batch is *validated before anything mutates*: a structurally
     /// invalid dataset (one that grids to nothing has no MBR and can never
@@ -215,7 +211,7 @@ impl DataSource {
     /// the whole batch is checked against this source's grid first: another
     /// resolution than its own, an empty cell set or a cell id `≥ 4^θ`
     /// rejects it with nothing applied.
-    pub fn apply_cell_updates(
+    fn apply_cell_updates(
         &mut self,
         resolution: u32,
         ops: &[CellOp],
@@ -281,33 +277,6 @@ impl DataSource {
         (self.summary(), stats)
     }
 
-    /// Handles one maintenance request, producing the
-    /// [`Message::SummaryRefresh`] acknowledgement the source would put on
-    /// the wire plus the off-wire maintenance statistics.  Non-maintenance
-    /// messages yield `None`.
-    pub fn handle_maintenance(
-        &mut self,
-        request: &Message,
-    ) -> Option<Result<(Message, MaintenanceStats), BatchError>> {
-        let Message::ApplyUpdates { resolution, ops } = request else {
-            return None;
-        };
-        Some(
-            self.apply_cell_updates(*resolution, ops)
-                .map(|(summary, stats)| {
-                    (
-                        Message::SummaryRefresh {
-                            summary,
-                            dataset_count: self.index.dataset_count() as u64,
-                            applied: stats.applied() as u64,
-                            rejected: stats.rejected as u64,
-                        },
-                        stats,
-                    )
-                }),
-        )
-    }
-
     /// The dataset nodes held by the source's index.
     pub fn dataset_nodes(&self) -> Vec<&DatasetNode> {
         self.index.dataset_nodes()
@@ -323,18 +292,15 @@ impl DataSource {
         SourceSummary::from_local_root(self.id, &self.grid, self.index.root_geometry())
     }
 
-    /// The [`Message::SummaryRefresh`] this source would answer to a
-    /// read-only summary poll (an empty [`Message::ApplyUpdates`] batch):
-    /// the current root summary, the current dataset count, nothing applied.
-    ///
-    /// Takes `&self` — polling never mutates, which lets the shared
-    /// (lock-free) in-process transport bootstrap a data center.
-    pub fn summary_message(&self) -> Message {
+    /// The [`Message::SummaryRefresh`] acknowledging a maintenance batch —
+    /// or, with nothing applied, answering a read-only summary poll: the
+    /// current root summary and dataset count.
+    fn summary_refresh(&self, summary: SourceSummary, applied: usize, rejected: usize) -> Message {
         Message::SummaryRefresh {
-            summary: self.summary(),
+            summary,
             dataset_count: self.index.dataset_count() as u64,
-            applied: 0,
-            rejected: 0,
+            applied: applied as u64,
+            rejected: rejected as u64,
         }
     }
 
@@ -343,20 +309,11 @@ impl DataSource {
         CellSet::from_points(&self.grid, &query.points)
     }
 
-    /// Handles one request message, producing the reply the source would put
-    /// on the wire.  Unknown request types yield `None`.
-    pub fn handle(&self, request: &Message) -> Option<Message> {
-        self.handle_with_stats(request).map(|(reply, _)| reply)
-    }
-
-    /// Handles one request message, additionally returning the local search
-    /// statistics of the run.  The statistics never travel on the wire (they
-    /// are a per-source instrumentation channel, not part of the protocol),
-    /// which keeps the byte accounting identical to [`handle`](Self::handle).
-    ///
-    /// Takes `&self` only: sources answer concurrent requests from the query
-    /// engine's worker threads without any synchronisation.
-    pub fn handle_with_stats(&self, request: &Message) -> Option<(Message, SearchStats)> {
+    /// Answers one query message with the reply the source puts on the wire
+    /// and the local search statistics of the run; `None` for anything that
+    /// is not a query.  The statistics never travel in the message (they are
+    /// a per-source instrumentation channel, not part of the protocol).
+    fn search(&self, request: &Message) -> Option<(Message, SearchStats)> {
         match request {
             Message::OverlapQuery { query, k } => {
                 let (results, stats) = overlap_search(&self.index, query, *k);
@@ -402,9 +359,9 @@ impl DataSource {
                     stats,
                 ))
             }
-            // Maintenance requests need `&mut self` and flow through
-            // [`Self::handle_maintenance`], metrics scrapes through
-            // [`Self::serve_readonly`]; replies are never requests.
+            // Maintenance and metrics scrapes are dispatched by
+            // [`Self::serve`] / [`Self::serve_readonly`]; replies are never
+            // requests.
             Message::ApplyUpdates { .. }
             | Message::MetricsQuery
             | Message::OverlapReply { .. }
@@ -416,31 +373,28 @@ impl DataSource {
         }
     }
 
-    /// The one-stop request dispatcher every transport server uses: query
-    /// messages go through [`Self::handle_with_stats`], maintenance batches
-    /// through [`Self::handle_maintenance`], and anything unservable —
+    /// The one-stop request dispatcher every transport server uses:
+    /// maintenance batches are validated and applied here, everything else
+    /// goes through [`Self::serve_readonly`], and anything unservable —
     /// including a transactionally rejected batch — becomes a
     /// [`Message::Error`] reply instead of a dropped connection.  This is
     /// what makes a source behave *identically* behind the in-process
     /// transport and behind a TCP socket.
     pub fn serve(&mut self, request: &Message) -> ServedReply {
         match request {
-            Message::ApplyUpdates { ops, .. } if !ops.is_empty() => {
+            Message::ApplyUpdates { resolution, ops } if !ops.is_empty() => {
                 // Discard any phase residue a non-serve caller left on this
                 // thread, so the drain in `finish` sees only this request.
                 let _ = take_phase_timings();
                 let started = Instant::now();
-                let reply = match self.handle_maintenance(request) {
-                    Some(Ok((reply, stats))) => ServedReply::maintenance(reply, stats),
-                    Some(Err(e)) => ServedReply::plain(Message::Error {
+                let reply = match self.apply_cell_updates(*resolution, ops) {
+                    Ok((summary, stats)) => ServedReply::maintenance(
+                        self.summary_refresh(summary, stats.applied(), stats.rejected),
+                        stats,
+                    ),
+                    Err(e) => ServedReply::plain(Message::Error {
                         code: ERR_REJECTED_BATCH,
                         detail: e.to_string(),
-                    }),
-                    // Unreachable: the match arm guarantees a maintenance
-                    // request, but stay total instead of panicking.
-                    None => ServedReply::plain(Message::Error {
-                        code: ERR_UNSUPPORTED,
-                        detail: "not a maintenance request".to_string(),
                     }),
                 };
                 self.finish(request, started, reply)
@@ -449,10 +403,14 @@ impl DataSource {
         }
     }
 
-    /// The read-only half of [`Self::serve`]: summary polls, metrics
-    /// scrapes and query messages, which never mutate the index.  Both
-    /// in-process transports and the TCP server's read path dispatch through
-    /// this single function, so the protocols cannot drift apart.
+    /// The read-only half of [`Self::serve`]: summary polls (an empty
+    /// [`Message::ApplyUpdates`] batch), metrics scrapes and query messages,
+    /// which never mutate the index.  Takes `&self` only — sources answer
+    /// concurrent requests from the query engine's worker threads without
+    /// any synchronisation, and the shared in-process transport can
+    /// bootstrap a data center by polling.  Both in-process transports and
+    /// the TCP server's read path dispatch through this single function, so
+    /// the protocols cannot drift apart.
     pub fn serve_readonly(&self, request: &Message) -> ServedReply {
         // Discard any phase residue a non-serve caller left on this thread,
         // so the drain in `finish` sees only this request.
@@ -460,7 +418,7 @@ impl DataSource {
         let started = Instant::now();
         let reply = match request {
             Message::ApplyUpdates { ops, .. } if ops.is_empty() => {
-                ServedReply::plain(self.summary_message())
+                ServedReply::plain(self.summary_refresh(self.summary(), 0, 0))
             }
             Message::ApplyUpdates { .. } => ServedReply::plain(Message::Error {
                 code: ERR_UNSUPPORTED,
@@ -470,7 +428,7 @@ impl DataSource {
                 source: self.id,
                 snapshot: self.metrics_snapshot(),
             }),
-            other => match self.handle_with_stats(other) {
+            other => match self.search(other) {
                 Some((reply, stats)) => ServedReply::search(reply, stats),
                 None => ServedReply::plain(Message::Error {
                     code: ERR_UNSUPPORTED,
@@ -537,10 +495,9 @@ mod tests {
             SpatialDataset::new(99, vec![Point::new(-77.0, 38.9), Point::new(-76.9, 38.95)]);
         let cells = s.grid_query(&query);
         assert!(!cells.is_empty());
-        let reply = s
-            .handle(&Message::OverlapQuery { query: cells, k: 5 })
-            .unwrap();
-        match reply {
+        let served = s.serve_readonly(&Message::OverlapQuery { query: cells, k: 5 });
+        assert!(served.search.is_some());
+        match served.message {
             Message::OverlapReply { source, results } => {
                 assert_eq!(source, 1);
                 assert!(!results.is_empty());
@@ -555,14 +512,13 @@ mod tests {
         let s = source_with_routes();
         let query = SpatialDataset::new(99, vec![Point::new(-77.0, 38.9)]);
         let cells = s.grid_query(&query);
-        let reply = s
-            .handle(&Message::CoverageQuery {
-                query: cells,
-                k: 3,
-                delta: 10.0,
-            })
-            .unwrap();
-        match reply {
+        let served = s.serve_readonly(&Message::CoverageQuery {
+            query: cells,
+            k: 3,
+            delta: 10.0,
+        });
+        assert!(served.search.is_some());
+        match served.message {
             Message::CoverageReply { source, candidates } => {
                 assert_eq!(source, 1);
                 assert!(candidates.len() <= 3);
@@ -578,18 +534,24 @@ mod tests {
     #[test]
     fn replies_are_not_handled_as_requests() {
         let s = source_with_routes();
-        assert!(s
-            .handle(&Message::OverlapReply {
+        for reply in [
+            Message::OverlapReply {
                 source: 0,
-                results: vec![]
-            })
-            .is_none());
-        assert!(s
-            .handle(&Message::CoverageReply {
+                results: vec![],
+            },
+            Message::CoverageReply {
                 source: 0,
-                candidates: vec![]
-            })
-            .is_none());
+                candidates: vec![],
+            },
+        ] {
+            let served = s.serve_readonly(&reply);
+            assert!(
+                matches!(served.message, Message::Error { code, .. } if code == ERR_UNSUPPORTED),
+                "{:?}",
+                served.message
+            );
+            assert!(served.search.is_none());
+        }
     }
 
     #[test]
@@ -641,8 +603,11 @@ mod tests {
             resolution: 10,
             ops: vec![CellOp::Delete(3), CellOp::Delete(999_999)],
         };
-        let (reply, stats) = s.handle_maintenance(&request).unwrap().unwrap();
-        match reply {
+        let served = s.serve(&request);
+        let stats = served
+            .maintenance
+            .expect("an applied batch reports its statistics");
+        match served.message {
             Message::SummaryRefresh {
                 summary,
                 dataset_count,
@@ -659,10 +624,11 @@ mod tests {
         assert_eq!(stats.deletes, 1);
         // Query messages are not maintenance.
         assert!(s
-            .handle_maintenance(&Message::OverlapQuery {
+            .serve(&Message::OverlapQuery {
                 query: CellSet::new(),
                 k: 1
             })
+            .maintenance
             .is_none());
     }
 }

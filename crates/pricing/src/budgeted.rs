@@ -11,8 +11,9 @@
 //!
 //! 1. **Cost-benefit greedy** — repeatedly add the affordable, connected
 //!    dataset with the best marginal-gain-per-price ratio (ties broken by
-//!    dataset id), pruning the candidate scan with DITS-L and the Lemma 4
-//!    distance bounds.
+//!    dataset id); the connected candidates come from
+//!    [`dits::find_connect_set`], the one Lemma 4 walk over DITS-L, run once
+//!    per purchase into a connect set kept across iterations.
 //! 2. **Best single purchase** — the single affordable, connected dataset
 //!    with the largest gain.
 //! 3. Return whichever of the two covers more.
@@ -23,9 +24,7 @@
 //! behaviour mirrors the unbudgeted CoverageSearch.
 
 use crate::model::PriceBook;
-use dits::bounds::node_distance_bounds;
-use dits::local::{NodeIdx, NodeKind};
-use dits::{DatasetNode, DitsLocal, NodeGeometry, SearchStats};
+use dits::{find_connect_set, DatasetNode, DitsLocal, NodeGeometry, SearchStats};
 use serde::{Deserialize, Serialize};
 use spatial::distance::NeighborProbe;
 use spatial::{CellSet, DatasetId};
@@ -119,35 +118,32 @@ fn cost_benefit_greedy(
         remaining: config.budget,
         query_coverage,
     };
-    let mut merged_cells = query.clone();
-    let Some(rect) = merged_cells.mbr_cell_space() else {
+    let Some(rect) = query.mbr_cell_space() else {
         return result;
     };
-    let mut merged_geometry = NodeGeometry::from_mbr(rect);
-    let mut selected: HashSet<DatasetId> = HashSet::new();
+    let mut covered = query.clone();
+    // Connectivity to a growing result is the union of connectivities to its
+    // members, so each iteration walks only with the newest one.
+    let mut newest = (NodeGeometry::from_mbr(rect), query);
+    let mut connected: Vec<&DatasetNode> = Vec::new();
+    let mut seen: HashSet<DatasetId> = HashSet::new();
     let max_datasets = config.max_datasets.unwrap_or(usize::MAX);
 
     while result.datasets.len() < max_datasets {
-        let probe = NeighborProbe::new(&merged_cells);
-        let mut connected: Vec<&DatasetNode> = Vec::new();
-        let mut seen: HashSet<DatasetId> = HashSet::new();
-        find_connected(
+        find_connect_set(
             index,
-            index.root(),
-            &merged_geometry,
-            &probe,
+            &newest.0,
+            &NeighborProbe::new(newest.1),
             config.delta,
             &mut connected,
             &mut seen,
             stats,
         );
 
-        // Best gain-per-price ratio among affordable, unselected candidates.
-        let mut best: Option<(&DatasetNode, f64, usize, f64)> = None; // (node, price, gain, ratio)
-        for node in connected {
-            if selected.contains(&node.id) {
-                continue;
-            }
+        // Best gain-per-price ratio among affordable candidates:
+        // (position in `connected`, node, price, gain, ratio).
+        let mut best: Option<(usize, &DatasetNode, f64, usize, f64)> = None;
+        for (pos, &node) in connected.iter().enumerate() {
             let Some(price) = prices.price(node.id) else {
                 continue;
             };
@@ -155,7 +151,7 @@ fn cost_benefit_greedy(
                 continue;
             }
             stats.exact_computations += 1;
-            let gain = node.cells.marginal_gain(&merged_cells);
+            let gain = node.cells.marginal_gain(&covered);
             if gain == 0 {
                 continue;
             }
@@ -167,28 +163,27 @@ fn cost_benefit_greedy(
             };
             let wins = match best {
                 None => true,
-                Some((current, _, current_gain, current_ratio)) => {
+                Some((_, current, _, current_gain, current_ratio)) => {
                     ratio > current_ratio
                         || (ratio == current_ratio && gain > current_gain)
                         || (ratio == current_ratio && gain == current_gain && node.id < current.id)
                 }
             };
             if wins {
-                best = Some((node, price, gain, ratio));
+                best = Some((pos, node, price, gain, ratio));
             }
         }
 
-        let Some((node, price, gain, _)) = best else {
+        let Some((pos, node, price, _, _)) = best else {
             break;
         };
-        selected.insert(node.id);
+        connected.swap_remove(pos);
         result.datasets.push(node.id);
         result.spent += price;
         result.remaining = (config.budget - result.spent).max(0.0);
-        merged_cells.union_in_place(&node.cells);
-        merged_geometry = merged_geometry.union(&node.geometry);
-        result.coverage = merged_cells.len();
-        debug_assert!(gain > 0);
+        covered.union_in_place(&node.cells);
+        result.coverage = covered.len();
+        newest = (node.geometry, &node.cells);
     }
     result
 }
@@ -210,15 +205,13 @@ fn best_single_purchase(
     let geometry = NodeGeometry::from_mbr(rect);
     let probe = NeighborProbe::new(query);
     let mut connected: Vec<&DatasetNode> = Vec::new();
-    let mut seen: HashSet<DatasetId> = HashSet::new();
-    find_connected(
+    find_connect_set(
         index,
-        index.root(),
         &geometry,
         &probe,
         config.delta,
         &mut connected,
-        &mut seen,
+        &mut HashSet::new(),
         stats,
     );
     let mut best: Option<(&DatasetNode, f64, usize)> = None;
@@ -251,64 +244,6 @@ fn best_single_purchase(
         remaining: (config.budget - price).max(0.0),
         query_coverage,
     })
-}
-
-/// Collects every dataset node within δ of the probe, pruning subtrees with
-/// the Lemma 4 bounds (the same traversal CoverageSearch uses, re-implemented
-/// here over the public tree API).
-#[allow(clippy::too_many_arguments)]
-fn find_connected<'a>(
-    index: &'a DitsLocal,
-    node_idx: NodeIdx,
-    probe_geometry: &NodeGeometry,
-    probe: &NeighborProbe,
-    delta: f64,
-    out: &mut Vec<&'a DatasetNode>,
-    seen: &mut HashSet<DatasetId>,
-    stats: &mut SearchStats,
-) {
-    let node = index.node(node_idx);
-    stats.nodes_visited += 1;
-    let (lb, ub) = node_distance_bounds(&node.geometry, probe_geometry);
-    if lb > delta {
-        stats.nodes_pruned += 1;
-        return;
-    }
-    match &node.kind {
-        NodeKind::Leaf { entries, .. } => {
-            for entry in entries {
-                if seen.contains(&entry.id) {
-                    continue;
-                }
-                let (elb, eub) = node_distance_bounds(&entry.geometry, probe_geometry);
-                let connected = if eub <= delta || ub <= delta {
-                    true
-                } else if elb > delta {
-                    false
-                } else {
-                    stats.exact_computations += 1;
-                    probe.within(&entry.cells, delta)
-                };
-                if connected && seen.insert(entry.id) {
-                    out.push(entry);
-                    stats.candidates += 1;
-                }
-            }
-        }
-        NodeKind::Internal { left, right } => {
-            find_connected(index, *left, probe_geometry, probe, delta, out, seen, stats);
-            find_connected(
-                index,
-                *right,
-                probe_geometry,
-                probe,
-                delta,
-                out,
-                seen,
-                stats,
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,13 +7,11 @@
 //! covered cells instead of their count.
 //!
 //! [`CellWeights`] assigns a weight to every cell (with a default for
-//! unlisted cells), and [`weighted_coverage_search`] runs the same
-//! merge-based greedy as the paper's CoverageSearch with the weighted
-//! marginal gain.
+//! unlisted cells), and [`weighted_coverage_search`] runs the greedy of the
+//! paper's CoverageSearch with the weighted marginal gain, finding the
+//! connected candidates with the same walk ([`dits::find_connect_set`]).
 
-use dits::bounds::node_distance_bounds;
-use dits::local::{NodeIdx, NodeKind};
-use dits::{DatasetNode, DitsLocal, NodeGeometry, SearchStats};
+use dits::{find_connect_set, DatasetNode, DitsLocal, NodeGeometry, SearchStats};
 use serde::{Deserialize, Serialize};
 use spatial::distance::NeighborProbe;
 use spatial::{CellId, CellSet, DatasetId};
@@ -128,112 +126,52 @@ pub fn weighted_coverage_search(
     if config.k == 0 || query.is_empty() || index.dataset_count() == 0 {
         return (result, stats);
     }
-    let mut merged_cells = query.clone();
-    let Some(rect) = merged_cells.mbr_cell_space() else {
+    let Some(rect) = query.mbr_cell_space() else {
         return (result, stats);
     };
-    let mut merged_geometry = NodeGeometry::from_mbr(rect);
-    let mut selected: HashSet<DatasetId> = HashSet::new();
+    let mut covered = query.clone();
+    // Connectivity to a growing result is the union of connectivities to its
+    // members, so each iteration walks only with the newest one.
+    let mut newest = (NodeGeometry::from_mbr(rect), query);
+    let mut connected: Vec<&DatasetNode> = Vec::new();
+    let mut seen: HashSet<DatasetId> = HashSet::new();
 
     while result.datasets.len() < config.k {
-        let probe = NeighborProbe::new(&merged_cells);
-        let mut connected: Vec<&DatasetNode> = Vec::new();
-        let mut seen: HashSet<DatasetId> = HashSet::new();
-        find_connected(
+        find_connect_set(
             index,
-            index.root(),
-            &merged_geometry,
-            &probe,
+            &newest.0,
+            &NeighborProbe::new(newest.1),
             config.delta,
             &mut connected,
             &mut seen,
             &mut stats,
         );
 
-        let mut best: Option<(&DatasetNode, f64)> = None;
-        for node in connected {
-            if selected.contains(&node.id) {
-                continue;
-            }
+        // (position in `connected`, node, gain)
+        let mut best: Option<(usize, &DatasetNode, f64)> = None;
+        for (pos, &node) in connected.iter().enumerate() {
             stats.exact_computations += 1;
-            let gain = weights.marginal_gain(&node.cells, &merged_cells);
+            let gain = weights.marginal_gain(&node.cells, &covered);
             let wins = match best {
                 None => gain > 0.0,
-                Some((current, current_gain)) => {
+                Some((_, current, current_gain)) => {
                     gain > current_gain || (gain == current_gain && node.id < current.id)
                 }
             };
             if wins && gain > 0.0 {
-                best = Some((node, gain));
+                best = Some((pos, node, gain));
             }
         }
-        let Some((node, gain)) = best else { break };
-        selected.insert(node.id);
+        let Some((pos, node, gain)) = best else { break };
+        connected.swap_remove(pos);
         result.datasets.push(node.id);
         result.gains.push(gain);
         result.covered_weight += gain;
-        merged_cells.union_in_place(&node.cells);
-        merged_geometry = merged_geometry.union(&node.geometry);
-        result.coverage = merged_cells.len();
+        covered.union_in_place(&node.cells);
+        result.coverage = covered.len();
+        newest = (node.geometry, &node.cells);
     }
     (result, stats)
-}
-
-/// Connectivity-constrained candidate collection (Lemma 4 pruning), shared
-/// shape with the budgeted solver.
-#[allow(clippy::too_many_arguments)]
-fn find_connected<'a>(
-    index: &'a DitsLocal,
-    node_idx: NodeIdx,
-    probe_geometry: &NodeGeometry,
-    probe: &NeighborProbe,
-    delta: f64,
-    out: &mut Vec<&'a DatasetNode>,
-    seen: &mut HashSet<DatasetId>,
-    stats: &mut SearchStats,
-) {
-    let node = index.node(node_idx);
-    stats.nodes_visited += 1;
-    let (lb, ub) = node_distance_bounds(&node.geometry, probe_geometry);
-    if lb > delta {
-        stats.nodes_pruned += 1;
-        return;
-    }
-    match &node.kind {
-        NodeKind::Leaf { entries, .. } => {
-            for entry in entries {
-                if seen.contains(&entry.id) {
-                    continue;
-                }
-                let (elb, eub) = node_distance_bounds(&entry.geometry, probe_geometry);
-                let connected = if eub <= delta || ub <= delta {
-                    true
-                } else if elb > delta {
-                    false
-                } else {
-                    stats.exact_computations += 1;
-                    probe.within(&entry.cells, delta)
-                };
-                if connected && seen.insert(entry.id) {
-                    out.push(entry);
-                    stats.candidates += 1;
-                }
-            }
-        }
-        NodeKind::Internal { left, right } => {
-            find_connected(index, *left, probe_geometry, probe, delta, out, seen, stats);
-            find_connected(
-                index,
-                *right,
-                probe_geometry,
-                probe,
-                delta,
-                out,
-                seen,
-                stats,
-            );
-        }
-    }
 }
 
 #[cfg(test)]

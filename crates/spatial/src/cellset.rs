@@ -403,18 +403,32 @@ impl CellSet {
     /// a coverage probe, a range scan — reuses one decomposition instead of
     /// re-allocating and re-sorting per call.
     pub fn sorted_coords(&self) -> &[(f64, f64)] {
-        self.coords.get_or_init(|| {
-            let mut v: Vec<(f64, f64)> = self
-                .cells
-                .iter()
-                .map(|&c| {
-                    let (x, y) = cell_coords(c);
-                    (x as f64, y as f64)
-                })
-                .collect();
-            v.sort_unstable_by(|l, r| l.0.total_cmp(&r.0));
-            v
-        })
+        self.coords.get_or_init(|| self.decompose_sorted())
+    }
+
+    /// An owned copy of [`Self::sorted_coords`] that leaves the cache as it
+    /// found it: copied when already built, decomposed afresh otherwise.  A
+    /// [`NeighborProbe`](crate::distance::NeighborProbe) keeps its own copy
+    /// anyway, so probing with an index-resident dataset must not also pin
+    /// 16 bytes per cell on the resident set.
+    pub(crate) fn sorted_coords_owned(&self) -> Vec<(f64, f64)> {
+        match self.coords.get() {
+            Some(cached) => cached.clone(),
+            None => self.decompose_sorted(),
+        }
+    }
+
+    fn decompose_sorted(&self) -> Vec<(f64, f64)> {
+        let mut v: Vec<(f64, f64)> = self
+            .cells
+            .iter()
+            .map(|&c| {
+                let (x, y) = cell_coords(c);
+                (x as f64, y as f64)
+            })
+            .collect();
+        v.sort_unstable_by(|l, r| l.0.total_cmp(&r.0));
+        v
     }
 
     /// The coordinates of the set's *boundary* cells — cells with at least

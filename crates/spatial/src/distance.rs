@@ -265,11 +265,13 @@ pub struct NeighborProbe {
 }
 
 impl NeighborProbe {
-    /// Builds a probe over a cell set, reusing the set's cached sorted
-    /// decomposition (so repeated probes over the same set never re-sort).
+    /// Builds a probe over a cell set, copying the set's cached sorted
+    /// decomposition when it has one and never filling that cache itself:
+    /// the probe owns its coordinates, and the sets probed with — a query, a
+    /// dataset just selected from the index — are mostly probed once.
     pub fn new(cells: &CellSet) -> Self {
         Self {
-            xs: cells.sorted_coords().to_vec(),
+            xs: cells.sorted_coords_owned(),
         }
     }
 
@@ -304,22 +306,6 @@ impl NeighborProbe {
     }
 }
 
-/// Brute-force O(|a|·|b|) distance, kept for testing and for the baselines
-/// that the paper describes as scanning all pairs.
-pub fn dataset_distance_bruteforce(a: &CellSet, b: &CellSet) -> f64 {
-    let mut best = f64::INFINITY;
-    for ca in a.iter() {
-        let (ax, ay) = cell_coords(ca);
-        for cb in b.iter() {
-            let (bx, by) = cell_coords(cb);
-            let dx = ax as f64 - bx as f64;
-            let dy = ay as f64 - by as f64;
-            best = best.min((dx * dx + dy * dy).sqrt());
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,6 +314,21 @@ mod tests {
 
     fn set_from_coords(coords: &[(u32, u32)]) -> CellSet {
         CellSet::from_cells(coords.iter().map(|&(x, y)| cell_id(x, y)))
+    }
+
+    /// Brute-force O(|a|·|b|) distance: the oracle of the sweep proptest.
+    fn dataset_distance_bruteforce(a: &CellSet, b: &CellSet) -> f64 {
+        let mut best = f64::INFINITY;
+        for ca in a.iter() {
+            let (ax, ay) = cell_coords(ca);
+            for cb in b.iter() {
+                let (bx, by) = cell_coords(cb);
+                let dx = ax as f64 - bx as f64;
+                let dy = ay as f64 - by as f64;
+                best = best.min((dx * dx + dy * dy).sqrt());
+            }
+        }
+        best
     }
 
     #[test]
@@ -388,9 +389,20 @@ mod tests {
     fn neighbor_probe_matches_within_check() {
         let a = set_from_coords(&[(0, 0), (10, 0), (20, 5)]);
         let b = set_from_coords(&[(0, 4), (30, 30)]);
+        let cold = a.memory_bytes();
         let probe = NeighborProbe::new(&a);
+        assert_eq!(
+            a.memory_bytes(),
+            cold,
+            "a probe must not fill the set's caches"
+        );
         assert!(probe.within(&b, 4.0));
         assert!(!probe.within(&b, 3.9));
+        // Built off an already-cached decomposition, the probe is the same.
+        a.sorted_coords();
+        let warm = NeighborProbe::new(&a);
+        assert!(warm.within(&b, 4.0));
+        assert!(!warm.within(&b, 3.9));
         assert!(!NeighborProbe::new(&CellSet::new()).within(&b, 100.0));
         assert!(!probe.within(&CellSet::new(), 100.0));
         assert!(NeighborProbe::new(&CellSet::new()).is_empty());

@@ -5,8 +5,8 @@
 
 use joinable_spatial_search::approx_join::{ApproxConfig, ApproxOverlapIndex, LshConfig};
 use joinable_spatial_search::dits::{
-    build_bottom_up, decode_local, encode_local, nearest_datasets, overlap_search, range_datasets,
-    DatasetNode, DitsLocal, DitsLocalConfig,
+    decode_local, encode_local, nearest_datasets, overlap_search, range_datasets, DatasetNode,
+    DitsLocal, DitsLocalConfig,
 };
 use joinable_spatial_search::pricing::{
     budgeted_coverage_search, rank_by_value, BudgetedConfig, PriceBook, PricingModel,
@@ -107,22 +107,6 @@ fn persisted_index_keeps_answering_all_query_types() {
         ra.iter().map(|n| n.dataset).collect::<Vec<_>>(),
         rb.iter().map(|n| n.dataset).collect::<Vec<_>>()
     );
-}
-
-#[test]
-fn bottom_up_index_is_a_drop_in_replacement() {
-    let grid = Grid::global(12).unwrap();
-    let cells = corpus(&grid, 120);
-    let nodes: Vec<DatasetNode> = cells
-        .iter()
-        .filter_map(|(id, c)| DatasetNode::from_cell_set(*id, c.clone()))
-        .collect();
-    let q = query(&grid);
-    let top_down = DitsLocal::build(nodes.clone(), DitsLocalConfig::default());
-    let bottom_up = build_bottom_up(nodes, DitsLocalConfig::default());
-    let (a, _) = overlap_search(&top_down, &q, 10);
-    let (b, _) = overlap_search(&bottom_up, &q, 10);
-    assert_eq!(a, b);
 }
 
 #[test]
