@@ -456,7 +456,6 @@ fn fig13_14(env: &ExperimentEnv, grid: &ParameterGrid) {
                 delta_cells: grid.default_delta,
                 strategy: *strategy,
                 workers: 0,
-                comm: comm_config,
             });
             let outcome = framework
                 .search(&SearchRequest::ojsp_batch(queries.clone()).k(grid.default_k))
@@ -605,7 +604,6 @@ fn fig19_20(env: &ExperimentEnv, grid: &ParameterGrid) {
                 delta_cells: grid.default_delta,
                 strategy: *strategy,
                 workers: 0,
-                comm: comm_config,
             });
             let outcome = framework
                 .search(&SearchRequest::cjsp_batch(queries.clone()).k(grid.default_k))

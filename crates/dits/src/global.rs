@@ -9,6 +9,16 @@
 //! whose region intersects the query MBR or lies within the connectivity
 //! threshold of it.  Pruning a source at the global level removes one whole
 //! round of communication (the paper's first query-distribution strategy).
+//!
+//! The tree is built, never patched: [`DitsGlobal::build`] is its only
+//! producer.  Appendix IX-C maintains DITS-L in place and asks of the center
+//! only that its copy of a source's root follows the source, so the two
+//! mutators ([`DitsGlobal::put_source`], [`DitsGlobal::remove_source`]) edit
+//! the summary list and build again — a federation has a handful of sources
+//! and a summary changes once per maintenance batch.  A maintained index is
+//! therefore the one `build` makes from the surviving summaries: no drifted,
+//! empty or duplicated leaf exists to account for, and the persisted image
+//! ([`crate::persist`]) is the summary list alone.
 
 use crate::node::NodeGeometry;
 use serde::{Deserialize, Serialize};
@@ -66,7 +76,7 @@ fn cell_coord_to_lonlat(grid: &Grid, p: Point) -> Point {
 
 /// One node of the global index tree.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) enum GlobalNode {
+enum GlobalNode {
     Internal {
         geometry: NodeGeometry,
         left: usize,
@@ -94,9 +104,6 @@ pub struct DitsGlobal {
     root: usize,
     leaf_capacity: usize,
     source_count: usize,
-    /// Maintenance operations absorbed in place since the last (re)build.
-    /// Drives the occasional-rebuild heuristic of [`Self::needs_rebuild`].
-    churn: usize,
 }
 
 impl DitsGlobal {
@@ -109,7 +116,6 @@ impl DitsGlobal {
             root: 0,
             leaf_capacity,
             source_count,
-            churn: 0,
         };
         index.root = index.build_subtree(summaries);
         index
@@ -153,123 +159,44 @@ impl DitsGlobal {
         self.leaf_capacity
     }
 
-    /// Maintenance operations absorbed in place since the last (re)build.
-    pub fn churn(&self) -> usize {
-        self.churn
-    }
-
-    /// Decomposes the index into its raw parts (arena, root, leaf capacity,
-    /// source count, churn); used by the persistence codec.
-    pub(crate) fn parts(&self) -> (&[GlobalNode], usize, usize, usize, usize) {
-        (
-            &self.nodes,
-            self.root,
-            self.leaf_capacity,
-            self.source_count,
-            self.churn,
-        )
-    }
-
-    /// Reassembles an index from raw parts produced by [`Self::parts`] (or
-    /// by the persistence codec).  The caller is responsible for structural
-    /// consistency; [`Self::check_invariants`] can verify it afterwards.
-    pub(crate) fn from_parts(
-        nodes: Vec<GlobalNode>,
-        root: usize,
-        leaf_capacity: usize,
-        source_count: usize,
-        churn: usize,
-    ) -> Self {
-        Self {
-            nodes,
-            root,
-            leaf_capacity,
-            source_count,
-            churn,
-        }
-    }
-
-    /// Registers one more source without rebuilding the rest of the tree:
-    /// the summary is added to the closest leaf (mirroring the local-index
-    /// insertion strategy of Appendix IX-C).
-    pub fn insert_source(&mut self, summary: SourceSummary) {
-        self.source_count += 1;
-        if self.nodes.is_empty() {
-            self.nodes.push(GlobalNode::Leaf {
-                geometry: summary.geometry,
-                sources: vec![summary],
-            });
-            self.root = 0;
-            return;
-        }
-        // Walk down towards the leaf whose pivot is closest.
-        let mut idx = self.root;
-        loop {
-            match &self.nodes[idx] {
-                GlobalNode::Leaf { .. } => break,
-                GlobalNode::Internal { left, right, .. } => {
-                    let dl = self.nodes[*left]
-                        .geometry()
-                        .pivot
-                        .distance(&summary.geometry.pivot);
-                    let dr = self.nodes[*right]
-                        .geometry()
-                        .pivot
-                        .distance(&summary.geometry.pivot);
-                    idx = if dl <= dr { *left } else { *right };
-                }
+    /// Registers a source's summary, replacing the one registered under the
+    /// same id if there is one, and builds the tree over the result.
+    ///
+    /// Returns `true` when a summary was replaced, `false` when the source
+    /// is new to the index.
+    pub fn put_source(&mut self, summary: SourceSummary) -> bool {
+        let mut summaries = self.summaries();
+        let replaced = match summaries.binary_search_by_key(&summary.source, |s| s.source) {
+            Ok(pos) => {
+                summaries[pos] = summary;
+                true
             }
-        }
-        if let GlobalNode::Leaf { geometry, sources } = &mut self.nodes[idx] {
-            sources.push(summary);
-            *geometry = geometry_of(sources);
-        }
-        self.churn += 1;
-        self.refresh_geometry(self.root);
+            Err(pos) => {
+                summaries.insert(pos, summary);
+                false
+            }
+        };
+        *self = Self::build(summaries, self.leaf_capacity);
+        replaced
     }
 
-    /// Replaces the summary of an already-registered source in place and
-    /// refreshes the tree's geometry (Appendix IX-C applied at the global
-    /// level).  The summary stays in the leaf it was first routed to even if
-    /// its region moved — accumulated drift is what [`Self::needs_rebuild`]
-    /// watches for.
+    /// Unregisters a source and builds the tree over the remaining
+    /// summaries.
     ///
     /// Returns `false` (and leaves the index untouched) when the source is
     /// not registered.
-    pub fn refresh_source(&mut self, summary: SourceSummary) -> bool {
-        let Some((leaf, pos)) = self.find_source(summary.source) else {
-            return false;
-        };
-        if let GlobalNode::Leaf { geometry, sources } = &mut self.nodes[leaf] {
-            sources[pos] = summary;
-            *geometry = geometry_of(sources);
-        }
-        self.churn += 1;
-        self.refresh_geometry(self.root);
-        true
-    }
-
-    /// Unregisters a source, removing its summary from the tree.  The leaf
-    /// that held it may become empty; empty leaves stop contributing to
-    /// ancestor geometry and are reclaimed by the next rebuild.
-    ///
-    /// Returns `false` when the source is not registered.
     pub fn remove_source(&mut self, source: SourceId) -> bool {
-        let Some((leaf, pos)) = self.find_source(source) else {
+        let mut summaries = self.summaries();
+        let Ok(pos) = summaries.binary_search_by_key(&source, |s| s.source) else {
             return false;
         };
-        if let GlobalNode::Leaf { geometry, sources } = &mut self.nodes[leaf] {
-            sources.remove(pos);
-            *geometry = geometry_of(sources);
-        }
-        self.source_count -= 1;
-        self.churn += 1;
-        self.refresh_geometry(self.root);
+        summaries.remove(pos);
+        *self = Self::build(summaries, self.leaf_capacity);
         true
     }
 
-    /// All registered summaries, sorted by source id (the deterministic
-    /// input [`Self::rebuild`] reconstructs the tree from).
+    /// All registered summaries, sorted by source id: the input the two
+    /// mutators and the persistence codec hand back to [`Self::build`].
     pub fn summaries(&self) -> Vec<SourceSummary> {
         let mut out: Vec<SourceSummary> = Vec::with_capacity(self.source_count);
         let mut stack = vec![self.root];
@@ -286,105 +213,9 @@ impl DitsGlobal {
         out
     }
 
-    /// Rebuilds the tree from scratch over the current summaries, resetting
-    /// the churn counter.  Restores balanced leaves after in-place
-    /// maintenance has degraded the tree.
-    pub fn rebuild(&mut self) {
-        *self = Self::build(self.summaries(), self.leaf_capacity);
-    }
-
-    /// The occasional-rebuild heuristic: the tree is considered degraded
-    /// once the in-place churn reaches the number of indexed sources (every
-    /// source drifted once, on average) or removals have emptied most
-    /// leaves.  In-place refreshes stay conservative-correct regardless —
-    /// a rebuild only restores routing selectivity, never correctness.
-    pub fn needs_rebuild(&self) -> bool {
-        if self.churn >= self.source_count.max(8) {
-            return true;
-        }
-        let (leaves, empty) = self.leaf_population();
-        empty * 2 > leaves
-    }
-
-    /// Locates the leaf holding a source's summary, returning the leaf's
-    /// arena index and the summary's position inside it.
-    fn find_source(&self, source: SourceId) -> Option<(usize, usize)> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let mut stack = vec![self.root];
-        while let Some(idx) = stack.pop() {
-            match &self.nodes[idx] {
-                GlobalNode::Leaf { sources, .. } => {
-                    if let Some(pos) = sources.iter().position(|s| s.source == source) {
-                        return Some((idx, pos));
-                    }
-                }
-                GlobalNode::Internal { left, right, .. } => {
-                    stack.push(*left);
-                    stack.push(*right);
-                }
-            }
-        }
-        None
-    }
-
-    /// Counts `(reachable leaves, empty leaves)`.
-    fn leaf_population(&self) -> (usize, usize) {
-        let mut leaves = 0;
-        let mut empty = 0;
-        let mut stack = vec![self.root];
-        if self.nodes.is_empty() {
-            return (0, 0);
-        }
-        while let Some(idx) = stack.pop() {
-            match &self.nodes[idx] {
-                GlobalNode::Leaf { sources, .. } => {
-                    leaves += 1;
-                    if sources.is_empty() {
-                        empty += 1;
-                    }
-                }
-                GlobalNode::Internal { left, right, .. } => {
-                    stack.push(*left);
-                    stack.push(*right);
-                }
-            }
-        }
-        (leaves, empty)
-    }
-
-    /// Recomputes every node's geometry bottom-up.  Empty leaves (left
-    /// behind by [`Self::remove_source`]) return `None` so their fabricated
-    /// degenerate MBR never leaks into an ancestor's pruning bounds — the
-    /// global-level counterpart of the local index's leaf-collapse rule.
-    fn refresh_geometry(&mut self, idx: usize) -> Option<NodeGeometry> {
-        match self.nodes[idx].clone() {
-            GlobalNode::Leaf { sources, .. } => {
-                let g = (!sources.is_empty()).then(|| geometry_of(&sources));
-                if let GlobalNode::Leaf { geometry, .. } = &mut self.nodes[idx] {
-                    *geometry = g.unwrap_or_else(empty_geometry);
-                }
-                g
-            }
-            GlobalNode::Internal { left, right, .. } => {
-                let gl = self.refresh_geometry(left);
-                let gr = self.refresh_geometry(right);
-                let g = match (gl, gr) {
-                    (Some(a), Some(b)) => Some(a.union(&b)),
-                    (a, b) => a.or(b),
-                };
-                if let GlobalNode::Internal { geometry, .. } = &mut self.nodes[idx] {
-                    *geometry = g.unwrap_or_else(empty_geometry);
-                }
-                g
-            }
-        }
-    }
-
-    /// Checks the structural invariants of the tree: the bookkeeping counts
-    /// match the reachable summaries, source ids are unique, and every
-    /// internal node's MBR contains all summaries below it (the property
+    /// Checks the structural invariants of the tree: the bookkeeping count
+    /// matches the reachable summaries, source ids are unique, and every
+    /// node's MBR contains everything below it (the property
     /// [`Self::candidate_sources`] pruning relies on).  Returns a
     /// description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -399,17 +230,10 @@ impl DitsGlobal {
         if summaries.windows(2).any(|w| w[0].source == w[1].source) {
             return Err("duplicate source ids in the tree".to_string());
         }
-        // Iterative post-order walk — a decoded tree may be arbitrarily
-        // deep, so recursion could overflow the stack on a crafted image.
-        // Subtree emptiness is computed bottom-up, then every node's MBR is
-        // checked against its non-empty children: empty subtrees carry only
-        // a placeholder geometry and hold no summaries to mis-prune.
-        let mut empty = vec![true; self.nodes.len()];
-        let mut stack = vec![(self.root, false)];
-        while let Some((idx, children_done)) = stack.pop() {
+        let mut stack = vec![self.root];
+        while let Some(idx) = stack.pop() {
             match &self.nodes[idx] {
                 GlobalNode::Leaf { geometry, sources } => {
-                    empty[idx] = sources.is_empty();
                     for s in sources {
                         if !geometry.rect.contains(&s.geometry.rect) {
                             return Err(format!(
@@ -424,21 +248,13 @@ impl DitsGlobal {
                     left,
                     right,
                 } => {
-                    if !children_done {
-                        stack.push((idx, true));
-                        stack.push((*left, false));
-                        stack.push((*right, false));
-                        continue;
-                    }
-                    empty[idx] = empty[*left] && empty[*right];
                     for child in [*left, *right] {
-                        if !empty[child]
-                            && !geometry.rect.contains(&self.nodes[child].geometry().rect)
-                        {
+                        if !geometry.rect.contains(&self.nodes[child].geometry().rect) {
                             return Err(format!(
                                 "internal {idx} MBR does not contain child {child}"
                             ));
                         }
+                        stack.push(child);
                     }
                 }
             }
@@ -455,9 +271,6 @@ impl DitsGlobal {
     /// (the OJSP case); CJSP passes the δ threshold converted to degrees.
     pub fn candidate_sources(&self, query_rect: &Mbr, delta_lonlat: f64) -> Vec<SourceSummary> {
         let mut out = Vec::new();
-        if self.nodes.is_empty() || self.source_count == 0 {
-            return out;
-        }
         let query_geometry = NodeGeometry::from_mbr(*query_rect);
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
@@ -519,7 +332,7 @@ fn geometry_of(summaries: &[SourceSummary]) -> NodeGeometry {
         .unwrap_or_else(empty_geometry)
 }
 
-/// Placeholder geometry for a subtree that holds no summaries.
+/// Placeholder geometry for the root leaf of an index with no sources.
 fn empty_geometry() -> NodeGeometry {
     NodeGeometry::from_mbr(Mbr::new(Point::new(0.0, 0.0), Point::new(0.0, 0.0)))
 }
@@ -534,6 +347,9 @@ fn coord(s: &SourceSummary, d: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{decode_global, encode_global};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn summary(source: SourceId, x0: f64, y0: f64, x1: f64, y1: f64) -> SourceSummary {
         SourceSummary {
@@ -607,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_source_is_found_afterwards() {
+    fn put_source_registers_a_new_source() {
         let mut g = DitsGlobal::build(
             (0..8)
                 .map(|i| {
@@ -622,8 +438,9 @@ mod tests {
                 .collect(),
             2,
         );
-        g.insert_source(summary(99, 200.0, 0.0, 205.0, 5.0));
+        assert!(!g.put_source(summary(99, 200.0, 0.0, 205.0, 5.0)));
         assert_eq!(g.source_count(), 9);
+        assert!(g.check_invariants().is_ok());
         let query = Mbr::new(Point::new(201.0, 1.0), Point::new(202.0, 2.0));
         let candidates = g.candidate_sources(&query, 0.0);
         assert_eq!(candidates.len(), 1);
@@ -633,13 +450,13 @@ mod tests {
     #[test]
     fn insert_into_empty_index() {
         let mut g = DitsGlobal::build(Vec::new(), 2);
-        g.insert_source(summary(1, 0.0, 0.0, 1.0, 1.0));
+        assert!(!g.put_source(summary(1, 0.0, 0.0, 1.0, 1.0)));
         let query = Mbr::new(Point::new(0.1, 0.1), Point::new(0.2, 0.2));
         assert_eq!(g.candidate_sources(&query, 0.0).len(), 1);
     }
 
     #[test]
-    fn refresh_source_moves_the_routing_target() {
+    fn put_source_moves_the_routing_target_of_a_known_source() {
         let mut g = DitsGlobal::build(
             vec![
                 summary(0, 0.0, 0.0, 5.0, 5.0),
@@ -650,7 +467,8 @@ mod tests {
         );
         // Source 1's region moves far away; a query at its old spot must no
         // longer see it, a query at the new spot must.
-        assert!(g.refresh_source(summary(1, -60.0, 20.0, -55.0, 25.0)));
+        assert!(g.put_source(summary(1, -60.0, 20.0, -55.0, 25.0)));
+        assert_eq!(g.source_count(), 3);
         assert!(g.check_invariants().is_ok());
         let old_spot = Mbr::new(Point::new(51.0, 1.0), Point::new(52.0, 2.0));
         assert!(g.candidate_sources(&old_spot, 0.0).is_empty());
@@ -661,9 +479,6 @@ mod tests {
             .map(|s| s.source)
             .collect();
         assert_eq!(ids, vec![1]);
-        // Refreshing an unknown source is rejected.
-        assert!(!g.refresh_source(summary(77, 0.0, 0.0, 1.0, 1.0)));
-        assert_eq!(g.source_count(), 3);
     }
 
     #[test]
@@ -695,8 +510,8 @@ mod tests {
 
     #[test]
     fn emptied_leaves_do_not_leak_degenerate_geometry() {
-        // Two far-apart leaves; removing both sources of one leaf must not
-        // drag the surviving ancestors' MBR toward the origin placeholder.
+        // Two far-apart leaves; removing both sources of one leaf must leave
+        // no empty leaf whose origin placeholder widens an ancestor's MBR.
         let mut g = DitsGlobal::build(
             vec![
                 summary(0, 100.0, 40.0, 105.0, 45.0),
@@ -710,42 +525,11 @@ mod tests {
         assert!(g.remove_source(3));
         assert!(g.check_invariants().is_ok());
         // A probe with generous slack around the origin placeholder finds
-        // nothing: the empty subtree contributes no geometry.
+        // nothing: the tree is built over the two survivors alone.
         let near_origin = Mbr::new(Point::new(-1.0, -1.0), Point::new(1.0, 1.0));
         assert!(g.candidate_sources(&near_origin, 5.0).is_empty());
         let east = Mbr::new(Point::new(101.0, 41.0), Point::new(102.0, 42.0));
         assert_eq!(g.candidate_sources(&east, 0.0).len(), 1);
-    }
-
-    #[test]
-    fn churn_heuristic_triggers_and_rebuild_resets() {
-        let mut g = DitsGlobal::build(
-            (0..12)
-                .map(|i| {
-                    summary(
-                        i as SourceId,
-                        i as f64 * 10.0,
-                        0.0,
-                        i as f64 * 10.0 + 5.0,
-                        5.0,
-                    )
-                })
-                .collect(),
-            3,
-        );
-        assert!(!g.needs_rebuild());
-        for round in 0..12u32 {
-            let i = round as SourceId % 12;
-            let base = f64::from(round) * 7.0 - 40.0;
-            assert!(g.refresh_source(summary(i, base, 10.0, base + 5.0, 15.0)));
-        }
-        assert!(g.needs_rebuild(), "churn {} should degrade", g.churn());
-        let before = g.summaries();
-        g.rebuild();
-        assert_eq!(g.churn(), 0);
-        assert!(!g.needs_rebuild());
-        assert!(g.check_invariants().is_ok());
-        assert_eq!(g.summaries(), before, "rebuild preserves the summaries");
     }
 
     #[test]
@@ -762,5 +546,81 @@ mod tests {
         assert!(s.geometry.rect.max.x > 179.0);
         assert!(s.geometry.rect.min.y < -89.0);
         assert!(s.geometry.rect.max.y > 89.0);
+    }
+
+    /// Prints how to replay a failing case: the vendored proptest neither
+    /// shrinks nor reports its inputs, and every input here derives from one
+    /// seed.
+    struct ReplayOnPanic(u64);
+
+    impl Drop for ReplayOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "DITS-G mutator case failed; replay it with `run_mutator_case({})` from a #[test]",
+                    self.0
+                );
+            }
+        }
+    }
+
+    /// One put / replace / remove sequence over eight ids and a coarse
+    /// rectangle lattice (so regions touch, nest and coincide), fully
+    /// determined by `case_seed`.  After every op the index must be the one
+    /// `build` makes from the surviving summaries.
+    fn run_mutator_case(case_seed: u64) {
+        let _replay = ReplayOnPanic(case_seed);
+        let mut rng = TestRng::from_name(&format!("global-{case_seed}"));
+        let rect = (-6i32..6, -6i32..6, 0i32..4, 0i32..4);
+        let capacity = (1usize..4).generate(&mut rng);
+        let ops =
+            proptest::collection::vec((0u8..3, 0u16..8, rect.clone()), 1..40).generate(&mut rng);
+        let probes = proptest::collection::vec((rect, 0.0f64..25.0), 8..9).generate(&mut rng);
+        let lattice = |(x, y, w, h): (i32, i32, i32, i32)| {
+            Mbr::new(
+                Point::new(f64::from(x) * 10.0, f64::from(y) * 10.0),
+                Point::new(f64::from(x + w) * 10.0, f64::from(y + h) * 10.0),
+            )
+        };
+
+        let mut index = DitsGlobal::build(Vec::new(), capacity);
+        let mut survivors: BTreeMap<SourceId, SourceSummary> = BTreeMap::new();
+        for (kind, id, r) in ops {
+            if kind == 2 {
+                assert_eq!(index.remove_source(id), survivors.remove(&id).is_some());
+            } else {
+                let s = SourceSummary {
+                    source: id,
+                    geometry: NodeGeometry::from_mbr(lattice(r)),
+                    resolution: 12,
+                };
+                assert_eq!(index.put_source(s), survivors.insert(id, s).is_some());
+            }
+            let built = DitsGlobal::build(survivors.values().copied().collect(), capacity);
+            let image = encode_global(&index);
+            assert_eq!(image, encode_global(&built));
+            assert_eq!(encode_global(&decode_global(&image).unwrap()), image);
+            assert_eq!(index.check_invariants(), Ok(()));
+            for &(r, slack) in &probes {
+                let probe = lattice(r);
+                let routed = index.candidate_sources(&probe, slack);
+                assert_eq!(routed, built.candidate_sources(&probe, slack));
+                // And lossless: no source whose region lies within the slack
+                // of the probe is pruned, at any tree shape.
+                for s in survivors.values() {
+                    if s.geometry.rect.min_distance(&probe) <= slack {
+                        assert!(routed.contains(s), "source {} was pruned", s.source);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_mutators_leave_the_index_build_makes(case_seed in any::<u64>()) {
+            run_mutator_case(case_seed);
+        }
     }
 }

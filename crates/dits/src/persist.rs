@@ -15,12 +15,21 @@
 //! * a magic number plus a format version so stale images fail loudly
 //!   instead of decoding garbage.
 //!
-//! Leaf inverted indexes are *not* stored: they are fully determined by the
+//! An image stores what cannot be recomputed and nothing else.  Leaf
+//! inverted indexes are *not* stored: they are fully determined by the
 //! leaf's dataset nodes and are rebuilt during decoding, which keeps the
 //! image smaller and removes a whole class of corruption (a posting list
-//! disagreeing with its entries).
+//! disagreeing with its entries).  By the same rule a global image is the
+//! leaf capacity and the source summaries ascending by id: DITS-G is what
+//! [`DitsGlobal::build`] makes of them, so there is no arena of child
+//! pointers to parse and distrust.
+//!
+//! Images are untrusted input.  Every declared count is checked against the
+//! bytes left, at the smallest encoding of one element, *before* anything is
+//! reserved for it, and a decoder accepts only what its encoder writes (cell
+//! gaps after the first are non-zero, summary ids strictly ascend).
 
-use crate::global::{DitsGlobal, GlobalNode};
+use crate::global::{DitsGlobal, SourceSummary};
 use crate::local::{inverted_of, DitsLocal, DitsLocalConfig, NodeIdx, NodeKind, TreeNode};
 use crate::node::{DatasetNode, NodeGeometry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -34,8 +43,23 @@ use std::path::Path;
 const MAGIC: u32 = 0x4449_5453;
 /// Magic number at the start of every global index image (`"DITG"`).
 const GLOBAL_MAGIC: u32 = 0x4449_5447;
-/// Current format version; bump when the encoding changes incompatibly.
+/// Current format version of local images; bump when the encoding changes
+/// incompatibly.
 const VERSION: u16 = 1;
+/// Current format version of global images.  Version 1 stored the tree's
+/// node arena and is refused; a center without a readable image polls its
+/// sources for their summaries instead.
+const GLOBAL_VERSION: u16 = 2;
+
+/// Smallest encoding of one tree node: geometry, parent flag, kind tag and a
+/// leaf's entry count.
+const MIN_TREE_NODE_BYTES: usize = 7 * 8 + 1 + 1 + 8;
+/// Smallest encoding of one dataset node: id, cell count, one cell gap.
+const MIN_DATASET_NODE_BYTES: usize = 4 + 1 + 1;
+/// Every cell gap is a varint of at least one byte.
+const MIN_CELL_BYTES: usize = 1;
+/// Exact encoding of one source summary: id, resolution, four corners.
+const SUMMARY_BYTES: usize = 2 + 4 + 4 * 8;
 
 /// Errors produced while decoding or reading an index image.
 #[derive(Debug)]
@@ -62,7 +86,7 @@ impl fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported DITS image version {v} (supported: {VERSION})"
+                    "unsupported DITS image version {v} (supported: local {VERSION}, global {GLOBAL_VERSION})"
                 )
             }
             PersistError::UnexpectedEof { context } => {
@@ -137,48 +161,24 @@ fn encode_tree_node(buf: &mut BytesMut, node: &TreeNode) {
     }
 }
 
-/// Encodes a global index into its binary image.
-///
-/// The image carries the full arena (tree shape, geometry and every source
-/// summary) plus the maintenance churn counter, so a restarted data center
-/// resumes exactly where it stopped — including how close the tree was to
-/// its next heuristic rebuild.
+/// Encodes a global index into its binary image: the leaf capacity and the
+/// source summaries ascending by id.  The tree is not stored —
+/// [`decode_global`] builds it from the summaries, as every other producer
+/// of a [`DitsGlobal`] does.
 pub fn encode_global(index: &DitsGlobal) -> Bytes {
-    let (nodes, root, leaf_capacity, source_count, churn) = index.parts();
-    let mut buf = BytesMut::with_capacity(64 + nodes.len() * 64);
+    let summaries = index.summaries();
+    let mut buf = BytesMut::with_capacity(32 + summaries.len() * SUMMARY_BYTES);
     buf.put_u32_le(GLOBAL_MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(leaf_capacity as u64);
-    buf.put_u64_le(source_count as u64);
-    buf.put_u64_le(churn as u64);
-    buf.put_u64_le(root as u64);
-    buf.put_u64_le(nodes.len() as u64);
-    for node in nodes {
-        match node {
-            GlobalNode::Internal {
-                geometry,
-                left,
-                right,
-            } => {
-                buf.put_u8(0);
-                encode_geometry(&mut buf, geometry);
-                buf.put_u64_le(*left as u64);
-                buf.put_u64_le(*right as u64);
-            }
-            GlobalNode::Leaf { geometry, sources } => {
-                buf.put_u8(1);
-                encode_geometry(&mut buf, geometry);
-                buf.put_u64_le(sources.len() as u64);
-                for s in sources {
-                    buf.put_u16_le(s.source);
-                    buf.put_u32_le(s.resolution);
-                    buf.put_f64_le(s.geometry.rect.min.x);
-                    buf.put_f64_le(s.geometry.rect.min.y);
-                    buf.put_f64_le(s.geometry.rect.max.x);
-                    buf.put_f64_le(s.geometry.rect.max.y);
-                }
-            }
-        }
+    buf.put_u16_le(GLOBAL_VERSION);
+    buf.put_u64_le(index.leaf_capacity() as u64);
+    buf.put_u64_le(summaries.len() as u64);
+    for s in &summaries {
+        buf.put_u16_le(s.source);
+        buf.put_u32_le(s.resolution);
+        buf.put_f64_le(s.geometry.rect.min.x);
+        buf.put_f64_le(s.geometry.rect.min.y);
+        buf.put_f64_le(s.geometry.rect.max.x);
+        buf.put_f64_le(s.geometry.rect.max.y);
     }
     buf.freeze()
 }
@@ -193,8 +193,8 @@ pub fn save_global(index: &DitsGlobal, path: &Path) -> Result<(), PersistError> 
     Ok(())
 }
 
-/// Decodes a global index from its binary image, verifying structural
-/// invariants.
+/// Decodes a global index from its binary image: checks the summaries and
+/// builds the tree over them.
 pub fn decode_global(image: &[u8]) -> Result<DitsGlobal, PersistError> {
     let mut buf = image;
     let magic = read_u32(&mut buf, "magic")?;
@@ -202,95 +202,28 @@ pub fn decode_global(image: &[u8]) -> Result<DitsGlobal, PersistError> {
         return Err(PersistError::BadMagic(magic));
     }
     let version = read_u16(&mut buf, "version")?;
-    if version != VERSION {
+    if version != GLOBAL_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let leaf_capacity = read_u64(&mut buf, "leaf capacity")? as usize;
-    let source_count = read_u64(&mut buf, "source count")? as usize;
-    let churn = read_u64(&mut buf, "churn")? as usize;
-    let root = read_u64(&mut buf, "root index")? as usize;
-    let node_count = read_u64(&mut buf, "node count")? as usize;
-    if node_count > image.len() {
-        return Err(PersistError::Corrupt(format!(
-            "node count {node_count} larger than the image itself"
-        )));
-    }
-    // The arena is never empty: even an index with no sources has its root
-    // leaf node, and every reachability walk starts by indexing the root.
-    if node_count == 0 {
-        return Err(PersistError::Corrupt("empty node arena".to_string()));
-    }
-    let mut nodes = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        let tag = read_u8(&mut buf, "global node kind")?;
-        let node = match tag {
-            0 => {
-                let geometry = decode_geometry(&mut buf)?;
-                GlobalNode::Internal {
-                    geometry,
-                    left: read_u64(&mut buf, "left child")? as usize,
-                    right: read_u64(&mut buf, "right child")? as usize,
-                }
-            }
-            1 => {
-                let geometry = decode_geometry(&mut buf)?;
-                let n = read_u64(&mut buf, "leaf summary count")? as usize;
-                let mut sources = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    sources.push(decode_summary(&mut buf)?);
-                }
-                GlobalNode::Leaf { geometry, sources }
-            }
-            other => {
-                return Err(PersistError::Corrupt(format!(
-                    "unknown global node kind tag {other}"
-                )));
-            }
-        };
-        nodes.push(node);
-    }
-    if root >= nodes.len() {
-        return Err(PersistError::Corrupt(format!(
-            "root index {root} out of bounds ({} nodes)",
-            nodes.len()
-        )));
-    }
-    // Child pointers must form a proper tree: in bounds and no node adopted
-    // twice.  This rules out cycles and shared subtrees before any
-    // reachability walk runs over the arena.
-    let mut referenced = vec![false; nodes.len()];
-    for (idx, node) in nodes.iter().enumerate() {
-        if let GlobalNode::Internal { left, right, .. } = node {
-            for child in [*left, *right] {
-                if child >= nodes.len() || child == idx {
-                    return Err(PersistError::Corrupt(format!(
-                        "internal {idx} references an invalid child {child}"
-                    )));
-                }
-                match referenced.get_mut(child) {
-                    Some(seen) if *seen => {
-                        return Err(PersistError::Corrupt(format!(
-                            "node {child} has more than one parent"
-                        )));
-                    }
-                    Some(seen) => *seen = true,
-                    None => {
-                        return Err(PersistError::Corrupt(format!(
-                            "internal {idx} references an invalid child {child}"
-                        )));
-                    }
-                }
-            }
+    let count = read_count(
+        read_u64(&mut buf, "summary count")?,
+        buf.remaining(),
+        SUMMARY_BYTES,
+        "declared source summaries",
+    )?;
+    let mut summaries: Vec<SourceSummary> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let summary = decode_summary(&mut buf)?;
+        if summaries.last().is_some_and(|p| p.source >= summary.source) {
+            return Err(PersistError::Corrupt(format!(
+                "source {} is out of ascending id order",
+                summary.source
+            )));
         }
+        summaries.push(summary);
     }
-    if referenced.get(root).copied().unwrap_or(false) {
-        return Err(PersistError::Corrupt(
-            "root is referenced as a child".to_string(),
-        ));
-    }
-    let index = DitsGlobal::from_parts(nodes, root, leaf_capacity.max(1), source_count, churn);
-    index.check_invariants().map_err(PersistError::Corrupt)?;
-    Ok(index)
+    Ok(DitsGlobal::build(summaries, leaf_capacity))
 }
 
 /// Reads the binary image of a global index from a file.
@@ -299,7 +232,7 @@ pub fn load_global(path: &Path) -> Result<DitsGlobal, PersistError> {
     decode_global(&image)
 }
 
-fn decode_summary(buf: &mut &[u8]) -> Result<crate::global::SourceSummary, PersistError> {
+fn decode_summary(buf: &mut &[u8]) -> Result<SourceSummary, PersistError> {
     let source = read_u16(buf, "summary source id")? as SourceId;
     let resolution = read_u32(buf, "summary resolution")?;
     let min = Point::new(
@@ -310,7 +243,12 @@ fn decode_summary(buf: &mut &[u8]) -> Result<crate::global::SourceSummary, Persi
         read_f64(buf, "summary max x")?,
         read_f64(buf, "summary max y")?,
     );
-    Ok(crate::global::SourceSummary {
+    if ![min.x, min.y, max.x, max.y].iter().all(|c| c.is_finite()) {
+        return Err(PersistError::Corrupt(format!(
+            "source {source} has a non-finite corner"
+        )));
+    }
+    Ok(SourceSummary {
         source,
         geometry: NodeGeometry::from_mbr(Mbr::new(min, max)),
         resolution,
@@ -378,15 +316,14 @@ pub fn decode_local(image: &[u8]) -> Result<DitsLocal, PersistError> {
     let leaf_capacity = read_u64(&mut buf, "leaf capacity")? as usize;
     let dataset_count = read_u64(&mut buf, "dataset count")? as usize;
     let root = read_u64(&mut buf, "root index")? as usize;
-    let node_count = read_u64(&mut buf, "node count")? as usize;
-    // A valid arena never has more nodes than bytes in the image — reject
-    // absurd counts before allocating.  And it is never empty: even an
-    // index with no datasets has its root leaf node.
-    if node_count > image.len() {
-        return Err(PersistError::Corrupt(format!(
-            "node count {node_count} larger than the image itself"
-        )));
-    }
+    let node_count = read_count(
+        read_u64(&mut buf, "node count")?,
+        buf.remaining(),
+        MIN_TREE_NODE_BYTES,
+        "declared tree nodes",
+    )?;
+    // The arena is never empty: even an index with no datasets has its root
+    // leaf node.
     if node_count == 0 {
         return Err(PersistError::Corrupt("empty node arena".to_string()));
     }
@@ -433,8 +370,13 @@ fn decode_tree_node(buf: &mut &[u8]) -> Result<TreeNode, PersistError> {
             right: read_u64(buf, "right child")? as NodeIdx,
         },
         1 => {
-            let entry_count = read_u64(buf, "leaf entry count")? as usize;
-            let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
+            let entry_count = read_count(
+                read_u64(buf, "leaf entry count")?,
+                buf.remaining(),
+                MIN_DATASET_NODE_BYTES,
+                "declared leaf entries",
+            )?;
+            let mut entries = Vec::with_capacity(entry_count);
             for _ in 0..entry_count {
                 entries.push(decode_dataset_node(buf)?);
             }
@@ -473,9 +415,17 @@ fn decode_geometry(buf: &mut &[u8]) -> Result<NodeGeometry, PersistError> {
     })
 }
 
+/// Reads a cell set, accepting exactly the bytes [`encode_cell_set`] writes:
+/// a zero gap after the first cell repeats a cell and is rejected, so the
+/// cells arrive strictly increasing and are wrapped as they are.
 fn decode_cell_set(buf: &mut &[u8]) -> Result<CellSet, PersistError> {
-    let len = read_varint(buf)? as usize;
-    let mut cells = Vec::with_capacity(len.min(1 << 24));
+    let len = read_count(
+        read_varint(buf)?,
+        buf.remaining(),
+        MIN_CELL_BYTES,
+        "declared cells",
+    )?;
+    let mut cells = Vec::with_capacity(len);
     let mut previous = 0u64;
     for _ in 0..len {
         let gap = read_varint(buf)?;
@@ -484,7 +434,23 @@ fn decode_cell_set(buf: &mut &[u8]) -> Result<CellSet, PersistError> {
             .ok_or_else(|| PersistError::Corrupt("cell id overflow".to_string()))?;
         cells.push(previous);
     }
-    Ok(CellSet::from_cells(cells))
+    CellSet::from_sorted_cells(cells)
+        .ok_or_else(|| PersistError::Corrupt("repeated cell in a cell set".to_string()))
+}
+
+/// Admits a declared element count only when the bytes left can hold that
+/// many elements at `min_bytes` each, so a forged count is refused as the
+/// cut-off image it is before anything is reserved for it.
+fn read_count(
+    declared: u64,
+    remaining: usize,
+    min_bytes: usize,
+    context: &'static str,
+) -> Result<usize, PersistError> {
+    if declared > (remaining / min_bytes) as u64 {
+        return Err(PersistError::UnexpectedEof { context });
+    }
+    Ok(declared as usize)
 }
 
 fn read_varint(buf: &mut &[u8]) -> Result<u64, PersistError> {
@@ -673,8 +639,64 @@ mod tests {
         assert!(err.to_string().contains("version"));
     }
 
+    /// The image of one leaf holding dataset 7 = {cell 3}, and the offsets
+    /// of its three counts: node count, leaf entry count, cell count.
+    fn one_leaf_image() -> (Vec<u8>, [usize; 3]) {
+        let index = DitsLocal::build(vec![node(7, &[(1, 1)])], DitsLocalConfig::default());
+        let image = encode_local(&index).to_vec();
+        // Magic, version and three words precede the node count; the entry
+        // count is the leaf's last word; the cell count follows the id.
+        let node_count = 4 + 2 + 3 * 8;
+        let leaf = node_count + 8;
+        let entry_count = leaf + MIN_TREE_NODE_BYTES - 8;
+        let cell_count = entry_count + 8 + 4;
+        assert_eq!(image.len(), cell_count + 2, "header, one leaf, one cell");
+        assert!(decode_local(&image).is_ok());
+        (image, [node_count, entry_count, cell_count])
+    }
+
+    #[test]
+    fn forged_counts_are_refused_by_their_count_checks() {
+        let (image, [node_count, entry_count, cell_count]) = one_leaf_image();
+        let eof_context = |image: &[u8]| match decode_local(image) {
+            Err(PersistError::UnexpectedEof { context }) => context,
+            other => panic!("expected a count check to refuse the image, got {other:?}"),
+        };
+        // Each count once as the smallest the bytes behind it cannot hold
+        // (they hold exactly one element) and once as large as it goes; a
+        // reader without the check would reserve for it and fail later,
+        // inside an element, with that element's context.
+        for forged in [2, u64::MAX] {
+            let mut nodes = image.clone();
+            nodes[node_count..node_count + 8].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(eof_context(&nodes), "declared tree nodes");
+
+            let mut entries = image.clone();
+            entries[entry_count..entry_count + 8].copy_from_slice(&forged.to_le_bytes());
+            assert_eq!(eof_context(&entries), "declared leaf entries");
+
+            let mut varint = BytesMut::new();
+            put_varint(&mut varint, forged);
+            let mut cells = image.clone();
+            cells.splice(cell_count..cell_count + 1, varint.freeze().to_vec());
+            assert_eq!(eof_context(&cells), "declared cells");
+        }
+    }
+
+    #[test]
+    fn repeated_cell_is_corrupt_not_deduplicated() {
+        let index = DitsLocal::build(vec![node(7, &[(1, 1), (2, 1)])], DitsLocalConfig::default());
+        let mut image = encode_local(&index).to_vec();
+        // The second cell's gap is the last byte of the image.
+        *image.last_mut().unwrap() = 0;
+        let err = decode_local(&image).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Corrupt(msg) if msg.contains("repeated cell")),
+            "got {err}"
+        );
+    }
+
     fn sample_global(n: u16, capacity: usize) -> DitsGlobal {
-        use crate::global::SourceSummary;
         let summaries: Vec<SourceSummary> = (0..n)
             .map(|i| SourceSummary {
                 source: i,
@@ -691,10 +713,9 @@ mod tests {
     #[test]
     fn global_roundtrip_preserves_summaries_and_routing() {
         let mut index = sample_global(17, 3);
-        // Exercise the maintenance paths so churn and empty leaves survive
-        // the round-trip too.
+        // A maintained index round-trips like a freshly built one.
         assert!(index.remove_source(4));
-        let moved = crate::global::SourceSummary {
+        let moved = SourceSummary {
             source: 9,
             geometry: NodeGeometry::from_mbr(Mbr::new(
                 Point::new(150.0, 60.0),
@@ -702,14 +723,14 @@ mod tests {
             )),
             resolution: 11,
         };
-        assert!(index.refresh_source(moved));
+        assert!(index.put_source(moved));
         let image = encode_global(&index);
         let decoded = decode_global(&image).unwrap();
         assert_eq!(decoded.source_count(), index.source_count());
         assert_eq!(decoded.leaf_capacity(), index.leaf_capacity());
-        assert_eq!(decoded.churn(), index.churn());
         assert_eq!(decoded.summaries(), index.summaries());
         assert!(decoded.check_invariants().is_ok());
+        assert_eq!(encode_global(&decoded), image);
         // Candidate routing is identical after the round-trip.
         for query in [
             Mbr::new(Point::new(-80.0, -10.0), Point::new(-60.0, 10.0)),
@@ -747,15 +768,63 @@ mod tests {
     #[test]
     fn truncated_global_images_fail_loudly() {
         let image = encode_global(&sample_global(12, 3)).to_vec();
-        for cut in [3usize, 9, 30, image.len() / 2, image.len() - 1] {
+        for cut in 0..image.len() {
             let err = decode_global(&image[..cut]).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    PersistError::UnexpectedEof { .. } | PersistError::Corrupt(_)
-                ),
+                matches!(err, PersistError::UnexpectedEof { .. }),
                 "cut at {cut} produced unexpected error {err}"
             );
+        }
+    }
+
+    #[test]
+    fn flipped_global_images_decode_or_fail_typed() {
+        let image = encode_global(&sample_global(12, 3)).to_vec();
+        for at in 0..image.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut flipped = image.clone();
+                flipped[at] ^= mask;
+                // A typed error or a sound index, never a panic.
+                if let Ok(index) = decode_global(&flipped) {
+                    assert_eq!(index.check_invariants(), Ok(()), "byte {at} ^ {mask:#04x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_global_images_end_in_typed_errors() {
+        let image = encode_global(&sample_global(12, 3)).to_vec();
+        let (version, count, first) = (4, 4 + 2 + 8, 4 + 2 + 8 + 8);
+
+        // A summary count the bytes behind it cannot hold — one too many, or
+        // as large as it goes — is refused before anything is reserved.
+        for forged in [13, u64::MAX] {
+            let mut forged_count = image.clone();
+            forged_count[count..count + 8].copy_from_slice(&forged.to_le_bytes());
+            assert!(matches!(
+                decode_global(&forged_count),
+                Err(PersistError::UnexpectedEof {
+                    context: "declared source summaries"
+                })
+            ));
+        }
+
+        // The arena images of version 1 are refused by name.
+        let mut v1 = image.clone();
+        v1[version..version + 2].copy_from_slice(&1u16.to_le_bytes());
+        let err = decode_global(&v1).unwrap_err();
+        assert!(matches!(err, PersistError::UnsupportedVersion(1)));
+        assert!(err.to_string().contains("global 2"), "got {err}");
+
+        // Summaries out of ascending id order, and a non-finite corner.
+        let mut swapped = image.clone();
+        swapped[first..first + 2 * SUMMARY_BYTES].rotate_left(SUMMARY_BYTES);
+        let mut nan = image.clone();
+        nan[first + 6..first + 14].copy_from_slice(&f64::NAN.to_le_bytes());
+        for bad in [swapped, nan] {
+            let err = decode_global(&bad).unwrap_err();
+            assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
         }
     }
 
@@ -763,23 +832,15 @@ mod tests {
     fn zero_node_images_are_rejected_not_panicking() {
         // A crafted header declaring an empty arena with root = 0 used to
         // slip past the bounds check and panic inside the invariant walk.
-        for magic in [MAGIC, GLOBAL_MAGIC] {
-            let mut image = Vec::new();
-            image.put_u32_le(magic);
-            image.put_u16_le(VERSION);
-            // leaf capacity + (dataset|source) count [+ churn] + root +
-            // node_count, all zero: more header words than either format
-            // reads, so both decoders see node_count = 0.
-            for _ in 0..6 {
-                image.put_u64_le(0);
-            }
-            let err = if magic == MAGIC {
-                decode_local(&image).unwrap_err()
-            } else {
-                decode_global(&image).unwrap_err()
-            };
-            assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
+        let mut image = Vec::new();
+        image.put_u32_le(MAGIC);
+        image.put_u16_le(VERSION);
+        // leaf capacity, dataset count, root, node count: all zero.
+        for _ in 0..4 {
+            image.put_u64_le(0);
         }
+        let err = decode_local(&image).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupt(_)), "got {err}");
     }
 
     #[test]
@@ -819,7 +880,9 @@ mod tests {
                 .map(|(i, c)| node(i as DatasetId, c))
                 .collect();
             let index = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: capacity });
-            let decoded = decode_local(&encode_local(&index)).unwrap();
+            let image = encode_local(&index);
+            let decoded = decode_local(&image).unwrap();
+            prop_assert_eq!(encode_local(&decoded), image);
             prop_assert_eq!(decoded.dataset_count(), index.dataset_count());
             prop_assert!(decoded.check_invariants().is_ok());
             // Every dataset's cells survive the roundtrip bit for bit.

@@ -94,8 +94,8 @@ impl<'a> std::iter::Sum<&'a SearchStats> for SearchStats {
 /// pipeline threads one block per `ApplyUpdates` batch so the harness (and
 /// operators) can see *how* the indexes absorbed a batch — how many updates
 /// relocated a dataset across leaves, how often an emptied leaf was
-/// collapsed into its sibling, and whether the data center decided to
-/// rebuild DITS-G.
+/// collapsed into its sibling, and how often the data center built DITS-G
+/// anew.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintenanceStats {
     /// Datasets inserted into a local index.
@@ -114,9 +114,9 @@ pub struct MaintenanceStats {
     pub leaf_splits: usize,
     /// Emptied leaves collapsed into their sibling after a delete.
     pub leaf_collapses: usize,
-    /// Source summaries refreshed in DITS-G.
+    /// Source summaries put into DITS-G (replaced or newly registered).
     pub summary_refreshes: usize,
-    /// Full DITS-G rebuilds triggered by the degradation heuristic.
+    /// DITS-G builds: one per change to its summaries, removals included.
     pub global_rebuilds: usize,
 }
 

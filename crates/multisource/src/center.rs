@@ -6,6 +6,12 @@
 //! in DITS-G, never from a local index.  That is what makes the planning
 //! transport-agnostic: the same plan executes against in-process sources and
 //! against remote `source-server` processes, byte for byte.
+//!
+//! Maintenance has one way into DITS-G: [`DataCenter::apply_updates`] puts
+//! the summary a source answers a batch with (or removes the source when the
+//! batch emptied it), and the index builds itself over the edited summary
+//! list.  A maintained center is therefore the center
+//! [`DataCenter::build`] makes from the mutated sources.
 
 use std::collections::BTreeMap;
 
@@ -139,7 +145,7 @@ impl DataCenter {
     /// origin), can answer no query, and would otherwise attract
     /// origin-adjacent queries for nothing.  The maintenance path readmits
     /// such a source as soon as an applied batch gives it data (see
-    /// [`Self::register_source`]).
+    /// [`Self::apply_updates`]).
     pub fn build(sources: &[DataSource], leaf_capacity: usize) -> Self {
         let summaries = sources
             .iter()
@@ -178,7 +184,9 @@ impl DataCenter {
 
     /// Reassembles a data center around a recovered global index (e.g. one
     /// decoded from a [`dits::persist`] image after a restart), skipping the
-    /// summary re-poll of every source that [`Self::build`] performs.
+    /// summary poll of every source that [`Self::from_transport`] performs —
+    /// which is what a center does when it has no image, or one the decoder
+    /// refuses (the arena images of format version 1 are).
     pub fn from_global(global: DitsGlobal) -> Self {
         Self { global }
     }
@@ -250,17 +258,24 @@ impl DataCenter {
         comm.record_reply(reply.reply_bytes);
         let mut stats = reply.maintenance.unwrap_or_default();
         let (summary, dataset_count) = Self::refreshed_summary(reply.message)?;
+        // Fold the summary into DITS-G before returning, so the next query
+        // batch is planned against summaries that agree with every local
+        // index.  Either mutator builds the tree over the edited summaries.
         if dataset_count == 0 {
             // The batch emptied the source.  An empty index has only a
             // degenerate placeholder geometry and can answer no query, so
             // it is dropped from DITS-G (readmitted when data returns)
             // instead of attracting origin-adjacent queries for nothing.
-            self.remove_source(source, &mut stats);
-        } else if !self.apply_refresh(summary, &mut stats) {
-            // Unknown to DITS-G: the source was empty at build time or was
-            // dropped when a previous batch emptied it — register it now
-            // that it holds data again.
-            self.register_source(summary, &mut stats);
+            if self.global.remove_source(source) {
+                stats.global_rebuilds += 1;
+            }
+        } else {
+            // Replaces the source's summary, or registers one for a source
+            // DITS-G does not know: it was empty at build time, or dropped
+            // when a previous batch emptied it, and holds data again.
+            self.global.put_source(summary);
+            stats.summary_refreshes += 1;
+            stats.global_rebuilds += 1;
         }
         // Debug-build hardening: the maintenance path is DITS-G's only
         // writer, so validate the whole tree after every folded batch.
@@ -288,54 +303,6 @@ impl DataCenter {
             Message::Error { code, detail } => Err(TransportError::Remote { code, detail }.into()),
             _ => Err(TransportError::UnexpectedReply("SummaryRefresh").into()),
         }
-    }
-
-    /// Folds a source's refreshed root summary into DITS-G — the center half
-    /// of the maintenance protocol.  Runs *before* the maintenance call
-    /// returns, so the next query batch is planned against summaries that
-    /// agree with every source's local index.
-    ///
-    /// When the accumulated in-place churn degrades the global tree (see
-    /// [`DitsGlobal::needs_rebuild`]), the tree is rebuilt from its current
-    /// summaries on the spot.
-    ///
-    /// Returns `false` when the source is not registered in DITS-G.
-    pub fn apply_refresh(&mut self, summary: SourceSummary, stats: &mut MaintenanceStats) -> bool {
-        if !self.global.refresh_source(summary) {
-            return false;
-        }
-        stats.summary_refreshes += 1;
-        if self.global.needs_rebuild() {
-            self.global.rebuild();
-            stats.global_rebuilds += 1;
-        }
-        true
-    }
-
-    /// Registers a summary for a source DITS-G does not know yet: one that
-    /// joined the federation, was empty when the center was built, or was
-    /// dropped when maintenance emptied it and now holds data again.
-    pub fn register_source(&mut self, summary: SourceSummary, stats: &mut MaintenanceStats) {
-        self.global.insert_source(summary);
-        stats.summary_refreshes += 1;
-        if self.global.needs_rebuild() {
-            self.global.rebuild();
-            stats.global_rebuilds += 1;
-        }
-    }
-
-    /// Unregisters a source from DITS-G (a source leaving the federation,
-    /// or one whose index shrank to empty).
-    /// Returns `false` when the source is not registered.
-    pub fn remove_source(&mut self, source: SourceId, stats: &mut MaintenanceStats) -> bool {
-        if !self.global.remove_source(source) {
-            return false;
-        }
-        if self.global.needs_rebuild() {
-            self.global.rebuild();
-            stats.global_rebuilds += 1;
-        }
-        true
     }
 
     /// The connectivity slack used when routing CJSP queries, in degrees:

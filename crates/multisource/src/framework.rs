@@ -24,7 +24,6 @@ use spatial::{Grid, SourceId, SpatialDataset};
 
 use crate::api::{SearchRequest, SearchResponse};
 use crate::center::{DataCenter, DistributionStrategy, MaintenanceOutcome};
-use crate::comm::CommConfig;
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::{ConfigError, SearchError};
 use crate::message::UpdateOp;
@@ -44,8 +43,6 @@ pub struct FrameworkConfig {
     pub strategy: DistributionStrategy,
     /// Worker threads of the query engine; `0` means one per available CPU.
     pub workers: usize,
-    /// Simulated network parameters.
-    pub comm: CommConfig,
 }
 
 impl Default for FrameworkConfig {
@@ -56,7 +53,6 @@ impl Default for FrameworkConfig {
             delta_cells: 10.0,
             strategy: DistributionStrategy::PrunedClipped,
             workers: 0,
-            comm: CommConfig::default(),
         }
     }
 }
@@ -207,6 +203,7 @@ impl MultiSourceFramework {
 mod tests {
     use super::*;
     use crate::api::SearchRequest;
+    use crate::comm::CommConfig;
     use crate::error::{ConfigError, SearchError};
     use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
     use spatial::Point;

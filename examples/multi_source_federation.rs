@@ -57,7 +57,6 @@ fn main() {
                 delta_cells: 10.0,
                 strategy,
                 workers: 0, // one engine worker per CPU
-                comm: comm_config,
             },
         )
         .expect("static configuration is valid");
