@@ -14,26 +14,24 @@
 //! ```
 //!
 //! Every measured kernel reports throughput (`ops_per_sec`) plus per-op
-//! `p50_ns` / `p99_ns`; the `deltas` section pairs each new kernel with its
-//! baseline **measured in the same run**, so the committed speedups are
-//! apples-to-apples on one machine:
+//! `p50_ns` / `p99_ns`; the `deltas` section pairs a kernel with a baseline
+//! **measured in the same run**, so the committed speedup is
+//! apples-to-apples on one machine.  Rows without a same-run baseline are
+//! compared across snapshots:
 //!
 //! * `kernel/intersection/dense-grid` — the word-parallel (popcount) cell
-//!   intersection against the scalar sorted-merge on dense grid sets.
-//! * `kernel/distance/cached`, `kernel/distance/bounded` — the verification
-//!   plane sweep over the cached per-node sorted-coordinate state, without
-//!   and with a k-th-best cutoff, against the fresh-state unbounded sweep.
+//!   intersection against the scalar sorted-merge on dense grid sets (the
+//!   one delta).
+//! * `kernel/distance/cached`, `kernel/distance/bounded` — the dataset
+//!   distance kernel over the cached packed and boundary state, without and
+//!   with a k-th-best cutoff.
 //! * `kernel/inverted/build`, `kernel/inverted/verify` — building one leaf's
 //!   columnar inverted index from its entries, and one exact verification
-//!   (sorted query merged against a leaf's key column).  No same-run
-//!   baseline: the rows are compared across snapshots.
-//! * `batch/ojsp/per-query`, `batch/cjsp/per-query` — the per-query search
-//!   loop over the five local indexes.  No same-run baseline: the rows are
-//!   compared across snapshots.
-//! * `knn/per-query` — the bounded kNN verification kernel against the
-//!   unbounded fresh-state oracle over the same indexes.
+//!   (sorted query merged against a leaf's key column).
+//! * `batch/ojsp/per-query`, `batch/cjsp/per-query`, `knn/per-query` — the
+//!   per-query search loops over the five local indexes.
 //! * `engine/ojsp/per-query` — the same OJSP batch end to end through the
-//!   in-process multi-source engine.  Compared across snapshots.
+//!   in-process multi-source engine.
 //!
 //! The `transport` section measures the federated deployment itself: the
 //! same OJSP / kNN workload driven over loopback TCP through the pooled,
@@ -61,23 +59,25 @@
 //! section records the machine context (CPU count, cargo profile, git
 //! commit) the numbers were taken in.
 //!
-//! The suite asserts result parity between every new/baseline pair before
-//! timing them, so a snapshot can never report the speed of diverging code.
+//! The suite asserts result parity between every kernel and its baseline or
+//! oracle before timing it, so a snapshot can never report the speed of
+//! diverging code.
 
 use std::time::{Duration, Instant};
 
 use bench::ExperimentEnv;
+use dits::knn::nearest_datasets_bruteforce;
 use dits::local::NodeKind;
 use dits::{
-    coverage_search, nearest_datasets, nearest_datasets_unbounded, overlap_search, CoverageConfig,
-    DatasetNode, DitsLocal, DitsLocalConfig, InvertedIndex,
+    coverage_search, nearest_datasets, overlap_search, CoverageConfig, DatasetNode, DitsLocal,
+    DitsLocalConfig, InvertedIndex,
 };
 use multisource::{
     DataCenter, FrameworkConfig, Message, QueryEngine, SearchRequest, SearchResponse, SourceServer,
     UpdateOp,
 };
 use net::PooledTcpTransport;
-use spatial::distance::{dataset_distance, dataset_distance_bounded, dataset_distance_uncached};
+use spatial::distance::{dataset_distance, dataset_distance_bounded};
 use spatial::zorder::cell_id;
 use spatial::{CellSet, SpatialDataset};
 
@@ -97,8 +97,10 @@ Usage: bench-runner [--quick] [--out PATH]
 /// fleet); v5 added the `kernel/inverted/*` rows and the `index` block; v6
 /// added the `maintenance` section; v7 dropped the `batch/*/frontier` and
 /// `engine/ojsp/per-source-batch` rows with the code they measured; v8
-/// dropped the `transport/per-call/*` rows likewise.
-const SCHEMA_VERSION: u64 = 8;
+/// dropped the `transport/per-call/*` rows likewise; v9 the
+/// `kernel/distance/unbounded` and `knn/per-query/unbounded` rows and the
+/// three deltas they were the baseline of.
+const SCHEMA_VERSION: u64 = 9;
 
 /// The oldest schema `--validate` still accepts, so the previous snapshot
 /// can stay in the tree beside the new one; each version's additions are
@@ -480,8 +482,8 @@ fn run_suite(quick: bool) -> Suite {
     deltas.push(delta("kernel/intersection/dense-grid", &packed, &scalar));
     kernels.extend([packed, scalar, adaptive]);
 
-    // -- Kernel: verification plane sweep, fresh vs cached vs bounded -------
-    eprintln!("[2/9] kernel/distance (verification sweep variants)");
+    // -- Kernel: dataset distance, without and with a cutoff ----------------
+    eprintln!("[2/9] kernel/distance (cached and bounded)");
     let env = ExperimentEnv::new(divisor, 0xBEEF);
     // The framework is built before anything else allocates, so the resident
     // set around the build is the framework's own.
@@ -498,74 +500,52 @@ fn run_suite(quick: bool) -> Suite {
     assert!(!queries.is_empty(), "query workload must not be empty");
     let batch_ops = indexes.len() * queries.len();
 
-    // Query-vs-dataset pairs drawn from the real workload, so the sweep sees
-    // the coordinate distributions the kNN verifier actually walks.
-    let sweep_nodes = env.dataset_nodes(0, theta);
-    let sweep_pairs: Vec<(&CellSet, &CellSet)> = queries
+    // Query-vs-dataset pairs drawn from the real workload, so the kernel
+    // sees the coordinate distributions the kNN verifier actually walks.
+    let distance_nodes = env.dataset_nodes(0, theta);
+    let distance_pairs: Vec<(&CellSet, &CellSet)> = queries
         .iter()
-        .flat_map(|q| sweep_nodes.iter().step_by(7).map(move |n| (q, &n.cells)))
+        .flat_map(|q| distance_nodes.iter().step_by(7).map(move |n| (q, &n.cells)))
         .take(64)
         .collect();
-    assert!(!sweep_pairs.is_empty(), "sweep workload must not be empty");
-    // Exact-answer parity before timing; this pass also materialises the
-    // cached sorted-coordinate state the cached/bounded kernels reuse.
-    let sweep_truths: Vec<f64> = sweep_pairs
+    assert!(
+        !distance_pairs.is_empty(),
+        "distance workload must not be empty"
+    );
+    // This pass also materialises the cached packed and boundary state both
+    // rows reuse; the bounded kernel must be exact at its own cutoff.
+    let distance_truths: Vec<f64> = distance_pairs
         .iter()
-        .map(|(q, c)| dataset_distance_uncached(q, c))
+        .map(|(q, c)| dataset_distance(q, c))
         .collect();
-    for (&(q, c), &truth) in sweep_pairs.iter().zip(&sweep_truths) {
-        assert_eq!(
-            dataset_distance(q, c),
-            truth,
-            "cached sweep diverged from the fresh-state oracle"
-        );
+    for (&(q, c), &truth) in distance_pairs.iter().zip(&distance_truths) {
         assert_eq!(
             dataset_distance_bounded(q, c, truth),
             truth,
-            "bounded sweep diverged from the oracle at its own cutoff"
+            "bounded distance diverged from the exact one at its own cutoff"
         );
     }
-    let sweep_unbounded = measure(
-        "kernel/distance/unbounded",
-        kernel_samples,
-        sweep_pairs.len(),
-        || {
-            for (q, c) in &sweep_pairs {
-                std::hint::black_box(dataset_distance_uncached(q, std::hint::black_box(c)));
-            }
-        },
-    );
-    let sweep_cached = measure(
+    let distance_cached = measure(
         "kernel/distance/cached",
         kernel_samples,
-        sweep_pairs.len(),
+        distance_pairs.len(),
         || {
-            for (q, c) in &sweep_pairs {
+            for (q, c) in &distance_pairs {
                 std::hint::black_box(dataset_distance(q, std::hint::black_box(c)));
             }
         },
     );
-    let sweep_bounded = measure(
+    let distance_bounded = measure(
         "kernel/distance/bounded",
         kernel_samples,
-        sweep_pairs.len(),
+        distance_pairs.len(),
         || {
-            for (&(q, c), &truth) in sweep_pairs.iter().zip(&sweep_truths) {
+            for (&(q, c), &truth) in distance_pairs.iter().zip(&distance_truths) {
                 std::hint::black_box(dataset_distance_bounded(q, std::hint::black_box(c), truth));
             }
         },
     );
-    deltas.push(delta(
-        "kernel/distance/cached",
-        &sweep_cached,
-        &sweep_unbounded,
-    ));
-    deltas.push(delta(
-        "kernel/distance/bounded",
-        &sweep_bounded,
-        &sweep_unbounded,
-    ));
-    kernels.extend([sweep_unbounded, sweep_cached, sweep_bounded]);
+    kernels.extend([distance_cached, distance_bounded]);
 
     // -- Leaf inverted index: column build and exact verification -----------
     eprintln!("[3/9] kernel/inverted (leaf column build + verification merge)");
@@ -588,7 +568,7 @@ fn run_suite(quick: bool) -> Suite {
             .iter()
             .flat_map(|(entries, _)| entries.iter().map(DatasetNode::coverage))
             .sum(),
-        // Measured before any query packs the bound sets: the columns alone.
+        // Measured before any query packs the key columns: the columns alone.
         inverted_bytes: leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum(),
         local_index_bytes: indexes.iter().map(DitsLocal::memory_bytes).sum(),
         rss_before_build_mb,
@@ -661,32 +641,24 @@ fn run_suite(quick: bool) -> Suite {
         }
     }));
 
-    eprintln!("[5/9] knn/per-query bounded vs unbounded oracle");
-    for index in &indexes {
+    eprintln!("[5/9] knn/per-query");
+    for (s, index) in indexes.iter().enumerate() {
+        let nodes = env.dataset_nodes(s, theta);
         for q in &queries {
             assert_eq!(
-                nearest_datasets(index, q, k),
-                nearest_datasets_unbounded(index, q, k),
-                "bounded kNN diverged from the unbounded oracle"
+                nearest_datasets(index, q, k).0,
+                nearest_datasets_bruteforce(&nodes, q, k),
+                "bounded kNN diverged from the brute force"
             );
         }
     }
-    let knn_unbounded = measure("knn/per-query/unbounded", samples, batch_ops, || {
-        for index in &indexes {
-            for q in &queries {
-                std::hint::black_box(nearest_datasets_unbounded(index, q, k));
-            }
-        }
-    });
-    let knn_bounded = measure("knn/per-query", samples, batch_ops, || {
+    kernels.push(measure("knn/per-query", samples, batch_ops, || {
         for index in &indexes {
             for q in &queries {
                 std::hint::black_box(nearest_datasets(index, q, k));
             }
         }
-    });
-    deltas.push(delta("knn/per-query", &knn_bounded, &knn_unbounded));
-    kernels.extend([knn_unbounded, knn_bounded]);
+    }));
 
     // -- The in-process engine over the full multi-source framework ----------
     eprintln!("[6/9] engine/ojsp/per-query");

@@ -1,8 +1,9 @@
 //! Pruning bounds used by the two search algorithms.
 //!
 //! * Lemmas 2–3: per-leaf **overlap** upper and lower bounds computed from
-//!   the leaf's inverted index, allowing OverlapSearch to prune (or keep) an
-//!   entire leaf without touching its individual datasets.
+//!   the leaf's inverted index.  The upper bound lets OverlapSearch prune an
+//!   entire leaf without touching its individual datasets; the lower bound
+//!   is stated for completeness and checked, not used.
 //! * Lemma 4: **distance** lower and upper bounds between two nodes derived
 //!   from the triangle inequality over their pivots and radii, allowing
 //!   CoverageSearch to accept or reject whole subtrees when checking the
@@ -14,20 +15,24 @@ use spatial::CellSet;
 
 /// Upper bound of Lemma 2: the number of query cells that appear in the
 /// leaf's inverted index.  No dataset stored in the leaf can intersect the
-/// query in more cells than this.
+/// query in more cells than this.  The key column is a [`CellSet`], so the
+/// bound is one word-parallel AND+popcount against its cached packed form.
 pub fn leaf_overlap_upper_bound(inverted: &InvertedIndex, query: &CellSet) -> usize {
-    query.iter().filter(|&c| inverted.contains_cell(c)).count()
+    query.intersection_size_packed(inverted.keys())
 }
 
 /// Lower bound of Lemma 3: the number of query cells whose posting list
 /// contains *every* dataset of the leaf (`|c.pl| = |N_leaf.ch|`).  Every
 /// dataset stored in the leaf intersects the query in at least this many
 /// cells.
-pub fn leaf_overlap_lower_bound(
-    inverted: &InvertedIndex,
-    query: &CellSet,
-    leaf_size: usize,
-) -> usize {
+///
+/// OverlapSearch does not evaluate it: leaves are verified in descending
+/// upper-bound order against the exact k-th best overlap, which already
+/// discards every leaf this bound could, so it is read off the posting lists
+/// here, with no state kept for it, for the tests that check the paper's
+/// statement.
+pub fn leaf_overlap_lower_bound(inverted: &InvertedIndex, query: &CellSet) -> usize {
+    let leaf_size = inverted.dataset_count();
     if leaf_size == 0 {
         return 0;
     }
@@ -36,32 +41,9 @@ pub fn leaf_overlap_lower_bound(
         .filter(|&c| {
             inverted
                 .posting_list(c)
-                .map(|pl| pl.len() == leaf_size)
-                .unwrap_or(false)
+                .is_some_and(|pl| pl.len() == leaf_size)
         })
         .count()
-}
-
-/// Both bounds of Lemmas 2–3.
-///
-/// The inverted index holds its cell universe (the key column) and its
-/// fully-shared cells as [`CellSet`]s, so both bounds are set intersections
-/// evaluated by the word-parallel AND+popcount kernel — no per-cell
-/// posting-list walks.  `leaf_size` is `|N_leaf.ch|`, which the tree
-/// invariants keep equal to the index's own dataset count.  The standalone
-/// [`leaf_overlap_upper_bound`] / [`leaf_overlap_lower_bound`] functions keep
-/// the scalar definition as a parity cross-check.
-pub fn leaf_overlap_bounds(
-    inverted: &InvertedIndex,
-    query: &CellSet,
-    leaf_size: usize,
-) -> (usize, usize) {
-    debug_assert_eq!(leaf_size, inverted.dataset_count());
-    let (all, full) = inverted.overlap_bound_sets();
-    (
-        query.intersection_size_packed(full),
-        query.intersection_size_packed(all),
-    )
 }
 
 /// Distance bounds of Lemma 4: the cell-based dataset distance between the
@@ -102,9 +84,8 @@ mod tests {
         let d2 = CellSet::from_cells([9u64, 12, 13]);
         let inv = InvertedIndex::build([(1u32, &d1), (2u32, &d2)]);
         let query = CellSet::from_cells([3u64, 9]);
-        let (lb, ub) = leaf_overlap_bounds(&inv, &query, 2);
-        assert_eq!(ub, 1);
-        assert_eq!(lb, 1);
+        assert_eq!(leaf_overlap_upper_bound(&inv, &query), 1);
+        assert_eq!(leaf_overlap_lower_bound(&inv, &query), 1);
     }
 
     #[test]
@@ -114,7 +95,8 @@ mod tests {
         let d3 = cs(&[(1, 0), (2, 0), (9, 9)]);
         let inv = InvertedIndex::build([(1u32, &d1), (2u32, &d2), (3u32, &d3)]);
         let query = cs(&[(0, 0), (1, 0), (2, 0), (7, 7)]);
-        let (lb, ub) = leaf_overlap_bounds(&inv, &query, 3);
+        let ub = leaf_overlap_upper_bound(&inv, &query);
+        let lb = leaf_overlap_lower_bound(&inv, &query);
         for d in [&d1, &d2, &d3] {
             let exact = d.intersection_size(&query);
             assert!(lb <= exact, "lb {lb} > exact {exact}");
@@ -129,9 +111,8 @@ mod tests {
     fn empty_leaf_has_zero_bounds() {
         let inv = InvertedIndex::new();
         let query = cs(&[(0, 0)]);
-        assert_eq!(leaf_overlap_bounds(&inv, &query, 0), (0, 0));
         assert_eq!(leaf_overlap_upper_bound(&inv, &query), 0);
-        assert_eq!(leaf_overlap_lower_bound(&inv, &query, 0), 0);
+        assert_eq!(leaf_overlap_lower_bound(&inv, &query), 0);
     }
 
     #[test]
@@ -140,14 +121,13 @@ mod tests {
         let d2 = cs(&[(1, 0), (5, 5)]);
         let inv = InvertedIndex::build([(1u32, &d1), (2u32, &d2)]);
         let query = cs(&[(0, 0), (1, 0), (5, 5)]);
-        assert_eq!(leaf_overlap_bounds(&inv, &query, 2), (1, 3));
+        assert_eq!(leaf_overlap_lower_bound(&inv, &query), 1);
+        assert_eq!(leaf_overlap_upper_bound(&inv, &query), 3);
         // Maintenance rebuilds the columns; the bounds must track the new
         // postings exactly.
         let inv = InvertedIndex::build([(1u32, &d1)]);
-        let (lb, ub) = leaf_overlap_bounds(&inv, &query, 1);
-        assert_eq!(ub, leaf_overlap_upper_bound(&inv, &query));
-        assert_eq!(lb, leaf_overlap_lower_bound(&inv, &query, 1));
-        assert_eq!((lb, ub), (2, 2));
+        assert_eq!(leaf_overlap_lower_bound(&inv, &query), 2);
+        assert_eq!(leaf_overlap_upper_bound(&inv, &query), 2);
     }
 
     #[test]
@@ -192,9 +172,10 @@ mod tests {
             let inv = InvertedIndex::build(
                 cell_sets.iter().enumerate().map(|(i, s)| (i as u32, s)));
             let q = cs(&query);
-            let (lb, ub) = leaf_overlap_bounds(&inv, &q, cell_sets.len());
-            prop_assert_eq!(ub, leaf_overlap_upper_bound(&inv, &q));
-            prop_assert_eq!(lb, leaf_overlap_lower_bound(&inv, &q, cell_sets.len()));
+            let ub = leaf_overlap_upper_bound(&inv, &q);
+            let lb = leaf_overlap_lower_bound(&inv, &q);
+            // The packed bound is the scalar definition of Lemma 2.
+            prop_assert_eq!(ub, q.iter().filter(|&c| inv.keys().contains(c)).count());
             for s in &cell_sets {
                 let exact = s.intersection_size(&q);
                 prop_assert!(lb <= exact && exact <= ub);

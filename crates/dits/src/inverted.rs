@@ -4,7 +4,7 @@
 //! IDs (within that leaf) containing the cell.  The inverted index serves two
 //! purposes:
 //!
-//! 1. the overlap bounds of Lemmas 2–3 are computed from its key set and
+//! 1. the overlap bounds of Lemmas 2–3 are read off its key set and
 //!    posting-list sizes, and
 //! 2. the exact verification step of OverlapSearch scans the posting lists of
 //!    a candidate leaf once to obtain exact intersection counts for *all*
@@ -15,11 +15,9 @@
 //! packed-word cache of the bound kernel hangs off the key column itself);
 //! `offsets`, `keys.len() + 1` positions delimiting key `i`'s list as
 //! `postings[offsets[i]..offsets[i + 1]]`; and `postings`, every list back to
-//! back, each ascending by dataset id.  The Lemma 3 bound set (`full`: keys
-//! whose list covers every indexed dataset) is read off the list lengths as
-//! the columns are built.  A leaf holds at most `f` datasets, so the columns
-//! come from one k-way merge of the datasets' already-sorted cell sets and
-//! are never patched in place: every mutation rebuilds them.
+//! back, each ascending by dataset id.  A leaf holds at most `f` datasets,
+//! so the columns come from one k-way merge of the datasets' already-sorted
+//! cell sets and are never patched in place: every mutation rebuilds them.
 
 use serde::{Deserialize, Serialize};
 use spatial::{CellId, CellSet, DatasetId};
@@ -32,8 +30,6 @@ pub struct InvertedIndex {
     keys: CellSet,
     offsets: Vec<u32>,
     postings: Vec<DatasetId>,
-    /// Keys whose posting list holds all `datasets` ids (Lemma 3).
-    full: CellSet,
     /// Number of distinct dataset ids in `postings`.
     datasets: usize,
 }
@@ -80,7 +76,6 @@ impl InvertedIndex {
         let mut keys: Vec<CellId> = Vec::new();
         let mut offsets: Vec<u32> = vec![0];
         let mut postings: Vec<DatasetId> = Vec::with_capacity(total);
-        let mut full: Vec<CellId> = Vec::new();
         while let Some(cell) = cursors.iter().filter_map(|(_, c)| c.first().copied()).min() {
             let start = postings.len();
             for (id, cells) in cursors.iter_mut() {
@@ -93,9 +88,6 @@ impl InvertedIndex {
                         }
                     }
                 }
-            }
-            if postings.len() - start == datasets {
-                full.push(cell);
             }
             keys.push(cell);
             // lint:allow(panic-freedom): a leaf holds at most `f` datasets, so 2^32 postings would need tens of gigabytes of cell sets in one leaf; wrapping an offset instead would silently corrupt every list after it
@@ -110,7 +102,6 @@ impl InvertedIndex {
             keys: CellSet::from_cells(keys),
             offsets,
             postings,
-            full: CellSet::from_cells(full),
             datasets,
         }
     }
@@ -143,9 +134,11 @@ impl InvertedIndex {
         self.list_at(self.keys.cells().binary_search(&cell).ok()?)
     }
 
-    /// Returns `true` when the cell appears in at least one indexed dataset.
-    pub fn contains_cell(&self, cell: CellId) -> bool {
-        self.keys.contains(cell)
+    /// The key column: every cell that appears in at least one indexed
+    /// dataset.  It is the Lemma 2 bound set, and its packed block form is
+    /// cached on first use.
+    pub fn keys(&self) -> &CellSet {
+        &self.keys
     }
 
     /// Exact intersection counts between a query cell set and every dataset
@@ -182,28 +175,19 @@ impl InvertedIndex {
         counts
     }
 
-    /// The Lemma 2/3 bound sets `(all cells, fully-shared cells)`: the key
-    /// column itself and the keys whose list covers every indexed dataset.
-    /// Their packed block forms are cached on first use, so both bounds are
-    /// word-parallel set intersections.
-    pub fn overlap_bound_sets(&self) -> (&CellSet, &CellSet) {
-        (&self.keys, &self.full)
-    }
-
     /// Heap memory of the index in bytes (Fig. 8 right): capacity × element
-    /// size of each column, plus the two bound sets' caches once built.
+    /// size of each column, plus the key column's packed cache once built.
     pub fn memory_bytes(&self) -> usize {
         self.keys.memory_bytes()
             + self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.postings.capacity() * std::mem::size_of::<DatasetId>()
-            + self.full.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::{leaf_overlap_bounds, leaf_overlap_lower_bound, leaf_overlap_upper_bound};
+    use crate::bounds::{leaf_overlap_lower_bound, leaf_overlap_upper_bound};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -280,16 +264,18 @@ mod tests {
                 idx.posting_list(cell).map(<[_]>::to_vec),
                 oracle.posting_list(cell)
             );
-            prop_assert_eq!(idx.contains_cell(cell), oracle.postings.contains_key(&cell));
+            prop_assert_eq!(
+                idx.keys().contains(cell),
+                oracle.postings.contains_key(&cell)
+            );
         }
         prop_assert_eq!(
             idx.intersection_counts(query),
             oracle.intersection_counts(query)
         );
         let n = idx.dataset_count();
-        let (lb, ub) = leaf_overlap_bounds(idx, query, n);
-        prop_assert_eq!(ub, leaf_overlap_upper_bound(idx, query));
-        prop_assert_eq!(lb, leaf_overlap_lower_bound(idx, query, n));
+        let ub = leaf_overlap_upper_bound(idx, query);
+        let lb = leaf_overlap_lower_bound(idx, query);
         let shared = |cell: &u64| oracle.postings.get(cell).is_some_and(|l| l.len() == n);
         prop_assert_eq!(
             ub,
@@ -313,8 +299,8 @@ mod tests {
         assert_eq!(idx.posting_list(23), Some(&[9u32][..]));
         assert_eq!(idx.posting_list(99), None);
         assert_eq!(idx.key_count(), 3);
-        assert!(idx.contains_cell(22));
-        assert!(!idx.contains_cell(21));
+        assert!(idx.keys().contains(22));
+        assert!(!idx.keys().contains(21));
     }
 
     #[test]
@@ -386,21 +372,19 @@ mod tests {
         let a = cs(&(0..300u64).collect::<Vec<_>>());
         let b = cs(&(200..450u64).step_by(2).collect::<Vec<_>>());
         let idx = InvertedIndex::build([(1u32, &a), (2u32, &b)]);
-        let columns = idx.keys.cells().len() * 8
-            + idx.offsets.capacity() * 4
-            + idx.postings.capacity() * 4
-            + idx.full.cells().len() * 8;
+        let columns =
+            idx.keys.cells().len() * 8 + idx.offsets.capacity() * 4 + idx.postings.capacity() * 4;
         assert_eq!(idx.memory_bytes(), columns);
-        // Nothing is over-allocated: 375 keys, 376 offsets, 425 postings and
-        // the 50 even cells of 200..300 that both datasets hold.
-        assert_eq!(columns, 375 * 8 + 376 * 4 + 425 * 4 + 50 * 8);
-        // The bound kernel packs the two bound sets on first use; the
-        // estimate grows by exactly those caches.
+        // Nothing is over-allocated: 375 keys, 376 offsets, 425 postings.
+        assert_eq!(columns, 375 * 8 + 376 * 4 + 425 * 4);
+        // The bound kernel packs the key column on first use; the estimate
+        // grows by exactly that cache.
         let query = cs(&[250, 251]);
-        assert_eq!(leaf_overlap_bounds(&idx, &query, 2), (1, 2));
+        assert_eq!(leaf_overlap_upper_bound(&idx, &query), 2);
+        assert_eq!(leaf_overlap_lower_bound(&idx, &query), 1);
         assert_eq!(
             idx.memory_bytes(),
-            columns + (idx.keys.memory_bytes() - 375 * 8) + (idx.full.memory_bytes() - 50 * 8)
+            columns + (idx.keys.memory_bytes() - 375 * 8)
         );
         assert!(idx.memory_bytes() > columns);
     }

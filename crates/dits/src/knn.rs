@@ -20,9 +20,7 @@ use crate::local::{DitsLocal, NodeIdx, NodeKind};
 use crate::node::NodeGeometry;
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
-use spatial::distance::{
-    dataset_distance, dataset_distance_bounded, dataset_distance_uncached, NeighborProbe,
-};
+use spatial::distance::{dataset_distance, dataset_distance_bounded, NeighborProbe};
 use spatial::{CellSet, DatasetId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -68,40 +66,17 @@ impl Ord for Frontier {
 /// k-NN is a strict generalisation of "is anything joinable nearby?".
 ///
 /// Verification is *bounded*: each candidate's exact distance is computed
-/// with the current k-th best distance as the sweep cutoff
+/// with the current k-th best distance as the kernel's cutoff
 /// ([`dataset_distance_bounded`]), so far candidates abandon after the
-/// x-window check.  Answers and [`SearchStats`] are identical to the
-/// unbounded computation — candidates whose bounded distance exceeds the
-/// cutoff could never enter the result, and candidates at exactly the cutoff
-/// are computed exactly, preserving tie-breaks (proptested against
-/// [`nearest_datasets_unbounded`]).
+/// block-bound checks.  The answer is the brute-force one, ids included —
+/// candidates whose bounded distance exceeds the cutoff could never enter
+/// the result, and candidates at exactly the cutoff are computed exactly,
+/// preserving tie-breaks (proptested against
+/// [`nearest_datasets_bruteforce`]).
 pub fn nearest_datasets(
     index: &DitsLocal,
     query: &CellSet,
     k: usize,
-) -> (Vec<Neighbor>, SearchStats) {
-    nearest_datasets_impl(index, query, k, true)
-}
-
-/// The unbounded, fresh-state oracle: same traversal as
-/// [`nearest_datasets`], but every candidate is verified with
-/// [`dataset_distance_uncached`] (full decompose-and-sort per call, no
-/// cutoff) — exactly the pre-optimisation behaviour.  Kept public as the
-/// parity oracle for the bounded/cached proptests and as the baseline for
-/// the `bench-runner` `knn/per-query` delta row.
-pub fn nearest_datasets_unbounded(
-    index: &DitsLocal,
-    query: &CellSet,
-    k: usize,
-) -> (Vec<Neighbor>, SearchStats) {
-    nearest_datasets_impl(index, query, k, false)
-}
-
-fn nearest_datasets_impl(
-    index: &DitsLocal,
-    query: &CellSet,
-    k: usize,
-    bounded: bool,
 ) -> (Vec<Neighbor>, SearchStats) {
     let mut stats = SearchStats::new();
     if k == 0 || query.is_empty() || index.dataset_count() == 0 {
@@ -162,7 +137,7 @@ fn nearest_datasets_impl(
                             &query_geometry,
                         );
                         // The k-th best doubles as the per-entry prune
-                        // threshold and as the sweep cutoff of the bounded
+                        // threshold and as the cutoff of the bounded
                         // verification.
                         let worst = if results.len() >= k {
                             results.peek().map(|r| r.distance).unwrap_or(f64::INFINITY)
@@ -174,11 +149,7 @@ fn nearest_datasets_impl(
                         }
                         stats.exact_computations += 1;
                         let verify_started = Instant::now();
-                        let distance = if bounded {
-                            dataset_distance_bounded(query, &entry.cells, worst)
-                        } else {
-                            dataset_distance_uncached(query, &entry.cells)
-                        };
+                        let distance = dataset_distance_bounded(query, &entry.cells, worst);
                         verify_time += verify_started.elapsed();
                         let entry = ResultEntry {
                             distance,
@@ -427,12 +398,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, c)| node(i as DatasetId, c))
                 .collect();
-            let idx = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: capacity });
+            let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: capacity });
             let q = cs(&query);
-            let (fast, fast_stats) = nearest_datasets(&idx, &q, k);
-            let (oracle, oracle_stats) = nearest_datasets_unbounded(&idx, &q, k);
-            prop_assert_eq!(fast, oracle);
-            prop_assert_eq!(fast_stats, oracle_stats);
+            prop_assert_eq!(
+                nearest_datasets(&idx, &q, k).0,
+                nearest_datasets_bruteforce(&nodes, &q, k)
+            );
         }
 
         #[test]
@@ -458,12 +429,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, &p)| node(i as DatasetId, pool[p]))
                 .collect();
-            let idx = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: capacity });
+            let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: capacity });
             let q = cs(&query);
-            let (fast, fast_stats) = nearest_datasets(&idx, &q, k);
-            let (oracle, oracle_stats) = nearest_datasets_unbounded(&idx, &q, k);
-            prop_assert_eq!(fast, oracle);
-            prop_assert_eq!(fast_stats, oracle_stats);
+            prop_assert_eq!(
+                nearest_datasets(&idx, &q, k).0,
+                nearest_datasets_bruteforce(&nodes, &q, k)
+            );
         }
 
         #[test]

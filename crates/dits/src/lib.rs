@@ -13,7 +13,7 @@
 //!   of all local indexes, used to route queries to candidate sources.
 //! * [`OverlapSearch`](overlap::overlap_search) (Section VI-B, Algorithm 2):
 //!   an exact branch-and-bound algorithm for the Overlap Joinable Search
-//!   Problem, driven by the per-leaf upper/lower bounds of Lemmas 2–3.
+//!   Problem, driven by the per-leaf upper bound of Lemma 2.
 //! * [`CoverageSearch`](coverage::coverage_search) (Section VI-C,
 //!   Algorithm 3): a greedy `(1−1/e)`-style approximation for the NP-hard
 //!   Coverage Joinable Search Problem: one Lemma 4 range walk
@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
+pub mod codec;
 pub mod coverage;
 pub mod global;
 pub mod inverted;
@@ -42,7 +43,7 @@ pub use coverage::{
 };
 pub use global::{DitsGlobal, SourceSummary};
 pub use inverted::InvertedIndex;
-pub use knn::{nearest_datasets, nearest_datasets_unbounded, range_datasets, Neighbor};
+pub use knn::{nearest_datasets, range_datasets, Neighbor};
 pub use local::{DitsLocal, DitsLocalConfig, TraversalLayout};
 pub use node::{DatasetNode, NodeGeometry};
 pub use overlap::{overlap_search, OverlapResult};

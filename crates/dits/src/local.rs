@@ -38,11 +38,11 @@ impl Default for DitsLocalConfig {
 
 /// Content of a tree node: either an internal node with two children or a
 /// leaf holding dataset nodes plus their inverted index.
-// The Leaf variant is large (the inverted index's two bound sets are inline
-// `CellSet`s, 168 B of cache slots each: `TreeNode` is 488 B), but boxing it
-// would put a pointer chase on the verification hot path, and internal
-// nodes' hot traversal fields already live in the separate SoA
-// `TraversalLayout` — the arena slack is idle memory, not touched per query.
+// The Leaf variant is large (the inverted index's key column is an inline
+// `CellSet` with its two cache slots), but boxing it would put a pointer
+// chase on the verification hot path, and internal nodes' hot traversal
+// fields already live in the separate SoA `TraversalLayout` — the arena
+// slack is idle memory, not touched per query.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum NodeKind {
@@ -71,13 +71,6 @@ pub struct TreeNode {
     pub parent: Option<NodeIdx>,
     /// Node content.
     pub kind: NodeKind,
-}
-
-impl TreeNode {
-    /// Returns `true` when this is a leaf node.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf { .. })
-    }
 }
 
 /// The DITS-L local index of one data source.
@@ -316,9 +309,10 @@ impl DitsLocal {
         bytes + self.layout.get().map_or(0, TraversalLayout::memory_bytes)
     }
 
-    /// Checks the structural invariants of the tree; used by tests and by
-    /// the update module after mutations. Returns a description of the first
-    /// violation found.
+    /// Checks the structural invariants of the tree; used by tests, by the
+    /// update module after mutations and by `decode_local` on an arena read
+    /// from an untrusted image, so it reaches nodes with `get` and never
+    /// indexes.  Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen: Vec<DatasetId> = Vec::new();
         self.check_node(self.root, None, &mut seen)?;
@@ -343,7 +337,10 @@ impl DitsLocal {
         parent: Option<NodeIdx>,
         seen: &mut Vec<DatasetId>,
     ) -> Result<(), String> {
-        let node = &self.nodes[idx];
+        let node = self
+            .nodes
+            .get(idx)
+            .ok_or_else(|| format!("node index {idx} is outside the arena"))?;
         if node.parent != parent {
             return Err(format!("node {idx} has wrong parent pointer"));
         }
@@ -358,7 +355,9 @@ impl DitsLocal {
                         "leaf {idx} is empty but not the root (degenerate geometry leak)"
                     ));
                 }
-                if node.geometry.rect != geometry_of(entries).rect {
+                // The whole geometry, not the MBR alone: Lemma 4 prunes on
+                // pivot and radius.
+                if node.geometry != geometry_of(entries) {
                     return Err(format!("leaf {idx} geometry is stale or loose"));
                 }
                 for e in entries {
@@ -381,20 +380,18 @@ impl DitsLocal {
                 Ok(())
             }
             NodeKind::Internal { left, right } => {
-                let union = self.nodes[*left]
-                    .geometry
-                    .rect
-                    .union(&self.nodes[*right].geometry.rect);
-                if node.geometry.rect != union {
+                let child_geometry = |child: NodeIdx| {
+                    self.nodes.get(child).map(|n| n.geometry).ok_or_else(|| {
+                        format!("internal {idx} has child {child} outside the arena")
+                    })
+                };
+                let union = child_geometry(*left)?.union(&child_geometry(*right)?);
+                if node.geometry != union {
                     return Err(format!(
-                        "internal {idx} MBR is not the exact union of its children"
+                        "internal {idx} geometry is not the exact union of its children"
                     ));
                 }
                 for child in [*left, *right] {
-                    let crect = self.nodes[child].geometry.rect;
-                    if !node.geometry.rect.contains(&crect) {
-                        return Err(format!("internal {idx} MBR does not contain child {child}"));
-                    }
                     self.check_node(child, Some(idx), seen)?;
                 }
                 Ok(())
@@ -599,7 +596,7 @@ mod tests {
         let idx = DitsLocal::build(Vec::new(), DitsLocalConfig::default());
         assert_eq!(idx.dataset_count(), 0);
         assert_eq!(idx.leaves().len(), 1);
-        assert!(idx.node(idx.root()).is_leaf());
+        assert!(matches!(idx.node(idx.root()).kind, NodeKind::Leaf { .. }));
         assert!(idx.check_invariants().is_ok());
     }
 
@@ -644,7 +641,7 @@ mod tests {
         let idx = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: 4 });
         let (leaf, node) = idx.find_dataset(17).unwrap();
         assert_eq!(node.id, 17);
-        assert!(idx.node(leaf).is_leaf());
+        assert!(matches!(idx.node(leaf).kind, NodeKind::Leaf { .. }));
         assert!(idx.find_dataset(1000).is_none());
     }
 

@@ -95,8 +95,8 @@ impl DatasetNode {
 
     /// Estimated heap memory of the node in bytes (cell set plus the fixed
     /// geometry fields), used by the Fig. 8 memory comparison.  The cell
-    /// set's lazily-built caches — packed words and the sorted coordinate
-    /// decomposition of the verification sweep — are counted once built.
+    /// set's lazily-built caches — packed words and the boundary
+    /// decomposition of the distance kernel — are counted once built.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cells.memory_bytes()
     }
@@ -145,10 +145,11 @@ mod tests {
     fn memory_estimate_grows_after_verify_cache_materializes() {
         let n = DatasetNode::from_cell_set(1, cells(&[(0, 0), (3, 1), (7, 9), (2, 2)])).unwrap();
         let cold = n.memory_bytes();
-        // Materialise the cached verify state (the sorted coordinate
-        // decomposition used by the distance sweep): the reported footprint
-        // must grow, keeping the Fig. 8 memory comparison honest.
-        let coords = n.cells.sorted_coords();
+        // Materialise the cached verify state (the boundary decomposition
+        // the distance kernel walks; a four-cell scatter is all boundary):
+        // the reported footprint must grow, keeping the Fig. 8 memory
+        // comparison honest.
+        let coords = n.cells.boundary_coords();
         assert_eq!(coords.len(), n.coverage());
         let warm = n.memory_bytes();
         assert!(

@@ -3,15 +3,15 @@
 //!
 //! Given a query cell set, the algorithm descends DITS-L pruning every
 //! subtree whose MBR does not intersect the query MBR.  Each surviving leaf
-//! gets an upper and a lower bound on the intersection between the query and
-//! *any* dataset it stores (Lemmas 2–3).  Leaves are then verified in
+//! gets an upper bound on the intersection between the query and *any*
+//! dataset it stores (Lemma 2).  Leaves are then verified in
 //! descending upper-bound order; once `k` results are known and the next
 //! leaf's upper bound cannot beat the current `k`-th best intersection, the
 //! remaining leaves are pruned in batch.  Verification of a leaf scans its
 //! inverted index once, producing exact intersection counts for every
 //! dataset in the leaf simultaneously.
 
-use crate::bounds::leaf_overlap_bounds;
+use crate::bounds::leaf_overlap_upper_bound;
 use crate::local::{DitsLocal, NodeIdx, NodeKind, TraversalLayout};
 use crate::node::DatasetNode;
 use crate::stats::SearchStats;
@@ -71,9 +71,9 @@ pub fn overlap_search(
     (results, stats)
 }
 
-/// A candidate leaf awaiting verification: `(upper bound, lower bound, leaf)`
-/// as produced by phase 1 in recursion order.
-type LeafCandidate = (usize, usize, NodeIdx);
+/// A candidate leaf awaiting verification: `(upper bound, leaf)` as produced
+/// by phase 1 in recursion order.
+type LeafCandidate = (usize, NodeIdx);
 
 /// Phase 2 of Algorithm 2: sorts the candidate leaves by decreasing upper
 /// bound, then verifies them exactly with a min-heap of the current top-k,
@@ -87,10 +87,10 @@ fn verify_candidates(
     stats: &mut SearchStats,
 ) -> Vec<OverlapResult> {
     // Order leaves by decreasing upper bound so verification can stop early.
-    candidates.sort_unstable_by_key(|&(ub, _, _)| Reverse(ub));
+    candidates.sort_unstable_by_key(|&(ub, _)| Reverse(ub));
 
     let mut heap: BinaryHeap<Reverse<(usize, Reverse<DatasetId>)>> = BinaryHeap::new();
-    for (ub, _lb, leaf) in candidates {
+    for (ub, leaf) in candidates {
         let kth_best = heap.peek().map_or(0, |Reverse((o, _))| *o);
         if heap.len() >= k && ub <= kth_best {
             // No dataset in this or any later leaf can improve the result.
@@ -137,7 +137,7 @@ fn collect_candidate_leaves(
     node_idx: NodeIdx,
     query_rect: &Mbr,
     query: &CellSet,
-    out: &mut Vec<(usize, usize, NodeIdx)>,
+    out: &mut Vec<LeafCandidate>,
     stats: &mut SearchStats,
 ) {
     stats.nodes_visited += 1;
@@ -152,13 +152,13 @@ fn collect_candidate_leaves(
                 if entries.is_empty() {
                     return;
                 }
-                let (lb, ub) = leaf_overlap_bounds(inverted, query, entries.len());
+                let ub = leaf_overlap_upper_bound(inverted, query);
                 if ub == 0 {
                     // The leaf shares no cell with the query at all.
                     stats.leaves_pruned_by_bounds += 1;
                     return;
                 }
-                out.push((ub, lb, arena_idx));
+                out.push((ub, arena_idx));
             }
         }
         Some((left, right)) => {

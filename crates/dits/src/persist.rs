@@ -10,8 +10,9 @@
 //!
 //! * fixed little-endian scalars (`u8`/`u32`/`u64`/`f64`),
 //! * length-prefixed sequences,
-//! * delta-encoded, varint-compressed cell IDs (cell sets are sorted, so the
-//!   gaps are small and the image ends up far smaller than 8 bytes/cell),
+//! * cell sets in the gap-and-varint form of [`crate::codec`], the bytes they
+//!   cross the wire in (cell sets are sorted, so the gaps are small and the
+//!   image ends up far smaller than 8 bytes/cell),
 //! * a magic number plus a format version so stale images fail loudly
 //!   instead of decoding garbage.
 //!
@@ -26,14 +27,18 @@
 //!
 //! Images are untrusted input.  Every declared count is checked against the
 //! bytes left, at the smallest encoding of one element, *before* anything is
-//! reserved for it, and a decoder accepts only what its encoder writes (cell
-//! gaps after the first are non-zero, summary ids strictly ascend).
+//! reserved for it, and a decoder accepts only what its encoder writes
+//! (varints are the shortest encoding of their value, cell gaps after the
+//! first are non-zero, a node's geometry is the one its content determines,
+//! summary ids strictly ascend), so `encode(decode(b)) == b` for every image
+//! `b` a decoder accepts.
 
+use crate::codec::{get_cells, put_cells, CodecError};
 use crate::global::{DitsGlobal, SourceSummary};
 use crate::local::{inverted_of, DitsLocal, DitsLocalConfig, NodeIdx, NodeKind, TreeNode};
 use crate::node::{DatasetNode, NodeGeometry};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use spatial::{CellSet, Mbr, Point, SourceId};
+use spatial::{Mbr, Point, SourceId};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -56,8 +61,6 @@ const GLOBAL_VERSION: u16 = 2;
 const MIN_TREE_NODE_BYTES: usize = 7 * 8 + 1 + 1 + 8;
 /// Smallest encoding of one dataset node: id, cell count, one cell gap.
 const MIN_DATASET_NODE_BYTES: usize = 4 + 1 + 1;
-/// Every cell gap is a varint of at least one byte.
-const MIN_CELL_BYTES: usize = 1;
 /// Exact encoding of one source summary: id, resolution, four corners.
 const SUMMARY_BYTES: usize = 2 + 4 + 4 * 8;
 
@@ -223,6 +226,7 @@ pub fn decode_global(image: &[u8]) -> Result<DitsGlobal, PersistError> {
         }
         summaries.push(summary);
     }
+    expect_end(buf)?;
     Ok(DitsGlobal::build(summaries, leaf_capacity))
 }
 
@@ -261,7 +265,7 @@ fn encode_dataset_node(buf: &mut BytesMut, node: &DatasetNode) {
     // recomputed during decoding.  This keeps the image roughly 60 bytes
     // smaller per dataset.
     buf.put_u32_le(node.id);
-    encode_cell_set(buf, &node.cells);
+    put_cells(buf, &node.cells);
 }
 
 fn encode_geometry(buf: &mut BytesMut, g: &NodeGeometry) {
@@ -272,29 +276,6 @@ fn encode_geometry(buf: &mut BytesMut, g: &NodeGeometry) {
     buf.put_f64_le(g.pivot.x);
     buf.put_f64_le(g.pivot.y);
     buf.put_f64_le(g.radius);
-}
-
-/// Cell sets are sorted, so they are stored as varint-encoded gaps.
-fn encode_cell_set(buf: &mut BytesMut, cells: &CellSet) {
-    put_varint(buf, cells.len() as u64);
-    let mut previous = 0u64;
-    for cell in cells.iter() {
-        put_varint(buf, cell - previous);
-        previous = cell;
-    }
-}
-
-/// LEB128-style unsigned varint.
-fn put_varint(buf: &mut BytesMut, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +295,11 @@ pub fn decode_local(image: &[u8]) -> Result<DitsLocal, PersistError> {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let leaf_capacity = read_u64(&mut buf, "leaf capacity")? as usize;
+    // `DitsLocal::build` never keeps a capacity of 0, so no encoder writes
+    // one; repairing it here would decode two images into one index.
+    if leaf_capacity == 0 {
+        return Err(PersistError::Corrupt("leaf capacity 0".to_string()));
+    }
     let dataset_count = read_u64(&mut buf, "dataset count")? as usize;
     let root = read_u64(&mut buf, "root index")? as usize;
     let node_count = read_count(
@@ -331,6 +317,7 @@ pub fn decode_local(image: &[u8]) -> Result<DitsLocal, PersistError> {
     for _ in 0..node_count {
         nodes.push(decode_tree_node(&mut buf)?);
     }
+    expect_end(buf)?;
     if root >= nodes.len() {
         return Err(PersistError::Corrupt(format!(
             "root index {root} out of bounds ({} nodes)",
@@ -340,9 +327,7 @@ pub fn decode_local(image: &[u8]) -> Result<DitsLocal, PersistError> {
     let index = DitsLocal::from_parts(
         nodes,
         root,
-        DitsLocalConfig {
-            leaf_capacity: leaf_capacity.max(1),
-        },
+        DitsLocalConfig { leaf_capacity },
         dataset_count,
     );
     index.check_invariants().map_err(PersistError::Corrupt)?;
@@ -357,11 +342,14 @@ pub fn load_local(path: &Path) -> Result<DitsLocal, PersistError> {
 
 fn decode_tree_node(buf: &mut &[u8]) -> Result<TreeNode, PersistError> {
     let geometry = decode_geometry(buf)?;
-    let has_parent = read_u8(buf, "parent flag")?;
-    let parent = if has_parent == 1 {
-        Some(read_u64(buf, "parent index")? as NodeIdx)
-    } else {
-        None
+    let parent = match read_u8(buf, "parent flag")? {
+        0 => None,
+        1 => Some(read_u64(buf, "parent index")? as NodeIdx),
+        other => {
+            return Err(PersistError::Corrupt(format!(
+                "unknown parent flag {other}"
+            )));
+        }
     };
     let kind_tag = read_u8(buf, "node kind")?;
     let kind = match kind_tag {
@@ -398,7 +386,18 @@ fn decode_tree_node(buf: &mut &[u8]) -> Result<TreeNode, PersistError> {
 
 fn decode_dataset_node(buf: &mut &[u8]) -> Result<DatasetNode, PersistError> {
     let id = read_u32(buf, "dataset id")?;
-    let cells = decode_cell_set(buf)?;
+    let cells = get_cells(buf).map_err(|e| match e {
+        CodecError::Truncated => PersistError::UnexpectedEof {
+            context: "declared cells",
+        },
+        CodecError::BadVarint => {
+            PersistError::Corrupt("malformed varint in a cell set".to_string())
+        }
+        CodecError::CellOverflow => PersistError::Corrupt("cell id overflow".to_string()),
+        CodecError::DuplicateCell => {
+            PersistError::Corrupt("repeated cell in a cell set".to_string())
+        }
+    })?;
     DatasetNode::from_cell_set(id, cells)
         .ok_or_else(|| PersistError::Corrupt(format!("dataset {id} has an empty cell set")))
 }
@@ -415,27 +414,16 @@ fn decode_geometry(buf: &mut &[u8]) -> Result<NodeGeometry, PersistError> {
     })
 }
 
-/// Reads a cell set, accepting exactly the bytes [`encode_cell_set`] writes:
-/// a zero gap after the first cell repeats a cell and is rejected, so the
-/// cells arrive strictly increasing and are wrapped as they are.
-fn decode_cell_set(buf: &mut &[u8]) -> Result<CellSet, PersistError> {
-    let len = read_count(
-        read_varint(buf)?,
-        buf.remaining(),
-        MIN_CELL_BYTES,
-        "declared cells",
-    )?;
-    let mut cells = Vec::with_capacity(len);
-    let mut previous = 0u64;
-    for _ in 0..len {
-        let gap = read_varint(buf)?;
-        previous = previous
-            .checked_add(gap)
-            .ok_or_else(|| PersistError::Corrupt("cell id overflow".to_string()))?;
-        cells.push(previous);
+/// No encoder writes anything after the last declared element.
+fn expect_end(buf: &[u8]) -> Result<(), PersistError> {
+    if buf.is_empty() {
+        Ok(())
+    } else {
+        Err(PersistError::Corrupt(format!(
+            "{} bytes after the end of the image",
+            buf.len()
+        )))
     }
-    CellSet::from_sorted_cells(cells)
-        .ok_or_else(|| PersistError::Corrupt("repeated cell in a cell set".to_string()))
 }
 
 /// Admits a declared element count only when the bytes left can hold that
@@ -451,24 +439,6 @@ fn read_count(
         return Err(PersistError::UnexpectedEof { context });
     }
     Ok(declared as usize)
-}
-
-fn read_varint(buf: &mut &[u8]) -> Result<u64, PersistError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = read_u8(buf, "varint")?;
-        if shift >= 64 {
-            return Err(PersistError::Corrupt(
-                "varint longer than 64 bits".to_string(),
-            ));
-        }
-        value |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-    }
 }
 
 macro_rules! reader {
@@ -491,11 +461,12 @@ reader!(read_f64, f64, get_f64_le, 8);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::put_varint;
     use crate::local::DitsLocalConfig;
     use crate::overlap::overlap_search;
     use proptest::prelude::*;
     use spatial::zorder::cell_id;
-    use spatial::DatasetId;
+    use spatial::{CellSet, DatasetId};
 
     fn node(id: DatasetId, coords: &[(u32, u32)]) -> DatasetNode {
         DatasetNode::from_cell_set(
@@ -694,6 +665,32 @@ mod tests {
             matches!(&err, PersistError::Corrupt(msg) if msg.contains("repeated cell")),
             "got {err}"
         );
+    }
+
+    #[test]
+    fn flipped_and_truncated_local_images_decode_or_fail_typed() {
+        let image = encode_local(&sample_index(7, 2)).to_vec();
+        for cut in 0..image.len() {
+            assert!(decode_local(&image[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut padded = image.clone();
+        padded.push(0);
+        assert!(matches!(
+            decode_local(&padded),
+            Err(PersistError::Corrupt(_))
+        ));
+        // Every single-bit flip is refused with a typed error or decodes to
+        // exactly the index the flipped image describes — never a panic (a
+        // child index outside the arena), a silent repair (capacity 0, a
+        // parent flag of 2) or a node whose pivot and radius are not the ones
+        // its MBR determines.
+        for bit in 0..image.len() * 8 {
+            let mut flipped = image.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(index) = decode_local(&flipped) {
+                assert_eq!(encode_local(&index).to_vec(), flipped, "bit {bit}");
+            }
+        }
     }
 
     fn sample_global(n: u16, capacity: usize) -> DitsGlobal {

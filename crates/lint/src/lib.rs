@@ -85,6 +85,7 @@ const L1_PATHS: &[&str] = &[
     "crates/dits/src/coverage.rs",
     "crates/dits/src/knn.rs",
     "crates/dits/src/bounds.rs",
+    "crates/dits/src/codec.rs",
     "crates/dits/src/inverted.rs",
     "crates/dits/src/persist.rs",
     "crates/spatial/src/cellset.rs",

@@ -34,8 +34,9 @@ pub enum WireError {
     BadTag(u8),
     /// The tag of one maintenance operation is not part of the protocol.
     BadOpTag(u8),
-    /// A LEB128 varint was malformed (ran past 64 bits) while decoding the
-    /// named field.
+    /// A LEB128 varint was not the shortest encoding of a 64-bit value (it
+    /// overflowed, ran past ten bytes or was padded with a zero byte) while
+    /// decoding the named field.
     BadVarint(&'static str),
     /// A delta-encoded cell id overflowed `u64`.
     CellOverflow,

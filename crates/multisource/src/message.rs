@@ -3,7 +3,8 @@
 //! The communication cost the paper reports (Figs. 13, 19) is the number of
 //! bytes transferred, so messages are actually serialised into a compact
 //! binary layout (via [`bytes`]) rather than estimated: cell IDs are
-//! delta-encoded as LEB128 varints, which rewards the query-clipping
+//! delta-encoded as LEB128 varints — the format of [`dits::codec`], shared
+//! with the persisted index images — which rewards the query-clipping
 //! strategy exactly the way a real deployment would.
 //!
 //! # Query protocol
@@ -52,10 +53,10 @@
 //! `candidate_sources` pruning needs to stay lossless.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+pub(crate) use dits::codec::put_varint;
+use dits::codec::{self, put_cells, CodecError};
 use dits::{Neighbor, OverlapResult, SourceSummary};
-use spatial::{
-    CellId, CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset, SpatialError,
-};
+use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset, SpatialError};
 
 use crate::error::WireError;
 
@@ -676,35 +677,19 @@ fn get_gridded(data: &mut Bytes) -> Result<(DatasetId, CellSet), WireError> {
     Ok((dataset, get_cells(data)?))
 }
 
-/// Writes a cell set as a count followed by delta-encoded varints (the cells
-/// are already sorted, so deltas are small).
-fn put_cells(buf: &mut BytesMut, cells: &CellSet) {
-    put_varint(buf, cells.len() as u64);
-    let mut previous: CellId = 0;
-    for cell in cells.iter() {
-        put_varint(buf, cell - previous);
-        previous = cell;
-    }
+/// Reads a cell set, accepting exactly the bytes [`put_cells`] writes.
+fn get_cells(data: &mut Bytes) -> Result<CellSet, WireError> {
+    codec::get_cells(data).map_err(|e| wire_error(e, "cell delta"))
 }
 
-/// Reads a cell set, accepting exactly the bytes [`put_cells`] writes: a zero
-/// delta after the first cell repeats a cell and is rejected, so the cells
-/// arrive strictly increasing and are wrapped as they are.
-fn get_cells(data: &mut Bytes) -> Result<CellSet, WireError> {
-    let n = get_varint(data, "cell count")?;
-    // Every delta takes at least one byte, so a count beyond the bytes left
-    // is a cut-off buffer — known before anything is allocated for it.
-    if n > data.remaining() as u64 {
-        return Err(WireError::Truncated("cell delta"));
+/// A codec failure as the wire error of the field being read.
+fn wire_error(e: CodecError, what: &'static str) -> WireError {
+    match e {
+        CodecError::Truncated => WireError::Truncated(what),
+        CodecError::BadVarint => WireError::BadVarint(what),
+        CodecError::CellOverflow => WireError::CellOverflow,
+        CodecError::DuplicateCell => WireError::DuplicateCell,
     }
-    let mut cells = Vec::with_capacity(n as usize);
-    let mut previous: CellId = 0;
-    for _ in 0..n {
-        let delta = get_varint(data, "cell delta")?;
-        previous = previous.checked_add(delta).ok_or(WireError::CellOverflow)?;
-        cells.push(previous);
-    }
-    CellSet::from_sorted_cells(cells).ok_or(WireError::DuplicateCell)
 }
 
 /// Metric names and label strings come from in-process registries and are
@@ -738,37 +723,11 @@ fn get_string(data: &mut Bytes, what: &'static str) -> Result<String, WireError>
     Ok(s)
 }
 
-/// LEB128 unsigned varint.  `pub(crate)` so the transport frame codec reuses
-/// the exact same integer representation as the messages it carries.
-pub(crate) fn put_varint(buf: &mut BytesMut, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
+/// Reads one varint of the field `what`.  `pub(crate)`, like the
+/// [`put_varint`] re-export, so the transport frame codec reuses the exact
+/// same integer representation as the messages it carries.
 pub(crate) fn get_varint(data: &mut Bytes, what: &'static str) -> Result<u64, WireError> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !data.has_remaining() {
-            return Err(WireError::Truncated(what));
-        }
-        if shift >= 64 {
-            return Err(WireError::BadVarint(what));
-        }
-        let byte = data.get_u8();
-        value |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-    }
+    codec::get_varint(data).map_err(|e| wire_error(e, what))
 }
 
 #[cfg(test)]
@@ -1103,6 +1062,20 @@ mod tests {
         assert_eq!(
             query_with(&[3, 1, 1]),
             Err(WireError::Truncated("cell delta"))
+        );
+        // Nor does a varint have a second encoding: cell 5 padded with a
+        // zero byte used to decode to `{5}` and re-encode a byte shorter,
+        // and a gap of 2^64 used to wrap to cell 0.
+        assert_eq!(
+            query_with(&[1, 0x85, 0x00]),
+            Err(WireError::BadVarint("cell delta"))
+        );
+        let mut wrapping = vec![1];
+        wrapping.extend(std::iter::repeat_n(0x80, 9));
+        wrapping.push(0x02);
+        assert_eq!(
+            query_with(&wrapping),
+            Err(WireError::BadVarint("cell delta"))
         );
     }
 

@@ -13,9 +13,10 @@
 //! byte-identical index images behind.
 
 use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
+use dits::knn::nearest_datasets_bruteforce;
 use dits::{
-    decode_global, decode_local, encode_global, encode_local, nearest_datasets,
-    nearest_datasets_unbounded, overlap_search,
+    decode_global, decode_local, encode_global, encode_local, nearest_datasets, overlap_search,
+    DatasetNode,
 };
 use multisource::transport::{CallOptions, TransportReply};
 use multisource::{
@@ -24,7 +25,7 @@ use multisource::{
     UpdateOp,
 };
 use proptest::prelude::*;
-use spatial::{Grid, Point, SourceId, SpatialDataset, SpatialError};
+use spatial::{CellSet, Grid, Point, SourceId, SpatialDataset, SpatialError};
 
 fn build_data(seed: u64) -> Vec<(String, Vec<SpatialDataset>)> {
     let config = GeneratorConfig {
@@ -158,33 +159,38 @@ fn assert_answer_parity(
 }
 
 /// Verification-kernel parity on the *maintained* trees: the lazily-cached
-/// verify state (per-node sorted coordinate decompositions) and the bounded
-/// kNN sweep cutoff must be invisible after arbitrary interleaved
-/// maintenance.  Every dataset distance computed through the cached sweep
-/// must equal the fresh decompose-and-sort oracle, and bounded kNN must be
-/// byte-identical (answers *and* stats) to the unbounded oracle.
+/// verify state (per-dataset packed blocks and boundary decompositions) and
+/// the bounded kNN cutoff must be invisible after arbitrary interleaved
+/// maintenance.  Every index-resident dataset is copied cache-free; the
+/// distance to the resident set must equal the distance to its copy (a stale
+/// cache would answer for the cells the set used to hold), and bounded kNN
+/// must equal the brute force over the copies, ids included.
 fn assert_verify_state_parity(maintained: &MultiSourceFramework, queries: &[SpatialDataset]) {
     for s in maintained.sources() {
+        let resident = s.index().dataset_nodes();
+        let fresh: Vec<DatasetNode> = resident
+            .iter()
+            .filter_map(|d| DatasetNode::from_cell_set(d.id, CellSet::from_cells(d.cells.iter())))
+            .collect();
+        assert_eq!(fresh.len(), resident.len());
         for q in queries {
             let cells = s.grid_query(q);
             if cells.is_empty() {
                 continue;
             }
-            for d in s.index().dataset_nodes() {
-                let cached = spatial::distance::dataset_distance(&cells, &d.cells);
-                let fresh = spatial::distance::dataset_distance_uncached(&cells, &d.cells);
+            for (d, copy) in resident.iter().zip(&fresh) {
                 assert_eq!(
-                    cached, fresh,
-                    "cached sweep diverged from fresh oracle on source {} dataset {}",
-                    s.id, d.id
+                    spatial::distance::dataset_distance(&cells, &d.cells),
+                    spatial::distance::dataset_distance(&cells, &copy.cells),
+                    "cached verify state diverged from a fresh copy on source {} dataset {}",
+                    s.id,
+                    d.id
                 );
             }
-            let (fast, fast_stats) = nearest_datasets(s.index(), &cells, 4);
-            let (oracle, oracle_stats) = nearest_datasets_unbounded(s.index(), &cells, 4);
-            assert_eq!(fast, oracle, "bounded kNN diverged on source {}", s.id);
             assert_eq!(
-                fast_stats, oracle_stats,
-                "kNN stats diverged on source {}",
+                nearest_datasets(s.index(), &cells, 4).0,
+                nearest_datasets_bruteforce(&fresh, &cells, 4),
+                "bounded kNN diverged on source {}",
                 s.id
             );
         }

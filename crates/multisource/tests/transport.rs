@@ -151,39 +151,42 @@ fn pooled_tcp_federation_matches_in_process() {
     assert_transport_parity(&fw, &pooled, &queries);
 }
 
-/// The verification-side fast paths (bounded kNN sweeps, cached per-node
+/// The verification-side fast paths (bounded kNN cutoffs, cached per-dataset
 /// verify state) must be invisible at every level of the stack: the
-/// production bounded kernel answers byte-identically — results *and*
-/// `SearchStats` — to the unbounded fresh-state oracle on every source, and
+/// production bounded kernel answers exactly as the brute force over
+/// cache-free copies of every source's datasets does, ids included, and
 /// repeated kNN requests over a real socket (cold caches on the first run,
 /// warm on the second) return identical responses to the in-process engine.
 #[test]
-fn bounded_knn_matches_unbounded_oracle_across_transports() {
-    use dits::{nearest_datasets, nearest_datasets_unbounded};
+fn bounded_knn_matches_bruteforce_across_transports() {
+    use dits::knn::nearest_datasets_bruteforce;
+    use dits::{nearest_datasets, DatasetNode};
+    use spatial::CellSet;
 
     let data = build_data(47);
     let fw = framework(&data);
     let queries = probe_queries(&data);
 
     // Source-level oracle parity: the bounded kernel (threaded k-th-best
-    // cutoff, cached sorted-coordinate state) vs the unbounded fresh oracle.
+    // cutoff, cached packed and boundary state) vs the brute-force oracle.
     for source in fw.sources() {
+        let fresh: Vec<DatasetNode> = source
+            .index()
+            .dataset_nodes()
+            .iter()
+            .filter_map(|d| DatasetNode::from_cell_set(d.id, CellSet::from_cells(d.cells.iter())))
+            .collect();
+        assert_eq!(fresh.len(), source.dataset_count());
         for q in &queries {
             let cells = source.grid_query(q);
             if cells.is_empty() {
                 continue;
             }
             for k in [1, 3, 7] {
-                let (fast, fast_stats) = nearest_datasets(source.index(), &cells, k);
-                let (oracle, oracle_stats) = nearest_datasets_unbounded(source.index(), &cells, k);
                 assert_eq!(
-                    fast, oracle,
-                    "bounded kNN diverged from the unbounded oracle (source {}, k {k})",
-                    source.id
-                );
-                assert_eq!(
-                    fast_stats, oracle_stats,
-                    "bounded kNN stats diverged from the unbounded oracle (source {}, k {k})",
+                    nearest_datasets(source.index(), &cells, k).0,
+                    nearest_datasets_bruteforce(&fresh, &cells, k),
+                    "bounded kNN diverged from the brute force (source {}, k {k})",
                     source.id
                 );
             }

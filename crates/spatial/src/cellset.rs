@@ -290,15 +290,15 @@ impl BoundaryIndex {
 /// A sorted, deduplicated set of grid cell IDs representing a spatial
 /// dataset on a fixed grid.
 ///
-/// Alongside the sorted vec the set lazily caches a bit-packed block form
-/// used by the word-parallel intersection kernel (see the module docs);
-/// equality, ordering of iteration and the serialized shape are defined by
-/// the sorted cells alone.
+/// Alongside the sorted vec the set lazily caches two derived forms, each
+/// with a production reader: the bit-packed blocks the word-parallel
+/// intersection kernel reads (see the module docs) and the boundary
+/// decomposition the distance kernel walks.  Equality, ordering of iteration
+/// and the serialized shape are defined by the sorted cells alone.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CellSet {
     cells: Vec<CellId>,
     packed: OnceLock<PackedCells>,
-    coords: OnceLock<Vec<(f64, f64)>>,
     boundary: OnceLock<BoundaryIndex>,
 }
 
@@ -322,7 +322,6 @@ impl CellSet {
         Self {
             cells,
             packed: OnceLock::new(),
-            coords: OnceLock::new(),
             boundary: OnceLock::new(),
         }
     }
@@ -394,31 +393,11 @@ impl CellSet {
         self.packed.get_or_init(|| PackedCells::build(&self.cells))
     }
 
-    /// The cells decomposed to grid coordinates and sorted by x — the *verify
-    /// state* of the dataset-distance plane sweep (Definition 6).
-    ///
-    /// Built at most once per set (cached in a [`OnceLock`] like the packed
-    /// blocks, invalidated by mutation), so every distance computation
-    /// against the same set — a kNN verifier testing hundreds of candidates,
-    /// a coverage probe, a range scan — reuses one decomposition instead of
-    /// re-allocating and re-sorting per call.
-    pub fn sorted_coords(&self) -> &[(f64, f64)] {
-        self.coords.get_or_init(|| self.decompose_sorted())
-    }
-
-    /// An owned copy of [`Self::sorted_coords`] that leaves the cache as it
-    /// found it: copied when already built, decomposed afresh otherwise.  A
-    /// [`NeighborProbe`](crate::distance::NeighborProbe) keeps its own copy
-    /// anyway, so probing with an index-resident dataset must not also pin
-    /// 16 bytes per cell on the resident set.
-    pub(crate) fn sorted_coords_owned(&self) -> Vec<(f64, f64)> {
-        match self.coords.get() {
-            Some(cached) => cached.clone(),
-            None => self.decompose_sorted(),
-        }
-    }
-
-    fn decompose_sorted(&self) -> Vec<(f64, f64)> {
+    /// The cells decomposed to grid coordinates and sorted by x: what a
+    /// [`NeighborProbe`](crate::distance::NeighborProbe) binary-searches.  Not
+    /// cached — the probe owns its copy, and the sets probed with (a query, a
+    /// dataset just selected from the index) are mostly probed once.
+    pub(crate) fn decompose_sorted(&self) -> Vec<(f64, f64)> {
         let mut v: Vec<(f64, f64)> = self
             .cells
             .iter()
@@ -441,10 +420,9 @@ impl CellSet {
     /// squared distance, so an interior cell can never be part of a
     /// minimising pair.  The distance kernel therefore only has to walk each
     /// side's boundary, which for dense blob-like datasets is the perimeter
-    /// of the blob rather than its area.  Cached like [`sorted_coords`]
+    /// of the blob rather than its area.  Cached like the packed blocks
     /// (built at most once, invalidated by mutation).
     ///
-    /// [`sorted_coords`]: CellSet::sorted_coords
     /// [`boundary_index`]: CellSet::boundary_index
     pub fn boundary_coords(&self) -> &[(f64, f64)] {
         &self.boundary_index().coords
@@ -684,14 +662,12 @@ impl CellSet {
         self.len() - self.intersection_size(accumulated)
     }
 
-    /// Drops every lazily derived cache (packed blocks, float coordinates,
-    /// boundary index).  **Every** `&mut self` method that changes `cells`
-    /// must call this before returning — a stale `OnceLock` silently serves
-    /// wrong verify state.  repo-lint's `cache-invalidation` rule enforces
-    /// the pairing.
+    /// Drops every lazily derived cache (packed blocks, boundary index).
+    /// **Every** `&mut self` method that changes `cells` must call this
+    /// before returning — a stale `OnceLock` silently serves wrong verify
+    /// state.  repo-lint's `cache-invalidation` rule enforces the pairing.
     fn invalidate_caches(&mut self) {
         self.packed.take();
-        self.coords.take();
         self.boundary.take();
     }
 
@@ -747,15 +723,10 @@ impl CellSet {
     }
 
     /// An estimate of the heap memory used by this set, in bytes, including
-    /// the packed-block, sorted-coordinate and boundary caches when they
-    /// have been built.
+    /// the packed-block and boundary caches when they have been built.
     pub fn memory_bytes(&self) -> usize {
         self.cells.capacity() * std::mem::size_of::<CellId>()
             + self.packed.get().map_or(0, PackedCells::memory_bytes)
-            + self
-                .coords
-                .get()
-                .map_or(0, |v| v.capacity() * std::mem::size_of::<(f64, f64)>())
             + self.boundary.get().map_or(0, BoundaryIndex::memory_bytes)
     }
 }
@@ -948,31 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_coords_are_sorted_and_invalidated_by_mutation() {
-        use crate::zorder::cell_id;
-        let mut s = CellSet::from_cells([cell_id(5, 1), cell_id(0, 9), cell_id(3, 3)]);
-        let coords = s.sorted_coords().to_vec();
-        assert_eq!(coords.len(), 3);
-        assert!(coords.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(coords[0], (0.0, 9.0));
-        // Mutation drops the cache; the rebuilt one reflects the new content.
-        assert!(s.insert(cell_id(1, 2)));
-        assert_eq!(s.sorted_coords().len(), 4);
-        assert!(s.remove(cell_id(5, 1)));
-        assert_eq!(s.sorted_coords().len(), 3);
-        assert!(!s.sorted_coords().iter().any(|&(x, y)| (x, y) == (5.0, 1.0)));
-        assert!(CellSet::new().sorted_coords().is_empty());
-    }
-
-    #[test]
-    fn sorted_coords_cache_counts_in_memory_estimate() {
-        let s: CellSet = (0..100u64).collect();
-        let bare = s.memory_bytes();
-        s.sorted_coords();
-        assert!(s.memory_bytes() >= bare + 100 * std::mem::size_of::<(f64, f64)>());
-    }
-
-    #[test]
     fn equality_and_clone_ignore_the_cache() {
         let a: CellSet = (0..300u64).collect();
         let b: CellSet = (0..300u64).collect();
@@ -1141,9 +1087,11 @@ mod tests {
         ) {
             let s = coord_set(&coords);
             let full: std::collections::BTreeSet<(u64, u64)> = s
-                .sorted_coords()
                 .iter()
-                .map(|&(x, y)| (x as u64, y as u64))
+                .map(|c| {
+                    let (x, y) = cell_coords(c);
+                    (x as u64, y as u64)
+                })
                 .collect();
             let boundary: std::collections::BTreeSet<(u64, u64)> = s
                 .boundary_coords()

@@ -9,10 +9,10 @@
 //!   over the collection has a single connected component.
 //!
 //! CJSP (Definition 11) constrains the result set `S* ∪ {S_Q}` to satisfy
-//! spatial connectivity, and the CoverageSearch greedy maintains it
-//! incrementally; this module provides both the incremental graph
-//! ([`ConnectivityGraph`]) and one-shot predicates used by tests and the SG
-//! baseline.
+//! spatial connectivity.  The greedy loops keep it by construction (a
+//! dataset is only ever picked from the connect set of what is already
+//! chosen); this module provides the one-shot predicates that tests and the
+//! SG baseline check their results with.
 
 use crate::cellset::CellSet;
 use crate::distance::dataset_distance_within;
@@ -41,89 +41,6 @@ pub fn satisfies_spatial_connectivity(sets: &[&CellSet], delta: f64) -> bool {
         }
     }
     uf.component_count() == 1
-}
-
-/// Incremental union-find over a growing collection of datasets, used to
-/// maintain the connectivity constraint while the greedy algorithms add one
-/// result at a time.
-#[derive(Debug, Clone)]
-pub struct ConnectivityGraph {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
-    components: usize,
-}
-
-impl ConnectivityGraph {
-    /// Creates a graph with `n` isolated members.
-    pub fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-            components: n,
-        }
-    }
-
-    /// Adds a new isolated member and returns its index.
-    pub fn add_member(&mut self) -> usize {
-        let idx = self.parent.len();
-        self.parent.push(idx);
-        self.rank.push(0);
-        self.components += 1;
-        idx
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Returns `true` when the graph has no members.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Connects two members.
-    pub fn connect(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return;
-        }
-        self.components -= 1;
-        if self.rank[ra] < self.rank[rb] {
-            self.parent[ra] = rb;
-        } else if self.rank[ra] > self.rank[rb] {
-            self.parent[rb] = ra;
-        } else {
-            self.parent[rb] = ra;
-            self.rank[ra] += 1;
-        }
-    }
-
-    /// Representative of a member's connected component.
-    pub fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Returns `true` when the two members are in the same component.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of connected components.
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Returns `true` when the whole collection forms a single component
-    /// (spatial connectivity).
-    pub fn is_fully_connected(&self) -> bool {
-        self.components <= 1
-    }
 }
 
 /// Private union-find used by the one-shot predicate.
@@ -205,33 +122,6 @@ mod tests {
         assert!(satisfies_spatial_connectivity(&[&a, &b, &c], 2.0));
         // Remove the middle link: ends are 4 apart > δ.
         assert!(!satisfies_spatial_connectivity(&[&a, &c], 2.0));
-    }
-
-    #[test]
-    fn graph_tracks_components_incrementally() {
-        let mut g = ConnectivityGraph::new(3);
-        assert_eq!(g.component_count(), 3);
-        assert!(!g.is_fully_connected());
-        g.connect(0, 1);
-        assert_eq!(g.component_count(), 2);
-        assert!(g.connected(0, 1));
-        assert!(!g.connected(0, 2));
-        let d = g.add_member();
-        assert_eq!(d, 3);
-        assert_eq!(g.component_count(), 3);
-        g.connect(2, 3);
-        g.connect(1, 2);
-        assert!(g.is_fully_connected());
-        // Connecting already-connected members is a no-op.
-        g.connect(0, 3);
-        assert_eq!(g.component_count(), 1);
-    }
-
-    #[test]
-    fn empty_graph_is_fully_connected() {
-        let g = ConnectivityGraph::new(0);
-        assert!(g.is_empty());
-        assert!(g.is_fully_connected());
     }
 
     proptest! {

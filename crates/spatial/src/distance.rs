@@ -3,9 +3,8 @@
 //! `dist(S_D, S_D') = min_{c_i ∈ S_D, c_j ∈ S_D'} ||c_i, c_j||₂` — the
 //! Euclidean distance between the two closest cells of the two sets, with
 //! cell IDs decomposed back into grid coordinates.  The naive computation is
-//! quadratic; [`dataset_distance`] uses a plane-sweep over the cells sorted
-//! by x coordinate which is near-linear for the route-like datasets the
-//! paper targets, and [`dataset_distance_within`] allows early termination
+//! quadratic; [`dataset_distance`] runs one two-level kernel over each
+//! set's boundary cells instead, and [`dataset_distance_within`] terminates
 //! as soon as a pair within a threshold is found (all the connectivity
 //! checks only need `dist ≤ δ`).
 //!
@@ -13,7 +12,7 @@
 //! for once per set and invalidated by mutation:
 //!
 //! * overlapping sets are detected in word-parallel time (an early-exiting
-//!   `AND` over the packed blocks) and are at distance 0 with no sweep;
+//!   `AND` over the packed blocks) and are at distance 0 with no cell scan;
 //! * disjoint sets walk only their cached **boundary** decompositions —
 //!   exact, because the closest pair of two disjoint sets always joins two
 //!   boundary cells — grouped into coarse blocks whose bounding-box gaps
@@ -35,7 +34,7 @@ use crate::zorder::cell_coords;
 pub fn dataset_distance(a: &CellSet, b: &CellSet) -> f64 {
     // A good-enough threshold of 0 only allows early exit once a distance of
     // exactly zero is found, which cannot be improved upon.
-    best_distance(a, b, 0.0)
+    best_distance_bounded(a, b, 0.0, f64::INFINITY)
 }
 
 /// Dataset distance with a caller-supplied `cutoff`: the result is **exact**
@@ -56,20 +55,17 @@ pub fn dataset_distance_within(a: &CellSet, b: &CellSet, delta: f64) -> bool {
     if a.is_empty() || b.is_empty() {
         return false;
     }
-    // Pairs further apart than δ along the x axis can never qualify, so the
-    // sweep may discard them immediately — this keeps the predicate cheap
-    // even for far-apart datasets, which dominate the connectivity checks.
+    // Block pairs whose bounding boxes are more than δ apart can never
+    // qualify, so the kernel discards them unscanned — this keeps the
+    // predicate cheap even for far-apart datasets, which dominate the
+    // connectivity checks.
     best_distance_bounded(a, b, delta, delta) <= delta
 }
 
-/// Shared kernel: finds the minimum pairwise cell distance, abandoning the
-/// search as soon as a pair at distance ≤ `good_enough` is found.
-fn best_distance(a: &CellSet, b: &CellSet, good_enough: f64) -> f64 {
-    best_distance_bounded(a, b, good_enough, f64::INFINITY)
-}
-
-/// Cached-state kernel with an additional `cutoff` (sound when the caller
-/// only needs distances ≤ cutoff).
+/// The kernel behind all three entry points: finds the minimum pairwise cell
+/// distance, abandoning the search as soon as a pair at distance ≤
+/// `good_enough` is found, and skipping whatever lies beyond `cutoff` (sound
+/// when the caller only needs distances ≤ cutoff).
 ///
 /// Two structural fast paths settle most calls, both exact:
 ///
@@ -82,10 +78,9 @@ fn best_distance(a: &CellSet, b: &CellSet, good_enough: f64) -> f64 {
 ///   the cached boundary decomposition groups those cells into coarse blocks
 ///   with exact bounding boxes.  [`block_distance`] prunes whole block pairs
 ///   by their bbox gap before any cell pair is touched, which stays cheap
-///   even when the two sets are far apart and a plane-sweep window would
-///   never prune anything.  Cell coordinates are integers, so squared
-///   distances (and the bbox-gap lower bounds) compute exactly and the
-///   result is bit-identical to the full quadratic minimum.
+///   however far apart the two sets are.  Cell coordinates are integers, so
+///   squared distances (and the bbox-gap lower bounds) compute exactly and
+///   the result is bit-identical to the full quadratic minimum.
 fn best_distance_bounded(a: &CellSet, b: &CellSet, good_enough: f64, cutoff: f64) -> f64 {
     if a.is_empty() || b.is_empty() {
         return f64::INFINITY;
@@ -189,67 +184,6 @@ fn block_distance(a: &BoundaryIndex, b: &BoundaryIndex, good_enough: f64, cutoff
     best
 }
 
-/// The plane-sweep core over two x-sorted coordinate lists.
-fn sweep(pa: &[(f64, f64)], pb: &[(f64, f64)], good_enough: f64, cutoff: f64) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut best_sq = f64::INFINITY;
-    let mut lo = 0usize;
-    for &(ax, ay) in pa {
-        let window = best.min(cutoff);
-        // Advance the window start: cells whose x is more than the window to
-        // the left of ax can never improve the result (or cannot matter to
-        // the caller when beyond the cutoff).
-        while lo < pb.len() && ax - pb[lo].0 > window {
-            lo += 1;
-        }
-        for &(bx, by) in &pb[lo..] {
-            let dx = bx - ax;
-            if dx > window {
-                break;
-            }
-            // Compare in the squared domain; the square root is only taken
-            // when the best pair improves, never per pair.  `sqrt` is
-            // monotone, so the result is identical to comparing linearly.
-            let dy = by - ay;
-            let d_sq = dx * dx + dy * dy;
-            if d_sq < best_sq {
-                best_sq = d_sq;
-                best = d_sq.sqrt();
-                if best <= good_enough {
-                    return best;
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Fresh-state reference: decomposes cell ids to coordinates and sorts both
-/// sets on **every** call, exactly what [`dataset_distance`] did before the
-/// cached verify state existed.  Kept as the parity oracle for the
-/// cached-sweep proptests and as the baseline the `bench-runner`
-/// `kernel/distance/*` entries measure the cache against.
-pub fn dataset_distance_uncached(a: &CellSet, b: &CellSet) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
-    }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let decompose = |s: &CellSet| {
-        let mut v: Vec<(f64, f64)> = s
-            .iter()
-            .map(|c| {
-                let (x, y) = cell_coords(c);
-                (x as f64, y as f64)
-            })
-            .collect();
-        v.sort_unstable_by(|l, r| l.0.total_cmp(&r.0));
-        v
-    };
-    let pa = decompose(small);
-    let pb = decompose(large);
-    sweep(&pa, &pb, 0.0, f64::INFINITY)
-}
-
 /// A reusable "is anything within δ of this set?" probe.
 ///
 /// The greedy coverage algorithms test hundreds of candidate datasets against
@@ -265,13 +199,11 @@ pub struct NeighborProbe {
 }
 
 impl NeighborProbe {
-    /// Builds a probe over a cell set, copying the set's cached sorted
-    /// decomposition when it has one and never filling that cache itself:
-    /// the probe owns its coordinates, and the sets probed with — a query, a
-    /// dataset just selected from the index — are mostly probed once.
+    /// Builds a probe over a cell set.  The probe owns its coordinates and
+    /// leaves the set's caches as it found them.
     pub fn new(cells: &CellSet) -> Self {
         Self {
-            xs: cells.sorted_coords_owned(),
+            xs: cells.decompose_sorted(),
         }
     }
 
@@ -316,7 +248,7 @@ mod tests {
         CellSet::from_cells(coords.iter().map(|&(x, y)| cell_id(x, y)))
     }
 
-    /// Brute-force O(|a|·|b|) distance: the oracle of the sweep proptest.
+    /// Brute-force O(|a|·|b|) distance: the oracle of the kernel.
     fn dataset_distance_bruteforce(a: &CellSet, b: &CellSet) -> f64 {
         let mut best = f64::INFINITY;
         for ca in a.iter() {
@@ -356,7 +288,7 @@ mod tests {
     fn nested_sets_are_at_distance_zero() {
         // b sits strictly inside a's interior: their *boundaries* are 4
         // cells apart, so this only answers 0 because the word-parallel
-        // overlap check runs before the boundary sweep.
+        // overlap check runs before the boundary walk.
         let a = set_from_coords(
             &(0..9)
                 .flat_map(|x| (0..9).map(move |y| (x, y)))
@@ -398,11 +330,6 @@ mod tests {
         );
         assert!(probe.within(&b, 4.0));
         assert!(!probe.within(&b, 3.9));
-        // Built off an already-cached decomposition, the probe is the same.
-        a.sorted_coords();
-        let warm = NeighborProbe::new(&a);
-        assert!(warm.within(&b, 4.0));
-        assert!(!warm.within(&b, 3.9));
         assert!(!NeighborProbe::new(&CellSet::new()).within(&b, 100.0));
         assert!(!probe.within(&CellSet::new(), 100.0));
         assert!(NeighborProbe::new(&CellSet::new()).is_empty());
@@ -431,27 +358,12 @@ mod tests {
         // Mutating `a` must invalidate its cached verify state.
         a.insert(crate::zorder::cell_id(4, 0));
         assert_eq!(dataset_distance(&a, &b), 1.0);
-        assert_eq!(dataset_distance_uncached(&a, &b), 1.0);
+        assert_eq!(dataset_distance_bruteforce(&a, &b), 1.0);
         a.remove(crate::zorder::cell_id(4, 0));
         assert_eq!(dataset_distance(&a, &b), 5.0);
     }
 
     proptest! {
-        #[test]
-        fn prop_cached_sweep_matches_fresh_oracle(
-            a in proptest::collection::vec((0u32..64, 0u32..64), 1..40),
-            b in proptest::collection::vec((0u32..64, 0u32..64), 1..40),
-        ) {
-            let sa = set_from_coords(&a);
-            let sb = set_from_coords(&b);
-            // Two cached calls (cold then warm) and the fresh oracle agree.
-            let cold = dataset_distance(&sa, &sb);
-            let warm = dataset_distance(&sa, &sb);
-            let fresh = dataset_distance_uncached(&sa, &sb);
-            prop_assert_eq!(cold, warm);
-            prop_assert_eq!(cold, fresh);
-        }
-
         #[test]
         fn prop_bounded_is_exact_within_cutoff(
             a in proptest::collection::vec((0u32..64, 0u32..64), 1..40),
@@ -492,9 +404,12 @@ mod tests {
         ) {
             let sa = set_from_coords(&a);
             let sb = set_from_coords(&b);
-            let fast = dataset_distance(&sa, &sb);
+            // Squared cell distances are integers and `sqrt` is monotone, so
+            // the kernel equals the quadratic minimum exactly — on the cold
+            // call that fills the caches and on the warm one that reads them.
             let brute = dataset_distance_bruteforce(&sa, &sb);
-            prop_assert!((fast - brute).abs() < 1e-9, "fast={fast} brute={brute}");
+            prop_assert_eq!(dataset_distance(&sa, &sb), brute);
+            prop_assert_eq!(dataset_distance(&sa, &sb), brute);
         }
 
         #[test]

@@ -32,7 +32,7 @@ pub mod point;
 pub mod zorder;
 
 pub use cellset::{kernel_counters, CellSet, KernelCounters};
-pub use connectivity::{is_directly_connected, satisfies_spatial_connectivity, ConnectivityGraph};
+pub use connectivity::{is_directly_connected, satisfies_spatial_connectivity};
 pub use dataset::{DatasetId, SourceId, SourceStats, SpatialDataset};
 pub use distance::{dataset_distance, dataset_distance_within, NeighborProbe};
 pub use error::SpatialError;

@@ -114,12 +114,6 @@ impl Mbr {
         self.max = self.max.max(p);
     }
 
-    /// Grows the rectangle to include another rectangle.
-    pub fn expand(&mut self, other: &Mbr) {
-        self.min = self.min.min(&other.min);
-        self.max = self.max.max(&other.max);
-    }
-
     /// Returns `true` when `p` lies inside the rectangle (borders included).
     pub fn contains_point(&self, p: &Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
@@ -128,14 +122,6 @@ impl Mbr {
     /// Returns `true` when `other` is completely contained in `self`.
     pub fn contains(&self, other: &Mbr) -> bool {
         self.contains_point(&other.min) && self.contains_point(&other.max)
-    }
-
-    /// Minimum Euclidean distance from a point to this rectangle (0 when the
-    /// point is inside).
-    pub fn min_distance_to_point(&self, p: &Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
     }
 
     /// Minimum Euclidean distance between two rectangles (0 when they
@@ -234,8 +220,6 @@ mod tests {
         // dx = 3, dy = 4 -> distance 5
         assert_eq!(a.min_distance(&b), 5.0);
         assert_eq!(a.min_distance(&a), 0.0);
-        assert_eq!(a.min_distance_to_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(a.min_distance_to_point(&Point::new(1.0, 4.0)), 3.0);
     }
 
     #[test]

@@ -51,26 +51,6 @@ pub fn cell_coords(id: CellId) -> (u32, u32) {
     (compact_bits(id), compact_bits(id >> 1))
 }
 
-/// Euclidean distance between the coordinates of two cells, as used by the
-/// cell-based dataset distance (Definition 6).
-#[inline]
-pub fn cell_distance(a: CellId, b: CellId) -> f64 {
-    let (ax, ay) = cell_coords(a);
-    let (bx, by) = cell_coords(b);
-    let dx = ax as f64 - bx as f64;
-    let dy = ay as f64 - by as f64;
-    (dx * dx + dy * dy).sqrt()
-}
-
-/// Chebyshev (L∞) distance between two cells, useful as a cheap lower bound
-/// on the Euclidean cell distance.
-#[inline]
-pub fn cell_chebyshev_distance(a: CellId, b: CellId) -> u32 {
-    let (ax, ay) = cell_coords(a);
-    let (bx, by) = cell_coords(b);
-    ax.abs_diff(bx).max(ay.abs_diff(by))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_distance_matches_coordinates() {
-        let a = cell_id(0, 0);
-        let b = cell_id(3, 4);
-        assert_eq!(cell_distance(a, b), 5.0);
-        assert_eq!(cell_chebyshev_distance(a, b), 4);
-        assert_eq!(cell_distance(a, a), 0.0);
-    }
-
-    #[test]
     fn high_bit_coordinates_survive() {
         let x = (1u32 << 31) - 1;
         let y = 12345u32;
@@ -153,14 +124,6 @@ mod tests {
             let id = cell_id(x, y);
             let id_shifted = cell_id(x + 1024, y + 1024);
             prop_assert!(id_shifted > id);
-        }
-
-        #[test]
-        fn prop_chebyshev_lower_bounds_euclid(a in 0u64..1_000_000, b in 0u64..1_000_000) {
-            let cheb = cell_chebyshev_distance(a, b) as f64;
-            let eucl = cell_distance(a, b);
-            prop_assert!(cheb <= eucl + 1e-9);
-            prop_assert!(eucl <= cheb * std::f64::consts::SQRT_2 + 1e-9);
         }
     }
 }

@@ -2,7 +2,9 @@
 //! crate boundaries: the Fig. 2 grid, Example 2/3 cell sets and distances,
 //! the Fig. 4 leaf inverted index, and the Fig. 5 overlap bounds.
 
-use joinable_spatial_search::dits::bounds::{leaf_overlap_bounds, node_distance_bounds};
+use joinable_spatial_search::dits::bounds::{
+    leaf_overlap_lower_bound, leaf_overlap_upper_bound, node_distance_bounds,
+};
 use joinable_spatial_search::dits::{
     coverage_search, overlap_search, CoverageConfig, DatasetNode, DitsLocal, DitsLocalConfig,
     InvertedIndex,
@@ -74,7 +76,8 @@ fn fig5_bounds_sandwich_the_exact_overlap() {
     let d2 = CellSet::from_cells([9u64, 12, 13]);
     let inv = InvertedIndex::build([(1u32, &d1), (2u32, &d2)]);
     let query = CellSet::from_cells([3u64, 9]);
-    let (lb, ub) = leaf_overlap_bounds(&inv, &query, 2);
+    let lb = leaf_overlap_lower_bound(&inv, &query);
+    let ub = leaf_overlap_upper_bound(&inv, &query);
     assert_eq!((lb, ub), (1, 1));
     for d in [&d1, &d2] {
         let exact = d.intersection_size(&query);
