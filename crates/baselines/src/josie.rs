@@ -182,28 +182,18 @@ impl OverlapIndex for JosieIndex {
             .map(|(&d, &(count, size))| (d, count + remaining.min(size.saturating_sub(count))))
             .collect();
         candidates.sort_unstable_by_key(|&(_, upper_bound)| std::cmp::Reverse(upper_bound));
-        // Exact overlaps are computed in small batched intersection passes
-        // (one `intersection_size_many` call per chunk, reusing the query's
-        // packed representation), then replayed candidate by candidate so
-        // the early-termination decision is exactly the one the sequential
-        // loop would have made — at most a chunk of speculative
-        // intersections is wasted when termination fires mid-chunk.
-        const VERIFY_CHUNK: usize = 16;
-        'verify: for chunk in candidates.chunks(VERIFY_CHUNK) {
-            let overlaps =
-                query.intersection_size_many(chunk.iter().map(|(d, _)| &self.datasets[d]));
-            for (&(dataset, upper_bound), overlap) in chunk.iter().zip(overlaps) {
-                if exact.len() >= k && upper_bound <= kth_best(&exact) {
-                    // Candidates are sorted by decreasing upper bound, so
-                    // all later ones fail this test too.
-                    break 'verify;
-                }
-                if overlap > 0 {
-                    exact.push(OverlapResult { dataset, overlap });
-                    exact.sort_unstable_by(|a, b| {
-                        b.overlap.cmp(&a.overlap).then(a.dataset.cmp(&b.dataset))
-                    });
-                }
+        for (dataset, upper_bound) in candidates {
+            if exact.len() >= k && upper_bound <= kth_best(&exact) {
+                // Candidates are sorted by decreasing upper bound, so all
+                // later ones fail this test too.
+                break;
+            }
+            let overlap = query.intersection_size(&self.datasets[&dataset]);
+            if overlap > 0 {
+                exact.push(OverlapResult { dataset, overlap });
+                exact.sort_unstable_by(|a, b| {
+                    b.overlap.cmp(&a.overlap).then(a.dataset.cmp(&b.dataset))
+                });
             }
         }
         exact.truncate(k);

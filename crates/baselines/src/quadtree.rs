@@ -5,12 +5,11 @@
 //! in the quadtree; a quadrant splits into four children once it holds more
 //! than the leaf capacity (4, the classic quadtree setting the paper uses).
 //! OJSP finds all leaves intersecting the query MBR to collect candidate
-//! datasets, then scores them in one batched
-//! [`intersection_size_many`](CellSet::intersection_size_many) pass over
-//! their cell sets — behaviour that is close to an inverted index and
-//! explains why the paper measures QuadTree as the most memory-hungry index
-//! (its node count scales with the number of cells `N`, not the number of
-//! datasets `n`).
+//! datasets, then scores each against its cell set
+//! ([`CellSet::intersection_size`]) — behaviour that is close to an inverted
+//! index and explains why the paper measures QuadTree as the most
+//! memory-hungry index (its node count scales with the number of cells `N`,
+//! not the number of datasets `n`).
 
 use crate::traits::OverlapIndex;
 use dits::{DatasetNode, OverlapResult};
@@ -226,14 +225,14 @@ impl OverlapIndex for QuadTreeIndex {
         let Some(query_rect) = query.mbr_cell_space() else {
             return Vec::new();
         };
-        let candidates = self.candidate_datasets(&query_rect);
-        let overlaps =
-            query.intersection_size_many(candidates.iter().map(|dataset| &self.datasets[dataset]));
-        let mut results: Vec<OverlapResult> = candidates
+        let mut results: Vec<OverlapResult> = self
+            .candidate_datasets(&query_rect)
             .into_iter()
-            .zip(overlaps)
-            .filter(|&(_, overlap)| overlap > 0)
-            .map(|(dataset, overlap)| OverlapResult { dataset, overlap })
+            .map(|dataset| OverlapResult {
+                dataset,
+                overlap: query.intersection_size(&self.datasets[&dataset]),
+            })
+            .filter(|r| r.overlap > 0)
             .collect();
         results.sort_unstable_by(|a, b| b.overlap.cmp(&a.overlap).then(a.dataset.cmp(&b.dataset)));
         results.truncate(k);

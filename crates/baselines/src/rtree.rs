@@ -302,16 +302,13 @@ impl OverlapIndex for RTreeIndex {
         let Some(query_rect) = query.mbr_cell_space() else {
             return Vec::new();
         };
-        // MBR filtering finds the candidates; one batched intersection pass
-        // scores them all against the query's cached packed representation.
-        let candidates = self.intersecting_datasets(&query_rect);
-        let overlaps = query.intersection_size_many(candidates.iter().map(|d| &d.cells));
-        let mut results: Vec<OverlapResult> = candidates
+        // MBR filtering finds the candidates; each is scored exactly.
+        let mut results: Vec<OverlapResult> = self
+            .intersecting_datasets(&query_rect)
             .into_iter()
-            .zip(overlaps)
-            .map(|(d, overlap)| OverlapResult {
+            .map(|d| OverlapResult {
                 dataset: d.id,
-                overlap,
+                overlap: query.intersection_size(&d.cells),
             })
             .filter(|r| r.overlap > 0)
             .collect();

@@ -86,15 +86,14 @@ impl OverlapIndex for Sts3Index {
             return Vec::new();
         }
         // Scan every dataset and rank all of them (the behaviour the paper
-        // attributes to STS3).  The whole scan is one batched intersection
-        // pass, so the query's packed word representation is built once and
-        // reused against every dataset.
-        let overlaps = query.intersection_size_many(self.datasets.values());
+        // attributes to STS3).
         let mut results: Vec<OverlapResult> = self
             .datasets
-            .keys()
-            .zip(overlaps)
-            .map(|(&dataset, overlap)| OverlapResult { dataset, overlap })
+            .iter()
+            .map(|(&dataset, cells)| OverlapResult {
+                dataset,
+                overlap: query.intersection_size(cells),
+            })
             .filter(|r| r.overlap > 0)
             .collect();
         results.sort_unstable_by(|a, b| b.overlap.cmp(&a.overlap).then(a.dataset.cmp(&b.dataset)));

@@ -44,8 +44,8 @@
 //! source) as the [`Message::ApplyUpdates`] the center puts on the wire —
 //! bytes per op, and encode / decode time per op.  Before timing, the
 //! decoded batch served by one copy of the source and the raw ops applied to
-//! another (`DataSource::apply_updates`) must leave byte-identical
-//! `encode_local` images.
+//! another (`DataSource::apply_updates`) must leave identical trees
+//! (`DitsLocal` equality).
 //!
 //! The `index` block sizes what every process of the federation carries:
 //! keys, postings and bytes of the leaf inverted indexes (bytes per posting
@@ -102,16 +102,11 @@ Usage: bench-runner [--quick] [--out PATH]
 /// three deltas they were the baseline of.
 const SCHEMA_VERSION: u64 = 9;
 
-/// The oldest schema `--validate` still accepts, so the previous snapshot
-/// can stay in the tree beside the new one; each version's additions are
-/// required from that version on only.
-const OLDEST_SCHEMA_VERSION: u64 = 4;
-
-/// The maintenance row every v6 snapshot must carry, and its batch size.
+/// The maintenance row every snapshot must carry, and its batch size.
 const MAINTENANCE_ROW: &str = "maintenance/apply_updates";
 const MAINTENANCE_BATCH_OPS: usize = 72;
 
-/// Kernel rows every v5 snapshot must carry.
+/// Kernel rows every snapshot must carry.
 const REQUIRED_INDEX_KERNELS: [&str; 2] = ["kernel/inverted/build", "kernel/inverted/verify"];
 
 /// Engine entries whose traversal/verify phase split every snapshot must
@@ -753,14 +748,12 @@ fn run_suite(quick: bool) -> Suite {
     let (mut over_wire, mut raw_twin) = (target.clone(), target.clone());
     over_wire.serve(&decoded);
     raw_twin.apply_updates(&raw_ops).expect("valid batch");
-    assert_ne!(
-        dits::encode_local(raw_twin.index()),
-        dits::encode_local(target.index()),
+    assert!(
+        raw_twin.index() != target.index(),
         "the maintenance batch changed nothing"
     );
-    assert_eq!(
-        dits::encode_local(over_wire.index()),
-        dits::encode_local(raw_twin.index()),
+    assert!(
+        over_wire.index() == raw_twin.index(),
         "cells over the wire diverged from raw ops applied in place"
     );
     let encode = measure("encode", kernel_samples, MAINTENANCE_BATCH_OPS, || {
@@ -1179,8 +1172,10 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
         .get("schema_version")
         .and_then(Json::as_number)
         .ok_or("missing numeric schema_version")?;
-    if !(OLDEST_SCHEMA_VERSION as f64..=SCHEMA_VERSION as f64).contains(&version) {
-        return Err(format!("unsupported schema_version {version}"));
+    if version != SCHEMA_VERSION as f64 {
+        return Err(format!(
+            "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
+        ));
     }
     let date = root
         .get("date")
@@ -1359,67 +1354,63 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
         }
     }
 
-    if version >= 5.0 {
-        for required in REQUIRED_INDEX_KERNELS {
-            if !kernel_names.contains(&required) {
-                return Err(format!("kernels missing required row {required:?}"));
-            }
+    for required in REQUIRED_INDEX_KERNELS {
+        if !kernel_names.contains(&required) {
+            return Err(format!("kernels missing required row {required:?}"));
         }
-        let index = root.get("index").ok_or("missing index object")?;
-        for field in [
-            "leaves",
-            "keys",
-            "postings",
-            "inverted_bytes",
-            "bytes_per_posting",
-            "local_index_bytes",
-        ] {
-            let n = index
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("index missing numeric {field}"))?;
-            if !n.is_finite() || n <= 0.0 {
-                return Err(format!("index.{field} = {n} is not a positive size"));
-            }
+    }
+    let index = root.get("index").ok_or("missing index object")?;
+    for field in [
+        "leaves",
+        "keys",
+        "postings",
+        "inverted_bytes",
+        "bytes_per_posting",
+        "local_index_bytes",
+    ] {
+        let n = index
+            .get(field)
+            .and_then(Json::as_number)
+            .ok_or(format!("index missing numeric {field}"))?;
+        if !n.is_finite() || n <= 0.0 {
+            return Err(format!("index.{field} = {n} is not a positive size"));
         }
-        // 0 is what a machine without procfs reports.
-        for field in ["rss_before_build_mb", "rss_after_build_mb"] {
-            let n = index
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("index missing numeric {field}"))?;
-            if !n.is_finite() || n < 0.0 {
-                return Err(format!("index.{field} = {n} is not a valid size"));
-            }
+    }
+    // 0 is what a machine without procfs reports.
+    for field in ["rss_before_build_mb", "rss_after_build_mb"] {
+        let n = index
+            .get(field)
+            .and_then(Json::as_number)
+            .ok_or(format!("index missing numeric {field}"))?;
+        if !n.is_finite() || n < 0.0 {
+            return Err(format!("index.{field} = {n} is not a valid size"));
         }
     }
 
-    if version >= 6.0 {
-        let row = root
-            .get("maintenance")
-            .and_then(Json::as_array)
-            .and_then(|rows| {
-                rows.iter()
-                    .find(|r| r.get("name").and_then(Json::as_str) == Some(MAINTENANCE_ROW))
-            })
-            .ok_or(format!(
-                "maintenance section has no {MAINTENANCE_ROW:?} row"
-            ))?;
-        for field in [
-            "ops",
-            "bytes_per_op",
-            "encode_ns_per_op",
-            "decode_ns_per_op",
-        ] {
-            let n = row
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("{MAINTENANCE_ROW} missing numeric {field}"))?;
-            if !n.is_finite() || n <= 0.0 {
-                return Err(format!(
-                    "{MAINTENANCE_ROW}.{field} = {n} is not a positive measurement"
-                ));
-            }
+    let row = root
+        .get("maintenance")
+        .and_then(Json::as_array)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("name").and_then(Json::as_str) == Some(MAINTENANCE_ROW))
+        })
+        .ok_or(format!(
+            "maintenance section has no {MAINTENANCE_ROW:?} row"
+        ))?;
+    for field in [
+        "ops",
+        "bytes_per_op",
+        "encode_ns_per_op",
+        "decode_ns_per_op",
+    ] {
+        let n = row
+            .get(field)
+            .and_then(Json::as_number)
+            .ok_or(format!("{MAINTENANCE_ROW} missing numeric {field}"))?;
+        if !n.is_finite() || n <= 0.0 {
+            return Err(format!(
+                "{MAINTENANCE_ROW}.{field} = {n} is not a positive measurement"
+            ));
         }
     }
 

@@ -56,11 +56,6 @@ pub fn node_distance_bounds(a: &NodeGeometry, b: &NodeGeometry) -> (f64, f64) {
     (lb, ub)
 }
 
-/// Lower bound only (cheaper when the caller short-circuits on it).
-pub fn node_distance_lower_bound(a: &NodeGeometry, b: &NodeGeometry) -> f64 {
-    (a.pivot.distance(&b.pivot) - a.radius - b.radius).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +153,6 @@ mod tests {
         let (lb, ub) = node_distance_bounds(&a, &b);
         assert_eq!(lb, 0.0);
         assert!(ub > 0.0);
-        assert_eq!(node_distance_lower_bound(&a, &b), 0.0);
     }
 
     proptest! {

@@ -6,9 +6,10 @@
 //! organises these root summaries in a small binary tree built with the same
 //! top-down procedure as the local index (but leaves carry no inverted
 //! index), and uses it to route a query to the *candidate sources*: those
-//! whose region intersects the query MBR or lies within the connectivity
-//! threshold of it.  Pruning a source at the global level removes one whole
-//! round of communication (the paper's first query-distribution strategy).
+//! whose region lies within the connectivity threshold of the query MBR
+//! (intersects it, when the threshold is zero).  Pruning a source at the
+//! global level removes one whole round of communication (the paper's first
+//! query-distribution strategy).
 //!
 //! The tree is built, never patched: [`DitsGlobal::build`] is its only
 //! producer.  Appendix IX-C maintains DITS-L in place and asks of the center
@@ -17,8 +18,9 @@
 //! the summary list and build again — a federation has a handful of sources
 //! and a summary changes once per maintenance batch.  A maintained index is
 //! therefore the one `build` makes from the surviving summaries: no drifted,
-//! empty or duplicated leaf exists to account for, and the persisted image
-//! ([`crate::persist`]) is the summary list alone.
+//! empty or duplicated leaf exists to account for.  There is no persisted
+//! image either: a center recovers the way it bootstraps, by polling its
+//! sources for their summaries, which cannot be stale.
 
 use crate::node::NodeGeometry;
 use serde::{Deserialize, Serialize};
@@ -196,7 +198,7 @@ impl DitsGlobal {
     }
 
     /// All registered summaries, sorted by source id: the input the two
-    /// mutators and the persistence codec hand back to [`Self::build`].
+    /// mutators hand back to [`Self::build`].
     pub fn summaries(&self) -> Vec<SourceSummary> {
         let mut out: Vec<SourceSummary> = Vec::with_capacity(self.source_count);
         let mut stack = vec![self.root];
@@ -264,35 +266,29 @@ impl DitsGlobal {
 
     /// Finds the candidate data sources for a query with MBR `query_rect`
     /// (in longitude/latitude) under a connectivity slack of `delta_lonlat`
-    /// degrees: sources whose region intersects the query MBR or whose
-    /// distance lower bound to the query node is below the slack.
+    /// degrees: the sources whose region lies within the slack of the query
+    /// MBR, rectangle to rectangle.
     ///
-    /// With `delta_lonlat = 0` only MBR-intersecting sources are returned
-    /// (the OJSP case); CJSP passes the δ threshold converted to degrees.
+    /// With `delta_lonlat = 0` only MBR-intersecting sources are returned.
+    /// (The data center passes δ converted to degrees — 0 for OJSP — plus
+    /// half a cell diagonal, because summaries are rectangles of cell
+    /// centres and the query MBR is not.)
+    /// One predicate prunes a subtree and admits a summary, and a rectangle
+    /// is never farther from the query than one it contains, so the routed
+    /// set is a function of the summaries alone — exactly those a linear
+    /// scan would keep, whatever shape the tree has.
     pub fn candidate_sources(&self, query_rect: &Mbr, delta_lonlat: f64) -> Vec<SourceSummary> {
+        let within = |g: &NodeGeometry| g.rect.min_distance(query_rect) <= delta_lonlat;
         let mut out = Vec::new();
-        let query_geometry = NodeGeometry::from_mbr(*query_rect);
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
             let node = &self.nodes[idx];
-            let g = node.geometry();
-            let intersects = g.rect.intersects(query_rect);
-            let within_delta =
-                crate::bounds::node_distance_lower_bound(g, &query_geometry) <= delta_lonlat;
-            if !intersects && !within_delta {
+            if !within(node.geometry()) {
                 continue;
             }
             match node {
                 GlobalNode::Leaf { sources, .. } => {
-                    for s in sources {
-                        let s_intersects = s.geometry.rect.intersects(query_rect);
-                        let s_within =
-                            crate::bounds::node_distance_lower_bound(&s.geometry, &query_geometry)
-                                <= delta_lonlat;
-                        if s_intersects || s_within {
-                            out.push(*s);
-                        }
-                    }
+                    out.extend(sources.iter().filter(|s| within(&s.geometry)).copied());
                 }
                 GlobalNode::Internal { left, right, .. } => {
                     stack.push(*left);
@@ -347,7 +343,7 @@ fn coord(s: &SourceSummary, d: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::{decode_global, encode_global};
+    use crate::ReplayOnPanic;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -548,28 +544,12 @@ mod tests {
         assert!(s.geometry.rect.max.y > 89.0);
     }
 
-    /// Prints how to replay a failing case: the vendored proptest neither
-    /// shrinks nor reports its inputs, and every input here derives from one
-    /// seed.
-    struct ReplayOnPanic(u64);
-
-    impl Drop for ReplayOnPanic {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!(
-                    "DITS-G mutator case failed; replay it with `run_mutator_case({})` from a #[test]",
-                    self.0
-                );
-            }
-        }
-    }
-
     /// One put / replace / remove sequence over eight ids and a coarse
     /// rectangle lattice (so regions touch, nest and coincide), fully
     /// determined by `case_seed`.  After every op the index must be the one
     /// `build` makes from the surviving summaries.
     fn run_mutator_case(case_seed: u64) {
-        let _replay = ReplayOnPanic(case_seed);
+        let _replay = ReplayOnPanic("run_mutator_case", case_seed);
         let mut rng = TestRng::from_name(&format!("global-{case_seed}"));
         let rect = (-6i32..6, -6i32..6, 0i32..4, 0i32..4);
         let capacity = (1usize..4).generate(&mut rng);
@@ -597,21 +577,22 @@ mod tests {
                 assert_eq!(index.put_source(s), survivors.insert(id, s).is_some());
             }
             let built = DitsGlobal::build(survivors.values().copied().collect(), capacity);
-            let image = encode_global(&index);
-            assert_eq!(image, encode_global(&built));
-            assert_eq!(encode_global(&decode_global(&image).unwrap()), image);
+            assert_eq!(index.leaf_capacity(), built.leaf_capacity());
+            assert_eq!(index.summaries(), built.summaries());
             assert_eq!(index.check_invariants(), Ok(()));
             for &(r, slack) in &probes {
                 let probe = lattice(r);
                 let routed = index.candidate_sources(&probe, slack);
                 assert_eq!(routed, built.candidate_sources(&probe, slack));
-                // And lossless: no source whose region lies within the slack
-                // of the probe is pruned, at any tree shape.
-                for s in survivors.values() {
-                    if s.geometry.rect.min_distance(&probe) <= slack {
-                        assert!(routed.contains(s), "source {} was pruned", s.source);
-                    }
-                }
+                // And a function of the summaries alone: exactly the sources
+                // whose region lies within the slack of the probe, at any
+                // tree shape.
+                let scanned: Vec<SourceSummary> = survivors
+                    .values()
+                    .filter(|s| s.geometry.rect.min_distance(&probe) <= slack)
+                    .copied()
+                    .collect();
+                assert_eq!(routed, scanned);
             }
         }
     }

@@ -47,12 +47,28 @@ pub use knn::{nearest_datasets, range_datasets, Neighbor};
 pub use local::{DitsLocal, DitsLocalConfig, TraversalLayout};
 pub use node::{DatasetNode, NodeGeometry};
 pub use overlap::{overlap_search, OverlapResult};
-pub use persist::{
-    decode_global, decode_local, encode_global, encode_local, load_global, load_local, save_global,
-    save_local, PersistError,
-};
+pub use persist::{decode_local, encode_local, load_local, save_local, PersistError};
 pub use phase::{take_phase_timings, PhaseTimings};
 pub use stats::{MaintenanceStats, SearchStats};
+
+/// Prints how to replay a failing seeded case — `ReplayOnPanic("run_case",
+/// seed)` names the function to call with the seed from a `#[test]`.  The
+/// vendored proptest neither shrinks nor reports its inputs, so every input
+/// of such a case derives from the one seed.
+#[cfg(test)]
+pub(crate) struct ReplayOnPanic(pub &'static str, pub u64);
+
+#[cfg(test)]
+impl Drop for ReplayOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "seeded case failed; replay it with `{}({})` from a #[test]",
+                self.0, self.1
+            );
+        }
+    }
+}
 
 #[cfg(test)]
 mod thread_safety_tests {

@@ -44,7 +44,7 @@ impl Default for DitsLocalConfig {
 // fields already live in the separate SoA `TraversalLayout` — the arena
 // slack is idle memory, not touched per query.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NodeKind {
     /// Internal node (Definition 13).
     Internal {
@@ -63,7 +63,7 @@ pub enum NodeKind {
 }
 
 /// One node of the local index arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TreeNode {
     /// Geometry (MBR, pivot, radius) of everything below this node.
     pub geometry: NodeGeometry,
@@ -79,6 +79,12 @@ pub struct TreeNode {
 /// cached lazily (same `OnceLock` pattern as the packed cells of `CellSet`)
 /// and dropped by every arena mutation, so queries between maintenance
 /// operations share one layout build.
+///
+/// Two indexes are equal when they are the same *tree* — arena, root,
+/// configuration and dataset count, slots orphaned by maintenance included —
+/// not merely indexes over the same datasets: a maintained index and the
+/// scratch build over its survivors usually differ.  Tests use this as their
+/// structural identity oracle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DitsLocal {
     nodes: Vec<TreeNode>,
@@ -86,6 +92,16 @@ pub struct DitsLocal {
     config: DitsLocalConfig,
     dataset_count: usize,
     layout: OnceLock<TraversalLayout>,
+}
+
+/// Ignores the `layout` cache, as `CellSet` equality ignores its caches.
+impl PartialEq for DitsLocal {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+            && self.root == other.root
+            && self.config == other.config
+            && self.dataset_count == other.dataset_count
+    }
 }
 
 impl DitsLocal {
@@ -174,30 +190,6 @@ impl DitsLocal {
         self.layout.take();
         self.nodes.push(node);
         self.nodes.len() - 1
-    }
-
-    /// Decomposes the index into its raw parts (arena, root, config, count);
-    /// used by the persistence codec.
-    pub(crate) fn parts(&self) -> (&[TreeNode], NodeIdx, DitsLocalConfig, usize) {
-        (&self.nodes, self.root, self.config, self.dataset_count)
-    }
-
-    /// Reassembles an index from raw parts produced by [`Self::parts`] (or by
-    /// the persistence codec).  The caller is responsible for structural
-    /// consistency; [`Self::check_invariants`] can verify it afterwards.
-    pub(crate) fn from_parts(
-        nodes: Vec<TreeNode>,
-        root: NodeIdx,
-        config: DitsLocalConfig,
-        dataset_count: usize,
-    ) -> Self {
-        Self {
-            nodes,
-            root,
-            config,
-            dataset_count,
-            layout: OnceLock::new(),
-        }
     }
 
     /// The root node's arena index.
@@ -309,10 +301,9 @@ impl DitsLocal {
         bytes + self.layout.get().map_or(0, TraversalLayout::memory_bytes)
     }
 
-    /// Checks the structural invariants of the tree; used by tests, by the
-    /// update module after mutations and by `decode_local` on an arena read
-    /// from an untrusted image, so it reaches nodes with `get` and never
-    /// indexes.  Returns a description of the first violation found.
+    /// Checks the structural invariants of the tree; used by tests and by the
+    /// update module after mutations.  Returns a description of the first
+    /// violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen: Vec<DatasetId> = Vec::new();
         self.check_node(self.root, None, &mut seen)?;
@@ -535,7 +526,7 @@ impl DitsLocal {
 }
 
 /// The inverted index of a leaf's entries: the one constructor behind every
-/// leaf (construction, bulk load, decoded image, maintenance).
+/// leaf (construction and maintenance).
 pub(crate) fn inverted_of(entries: &[DatasetNode]) -> InvertedIndex {
     InvertedIndex::build(entries.iter().map(|e| (e.id, &e.cells)))
 }
@@ -731,6 +722,31 @@ mod tests {
         let layout = idx.traversal_layout();
         assert!(layout.len() <= idx.node_count());
         assert!(idx.check_invariants().is_ok());
+    }
+
+    #[test]
+    fn equality_is_tree_identity_not_dataset_identity() {
+        let config = DitsLocalConfig { leaf_capacity: 4 };
+        let scratch = DitsLocal::build(grid_nodes(40), config);
+        // The same datasets, the last eight of them arriving by maintenance
+        // (splitting leaves on the way).
+        let mut maintained = DitsLocal::build(grid_nodes(32), config);
+        for node in grid_nodes(40).split_off(32) {
+            assert!(maintained.insert(node));
+        }
+        let datasets = |index: &DitsLocal| {
+            let mut nodes: Vec<DatasetNode> = index.dataset_nodes().into_iter().cloned().collect();
+            nodes.sort_unstable_by_key(|n| n.id);
+            nodes
+        };
+        assert_eq!(datasets(&maintained), datasets(&scratch));
+        assert_ne!(maintained, scratch);
+        // Building again is what makes them equal; a warm layout cache on
+        // one side is not a difference.
+        let rebuilt = DitsLocal::build(datasets(&maintained), config);
+        rebuilt.traversal_layout();
+        assert_eq!(rebuilt, scratch);
+        assert_eq!(maintained, maintained.clone());
     }
 
     #[test]

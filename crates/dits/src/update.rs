@@ -24,10 +24,9 @@
 //! the resulting root summary into DITS-G, so global routing never goes
 //! stale.  The collapse machinery leaves the orphaned arena slots in place
 //! (the arena never shrinks, like the split path never reuses slots):
-//! orphans are unreachable from the root, cost two empty slots per
-//! collapse, and survive persistence round-trips — the codec serialises
-//! the whole arena so node indices stay stable — until the next full
-//! rebuild reclaims them.
+//! orphans are unreachable from the root and cost two empty slots per
+//! collapse until the next full build — a reload from a persisted image is
+//! one — reclaims them.
 
 use crate::inverted::InvertedIndex;
 use crate::local::{geometry_of, inverted_of, DitsLocal, NodeIdx, NodeKind};

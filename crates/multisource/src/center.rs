@@ -182,11 +182,11 @@ impl DataCenter {
         })
     }
 
-    /// Reassembles a data center around a recovered global index (e.g. one
-    /// decoded from a [`dits::persist`] image after a restart), skipping the
-    /// summary poll of every source that [`Self::from_transport`] performs —
-    /// which is what a center does when it has no image, or one the decoder
-    /// refuses (the arena images of format version 1 are).
+    /// Wraps a global index assembled elsewhere (tests build centers over
+    /// hand-made summaries with it).  A restarted center does not come back
+    /// through here: DITS-G has no persisted image, and recovery is
+    /// [`Self::from_transport`] — the summary poll it bootstraps with, which
+    /// cannot be stale.
     pub fn from_global(global: DitsGlobal) -> Self {
         Self { global }
     }
@@ -305,11 +305,19 @@ impl DataCenter {
         }
     }
 
-    /// The connectivity slack used when routing CJSP queries, in degrees:
-    /// δ (cell units) scaled by the *coarsest* registered source's cell size,
-    /// so the lonlat-space pruning bound is conservative for every source —
-    /// and so a per-request δ override widens routing along with clipping
-    /// and aggregation.
+    /// The slack, in degrees, within which a source's summary rectangle must
+    /// lie of a query's MBR for the source to be routed: δ (cell units; 0
+    /// for OJSP) plus half a cell diagonal, scaled by the *coarsest*
+    /// registered source's cell size, so the lonlat-space pruning bound is
+    /// conservative for every source — and so a per-request δ override
+    /// widens routing along with clipping and aggregation.
+    ///
+    /// The half diagonal is what makes rectangle-to-rectangle routing
+    /// lossless: a summary's corners are cell *centres*
+    /// ([`SourceSummary::from_local_root`]) while the query MBR is raw
+    /// points, and a point lies up to half a diagonal from the centre of the
+    /// cell it grids to — a query wholly inside the outer half of a source's
+    /// border cells shares cells with it without the rectangles meeting.
     pub(crate) fn route_slack_lonlat(
         &self,
         delta_cells: f64,
@@ -320,7 +328,7 @@ impl DataCenter {
             let grid = grids.get(summary.resolution)?;
             degrees_per_cell = degrees_per_cell.max(grid.cell_width().max(grid.cell_height()));
         }
-        Ok(delta_cells.max(0.0) * degrees_per_cell)
+        Ok((delta_cells.max(0.0) + std::f64::consts::FRAC_1_SQRT_2) * degrees_per_cell)
     }
 
     /// Chooses which sources to contact for an overlap / coverage query,

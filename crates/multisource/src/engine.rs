@@ -169,8 +169,8 @@ impl<'a> QueryEngine<'a> {
 
     /// The sources this engine can actually deliver to.  Routing intersects
     /// DITS-G candidates with this set, so a stale summary (a source that
-    /// left the fleet after the global image was persisted) is skipped
-    /// instead of failing every batch with `UnknownSource`.
+    /// left the fleet after the center polled it) is skipped instead of
+    /// failing every batch with `UnknownSource`.
     fn reachable_sources(&self) -> std::collections::BTreeSet<SourceId> {
         self.transport.get().source_ids().into_iter().collect()
     }
@@ -432,8 +432,8 @@ impl<'a> QueryEngine<'a> {
 /// How a search kind picks the sources a query is sent to.
 #[derive(Debug, Clone, Copy)]
 enum Routing {
-    /// Sources whose DITS-G summary intersects the query's MBR widened by
-    /// this slack, in degrees.
+    /// Sources whose DITS-G summary lies within this slack, in degrees, of
+    /// the query's MBR (see `DataCenter::route_slack_lonlat`).
     Intersecting { slack_lonlat: f64 },
     /// Sources whose distance lower bound to the query can still reach the
     /// top-k (see `DataCenter::knn_route`).
@@ -493,8 +493,10 @@ impl QueryKind for Ojsp {
     const NAME: &'static str = "ojsp";
     const REPLY: &'static str = "OverlapReply";
 
-    fn routing(&self, _: &DataCenter, _: &mut GridCache) -> Result<Routing, SearchError> {
-        Ok(Routing::Intersecting { slack_lonlat: 0.0 })
+    fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
+        Ok(Routing::Intersecting {
+            slack_lonlat: center.route_slack_lonlat(0.0, grids)?,
+        })
     }
 
     fn clip_slack(&self) -> Option<f64> {

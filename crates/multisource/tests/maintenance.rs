@@ -10,13 +10,14 @@
 //! A second seeded suite holds the two ways into a source to one result: the
 //! same op stream sent center → wire → source as gridded cells, and applied
 //! to a twin source as raw ops (`DataSource::apply_updates`), must leave
-//! byte-identical index images behind.
+//! identical trees (`DitsLocal` equality: arena, root, config and count)
+//! behind.
 
 use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
 use dits::knn::nearest_datasets_bruteforce;
+use dits::local::NodeKind;
 use dits::{
-    decode_global, decode_local, encode_global, encode_local, nearest_datasets, overlap_search,
-    DatasetNode,
+    decode_local, encode_local, nearest_datasets, overlap_search, DatasetNode, InvertedIndex,
 };
 use multisource::transport::{CallOptions, TransportReply};
 use multisource::{
@@ -197,21 +198,23 @@ fn assert_verify_state_parity(maintained: &MultiSourceFramework, queries: &[Spat
     }
 }
 
-/// Leaf-column parity on the *maintained* trees: decoding a tree's image
-/// rebuilds every leaf's inverted index from its entries on the same tree
-/// shape, so OverlapSearch over the maintained tree must return the same
-/// answers **and** the same `SearchStats` as over that from-scratch rebuild —
-/// the maintenance paths left no stale posting, bound set or count behind.
-fn assert_leaf_column_parity(maintained: &MultiSourceFramework, queries: &[SpatialDataset]) {
+/// Leaf-column parity on the *maintained* trees: every leaf's inverted index
+/// must be, column for column, the one built from scratch over the leaf's
+/// entries — the maintenance paths left no stale posting, key or count
+/// behind — so OverlapSearch over the maintained tree does the work, and
+/// reports the `SearchStats`, of a tree of the same shape whose leaves were
+/// never patched.
+fn assert_leaf_column_parity(maintained: &MultiSourceFramework) {
     for s in maintained.sources() {
-        let rebuilt = decode_local(&encode_local(s.index())).unwrap();
-        rebuilt.check_invariants().unwrap();
-        for q in queries {
-            let cells = s.grid_query(q);
+        let index = s.index();
+        for leaf in index.leaves() {
+            let NodeKind::Leaf { entries, inverted } = &index.node(leaf).kind else {
+                panic!("leaves() returned internal node {leaf} on source {}", s.id);
+            };
             assert_eq!(
-                overlap_search(s.index(), &cells, 5),
-                overlap_search(&rebuilt, &cells, 5),
-                "OJSP answers or stats diverged from rebuilt columns on source {}",
+                *inverted,
+                InvertedIndex::build(entries.iter().map(|e| (e.id, &e.cells))),
+                "leaf {leaf} columns diverged from a rebuild on source {}",
                 s.id
             );
         }
@@ -317,7 +320,7 @@ fn run_case(case_seed: u64) {
     assert_parity(&fw, &scratch, &queries);
     assert_answer_parity(&fw, &scratch, &queries);
     assert_verify_state_parity(&fw, &queries);
-    assert_leaf_column_parity(&fw, &queries);
+    assert_leaf_column_parity(&fw);
 }
 
 proptest! {
@@ -475,7 +478,7 @@ fn run_wire_case(case_seed: u64) {
             .summaries()
             .iter()
             .any(|s| s.source == source);
-        let image_before = encode_local(twin.index());
+        let index_before = twin.index().clone();
         let over_wire = center.apply_updates(&wire, source, &ops);
         match twin.apply_updates(&ops) {
             Ok((summary, stats)) => {
@@ -515,18 +518,17 @@ fn run_wire_case(case_seed: u64) {
                         detail: e.to_string()
                     }
                 );
-                assert_eq!(encode_local(twin.index()), image_before);
+                assert_eq!(*twin.index(), index_before);
             }
         }
     }
 
-    // Byte-identical indexes on both sides of the wire.
+    // Identical trees on both sides of the wire.
     let sources = wire.sources.lock().unwrap().clone();
     for (over_wire, twin) in sources.iter().zip(&twins) {
         assert_eq!(over_wire.grid().resolution(), twin.grid().resolution());
-        assert_eq!(
-            encode_local(over_wire.index()),
-            encode_local(twin.index()),
+        assert!(
+            over_wire.index() == twin.index(),
             "source {} diverged from its raw-op twin",
             twin.id
         );
@@ -594,11 +596,10 @@ fn sustained_churn_leaves_the_center_a_scratch_build_makes() {
     assert_answer_parity(&fw, &scratch, &queries);
     assert_verify_state_parity(&fw, &queries);
     // Not sampled parity but identity: the maintained DITS-G is the one the
-    // scratch framework built, byte for byte.
-    assert_eq!(
-        encode_global(fw.center().global()),
-        encode_global(scratch.center().global())
-    );
+    // scratch framework built — `build` over the same capacity and summaries.
+    let (maintained, built) = (fw.center().global(), scratch.center().global());
+    assert_eq!(maintained.leaf_capacity(), built.leaf_capacity());
+    assert_eq!(maintained.summaries(), built.summaries());
 }
 
 #[test]
@@ -678,8 +679,8 @@ fn maintained_indexes_survive_a_persistence_round_trip() {
         shadow.push(fresh);
     }
 
-    // Every mutated local index round-trips losslessly and keeps answering
-    // identically.
+    // Every mutated local index reloads from its image as the scratch build
+    // over its datasets and keeps answering identically.
     let queries = probe_queries(&data);
     for s in fw.sources() {
         let decoded = decode_local(&encode_local(s.index())).unwrap();
@@ -693,18 +694,17 @@ fn maintained_indexes_survive_a_persistence_round_trip() {
         }
     }
 
-    // The center's mutated DITS-G round-trips through the global image: a
-    // restarted center recovers every refreshed summary without re-polling
-    // the sources.
+    // The center has no image to reload: it recovers the way it bootstraps,
+    // by polling the sources, and so cannot come back with a summary from
+    // before the batches.
     let global = fw.center().global();
-    let image = encode_global(global);
-    let decoded = decode_global(&image).unwrap();
-    assert_eq!(decoded.summaries(), global.summaries());
-    assert_eq!(encode_global(&decoded), image);
+    let polled = multisource::transport::InProcessTransport::new(fw.sources());
+    let recovered = DataCenter::from_transport(&polled, global.leaf_capacity()).unwrap();
+    assert_eq!(recovered.global().summaries(), global.summaries());
     for q in &queries {
         if let Some(rect) = q.mbr() {
             assert_eq!(
-                decoded.candidate_sources(&rect, 1.0),
+                recovered.global().candidate_sources(&rect, 1.0),
                 global.candidate_sources(&rect, 1.0)
             );
         }

@@ -323,13 +323,10 @@ fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
     let victim = data[1].1[0].id;
     let theta = fw.config().resolution;
     let beyond = fw.sources()[1].grid().cell_count();
-    let images = |sources: &[multisource::DataSource]| -> Vec<Bytes> {
-        sources
-            .iter()
-            .map(|s| dits::encode_local(s.index()))
-            .collect()
+    let indexes = |sources: &[multisource::DataSource]| -> Vec<dits::DitsLocal> {
+        sources.iter().map(|s| s.index().clone()).collect()
     };
-    let untouched = images(fw.sources());
+    let untouched = indexes(fw.sources());
 
     let servers: Vec<SourceServer> = fw
         .sources()
@@ -399,10 +396,10 @@ fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
         }
     }
 
-    // Nothing was applied on either side of the sockets: the local images
-    // are byte for byte what they were, and the server still counts the
+    // Nothing was applied on either side of the sockets: the local trees
+    // are node for node what they were, and the server still counts the
     // dataset the leading delete named.
-    assert_eq!(images(&local_sources), untouched);
+    assert!(indexes(&local_sources) == untouched);
     assert_eq!(poll(), before);
     drop(pooled);
     for server in servers {

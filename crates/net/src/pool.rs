@@ -253,7 +253,6 @@ pub struct PooledTcpTransport {
     config: PoolConfig,
     next_corr: AtomicU64,
     metrics: PoolMetrics,
-    registry: Arc<MetricsRegistry>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -333,7 +332,6 @@ impl PooledTcpTransport {
             config,
             next_corr: AtomicU64::new(1),
             metrics,
-            registry,
             handle: Some(handle),
         })
     }
@@ -346,12 +344,6 @@ impl PooledTcpTransport {
     /// The pool's observability handles.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.metrics
-    }
-
-    /// The registry the pool gauges live in (for scraping alongside other
-    /// center-side instruments).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// One submission: encode, enqueue, park until the loop answers.

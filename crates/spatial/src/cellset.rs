@@ -10,8 +10,7 @@
 //! # Performance
 //!
 //! [`intersection_size`](CellSet::intersection_size) (and everything built on
-//! it: `union_size`, `marginal_gain`, `intersection_size_many`) picks between
-//! three kernels:
+//! it: `union_size`, `marginal_gain`) picks between three kernels:
 //!
 //! 1. **Galloping** when the sizes are skewed (`|small| · 16 < |large|`): for
 //!    each cell of the small set, exponentially probe forward in the large
@@ -33,6 +32,18 @@
 //! popcount price thereafter.  Run `cargo run --release -p bench
 //! --bin bench-runner` to measure the kernels on this machine; see
 //! `BENCH_*.json` at the repository root for the committed trajectory.
+//!
+//! Which kernel the serving path reaches, counted with
+//! [`kernel_counters`] over the federation benchmark's in-process twin
+//! (seed 1, Tenth-scale corpus): OJSP never dispatches — OverlapSearch calls
+//! [`intersection_size_packed`](CellSet::intersection_size_packed) directly
+//! for its Lemma 2 leaf bounds (56 630 calls over 2 000 queries, zero
+//! adaptive dispatches); CJSP's `marginal_gain` dispatches 97.4 % linear,
+//! 1.6 % packed and 1.0 % galloping (30 600 / 490 / 322 over 64 queries);
+//! kNN intersects nothing (its kernel is `distance`).  The ~44× of
+//! `bench-runner`'s `kernel/intersection/dense-grid` row therefore describes
+//! a pair — two dense sets of comparable size — that the serving path's
+//! dispatch almost never sees.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -577,24 +588,6 @@ impl CellSet {
         count
     }
 
-    /// Batch intersection sizes `|self ∩ otherᵢ|` for every set in `others`.
-    ///
-    /// Equivalent to mapping [`intersection_size`](Self::intersection_size)
-    /// over `others`, but written as one primitive so batch callers (the
-    /// multi-source query engine's coverage aggregation, the baselines'
-    /// candidate scoring, the benches) have a single hot entry point: `self`
-    /// is packed at most once and its cached block form is reused against
-    /// every dense partner in the batch.
-    pub fn intersection_size_many<'a, I>(&self, others: I) -> Vec<usize>
-    where
-        I: IntoIterator<Item = &'a CellSet>,
-    {
-        others
-            .into_iter()
-            .map(|other| self.intersection_size(other))
-            .collect()
-    }
-
     /// Size of the union `|self ∪ other|` by inclusion–exclusion.
     ///
     /// Allocation-free: no per-call buffer is built — the only allocation
@@ -868,23 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_size_many_matches_singles() {
-        let q = set(&[2, 4, 6, 8]);
-        let others = [
-            set(&[1, 2, 3]),
-            CellSet::new(),
-            (0..50u64).collect::<CellSet>(),
-        ];
-        let batch = q.intersection_size_many(others.iter());
-        let singles: Vec<usize> = others.iter().map(|o| q.intersection_size(o)).collect();
-        assert_eq!(batch, singles);
-        assert_eq!(batch, vec![1, 0, 4]);
-        assert!(q
-            .intersection_size_many(std::iter::empty::<&CellSet>())
-            .is_empty());
-    }
-
-    #[test]
     fn marginal_gain_matches_definition() {
         let r = set(&[1, 2, 3]);
         let d = set(&[3, 4, 5]);
@@ -1135,10 +1111,6 @@ mod tests {
             prop_assert_eq!(ca.intersection_size_galloping(&cb), linear);
             prop_assert_eq!(cb.intersection_size_galloping(&ca), linear);
             prop_assert_eq!(ca.intersection_size(&cb), linear);
-            prop_assert_eq!(
-                ca.intersection_size_many([&cb, &ca]),
-                vec![linear, ca.len()]
-            );
         }
 
         #[test]

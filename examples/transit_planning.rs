@@ -70,8 +70,9 @@ fn main() {
         );
     }
 
-    // 4. Persist the index a planning service would serve from, and prove the
-    //    image reloads losslessly.
+    // 4. Persist the index a planning service would serve from — the image
+    //    is the gridded routes, and loading it builds the tree over them —
+    //    and prove the image reloads losslessly.
     let grid = Grid::global(13).expect("valid resolution");
     let nodes: Vec<DatasetNode> = network
         .iter()
@@ -81,9 +82,10 @@ fn main() {
     let image = encode_local(&index);
     let reloaded = decode_local(&image).expect("image decodes");
     println!(
-        "\npersisted index image: {} KiB for {} routes; reload check: {} datasets",
+        "\npersisted index image: {} KiB for {} routes; reload check: {} datasets, same tree: {}",
         image.len() / 1024,
         index.dataset_count(),
-        reloaded.dataset_count()
+        reloaded.dataset_count(),
+        reloaded == index
     );
 }

@@ -88,6 +88,12 @@ fn persisted_index_keeps_answering_all_query_types() {
         .collect();
     let index = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: 8 });
     let reloaded = decode_local(&encode_local(&index)).expect("image decodes");
+    // The image holds the datasets; loading builds the tree, and a tree
+    // built from scratch in id order reloads as itself.
+    assert!(
+        reloaded == index,
+        "the reloaded tree differs from the saved one"
+    );
     let q = query(&grid);
 
     let (a, _) = overlap_search(&index, &q, 7);
