@@ -260,25 +260,9 @@ mod tests {
         assert!(satisfies_spatial_connectivity(&sets, 2.5));
     }
 
-    /// Prints how to replay a failing case: the vendored proptest neither
-    /// shrinks nor reports its inputs, and every input here derives from one
-    /// seed.
-    struct ReplayOnPanic(u64);
-
-    impl Drop for ReplayOnPanic {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!(
-                    "greedy agreement case failed; replay it with `run_agreement_case({})` from a #[test]",
-                    self.0
-                );
-            }
-        }
-    }
-
     /// One random instance, fully determined by `case_seed`.
     fn run_agreement_case(case_seed: u64) {
-        let _replay = ReplayOnPanic(case_seed);
+        let _replay = dits::ReplayOnPanic("run_agreement_case", case_seed);
         let mut rng = TestRng::from_name(&case_seed.to_string());
         let cells = |max| proptest::collection::vec((0u32..20, 0u32..20), 1..max);
         let datasets = proptest::collection::vec(cells(6), 1..25).generate(&mut rng);

@@ -39,6 +39,14 @@
 //! per-query p50/p99.  Answers are asserted identical to the in-process
 //! oracle before the transport is timed.
 //!
+//! The `knn_comm` section counts what federated kNN puts on the wire per
+//! query under each distribution strategy — `Broadcast` (one whole query to
+//! every source), `Pruned` (two waves: the first reply's k-th distance skips
+//! sources) and `PrunedClipped` (it also clips what the rest receive).  The
+//! rows come out of the check that runs before any row over the federation
+//! is timed: every strategy's answer equals the merged per-source brute
+//! force, and request bytes never grow from one strategy to the next.
+//!
 //! The `maintenance` section weighs the one maintenance exchange: a fixed
 //! 72-op batch (24 inserts, 24 updates, 24 deletes against the largest
 //! source) as the [`Message::ApplyUpdates`] the center puts on the wire —
@@ -70,16 +78,16 @@ use dits::knn::nearest_datasets_bruteforce;
 use dits::local::NodeKind;
 use dits::{
     coverage_search, nearest_datasets, overlap_search, CoverageConfig, DatasetNode, DitsLocal,
-    DitsLocalConfig, InvertedIndex,
+    DitsLocalConfig, InvertedIndex, Neighbor,
 };
 use multisource::{
-    DataCenter, FrameworkConfig, Message, QueryEngine, SearchRequest, SearchResponse, SourceServer,
-    UpdateOp,
+    DataCenter, DistributionStrategy, FrameworkConfig, Message, MultiSourceFramework, QueryEngine,
+    SearchRequest, SearchResponse, SourceServer, UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded};
 use spatial::zorder::cell_id;
-use spatial::{CellSet, SpatialDataset};
+use spatial::{CellSet, SourceId, SpatialDataset};
 
 const USAGE: &str = "\
 Usage: bench-runner [--quick] [--out PATH]
@@ -205,6 +213,12 @@ fn main() {
             t.name, t.qps, t.p50_ns, t.p99_ns
         );
     }
+    for c in &suite.knn_comm {
+        println!(
+            "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} sources/query",
+            c.name, c.request_bytes_per_query, c.reply_bytes_per_query, c.sources_per_query
+        );
+    }
     let m = &suite.maintenance;
     println!(
         "  {:<40} {:>8.1} B/op  encode {:>7.1} ns/op  decode {:>7.1} ns/op",
@@ -298,10 +312,19 @@ struct MaintenanceReport {
     decode_ns_per_op: f64,
 }
 
+/// What federated kNN moves per query under one distribution strategy.
+struct KnnCommReport {
+    name: String,
+    request_bytes_per_query: f64,
+    reply_bytes_per_query: f64,
+    sources_per_query: f64,
+}
+
 struct Suite {
     kernels: Vec<KernelReport>,
     deltas: Vec<Delta>,
     transport: Vec<TransportReport>,
+    knn_comm: Vec<KnnCommReport>,
     maintenance: MaintenanceReport,
     phases: Vec<PhaseReport>,
     index: IndexReport,
@@ -414,6 +437,79 @@ fn dense_block(x0: u32, y0: u32, w: u32, h: u32) -> CellSet {
     CellSet::from_cells((0..w).flat_map(|dx| (0..h).map(move |dy| cell_id(x0 + dx, y0 + dy))))
 }
 
+/// Federated kNN against its oracle, under every distribution strategy:
+/// the answer must be the merge of one brute-force search per source, and
+/// neither requests nor request bytes may grow from `Broadcast` to `Pruned`
+/// to `PrunedClipped`.  Returns what each strategy moved per query.
+fn knn_comm_reports(
+    fw: &MultiSourceFramework,
+    nodes_by_source: &[Vec<DatasetNode>],
+    queries: &[SpatialDataset],
+    k: usize,
+) -> Vec<KnnCommReport> {
+    let oracle: Vec<Vec<(SourceId, Neighbor)>> = queries
+        .iter()
+        .map(|query| {
+            let mut all: Vec<(SourceId, Neighbor)> = Vec::new();
+            for (source, nodes) in fw.sources().iter().zip(nodes_by_source) {
+                let local = nearest_datasets_bruteforce(nodes, &source.grid_query(query), k);
+                all.extend(local.into_iter().map(|n| (source.id, n)));
+            }
+            all.sort_unstable_by(|a, b| {
+                a.1.distance
+                    .total_cmp(&b.1.distance)
+                    .then(a.0.cmp(&b.0))
+                    .then(a.1.dataset.cmp(&b.1.dataset))
+            });
+            all.truncate(k);
+            all
+        })
+        .collect();
+    let strategies = [
+        ("knn/comm/broadcast", DistributionStrategy::Broadcast),
+        ("knn/comm/pruned", DistributionStrategy::Pruned),
+        (
+            "knn/comm/pruned-clipped",
+            DistributionStrategy::PrunedClipped,
+        ),
+    ];
+    let comms = strategies.map(|(name, strategy)| {
+        let request = SearchRequest::knn_batch(queries.to_vec())
+            .k(k)
+            .strategy(strategy);
+        let response = fw.engine().run(&request).expect("federated kNN");
+        let answers: Vec<_> = response
+            .knn()
+            .expect("a kNN response")
+            .iter()
+            .map(|a| a.neighbors.clone())
+            .collect();
+        assert_eq!(
+            answers, oracle,
+            "{name}: federated kNN diverged from the merged brute force"
+        );
+        response.comm
+    });
+    for pair in comms.windows(2) {
+        assert!(
+            pair[1].requests <= pair[0].requests
+                && pair[1].bytes_to_sources <= pair[0].bytes_to_sources,
+            "a stricter kNN strategy sent more: {pair:?}"
+        );
+    }
+    let per_query = |count: usize| count as f64 / queries.len() as f64;
+    strategies
+        .iter()
+        .zip(&comms)
+        .map(|((name, _), comm)| KnnCommReport {
+            name: name.to_string(),
+            request_bytes_per_query: per_query(comm.bytes_to_sources),
+            reply_bytes_per_query: per_query(comm.bytes_to_center),
+            sources_per_query: per_query(comm.sources_contacted),
+        })
+        .collect()
+}
+
 fn run_suite(quick: bool) -> Suite {
     let (divisor, queries_n, samples) = if quick { (400, 8, 5) } else { (100, 32, 20) };
     let theta = 11;
@@ -491,13 +587,20 @@ fn run_suite(quick: bool) -> Suite {
     let indexes: Vec<DitsLocal> = (0..env.source_data.len())
         .map(|s| DitsLocal::build(env.dataset_nodes(s, theta), DitsLocalConfig::default()))
         .collect();
+    let nodes_by_source: Vec<Vec<DatasetNode>> = (0..env.source_data.len())
+        .map(|s| env.dataset_nodes(s, theta))
+        .collect();
     let queries = env.query_cells(queries_n, theta);
     assert!(!queries.is_empty(), "query workload must not be empty");
     let batch_ops = indexes.len() * queries.len();
+    // Before any row over the federation is timed: a lost neighbour fails
+    // the run here.
+    let raw_queries = env.query_datasets(queries_n);
+    let knn_comm = knn_comm_reports(&fw, &nodes_by_source, &raw_queries, k);
 
     // Query-vs-dataset pairs drawn from the real workload, so the kernel
     // sees the coordinate distributions the kNN verifier actually walks.
-    let distance_nodes = env.dataset_nodes(0, theta);
+    let distance_nodes = &nodes_by_source[0];
     let distance_pairs: Vec<(&CellSet, &CellSet)> = queries
         .iter()
         .flat_map(|q| distance_nodes.iter().step_by(7).map(move |n| (q, &n.cells)))
@@ -637,12 +740,11 @@ fn run_suite(quick: bool) -> Suite {
     }));
 
     eprintln!("[5/9] knn/per-query");
-    for (s, index) in indexes.iter().enumerate() {
-        let nodes = env.dataset_nodes(s, theta);
+    for (index, nodes) in indexes.iter().zip(&nodes_by_source) {
         for q in &queries {
             assert_eq!(
                 nearest_datasets(index, q, k).0,
-                nearest_datasets_bruteforce(&nodes, q, k),
+                nearest_datasets_bruteforce(nodes, q, k),
                 "bounded kNN diverged from the brute force"
             );
         }
@@ -657,7 +759,6 @@ fn run_suite(quick: bool) -> Suite {
 
     // -- The in-process engine over the full multi-source framework ----------
     eprintln!("[6/9] engine/ojsp/per-query");
-    let raw_queries = env.query_datasets(queries_n);
     let in_process_engine = fw.engine();
     let ojsp_request = SearchRequest::ojsp_batch(raw_queries.clone()).k(k);
     kernels.push(measure(
@@ -808,6 +909,7 @@ fn run_suite(quick: bool) -> Suite {
         kernels,
         deltas,
         transport,
+        knn_comm,
         maintenance,
         phases,
         index: index_report,
@@ -866,6 +968,23 @@ fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> Str
             t.p50_ns,
             t.p99_ns,
             if i + 1 < suite.transport.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"knn_comm\": [\n");
+    for (i, c) in suite.knn_comm.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
+             \"reply_bytes_per_query\": {:.1}, \"sources_per_query\": {:.2}}}{}\n",
+            escape_json(&c.name),
+            c.request_bytes_per_query,
+            c.reply_bytes_per_query,
+            c.sources_per_query,
+            if i + 1 < suite.knn_comm.len() {
                 ","
             } else {
                 ""
@@ -1310,6 +1429,35 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
             "transport section has no {REQUIRED_TRANSPORT_PREFIX}* rows — the \
              federated deployment must be measured"
         ));
+    }
+
+    // Checked where present: the section is newer than the schema version,
+    // and the tree keeps one snapshot from before it.
+    for (i, c) in root
+        .get("knn_comm")
+        .and_then(Json::as_array)
+        .into_iter()
+        .flatten()
+        .enumerate()
+    {
+        if c.get("name").and_then(Json::as_str).is_none() {
+            return Err(format!("knn_comm[{i}] missing string name"));
+        }
+        for field in [
+            "request_bytes_per_query",
+            "reply_bytes_per_query",
+            "sources_per_query",
+        ] {
+            let n = c
+                .get(field)
+                .and_then(Json::as_number)
+                .ok_or(format!("knn_comm[{i}] missing numeric {field}"))?;
+            if !n.is_finite() || n <= 0.0 {
+                return Err(format!(
+                    "knn_comm[{i}].{field} = {n} is not a positive count"
+                ));
+            }
+        }
     }
 
     let phases = root

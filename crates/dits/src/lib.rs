@@ -54,11 +54,11 @@ pub use stats::{MaintenanceStats, SearchStats};
 /// Prints how to replay a failing seeded case — `ReplayOnPanic("run_case",
 /// seed)` names the function to call with the seed from a `#[test]`.  The
 /// vendored proptest neither shrinks nor reports its inputs, so every input
-/// of such a case derives from the one seed.
-#[cfg(test)]
-pub(crate) struct ReplayOnPanic(pub &'static str, pub u64);
+/// of such a case derives from the one seed.  Test support, public so the
+/// seeded suites of the crates built on this one share it.
+#[derive(Debug)]
+pub struct ReplayOnPanic(pub &'static str, pub u64);
 
-#[cfg(test)]
 impl Drop for ReplayOnPanic {
     fn drop(&mut self) {
         if std::thread::panicking() {

@@ -43,8 +43,8 @@ use crate::node::DatasetNode;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spatial::DatasetId;
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// Magic number at the start of every index image (`"DITS"` in ASCII).
@@ -120,13 +120,31 @@ pub fn encode_local(index: &DitsLocal) -> Bytes {
     buf.freeze()
 }
 
-/// Writes the binary image of a local index to a file (atomically via a
-/// temporary sibling file).
+/// Writes the binary image of a local index to a file, atomically and
+/// durably: the image goes to a temporary sibling file and is synced to disk
+/// before it is renamed over `path`, and the rename is synced through the
+/// parent directory, so a crash leaves the previous image or the new one —
+/// never a rename that outlived its data.  A failed save removes the
+/// temporary file and leaves whatever was at `path` untouched.
 pub fn save_local(index: &DitsLocal, path: &Path) -> Result<(), PersistError> {
     let image = encode_local(index);
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, &image)?;
-    fs::rename(&tmp, path)?;
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(&image)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path));
+    if let Err(e) = written {
+        // Best effort: the save has already failed with `e`.
+        let _ = fs::remove_file(&tmp);
+        return Err(e.into());
+    }
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()?;
     Ok(())
 }
 
@@ -392,6 +410,37 @@ mod tests {
             load_local(&dir.join("does-not-exist.dits")),
             Err(PersistError::Io(_))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A save that fails after the image was written — here the rename,
+    /// whose target is a directory, the one failure that does not depend on
+    /// who runs the tests (a read-only directory stops nothing for root) —
+    /// leaves no temporary file, no partial image, and what was at the path
+    /// before as it was.
+    #[test]
+    fn a_failed_save_leaves_no_temp_file_and_the_previous_contents() {
+        let dir = std::env::temp_dir().join(format!("dits-persist-fail-{}", std::process::id()));
+        let occupied = dir.join("local.dits");
+        fs::create_dir_all(&occupied).unwrap();
+        let previous = occupied.join("previous.dits");
+        save_local(&sample_index(20, 4), &previous).unwrap();
+        let before = fs::read(&previous).unwrap();
+
+        let err = save_local(&sample_index(50, 6), &occupied).unwrap_err();
+        assert!(matches!(err, PersistError::Io(_)), "{err:?}");
+        assert!(!dir.join("local.tmp").exists(), "temp file left behind");
+        assert!(occupied.is_dir());
+        assert_eq!(fs::read(&previous).unwrap(), before);
+        let left: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "{left:?}");
+        // A save whose temporary file cannot even be created leaves nothing.
+        let missing = dir.join("missing").join("local.dits");
+        assert!(matches!(
+            save_local(&sample_index(20, 4), &missing),
+            Err(PersistError::Io(_))
+        ));
+        assert!(!dir.join("missing").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -287,7 +287,10 @@ pub struct SearchResponse {
     /// for fail-fast runs.  [`CommStats`] byte and request counters cover
     /// completed exchanges only (a failed shard moves no accounted bytes),
     /// while `sources_contacted` counts planned contacts, including the
-    /// sources listed here.
+    /// sources listed here.  For kNN, which leaves in two waves, a planned
+    /// contact is a query's first-wave source or a second-wave source whose
+    /// lower bound is within the first reply's k-th distance — counted, as
+    /// for OJSP, even when the clip leaves nothing to send it.
     pub failures: Vec<SourceFailure>,
     /// Wall-clock time spent planning, searching and aggregating.
     pub elapsed: Duration,

@@ -83,6 +83,16 @@ pub struct MaintenanceOutcome {
     pub comm: CommStats,
 }
 
+/// Slack on every comparison of a DITS-G distance bound with a distance: it
+/// absorbs the floating-point error of the lonlat → cell-space round trip,
+/// and keeping a borderline source (or query cell) is always safe.
+pub(crate) const BOUND_SLACK: f64 = 1e-9;
+
+/// A source a query is routed to, with the lower bound of the distance from
+/// the query to anything the source holds — in the source's own cell units,
+/// and 0 where routing is by intersection.
+pub(crate) type RoutedSource = (f64, SourceSummary);
+
 /// Per-resolution grid cache used while planning a batch: sources may index
 /// at their own θ, and `Grid::global` validates the resolution, so building
 /// a grid is fallible and worth doing once per resolution per batch.
@@ -352,15 +362,25 @@ impl DataCenter {
         }
     }
 
-    /// Chooses which sources to contact for a kNN query: every source whose
-    /// distance *lower bound* to the query could still land in the top-`k`.
+    /// Routes a kNN query: every source whose distance *lower bound* to the
+    /// query could still land in the top-`k`, each with that lower bound (in
+    /// the source's own cell units), nearest first — ascending by
+    /// `(lower bound, source id)`.  The lower bound is the distance between
+    /// the source's root rectangle and the query's, which hold every cell of
+    /// either side; it is never below Lemma 4's `‖o₁,o₂‖ − r₁ − r₂`, whose
+    /// balls contain the rectangles.  The engine sends the query to the head of
+    /// this list, and only then decides which of the rest to contact at all
+    /// (`QueryEngine::drive`; the exactness argument is on the engine's
+    /// `Knn` kind).
     ///
-    /// The rule is lossless (Lemma 4 applied at the federation level): the
-    /// `k` sources with the smallest distance *upper bounds* each guarantee
-    /// at least one dataset within their bound, so the k-th best distance is
-    /// at most the k-th smallest upper bound `T` — and any source with
-    /// `lb > T` can only hold datasets strictly farther than every true
-    /// top-k member.
+    /// While the federation has more than `k` sources the list is pre-filtered
+    /// losslessly (Lemma 4 applied at the federation level): the `k` sources
+    /// with the smallest distance *upper bounds* each guarantee at least one
+    /// dataset within their bound, so the k-th best distance is at most the
+    /// k-th smallest upper bound `T` — and any source with `lb > T` can only
+    /// hold datasets strictly farther than every true top-k member.
+    /// `Broadcast` routes nothing: every registered source, ascending by id,
+    /// with no bound computed.
     pub(crate) fn knn_route(
         &self,
         query: &SpatialDataset,
@@ -368,13 +388,13 @@ impl DataCenter {
         strategy: DistributionStrategy,
         grids: &mut GridCache,
         cells: &mut QueryCellsCache,
-    ) -> Result<Vec<SourceSummary>, SearchError> {
+    ) -> Result<Vec<RoutedSource>, SearchError> {
         if k == 0 {
             return Ok(Vec::new());
         }
         let summaries = self.global.summaries();
-        if strategy == DistributionStrategy::Broadcast || summaries.len() <= k {
-            return Ok(summaries);
+        if strategy == DistributionStrategy::Broadcast {
+            return Ok(summaries.into_iter().map(|s| (0.0, s)).collect());
         }
         let mut scored: Vec<(f64, f64, SourceSummary)> = Vec::with_capacity(summaries.len());
         for s in summaries {
@@ -384,23 +404,21 @@ impl DataCenter {
                 // The query grids to nothing: no source can answer it.
                 return Ok(Vec::new());
             };
-            let query_geometry = NodeGeometry::from_mbr(query_rect);
-            let source_geometry = NodeGeometry::from_mbr(s.cell_space_rect(grid));
-            let (lb, ub) = node_distance_bounds(&source_geometry, &query_geometry);
-            scored.push((lb, ub, s));
+            let source_rect = s.cell_space_rect(grid);
+            let (_, ub) = node_distance_bounds(
+                &NodeGeometry::from_mbr(source_rect),
+                &NodeGeometry::from_mbr(query_rect),
+            );
+            scored.push((source_rect.min_distance(&query_rect), ub, s));
         }
-        let mut upper_bounds: Vec<f64> = scored.iter().map(|&(_, ub, _)| ub).collect();
-        upper_bounds.sort_unstable_by(|a, b| a.total_cmp(b));
-        // Small slack absorbs the floating-point error of the lonlat →
-        // cell-space round trip; keeping a borderline source is always safe.
-        let threshold = upper_bounds[k - 1] + 1e-9;
-        let mut out: Vec<SourceSummary> = scored
-            .into_iter()
-            .filter(|&(lb, _, _)| lb <= threshold)
-            .map(|(_, _, s)| s)
-            .collect();
-        out.sort_by_key(|s| s.source);
-        Ok(out)
+        if scored.len() > k {
+            let mut upper_bounds: Vec<f64> = scored.iter().map(|&(_, ub, _)| ub).collect();
+            upper_bounds.sort_unstable_by(|a, b| a.total_cmp(b));
+            let threshold = upper_bounds[k - 1] + BOUND_SLACK;
+            scored.retain(|&(lb, _, _)| lb <= threshold);
+        }
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.source.cmp(&b.2.source)));
+        Ok(scored.into_iter().map(|(lb, _, s)| (lb, s)).collect())
     }
 
     /// Clips query cells to the window that can interact with a source (its
@@ -671,6 +689,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(all.len(), 2);
+        // Nearest first, each with its lower bound: the query sits inside
+        // the east source and an ocean away from the west one.
+        assert_eq!((all[0].1.source, all[1].1.source), (0, 1));
+        assert_eq!(all[0].0, 0.0);
+        assert!(all[1].0 > 300.0, "west lower bound {}", all[1].0);
         // k = 1 for a query sitting inside the east source: the west source
         // (an ocean away) must be pruned.
         let east_only = center
@@ -683,7 +706,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(east_only.len(), 1);
-        assert_eq!(east_only[0].source, 0);
+        assert_eq!(east_only[0].1.source, 0);
         // Broadcast never prunes; k = 0 asks for nothing.
         assert_eq!(
             center

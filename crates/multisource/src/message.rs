@@ -249,10 +249,13 @@ pub enum Message {
         rejected: u64,
     },
     /// Data center → source: run a local k-nearest-datasets search.  The
-    /// query travels *unclipped*: dropping far-away query cells could only
-    /// inflate the cell-based distance, which would corrupt the ranking.
+    /// source a query is sent to first receives it whole; the others receive
+    /// it clipped to their root rectangle grown by the k-th distance of that
+    /// first reply, which changes no distance that can still enter the
+    /// answer (the argument is on the engine's `Knn` kind).
     KnnQuery {
-        /// The full query cell set at the source's resolution.
+        /// The query cells at the source's resolution — whole, or clipped as
+        /// above.
         query: CellSet,
         /// Number of neighbours requested.
         k: usize,

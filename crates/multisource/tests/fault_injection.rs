@@ -161,11 +161,52 @@ fn assert_degradation_parity(
     );
 }
 
-/// Scenario 1 — a fleet member is killed between bootstrap and the batch:
-/// its connections are gone and new ones are refused.  The pooled transport
-/// types that as I/O failure (retries spent), the in-process oracle injects
-/// the same class of error, and both deployments degrade identically —
-/// whichever member it is, the first of the fleet included.
+/// A real-socket deployment with one member killed: three live servers,
+/// bootstrapped while healthy, then `dead` drained away — its connections
+/// are gone and new ones are refused.  The surviving servers are returned so
+/// they outlive the batches.
+fn kill_one(
+    fw: &MultiSourceFramework,
+    dead: SourceId,
+) -> (Vec<SourceServer>, PooledTcpTransport, DataCenter) {
+    let mut servers: Vec<SourceServer> = fw
+        .sources()
+        .iter()
+        .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
+        .collect();
+    let endpoints: Vec<(SourceId, String)> = servers.iter().map(|s| s.endpoint()).collect();
+    let pooled = PooledTcpTransport::with_config(
+        endpoints,
+        PoolConfig {
+            connect_timeout: Duration::from_millis(500),
+            retries: 1,
+            retry_backoff: Duration::from_millis(5),
+            ..PoolConfig::default()
+        },
+    )
+    .expect("pooled transport");
+    let center =
+        DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
+    servers.remove(dead as usize).shutdown();
+    (servers, pooled, center)
+}
+
+/// The in-process oracle of [`kill_one`]: the same member dead at the
+/// transport seam, failing with the class of error the pool types a refused
+/// connection as.
+fn refuse_one(fw: &MultiSourceFramework, dead: SourceId) -> InjectedFault<'_> {
+    InjectedFault {
+        inner: InProcessTransport::new(fw.sources()),
+        dead,
+        error: TransportError::Io("connection refused (injected)".to_string()),
+    }
+}
+
+/// Scenario 1 — a fleet member is killed between bootstrap and the batch.
+/// The pooled transport types that as I/O failure (retries spent), the
+/// in-process oracle injects the same class of error, and both deployments
+/// degrade identically — whichever member it is, the first of the fleet
+/// included.
 #[test]
 fn killed_source_degrades_identically_in_process_and_pooled() {
     let data = build_data(91);
@@ -173,35 +214,9 @@ fn killed_source_degrades_identically_in_process_and_pooled() {
     let queries = probe_queries(&data);
 
     for dead in [1, 0] {
-        // Real-socket deployment: three live servers, bootstrapped while
-        // healthy, then one drained away before the batches run.
-        let mut servers: Vec<SourceServer> = fw
-            .sources()
-            .iter()
-            .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
-            .collect();
-        let endpoints: Vec<(SourceId, String)> = servers.iter().map(|s| s.endpoint()).collect();
-        let pooled = PooledTcpTransport::with_config(
-            endpoints,
-            PoolConfig {
-                connect_timeout: Duration::from_millis(500),
-                retries: 1,
-                retry_backoff: Duration::from_millis(5),
-                ..PoolConfig::default()
-            },
-        )
-        .expect("pooled transport");
-        let center =
-            DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
-        servers.remove(dead as usize).shutdown();
+        let (_servers, pooled, center) = kill_one(&fw, dead);
         let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
-
-        // In-process oracle with the same member dead at the transport seam.
-        let faulty = InjectedFault {
-            inner: InProcessTransport::new(fw.sources()),
-            dead,
-            error: TransportError::Io("connection refused (injected)".to_string()),
-        };
+        let faulty = refuse_one(&fw, dead);
         let local_center = DataCenter::from_global(fw.center().global().clone());
         let local_engine = QueryEngine::new(&local_center, &faulty, engine_config(&fw));
 
@@ -209,6 +224,44 @@ fn killed_source_degrades_identically_in_process_and_pooled() {
             assert_degradation_parity(&local_engine, &remote_engine, &request, dead);
         }
     }
+}
+
+/// Scenario 1b — the killed member is the one every kNN query is sent to
+/// *first*.  Under the default strategy kNN leaves in two waves, and the
+/// second is planned from the first one's replies: fail-fast returns the
+/// dead source's own error, and a degraded run — no first reply, so no
+/// cutoff — asks every survivor the whole query and returns their exact
+/// merged answer, identically on both deployments.
+#[test]
+fn dead_first_wave_source_degrades_knn_identically() {
+    let data = build_data(91);
+    let fw = framework(&data);
+    let dead: SourceId = 0;
+    // Queries drawn from the dead source's own datasets: its lower bound is
+    // 0 and its id the smallest, so it is every query's first wave.
+    let queries: Vec<SpatialDataset> = data[0].1.iter().take(4).cloned().collect();
+    let request = SearchRequest::knn_batch(queries.clone()).k(4);
+
+    let (_servers, pooled, center) = kill_one(&fw, dead);
+    let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
+    let faulty = refuse_one(&fw, dead);
+    let local_engine = QueryEngine::new(fw.center(), &faulty, engine_config(&fw));
+    assert_degradation_parity(&local_engine, &remote_engine, &request, dead);
+    assert_eq!(
+        local_engine.run(&request).unwrap_err(),
+        SearchError::Transport(faulty.error.clone())
+    );
+
+    let degraded = local_engine
+        .run(&request.clone().skip_failed_sources(true))
+        .expect("degraded run");
+    let survivors = &fw.sources()[1..];
+    assert_eq!(degraded.comm.requests, survivors.len() * queries.len());
+    let oracle = QueryEngine::in_process(fw.center(), survivors, engine_config(&fw))
+        .run(&request.strategy(DistributionStrategy::Broadcast))
+        .expect("survivors alone");
+    assert_eq!(degraded.results, oracle.results);
+    assert_eq!(degraded.comm.total_bytes(), oracle.comm.total_bytes());
 }
 
 /// Accepts connections and reads forever without ever writing a reply — a

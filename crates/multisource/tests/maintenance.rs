@@ -221,26 +221,10 @@ fn assert_leaf_column_parity(maintained: &MultiSourceFramework) {
     }
 }
 
-/// Prints how to replay a failing case: the vendored proptest neither
-/// shrinks nor reports its inputs, and every input here derives from one
-/// seed.
-struct ReplayOnPanic(u64);
-
-impl Drop for ReplayOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!(
-                "maintenance case failed; replay it with `run_case({0})` or `run_wire_case({0})` from a #[test]",
-                self.0
-            );
-        }
-    }
-}
-
 /// One interleaved-maintenance case, fully determined by `case_seed`: the
 /// generator seed and the op sequence are both drawn from it.
 fn run_case(case_seed: u64) {
-    let _replay = ReplayOnPanic(case_seed);
+    let _replay = dits::ReplayOnPanic("run_case", case_seed);
     let mut rng = TestRng::from_name(&case_seed.to_string());
     let seed = (0u64..4).generate(&mut rng);
     let ops = proptest::collection::vec((0u8..5, 0u8..3, any::<u8>()), 1..25).generate(&mut rng);
@@ -411,7 +395,7 @@ fn shaped_dataset(id: u32, salt: u32, shape: u8) -> SpatialDataset {
 /// center has to poll it for its resolution) each receive the same batches
 /// twice — as cells through [`WireTransport`], as raw ops on a twin.
 fn run_wire_case(case_seed: u64) {
-    let _replay = ReplayOnPanic(case_seed);
+    let _replay = dits::ReplayOnPanic("run_wire_case", case_seed);
     let mut rng = TestRng::from_name(&format!("wire-{case_seed}"));
     let batches = proptest::collection::vec(
         (
