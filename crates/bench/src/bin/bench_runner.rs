@@ -47,6 +47,15 @@
 //! is timed: every strategy's answer equals the merged per-source brute
 //! force, and request bytes never grow from one strategy to the next.
 //!
+//! The `cjsp_comm` section counts what federated CJSP moves per query with
+//! every pick of every source shipped with its cells (`every-pick-inline`:
+//! the protocol before cells travelled on demand, kept here as a transport
+//! under the same engine) and with stubs and fetches (`cells-on-demand`, the
+//! engine as it is): bytes each way, exchanges, candidates named and
+//! candidates whose cells travelled.  Like `knn_comm`, the rows come out of
+//! a check made before anything is timed — the two answers must be equal,
+//! so a pick lost to a stub fails the run.
+//!
 //! The `maintenance` section weighs the one maintenance exchange: a fixed
 //! 72-op batch (24 inserts, 24 updates, 24 deletes against the largest
 //! source) as the [`Message::ApplyUpdates`] the center puts on the wire —
@@ -71,6 +80,7 @@
 //! oracle before timing it, so a snapshot can never report the speed of
 //! diverging code.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bench::ExperimentEnv;
@@ -81,8 +91,9 @@ use dits::{
     DitsLocalConfig, InvertedIndex, Neighbor,
 };
 use multisource::{
-    DataCenter, DistributionStrategy, FrameworkConfig, Message, MultiSourceFramework, QueryEngine,
-    SearchRequest, SearchResponse, SourceServer, UpdateOp,
+    CallOptions, CandidateCells, DataCenter, DataSource, DistributionStrategy, FrameworkConfig,
+    InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchRequest, SearchResponse,
+    SourceServer, SourceTransport, TransportError, TransportReply, UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded};
@@ -219,6 +230,18 @@ fn main() {
             c.name, c.request_bytes_per_query, c.reply_bytes_per_query, c.sources_per_query
         );
     }
+    for c in &suite.cjsp_comm {
+        println!(
+            "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} exchanges/query  \
+             {:>5.2} candidates named, {:>5.2} shipped",
+            c.name,
+            c.request_bytes_per_query,
+            c.reply_bytes_per_query,
+            c.exchanges_per_query,
+            c.candidates_named_per_query,
+            c.candidates_shipped_per_query
+        );
+    }
     let m = &suite.maintenance;
     println!(
         "  {:<40} {:>8.1} B/op  encode {:>7.1} ns/op  decode {:>7.1} ns/op",
@@ -320,11 +343,22 @@ struct KnnCommReport {
     sources_per_query: f64,
 }
 
+/// What federated CJSP moves per query under one reply protocol.
+struct CjspCommReport {
+    name: String,
+    request_bytes_per_query: f64,
+    reply_bytes_per_query: f64,
+    exchanges_per_query: f64,
+    candidates_named_per_query: f64,
+    candidates_shipped_per_query: f64,
+}
+
 struct Suite {
     kernels: Vec<KernelReport>,
     deltas: Vec<Delta>,
     transport: Vec<TransportReport>,
     knn_comm: Vec<KnnCommReport>,
+    cjsp_comm: Vec<CjspCommReport>,
     maintenance: MaintenanceReport,
     phases: Vec<PhaseReport>,
     index: IndexReport,
@@ -510,6 +544,95 @@ fn knn_comm_reports(
         .collect()
 }
 
+/// In-process sources behind a tap on the CJSP exchange: counts the
+/// candidates `CoverageQuery` replies name and the candidates whose cells
+/// travel, and — with `every_pick_inline` — answers as sources did before
+/// cells travelled on demand, every stub replaced by the dataset's cells, so
+/// the engine above it never fetches and aggregates every pick of every
+/// source.
+#[derive(Debug)]
+struct CandidateTap<'a> {
+    sources: &'a [DataSource],
+    every_pick_inline: bool,
+    named: AtomicUsize,
+    shipped: AtomicUsize,
+}
+
+impl SourceTransport for CandidateTap<'_> {
+    fn source_ids(&self) -> Vec<SourceId> {
+        InProcessTransport::new(self.sources).source_ids()
+    }
+
+    fn call_with(
+        &self,
+        source: SourceId,
+        request: &Message,
+        opts: CallOptions,
+    ) -> Result<TransportReply, TransportError> {
+        let mut reply = InProcessTransport::new(self.sources).call_with(source, request, opts)?;
+        let Message::CoverageReply { candidates, .. } = &mut reply.message else {
+            return Ok(reply);
+        };
+        if matches!(request, Message::CoverageQuery { .. }) {
+            self.named.fetch_add(candidates.len(), Ordering::Relaxed);
+        }
+        if self.every_pick_inline {
+            let owner = self.sources.iter().find(|s| s.id == source);
+            for candidate in candidates.iter_mut() {
+                if matches!(candidate.cells, CandidateCells::Stub(_)) {
+                    let (_, node) = owner
+                        .and_then(|s| s.index().find_dataset(candidate.dataset))
+                        .expect("a source names its own datasets");
+                    candidate.cells = CandidateCells::Inline(node.cells.clone());
+                }
+            }
+        }
+        let inline =
+            |c: &&multisource::CoverageCandidate| matches!(c.cells, CandidateCells::Inline(_));
+        self.shipped
+            .fetch_add(candidates.iter().filter(inline).count(), Ordering::Relaxed);
+        reply.reply_bytes = reply.message.wire_size();
+        Ok(reply)
+    }
+}
+
+/// Federated CJSP against its oracle: the answer with cells on demand must
+/// equal the answer with every pick shipped inline, and no more cell sets
+/// may travel than are named.  Returns what each protocol moved per query.
+fn cjsp_comm_reports(fw: &MultiSourceFramework, request: &SearchRequest) -> Vec<CjspCommReport> {
+    let queries = request.queries().len();
+    let per_query = |count: usize| count as f64 / queries as f64;
+    let run = |name: &str, every_pick_inline: bool| {
+        let tap = CandidateTap {
+            sources: fw.sources(),
+            every_pick_inline,
+            named: AtomicUsize::new(0),
+            shipped: AtomicUsize::new(0),
+        };
+        let response = QueryEngine::new(fw.center(), &tap, *fw.engine().config())
+            .run(request)
+            .expect("federated CJSP");
+        let (named, shipped) = (tap.named.into_inner(), tap.shipped.into_inner());
+        assert!(shipped <= named, "{name}: a cell set travelled twice");
+        let report = CjspCommReport {
+            name: name.to_string(),
+            request_bytes_per_query: per_query(response.comm.bytes_to_sources),
+            reply_bytes_per_query: per_query(response.comm.bytes_to_center),
+            exchanges_per_query: per_query(response.comm.requests),
+            candidates_named_per_query: per_query(named),
+            candidates_shipped_per_query: per_query(shipped),
+        };
+        (response.results, report)
+    };
+    let (oracle, every_pick_inline) = run("cjsp/comm/every-pick-inline", true);
+    let (answers, cells_on_demand) = run("cjsp/comm/cells-on-demand", false);
+    assert_eq!(
+        answers, oracle,
+        "cjsp/comm/cells-on-demand: a stub cost the federated answer a pick"
+    );
+    vec![every_pick_inline, cells_on_demand]
+}
+
 fn run_suite(quick: bool) -> Suite {
     let (divisor, queries_n, samples) = if quick { (400, 8, 5) } else { (100, 32, 20) };
     let theta = 11;
@@ -597,6 +720,10 @@ fn run_suite(quick: bool) -> Suite {
     // the run here.
     let raw_queries = env.query_datasets(queries_n);
     let knn_comm = knn_comm_reports(&fw, &nodes_by_source, &raw_queries, k);
+    let cjsp_request = SearchRequest::cjsp_batch(raw_queries.clone())
+        .k(k)
+        .delta_cells(delta_cells);
+    let cjsp_comm = cjsp_comm_reports(&fw, &cjsp_request);
 
     // Query-vs-dataset pairs drawn from the real workload, so the kernel
     // sees the coordinate distributions the kNN verifier actually walks.
@@ -885,12 +1012,7 @@ fn run_suite(quick: bool) -> Suite {
         phase_report(
             "engine/cjsp/per-query",
             &in_process_engine
-                .run(
-                    &SearchRequest::cjsp_batch(raw_queries.clone())
-                        .k(k)
-                        .delta_cells(delta_cells)
-                        .with_trace(true),
-                )
+                .run(&cjsp_request.with_trace(true))
                 .expect("traced CJSP"),
         ),
         phase_report(
@@ -910,6 +1032,7 @@ fn run_suite(quick: bool) -> Suite {
         deltas,
         transport,
         knn_comm,
+        cjsp_comm,
         maintenance,
         phases,
         index: index_report,
@@ -985,6 +1108,27 @@ fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> Str
             c.reply_bytes_per_query,
             c.sources_per_query,
             if i + 1 < suite.knn_comm.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"cjsp_comm\": [\n");
+    for (i, c) in suite.cjsp_comm.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
+             \"reply_bytes_per_query\": {:.1}, \"exchanges_per_query\": {:.2}, \
+             \"candidates_named_per_query\": {:.2}, \
+             \"candidates_shipped_per_query\": {:.2}}}{}\n",
+            escape_json(&c.name),
+            c.request_bytes_per_query,
+            c.reply_bytes_per_query,
+            c.exchanges_per_query,
+            c.candidates_named_per_query,
+            c.candidates_shipped_per_query,
+            if i + 1 < suite.cjsp_comm.len() {
                 ","
             } else {
                 ""
@@ -1431,31 +1575,49 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
         ));
     }
 
-    // Checked where present: the section is newer than the schema version,
-    // and the tree keeps one snapshot from before it.
-    for (i, c) in root
-        .get("knn_comm")
-        .and_then(Json::as_array)
-        .into_iter()
-        .flatten()
-        .enumerate()
-    {
-        if c.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("knn_comm[{i}] missing string name"));
-        }
-        for field in [
-            "request_bytes_per_query",
-            "reply_bytes_per_query",
-            "sources_per_query",
-        ] {
-            let n = c
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("knn_comm[{i}] missing numeric {field}"))?;
-            if !n.is_finite() || n <= 0.0 {
-                return Err(format!(
-                    "knn_comm[{i}].{field} = {n} is not a positive count"
-                ));
+    // Checked where present: the sections are newer than the schema
+    // version, and the tree keeps a snapshot from before the newest.
+    const COMM_SECTIONS: [(&str, &[&str]); 2] = [
+        (
+            "knn_comm",
+            &[
+                "request_bytes_per_query",
+                "reply_bytes_per_query",
+                "sources_per_query",
+            ],
+        ),
+        (
+            "cjsp_comm",
+            &[
+                "request_bytes_per_query",
+                "reply_bytes_per_query",
+                "exchanges_per_query",
+                "candidates_named_per_query",
+                "candidates_shipped_per_query",
+            ],
+        ),
+    ];
+    for (section, fields) in COMM_SECTIONS {
+        for (i, c) in root
+            .get(section)
+            .and_then(Json::as_array)
+            .into_iter()
+            .flatten()
+            .enumerate()
+        {
+            if c.get("name").and_then(Json::as_str).is_none() {
+                return Err(format!("{section}[{i}] missing string name"));
+            }
+            for field in fields {
+                let n = c
+                    .get(field)
+                    .and_then(Json::as_number)
+                    .ok_or(format!("{section}[{i}] missing numeric {field}"))?;
+                if !n.is_finite() || n <= 0.0 {
+                    return Err(format!(
+                        "{section}[{i}].{field} = {n} is not a positive count"
+                    ));
+                }
             }
         }
     }

@@ -73,6 +73,19 @@ pub fn coverage_search(
     query: &CellSet,
     config: CoverageConfig,
 ) -> (CoverageResult, SearchStats) {
+    let (result, _, stats) = coverage_search_marked(index, query, config);
+    (result, stats)
+}
+
+/// [`coverage_search`], also reporting for each selected dataset, in pick
+/// order, whether it entered the connect set on the query's own walk — that
+/// is, whether it lies within δ of the query itself rather than only of an
+/// earlier pick.  The walk learns this anyway; nothing more is searched.
+pub fn coverage_search_marked(
+    index: &DitsLocal,
+    query: &CellSet,
+    config: CoverageConfig,
+) -> (CoverageResult, Vec<bool>, SearchStats) {
     let mut stats = SearchStats::new();
     let query_coverage = query.len();
     let mut result = CoverageResult {
@@ -82,13 +95,14 @@ pub fn coverage_search(
         gains: Vec::new(),
     };
     let Some(rect) = query.mbr_cell_space() else {
-        return (result, stats);
+        return (result, Vec::new(), stats);
     };
     if index.dataset_count() == 0 {
-        return (result, stats);
+        return (result, Vec::new(), stats);
     }
     let query_geometry = NodeGeometry::from_mbr(rect);
     let mut seen: HashSet<DatasetId> = HashSet::new();
+    let mut query_connected: HashSet<DatasetId> = HashSet::new();
     (result.datasets, result.gains, result.coverage) = greedy_cover(
         query,
         config.k,
@@ -106,9 +120,17 @@ pub fn coverage_search(
                 &mut seen,
                 stats,
             );
+            if newest.is_none() {
+                query_connected.clone_from(&seen);
+            }
         },
     );
-    (result, stats)
+    let marks = result
+        .datasets
+        .iter()
+        .map(|id| query_connected.contains(id))
+        .collect();
+    (result, marks, stats)
 }
 
 /// The greedy loop of Algorithm 3, generic over the candidate type `C` (a

@@ -39,7 +39,8 @@ pub mod stats;
 pub mod update;
 
 pub use coverage::{
-    coverage_search, find_connect_set, greedy_cover, CoverageConfig, CoverageResult,
+    coverage_search, coverage_search_marked, find_connect_set, greedy_cover, CoverageConfig,
+    CoverageResult,
 };
 pub use global::{DitsGlobal, SourceSummary};
 pub use inverted::InvertedIndex;

@@ -128,7 +128,8 @@ impl SearchRequest {
     }
 
     /// Overrides the CJSP connectivity threshold δ (in cell units) for this
-    /// request.
+    /// request.  A δ that is negative or not finite fails the request with
+    /// [`ConfigError::Delta`](crate::ConfigError::Delta).
     pub fn delta_cells(mut self, delta: f64) -> Self {
         self.delta_cells = Some(delta);
         self
@@ -290,7 +291,11 @@ pub struct SearchResponse {
     /// sources listed here.  For kNN, which leaves in two waves, a planned
     /// contact is a query's first-wave source or a second-wave source whose
     /// lower bound is within the first reply's k-th distance — counted, as
-    /// for OJSP, even when the clip leaves nothing to send it.
+    /// for OJSP, even when the clip leaves nothing to send it.  A CJSP fetch
+    /// of cells goes to a source that has already answered the query: it
+    /// adds to `requests`, `replies` and the bytes, never to
+    /// `sources_contacted`, and a source that fails one has the candidates
+    /// it only named left out of the aggregation.
     pub failures: Vec<SourceFailure>,
     /// Wall-clock time spent planning, searching and aggregating.
     pub elapsed: Duration,

@@ -26,14 +26,20 @@
 //! 2. **Execute** (parallel): serialise requests, deliver them through the
 //!    transport, account bytes — the expensive part, embarrassingly
 //!    parallel.
-//! 3. **Reduce**: bucket the replies per query, then merge them into the
-//!    global top-`k` (OJSP, kNN) or run the cross-source greedy selection
-//!    (CJSP: [`dits::greedy_cover`], the loop every source runs, over the
-//!    reply candidates — parallelised over the queries of the batch).
+//! 3. **Settle**: bucket the replies per query, then merge each bucket into
+//!    the global top-`k` (OJSP, kNN) or run the cross-source greedy
+//!    selection over it (CJSP: [`dits::greedy_cover`], the loop every source
+//!    runs, over the reply candidates — parallelised over the queries of the
+//!    batch) — unless the bucket shows that something must be sent first
+//!    (`QueryKind::settle`).
 //!
-//! kNN goes through plan and execute twice: each query's nearest source
-//! answers first, and the k-th distance of its reply decides which other
-//! sources are asked at all and what part of the query they are sent.
+//! Plan and execute repeat until every query has its answer.  kNN asks for
+//! more once: each query's nearest source answers first, and the k-th
+//! distance of its reply decides which other sources are asked at all and
+//! what part of the query they are sent.  CJSP asks while a candidate that
+//! travelled as a bare size could still beat a pick of the center's greedy,
+//! and fetches the cells of those candidates only (the rule and why the
+//! answer is exact are on the `Cjsp` kind).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use dits::{Neighbor, SearchStats};
 use spatial::distance::NeighborProbe;
-use spatial::{CellSet, SourceId, SpatialDataset};
+use spatial::{CellSet, DatasetId, SourceId, SpatialDataset};
 
 use crate::api::{
     SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
@@ -51,8 +57,8 @@ use crate::center::{
     GridCache, QueryCellsCache, RoutedSource, BOUND_SLACK,
 };
 use crate::comm::CommStats;
-use crate::error::{SearchError, TransportError};
-use crate::message::{CoverageCandidate, Message};
+use crate::error::{ConfigError, SearchError, TransportError};
+use crate::message::{CandidateCells, CoverageCandidate, Message};
 use crate::source::DataSource;
 use crate::transport::{CallOptions, InProcessTransport, SourceTransport};
 
@@ -195,6 +201,11 @@ impl<'a> QueryEngine<'a> {
         if let Some(skip) = request.requested_skip_failed_sources() {
             config.skip_failed_sources = skip;
         }
+        // Every comparison against a δ that is not a number is false: such
+        // a request would route to nothing and return an empty answer.
+        if !config.delta_cells.is_finite() || config.delta_cells < 0.0 {
+            return Err(ConfigError::Delta(config.delta_cells).into());
+        }
         let engine = Self {
             center: self.center,
             transport: self.transport,
@@ -301,8 +312,11 @@ impl<'a> QueryEngine<'a> {
         failures: &mut Vec<SourceFailure>,
     ) -> Result<ShardOutcome<Vec<K::Item>>, SearchError> {
         let shard = |task: &ShardTask, ctx: &mut WorkerCtx| {
-            K::items(self.exchange(task.source, &task.request, want_stats, ctx)?)
-                .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
+            K::items(
+                task,
+                self.exchange(task.source, &task.request, want_stats, ctx)?,
+            )
+            .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
         };
         if !self.config.skip_failed_sources {
             let (results, ctx) = run_parallel(tasks, self.config.workers, trace, shard)?;
@@ -329,15 +343,17 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// The one pipeline behind [`Self::run`]: plan → execute → bucket →
-    /// reduce, with `kind` supplying everything that differs between OJSP,
-    /// CJSP and kNN.  A kind may hold part of its plan back until the first
-    /// replies are bucketed ([`QueryKind::first_wave`]); the follow-up wave
-    /// is then planned from them and goes through the same execute → bucket
-    /// steps before the one reduce.  A traced request gets a center-assigned
-    /// trace id, propagated to every contacted source, plus timed spans for
-    /// planning (`plan`, and `replan` for a follow-up wave), each transport
-    /// call, the sources' traversal/verification split and aggregation.
-    fn drive<K: QueryKind>(
+    /// settle, with `kind` supplying everything that differs between OJSP,
+    /// CJSP and kNN.  After every wave each open query's bucket is settled
+    /// ([`QueryKind::settle`]) into its answer or into what must be sent
+    /// first — sources held back from the first wave, cells a reply only
+    /// named — and that is planned and goes through the same execute →
+    /// bucket steps, until every query has its answer.  A traced request
+    /// gets a center-assigned trace id, propagated to every contacted
+    /// source, plus timed spans for planning (`plan`, and one `replan` for
+    /// every pass that left a query open), each transport call, the sources'
+    /// traversal/verification split and aggregation (the last pass).
+    fn drive<K: QueryKind + Sync>(
         &self,
         kind: &K,
         request: &SearchRequest,
@@ -349,11 +365,6 @@ impl<'a> QueryEngine<'a> {
 
         let mut comm = CommStats::new();
         let mut grids = GridCache::new();
-        let mut query_cells: Vec<Option<CellSet>> = if K::KEEPS_QUERY_CELLS {
-            vec![None; queries.len()]
-        } else {
-            Vec::new()
-        };
         // Plans one query's shards for one wave: clips the query per target
         // source and materialises the wire requests.  A routed source counts
         // as contacted even when the clip leaves nothing to send it.
@@ -376,8 +387,8 @@ impl<'a> QueryEngine<'a> {
                 if clipped.is_empty() {
                     continue;
                 }
-                if let Some(slot @ None) = query_cells.get_mut(plan.query_idx) {
-                    *slot = Some(full.clone());
+                if K::KEEPS_QUERY_CELLS && plan.sent_cells.is_none() {
+                    plan.sent_cells = Some(full.clone());
                 }
                 tasks.push(ShardTask {
                     query_idx: plan.query_idx,
@@ -389,17 +400,18 @@ impl<'a> QueryEngine<'a> {
         };
 
         // Plan: route every query (nearest source first) and plan its first
-        // wave; what the kind holds back waits, with the query's gridded
-        // cells, for the replies.
+        // wave; what the kind holds back waits in the query's plan, with its
+        // gridded cells, for the replies.
         let reachable = self.reachable_sources();
         let routing = kind.routing(self.center, &mut grids)?;
         let mut tasks: Vec<ShardTask> = Vec::new();
-        let mut waiting: Vec<QueryPlan> = Vec::new();
+        let mut plans: Vec<QueryPlan> = Vec::with_capacity(queries.len());
         for (query_idx, query) in queries.iter().enumerate() {
             let mut plan = QueryPlan {
                 query_idx,
                 query,
                 cells: QueryCellsCache::new(),
+                sent_cells: None,
                 held_back: Vec::new(),
             };
             let mut targets: Vec<RoutedSource> = match routing {
@@ -425,21 +437,29 @@ impl<'a> QueryEngine<'a> {
                 &targets,
                 kind.clip_slack(),
             )?;
-            if !plan.held_back.is_empty() {
-                waiting.push(plan);
-            }
+            plans.push(plan);
         }
         let plan_elapsed = start.elapsed();
 
         // Execute one task per (query, source) shard, in parallel, and
-        // bucket the replies per query; then, once, plan what was held back
-        // from the buckets and execute that.  Every reducer ranks through a
-        // total order, so the bucket fill order cannot change the answers.
+        // bucket the replies per query; then settle every open query's
+        // bucket, plan what the ones still open ask for, and go round again
+        // until none is.  What is asked depends on the buckets and the
+        // failures so far, both in task order, so every worker count sends
+        // the same waves; every answer ranks through a total order, so the
+        // bucket fill order cannot change it.
         let mut ctx = WorkerCtx::new(trace_id);
         let mut failures: Vec<SourceFailure> = Vec::new();
         let mut buckets: Vec<Vec<K::Item>> = (0..queries.len()).map(|_| Vec::new()).collect();
-        let mut replan_elapsed = None;
-        loop {
+        let mut answers: Vec<Option<K::Answer>> = (0..queries.len()).map(|_| None).collect();
+        let mut open: Vec<usize> = (0..queries.len()).collect();
+        let mut replans: Vec<Duration> = Vec::new();
+        let settle_workers = if K::SETTLES_ON_THE_POOL {
+            self.config.workers
+        } else {
+            1
+        };
+        let last_pass = loop {
             let (per_task, wave_ctx) =
                 self.execute_shards::<K>(&tasks, request.wants_stats(), trace_id, &mut failures)?;
             ctx.merge(wave_ctx);
@@ -449,36 +469,59 @@ impl<'a> QueryEngine<'a> {
                     bucket.extend(items);
                 }
             }
-            if waiting.is_empty() {
-                break;
+            let pass_started = Instant::now();
+            let (verdicts, _) =
+                run_parallel(&open, settle_workers, None, |&query_idx, _| {
+                    match (plans.get(query_idx), buckets.get(query_idx)) {
+                        (Some(plan), Some(bucket)) => Ok(kind.settle(plan, bucket, &failures, k)),
+                        _ => Err(SearchError::Internal("an open query has no plan")),
+                    }
+                })?;
+            let mut still_open = Vec::new();
+            for (query_idx, verdict) in open.drain(..).zip(verdicts) {
+                let (Some(plan), Some(answer)) =
+                    (plans.get_mut(query_idx), answers.get_mut(query_idx))
+                else {
+                    continue;
+                };
+                match verdict {
+                    Settled::Final(settled) => {
+                        *answer = Some(settled);
+                        continue;
+                    }
+                    Settled::HeldBack { cutoff } => {
+                        let mut targets = std::mem::take(&mut plan.held_back);
+                        targets.retain(|&(lower_bound, _)| lower_bound <= cutoff);
+                        plan_shards(&mut tasks, &mut grids, plan, &targets, Some(cutoff))?;
+                    }
+                    // Not the query and not a new contact: the sources
+                    // named here have already answered it.
+                    Settled::Requests(requests) => {
+                        tasks.extend(requests.into_iter().map(|(source, request)| ShardTask {
+                            query_idx,
+                            source,
+                            request,
+                        }));
+                    }
+                }
+                still_open.push(query_idx);
             }
-            // The follow-up wave: a held-back source is contacted only if
-            // its lower bound is within the cutoff the first wave's replies
-            // give, with the query clipped to its root rectangle grown by
-            // that cutoff.
-            let replan_started = Instant::now();
-            for mut plan in waiting.drain(..) {
-                let cutoff = buckets
-                    .get(plan.query_idx)
-                    .map_or(f64::INFINITY, |first_wave| kind.cutoff(first_wave, k))
-                    + BOUND_SLACK;
-                let mut targets = std::mem::take(&mut plan.held_back);
-                targets.retain(|&(lower_bound, _)| lower_bound <= cutoff);
-                plan_shards(&mut tasks, &mut grids, &mut plan, &targets, Some(cutoff))?;
+            open = still_open;
+            if open.is_empty() {
+                break pass_started.elapsed();
             }
-            replan_elapsed = Some(replan_started.elapsed());
-        }
+            replans.push(pass_started.elapsed());
+        };
         failures.sort_by_key(|f| f.source);
         comm.merge(&ctx.comm);
-
-        let agg_started = Instant::now();
-        let answers = kind.reduce(self.config.workers, query_cells, buckets, k)?;
-        let aggregate_elapsed = agg_started.elapsed();
+        let answers = answers
+            .into_iter()
+            .map(|answer| answer.ok_or(SearchError::Internal("a settled query has no answer")))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let spans = std::mem::take(&mut ctx.spans);
         let elapsed = start.elapsed();
-        let trace = trace_id
-            .map(|id| assemble_trace(id, plan_elapsed, replan_elapsed, spans, aggregate_elapsed));
+        let trace = trace_id.map(|id| assemble_trace(id, plan_elapsed, &replans, spans, last_pass));
         if let Some(log) = self.slow_log {
             log.record(K::NAME, elapsed, trace.as_ref().map(|t| t.id));
         }
@@ -495,13 +538,30 @@ impl<'a> QueryEngine<'a> {
 }
 
 /// One query's plan across waves: its gridded cells, so a follow-up wave
-/// grids nothing again, and the routed sources held back from the first
-/// wave, nearest first.
+/// grids nothing again, the unclipped cells it was first sent as (kept only
+/// for a kind that settles against the query), and the routed sources held
+/// back from the first wave, nearest first.
 struct QueryPlan<'q> {
     query_idx: usize,
     query: &'q SpatialDataset,
     cells: QueryCellsCache,
+    sent_cells: Option<CellSet>,
     held_back: Vec<RoutedSource>,
+}
+
+/// What a query's bucket amounts to once a wave's replies are in it: the
+/// answer, or what has to be sent before there can be one.
+enum Settled<A> {
+    /// The bucket is final and this is its answer.
+    Final(A),
+    /// The query itself must still go to the sources held back so far whose
+    /// routing lower bound is within `cutoff`: each is a new contact and is
+    /// sent the query clipped to its root rectangle grown by `cutoff`.  The
+    /// plan gives up everything it held back.
+    HeldBack { cutoff: f64 },
+    /// Requests other than the query, sent as they are to sources that have
+    /// already answered it.
+    Requests(Vec<(SourceId, Message)>),
 }
 
 /// How a search kind picks the sources a query is sent to.
@@ -516,19 +576,22 @@ enum Routing {
 }
 
 /// What differs between the search kinds — routing, clipping, the exchange
-/// and the reducer.  Everything else is [`QueryEngine::drive`].
+/// and how a bucket is settled.  Everything else is [`QueryEngine::drive`].
 trait QueryKind {
     /// What one source's reply contributes to one query's bucket.
-    type Item: Send;
+    type Item: Send + Sync;
     /// The aggregated answer to one query.
-    type Answer;
+    type Answer: Send;
     /// The kind's name in the slow-query log.
     const NAME: &'static str;
     /// The reply variant that answers this kind's request.
     const REPLY: &'static str;
-    /// Whether [`Self::reduce`] works against the queries themselves, so
+    /// Whether [`Self::settle`] works against the queries themselves, so
     /// planning keeps each query's unclipped cells for it.
     const KEEPS_QUERY_CELLS: bool = false;
+    /// Whether settling one bucket is work enough — milliseconds, not a
+    /// sort — for a batch's open queries to be settled on the worker pool.
+    const SETTLES_ON_THE_POOL: bool = false;
 
     /// How queries of this kind are routed.
     fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError>;
@@ -540,35 +603,34 @@ trait QueryKind {
 
     /// How many of a query's routed sources — nearest first, as routing
     /// orders them — are sent the query straight away.  The rest are held
-    /// back until those replies are bucketed and [`Self::cutoff`] has read
-    /// them.  By default nothing is held back.
+    /// back in the query's plan until [`Self::settle`] has read those
+    /// replies.  By default nothing is held back.
     fn first_wave(&self, _strategy: DistributionStrategy) -> usize {
         usize::MAX
-    }
-
-    /// The follow-up hook: the distance, read off what a query's first wave
-    /// brought back, beyond which nothing can enter the answer.  A held-back
-    /// source is contacted only if its routing lower bound is within it, and
-    /// is sent the query clipped to its root rectangle grown by it.
-    fn cutoff(&self, _first_wave: &[Self::Item], _k: usize) -> f64 {
-        f64::INFINITY
     }
 
     /// The request carrying one query's cells to one source.
     fn request(&self, query: CellSet, k: usize) -> Message;
 
-    /// Unpacks the reply named by [`Self::REPLY`]; `None` for anything else.
-    fn items(reply: Message) -> Option<Vec<Self::Item>>;
+    /// Unpacks the reply named by [`Self::REPLY`], which must speak for the
+    /// source the task was sent to and answer the task's request; `None` for
+    /// anything else.
+    fn items(task: &ShardTask, reply: Message) -> Option<Vec<Self::Item>>;
 
-    /// Turns each query's bucket into its answer, in query order.
-    /// `query_cells` is empty unless [`Self::KEEPS_QUERY_CELLS`].
-    fn reduce(
+    /// Asked of every open query after every wave: given what its bucket
+    /// holds now — and which sources have failed so far, in a run that
+    /// skips them — the answer, or what else must be sent first.  Anything
+    /// but [`Settled::Final`] must leave less to ask for next time (a kNN
+    /// plan gives up its held-back sources, a CJSP bucket gains the cells of
+    /// at least one stub or loses a failed source's), which is what ends
+    /// the loop in [`QueryEngine::drive`].
+    fn settle(
         &self,
-        workers: usize,
-        query_cells: Vec<Option<CellSet>>,
-        buckets: Vec<Vec<Self::Item>>,
+        plan: &QueryPlan,
+        bucket: &[Self::Item],
+        failed: &[SourceFailure],
         k: usize,
-    ) -> Result<Vec<Self::Answer>, SearchError>;
+    ) -> Settled<Self::Answer>;
 
     /// Wraps the answers in their [`SearchResults`] variant.
     fn results(answers: Vec<Self::Answer>) -> SearchResults;
@@ -598,35 +660,31 @@ impl QueryKind for Ojsp {
         Message::OverlapQuery { query, k }
     }
 
-    fn items(reply: Message) -> Option<Vec<Self::Item>> {
+    fn items(task: &ShardTask, reply: Message) -> Option<Vec<Self::Item>> {
         match reply {
-            Message::OverlapReply { source, results } => {
+            Message::OverlapReply { source, results } if source == task.source => {
                 Some(results.into_iter().map(|r| (source, r)).collect())
             }
             _ => None,
         }
     }
 
-    fn reduce(
+    fn settle(
         &self,
-        _workers: usize,
-        _query_cells: Vec<Option<CellSet>>,
-        buckets: Vec<Vec<Self::Item>>,
+        _plan: &QueryPlan,
+        bucket: &[Self::Item],
+        _failed: &[SourceFailure],
         k: usize,
-    ) -> Result<Vec<AggregatedOverlap>, SearchError> {
-        Ok(buckets
-            .into_iter()
-            .map(|mut all| {
-                all.sort_unstable_by(|a, b| {
-                    b.1.overlap
-                        .cmp(&a.1.overlap)
-                        .then(a.0.cmp(&b.0))
-                        .then(a.1.dataset.cmp(&b.1.dataset))
-                });
-                all.truncate(k);
-                AggregatedOverlap { results: all }
-            })
-            .collect())
+    ) -> Settled<AggregatedOverlap> {
+        let mut all = bucket.to_vec();
+        all.sort_unstable_by(|a, b| {
+            b.1.overlap
+                .cmp(&a.1.overlap)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.dataset.cmp(&b.1.dataset))
+        });
+        all.truncate(k);
+        Settled::Final(AggregatedOverlap { results: all })
     }
 
     fn results(answers: Vec<AggregatedOverlap>) -> SearchResults {
@@ -635,7 +693,33 @@ impl QueryKind for Ojsp {
 }
 
 /// Coverage joinable search: routing and clipping widened by the
-/// connectivity threshold, cross-source greedy selection at the center.
+/// connectivity threshold, cross-source greedy selection at the center —
+/// over candidates that travel *bounds first, cells on demand*.
+///
+/// A source's reply brings the cells of a pick only when the pick lies
+/// within δ of the query (for the whole query as for the clipped one it was
+/// sent: every dataset of a source lies inside its root rectangle, and the
+/// clip window is that rectangle grown by δ); every other pick comes as a
+/// stub `(dataset, |S_D|)`.  The center runs [`dits::greedy_cover`] over the
+/// candidates it holds cells for and checks the stubs against that run
+/// ([`aggregate_coverage`], [`stalled_stubs`]): a stub is never connected to the query, so none can
+/// be pick 1; at a later pick *t* the largest stub, by `(|S_D|` descending,
+/// key ascending`)`, must lose to `(gain_t, key_t)` under the loop's own
+/// tie-break; and a run that ends short of `k` with a member selected stalls
+/// on any stub left.  At the first stall the cells of the largest stubs that
+/// could have won there are fetched ([`Message::CellsQuery`]), as many as
+/// picks were still to make, and the run is repeated over the larger
+/// bucket.
+///
+/// Once nothing stalls, the run over the held candidates *is* the run over
+/// all of them — by induction over its picks: the same members so far
+/// connect the same held candidates, and whichever stubs they connect gain
+/// at most their size (gain is submodular: `|S_D|` bounds it at every
+/// iteration), which loses to the pick.  So the answer equals what
+/// aggregating every pick of every source with its cells gives, while cells
+/// travel only for the candidates that can matter.  (Like the aggregation
+/// itself, this compares cells of one grid: a federation of mixed
+/// resolutions gets an answer, but not one this argument describes.)
 struct Cjsp {
     /// Connectivity threshold δ in cell units.
     delta: f64,
@@ -647,6 +731,7 @@ impl QueryKind for Cjsp {
     const NAME: &'static str = "cjsp";
     const REPLY: &'static str = "CoverageReply";
     const KEEPS_QUERY_CELLS: bool = true;
+    const SETTLES_ON_THE_POOL: bool = true;
 
     fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
         Ok(Routing::Intersecting {
@@ -658,6 +743,41 @@ impl QueryKind for Cjsp {
         Some(self.delta)
     }
 
+    /// The answer once the run over the held candidates stands, and until
+    /// then one [`Message::CellsQuery`] per source that owns a stub it
+    /// stalls on, sources and datasets ascending.  Nothing is kept from one
+    /// wave to the next — the run is repeated over whatever the bucket
+    /// holds — and each query's run is independent, so a batch is settled on
+    /// the worker pool.
+    fn settle(
+        &self,
+        plan: &QueryPlan,
+        bucket: &[CoverageCandidate],
+        failed: &[SourceFailure],
+        k: usize,
+    ) -> Settled<AggregatedCoverage> {
+        let no_cells = CellSet::new();
+        let query_cells = plan.sent_cells.as_ref().unwrap_or(&no_cells);
+        match aggregate_coverage(query_cells, bucket, failed, k, self.delta) {
+            Ok(answer) => Settled::Final(answer),
+            Err(stalled) => {
+                let mut wanted: BTreeMap<SourceId, Vec<DatasetId>> = BTreeMap::new();
+                for (source, dataset) in stalled {
+                    wanted.entry(source).or_default().push(dataset);
+                }
+                Settled::Requests(
+                    wanted
+                        .into_iter()
+                        .map(|(source, mut datasets)| {
+                            datasets.sort_unstable();
+                            (source, Message::CellsQuery { datasets })
+                        })
+                        .collect(),
+                )
+            }
+        }
+    }
+
     fn request(&self, query: CellSet, k: usize) -> Message {
         Message::CoverageQuery {
             query,
@@ -666,31 +786,24 @@ impl QueryKind for Cjsp {
         }
     }
 
-    fn items(reply: Message) -> Option<Vec<CoverageCandidate>> {
-        match reply {
-            Message::CoverageReply { candidates, .. } => Some(candidates),
-            _ => None,
-        }
-    }
-
-    /// Each query's greedy run is independent, so the batch is reduced on
-    /// the worker pool.
-    fn reduce(
-        &self,
-        workers: usize,
-        query_cells: Vec<Option<CellSet>>,
-        buckets: Vec<Vec<CoverageCandidate>>,
-        k: usize,
-    ) -> Result<Vec<AggregatedCoverage>, SearchError> {
-        let inputs: Vec<(CellSet, Vec<CoverageCandidate>)> = query_cells
-            .into_iter()
-            .zip(buckets)
-            .map(|(cells, candidates)| (cells.unwrap_or_default(), candidates))
-            .collect();
-        let (answers, _) = run_parallel(&inputs, workers, None, |(cells, candidates), _| {
-            Ok(aggregate_coverage(cells, candidates, k, self.delta))
-        })?;
-        Ok(answers)
+    /// A fetch is answered by exactly the datasets it named, each with its
+    /// cells — anything else could leave a stub standing and the engine
+    /// asking for it for ever.
+    fn items(task: &ShardTask, reply: Message) -> Option<Vec<CoverageCandidate>> {
+        let Message::CoverageReply { source, candidates } = reply else {
+            return None;
+        };
+        let owned = source == task.source && candidates.iter().all(|c| c.source == source);
+        let answers = match &task.request {
+            Message::CellsQuery { datasets } => {
+                candidates.len() == datasets.len()
+                    && candidates.iter().zip(datasets).all(|(c, &dataset)| {
+                        c.dataset == dataset && matches!(c.cells, CandidateCells::Inline(_))
+                    })
+            }
+            _ => true,
+        };
+        (owned && answers).then_some(candidates)
     }
 
     fn results(answers: Vec<AggregatedCoverage>) -> SearchResults {
@@ -723,6 +836,23 @@ impl QueryKind for Cjsp {
 /// `PrunedClipped` does both.
 struct Knn;
 
+impl Knn {
+    /// The distance beyond which nothing can enter the answer: the largest
+    /// among `k` or more first-wave neighbours — the k-th distance of a
+    /// reply that holds exactly `k`.  A distance that is not a number gives
+    /// no cutoff at all.
+    fn cutoff(first_wave: &[(SourceId, Neighbor)], k: usize) -> f64 {
+        if first_wave.len() < k || first_wave.iter().any(|(_, n)| n.distance.is_nan()) {
+            return f64::INFINITY;
+        }
+        first_wave
+            .iter()
+            .map(|(_, n)| n.distance)
+            .max_by(f64::total_cmp)
+            .unwrap_or(f64::INFINITY)
+    }
+}
+
 impl QueryKind for Knn {
     type Item = (SourceId, Neighbor);
     type Answer = AggregatedKnn;
@@ -745,53 +875,44 @@ impl QueryKind for Knn {
         }
     }
 
-    /// The largest distance among `k` or more first-wave neighbours — the
-    /// k-th distance of a reply that holds exactly `k`.  A distance that is
-    /// not a number gives no cutoff at all.
-    fn cutoff(&self, first_wave: &[Self::Item], k: usize) -> f64 {
-        if first_wave.len() < k || first_wave.iter().any(|(_, n)| n.distance.is_nan()) {
-            return f64::INFINITY;
+    /// After the first wave, while the plan holds sources back: one of them
+    /// is contacted only if its routing lower bound is within the cutoff the
+    /// first reply gives, with the query clipped to its root rectangle grown
+    /// by it.  After that, the global top-k by distance.
+    fn settle(
+        &self,
+        plan: &QueryPlan,
+        bucket: &[Self::Item],
+        _failed: &[SourceFailure],
+        k: usize,
+    ) -> Settled<AggregatedKnn> {
+        if !plan.held_back.is_empty() {
+            return Settled::HeldBack {
+                cutoff: Self::cutoff(bucket, k) + BOUND_SLACK,
+            };
         }
-        first_wave
-            .iter()
-            .map(|(_, n)| n.distance)
-            .max_by(f64::total_cmp)
-            .unwrap_or(f64::INFINITY)
+        let mut all = bucket.to_vec();
+        all.sort_unstable_by(|a, b| {
+            a.1.distance
+                .total_cmp(&b.1.distance)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.dataset.cmp(&b.1.dataset))
+        });
+        all.truncate(k);
+        Settled::Final(AggregatedKnn { neighbors: all })
     }
 
     fn request(&self, query: CellSet, k: usize) -> Message {
         Message::KnnQuery { query, k }
     }
 
-    fn items(reply: Message) -> Option<Vec<Self::Item>> {
+    fn items(task: &ShardTask, reply: Message) -> Option<Vec<Self::Item>> {
         match reply {
-            Message::KnnReply { source, neighbors } => {
+            Message::KnnReply { source, neighbors } if source == task.source => {
                 Some(neighbors.into_iter().map(|n| (source, n)).collect())
             }
             _ => None,
         }
-    }
-
-    fn reduce(
-        &self,
-        _workers: usize,
-        _query_cells: Vec<Option<CellSet>>,
-        buckets: Vec<Vec<Self::Item>>,
-        k: usize,
-    ) -> Result<Vec<AggregatedKnn>, SearchError> {
-        Ok(buckets
-            .into_iter()
-            .map(|mut all| {
-                all.sort_unstable_by(|a, b| {
-                    a.1.distance
-                        .total_cmp(&b.1.distance)
-                        .then(a.0.cmp(&b.0))
-                        .then(a.1.dataset.cmp(&b.1.dataset))
-                });
-                all.truncate(k);
-                AggregatedKnn { neighbors: all }
-            })
-            .collect())
     }
 
     fn results(answers: Vec<AggregatedKnn>) -> SearchResults {
@@ -799,56 +920,144 @@ impl QueryKind for Knn {
     }
 }
 
+/// What the center's greedy ranks candidates by on equal gain.
+type CandidateKey = (SourceId, DatasetId);
+
 /// The cross-source greedy selection of CoverageSearch's aggregation phase
-/// (Section VI-C applied at the data center): [`dits::greedy_cover`] — the
-/// loop every source runs — keyed by `(source, dataset)`, whose connect step
-/// is a linear scan of the not-yet-connected reply candidates against the
-/// newest member.
-fn aggregate_coverage(
+/// (Section VI-C applied at the data center) over the candidates whose cells
+/// are here: [`dits::greedy_cover`] — the loop every source runs — keyed by
+/// `(source, dataset)`, whose connect step is a linear scan of the
+/// not-yet-connected candidates against the newest member.  Returns the
+/// selected keys in pick order, their gains and the final coverage.
+fn cover_held(
     query_cells: &CellSet,
     candidates: &[CoverageCandidate],
     k: usize,
     delta_cells: f64,
-) -> AggregatedCoverage {
-    let mut unconnected: Vec<&CoverageCandidate> = candidates.iter().collect();
-    let (selected, _, coverage) = dits::greedy_cover(
+) -> (Vec<CandidateKey>, Vec<usize>, usize) {
+    let mut unconnected: Vec<(CandidateKey, &CellSet)> = candidates
+        .iter()
+        .filter_map(|candidate| match &candidate.cells {
+            CandidateCells::Inline(cells) => Some(((candidate.source, candidate.dataset), cells)),
+            CandidateCells::Stub(_) => None,
+        })
+        .collect();
+    dits::greedy_cover(
         query_cells,
         k,
         &mut SearchStats::new(),
-        |candidate: &&CoverageCandidate| ((candidate.source, candidate.dataset), &candidate.cells),
+        |&(key, cells): &(CandidateKey, &CellSet)| (key, cells),
         |newest, connected, _| {
-            let probe = NeighborProbe::new(newest.map_or(query_cells, |member| &member.cells));
+            let probe = NeighborProbe::new(newest.map_or(query_cells, |&(_, cells)| cells));
             unconnected.retain(|&candidate| {
-                let within = probe.within(&candidate.cells, delta_cells);
+                let within = probe.within(candidate.1, delta_cells);
                 if within {
                     connected.push(candidate);
                 }
                 !within
             });
         },
-    );
-    AggregatedCoverage {
-        selected,
-        coverage,
-        query_coverage: query_cells.len(),
+    )
+}
+
+/// One query's aggregation over what its bucket holds: the run over the held
+/// candidates, which is the answer if no open stub stalls it (see [`Cjsp`]
+/// for why the stubs then cannot change it) — and otherwise `Err` with the
+/// stubs whose cells must be fetched first.
+fn aggregate_coverage(
+    query_cells: &CellSet,
+    candidates: &[CoverageCandidate],
+    failed: &[SourceFailure],
+    k: usize,
+    delta_cells: f64,
+) -> Result<AggregatedCoverage, Vec<CandidateKey>> {
+    let (selected, gains, coverage) = cover_held(query_cells, candidates, k, delta_cells);
+    let stubs = open_stubs(candidates, failed);
+    let stalled = stalled_stubs(&stubs, &selected, &gains, k);
+    if stalled.is_empty() {
+        Ok(AggregatedCoverage {
+            selected,
+            coverage,
+            query_coverage: query_cells.len(),
+        })
+    } else {
+        Err(stalled.iter().map(|&(_, key)| key).collect())
     }
 }
 
+/// The stubs of a bucket that are still open, as `(|S_D|, key)`, largest
+/// first and on equal size smallest key first — the order in which they
+/// could win a pick.  A stub is closed once its cells are in the bucket, or
+/// once its source has failed in a run that skips failed sources: the answer
+/// is then exact over what the center did receive.
+fn open_stubs(
+    bucket: &[CoverageCandidate],
+    failed: &[SourceFailure],
+) -> Vec<(usize, CandidateKey)> {
+    let held = |key: CandidateKey| {
+        bucket
+            .iter()
+            .any(|c| (c.source, c.dataset) == key && matches!(c.cells, CandidateCells::Inline(_)))
+    };
+    let mut stubs: Vec<(usize, CandidateKey)> = bucket
+        .iter()
+        .filter_map(|candidate| match candidate.cells {
+            CandidateCells::Stub(size) => Some((size, (candidate.source, candidate.dataset))),
+            CandidateCells::Inline(_) => None,
+        })
+        .filter(|&(_, key)| !held(key) && failed.iter().all(|f| f.source != key.0))
+        .collect();
+    stubs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    stubs.dedup();
+    stubs
+}
+
+/// The stubs whose cells must be fetched before the run `(selected, gains)`
+/// over the held candidates can stand — empty when it already does.  `stubs`
+/// come ordered as [`open_stubs`] returns them, so the ones that beat a pick
+/// are a prefix.
+///
+/// No stub is connected to the query, so pick 1 stands.  The run stalls at
+/// the first later pick that some stub's size beats under the loop's own
+/// tie-break (larger gain, then smaller key), or, having ended short of `k`
+/// with a member selected, on any stub at all; what is fetched is the
+/// largest stubs that could have won there, as many as picks were still to
+/// be made.
+fn stalled_stubs<'s>(
+    stubs: &'s [(usize, CandidateKey)],
+    selected: &[CandidateKey],
+    gains: &[usize],
+    k: usize,
+) -> &'s [(usize, CandidateKey)] {
+    let picks = selected.iter().zip(gains).enumerate().skip(1);
+    for (made, (&key, &gain)) in picks {
+        let winners =
+            stubs.partition_point(|&(size, stub)| size > gain || (size == gain && stub < key));
+        if winners > 0 {
+            return stubs.get(..winners.min(k - made)).unwrap_or(stubs);
+        }
+    }
+    if selected.is_empty() || selected.len() >= k {
+        return &[];
+    }
+    stubs.get(..k - selected.len()).unwrap_or(stubs)
+}
+
 /// Assembles a run's [`obs::Trace`] from its phase timings and the spans the
-/// workers collected: `plan` (plus `replan`, when a follow-up wave was
-/// planned) and `aggregate` spans bracket the per-call `call` / `service` /
+/// workers collected: `plan` (plus one `replan` per follow-up wave) and
+/// `aggregate` spans bracket the per-call `call` / `service` /
 /// `traversal` / `verify` spans of every wave, and the whole trace is
 /// canonicalised so span order is deterministic across worker schedules.
 fn assemble_trace(
     id: u64,
     plan: Duration,
-    replan: Option<Duration>,
+    replans: &[Duration],
     spans: Vec<obs::Span>,
     aggregate: Duration,
 ) -> obs::Trace {
     let mut trace = obs::Trace::new(id);
     trace.push("plan", None, plan);
-    if let Some(replan) = replan {
+    for &replan in replans {
         trace.push("replan", None, replan);
     }
     trace.spans.extend(spans);
@@ -1214,12 +1423,14 @@ mod tests {
     }
 
     /// The center and a source run one greedy loop: fed a single source's
-    /// reply, the aggregation re-selects that source's own sequence.
+    /// reply and the cells it then has to fetch, the aggregation re-selects
+    /// that source's own sequence.
     #[test]
     fn aggregating_one_reply_reselects_the_sources_own_sequence() {
         let (fw, queries) = five_source_framework();
         let (k, delta) = (5, 10.0);
-        let mut compared = 0;
+        let kind = Cjsp { delta };
+        let (mut compared, mut stubs, mut fetched) = (0, 0, 0);
         for source in fw.sources() {
             for query in &queries {
                 let cells = source.grid_query(query);
@@ -1228,15 +1439,38 @@ mod tests {
                     &cells,
                     dits::CoverageConfig::new(k, delta),
                 );
-                let served = source.serve_readonly(&Message::CoverageQuery {
+                let candidates_of = |request: &Message| match source.serve_readonly(request).message
+                {
+                    Message::CoverageReply { candidates, .. } => candidates,
+                    other => panic!("unexpected reply {other:?}"),
+                };
+                let mut bucket = candidates_of(&Message::CoverageQuery {
                     query: cells.clone(),
                     k,
                     delta,
                 });
-                let Message::CoverageReply { candidates, .. } = served.message else {
-                    panic!("unexpected reply {:?}", served.message);
+                stubs += open_stubs(&bucket, &[]).len();
+                let plan = QueryPlan {
+                    query_idx: 0,
+                    query,
+                    cells: QueryCellsCache::new(),
+                    sent_cells: Some(cells.clone()),
+                    held_back: Vec::new(),
                 };
-                let aggregated = aggregate_coverage(&cells, &candidates, k, delta);
+                let aggregated = loop {
+                    match kind.settle(&plan, &bucket, &[], k) {
+                        Settled::Final(aggregated) => break aggregated,
+                        Settled::HeldBack { .. } => panic!("CJSP holds no source back"),
+                        Settled::Requests(requests) => {
+                            for (to, request) in requests {
+                                assert_eq!(to, source.id);
+                                let cells_sent = candidates_of(&request);
+                                fetched += cells_sent.len();
+                                bucket.extend(cells_sent);
+                            }
+                        }
+                    }
+                };
                 let expected: Vec<(SourceId, spatial::DatasetId)> =
                     own.datasets.iter().map(|&d| (source.id, d)).collect();
                 assert_eq!(aggregated.selected, expected);
@@ -1245,6 +1479,31 @@ mod tests {
             }
         }
         assert!(compared > 0, "no query reached any source");
+        // Every pick of a lone source is in the answer, so every stub stalls.
+        assert!(stubs > 0, "the fixture names no candidate by size alone");
+        assert_eq!(fetched, stubs);
+    }
+
+    /// A δ no distance can be compared with is refused before anything is
+    /// planned, whichever way it reaches the engine.
+    #[test]
+    fn a_delta_that_is_not_a_distance_is_a_typed_error() {
+        let (fw, queries) = five_source_framework();
+        for delta in [f64::NAN, f64::INFINITY, -1.0] {
+            let refused = |result: Result<SearchResponse, SearchError>| match result {
+                Err(SearchError::Config(ConfigError::Delta(d))) => {
+                    assert_eq!(d.to_bits(), delta.to_bits())
+                }
+                other => panic!("δ={delta}: {other:?}"),
+            };
+            refused(fw.search(&SearchRequest::cjsp_batch(queries.clone()).delta_cells(delta)));
+            let config = EngineConfig {
+                delta_cells: delta,
+                ..EngineConfig::default()
+            };
+            let engine = QueryEngine::in_process(fw.center(), fw.sources(), config);
+            refused(engine.run(&SearchRequest::cjsp_batch(queries.clone())));
+        }
     }
 
     #[test]
@@ -1350,12 +1609,22 @@ mod tests {
             assert!(trace.id > 0, "0 is reserved as the no-trace wire marker");
             assert_eq!(trace.spans_named("plan").count(), 1);
             assert_eq!(trace.spans_named("aggregate").count(), 1);
-            // Only kNN plans a second round, and here it is not empty: the
-            // first wave is one request per query.
-            let two_waves = kind == SearchKind::Knn;
-            assert_eq!(trace.spans_named("replan").count(), usize::from(two_waves));
-            if two_waves {
-                assert!(traced.comm.requests > queries.len());
+            // One `replan` span per follow-up wave: none for OJSP, kNN's
+            // second round (not empty here: the first wave is one request
+            // per query), and for CJSP as many as it took to fetch the
+            // cells its greedy stalled on — here at least one.
+            let replans = trace.spans_named("replan").count();
+            match kind {
+                SearchKind::Ojsp => assert_eq!(replans, 0),
+                SearchKind::Knn => {
+                    assert_eq!(replans, 1);
+                    assert!(traced.comm.requests > queries.len());
+                }
+                SearchKind::Cjsp => {
+                    assert!(replans >= 1, "the fixture's CJSP batch fetches no cells");
+                    // A fetch is no new contact.
+                    assert!(traced.comm.requests >= traced.comm.sources_contacted + replans);
+                }
             }
             // One call/service/traversal/verify span per exchanged request,
             // each naming the source it was measured on.
@@ -1388,31 +1657,41 @@ mod tests {
     }
 
     /// On one worker the spans are disjoint intervals of the request — plan,
-    /// every call of the first wave, replan, every call of the second,
-    /// aggregate — so together they never exceed its wall-clock time and
-    /// leave only the engine's bookkeeping between them uncovered.
+    /// every call of the first wave, then a replan and the calls it planned
+    /// for every follow-up wave, aggregate — so together they never exceed
+    /// its wall-clock time and leave only the engine's bookkeeping between
+    /// them uncovered.  Held for kNN's second wave and for CJSP's fetches.
     #[test]
     fn two_wave_span_time_covers_the_request() {
         let (fw, queries) = five_source_framework();
-        let request = SearchRequest::knn_batch(queries)
-            .k(4)
-            .workers(1)
-            .with_trace(true);
+        let [_, cjsp, knn] = one_request_per_kind(&queries);
+        for request in [knn, cjsp] {
+            let request = request.workers(1).with_trace(true);
+            span_time_covers(&fw, &request);
+        }
+    }
+
+    fn span_time_covers(fw: &MultiSourceFramework, request: &SearchRequest) {
+        let kind = request.kind();
         let coverage = |response: &SearchResponse| {
             let trace = response.trace.as_ref().expect("trace was requested");
             let covered: Duration = ["plan", "call", "replan", "aggregate"]
                 .iter()
                 .map(|name| trace.total_named(name))
                 .sum();
-            assert!(covered <= response.elapsed, "spans overlap");
+            assert!(trace.spans_named("replan").count() >= 1, "{kind:?}");
+            assert!(covered <= response.elapsed, "{kind:?}: spans overlap");
             covered.as_secs_f64() / response.elapsed.as_secs_f64()
         };
         // The best of a few runs: a preemption inside one of the gaps says
         // nothing about what the spans cover.
         let best = (0..5)
-            .map(|_| coverage(&fw.search(&request).unwrap()))
+            .map(|_| coverage(&fw.search(request).unwrap()))
             .fold(0.0, f64::max);
-        assert!(best >= 0.9, "spans cover only {best:.3} of the request");
+        assert!(
+            best >= 0.9,
+            "{kind:?}: spans cover only {best:.3} of the request"
+        );
     }
 
     /// Every run crossing the slow-query threshold is recorded with its kind
@@ -1469,6 +1748,51 @@ mod tests {
                 });
             }
             self.inner.call_with(source, request, opts)
+        }
+    }
+
+    /// In-process sources whose replies claim to come from the next source.
+    #[derive(Debug)]
+    struct Impostor<'a>(InProcessTransport<'a>);
+
+    impl SourceTransport for Impostor<'_> {
+        fn source_ids(&self) -> Vec<SourceId> {
+            self.0.source_ids()
+        }
+
+        fn call_with(
+            &self,
+            source: SourceId,
+            request: &Message,
+            opts: CallOptions,
+        ) -> Result<crate::transport::TransportReply, TransportError> {
+            let mut reply = self.0.call_with(source, request, opts)?;
+            if let Message::OverlapReply { source, .. }
+            | Message::CoverageReply { source, .. }
+            | Message::KnnReply { source, .. } = &mut reply.message
+            {
+                *source += 1;
+            }
+            Ok(reply)
+        }
+    }
+
+    /// A reply speaks for the source that was asked and for no other: its
+    /// results never reach an answer under another source's name.
+    #[test]
+    fn a_reply_naming_another_source_is_refused() {
+        let (fw, queries) = five_source_framework();
+        let impostor = Impostor(InProcessTransport::new(fw.sources()));
+        let engine = QueryEngine::new(fw.center(), &impostor, EngineConfig::default());
+        for request in one_request_per_kind(&queries) {
+            assert!(
+                matches!(
+                    engine.run(&request),
+                    Err(SearchError::Transport(TransportError::UnexpectedReply(_)))
+                ),
+                "{:?}",
+                request.kind()
+            );
         }
     }
 

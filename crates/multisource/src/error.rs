@@ -46,6 +46,10 @@ pub enum WireError {
     DuplicateCell,
     /// A length prefix exceeds the protocol's sanity limit.
     Oversized(&'static str),
+    /// The named field decoded to a value the protocol never sends: a
+    /// connectivity threshold δ that is negative or not finite, a candidate
+    /// stub that claims no cells.
+    OutOfRange(&'static str),
     /// A string field was not valid UTF-8.
     BadUtf8,
 }
@@ -60,6 +64,7 @@ impl fmt::Display for WireError {
             WireError::CellOverflow => write!(f, "delta-encoded cell id overflowed"),
             WireError::DuplicateCell => write!(f, "delta-encoded cell set repeats a cell"),
             WireError::Oversized(what) => write!(f, "{what} exceeds the protocol size limit"),
+            WireError::OutOfRange(what) => write!(f, "{what} is outside the protocol's range"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
         }
     }
@@ -331,6 +336,7 @@ mod tests {
             WireError::BadVarint("k"),
             WireError::CellOverflow,
             WireError::DuplicateCell,
+            WireError::OutOfRange("delta"),
             WireError::BadUtf8,
         ] {
             assert!(!e.to_string().is_empty());

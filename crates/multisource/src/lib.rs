@@ -14,7 +14,11 @@
 //! 3. lets every candidate run its local OverlapSearch / CoverageSearch /
 //!    kNN, and
 //! 4. aggregates the per-source results into the final top-`k` answer of a
-//!    [`SearchResponse`].
+//!    [`SearchResponse`] — after asking for whatever the first replies show
+//!    is still missing: kNN sends the query on to the sources its nearest
+//!    source's k-th distance cannot rule out, CJSP fetches the cells of the
+//!    candidates a reply only named by size when that size could still beat
+//!    a pick (see [`engine`]).
 //!
 //! # Transports
 //!
@@ -77,7 +81,7 @@ pub use comm::{CommConfig, CommStats};
 pub use engine::{EngineConfig, QueryEngine};
 pub use error::{BatchError, ConfigError, SearchError, TransportError, WireError};
 pub use framework::{FrameworkConfig, MultiSourceFramework};
-pub use message::{CellOp, CoverageCandidate, Message, UpdateOp};
+pub use message::{CandidateCells, CellOp, CoverageCandidate, Message, UpdateOp};
 pub use source::{DataSource, SourceMetrics};
 pub use transport::{
     scrape_metrics, serve_source, serve_source_until, CallOptions, ExclusiveTransport,

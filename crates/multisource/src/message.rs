@@ -14,6 +14,14 @@
 //! [`Message::CoverageQuery`] / [`Message::CoverageReply`] (CJSP) and
 //! [`Message::KnnQuery`] / [`Message::KnnReply`] (k-nearest datasets).
 //!
+//! The CJSP exchange is *bounds first, cells on demand*: a
+//! [`Message::CoverageReply`] carries the cells of a candidate only when the
+//! candidate is directly connected to the query, and a
+//! [`CandidateCells::Stub`] — the dataset's cell count, an upper bound on
+//! any gain it can bring — otherwise; the center asks for the cells behind a
+//! stub with [`Message::CellsQuery`] only when that bound could beat a pick
+//! (the rule and why it is exact are on the engine's `Cjsp` kind).
+//!
 //! # Maintenance protocol
 //!
 //! One maintenance exchange implements the paper's Appendix IX-C algorithms
@@ -65,6 +73,9 @@ pub const ERR_UNSUPPORTED: u16 = 0;
 /// Error code: a maintenance batch was structurally invalid and rejected as
 /// a whole (nothing was applied).
 pub const ERR_REJECTED_BATCH: u16 = 1;
+/// Error code: a [`Message::CellsQuery`] names a dataset the source does not
+/// hold (any more).
+pub const ERR_UNKNOWN_DATASET: u16 = 2;
 
 /// Upper bound on an error detail on the wire.  Enforced symmetrically: the
 /// encoder truncates (at a char boundary) and the decoder rejects anything
@@ -128,16 +139,28 @@ pub enum CellOp {
     Delete(DatasetId),
 }
 
-/// A coverage candidate returned by a source: a dataset id plus its cells,
-/// so the data center can run the final greedy aggregation.
+/// A coverage candidate returned by a source: one dataset its local greedy
+/// selected, with what the data center needs to aggregate across sources —
+/// the dataset's cells, or only how many there are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverageCandidate {
-    /// The source that owns the dataset.
+    /// The source that owns the dataset.  Never on the wire: a reply speaks
+    /// for the source that sent it, and decoding fills this in from there.
     pub source: SourceId,
     /// The dataset id within its source.
     pub dataset: DatasetId,
-    /// The dataset's cell-based representation.
-    pub cells: CellSet,
+    /// The dataset's cells, or their count.
+    pub cells: CandidateCells,
+}
+
+/// What a [`CoverageCandidate`] brings of its dataset.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CandidateCells {
+    /// The dataset's cell-based representation; never empty.
+    Inline(CellSet),
+    /// Only `|S_D|`, the number of cells — at least one.  No marginal gain
+    /// of the dataset can exceed it.
+    Stub(usize),
 }
 
 // Wire tags, one per `Message` variant.  repo-lint's `wire-tags` rule
@@ -168,6 +191,8 @@ pub const TAG_ERROR: u8 = 8;
 pub const TAG_METRICS_QUERY: u8 = 13;
 /// Wire tag of [`Message::MetricsSnapshot`].
 pub const TAG_METRICS_SNAPSHOT: u8 = 14;
+/// Wire tag of [`Message::CellsQuery`].
+pub const TAG_CELLS_QUERY: u8 = 15;
 
 // Inner wire tags: one byte framing each element of a variant's payload.
 // Named for the same reason as the frame-level set — repo-lint cross-checks
@@ -212,12 +237,16 @@ pub enum Message {
         /// Connectivity threshold δ in cell units.
         delta: f64,
     },
-    /// Source → data center: local coverage candidates (with their cells so
-    /// the center can aggregate greedily across sources).
+    /// Source → data center: the datasets the source's local coverage search
+    /// selected, in pick order.  Answering a [`Message::CoverageQuery`], a
+    /// candidate within δ of the request's query travels with its cells and
+    /// every other as a [`CandidateCells::Stub`]; answering a
+    /// [`Message::CellsQuery`], it holds exactly the datasets asked for, in
+    /// that order, each with its cells.
     CoverageReply {
         /// The replying source.
         source: SourceId,
-        /// Candidate datasets and their cells.
+        /// The candidates, each owned by `source`.
         candidates: Vec<CoverageCandidate>,
     },
     /// Data center → source: apply a batch of index-maintenance operations.
@@ -288,6 +317,20 @@ pub enum Message {
         /// The registry snapshot (counters, gauges, log₂ histograms).
         snapshot: obs::MetricsSnapshot,
     },
+    /// Data center → source: send the cells of these datasets — the ones an
+    /// earlier [`Message::CoverageReply`] named by a stub whose size could
+    /// still beat a pick of the center's greedy.  Answered by a
+    /// [`Message::CoverageReply`], or by an [`ERR_UNKNOWN_DATASET`]
+    /// [`Message::Error`] when one of them is gone, never by a shorter list.
+    ///
+    /// Nothing ties the two exchanges to one state of the source: a
+    /// maintenance batch applied between them can change or remove a stubbed
+    /// dataset, and the center then aggregates cells the stub's size did not
+    /// describe.  Replies carry no epoch yet (ROADMAP item 5 (b)).
+    CellsQuery {
+        /// The datasets whose cells are wanted.
+        datasets: Vec<DatasetId>,
+    },
 }
 
 impl Message {
@@ -328,9 +371,22 @@ impl Message {
                 buf.put_u16(*source);
                 put_varint(&mut buf, candidates.len() as u64);
                 for c in candidates {
-                    buf.put_u16(c.source);
                     put_varint(&mut buf, c.dataset as u64);
-                    put_cells(&mut buf, &c.cells);
+                    // A stub is the one thing an empty cell block can mean,
+                    // and it is followed by the size.  (The values the type
+                    // documents as never sent — an inline candidate without
+                    // cells, a stub of size 0 — both encode as a stub of
+                    // size 0, which `decode` refuses.)
+                    match &c.cells {
+                        CandidateCells::Inline(cells) if !cells.is_empty() => {
+                            put_cells(&mut buf, cells);
+                        }
+                        CandidateCells::Inline(_) => buf.put_slice(&[0, 0]),
+                        CandidateCells::Stub(size) => {
+                            buf.put_u8(0);
+                            put_varint(&mut buf, *size as u64);
+                        }
+                    }
                 }
             }
             Message::ApplyUpdates { resolution, ops } => {
@@ -399,6 +455,13 @@ impl Message {
             }
             Message::MetricsQuery => {
                 buf.put_u8(TAG_METRICS_QUERY);
+            }
+            Message::CellsQuery { datasets } => {
+                buf.put_u8(TAG_CELLS_QUERY);
+                put_varint(&mut buf, datasets.len() as u64);
+                for dataset in datasets {
+                    put_varint(&mut buf, u64::from(*dataset));
+                }
             }
             Message::MetricsSnapshot { source, snapshot } => {
                 buf.put_u8(TAG_METRICS_SNAPSHOT);
@@ -476,6 +539,9 @@ impl Message {
                     return Err(WireError::Truncated("delta"));
                 }
                 let delta = data.get_f64();
+                if !delta.is_finite() || delta < 0.0 {
+                    return Err(WireError::OutOfRange("delta"));
+                }
                 let query = get_cells(&mut data)?;
                 Ok(Message::CoverageQuery { query, k, delta })
             }
@@ -487,14 +553,18 @@ impl Message {
                 let n = get_varint(&mut data, "candidate count")? as usize;
                 let mut candidates = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    if data.remaining() < 2 {
-                        return Err(WireError::Truncated("candidate source id"));
-                    }
-                    let src = data.get_u16();
-                    let dataset = get_varint(&mut data, "candidate dataset id")? as DatasetId;
+                    let dataset = get_dataset_id(&mut data, "candidate dataset id")?;
                     let cells = get_cells(&mut data)?;
+                    let cells = if cells.is_empty() {
+                        match get_varint(&mut data, "stub size")? {
+                            0 => return Err(WireError::OutOfRange("stub size")),
+                            size => CandidateCells::Stub(size as usize),
+                        }
+                    } else {
+                        CandidateCells::Inline(cells)
+                    };
                     candidates.push(CoverageCandidate {
-                        source: src,
+                        source,
                         dataset,
                         cells,
                     });
@@ -597,6 +667,14 @@ impl Message {
                 Ok(Message::Error { code, detail })
             }
             TAG_METRICS_QUERY => Ok(Message::MetricsQuery),
+            TAG_CELLS_QUERY => {
+                let n = get_varint(&mut data, "dataset count")? as usize;
+                let mut datasets = Vec::with_capacity(n.min(1 << 16));
+                for _ in 0..n {
+                    datasets.push(get_dataset_id(&mut data, "dataset id")?);
+                }
+                Ok(Message::CellsQuery { datasets })
+            }
             TAG_METRICS_SNAPSHOT => {
                 if data.remaining() < 2 {
                     return Err(WireError::Truncated("source id"));
@@ -678,6 +756,12 @@ fn put_gridded(buf: &mut BytesMut, dataset: DatasetId, cells: &CellSet) {
 fn get_gridded(data: &mut Bytes) -> Result<(DatasetId, CellSet), WireError> {
     let dataset = get_varint(data, "dataset id")? as DatasetId;
     Ok((dataset, get_cells(data)?))
+}
+
+/// Reads a dataset id of the field `what`: a varint that fits the id type,
+/// so that no two byte strings decode to the same id.
+fn get_dataset_id(data: &mut Bytes, what: &'static str) -> Result<DatasetId, WireError> {
+    DatasetId::try_from(get_varint(data, what)?).map_err(|_| WireError::Oversized(what))
 }
 
 /// Reads a cell set, accepting exactly the bytes [`put_cells`] writes.
@@ -781,13 +865,200 @@ mod tests {
         assert_eq!(Message::decode(q.encode()), Ok(q));
         let r = Message::CoverageReply {
             source: 1,
-            candidates: vec![CoverageCandidate {
-                source: 1,
-                dataset: 4,
-                cells: cs(&[9, 10, 11]),
-            }],
+            candidates: vec![
+                CoverageCandidate {
+                    source: 1,
+                    dataset: 4,
+                    cells: CandidateCells::Inline(cs(&[9, 10, 11])),
+                },
+                CoverageCandidate {
+                    source: 1,
+                    dataset: 300,
+                    cells: CandidateCells::Stub(926),
+                },
+            ],
         };
-        assert_eq!(Message::decode(r.encode()), Ok(r));
+        let encoded = r.encode();
+        // The tag, the replying source, two candidates: dataset 4 with three
+        // cells, then dataset 300 as an empty cell block and its size.  No
+        // candidate carries a source of its own.
+        assert_eq!(
+            encoded.as_ref(),
+            &[
+                TAG_COVERAGE_REPLY,
+                0,
+                1,
+                2,
+                4,
+                3,
+                9,
+                1,
+                1,
+                0xAC,
+                0x02,
+                0,
+                0x9E,
+                0x07
+            ]
+        );
+        assert_eq!(Message::decode(encoded), Ok(r));
+        let f = Message::CellsQuery {
+            datasets: vec![300, 4, 4],
+        };
+        assert_eq!(f.encode().as_ref(), &[TAG_CELLS_QUERY, 3, 0xAC, 0x02, 4, 4]);
+        assert_eq!(Message::decode(f.encode()), Ok(f));
+    }
+
+    /// Every candidate of a decoded reply belongs to the source that sent
+    /// it, a stub has exactly one encoding, and δ is a distance.
+    #[test]
+    fn coverage_values_the_protocol_never_sends_are_rejected() {
+        let reply = |candidate: &[u8]| {
+            let mut raw = vec![TAG_COVERAGE_REPLY, 0, 7, 1]; // source 7, one candidate
+            raw.extend_from_slice(candidate);
+            Message::decode(Bytes::from(raw))
+        };
+        assert_eq!(
+            reply(&[5, 0, 9]),
+            Ok(Message::CoverageReply {
+                source: 7,
+                candidates: vec![CoverageCandidate {
+                    source: 7,
+                    dataset: 5,
+                    cells: CandidateCells::Stub(9),
+                }],
+            })
+        );
+        // A stub that claims no cells, and the values `encode` maps onto it.
+        assert_eq!(reply(&[5, 0, 0]), Err(WireError::OutOfRange("stub size")));
+        for cells in [
+            CandidateCells::Inline(CellSet::new()),
+            CandidateCells::Stub(0),
+        ] {
+            let unsendable = Message::CoverageReply {
+                source: 7,
+                candidates: vec![CoverageCandidate {
+                    source: 7,
+                    dataset: 5,
+                    cells,
+                }],
+            };
+            assert_eq!(
+                Message::decode(unsendable.encode()),
+                Err(WireError::OutOfRange("stub size"))
+            );
+        }
+        assert_eq!(reply(&[5, 0]), Err(WireError::Truncated("stub size")));
+        // A dataset id wider than the id type has no second spelling.
+        assert_eq!(
+            reply(&[0x80, 0x80, 0x80, 0x80, 0x10, 0, 9]),
+            Err(WireError::Oversized("candidate dataset id"))
+        );
+        assert_eq!(
+            Message::decode(Bytes::from_static(&[
+                TAG_CELLS_QUERY,
+                1,
+                0x80,
+                0x80,
+                0x80,
+                0x80,
+                0x10
+            ])),
+            Err(WireError::Oversized("dataset id"))
+        );
+        // A count beyond the bytes left fails before allocating for it.
+        assert_eq!(
+            Message::decode(Bytes::from_static(&[
+                TAG_CELLS_QUERY,
+                0xFF,
+                0xFF,
+                0xFF,
+                0xFF,
+                0x0F,
+                1
+            ])),
+            Err(WireError::Truncated("dataset id"))
+        );
+
+        for delta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let query = Message::CoverageQuery {
+                query: cs(&[1, 2]),
+                k: 3,
+                delta,
+            };
+            assert_eq!(
+                Message::decode(query.encode()),
+                Err(WireError::OutOfRange("delta")),
+                "δ={delta}"
+            );
+        }
+    }
+
+    /// Every truncation and every single-bit flip of a valid
+    /// `CoverageReply` (inline and stub candidates) and `CellsQuery` is a
+    /// typed error or exactly the value the bytes describe.
+    #[test]
+    fn mutated_coverage_frames_decode_to_what_the_bytes_say() {
+        let reply = Message::CoverageReply {
+            source: 258,
+            candidates: vec![
+                CoverageCandidate {
+                    source: 258,
+                    dataset: 77,
+                    cells: CandidateCells::Inline(cs(&[3, 9, 700, 70_000])),
+                },
+                CoverageCandidate {
+                    source: 258,
+                    dataset: 9_000,
+                    cells: CandidateCells::Stub(926),
+                },
+                CoverageCandidate {
+                    source: 258,
+                    dataset: 1,
+                    cells: CandidateCells::Inline(cs(&[0])),
+                },
+                CoverageCandidate {
+                    source: 258,
+                    dataset: 2,
+                    cells: CandidateCells::Stub(1),
+                },
+            ],
+        };
+        let fetch = Message::CellsQuery {
+            datasets: vec![9_000, 2, 70_000, 0],
+        };
+        let (mut typed, mut described) = (0, 0);
+        for message in [reply, fetch] {
+            let enc = message.encode();
+            assert_eq!(Message::decode(enc.clone()), Ok(message.clone()));
+            for cut in 0..enc.len() {
+                assert!(
+                    Message::decode(enc.slice(0..cut)).is_err(),
+                    "truncation at {cut} of {message:?} must fail"
+                );
+            }
+            for bit in 0..enc.len() * 8 {
+                let mut raw = enc.to_vec();
+                raw[bit / 8] ^= 1 << (bit % 8);
+                match Message::decode(Bytes::from(raw.clone())) {
+                    Err(_) => typed += 1,
+                    // Accepted: then these are the bytes of that value (a
+                    // flip that shortens a count leaves a tail behind).
+                    Ok(decoded) => {
+                        let used = decoded.encode();
+                        assert_eq!(&raw[..used.len()], &used[..], "bit {bit}: {decoded:?}");
+                        if let Message::CoverageReply { source, candidates } = &decoded {
+                            assert!(candidates.iter().all(|c| c.source == *source));
+                        }
+                        described += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            typed > 0 && described > 0,
+            "{typed} typed, {described} described"
+        );
     }
 
     #[test]
@@ -1198,13 +1469,29 @@ mod tests {
             prop_assert_eq!(Message::decode(c.encode()), Ok(c));
             let n = Message::KnnQuery { query: CellSet::from_cells(cells.clone()), k };
             prop_assert_eq!(Message::decode(n.encode()), Ok(n));
+            let f = Message::CellsQuery {
+                datasets: cells.iter().map(|&c| c as DatasetId).collect(),
+            };
+            prop_assert_eq!(Message::decode(f.encode()), Ok(f));
+            let cells = CellSet::from_cells(cells);
             let r = Message::CoverageReply {
                 source,
-                candidates: vec![CoverageCandidate {
-                    source,
-                    dataset: 9,
-                    cells: CellSet::from_cells(cells),
-                }],
+                candidates: vec![
+                    CoverageCandidate {
+                        source,
+                        dataset: 9,
+                        cells: CandidateCells::Stub(cells.len() + 1),
+                    },
+                    CoverageCandidate {
+                        source,
+                        dataset: 10,
+                        cells: if cells.is_empty() {
+                            CandidateCells::Stub(k + 1)
+                        } else {
+                            CandidateCells::Inline(cells)
+                        },
+                    },
+                ],
             };
             prop_assert_eq!(Message::decode(r.encode()), Ok(r));
         }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dits::{
-    coverage_search, nearest_datasets, overlap_search, take_phase_timings, CoverageConfig,
+    coverage_search_marked, nearest_datasets, overlap_search, take_phase_timings, CoverageConfig,
     DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats, PhaseTimings, SearchStats,
     SourceSummary,
 };
@@ -14,19 +14,21 @@ use spatial::{CellSet, DatasetId, Grid, SourceId, SpatialDataset, SpatialError};
 
 use crate::error::BatchError;
 use crate::message::{
-    CellOp, CoverageCandidate, Message, UpdateOp, ERR_REJECTED_BATCH, ERR_UNSUPPORTED,
+    CandidateCells, CellOp, CoverageCandidate, Message, UpdateOp, ERR_REJECTED_BATCH,
+    ERR_UNKNOWN_DATASET, ERR_UNSUPPORTED,
 };
 use crate::transport::ServedReply;
 
 /// The request kinds a source counts separately (the `kind` label of
 /// `source_requests_total`).
-const REQUEST_KINDS: [&str; 7] = [
+const REQUEST_KINDS: [&str; 8] = [
     "overlap",
     "coverage",
     "knn",
     "maintenance",
     "summary",
     "metrics",
+    "cells",
     "other",
 ];
 
@@ -38,7 +40,8 @@ fn request_kind_index(request: &Message) -> usize {
         Message::ApplyUpdates { ops, .. } if !ops.is_empty() => 3,
         Message::ApplyUpdates { .. } => 4,
         Message::MetricsQuery => 5,
-        _ => 6,
+        Message::CellsQuery { .. } => 6,
+        _ => 7,
     }
 }
 
@@ -326,19 +329,26 @@ impl DataSource {
                 ))
             }
             Message::CoverageQuery { query, k, delta } => {
-                let (result, stats) =
-                    coverage_search(&self.index, query, CoverageConfig::new(*k, *delta));
+                let (result, query_connected, stats) =
+                    coverage_search_marked(&self.index, query, CoverageConfig::new(*k, *delta));
+                // Cells travel only with the picks the query itself connects
+                // to; the rest are named with their size, which is all the
+                // center needs unless that size could beat one of its picks.
                 let candidates = result
                     .datasets
                     .iter()
-                    .filter_map(|id| {
-                        self.index
-                            .find_dataset(*id)
-                            .map(|(_, node)| CoverageCandidate {
-                                source: self.id,
-                                dataset: *id,
-                                cells: node.cells.clone(),
-                            })
+                    .zip(query_connected)
+                    .filter_map(|(id, inline)| {
+                        let (_, node) = self.index.find_dataset(*id)?;
+                        Some(CoverageCandidate {
+                            source: self.id,
+                            dataset: *id,
+                            cells: if inline {
+                                CandidateCells::Inline(node.cells.clone())
+                            } else {
+                                CandidateCells::Stub(node.cells.len())
+                            },
+                        })
                     })
                     .collect();
                 Some((
@@ -359,17 +369,45 @@ impl DataSource {
                     stats,
                 ))
             }
-            // Maintenance and metrics scrapes are dispatched by
-            // [`Self::serve`] / [`Self::serve_readonly`]; replies are never
-            // requests.
+            // Maintenance, metrics scrapes and cell fetches are dispatched
+            // by [`Self::serve`] / [`Self::serve_readonly`]; replies are
+            // never requests.
             Message::ApplyUpdates { .. }
             | Message::MetricsQuery
+            | Message::CellsQuery { .. }
             | Message::OverlapReply { .. }
             | Message::CoverageReply { .. }
             | Message::SummaryRefresh { .. }
             | Message::KnnReply { .. }
             | Message::MetricsSnapshot { .. }
             | Message::Error { .. } => None,
+        }
+    }
+
+    /// Answers a [`Message::CellsQuery`]: the named datasets with their
+    /// cells, in the order asked — or a typed error naming the first one this
+    /// source does not hold, never a shorter list.
+    fn cells_of(&self, datasets: &[DatasetId]) -> Message {
+        let candidates: Result<Vec<CoverageCandidate>, DatasetId> = datasets
+            .iter()
+            .map(|&dataset| {
+                let (_, node) = self.index.find_dataset(dataset).ok_or(dataset)?;
+                Ok(CoverageCandidate {
+                    source: self.id,
+                    dataset,
+                    cells: CandidateCells::Inline(node.cells.clone()),
+                })
+            })
+            .collect();
+        match candidates {
+            Ok(candidates) => Message::CoverageReply {
+                source: self.id,
+                candidates,
+            },
+            Err(missing) => Message::Error {
+                code: ERR_UNKNOWN_DATASET,
+                detail: format!("source {} holds no dataset {missing}", self.id),
+            },
         }
     }
 
@@ -404,8 +442,8 @@ impl DataSource {
     }
 
     /// The read-only half of [`Self::serve`]: summary polls (an empty
-    /// [`Message::ApplyUpdates`] batch), metrics scrapes and query messages,
-    /// which never mutate the index.  Takes `&self` only — sources answer
+    /// [`Message::ApplyUpdates`] batch), metrics scrapes, cell fetches and
+    /// query messages, which never mutate the index.  Takes `&self` only — sources answer
     /// concurrent requests from the query engine's worker threads without
     /// any synchronisation, and the shared in-process transport can
     /// bootstrap a data center by polling.  Both in-process transports and
@@ -428,6 +466,7 @@ impl DataSource {
                 source: self.id,
                 snapshot: self.metrics_snapshot(),
             }),
+            Message::CellsQuery { datasets } => ServedReply::plain(self.cells_of(datasets)),
             other => match self.search(other) {
                 Some((reply, stats)) => ServedReply::search(reply, stats),
                 None => ServedReply::plain(Message::Error {
@@ -512,23 +551,98 @@ mod tests {
         let s = source_with_routes();
         let query = SpatialDataset::new(99, vec![Point::new(-77.0, 38.9)]);
         let cells = s.grid_query(&query);
+        let (k, delta) = (8, 1.0);
         let served = s.serve_readonly(&Message::CoverageQuery {
-            query: cells,
-            k: 3,
-            delta: 10.0,
+            query: cells.clone(),
+            k,
+            delta,
         });
         assert!(served.search.is_some());
         match served.message {
             Message::CoverageReply { source, candidates } => {
                 assert_eq!(source, 1);
-                assert!(candidates.len() <= 3);
+                assert!(candidates.len() <= k);
+                let probe = spatial::distance::NeighborProbe::new(&cells);
                 for c in &candidates {
                     assert_eq!(c.source, 1);
-                    assert!(!c.cells.is_empty());
+                    // Cells travel with a pick exactly when the query itself
+                    // connects it; a stub states the size of the dataset.
+                    let held = &s.index().find_dataset(c.dataset).unwrap().1.cells;
+                    match &c.cells {
+                        CandidateCells::Inline(sent) => {
+                            assert_eq!(sent, held);
+                            assert!(probe.within(held, delta));
+                        }
+                        CandidateCells::Stub(size) => {
+                            assert_eq!(*size, held.len());
+                            assert!(!probe.within(held, delta));
+                        }
+                    }
                 }
+                // The first pick is always connected to the query.
+                assert!(matches!(candidates[0].cells, CandidateCells::Inline(_)));
+                assert!(
+                    candidates
+                        .iter()
+                        .any(|c| matches!(c.cells, CandidateCells::Stub(_))),
+                    "a chain of routes reaches past δ of a one-point query"
+                );
             }
             other => panic!("unexpected reply {other:?}"),
         }
+    }
+
+    #[test]
+    fn handles_cells_query() {
+        let s = source_with_routes();
+        let served = s.serve_readonly(&Message::CellsQuery {
+            datasets: vec![7, 2, 7],
+        });
+        assert!(served.search.is_none(), "a fetch searches nothing");
+        let Message::CoverageReply { source, candidates } = served.message else {
+            panic!("unexpected reply {:?}", served.message);
+        };
+        assert_eq!(source, 1);
+        let expected: Vec<CoverageCandidate> = [7, 2, 7]
+            .into_iter()
+            .map(|dataset| CoverageCandidate {
+                source: 1,
+                dataset,
+                cells: CandidateCells::Inline(
+                    s.index().find_dataset(dataset).unwrap().1.cells.clone(),
+                ),
+            })
+            .collect();
+        assert_eq!(candidates, expected);
+        assert_eq!(
+            s.serve_readonly(&Message::CellsQuery { datasets: vec![] })
+                .message,
+            Message::CoverageReply {
+                source: 1,
+                candidates: vec![],
+            }
+        );
+        // One dataset that is gone fails the whole fetch, by name.
+        let served = s.serve_readonly(&Message::CellsQuery {
+            datasets: vec![2, 999],
+        });
+        assert_eq!(
+            served.message,
+            Message::Error {
+                code: ERR_UNKNOWN_DATASET,
+                detail: "source 1 holds no dataset 999".to_string(),
+            }
+        );
+        // Fetches are counted as their own request kind.
+        let snapshot = s.metrics_snapshot();
+        let fetches = snapshot
+            .find("source_requests_total", &[("kind", "cells")])
+            .expect("cells request counter registered");
+        assert!(matches!(fetches.value, obs::MetricValue::Counter(3)));
+        let other = snapshot
+            .find("source_requests_total", &[("kind", "other")])
+            .expect("other request counter registered");
+        assert!(matches!(other.value, obs::MetricValue::Counter(0)));
     }
 
     #[test]

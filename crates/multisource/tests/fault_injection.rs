@@ -13,15 +13,22 @@
 //!   with identical answers, identical `CommStats` (completed exchanges
 //!   only) and identical `SearchStats`, reporting the failed source as a
 //!   typed [`SourceFailure`](multisource::SourceFailure).
+//!
+//! A fault can also land between a request's waves: a source that answers
+//! the CJSP query and is gone when the center comes back for the cells of a
+//! candidate it only named.
 
+use std::collections::BTreeSet;
 use std::net::TcpListener;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use datagen::{generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale};
+use multisource::transport::{read_frame, write_frame};
 use multisource::{
-    CallOptions, DataCenter, DistributionStrategy, EngineConfig, FrameworkConfig,
+    CallOptions, DataCenter, DataSource, DistributionStrategy, EngineConfig, FrameworkConfig,
     InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchError, SearchRequest,
-    SourceServer, SourceTransport, TransportError, TransportReply,
+    ServedReply, SourceServer, SourceTransport, TransportError, TransportReply,
 };
 use net::{PoolConfig, PooledTcpTransport};
 use spatial::{SourceId, SpatialDataset};
@@ -64,14 +71,15 @@ fn engine_config(fw: &MultiSourceFramework) -> EngineConfig {
     }
 }
 
-/// In-process fleet with one injected-dead member: every call to `dead`
-/// fails with a clone of `error`; everything else takes the plain
-/// in-process path.  This is the oracle the real-socket deployments are
-/// held to.
+/// In-process fleet with one injected-dead member: every call to `dead` —
+/// or, with `fetches_only`, every fetch of cells — fails with a clone of
+/// `error`; everything else takes the plain in-process path.  This is the
+/// oracle the real-socket deployments are held to.
 #[derive(Debug)]
 struct InjectedFault<'a> {
     inner: InProcessTransport<'a>,
     dead: SourceId,
+    fetches_only: bool,
     error: TransportError,
 }
 
@@ -86,7 +94,8 @@ impl SourceTransport for InjectedFault<'_> {
         request: &Message,
         opts: CallOptions,
     ) -> Result<TransportReply, TransportError> {
-        if source == self.dead {
+        let hit = !self.fetches_only || matches!(request, Message::CellsQuery { .. });
+        if source == self.dead && hit {
             return Err(self.error.clone());
         }
         self.inner.call_with(source, request, opts)
@@ -198,6 +207,7 @@ fn refuse_one(fw: &MultiSourceFramework, dead: SourceId) -> InjectedFault<'_> {
     InjectedFault {
         inner: InProcessTransport::new(fw.sources()),
         dead,
+        fetches_only: false,
         error: TransportError::Io("connection refused (injected)".to_string()),
     }
 }
@@ -264,6 +274,160 @@ fn dead_first_wave_source_degrades_knn_identically() {
     assert_eq!(degraded.comm.total_bytes(), oracle.comm.total_bytes());
 }
 
+/// In-process sources that remember who was asked for cells.
+#[derive(Debug)]
+struct FetchLog<'a> {
+    inner: InProcessTransport<'a>,
+    fetched_from: Mutex<BTreeSet<SourceId>>,
+}
+
+impl SourceTransport for FetchLog<'_> {
+    fn source_ids(&self) -> Vec<SourceId> {
+        self.inner.source_ids()
+    }
+
+    fn call_with(
+        &self,
+        source: SourceId,
+        request: &Message,
+        opts: CallOptions,
+    ) -> Result<TransportReply, TransportError> {
+        if matches!(request, Message::CellsQuery { .. }) {
+            self.fetched_from
+                .lock()
+                .expect("no holder panics")
+                .insert(source);
+        }
+        self.inner.call_with(source, request, opts)
+    }
+}
+
+/// A source on a real socket that serves what `SourceServer` serves, frame
+/// for frame, except that it hangs up on a fetch of cells — then and every
+/// time the pool comes back with it.
+fn spawn_dead_for_fetches(source: DataSource) -> (SourceId, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let endpoint = (
+        source.id,
+        listener.local_addr().expect("local addr").to_string(),
+    );
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let source = source.clone();
+            std::thread::spawn(move || {
+                while let Ok(frame) = read_frame(&mut stream) {
+                    if matches!(frame.message, Message::CellsQuery { .. }) {
+                        return;
+                    }
+                    let served = source.serve_readonly(&frame.message);
+                    let mut served = if frame.want_stats {
+                        served
+                    } else {
+                        ServedReply {
+                            phases: served.phases,
+                            ..ServedReply::plain(served.message)
+                        }
+                    };
+                    served.trace_id = frame.trace.map(|t| t.trace_id);
+                    served.correlation_id = frame.correlation_id;
+                    if write_frame(&mut stream, &served, false).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    endpoint
+}
+
+/// Scenario 1c — a fleet member answers the CJSP query and is gone when the
+/// center comes back for the cells of a candidate it only named.  Fail-fast
+/// returns the fetch's error; a degraded run reports the member once, leaves
+/// out what it only named and aggregates the rest — the replies of the first
+/// wave, its own included — identically on both deployments.
+#[test]
+fn source_dead_for_the_fetch_degrades_identically_in_process_and_pooled() {
+    // Five sources of longer routes than `build_data`'s: picks chain away
+    // from the query, so some travel as stubs and one of them stalls.
+    let config = GeneratorConfig {
+        scale: SourceScale::Custom(400),
+        seed: 77,
+        max_points_per_dataset: Some(100),
+    };
+    let data: Vec<(String, Vec<SpatialDataset>)> = paper_sources()
+        .iter()
+        .map(|p| (p.name.to_string(), generate_source(p, &config)))
+        .collect();
+    let fw = framework(&data);
+    let queries: Vec<SpatialDataset> = data
+        .iter()
+        .flat_map(|(_, d)| d.iter().take(2).cloned())
+        .collect();
+    let request = SearchRequest::cjsp_batch(queries).k(3);
+
+    // Whoever the healthy fleet fetches from first is the member to lose.
+    let log = FetchLog {
+        inner: InProcessTransport::new(fw.sources()),
+        fetched_from: Mutex::new(BTreeSet::new()),
+    };
+    let healthy = QueryEngine::new(fw.center(), &log, engine_config(&fw))
+        .run(&request)
+        .expect("healthy run");
+    let fetched_from = log.fetched_from.into_inner().expect("no holder panics");
+    let dead = *fetched_from
+        .first()
+        .expect("the fixture must stall on a stub");
+
+    let mut servers: Vec<SourceServer> = Vec::new();
+    let mut endpoints: Vec<(SourceId, String)> = Vec::new();
+    for source in fw.sources() {
+        if source.id == dead {
+            endpoints.push(spawn_dead_for_fetches(source.clone()));
+        } else {
+            let server = SourceServer::spawn("127.0.0.1:0", source.clone()).expect("bind loopback");
+            endpoints.push(server.endpoint());
+            servers.push(server);
+        }
+    }
+    let pooled = PooledTcpTransport::with_config(
+        endpoints,
+        PoolConfig {
+            connect_timeout: Duration::from_millis(500),
+            retries: 1,
+            retry_backoff: Duration::from_millis(5),
+            ..PoolConfig::default()
+        },
+    )
+    .expect("pooled transport");
+    // Summary polls are no fetch: the member bootstraps like the others.
+    let center =
+        DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
+    let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
+    let faulty = InjectedFault {
+        fetches_only: true,
+        ..refuse_one(&fw, dead)
+    };
+    let local_engine = QueryEngine::new(fw.center(), &faulty, engine_config(&fw));
+
+    assert_degradation_parity(&local_engine, &remote_engine, &request, dead);
+    assert_eq!(
+        local_engine.run(&request).unwrap_err(),
+        SearchError::Transport(faulty.error.clone())
+    );
+    // The member's first-wave reply was received and counts; only its
+    // fetches are missing from the degraded run.
+    let degraded = local_engine
+        .run(&request.clone().skip_failed_sources(true))
+        .expect("degraded run");
+    assert_eq!(
+        degraded.comm.sources_contacted,
+        healthy.comm.sources_contacted
+    );
+    assert!(degraded.per_source.iter().any(|t| t.source == dead));
+    assert!(degraded.comm.requests < healthy.comm.requests);
+}
+
 /// Accepts connections and reads forever without ever writing a reply — a
 /// stalled source, as seen from the wire.
 fn spawn_black_hole() -> String {
@@ -325,6 +489,7 @@ fn stalled_source_times_out_and_degrades_identically() {
     let faulty = InjectedFault {
         inner: InProcessTransport::new(fw.sources()),
         dead: stalled,
+        fetches_only: false,
         error: TransportError::Timeout {
             source: stalled,
             waited: Duration::from_millis(300),

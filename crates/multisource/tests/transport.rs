@@ -23,9 +23,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use datagen::{generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale};
 use multisource::message::{
-    TAG_APPLY_UPDATES, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY, TAG_ERROR, TAG_KNN_QUERY,
-    TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT, TAG_OVERLAP_QUERY, TAG_OVERLAP_REPLY,
-    TAG_SUMMARY_REFRESH,
+    TAG_APPLY_UPDATES, TAG_CELLS_QUERY, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY, TAG_ERROR,
+    TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT, TAG_OVERLAP_QUERY,
+    TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
 };
 use multisource::{
     BatchError, CallOptions, CellOp, DataCenter, DistributionStrategy, EngineConfig,
@@ -134,6 +134,55 @@ fn assert_transport_parity(
         assert_eq!(
             local.search, over_tcp.search,
             "search statistics diverged across transports"
+        );
+    }
+}
+
+/// CJSP's follow-up waves cross the socket unchanged: on a federation whose
+/// picks chain away from the query the center comes back for cells
+/// (`CellsQuery`, more requests than contacts), and answers, byte counts and
+/// statistics are those of the in-process run.  A δ that is not a distance
+/// is refused alike on both, before anything is planned.
+#[test]
+fn cjsp_fetches_cross_the_socket_unchanged() {
+    let config = GeneratorConfig {
+        scale: SourceScale::Custom(400),
+        seed: 77,
+        max_points_per_dataset: Some(100),
+    };
+    let data: Vec<(String, Vec<SpatialDataset>)> = paper_sources()
+        .iter()
+        .map(|p| (p.name.to_string(), generate_source(p, &config)))
+        .collect();
+    let fw = framework(&data);
+    let queries: Vec<SpatialDataset> = data
+        .iter()
+        .flat_map(|(_, d)| d.iter().take(2).cloned())
+        .collect();
+    let pooled = spawn_federation(&fw);
+    let center =
+        DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
+    let remote = QueryEngine::new(&center, &pooled, engine_config(&fw));
+
+    let request = SearchRequest::cjsp_batch(queries.clone()).k(3);
+    let local = fw.search(&request).expect("in-process search");
+    let over_tcp = remote.run(&request).expect("TCP search");
+    assert!(
+        local.comm.requests > local.comm.sources_contacted,
+        "the fixture must fetch cells"
+    );
+    assert_eq!(local.results, over_tcp.results);
+    assert_eq!(local.comm, over_tcp.comm);
+    assert_eq!(local.search, over_tcp.search);
+
+    let bad = request.delta_cells(f64::NAN);
+    for refused in [fw.search(&bad), remote.run(&bad)] {
+        assert!(
+            matches!(
+                refused,
+                Err(SearchError::Config(multisource::ConfigError::Delta(d))) if d.is_nan()
+            ),
+            "{refused:?}"
         );
     }
 }
@@ -805,7 +854,7 @@ fn traced_pooled_call_echoes_the_trace_id() {
 /// Every protocol tag, so the truncation/bit-flip fuzzers exercise the whole
 /// wire surface.  repo-lint's `wire-tags` rule keeps this list exhaustive: a
 /// new `Message` variant whose tag is missing here fails the analysis job.
-const FUZZ_TAGS: [u8; 11] = [
+const FUZZ_TAGS: [u8; 12] = [
     TAG_OVERLAP_QUERY,
     TAG_OVERLAP_REPLY,
     TAG_COVERAGE_QUERY,
@@ -817,6 +866,7 @@ const FUZZ_TAGS: [u8; 11] = [
     TAG_ERROR,
     TAG_METRICS_QUERY,
     TAG_METRICS_SNAPSHOT,
+    TAG_CELLS_QUERY,
 ];
 
 /// Builds one message of any protocol kind from raw fuzz ingredients.
@@ -842,7 +892,13 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
                 .map(|&id| multisource::CoverageCandidate {
                     source: code,
                     dataset: id,
-                    cells: query.clone(),
+                    // A candidate travels with its cells or, having none to
+                    // show, as a stub of its size.
+                    cells: if query.is_empty() {
+                        multisource::CandidateCells::Stub(k + 1)
+                    } else {
+                        multisource::CandidateCells::Inline(query.clone())
+                    },
                 })
                 .collect(),
         },
@@ -884,6 +940,9 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
             detail: format!("fuzz error {code}"),
         },
         TAG_METRICS_QUERY => Message::MetricsQuery,
+        TAG_CELLS_QUERY => Message::CellsQuery {
+            datasets: ids.to_vec(),
+        },
         TAG_METRICS_SNAPSHOT => Message::MetricsSnapshot {
             source: code,
             snapshot: obs::MetricsSnapshot {
@@ -925,7 +984,7 @@ proptest! {
     // never a bogus success.
     #[test]
     fn prop_truncations_fail_closed(
-        kind in 0u8..11,
+        kind in 0u8..12,
         cells in proptest::collection::vec(0u64..1_000_000, 0..60),
         k in 0usize..50,
         delta in 0.0f64..30.0,
@@ -950,7 +1009,7 @@ proptest! {
     // fail with a typed error -- decode must be total.
     #[test]
     fn prop_bit_flips_never_panic(
-        kind in 0u8..11,
+        kind in 0u8..12,
         cells in proptest::collection::vec(0u64..1_000_000, 0..60),
         k in 0usize..50,
         delta in 0.0f64..30.0,
