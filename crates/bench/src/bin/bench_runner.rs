@@ -47,6 +47,16 @@
 //! is timed: every strategy's answer equals the merged per-source brute
 //! force, and request bytes never grow from one strategy to the next.
 //!
+//! The `ojsp_comm` section does the same for federated OJSP, whose strategies
+//! differ in one wave: `Broadcast` sends every source the whole query,
+//! `Pruned` the sources DITS-G routes to, `PrunedClipped` sends those only
+//! the query cells inside their root rectangle whose block their sketch
+//! shows occupied — `shards_per_query` counts the requests that leaves.
+//! Every strategy's answer carries the merged brute force's overlaps and is
+//! the same answer as the strategy before it.  `summary_bytes` is what the
+//! filter costs up front: the bytes of each source's answer to the summary
+//! poll, block sketch included.
+//!
 //! The `cjsp_comm` section counts what federated CJSP moves per query with
 //! every pick of every source shipped with its cells (`every-pick-inline`:
 //! the protocol before cells travelled on demand, kept here as a transport
@@ -86,14 +96,16 @@ use std::time::{Duration, Instant};
 use bench::ExperimentEnv;
 use dits::knn::nearest_datasets_bruteforce;
 use dits::local::NodeKind;
+use dits::overlap::overlap_search_bruteforce;
 use dits::{
     coverage_search, nearest_datasets, overlap_search, CoverageConfig, DatasetNode, DitsLocal,
     DitsLocalConfig, InvertedIndex, Neighbor,
 };
 use multisource::{
-    CallOptions, CandidateCells, DataCenter, DataSource, DistributionStrategy, FrameworkConfig,
-    InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchRequest, SearchResponse,
-    SourceServer, SourceTransport, TransportError, TransportReply, UpdateOp,
+    CallOptions, CandidateCells, CommStats, DataCenter, DataSource, DistributionStrategy,
+    FrameworkConfig, InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchRequest,
+    SearchResponse, SearchResults, SourceServer, SourceTransport, TransportError, TransportReply,
+    UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded};
@@ -230,6 +242,20 @@ fn main() {
             c.name, c.request_bytes_per_query, c.reply_bytes_per_query, c.sources_per_query
         );
     }
+    for c in &suite.ojsp_comm {
+        println!(
+            "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} sources/query  \
+             {:>5.2} shards/query",
+            c.name,
+            c.request_bytes_per_query,
+            c.reply_bytes_per_query,
+            c.sources_per_query,
+            c.shards_per_query
+        );
+    }
+    for b in &suite.summary_bytes {
+        println!("  {:<40} {:>8} B  {:>6} blocks", b.name, b.bytes, b.blocks);
+    }
     for c in &suite.cjsp_comm {
         println!(
             "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} exchanges/query  \
@@ -335,12 +361,24 @@ struct MaintenanceReport {
     decode_ns_per_op: f64,
 }
 
-/// What federated kNN moves per query under one distribution strategy.
-struct KnnCommReport {
+/// What a federated search kind moves per query under one distribution
+/// strategy: a row of the `knn_comm` or the `ojsp_comm` section.
+struct StrategyCommReport {
     name: String,
     request_bytes_per_query: f64,
     reply_bytes_per_query: f64,
+    /// Sources routed to.
     sources_per_query: f64,
+    /// Requests sent (written for OJSP, where a routed source whose clipped
+    /// query is empty is sent nothing).
+    shards_per_query: f64,
+}
+
+/// What one source answers a summary poll with, once per bootstrap.
+struct SummaryBytesReport {
+    name: String,
+    bytes: usize,
+    blocks: usize,
 }
 
 /// What federated CJSP moves per query under one reply protocol.
@@ -357,7 +395,9 @@ struct Suite {
     kernels: Vec<KernelReport>,
     deltas: Vec<Delta>,
     transport: Vec<TransportReport>,
-    knn_comm: Vec<KnnCommReport>,
+    knn_comm: Vec<StrategyCommReport>,
+    ojsp_comm: Vec<StrategyCommReport>,
+    summary_bytes: Vec<SummaryBytesReport>,
     cjsp_comm: Vec<CjspCommReport>,
     maintenance: MaintenanceReport,
     phases: Vec<PhaseReport>,
@@ -471,6 +511,109 @@ fn dense_block(x0: u32, y0: u32, w: u32, h: u32) -> CellSet {
     CellSet::from_cells((0..w).flat_map(|dx| (0..h).map(move |dy| cell_id(x0 + dx, y0 + dy))))
 }
 
+/// The rows of one `<family>/comm/*` family: `run` executes the batch under a
+/// strategy (and holds its answer to the family's oracle), and neither
+/// requests nor request bytes may grow from `Broadcast` to `Pruned` to
+/// `PrunedClipped`.
+fn strategy_comm_reports(
+    family: &str,
+    queries: usize,
+    mut run: impl FnMut(&str, DistributionStrategy) -> CommStats,
+) -> Vec<StrategyCommReport> {
+    let rows = [
+        ("broadcast", DistributionStrategy::Broadcast),
+        ("pruned", DistributionStrategy::Pruned),
+        ("pruned-clipped", DistributionStrategy::PrunedClipped),
+    ]
+    .map(|(suffix, strategy)| {
+        let name = format!("{family}/comm/{suffix}");
+        let comm = run(&name, strategy);
+        (name, comm)
+    });
+    for pair in rows.windows(2) {
+        assert!(
+            pair[1].1.requests <= pair[0].1.requests
+                && pair[1].1.bytes_to_sources <= pair[0].1.bytes_to_sources,
+            "a stricter strategy sent more: {pair:?}"
+        );
+    }
+    let per_query = |count: usize| count as f64 / queries as f64;
+    rows.into_iter()
+        .map(|(name, comm)| StrategyCommReport {
+            name,
+            request_bytes_per_query: per_query(comm.bytes_to_sources),
+            reply_bytes_per_query: per_query(comm.bytes_to_center),
+            sources_per_query: per_query(comm.sources_contacted),
+            shards_per_query: per_query(comm.requests),
+        })
+        .collect()
+}
+
+/// Federated OJSP against its oracle, under every distribution strategy:
+/// rank by rank the overlaps must be those of the merged per-source brute
+/// force (which of several datasets tied at the k-th overlap a source
+/// reports depends on its tree), and each strategy must give the very
+/// answer of the one before it.  Returns what each strategy moved per query.
+fn ojsp_comm_reports(
+    fw: &MultiSourceFramework,
+    nodes_by_source: &[Vec<DatasetNode>],
+    queries: &[SpatialDataset],
+    k: usize,
+) -> Vec<StrategyCommReport> {
+    let oracle: Vec<Vec<usize>> = queries
+        .iter()
+        .map(|query| {
+            let mut all: Vec<usize> = Vec::new();
+            for (source, nodes) in fw.sources().iter().zip(nodes_by_source) {
+                let local = overlap_search_bruteforce(nodes, &source.grid_query(query), k);
+                all.extend(local.into_iter().map(|r| r.overlap));
+            }
+            all.sort_unstable_by(|a, b| b.cmp(a));
+            all.truncate(k);
+            all
+        })
+        .collect();
+    let mut previous: Option<SearchResults> = None;
+    strategy_comm_reports("ojsp", queries.len(), |name, strategy| {
+        let request = SearchRequest::ojsp_batch(queries.to_vec())
+            .k(k)
+            .strategy(strategy);
+        let response = fw.engine().run(&request).expect("federated OJSP");
+        let overlaps: Vec<Vec<usize>> = response
+            .overlap()
+            .expect("an OJSP response")
+            .iter()
+            .map(|a| a.results.iter().map(|(_, r)| r.overlap).collect())
+            .collect();
+        assert_eq!(
+            overlaps, oracle,
+            "{name}: federated OJSP diverged from the merged brute force"
+        );
+        if let Some(previous) = previous.replace(response.results.clone()) {
+            assert_eq!(
+                response.results, previous,
+                "{name}: a stricter strategy changed an answer"
+            );
+        }
+        response.comm
+    })
+}
+
+/// What each source of the federation answers a summary poll with.
+fn summary_bytes_reports(fw: &MultiSourceFramework) -> Vec<SummaryBytesReport> {
+    fw.sources()
+        .iter()
+        .map(|source| SummaryBytesReport {
+            name: format!("summary/{}", source.name),
+            bytes: source
+                .serve_readonly(&Message::summary_poll())
+                .message
+                .wire_size(),
+            blocks: source.index().sketch().len(),
+        })
+        .collect()
+}
+
 /// Federated kNN against its oracle, under every distribution strategy:
 /// the answer must be the merge of one brute-force search per source, and
 /// neither requests nor request bytes may grow from `Broadcast` to `Pruned`
@@ -480,7 +623,7 @@ fn knn_comm_reports(
     nodes_by_source: &[Vec<DatasetNode>],
     queries: &[SpatialDataset],
     k: usize,
-) -> Vec<KnnCommReport> {
+) -> Vec<StrategyCommReport> {
     let oracle: Vec<Vec<(SourceId, Neighbor)>> = queries
         .iter()
         .map(|query| {
@@ -499,15 +642,7 @@ fn knn_comm_reports(
             all
         })
         .collect();
-    let strategies = [
-        ("knn/comm/broadcast", DistributionStrategy::Broadcast),
-        ("knn/comm/pruned", DistributionStrategy::Pruned),
-        (
-            "knn/comm/pruned-clipped",
-            DistributionStrategy::PrunedClipped,
-        ),
-    ];
-    let comms = strategies.map(|(name, strategy)| {
+    strategy_comm_reports("knn", queries.len(), |name, strategy| {
         let request = SearchRequest::knn_batch(queries.to_vec())
             .k(k)
             .strategy(strategy);
@@ -523,25 +658,7 @@ fn knn_comm_reports(
             "{name}: federated kNN diverged from the merged brute force"
         );
         response.comm
-    });
-    for pair in comms.windows(2) {
-        assert!(
-            pair[1].requests <= pair[0].requests
-                && pair[1].bytes_to_sources <= pair[0].bytes_to_sources,
-            "a stricter kNN strategy sent more: {pair:?}"
-        );
-    }
-    let per_query = |count: usize| count as f64 / queries.len() as f64;
-    strategies
-        .iter()
-        .zip(&comms)
-        .map(|((name, _), comm)| KnnCommReport {
-            name: name.to_string(),
-            request_bytes_per_query: per_query(comm.bytes_to_sources),
-            reply_bytes_per_query: per_query(comm.bytes_to_center),
-            sources_per_query: per_query(comm.sources_contacted),
-        })
-        .collect()
+    })
 }
 
 /// In-process sources behind a tap on the CJSP exchange: counts the
@@ -720,6 +837,8 @@ fn run_suite(quick: bool) -> Suite {
     // the run here.
     let raw_queries = env.query_datasets(queries_n);
     let knn_comm = knn_comm_reports(&fw, &nodes_by_source, &raw_queries, k);
+    let ojsp_comm = ojsp_comm_reports(&fw, &nodes_by_source, &raw_queries, k);
+    let summary_bytes = summary_bytes_reports(&fw);
     let cjsp_request = SearchRequest::cjsp_batch(raw_queries.clone())
         .k(k)
         .delta_cells(delta_cells);
@@ -1032,6 +1151,8 @@ fn run_suite(quick: bool) -> Suite {
         deltas,
         transport,
         knn_comm,
+        ojsp_comm,
+        summary_bytes,
         cjsp_comm,
         maintenance,
         phases,
@@ -1108,6 +1229,40 @@ fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> Str
             c.reply_bytes_per_query,
             c.sources_per_query,
             if i + 1 < suite.knn_comm.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"ojsp_comm\": [\n");
+    for (i, c) in suite.ojsp_comm.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
+             \"reply_bytes_per_query\": {:.1}, \"sources_per_query\": {:.2}, \
+             \"shards_per_query\": {:.2}}}{}\n",
+            escape_json(&c.name),
+            c.request_bytes_per_query,
+            c.reply_bytes_per_query,
+            c.sources_per_query,
+            c.shards_per_query,
+            if i + 1 < suite.ojsp_comm.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    s.push_str("  ],\n");
+    s.push_str("  \"summary_bytes\": [\n");
+    for (i, b) in suite.summary_bytes.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"name\": \"{}\", \"bytes\": {}, \"blocks\": {}}}{}\n",
+            escape_json(&b.name),
+            b.bytes,
+            b.blocks,
+            if i + 1 < suite.summary_bytes.len() {
                 ","
             } else {
                 ""
@@ -1577,7 +1732,7 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
 
     // Checked where present: the sections are newer than the schema
     // version, and the tree keeps a snapshot from before the newest.
-    const COMM_SECTIONS: [(&str, &[&str]); 2] = [
+    const COMM_SECTIONS: [(&str, &[&str]); 4] = [
         (
             "knn_comm",
             &[
@@ -1586,6 +1741,16 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
                 "sources_per_query",
             ],
         ),
+        (
+            "ojsp_comm",
+            &[
+                "request_bytes_per_query",
+                "reply_bytes_per_query",
+                "sources_per_query",
+                "shards_per_query",
+            ],
+        ),
+        ("summary_bytes", &["bytes", "blocks"]),
         (
             "cjsp_comm",
             &[

@@ -1,9 +1,12 @@
 //! DITS-G: the global index maintained by the data center (Section V-B).
 //!
-//! After each data source builds its DITS-L, it uploads only its *root node*
-//! — an MBR, pivot and radius, converted back into longitude/latitude so
-//! sources indexed at different resolutions are comparable.  The data center
-//! organises these root summaries in a small binary tree built with the same
+//! After each data source builds its DITS-L, it uploads a summary of it: its
+//! *root node* — an MBR, pivot and radius, converted back into
+//! longitude/latitude so sources indexed at different resolutions are
+//! comparable — which this index is made of, and beside it the source's
+//! [block sketch](crate::sketch), which the data center keeps next to this
+//! index and clips OJSP queries by.  The data center
+//! organises the root summaries in a small binary tree built with the same
 //! top-down procedure as the local index (but leaves carry no inverted
 //! index), and uses it to route a query to the *candidate sources*: those
 //! whose region lies within the connectivity threshold of the query MBR
@@ -26,8 +29,9 @@ use crate::node::NodeGeometry;
 use serde::{Deserialize, Serialize};
 use spatial::{Grid, Mbr, Point, SourceId};
 
-/// What a data source uploads to the data center: its identifier and the
-/// geometry of its local index root, expressed in longitude/latitude.
+/// What DITS-G holds of a data source: its identifier and the geometry of
+/// its local index root, expressed in longitude/latitude.  (The source's
+/// block sketch travels with it and is kept by the data center, not here.)
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SourceSummary {
     /// The data source's identifier.

@@ -21,6 +21,9 @@
 //!   with the data center, the pricing variants and the SG+DITS baseline.
 //! * [Index maintenance](update) (Appendix IX-C): insert / update / delete
 //!   without rebuilding.
+//! * [The block sketch](sketch): which 8×8-cell blocks of its grid a source
+//!   holds data in — counted where the index is maintained, uploaded beside
+//!   the root node, and what the data center filters an OJSP query by.
 
 #![warn(missing_docs)]
 
@@ -35,6 +38,7 @@ pub mod node;
 pub mod overlap;
 pub mod persist;
 pub mod phase;
+pub mod sketch;
 pub mod stats;
 pub mod update;
 
@@ -50,6 +54,7 @@ pub use node::{DatasetNode, NodeGeometry};
 pub use overlap::{overlap_search, OverlapResult};
 pub use persist::{decode_local, encode_local, load_local, save_local, PersistError};
 pub use phase::{take_phase_timings, PhaseTimings};
+pub use sketch::{BlockSketch, SketchDelta};
 pub use stats::{MaintenanceStats, SearchStats};
 
 /// Prints how to replay a failing seeded case — `ReplayOnPanic("run_case",

@@ -17,6 +17,12 @@
 //!   kNN and coverage pruning bounds.  [`DitsLocal::check_invariants`]
 //!   rejects such leaves, so a regression fails loudly.
 //!
+//! Whichever way a dataset enters or leaves — the three operations meet in
+//! `insert_unchecked`, `remove_entry` and the in-place replacement of
+//! `update` — the index's [block sketch](crate::sketch) counts it in or out
+//! there, for the blocks of that dataset alone (for a replacement, the
+//! blocks the dataset entered or left).
+//!
 //! Every mutation has a `_with_stats` variant that records what structural
 //! work was done into a [`MaintenanceStats`] block; the multi-source
 //! maintenance pipeline (`MultiSourceFramework::apply_updates` in the
@@ -31,6 +37,7 @@
 use crate::inverted::InvertedIndex;
 use crate::local::{geometry_of, inverted_of, DitsLocal, NodeIdx, NodeKind};
 use crate::node::DatasetNode;
+use crate::sketch::BlockSketch;
 use crate::stats::MaintenanceStats;
 use spatial::DatasetId;
 
@@ -60,6 +67,7 @@ impl DitsLocal {
     /// Inserts a dataset known to be absent: descend, append, split on
     /// overflow, refresh ancestors.
     fn insert_unchecked(&mut self, dataset: DatasetNode, stats: &mut MaintenanceStats) {
+        self.sketch_mut().add(&dataset.cells);
         let leaf = self.descend_to_closest_leaf(dataset.pivot());
         let capacity = self.config().leaf_capacity;
         let needs_split;
@@ -110,15 +118,21 @@ impl DitsLocal {
         if self.node(leaf).geometry.rect.contains_point(&pivot) {
             // In-place replacement: the relocated dataset still belongs to
             // this leaf's region.
+            let entering = BlockSketch::blocks_of(&dataset.cells);
+            let mut replaced = None;
             {
                 let node = self.node_mut(leaf);
                 if let NodeKind::Leaf { entries, inverted } = &mut node.kind {
                     if let Some(slot) = entries.iter_mut().find(|e| e.id == dataset.id) {
-                        *slot = dataset;
+                        replaced = Some(std::mem::replace(slot, dataset));
                         *inverted = inverted_of(entries);
                         node.geometry = geometry_of(entries);
                     }
                 }
+            }
+            if let Some(old) = replaced {
+                self.sketch_mut()
+                    .replace(&BlockSketch::blocks_of(&old.cells), &entering);
             }
             self.refresh_ancestors(leaf);
         } else {
@@ -158,6 +172,7 @@ impl DitsLocal {
             return false;
         };
         let now_empty;
+        let removed;
         {
             let node = self.node_mut(leaf);
             if let NodeKind::Leaf { entries, inverted } = &mut node.kind {
@@ -165,7 +180,7 @@ impl DitsLocal {
                     .iter()
                     .position(|e| e.id == id)
                     .expect("find_dataset located this leaf");
-                entries.remove(pos);
+                removed = entries.remove(pos);
                 *inverted = inverted_of(entries);
                 node.geometry = geometry_of(entries);
                 now_empty = entries.is_empty();
@@ -173,6 +188,7 @@ impl DitsLocal {
                 unreachable!("find_dataset returned a non-leaf");
             }
         }
+        self.sketch_mut().remove(&removed.cells);
         let refresh_from = if now_empty && self.node(leaf).parent.is_some() {
             let parent = self.collapse_empty_leaf(leaf);
             stats.leaf_collapses += 1;

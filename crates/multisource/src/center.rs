@@ -2,21 +2,35 @@
 //! (Sections IV and VI-A) and the center half of the maintenance protocol.
 //!
 //! Everything the center plans — candidate sources, query clipping windows,
-//! kNN distance bounds — is derived from the [`SourceSummary`]s registered
-//! in DITS-G, never from a local index.  That is what makes the planning
-//! transport-agnostic: the same plan executes against in-process sources and
-//! against remote `source-server` processes, byte for byte.
+//! kNN distance bounds — is derived from what the sources uploaded, never
+//! from a local index: the [`SourceSummary`]s registered in DITS-G (a root
+//! rectangle each) and, held next to DITS-G, one block sketch per source —
+//! the 8×8-cell blocks it has data in ([`dits::sketch`]).  That is what makes
+//! the planning transport-agnostic: the same plan executes against
+//! in-process sources and against remote `source-server` processes, byte for
+//! byte.
+//!
+//! The rectangle decides *whether* a source is asked; under
+//! [`DistributionStrategy::PrunedClipped`] rectangle and sketch together
+//! decide *what* an OJSP query sends it — only the query cells inside the
+//! rectangle whose block the source occupies, since no other cell can be
+//! shared with any of its datasets ([`DataCenter::clip_for_source`]).
 //!
 //! Maintenance has one way into DITS-G: [`DataCenter::apply_updates`] puts
 //! the summary a source answers a batch with (or removes the source when the
 //! batch emptied it), and the index builds itself over the edited summary
-//! list.  A maintained center is therefore the center
-//! [`DataCenter::build`] makes from the mutated sources.
+//! list; the same reply patches the source's sketch, or the center polls for
+//! the whole sketch when the patch does not fit what it holds.  A maintained
+//! center is therefore the center [`DataCenter::build`] makes from the
+//! mutated sources.
 
 use std::collections::BTreeMap;
 
 use dits::bounds::node_distance_bounds;
-use dits::{DitsGlobal, MaintenanceStats, Neighbor, NodeGeometry, OverlapResult, SourceSummary};
+use dits::sketch::BLOCK_BITS;
+use dits::{
+    DitsGlobal, MaintenanceStats, Neighbor, NodeGeometry, OverlapResult, SketchDelta, SourceSummary,
+};
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset};
 
 use crate::comm::CommStats;
@@ -36,7 +50,8 @@ pub enum DistributionStrategy {
     Pruned,
     /// Use DITS-G to select candidate sources *and* clip the query to the
     /// region that can intersect each source (both strategies — the paper's
-    /// full query-distribution scheme).
+    /// full query-distribution scheme): its root rectangle and, for OJSP,
+    /// the blocks of its sketch.
     PrunedClipped,
 }
 
@@ -144,11 +159,15 @@ impl QueryCellsCache {
 #[derive(Debug, Clone)]
 pub struct DataCenter {
     global: DitsGlobal,
+    /// The occupied blocks of every source whose sketch the center has
+    /// followed since a poll, by source.  A source with a summary and no
+    /// entry here is routed and clipped by its rectangle alone.
+    sketches: BTreeMap<SourceId, CellSet>,
 }
 
 impl DataCenter {
     /// Builds the data center's global index from the sources' uploaded root
-    /// summaries.
+    /// summaries, and keeps each source's block sketch beside it.
     ///
     /// Sources that hold no datasets are not registered: an empty index has
     /// no real root geometry (only a degenerate placeholder at the grid
@@ -157,21 +176,20 @@ impl DataCenter {
     /// such a source as soon as an applied batch gives it data (see
     /// [`Self::apply_updates`]).
     pub fn build(sources: &[DataSource], leaf_capacity: usize) -> Self {
-        let summaries = sources
-            .iter()
-            .filter(|s| s.dataset_count() > 0)
-            .map(|s| s.summary())
-            .collect();
+        let registered = || sources.iter().filter(|s| s.dataset_count() > 0);
         Self {
-            global: DitsGlobal::build(summaries, leaf_capacity),
+            global: DitsGlobal::build(registered().map(|s| s.summary()).collect(), leaf_capacity),
+            sketches: registered()
+                .map(|s| (s.id, s.index().sketch().blocks()))
+                .collect(),
         }
     }
 
     /// Builds a data center by polling every source reachable through a
-    /// transport for its root summary (an empty [`Message::ApplyUpdates`]
-    /// batch is the protocol's read-only summary poll).  This is how a
-    /// center bootstraps a *federated* deployment: the sources may be
-    /// `source-server` processes on other machines.
+    /// transport for its root summary and its block sketch (an empty
+    /// [`Message::ApplyUpdates`] batch is the protocol's read-only summary
+    /// poll).  This is how a center bootstraps a *federated* deployment: the
+    /// sources may be `source-server` processes on other machines.
     ///
     /// Sources reporting zero datasets are skipped, exactly like
     /// [`Self::build`].
@@ -180,30 +198,43 @@ impl DataCenter {
         leaf_capacity: usize,
     ) -> Result<Self, SearchError> {
         let mut summaries = Vec::new();
+        let mut sketches = BTreeMap::new();
         for source in transport.source_ids() {
             let reply = transport.call(source, &Message::summary_poll(), false)?;
-            let (summary, dataset_count) = Self::refreshed_summary(reply.message)?;
+            let (summary, dataset_count, sketch) = Self::refreshed_summary(reply.message)?;
             if dataset_count > 0 {
                 summaries.push(summary);
+                sketches.insert(source, Self::polled_sketch(sketch)?);
             }
         }
         Ok(Self {
             global: DitsGlobal::build(summaries, leaf_capacity),
+            sketches,
         })
     }
 
     /// Wraps a global index assembled elsewhere (tests build centers over
-    /// hand-made summaries with it).  A restarted center does not come back
-    /// through here: DITS-G has no persisted image, and recovery is
-    /// [`Self::from_transport`] — the summary poll it bootstraps with, which
-    /// cannot be stale.
+    /// hand-made summaries with it).  Such a center holds no sketch, and
+    /// clips by rectangles alone until a maintenance exchange has it poll
+    /// for one.  A restarted center does not come back through here: DITS-G
+    /// has no persisted image, and recovery is [`Self::from_transport`] —
+    /// the summary poll it bootstraps with, which cannot be stale.
     pub fn from_global(global: DitsGlobal) -> Self {
-        Self { global }
+        Self {
+            global,
+            sketches: BTreeMap::new(),
+        }
     }
 
     /// The global index (exposed for inspection / experiments).
     pub fn global(&self) -> &DitsGlobal {
         &self.global
+    }
+
+    /// The occupied blocks of `source`'s sketch as the center holds them
+    /// (exposed for inspection / experiments); `None` when it holds none.
+    pub fn sketch(&self, source: SourceId) -> Option<&CellSet> {
+        self.sketches.get(&source)
     }
 
     /// Applies a batch of maintenance operations to one source *through a
@@ -217,6 +248,16 @@ impl DataCenter {
     /// resolution — read from its DITS-G summary, or from a summary poll
     /// when DITS-G holds none (the source was empty) — so cells travel, not
     /// points.  A poll's bytes count in the outcome's [`CommStats`].
+    ///
+    /// The reply's sketch delta is applied to the sketch the center holds of
+    /// the source only if it fits it ([`SketchDelta::apply_to`]: it adds no
+    /// block already held, removes none that is not, and leaves as many
+    /// blocks as the source counts) — otherwise, and when the center holds
+    /// no sketch of the source, the center polls for the whole sketch
+    /// instead of trusting the delta.  An exchange that fails may leave the
+    /// center not knowing whether the batch was applied: it then forgets the
+    /// sketch (and clips for that source by the rectangle alone) until the
+    /// next exchange polls for it.
     ///
     /// The exchange is transactional at the batch level: a dataset that
     /// grids to nothing, or a batch the source refuses
@@ -245,12 +286,7 @@ impl DataCenter {
                 .find(|s| s.source == source);
             let resolution = match registered {
                 Some(summary) => summary.resolution,
-                None => {
-                    let poll = transport.call(source, &Message::summary_poll(), false)?;
-                    comm.record_request(poll.request_bytes);
-                    comm.record_reply(poll.reply_bytes);
-                    Self::refreshed_summary(poll.message)?.0.resolution
-                }
+                None => self.poll(transport, source, &mut comm)?.0.resolution,
             };
             let grid = Grid::global(resolution)
                 .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
@@ -263,11 +299,28 @@ impl DataCenter {
                 })?;
             Message::ApplyUpdates { resolution, ops }
         };
+        // Until a reply it can read is in, the center does not know what the
+        // source's sketch is.
+        let held = self.sketches.remove(&source);
         let reply = transport.call(source, &request, true)?;
         comm.record_request(reply.request_bytes);
         comm.record_reply(reply.reply_bytes);
         let mut stats = reply.maintenance.unwrap_or_default();
-        let (summary, dataset_count) = Self::refreshed_summary(reply.message)?;
+        let (mut summary, mut dataset_count, sketch) = Self::refreshed_summary(reply.message)?;
+        let patched = if ops.is_empty() {
+            sketch.into_whole()
+        } else {
+            held.as_ref().and_then(|held| sketch.apply_to(held))
+        };
+        match patched {
+            Some(blocks) => {
+                self.sketches.insert(source, blocks);
+            }
+            // The delta was not made against the sketch held here (a reply
+            // lost or replayed on the way, a center that never polled): ask
+            // for the whole sketch, and take the summary that comes with it.
+            None => (summary, dataset_count) = self.poll(transport, source, &mut comm)?,
+        }
         // Fold the summary into DITS-G before returning, so the next query
         // batch is planned against summaries that agree with every local
         // index.  Either mutator builds the tree over the edited summaries.
@@ -276,6 +329,7 @@ impl DataCenter {
             // degenerate placeholder geometry and can answer no query, so
             // it is dropped from DITS-G (readmitted when data returns)
             // instead of attracting origin-adjacent queries for nothing.
+            self.sketches.remove(&source);
             if self.global.remove_source(source) {
                 stats.global_rebuilds += 1;
             }
@@ -298,15 +352,41 @@ impl DataCenter {
         })
     }
 
+    /// Polls `source` for its summary and its whole sketch, which replaces
+    /// whatever sketch the center held of it; returns the summary and the
+    /// dataset count.  The exchange is counted in `comm`.
+    fn poll(
+        &mut self,
+        transport: &dyn SourceTransport,
+        source: SourceId,
+        comm: &mut CommStats,
+    ) -> Result<(SourceSummary, u64), SearchError> {
+        let poll = transport.call(source, &Message::summary_poll(), false)?;
+        comm.record_request(poll.request_bytes);
+        comm.record_reply(poll.reply_bytes);
+        let (summary, dataset_count, sketch) = Self::refreshed_summary(poll.message)?;
+        self.sketches.insert(source, Self::polled_sketch(sketch)?);
+        Ok((summary, dataset_count))
+    }
+
+    /// The whole sketch a summary poll was answered with.
+    fn polled_sketch(sketch: SketchDelta) -> Result<CellSet, SearchError> {
+        sketch
+            .into_whole()
+            .ok_or_else(|| TransportError::UnexpectedReply("the whole sketch").into())
+    }
+
     /// Unwraps the [`Message::SummaryRefresh`] answering a maintenance batch
-    /// or a summary poll into the source's summary and dataset count.
-    fn refreshed_summary(reply: Message) -> Result<(SourceSummary, u64), SearchError> {
+    /// or a summary poll into the source's summary, its dataset count and
+    /// the change to its sketch.
+    fn refreshed_summary(reply: Message) -> Result<(SourceSummary, u64, SketchDelta), SearchError> {
         match reply {
             Message::SummaryRefresh {
                 summary,
                 dataset_count,
+                sketch,
                 ..
-            } => Ok((summary, dataset_count)),
+            } => Ok((summary, dataset_count, *sketch)),
             Message::Error { code, detail } if code == crate::message::ERR_REJECTED_BATCH => {
                 Err(SearchError::Rejected { detail })
             }
@@ -421,20 +501,31 @@ impl DataCenter {
         Ok(scored.into_iter().map(|(lb, _, s)| (lb, s)).collect())
     }
 
-    /// Clips query cells to the window that can interact with a source (its
-    /// root MBR in cell space, inflated by δ) under the clipped strategy;
-    /// passes them through untouched otherwise.
+    /// Clips query cells to what can interact with a source under the
+    /// clipped strategy; passes them through untouched otherwise.
     ///
+    /// First to the window around its root MBR in cell space, inflated by δ.
     /// The window is recovered from the source's uploaded summary — the
     /// lonlat corners are cell centres, so [`SourceSummary::cell_space_rect`]
     /// reproduces the local root's integer cell rectangle exactly, and the
     /// clipping decision is identical to one taken next to the local index.
+    ///
+    /// Then, when the answer is a function of the cells query and datasets
+    /// *share* and of nothing else (`shared_cells_only`: OJSP), to the blocks
+    /// of the source's sketch: a cell in a block none of the source's
+    /// datasets touches is in none of them, so dropping it changes no
+    /// `|S_Q ∩ S_D|` — and no rank, since a source reports positive overlaps
+    /// only.  (A distance or a δ-connection reaches across blocks, so CJSP
+    /// and kNN keep the window.)  Without a sketch of the source the window
+    /// is all there is.
     pub(crate) fn clip_for_source(
+        &self,
         summary: &SourceSummary,
         grid: &Grid,
         cells: &CellSet,
         delta_cells: f64,
         strategy: DistributionStrategy,
+        shared_cells_only: bool,
     ) -> CellSet {
         match strategy {
             DistributionStrategy::Broadcast | DistributionStrategy::Pruned => cells.clone(),
@@ -445,7 +536,11 @@ impl DataCenter {
                     Point::new(root.min.x - slack, root.min.y - slack),
                     Point::new(root.max.x + slack, root.max.y + slack),
                 );
-                cells.clip_to_window(&window)
+                let clipped = cells.clip_to_window(&window);
+                match self.sketches.get(&summary.source) {
+                    Some(blocks) if shared_cells_only => clipped.clip_to_blocks(blocks, BLOCK_BITS),
+                    _ => clipped,
+                }
             }
         }
     }

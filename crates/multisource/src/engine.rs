@@ -379,9 +379,14 @@ impl<'a> QueryEngine<'a> {
                 let grid = grids.get(summary.resolution)?;
                 let full = plan.cells.get(grid, &plan.query.points);
                 let clipped = match clip_slack {
-                    Some(slack) => {
-                        DataCenter::clip_for_source(summary, grid, full, slack, strategy)
-                    }
+                    Some(slack) => self.center.clip_for_source(
+                        summary,
+                        grid,
+                        full,
+                        slack,
+                        strategy,
+                        K::SHARED_CELLS_ONLY,
+                    ),
                     None => full.clone(),
                 };
                 if clipped.is_empty() {
@@ -592,6 +597,11 @@ trait QueryKind {
     /// Whether settling one bucket is work enough — milliseconds, not a
     /// sort — for a batch's open queries to be settled on the worker pool.
     const SETTLES_ON_THE_POOL: bool = false;
+    /// Whether a source's reply depends on the query only through the cells
+    /// it shares with the source's datasets, so that a clipped query may
+    /// also leave out every cell in a block the source's sketch shows empty
+    /// (`DataCenter::clip_for_source`).
+    const SHARED_CELLS_ONLY: bool = false;
 
     /// How queries of this kind are routed.
     fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError>;
@@ -637,7 +647,8 @@ trait QueryKind {
 }
 
 /// Overlap joinable search: exact-intersection routing, clipping to each
-/// source's root MBR, global top-k by overlap.
+/// source's root MBR and to the blocks of its sketch, global top-k by
+/// overlap.
 struct Ojsp;
 
 impl QueryKind for Ojsp {
@@ -645,6 +656,7 @@ impl QueryKind for Ojsp {
     type Answer = AggregatedOverlap;
     const NAME: &'static str = "ojsp";
     const REPLY: &'static str = "OverlapReply";
+    const SHARED_CELLS_ONLY: bool = true;
 
     fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
         Ok(Routing::Intersecting {

@@ -3,14 +3,17 @@
 //! The framework mirrors Fig. 3 of the paper: a set of independent
 //! [`DataSource`]s, each holding its own datasets and its own DITS-L, and a
 //! [`DataCenter`] that keeps the DITS-G global index built from the sources'
-//! root summaries.  A user builds a [`SearchRequest`] (OJSP, CJSP or kNN —
-//! one query or a batch) and the data center
+//! root summaries and, beside it, each source's block sketch.  A user builds
+//! a [`SearchRequest`] (OJSP, CJSP or kNN — one query or a batch) and the
+//! data center
 //!
 //! 1. consults DITS-G to find the *candidate sources* (first query-
 //!    distribution strategy: fewer communication rounds; kNN uses distance
 //!    bounds instead of intersection),
 //! 2. ships to each candidate only the part of the query that can intersect
-//!    it (second strategy: fewer bytes per round),
+//!    it (second strategy: fewer bytes per round) — the cells inside its
+//!    root rectangle and, for OJSP, inside the blocks its sketch shows
+//!    occupied,
 //! 3. lets every candidate run its local OverlapSearch / CoverageSearch /
 //!    kNN, and
 //! 4. aggregates the per-source results into the final top-`k` answer of a
@@ -36,7 +39,7 @@
 //!
 //! A federated data center bootstraps itself with
 //! [`DataCenter::from_transport`], which polls every remote source for its
-//! root summary.
+//! root summary and its block sketch.
 //!
 //! All query execution flows through the [`engine::QueryEngine`], which fans
 //! every batch out as one task per `(query, candidate source)` shard across
@@ -49,8 +52,9 @@
 //! batch at the target source's resolution, the cells travel as
 //! [`message::Message::ApplyUpdates`], each source applies them
 //! transactionally to its DITS-L, and the
-//! [`message::Message::SummaryRefresh`] acknowledgement is folded into the
-//! center's DITS-G before the next query batch is planned — the consistency
+//! [`message::Message::SummaryRefresh`] acknowledgement — the new root
+//! summary and the change to the block sketch — is folded into the
+//! center's DITS-G and its sketches before the next query batch is planned — the consistency
 //! guarantee that keeps `candidate_sources` pruning lossless under churn
 //! (see [`message`] for the protocol details).
 //!

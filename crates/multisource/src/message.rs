@@ -42,9 +42,11 @@
 //!   ([`DataCenter::from_transport`](crate::DataCenter::from_transport)) and
 //!   how it learns the resolution of a source DITS-G holds no summary of.
 //! * [`Message::SummaryRefresh`] (source → center) acknowledges the batch
-//!   and carries the source's *new root summary* plus applied/rejected
-//!   counts, so the data center can refresh DITS-G without another round
-//!   trip.
+//!   and carries what the center keeps of the source — its *new root
+//!   summary* and the blocks the batch added to and removed from its *block
+//!   sketch* ([`dits::sketch`]) — plus applied/rejected counts, so the data
+//!   center can refresh DITS-G and its copy of the sketch without another
+//!   round trip.  Answering a summary poll it carries the whole sketch.
 //!
 //! A source that cannot serve a request answers [`Message::Error`] with a
 //! machine-readable code ([`ERR_UNSUPPORTED`], [`ERR_REJECTED_BATCH`]) and a
@@ -63,7 +65,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub(crate) use dits::codec::put_varint;
 use dits::codec::{self, put_cells, CodecError};
-use dits::{Neighbor, OverlapResult, SourceSummary};
+use dits::sketch::block_id_bound;
+use dits::{Neighbor, OverlapResult, SketchDelta, SourceSummary};
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset, SpatialError};
 
 use crate::error::WireError;
@@ -261,8 +264,9 @@ pub enum Message {
         ops: Vec<CellOp>,
     },
     /// Source → data center: maintenance acknowledgement carrying the
-    /// source's refreshed root summary, so DITS-G can be updated without a
-    /// second round trip.
+    /// source's refreshed root summary and the change to its block sketch,
+    /// so DITS-G and the center's copy of the sketch can be updated without
+    /// a second round trip.
     ///
     /// The summary's geometry travels as its MBR only; pivot and radius are
     /// recomputed on decode (they are fully determined by the MBR).
@@ -276,6 +280,18 @@ pub enum Message {
         /// Operations rejected individually (duplicate insert, missing
         /// update/delete target).
         rejected: u64,
+        /// The blocks the batch added to and removed from the source's
+        /// sketch, and how many it holds now; answering a summary poll, the
+        /// whole sketch as a change against the empty one.  Block ids travel
+        /// as cell sets do and are checked on decode against the grid of
+        /// `summary.resolution`; a block both added and removed is refused.
+        ///
+        /// Like the root rectangle beside it, the sketch is not tied to a
+        /// state of the source: one restarted at its initial state leaves
+        /// the center routing by a rectangle *and* filtering by a sketch of
+        /// data it no longer has, until replies carry an epoch (ROADMAP
+        /// item 5 (b)).
+        sketch: Box<SketchDelta>,
     },
     /// Data center → source: run a local k-nearest-datasets search.  The
     /// source a query is sent to first receives it whole; the others receive
@@ -326,7 +342,10 @@ pub enum Message {
     /// Nothing ties the two exchanges to one state of the source: a
     /// maintenance batch applied between them can change or remove a stubbed
     /// dataset, and the center then aggregates cells the stub's size did not
-    /// describe.  Replies carry no epoch yet (ROADMAP item 5 (b)).
+    /// describe.  Replies carry no epoch yet (ROADMAP item 5 (b)) — the hole
+    /// the summaries share: a source restarted at its initial state answers
+    /// from data that neither the root rectangle nor the block sketch the
+    /// center holds of it (`Message::SummaryRefresh::sketch`) describes.
     CellsQuery {
         /// The datasets whose cells are wanted.
         datasets: Vec<DatasetId>,
@@ -417,6 +436,7 @@ impl Message {
                 dataset_count,
                 applied,
                 rejected,
+                sketch,
             } => {
                 buf.put_u8(TAG_SUMMARY_REFRESH);
                 buf.put_u16(summary.source);
@@ -428,6 +448,9 @@ impl Message {
                 put_varint(&mut buf, *dataset_count);
                 put_varint(&mut buf, *applied);
                 put_varint(&mut buf, *rejected);
+                put_cells(&mut buf, &sketch.added);
+                put_cells(&mut buf, &sketch.removed);
+                put_varint(&mut buf, sketch.blocks);
             }
             Message::KnnQuery { query, k } => {
                 buf.put_u8(TAG_KNN_QUERY);
@@ -610,18 +633,35 @@ impl Message {
                 let resolution = data.get_u32();
                 let min = Point::new(data.get_f64(), data.get_f64());
                 let max = Point::new(data.get_f64(), data.get_f64());
+                // Corners out of order (or not numbers) would be put in order
+                // by `Mbr::new`, and the summary would no longer be the one
+                // these bytes spell.
+                if !(min.x <= max.x && min.y <= max.y) {
+                    return Err(WireError::OutOfRange("summary rectangle"));
+                }
                 let dataset_count = get_varint(&mut data, "dataset count")?;
                 let applied = get_varint(&mut data, "applied count")?;
                 let rejected = get_varint(&mut data, "rejected count")?;
+                let added = get_blocks(&mut data, resolution)?;
+                let removed = get_blocks(&mut data, resolution)?;
+                if added.intersects(&removed) {
+                    return Err(WireError::OutOfRange("sketch delta"));
+                }
+                let blocks = get_varint(&mut data, "block count")?;
                 Ok(Message::SummaryRefresh {
                     summary: SourceSummary {
                         source,
-                        geometry: dits::NodeGeometry::from_mbr(Mbr::new(min, max)),
+                        geometry: dits::NodeGeometry::from_mbr(Mbr { min, max }),
                         resolution,
                     },
                     dataset_count,
                     applied,
                     rejected,
+                    sketch: Box::new(SketchDelta {
+                        added,
+                        removed,
+                        blocks,
+                    }),
                 })
             }
             TAG_KNN_QUERY => {
@@ -767,6 +807,17 @@ fn get_dataset_id(data: &mut Bytes, what: &'static str) -> Result<DatasetId, Wir
 /// Reads a cell set, accepting exactly the bytes [`put_cells`] writes.
 fn get_cells(data: &mut Bytes) -> Result<CellSet, WireError> {
     codec::get_cells(data).map_err(|e| wire_error(e, "cell delta"))
+}
+
+/// Reads one side of a sketch delta: block ids of the grid of `resolution`,
+/// in the bytes of a cell set.
+fn get_blocks(data: &mut Bytes, resolution: u32) -> Result<CellSet, WireError> {
+    let blocks = codec::get_cells(data).map_err(|e| wire_error(e, "sketch block"))?;
+    // Block ids are sorted: the last is the largest.
+    match (blocks.cells().last(), block_id_bound(resolution)) {
+        (Some(&block), Some(bound)) if block >= bound => Err(WireError::OutOfRange("sketch block")),
+        _ => Ok(blocks),
+    }
 }
 
 /// A codec failure as the wire error of the field being read.
@@ -1184,8 +1235,167 @@ mod tests {
             dataset_count: 1234,
             applied: 3,
             rejected: 1,
+            sketch: Box::new(SketchDelta {
+                added: cs(&[0, 5, 16_383]),
+                removed: cs(&[4, 9_000]),
+                blocks: 77,
+            }),
         };
-        assert_eq!(Message::decode(reply.encode()), Ok(reply));
+        let encoded = reply.encode();
+        assert_eq!(Message::decode(encoded.clone()), Ok(reply));
+        // The sketch rides behind the counts in the layout of two cell sets
+        // and a varint: 3 blocks (gaps 0, 5, 16 378), 2 blocks, 77.
+        assert_eq!(
+            &encoded[encoded.len() - 10..],
+            &[3, 0, 5, 0xFA, 0x7F, 2, 4, 0xA4, 0x46, 77]
+        );
+    }
+
+    fn refresh(resolution: u32, added: &[u64], removed: &[u64], blocks: u64) -> Message {
+        Message::SummaryRefresh {
+            summary: SourceSummary {
+                source: 258,
+                geometry: dits::NodeGeometry::from_mbr(Mbr::new(
+                    Point::new(-74.5, 40.25),
+                    Point::new(-73.0, 41.0),
+                )),
+                resolution,
+            },
+            dataset_count: 300,
+            applied: 70,
+            rejected: 2,
+            sketch: Box::new(SketchDelta {
+                added: cs(added),
+                removed: cs(removed),
+                blocks,
+            }),
+        }
+    }
+
+    /// A delta that could leave the center with a sketch no source of that
+    /// grid can have never decodes: a block outside the grid, a block on
+    /// both sides, ids that repeat, a count beyond the bytes left.
+    #[test]
+    fn sketch_deltas_the_protocol_never_sends_are_rejected() {
+        // θ = 5: 4^(5-3) = 16 blocks, ids 0..=15.
+        let fits = refresh(5, &[0, 15], &[7], 9);
+        assert_eq!(Message::decode(fits.encode()), Ok(fits));
+        for (added, removed) in [(&[3u64, 16][..], &[7u64][..]), (&[3], &[7, 16])] {
+            assert_eq!(
+                Message::decode(refresh(5, added, removed, 9).encode()),
+                Err(WireError::OutOfRange("sketch block"))
+            );
+        }
+        // Below θ = 3 the grid is one block, and a resolution whose block
+        // count does not fit 64 bits bounds nothing.
+        for resolution in [0, 2, 3] {
+            let one = refresh(resolution, &[0], &[], 1);
+            assert_eq!(Message::decode(one.encode()), Ok(one));
+            assert_eq!(
+                Message::decode(refresh(resolution, &[1], &[], 1).encode()),
+                Err(WireError::OutOfRange("sketch block"))
+            );
+        }
+        let unbounded = refresh(40, &[u64::MAX], &[], 1);
+        assert_eq!(Message::decode(unbounded.encode()), Ok(unbounded));
+        assert_eq!(
+            Message::decode(refresh(5, &[3, 9], &[9], 4).encode()),
+            Err(WireError::OutOfRange("sketch delta"))
+        );
+
+        // Hand-spelled tails behind a delta-free reply (which ends `0 0 0`).
+        let tail = |tail: &[u8]| {
+            let mut raw = refresh(5, &[], &[], 0).encode().to_vec();
+            raw.truncate(raw.len() - 3);
+            raw.extend_from_slice(tail);
+            Message::decode(Bytes::from(raw))
+        };
+        assert_eq!(tail(&[0, 0, 0]), Ok(refresh(5, &[], &[], 0)));
+        assert_eq!(tail(&[2, 5, 0, 0, 4]), Err(WireError::DuplicateCell));
+        assert_eq!(tail(&[0, 2, 5, 0, 4]), Err(WireError::DuplicateCell));
+        assert_eq!(
+            tail(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0, 4]),
+            Err(WireError::Truncated("sketch block"))
+        );
+        assert_eq!(tail(&[1, 3, 0]), Err(WireError::Truncated("block count")));
+        assert_eq!(
+            tail(&[1, 0x83, 0x00, 0, 4]),
+            Err(WireError::BadVarint("sketch block"))
+        );
+
+        // A rectangle whose corners are out of order, or not numbers, is not
+        // put in order behind the sender's back.
+        let rect_at = 1 + 2 + 4;
+        for (offset, value) in [(0, 10.0f64), (8, 90.0), (16, f64::NAN)] {
+            let mut raw = refresh(5, &[1], &[], 1).encode().to_vec();
+            raw[rect_at + offset..rect_at + offset + 8].copy_from_slice(&value.to_be_bytes());
+            assert_eq!(
+                Message::decode(Bytes::from(raw)),
+                Err(WireError::OutOfRange("summary rectangle")),
+                "corner byte {offset} = {value}"
+            );
+        }
+    }
+
+    /// The two shapes a `SummaryRefresh` takes: a poll reply with the whole
+    /// sketch of a θ = 12 source, and a delta reply.
+    fn mutation_frames() -> [Message; 2] {
+        [
+            refresh(12, &[0, 1, 2, 70, 4_000, 65_535, 200_000, 262_143], &[], 8),
+            refresh(12, &[5, 64, 9_999], &[6, 130_000], 4_321),
+        ]
+    }
+
+    /// One mutation of an encoded `SummaryRefresh` — `case / 100_000` picks
+    /// the frame, and the rest of it the mutation: below eight times the
+    /// frame's length the bit to flip, from there on the length to cut the
+    /// frame to.  The mutated frame is a typed error (`false`) or exactly
+    /// the value its bytes describe (`true`).
+    fn run_summary_refresh_mutation(case: u64) -> bool {
+        let _replay = dits::ReplayOnPanic("run_summary_refresh_mutation", case);
+        let message = &mutation_frames()[(case / 100_000) as usize];
+        let mutation = (case % 100_000) as usize;
+        let enc = message.encode();
+        assert_eq!(Message::decode(enc.clone()), Ok(message.clone()));
+        let Some(cut) = mutation.checked_sub(enc.len() * 8) else {
+            let mut raw = enc.to_vec();
+            raw[mutation / 8] ^= 1 << (mutation % 8);
+            return match Message::decode(Bytes::from(raw.clone())) {
+                Err(_) => false,
+                // Accepted: then these are the bytes of that value (a flip
+                // that shortens a count leaves a tail behind).
+                Ok(decoded) => {
+                    let used = decoded.encode();
+                    assert_eq!(&raw[..used.len()], &used[..], "{decoded:?}");
+                    true
+                }
+            };
+        };
+        assert!(cut < enc.len(), "no such mutation");
+        let cut_off = Message::decode(enc.slice(0..cut));
+        assert!(cut_off.is_err(), "cut to {cut} bytes: {cut_off:?}");
+        false
+    }
+
+    /// ROADMAP 5 (d) for the one message that grew: every single-bit flip
+    /// and every truncation of a poll reply and of a delta reply.
+    #[test]
+    fn mutated_summary_refresh_frames_decode_to_what_the_bytes_say() {
+        let (mut typed, mut described) = (0, 0);
+        for (frame, message) in mutation_frames().iter().enumerate() {
+            let len = message.encode().len() as u64;
+            for mutation in 0..len * 9 {
+                if run_summary_refresh_mutation(frame as u64 * 100_000 + mutation) {
+                    described += 1;
+                } else {
+                    typed += 1;
+                }
+            }
+        }
+        assert!(
+            typed > 0 && described > 0,
+            "{typed} typed, {described} described"
+        );
     }
 
     #[test]

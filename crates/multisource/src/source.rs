@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use dits::{
     coverage_search_marked, nearest_datasets, overlap_search, take_phase_timings, CoverageConfig,
     DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats, PhaseTimings, SearchStats,
-    SourceSummary,
+    SketchDelta, SourceSummary,
 };
 use spatial::{CellSet, DatasetId, Grid, SourceId, SpatialDataset, SpatialError};
 
@@ -196,7 +196,10 @@ impl DataSource {
     /// semantics a replayed maintenance log needs.
     ///
     /// On success, returns the source's refreshed root summary (what the
-    /// data center folds into DITS-G) plus the maintenance statistics.
+    /// data center folds into DITS-G) plus the maintenance statistics.  What
+    /// the batch changed of the block sketch is not reported on this path: a
+    /// data center that follows this source through served batches finds
+    /// the next delta not fitting the sketch it holds, and polls.
     pub fn apply_updates(
         &mut self,
         ops: &[UpdateOp],
@@ -205,7 +208,8 @@ impl DataSource {
         for op in ops {
             prepared.push(Self::prepare(op.grid(&self.grid)?).ok_or(SpatialError::EmptyDataset)?);
         }
-        Ok(self.apply_prepared(prepared))
+        let (summary, stats, _) = self.apply_prepared(prepared);
+        Ok((summary, stats))
     }
 
     /// Applies a batch of center-gridded operations — what a
@@ -218,7 +222,7 @@ impl DataSource {
         &mut self,
         resolution: u32,
         ops: &[CellOp],
-    ) -> Result<(SourceSummary, MaintenanceStats), BatchError> {
+    ) -> Result<(SourceSummary, MaintenanceStats, SketchDelta), BatchError> {
         if resolution != self.grid.resolution() {
             return Err(BatchError::ResolutionMismatch {
                 batch: resolution,
@@ -258,8 +262,13 @@ impl DataSource {
         })
     }
 
-    /// The one cell-level apply: executes validated operations in order.
-    fn apply_prepared(&mut self, prepared: Vec<PreparedOp>) -> (SourceSummary, MaintenanceStats) {
+    /// The one cell-level apply: executes validated operations in order and
+    /// returns, with the refreshed summary and the statistics, what the batch
+    /// changed of the index's block sketch.
+    fn apply_prepared(
+        &mut self,
+        prepared: Vec<PreparedOp>,
+    ) -> (SourceSummary, MaintenanceStats, SketchDelta) {
         let mut stats = MaintenanceStats::new();
         for op in prepared {
             let applied = match op {
@@ -277,7 +286,9 @@ impl DataSource {
             debug_assert_eq!(self.index.check_invariants(), Ok(()));
         }
         debug_assert_eq!(self.index.check_invariants(), Ok(()));
-        (self.summary(), stats)
+        // Every mutation of the index goes through here, so the changes on
+        // record are this batch's.
+        (self.summary(), stats, self.index.take_sketch_changes())
     }
 
     /// The dataset nodes held by the source's index.
@@ -295,15 +306,22 @@ impl DataSource {
         SourceSummary::from_local_root(self.id, &self.grid, self.index.root_geometry())
     }
 
-    /// The [`Message::SummaryRefresh`] acknowledging a maintenance batch —
-    /// or, with nothing applied, answering a read-only summary poll: the
-    /// current root summary and dataset count.
-    fn summary_refresh(&self, summary: SourceSummary, applied: usize, rejected: usize) -> Message {
+    /// The [`Message::SummaryRefresh`] acknowledging a maintenance batch with
+    /// what it changed of the block sketch — or, with nothing applied and the
+    /// whole sketch, answering a read-only summary poll: the current root
+    /// summary and dataset count.
+    fn summary_refresh(
+        &self,
+        summary: SourceSummary,
+        stats: &MaintenanceStats,
+        sketch: SketchDelta,
+    ) -> Message {
         Message::SummaryRefresh {
             summary,
             dataset_count: self.index.dataset_count() as u64,
-            applied: applied as u64,
-            rejected: rejected as u64,
+            applied: stats.applied() as u64,
+            rejected: stats.rejected as u64,
+            sketch: Box::new(sketch),
         }
     }
 
@@ -426,8 +444,8 @@ impl DataSource {
                 let _ = take_phase_timings();
                 let started = Instant::now();
                 let reply = match self.apply_cell_updates(*resolution, ops) {
-                    Ok((summary, stats)) => ServedReply::maintenance(
-                        self.summary_refresh(summary, stats.applied(), stats.rejected),
+                    Ok((summary, stats, sketch)) => ServedReply::maintenance(
+                        self.summary_refresh(summary, &stats, sketch),
                         stats,
                     ),
                     Err(e) => ServedReply::plain(Message::Error {
@@ -456,7 +474,11 @@ impl DataSource {
         let started = Instant::now();
         let reply = match request {
             Message::ApplyUpdates { ops, .. } if ops.is_empty() => {
-                ServedReply::plain(self.summary_refresh(self.summary(), 0, 0))
+                ServedReply::plain(self.summary_refresh(
+                    self.summary(),
+                    &MaintenanceStats::new(),
+                    self.index.sketch().whole(),
+                ))
             }
             Message::ApplyUpdates { .. } => ServedReply::plain(Message::Error {
                 code: ERR_UNSUPPORTED,
@@ -727,11 +749,17 @@ mod tests {
                 dataset_count,
                 applied,
                 rejected,
+                sketch,
             } => {
                 assert_eq!(summary.source, 1);
                 assert_eq!(dataset_count, 19);
                 assert_eq!(applied, 1);
                 assert_eq!(rejected, 1);
+                // What the batch changed, against what a poll reports.
+                let before = source_with_routes().index().sketch().whole();
+                let whole = s.index().sketch().whole();
+                assert_eq!(sketch.blocks, whole.blocks);
+                assert_eq!(sketch.apply_to(&before.added), Some(whole.added));
             }
             other => panic!("unexpected reply {other:?}"),
         }

@@ -468,8 +468,17 @@ fn run_wire_case(case_seed: u64) {
             Ok((summary, stats)) => {
                 let outcome = over_wire.unwrap();
                 assert_eq!(outcome.summary, summary);
-                // The source's own reply and statistics, as they crossed.
+                // The source's own reply and statistics, as they crossed —
+                // the sketch delta being the difference of the twin's
+                // recounted sketches around the batch.
                 let reply = wire.last_reply.lock().unwrap().take().unwrap();
+                let (before, after) = (
+                    index_before.sketch().blocks(),
+                    twin.index().sketch().blocks(),
+                );
+                let minus = |a: &CellSet, b: &CellSet| -> CellSet {
+                    a.iter().filter(|&block| !b.contains(block)).collect()
+                };
                 assert_eq!(
                     reply.message,
                     Message::SummaryRefresh {
@@ -477,7 +486,16 @@ fn run_wire_case(case_seed: u64) {
                         dataset_count: twin.dataset_count() as u64,
                         applied: stats.applied() as u64,
                         rejected: stats.rejected as u64,
+                        sketch: Box::new(dits::SketchDelta {
+                            added: minus(&after, &before),
+                            removed: minus(&before, &after),
+                            blocks: after.len() as u64,
+                        }),
                     }
+                );
+                assert_eq!(
+                    center.sketch(source),
+                    (twin.dataset_count() > 0).then_some(&after)
                 );
                 assert_eq!(reply.maintenance, Some(stats));
                 // One source contacted; a source DITS-G held no summary of

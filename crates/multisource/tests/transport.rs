@@ -933,6 +933,16 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
             dataset_count: ids.len() as u64,
             applied: k as u64,
             rejected: code as u64,
+            // No block is on both sides of a delta.
+            sketch: Box::new(dits::SketchDelta {
+                removed: ids
+                    .iter()
+                    .map(|&id| u64::from(id))
+                    .filter(|&block| !query.contains(block))
+                    .collect(),
+                added: query,
+                blocks: k as u64,
+            }),
         },
         TAG_KNN_QUERY => Message::KnnQuery { query, k },
         TAG_ERROR => Message::Error {

@@ -715,6 +715,39 @@ impl CellSet {
         )
     }
 
+    /// The aligned blocks of `2^bits` consecutive z-order ids the set
+    /// touches, as the set of their ids `cell >> bits` (ascending, like the
+    /// cells they come from).  For an even `bits` a block is a square of
+    /// `2^(bits/2)` cells a side: the cell of the grid `bits / 2` levels
+    /// coarser.
+    pub fn blocks(&self, bits: u32) -> CellSet {
+        let mut blocks: Vec<CellId> = self.cells.iter().map(|&c| block_of(c, bits)).collect();
+        blocks.dedup();
+        CellSet::from_sorted(blocks)
+    }
+
+    /// Restricts the set to the cells that lie in one of `blocks` (ids as
+    /// [`Self::blocks`] numbers them, for the same `bits`): one forward
+    /// merge of the two sorted sequences, galloping over the blocks between
+    /// one cell's block and the next.  The multi-source framework uses this
+    /// to keep a query cell from travelling to a source that holds nothing
+    /// in the block around it.
+    pub fn clip_to_blocks(&self, blocks: &CellSet, bits: u32) -> CellSet {
+        let mut ahead = blocks.cells.as_slice();
+        let mut kept = Vec::new();
+        for &cell in &self.cells {
+            let block = block_of(cell, bits);
+            if ahead.first().is_some_and(|&b| b < block) {
+                let behind = ahead.partition_point(|&b| b < block);
+                ahead = ahead.get(behind..).unwrap_or_default();
+            }
+            if ahead.first() == Some(&block) {
+                kept.push(cell);
+            }
+        }
+        CellSet::from_sorted(kept)
+    }
+
     /// An estimate of the heap memory used by this set, in bytes, including
     /// the packed-block and boundary caches when they have been built.
     pub fn memory_bytes(&self) -> usize {
@@ -722,6 +755,12 @@ impl CellSet {
             + self.packed.get().map_or(0, PackedCells::memory_bytes)
             + self.boundary.get().map_or(0, BoundaryIndex::memory_bytes)
     }
+}
+
+/// The id of the aligned block of `2^bits` consecutive z-order ids that holds
+/// `cell`; every cell is in block 0 once a block is the whole id space.
+fn block_of(cell: CellId, bits: u32) -> CellId {
+    cell.checked_shr(bits).unwrap_or(0)
 }
 
 impl FromIterator<CellId> for CellSet {
@@ -953,6 +992,37 @@ mod tests {
         let window = Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
         let clipped = s.clip_to_window(&window);
         assert_eq!(clipped.cells(), &[0, 1, 3]);
+    }
+
+    #[test]
+    fn blocks_are_the_coarser_cells_and_clip_to_blocks_keeps_what_lies_in_them() {
+        use crate::zorder::cell_id;
+        // An 8×8 block is the cell three levels up: both coordinates >> 3.
+        let s = CellSet::from_cells([
+            cell_id(0, 0),
+            cell_id(7, 7),
+            cell_id(8, 0),
+            cell_id(9, 1),
+            cell_id(100, 200),
+        ]);
+        let blocks = s.blocks(6);
+        assert_eq!(
+            blocks.cells(),
+            &[cell_id(0, 0), cell_id(1, 0), cell_id(100 >> 3, 200 >> 3)]
+        );
+        assert_eq!(s.clip_to_blocks(&blocks, 6), s);
+        assert_eq!(s.clip_to_blocks(&CellSet::new(), 6), CellSet::new());
+        assert_eq!(CellSet::new().clip_to_blocks(&blocks, 6), CellSet::new());
+        // Only the middle block, among neighbours that hold nothing of `s`.
+        let some = CellSet::from_cells([0, cell_id(1, 0), cell_id(2, 0), u64::MAX >> 6]);
+        assert_eq!(
+            s.clip_to_blocks(&some, 6).cells(),
+            &[cell_id(0, 0), cell_id(7, 7), cell_id(8, 0), cell_id(9, 1)]
+        );
+        // Zero bits: a block is a cell; 64 or more: one block holds them all.
+        assert_eq!(s.blocks(0), s);
+        assert_eq!(s.blocks(64).cells(), &[0]);
+        assert_eq!(s.clip_to_blocks(&set(&[0]), 80), s);
     }
 
     #[test]
