@@ -599,17 +599,30 @@ fn ojsp_comm_reports(
     })
 }
 
-/// What each source of the federation answers a summary poll with.
+/// What each source of the federation answers a summary poll with: its
+/// whole block sketch, which must be the sketch of its datasets.
 fn summary_bytes_reports(fw: &MultiSourceFramework) -> Vec<SummaryBytesReport> {
     fw.sources()
         .iter()
-        .map(|source| SummaryBytesReport {
-            name: format!("summary/{}", source.name),
-            bytes: source
-                .serve_readonly(&Message::summary_poll())
-                .message
-                .wire_size(),
-            blocks: source.index().sketch().len(),
+        .map(|source| {
+            let reply = source.serve_readonly(&Message::summary_poll()).message;
+            let Message::SummaryRefresh { blocks, .. } = &reply else {
+                panic!(
+                    "{}: a summary poll was answered with {reply:?}",
+                    source.name
+                );
+            };
+            assert_eq!(
+                *blocks,
+                source.index().sketch(),
+                "{}: the poll reply is not the sketch of its datasets",
+                source.name
+            );
+            SummaryBytesReport {
+                name: format!("summary/{}", source.name),
+                bytes: reply.wire_size(),
+                blocks: blocks.len(),
+            }
         })
         .collect()
 }

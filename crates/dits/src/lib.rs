@@ -22,8 +22,9 @@
 //! * [Index maintenance](update) (Appendix IX-C): insert / update / delete
 //!   without rebuilding.
 //! * [The block sketch](sketch): which 8×8-cell blocks of its grid a source
-//!   holds data in — counted where the index is maintained, uploaded beside
-//!   the root node, and what the data center filters an OJSP query by.
+//!   holds data in — computed from its datasets when asked for, uploaded
+//!   beside the root node, and (grown by every dataset the data center
+//!   sends) what the data center filters an OJSP query by.
 
 #![warn(missing_docs)]
 
@@ -54,7 +55,6 @@ pub use node::{DatasetNode, NodeGeometry};
 pub use overlap::{overlap_search, OverlapResult};
 pub use persist::{decode_local, encode_local, load_local, save_local, PersistError};
 pub use phase::{take_phase_timings, PhaseTimings};
-pub use sketch::{BlockSketch, SketchDelta};
 pub use stats::{MaintenanceStats, SearchStats};
 
 /// Prints how to replay a failing seeded case — `ReplayOnPanic("run_case",

@@ -16,9 +16,9 @@
 
 use crate::inverted::InvertedIndex;
 use crate::node::{DatasetNode, NodeGeometry};
-use crate::sketch::{BlockSketch, SketchDelta};
+use crate::sketch::blocks_of;
 use serde::{Deserialize, Serialize};
-use spatial::{DatasetId, Grid, Mbr, SpatialDataset};
+use spatial::{CellSet, DatasetId, Grid, Mbr, SpatialDataset};
 use std::sync::OnceLock;
 
 /// Index of a node inside the arena.
@@ -81,11 +81,6 @@ pub struct TreeNode {
 /// and dropped by every arena mutation, so queries between maintenance
 /// operations share one layout build.
 ///
-/// Beside the tree the index keeps the [`BlockSketch`] of its datasets — how
-/// many of them touch each 8×8-cell block — which the maintenance path moves
-/// with every dataset that enters or leaves ([`crate::update`]) and
-/// [`Self::check_invariants`] holds to a recount.
-///
 /// Two indexes are equal when they are the same *tree* — arena, root,
 /// configuration and dataset count, slots orphaned by maintenance included —
 /// not merely indexes over the same datasets: a maintained index and the
@@ -97,12 +92,10 @@ pub struct DitsLocal {
     root: NodeIdx,
     config: DitsLocalConfig,
     dataset_count: usize,
-    sketch: BlockSketch,
     layout: OnceLock<TraversalLayout>,
 }
 
-/// Ignores the `layout` cache, as `CellSet` equality ignores its caches, and
-/// the sketch, which the tree's datasets determine.
+/// Ignores the `layout` cache, as `CellSet` equality ignores its caches.
 impl PartialEq for DitsLocal {
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes
@@ -127,7 +120,6 @@ impl DitsLocal {
             root: 0,
             config,
             dataset_count,
-            sketch: BlockSketch::of(dataset_nodes.iter().map(|n| &n.cells)),
             layout: OnceLock::new(),
         };
         index.root = index.build_subtree(dataset_nodes, None);
@@ -243,20 +235,11 @@ impl DitsLocal {
         self.nodes[self.root].geometry
     }
 
-    /// The block sketch of the indexed datasets (sent to the data center
-    /// beside the root geometry).
-    pub fn sketch(&self) -> &BlockSketch {
-        &self.sketch
-    }
-
-    pub(crate) fn sketch_mut(&mut self) -> &mut BlockSketch {
-        &mut self.sketch
-    }
-
-    /// The net change of the block sketch since this was last called — what
-    /// a source acknowledges a maintenance batch with.
-    pub fn take_sketch_changes(&mut self) -> SketchDelta {
-        self.sketch.take_changes()
+    /// The [block sketch](crate::sketch) of the indexed datasets — the
+    /// 8×8-cell blocks they touch, sent to the data center beside the root
+    /// geometry — computed from the datasets on every call.
+    pub fn sketch(&self) -> CellSet {
+        blocks_of(self.dataset_nodes().into_iter().map(|n| &n.cells))
     }
 
     /// Iterates over all leaf arena indices reachable from the root.
@@ -323,9 +306,7 @@ impl DitsLocal {
                 bytes += inverted.memory_bytes();
             }
         }
-        bytes
-            + self.sketch.memory_bytes()
-            + self.layout.get().map_or(0, TraversalLayout::memory_bytes)
+        bytes + self.layout.get().map_or(0, TraversalLayout::memory_bytes)
     }
 
     /// Checks the structural invariants of the tree; used by tests and by the
@@ -345,15 +326,6 @@ impl DitsLocal {
         seen.dedup();
         if seen.len() != self.dataset_count {
             return Err("duplicate dataset ids in the tree".to_string());
-        }
-        // The counted sketch is the sketch recounted from the datasets.
-        let recount = BlockSketch::of(self.dataset_nodes().into_iter().map(|n| &n.cells));
-        if self.sketch != recount {
-            return Err(format!(
-                "block sketch counts {} blocks where the datasets occupy {}, or counts them differently",
-                self.sketch.len(),
-                recount.len()
-            ));
         }
         Ok(())
     }

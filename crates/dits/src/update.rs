@@ -17,11 +17,8 @@
 //!   kNN and coverage pruning bounds.  [`DitsLocal::check_invariants`]
 //!   rejects such leaves, so a regression fails loudly.
 //!
-//! Whichever way a dataset enters or leaves — the three operations meet in
-//! `insert_unchecked`, `remove_entry` and the in-place replacement of
-//! `update` — the index's [block sketch](crate::sketch) counts it in or out
-//! there, for the blocks of that dataset alone (for a replacement, the
-//! blocks the dataset entered or left).
+//! No operation touches the [block sketch](crate::sketch): the index keeps
+//! none, and the data center grows its copy from the datasets it sends.
 //!
 //! Every mutation has a `_with_stats` variant that records what structural
 //! work was done into a [`MaintenanceStats`] block; the multi-source
@@ -37,7 +34,6 @@
 use crate::inverted::InvertedIndex;
 use crate::local::{geometry_of, inverted_of, DitsLocal, NodeIdx, NodeKind};
 use crate::node::DatasetNode;
-use crate::sketch::BlockSketch;
 use crate::stats::MaintenanceStats;
 use spatial::DatasetId;
 
@@ -67,7 +63,6 @@ impl DitsLocal {
     /// Inserts a dataset known to be absent: descend, append, split on
     /// overflow, refresh ancestors.
     fn insert_unchecked(&mut self, dataset: DatasetNode, stats: &mut MaintenanceStats) {
-        self.sketch_mut().add(&dataset.cells);
         let leaf = self.descend_to_closest_leaf(dataset.pivot());
         let capacity = self.config().leaf_capacity;
         let needs_split;
@@ -118,21 +113,15 @@ impl DitsLocal {
         if self.node(leaf).geometry.rect.contains_point(&pivot) {
             // In-place replacement: the relocated dataset still belongs to
             // this leaf's region.
-            let entering = BlockSketch::blocks_of(&dataset.cells);
-            let mut replaced = None;
             {
                 let node = self.node_mut(leaf);
                 if let NodeKind::Leaf { entries, inverted } = &mut node.kind {
                     if let Some(slot) = entries.iter_mut().find(|e| e.id == dataset.id) {
-                        replaced = Some(std::mem::replace(slot, dataset));
+                        *slot = dataset;
                         *inverted = inverted_of(entries);
                         node.geometry = geometry_of(entries);
                     }
                 }
-            }
-            if let Some(old) = replaced {
-                self.sketch_mut()
-                    .replace(&BlockSketch::blocks_of(&old.cells), &entering);
             }
             self.refresh_ancestors(leaf);
         } else {
@@ -172,7 +161,6 @@ impl DitsLocal {
             return false;
         };
         let now_empty;
-        let removed;
         {
             let node = self.node_mut(leaf);
             if let NodeKind::Leaf { entries, inverted } = &mut node.kind {
@@ -180,7 +168,7 @@ impl DitsLocal {
                     .iter()
                     .position(|e| e.id == id)
                     .expect("find_dataset located this leaf");
-                removed = entries.remove(pos);
+                entries.remove(pos);
                 *inverted = inverted_of(entries);
                 node.geometry = geometry_of(entries);
                 now_empty = entries.is_empty();
@@ -188,7 +176,6 @@ impl DitsLocal {
                 unreachable!("find_dataset returned a non-leaf");
             }
         }
-        self.sketch_mut().remove(&removed.cells);
         let refresh_from = if now_empty && self.node(leaf).parent.is_some() {
             let parent = self.collapse_empty_leaf(leaf);
             stats.leaf_collapses += 1;

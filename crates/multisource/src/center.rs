@@ -19,23 +19,23 @@
 //! Maintenance has one way into DITS-G: [`DataCenter::apply_updates`] puts
 //! the summary a source answers a batch with (or removes the source when the
 //! batch emptied it), and the index builds itself over the edited summary
-//! list; the same reply patches the source's sketch, or the center polls for
-//! the whole sketch when the patch does not fit what it holds.  A maintained
-//! center is therefore the center [`DataCenter::build`] makes from the
-//! mutated sources.
+//! list.  The sketch needs no reply at all: before a batch leaves, the center
+//! adds the blocks of the batch's datasets to the sketch it holds, which
+//! therefore contains the source's sketch whatever becomes of the batch.  A
+//! maintained center is the center [`DataCenter::build`] makes from the
+//! mutated sources, except that its sketches may still hold blocks the
+//! sources have vacated — a few query bytes, never an answer.
 
 use std::collections::BTreeMap;
 
 use dits::bounds::node_distance_bounds;
-use dits::sketch::BLOCK_BITS;
-use dits::{
-    DitsGlobal, MaintenanceStats, Neighbor, NodeGeometry, OverlapResult, SketchDelta, SourceSummary,
-};
+use dits::sketch::{blocks_of, BLOCK_BITS};
+use dits::{DitsGlobal, MaintenanceStats, Neighbor, NodeGeometry, OverlapResult, SourceSummary};
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset};
 
 use crate::comm::CommStats;
 use crate::error::{ConfigError, SearchError, TransportError};
-use crate::message::{Message, UpdateOp};
+use crate::message::{CellOp, Message, UpdateOp};
 use crate::source::DataSource;
 use crate::transport::SourceTransport;
 
@@ -159,10 +159,20 @@ impl QueryCellsCache {
 #[derive(Debug, Clone)]
 pub struct DataCenter {
     global: DitsGlobal,
-    /// The occupied blocks of every source whose sketch the center has
-    /// followed since a poll, by source.  A source with a summary and no
-    /// entry here is routed and clipped by its rectangle alone.
+    /// By source, a set of blocks that contains every block the source holds
+    /// data in: the sketch it was last polled for, grown by the blocks of
+    /// every dataset sent to it since.  A source with a summary and no entry
+    /// here is routed and clipped by its rectangle alone.
     sketches: BTreeMap<SourceId, CellSet>,
+}
+
+/// What a [`Message::SummaryRefresh`] says of the source that sent it.
+struct Refresh {
+    summary: SourceSummary,
+    dataset_count: u64,
+    /// The operations the reply accounts for, applied or rejected.
+    ops: u64,
+    blocks: CellSet,
 }
 
 impl DataCenter {
@@ -179,9 +189,7 @@ impl DataCenter {
         let registered = || sources.iter().filter(|s| s.dataset_count() > 0);
         Self {
             global: DitsGlobal::build(registered().map(|s| s.summary()).collect(), leaf_capacity),
-            sketches: registered()
-                .map(|s| (s.id, s.index().sketch().blocks()))
-                .collect(),
+            sketches: registered().map(|s| (s.id, s.index().sketch())).collect(),
         }
     }
 
@@ -201,10 +209,10 @@ impl DataCenter {
         let mut sketches = BTreeMap::new();
         for source in transport.source_ids() {
             let reply = transport.call(source, &Message::summary_poll(), false)?;
-            let (summary, dataset_count, sketch) = Self::refreshed_summary(reply.message)?;
-            if dataset_count > 0 {
-                summaries.push(summary);
-                sketches.insert(source, Self::polled_sketch(sketch)?);
+            let polled = Self::polled(reply.message)?;
+            if polled.dataset_count > 0 {
+                summaries.push(polled.summary);
+                sketches.insert(source, polled.blocks);
             }
         }
         Ok(Self {
@@ -231,8 +239,9 @@ impl DataCenter {
         &self.global
     }
 
-    /// The occupied blocks of `source`'s sketch as the center holds them
-    /// (exposed for inspection / experiments); `None` when it holds none.
+    /// The blocks the center holds of `source`'s sketch — every block the
+    /// source holds data in, and perhaps some it has vacated (exposed for
+    /// inspection / experiments); `None` when it holds none.
     pub fn sketch(&self, source: SourceId) -> Option<&CellSet> {
         self.sketches.get(&source)
     }
@@ -249,15 +258,16 @@ impl DataCenter {
     /// when DITS-G holds none (the source was empty) — so cells travel, not
     /// points.  A poll's bytes count in the outcome's [`CommStats`].
     ///
-    /// The reply's sketch delta is applied to the sketch the center holds of
-    /// the source only if it fits it ([`SketchDelta::apply_to`]: it adds no
-    /// block already held, removes none that is not, and leaves as many
-    /// blocks as the source counts) — otherwise, and when the center holds
-    /// no sketch of the source, the center polls for the whole sketch
-    /// instead of trusting the delta.  An exchange that fails may leave the
-    /// center not knowing whether the batch was applied: it then forgets the
-    /// sketch (and clips for that source by the rectangle alone) until the
-    /// next exchange polls for it.
+    /// Before the batch leaves, the center adds the blocks of every dataset
+    /// in it to the sketch it holds of the source — the one rule that keeps
+    /// that sketch containing the source's, whether the batch is applied,
+    /// rejected, lost or answered twice.  Where the center holds no sketch
+    /// of the source (a center made by [`Self::from_global`], a source a
+    /// batch emptied), it polls for one before the batch — the poll that
+    /// also reads the resolution of a source DITS-G holds no summary of.  A
+    /// reply that does not account for as many operations as the batch had
+    /// answers some other batch: the center polls for the summary instead
+    /// of folding that reply's.
     ///
     /// The exchange is transactional at the batch level: a dataset that
     /// grids to nothing, or a batch the source refuses
@@ -276,55 +286,18 @@ impl DataCenter {
     ) -> Result<MaintenanceOutcome, SearchError> {
         let mut comm = CommStats::new();
         comm.sources_contacted += 1;
-        let request = if ops.is_empty() {
-            Message::summary_poll()
+        let (refresh, mut stats) = if ops.is_empty() {
+            (
+                self.poll(transport, source, &mut comm)?,
+                MaintenanceStats::new(),
+            )
         } else {
-            let registered = self
-                .global
-                .summaries()
-                .into_iter()
-                .find(|s| s.source == source);
-            let resolution = match registered {
-                Some(summary) => summary.resolution,
-                None => self.poll(transport, source, &mut comm)?.0.resolution,
-            };
-            let grid = Grid::global(resolution)
-                .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
-            let ops = ops
-                .iter()
-                .map(|op| op.grid(&grid))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| SearchError::Rejected {
-                    detail: e.to_string(),
-                })?;
-            Message::ApplyUpdates { resolution, ops }
+            self.send_batch(transport, source, ops, &mut comm)?
         };
-        // Until a reply it can read is in, the center does not know what the
-        // source's sketch is.
-        let held = self.sketches.remove(&source);
-        let reply = transport.call(source, &request, true)?;
-        comm.record_request(reply.request_bytes);
-        comm.record_reply(reply.reply_bytes);
-        let mut stats = reply.maintenance.unwrap_or_default();
-        let (mut summary, mut dataset_count, sketch) = Self::refreshed_summary(reply.message)?;
-        let patched = if ops.is_empty() {
-            sketch.into_whole()
-        } else {
-            held.as_ref().and_then(|held| sketch.apply_to(held))
-        };
-        match patched {
-            Some(blocks) => {
-                self.sketches.insert(source, blocks);
-            }
-            // The delta was not made against the sketch held here (a reply
-            // lost or replayed on the way, a center that never polled): ask
-            // for the whole sketch, and take the summary that comes with it.
-            None => (summary, dataset_count) = self.poll(transport, source, &mut comm)?,
-        }
         // Fold the summary into DITS-G before returning, so the next query
         // batch is planned against summaries that agree with every local
         // index.  Either mutator builds the tree over the edited summaries.
-        if dataset_count == 0 {
+        if refresh.dataset_count == 0 {
             // The batch emptied the source.  An empty index has only a
             // degenerate placeholder geometry and can answer no query, so
             // it is dropped from DITS-G (readmitted when data returns)
@@ -337,7 +310,7 @@ impl DataCenter {
             // Replaces the source's summary, or registers one for a source
             // DITS-G does not know: it was empty at build time, or dropped
             // when a previous batch emptied it, and holds data again.
-            self.global.put_source(summary);
+            self.global.put_source(refresh.summary);
             stats.summary_refreshes += 1;
             stats.global_rebuilds += 1;
         }
@@ -346,47 +319,105 @@ impl DataCenter {
         #[cfg(debug_assertions)]
         debug_assert_eq!(self.global.check_invariants(), Ok(()));
         Ok(MaintenanceOutcome {
-            summary,
+            summary: refresh.summary,
             stats,
             comm,
         })
     }
 
+    /// Grids a non-empty batch at `source`'s resolution, grows the sketch
+    /// held of the source by the batch's blocks, sends the batch, and
+    /// returns what the source said of itself after it, with its statistics
+    /// of the batch.  Every exchange is counted in `comm`.
+    fn send_batch(
+        &mut self,
+        transport: &dyn SourceTransport,
+        source: SourceId,
+        ops: &[UpdateOp],
+        comm: &mut CommStats,
+    ) -> Result<(Refresh, MaintenanceStats), SearchError> {
+        let registered = self
+            .global
+            .summaries()
+            .into_iter()
+            .find(|s| s.source == source);
+        let resolution = match registered {
+            Some(summary) if self.sketches.contains_key(&source) => summary.resolution,
+            _ => self.poll(transport, source, comm)?.summary.resolution,
+        };
+        let grid = Grid::global(resolution)
+            .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
+        let ops = ops
+            .iter()
+            .map(|op| op.grid(&grid))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| SearchError::Rejected {
+                detail: e.to_string(),
+            })?;
+        let entering = blocks_of(ops.iter().filter_map(|op| match op {
+            CellOp::Insert { cells, .. } | CellOp::Update { cells, .. } => Some(cells),
+            CellOp::Delete(_) => None,
+        }));
+        let held = self.sketches.entry(source).or_default();
+        *held = held.union(&entering);
+        let sent = ops.len() as u64;
+        let reply = transport.call(source, &Message::ApplyUpdates { resolution, ops }, true)?;
+        comm.record_request(reply.request_bytes);
+        comm.record_reply(reply.reply_bytes);
+        let stats = reply.maintenance.unwrap_or_default();
+        let refresh = Self::refreshed_summary(reply.message)?;
+        if refresh.ops == sent {
+            return Ok((refresh, stats));
+        }
+        // The reply to another batch, lost or replayed on the way: its
+        // summary need not be the source's.
+        Ok((self.poll(transport, source, comm)?, stats))
+    }
+
     /// Polls `source` for its summary and its whole sketch, which replaces
-    /// whatever sketch the center held of it; returns the summary and the
-    /// dataset count.  The exchange is counted in `comm`.
+    /// whatever sketch the center held of it.  The exchange is counted in
+    /// `comm`.
     fn poll(
         &mut self,
         transport: &dyn SourceTransport,
         source: SourceId,
         comm: &mut CommStats,
-    ) -> Result<(SourceSummary, u64), SearchError> {
+    ) -> Result<Refresh, SearchError> {
         let poll = transport.call(source, &Message::summary_poll(), false)?;
         comm.record_request(poll.request_bytes);
         comm.record_reply(poll.reply_bytes);
-        let (summary, dataset_count, sketch) = Self::refreshed_summary(poll.message)?;
-        self.sketches.insert(source, Self::polled_sketch(sketch)?);
-        Ok((summary, dataset_count))
+        let polled = Self::polled(poll.message)?;
+        self.sketches.insert(source, polled.blocks.clone());
+        Ok(polled)
     }
 
-    /// The whole sketch a summary poll was answered with.
-    fn polled_sketch(sketch: SketchDelta) -> Result<CellSet, SearchError> {
-        sketch
-            .into_whole()
-            .ok_or_else(|| TransportError::UnexpectedReply("the whole sketch").into())
+    /// The [`Message::SummaryRefresh`] answering a summary poll: a source
+    /// that holds datasets holds them in some block, so a poll reply with
+    /// datasets and no block is refused.
+    fn polled(reply: Message) -> Result<Refresh, SearchError> {
+        let polled = Self::refreshed_summary(reply)?;
+        if polled.blocks.is_empty() && polled.dataset_count > 0 {
+            return Err(TransportError::UnexpectedReply("the whole sketch").into());
+        }
+        Ok(polled)
     }
 
     /// Unwraps the [`Message::SummaryRefresh`] answering a maintenance batch
-    /// or a summary poll into the source's summary, its dataset count and
-    /// the change to its sketch.
-    fn refreshed_summary(reply: Message) -> Result<(SourceSummary, u64, SketchDelta), SearchError> {
+    /// or a summary poll.
+    fn refreshed_summary(reply: Message) -> Result<Refresh, SearchError> {
         match reply {
             Message::SummaryRefresh {
                 summary,
                 dataset_count,
-                sketch,
-                ..
-            } => Ok((summary, dataset_count, *sketch)),
+                applied,
+                rejected,
+                blocks,
+            } => Ok(Refresh {
+                summary,
+                dataset_count,
+                ops: applied.saturating_add(rejected),
+                blocks,
+            }),
             Message::Error { code, detail } if code == crate::message::ERR_REJECTED_BATCH => {
                 Err(SearchError::Rejected { detail })
             }
@@ -512,8 +543,9 @@ impl DataCenter {
     ///
     /// Then, when the answer is a function of the cells query and datasets
     /// *share* and of nothing else (`shared_cells_only`: OJSP), to the blocks
-    /// of the source's sketch: a cell in a block none of the source's
-    /// datasets touches is in none of them, so dropping it changes no
+    /// the center holds of the source's sketch: they contain every block the
+    /// source's datasets touch, so a cell outside them is in none of those
+    /// datasets, and dropping it changes no
     /// `|S_Q ∩ S_D|` — and no rank, since a source reports positive overlaps
     /// only.  (A distance or a δ-connection reaches across blocks, so CJSP
     /// and kNN keep the window.)  Without a sketch of the source the window

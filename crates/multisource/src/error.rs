@@ -48,8 +48,7 @@ pub enum WireError {
     Oversized(&'static str),
     /// The named field decoded to a value the protocol never sends: a
     /// connectivity threshold δ that is negative or not finite, a candidate
-    /// stub that claims no cells, a sketch block outside the source's grid
-    /// or both added and removed by one delta.
+    /// stub that claims no cells, a sketch block outside the source's grid.
     OutOfRange(&'static str),
     /// A string field was not valid UTF-8.
     BadUtf8,

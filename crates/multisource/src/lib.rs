@@ -49,12 +49,12 @@
 //! Index mutation flows through
 //! [`framework::MultiSourceFramework::apply_updates`] (in-process) or
 //! [`DataCenter::apply_updates`] (any transport): the center grids each
-//! batch at the target source's resolution, the cells travel as
+//! batch at the target source's resolution and adds the blocks of its
+//! datasets to the block sketch it holds of the source, the cells travel as
 //! [`message::Message::ApplyUpdates`], each source applies them
-//! transactionally to its DITS-L, and the
-//! [`message::Message::SummaryRefresh`] acknowledgement — the new root
-//! summary and the change to the block sketch — is folded into the
-//! center's DITS-G and its sketches before the next query batch is planned — the consistency
+//! transactionally to its DITS-L, and the new root summary its
+//! [`message::Message::SummaryRefresh`] acknowledgement carries is folded
+//! into DITS-G before the next query batch is planned — the consistency
 //! guarantee that keeps `candidate_sources` pruning lossless under churn
 //! (see [`message`] for the protocol details).
 //!

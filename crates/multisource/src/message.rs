@@ -42,11 +42,12 @@
 //!   ([`DataCenter::from_transport`](crate::DataCenter::from_transport)) and
 //!   how it learns the resolution of a source DITS-G holds no summary of.
 //! * [`Message::SummaryRefresh`] (source → center) acknowledges the batch
-//!   and carries what the center keeps of the source — its *new root
-//!   summary* and the blocks the batch added to and removed from its *block
-//!   sketch* ([`dits::sketch`]) — plus applied/rejected counts, so the data
-//!   center can refresh DITS-G and its copy of the sketch without another
-//!   round trip.  Answering a summary poll it carries the whole sketch.
+//!   with the source's *new root summary* and applied/rejected counts, so
+//!   the data center can refresh DITS-G without another round trip.
+//!   Answering a summary poll it also carries the source's whole *block
+//!   sketch* ([`dits::sketch`]); answering a batch it carries no block,
+//!   since the center added the blocks of every dataset it sent to its copy
+//!   before sending them.
 //!
 //! A source that cannot serve a request answers [`Message::Error`] with a
 //! machine-readable code ([`ERR_UNSUPPORTED`], [`ERR_REJECTED_BATCH`]) and a
@@ -66,7 +67,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub(crate) use dits::codec::put_varint;
 use dits::codec::{self, put_cells, CodecError};
 use dits::sketch::block_id_bound;
-use dits::{Neighbor, OverlapResult, SketchDelta, SourceSummary};
+use dits::{Neighbor, OverlapResult, SourceSummary};
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset, SpatialError};
 
 use crate::error::WireError;
@@ -264,12 +265,20 @@ pub enum Message {
         ops: Vec<CellOp>,
     },
     /// Source → data center: maintenance acknowledgement carrying the
-    /// source's refreshed root summary and the change to its block sketch,
-    /// so DITS-G and the center's copy of the sketch can be updated without
-    /// a second round trip.
+    /// source's refreshed root summary, so DITS-G can be updated without a
+    /// second round trip; answering a summary poll, the whole block sketch
+    /// too.
     ///
     /// The summary's geometry travels as its MBR only; pivot and radius are
     /// recomputed on decode (they are fully determined by the MBR).
+    ///
+    /// Nothing ties a reply to the batch it answers but its counts:
+    /// `applied + rejected` is the size of that batch, and a center whose
+    /// reply does not add up to the batch it sent polls instead of trusting
+    /// it.  A reply replayed from an earlier batch *of the same size* passes
+    /// that check, and its stale root summary is folded into DITS-G; telling
+    /// it apart needs the epoch of ROADMAP item 5 (b).  The sketch the center
+    /// filters by is not at stake: no batch reply can shrink it.
     SummaryRefresh {
         /// The refreshed root summary of the replying source.
         summary: SourceSummary,
@@ -280,18 +289,11 @@ pub enum Message {
         /// Operations rejected individually (duplicate insert, missing
         /// update/delete target).
         rejected: u64,
-        /// The blocks the batch added to and removed from the source's
-        /// sketch, and how many it holds now; answering a summary poll, the
-        /// whole sketch as a change against the empty one.  Block ids travel
-        /// as cell sets do and are checked on decode against the grid of
-        /// `summary.resolution`; a block both added and removed is refused.
-        ///
-        /// Like the root rectangle beside it, the sketch is not tied to a
-        /// state of the source: one restarted at its initial state leaves
-        /// the center routing by a rectangle *and* filtering by a sketch of
-        /// data it no longer has, until replies carry an epoch (ROADMAP
-        /// item 5 (b)).
-        sketch: Box<SketchDelta>,
+        /// Answering a summary poll, the source's whole block sketch
+        /// ([`DitsLocal::sketch`](dits::DitsLocal::sketch)); answering a
+        /// batch, empty.  Block ids travel as cell sets do and are checked
+        /// on decode against the grid of `summary.resolution`.
+        blocks: CellSet,
     },
     /// Data center → source: run a local k-nearest-datasets search.  The
     /// source a query is sent to first receives it whole; the others receive
@@ -344,8 +346,9 @@ pub enum Message {
     /// dataset, and the center then aggregates cells the stub's size did not
     /// describe.  Replies carry no epoch yet (ROADMAP item 5 (b)) — the hole
     /// the summaries share: a source restarted at its initial state answers
-    /// from data that neither the root rectangle nor the block sketch the
-    /// center holds of it (`Message::SummaryRefresh::sketch`) describes.
+    /// from data the root rectangle the center holds of it does not
+    /// describe.  (The block sketch still covers it unless the center has
+    /// polled the source again since bootstrap: the sketch only grows.)
     CellsQuery {
         /// The datasets whose cells are wanted.
         datasets: Vec<DatasetId>,
@@ -436,7 +439,7 @@ impl Message {
                 dataset_count,
                 applied,
                 rejected,
-                sketch,
+                blocks,
             } => {
                 buf.put_u8(TAG_SUMMARY_REFRESH);
                 buf.put_u16(summary.source);
@@ -448,9 +451,7 @@ impl Message {
                 put_varint(&mut buf, *dataset_count);
                 put_varint(&mut buf, *applied);
                 put_varint(&mut buf, *rejected);
-                put_cells(&mut buf, &sketch.added);
-                put_cells(&mut buf, &sketch.removed);
-                put_varint(&mut buf, sketch.blocks);
+                put_cells(&mut buf, blocks);
             }
             Message::KnnQuery { query, k } => {
                 buf.put_u8(TAG_KNN_QUERY);
@@ -642,12 +643,7 @@ impl Message {
                 let dataset_count = get_varint(&mut data, "dataset count")?;
                 let applied = get_varint(&mut data, "applied count")?;
                 let rejected = get_varint(&mut data, "rejected count")?;
-                let added = get_blocks(&mut data, resolution)?;
-                let removed = get_blocks(&mut data, resolution)?;
-                if added.intersects(&removed) {
-                    return Err(WireError::OutOfRange("sketch delta"));
-                }
-                let blocks = get_varint(&mut data, "block count")?;
+                let blocks = get_blocks(&mut data, resolution)?;
                 Ok(Message::SummaryRefresh {
                     summary: SourceSummary {
                         source,
@@ -657,11 +653,7 @@ impl Message {
                     dataset_count,
                     applied,
                     rejected,
-                    sketch: Box::new(SketchDelta {
-                        added,
-                        removed,
-                        blocks,
-                    }),
+                    blocks,
                 })
             }
             TAG_KNN_QUERY => {
@@ -809,8 +801,8 @@ fn get_cells(data: &mut Bytes) -> Result<CellSet, WireError> {
     codec::get_cells(data).map_err(|e| wire_error(e, "cell delta"))
 }
 
-/// Reads one side of a sketch delta: block ids of the grid of `resolution`,
-/// in the bytes of a cell set.
+/// Reads a block sketch: block ids of the grid of `resolution`, in the
+/// bytes of a cell set.
 fn get_blocks(data: &mut Bytes, resolution: u32) -> Result<CellSet, WireError> {
     let blocks = codec::get_cells(data).map_err(|e| wire_error(e, "sketch block"))?;
     // Block ids are sorted: the last is the largest.
@@ -1235,23 +1227,16 @@ mod tests {
             dataset_count: 1234,
             applied: 3,
             rejected: 1,
-            sketch: Box::new(SketchDelta {
-                added: cs(&[0, 5, 16_383]),
-                removed: cs(&[4, 9_000]),
-                blocks: 77,
-            }),
+            blocks: cs(&[0, 5, 16_383]),
         };
         let encoded = reply.encode();
         assert_eq!(Message::decode(encoded.clone()), Ok(reply));
-        // The sketch rides behind the counts in the layout of two cell sets
-        // and a varint: 3 blocks (gaps 0, 5, 16 378), 2 blocks, 77.
-        assert_eq!(
-            &encoded[encoded.len() - 10..],
-            &[3, 0, 5, 0xFA, 0x7F, 2, 4, 0xA4, 0x46, 77]
-        );
+        // The sketch rides behind the counts in the layout of a cell set:
+        // 3 blocks, gaps 0, 5 and 16 378.
+        assert_eq!(&encoded[encoded.len() - 5..], &[3, 0, 5, 0xFA, 0x7F]);
     }
 
-    fn refresh(resolution: u32, added: &[u64], removed: &[u64], blocks: u64) -> Message {
+    fn refresh(resolution: u32, blocks: &[u64]) -> Message {
         Message::SummaryRefresh {
             summary: SourceSummary {
                 source: 258,
@@ -1264,62 +1249,51 @@ mod tests {
             dataset_count: 300,
             applied: 70,
             rejected: 2,
-            sketch: Box::new(SketchDelta {
-                added: cs(added),
-                removed: cs(removed),
-                blocks,
-            }),
+            blocks: cs(blocks),
         }
     }
 
-    /// A delta that could leave the center with a sketch no source of that
-    /// grid can have never decodes: a block outside the grid, a block on
-    /// both sides, ids that repeat, a count beyond the bytes left.
+    /// A sketch no source of that grid can have never decodes: a block
+    /// outside the grid, ids that repeat, a count beyond the bytes left.
     #[test]
     fn sketch_deltas_the_protocol_never_sends_are_rejected() {
         // θ = 5: 4^(5-3) = 16 blocks, ids 0..=15.
-        let fits = refresh(5, &[0, 15], &[7], 9);
+        let fits = refresh(5, &[0, 7, 15]);
         assert_eq!(Message::decode(fits.encode()), Ok(fits));
-        for (added, removed) in [(&[3u64, 16][..], &[7u64][..]), (&[3], &[7, 16])] {
-            assert_eq!(
-                Message::decode(refresh(5, added, removed, 9).encode()),
-                Err(WireError::OutOfRange("sketch block"))
-            );
-        }
+        assert_eq!(
+            Message::decode(refresh(5, &[3, 16]).encode()),
+            Err(WireError::OutOfRange("sketch block"))
+        );
         // Below θ = 3 the grid is one block, and a resolution whose block
         // count does not fit 64 bits bounds nothing.
         for resolution in [0, 2, 3] {
-            let one = refresh(resolution, &[0], &[], 1);
+            let one = refresh(resolution, &[0]);
             assert_eq!(Message::decode(one.encode()), Ok(one));
             assert_eq!(
-                Message::decode(refresh(resolution, &[1], &[], 1).encode()),
+                Message::decode(refresh(resolution, &[1]).encode()),
                 Err(WireError::OutOfRange("sketch block"))
             );
         }
-        let unbounded = refresh(40, &[u64::MAX], &[], 1);
+        let unbounded = refresh(40, &[u64::MAX]);
         assert_eq!(Message::decode(unbounded.encode()), Ok(unbounded));
-        assert_eq!(
-            Message::decode(refresh(5, &[3, 9], &[9], 4).encode()),
-            Err(WireError::OutOfRange("sketch delta"))
-        );
 
-        // Hand-spelled tails behind a delta-free reply (which ends `0 0 0`).
+        // Hand-spelled tails behind a block-free reply (which ends `0`).
         let tail = |tail: &[u8]| {
-            let mut raw = refresh(5, &[], &[], 0).encode().to_vec();
-            raw.truncate(raw.len() - 3);
+            let mut raw = refresh(5, &[]).encode().to_vec();
+            raw.truncate(raw.len() - 1);
             raw.extend_from_slice(tail);
             Message::decode(Bytes::from(raw))
         };
-        assert_eq!(tail(&[0, 0, 0]), Ok(refresh(5, &[], &[], 0)));
-        assert_eq!(tail(&[2, 5, 0, 0, 4]), Err(WireError::DuplicateCell));
-        assert_eq!(tail(&[0, 2, 5, 0, 4]), Err(WireError::DuplicateCell));
+        assert_eq!(tail(&[0]), Ok(refresh(5, &[])));
+        assert_eq!(tail(&[2, 5, 3]), Ok(refresh(5, &[5, 8])));
+        assert_eq!(tail(&[2, 5, 0]), Err(WireError::DuplicateCell));
         assert_eq!(
-            tail(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0, 4]),
+            tail(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1]),
             Err(WireError::Truncated("sketch block"))
         );
-        assert_eq!(tail(&[1, 3, 0]), Err(WireError::Truncated("block count")));
+        assert_eq!(tail(&[2, 3]), Err(WireError::Truncated("sketch block")));
         assert_eq!(
-            tail(&[1, 0x83, 0x00, 0, 4]),
+            tail(&[1, 0x83, 0x00]),
             Err(WireError::BadVarint("sketch block"))
         );
 
@@ -1327,7 +1301,7 @@ mod tests {
         // put in order behind the sender's back.
         let rect_at = 1 + 2 + 4;
         for (offset, value) in [(0, 10.0f64), (8, 90.0), (16, f64::NAN)] {
-            let mut raw = refresh(5, &[1], &[], 1).encode().to_vec();
+            let mut raw = refresh(5, &[1]).encode().to_vec();
             raw[rect_at + offset..rect_at + offset + 8].copy_from_slice(&value.to_be_bytes());
             assert_eq!(
                 Message::decode(Bytes::from(raw)),
@@ -1338,11 +1312,11 @@ mod tests {
     }
 
     /// The two shapes a `SummaryRefresh` takes: a poll reply with the whole
-    /// sketch of a θ = 12 source, and a delta reply.
+    /// sketch of a θ = 12 source, and a batch reply with no block.
     fn mutation_frames() -> [Message; 2] {
         [
-            refresh(12, &[0, 1, 2, 70, 4_000, 65_535, 200_000, 262_143], &[], 8),
-            refresh(12, &[5, 64, 9_999], &[6, 130_000], 4_321),
+            refresh(12, &[0, 1, 2, 70, 4_000, 65_535, 200_000, 262_143]),
+            refresh(12, &[]),
         ]
     }
 
@@ -1377,8 +1351,9 @@ mod tests {
         false
     }
 
-    /// ROADMAP 5 (d) for the one message that grew: every single-bit flip
-    /// and every truncation of a poll reply and of a delta reply.
+    /// ROADMAP 5 (d) for the one message that carries a sketch: every
+    /// single-bit flip and every truncation of a poll reply and of a batch
+    /// reply.
     #[test]
     fn mutated_summary_refresh_frames_decode_to_what_the_bytes_say() {
         let (mut typed, mut described) = (0, 0);

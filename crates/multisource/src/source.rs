@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use dits::{
     coverage_search_marked, nearest_datasets, overlap_search, take_phase_timings, CoverageConfig,
     DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats, PhaseTimings, SearchStats,
-    SketchDelta, SourceSummary,
+    SourceSummary,
 };
 use spatial::{CellSet, DatasetId, Grid, SourceId, SpatialDataset, SpatialError};
 
@@ -196,10 +196,11 @@ impl DataSource {
     /// semantics a replayed maintenance log needs.
     ///
     /// On success, returns the source's refreshed root summary (what the
-    /// data center folds into DITS-G) plus the maintenance statistics.  What
-    /// the batch changed of the block sketch is not reported on this path: a
-    /// data center that follows this source through served batches finds
-    /// the next delta not fitting the sketch it holds, and polls.
+    /// data center folds into DITS-G) plus the maintenance statistics.  No
+    /// data center sees a batch applied on this path: one that holds a block
+    /// sketch of this source covers only the datasets it sent, and must poll
+    /// the source again (`DataCenter::apply_updates` with no operation)
+    /// before it filters by that sketch.
     pub fn apply_updates(
         &mut self,
         ops: &[UpdateOp],
@@ -208,8 +209,7 @@ impl DataSource {
         for op in ops {
             prepared.push(Self::prepare(op.grid(&self.grid)?).ok_or(SpatialError::EmptyDataset)?);
         }
-        let (summary, stats, _) = self.apply_prepared(prepared);
-        Ok((summary, stats))
+        Ok(self.apply_prepared(prepared))
     }
 
     /// Applies a batch of center-gridded operations — what a
@@ -222,7 +222,7 @@ impl DataSource {
         &mut self,
         resolution: u32,
         ops: &[CellOp],
-    ) -> Result<(SourceSummary, MaintenanceStats, SketchDelta), BatchError> {
+    ) -> Result<(SourceSummary, MaintenanceStats), BatchError> {
         if resolution != self.grid.resolution() {
             return Err(BatchError::ResolutionMismatch {
                 batch: resolution,
@@ -263,12 +263,9 @@ impl DataSource {
     }
 
     /// The one cell-level apply: executes validated operations in order and
-    /// returns, with the refreshed summary and the statistics, what the batch
-    /// changed of the index's block sketch.
-    fn apply_prepared(
-        &mut self,
-        prepared: Vec<PreparedOp>,
-    ) -> (SourceSummary, MaintenanceStats, SketchDelta) {
+    /// returns the refreshed summary and the statistics.  Every operation is
+    /// counted once, applied or rejected.
+    fn apply_prepared(&mut self, prepared: Vec<PreparedOp>) -> (SourceSummary, MaintenanceStats) {
         let mut stats = MaintenanceStats::new();
         for op in prepared {
             let applied = match op {
@@ -286,9 +283,7 @@ impl DataSource {
             debug_assert_eq!(self.index.check_invariants(), Ok(()));
         }
         debug_assert_eq!(self.index.check_invariants(), Ok(()));
-        // Every mutation of the index goes through here, so the changes on
-        // record are this batch's.
-        (self.summary(), stats, self.index.take_sketch_changes())
+        (self.summary(), stats)
     }
 
     /// The dataset nodes held by the source's index.
@@ -306,22 +301,22 @@ impl DataSource {
         SourceSummary::from_local_root(self.id, &self.grid, self.index.root_geometry())
     }
 
-    /// The [`Message::SummaryRefresh`] acknowledging a maintenance batch with
-    /// what it changed of the block sketch — or, with nothing applied and the
-    /// whole sketch, answering a read-only summary poll: the current root
-    /// summary and dataset count.
+    /// The [`Message::SummaryRefresh`] acknowledging a maintenance batch
+    /// with no block — or, with nothing applied and the whole block sketch,
+    /// answering a read-only summary poll: the current root summary and
+    /// dataset count.
     fn summary_refresh(
         &self,
         summary: SourceSummary,
         stats: &MaintenanceStats,
-        sketch: SketchDelta,
+        blocks: CellSet,
     ) -> Message {
         Message::SummaryRefresh {
             summary,
             dataset_count: self.index.dataset_count() as u64,
             applied: stats.applied() as u64,
             rejected: stats.rejected as u64,
-            sketch: Box::new(sketch),
+            blocks,
         }
     }
 
@@ -444,8 +439,8 @@ impl DataSource {
                 let _ = take_phase_timings();
                 let started = Instant::now();
                 let reply = match self.apply_cell_updates(*resolution, ops) {
-                    Ok((summary, stats, sketch)) => ServedReply::maintenance(
-                        self.summary_refresh(summary, &stats, sketch),
+                    Ok((summary, stats)) => ServedReply::maintenance(
+                        self.summary_refresh(summary, &stats, CellSet::new()),
                         stats,
                     ),
                     Err(e) => ServedReply::plain(Message::Error {
@@ -477,7 +472,7 @@ impl DataSource {
                 ServedReply::plain(self.summary_refresh(
                     self.summary(),
                     &MaintenanceStats::new(),
-                    self.index.sketch().whole(),
+                    self.index.sketch(),
                 ))
             }
             Message::ApplyUpdates { .. } => ServedReply::plain(Message::Error {
@@ -749,17 +744,21 @@ mod tests {
                 dataset_count,
                 applied,
                 rejected,
-                sketch,
+                blocks,
             } => {
                 assert_eq!(summary.source, 1);
                 assert_eq!(dataset_count, 19);
                 assert_eq!(applied, 1);
                 assert_eq!(rejected, 1);
-                // What the batch changed, against what a poll reports.
-                let before = source_with_routes().index().sketch().whole();
-                let whole = s.index().sketch().whole();
-                assert_eq!(sketch.blocks, whole.blocks);
-                assert_eq!(sketch.apply_to(&before.added), Some(whole.added));
+                // A batch is acknowledged with no block; a poll, with all.
+                assert_eq!(blocks, CellSet::new());
+                let Message::SummaryRefresh { blocks, .. } =
+                    s.serve(&Message::summary_poll()).message
+                else {
+                    panic!("a poll is answered with a summary");
+                };
+                assert!(!blocks.is_empty());
+                assert_eq!(blocks, s.index().sketch());
             }
             other => panic!("unexpected reply {other:?}"),
         }

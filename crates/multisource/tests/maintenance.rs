@@ -469,16 +469,8 @@ fn run_wire_case(case_seed: u64) {
                 let outcome = over_wire.unwrap();
                 assert_eq!(outcome.summary, summary);
                 // The source's own reply and statistics, as they crossed —
-                // the sketch delta being the difference of the twin's
-                // recounted sketches around the batch.
+                // with no block: the center grew its sketch before sending.
                 let reply = wire.last_reply.lock().unwrap().take().unwrap();
-                let (before, after) = (
-                    index_before.sketch().blocks(),
-                    twin.index().sketch().blocks(),
-                );
-                let minus = |a: &CellSet, b: &CellSet| -> CellSet {
-                    a.iter().filter(|&block| !b.contains(block)).collect()
-                };
                 assert_eq!(
                     reply.message,
                     Message::SummaryRefresh {
@@ -486,17 +478,16 @@ fn run_wire_case(case_seed: u64) {
                         dataset_count: twin.dataset_count() as u64,
                         applied: stats.applied() as u64,
                         rejected: stats.rejected as u64,
-                        sketch: Box::new(dits::SketchDelta {
-                            added: minus(&after, &before),
-                            removed: minus(&before, &after),
-                            blocks: after.len() as u64,
-                        }),
+                        blocks: CellSet::new(),
                     }
                 );
-                assert_eq!(
-                    center.sketch(source),
-                    (twin.dataset_count() > 0).then_some(&after)
-                );
+                // Which holds every block the source holds data in.
+                let after = twin.index().sketch();
+                let held = center.sketch(source);
+                assert_eq!(held.is_some(), twin.dataset_count() > 0);
+                if let Some(held) = held {
+                    assert_eq!(held.intersection(&after), after);
+                }
                 assert_eq!(reply.maintenance, Some(stats));
                 // One source contacted; a source DITS-G held no summary of
                 // cost one poll more, and the poll's bytes are counted.
@@ -565,7 +556,15 @@ fn run_wire_case(case_seed: u64) {
         .run(&request)
         .unwrap();
     assert_eq!(answered.results, expected.results);
-    assert_eq!(answered.comm, expected.comm);
+    // The same routing; the maintained center may still hold blocks a
+    // deleted dataset vacated, and send cells there that the twins' center
+    // leaves out.
+    assert_eq!(
+        answered.comm.sources_contacted,
+        expected.comm.sources_contacted
+    );
+    assert!(answered.comm.requests >= expected.comm.requests);
+    assert!(answered.comm.bytes_to_sources >= expected.comm.bytes_to_sources);
 }
 
 proptest! {

@@ -6,23 +6,21 @@
 //! and rank by rank it carries the overlaps of the merge of one brute-force
 //! overlap search per source.
 //!
-//! The sketch itself is held to a recount: after every maintenance batch a
-//! source's counted sketch is the sketch of its datasets, and the center's
-//! copy — patched by the batch's delta, or polled when the delta does not
-//! fit — is the source's.  The same scenario gives the same answers and the
-//! same `CommStats` whether the sources are borrowed in process, served
-//! behind a mutex, or `source-server` processes behind the pooled transport.
+//! The sketch is held to its one invariant: after every maintenance batch —
+//! applied, lost or answered with the reply to another — the center's copy
+//! contains every block the source holds data in, recounted from its
+//! datasets.  The same scenario gives the same answers and the same
+//! `CommStats` whether the sources are borrowed in process, served behind a
+//! mutex, or `source-server` processes behind the pooled transport.
 
-use std::io::Write as _;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use dits::overlap::overlap_search_bruteforce;
 use dits::{
-    BlockSketch, DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, OverlapResult,
-    ReplayOnPanic, SourceSummary,
+    DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, OverlapResult, ReplayOnPanic,
+    SourceSummary,
 };
 use multisource::{
     CallOptions, CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig,
@@ -33,6 +31,9 @@ use net::PooledTcpTransport;
 use proptest::prelude::*;
 use spatial::zorder::{cell_coords, cell_id};
 use spatial::{Grid, Point, SourceId, SpatialDataset};
+
+mod common;
+use common::{spawn_server, ServerProcess};
 
 const STRATEGIES: [DistributionStrategy; 3] = [
     DistributionStrategy::Broadcast,
@@ -302,8 +303,8 @@ fn ojsp(queries: &[SpatialDataset], k: usize, strategy: DistributionStrategy) ->
 /// Runs `scenario` over in-process sources — queries through the borrowed
 /// slice, batches through an [`ExclusiveTransport`], the way
 /// `MultiSourceFramework` does — holding every answer to the brute force,
-/// the traffic to `Broadcast ≥ Pruned ≥ PrunedClipped`, and every sketch to
-/// a recount.
+/// the traffic to `Broadcast ≥ Pruned ≥ PrunedClipped`, and every sketch the
+/// center holds to a recount.
 fn run_in_process(scenario: &Scenario) -> Vec<Said> {
     let mut sources = scenario.build_sources();
     let mut center = DataCenter::build(&sources, 4);
@@ -356,30 +357,34 @@ fn run_in_process(scenario: &Scenario) -> Vec<Said> {
     said
 }
 
-/// Every source's counted sketch is the sketch of its datasets, and the
-/// center holds exactly that of every source it routes to.
+/// The center holds a sketch of every source it routes to, and that sketch
+/// contains every block the source's datasets touch.
 fn assert_sketches_follow(center: &DataCenter, sources: &[DataSource]) {
     for source in sources {
         assert_eq!(source.index().check_invariants(), Ok(()));
-        let recount = BlockSketch::of(source.dataset_nodes().iter().map(|n| &n.cells));
-        assert_eq!(source.index().sketch(), &recount, "source {}", source.id);
-        let held = (source.dataset_count() > 0).then(|| recount.blocks());
+        let held = center.sketch(source.id);
         assert_eq!(
-            center.sketch(source.id),
-            held.as_ref(),
+            held.is_some(),
+            source.dataset_count() > 0,
             "source {}",
             source.id
         );
+        if let Some(held) = held {
+            let recount = source.index().sketch();
+            assert_eq!(held.intersection(&recount), recount, "source {}", source.id);
+        }
     }
 }
 
 /// Runs `scenario` with everything — the bootstrap poll, the batches, the
 /// queries — going through `transport`, whose sources start as the
 /// scenario's.  The border-cell queries are derived from `mirror`, a copy of
-/// the sources the batches are applied to as raw operations.
+/// the sources the batches are applied to as raw operations, and so are the
+/// recounts the center's sketches are held to.
 fn run_over(transport: &dyn SourceTransport, scenario: &Scenario) -> Vec<Said> {
     let mut mirror = scenario.build_sources();
     let mut center = DataCenter::from_transport(transport, 4).expect("summary polls");
+    assert_sketches_follow(&center, &mirror);
     let mut said = Vec::new();
     for step in &scenario.steps {
         match step {
@@ -390,6 +395,7 @@ fn run_over(transport: &dyn SourceTransport, scenario: &Scenario) -> Vec<Said> {
                 mirror[usize::from(*source)]
                     .apply_updates(ops)
                     .expect("a valid batch");
+                assert_sketches_follow(&center, &mirror);
                 said.push(Said::Batch(outcome.summary, outcome.stats, outcome.comm));
             }
             Step::Queries(queries, k) => {
@@ -480,62 +486,6 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The same scenario on three transports.
 // ---------------------------------------------------------------------------
-
-/// A spawned `source-server`, killed when dropped.
-struct ServerProcess {
-    child: Child,
-    addr: String,
-    _stdout: std::io::BufReader<std::process::ChildStdout>,
-}
-
-impl Drop for ServerProcess {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_server(
-    id: SourceId,
-    resolution: u32,
-    dir: &std::path::Path,
-    datasets: &[SpatialDataset],
-) -> ServerProcess {
-    // One `dataset_id lon lat` triple per line.
-    let data_path = dir.join(format!("source-{id}.tsv"));
-    let mut file = std::fs::File::create(&data_path).expect("create data file");
-    for d in datasets {
-        for p in &d.points {
-            writeln!(file, "{} {} {}", d.id, p.x, p.y).expect("write data file");
-        }
-    }
-    drop(file);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_source-server"))
-        .args(["--id", &id.to_string()])
-        .args(["--resolution", &resolution.to_string()])
-        .args(["--listen", "127.0.0.1:0"])
-        .args(["--data", data_path.to_str().expect("utf8 path")])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn source-server");
-    // The server prints `LISTENING <addr>` once bound.
-    use std::io::BufRead;
-    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut line = String::new();
-    stdout.read_line(&mut line).expect("read ready line");
-    let addr = line
-        .trim()
-        .strip_prefix("LISTENING ")
-        .unwrap_or_else(|| panic!("unexpected ready line {line:?}"))
-        .to_string();
-    ServerProcess {
-        child,
-        addr,
-        _stdout: stdout,
-    }
-}
 
 /// The federation parity test CI runs by name: three scenarios, each run
 /// over borrowed in-process sources, over sources behind the exclusive
@@ -738,27 +688,22 @@ fn a_center_without_sketches_filters_nothing_until_it_polls() {
     assert_eq!(by_rectangle.results, by_sketch.results);
     assert!(by_sketch.comm.bytes_to_sources < by_rectangle.comm.bytes_to_sources);
 
-    // The first batch's delta has nothing to apply to: the center polls.
+    // The first batch finds no sketch to grow: the center polls for one
+    // before sending it.
     let ops = [UpdateOp::Insert(dataset(7, &[(1002, 1002)]))];
     let outcome = center
         .apply_updates(&ExclusiveTransport::new(&mut sources), 0, &ops)
         .expect("a valid batch");
     assert_eq!((outcome.comm.requests, outcome.comm.replies), (2, 2));
-    assert_eq!(
-        center.sketch(0),
-        Some(&sources[0].index().sketch().blocks())
-    );
+    assert_eq!(center.sketch(0), Some(&sources[0].index().sketch()));
     assert!(center.sketch(1).is_none());
-    // From here on it follows by delta alone.
+    // From here on it grows the sketch by what it sends, and asks nothing.
     let ops = [UpdateOp::Insert(dataset(8, &[(1050, 1050)]))];
     let outcome = center
         .apply_updates(&ExclusiveTransport::new(&mut sources), 0, &ops)
         .expect("a valid batch");
     assert_eq!(outcome.comm.requests, 1);
-    assert_eq!(
-        center.sketch(0),
-        Some(&sources[0].index().sketch().blocks())
-    );
+    assert_eq!(center.sketch(0), Some(&sources[0].index().sketch()));
 }
 
 /// Sources behind a mutex, with two faults to inject into the next
@@ -823,46 +768,79 @@ impl SourceTransport for FaultyTransport {
     }
 }
 
+/// The OJSP answer `center` gives for `query` over `transport`.
+fn answer_over(center: &DataCenter, transport: &FaultyTransport, query: &SpatialDataset) -> Answer {
+    let request = ojsp(
+        std::slice::from_ref(query),
+        5,
+        DistributionStrategy::PrunedClipped,
+    );
+    let response = QueryEngine::new(center, transport, EngineConfig::default())
+        .run(&request)
+        .expect("OJSP");
+    answers(&response).remove(0)
+}
+
 #[test]
-fn a_replayed_delta_is_not_trusted() {
+fn a_reply_to_a_batch_of_another_size_is_not_trusted() {
     let transport = FaultyTransport::new(two_corners());
     let mut center = DataCenter::from_transport(&transport, 4).expect("summary polls");
-    // Batch 1 occupies a new block of source 0; its reply is what batch 2,
-    // which occupies another, is answered with.
+    // Batch 1, one operation, occupies a new block of source 0; its reply is
+    // what batch 2, two operations, is answered with.
     let first = [UpdateOp::Insert(dataset(7, &[(1050, 1050)]))];
     let outcome = center
         .apply_updates(&transport, 0, &first)
         .expect("batch 1");
     assert_eq!(outcome.comm.requests, 1);
     transport.replay_stale.store(true, Ordering::SeqCst);
-    let second = [UpdateOp::Insert(dataset(8, &[(1020, 1080), (1100, 1130)]))];
+    let second = [
+        UpdateOp::Insert(dataset(8, &[(1020, 1080), (1100, 1130)])),
+        UpdateOp::Delete(9_999),
+    ];
     let outcome = center
         .apply_updates(&transport, 0, &second)
         .expect("batch 2");
-    // The stale delta adds a block the center already holds: it polls, and
-    // ends up with the source's sketch and the source's rectangle — not the
-    // ones the replayed reply described.
+    // The reply accounts for one operation of two: the center polls, and
+    // ends up with the source's rectangle — not the one the replayed reply
+    // described.
     assert_eq!((outcome.comm.requests, outcome.comm.replies), (2, 2));
     let sources = transport.sources();
-    assert_eq!(
-        center.sketch(0),
-        Some(&sources[0].index().sketch().blocks())
-    );
     assert_eq!(outcome.summary, sources[0].summary());
     assert_eq!(center.global().summaries()[0], sources[0].summary());
+    assert_sketches_follow(&center, &sources);
     let query = dataset(99, &[(1020, 1080), (1100, 1130), (1050, 1050)]);
-    let response = QueryEngine::new(&center, &transport, EngineConfig::default())
-        .run(&ojsp(
-            std::slice::from_ref(&query),
-            5,
-            DistributionStrategy::PrunedClipped,
-        ))
-        .expect("OJSP");
-    assert_eq!(answers(&response), [merged_bruteforce(&sources, &query, 5)]);
+    assert_eq!(
+        answer_over(&center, &transport, &query),
+        merged_bruteforce(&sources, &query, 5)
+    );
+
+    // A replay of the same size passes for the answer (ROADMAP item 5 (b)),
+    // and still cannot leave the sketch short of the batch it answered.
+    transport.replay_stale.store(true, Ordering::SeqCst);
+    let third = [UpdateOp::Insert(dataset(9, &[(1070, 1030), (1071, 1030)]))];
+    let outcome = center
+        .apply_updates(&transport, 0, &third)
+        .expect("batch 3");
+    assert_eq!(outcome.comm.requests, 1);
+    let sources = transport.sources();
+    assert_sketches_follow(&center, &sources);
+    let query = dataset(98, &[(1070, 1030), (1071, 1030)]);
+    let oracle = merged_bruteforce(&sources, &query, 5);
+    assert_eq!(
+        oracle,
+        [(
+            0,
+            OverlapResult {
+                dataset: 9,
+                overlap: 2
+            }
+        )]
+    );
+    assert_eq!(answer_over(&center, &transport, &query), oracle);
 }
 
 #[test]
-fn a_lost_reply_makes_the_center_forget_the_sketch_not_keep_a_stale_one() {
+fn a_lost_reply_leaves_a_sketch_that_covers_the_batch() {
     let transport = FaultyTransport::new(two_corners());
     let mut center = DataCenter::from_transport(&transport, 4).expect("summary polls");
     // The batch whose reply is lost puts data into a block that was empty,
@@ -876,23 +854,13 @@ fn a_lost_reply_makes_the_center_forget_the_sketch_not_keep_a_stale_one() {
         matches!(err, SearchError::Transport(TransportError::Timeout { .. })),
         "{err:?}"
     );
-    assert!(
-        center.sketch(0).is_none(),
-        "the center cannot know what source 0 holds now"
-    );
-    assert!(center.sketch(1).is_some());
-    // A query into that block still finds the dataset: source 0 is clipped
-    // by its rectangle alone.
+    // The center added the batch's blocks before sending it: what it holds
+    // covers what source 0 holds now, and a query into that block finds the
+    // dataset.
     let sources = transport.sources();
     assert_eq!(sources[0].dataset_count(), 3, "the batch was applied");
+    assert_sketches_follow(&center, &sources);
     let query = dataset(99, &[(1050, 1050), (1051, 1050), (1060, 1060)]);
-    let engine = QueryEngine::new(&center, &transport, EngineConfig::default());
-    let request = ojsp(
-        std::slice::from_ref(&query),
-        5,
-        DistributionStrategy::PrunedClipped,
-    );
-    let response = engine.run(&request).expect("OJSP");
     let oracle = merged_bruteforce(&sources, &query, 5);
     assert_eq!(
         oracle,
@@ -904,25 +872,29 @@ fn a_lost_reply_makes_the_center_forget_the_sketch_not_keep_a_stale_one() {
             }
         )]
     );
-    assert_eq!(answers(&response), [oracle]);
-    // The next exchange polls, and the sketch is the source's again.
+    assert_eq!(answer_over(&center, &transport, &query), oracle);
+    // The next exchange is the batch alone: nothing to poll for.  The block
+    // of the dataset it deletes stays held — a few bytes, never an answer.
     let next = [UpdateOp::Delete(1)];
     let outcome = center.apply_updates(&transport, 0, &next).expect("batch 2");
-    assert_eq!((outcome.comm.requests, outcome.comm.replies), (2, 2));
+    assert_eq!((outcome.comm.requests, outcome.comm.replies), (1, 1));
     let sources = transport.sources();
+    assert_sketches_follow(&center, &sources);
+    let vacated = cell_id(1100, 1100) >> dits::sketch::BLOCK_BITS;
+    assert!(!sources[0].index().sketch().contains(vacated));
+    assert!(center.sketch(0).is_some_and(|held| held.contains(vacated)));
+    let query = dataset(98, &[(1050, 1050), (1100, 1100)]);
     assert_eq!(
-        center.sketch(0),
-        Some(&sources[0].index().sketch().blocks())
+        answer_over(&center, &transport, &query),
+        merged_bruteforce(&sources, &query, 5)
     );
     // A batch the center refuses to send changes nothing, the sketch
     // included.
+    let held = center.sketch(0).cloned();
     let refused = [UpdateOp::Insert(SpatialDataset::new(50, Vec::new()))];
     assert!(matches!(
         center.apply_updates(&transport, 0, &refused),
         Err(SearchError::Rejected { .. })
     ));
-    assert_eq!(
-        center.sketch(0),
-        Some(&sources[0].index().sketch().blocks())
-    );
+    assert_eq!(center.sketch(0), held.as_ref());
 }

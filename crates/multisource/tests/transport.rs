@@ -17,7 +17,6 @@
 //!   source's metrics registry is scrapable into valid Prometheus text.
 
 use std::io::Write as _;
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -36,6 +35,9 @@ use multisource::{
 use net::PooledTcpTransport;
 use proptest::prelude::*;
 use spatial::{Point, SpatialDataset};
+
+mod common;
+use common::{spawn_server, ServerProcess};
 
 fn build_data(seed: u64) -> Vec<(String, Vec<SpatialDataset>)> {
     let config = GeneratorConfig {
@@ -483,72 +485,6 @@ fn a_thousand_point_insert_travels_as_cells() {
     );
 }
 
-/// Spawned `source-server` child with its parsed listen address.  Stdin is
-/// piped (for the `SHUTDOWN` drain line) and stdout kept open (for the
-/// `DRAINED` confirmation).
-struct ServerProcess {
-    child: Child,
-    addr: String,
-    stdout: std::io::BufReader<std::process::ChildStdout>,
-}
-
-impl Drop for ServerProcess {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_server_binary(
-    id: u16,
-    dir: &std::path::Path,
-    datasets: &[SpatialDataset],
-) -> ServerProcess {
-    // One `dataset_id lon lat` triple per line.
-    let data_path = dir.join(format!("source-{id}.tsv"));
-    let mut file = std::fs::File::create(&data_path).expect("create data file");
-    for d in datasets {
-        for p in &d.points {
-            writeln!(file, "{} {} {}", d.id, p.x, p.y).expect("write data file");
-        }
-    }
-    drop(file);
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_source-server"))
-        .args([
-            "--id",
-            &id.to_string(),
-            "--resolution",
-            "11",
-            "--listen",
-            "127.0.0.1:0",
-            "--data",
-            data_path.to_str().expect("utf8 path"),
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn source-server");
-
-    // The server prints `LISTENING <addr>` once bound.
-    use std::io::{BufRead, BufReader};
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut stdout = BufReader::new(stdout);
-    let mut line = String::new();
-    stdout.read_line(&mut line).expect("read ready line");
-    let addr = line
-        .trim()
-        .strip_prefix("LISTENING ")
-        .unwrap_or_else(|| panic!("unexpected ready line {line:?}"))
-        .to_string();
-    ServerProcess {
-        child,
-        addr,
-        stdout,
-    }
-}
-
 /// The pooled transport reaching spawned `source-server` children, source
 /// ids in spawn order.
 fn pooled_over(servers: &[ServerProcess]) -> PooledTcpTransport {
@@ -574,7 +510,7 @@ fn pooled_transport_over_server_processes_matches_in_process() {
     let servers: Vec<ServerProcess> = data
         .iter()
         .enumerate()
-        .map(|(i, (_, datasets))| spawn_server_binary(i as u16, &dir, datasets))
+        .map(|(i, (_, datasets))| spawn_server(i as u16, 11, &dir, datasets))
         .collect();
     let pooled = pooled_over(&servers);
 
@@ -631,7 +567,7 @@ fn source_server_binary_drains_on_shutdown_line() {
     let data = build_data(77);
     let dir = std::env::temp_dir().join(format!("source-server-drain-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let mut server = spawn_server_binary(9, &dir, &data[0].1);
+    let mut server = spawn_server(9, 11, &dir, &data[0].1);
 
     let tcp = PooledTcpTransport::new([(9u16, server.addr.clone())]).expect("pooled transport");
     tcp.call(9, &Message::MetricsQuery, false)
@@ -743,7 +679,7 @@ fn traced_span_structure_is_transport_invariant() {
     let servers: Vec<ServerProcess> = data
         .iter()
         .enumerate()
-        .map(|(i, (_, datasets))| spawn_server_binary(i as u16, &dir, datasets))
+        .map(|(i, (_, datasets))| spawn_server(i as u16, 11, &dir, datasets))
         .collect();
     let spawned = pooled_over(&servers);
     let center =
@@ -933,16 +869,7 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
             dataset_count: ids.len() as u64,
             applied: k as u64,
             rejected: code as u64,
-            // No block is on both sides of a delta.
-            sketch: Box::new(dits::SketchDelta {
-                removed: ids
-                    .iter()
-                    .map(|&id| u64::from(id))
-                    .filter(|&block| !query.contains(block))
-                    .collect(),
-                added: query,
-                blocks: k as u64,
-            }),
+            blocks: query,
         },
         TAG_KNN_QUERY => Message::KnnQuery { query, k },
         TAG_ERROR => Message::Error {
