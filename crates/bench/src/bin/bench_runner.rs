@@ -22,9 +22,9 @@
 //! * `kernel/intersection/dense-grid` — the word-parallel (popcount) cell
 //!   intersection against the scalar sorted-merge on dense grid sets (the
 //!   one delta).
-//! * `kernel/distance/cached`, `kernel/distance/bounded` — the dataset
-//!   distance kernel over the cached packed and boundary state, without and
-//!   with a k-th-best cutoff.
+//! * `kernel/distance/cached` — the dataset distance kernel over the cached
+//!   packed and boundary state (the bounded variant is parity-checked at its
+//!   own cutoff but not timed: a cutoff equal to the distance never prunes).
 //! * `kernel/inverted/build`, `kernel/inverted/verify` — building one leaf's
 //!   columnar inverted index from its entries, and one exact verification
 //!   (sorted query merged against a leaf's key column).
@@ -130,7 +130,9 @@ Usage: bench-runner [--quick] [--out PATH]
 /// `engine/ojsp/per-source-batch` rows with the code they measured; v8
 /// dropped the `transport/per-call/*` rows likewise; v9 the
 /// `kernel/distance/unbounded` and `knn/per-query/unbounded` rows and the
-/// three deltas they were the baseline of.
+/// three deltas they were the baseline of.  Dropping the
+/// `kernel/distance/bounded` row changed no field `--validate` reads, so
+/// the version stayed 9.
 const SCHEMA_VERSION: u64 = 9;
 
 /// The maintenance row every snapshot must carry, and its batch size.
@@ -826,8 +828,8 @@ fn run_suite(quick: bool) -> Suite {
     deltas.push(delta("kernel/intersection/dense-grid", &packed, &scalar));
     kernels.extend([packed, scalar, adaptive]);
 
-    // -- Kernel: dataset distance, without and with a cutoff ----------------
-    eprintln!("[2/9] kernel/distance (cached and bounded)");
+    // -- Kernel: dataset distance --------------------------------------------
+    eprintln!("[2/9] kernel/distance (cached)");
     let env = ExperimentEnv::new(divisor, 0xBEEF);
     // The framework is built before anything else allocates, so the resident
     // set around the build is the framework's own.
@@ -869,13 +871,10 @@ fn run_suite(quick: bool) -> Suite {
         !distance_pairs.is_empty(),
         "distance workload must not be empty"
     );
-    // This pass also materialises the cached packed and boundary state both
-    // rows reuse; the bounded kernel must be exact at its own cutoff.
-    let distance_truths: Vec<f64> = distance_pairs
-        .iter()
-        .map(|(q, c)| dataset_distance(q, c))
-        .collect();
-    for (&(q, c), &truth) in distance_pairs.iter().zip(&distance_truths) {
+    // This pass also materialises the cached packed and boundary state the
+    // row reuses; the bounded kernel must be exact at its own cutoff.
+    for &(q, c) in &distance_pairs {
+        let truth = dataset_distance(q, c);
         assert_eq!(
             dataset_distance_bounded(q, c, truth),
             truth,
@@ -892,17 +891,7 @@ fn run_suite(quick: bool) -> Suite {
             }
         },
     );
-    let distance_bounded = measure(
-        "kernel/distance/bounded",
-        kernel_samples,
-        distance_pairs.len(),
-        || {
-            for (&(q, c), &truth) in distance_pairs.iter().zip(&distance_truths) {
-                std::hint::black_box(dataset_distance_bounded(q, std::hint::black_box(c), truth));
-            }
-        },
-    );
-    kernels.extend([distance_cached, distance_bounded]);
+    kernels.push(distance_cached);
 
     // -- Leaf inverted index: column build and exact verification -----------
     eprintln!("[3/9] kernel/inverted (leaf column build + verification merge)");
@@ -1132,8 +1121,8 @@ fn run_suite(quick: bool) -> Suite {
     };
 
     // Phase breakdown: one traced run per engine entry splits the sources'
-    // time into index traversal vs. candidate verification (ROADMAP item 3's
-    // "verification dominates" claim, now measured instead of asserted).
+    // time into index traversal vs. candidate verification (the paper's
+    // "verification dominates" claim, measured instead of asserted).
     eprintln!("[9/9] phase breakdown (traced engine runs)");
     let traced_ojsp = ojsp_request.clone().with_trace(true);
     let phases = vec![

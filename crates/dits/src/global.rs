@@ -174,7 +174,9 @@ impl DitsGlobal {
         let mut summaries = self.summaries();
         let replaced = match summaries.binary_search_by_key(&summary.source, |s| s.source) {
             Ok(pos) => {
-                summaries[pos] = summary;
+                if let Some(slot) = summaries.get_mut(pos) {
+                    *slot = summary;
+                }
                 true
             }
             Err(pos) => {
@@ -207,12 +209,13 @@ impl DitsGlobal {
         let mut out: Vec<SourceSummary> = Vec::with_capacity(self.source_count);
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
-            match &self.nodes[idx] {
-                GlobalNode::Leaf { sources, .. } => out.extend(sources.iter().copied()),
-                GlobalNode::Internal { left, right, .. } => {
+            match self.nodes.get(idx) {
+                Some(GlobalNode::Leaf { sources, .. }) => out.extend(sources.iter().copied()),
+                Some(GlobalNode::Internal { left, right, .. }) => {
                     stack.push(*left);
                     stack.push(*right);
                 }
+                None => {}
             }
         }
         out.sort_by_key(|s| s.source);
@@ -233,13 +236,17 @@ impl DitsGlobal {
                 summaries.len()
             ));
         }
-        if summaries.windows(2).any(|w| w[0].source == w[1].source) {
+        if summaries
+            .windows(2)
+            .any(|w| matches!(w, [a, b] if a.source == b.source))
+        {
             return Err("duplicate source ids in the tree".to_string());
         }
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
-            match &self.nodes[idx] {
-                GlobalNode::Leaf { geometry, sources } => {
+            match self.nodes.get(idx) {
+                None => return Err(format!("node {idx} is out of range")),
+                Some(GlobalNode::Leaf { geometry, sources }) => {
                     for s in sources {
                         if !geometry.rect.contains(&s.geometry.rect) {
                             return Err(format!(
@@ -249,13 +256,18 @@ impl DitsGlobal {
                         }
                     }
                 }
-                GlobalNode::Internal {
+                Some(GlobalNode::Internal {
                     geometry,
                     left,
                     right,
-                } => {
+                }) => {
                     for child in [*left, *right] {
-                        if !geometry.rect.contains(&self.nodes[child].geometry().rect) {
+                        // A dangling child is reported when it is popped.
+                        let outside = self
+                            .nodes
+                            .get(child)
+                            .is_some_and(|node| !geometry.rect.contains(&node.geometry().rect));
+                        if outside {
                             return Err(format!(
                                 "internal {idx} MBR does not contain child {child}"
                             ));
@@ -286,10 +298,9 @@ impl DitsGlobal {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx];
-            if !within(node.geometry()) {
+            let Some(node) = self.nodes.get(idx).filter(|n| within(n.geometry())) else {
                 continue;
-            }
+            };
             match node {
                 GlobalNode::Leaf { sources, .. } => {
                     out.extend(sources.iter().filter(|s| within(&s.geometry)).copied());

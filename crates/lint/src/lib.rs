@@ -14,7 +14,6 @@
 //! `// lint:allow(<rule>): <reason>` must be well-formed, carry a non-empty
 //! reason, and actually suppress something.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
@@ -81,6 +80,8 @@ const L1_PATHS: &[&str] = &[
     "crates/multisource/src/source.rs",
     "crates/multisource/src/api.rs",
     "crates/multisource/src/framework.rs",
+    "crates/multisource/src/center.rs",
+    "crates/dits/src/global.rs",
     "crates/dits/src/overlap.rs",
     "crates/dits/src/coverage.rs",
     "crates/dits/src/knn.rs",
@@ -381,6 +382,13 @@ mod tests {
         assert!(r.contains(&"panic-freedom"));
         assert!(r.contains(&"float-ordering"));
         assert!(r.contains(&"cache-invalidation"));
+        // The center's per-query planning is on the panic-free path too.
+        for planning in [
+            "crates/multisource/src/center.rs",
+            "crates/dits/src/global.rs",
+        ] {
+            assert!(applicable_rules(planning).contains(&"panic-freedom"));
+        }
         assert!(applicable_rules("crates/bench/src/lib.rs").is_empty());
         assert!(applicable_rules("crates/spatial/src/grid.rs").is_empty());
     }

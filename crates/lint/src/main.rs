@@ -1,24 +1,18 @@
 //! repo-lint CLI: rustc-style diagnostics, non-zero exit on violations.
 //!
 //! ```text
-//! repo-lint [--root <dir>] [--rule <id>] [--baseline <file> | --no-baseline]
-//!           [--write-baseline <file>] [--list-rules]
+//! repo-lint [--root <dir>] [--rule <id>] [--list-rules]
 //! ```
 //!
-//! With no flags it analyzes the enclosing workspace and, when a committed
-//! `lint-baseline.txt` exists at the root, applies the shrink-only ratchet.
+//! With no flags it analyzes the enclosing workspace, which must be clean.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lint::{analyze, baseline, find_root, RULES};
+use lint::{analyze, find_root, RULES};
 
 struct Args {
     root: Option<String>,
     rule: Option<String>,
-    baseline: Option<String>,
-    no_baseline: bool,
-    write_baseline: Option<String>,
     list_rules: bool,
 }
 
@@ -26,9 +20,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         rule: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: None,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -37,15 +28,11 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--root" => args.root = Some(take("--root")?),
             "--rule" => args.rule = Some(take("--rule")?),
-            "--baseline" => args.baseline = Some(take("--baseline")?),
-            "--no-baseline" => args.no_baseline = true,
-            "--write-baseline" => args.write_baseline = Some(take("--write-baseline")?),
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 println!(
                     "repo-lint: workspace static analysis\n\n\
-                     USAGE: repo-lint [--root <dir>] [--rule <id>] [--baseline <file>]\n\
-                     \x20      [--no-baseline] [--write-baseline <file>] [--list-rules]\n\n\
+                     USAGE: repo-lint [--root <dir>] [--rule <id>] [--list-rules]\n\n\
                      Exits 0 when clean, 1 on findings, 2 on usage/IO errors.\n\
                      Suppress a single finding with `// lint:allow(<rule>): <reason>`\n\
                      on the offending line or the line above it."
@@ -81,66 +68,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &args.write_baseline {
-        let text = baseline::render(&findings);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("repo-lint: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "repo-lint: wrote {} grandfathered finding(s) to {path}",
-            findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Baseline: explicit flag wins; otherwise the committed file, if present.
-    let baseline_path: Option<PathBuf> = if args.no_baseline {
-        None
-    } else if let Some(p) = &args.baseline {
-        Some(PathBuf::from(p))
-    } else {
-        let default = root.join("lint-baseline.txt");
-        default.is_file().then_some(default)
-    };
-
-    let (reported, stale) = match &baseline_path {
-        Some(p) => {
-            let text = match std::fs::read_to_string(p) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("repo-lint: reading {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let base = match baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("repo-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            baseline::apply(findings, &base)
-        }
-        None => (findings, Vec::new()),
-    };
-
-    for f in &reported {
+    for f in &findings {
         println!("{f}");
     }
-    for s in &stale {
-        println!("{s}");
-    }
-    if reported.is_empty() && stale.is_empty() {
+    if findings.is_empty() {
         eprintln!("repo-lint: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "repo-lint: {} finding(s), {} stale baseline entr(ies)",
-            reported.len(),
-            stale.len()
-        );
+        eprintln!("repo-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

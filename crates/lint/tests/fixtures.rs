@@ -1,13 +1,12 @@
 //! End-to-end rule tests over the snippets in `tests/fixtures/` — one bad
 //! snippet per rule, each asserting the finding lands on the exact line —
-//! plus the whole-workspace integration check: the tree must be lint-clean
-//! modulo the committed baseline.
+//! plus the whole-workspace integration check: the tree must be lint-clean.
 
 use std::path::Path;
 
 use lint::lexer;
 use lint::rules::{self, WireInputs};
-use lint::{analyze, baseline, filter_allows, find_root};
+use lint::{analyze, filter_allows, find_root};
 
 fn fixture(name: &str) -> lexer::Lexed {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -99,11 +98,10 @@ fn allow_directive_fixture_suppresses_used_and_reports_unused() {
     assert_eq!(lexed.malformed_allows[0].line, 14);
 }
 
-/// The tree itself must be lint-clean modulo the committed baseline: every
-/// finding `analyze` produces is either fixed or grandfathered, and the
-/// baseline holds no stale (already-fixed) entries.
+/// The tree itself must be lint-clean: every finding `analyze` produces is
+/// fixed, so a new rule or a new scope lands clean.
 #[test]
-fn workspace_is_lint_clean_modulo_committed_baseline() {
+fn workspace_is_lint_clean() {
     let root = find_root(None);
     assert!(
         root.join("Cargo.toml").is_file() && root.join("crates").is_dir(),
@@ -111,22 +109,11 @@ fn workspace_is_lint_clean_modulo_committed_baseline() {
         root.display()
     );
     let findings = analyze(&root, None).expect("analyze workspace");
-
-    let baseline_path = root.join("lint-baseline.txt");
-    let text = std::fs::read_to_string(&baseline_path).expect("committed lint-baseline.txt");
-    let base = baseline::parse(&text).expect("well-formed baseline");
-    let (reported, stale) = baseline::apply(findings, &base);
-
-    let rendered: Vec<String> = reported.iter().map(|f| f.to_string()).collect();
+    let rendered: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
     assert!(
         rendered.is_empty(),
-        "workspace has findings not covered by lint-baseline.txt:\n{}",
+        "workspace has lint findings:\n{}",
         rendered.join("\n")
-    );
-    assert!(
-        stale.is_empty(),
-        "lint-baseline.txt has stale entries (shrink it):\n{}",
-        stale.join("\n")
     );
 }
 

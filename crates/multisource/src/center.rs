@@ -525,8 +525,10 @@ impl DataCenter {
         if scored.len() > k {
             let mut upper_bounds: Vec<f64> = scored.iter().map(|&(_, ub, _)| ub).collect();
             upper_bounds.sort_unstable_by(|a, b| a.total_cmp(b));
-            let threshold = upper_bounds[k - 1] + BOUND_SLACK;
-            scored.retain(|&(lb, _, _)| lb <= threshold);
+            if let Some(&kth) = upper_bounds.get(k - 1) {
+                let threshold = kth + BOUND_SLACK;
+                scored.retain(|&(lb, _, _)| lb <= threshold);
+            }
         }
         scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.source.cmp(&b.2.source)));
         Ok(scored.into_iter().map(|(lb, _, s)| (lb, s)).collect())

@@ -26,6 +26,14 @@
 //! 3. **Linear merge** otherwise (comparable sizes, sparse blocks), where the
 //!    packed form would degenerate to one bit per word.
 //!
+//! Under the three kernels sit two joins over sorted slices, written once:
+//! [`merge_join`] (the linear kernel, the packed kernel's block merge,
+//! [`intersects`](CellSet::intersects) and
+//! [`intersection`](CellSet::intersection)) and [`gallop_join`] (the
+//! galloping kernel, over cells or over block keys).  Both walk the slices
+//! with slice patterns and checked access, so no kernel can index out of
+//! bounds.
+//!
 //! The packed form is built at most once per set (cached in a [`OnceLock`]
 //! alongside the sorted vec, invalidated by mutation), so batch callers that
 //! intersect the same sets repeatedly pay the packing cost once and the
@@ -45,6 +53,8 @@
 //! a pair — two dense sets of comparable size — that the serving path's
 //! dispatch almost never sees.
 
+use std::convert::identity;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -94,127 +104,143 @@ pub fn kernel_counters() -> KernelCounters {
     }
 }
 
-/// Bit-packed block representation of a sorted cell list: `keys[i]` is
-/// `cell >> 6` and `words[i]` has bit `cell & 63` set for every member cell
-/// in that block.  Keys are strictly increasing, words are never zero.
+/// Calls `on_match` on the elements of `a` and `b` that share a key, in
+/// ascending key order, until it breaks.  Both slices are strictly
+/// increasing by `key`.
+///
+/// Two comparisons, not one `cmp`: on x86-64, `Ord::cmp` on integers
+/// compiles to a three-way value that is then branched on again, which made
+/// this loop about 1.5× slower on dense pairs.
+fn merge_join<T: Copy>(
+    mut a: &[T],
+    mut b: &[T],
+    key: impl Fn(T) -> u64,
+    mut on_match: impl FnMut(T, T) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    while let ([x, a_rest @ ..], [y, b_rest @ ..]) = (a, b) {
+        let (kx, ky) = (key(*x), key(*y));
+        if kx < ky {
+            a = a_rest;
+        } else if kx > ky {
+            b = b_rest;
+        } else {
+            on_match(*x, *y)?;
+            (a, b) = (a_rest, b_rest);
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Galloping join (Bentley & Yao, 1976): for each element of `small`,
+/// probe the unread tail of `large` at exponentially growing offsets until
+/// one reaches its key, binary-search the last window, and call `on_match`
+/// on a hit.  `O(m·log(n/m))` overall, and it never rescans what it has
+/// passed, which is what makes it profitable even when the skew is
+/// moderate.  Both slices are strictly increasing by `key`.
+fn gallop_join<T: Copy>(
+    small: &[T],
+    large: &[T],
+    key: impl Fn(T) -> u64,
+    mut on_match: impl FnMut(T, T),
+) {
+    let mut tail = large;
+    for &x in small {
+        if tail.is_empty() {
+            break;
+        }
+        let k = key(x);
+        let mut step = 1;
+        while tail.get(step).is_some_and(|&y| key(y) < k) {
+            step <<= 1;
+        }
+        // Everything before `step / 2` is below `k`; `tail[step]`, if any,
+        // is not.
+        let lo = step / 2;
+        let window = tail.get(lo..tail.len().min(step + 1)).unwrap_or_default();
+        tail = tail
+            .get(lo + window.partition_point(|&y| key(y) < k)..)
+            .unwrap_or_default();
+        if let Some((&y, rest)) = tail.split_first() {
+            if key(y) == k {
+                on_match(x, y);
+                tail = rest;
+            }
+        }
+    }
+}
+
+/// One occupied 64-cell block: its key `cell >> 6` and a word with bit
+/// `cell & 63` set for every member cell in it.
+type Block = (u64, u64);
+
+fn block_key((key, _): Block) -> u64 {
+    key
+}
+
+/// Popcount of the `AND` of two matched blocks' words.
+fn shared_cells((_, a): Block, (_, b): Block) -> usize {
+    (a & b).count_ones() as usize
+}
+
+/// Bit-packed block representation of a sorted cell list.  Keys are
+/// strictly increasing, words are never zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PackedCells {
-    keys: Vec<u64>,
-    words: Vec<u64>,
+    blocks: Vec<Block>,
 }
 
 impl PackedCells {
     /// Packs a sorted, deduplicated cell list into blocks.
     fn build(cells: &[CellId]) -> Self {
-        let mut keys: Vec<u64> = Vec::new();
-        let mut words: Vec<u64> = Vec::new();
+        let mut blocks: Vec<Block> = Vec::new();
         for &cell in cells {
             let key = cell >> 6;
             let bit = 1u64 << (cell & 63);
-            match words.last_mut() {
-                Some(word) if keys.last() == Some(&key) => *word |= bit,
-                _ => {
-                    keys.push(key);
-                    words.push(bit);
-                }
+            match blocks.last_mut() {
+                Some((last, word)) if *last == key => *word |= bit,
+                _ => blocks.push((key, bit)),
             }
         }
-        Self { keys, words }
+        Self { blocks }
     }
 
-    /// Number of occupied blocks.
-    fn block_count(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Word-parallel intersection size: merge the two key lists and popcount
-    /// the `AND` of matching words.  Galloping over the larger key list when
-    /// the block counts themselves are skewed.
+    /// Word-parallel intersection size: merge the two block lists and
+    /// popcount the `AND` of matching words.  Galloping over the larger
+    /// block list when the block counts themselves are skewed.
     fn intersection_size(&self, other: &PackedCells) -> usize {
-        let (small, large) = if self.keys.len() <= other.keys.len() {
-            (self, other)
+        let (small, large) = if self.blocks.len() <= other.blocks.len() {
+            (&self.blocks, &other.blocks)
         } else {
-            (other, self)
+            (&other.blocks, &self.blocks)
         };
-        if small.keys.is_empty() {
-            return 0;
-        }
-        if small.keys.len() * GALLOP_SKEW < large.keys.len() {
-            small.intersection_size_galloping(large)
+        let mut count = 0;
+        if small.len() * GALLOP_SKEW < large.len() {
+            gallop_join(small, large, block_key, |a, b| count += shared_cells(a, b));
         } else {
-            small.intersection_size_merge(large)
+            let _ = merge_join(small, large, block_key, |a, b| {
+                count += shared_cells(a, b);
+                ControlFlow::Continue(())
+            });
         }
+        count
     }
 
     /// Returns `true` as soon as any block `AND` is non-zero — the
     /// word-parallel "do these sets share a cell?" predicate.
     fn intersects(&self, other: &PackedCells) -> bool {
-        let mut i = 0;
-        let mut j = 0;
-        while i < self.keys.len() && j < other.keys.len() {
-            match self.keys[i].cmp(&other.keys[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if self.words[i] & other.words[j] != 0 {
-                        return true;
-                    }
-                    i += 1;
-                    j += 1;
-                }
+        merge_join(&self.blocks, &other.blocks, block_key, |(_, a), (_, b)| {
+            if a & b == 0 {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-        }
-        false
-    }
-
-    fn intersection_size_merge(&self, other: &PackedCells) -> usize {
-        let mut i = 0;
-        let mut j = 0;
-        let mut count = 0;
-        while i < self.keys.len() && j < other.keys.len() {
-            match self.keys[i].cmp(&other.keys[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += (self.words[i] & other.words[j]).count_ones() as usize;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
-    }
-
-    fn intersection_size_galloping(&self, other: &PackedCells) -> usize {
-        let mut base = 0;
-        let mut count = 0;
-        for (idx, &key) in self.keys.iter().enumerate() {
-            let tail = &other.keys[base..];
-            if tail.is_empty() {
-                break;
-            }
-            let mut step = 1;
-            while step < tail.len() && tail[step] < key {
-                step <<= 1;
-            }
-            let lo = step >> 1;
-            let hi = step.min(tail.len() - 1);
-            match tail[lo..=hi].binary_search(&key) {
-                Ok(pos) => {
-                    count += (self.words[idx] & other.words[base + lo + pos]).count_ones() as usize;
-                    base += lo + pos + 1;
-                }
-                Err(pos) => {
-                    base += lo + pos;
-                }
-            }
-        }
-        count
+        })
+        .is_break()
     }
 
     /// Heap bytes used by the packed form.
     fn memory_bytes(&self) -> usize {
-        (self.keys.capacity() + self.words.capacity()) * std::mem::size_of::<u64>()
+        self.blocks.capacity() * std::mem::size_of::<Block>()
     }
 }
 
@@ -254,39 +280,24 @@ impl BoundaryIndex {
         cells.sort_unstable_by_key(key);
         let coords: Vec<(f64, f64)> = cells.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
         let mut blocks: Vec<BoundaryBlock> = Vec::new();
-        let mut start = 0usize;
-        while start < cells.len() {
-            let block_key = key(&cells[start]);
-            let mut end = start + 1;
-            while end < cells.len() && key(&cells[end]) == block_key {
-                end += 1;
-            }
-            // Explicit comparisons instead of `fold(…, f64::min)`: the
-            // coordinates come from u32 grid cells so no NaN can occur, but
-            // the float-ordering rule bans the NaN-dropping idiom wholesale.
-            let mut block = BoundaryBlock {
-                min_x: f64::INFINITY,
-                min_y: f64::INFINITY,
-                max_x: f64::NEG_INFINITY,
-                max_y: f64::NEG_INFINITY,
-                start: start as u32,
-                end: end as u32,
-            };
-            for &(x, y) in &coords[start..end] {
-                if x < block.min_x {
-                    block.min_x = x;
-                }
-                if y < block.min_y {
-                    block.min_y = y;
-                }
-                if x > block.max_x {
-                    block.max_x = x;
-                }
-                if y > block.max_y {
-                    block.max_y = y;
-                }
-            }
-            blocks.push(block);
+        let mut start = 0u32;
+        for run in cells.chunk_by(|a, b| key(a) == key(b)) {
+            // The bounding box in integer cell coordinates, exact in `f64`.
+            let (min_x, min_y, max_x, max_y) = run.iter().fold(
+                (u32::MAX, u32::MAX, 0, 0),
+                |(min_x, min_y, max_x, max_y), &(x, y)| {
+                    (min_x.min(x), min_y.min(y), max_x.max(x), max_y.max(y))
+                },
+            );
+            let end = start + run.len() as u32;
+            blocks.push(BoundaryBlock {
+                min_x: min_x as f64,
+                min_y: min_y as f64,
+                max_x: max_x as f64,
+                max_y: max_y as f64,
+                start,
+                end,
+            });
             start = end;
         }
         Self { coords, blocks }
@@ -329,7 +340,7 @@ impl CellSet {
 
     /// Wraps an already sorted, deduplicated cell vector.
     fn from_sorted(cells: Vec<CellId>) -> Self {
-        debug_assert!(cells.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(cells.windows(2).all(|w| matches!(w, [a, b] if a < b)));
         Self {
             cells,
             packed: OnceLock::new(),
@@ -482,15 +493,13 @@ impl CellSet {
     /// recognised either way, and a wrong guess only costs the kernel choice,
     /// never correctness).
     fn density_hint(&self) -> f64 {
-        if self.cells.is_empty() {
+        let (Some(first), Some(last)) = (self.cells.first(), self.cells.last()) else {
             return 0.0;
-        }
+        };
         if let Some(packed) = self.packed.get() {
-            return self.cells.len() as f64 / packed.block_count() as f64;
+            return self.cells.len() as f64 / packed.blocks.len() as f64;
         }
-        let first = self.cells[0] >> 6;
-        let last = self.cells[self.cells.len() - 1] >> 6;
-        let spanned = (last - first + 1) as f64;
+        let spanned = ((last >> 6) - (first >> 6) + 1) as f64;
         self.cells.len() as f64 / spanned
     }
 
@@ -531,60 +540,23 @@ impl CellSet {
         self.packed().intersection_size(other.packed())
     }
 
-    /// Reference linear merge of the two sorted lists. Exposed so tests and
-    /// benches can compare the adaptive paths against it.
+    /// Linear merge of the two sorted lists. Exposed so benches can time
+    /// it against the packed kernel.
     pub fn intersection_size_linear(&self, other: &CellSet) -> usize {
         CALLS_LINEAR.fetch_add(1, Ordering::Relaxed);
-        let mut i = 0;
-        let mut j = 0;
         let mut count = 0;
-        while i < self.cells.len() && j < other.cells.len() {
-            match self.cells[i].cmp(&other.cells[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        let _ = merge_join(&self.cells, &other.cells, identity, |_, _| {
+            count += 1;
+            ControlFlow::Continue(())
+        });
         count
     }
 
-    /// Galloping intersection: for each cell of `self` (assumed the smaller
-    /// set), exponentially probe forward in `other`'s remaining tail, then
-    /// binary-search the bracketed window.  Unlike a per-element full binary
-    /// search this is `O(m·log(n/m))` overall and never rescans the part of
-    /// `other` already passed, which is what makes it profitable even when
-    /// the skew is moderate. Exposed so tests can drive this path directly.
-    pub fn intersection_size_galloping(&self, other: &CellSet) -> usize {
+    /// Galloping intersection of `self` (the smaller set) into `other`.
+    fn intersection_size_galloping(&self, other: &CellSet) -> usize {
         CALLS_GALLOPING.fetch_add(1, Ordering::Relaxed);
-        let mut base = 0; // everything before `base` in `other` is consumed
         let mut count = 0;
-        for &cell in &self.cells {
-            let tail = &other.cells[base..];
-            if tail.is_empty() {
-                break;
-            }
-            // Exponential probe: find the first window [step/2, step] whose
-            // upper bound reaches `cell`.
-            let mut step = 1;
-            while step < tail.len() && tail[step] < cell {
-                step <<= 1;
-            }
-            let lo = step >> 1;
-            let hi = step.min(tail.len() - 1);
-            match tail[lo..=hi].binary_search(&cell) {
-                Ok(pos) => {
-                    count += 1;
-                    base += lo + pos + 1;
-                }
-                Err(pos) => {
-                    base += lo + pos;
-                }
-            }
-        }
+        gallop_join(&self.cells, &other.cells, identity, |_, _| count += 1);
         count
     }
 
@@ -600,27 +572,20 @@ impl CellSet {
     /// The union of two cell sets as a new set.
     pub fn union(&self, other: &CellSet) -> CellSet {
         let mut out = Vec::with_capacity(self.len() + other.len());
-        let mut i = 0;
-        let mut j = 0;
-        while i < self.cells.len() && j < other.cells.len() {
-            match self.cells[i].cmp(&other.cells[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.cells[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.cells[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.cells[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
+        let (mut a, mut b) = (self.cells(), other.cells());
+        while let ([x, a_rest @ ..], [y, b_rest @ ..]) = (a, b) {
+            let (cell, next) = if x < y {
+                (x, (a_rest, b))
+            } else if x > y {
+                (y, (a, b_rest))
+            } else {
+                (x, (a_rest, b_rest))
+            };
+            out.push(*cell);
+            (a, b) = next;
         }
-        out.extend_from_slice(&self.cells[i..]);
-        out.extend_from_slice(&other.cells[j..]);
+        out.extend_from_slice(a);
+        out.extend_from_slice(b);
         CellSet::from_sorted(out)
     }
 
@@ -632,19 +597,10 @@ impl CellSet {
     /// The intersection of two cell sets as a new set.
     pub fn intersection(&self, other: &CellSet) -> CellSet {
         let mut out = Vec::new();
-        let mut i = 0;
-        let mut j = 0;
-        while i < self.cells.len() && j < other.cells.len() {
-            match self.cells[i].cmp(&other.cells[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.cells[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        let _ = merge_join(&self.cells, &other.cells, identity, |cell, _| {
+            out.push(cell);
+            ControlFlow::Continue(())
+        });
         CellSet::from_sorted(out)
     }
 
@@ -762,7 +718,6 @@ impl CellSet {
 fn block_of(cell: CellId, bits: u32) -> CellId {
     cell.checked_shr(bits).unwrap_or(0)
 }
-
 impl FromIterator<CellId> for CellSet {
     fn from_iter<I: IntoIterator<Item = CellId>>(iter: I) -> Self {
         CellSet::from_cells(iter)
@@ -778,6 +733,13 @@ mod tests {
 
     fn set(ids: &[CellId]) -> CellSet {
         CellSet::from_cells(ids.iter().copied())
+    }
+
+    /// `|a ∩ b|` counted through a `BTreeSet`: an oracle that shares no code
+    /// with the joins the kernels run on.
+    fn oracle_intersection_size(a: &CellSet, b: &CellSet) -> usize {
+        let b: BTreeSet<CellId> = b.iter().collect();
+        a.iter().filter(|cell| b.contains(cell)).count()
     }
 
     #[test]
@@ -1113,8 +1075,10 @@ mod tests {
             prop_assert_eq!(ca.intersection_size(&cb), sa.intersection(&sb).count());
             prop_assert_eq!(ca.union_size(&cb), sa.union(&sb).count());
             let u: Vec<u64> = sa.union(&sb).copied().collect();
-            let cu = ca.union(&cb);
-            prop_assert_eq!(cu.cells(), &u[..]);
+            prop_assert_eq!(ca.union(&cb).cells().to_vec(), u);
+            let i: Vec<u64> = sa.intersection(&sb).copied().collect();
+            prop_assert_eq!(ca.intersects(&cb), !i.is_empty());
+            prop_assert_eq!(ca.intersection(&cb).cells().to_vec(), i);
         }
 
         #[test]
@@ -1177,10 +1141,11 @@ mod tests {
         ) {
             let ca = CellSet::from_cells(a);
             let cb = CellSet::from_cells(b);
-            let linear = ca.intersection_size_linear(&cb);
-            prop_assert_eq!(ca.intersection_size_galloping(&cb), linear);
-            prop_assert_eq!(cb.intersection_size_galloping(&ca), linear);
-            prop_assert_eq!(ca.intersection_size(&cb), linear);
+            let truth = oracle_intersection_size(&ca, &cb);
+            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(ca.intersection_size_galloping(&cb), truth);
+            prop_assert_eq!(cb.intersection_size_galloping(&ca), truth);
+            prop_assert_eq!(ca.intersection_size(&cb), truth);
         }
 
         #[test]
@@ -1190,9 +1155,10 @@ mod tests {
         ) {
             let ca = CellSet::from_cells(a);
             let cb = CellSet::from_cells(b);
-            let linear = ca.intersection_size_linear(&cb);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), linear);
-            prop_assert_eq!(cb.intersection_size_packed(&ca), linear);
+            let truth = oracle_intersection_size(&ca, &cb);
+            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
+            prop_assert_eq!(cb.intersection_size_packed(&ca), truth);
         }
 
         #[test]
@@ -1205,10 +1171,11 @@ mod tests {
             // Dense runs: the distribution the word-parallel kernel targets.
             let ca: CellSet = (start_a..start_a + len_a as u64).collect();
             let cb: CellSet = (start_b..start_b + len_b as u64).collect();
-            let linear = ca.intersection_size_linear(&cb);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), linear);
-            prop_assert_eq!(ca.intersection_size(&cb), linear);
-            prop_assert_eq!(ca.union_size(&cb), ca.len() + cb.len() - linear);
+            let truth = oracle_intersection_size(&ca, &cb);
+            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
+            prop_assert_eq!(ca.intersection_size(&cb), truth);
+            prop_assert_eq!(ca.union_size(&cb), ca.len() + cb.len() - truth);
         }
 
         #[test]
@@ -1220,10 +1187,11 @@ mod tests {
             // other — exercises the packed gallop path and the word masks.
             let single = CellSet::from_cells([cell]);
             let rest = CellSet::from_cells(others);
-            let linear = single.intersection_size_linear(&rest);
-            prop_assert_eq!(single.intersection_size_packed(&rest), linear);
-            prop_assert_eq!(rest.intersection_size_packed(&single), linear);
-            prop_assert_eq!(single.intersection_size(&rest), linear);
+            let truth = oracle_intersection_size(&single, &rest);
+            prop_assert_eq!(single.intersection_size_linear(&rest), truth);
+            prop_assert_eq!(single.intersection_size_packed(&rest), truth);
+            prop_assert_eq!(rest.intersection_size_packed(&single), truth);
+            prop_assert_eq!(single.intersection_size(&rest), truth);
         }
 
         #[test]
@@ -1239,10 +1207,11 @@ mod tests {
                 blocks_a.iter().flat_map(|&hi| lows.iter().map(move |&lo| (hi << 6) | lo)));
             let cb = CellSet::from_cells(
                 blocks_b.iter().flat_map(|&hi| lows.iter().map(move |&lo| (hi << 6) | lo)));
-            let linear = ca.intersection_size_linear(&cb);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), linear);
-            prop_assert_eq!(cb.intersection_size_packed(&ca), linear);
-            prop_assert_eq!(ca.intersection_size(&cb), linear);
+            let truth = oracle_intersection_size(&ca, &cb);
+            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
+            prop_assert_eq!(cb.intersection_size_packed(&ca), truth);
+            prop_assert_eq!(ca.intersection_size(&cb), truth);
         }
 
         #[test]
@@ -1255,18 +1224,11 @@ mod tests {
             // the galloping path inside `intersection_size`.
             let ca = CellSet::from_cells(small);
             let cb: CellSet = (dense_start..dense_start + dense_len as u64).collect();
-            prop_assert_eq!(
-                ca.intersection_size(&cb),
-                ca.intersection_size_linear(&cb)
-            );
-            prop_assert_eq!(
-                ca.intersection_size_galloping(&cb),
-                ca.intersection_size_linear(&cb)
-            );
-            prop_assert_eq!(
-                ca.intersection_size_packed(&cb),
-                ca.intersection_size_linear(&cb)
-            );
+            let truth = oracle_intersection_size(&ca, &cb);
+            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(ca.intersection_size(&cb), truth);
+            prop_assert_eq!(ca.intersection_size_galloping(&cb), truth);
+            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
         }
 
         #[test]

@@ -24,6 +24,9 @@
 //! [`dataset_distance_bounded`] additionally threads a caller-supplied
 //! cutoff into the block pruning so far-away candidates abandon after the
 //! bound checks instead of scanning cells to completion.
+//!
+//! Block ranges, the seed block pair and the probe's x-window are all read
+//! with checked access (`get`), so nothing here can index out of bounds.
 
 use crate::cellset::{BoundaryBlock, BoundaryIndex, CellSet};
 use crate::zorder::cell_coords;
@@ -139,8 +142,9 @@ fn block_distance(a: &BoundaryIndex, b: &BoundaryIndex, good_enough: f64, cutoff
     let mut best = f64::INFINITY;
     let mut best_sq = f64::INFINITY;
     let scan = |ba: &BoundaryBlock, bb: &BoundaryBlock, best: &mut f64, best_sq: &mut f64| {
-        for &(ax, ay) in &a.coords[ba.start as usize..ba.end as usize] {
-            for &(bx, by) in &b.coords[bb.start as usize..bb.end as usize] {
+        let b_cells = block_cells(b, bb);
+        for &(ax, ay) in block_cells(a, ba) {
+            for &(bx, by) in b_cells {
                 let dx = bx - ax;
                 let dy = by - ay;
                 // Compare in the squared domain; the square root is only
@@ -159,13 +163,10 @@ fn block_distance(a: &BoundaryIndex, b: &BoundaryIndex, good_enough: f64, cutoff
         }
         false
     };
-    if scan(
-        &a.blocks[seed.0],
-        &b.blocks[seed.1],
-        &mut best,
-        &mut best_sq,
-    ) {
-        return best;
+    if let (Some(ba), Some(bb)) = (a.blocks.get(seed.0), b.blocks.get(seed.1)) {
+        if scan(ba, bb, &mut best, &mut best_sq) {
+            return best;
+        }
     }
     for (i, ba) in a.blocks.iter().enumerate() {
         for (j, bb) in b.blocks.iter().enumerate() {
@@ -182,6 +183,15 @@ fn block_distance(a: &BoundaryIndex, b: &BoundaryIndex, good_enough: f64, cutoff
         }
     }
     best
+}
+
+/// The boundary cells of one block of `index`, in the order the block
+/// range lists them.
+fn block_cells<'a>(index: &'a BoundaryIndex, block: &BoundaryBlock) -> &'a [(f64, f64)] {
+    index
+        .coords
+        .get(block.start as usize..block.end as usize)
+        .unwrap_or_default()
 }
 
 /// A reusable "is anything within δ of this set?" probe.
@@ -223,7 +233,7 @@ impl NeighborProbe {
             // All probe cells with x in [cx - delta, cx + delta] are the only
             // ones that can be within delta of this cell.
             let start = self.xs.partition_point(|&(x, _)| x < cx - delta);
-            for &(x, y) in &self.xs[start..] {
+            for &(x, y) in self.xs.get(start..).unwrap_or_default() {
                 if x > cx + delta {
                     break;
                 }
