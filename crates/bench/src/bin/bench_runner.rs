@@ -41,11 +41,14 @@
 //!
 //! The `knn_comm` section counts what federated kNN puts on the wire per
 //! query under each distribution strategy — `Broadcast` (one whole query to
-//! every source), `Pruned` (two waves: the first reply's k-th distance skips
-//! sources) and `PrunedClipped` (it also clips what the rest receive).  The
-//! rows come out of the check that runs before any row over the federation
-//! is timed: every strategy's answer equals the merged per-source brute
-//! force, and request bytes never grow from one strategy to the next.
+//! every source), `Pruned` (two waves: the first reply's k-th key skips the
+//! sources that could not beat it, ties at its distance from a higher id
+//! included) and `PrunedClipped` (it also sends the rest only the query
+//! cells within that distance of their rectangle and their sketch's blocks);
+//! `shards_per_query` counts the requests of both waves.  The rows come out
+//! of the check that runs before any row over the federation is timed: every
+//! strategy's answer equals the merged per-source brute force, and request
+//! bytes never grow from one strategy to the next.
 //!
 //! The `ojsp_comm` section does the same for federated OJSP, whose strategies
 //! differ in one wave: `Broadcast` sends every source the whole query,
@@ -238,13 +241,7 @@ fn main() {
             t.name, t.qps, t.p50_ns, t.p99_ns
         );
     }
-    for c in &suite.knn_comm {
-        println!(
-            "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} sources/query",
-            c.name, c.request_bytes_per_query, c.reply_bytes_per_query, c.sources_per_query
-        );
-    }
-    for c in &suite.ojsp_comm {
+    for c in suite.knn_comm.iter().chain(&suite.ojsp_comm) {
         println!(
             "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} sources/query  \
              {:>5.2} shards/query",
@@ -371,8 +368,8 @@ struct StrategyCommReport {
     reply_bytes_per_query: f64,
     /// Sources routed to.
     sources_per_query: f64,
-    /// Requests sent (written for OJSP, where a routed source whose clipped
-    /// query is empty is sent nothing).
+    /// Requests sent: a routed source whose clipped query is empty is sent
+    /// nothing, and kNN counts both of its waves.
     shards_per_query: f64,
 }
 
@@ -1221,42 +1218,26 @@ fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> Str
         ));
     }
     s.push_str("  ],\n");
-    s.push_str("  \"knn_comm\": [\n");
-    for (i, c) in suite.knn_comm.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
-             \"reply_bytes_per_query\": {:.1}, \"sources_per_query\": {:.2}}}{}\n",
-            escape_json(&c.name),
-            c.request_bytes_per_query,
-            c.reply_bytes_per_query,
-            c.sources_per_query,
-            if i + 1 < suite.knn_comm.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+    for (section, rows) in [
+        ("knn_comm", &suite.knn_comm),
+        ("ojsp_comm", &suite.ojsp_comm),
+    ] {
+        s.push_str(&format!("  \"{section}\": [\n"));
+        for (i, c) in rows.iter().enumerate() {
+            s.push_str(&format!(
+                "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
+                 \"reply_bytes_per_query\": {:.1}, \"sources_per_query\": {:.2}, \
+                 \"shards_per_query\": {:.2}}}{}\n",
+                escape_json(&c.name),
+                c.request_bytes_per_query,
+                c.reply_bytes_per_query,
+                c.sources_per_query,
+                c.shards_per_query,
+                if i + 1 < rows.len() { "," } else { "" }
+            ));
+        }
+        s.push_str("  ],\n");
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"ojsp_comm\": [\n");
-    for (i, c) in suite.ojsp_comm.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
-             \"reply_bytes_per_query\": {:.1}, \"sources_per_query\": {:.2}, \
-             \"shards_per_query\": {:.2}}}{}\n",
-            escape_json(&c.name),
-            c.request_bytes_per_query,
-            c.reply_bytes_per_query,
-            c.sources_per_query,
-            c.shards_per_query,
-            if i + 1 < suite.ojsp_comm.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str("  \"summary_bytes\": [\n");
     for (i, b) in suite.summary_bytes.iter().enumerate() {
         s.push_str(&format!(
@@ -1733,8 +1714,9 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
     }
 
     // Checked where present: the sections are newer than the schema
-    // version, and the tree keeps a snapshot from before the newest.
-    const COMM_SECTIONS: [(&str, &[&str]); 4] = [
+    // version, and the tree keeps a snapshot from before the newest — and so
+    // are the fields a section gained later (the second list).
+    const COMM_SECTIONS: [(&str, &[&str], &[&str]); 4] = [
         (
             "knn_comm",
             &[
@@ -1742,6 +1724,7 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
                 "reply_bytes_per_query",
                 "sources_per_query",
             ],
+            &["shards_per_query"],
         ),
         (
             "ojsp_comm",
@@ -1751,8 +1734,9 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
                 "sources_per_query",
                 "shards_per_query",
             ],
+            &[],
         ),
-        ("summary_bytes", &["bytes", "blocks"]),
+        ("summary_bytes", &["bytes", "blocks"], &[]),
         (
             "cjsp_comm",
             &[
@@ -1762,9 +1746,10 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
                 "candidates_named_per_query",
                 "candidates_shipped_per_query",
             ],
+            &[],
         ),
     ];
-    for (section, fields) in COMM_SECTIONS {
+    for (section, fields, newer) in COMM_SECTIONS {
         for (i, c) in root
             .get(section)
             .and_then(Json::as_array)
@@ -1775,7 +1760,8 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
             if c.get("name").and_then(Json::as_str).is_none() {
                 return Err(format!("{section}[{i}] missing string name"));
             }
-            for field in fields {
+            let present = newer.iter().filter(|field| c.get(field).is_some());
+            for field in fields.iter().chain(present) {
                 let n = c
                     .get(field)
                     .and_then(Json::as_number)

@@ -14,7 +14,9 @@
 //! [`DistributionStrategy::PrunedClipped`] rectangle and sketch together
 //! decide *what* an OJSP query sends it — only the query cells inside the
 //! rectangle whose block the source occupies, since no other cell can be
-//! shared with any of its datasets ([`DataCenter::clip_for_source`]).
+//! shared with any of its datasets — and what kNN's second wave sends it:
+//! only the query cells within the first reply's k-th distance of both
+//! ([`DataCenter::clip_for_source`]).
 //!
 //! Maintenance has one way into DITS-G: [`DataCenter::apply_updates`] puts
 //! the summary a source answers a batch with (or removes the source when the
@@ -50,8 +52,8 @@ pub enum DistributionStrategy {
     Pruned,
     /// Use DITS-G to select candidate sources *and* clip the query to the
     /// region that can intersect each source (both strategies — the paper's
-    /// full query-distribution scheme): its root rectangle and, for OJSP,
-    /// the blocks of its sketch.
+    /// full query-distribution scheme): its root rectangle and, for OJSP and
+    /// kNN, the blocks of its sketch.
     PrunedClipped,
 }
 
@@ -543,15 +545,18 @@ impl DataCenter {
     /// reproduces the local root's integer cell rectangle exactly, and the
     /// clipping decision is identical to one taken next to the local index.
     ///
-    /// Then, when the answer is a function of the cells query and datasets
-    /// *share* and of nothing else (`shared_cells_only`: OJSP), to the blocks
-    /// the center holds of the source's sketch: they contain every block the
-    /// source's datasets touch, so a cell outside them is in none of those
-    /// datasets, and dropping it changes no
-    /// `|S_Q ∩ S_D|` — and no rank, since a source reports positive overlaps
-    /// only.  (A distance or a δ-connection reaches across blocks, so CJSP
-    /// and kNN keep the window.)  Without a sketch of the source the window
-    /// is all there is.
+    /// Then, when the reply depends on a query cell only through the source's
+    /// cells within δ of it (`near_cells_only`: OJSP, where δ is 0 and the
+    /// cells are the ones query and datasets *share*; kNN's second wave,
+    /// where δ is the first reply's k-th distance), to the cells within δ of
+    /// the blocks the center holds of the source's sketch
+    /// ([`CellSet::clip_near_blocks`]).  Those blocks contain every block the
+    /// source's datasets touch, so a dropped cell is farther than δ from all
+    /// of those datasets: for OJSP it changes no `|S_Q ∩ S_D|` — and no rank,
+    /// since a source reports positive overlaps only — and for kNN no
+    /// distance that can enter the answer (the argument is on the engine's
+    /// `Knn` kind).  CJSP keeps the window: its coverage counts every query
+    /// cell.  Without a sketch of the source the window is all there is.
     pub(crate) fn clip_for_source(
         &self,
         summary: &SourceSummary,
@@ -559,7 +564,7 @@ impl DataCenter {
         cells: &CellSet,
         delta_cells: f64,
         strategy: DistributionStrategy,
-        shared_cells_only: bool,
+        near_cells_only: bool,
     ) -> CellSet {
         match strategy {
             DistributionStrategy::Broadcast | DistributionStrategy::Pruned => cells.clone(),
@@ -572,7 +577,9 @@ impl DataCenter {
                 );
                 let clipped = cells.clip_to_window(&window);
                 match self.sketches.get(&summary.source) {
-                    Some(blocks) if shared_cells_only => clipped.clip_to_blocks(blocks, BLOCK_BITS),
+                    Some(blocks) if near_cells_only => {
+                        clipped.clip_near_blocks(blocks, BLOCK_BITS, slack)
+                    }
                     _ => clipped,
                 }
             }

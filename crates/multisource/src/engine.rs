@@ -34,9 +34,9 @@
 //!    (`QueryKind::settle`).
 //!
 //! Plan and execute repeat until every query has its answer.  kNN asks for
-//! more once: each query's nearest source answers first, and the k-th
-//! distance of its reply decides which other sources are asked at all and
-//! what part of the query they are sent.  CJSP asks while a candidate that
+//! more once: each query's nearest source answers first, and the key of the
+//! k-th neighbour of its reply decides which other sources are asked at all
+//! and what part of the query they are sent.  CJSP asks while a candidate that
 //! travelled as a bare size could still beat a pick of the center's greedy,
 //! and fetches the cells of those candidates only (the rule and why the
 //! answer is exact are on the `Cjsp` kind).
@@ -385,7 +385,7 @@ impl<'a> QueryEngine<'a> {
                         full,
                         slack,
                         strategy,
-                        K::SHARED_CELLS_ONLY,
+                        K::NEAR_CELLS_ONLY,
                     ),
                     None => full.clone(),
                 };
@@ -494,10 +494,14 @@ impl<'a> QueryEngine<'a> {
                         *answer = Some(settled);
                         continue;
                     }
-                    Settled::HeldBack { cutoff } => {
+                    Settled::HeldBack { kth } => {
                         let mut targets = std::mem::take(&mut plan.held_back);
-                        targets.retain(|&(lower_bound, _)| lower_bound <= cutoff);
-                        plan_shards(&mut tasks, &mut grids, plan, &targets, Some(cutoff))?;
+                        targets.retain(|(lower_bound, summary)| {
+                            Knn::may_beat(*lower_bound, summary.source, kth)
+                        });
+                        let (cutoff, _) = kth;
+                        let clip = cutoff.is_finite().then_some(cutoff + BOUND_SLACK);
+                        plan_shards(&mut tasks, &mut grids, plan, &targets, clip)?;
                     }
                     // Not the query and not a new contact: the sources
                     // named here have already answered it.
@@ -559,11 +563,14 @@ struct QueryPlan<'q> {
 enum Settled<A> {
     /// The bucket is final and this is its answer.
     Final(A),
-    /// The query itself must still go to the sources held back so far whose
-    /// routing lower bound is within `cutoff`: each is a new contact and is
-    /// sent the query clipped to its root rectangle grown by `cutoff`.  The
-    /// plan gives up everything it held back.
-    HeldBack { cutoff: f64 },
+    /// The query itself must still go to those of the sources held back so
+    /// far that can still send a key sorting before `kth`, the key
+    /// `(distance, source)` of the k-th neighbour the replies so far hold
+    /// ([`Knn::may_beat`]).  Each is a new contact and is sent only the query
+    /// cells within that distance of its root rectangle and of the blocks of
+    /// its sketch — all of them when the distance is infinite.  The plan
+    /// gives up everything it held back.
+    HeldBack { kth: (f64, SourceId) },
     /// Requests other than the query, sent as they are to sources that have
     /// already answered it.
     Requests(Vec<(SourceId, Message)>),
@@ -597,11 +604,13 @@ trait QueryKind {
     /// Whether settling one bucket is work enough — milliseconds, not a
     /// sort — for a batch's open queries to be settled on the worker pool.
     const SETTLES_ON_THE_POOL: bool = false;
-    /// Whether a source's reply depends on the query only through the cells
-    /// it shares with the source's datasets, so that a clipped query may
-    /// also leave out every cell in a block the source's sketch shows empty
+    /// Whether a source's reply depends on a query cell only through the
+    /// source's cells within the clip slack of it — the cells it shares for
+    /// OJSP, those within the first reply's k-th distance for kNN — so that
+    /// a clipped query may also leave out every cell farther than the slack
+    /// from the blocks the source's sketch shows occupied
     /// (`DataCenter::clip_for_source`).
-    const SHARED_CELLS_ONLY: bool = false;
+    const NEAR_CELLS_ONLY: bool = false;
 
     /// How queries of this kind are routed.
     fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError>;
@@ -656,7 +665,7 @@ impl QueryKind for Ojsp {
     type Answer = AggregatedOverlap;
     const NAME: &'static str = "ojsp";
     const REPLY: &'static str = "OverlapReply";
-    const SHARED_CELLS_ONLY: bool = true;
+    const NEAR_CELLS_ONLY: bool = true;
 
     fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
         Ok(Routing::Intersecting {
@@ -824,24 +833,33 @@ impl QueryKind for Cjsp {
 }
 
 /// k-nearest datasets, in two waves: the routed source with the smallest
-/// DITS-G lower bound answers the whole query first, and the k-th distance
-/// *c* of its reply decides the rest — a source whose lower bound exceeds *c*
-/// is never contacted, and the others get the query clipped to their root
-/// rectangle grown by *c* (∞, i.e. no pruning and no clipping, when the first
-/// reply held fewer than `k` neighbours or its shard was skipped as failed).
+/// DITS-G lower bound answers the whole query first, and the key
+/// `(c, s_k)` — distance, then source — of the k-th neighbour of its reply
+/// decides the rest.  A held-back source `s` with lower bound `lb` is
+/// contacted only if `(lb, s) < (c, s_k)` ([`Knn::may_beat`]), and is sent
+/// only the query cells within *c* of its root rectangle and of the blocks
+/// the center holds of its sketch.  When the first reply held fewer than `k`
+/// neighbours, or its shard was skipped as failed, *c* is ∞: every held-back
+/// source is sent the whole query.
 ///
 /// This is exact, not approximate.  Definition 6 is a minimum over cell
-/// pairs and every dataset of a source lies inside its root rectangle, so a
-/// pair realising a distance ≤ *c* has its query cell inside the grown
-/// window: a clipped distance equals the true one wherever the true one is
-/// ≤ *c* (ties at exactly *c* included — same integer cell pair, same `f64`
-/// bits) and can only exceed *c* elsewhere.  The first wave alone holds `k`
-/// neighbours within *c*, so whatever lies beyond *c* — a clipped source's
-/// inflated distances, a skipped source's datasets — sorts behind them and
-/// is truncated by the global top-k.  *c*, the lower bounds and the windows
-/// are numbers in each source's own cell units, compared the way the reducer
-/// compares reported distances, so a mixed-resolution federation keeps the
-/// answer the one-wave merge gives.
+/// pairs and every dataset of a source lies inside its root rectangle, so
+/// every key `s` can send is `(d, s, dataset)` with `d ≥ lb`.  `lb` and *c*
+/// are both square roots of integers in cell space (`Mbr::min_distance`, and
+/// the distance kernel), so the strict `lb < c` decides exactly.  When
+/// `lb ≥ c` and `s > s_k`, every key `s` could send sorts after the `k` keys
+/// the first reply already holds, and the global top-k truncates it: with
+/// *c* = 0, only sources with a smaller id than the first can still matter.
+/// A contacted source loses no pair of cells realising a distance ≤ *c*: its
+/// data cell lies inside the root rectangle and inside a block of the
+/// sketch, which contains every block the source holds data in (it only
+/// grows), so its query cell is within *c* of both and is kept.  A clipped
+/// distance therefore equals the true one wherever the true one is ≤ *c*
+/// (ties at exactly *c* included — same integer cell pair, same `f64` bits)
+/// and can only exceed *c* elsewhere, where the top-k truncates it too.  *c*,
+/// the lower bounds and the clip are numbers in each source's own cell
+/// units, compared the way the reducer compares reported distances, so a
+/// mixed-resolution federation keeps the answer the one-wave merge gives.
 ///
 /// [`DistributionStrategy`] decides as it does for OJSP: `Broadcast` is one
 /// unclipped wave to every source, `Pruned` skips without clipping,
@@ -849,19 +867,35 @@ impl QueryKind for Cjsp {
 struct Knn;
 
 impl Knn {
-    /// The distance beyond which nothing can enter the answer: the largest
-    /// among `k` or more first-wave neighbours — the k-th distance of a
-    /// reply that holds exactly `k`.  A distance that is not a number gives
-    /// no cutoff at all.
-    fn cutoff(first_wave: &[(SourceId, Neighbor)], k: usize) -> f64 {
-        if first_wave.len() < k || first_wave.iter().any(|(_, n)| n.distance.is_nan()) {
-            return f64::INFINITY;
+    /// The order of the answer: distance, then source, then dataset.
+    fn by_key(a: &(SourceId, Neighbor), b: &(SourceId, Neighbor)) -> std::cmp::Ordering {
+        a.1.distance
+            .total_cmp(&b.1.distance)
+            .then(a.0.cmp(&b.0))
+            .then(a.1.dataset.cmp(&b.1.dataset))
+    }
+
+    /// The key `(distance, source)` of the k-th neighbour of the first wave:
+    /// no key after it can enter the answer.  Fewer than `k` neighbours, or a
+    /// distance that is not a number, give `(∞, SourceId::MAX)`, which every
+    /// source may beat.
+    fn kth_key(first_wave: &[(SourceId, Neighbor)], k: usize) -> (f64, SourceId) {
+        let mut keys = first_wave.to_vec();
+        keys.sort_unstable_by(Self::by_key);
+        match k.checked_sub(1).and_then(|i| keys.get(i)) {
+            Some(&(source, kth)) if keys.iter().all(|(_, n)| !n.distance.is_nan()) => {
+                (kth.distance, source)
+            }
+            _ => (f64::INFINITY, SourceId::MAX),
         }
-        first_wave
-            .iter()
-            .map(|(_, n)| n.distance)
-            .max_by(f64::total_cmp)
-            .unwrap_or(f64::INFINITY)
+    }
+
+    /// The tie rule: whether a held-back source with routing lower bound
+    /// `lower_bound` can still send a key sorting before `(c, s_k)`, i.e.
+    /// `(lower_bound, source) < (c, s_k)` — where a lower bound within
+    /// [`BOUND_SLACK`] above *c* is kept as a tie, which is always safe.
+    fn may_beat(lower_bound: f64, source: SourceId, (c, s_k): (f64, SourceId)) -> bool {
+        lower_bound < c || (lower_bound <= c + BOUND_SLACK && source < s_k)
     }
 }
 
@@ -870,6 +904,7 @@ impl QueryKind for Knn {
     type Answer = AggregatedKnn;
     const NAME: &'static str = "knn";
     const REPLY: &'static str = "KnnReply";
+    const NEAR_CELLS_ONLY: bool = true;
 
     fn routing(&self, _: &DataCenter, _: &mut GridCache) -> Result<Routing, SearchError> {
         Ok(Routing::DistanceBounds)
@@ -887,10 +922,9 @@ impl QueryKind for Knn {
         }
     }
 
-    /// After the first wave, while the plan holds sources back: one of them
-    /// is contacted only if its routing lower bound is within the cutoff the
-    /// first reply gives, with the query clipped to its root rectangle grown
-    /// by it.  After that, the global top-k by distance.
+    /// After the first wave, while the plan holds sources back: the first
+    /// reply's k-th key, which decides which of them are contacted and what
+    /// they are sent.  After that, the global top-k by key.
     fn settle(
         &self,
         plan: &QueryPlan,
@@ -900,16 +934,11 @@ impl QueryKind for Knn {
     ) -> Settled<AggregatedKnn> {
         if !plan.held_back.is_empty() {
             return Settled::HeldBack {
-                cutoff: Self::cutoff(bucket, k) + BOUND_SLACK,
+                kth: Self::kth_key(bucket, k),
             };
         }
         let mut all = bucket.to_vec();
-        all.sort_unstable_by(|a, b| {
-            a.1.distance
-                .total_cmp(&b.1.distance)
-                .then(a.0.cmp(&b.0))
-                .then(a.1.dataset.cmp(&b.1.dataset))
-        });
+        all.sort_unstable_by(Self::by_key);
         all.truncate(k);
         Settled::Final(AggregatedKnn { neighbors: all })
     }

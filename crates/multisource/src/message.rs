@@ -297,9 +297,17 @@ pub enum Message {
     },
     /// Data center → source: run a local k-nearest-datasets search.  The
     /// source a query is sent to first receives it whole; the others receive
-    /// it clipped to their root rectangle grown by the k-th distance of that
-    /// first reply, which changes no distance that can still enter the
-    /// answer (the argument is on the engine's `Knn` kind).
+    /// only the query cells within the k-th distance of that first reply of
+    /// their root rectangle and of the blocks of their sketch, which changes
+    /// no distance that can still enter the answer (the argument is on the
+    /// engine's `Knn` kind) — if their lower bound and id let them beat the
+    /// first reply's k-th neighbour at all.
+    ///
+    /// Since the clip reads the sketch, kNN shares the whole restart hole of
+    /// ROADMAP item 5 (b), the sketch's half included: a source restarted at
+    /// its initial state after the center polled it again can hold data in
+    /// blocks the center's sketch of it lacks, and the query cells near them
+    /// are not sent.
     KnnQuery {
         /// The query cells at the source's resolution — whole, or clipped as
         /// above.
@@ -312,7 +320,10 @@ pub enum Message {
     KnnReply {
         /// The replying source.
         source: SourceId,
-        /// Local nearest datasets with exact distances.
+        /// Local nearest datasets with exact distances — finite and not
+        /// negative, `-0.0` included, which `decode` refuses: it would rank
+        /// before every true distance, and as a first reply's k-th distance
+        /// leave every other source out.
         neighbors: Vec<Neighbor>,
     },
     /// Source → data center: the request could not be served.  Carries a
@@ -674,6 +685,9 @@ impl Message {
                         return Err(WireError::Truncated("neighbor distance"));
                     }
                     let distance = data.get_f64();
+                    if !distance.is_finite() || distance.is_sign_negative() {
+                        return Err(WireError::OutOfRange("neighbor distance"));
+                    }
                     neighbors.push(Neighbor { dataset, distance });
                 }
                 Ok(Message::KnnReply { source, neighbors })
@@ -1127,6 +1141,65 @@ mod tests {
         assert_eq!(Message::decode(r.encode()), Ok(r));
     }
 
+    fn knn_reply(distances: &[f64]) -> Message {
+        Message::KnnReply {
+            source: 258,
+            neighbors: distances
+                .iter()
+                .enumerate()
+                .map(|(i, &distance)| Neighbor {
+                    dataset: 70_000 + i as DatasetId,
+                    distance,
+                })
+                .collect(),
+        }
+    }
+
+    /// A source sends distances, and a distance is finite and never below
+    /// zero: a sign-bit flip would otherwise rank a neighbour first.
+    #[test]
+    fn knn_values_the_protocol_never_sends_are_rejected() {
+        let fits = knn_reply(&[0.0, 2f64.sqrt(), f64::MAX]);
+        assert_eq!(Message::decode(fits.encode()), Ok(fits));
+        for distance in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0] {
+            assert_eq!(
+                Message::decode(knn_reply(&[1.0, distance]).encode()),
+                Err(WireError::OutOfRange("neighbor distance")),
+                "distance {distance}"
+            );
+        }
+        // The sign bit of the first distance: tag, source, count, dataset id.
+        let mut raw = knn_reply(&[3.0]).encode().to_vec();
+        raw[1 + 2 + 1 + 3] ^= 0x80;
+        assert_eq!(
+            Message::decode(Bytes::from(raw)),
+            Err(WireError::OutOfRange("neighbor distance"))
+        );
+    }
+
+    /// The two kNN frames: a query, and a reply of three neighbours.
+    fn knn_mutation_frames() -> [Message; 2] {
+        [
+            Message::KnnQuery {
+                query: cs(&[3, 8, 1024, 70_000]),
+                k: 300,
+            },
+            knn_reply(&[0.0, 2f64.sqrt(), 45.5]),
+        ]
+    }
+
+    fn run_knn_mutation(case: u64) -> bool {
+        let _replay = dits::ReplayOnPanic("run_knn_mutation", case);
+        run_frame_mutation(&knn_mutation_frames(), case)
+    }
+
+    /// ROADMAP 5 (d) for kNN: every single-bit flip and every truncation of
+    /// a query and of a reply.
+    #[test]
+    fn mutated_knn_frames_decode_to_what_the_bytes_say() {
+        sweep_mutations(&knn_mutation_frames(), run_knn_mutation);
+    }
+
     #[test]
     fn error_message_roundtrips() {
         let m = Message::Error {
@@ -1320,14 +1393,13 @@ mod tests {
         ]
     }
 
-    /// One mutation of an encoded `SummaryRefresh` — `case / 100_000` picks
-    /// the frame, and the rest of it the mutation: below eight times the
-    /// frame's length the bit to flip, from there on the length to cut the
-    /// frame to.  The mutated frame is a typed error (`false`) or exactly
-    /// the value its bytes describe (`true`).
-    fn run_summary_refresh_mutation(case: u64) -> bool {
-        let _replay = dits::ReplayOnPanic("run_summary_refresh_mutation", case);
-        let message = &mutation_frames()[(case / 100_000) as usize];
+    /// One mutation of one of `frames`, encoded — `case / 100_000` picks the
+    /// frame, and the rest of it the mutation: below eight times the frame's
+    /// length the bit to flip, from there on the length to cut the frame to.
+    /// The mutated frame is a typed error (`false`) or exactly the value its
+    /// bytes describe (`true`).
+    fn run_frame_mutation(frames: &[Message], case: u64) -> bool {
+        let message = &frames[(case / 100_000) as usize];
         let mutation = (case % 100_000) as usize;
         let enc = message.encode();
         assert_eq!(Message::decode(enc.clone()), Ok(message.clone()));
@@ -1351,16 +1423,15 @@ mod tests {
         false
     }
 
-    /// ROADMAP 5 (d) for the one message that carries a sketch: every
-    /// single-bit flip and every truncation of a poll reply and of a batch
-    /// reply.
-    #[test]
-    fn mutated_summary_refresh_frames_decode_to_what_the_bytes_say() {
+    /// Every single-bit flip and every truncation of every one of `frames`,
+    /// each through `run` (which names the case if it fails): some must be
+    /// typed errors, some values their bytes describe.
+    fn sweep_mutations(frames: &[Message], run: fn(u64) -> bool) {
         let (mut typed, mut described) = (0, 0);
-        for (frame, message) in mutation_frames().iter().enumerate() {
+        for (frame, message) in frames.iter().enumerate() {
             let len = message.encode().len() as u64;
             for mutation in 0..len * 9 {
-                if run_summary_refresh_mutation(frame as u64 * 100_000 + mutation) {
+                if run(frame as u64 * 100_000 + mutation) {
                     described += 1;
                 } else {
                     typed += 1;
@@ -1371,6 +1442,19 @@ mod tests {
             typed > 0 && described > 0,
             "{typed} typed, {described} described"
         );
+    }
+
+    fn run_summary_refresh_mutation(case: u64) -> bool {
+        let _replay = dits::ReplayOnPanic("run_summary_refresh_mutation", case);
+        run_frame_mutation(&mutation_frames(), case)
+    }
+
+    /// ROADMAP 5 (d) for the one message that carries a sketch: every
+    /// single-bit flip and every truncation of a poll reply and of a batch
+    /// reply.
+    #[test]
+    fn mutated_summary_refresh_frames_decode_to_what_the_bytes_say() {
+        sweep_mutations(&mutation_frames(), run_summary_refresh_mutation);
     }
 
     #[test]

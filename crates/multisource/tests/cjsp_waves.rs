@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dits::{DitsLocalConfig, ReplayOnPanic};
+use dits::{DitsLocalConfig, Neighbor, ReplayOnPanic};
 use multisource::{
     AggregatedCoverage, CallOptions, CandidateCells, DataCenter, DataSource, DistributionStrategy,
     EngineConfig, InProcessTransport, Message, QueryEngine, SearchError, SearchRequest,
@@ -452,14 +452,21 @@ fn knn_and_cjsp_follow_up_through_the_same_loop() {
     let sources = chain_and_other(0, 1);
     let center = DataCenter::build(&sources, 4);
     let engine = QueryEngine::in_process(&center, &sources, EngineConfig::default());
+    // The query overlaps the rectangle of source 1 (LEFT), which answers
+    // first, and lies one cell from NEAR's: the k-th distance (1) ties
+    // source 0's lower bound, and the smaller id keeps source 0 in play.
+    let both_sides = dataset(900, &[(998, 1001), (1000, 1000)]);
     let knn = engine
-        .run(&SearchRequest::knn(query(900)).k(1).with_trace(true))
+        .run(&SearchRequest::knn(both_sides).k(1).with_trace(true))
         .expect("in-process kNN");
-    // The nearest source first; its k-th distance (1) keeps the other, at
-    // the same distance, in play.
     assert_eq!(replans(&knn), 1);
     assert_eq!(knn.comm.requests, 2);
     assert_eq!(knn.comm.sources_contacted, 2);
+    let nearest = Neighbor {
+        dataset: NEAR,
+        distance: 1.0,
+    };
+    assert_eq!(knn.knn().expect("kNN")[0].neighbors, [(0, nearest)]);
     let cjsp = engine.run(&cjsp(2, 2.0)).expect("in-process CJSP");
     assert_eq!(replans(&cjsp), 1);
     assert_eq!(cjsp.comm.requests, 3);

@@ -17,10 +17,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use dits::knn::nearest_datasets_bruteforce;
 use dits::overlap::overlap_search_bruteforce;
 use dits::{
-    DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, OverlapResult, ReplayOnPanic,
-    SourceSummary,
+    DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, Neighbor, OverlapResult,
+    ReplayOnPanic, SourceSummary,
 };
 use multisource::{
     CallOptions, CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig,
@@ -55,6 +56,29 @@ fn merged_bruteforce(sources: &[DataSource], query: &SpatialDataset, k: usize) -
     all.sort_unstable_by(|a, b| {
         b.1.overlap
             .cmp(&a.1.overlap)
+            .then(a.0.cmp(&b.0))
+            .then(a.1.dataset.cmp(&b.1.dataset))
+    });
+    all.truncate(k);
+    all
+}
+
+/// The kNN oracle: every source's brute-force kNN at its own resolution,
+/// merged the way the center merges replies.
+fn merged_knn_bruteforce(
+    sources: &[DataSource],
+    query: &SpatialDataset,
+    k: usize,
+) -> Vec<(SourceId, Neighbor)> {
+    let mut all: Vec<(SourceId, Neighbor)> = Vec::new();
+    for source in sources {
+        let nodes: Vec<DatasetNode> = source.dataset_nodes().into_iter().cloned().collect();
+        let local = nearest_datasets_bruteforce(&nodes, &source.grid_query(query), k);
+        all.extend(local.into_iter().map(|n| (source.id, n)));
+    }
+    all.sort_unstable_by(|a, b| {
+        a.1.distance
+            .total_cmp(&b.1.distance)
             .then(a.0.cmp(&b.0))
             .then(a.1.dataset.cmp(&b.1.dataset))
     });
@@ -348,6 +372,15 @@ fn run_in_process(scenario: &Scenario) -> Vec<Said> {
                 assert!(clipped.leaves_verified <= pruned.leaves_verified);
                 assert!(clipped.exact_computations <= pruned.exact_computations);
                 assert!(clipped.candidates <= pruned.candidates);
+                // kNN's second wave filters by the same grow-only sketch.
+                let knn_k = (*k).max(1);
+                let knn = engine
+                    .run(&SearchRequest::knn(queries[0].clone()).k(knn_k))
+                    .expect("kNN");
+                assert_eq!(
+                    knn.knn().expect("a kNN response")[0].neighbors,
+                    merged_knn_bruteforce(&sources, &queries[0], knn_k)
+                );
                 said.push(Said::Answers(
                     responses.iter().map(|r| (answers(r), r.comm)).collect(),
                 ));
@@ -648,28 +681,33 @@ fn a_cell_travels_only_to_a_source_with_data_in_its_block() {
     );
 }
 
+/// CJSP's coverage counts every query cell, so the sketch changes nothing
+/// it sends; kNN's second wave leaves out the cells farther than the first
+/// reply's k-th distance from every block, and answers the same.
 #[test]
-fn cjsp_and_knn_keep_the_rectangle_clip() {
+fn cjsp_keeps_the_rectangle_clip() {
     let sources = two_corners();
     let with_sketch = DataCenter::build(&sources, 4);
     let without = DataCenter::from_global(with_sketch.global().clone());
     let query = dataset(99, &[(1001, 1001), (1050, 1050), (1099, 1099)]);
-    for request in [
-        SearchRequest::cjsp(query.clone()).k(3).delta_cells(4.0),
-        SearchRequest::knn(query.clone()).k(2),
-    ] {
+    let both = |request: SearchRequest| {
         let (a, b) = (
             run(&with_sketch, &sources, &request),
             run(&without, &sources, &request),
         );
-        assert_eq!(a.results, b.results);
-        assert_eq!(
-            a.comm,
-            b.comm,
-            "a sketch changed what {:?} sends",
-            request.kind()
-        );
-    }
+        assert_eq!(a.results, b.results, "{:?}", request.kind());
+        (a.comm, b.comm)
+    };
+    let (a, b) = both(SearchRequest::cjsp(query.clone()).k(3).delta_cells(4.0));
+    assert_eq!(a, b, "a sketch changed what CJSP sends");
+    // Source 0 answers first, at √2 from both corners; source 1 is asked
+    // the two corner cells and not (1050, 1050).
+    let (a, b) = both(SearchRequest::knn(query).k(2));
+    assert_eq!((a.requests, b.requests), (2, 2));
+    assert!(
+        a.bytes_to_sources < b.bytes_to_sources,
+        "{a:?} against {b:?}"
+    );
 }
 
 #[test]

@@ -682,24 +682,51 @@ impl CellSet {
         CellSet::from_sorted(blocks)
     }
 
-    /// Restricts the set to the cells that lie in one of `blocks` (ids as
-    /// [`Self::blocks`] numbers them, for the same `bits`): one forward
-    /// merge of the two sorted sequences, galloping over the blocks between
-    /// one cell's block and the next.  The multi-source framework uses this
-    /// to keep a query cell from travelling to a source that holds nothing
-    /// in the block around it.
-    pub fn clip_to_blocks(&self, blocks: &CellSet, bits: u32) -> CellSet {
-        let mut ahead = blocks.cells.as_slice();
+    /// Restricts the set to the cells within `reach` of some cell of one of
+    /// `blocks` (ids as [`Self::blocks`] numbers them, for the same `bits`).
+    /// Two cells are as far apart as their coordinates, computed as the
+    /// distance kernel computes it (Definition 6), so a cell within `reach`
+    /// of a cell in an occupied block is always kept.  The multi-source
+    /// framework uses this to keep a query cell from travelling to a source
+    /// that holds nothing near it: nothing in its block (OJSP, `reach` 0), or
+    /// nothing within the k-th distance of the first kNN reply.
+    ///
+    /// Two cells are 0 or at least 1 apart, so below a reach of 1 a cell is
+    /// kept when its own block is occupied: one forward merge of the two
+    /// sorted sequences, galloping over the blocks between one cell's block
+    /// and the next.  From 1 on, the cells of one block are tested together,
+    /// against the occupied blocks within `reach` of their block only
+    /// ([`occupied_near`]).
+    pub fn clip_near_blocks(&self, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
         let mut kept = Vec::new();
-        for &cell in &self.cells {
-            let block = block_of(cell, bits);
-            if ahead.first().is_some_and(|&b| b < block) {
-                let behind = ahead.partition_point(|&b| b < block);
-                ahead = ahead.get(behind..).unwrap_or_default();
+        if reach.is_nan() || reach < 1.0 {
+            let mut ahead = blocks.cells.as_slice();
+            for &cell in &self.cells {
+                let block = block_of(cell, bits);
+                if ahead.first().is_some_and(|&b| b < block) {
+                    let behind = ahead.partition_point(|&b| b < block);
+                    ahead = ahead.get(behind..).unwrap_or_default();
+                }
+                if ahead.first() == Some(&block) {
+                    kept.push(cell);
+                }
             }
-            if ahead.first() == Some(&block) {
-                kept.push(cell);
-            }
+            return CellSet::from_sorted(kept);
+        }
+        let sides = block_sides(bits);
+        let mut near = Vec::new();
+        for run in self
+            .cells
+            .chunk_by(|&a, &b| block_of(a, bits) == block_of(b, bits))
+        {
+            let Some(&first) = run.first() else { continue };
+            let around = CellRect::of_block(block_of(first, bits), bits, sides);
+            near.clear();
+            occupied_near(&blocks.cells, bits, sides, around, reach, &mut near);
+            kept.extend(run.iter().copied().filter(|&cell| {
+                let cell = CellRect::of_cell(cell);
+                near.iter().any(|block| block.gap(&cell) <= reach)
+            }));
         }
         CellSet::from_sorted(kept)
     }
@@ -718,6 +745,114 @@ impl CellSet {
 fn block_of(cell: CellId, bits: u32) -> CellId {
     cell.checked_shr(bits).unwrap_or(0)
 }
+
+/// The width and height, in cells, of an aligned block of `2^bits` z-order
+/// ids: one more than the coordinates of block 0's last cell (the whole
+/// coordinate space once a block is all of it).
+fn block_sides(bits: u32) -> (u64, u64) {
+    let last = 1u64.checked_shl(bits).map_or(CellId::MAX, |ids| ids - 1);
+    let (x, y) = cell_coords(last);
+    (u64::from(x) + 1, u64::from(y) + 1)
+}
+
+/// A rectangle of cells, corners included, in cell coordinates.
+#[derive(Debug, Clone, Copy)]
+struct CellRect {
+    x0: u64,
+    y0: u64,
+    x1: u64,
+    y1: u64,
+}
+
+impl CellRect {
+    fn of_cell(cell: CellId) -> Self {
+        let (x, y) = cell_coords(cell);
+        let (x, y) = (u64::from(x), u64::from(y));
+        Self {
+            x0: x,
+            y0: y,
+            x1: x,
+            y1: y,
+        }
+    }
+
+    /// The cells of `block`, whose first cell is its id shifted back up.
+    fn of_block(block: CellId, bits: u32, (width, height): (u64, u64)) -> Self {
+        let (x, y) = cell_coords(block.checked_shl(bits).unwrap_or(0));
+        let (x, y) = (u64::from(x), u64::from(y));
+        Self {
+            x0: x,
+            y0: y,
+            x1: x + width - 1,
+            y1: y + height - 1,
+        }
+    }
+
+    /// The distance between the closest cells of the two rectangles, computed
+    /// the way the distance kernel computes the distance of a cell pair —
+    /// exact per-axis gaps, squared, summed and rooted in `f64` — so that it
+    /// never exceeds the computed distance of any pair of their cells.
+    fn gap(&self, other: &CellRect) -> f64 {
+        let axis = |lo: u64, hi: u64, other_lo: u64, other_hi: u64| {
+            other_lo.saturating_sub(hi).max(lo.saturating_sub(other_hi)) as f64
+        };
+        let dx = axis(self.x0, self.x1, other.x0, other.x1);
+        let dy = axis(self.y0, self.y1, other.y0, other.y1);
+        (dx * dx + dy * dy).sqrt()
+    }
+}
+
+/// Pushes onto `near` every block of `blocks` (sorted block ids) whose cells
+/// come within `reach` of `around`.  Such a block lies in the window
+/// `around` spans grown by `reach`, and the window is searched the cheaper
+/// of two ways: looking each of its blocks up, or scanning the run of
+/// `blocks` between the ids of its two corners (z-order is monotone in
+/// either coordinate, so every block of the window is in that run).
+fn occupied_near(
+    blocks: &[CellId],
+    bits: u32,
+    sides: (u64, u64),
+    around: CellRect,
+    reach: f64,
+    near: &mut Vec<CellRect>,
+) {
+    let (width, height) = sides;
+    let last = u64::from(u32::MAX);
+    // Coordinates are integers, so `reach` reaches as far as its floor.
+    let grow = (reach as u64).min(last);
+    let (wx0, wy0) = (
+        around.x0.saturating_sub(grow),
+        around.y0.saturating_sub(grow),
+    );
+    let (wx1, wy1) = ((around.x1 + grow).min(last), (around.y1 + grow).min(last));
+    let coord = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+    let block_at = |x: u64, y: u64| block_of(cell_id(coord(x), coord(y)), bits);
+    let from = blocks.partition_point(|&b| b < block_at(wx0, wy0));
+    let to = blocks.partition_point(|&b| b <= block_at(wx1, wy1));
+    let run = blocks.get(from..to).unwrap_or_default();
+    let (bx0, bx1, by0, by1) = (wx0 / width, wx1 / width, wy0 / height, wy1 / height);
+    let window_blocks = (bx1 - bx0 + 1).saturating_mul(by1 - by0 + 1);
+    let mut keep = |rect: CellRect| {
+        if rect.gap(&around) <= reach {
+            near.push(rect);
+        }
+    };
+    if window_blocks <= run.len() as u64 {
+        for by in by0..=by1 {
+            for bx in bx0..=bx1 {
+                let block = block_at(bx * width, by * height);
+                if run.binary_search(&block).is_ok() {
+                    keep(CellRect::of_block(block, bits, sides));
+                }
+            }
+        }
+    } else {
+        for &block in run {
+            keep(CellRect::of_block(block, bits, sides));
+        }
+    }
+}
+
 impl FromIterator<CellId> for CellSet {
     fn from_iter<I: IntoIterator<Item = CellId>>(iter: I) -> Self {
         CellSet::from_cells(iter)
@@ -957,8 +1092,7 @@ mod tests {
     }
 
     #[test]
-    fn blocks_are_the_coarser_cells_and_clip_to_blocks_keeps_what_lies_in_them() {
-        use crate::zorder::cell_id;
+    fn blocks_are_the_coarser_cells_and_clip_near_blocks_keeps_what_lies_near_them() {
         // An 8×8 block is the cell three levels up: both coordinates >> 3.
         let s = CellSet::from_cells([
             cell_id(0, 0),
@@ -972,19 +1106,109 @@ mod tests {
             blocks.cells(),
             &[cell_id(0, 0), cell_id(1, 0), cell_id(100 >> 3, 200 >> 3)]
         );
-        assert_eq!(s.clip_to_blocks(&blocks, 6), s);
-        assert_eq!(s.clip_to_blocks(&CellSet::new(), 6), CellSet::new());
-        assert_eq!(CellSet::new().clip_to_blocks(&blocks, 6), CellSet::new());
-        // Only the middle block, among neighbours that hold nothing of `s`.
-        let some = CellSet::from_cells([0, cell_id(1, 0), cell_id(2, 0), u64::MAX >> 6]);
+        for reach in [0.0, 0.5, 1.0, 40.0] {
+            assert_eq!(s.clip_near_blocks(&blocks, 6, reach), s);
+            assert_eq!(
+                s.clip_near_blocks(&CellSet::new(), 6, reach),
+                CellSet::new()
+            );
+            assert_eq!(
+                CellSet::new().clip_near_blocks(&blocks, 6, reach),
+                CellSet::new()
+            );
+        }
+        // Only the block of (8, 0) and (9, 1) is occupied: within reach 0 its
+        // own cells, within 1 also (7, 7), which touches it; (100, 200) is
+        // out of any small reach.
+        let middle = CellSet::from_cells([cell_id(1, 0)]);
         assert_eq!(
-            s.clip_to_blocks(&some, 6).cells(),
-            &[cell_id(0, 0), cell_id(7, 7), cell_id(8, 0), cell_id(9, 1)]
+            s.clip_near_blocks(&middle, 6, 0.0).cells(),
+            &[cell_id(8, 0), cell_id(9, 1)]
+        );
+        assert_eq!(
+            s.clip_near_blocks(&middle, 6, 1.0).cells(),
+            &[cell_id(7, 7), cell_id(8, 0), cell_id(9, 1)]
+        );
+        // (0, 0) is 8 cells west of the block.
+        assert_eq!(s.clip_near_blocks(&middle, 6, 7.9).len(), 3);
+        assert_eq!(s.clip_near_blocks(&middle, 6, 8.0).len(), 4);
+        // A reach that is not a number reaches no further than the block.
+        assert_eq!(
+            s.clip_near_blocks(&middle, 6, f64::NAN),
+            s.clip_near_blocks(&middle, 6, 0.0)
         );
         // Zero bits: a block is a cell; 64 or more: one block holds them all.
         assert_eq!(s.blocks(0), s);
         assert_eq!(s.blocks(64).cells(), &[0]);
-        assert_eq!(s.clip_to_blocks(&set(&[0]), 80), s);
+        assert_eq!(s.clip_near_blocks(&set(&[0]), 80, 0.0), s);
+        assert_eq!(s.clip_near_blocks(&set(&[0]), 80, 3.0), s);
+    }
+
+    /// The oracle of [`CellSet::clip_near_blocks`]: a cell is kept when some
+    /// cell of an occupied block lies within `reach` of it, by the integer
+    /// squared distance of their coordinates — every cell of every block
+    /// tried.
+    fn oracle_near_blocks(cells: &CellSet, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
+        cells
+            .iter()
+            .filter(|&cell| {
+                let (x, y) = cell_coords(cell);
+                blocks.iter().any(|block| {
+                    (0..1u64 << bits).any(|offset| {
+                        let (bx, by) = cell_coords((block << bits) | offset);
+                        let dx = u64::from(x.abs_diff(bx));
+                        let dy = u64::from(y.abs_diff(by));
+                        ((dx * dx + dy * dy) as f64).sqrt() <= reach
+                    })
+                })
+            })
+            .collect()
+    }
+
+    /// Below a reach of 1 the clip is the block merge: a cell is kept when
+    /// its own block is occupied.
+    fn own_blocks(cells: &CellSet, blocks: &CellSet, bits: u32) -> CellSet {
+        let blocks: BTreeSet<CellId> = blocks.iter().collect();
+        cells
+            .iter()
+            .filter(|&cell| blocks.contains(&block_of(cell, bits)))
+            .collect()
+    }
+
+    #[test]
+    fn a_grid_of_one_block_keeps_every_cell_or_none() {
+        // θ = 2: 4×4 cells, all in the one 8×8 block.
+        let all: CellSet = (0..16u64).collect();
+        for reach in [0.0, 1.0, 2.5, 100.0] {
+            assert_eq!(all.clip_near_blocks(&set(&[0]), 6, reach), all);
+            assert!(all.clip_near_blocks(&CellSet::new(), 6, reach).is_empty());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_clip_near_blocks_matches_the_oracle(
+            cells in proptest::collection::vec((0u32..64, 0u32..64), 0..60),
+            occupied in proptest::collection::vec((0u32..64, 0u32..64), 0..12),
+            bits in 0u32..7,
+            squared in 0u64..200,
+            slack in 0.0f64..1e-6,
+        ) {
+            let cells = coord_set(&cells);
+            let blocks = coord_set(&occupied).blocks(bits);
+            // The reaches kNN clips by: square roots of integers, a hair
+            // over.
+            let reach = (squared as f64).sqrt() + slack;
+            prop_assert_eq!(
+                cells.clip_near_blocks(&blocks, bits, reach),
+                oracle_near_blocks(&cells, &blocks, bits, reach)
+            );
+            let below_one = reach.min(0.999);
+            prop_assert_eq!(
+                cells.clip_near_blocks(&blocks, bits, below_one),
+                own_blocks(&cells, &blocks, bits)
+            );
+        }
     }
 
     #[test]
