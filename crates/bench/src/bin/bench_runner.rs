@@ -33,65 +33,18 @@
 //! * `engine/ojsp/per-query` — the same OJSP batch end to end through the
 //!   in-process multi-source engine.
 //!
-//! The `transport` section measures the federated deployment itself: the
-//! same OJSP / kNN workload driven over loopback TCP through the pooled,
-//! pipelined [`net::PooledTcpTransport`], reporting sustained QPS plus
-//! per-query p50/p99.  Answers are asserted identical to the in-process
-//! oracle before the transport is timed.
+//! The other sections (one line each on [`SCHEMA_VERSION`]) measure the
+//! federation: the pooled transport over a loopback fleet, what each query
+//! kind puts on the wire under each distribution strategy or reply protocol
+//! (the paper's Figs. 13–14), one maintenance batch, the engine's
+//! traversal / verify split, and what the indexes weigh.
 //!
-//! The `knn_comm` section counts what federated kNN puts on the wire per
-//! query under each distribution strategy — `Broadcast` (one whole query to
-//! every source), `Pruned` (two waves: the first reply's k-th key skips the
-//! sources that could not beat it, ties at its distance from a higher id
-//! included) and `PrunedClipped` (it also sends the rest only the query
-//! cells within that distance of their rectangle and their sketch's blocks);
-//! `shards_per_query` counts the requests of both waves.  The rows come out
-//! of the check that runs before any row over the federation is timed: every
-//! strategy's answer equals the merged per-source brute force, and request
-//! bytes never grow from one strategy to the next.
-//!
-//! The `ojsp_comm` section does the same for federated OJSP, whose strategies
-//! differ in one wave: `Broadcast` sends every source the whole query,
-//! `Pruned` the sources DITS-G routes to, `PrunedClipped` sends those only
-//! the query cells inside their root rectangle whose block their sketch
-//! shows occupied — `shards_per_query` counts the requests that leaves.
-//! Every strategy's answer carries the merged brute force's overlaps and is
-//! the same answer as the strategy before it.  `summary_bytes` is what the
-//! filter costs up front: the bytes of each source's answer to the summary
-//! poll, block sketch included.
-//!
-//! The `cjsp_comm` section counts what federated CJSP moves per query with
-//! every pick of every source shipped with its cells (`every-pick-inline`:
-//! the protocol before cells travelled on demand, kept here as a transport
-//! under the same engine) and with stubs and fetches (`cells-on-demand`, the
-//! engine as it is): bytes each way, exchanges, candidates named and
-//! candidates whose cells travelled.  Like `knn_comm`, the rows come out of
-//! a check made before anything is timed — the two answers must be equal,
-//! so a pick lost to a stub fails the run.
-//!
-//! The `maintenance` section weighs the one maintenance exchange: a fixed
-//! 72-op batch (24 inserts, 24 updates, 24 deletes against the largest
-//! source) as the [`Message::ApplyUpdates`] the center puts on the wire —
-//! bytes per op, and encode / decode time per op.  Before timing, the
-//! decoded batch served by one copy of the source and the raw ops applied to
-//! another (`DataSource::apply_updates`) must leave identical trees
-//! (`DitsLocal` equality).
-//!
-//! The `index` block sizes what every process of the federation carries:
-//! keys, postings and bytes of the leaf inverted indexes (bytes per posting
-//! from `InvertedIndex::memory_bytes`), the DITS-L total, and the process's
-//! resident set before and after `MultiSourceFramework::build`
-//! (`/proc/self/status`).
-//!
-//! The `phases` section reports each engine entry's source-side
-//! traversal-vs-verification time split, measured through a traced
-//! (`SearchRequest::with_trace`) run of the same workload, and the `env`
-//! section records the machine context (CPU count, cargo profile, git
-//! commit) the numbers were taken in.
-//!
-//! The suite asserts result parity between every kernel and its baseline or
-//! oracle before timing it, so a snapshot can never report the speed of
-//! diverging code.
+//! The suite asserts result parity between every row and its baseline or
+//! oracle before timing it — the transport against the in-process engine,
+//! every strategy's kNN and OJSP answer against the merged per-source brute
+//! force, CJSP with cells on demand against every pick inline, the
+//! maintenance batch over the wire against the raw ops applied in place — so
+//! a snapshot can never report the speed of diverging code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -123,19 +76,22 @@ Usage: bench-runner [--quick] [--out PATH]
 --out PATH       where to write the snapshot (default BENCH_<date>.json)
 --validate PATH  check an existing snapshot against the schema and exit";
 
-/// Schema version stamped into (and required from) every snapshot.
-/// v2 added the `env` block and the `phases` breakdown; v3 added the
-/// verification-sweep kernels (`kernel/distance/*`, `knn/per-query` delta)
-/// and requires the phase breakdown to cover every engine mode; v4 added
-/// the `transport` section (QPS and p50/p99 over a loopback source-server
-/// fleet); v5 added the `kernel/inverted/*` rows and the `index` block; v6
-/// added the `maintenance` section; v7 dropped the `batch/*/frontier` and
-/// `engine/ojsp/per-source-batch` rows with the code they measured; v8
-/// dropped the `transport/per-call/*` rows likewise; v9 the
-/// `kernel/distance/unbounded` and `knn/per-query/unbounded` rows and the
-/// three deltas they were the baseline of.  Dropping the
-/// `kernel/distance/bounded` row changed no field `--validate` reads, so
-/// the version stayed 9.
+/// Schema version stamped into (and required from) every snapshot: a header
+/// (`schema_version`, `date`, `quick`, `env`) and every section of
+/// [`SECTIONS`], each present and non-empty:
+///
+/// * `kernels` — throughput and per-op p50/p99 of every timed loop;
+/// * `deltas` — a kernel's speedup over a baseline timed in the same run;
+/// * `transport` — QPS and per-query p50/p99 over the pooled loopback fleet;
+/// * `knn_comm`, `ojsp_comm` — bytes each way, sources routed and shards sent
+///   per federated query under each distribution strategy;
+/// * `summary_bytes` — each source's summary-poll answer and its sketch blocks;
+/// * `cjsp_comm` — bytes, exchanges and candidates named and shipped per
+///   federated CJSP query, every pick inline against cells on demand;
+/// * `maintenance` — bytes and encode / decode time per op of a fixed 72-op
+///   batch (24 inserts, updates and deletes against the largest source);
+/// * `phases` — each engine entry's source-side traversal / verify split;
+/// * `index` — leaf inverted indexes, DITS-L bytes and the build's RSS.
 const SCHEMA_VERSION: u64 = 9;
 
 /// The maintenance row every snapshot must carry, and its batch size.
@@ -156,6 +112,160 @@ const REQUIRED_PHASES: [&str; 3] = [
 
 /// The federated deployment every snapshot's `transport` section must cover.
 const REQUIRED_TRANSPORT_PREFIX: &str = "transport/pooled/";
+
+/// How a field prints.
+#[derive(Clone, Copy)]
+enum Print {
+    Int,
+    Text,
+    /// A number with this many decimals.
+    Fixed(usize),
+}
+
+/// What `--validate` requires of a field.
+#[derive(Clone, Copy)]
+enum Require {
+    AtLeastZero,
+    Positive,
+    /// In `[0, 1]`.
+    Share,
+    NonEmpty,
+}
+
+/// One field of a row: its key, how it prints, what `--validate` requires.
+struct Field(&'static str, Print, Require);
+
+/// An array of named rows, or one unnamed object.
+#[derive(Clone, Copy, PartialEq)]
+enum Shape {
+    Rows,
+    Object,
+}
+
+struct Section {
+    key: &'static str,
+    shape: Shape,
+    fields: &'static [Field],
+}
+
+use Print::{Fixed, Int, Text};
+use Require::{AtLeastZero, NonEmpty, Positive, Share};
+
+const STRATEGY_COMM: &[Field] = &[
+    Field("request_bytes_per_query", Fixed(1), Positive),
+    Field("reply_bytes_per_query", Fixed(1), Positive),
+    Field("sources_per_query", Fixed(2), Positive),
+    Field("shards_per_query", Fixed(2), Positive),
+];
+
+/// The snapshot's sections, in the order they are written.
+#[rustfmt::skip]
+const SECTIONS: [Section; 10] = [
+    Section { key: "kernels", shape: Shape::Rows, fields: &[
+        Field("iters", Int, AtLeastZero),
+        Field("ops_per_sec", Fixed(1), AtLeastZero),
+        Field("p50_ns", Fixed(1), AtLeastZero),
+        Field("p99_ns", Fixed(1), AtLeastZero),
+    ] },
+    Section { key: "deltas", shape: Shape::Rows, fields: &[
+        Field("new", Text, NonEmpty),
+        Field("baseline", Text, NonEmpty),
+        Field("speedup", Fixed(2), Positive),
+    ] },
+    Section { key: "transport", shape: Shape::Rows, fields: &[
+        Field("qps", Fixed(1), Positive),
+        Field("p50_ns", Fixed(1), Positive),
+        Field("p99_ns", Fixed(1), Positive),
+    ] },
+    Section { key: "knn_comm", shape: Shape::Rows, fields: STRATEGY_COMM },
+    Section { key: "ojsp_comm", shape: Shape::Rows, fields: STRATEGY_COMM },
+    Section { key: "summary_bytes", shape: Shape::Rows, fields: &[
+        Field("bytes", Int, Positive),
+        Field("blocks", Int, Positive),
+    ] },
+    Section { key: "cjsp_comm", shape: Shape::Rows, fields: &[
+        Field("request_bytes_per_query", Fixed(1), Positive),
+        Field("reply_bytes_per_query", Fixed(1), Positive),
+        Field("exchanges_per_query", Fixed(2), Positive),
+        Field("candidates_named_per_query", Fixed(2), Positive),
+        Field("candidates_shipped_per_query", Fixed(2), Positive),
+    ] },
+    Section { key: "maintenance", shape: Shape::Rows, fields: &[
+        Field("ops", Int, Positive),
+        Field("bytes_per_op", Fixed(1), Positive),
+        Field("encode_ns_per_op", Fixed(1), Positive),
+        Field("decode_ns_per_op", Fixed(1), Positive),
+    ] },
+    Section { key: "phases", shape: Shape::Rows, fields: &[
+        Field("traversal_ns", Int, AtLeastZero),
+        Field("verify_ns", Int, AtLeastZero),
+        Field("verify_share", Fixed(4), Share),
+    ] },
+    Section { key: "index", shape: Shape::Object, fields: &[
+        Field("leaves", Int, Positive),
+        Field("keys", Int, Positive),
+        Field("postings", Int, Positive),
+        Field("inverted_bytes", Int, Positive),
+        Field("bytes_per_posting", Fixed(2), Positive),
+        Field("local_index_bytes", Int, Positive),
+        // 0 is what a machine without procfs reports.
+        Field("rss_before_build_mb", Fixed(1), AtLeastZero),
+        Field("rss_after_build_mb", Fixed(1), AtLeastZero),
+    ] },
+];
+
+/// The place in [`SECTIONS`] of the section named `key`.
+fn section_index(key: &str) -> usize {
+    let at = SECTIONS.iter().position(|s| s.key == key);
+    at.unwrap_or_else(|| panic!("no section {key:?}"))
+}
+
+/// One row of a section: its name (empty in an object) and its values in
+/// the section's field order.
+struct Row {
+    name: String,
+    values: Vec<Json>,
+}
+
+impl Row {
+    fn new(name: impl Into<String>, values: impl IntoIterator<Item = Json>) -> Self {
+        Self {
+            name: name.into(),
+            values: values.into_iter().collect(),
+        }
+    }
+
+    /// The value of field `key`, this being a row of section `section_key`.
+    fn get(&self, section_key: &str, key: &str) -> &Json {
+        let fields = SECTIONS[section_index(section_key)].fields;
+        let at = fields.iter().position(|f| f.0 == key);
+        at.and_then(|i| self.values.get(i))
+            .unwrap_or_else(|| panic!("{section_key} rows have no field {key:?}"))
+    }
+
+    fn num(&self, section_key: &str, key: &str) -> f64 {
+        self.get(section_key, key).as_number().expect("a number")
+    }
+}
+
+/// A whole snapshot: the header, and one list of rows per entry of
+/// [`SECTIONS`], in its order.
+struct Snapshot {
+    date: String,
+    quick: bool,
+    env: EnvInfo,
+    sections: Vec<Vec<Row>>,
+}
+
+impl Snapshot {
+    fn rows(&self, key: &str) -> &[Row] {
+        &self.sections[section_index(key)]
+    }
+
+    fn names(&self, key: &str) -> Vec<&str> {
+        self.rows(key).iter().map(|r| r.name.as_str()).collect()
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -207,9 +317,13 @@ fn main() {
 
     let date = today_utc();
     let out = out.unwrap_or_else(|| format!("BENCH_{date}.json"));
-    let suite = run_suite(quick);
-    let json = render_snapshot(&date, quick, &env_info(), &suite);
-    std::fs::write(&out, &json).unwrap_or_else(|e| {
+    let snapshot = Snapshot {
+        date,
+        quick,
+        env: env_info(),
+        sections: run_suite(quick),
+    };
+    std::fs::write(&out, render_snapshot(&snapshot)).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         std::process::exit(1);
     });
@@ -221,187 +335,16 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out}");
-    let ix = &suite.index;
-    println!(
-        "  index: {} postings in {} bytes of leaf inverted indexes ({:.2} B/posting), \
-         DITS-L {} bytes, RSS {:.1} -> {:.1} MiB across the framework build",
-        ix.postings,
-        ix.inverted_bytes,
-        ix.bytes_per_posting(),
-        ix.local_index_bytes,
-        ix.rss_before_build_mb,
-        ix.rss_after_build_mb,
-    );
-    for d in &suite.deltas {
-        println!("  {:<40} {:>6.2}x vs {}", d.name, d.speedup, d.baseline);
-    }
-    for t in &suite.transport {
-        println!(
-            "  {:<40} {:>8.0} qps  p50 {:>9.0} ns  p99 {:>9.0} ns",
-            t.name, t.qps, t.p50_ns, t.p99_ns
-        );
-    }
-    for c in suite.knn_comm.iter().chain(&suite.ojsp_comm) {
-        println!(
-            "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} sources/query  \
-             {:>5.2} shards/query",
-            c.name,
-            c.request_bytes_per_query,
-            c.reply_bytes_per_query,
-            c.sources_per_query,
-            c.shards_per_query
-        );
-    }
-    for b in &suite.summary_bytes {
-        println!("  {:<40} {:>8} B  {:>6} blocks", b.name, b.bytes, b.blocks);
-    }
-    for c in &suite.cjsp_comm {
-        println!(
-            "  {:<40} {:>8.1} B/query out  {:>8.1} B/query back  {:>5.2} exchanges/query  \
-             {:>5.2} candidates named, {:>5.2} shipped",
-            c.name,
-            c.request_bytes_per_query,
-            c.reply_bytes_per_query,
-            c.exchanges_per_query,
-            c.candidates_named_per_query,
-            c.candidates_shipped_per_query
-        );
-    }
-    let m = &suite.maintenance;
-    println!(
-        "  {:<40} {:>8.1} B/op  encode {:>7.1} ns/op  decode {:>7.1} ns/op",
-        m.name, m.bytes_per_op, m.encode_ns_per_op, m.decode_ns_per_op
-    );
-    for p in &suite.phases {
-        println!(
-            "  {:<40} verify {:>5.1}% of source time",
-            p.name,
-            p.verify_share * 100.0
-        );
+    for (section, rows) in SECTIONS.iter().zip(&snapshot.sections) {
+        for row in rows {
+            println!("  {:<14} {}", section.key, section.render(row));
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Measurement
 // ---------------------------------------------------------------------------
-
-/// One measured kernel: throughput plus per-op latency percentiles.
-struct KernelReport {
-    name: String,
-    iters: usize,
-    ops_per_sec: f64,
-    p50_ns: f64,
-    p99_ns: f64,
-}
-
-/// One same-run comparison: `new` kernel over `baseline` kernel.
-struct Delta {
-    name: String,
-    new: String,
-    baseline: String,
-    speedup: f64,
-}
-
-/// One engine entry's source-side phase split, from a traced run of the same
-/// workload the kernel timings cover.
-struct PhaseReport {
-    name: String,
-    traversal_ns: u64,
-    verify_ns: u64,
-    verify_share: f64,
-}
-
-/// One federated deployment's sustained throughput and per-query latency
-/// over loopback TCP.
-struct TransportReport {
-    name: String,
-    qps: f64,
-    p50_ns: f64,
-    p99_ns: f64,
-}
-
-impl TransportReport {
-    /// Reinterprets a measured kernel as a transport row: per-op throughput
-    /// is queries per second once the op is "run one query over the wire".
-    fn from_kernel(k: &KernelReport) -> Self {
-        Self {
-            name: k.name.clone(),
-            qps: k.ops_per_sec,
-            p50_ns: k.p50_ns,
-            p99_ns: k.p99_ns,
-        }
-    }
-}
-
-/// What the leaf inverted indexes and the built framework weigh.
-struct IndexReport {
-    leaves: usize,
-    keys: usize,
-    postings: usize,
-    inverted_bytes: usize,
-    local_index_bytes: usize,
-    rss_before_build_mb: f64,
-    rss_after_build_mb: f64,
-}
-
-impl IndexReport {
-    fn bytes_per_posting(&self) -> f64 {
-        self.inverted_bytes as f64 / self.postings.max(1) as f64
-    }
-}
-
-/// What one maintenance batch weighs on the wire and costs to encode and
-/// decode, per operation.
-struct MaintenanceReport {
-    name: String,
-    ops: usize,
-    bytes_per_op: f64,
-    encode_ns_per_op: f64,
-    decode_ns_per_op: f64,
-}
-
-/// What a federated search kind moves per query under one distribution
-/// strategy: a row of the `knn_comm` or the `ojsp_comm` section.
-struct StrategyCommReport {
-    name: String,
-    request_bytes_per_query: f64,
-    reply_bytes_per_query: f64,
-    /// Sources routed to.
-    sources_per_query: f64,
-    /// Requests sent: a routed source whose clipped query is empty is sent
-    /// nothing, and kNN counts both of its waves.
-    shards_per_query: f64,
-}
-
-/// What one source answers a summary poll with, once per bootstrap.
-struct SummaryBytesReport {
-    name: String,
-    bytes: usize,
-    blocks: usize,
-}
-
-/// What federated CJSP moves per query under one reply protocol.
-struct CjspCommReport {
-    name: String,
-    request_bytes_per_query: f64,
-    reply_bytes_per_query: f64,
-    exchanges_per_query: f64,
-    candidates_named_per_query: f64,
-    candidates_shipped_per_query: f64,
-}
-
-struct Suite {
-    kernels: Vec<KernelReport>,
-    deltas: Vec<Delta>,
-    transport: Vec<TransportReport>,
-    knn_comm: Vec<StrategyCommReport>,
-    ojsp_comm: Vec<StrategyCommReport>,
-    summary_bytes: Vec<SummaryBytesReport>,
-    cjsp_comm: Vec<CjspCommReport>,
-    maintenance: MaintenanceReport,
-    phases: Vec<PhaseReport>,
-    index: IndexReport,
-}
 
 /// The process's resident set in MiB (`VmRSS` of `/proc/self/status`), or 0
 /// where there is no procfs.
@@ -415,28 +358,33 @@ fn rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Extracts the traversal/verify split out of a traced [`SearchResponse`].
-fn phase_report(name: &str, response: &SearchResponse) -> PhaseReport {
+/// The `phases` row of a traced [`SearchResponse`]: its traversal/verify
+/// split.
+fn phase_report(name: &str, response: &SearchResponse) -> Row {
     let trace = response.trace.as_ref().expect("run was traced");
     let traversal = trace.total_named("traversal");
     let verify = trace.total_named("verify");
     let total = traversal + verify;
-    PhaseReport {
-        name: name.to_string(),
-        traversal_ns: traversal.as_nanos() as u64,
-        verify_ns: verify.as_nanos() as u64,
-        verify_share: if total > Duration::ZERO {
-            verify.as_secs_f64() / total.as_secs_f64()
-        } else {
-            0.0
-        },
-    }
+    let verify_share = if total > Duration::ZERO {
+        verify.as_secs_f64() / total.as_secs_f64()
+    } else {
+        0.0
+    };
+    Row::new(
+        name,
+        [
+            traversal.as_nanos() as f64,
+            verify.as_nanos() as f64,
+            verify_share,
+        ]
+        .map(Json::Number),
+    )
 }
 
 /// The machine context a snapshot was measured in.
 struct EnvInfo {
     cpus: usize,
-    profile: &'static str,
+    profile: String,
     git_commit: String,
 }
 
@@ -449,7 +397,8 @@ fn env_info() -> EnvInfo {
             "debug"
         } else {
             "release"
-        },
+        }
+        .to_string(),
         git_commit: std::process::Command::new("git")
             .args(["rev-parse", "--short", "HEAD"])
             .output()
@@ -463,8 +412,8 @@ fn env_info() -> EnvInfo {
 }
 
 /// Times `work` (which performs `ops` operations per call) `samples` times
-/// and folds the per-op nanosecond samples into a [`KernelReport`].
-fn measure(name: &str, samples: usize, ops: usize, mut work: impl FnMut()) -> KernelReport {
+/// and folds the per-op nanosecond samples into a `kernels` row.
+fn measure(name: &str, samples: usize, ops: usize, mut work: impl FnMut()) -> Row {
     work(); // warm-up: caches (packed words, page-ins) are steady state
     let mut per_op_ns: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -475,13 +424,11 @@ fn measure(name: &str, samples: usize, ops: usize, mut work: impl FnMut()) -> Ke
     per_op_ns.sort_unstable_by(|a, b| a.total_cmp(b));
     let p50 = percentile(&per_op_ns, 50.0);
     let p99 = percentile(&per_op_ns, 99.0);
-    KernelReport {
-        name: name.to_string(),
-        iters: samples * ops,
-        ops_per_sec: if p50 > 0.0 { 1.0e9 / p50 } else { 0.0 },
-        p50_ns: p50,
-        p99_ns: p99,
-    }
+    let ops_per_sec = if p50 > 0.0 { 1.0e9 / p50 } else { 0.0 };
+    Row::new(
+        name,
+        [(samples * ops) as f64, ops_per_sec, p50, p99].map(Json::Number),
+    )
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -492,17 +439,22 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-fn delta(name: &str, new: &KernelReport, baseline: &KernelReport) -> Delta {
-    Delta {
-        name: name.to_string(),
-        new: new.name.clone(),
-        baseline: baseline.name.clone(),
-        speedup: if baseline.p50_ns > 0.0 {
-            baseline.p50_ns / new.p50_ns.max(f64::MIN_POSITIVE)
-        } else {
-            0.0
-        },
-    }
+/// The `deltas` row of kernel `new` over kernel `baseline`.
+fn delta(name: &str, new: &Row, baseline: &Row) -> Row {
+    let p50 = |kernel: &Row| kernel.num("kernels", "p50_ns");
+    let speedup = if p50(baseline) > 0.0 {
+        p50(baseline) / p50(new).max(f64::MIN_POSITIVE)
+    } else {
+        0.0
+    };
+    Row::new(
+        name,
+        [
+            Json::String(new.name.clone()),
+            Json::String(baseline.name.clone()),
+            Json::Number(speedup),
+        ],
+    )
 }
 
 /// A dense axis-aligned block of grid cells starting at `(x0, y0)`.
@@ -513,12 +465,14 @@ fn dense_block(x0: u32, y0: u32, w: u32, h: u32) -> CellSet {
 /// The rows of one `<family>/comm/*` family: `run` executes the batch under a
 /// strategy (and holds its answer to the family's oracle), and neither
 /// requests nor request bytes may grow from `Broadcast` to `Pruned` to
-/// `PrunedClipped`.
+/// `PrunedClipped`.  A row counts the sources routed to and the requests sent
+/// (a routed source whose clipped query is empty is sent nothing, and kNN
+/// counts both of its waves).
 fn strategy_comm_reports(
     family: &str,
     queries: usize,
     mut run: impl FnMut(&str, DistributionStrategy) -> CommStats,
-) -> Vec<StrategyCommReport> {
+) -> Vec<Row> {
     let rows = [
         ("broadcast", DistributionStrategy::Broadcast),
         ("pruned", DistributionStrategy::Pruned),
@@ -538,12 +492,14 @@ fn strategy_comm_reports(
     }
     let per_query = |count: usize| count as f64 / queries as f64;
     rows.into_iter()
-        .map(|(name, comm)| StrategyCommReport {
-            name,
-            request_bytes_per_query: per_query(comm.bytes_to_sources),
-            reply_bytes_per_query: per_query(comm.bytes_to_center),
-            sources_per_query: per_query(comm.sources_contacted),
-            shards_per_query: per_query(comm.requests),
+        .map(|(name, comm)| {
+            let counts = [
+                comm.bytes_to_sources,
+                comm.bytes_to_center,
+                comm.sources_contacted,
+                comm.requests,
+            ];
+            Row::new(name, counts.map(|n| Json::Number(per_query(n))))
         })
         .collect()
 }
@@ -558,7 +514,7 @@ fn ojsp_comm_reports(
     nodes_by_source: &[Vec<DatasetNode>],
     queries: &[SpatialDataset],
     k: usize,
-) -> Vec<StrategyCommReport> {
+) -> Vec<Row> {
     let oracle: Vec<Vec<usize>> = queries
         .iter()
         .map(|query| {
@@ -600,7 +556,7 @@ fn ojsp_comm_reports(
 
 /// What each source of the federation answers a summary poll with: its
 /// whole block sketch, which must be the sketch of its datasets.
-fn summary_bytes_reports(fw: &MultiSourceFramework) -> Vec<SummaryBytesReport> {
+fn summary_bytes_reports(fw: &MultiSourceFramework) -> Vec<Row> {
     fw.sources()
         .iter()
         .map(|source| {
@@ -617,11 +573,10 @@ fn summary_bytes_reports(fw: &MultiSourceFramework) -> Vec<SummaryBytesReport> {
                 "{}: the poll reply is not the sketch of its datasets",
                 source.name
             );
-            SummaryBytesReport {
-                name: format!("summary/{}", source.name),
-                bytes: reply.wire_size(),
-                blocks: blocks.len(),
-            }
+            Row::new(
+                format!("summary/{}", source.name),
+                [reply.wire_size() as f64, blocks.len() as f64].map(Json::Number),
+            )
         })
         .collect()
 }
@@ -635,7 +590,7 @@ fn knn_comm_reports(
     nodes_by_source: &[Vec<DatasetNode>],
     queries: &[SpatialDataset],
     k: usize,
-) -> Vec<StrategyCommReport> {
+) -> Vec<Row> {
     let oracle: Vec<Vec<(SourceId, Neighbor)>> = queries
         .iter()
         .map(|query| {
@@ -728,7 +683,7 @@ impl SourceTransport for CandidateTap<'_> {
 /// Federated CJSP against its oracle: the answer with cells on demand must
 /// equal the answer with every pick shipped inline, and no more cell sets
 /// may travel than are named.  Returns what each protocol moved per query.
-fn cjsp_comm_reports(fw: &MultiSourceFramework, request: &SearchRequest) -> Vec<CjspCommReport> {
+fn cjsp_comm_reports(fw: &MultiSourceFramework, request: &SearchRequest) -> Vec<Row> {
     let queries = request.queries().len();
     let per_query = |count: usize| count as f64 / queries as f64;
     let run = |name: &str, every_pick_inline: bool| {
@@ -743,15 +698,16 @@ fn cjsp_comm_reports(fw: &MultiSourceFramework, request: &SearchRequest) -> Vec<
             .expect("federated CJSP");
         let (named, shipped) = (tap.named.into_inner(), tap.shipped.into_inner());
         assert!(shipped <= named, "{name}: a cell set travelled twice");
-        let report = CjspCommReport {
-            name: name.to_string(),
-            request_bytes_per_query: per_query(response.comm.bytes_to_sources),
-            reply_bytes_per_query: per_query(response.comm.bytes_to_center),
-            exchanges_per_query: per_query(response.comm.requests),
-            candidates_named_per_query: per_query(named),
-            candidates_shipped_per_query: per_query(shipped),
-        };
-        (response.results, report)
+        let comm = &response.comm;
+        let counts = [
+            comm.bytes_to_sources,
+            comm.bytes_to_center,
+            comm.requests,
+            named,
+            shipped,
+        ];
+        let row = Row::new(name, counts.map(|n| Json::Number(per_query(n))));
+        (response.results, row)
     };
     let (oracle, every_pick_inline) = run("cjsp/comm/every-pick-inline", true);
     let (answers, cells_on_demand) = run("cjsp/comm/cells-on-demand", false);
@@ -762,7 +718,9 @@ fn cjsp_comm_reports(fw: &MultiSourceFramework, request: &SearchRequest) -> Vec<
     vec![every_pick_inline, cells_on_demand]
 }
 
-fn run_suite(quick: bool) -> Suite {
+/// Runs every measurement; returns one list of rows per entry of
+/// [`SECTIONS`], in its order.
+fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     let (divisor, queries_n, samples) = if quick { (400, 8, 5) } else { (100, 32, 20) };
     let theta = 11;
     let k = 10;
@@ -904,19 +862,26 @@ fn run_suite(quick: bool) -> Suite {
                 })
         })
         .collect();
-    let index_report = IndexReport {
-        leaves: leaves.len(),
-        keys: leaves.iter().map(|(_, inv)| inv.key_count()).sum(),
-        postings: leaves
-            .iter()
-            .flat_map(|(entries, _)| entries.iter().map(DatasetNode::coverage))
-            .sum(),
-        // Measured before any query packs the key columns: the columns alone.
-        inverted_bytes: leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum(),
-        local_index_bytes: indexes.iter().map(DitsLocal::memory_bytes).sum(),
-        rss_before_build_mb,
-        rss_after_build_mb,
-    };
+    let postings: usize = leaves
+        .iter()
+        .flat_map(|(entries, _)| entries.iter().map(DatasetNode::coverage))
+        .sum();
+    // Measured before any query packs the key columns: the columns alone.
+    let inverted_bytes: usize = leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum();
+    let index = Row::new(
+        "",
+        [
+            leaves.len() as f64,
+            leaves.iter().map(|(_, inv)| inv.key_count()).sum::<usize>() as f64,
+            postings as f64,
+            inverted_bytes as f64,
+            inverted_bytes as f64 / postings.max(1) as f64,
+            indexes.iter().map(DitsLocal::memory_bytes).sum::<usize>() as f64,
+            rss_before_build_mb,
+            rss_after_build_mb,
+        ]
+        .map(Json::Number),
+    );
     let inverted_build = measure(
         "kernel/inverted/build",
         kernel_samples,
@@ -1043,7 +1008,7 @@ fn run_suite(quick: bool) -> Suite {
             truth.comm, over_wire.comm,
             "transport/pooled/{kind} changed the counted protocol bytes"
         );
-        let report = measure(
+        let timed = measure(
             &format!("transport/pooled/{kind}"),
             samples,
             raw_queries.len(),
@@ -1051,7 +1016,10 @@ fn run_suite(quick: bool) -> Suite {
                 std::hint::black_box(pooled_engine.run(request).expect("federated run"));
             },
         );
-        transport.push(TransportReport::from_kernel(&report));
+        // Once the op is "run one query over the wire", ops per second are
+        // queries per second.
+        let values = ["ops_per_sec", "p50_ns", "p99_ns"].map(|f| timed.get("kernels", f).clone());
+        transport.push(Row::new(timed.name, values));
     }
     // Drain the fleet so the run exits cleanly instead of leaking accept
     // loops; the pooled transport's connections close once its event loop
@@ -1109,13 +1077,16 @@ fn run_suite(quick: bool) -> Suite {
         std::hint::black_box(Message::decode(std::hint::black_box(&batch_bytes).clone()))
             .expect("the batch decodes");
     });
-    let maintenance = MaintenanceReport {
-        name: MAINTENANCE_ROW.to_string(),
-        ops: MAINTENANCE_BATCH_OPS,
-        bytes_per_op: batch_bytes.len() as f64 / MAINTENANCE_BATCH_OPS as f64,
-        encode_ns_per_op: encode.p50_ns,
-        decode_ns_per_op: decode.p50_ns,
-    };
+    let maintenance = Row::new(
+        MAINTENANCE_ROW,
+        [
+            MAINTENANCE_BATCH_OPS as f64,
+            batch_bytes.len() as f64 / MAINTENANCE_BATCH_OPS as f64,
+            encode.num("kernels", "p50_ns"),
+            decode.num("kernels", "p50_ns"),
+        ]
+        .map(Json::Number),
+    );
 
     // Phase breakdown: one traced run per engine entry splits the sources'
     // time into index traversal vs. candidate verification (the paper's
@@ -1145,7 +1116,7 @@ fn run_suite(quick: bool) -> Suite {
         ),
     ];
 
-    Suite {
+    vec![
         kernels,
         deltas,
         transport,
@@ -1153,167 +1124,109 @@ fn run_suite(quick: bool) -> Suite {
         ojsp_comm,
         summary_bytes,
         cjsp_comm,
-        maintenance,
+        vec![maintenance],
         phases,
-        index: index_report,
-    }
+        vec![index],
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot writing
 // ---------------------------------------------------------------------------
 
-fn render_snapshot(date: &str, quick: bool, env: &EnvInfo, suite: &Suite) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"date\": \"{}\",\n", escape_json(date)));
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"env\": {{\"cpus\": {}, \"profile\": \"{}\", \"git_commit\": \"{}\"}},\n",
+fn render_snapshot(snapshot: &Snapshot) -> String {
+    let env = &snapshot.env;
+    let mut s = format!(
+        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"date\": \"{}\",\n  \"quick\": {},\n  \
+         \"env\": {{\"cpus\": {}, \"profile\": \"{}\", \"git_commit\": \"{}\"}},\n",
+        escape_json(&snapshot.date),
+        snapshot.quick,
         env.cpus,
-        escape_json(env.profile),
+        escape_json(&env.profile),
         escape_json(&env.git_commit)
-    ));
-    s.push_str("  \"kernels\": [\n");
-    for (i, k) in suite.kernels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"ops_per_sec\": {:.1}, \
-             \"p50_ns\": {:.1}, \"p99_ns\": {:.1}}}{}\n",
-            escape_json(&k.name),
-            k.iters,
-            k.ops_per_sec,
-            k.p50_ns,
-            k.p99_ns,
-            if i + 1 < suite.kernels.len() { "," } else { "" }
-        ));
+    );
+    for (i, (section, rows)) in SECTIONS.iter().zip(&snapshot.sections).enumerate() {
+        let rendered: Vec<String> = rows.iter().map(|row| section.render(row)).collect();
+        let body = match section.shape {
+            Shape::Rows => format!("[\n    {}\n  ]", rendered.join(",\n    ")),
+            Shape::Object => rendered.concat(),
+        };
+        let comma = if i + 1 < SECTIONS.len() { "," } else { "" };
+        s.push_str(&format!("  \"{}\": {body}{comma}\n", section.key));
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"deltas\": [\n");
-    for (i, d) in suite.deltas.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"new\": \"{}\", \"baseline\": \"{}\", \
-             \"speedup\": {:.2}}}{}\n",
-            escape_json(&d.name),
-            escape_json(&d.new),
-            escape_json(&d.baseline),
-            d.speedup,
-            if i + 1 < suite.deltas.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"transport\": [\n");
-    for (i, t) in suite.transport.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"qps\": {:.1}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}}}{}\n",
-            escape_json(&t.name),
-            t.qps,
-            t.p50_ns,
-            t.p99_ns,
-            if i + 1 < suite.transport.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    for (section, rows) in [
-        ("knn_comm", &suite.knn_comm),
-        ("ojsp_comm", &suite.ojsp_comm),
-    ] {
-        s.push_str(&format!("  \"{section}\": [\n"));
-        for (i, c) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
-                 \"reply_bytes_per_query\": {:.1}, \"sources_per_query\": {:.2}, \
-                 \"shards_per_query\": {:.2}}}{}\n",
-                escape_json(&c.name),
-                c.request_bytes_per_query,
-                c.reply_bytes_per_query,
-                c.sources_per_query,
-                c.shards_per_query,
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-    }
-    s.push_str("  \"summary_bytes\": [\n");
-    for (i, b) in suite.summary_bytes.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"bytes\": {}, \"blocks\": {}}}{}\n",
-            escape_json(&b.name),
-            b.bytes,
-            b.blocks,
-            if i + 1 < suite.summary_bytes.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"cjsp_comm\": [\n");
-    for (i, c) in suite.cjsp_comm.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"request_bytes_per_query\": {:.1}, \
-             \"reply_bytes_per_query\": {:.1}, \"exchanges_per_query\": {:.2}, \
-             \"candidates_named_per_query\": {:.2}, \
-             \"candidates_shipped_per_query\": {:.2}}}{}\n",
-            escape_json(&c.name),
-            c.request_bytes_per_query,
-            c.reply_bytes_per_query,
-            c.exchanges_per_query,
-            c.candidates_named_per_query,
-            c.candidates_shipped_per_query,
-            if i + 1 < suite.cjsp_comm.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    let m = &suite.maintenance;
-    s.push_str(&format!(
-        "  \"maintenance\": [\n    {{\"name\": \"{}\", \"ops\": {}, \"bytes_per_op\": {:.1}, \
-         \"encode_ns_per_op\": {:.1}, \"decode_ns_per_op\": {:.1}}}\n  ],\n",
-        escape_json(&m.name),
-        m.ops,
-        m.bytes_per_op,
-        m.encode_ns_per_op,
-        m.decode_ns_per_op,
-    ));
-    s.push_str("  \"phases\": [\n");
-    for (i, p) in suite.phases.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"traversal_ns\": {}, \"verify_ns\": {}, \
-             \"verify_share\": {:.4}}}{}\n",
-            escape_json(&p.name),
-            p.traversal_ns,
-            p.verify_ns,
-            p.verify_share,
-            if i + 1 < suite.phases.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    let ix = &suite.index;
-    s.push_str(&format!(
-        "  \"index\": {{\"leaves\": {}, \"keys\": {}, \"postings\": {}, \
-         \"inverted_bytes\": {}, \"bytes_per_posting\": {:.2}, \
-         \"local_index_bytes\": {}, \"rss_before_build_mb\": {:.1}, \
-         \"rss_after_build_mb\": {:.1}}}\n",
-        ix.leaves,
-        ix.keys,
-        ix.postings,
-        ix.inverted_bytes,
-        ix.bytes_per_posting(),
-        ix.local_index_bytes,
-        ix.rss_before_build_mb,
-        ix.rss_after_build_mb,
-    ));
     s.push_str("}\n");
     s
+}
+
+impl Field {
+    fn render(&self, value: &Json) -> String {
+        match (self.1, value) {
+            (Text, Json::String(text)) => format!("\"{}\"", escape_json(text)),
+            (Int, Json::Number(n)) => format!("{n:.0}"),
+            (Fixed(decimals), Json::Number(n)) => format!("{n:.decimals$}"),
+            _ => panic!("{} cannot print {value:?}", self.0),
+        }
+    }
+
+    /// Reads field `self` out of `row` (the row at `at`) and checks it.
+    fn read(&self, row: &Json, at: &str) -> Result<Json, String> {
+        let Field(key, print, require) = *self;
+        let value = match (print, row.get(key)) {
+            (Text, Some(Json::String(text))) => Json::String(text.clone()),
+            (Int | Fixed(_), Some(Json::Number(n))) => Json::Number(*n),
+            (Text, _) => return Err(format!("{at} missing string {key}")),
+            _ => return Err(format!("{at} missing numeric {key}")),
+        };
+        let (ok, what) = match (&value, require) {
+            (Json::String(text), NonEmpty) => (!text.is_empty(), "non-empty"),
+            (Json::Number(n), AtLeastZero) => (n.is_finite() && *n >= 0.0, "≥ 0"),
+            (Json::Number(n), Positive) => (n.is_finite() && *n > 0.0, "> 0"),
+            (Json::Number(n), Share) => ((0.0..=1.0).contains(n), "in [0, 1]"),
+            _ => (false, "of its printed kind"),
+        };
+        let shown = self.render(&value);
+        ok.then_some(value)
+            .ok_or(format!("{at}.{key} = {shown} is not {what}"))
+    }
+}
+
+impl Section {
+    fn render(&self, row: &Row) -> String {
+        assert_eq!(row.values.len(), self.fields.len(), "{}", row.name);
+        let name = (self.shape == Shape::Rows)
+            .then(|| format!("\"name\": \"{}\"", escape_json(&row.name)));
+        let fields = self
+            .fields
+            .iter()
+            .zip(&row.values)
+            .map(|(field, value)| format!("\"{}\": {}", field.0, field.render(value)));
+        let fields: Vec<String> = name.into_iter().chain(fields).collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    /// Reads and checks every row of this section out of the snapshot
+    /// `root`: present, non-empty, every field of the printed kind and
+    /// meeting its requirement.
+    fn read(&self, root: &Json) -> Result<Vec<Row>, String> {
+        let key = self.key;
+        let items = match (self.shape, root.get(key)) {
+            (Shape::Rows, Some(Json::Array(items))) if !items.is_empty() => &items[..],
+            (Shape::Object, Some(object @ Json::Object(_))) => std::slice::from_ref(object),
+            _ => return Err(format!("missing non-empty {key}")),
+        };
+        let mut rows = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            let at = format!("{key}[{i}]");
+            let name = match self.shape {
+                Shape::Rows => Field("name", Text, NonEmpty).read(item, &at)?,
+                Shape::Object => Json::String(String::new()),
+            };
+            let values = self.fields.iter().map(|field| field.read(item, &at));
+            let name = name.as_str().unwrap_or_default();
+            rows.push(Row::new(name, values.collect::<Result<Vec<_>, _>>()?));
+        }
+        Ok(rows)
+    }
 }
 
 fn escape_json(raw: &str) -> String {
@@ -1365,13 +1278,6 @@ impl Json {
     fn as_str(&self) -> Option<&str> {
         match self {
             Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
             _ => None,
         }
     }
@@ -1567,144 +1473,90 @@ impl<'a> Parser<'a> {
 /// Validates a snapshot file against the schema; returns a short summary.
 fn validate_snapshot(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let root = Parser::new(&text).parse()?;
+    let snapshot = parse_snapshot(&text)?;
+    let counts: Vec<String> = SECTIONS
+        .iter()
+        .zip(&snapshot.sections)
+        .map(|(section, rows)| format!("{} {}", rows.len(), section.key))
+        .collect();
+    Ok(counts.join(", "))
+}
 
-    let version = root
-        .get("schema_version")
-        .and_then(Json::as_number)
-        .ok_or("missing numeric schema_version")?;
-    if version != SCHEMA_VERSION as f64 {
+/// Reads a snapshot and checks it: the header, every section by
+/// [`SECTIONS`], then the rules that span sections.
+fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
+    let root = Parser::new(text).parse()?;
+
+    let number = |json: &Json, key: &str| json.get(key).and_then(Json::as_number);
+    fn string<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
+        let value = json.get(key).and_then(Json::as_str);
+        value.ok_or(format!("missing string {key}"))
+    }
+    let version = number(&root, "schema_version");
+    if version != Some(SCHEMA_VERSION as f64) {
         return Err(format!(
-            "unsupported schema_version {version} (this build reads {SCHEMA_VERSION})"
+            "schema_version {version:?} is not Some({SCHEMA_VERSION}.0)"
         ));
     }
-    let date = root
-        .get("date")
-        .and_then(Json::as_str)
-        .ok_or("missing string date")?;
-    let date_ok = date.len() == 10
-        && date.chars().enumerate().all(|(i, c)| {
-            if i == 4 || i == 7 {
-                c == '-'
-            } else {
-                c.is_ascii_digit()
-            }
-        });
-    if !date_ok {
+    let date = string(&root, "date")?;
+    if !date.split('-').map(str::len).eq([4, 2, 2])
+        || !date.bytes().all(|b| b == b'-' || b.is_ascii_digit())
+    {
         return Err(format!("date {date:?} is not YYYY-MM-DD"));
     }
-    if !matches!(root.get("quick"), Some(Json::Bool(_))) {
+    let Some(&Json::Bool(quick)) = root.get("quick") else {
         return Err("missing boolean quick".into());
-    }
+    };
 
     let env = root.get("env").ok_or("missing env object")?;
-    let cpus = env
-        .get("cpus")
-        .and_then(Json::as_number)
-        .ok_or("env missing numeric cpus")?;
-    if !cpus.is_finite() || cpus < 1.0 {
-        return Err(format!("env.cpus = {cpus} is not a positive CPU count"));
-    }
-    let profile = env
-        .get("profile")
-        .and_then(Json::as_str)
-        .ok_or("env missing string profile")?;
-    if profile != "release" && profile != "debug" {
-        return Err(format!("env.profile {profile:?} is not release/debug"));
-    }
-    if env
-        .get("git_commit")
-        .and_then(Json::as_str)
-        .is_none_or(str::is_empty)
-    {
-        return Err("env missing non-empty string git_commit".into());
+    let cpus = number(env, "cpus").filter(|n| n.is_finite() && *n >= 1.0);
+    let (profile, git_commit) = (string(env, "profile")?, string(env, "git_commit")?);
+    if cpus.is_none() || !matches!(profile, "release" | "debug") || git_commit.is_empty() {
+        return Err(format!(
+            "env {{cpus: {cpus:?}, profile: {profile:?}, git_commit: {git_commit:?}}} is not \
+             {{a CPU count, release or debug, a commit}}"
+        ));
     }
 
-    let kernels = root
-        .get("kernels")
-        .and_then(Json::as_array)
-        .ok_or("missing kernels array")?;
-    if kernels.is_empty() {
-        return Err("kernels array is empty".into());
-    }
-    for (i, k) in kernels.iter().enumerate() {
-        for field in ["iters", "ops_per_sec", "p50_ns", "p99_ns"] {
-            let n = k
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("kernels[{i}] missing numeric {field}"))?;
-            if !n.is_finite() || n < 0.0 {
-                return Err(format!(
-                    "kernels[{i}].{field} = {n} is not a valid measurement"
-                ));
-            }
-        }
-        if k.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("kernels[{i}] missing string name"));
-        }
-    }
+    let snapshot = Snapshot {
+        date: date.to_string(),
+        quick,
+        env: EnvInfo {
+            cpus: cpus.unwrap_or_default() as usize,
+            profile: profile.to_string(),
+            git_commit: git_commit.to_string(),
+        },
+        sections: SECTIONS
+            .iter()
+            .map(|section| section.read(&root))
+            .collect::<Result<_, _>>()?,
+    };
 
-    let deltas = root
-        .get("deltas")
-        .and_then(Json::as_array)
-        .ok_or("missing deltas array")?;
-    if deltas.is_empty() {
-        return Err("deltas array is empty".into());
-    }
-    let kernel_names: Vec<&str> = kernels
-        .iter()
-        .filter_map(|k| k.get("name").and_then(Json::as_str))
-        .collect();
-    for (i, d) in deltas.iter().enumerate() {
-        if d.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("deltas[{i}] missing string name"));
-        }
-        let speedup = d
-            .get("speedup")
-            .and_then(Json::as_number)
-            .ok_or(format!("deltas[{i}] missing numeric speedup"))?;
-        if !speedup.is_finite() || speedup <= 0.0 {
-            return Err(format!("deltas[{i}].speedup = {speedup} is not positive"));
-        }
+    let kernels = snapshot.names("kernels");
+    for (i, d) in snapshot.rows("deltas").iter().enumerate() {
         for side in ["new", "baseline"] {
-            let name = d
-                .get(side)
-                .and_then(Json::as_str)
-                .ok_or(format!("deltas[{i}] missing string {side}"))?;
-            if !kernel_names.contains(&name) {
+            let name = d.get("deltas", side).as_str().unwrap_or_default();
+            if !kernels.contains(&name) {
                 return Err(format!(
                     "deltas[{i}].{side} {name:?} names no measured kernel"
                 ));
             }
         }
     }
-
-    let transport = root
-        .get("transport")
-        .and_then(Json::as_array)
-        .ok_or("missing transport array")?;
-    if transport.is_empty() {
-        return Err("transport array is empty".into());
-    }
-    for (i, t) in transport.iter().enumerate() {
-        if t.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("transport[{i}] missing string name"));
-        }
-        for field in ["qps", "p50_ns", "p99_ns"] {
-            let n = t
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("transport[{i}] missing numeric {field}"))?;
-            if !n.is_finite() || n <= 0.0 {
-                return Err(format!(
-                    "transport[{i}].{field} = {n} is not a positive measurement"
-                ));
-            }
+    let required = [
+        ("kernels", &REQUIRED_INDEX_KERNELS[..]),
+        ("phases", &REQUIRED_PHASES[..]),
+        ("maintenance", &[MAINTENANCE_ROW][..]),
+    ];
+    for (key, rows) in required {
+        let names = snapshot.names(key);
+        if let Some(missing) = rows.iter().find(|row| !names.contains(row)) {
+            return Err(format!("{key} missing required row {missing:?}"));
         }
     }
-    if !transport
+    if !snapshot
+        .names("transport")
         .iter()
-        .filter_map(|t| t.get("name").and_then(Json::as_str))
         .any(|n| n.starts_with(REQUIRED_TRANSPORT_PREFIX))
     {
         return Err(format!(
@@ -1712,178 +1564,7 @@ fn validate_snapshot(path: &str) -> Result<String, String> {
              federated deployment must be measured"
         ));
     }
-
-    // Checked where present: the sections are newer than the schema
-    // version, and the tree keeps a snapshot from before the newest — and so
-    // are the fields a section gained later (the second list).
-    const COMM_SECTIONS: [(&str, &[&str], &[&str]); 4] = [
-        (
-            "knn_comm",
-            &[
-                "request_bytes_per_query",
-                "reply_bytes_per_query",
-                "sources_per_query",
-            ],
-            &["shards_per_query"],
-        ),
-        (
-            "ojsp_comm",
-            &[
-                "request_bytes_per_query",
-                "reply_bytes_per_query",
-                "sources_per_query",
-                "shards_per_query",
-            ],
-            &[],
-        ),
-        ("summary_bytes", &["bytes", "blocks"], &[]),
-        (
-            "cjsp_comm",
-            &[
-                "request_bytes_per_query",
-                "reply_bytes_per_query",
-                "exchanges_per_query",
-                "candidates_named_per_query",
-                "candidates_shipped_per_query",
-            ],
-            &[],
-        ),
-    ];
-    for (section, fields, newer) in COMM_SECTIONS {
-        for (i, c) in root
-            .get(section)
-            .and_then(Json::as_array)
-            .into_iter()
-            .flatten()
-            .enumerate()
-        {
-            if c.get("name").and_then(Json::as_str).is_none() {
-                return Err(format!("{section}[{i}] missing string name"));
-            }
-            let present = newer.iter().filter(|field| c.get(field).is_some());
-            for field in fields.iter().chain(present) {
-                let n = c
-                    .get(field)
-                    .and_then(Json::as_number)
-                    .ok_or(format!("{section}[{i}] missing numeric {field}"))?;
-                if !n.is_finite() || n <= 0.0 {
-                    return Err(format!(
-                        "{section}[{i}].{field} = {n} is not a positive count"
-                    ));
-                }
-            }
-        }
-    }
-
-    let phases = root
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or("missing phases array")?;
-    if phases.is_empty() {
-        return Err("phases array is empty".into());
-    }
-    for (i, p) in phases.iter().enumerate() {
-        if p.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("phases[{i}] missing string name"));
-        }
-        for field in ["traversal_ns", "verify_ns"] {
-            let n = p
-                .get(field)
-                .and_then(Json::as_number)
-                .ok_or(format!("phases[{i}] missing numeric {field}"))?;
-            if !n.is_finite() || n < 0.0 {
-                return Err(format!(
-                    "phases[{i}].{field} = {n} is not a valid measurement"
-                ));
-            }
-        }
-        let share = p
-            .get("verify_share")
-            .and_then(Json::as_number)
-            .ok_or(format!("phases[{i}] missing numeric verify_share"))?;
-        if !share.is_finite() || !(0.0..=1.0).contains(&share) {
-            return Err(format!(
-                "phases[{i}].verify_share = {share} is not in [0, 1]"
-            ));
-        }
-    }
-    let phase_names: Vec<&str> = phases
-        .iter()
-        .filter_map(|p| p.get("name").and_then(Json::as_str))
-        .collect();
-    for required in REQUIRED_PHASES {
-        if !phase_names.contains(&required) {
-            return Err(format!("phases missing required engine entry {required:?}"));
-        }
-    }
-
-    for required in REQUIRED_INDEX_KERNELS {
-        if !kernel_names.contains(&required) {
-            return Err(format!("kernels missing required row {required:?}"));
-        }
-    }
-    let index = root.get("index").ok_or("missing index object")?;
-    for field in [
-        "leaves",
-        "keys",
-        "postings",
-        "inverted_bytes",
-        "bytes_per_posting",
-        "local_index_bytes",
-    ] {
-        let n = index
-            .get(field)
-            .and_then(Json::as_number)
-            .ok_or(format!("index missing numeric {field}"))?;
-        if !n.is_finite() || n <= 0.0 {
-            return Err(format!("index.{field} = {n} is not a positive size"));
-        }
-    }
-    // 0 is what a machine without procfs reports.
-    for field in ["rss_before_build_mb", "rss_after_build_mb"] {
-        let n = index
-            .get(field)
-            .and_then(Json::as_number)
-            .ok_or(format!("index missing numeric {field}"))?;
-        if !n.is_finite() || n < 0.0 {
-            return Err(format!("index.{field} = {n} is not a valid size"));
-        }
-    }
-
-    let row = root
-        .get("maintenance")
-        .and_then(Json::as_array)
-        .and_then(|rows| {
-            rows.iter()
-                .find(|r| r.get("name").and_then(Json::as_str) == Some(MAINTENANCE_ROW))
-        })
-        .ok_or(format!(
-            "maintenance section has no {MAINTENANCE_ROW:?} row"
-        ))?;
-    for field in [
-        "ops",
-        "bytes_per_op",
-        "encode_ns_per_op",
-        "decode_ns_per_op",
-    ] {
-        let n = row
-            .get(field)
-            .and_then(Json::as_number)
-            .ok_or(format!("{MAINTENANCE_ROW} missing numeric {field}"))?;
-        if !n.is_finite() || n <= 0.0 {
-            return Err(format!(
-                "{MAINTENANCE_ROW}.{field} = {n} is not a positive measurement"
-            ));
-        }
-    }
-
-    Ok(format!(
-        "{} kernels, {} deltas, {} transport rows, {} phases",
-        kernels.len(),
-        deltas.len(),
-        transport.len(),
-        phases.len()
-    ))
+    Ok(snapshot)
 }
 
 // ---------------------------------------------------------------------------
@@ -1907,4 +1588,151 @@ fn today_utc() -> String {
     let month = if mp < 10 { mp + 3 } else { mp - 9 };
     let year = if month <= 2 { year + 1 } else { year };
     format!("{year:04}-{month:02}-{day:02}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `BENCH_*.json` at the repository root, with its text.
+    fn committed_snapshots() -> Vec<(String, String)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut snapshots: Vec<(String, String)> = std::fs::read_dir(&root)
+            .expect("the repository root")
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                (name.starts_with("BENCH_") && name.ends_with(".json")).then_some(name)
+            })
+            .map(|name| {
+                let text = std::fs::read_to_string(root.join(&name)).expect("readable snapshot");
+                (name, text)
+            })
+            .collect();
+        snapshots.sort();
+        assert!(!snapshots.is_empty(), "no committed BENCH_*.json");
+        snapshots
+    }
+
+    #[test]
+    fn every_committed_snapshot_validates_and_renders_back_byte_for_byte() {
+        for (name, text) in committed_snapshots() {
+            let snapshot = parse_snapshot(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(
+                render_snapshot(&snapshot) == text,
+                "{name}: rendered differently"
+            );
+        }
+    }
+
+    /// The byte range of the first `"key": ` value in `text`: up to the next
+    /// `,` or `}` (a number), or through the closing quote (a string).
+    fn value_span(text: &str, key: &str) -> std::ops::Range<usize> {
+        let tag = format!("\"{key}\": ");
+        let start = text.find(&tag).unwrap_or_else(|| panic!("no {key}")) + tag.len();
+        let len = if text[start..].starts_with('"') {
+            text[start + 1..].find('"').expect("a closing quote") + 2
+        } else {
+            text[start..].find([',', '}']).expect("a number ends")
+        };
+        start..start + len
+    }
+
+    fn set(text: &str, key: &str, value: &str) -> String {
+        let mut out = text.to_string();
+        out.replace_range(value_span(text, key), value);
+        out
+    }
+
+    /// `text` without the line holding `needle`.
+    fn without_line(text: &str, needle: &str) -> String {
+        let at = text.find(needle).expect("the line is there");
+        let start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+        let end = at + text[at..].find('\n').expect("a line end") + 1;
+        format!("{}{}", &text[..start], &text[end..])
+    }
+
+    /// A one-edit mutation: what it does, a piece of the reason
+    /// `--validate` must refuse it with, and the edit.
+    type Mutation = (&'static str, &'static str, fn(&str) -> String);
+
+    fn mutations() -> Vec<Mutation> {
+        vec![
+            ("schema_version 8", "schema_version", |t| {
+                set(t, "schema_version", "8")
+            }),
+            ("date 2026-1-15", "YYYY-MM-DD", |t| {
+                set(t, "date", "\"2026-1-15\"")
+            }),
+            ("env.profile fast", "profile: \"fast\"", |t| {
+                set(t, "profile", "\"fast\"")
+            }),
+            ("empty env.git_commit", "git_commit: \"\"", |t| {
+                set(t, "git_commit", "\"\"")
+            }),
+            ("a kernel p50_ns of -1", "kernels[0].p50_ns", |t| {
+                set(t, "p50_ns", "-1")
+            }),
+            (
+                "a delta baseline naming no kernel",
+                "names no measured kernel",
+                |t| set(t, "baseline", "\"kernel/none\""),
+            ),
+            ("verify_share 1.5", "verify_share", |t| {
+                set(t, "verify_share", "1.5")
+            }),
+            (
+                "engine/cjsp/per-query phase removed",
+                "\"engine/cjsp/per-query\"",
+                |t| without_line(t, "{\"name\": \"engine/cjsp/per-query\", \"traversal_ns\""),
+            ),
+            (
+                "no transport/pooled/ row",
+                "no transport/pooled/* rows",
+                |t| t.replace("\"transport/pooled/", "\"transport/other/"),
+            ),
+            (
+                "maintenance row renamed",
+                "\"maintenance/apply_updates\"",
+                |t| t.replace("\"maintenance/apply_updates\"", "\"maintenance/renamed\""),
+            ),
+            ("index.postings 0", "index[0].postings", |t| {
+                set(t, "postings", "0")
+            }),
+            (
+                "a cjsp_comm count of 0",
+                "cjsp_comm[0].exchanges_per_query",
+                |t| set(t, "exchanges_per_query", "0"),
+            ),
+            ("trailing bytes", "trailing data", |t| format!("{t}0\n")),
+            ("knn_comm removed", "missing non-empty knn_comm", |t| {
+                let start = t.find("  \"knn_comm\": [").expect("a knn_comm section");
+                let end = start + t[start..].find("  ],\n").expect("its end") + 5;
+                format!("{}{}", &t[..start], &t[end..])
+            }),
+            (
+                "shards_per_query removed",
+                "knn_comm[0] missing numeric shards_per_query",
+                |t| {
+                    // The first occurrence is in `knn_comm`.
+                    let span = value_span(t, "shards_per_query");
+                    let key = ", \"shards_per_query\": ".len();
+                    format!("{}{}", &t[..span.start - key], &t[span.end..])
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_one_edit_mutation_of_a_committed_snapshot_is_refused() {
+        for (name, text) in committed_snapshots() {
+            for (what, reason, mutate) in mutations() {
+                let mutated = mutate(&text);
+                assert_ne!(mutated, text, "{what}: the edit changed nothing");
+                match parse_snapshot(&mutated) {
+                    Ok(_) => panic!("{name} with {what} was accepted"),
+                    Err(e) => assert!(e.contains(reason), "{name} with {what}: {e}"),
+                }
+            }
+        }
+    }
 }

@@ -1226,10 +1226,13 @@ where
 /// engine's degraded skip-and-report mode.  Returns one `Result` per task,
 /// **in task order**, plus the merged per-worker accumulators.
 ///
-/// With `fail_fast` the first shard error parks the claim cursor (remaining
-/// workers drain their current task and stop) and becomes the outer `Err`;
-/// without it every task runs to completion and failed shards come back as
-/// per-task `Err` values, so one dead source can never park the batch.
+/// With `fail_fast` a shard error parks the claim cursor (remaining workers
+/// drain their current task and stop) and the error of the lowest-numbered
+/// failing task becomes the outer `Err`, on the pool as on the calling
+/// thread: the cursor only grows, so every task below the one that parked it
+/// was claimed and ran to completion.  Without it every task runs to
+/// completion and failed shards come back as per-task `Err` values, so one
+/// dead source can never park the batch.
 fn run_parallel_core<T, R, F>(
     tasks: &[T],
     workers: usize,
@@ -1258,11 +1261,12 @@ where
     }
 
     /// What one worker brings home: its indexed per-task results, its
-    /// private accumulators, and the aborting error it hit (if any).
+    /// private accumulators, and the aborting error it hit (if any) with
+    /// its task's index.
     type WorkerBlock<R> = (
         Vec<(usize, Result<R, SearchError>)>,
         WorkerCtx,
-        Option<SearchError>,
+        Option<(usize, SearchError)>,
     );
 
     let cursor = AtomicUsize::new(0);
@@ -1287,7 +1291,7 @@ where
                                 // already doomed, there is no point paying
                                 // for (possibly slow) remaining exchanges.
                                 cursor.store(tasks.len(), Ordering::Relaxed);
-                                error = Some(e);
+                                error = Some((i, e));
                                 break;
                             }
                             Err(e) => local_results.push((i, Err(e))),
@@ -1307,12 +1311,16 @@ where
     });
 
     // Lossless merge of the per-worker accumulators; a join failure or (in
-    // fail-fast mode) the first shard error aborts the batch.
+    // fail-fast mode) the shard error of the lowest task aborts the batch.
     let mut slots: Vec<Option<Result<R, SearchError>>> = (0..tasks.len()).map(|_| None).collect();
+    let mut first_error: Option<(usize, SearchError)> = None;
     for block in worker_blocks {
         let (results, local, error) = block?;
-        if let Some(e) = error {
-            return Err(e);
+        if let Some((i, e)) = error {
+            if first_error.as_ref().is_none_or(|(first, _)| i < *first) {
+                first_error = Some((i, e));
+            }
+            continue;
         }
         ctx.merge(local);
         for (i, r) in results {
@@ -1320,6 +1328,9 @@ where
                 *slot = Some(r);
             }
         }
+    }
+    if let Some((_, e)) = first_error {
+        return Err(e);
     }
     let mut results = Vec::with_capacity(tasks.len());
     for slot in slots {
@@ -1406,6 +1417,25 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, SearchError::Internal("boom"));
+        // Two failing shards: the lower task's error wins, whichever worker
+        // claimed it.  Neither fails before both are claimed; the other tasks
+        // take a millisecond each, so the four workers interleave.
+        let tasks: Vec<usize> = (0..40).collect();
+        for _ in 0..20 {
+            let both_claimed = std::sync::Barrier::new(2);
+            let err = run_parallel(&tasks, 4, None, |&t, _| match t {
+                5 | 30 => {
+                    both_claimed.wait();
+                    Err(SearchError::Internal(if t == 5 { "early" } else { "late" }))
+                }
+                _ => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    Ok(t)
+                }
+            })
+            .unwrap_err();
+            assert_eq!(err, SearchError::Internal("early"));
+        }
         // Sequential path too.
         let err = run_parallel(&tasks[..4], 1, None, |&t, _| {
             if t == 2 {

@@ -1,9 +1,12 @@
 //! Test support shared by the integration tests that spawn the
-//! `source-server` binary.
+//! `source-server` binary, and their kNN oracle.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, ChildStdout, Command, Stdio};
 
+use dits::knn::nearest_datasets_bruteforce;
+use dits::{DatasetNode, Neighbor};
+use multisource::DataSource;
 use spatial::{SourceId, SpatialDataset};
 
 /// Spawned `source-server` child with its parsed listen address, killed when
@@ -65,4 +68,29 @@ pub fn spawn_server(
         addr,
         stdout,
     }
+}
+
+/// The kNN oracle: every source's brute-force kNN at its own resolution,
+/// merged the way the center merges replies.
+// Only some tests ask kNN queries.
+#[allow(dead_code)]
+pub fn merged_knn_bruteforce(
+    sources: &[DataSource],
+    query: &SpatialDataset,
+    k: usize,
+) -> Vec<(SourceId, Neighbor)> {
+    let mut all: Vec<(SourceId, Neighbor)> = Vec::new();
+    for source in sources {
+        let nodes: Vec<DatasetNode> = source.dataset_nodes().into_iter().cloned().collect();
+        let local = nearest_datasets_bruteforce(&nodes, &source.grid_query(query), k);
+        all.extend(local.into_iter().map(|n| (source.id, n)));
+    }
+    all.sort_unstable_by(|a, b| {
+        a.1.distance
+            .total_cmp(&b.1.distance)
+            .then(a.0.cmp(&b.0))
+            .then(a.1.dataset.cmp(&b.1.dataset))
+    });
+    all.truncate(k);
+    all
 }

@@ -11,8 +11,7 @@
 //! says the same in process, behind a mutex and over spawned
 //! `source-server` processes.
 
-use dits::knn::nearest_datasets_bruteforce;
-use dits::{DatasetNode, DitsLocalConfig, Neighbor, ReplayOnPanic};
+use dits::{DitsLocalConfig, Neighbor, ReplayOnPanic};
 use multisource::{
     CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig, ExclusiveTransport,
     Message, QueryEngine, SearchRequest, SearchResponse,
@@ -23,41 +22,13 @@ use spatial::zorder::cell_id;
 use spatial::{Grid, Point, SourceId, SpatialDataset};
 
 mod common;
-use common::{spawn_server, ServerProcess};
+use common::{merged_knn_bruteforce, spawn_server, ServerProcess};
 
 const STRATEGIES: [DistributionStrategy; 3] = [
     DistributionStrategy::Broadcast,
     DistributionStrategy::Pruned,
     DistributionStrategy::PrunedClipped,
 ];
-
-/// The oracle: every source's brute-force kNN at its own resolution, merged
-/// the way the center merges replies.
-fn merged_bruteforce(
-    sources: &[DataSource],
-    query: &SpatialDataset,
-    k: usize,
-) -> Vec<(SourceId, Neighbor)> {
-    let mut all: Vec<(SourceId, Neighbor)> = Vec::new();
-    for source in sources {
-        let nodes: Vec<DatasetNode> = source
-            .index()
-            .dataset_nodes()
-            .into_iter()
-            .cloned()
-            .collect();
-        let local = nearest_datasets_bruteforce(&nodes, &source.grid_query(query), k);
-        all.extend(local.into_iter().map(|n| (source.id, n)));
-    }
-    all.sort_unstable_by(|a, b| {
-        a.1.distance
-            .total_cmp(&b.1.distance)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.dataset.cmp(&b.1.dataset))
-    });
-    all.truncate(k);
-    all
-}
 
 fn run(
     center: &DataCenter,
@@ -87,7 +58,7 @@ fn assert_exact_under_every_strategy(
     let center = DataCenter::build(sources, 4);
     let oracle: Vec<_> = queries
         .iter()
-        .map(|q| merged_bruteforce(sources, q, k))
+        .map(|q| merged_knn_bruteforce(sources, q, k))
         .collect();
     let responses = STRATEGIES.map(|strategy| {
         let request = SearchRequest::knn_batch(queries.to_vec())
@@ -237,7 +208,7 @@ fn rules_at_work(sources: &[DataSource], queries: &[SpatialDataset], k: usize) -
             continue;
         };
         let zero_cutoff = k > 0
-            && merged_bruteforce(std::slice::from_ref(*first), query, k)
+            && merged_knn_bruteforce(std::slice::from_ref(*first), query, k)
                 .iter()
                 .filter(|(_, n)| n.distance == 0.0)
                 .count()
@@ -582,7 +553,7 @@ fn a_batch_of_eight_is_eight_batches_of_one() {
     for (query, answer) in queries.iter().zip(&batched) {
         let (single, response) = run(&center, &sources, &SearchRequest::knn(query.clone()).k(k));
         assert_eq!(&single[0], answer);
-        assert_eq!(answer, &merged_bruteforce(&sources, query, k));
+        assert_eq!(answer, &merged_knn_bruteforce(&sources, query, k));
         merged.merge(&response.comm);
     }
     assert_eq!(merged, batch.comm);
@@ -643,7 +614,7 @@ fn the_same_knn_batch_says_the_same_on_three_transports() {
         for (answers, _) in &in_process {
             let oracle: Vec<_> = queries
                 .iter()
-                .map(|q| merged_bruteforce(&sources, q, k))
+                .map(|q| merged_knn_bruteforce(&sources, q, k))
                 .collect();
             assert_eq!(answers, &oracle, "{name}");
         }

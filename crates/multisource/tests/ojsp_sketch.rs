@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use dits::knn::nearest_datasets_bruteforce;
 use dits::overlap::overlap_search_bruteforce;
 use dits::{
-    DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, Neighbor, OverlapResult,
-    ReplayOnPanic, SourceSummary,
+    DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, OverlapResult, ReplayOnPanic,
+    SourceSummary,
 };
 use multisource::{
     CallOptions, CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig,
@@ -34,7 +33,7 @@ use spatial::zorder::{cell_coords, cell_id};
 use spatial::{Grid, Point, SourceId, SpatialDataset};
 
 mod common;
-use common::{spawn_server, ServerProcess};
+use common::{merged_knn_bruteforce, spawn_server, ServerProcess};
 
 const STRATEGIES: [DistributionStrategy; 3] = [
     DistributionStrategy::Broadcast,
@@ -56,29 +55,6 @@ fn merged_bruteforce(sources: &[DataSource], query: &SpatialDataset, k: usize) -
     all.sort_unstable_by(|a, b| {
         b.1.overlap
             .cmp(&a.1.overlap)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.dataset.cmp(&b.1.dataset))
-    });
-    all.truncate(k);
-    all
-}
-
-/// The kNN oracle: every source's brute-force kNN at its own resolution,
-/// merged the way the center merges replies.
-fn merged_knn_bruteforce(
-    sources: &[DataSource],
-    query: &SpatialDataset,
-    k: usize,
-) -> Vec<(SourceId, Neighbor)> {
-    let mut all: Vec<(SourceId, Neighbor)> = Vec::new();
-    for source in sources {
-        let nodes: Vec<DatasetNode> = source.dataset_nodes().into_iter().cloned().collect();
-        let local = nearest_datasets_bruteforce(&nodes, &source.grid_query(query), k);
-        all.extend(local.into_iter().map(|n| (source.id, n)));
-    }
-    all.sort_unstable_by(|a, b| {
-        a.1.distance
-            .total_cmp(&b.1.distance)
             .then(a.0.cmp(&b.0))
             .then(a.1.dataset.cmp(&b.1.dataset))
     });

@@ -48,10 +48,11 @@
 //! for its Lemma 2 leaf bounds (56 630 calls over 2 000 queries, zero
 //! adaptive dispatches); CJSP's `marginal_gain` dispatches 97.4 % linear,
 //! 1.6 % packed and 1.0 % galloping (30 600 / 490 / 322 over 64 queries);
-//! kNN intersects nothing (its kernel is `distance`).  The ~44× of
-//! `bench-runner`'s `kernel/intersection/dense-grid` row therefore describes
-//! a pair — two dense sets of comparable size — that the serving path's
-//! dispatch almost never sees.
+//! kNN intersects nothing (its kernel is `distance`).  The speedup of
+//! `bench-runner`'s `kernel/intersection/dense-grid` delta (43.05× in one
+//! run: the full-run `BENCH_*.json` of 2026-10-15 stamped `c119b3d`)
+//! therefore describes a pair — two dense sets of comparable size — that
+//! the serving path's dispatch almost never sees.
 
 use std::convert::identity;
 use std::ops::ControlFlow;
