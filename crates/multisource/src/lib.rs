@@ -88,7 +88,6 @@ pub use framework::{FrameworkConfig, MultiSourceFramework};
 pub use message::{CandidateCells, CellOp, CoverageCandidate, Message, UpdateOp};
 pub use source::{DataSource, SourceMetrics};
 pub use transport::{
-    scrape_metrics, serve_source, serve_source_until, CallOptions, ExclusiveTransport,
-    InProcessTransport, ServedReply, ShutdownSignal, SourceServer, SourceTrace, SourceTransport,
-    TransportReply,
+    scrape_metrics, serve_source_until, CallOptions, ExclusiveTransport, InProcessTransport,
+    ServedReply, ShutdownSignal, SourceServer, SourceTrace, SourceTransport, TransportReply,
 };

@@ -375,6 +375,12 @@ impl Message {
         }
     }
 
+    /// Whether serving this request changes the source: a maintenance batch
+    /// with operations in it (an empty one is the read-only summary poll).
+    pub fn mutates(&self) -> bool {
+        matches!(self, Message::ApplyUpdates { ops, .. } if !ops.is_empty())
+    }
+
     /// Serialises the message into its wire form.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();

@@ -37,7 +37,7 @@ fn request_kind_index(request: &Message) -> usize {
         Message::OverlapQuery { .. } => 0,
         Message::CoverageQuery { .. } => 1,
         Message::KnnQuery { .. } => 2,
-        Message::ApplyUpdates { ops, .. } if !ops.is_empty() => 3,
+        _ if request.mutates() => 3,
         Message::ApplyUpdates { .. } => 4,
         Message::MetricsQuery => 5,
         Message::CellsQuery { .. } => 6,
@@ -468,17 +468,15 @@ impl DataSource {
         let _ = take_phase_timings();
         let started = Instant::now();
         let reply = match request {
-            Message::ApplyUpdates { ops, .. } if ops.is_empty() => {
-                ServedReply::plain(self.summary_refresh(
-                    self.summary(),
-                    &MaintenanceStats::new(),
-                    self.index.sketch(),
-                ))
-            }
-            Message::ApplyUpdates { .. } => ServedReply::plain(Message::Error {
+            _ if request.mutates() => ServedReply::plain(Message::Error {
                 code: ERR_UNSUPPORTED,
                 detail: "mutating maintenance needs exclusive access".to_string(),
             }),
+            Message::ApplyUpdates { .. } => ServedReply::plain(self.summary_refresh(
+                self.summary(),
+                &MaintenanceStats::new(),
+                self.index.sketch(),
+            )),
             Message::MetricsQuery => ServedReply::plain(Message::MetricsSnapshot {
                 source: self.id,
                 snapshot: self.metrics_snapshot(),

@@ -220,18 +220,35 @@ impl ServedReply {
         self
     }
 
-    fn into_reply(self, opts: CallOptions, request_bytes: usize) -> TransportReply {
-        let reply_bytes = self.message.wire_size();
-        TransportReply {
-            message: self.message,
-            request_bytes,
-            reply_bytes,
-            search: self.search.filter(|_| opts.want_stats),
-            maintenance: self.maintenance.filter(|_| opts.want_stats),
-            service: self.service.filter(|_| opts.want_stats),
-            trace: opts.trace.map(|trace_id| SourceTrace {
-                trace_id,
+    /// The reply as the call asked for it — the one rule every serving
+    /// transport applies.  Without `want_stats` every statistics block goes,
+    /// the service time with them (it rides "next to the stats"); the phase
+    /// split stays for the trace, whose id is the call's, as is the
+    /// pipelining `correlation_id`.
+    pub fn as_asked(self, opts: CallOptions, correlation_id: Option<u64>) -> Self {
+        let served = if opts.want_stats {
+            self
+        } else {
+            ServedReply {
                 phases: self.phases,
+                ..ServedReply::plain(self.message)
+            }
+        };
+        served.traced(opts.trace).correlated(correlation_id)
+    }
+
+    fn into_reply(self, opts: CallOptions, request_bytes: usize) -> TransportReply {
+        let served = self.as_asked(opts, None);
+        TransportReply {
+            reply_bytes: served.message.wire_size(),
+            message: served.message,
+            request_bytes,
+            search: served.search,
+            maintenance: served.maintenance,
+            service: served.service,
+            trace: served.trace_id.map(|trace_id| SourceTrace {
+                trace_id,
+                phases: served.phases,
             }),
         }
     }
@@ -311,17 +328,15 @@ impl SourceTransport for InProcessTransport<'_> {
         opts: CallOptions,
     ) -> Result<TransportReply, TransportError> {
         let src = self.find(source)?;
-        match request {
-            // A mutating batch cannot be applied through a shared borrow;
-            // fail loudly instead of answering with a protocol error, so
-            // the caller reaches for `ExclusiveTransport`.
-            Message::ApplyUpdates { ops, .. } if !ops.is_empty() => {
-                Err(TransportError::ExclusiveRequired)
-            }
-            other => Ok(src
-                .serve_readonly(other)
-                .into_reply(opts, request.wire_size())),
+        // A mutating batch cannot be applied through a shared borrow; fail
+        // loudly instead of answering with a protocol error, so the caller
+        // reaches for `ExclusiveTransport`.
+        if request.mutates() {
+            return Err(TransportError::ExclusiveRequired);
         }
+        Ok(src
+            .serve_readonly(request)
+            .into_reply(opts, request.wire_size()))
     }
 }
 
@@ -672,20 +687,15 @@ impl SourceServer {
 }
 
 /// Accept loop shared by [`SourceServer`] and the `source-server` binary:
-/// serves framed requests against `source` until the listener fails.  Runs
-/// forever — use [`serve_source_until`] for a drainable server.
+/// serves framed requests against `source` until the listener fails or
+/// `shutdown` triggers.  Then the loop stops accepting, every open
+/// connection finishes the frame it is serving and closes between frames,
+/// and the call returns once all connections have drained (bounded by a
+/// grace period).
 ///
 /// Connections are handled on their own threads; the source sits behind a
 /// read-write lock so concurrent queries proceed in parallel while a
 /// maintenance batch gets exclusive access.
-pub fn serve_source(listener: TcpListener, source: DataSource) {
-    serve_source_until(listener, source, ShutdownSignal::new());
-}
-
-/// [`serve_source`] with graceful shutdown: when `shutdown` triggers, the
-/// loop stops accepting, every open connection finishes the frame it is
-/// serving and closes between frames, and the call returns once all
-/// connections have drained (bounded by a grace period).
 pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: ShutdownSignal) {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -785,9 +795,7 @@ fn serve_connection(
             }
             Err(other) => return Err(other),
         };
-        let needs_exclusive =
-            matches!(&frame.message, Message::ApplyUpdates { ops, .. } if !ops.is_empty());
-        let served = if needs_exclusive {
+        let served = if frame.message.mutates() {
             match source.write() {
                 Ok(mut guard) => guard.serve(&frame.message),
                 Err(poisoned) => poisoned.into_inner().serve(&frame.message),
@@ -802,23 +810,18 @@ fn serve_connection(
             };
             guard.serve_readonly(&frame.message)
         };
-        let mut served = if frame.want_stats {
-            served
-        } else {
-            // Stats opt-out drops every statistics block — including the
-            // service time, which rides "next to the stats".
-            let phases = served.phases;
-            ServedReply {
-                phases,
-                ..ServedReply::plain(served.message)
-            }
-        };
         // Echo the center-assigned trace id (if any) with the measured
         // phase split, and the pipelining correlation id verbatim; the
         // source itself never sees either.
-        served.trace_id = frame.trace.map(|t| t.trace_id);
-        served.correlation_id = frame.correlation_id;
-        write_frame(&mut stream, &served, false)?;
+        let opts = CallOptions {
+            want_stats: frame.want_stats,
+            trace: frame.trace.map(|t| t.trace_id),
+        };
+        write_frame(
+            &mut stream,
+            &served.as_asked(opts, frame.correlation_id),
+            false,
+        )?;
     }
 }
 

@@ -4,114 +4,71 @@
 //! could still beat a pick — is the answer of the protocol it replaced, in
 //! which every pick of every source travelled with its cells and the center
 //! aggregated them all.  That protocol lives on here as a transport
-//! ([`EveryPickInline`]) under the same engine, full `AggregatedCoverage`
+//! ([`every_pick_inline`]) under the same engine, full `AggregatedCoverage`
 //! equality, and bounds what the new one may put on the wire.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dits::{DitsLocalConfig, Neighbor, ReplayOnPanic};
+use dits::{Neighbor, ReplayOnPanic};
 use multisource::{
-    AggregatedCoverage, CallOptions, CandidateCells, DataCenter, DataSource, DistributionStrategy,
-    EngineConfig, InProcessTransport, Message, QueryEngine, SearchError, SearchRequest,
-    SearchResponse, SourceTransport, TransportError, TransportReply,
+    AggregatedCoverage, CandidateCells, CoverageCandidate, DataCenter, DataSource, EngineConfig,
+    InProcessTransport, Message, QueryEngine, SearchError, SearchRequest, SearchResponse,
+    SourceTransport, TransportError,
 };
 use proptest::prelude::*;
-use spatial::zorder::cell_id;
-use spatial::{Grid, Point, SourceId, SpatialDataset};
+use spatial::{Point, SourceId, SpatialDataset};
 
-const STRATEGIES: [DistributionStrategy; 3] = [
-    DistributionStrategy::Broadcast,
-    DistributionStrategy::Pruned,
-    DistributionStrategy::PrunedClipped,
-];
+mod common;
+use common::{dataset, source, with_dead_source, Intercepted, STRATEGIES};
 
 /// The protocol before cells travelled on demand, as a transport over
 /// in-process sources: every candidate of a `CoverageReply` comes back with
 /// its cells, so the engine above it never sees a stub, never fetches, and
 /// reduces by aggregating every pick of every source — the oracle.  With
 /// `without_stubs_of`, that source's stubs are left out instead: what a
-/// degraded run aggregates once the source has failed a fetch.
-#[derive(Debug)]
-struct EveryPickInline<'a> {
+/// degraded run aggregates once the source has failed a fetch.  `stubs`
+/// counts the stubs turned into cells or left out.
+fn every_pick_inline<'a>(
     sources: &'a [DataSource],
     without_stubs_of: Option<SourceId>,
-    /// Stubs turned into cells or left out.
-    stubs: AtomicUsize,
-}
-
-impl<'a> EveryPickInline<'a> {
-    fn new(sources: &'a [DataSource]) -> Self {
-        Self {
-            sources,
-            without_stubs_of: None,
-            stubs: AtomicUsize::new(0),
+    stubs: &'a AtomicUsize,
+) -> Intercepted<'a> {
+    Intercepted::rewriting(sources, move |source, message| {
+        let Message::CoverageReply { candidates, .. } = message else {
+            return;
+        };
+        let is_stub = |c: &CoverageCandidate| matches!(c.cells, CandidateCells::Stub(_));
+        stubs.fetch_add(
+            candidates.iter().filter(|c| is_stub(c)).count(),
+            Ordering::Relaxed,
+        );
+        if without_stubs_of == Some(source) {
+            candidates.retain(|c| !is_stub(c));
         }
-    }
-}
-
-impl SourceTransport for EveryPickInline<'_> {
-    fn source_ids(&self) -> Vec<SourceId> {
-        InProcessTransport::new(self.sources).source_ids()
-    }
-
-    fn call_with(
-        &self,
-        source: SourceId,
-        request: &Message,
-        opts: CallOptions,
-    ) -> Result<TransportReply, TransportError> {
-        let mut reply = InProcessTransport::new(self.sources).call_with(source, request, opts)?;
-        if let Message::CoverageReply { candidates, .. } = &mut reply.message {
-            let is_stub =
-                |c: &multisource::CoverageCandidate| matches!(c.cells, CandidateCells::Stub(_));
-            let stubs = candidates.iter().filter(|c| is_stub(c)).count();
-            self.stubs.fetch_add(stubs, Ordering::Relaxed);
-            if self.without_stubs_of == Some(source) {
-                candidates.retain(|c| !is_stub(c));
-            }
-            let owner = self
-                .sources
-                .iter()
-                .find(|s| s.id == source)
-                .expect("the call reached this source");
-            for candidate in candidates.iter_mut().filter(|c| is_stub(c)) {
-                let (_, node) = owner
-                    .index()
-                    .find_dataset(candidate.dataset)
-                    .expect("a source names its own datasets");
-                candidate.cells = CandidateCells::Inline(node.cells.clone());
-            }
-            reply.reply_bytes = reply.message.wire_size();
+        let owner = sources
+            .iter()
+            .find(|s| s.id == source)
+            .expect("the call reached this source");
+        for candidate in candidates.iter_mut().filter(|c| is_stub(c)) {
+            let (_, node) = owner
+                .index()
+                .find_dataset(candidate.dataset)
+                .expect("a source names its own datasets");
+            candidate.cells = CandidateCells::Inline(node.cells.clone());
         }
-        Ok(reply)
-    }
-}
-
-/// In-process sources of which one answers every query and no fetch.
-#[derive(Debug)]
-struct DeadForFetches<'a> {
-    inner: InProcessTransport<'a>,
-    dead: SourceId,
+    })
 }
 
 const FETCH_REFUSED: &str = "connection refused (injected)";
 
-impl SourceTransport for DeadForFetches<'_> {
-    fn source_ids(&self) -> Vec<SourceId> {
-        self.inner.source_ids()
-    }
-
-    fn call_with(
-        &self,
-        source: SourceId,
-        request: &Message,
-        opts: CallOptions,
-    ) -> Result<TransportReply, TransportError> {
-        if source == self.dead && matches!(request, Message::CellsQuery { .. }) {
-            return Err(TransportError::Io(FETCH_REFUSED.to_string()));
-        }
-        self.inner.call_with(source, request, opts)
-    }
+/// In-process sources of which `dead` answers every query and no fetch.
+fn dead_for_fetches(sources: &[DataSource], dead: SourceId) -> Intercepted<'_> {
+    with_dead_source(
+        sources,
+        dead,
+        true,
+        TransportError::Io(FETCH_REFUSED.to_string()),
+    )
 }
 
 fn run(
@@ -145,14 +102,14 @@ fn assert_exact(
     request: &SearchRequest,
 ) -> (SearchResponse, SearchResponse) {
     let on_demand = run(center, &InProcessTransport::new(sources), request);
-    let oracle_transport = EveryPickInline::new(sources);
-    let oracle = run(center, &oracle_transport, request);
+    let stubs = AtomicUsize::new(0);
+    let oracle = run(center, &every_pick_inline(sources, None, &stubs), request);
     assert_eq!(
         answers(&on_demand),
         answers(&oracle),
         "cells on demand lost or invented a pick"
     );
-    let stubs = oracle_transport.stubs.load(Ordering::Relaxed);
+    let stubs = stubs.into_inner();
     let fetches = on_demand.comm.requests - oracle.comm.requests;
     assert!(
         on_demand.comm.bytes_to_center
@@ -229,15 +186,10 @@ fn run_on_demand_case(case_seed: u64) {
     // One source stops answering fetches: a run that skips it leaves out
     // the candidates it only named and is exact over everything else.
     let dead = (0..sources.len() as SourceId).generate(&mut rng);
-    let faulty = DeadForFetches {
-        inner: InProcessTransport::new(&sources),
-        dead,
-    };
+    let faulty = dead_for_fetches(&sources, dead);
     let degraded = run(&center, &faulty, &request.clone().skip_failed_sources(true));
-    let survivors = EveryPickInline {
-        without_stubs_of: Some(dead),
-        ..EveryPickInline::new(&sources)
-    };
+    let stubs = AtomicUsize::new(0);
+    let survivors = every_pick_inline(&sources, Some(dead), &stubs);
     assert_eq!(
         answers(&degraded),
         answers(&run(&center, &survivors, &request))
@@ -259,28 +211,9 @@ proptest! {
 // (1000, 1000) and rows of cells along y = 1000 on either side of it.
 // ---------------------------------------------------------------------------
 
-fn dataset(id: u32, cells: &[(u32, u32)]) -> SpatialDataset {
-    let grid = Grid::global(11).expect("θ = 11");
-    let points = cells
-        .iter()
-        .map(|&(x, y)| grid.cell_center(cell_id(x, y)))
-        .collect();
-    SpatialDataset::new(id, points)
-}
-
 /// The cells `(x, 1000)` for `x` in `xs`.
 fn row(id: u32, xs: std::ops::RangeInclusive<u32>) -> SpatialDataset {
     dataset(id, &xs.map(|x| (x, 1000)).collect::<Vec<_>>())
-}
-
-fn source(id: SourceId, datasets: &[SpatialDataset]) -> DataSource {
-    DataSource::build(
-        id,
-        format!("s{id}"),
-        Grid::global(11).expect("θ = 11"),
-        datasets,
-        DitsLocalConfig::default(),
-    )
 }
 
 fn query(id: u32) -> SpatialDataset {
@@ -480,10 +413,7 @@ fn knn_and_cjsp_follow_up_through_the_same_loop() {
 fn a_source_dead_for_the_fetch_degrades_to_what_was_received() {
     let sources = chain_and_other(1, 0);
     let center = DataCenter::build(&sources, 4);
-    let faulty = DeadForFetches {
-        inner: InProcessTransport::new(&sources),
-        dead: 1,
-    };
+    let faulty = dead_for_fetches(&sources, 1);
     let engine = QueryEngine::new(&center, &faulty, EngineConfig::default());
     let request = cjsp(3, 2.0);
     assert_eq!(
@@ -498,10 +428,8 @@ fn a_source_dead_for_the_fetch_degrades_to_what_was_received() {
     assert_eq!(degraded.failures[0].source, 1);
     // NEAR arrived with the first reply and stays; FAR was only named.
     assert_eq!(selected(&degraded), [(1, NEAR), (0, LEFT)]);
-    let survivors = EveryPickInline {
-        without_stubs_of: Some(1),
-        ..EveryPickInline::new(&sources)
-    };
+    let stubs = AtomicUsize::new(0);
+    let survivors = every_pick_inline(&sources, Some(1), &stubs);
     assert_eq!(
         answers(&degraded),
         answers(&run(&center, &survivors, &request))

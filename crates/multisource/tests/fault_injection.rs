@@ -19,103 +19,43 @@
 //! candidate it only named.
 
 use std::collections::BTreeSet;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use datagen::{generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale};
 use multisource::transport::{read_frame, write_frame};
 use multisource::{
-    CallOptions, DataCenter, DataSource, DistributionStrategy, EngineConfig, FrameworkConfig,
-    InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchError, SearchRequest,
-    ServedReply, SourceServer, SourceTransport, TransportError, TransportReply,
+    CallOptions, DataCenter, DataSource, DistributionStrategy, Message, MultiSourceFramework,
+    QueryEngine, SearchError, SearchRequest, SearchResponse, SourceServer, TransportError,
 };
 use net::{PoolConfig, PooledTcpTransport};
 use spatial::{SourceId, SpatialDataset};
 
-fn build_data(seed: u64) -> Vec<(String, Vec<SpatialDataset>)> {
-    let config = GeneratorConfig {
-        scale: SourceScale::Custom(400),
-        seed,
-        max_points_per_dataset: Some(60),
+mod common;
+use common::{
+    assert_same_response, build_data, every_kind, fetching_cjsp, framework, probe_queries,
+    serve_in_threads, with_dead_source, Intercepted,
+};
+
+/// Three generated sources, small.
+const DATA: (u32, usize, usize) = (400, 60, 3);
+
+/// The pooled transport over `endpoints`, quick to give up on a refused
+/// connection: one retry after 5 ms.
+fn fast_failing(endpoints: impl IntoIterator<Item = (SourceId, String)>) -> PooledTcpTransport {
+    let config = PoolConfig {
+        connect_timeout: Duration::from_millis(500),
+        retries: 1,
+        retry_backoff: Duration::from_millis(5),
+        ..PoolConfig::default()
     };
-    paper_sources()
-        .iter()
-        .take(3)
-        .map(|p| (p.name.to_string(), generate_source(p, &config)))
-        .collect()
-}
-
-fn framework(data: &[(String, Vec<SpatialDataset>)]) -> MultiSourceFramework {
-    MultiSourceFramework::build(
-        data,
-        FrameworkConfig {
-            resolution: 11,
-            strategy: DistributionStrategy::PrunedClipped,
-            ..FrameworkConfig::default()
-        },
-    )
-}
-
-fn probe_queries(data: &[(String, Vec<SpatialDataset>)]) -> Vec<SpatialDataset> {
-    let pool: Vec<SpatialDataset> = data.iter().flat_map(|(_, d)| d.iter().cloned()).collect();
-    select_queries(&pool, 6, 3)
-}
-
-fn engine_config(fw: &MultiSourceFramework) -> EngineConfig {
-    EngineConfig {
-        workers: fw.config().workers,
-        strategy: fw.config().strategy,
-        delta_cells: fw.config().delta_cells,
-        ..EngineConfig::default()
-    }
-}
-
-/// In-process fleet with one injected-dead member: every call to `dead` —
-/// or, with `fetches_only`, every fetch of cells — fails with a clone of
-/// `error`; everything else takes the plain in-process path.  This is the
-/// oracle the real-socket deployments are held to.
-#[derive(Debug)]
-struct InjectedFault<'a> {
-    inner: InProcessTransport<'a>,
-    dead: SourceId,
-    fetches_only: bool,
-    error: TransportError,
-}
-
-impl SourceTransport for InjectedFault<'_> {
-    fn source_ids(&self) -> Vec<SourceId> {
-        self.inner.source_ids()
-    }
-
-    fn call_with(
-        &self,
-        source: SourceId,
-        request: &Message,
-        opts: CallOptions,
-    ) -> Result<TransportReply, TransportError> {
-        let hit = !self.fetches_only || matches!(request, Message::CellsQuery { .. });
-        if source == self.dead && hit {
-            return Err(self.error.clone());
-        }
-        self.inner.call_with(source, request, opts)
-    }
+    PooledTcpTransport::with_config(endpoints, config).expect("pooled transport")
 }
 
 /// The three search kinds, all broadcast so the faulty source is
 /// demonstrably contacted by every batch.
 fn broadcast_requests(queries: &[SpatialDataset]) -> [SearchRequest; 3] {
-    [
-        SearchRequest::ojsp_batch(queries.to_vec())
-            .k(5)
-            .strategy(DistributionStrategy::Broadcast),
-        SearchRequest::cjsp_batch(queries.to_vec())
-            .k(3)
-            .strategy(DistributionStrategy::Broadcast),
-        SearchRequest::knn_batch(queries.to_vec())
-            .k(4)
-            .strategy(DistributionStrategy::Broadcast),
-    ]
+    every_kind(queries).map(|r| r.strategy(DistributionStrategy::Broadcast))
 }
 
 /// Asserts the full degradation contract for one request on one deployment
@@ -159,15 +99,7 @@ fn assert_degradation_parity(
     // Answers and completed-shard accounting are deployment-independent:
     // the failed shards contribute nothing, the completed ones everything,
     // byte for byte.
-    assert_eq!(local.results, remote.results, "degraded answers diverged");
-    assert_eq!(
-        local.comm, remote.comm,
-        "completed-shard byte accounting diverged"
-    );
-    assert_eq!(
-        local.search, remote.search,
-        "completed-shard search statistics diverged"
-    );
+    assert_same_response(&local, &remote, "degraded run, completed shards");
 }
 
 /// A real-socket deployment with one member killed: three live servers,
@@ -178,38 +110,42 @@ fn kill_one(
     fw: &MultiSourceFramework,
     dead: SourceId,
 ) -> (Vec<SourceServer>, PooledTcpTransport, DataCenter) {
-    let mut servers: Vec<SourceServer> = fw
-        .sources()
-        .iter()
-        .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
-        .collect();
-    let endpoints: Vec<(SourceId, String)> = servers.iter().map(|s| s.endpoint()).collect();
-    let pooled = PooledTcpTransport::with_config(
-        endpoints,
-        PoolConfig {
-            connect_timeout: Duration::from_millis(500),
-            retries: 1,
-            retry_backoff: Duration::from_millis(5),
-            ..PoolConfig::default()
-        },
-    )
-    .expect("pooled transport");
+    let mut servers = serve_in_threads(fw.sources());
+    let pooled = fast_failing(servers.iter().map(SourceServer::endpoint));
     let center =
         DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
     servers.remove(dead as usize).shutdown();
     (servers, pooled, center)
 }
 
-/// The in-process oracle of [`kill_one`]: the same member dead at the
-/// transport seam, failing with the class of error the pool types a refused
-/// connection as.
-fn refuse_one(fw: &MultiSourceFramework, dead: SourceId) -> InjectedFault<'_> {
-    InjectedFault {
-        inner: InProcessTransport::new(fw.sources()),
-        dead,
-        fetches_only: false,
-        error: TransportError::Io("connection refused (injected)".to_string()),
-    }
+/// The class of error the pool types a refused connection as: what the
+/// in-process oracle of [`kill_one`] — the same member dead at the transport
+/// seam — fails with.
+fn refused() -> TransportError {
+    TransportError::Io("connection refused (injected)".to_string())
+}
+
+/// Holds `pooled`, over which member `dead` is gone — or, with
+/// `fetches_only`, gone for fetches — to its in-process oracle on
+/// `fw.center()`: the degradation contract, and fail-fast with [`refused`]
+/// in process.  Returns the oracle's degraded response.
+fn degrades_like_the_oracle(
+    fw: &MultiSourceFramework,
+    (pooled, center): (&PooledTcpTransport, &DataCenter),
+    dead: SourceId,
+    fetches_only: bool,
+    request: &SearchRequest,
+) -> SearchResponse {
+    let remote_engine = QueryEngine::new(center, pooled, *fw.engine().config());
+    let faulty = with_dead_source(fw.sources(), dead, fetches_only, refused());
+    let local_engine = QueryEngine::new(fw.center(), &faulty, *fw.engine().config());
+    assert_degradation_parity(&local_engine, &remote_engine, request, dead);
+    assert_eq!(
+        local_engine.run(request).unwrap_err(),
+        SearchError::Transport(refused())
+    );
+    let degraded = request.clone().skip_failed_sources(true);
+    local_engine.run(&degraded).expect("degraded run")
 }
 
 /// Scenario 1 — a fleet member is killed between bootstrap and the batch.
@@ -219,16 +155,16 @@ fn refuse_one(fw: &MultiSourceFramework, dead: SourceId) -> InjectedFault<'_> {
 /// included.
 #[test]
 fn killed_source_degrades_identically_in_process_and_pooled() {
-    let data = build_data(91);
+    let data = build_data(DATA, 91);
     let fw = framework(&data);
     let queries = probe_queries(&data);
 
     for dead in [1, 0] {
         let (_servers, pooled, center) = kill_one(&fw, dead);
-        let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
-        let faulty = refuse_one(&fw, dead);
+        let remote_engine = QueryEngine::new(&center, &pooled, *fw.engine().config());
+        let faulty = with_dead_source(fw.sources(), dead, false, refused());
         let local_center = DataCenter::from_global(fw.center().global().clone());
-        let local_engine = QueryEngine::new(&local_center, &faulty, engine_config(&fw));
+        let local_engine = QueryEngine::new(&local_center, &faulty, *fw.engine().config());
 
         for request in broadcast_requests(&queries) {
             assert_degradation_parity(&local_engine, &remote_engine, &request, dead);
@@ -244,7 +180,7 @@ fn killed_source_degrades_identically_in_process_and_pooled() {
 /// merged answer, identically on both deployments.
 #[test]
 fn dead_first_wave_source_degrades_knn_identically() {
-    let data = build_data(91);
+    let data = build_data(DATA, 91);
     let fw = framework(&data);
     let dead: SourceId = 0;
     // Queries drawn from the dead source's own datasets: its lower bound is
@@ -253,92 +189,39 @@ fn dead_first_wave_source_degrades_knn_identically() {
     let request = SearchRequest::knn_batch(queries.clone()).k(4);
 
     let (_servers, pooled, center) = kill_one(&fw, dead);
-    let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
-    let faulty = refuse_one(&fw, dead);
-    let local_engine = QueryEngine::new(fw.center(), &faulty, engine_config(&fw));
-    assert_degradation_parity(&local_engine, &remote_engine, &request, dead);
-    assert_eq!(
-        local_engine.run(&request).unwrap_err(),
-        SearchError::Transport(faulty.error.clone())
-    );
-
-    let degraded = local_engine
-        .run(&request.clone().skip_failed_sources(true))
-        .expect("degraded run");
+    let degraded = degrades_like_the_oracle(&fw, (&pooled, &center), dead, false, &request);
     let survivors = &fw.sources()[1..];
     assert_eq!(degraded.comm.requests, survivors.len() * queries.len());
-    let oracle = QueryEngine::in_process(fw.center(), survivors, engine_config(&fw))
+    let oracle = QueryEngine::in_process(fw.center(), survivors, *fw.engine().config())
         .run(&request.strategy(DistributionStrategy::Broadcast))
         .expect("survivors alone");
     assert_eq!(degraded.results, oracle.results);
     assert_eq!(degraded.comm.total_bytes(), oracle.comm.total_bytes());
 }
 
-/// In-process sources that remember who was asked for cells.
-#[derive(Debug)]
-struct FetchLog<'a> {
-    inner: InProcessTransport<'a>,
-    fetched_from: Mutex<BTreeSet<SourceId>>,
-}
-
-impl SourceTransport for FetchLog<'_> {
-    fn source_ids(&self) -> Vec<SourceId> {
-        self.inner.source_ids()
-    }
-
-    fn call_with(
-        &self,
-        source: SourceId,
-        request: &Message,
-        opts: CallOptions,
-    ) -> Result<TransportReply, TransportError> {
-        if matches!(request, Message::CellsQuery { .. }) {
-            self.fetched_from
-                .lock()
-                .expect("no holder panics")
-                .insert(source);
-        }
-        self.inner.call_with(source, request, opts)
-    }
-}
-
 /// A source on a real socket that serves what `SourceServer` serves, frame
 /// for frame, except that it hangs up on a fetch of cells — then and every
 /// time the pool comes back with it.
 fn spawn_dead_for_fetches(source: DataSource) -> (SourceId, String) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let endpoint = (
-        source.id,
-        listener.local_addr().expect("local addr").to_string(),
-    );
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let source = source.clone();
-            std::thread::spawn(move || {
-                while let Ok(frame) = read_frame(&mut stream) {
-                    if matches!(frame.message, Message::CellsQuery { .. }) {
-                        return;
-                    }
-                    let served = source.serve_readonly(&frame.message);
-                    let mut served = if frame.want_stats {
-                        served
-                    } else {
-                        ServedReply {
-                            phases: served.phases,
-                            ..ServedReply::plain(served.message)
-                        }
-                    };
-                    served.trace_id = frame.trace.map(|t| t.trace_id);
-                    served.correlation_id = frame.correlation_id;
-                    if write_frame(&mut stream, &served, false).is_err() {
-                        return;
-                    }
-                }
-            });
+    let id = source.id;
+    let addr = spawn_listener(move |mut stream| {
+        while let Ok(frame) = read_frame(&mut stream) {
+            if matches!(frame.message, Message::CellsQuery { .. }) {
+                return;
+            }
+            let opts = CallOptions {
+                want_stats: frame.want_stats,
+                trace: frame.trace.map(|t| t.trace_id),
+            };
+            let served = source
+                .serve_readonly(&frame.message)
+                .as_asked(opts, frame.correlation_id);
+            if write_frame(&mut stream, &served, false).is_err() {
+                return;
+            }
         }
     });
-    endpoint
+    (id, addr)
 }
 
 /// Scenario 1c — a fleet member answers the CJSP query and is gone when the
@@ -348,78 +231,45 @@ fn spawn_dead_for_fetches(source: DataSource) -> (SourceId, String) {
 /// wave, its own included — identically on both deployments.
 #[test]
 fn source_dead_for_the_fetch_degrades_identically_in_process_and_pooled() {
-    // Five sources of longer routes than `build_data`'s: picks chain away
-    // from the query, so some travel as stubs and one of them stalls.
-    let config = GeneratorConfig {
-        scale: SourceScale::Custom(400),
-        seed: 77,
-        max_points_per_dataset: Some(100),
-    };
-    let data: Vec<(String, Vec<SpatialDataset>)> = paper_sources()
-        .iter()
-        .map(|p| (p.name.to_string(), generate_source(p, &config)))
-        .collect();
+    // Five sources of longer routes than `DATA`'s: picks chain away from the
+    // query, so some travel as stubs and one of them stalls.
+    let (data, request) = fetching_cjsp();
     let fw = framework(&data);
-    let queries: Vec<SpatialDataset> = data
-        .iter()
-        .flat_map(|(_, d)| d.iter().take(2).cloned())
-        .collect();
-    let request = SearchRequest::cjsp_batch(queries).k(3);
 
     // Whoever the healthy fleet fetches from first is the member to lose.
-    let log = FetchLog {
-        inner: InProcessTransport::new(fw.sources()),
-        fetched_from: Mutex::new(BTreeSet::new()),
-    };
-    let healthy = QueryEngine::new(fw.center(), &log, engine_config(&fw))
+    let fetched_from = Mutex::new(BTreeSet::new());
+    let log = Intercepted::refusing(fw.sources(), |source, request| {
+        if matches!(request, Message::CellsQuery { .. }) {
+            fetched_from
+                .lock()
+                .expect("no holder panics")
+                .insert(source);
+        }
+        None
+    });
+    let healthy = QueryEngine::new(fw.center(), &log, *fw.engine().config())
         .run(&request)
         .expect("healthy run");
-    let fetched_from = log.fetched_from.into_inner().expect("no holder panics");
     let dead = *fetched_from
+        .lock()
+        .expect("no holder panics")
         .first()
         .expect("the fixture must stall on a stub");
 
-    let mut servers: Vec<SourceServer> = Vec::new();
-    let mut endpoints: Vec<(SourceId, String)> = Vec::new();
-    for source in fw.sources() {
-        if source.id == dead {
-            endpoints.push(spawn_dead_for_fetches(source.clone()));
-        } else {
-            let server = SourceServer::spawn("127.0.0.1:0", source.clone()).expect("bind loopback");
-            endpoints.push(server.endpoint());
-            servers.push(server);
-        }
-    }
-    let pooled = PooledTcpTransport::with_config(
-        endpoints,
-        PoolConfig {
-            connect_timeout: Duration::from_millis(500),
-            retries: 1,
-            retry_backoff: Duration::from_millis(5),
-            ..PoolConfig::default()
-        },
-    )
-    .expect("pooled transport");
+    let servers = serve_in_threads(fw.sources().iter().filter(|s| s.id != dead));
+    let dead_for_fetches = spawn_dead_for_fetches(fw.sources()[usize::from(dead)].clone());
+    let pooled = fast_failing(
+        servers
+            .iter()
+            .map(SourceServer::endpoint)
+            .chain([dead_for_fetches]),
+    );
     // Summary polls are no fetch: the member bootstraps like the others.
     let center =
         DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
-    let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
-    let faulty = InjectedFault {
-        fetches_only: true,
-        ..refuse_one(&fw, dead)
-    };
-    let local_engine = QueryEngine::new(fw.center(), &faulty, engine_config(&fw));
-
-    assert_degradation_parity(&local_engine, &remote_engine, &request, dead);
-    assert_eq!(
-        local_engine.run(&request).unwrap_err(),
-        SearchError::Transport(faulty.error.clone())
-    );
+    let degraded = degrades_like_the_oracle(&fw, (&pooled, &center), dead, true, &request);
     // The member's first-wave reply was received and counts; only its
     // fetches are missing from the degraded run.
-    let degraded = local_engine
-        .run(&request.clone().skip_failed_sources(true))
-        .expect("degraded run");
     assert_eq!(
         degraded.comm.sources_contacted,
         healthy.comm.sources_contacted
@@ -431,19 +281,26 @@ fn source_dead_for_the_fetch_degrades_identically_in_process_and_pooled() {
 /// Accepts connections and reads forever without ever writing a reply — a
 /// stalled source, as seen from the wire.
 fn spawn_black_hole() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind black hole");
+    spawn_listener(|mut stream| {
+        let mut sink = [0u8; 4096];
+        while let Ok(n) = std::io::Read::read(&mut stream, &mut sink) {
+            if n == 0 {
+                return;
+            }
+        }
+    })
+}
+
+/// Binds a loopback port and hands every connection to it, on a thread of
+/// its own, to `serve`.
+fn spawn_listener(serve: impl Fn(TcpStream) + Clone + Send + 'static) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            std::thread::spawn(move || {
-                let mut sink = [0u8; 4096];
-                while let Ok(n) = std::io::Read::read(&mut stream, &mut sink) {
-                    if n == 0 {
-                        return;
-                    }
-                }
-            });
+            let Ok(stream) = stream else { continue };
+            let serve = serve.clone();
+            std::thread::spawn(move || serve(stream));
         }
     });
     addr
@@ -456,20 +313,15 @@ fn spawn_black_hole() -> String {
 /// identically to the in-process oracle injecting the same timeout.
 #[test]
 fn stalled_source_times_out_and_degrades_identically() {
-    let data = build_data(29);
+    let data = build_data(DATA, 29);
     let fw = framework(&data);
     let queries = probe_queries(&data);
     let stalled: SourceId = 2;
 
     // Two live servers and one black hole in the stalled member's place.
-    let mut endpoints: Vec<(SourceId, String)> = Vec::new();
-    let mut servers: Vec<SourceServer> = Vec::new();
-    for s in fw.sources().iter().take(stalled as usize) {
-        let server = SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback");
-        endpoints.push(server.endpoint());
-        servers.push(server);
-    }
-    endpoints.push((stalled, spawn_black_hole()));
+    let servers = serve_in_threads(fw.sources().iter().take(stalled as usize));
+    let endpoints =
+        (servers.iter().map(SourceServer::endpoint)).chain([(stalled, spawn_black_hole())]);
 
     let pooled = PooledTcpTransport::with_config(
         endpoints,
@@ -484,18 +336,14 @@ fn stalled_source_times_out_and_degrades_identically() {
     // The stalled source cannot answer a summary poll, so both deployments
     // route from the locally built global image.
     let center = DataCenter::from_global(fw.center().global().clone());
-    let remote_engine = QueryEngine::new(&center, &pooled, engine_config(&fw));
+    let remote_engine = QueryEngine::new(&center, &pooled, *fw.engine().config());
 
-    let faulty = InjectedFault {
-        inner: InProcessTransport::new(fw.sources()),
-        dead: stalled,
-        fetches_only: false,
-        error: TransportError::Timeout {
-            source: stalled,
-            waited: Duration::from_millis(300),
-        },
+    let timeout = TransportError::Timeout {
+        source: stalled,
+        waited: Duration::from_millis(300),
     };
-    let local_engine = QueryEngine::new(&center, &faulty, engine_config(&fw));
+    let faulty = with_dead_source(fw.sources(), stalled, false, timeout);
+    let local_engine = QueryEngine::new(&center, &faulty, *fw.engine().config());
 
     for request in broadcast_requests(&queries) {
         assert_degradation_parity(&local_engine, &remote_engine, &request, stalled);

@@ -11,24 +11,17 @@
 //! says the same in process, behind a mutex and over spawned
 //! `source-server` processes.
 
-use dits::{DitsLocalConfig, Neighbor, ReplayOnPanic};
+use dits::{Neighbor, ReplayOnPanic};
 use multisource::{
-    CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig, ExclusiveTransport,
-    Message, QueryEngine, SearchRequest, SearchResponse,
+    CommStats, DataCenter, DataSource, EngineConfig, ExclusiveTransport, Message, QueryEngine,
+    SearchRequest, SearchResponse,
 };
-use net::PooledTcpTransport;
 use proptest::prelude::*;
 use spatial::zorder::cell_id;
-use spatial::{Grid, Point, SourceId, SpatialDataset};
+use spatial::{Point, SourceId, SpatialDataset};
 
 mod common;
-use common::{merged_knn_bruteforce, spawn_server, ServerProcess};
-
-const STRATEGIES: [DistributionStrategy; 3] = [
-    DistributionStrategy::Broadcast,
-    DistributionStrategy::Pruned,
-    DistributionStrategy::PrunedClipped,
-];
+use common::{build_sources, dataset, merged_knn_bruteforce, source, spawn_fleet, STRATEGIES};
 
 fn run(
     center: &DataCenter,
@@ -38,13 +31,13 @@ fn run(
     let response = QueryEngine::in_process(center, sources, EngineConfig::default())
         .run(request)
         .expect("in-process kNN");
-    let answers = response
-        .knn()
-        .expect("a kNN response")
-        .iter()
-        .map(|a| a.neighbors.clone())
-        .collect();
-    (answers, response)
+    (neighbours(&response), response)
+}
+
+/// The neighbours of each query of a kNN response.
+fn neighbours(response: &SearchResponse) -> Vec<Vec<(SourceId, Neighbor)>> {
+    let answers = response.knn().expect("a kNN response");
+    answers.iter().map(|a| a.neighbors.clone()).collect()
 }
 
 /// Runs the batch under the three strategies, holds each answer to the
@@ -79,22 +72,6 @@ fn assert_exact_under_every_strategy(
 /// Each source of a federation as its resolution and datasets, ids
 /// ascending from 0.
 type Specs = Vec<(u32, Vec<SpatialDataset>)>;
-
-fn build(specs: &Specs) -> Vec<DataSource> {
-    specs
-        .iter()
-        .enumerate()
-        .map(|(id, (resolution, datasets))| {
-            DataSource::build(
-                id as SourceId,
-                format!("s{id}"),
-                Grid::global(*resolution).expect("a valid resolution"),
-                datasets,
-                DitsLocalConfig::default(),
-            )
-        })
-        .collect()
-}
 
 /// A random federation and query batch, fully determined by `rng`: 2–7
 /// sources whose regions overlap as often as not, at one shared resolution
@@ -164,7 +141,7 @@ fn random_specs(rng: &mut TestRng) -> (Specs, Vec<SpatialDataset>) {
 
 fn random_federation(rng: &mut TestRng) -> (Vec<DataSource>, Vec<SpatialDataset>) {
     let (specs, queries) = random_specs(rng);
-    (build(&specs), queries)
+    (build_sources(&specs), queries)
 }
 
 /// One random case, fully determined by `case_seed`.
@@ -231,7 +208,7 @@ fn the_random_federations_exercise_both_rules() {
         let mut rng = TestRng::from_name(&format!("exercise {seed}"));
         let (specs, queries) = random_specs(&mut rng);
         let k = (1usize..9).generate(&mut rng);
-        let (skips, bytes) = rules_at_work(&build(&specs), &queries, k);
+        let (skips, bytes) = rules_at_work(&build_sources(&specs), &queries, k);
         tie_skips += skips;
         dropped += bytes;
         mixed += usize::from(specs.iter().any(|(theta, _)| *theta != specs[0].0));
@@ -253,25 +230,6 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Named cases, laid out in the cell space of one θ = 11 grid.
 // ---------------------------------------------------------------------------
-
-fn dataset(id: u32, cells: &[(u32, u32)]) -> SpatialDataset {
-    let grid = Grid::global(11).expect("θ = 11");
-    let points = cells
-        .iter()
-        .map(|&(x, y)| grid.cell_center(cell_id(x, y)))
-        .collect();
-    SpatialDataset::new(id, points)
-}
-
-fn source(id: SourceId, datasets: &[SpatialDataset]) -> DataSource {
-    DataSource::build(
-        id,
-        format!("s{id}"),
-        Grid::global(11).expect("θ = 11"),
-        datasets,
-        DitsLocalConfig::default(),
-    )
-}
 
 /// `count` single-cell datasets on a diagonal starting at `(x, y)`, `step`
 /// cells apart.
@@ -574,13 +532,7 @@ fn say(engine: &QueryEngine, queries: &[SpatialDataset], k: usize) -> Said {
                 .k(k)
                 .strategy(strategy);
             let response = engine.run(&request).expect("kNN");
-            let answers = response
-                .knn()
-                .expect("a kNN response")
-                .iter()
-                .map(|a| a.neighbors.clone())
-                .collect();
-            (answers, response.comm)
+            (neighbours(&response), response.comm)
         })
         .collect()
 }
@@ -594,8 +546,6 @@ fn say(engine: &QueryEngine, queries: &[SpatialDataset], k: usize) -> Said {
 /// identical, and every answer the merged brute force.
 #[test]
 fn the_same_knn_batch_says_the_same_on_three_transports() {
-    let dir = std::env::temp_dir().join(format!("knn-waves-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
     for name in [
         "three transports a",
         "three transports b",
@@ -604,7 +554,7 @@ fn the_same_knn_batch_says_the_same_on_three_transports() {
         let mut rng = TestRng::from_name(name);
         let (specs, queries) = random_specs(&mut rng);
         let k = (1usize..9).generate(&mut rng);
-        let sources = build(&specs);
+        let sources = build_sources(&specs);
         let center = DataCenter::build(&sources, 4);
         let in_process = say(
             &QueryEngine::in_process(&center, &sources, EngineConfig::default()),
@@ -619,7 +569,7 @@ fn the_same_knn_batch_says_the_same_on_three_transports() {
             assert_eq!(answers, &oracle, "{name}");
         }
 
-        let mut behind_mutex = build(&specs);
+        let mut behind_mutex = build_sources(&specs);
         let exclusive = ExclusiveTransport::new(&mut behind_mutex);
         let polled = DataCenter::from_transport(&exclusive, 4).expect("summary polls");
         let said = say(
@@ -629,29 +579,13 @@ fn the_same_knn_batch_says_the_same_on_three_transports() {
         );
         assert_eq!(said, in_process, "{name}: exclusive transport");
 
-        let servers: Vec<ServerProcess> = specs
-            .iter()
-            .enumerate()
-            .map(|(id, (resolution, datasets))| {
-                spawn_server(id as SourceId, *resolution, &dir, datasets)
-            })
-            .collect();
-        let pooled = PooledTcpTransport::new(
-            servers
-                .iter()
-                .enumerate()
-                .map(|(id, s)| (id as SourceId, s.addr.clone())),
-        )
-        .expect("pooled transport");
-        let polled = DataCenter::from_transport(&pooled, 4).expect("summary polls");
+        let fleet = spawn_fleet(specs.iter().map(|(theta, d)| (*theta, d.as_slice())));
+        let polled = DataCenter::from_transport(&fleet.pooled, 4).expect("summary polls");
         let said = say(
-            &QueryEngine::new(&polled, &pooled, EngineConfig::default()),
+            &QueryEngine::new(&polled, &fleet.pooled, EngineConfig::default()),
             &queries,
             k,
         );
         assert_eq!(said, in_process, "{name}: pooled transport");
-        drop(pooled);
-        drop(servers);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,6 @@
 //! identical trees (`DitsLocal` equality: arena, root, config and count)
 //! behind.
 
-use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
 use dits::knn::nearest_datasets_bruteforce;
 use dits::local::NodeKind;
 use dits::{
@@ -21,35 +20,17 @@ use dits::{
 };
 use multisource::transport::{CallOptions, TransportReply};
 use multisource::{
-    DataCenter, DataSource, DistributionStrategy, EngineConfig, FrameworkConfig, Message,
-    MultiSourceFramework, QueryEngine, SearchError, SearchRequest, SourceTransport, TransportError,
-    UpdateOp,
+    DataCenter, DataSource, EngineConfig, Message, MultiSourceFramework, QueryEngine, SearchError,
+    SearchRequest, SourceTransport, TransportError, UpdateOp,
 };
 use proptest::prelude::*;
 use spatial::{CellSet, Grid, Point, SourceId, SpatialDataset, SpatialError};
 
-fn build_data(seed: u64) -> Vec<(String, Vec<SpatialDataset>)> {
-    let config = GeneratorConfig {
-        scale: SourceScale::Custom(500),
-        seed,
-        max_points_per_dataset: Some(60),
-    };
-    paper_sources()
-        .iter()
-        .map(|p| (p.name.to_string(), generate_source(p, &config)))
-        .collect()
-}
+mod common;
+use common::{build_data, every_kind, framework};
 
-fn framework(data: &[(String, Vec<SpatialDataset>)]) -> MultiSourceFramework {
-    MultiSourceFramework::build(
-        data,
-        FrameworkConfig {
-            resolution: 11,
-            strategy: DistributionStrategy::PrunedClipped,
-            ..FrameworkConfig::default()
-        },
-    )
-}
+/// All five generated sources, small.
+const DATA: (u32, usize, usize) = (500, 60, 5);
 
 /// A small synthetic dataset whose placement is a deterministic function of
 /// `salt`, scattered across the North-Atlantic quadrant the generated
@@ -80,7 +61,7 @@ fn pick_id(datasets: &[SpatialDataset], x: u8, seq: u32) -> u32 {
 
 /// Queries probing the mutated deployment: one surviving dataset per source
 /// plus a fixed synthetic box, so empty and non-empty regions are covered.
-fn probe_queries(data: &[(String, Vec<SpatialDataset>)]) -> Vec<SpatialDataset> {
+fn survivor_queries(data: &[(String, Vec<SpatialDataset>)]) -> Vec<SpatialDataset> {
     let mut queries: Vec<SpatialDataset> = data
         .iter()
         .filter_map(|(_, d)| d.first().cloned())
@@ -128,11 +109,7 @@ fn assert_answer_parity(
     scratch: &MultiSourceFramework,
     queries: &[SpatialDataset],
 ) {
-    for request in [
-        SearchRequest::ojsp_batch(queries.to_vec()).k(5),
-        SearchRequest::cjsp_batch(queries.to_vec()).k(3),
-        SearchRequest::knn_batch(queries.to_vec()).k(4),
-    ] {
+    for request in every_kind(queries) {
         let a = maintained.search(&request).unwrap();
         let b = scratch.search(&request).unwrap();
         assert_eq!(
@@ -229,7 +206,7 @@ fn run_case(case_seed: u64) {
     let seed = (0u64..4).generate(&mut rng);
     let ops = proptest::collection::vec((0u8..5, 0u8..3, any::<u8>()), 1..25).generate(&mut rng);
 
-    let mut data = build_data(seed);
+    let mut data = build_data(DATA, seed);
     let mut fw = framework(&data);
     let mut seq = 0u32;
     let mut expected_applied = 0usize;
@@ -300,7 +277,7 @@ fn run_case(case_seed: u64) {
     assert_eq!(total.rejected, expected_rejected);
 
     let scratch = framework(&data);
-    let queries = probe_queries(&data);
+    let queries = survivor_queries(&data);
     assert_parity(&fw, &scratch, &queries);
     assert_answer_parity(&fw, &scratch, &queries);
     assert_verify_state_parity(&fw, &queries);
@@ -577,7 +554,7 @@ proptest! {
 
 #[test]
 fn sustained_churn_leaves_the_center_a_scratch_build_makes() {
-    let mut data = build_data(7);
+    let mut data = build_data(DATA, 7);
     let mut fw = framework(&data);
     let mut rebuilds = 0usize;
     // Every batch changes one summary, and every change is one build.
@@ -592,7 +569,7 @@ fn sustained_churn_leaves_the_center_a_scratch_build_makes() {
     }
     assert_eq!(rebuilds, 20);
     let scratch = framework(&data);
-    let queries = probe_queries(&data);
+    let queries = survivor_queries(&data);
     assert_parity(&fw, &scratch, &queries);
     assert_answer_parity(&fw, &scratch, &queries);
     assert_verify_state_parity(&fw, &queries);
@@ -605,7 +582,7 @@ fn sustained_churn_leaves_the_center_a_scratch_build_makes() {
 
 #[test]
 fn draining_a_source_drops_it_from_global_routing_until_data_returns() {
-    let mut data = build_data(5);
+    let mut data = build_data(DATA, 5);
     let mut fw = framework(&data);
     let drained: SourceId = 2;
 
@@ -627,7 +604,7 @@ fn draining_a_source_drops_it_from_global_routing_until_data_returns() {
         .iter()
         .all(|s| s.source != drained));
     let scratch = framework(&data);
-    let queries = probe_queries(&data);
+    let queries = survivor_queries(&data);
     assert_parity(&fw, &scratch, &queries);
     assert_answer_parity(&fw, &scratch, &queries);
 
@@ -651,13 +628,13 @@ fn draining_a_source_drops_it_from_global_routing_until_data_returns() {
     assert_eq!(answer.results[0].0, drained);
     assert_eq!(answer.results[0].1.dataset, 700_001);
     let scratch = framework(&data);
-    let queries = probe_queries(&data);
+    let queries = survivor_queries(&data);
     assert_parity(&fw, &scratch, &queries);
 }
 
 #[test]
 fn maintained_indexes_survive_a_persistence_round_trip() {
-    let mut data = build_data(3);
+    let mut data = build_data(DATA, 3);
     let mut fw = framework(&data);
     // A mixed batch per source: grow, move, shrink.
     for src in 0..5u16 {
@@ -682,7 +659,7 @@ fn maintained_indexes_survive_a_persistence_round_trip() {
 
     // Every mutated local index reloads from its image as the scratch build
     // over its datasets and keeps answering identically.
-    let queries = probe_queries(&data);
+    let queries = survivor_queries(&data);
     for s in fw.sources() {
         let decoded = decode_local(&encode_local(s.index())).unwrap();
         assert_eq!(decoded.dataset_count(), s.dataset_count());

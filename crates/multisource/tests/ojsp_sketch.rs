@@ -17,50 +17,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use dits::overlap::overlap_search_bruteforce;
-use dits::{
-    DatasetNode, DitsGlobal, DitsLocalConfig, MaintenanceStats, OverlapResult, ReplayOnPanic,
-    SourceSummary,
-};
+use dits::{DitsGlobal, MaintenanceStats, OverlapResult, ReplayOnPanic, SourceSummary};
 use multisource::{
     CallOptions, CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig,
     ExclusiveTransport, Message, QueryEngine, SearchError, SearchRequest, SearchResponse,
     SourceTransport, TransportError, TransportReply, UpdateOp,
 };
-use net::PooledTcpTransport;
 use proptest::prelude::*;
 use spatial::zorder::{cell_coords, cell_id};
-use spatial::{Grid, Point, SourceId, SpatialDataset};
+use spatial::{Point, SourceId, SpatialDataset};
 
 mod common;
-use common::{merged_knn_bruteforce, spawn_server, ServerProcess};
-
-const STRATEGIES: [DistributionStrategy; 3] = [
-    DistributionStrategy::Broadcast,
-    DistributionStrategy::Pruned,
-    DistributionStrategy::PrunedClipped,
-];
+use common::{
+    build_sources, dataset, merged_knn_bruteforce, merged_ojsp_bruteforce, source, spawn_fleet,
+    STRATEGIES,
+};
 
 type Answer = Vec<(SourceId, OverlapResult)>;
-
-/// The oracle: every source's brute-force OJSP at its own resolution, merged
-/// the way the center merges replies.
-fn merged_bruteforce(sources: &[DataSource], query: &SpatialDataset, k: usize) -> Answer {
-    let mut all: Answer = Vec::new();
-    for source in sources {
-        let nodes: Vec<DatasetNode> = source.dataset_nodes().into_iter().cloned().collect();
-        let local = overlap_search_bruteforce(&nodes, &source.grid_query(query), k);
-        all.extend(local.into_iter().map(|r| (source.id, r)));
-    }
-    all.sort_unstable_by(|a, b| {
-        b.1.overlap
-            .cmp(&a.1.overlap)
-            .then(a.0.cmp(&b.0))
-            .then(a.1.dataset.cmp(&b.1.dataset))
-    });
-    all.truncate(k);
-    all
-}
 
 /// Holds `answer` to the oracle.  OverlapSearch skips a leaf whose Lemma 2
 /// bound only *equals* the k-th best overlap so far, so which of several
@@ -72,7 +45,7 @@ fn assert_is_the_top_k(answer: &Answer, sources: &[DataSource], query: &SpatialD
     let overlaps = |a: &Answer| a.iter().map(|(_, r)| r.overlap).collect::<Vec<_>>();
     assert_eq!(
         overlaps(answer),
-        overlaps(&merged_bruteforce(sources, query, k))
+        overlaps(&merged_ojsp_bruteforce(sources, query, k))
     );
     let key = |(source, r): &(SourceId, OverlapResult)| {
         (std::cmp::Reverse(r.overlap), *source, r.dataset)
@@ -118,24 +91,6 @@ enum Step {
 struct Scenario {
     sources: Vec<(u32, Vec<SpatialDataset>)>,
     steps: Vec<Step>,
-}
-
-impl Scenario {
-    fn build_sources(&self) -> Vec<DataSource> {
-        self.sources
-            .iter()
-            .enumerate()
-            .map(|(id, (resolution, datasets))| {
-                DataSource::build(
-                    id as SourceId,
-                    format!("s{id}"),
-                    Grid::global(*resolution).expect("a valid resolution"),
-                    datasets,
-                    DitsLocalConfig::default(),
-                )
-            })
-            .collect()
-    }
 }
 
 fn blob(
@@ -300,22 +255,37 @@ fn ojsp(queries: &[SpatialDataset], k: usize, strategy: DistributionStrategy) ->
         .with_stats(true)
 }
 
-/// Runs `scenario` over in-process sources — queries through the borrowed
-/// slice, batches through an [`ExclusiveTransport`], the way
-/// `MultiSourceFramework` does — holding every answer to the brute force,
-/// the traffic to `Broadcast ≥ Pruned ≥ PrunedClipped`, and every sketch the
-/// center holds to a recount.
-fn run_in_process(scenario: &Scenario) -> Vec<Said> {
-    let mut sources = scenario.build_sources();
-    let mut center = DataCenter::build(&sources, 4);
+/// Runs `scenario`, holding every answer to the brute force, the traffic to
+/// `Broadcast ≥ Pruned ≥ PrunedClipped`, and every sketch the center holds
+/// to a recount.  With no `transport`, over in-process sources — queries
+/// through the borrowed slice, batches through an [`ExclusiveTransport`], the
+/// way `MultiSourceFramework` does.  Over a `transport`, everything — the
+/// bootstrap poll, the batches, the queries — goes through it, its sources
+/// starting as the scenario's; the sources the answers and sketches are held
+/// to are then a mirror, a copy the batches are applied to as raw operations.
+fn run_scenario(transport: Option<&dyn SourceTransport>, scenario: &Scenario) -> Vec<Said> {
+    let mut sources = build_sources(&scenario.sources);
+    let mut center = match transport {
+        Some(transport) => DataCenter::from_transport(transport, 4).expect("summary polls"),
+        None => DataCenter::build(&sources, 4),
+    };
     assert_sketches_follow(&center, &sources);
     let mut said = Vec::new();
     for step in &scenario.steps {
         match step {
             Step::Batch(source, ops) => {
-                let outcome = center
-                    .apply_updates(&ExclusiveTransport::new(&mut sources), *source, ops)
-                    .expect("a valid batch");
+                let outcome = match transport {
+                    Some(transport) => {
+                        let outcome = center.apply_updates(transport, *source, ops);
+                        let mirror = &mut sources[usize::from(*source)];
+                        mirror.apply_updates(ops).expect("a valid batch");
+                        outcome
+                    }
+                    None => {
+                        center.apply_updates(&ExclusiveTransport::new(&mut sources), *source, ops)
+                    }
+                }
+                .expect("a valid batch");
                 assert_sketches_follow(&center, &sources);
                 // A center that followed every batch never had to poll.
                 assert!(outcome.comm.requests <= 2, "{:?}", outcome.comm);
@@ -324,7 +294,12 @@ fn run_in_process(scenario: &Scenario) -> Vec<Said> {
             Step::Queries(queries, k) => {
                 let mut queries = queries.clone();
                 queries.extend(sources.iter().filter_map(border_cell_query));
-                let engine = QueryEngine::in_process(&center, &sources, EngineConfig::default());
+                let engine = match transport {
+                    Some(transport) => {
+                        QueryEngine::new(&center, transport, EngineConfig::default())
+                    }
+                    None => QueryEngine::in_process(&center, &sources, EngineConfig::default()),
+                };
                 let responses = STRATEGIES
                     .map(|strategy| engine.run(&ojsp(&queries, *k, strategy)).expect("OJSP"));
                 for (query, answer) in queries.iter().zip(answers(&responses[0])) {
@@ -385,52 +360,11 @@ fn assert_sketches_follow(center: &DataCenter, sources: &[DataSource]) {
     }
 }
 
-/// Runs `scenario` with everything — the bootstrap poll, the batches, the
-/// queries — going through `transport`, whose sources start as the
-/// scenario's.  The border-cell queries are derived from `mirror`, a copy of
-/// the sources the batches are applied to as raw operations, and so are the
-/// recounts the center's sketches are held to.
-fn run_over(transport: &dyn SourceTransport, scenario: &Scenario) -> Vec<Said> {
-    let mut mirror = scenario.build_sources();
-    let mut center = DataCenter::from_transport(transport, 4).expect("summary polls");
-    assert_sketches_follow(&center, &mirror);
-    let mut said = Vec::new();
-    for step in &scenario.steps {
-        match step {
-            Step::Batch(source, ops) => {
-                let outcome = center
-                    .apply_updates(transport, *source, ops)
-                    .expect("a valid batch");
-                mirror[usize::from(*source)]
-                    .apply_updates(ops)
-                    .expect("a valid batch");
-                assert_sketches_follow(&center, &mirror);
-                said.push(Said::Batch(outcome.summary, outcome.stats, outcome.comm));
-            }
-            Step::Queries(queries, k) => {
-                let mut queries = queries.clone();
-                queries.extend(mirror.iter().filter_map(border_cell_query));
-                let engine = QueryEngine::new(&center, transport, EngineConfig::default());
-                said.push(Said::Answers(
-                    STRATEGIES
-                        .iter()
-                        .map(|&strategy| {
-                            let response = engine.run(&ojsp(&queries, *k, strategy)).expect("OJSP");
-                            (answers(&response), response.comm)
-                        })
-                        .collect(),
-                ));
-            }
-        }
-    }
-    said
-}
-
 /// One random case, fully determined by `case_seed`.
 fn run_sketch_case(case_seed: u64) {
     let _replay = ReplayOnPanic("run_sketch_case", case_seed);
     let mut rng = TestRng::from_name(&case_seed.to_string());
-    run_in_process(&random_scenario(&mut rng));
+    run_scenario(None, &random_scenario(&mut rng));
 }
 
 /// The generator keeps reaching what the proptest is about: over a few
@@ -464,7 +398,7 @@ fn the_random_scenarios_exercise_the_filter() {
                 && ops.iter().all(|op| matches!(op, UpdateOp::Delete(id) if *id < 9_000)))
             })
             .count();
-        for said in run_in_process(&scenario) {
+        for said in run_scenario(None, &scenario) {
             if let Said::Answers(by_strategy) = said {
                 let (pruned, clipped) = (by_strategy[1].1, by_strategy[2].1);
                 shards += pruned.requests - clipped.requests;
@@ -503,65 +437,33 @@ proptest! {
 /// `CommStats` identical.
 #[test]
 fn the_same_scenario_says_the_same_on_three_transports() {
-    let dir = std::env::temp_dir().join(format!("ojsp-sketch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
     for name in [
         "three transports a",
         "three transports b",
         "three transports c",
     ] {
         let scenario = random_scenario(&mut TestRng::from_name(name));
-        let in_process = run_in_process(&scenario);
+        let in_process = run_scenario(None, &scenario);
 
-        let mut behind_mutex = scenario.build_sources();
-        let exclusive = run_over(&ExclusiveTransport::new(&mut behind_mutex), &scenario);
+        let mut behind_mutex = build_sources(&scenario.sources);
+        let exclusive = ExclusiveTransport::new(&mut behind_mutex);
+        let exclusive = run_scenario(Some(&exclusive), &scenario);
         assert_eq!(exclusive, in_process, "{name}: exclusive transport");
 
-        let servers: Vec<ServerProcess> = scenario
-            .sources
-            .iter()
-            .enumerate()
-            .map(|(id, (resolution, datasets))| {
-                spawn_server(id as SourceId, *resolution, &dir, datasets)
-            })
-            .collect();
-        let pooled = PooledTcpTransport::new(
-            servers
+        let fleet = spawn_fleet(
+            scenario
+                .sources
                 .iter()
-                .enumerate()
-                .map(|(id, s)| (id as SourceId, s.addr.clone())),
-        )
-        .expect("pooled transport");
-        let federated = run_over(&pooled, &scenario);
+                .map(|(theta, d)| (*theta, d.as_slice())),
+        );
+        let federated = run_scenario(Some(&fleet.pooled), &scenario);
         assert_eq!(federated, in_process, "{name}: pooled transport");
-        drop(pooled);
-        drop(servers);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
 // Named cases, laid out in the cell space of one θ = 11 grid.
 // ---------------------------------------------------------------------------
-
-fn dataset(id: u32, cells: &[(u32, u32)]) -> SpatialDataset {
-    let grid = Grid::global(11).expect("θ = 11");
-    let points = cells
-        .iter()
-        .map(|&(x, y)| grid.cell_center(cell_id(x, y)))
-        .collect();
-    SpatialDataset::new(id, points)
-}
-
-fn source(id: SourceId, datasets: &[SpatialDataset]) -> DataSource {
-    DataSource::build(
-        id,
-        format!("s{id}"),
-        Grid::global(11).expect("θ = 11"),
-        datasets,
-        DitsLocalConfig::default(),
-    )
-}
 
 /// Two sources whose root rectangles both span (1000..1100)² while their
 /// data sits in opposite corners of it: the rectangle clip keeps a query
@@ -614,7 +516,7 @@ fn a_cell_travels_only_to_a_source_with_data_in_its_block() {
         ],
     );
     let k = 3;
-    let oracle = merged_bruteforce(&sources, &query, k);
+    let oracle = merged_ojsp_bruteforce(&sources, &query, k);
     assert_eq!(oracle.len(), 2, "one dataset of each source shares cells");
     let [_, pruned, clipped] =
         STRATEGIES.map(|s| run(&center, &sources, &ojsp(std::slice::from_ref(&query), k, s)));
@@ -764,7 +666,7 @@ impl SourceTransport for FaultyTransport {
     ) -> Result<TransportReply, TransportError> {
         let mut sources = self.sources.lock().expect("sources");
         let reply = ExclusiveTransport::new(&mut sources).call_with(source, request, opts)?;
-        if !matches!(request, Message::ApplyUpdates { ops, .. } if !ops.is_empty()) {
+        if !request.mutates() {
             return Ok(reply);
         }
         if self.drop_reply.swap(false, Ordering::SeqCst) {
@@ -782,7 +684,8 @@ impl SourceTransport for FaultyTransport {
     }
 }
 
-/// The OJSP answer `center` gives for `query` over `transport`.
+/// The OJSP answer `center` gives for `query` over `transport`, held to the
+/// brute force over the transport's sources.
 fn answer_over(center: &DataCenter, transport: &FaultyTransport, query: &SpatialDataset) -> Answer {
     let request = ojsp(
         std::slice::from_ref(query),
@@ -792,7 +695,12 @@ fn answer_over(center: &DataCenter, transport: &FaultyTransport, query: &Spatial
     let response = QueryEngine::new(center, transport, EngineConfig::default())
         .run(&request)
         .expect("OJSP");
-    answers(&response).remove(0)
+    let answer = answers(&response).remove(0);
+    assert_eq!(
+        answer,
+        merged_ojsp_bruteforce(&transport.sources(), query, 5)
+    );
+    answer
 }
 
 #[test]
@@ -823,10 +731,7 @@ fn a_reply_to_a_batch_of_another_size_is_not_trusted() {
     assert_eq!(center.global().summaries()[0], sources[0].summary());
     assert_sketches_follow(&center, &sources);
     let query = dataset(99, &[(1020, 1080), (1100, 1130), (1050, 1050)]);
-    assert_eq!(
-        answer_over(&center, &transport, &query),
-        merged_bruteforce(&sources, &query, 5)
-    );
+    answer_over(&center, &transport, &query);
 
     // A replay of the same size passes for the answer (ROADMAP item 5 (b)),
     // and still cannot leave the sketch short of the batch it answered.
@@ -839,9 +744,8 @@ fn a_reply_to_a_batch_of_another_size_is_not_trusted() {
     let sources = transport.sources();
     assert_sketches_follow(&center, &sources);
     let query = dataset(98, &[(1070, 1030), (1071, 1030)]);
-    let oracle = merged_bruteforce(&sources, &query, 5);
     assert_eq!(
-        oracle,
+        answer_over(&center, &transport, &query),
         [(
             0,
             OverlapResult {
@@ -850,7 +754,6 @@ fn a_reply_to_a_batch_of_another_size_is_not_trusted() {
             }
         )]
     );
-    assert_eq!(answer_over(&center, &transport, &query), oracle);
 }
 
 #[test]
@@ -875,9 +778,8 @@ fn a_lost_reply_leaves_a_sketch_that_covers_the_batch() {
     assert_eq!(sources[0].dataset_count(), 3, "the batch was applied");
     assert_sketches_follow(&center, &sources);
     let query = dataset(99, &[(1050, 1050), (1051, 1050), (1060, 1060)]);
-    let oracle = merged_bruteforce(&sources, &query, 5);
     assert_eq!(
-        oracle,
+        answer_over(&center, &transport, &query),
         [(
             0,
             OverlapResult {
@@ -886,7 +788,6 @@ fn a_lost_reply_leaves_a_sketch_that_covers_the_batch() {
             }
         )]
     );
-    assert_eq!(answer_over(&center, &transport, &query), oracle);
     // The next exchange is the batch alone: nothing to poll for.  The block
     // of the dataset it deletes stays held — a few bytes, never an answer.
     let next = [UpdateOp::Delete(1)];
@@ -898,10 +799,7 @@ fn a_lost_reply_leaves_a_sketch_that_covers_the_batch() {
     assert!(!sources[0].index().sketch().contains(vacated));
     assert!(center.sketch(0).is_some_and(|held| held.contains(vacated)));
     let query = dataset(98, &[(1050, 1050), (1100, 1100)]);
-    assert_eq!(
-        answer_over(&center, &transport, &query),
-        merged_bruteforce(&sources, &query, 5)
-    );
+    answer_over(&center, &transport, &query);
     // A batch the center refuses to send changes nothing, the sketch
     // included.
     let held = center.sketch(0).cloned();

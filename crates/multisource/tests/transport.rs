@@ -20,78 +20,37 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use bytes::Bytes;
-use datagen::{generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale};
 use multisource::message::{
     TAG_APPLY_UPDATES, TAG_CELLS_QUERY, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY, TAG_ERROR,
     TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT, TAG_OVERLAP_QUERY,
     TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
 };
 use multisource::{
-    BatchError, CallOptions, CellOp, DataCenter, DistributionStrategy, EngineConfig,
-    ExclusiveTransport, FrameworkConfig, InProcessTransport, Message, MultiSourceFramework,
-    QueryEngine, SearchError, SearchRequest, SourceServer, SourceTransport, TransportError,
-    UpdateOp, WireError,
+    BatchError, CallOptions, CellOp, DataCenter, DistributionStrategy, ExclusiveTransport,
+    InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchError, SearchRequest,
+    SourceServer, SourceTransport, TransportError, UpdateOp, WireError,
 };
 use net::PooledTcpTransport;
 use proptest::prelude::*;
 use spatial::{Point, SpatialDataset};
 
 mod common;
-use common::{spawn_server, ServerProcess};
+use common::{
+    assert_same_response, build_data, every_kind, fetching_cjsp, framework, probe_queries,
+    serve_in_threads, spawn_fleet,
+};
 
-fn build_data(seed: u64) -> Vec<(String, Vec<SpatialDataset>)> {
-    let config = GeneratorConfig {
-        scale: SourceScale::Custom(500),
-        seed,
-        max_points_per_dataset: Some(80),
-    };
-    paper_sources()
-        .iter()
-        .take(3)
-        .map(|p| (p.name.to_string(), generate_source(p, &config)))
-        .collect()
-}
+/// Three generated sources.
+const DATA: (u32, usize, usize) = (500, 80, 3);
 
-fn framework(data: &[(String, Vec<SpatialDataset>)]) -> MultiSourceFramework {
-    MultiSourceFramework::build(
-        data,
-        FrameworkConfig {
-            resolution: 11,
-            strategy: DistributionStrategy::PrunedClipped,
-            ..FrameworkConfig::default()
-        },
-    )
-}
-
-fn probe_queries(data: &[(String, Vec<SpatialDataset>)]) -> Vec<SpatialDataset> {
-    let pool: Vec<SpatialDataset> = data.iter().flat_map(|(_, d)| d.iter().cloned()).collect();
-    select_queries(&pool, 6, 3)
-}
-
-/// Engine config matching what `MultiSourceFramework` uses, so the
-/// transport-built engine plans identically to the in-process framework.
-fn engine_config(fw: &MultiSourceFramework) -> EngineConfig {
-    EngineConfig {
-        workers: fw.config().workers,
-        strategy: fw.config().strategy,
-        delta_cells: fw.config().delta_cells,
-        ..EngineConfig::default()
-    }
-}
-
-/// Spawns one `SourceServer` thread per in-process source and returns the
-/// pooled TCP transport reaching them.
-fn spawn_federation(fw: &MultiSourceFramework) -> PooledTcpTransport {
-    let endpoints: Vec<_> = fw
-        .sources()
-        .iter()
-        .map(|s| {
-            SourceServer::spawn("127.0.0.1:0", s.clone())
-                .expect("bind loopback")
-                .endpoint()
-        })
-        .collect();
-    PooledTcpTransport::new(endpoints).expect("pooled transport")
+/// One `SourceServer` thread per in-process source, the pooled TCP transport
+/// reaching them, and a center bootstrapped over it.
+fn spawn_federation(fw: &MultiSourceFramework) -> (PooledTcpTransport, DataCenter) {
+    let servers = serve_in_threads(fw.sources());
+    let pooled = PooledTcpTransport::new(servers.iter().map(SourceServer::endpoint));
+    let pooled = pooled.expect("pooled transport");
+    let center = DataCenter::from_transport(&pooled, fw.config().leaf_capacity);
+    (pooled, center.expect("summary poll"))
 }
 
 /// The core parity assertion: every search kind, identical answers, comm
@@ -108,35 +67,18 @@ fn assert_transport_parity(
         fw.center().global().summaries(),
         "a DITS-G bootstrapped over TCP must equal the locally built one"
     );
-    let remote = QueryEngine::new(&remote_center, tcp, engine_config(fw));
+    let remote = QueryEngine::new(&remote_center, tcp, *fw.engine().config());
 
-    for request in [
+    let broadcast = [
         SearchRequest::ojsp_batch(queries.to_vec()).k(5),
-        SearchRequest::cjsp_batch(queries.to_vec()).k(3),
-        SearchRequest::knn_batch(queries.to_vec()).k(4),
-        SearchRequest::ojsp_batch(queries.to_vec())
-            .k(5)
-            .strategy(DistributionStrategy::Broadcast),
-        SearchRequest::knn_batch(queries.to_vec())
-            .k(2)
-            .strategy(DistributionStrategy::Broadcast),
-    ] {
+        SearchRequest::knn_batch(queries.to_vec()).k(2),
+    ];
+    let broadcast = broadcast.map(|r| r.strategy(DistributionStrategy::Broadcast));
+    for request in every_kind(queries).into_iter().chain(broadcast) {
         let local = fw.search(&request).expect("in-process search");
         let over_tcp = remote.run(&request).expect("TCP search");
-        assert_eq!(
-            local.results,
-            over_tcp.results,
-            "answers diverged across transports ({:?})",
-            request.kind()
-        );
-        assert_eq!(
-            local.comm, over_tcp.comm,
-            "protocol byte accounting diverged across transports"
-        );
-        assert_eq!(
-            local.search, over_tcp.search,
-            "search statistics diverged across transports"
-        );
+        let what = format!("{:?} across transports", request.kind());
+        assert_same_response(&local, &over_tcp, &what);
     }
 }
 
@@ -147,35 +89,18 @@ fn assert_transport_parity(
 /// is refused alike on both, before anything is planned.
 #[test]
 fn cjsp_fetches_cross_the_socket_unchanged() {
-    let config = GeneratorConfig {
-        scale: SourceScale::Custom(400),
-        seed: 77,
-        max_points_per_dataset: Some(100),
-    };
-    let data: Vec<(String, Vec<SpatialDataset>)> = paper_sources()
-        .iter()
-        .map(|p| (p.name.to_string(), generate_source(p, &config)))
-        .collect();
+    let (data, request) = fetching_cjsp();
     let fw = framework(&data);
-    let queries: Vec<SpatialDataset> = data
-        .iter()
-        .flat_map(|(_, d)| d.iter().take(2).cloned())
-        .collect();
-    let pooled = spawn_federation(&fw);
-    let center =
-        DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
-    let remote = QueryEngine::new(&center, &pooled, engine_config(&fw));
+    let (pooled, center) = spawn_federation(&fw);
+    let remote = QueryEngine::new(&center, &pooled, *fw.engine().config());
 
-    let request = SearchRequest::cjsp_batch(queries.clone()).k(3);
     let local = fw.search(&request).expect("in-process search");
     let over_tcp = remote.run(&request).expect("TCP search");
     assert!(
         local.comm.requests > local.comm.sources_contacted,
         "the fixture must fetch cells"
     );
-    assert_eq!(local.results, over_tcp.results);
-    assert_eq!(local.comm, over_tcp.comm);
-    assert_eq!(local.search, over_tcp.search);
+    assert_same_response(&local, &over_tcp, "CJSP with fetches");
 
     let bad = request.delta_cells(f64::NAN);
     for refused in [fw.search(&bad), remote.run(&bad)] {
@@ -195,10 +120,10 @@ fn cjsp_fetches_cross_the_socket_unchanged() {
 /// the wire traffic is multiplexed over shared connections.
 #[test]
 fn pooled_tcp_federation_matches_in_process() {
-    let data = build_data(21);
+    let data = build_data(DATA, 21);
     let fw = framework(&data);
     let queries = probe_queries(&data);
-    let pooled = spawn_federation(&fw);
+    let (pooled, _) = spawn_federation(&fw);
     assert_transport_parity(&fw, &pooled, &queries);
 }
 
@@ -214,7 +139,7 @@ fn bounded_knn_matches_bruteforce_across_transports() {
     use dits::{nearest_datasets, DatasetNode};
     use spatial::CellSet;
 
-    let data = build_data(47);
+    let data = build_data(DATA, 47);
     let fw = framework(&data);
     let queries = probe_queries(&data);
 
@@ -247,24 +172,15 @@ fn bounded_knn_matches_bruteforce_across_transports() {
     // Cross-transport parity of the same kernels, cold and warm: the first
     // TCP run builds the per-node caches on the servers, the second reuses
     // them — both must equal the in-process answer bit for bit.
-    let tcp = spawn_federation(&fw);
-    let center = DataCenter::from_transport(&tcp, fw.config().leaf_capacity).expect("summary poll");
-    let remote = QueryEngine::new(&center, &tcp, engine_config(&fw));
+    let (tcp, center) = spawn_federation(&fw);
+    let remote = QueryEngine::new(&center, &tcp, *fw.engine().config());
     for k in [2, 4] {
         let request = SearchRequest::knn_batch(queries.to_vec()).k(k);
         let local = fw.search(&request).expect("in-process kNN");
         let cold = remote.run(&request).expect("TCP kNN (cold caches)");
         let warm = remote.run(&request).expect("TCP kNN (warm caches)");
         for over_tcp in [&cold, &warm] {
-            assert_eq!(
-                local.results, over_tcp.results,
-                "kNN answers diverged (k {k})"
-            );
-            assert_eq!(local.comm, over_tcp.comm, "kNN comm stats diverged (k {k})");
-            assert_eq!(
-                local.search, over_tcp.search,
-                "kNN search stats diverged (k {k})"
-            );
+            assert_same_response(&local, over_tcp, &format!("kNN, k {k}"));
         }
     }
 }
@@ -275,19 +191,15 @@ fn bounded_knn_matches_bruteforce_across_transports() {
 /// instead of failing wholesale with `UnknownSource`.
 #[test]
 fn unreachable_sources_are_skipped_not_fatal() {
-    let data = build_data(21);
+    let data = build_data(DATA, 21);
     let fw = framework(&data);
     let queries = probe_queries(&data);
     // A center that knows every source, over a transport that lost one.
     let center = DataCenter::from_global(fw.center().global().clone());
     let partial: Vec<multisource::DataSource> = fw.sources()[..2].to_vec();
     let transport = InProcessTransport::new(&partial);
-    let engine = QueryEngine::new(&center, &transport, engine_config(&fw));
-    for request in [
-        SearchRequest::ojsp_batch(queries.clone()).k(5),
-        SearchRequest::cjsp_batch(queries.clone()).k(3),
-        SearchRequest::knn_batch(queries.clone()).k(4),
-    ] {
+    let engine = QueryEngine::new(&center, &transport, *fw.engine().config());
+    for request in every_kind(&queries) {
         let response = engine.run(&request).expect("partial fleet still answers");
         assert_eq!(response.results.len(), queries.len());
         // Nothing was routed to the missing source.
@@ -297,13 +209,12 @@ fn unreachable_sources_are_skipped_not_fatal() {
 
 #[test]
 fn maintenance_over_tcp_matches_in_process() {
-    let data = build_data(8);
+    let data = build_data(DATA, 8);
     let mut fw = framework(&data);
     let queries = probe_queries(&data);
 
     // Remote deployment: servers seeded with the same initial sources.
-    let tcp = spawn_federation(&fw);
-    let mut remote_center = DataCenter::from_transport(&tcp, fw.config().leaf_capacity).unwrap();
+    let (tcp, mut remote_center) = spawn_federation(&fw);
 
     // The same mixed batch applied through both transports.
     let fresh = SpatialDataset::new(
@@ -330,7 +241,7 @@ fn maintenance_over_tcp_matches_in_process() {
     );
 
     // Post-maintenance queries still agree transport to transport.
-    let remote = QueryEngine::new(&remote_center, &tcp, engine_config(&fw));
+    let remote = QueryEngine::new(&remote_center, &tcp, *fw.engine().config());
     let request = SearchRequest::ojsp_batch(queries).k(5);
     let local = fw.search(&request).unwrap();
     let over_tcp = remote.run(&request).unwrap();
@@ -368,7 +279,7 @@ fn maintenance_over_tcp_matches_in_process() {
 /// nothing of it (not the valid leading delete) is applied anywhere.
 #[test]
 fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
-    let data = build_data(8);
+    let data = build_data(DATA, 8);
     let fw = framework(&data);
     let mut local_sources = fw.sources().to_vec();
     let victim = data[1].1[0].id;
@@ -379,11 +290,7 @@ fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
     };
     let untouched = indexes(fw.sources());
 
-    let servers: Vec<SourceServer> = fw
-        .sources()
-        .iter()
-        .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
-        .collect();
+    let servers = serve_in_threads(fw.sources());
     let pooled = PooledTcpTransport::new(servers.iter().map(SourceServer::endpoint))
         .expect("pooled transport");
     let poll = || {
@@ -463,14 +370,9 @@ fn unfit_cell_batches_are_rejected_identically_on_every_transport() {
 /// 16 B per point the raw coordinates alone would take.
 #[test]
 fn a_thousand_point_insert_travels_as_cells() {
-    let config = GeneratorConfig {
-        scale: SourceScale::Custom(60),
-        seed: 3,
-        max_points_per_dataset: Some(1_000),
-    };
-    let dataset = paper_sources()
-        .iter()
-        .flat_map(|p| generate_source(p, &config))
+    let dataset = build_data((60, 1_000, 5), 3)
+        .into_iter()
+        .flat_map(|(_, datasets)| datasets)
         .find(|d| d.points.len() == 1_000)
         .expect("the generator caps some dataset at 1 000 points");
     let grid = spatial::Grid::global(12).unwrap();
@@ -485,38 +387,15 @@ fn a_thousand_point_insert_travels_as_cells() {
     );
 }
 
-/// The pooled transport reaching spawned `source-server` children, source
-/// ids in spawn order.
-fn pooled_over(servers: &[ServerProcess]) -> PooledTcpTransport {
-    PooledTcpTransport::new(
-        servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u16, s.addr.clone())),
-    )
-    .expect("pooled transport")
-}
-
 /// The pooled transport against spawned `source-server` child processes —
 /// the fully federated deployment — still answers byte-identically.
 #[test]
 fn pooled_transport_over_server_processes_matches_in_process() {
-    let data = build_data(33);
+    let data = build_data(DATA, 33);
     let fw = framework(&data);
     let queries = probe_queries(&data);
-
-    let dir = std::env::temp_dir().join(format!("source-server-pooled-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let servers: Vec<ServerProcess> = data
-        .iter()
-        .enumerate()
-        .map(|(i, (_, datasets))| spawn_server(i as u16, 11, &dir, datasets))
-        .collect();
-    let pooled = pooled_over(&servers);
-
-    assert_transport_parity(&fw, &pooled, &queries);
-    drop(servers);
-    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = spawn_fleet(data.iter().map(|(_, d)| (11, d.as_slice())));
+    assert_transport_parity(&fw, &fleet.pooled, &queries);
 }
 
 /// A [`SourceServer`] drains on shutdown: the call returns once in-flight
@@ -524,7 +403,7 @@ fn pooled_transport_over_server_processes_matches_in_process() {
 /// endpoint is gone.
 #[test]
 fn source_server_shutdown_drains_open_connections() {
-    let data = build_data(61);
+    let data = build_data(DATA, 61);
     let fw = framework(&data);
     let server = SourceServer::spawn("127.0.0.1:0", fw.sources()[0].clone()).expect("bind");
     let source_id = server.id();
@@ -564,14 +443,13 @@ fn source_server_shutdown_drains_open_connections() {
 /// whose stdin merely sits open (or closes without the line) keeps serving.
 #[test]
 fn source_server_binary_drains_on_shutdown_line() {
-    let data = build_data(77);
-    let dir = std::env::temp_dir().join(format!("source-server-drain-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let mut server = spawn_server(9, 11, &dir, &data[0].1);
-
-    let tcp = PooledTcpTransport::new([(9u16, server.addr.clone())]).expect("pooled transport");
-    tcp.call(9, &Message::MetricsQuery, false)
+    let data = build_data(DATA, 77);
+    let mut fleet = spawn_fleet([(11, data[0].1.as_slice())]);
+    fleet
+        .pooled
+        .call(0, &Message::MetricsQuery, false)
         .expect("request before shutdown");
+    let server = &mut fleet.servers[0];
 
     server
         .child
@@ -590,7 +468,6 @@ fn source_server_binary_drains_on_shutdown_line() {
     assert_eq!(line.trim(), "DRAINED");
     let status = server.child.wait().expect("wait for drained server");
     assert!(status.success(), "drained server must exit cleanly");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -644,7 +521,7 @@ fn run_traced(
 /// presence proves propagation across the real socket).
 #[test]
 fn traced_span_structure_is_transport_invariant() {
-    let data = build_data(21);
+    let data = build_data(DATA, 21);
     let fw = framework(&data);
     let queries = probe_queries(&data);
     let request = SearchRequest::ojsp_batch(queries.clone()).k(5);
@@ -659,9 +536,8 @@ fn traced_span_structure_is_transport_invariant() {
     );
 
     // SourceServer threads over loopback TCP.
-    let tcp = spawn_federation(&fw);
-    let center = DataCenter::from_transport(&tcp, fw.config().leaf_capacity).expect("summary poll");
-    let remote = QueryEngine::new(&center, &tcp, engine_config(&fw));
+    let (tcp, center) = spawn_federation(&fw);
+    let remote = QueryEngine::new(&center, &tcp, *fw.engine().config());
     let (_, tcp_trace) = run_traced(&remote, &request, "loopback TCP");
     assert_eq!(
         span_structure(&tcp_trace),
@@ -674,17 +550,11 @@ fn traced_span_structure_is_transport_invariant() {
     );
 
     // Spawned source-server binaries.
-    let dir = std::env::temp_dir().join(format!("source-server-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let servers: Vec<ServerProcess> = data
-        .iter()
-        .enumerate()
-        .map(|(i, (_, datasets))| spawn_server(i as u16, 11, &dir, datasets))
-        .collect();
-    let spawned = pooled_over(&servers);
+    let fleet = spawn_fleet(data.iter().map(|(_, d)| (11, d.as_slice())));
+    let spawned = &fleet.pooled;
     let center =
-        DataCenter::from_transport(&spawned, fw.config().leaf_capacity).expect("summary poll");
-    let remote = QueryEngine::new(&center, &spawned, engine_config(&fw));
+        DataCenter::from_transport(spawned, fw.config().leaf_capacity).expect("summary poll");
+    let remote = QueryEngine::new(&center, spawned, *fw.engine().config());
     let (_, spawned_trace) = run_traced(&remote, &request, "spawned binary");
     assert_eq!(
         span_structure(&spawned_trace),
@@ -693,20 +563,17 @@ fn traced_span_structure_is_transport_invariant() {
     );
     // Traces from different runs have distinct center-assigned ids.
     assert_ne!(tcp_trace.id, spawned_trace.id);
-    drop(servers);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every source's metrics registry is scrapable through the wire protocol,
 /// and the snapshot renders to Prometheus text the mini-parser accepts.
 #[test]
 fn metrics_scrape_renders_valid_prometheus_over_tcp() {
-    let data = build_data(5);
+    let data = build_data(DATA, 5);
     let fw = framework(&data);
     let queries = probe_queries(&data);
-    let tcp = spawn_federation(&fw);
-    let center = DataCenter::from_transport(&tcp, fw.config().leaf_capacity).expect("summary poll");
-    let remote = QueryEngine::new(&center, &tcp, engine_config(&fw));
+    let (tcp, center) = spawn_federation(&fw);
+    let remote = QueryEngine::new(&center, &tcp, *fw.engine().config());
     // Broadcast so every source demonstrably serves at least one overlap
     // query before being scraped.
     remote
@@ -759,7 +626,7 @@ fn metrics_scrape_renders_valid_prometheus_over_tcp() {
 /// protocol bytes are those of the untraced call.
 #[test]
 fn traced_pooled_call_echoes_the_trace_id() {
-    let data = build_data(5);
+    let data = build_data(DATA, 5);
     let fw = framework(&data);
     let source = &fw.sources()[0];
     let server = SourceServer::spawn("127.0.0.1:0", source.clone()).expect("bind loopback");
@@ -781,6 +648,47 @@ fn traced_pooled_call_echoes_the_trace_id() {
     assert_eq!(traced.request_bytes, untraced.request_bytes);
     assert_eq!(traced.reply_bytes, untraced.reply_bytes);
     assert_eq!(untraced.trace, None);
+}
+
+/// What a reply carries besides its message is what the call asked for —
+/// statistics and service time only when wanted, the trace id echoed only
+/// when sent — and the rule is the same in process and over a socket, for a
+/// query and for a summary poll, in all four combinations.
+#[test]
+fn the_reply_rule_agrees_across_transports() {
+    let data = build_data(DATA, 5);
+    let fw = framework(&data);
+    let source = &fw.sources()[0];
+    let server = SourceServer::spawn("127.0.0.1:0", source.clone()).expect("bind loopback");
+    let pooled = PooledTcpTransport::new([server.endpoint()]).expect("pooled transport");
+    let in_process = InProcessTransport::new(fw.sources());
+    let query = Message::OverlapQuery {
+        query: source.grid_query(&data[0].1[0]),
+        k: 3,
+    };
+    for (kind, request) in [("query", query), ("poll", Message::summary_poll())] {
+        for want_stats in [false, true] {
+            for trace in [None, Some(424_242)] {
+                let case = format!("{kind}, want_stats {want_stats}, trace {trace:?}");
+                let opts = CallOptions { want_stats, trace };
+                let local = in_process
+                    .call_with(source.id, &request, opts)
+                    .expect("in-process call");
+                let remote = pooled
+                    .call_with(source.id, &request, opts)
+                    .expect("pooled call");
+                assert_eq!(local.message, remote.message, "{case}");
+                assert_eq!(local.request_bytes, remote.request_bytes, "{case}");
+                assert_eq!(local.reply_bytes, remote.reply_bytes, "{case}");
+                assert_eq!(local.search, remote.search, "{case}");
+                assert_eq!(local.maintenance, remote.maintenance, "{case}");
+                for reply in [&local, &remote] {
+                    assert_eq!(reply.service.is_some(), want_stats, "{case}");
+                    assert_eq!(reply.trace.map(|t| t.trace_id), trace, "{case}");
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
