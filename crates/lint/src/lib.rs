@@ -113,9 +113,7 @@ const L5_PATHS: &[&str] = &[
     "crates/multisource/src/transport.rs",
     "crates/obs/src/lib.rs",
     "crates/obs/src/metrics.rs",
-    "crates/obs/src/export.rs",
     "crates/obs/src/trace.rs",
-    "crates/obs/src/slowlog.rs",
 ];
 
 const CELLSET_PATH: &str = "crates/spatial/src/cellset.rs";

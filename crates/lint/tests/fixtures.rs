@@ -136,7 +136,7 @@ fn analyze_names_every_scoped_path_missing_under_the_root() {
     for expected in [
         "crates/multisource/src/engine.rs",
         "crates/multisource/src/center.rs",
-        "crates/obs/src/slowlog.rs",
+        "crates/obs/src/trace.rs",
         "crates/spatial/src/cellset.rs",
         "crates/multisource/src/message.rs",
         "crates/multisource/tests/transport.rs",

@@ -16,7 +16,7 @@
 //! rectangle whose block the source occupies, since no other cell can be
 //! shared with any of its datasets — and what kNN's second wave sends it:
 //! only the query cells within the first reply's k-th distance of both
-//! ([`DataCenter::clip_for_source`]).
+//! (`DataCenter::clip_for_source`).
 //!
 //! Maintenance has one way into DITS-G: [`DataCenter::apply_updates`] puts
 //! the summary a source answers a batch with (or removes the source when the

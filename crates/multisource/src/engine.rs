@@ -125,7 +125,6 @@ pub struct QueryEngine<'a> {
     center: &'a DataCenter,
     transport: EngineTransport<'a>,
     config: EngineConfig,
-    slow_log: Option<&'a obs::SlowQueryLog>,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -140,7 +139,6 @@ impl<'a> QueryEngine<'a> {
             center,
             transport: EngineTransport::Borrowed(transport),
             config,
-            slow_log: None,
         }
     }
 
@@ -155,16 +153,7 @@ impl<'a> QueryEngine<'a> {
             center,
             transport: EngineTransport::InProcess(InProcessTransport::new(sources)),
             config,
-            slow_log: None,
         }
-    }
-
-    /// Attaches a slow-query log: every [`Self::run`] whose wall-clock time
-    /// reaches the log's threshold is recorded (with its trace id, when the
-    /// request was traced).
-    pub fn with_slow_log(mut self, log: &'a obs::SlowQueryLog) -> Self {
-        self.slow_log = Some(log);
-        self
     }
 
     /// The engine's configuration.
@@ -210,7 +199,6 @@ impl<'a> QueryEngine<'a> {
             center: self.center,
             transport: self.transport,
             config,
-            slow_log: self.slow_log,
         };
         match request.kind() {
             SearchKind::Ojsp => engine.drive(&Ojsp, request),
@@ -531,9 +519,6 @@ impl<'a> QueryEngine<'a> {
         let spans = std::mem::take(&mut ctx.spans);
         let elapsed = start.elapsed();
         let trace = trace_id.map(|id| assemble_trace(id, plan_elapsed, &replans, spans, last_pass));
-        if let Some(log) = self.slow_log {
-            log.record(K::NAME, elapsed, trace.as_ref().map(|t| t.id));
-        }
         Ok(SearchResponse {
             results: K::results(answers),
             comm,
@@ -594,8 +579,6 @@ trait QueryKind {
     type Item: Send + Sync;
     /// The aggregated answer to one query.
     type Answer: Send;
-    /// The kind's name in the slow-query log.
-    const NAME: &'static str;
     /// The reply variant that answers this kind's request.
     const REPLY: &'static str;
     /// Whether [`Self::settle`] works against the queries themselves, so
@@ -663,7 +646,6 @@ struct Ojsp;
 impl QueryKind for Ojsp {
     type Item = (SourceId, dits::OverlapResult);
     type Answer = AggregatedOverlap;
-    const NAME: &'static str = "ojsp";
     const REPLY: &'static str = "OverlapReply";
     const NEAR_CELLS_ONLY: bool = true;
 
@@ -749,7 +731,6 @@ struct Cjsp {
 impl QueryKind for Cjsp {
     type Item = CoverageCandidate;
     type Answer = AggregatedCoverage;
-    const NAME: &'static str = "cjsp";
     const REPLY: &'static str = "CoverageReply";
     const KEEPS_QUERY_CELLS: bool = true;
     const SETTLES_ON_THE_POOL: bool = true;
@@ -902,7 +883,6 @@ impl Knn {
 impl QueryKind for Knn {
     type Item = (SourceId, Neighbor);
     type Answer = AggregatedKnn;
-    const NAME: &'static str = "knn";
     const REPLY: &'static str = "KnnReply";
     const NEAR_CELLS_ONLY: bool = true;
 
@@ -1763,34 +1743,6 @@ mod tests {
             best >= 0.9,
             "{kind:?}: spans cover only {best:.3} of the request"
         );
-    }
-
-    /// Every run crossing the slow-query threshold is recorded with its kind
-    /// and (when traced) its trace id.
-    #[test]
-    fn slow_query_log_captures_runs_with_trace_ids() {
-        let (fw, queries) = five_source_framework();
-        let log = obs::SlowQueryLog::new(Duration::ZERO);
-        let engine = fw.engine().with_slow_log(&log);
-        let traced = engine
-            .run(
-                &SearchRequest::ojsp_batch(queries.clone())
-                    .k(3)
-                    .with_trace(true),
-            )
-            .unwrap();
-        engine
-            .run(&SearchRequest::knn_batch(queries.clone()).k(3))
-            .unwrap();
-        let entries = log.entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].kind, "ojsp");
-        assert_eq!(
-            entries[0].trace_id,
-            Some(traced.trace.expect("traced run").id)
-        );
-        assert_eq!(entries[1].kind, "knn");
-        assert_eq!(entries[1].trace_id, None, "untraced runs log no trace id");
     }
 
     /// A transport where one source is "dead": every call to it fails with

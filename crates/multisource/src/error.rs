@@ -93,8 +93,9 @@ pub enum TransportError {
     /// The source answered with a message of the wrong kind.
     UnexpectedReply(&'static str),
     /// A mutating request was sent through a shared (read-only) in-process
-    /// transport; maintenance needs [`ExclusiveTransport`]
-    /// (crate::transport::ExclusiveTransport) or a remote transport.
+    /// transport; maintenance needs
+    /// [`ExclusiveTransport`](crate::transport::ExclusiveTransport) or a
+    /// remote transport.
     ExclusiveRequired,
     /// The source did not reply within the configured deadline.  The call
     /// may still be executing remotely; the caller must treat the request

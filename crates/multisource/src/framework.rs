@@ -4,11 +4,11 @@
 //! mirrors the deployment of Fig. 3 and exposes the unified query surface:
 //! build a [`SearchRequest`] (OJSP / CJSP / kNN, single query or batch) and
 //! execute it with [`MultiSourceFramework::search`].  Execution routes
-//! through the [`QueryEngine`](crate::engine::QueryEngine) over an
-//! [`InProcessTransport`] — the framework plans nothing itself; it only
-//! assembles the deployment and hands requests to the engine.  The same
-//! requests run unchanged against remote sources: see
-//! [`DataCenter::from_transport`] and `net::PooledTcpTransport`.
+//! through the [`QueryEngine`] over an
+//! [`InProcessTransport`](crate::InProcessTransport) — the framework plans
+//! nothing itself; it only assembles the deployment and hands requests to
+//! the engine.  The same requests run unchanged against remote sources:
+//! see [`DataCenter::from_transport`] and `net::PooledTcpTransport`.
 //!
 //! Index maintenance flows through [`MultiSourceFramework::apply_updates`]:
 //! the center grids a batch of [`UpdateOp`]s at the target source's

@@ -86,8 +86,8 @@ pub use engine::{EngineConfig, QueryEngine};
 pub use error::{BatchError, ConfigError, SearchError, TransportError, WireError};
 pub use framework::{FrameworkConfig, MultiSourceFramework};
 pub use message::{CandidateCells, CellOp, CoverageCandidate, Message, UpdateOp};
-pub use source::{DataSource, SourceMetrics};
+pub use source::DataSource;
 pub use transport::{
-    scrape_metrics, serve_source_until, CallOptions, ExclusiveTransport, InProcessTransport,
-    ServedReply, ShutdownSignal, SourceServer, SourceTrace, SourceTransport, TransportReply,
+    serve_source_until, CallOptions, ExclusiveTransport, InProcessTransport, ServedReply,
+    ShutdownSignal, SourceServer, SourceTrace, SourceTransport, TransportReply,
 };

@@ -568,7 +568,7 @@ impl Message {
                 let n = get_varint(&mut data, "result count")? as usize;
                 let mut results = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    let dataset = get_varint(&mut data, "result dataset id")? as DatasetId;
+                    let dataset = get_dataset_id(&mut data, "result dataset id")?;
                     let overlap = get_varint(&mut data, "result overlap")? as usize;
                     results.push(OverlapResult { dataset, overlap });
                 }
@@ -635,7 +635,7 @@ impl Message {
                             CellOp::Update { dataset, cells }
                         }
                         OP_TAG_DELETE => {
-                            CellOp::Delete(get_varint(&mut data, "delete target")? as DatasetId)
+                            CellOp::Delete(get_dataset_id(&mut data, "delete target")?)
                         }
                         other => return Err(WireError::BadOpTag(other)),
                     };
@@ -686,7 +686,7 @@ impl Message {
                 let n = get_varint(&mut data, "neighbor count")? as usize;
                 let mut neighbors = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    let dataset = get_varint(&mut data, "neighbor dataset id")? as DatasetId;
+                    let dataset = get_dataset_id(&mut data, "neighbor dataset id")?;
                     if data.remaining() < 8 {
                         return Err(WireError::Truncated("neighbor distance"));
                     }
@@ -806,7 +806,7 @@ fn put_gridded(buf: &mut BytesMut, dataset: DatasetId, cells: &CellSet) {
 }
 
 fn get_gridded(data: &mut Bytes) -> Result<(DatasetId, CellSet), WireError> {
-    let dataset = get_varint(data, "dataset id")? as DatasetId;
+    let dataset = get_dataset_id(data, "dataset id")?;
     Ok((dataset, get_cells(data)?))
 }
 
@@ -1183,14 +1183,22 @@ mod tests {
         );
     }
 
-    /// The two kNN frames: a query, and a reply of three neighbours.
-    fn knn_mutation_frames() -> [Message; 2] {
+    /// The three kNN frames: a query, a reply of three neighbours, and a
+    /// reply naming the largest dataset id.
+    fn knn_mutation_frames() -> [Message; 3] {
         [
             Message::KnnQuery {
                 query: cs(&[3, 8, 1024, 70_000]),
                 k: 300,
             },
             knn_reply(&[0.0, 2f64.sqrt(), 45.5]),
+            Message::KnnReply {
+                source: 258,
+                neighbors: vec![Neighbor {
+                    dataset: DatasetId::MAX,
+                    distance: 1.5,
+                }],
+            },
         ]
     }
 
@@ -1461,6 +1469,135 @@ mod tests {
     #[test]
     fn mutated_summary_refresh_frames_decode_to_what_the_bytes_say() {
         sweep_mutations(&mutation_frames(), run_summary_refresh_mutation);
+    }
+
+    /// One frame of every message the other sweeps leave out: both overlap
+    /// messages, the coverage query, a batch of each op and the empty poll,
+    /// an error with a multi-byte detail, the metrics query, and a metrics
+    /// snapshot with a counter, a gauge and a histogram and one with none.
+    /// The largest dataset id rides the overlap reply and the batch.
+    fn remaining_mutation_frames() -> [Message; 9] {
+        [
+            Message::OverlapQuery {
+                query: cs(&[1, 5, 100, 70_000]),
+                k: 300,
+            },
+            Message::OverlapReply {
+                source: 258,
+                results: vec![
+                    OverlapResult {
+                        dataset: 77,
+                        overlap: 3,
+                    },
+                    OverlapResult {
+                        dataset: DatasetId::MAX,
+                        overlap: 70_000,
+                    },
+                ],
+            },
+            Message::CoverageQuery {
+                query: cs(&[0, 2, 9, 4096]),
+                k: 5,
+                delta: 2.5,
+            },
+            Message::ApplyUpdates {
+                resolution: 12,
+                ops: vec![
+                    CellOp::Insert {
+                        dataset: 7,
+                        cells: cs(&[0, 5, 100, 4096]),
+                    },
+                    CellOp::Update {
+                        dataset: 70_000,
+                        cells: cs(&[16_777_215]),
+                    },
+                    CellOp::Delete(DatasetId::MAX),
+                ],
+            },
+            Message::summary_poll(),
+            Message::Error {
+                code: ERR_REJECTED_BATCH,
+                detail: "dataset 42: Größe ≠ 0 — 数据集".to_string(),
+            },
+            Message::MetricsQuery,
+            Message::MetricsSnapshot {
+                source: 258,
+                snapshot: sample_snapshot(),
+            },
+            Message::MetricsSnapshot {
+                source: 0,
+                snapshot: obs::MetricsSnapshot { samples: vec![] },
+            },
+        ]
+    }
+
+    fn run_remaining_mutation(case: u64) -> bool {
+        let _replay = dits::ReplayOnPanic("run_remaining_mutation", case);
+        run_frame_mutation(&remaining_mutation_frames(), case)
+    }
+
+    /// ROADMAP 5 (d) for the rest of `Message::decode`: every single-bit
+    /// flip and every truncation of every frame above.
+    #[test]
+    fn mutated_frames_of_the_other_messages_decode_to_what_the_bytes_say() {
+        sweep_mutations(&remaining_mutation_frames(), run_remaining_mutation);
+    }
+
+    /// `2³² + j` as a varint: a dataset id that wraps to `j` in the id type.
+    fn wide_id(j: u64) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        put_varint(&mut buf, (1 << 32) + j);
+        buf.freeze().to_vec()
+    }
+
+    /// Decodes `head`, the dataset id `id`, then `tail`: once with `id`
+    /// itself (a valid message) and once with `2³² + id`, which must be
+    /// refused rather than read as dataset `id`.
+    fn assert_wide_id_refused(head: &[u8], id: u8, tail: &[u8], what: &'static str) {
+        let decode = |id: &[u8]| Message::decode(Bytes::from([head, id, tail].concat()));
+        assert!(decode(&[id]).is_ok(), "{what}: {:?}", decode(&[id]));
+        assert_eq!(
+            decode(&wide_id(u64::from(id))),
+            Err(WireError::Oversized(what))
+        );
+    }
+
+    #[test]
+    fn overlap_reply_refuses_a_dataset_id_wider_than_the_id_type() {
+        // Source 7, one result, overlap 5.
+        assert_wide_id_refused(&[TAG_OVERLAP_REPLY, 0, 7, 1], 0, &[5], "result dataset id");
+    }
+
+    #[test]
+    fn knn_reply_refuses_a_dataset_id_wider_than_the_id_type() {
+        // Source 7, one neighbour at distance 1.
+        assert_wide_id_refused(
+            &[TAG_KNN_REPLY, 0, 7, 1],
+            3,
+            &1f64.to_be_bytes(),
+            "neighbor dataset id",
+        );
+    }
+
+    #[test]
+    fn batch_delete_refuses_a_dataset_id_wider_than_the_id_type() {
+        // One op at θ = 12: a delete, which would otherwise hit dataset 9.
+        assert_wide_id_refused(
+            &[TAG_APPLY_UPDATES, 1, 12, OP_TAG_DELETE],
+            9,
+            &[],
+            "delete target",
+        );
+    }
+
+    #[test]
+    fn batch_insert_and_update_refuse_a_dataset_id_wider_than_the_id_type() {
+        let mut cells = BytesMut::new();
+        put_cells(&mut cells, &cs(&[1, 5]));
+        let cells = cells.freeze();
+        for op in [OP_TAG_INSERT, OP_TAG_UPDATE] {
+            assert_wide_id_refused(&[TAG_APPLY_UPDATES, 1, 12, op], 5, &cells, "dataset id");
+        }
     }
 
     #[test]

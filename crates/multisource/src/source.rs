@@ -55,7 +55,7 @@ fn request_kind_index(request: &Message) -> usize {
 /// clones of a [`DataSource`] — e.g. the copy handed to a
 /// [`SourceServer`](crate::SourceServer) — report into one registry.
 #[derive(Debug, Clone)]
-pub struct SourceMetrics {
+struct SourceMetrics {
     registry: Arc<obs::MetricsRegistry>,
     requests: [obs::Counter; REQUEST_KINDS.len()],
     service_nanos: obs::Histogram,
@@ -90,12 +90,6 @@ impl SourceMetrics {
             datasets,
             kernel_calls,
         }
-    }
-
-    /// The underlying registry (register additional instruments, render
-    /// exporters).
-    pub fn registry(&self) -> &obs::MetricsRegistry {
-        &self.registry
     }
 
     fn record(&self, request: &Message, service: Duration, phases: PhaseTimings) {
@@ -151,11 +145,6 @@ impl DataSource {
             index,
             metrics: SourceMetrics::new(),
         }
-    }
-
-    /// The source's observability registry handles.
-    pub fn metrics(&self) -> &SourceMetrics {
-        &self.metrics
     }
 
     /// A point-in-time snapshot of the source's metrics registry — what a

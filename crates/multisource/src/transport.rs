@@ -76,6 +76,14 @@ const FLAG_HAS_TRACE: u8 = 0b0001_0000;
 /// frame.  The server echoes it verbatim, so a client with several frames
 /// in flight on one connection can match each reply to its request.
 const FLAG_HAS_CORRELATION: u8 = 0b0010_0000;
+/// Every flag a writer sets; a frame with any other bit is refused, so no
+/// two frames read as one.
+const KNOWN_FLAGS: u8 = FLAG_WANT_STATS
+    | FLAG_HAS_SEARCH
+    | FLAG_HAS_MAINTENANCE
+    | FLAG_HAS_SERVICE
+    | FLAG_HAS_TRACE
+    | FLAG_HAS_CORRELATION;
 
 /// Upper bound on one frame body; anything larger is a corrupt length
 /// prefix, not a real request.  Public so out-of-crate transports apply the
@@ -394,7 +402,7 @@ impl SourceTransport for ExclusiveTransport<'_> {
 
 /// One decoded frame.  Public so out-of-crate transports (the pooled,
 /// pipelined client in `crates/net`) can speak the exact same frames as
-/// [`serve_connection`].
+/// the server's `serve_connection`.
 #[derive(Debug)]
 pub struct DecodedFrame {
     /// Request flag: the peer asked for statistics on the reply.
@@ -528,6 +536,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
     r.read_exact(&mut body)?;
     let mut body = Bytes::from(body);
     let flags = body.get_u8();
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(WireError::OutOfRange("frame flags").into());
+    }
     let msg_len = get_varint(&mut body, "frame message length")? as usize;
     if body.remaining() < msg_len {
         return Err(WireError::Truncated("frame message").into());
@@ -825,21 +836,6 @@ fn serve_connection(
     }
 }
 
-/// Scrapes a source's metrics registry over any transport: sends a
-/// [`Message::MetricsQuery`] and unwraps the [`Message::MetricsSnapshot`]
-/// reply.
-pub fn scrape_metrics(
-    transport: &dyn SourceTransport,
-    source: SourceId,
-) -> Result<obs::MetricsSnapshot, TransportError> {
-    let reply = transport.call(source, &Message::MetricsQuery, false)?;
-    match reply.message {
-        Message::MetricsSnapshot { snapshot, .. } => Ok(snapshot),
-        Message::Error { code, detail } => Err(TransportError::Remote { code, detail }),
-        _ => Err(TransportError::UnexpectedReply("MetricsSnapshot")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -995,6 +991,43 @@ mod tests {
                 read_frame(&mut &buf[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
+        }
+    }
+
+    /// Bits 6 and 7 of the flags byte are set by no writer: a request or a
+    /// reply frame carrying either is refused, not read as the frame
+    /// without it.
+    #[test]
+    fn unknown_frame_flags_are_refused() {
+        let query = Message::OverlapQuery {
+            query: spatial::CellSet::from_cells([1u64, 2, 3]),
+            k: 5,
+        };
+        let request = ServedReply::plain(query).correlated(Some(9));
+        let reply = ServedReply::search(
+            Message::OverlapReply {
+                source: 1,
+                results: vec![],
+            },
+            SearchStats::from_array([9, 8, 7, 6, 5, 4]),
+        )
+        .traced(Some(3));
+        for (served, want_stats) in [(request, true), (reply, false)] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &served, want_stats).unwrap();
+            assert!(read_frame(&mut &buf[..]).is_ok());
+            for bit in [6, 7] {
+                let mut raw = buf.clone();
+                // The flags byte follows the four-byte length prefix.
+                raw[4] |= 1 << bit;
+                assert!(
+                    matches!(
+                        read_frame(&mut &raw[..]),
+                        Err(FrameError::Wire(WireError::OutOfRange("frame flags")))
+                    ),
+                    "bit {bit} of {served:?}"
+                );
+            }
         }
     }
 

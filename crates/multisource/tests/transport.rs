@@ -14,7 +14,7 @@
 //! * Observability crosses the wire without perturbing it: a traced request
 //!   yields the same canonical span structure on every transport while the
 //!   counted protocol bytes stay identical to an untraced run, and every
-//!   source's metrics registry is scrapable into valid Prometheus text.
+//!   source's metrics registry answers a `MetricsQuery` scrape.
 
 use std::io::Write as _;
 use std::time::Duration;
@@ -32,7 +32,7 @@ use multisource::{
 };
 use net::PooledTcpTransport;
 use proptest::prelude::*;
-use spatial::{Point, SpatialDataset};
+use spatial::{Point, SourceId, SpatialDataset};
 
 mod common;
 use common::{
@@ -565,10 +565,22 @@ fn traced_span_structure_is_transport_invariant() {
     assert_ne!(tcp_trace.id, spawned_trace.id);
 }
 
+/// A metrics scrape is one `MetricsQuery` call answered by the source's
+/// registry snapshot.
+fn scrape(transport: &dyn SourceTransport, source: SourceId) -> obs::MetricsSnapshot {
+    match transport.call(source, &Message::MetricsQuery, false) {
+        Ok(reply) => match reply.message {
+            Message::MetricsSnapshot { snapshot, .. } => snapshot,
+            other => panic!("source {source} answered a scrape with {other:?}"),
+        },
+        Err(e) => panic!("source {source} scrape failed: {e}"),
+    }
+}
+
 /// Every source's metrics registry is scrapable through the wire protocol,
-/// and the snapshot renders to Prometheus text the mini-parser accepts.
+/// over a socket and in process, and both scrapes see the served queries.
 #[test]
-fn metrics_scrape_renders_valid_prometheus_over_tcp() {
+fn metrics_scrape_reads_counters_over_tcp_and_in_process() {
     let data = build_data(DATA, 5);
     let fw = framework(&data);
     let queries = probe_queries(&data);
@@ -584,40 +596,34 @@ fn metrics_scrape_renders_valid_prometheus_over_tcp() {
         )
         .expect("OJSP over TCP");
 
+    let served = |snapshot: &obs::MetricsSnapshot| {
+        matches!(
+            snapshot.find("source_requests_total", &[("kind", "overlap")]).map(|s| &s.value),
+            Some(obs::MetricValue::Counter(n)) if *n >= 1
+        )
+    };
     for source in tcp.source_ids() {
-        let snapshot = multisource::scrape_metrics(&tcp, source).expect("metrics scrape");
-        let text = obs::render_prometheus(&snapshot);
-        let samples = obs::parse_prometheus(&text)
-            .unwrap_or_else(|e| panic!("source {source} produced invalid exposition: {e}"));
-        let overlap_served = samples.iter().any(|s| {
-            s.name == "source_requests_total"
-                && s.labels.iter().any(|(k, v)| k == "kind" && v == "overlap")
-                && s.value >= 1.0
-        });
+        let snapshot = scrape(&tcp, source);
         assert!(
-            overlap_served,
+            served(&snapshot),
             "source {source} reported no served overlap requests"
         );
         assert!(
-            samples
-                .iter()
-                .any(|s| s.name == "source_service_nanos_count" && s.value >= 1.0),
+            matches!(
+                snapshot.find("source_service_nanos", &[]).map(|s| &s.value),
+                Some(obs::MetricValue::Histogram { count, .. }) if *count >= 1
+            ),
             "source {source} reported no service-time observations"
         );
-        // The JSON exporter agrees on the series.
-        let json = obs::render_json(&snapshot);
-        assert!(json.contains("source_requests_total"));
-        assert!(json.contains("source_service_nanos"));
 
         // The servers cloned `fw`'s sources, which share their registries:
         // a scrape through the in-process transport sees the queries the
         // sockets served.
-        let local = multisource::scrape_metrics(&InProcessTransport::new(fw.sources()), source)
-            .expect("in-process scrape");
-        let requests = local
-            .find("source_requests_total", &[("kind", "overlap")])
-            .expect("overlap request counter registered");
-        assert!(matches!(requests.value, obs::MetricValue::Counter(n) if n >= 1));
+        let local = scrape(&InProcessTransport::new(fw.sources()), source);
+        assert!(
+            served(&local),
+            "source {source}: the in-process scrape missed the socket-served requests"
+        );
     }
 }
 

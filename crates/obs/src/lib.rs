@@ -1,8 +1,8 @@
 //! Zero-dependency observability primitives for the joinable-search stack.
 //!
-//! Production query engines explain themselves through three channels, and
-//! this crate provides all of them without pulling in a single external
-//! dependency (the workspace builds offline):
+//! The query path explains itself through two channels, and this crate
+//! provides both without pulling in a single external dependency (the
+//! workspace builds offline):
 //!
 //! * [`MetricsRegistry`] — lock-cheap [`Counter`]s, [`Gauge`]s and
 //!   log₂-bucketed [`Histogram`]s registered by name + labels. Handles are
@@ -10,28 +10,19 @@
 //!   registry mutex is touched only at registration and snapshot time.
 //!   A [`MetricsSnapshot`] is a plain-data copy that can cross a process
 //!   boundary (the `multisource` crate serialises it onto its wire protocol)
-//!   and renders through two exporters: Prometheus text exposition
-//!   ([`render_prometheus`]) and hand-rolled JSON ([`render_json`]), with a
-//!   mini-parser ([`parse_prometheus`]) so CI can validate scrape output.
+//!   and is read back with [`MetricsSnapshot::find`].
 //! * [`Trace`] — a flat list of named, timed [`Span`]s correlated by a
 //!   center-assigned trace id ([`next_trace_id`]; monotonic, never derived
 //!   from wall-clock time or randomness). The `multisource` engine uses it
 //!   to time plan/route, each per-shard transport call, the source-side
 //!   traversal-vs-verification split, and aggregation.
-//! * [`SlowQueryLog`] — a bounded ring of queries whose end-to-end latency
-//!   exceeded a configurable threshold, each entry keeping the trace id so
-//!   the offending trace can be pulled up.
 
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod metrics;
-pub mod slowlog;
 pub mod trace;
 
-pub use export::{parse_prometheus, render_json, render_prometheus, PromSample};
 pub use metrics::{
     Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use slowlog::{SlowQuery, SlowQueryLog};
 pub use trace::{next_trace_id, Span, Trace};

@@ -72,9 +72,8 @@ impl Default for HistogramCore {
 
 /// A log₂-bucketed histogram of `u64` observations (typically nanoseconds).
 ///
-/// p50/p90/p99 are derivable from any snapshot via
-/// [`MetricValue::histogram_quantile`]; the bucket layout trades ≤ 2×
-/// quantile resolution for a fixed 64-word footprint and wait-free recording.
+/// The bucket layout trades ≤ 2× value resolution for a fixed 64-word
+/// footprint and wait-free recording.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramCore>);
 
@@ -98,19 +97,8 @@ impl Histogram {
 }
 
 /// The log₂ bucket index for `value` (see [`HISTOGRAM_BUCKETS`]).
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     ((64 - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-}
-
-/// The largest value bucket `index` can hold (inclusive).
-pub fn bucket_upper_bound(index: usize) -> u64 {
-    if index == 0 {
-        0
-    } else if index >= HISTOGRAM_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << index) - 1
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -212,8 +200,8 @@ impl MetricsRegistry {
     }
 
     /// A point-in-time copy of every registered metric, sorted by
-    /// `(name, labels)` so renderings and cross-process comparisons are
-    /// deterministic regardless of registration order.
+    /// `(name, labels)` so cross-process comparisons are deterministic
+    /// regardless of registration order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().expect("metrics registry poisoned");
         let mut samples: Vec<MetricSample> = inner
@@ -302,32 +290,20 @@ pub enum MetricValue {
     },
 }
 
-impl MetricValue {
-    /// Approximate quantile (`0.0 ≤ q ≤ 1.0`) of a histogram value: the
-    /// upper bound of the first bucket whose cumulative count reaches
-    /// `q · count`. `None` for non-histograms or empty histograms.
-    pub fn histogram_quantile(&self, q: f64) -> Option<u64> {
-        let MetricValue::Histogram { count, buckets, .. } = self else {
-            return None;
-        };
-        if *count == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (*count as f64)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(idx, n) in buckets {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_upper_bound(idx as usize));
-            }
-        }
-        Some(bucket_upper_bound(HISTOGRAM_BUCKETS - 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The largest value bucket `index` can hold (inclusive).
+    fn bucket_upper_bound(index: usize) -> u64 {
+        if index == 0 {
+            0
+        } else if index >= HISTOGRAM_BUCKETS - 1 {
+            u64::MAX
+        } else {
+            (1u64 << index) - 1
+        }
+    }
 
     #[test]
     fn bucket_layout_is_log2_with_clamping() {
@@ -387,26 +363,5 @@ mod tests {
             Some(&MetricValue::Gauge(1.5))
         );
         assert!(snap.find("alpha", &[]).is_none());
-    }
-
-    #[test]
-    fn histogram_quantiles_are_bucket_upper_bounds() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("latency_ns", &[]);
-        for v in [1u64, 2, 3, 100, 1000, 100_000] {
-            h.observe(v);
-        }
-        let snap = reg.snapshot();
-        let value = &snap.find("latency_ns", &[]).unwrap().value;
-        let MetricValue::Histogram { count, sum, .. } = value else {
-            panic!("histogram expected");
-        };
-        assert_eq!(*count, 6);
-        assert_eq!(*sum, 101_106);
-        // p50 falls in the bucket holding 3 (the 3rd of 6 observations).
-        assert_eq!(value.histogram_quantile(0.5), Some(3));
-        // p99 falls in the bucket holding 100_000 = [65536, 131071].
-        assert_eq!(value.histogram_quantile(0.99), Some(131_071));
-        assert_eq!(MetricValue::Counter(1).histogram_quantile(0.5), None);
     }
 }

@@ -27,9 +27,9 @@
 //!    packed form would degenerate to one bit per word.
 //!
 //! Under the three kernels sit two joins over sorted slices, written once:
-//! [`merge_join`] (the linear kernel, the packed kernel's block merge,
+//! `merge_join` (the linear kernel, the packed kernel's block merge,
 //! [`intersects`](CellSet::intersects) and
-//! [`intersection`](CellSet::intersection)) and [`gallop_join`] (the
+//! [`intersection`](CellSet::intersection)) and `gallop_join` (the
 //! galloping kernel, over cells or over block keys).  Both walk the slices
 //! with slice patterns and checked access, so no kernel can index out of
 //! bounds.
@@ -435,7 +435,7 @@ impl CellSet {
 
     /// The coordinates of the set's *boundary* cells — cells with at least
     /// one 4-neighbour absent from the set — grouped by coarse block (see
-    /// [`boundary_index`]); not globally sorted.
+    /// `boundary_index`); not globally sorted.
     ///
     /// For two **disjoint** sets the closest cell pair always joins two
     /// boundary cells: from an interior cell, stepping one cell toward the
@@ -445,8 +445,6 @@ impl CellSet {
     /// side's boundary, which for dense blob-like datasets is the perimeter
     /// of the blob rather than its area.  Cached like the packed blocks
     /// (built at most once, invalidated by mutation).
-    ///
-    /// [`boundary_index`]: CellSet::boundary_index
     pub fn boundary_coords(&self) -> &[(f64, f64)] {
         &self.boundary_index().coords
     }
@@ -697,7 +695,7 @@ impl CellSet {
     /// sorted sequences, galloping over the blocks between one cell's block
     /// and the next.  From 1 on, the cells of one block are tested together,
     /// against the occupied blocks within `reach` of their block only
-    /// ([`occupied_near`]).
+    /// (`occupied_near`).
     pub fn clip_near_blocks(&self, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
         let mut kept = Vec::new();
         if reach.is_nan() || reach < 1.0 {

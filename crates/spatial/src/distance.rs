@@ -17,7 +17,7 @@
 //!   exact, because the closest pair of two disjoint sets always joins two
 //!   boundary cells — grouped into coarse blocks whose bounding-box gaps
 //!   prune whole block pairs in exact integer arithmetic before any cell
-//!   pair is touched (see [`block_distance`]).  Together these turn the
+//!   pair is touched (see `block_distance`).  Together these turn the
 //!   quadratic area × area scan into a handful of block-bound checks plus a
 //!   few perimeter-cell scans, regardless of how far apart the sets are.
 //!
