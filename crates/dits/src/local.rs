@@ -18,7 +18,7 @@ use crate::inverted::InvertedIndex;
 use crate::node::{DatasetNode, NodeGeometry};
 use crate::sketch::blocks_of;
 use serde::{Deserialize, Serialize};
-use spatial::{CellSet, DatasetId, Grid, Mbr, SpatialDataset};
+use spatial::{CellSet, DatasetId, Mbr};
 use std::sync::OnceLock;
 
 /// Index of a node inside the arena.
@@ -124,20 +124,6 @@ impl DitsLocal {
         };
         index.root = index.build_subtree(dataset_nodes, None);
         index
-    }
-
-    /// Builds the index directly from raw datasets on a grid, skipping
-    /// datasets that have no points inside the grid.
-    pub fn build_from_datasets(
-        grid: &Grid,
-        datasets: &[SpatialDataset],
-        config: DitsLocalConfig,
-    ) -> Self {
-        let nodes: Vec<DatasetNode> = datasets
-            .iter()
-            .filter_map(|d| DatasetNode::from_dataset(grid, d).ok())
-            .collect();
-        Self::build(nodes, config)
     }
 
     /// Recursively builds the subtree for `entries` and returns its arena
@@ -764,18 +750,6 @@ mod tests {
         let layout_bytes = idx.traversal_layout().memory_bytes();
         assert!(layout_bytes > 0);
         assert_eq!(idx.memory_bytes(), cold + layout_bytes);
-    }
-
-    #[test]
-    fn build_from_datasets_skips_empty() {
-        let grid = spatial::Grid::global(10).unwrap();
-        let datasets = vec![
-            SpatialDataset::new(0, vec![spatial::Point::new(10.0, 10.0)]),
-            SpatialDataset::new(1, vec![]),
-            SpatialDataset::new(2, vec![spatial::Point::new(-10.0, -10.0)]),
-        ];
-        let idx = DitsLocal::build_from_datasets(&grid, &datasets, DitsLocalConfig::default());
-        assert_eq!(idx.dataset_count(), 2);
     }
 
     proptest! {

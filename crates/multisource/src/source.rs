@@ -129,7 +129,8 @@ pub struct DataSource {
 
 impl DataSource {
     /// Builds a data source from raw datasets: grids them at the source's own
-    /// resolution and constructs the local DITS-L index.
+    /// resolution (skipping datasets with no point inside the grid), then
+    /// [`Self::from_nodes`].
     pub fn build(
         id: SourceId,
         name: impl Into<String>,
@@ -137,12 +138,28 @@ impl DataSource {
         datasets: &[SpatialDataset],
         config: DitsLocalConfig,
     ) -> Self {
-        let index = DitsLocal::build_from_datasets(&grid, datasets, config);
+        let nodes = datasets
+            .iter()
+            .filter_map(|d| DatasetNode::from_dataset(&grid, d).ok())
+            .collect();
+        Self::from_nodes(id, name, grid, nodes, config)
+    }
+
+    /// Builds a data source from datasets already gridded on `grid`: the
+    /// local DITS-L index over `nodes`, in the order given (the order shapes
+    /// the tree).
+    pub fn from_nodes(
+        id: SourceId,
+        name: impl Into<String>,
+        grid: Grid,
+        nodes: Vec<DatasetNode>,
+        config: DitsLocalConfig,
+    ) -> Self {
         Self {
             id,
             name: name.into(),
             grid,
-            index,
+            index: DitsLocal::build(nodes, config),
             metrics: SourceMetrics::new(),
         }
     }
@@ -529,6 +546,19 @@ mod tests {
         let summary = s.summary();
         assert_eq!(summary.source, 1);
         assert_eq!(summary.resolution, 10);
+    }
+
+    #[test]
+    fn build_skips_datasets_with_no_point_in_the_grid() {
+        let datasets = vec![
+            SpatialDataset::new(0, vec![Point::new(10.0, 10.0)]),
+            SpatialDataset::new(1, vec![]),
+            SpatialDataset::new(2, vec![Point::new(-10.0, -10.0)]),
+            SpatialDataset::new(3, vec![Point::new(200.0, 0.0)]),
+        ];
+        let grid = Grid::global(10).unwrap();
+        let s = DataSource::build(0, "s", grid, &datasets, DitsLocalConfig::default());
+        assert_eq!(s.dataset_count(), 2);
     }
 
     #[test]

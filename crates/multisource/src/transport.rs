@@ -584,6 +584,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
     } else {
         None
     };
+    // No writer puts anything after the last block its flags announce.
+    if body.has_remaining() {
+        return Err(WireError::OutOfRange("frame body").into());
+    }
     Ok(DecodedFrame {
         want_stats: flags & FLAG_WANT_STATS != 0,
         message,
@@ -994,11 +998,9 @@ mod tests {
         }
     }
 
-    /// Bits 6 and 7 of the flags byte are set by no writer: a request or a
-    /// reply frame carrying either is refused, not read as the frame
-    /// without it.
-    #[test]
-    fn unknown_frame_flags_are_refused() {
+    /// A correlated request frame and a reply frame carrying statistics and
+    /// a trace, each as written and read back once.
+    fn request_and_reply_frames() -> [(ServedReply, Vec<u8>); 2] {
         let query = Message::OverlapQuery {
             query: spatial::CellSet::from_cells([1u64, 2, 3]),
             k: 5,
@@ -1012,10 +1014,20 @@ mod tests {
             SearchStats::from_array([9, 8, 7, 6, 5, 4]),
         )
         .traced(Some(3));
-        for (served, want_stats) in [(request, true), (reply, false)] {
+        [(request, true), (reply, false)].map(|(served, want_stats)| {
             let mut buf = Vec::new();
             write_frame(&mut buf, &served, want_stats).unwrap();
             assert!(read_frame(&mut &buf[..]).is_ok());
+            (served, buf)
+        })
+    }
+
+    /// Bits 6 and 7 of the flags byte are set by no writer: a request or a
+    /// reply frame carrying either is refused, not read as the frame
+    /// without it.
+    #[test]
+    fn unknown_frame_flags_are_refused() {
+        for (served, buf) in request_and_reply_frames() {
             for bit in [6, 7] {
                 let mut raw = buf.clone();
                 // The flags byte follows the four-byte length prefix.
@@ -1028,6 +1040,24 @@ mod tests {
                     "bit {bit} of {served:?}"
                 );
             }
+        }
+    }
+
+    /// A body longer than the blocks its flags announce is refused, not read
+    /// as the frame without the extra byte.
+    #[test]
+    fn trailing_frame_bytes_are_refused() {
+        for (served, mut raw) in request_and_reply_frames() {
+            raw.push(0);
+            let len = u32::try_from(raw.len() - 4).unwrap();
+            raw[..4].copy_from_slice(&len.to_be_bytes());
+            assert!(
+                matches!(
+                    read_frame(&mut &raw[..]),
+                    Err(FrameError::Wire(WireError::OutOfRange("frame body")))
+                ),
+                "{served:?} with one trailing byte"
+            );
         }
     }
 

@@ -350,10 +350,13 @@ impl CellSet {
     }
 
     /// Shared construction tail: sorts, deduplicates and wraps a candidate
-    /// cell vector (callers pre-reserve capacity for their own source shape).
+    /// cell vector (callers pre-reserve capacity for their own source shape),
+    /// releasing the slots the duplicates held — a gridded dataset keeps one
+    /// slot per cell, not one per point.
     fn from_unsorted(mut cells: Vec<CellId>) -> Self {
         cells.sort_unstable();
         cells.dedup();
+        cells.shrink_to_fit();
         Self::from_sorted(cells)
     }
 
@@ -1079,6 +1082,23 @@ mod tests {
         ];
         let s = CellSet::from_points(&grid, &pts);
         assert_eq!(s.cells(), &[0, 3]);
+    }
+
+    /// A gridded set keeps one slot per cell: the slots reserved for the
+    /// points that landed in an occupied cell are released.
+    #[test]
+    fn from_points_keeps_no_slot_per_duplicate_point() {
+        let grid = Grid::new(GridConfig {
+            origin: Point::new(0.0, 0.0),
+            width: 1.0,
+            height: 1.0,
+            resolution: 2,
+        })
+        .unwrap();
+        let pts = vec![Point::new(0.05, 0.05); 1_000];
+        let s = CellSet::from_points(&grid, &pts);
+        assert_eq!(s.cells(), &[0]);
+        assert_eq!(s.memory_bytes(), std::mem::size_of::<CellId>());
     }
 
     #[test]
