@@ -8,6 +8,20 @@
 //!   from the triangle inequality over their pivots and radii, allowing
 //!   CoverageSearch to accept or reject whole subtrees when checking the
 //!   connectivity constraint.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::inverted::InvertedIndex;
 use crate::node::NodeGeometry;

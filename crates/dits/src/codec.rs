@@ -13,6 +13,20 @@
 //! `encode(decode(b)) == b` for every `b` a reader accepts: a varint padded
 //! with a zero final byte, one that does not fit 64 bits and a cell gap of
 //! zero after the first are refused, not repaired.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use bytes::{Buf, BufMut};
 use spatial::{CellId, CellSet};

@@ -25,6 +25,20 @@
 //! the `pricing` variants run the walk under their own objectives, and the
 //! SG+DITS baseline (`baselines`) is the same loop with a step that forgets
 //! the connect set and re-walks for every member each iteration.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::bounds::node_distance_bounds;
 use crate::local::{DitsLocal, NodeIdx, NodeKind, TraversalLayout};

@@ -24,6 +24,20 @@
 //! empty or duplicated leaf exists to account for.  There is no persisted
 //! image either: a center recovers the way it bootstraps, by polling its
 //! sources for their summaries, which cannot be stale.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::node::NodeGeometry;
 use serde::{Deserialize, Serialize};

@@ -18,6 +18,20 @@
 //! back, each ascending by dataset id.  A leaf holds at most `f` datasets,
 //! so the columns come from one k-way merge of the datasets' already-sorted
 //! cell sets and are never patched in place: every mutation rebuilds them.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use serde::{Deserialize, Serialize};
 use spatial::{CellId, CellSet, DatasetId};
@@ -90,7 +104,10 @@ impl InvertedIndex {
                 }
             }
             keys.push(cell);
-            // lint:allow(panic-freedom): a leaf holds at most `f` datasets, so 2^32 postings would need tens of gigabytes of cell sets in one leaf; wrapping an offset instead would silently corrupt every list after it
+            #[expect(
+                clippy::expect_used,
+                reason = "a leaf holds at most `f` datasets, so 2^32 postings would need tens of gigabytes of cell sets in one leaf; wrapping an offset instead would silently corrupt every list after it"
+            )]
             offsets.push(u32::try_from(postings.len()).expect("under 2^32 postings per leaf"));
         }
         if keys.is_empty() {

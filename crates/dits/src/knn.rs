@@ -13,6 +13,20 @@
 //! * [`range_datasets`] — all datasets within a distance threshold: a thin
 //!   wrapper over [`find_connect_set`], the one δ-range walk, which its
 //!   brute-force proptest therefore guards for every caller.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::bounds::node_distance_bounds;
 use crate::coverage::find_connect_set;

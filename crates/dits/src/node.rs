@@ -1,4 +1,18 @@
 //! Dataset nodes (Definition 12) and shared node geometry.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use serde::{Deserialize, Serialize};
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SpatialDataset, SpatialError};

@@ -10,6 +10,20 @@
 //! remaining leaves are pruned in batch.  Verification of a leaf scans its
 //! inverted index once, producing exact intersection counts for every
 //! dataset in the leaf simultaneously.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::bounds::leaf_overlap_upper_bound;
 use crate::local::{DitsLocal, NodeIdx, NodeKind, TraversalLayout};

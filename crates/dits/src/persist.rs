@@ -36,6 +36,20 @@
 //! first are non-zero, dataset ids strictly ascend, no cell set is empty, the
 //! leaf capacity is one `build` keeps), so `encode(decode(b)) == b` for every
 //! image `b` the decoder accepts.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::codec::{get_cells, put_cells, CodecError};
 use crate::local::{DitsLocal, DitsLocalConfig};

@@ -16,6 +16,20 @@
 //! that *contains* that sketch — a superset, grown by the blocks of every
 //! dataset the center sends the source — which is all a filter with no false
 //! negatives needs.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use spatial::{CellId, CellSet};
 

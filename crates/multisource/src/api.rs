@@ -21,6 +21,20 @@
 //! println!("{} results, {} bytes moved", best.results.len(), response.comm.total_bytes());
 //! # }
 //! ```
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::time::Duration;
 

@@ -30,6 +30,20 @@
 //! instead of dying mid-frame.  EOF on stdin is deliberately *not* a
 //! shutdown trigger, so servers spawned with a null or inherited stdin run
 //! forever, exactly as before.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};

@@ -27,6 +27,20 @@
 //! maintained center is the center [`DataCenter::build`] makes from the
 //! mutated sources, except that its sketches may still hold blocks the
 //! sources have vacated — a few query bytes, never an answer.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::collections::BTreeMap;
 

@@ -40,6 +40,20 @@
 //! travelled as a bare size could still beat a pick of the center's greedy,
 //! and fetches the cells of those candidates only (the rule and why the
 //! answer is exact are on the `Cjsp` kind).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -18,6 +18,20 @@
 //! returned summary refresh is folded into the center's DITS-G before the
 //! call returns — so query batches issued afterwards are planned against
 //! summaries that agree with every local index.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use dits::DitsLocalConfig;
 use spatial::{Grid, SourceId, SpatialDataset};
@@ -124,7 +138,10 @@ impl MultiSourceFramework {
     pub fn build(source_data: &[(String, Vec<SpatialDataset>)], config: FrameworkConfig) -> Self {
         match Self::try_build(source_data, config) {
             Ok(framework) => framework,
-            // lint:allow(panic-freedom): documented contract of this test/experiment convenience; library callers use try_build
+            #[expect(
+                clippy::panic,
+                reason = "documented contract of this test/experiment convenience; library callers use try_build"
+            )]
             Err(e) => panic!("invalid framework configuration: {e}"),
         }
     }

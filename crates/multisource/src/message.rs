@@ -62,6 +62,20 @@
 //! query batch is planned.  Queries therefore never observe a summary that
 //! disagrees with its source's local index, which is exactly the property
 //! `candidate_sources` pruning needs to stay lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub(crate) use dits::codec::put_varint;
@@ -167,10 +181,11 @@ pub enum CandidateCells {
     Stub(usize),
 }
 
-// Wire tags, one per `Message` variant.  repo-lint's `wire-tags` rule
-// cross-checks every constant against `encode`, `decode`, the truncation-fuzz
-// tag list in `tests/transport.rs`, and the README protocol table — adding a
-// variant without threading its tag through all four fails the analysis job.
+// Wire tags, one per `Message` variant, each listed in `MESSAGE_TAGS`.  A
+// unit test sorts the frames of the mutation sweeps, one or more of every
+// variant, by a `match` with no wildcard arm: a new variant does not compile
+// until it has a tag there, and the test fails until that tag is listed,
+// leads the encoding, round-trips and has a row in the README protocol table.
 /// Wire tag of [`Message::OverlapQuery`].
 pub const TAG_OVERLAP_QUERY: u8 = 0;
 /// Wire tag of [`Message::OverlapReply`].
@@ -197,11 +212,24 @@ pub const TAG_METRICS_QUERY: u8 = 13;
 pub const TAG_METRICS_SNAPSHOT: u8 = 14;
 /// Wire tag of [`Message::CellsQuery`].
 pub const TAG_CELLS_QUERY: u8 = 15;
+/// Every [`Message`] tag: what the wire fuzzers of `tests/transport.rs` walk.
+pub const MESSAGE_TAGS: [u8; 12] = [
+    TAG_OVERLAP_QUERY,
+    TAG_OVERLAP_REPLY,
+    TAG_COVERAGE_QUERY,
+    TAG_COVERAGE_REPLY,
+    TAG_APPLY_UPDATES,
+    TAG_SUMMARY_REFRESH,
+    TAG_KNN_QUERY,
+    TAG_KNN_REPLY,
+    TAG_ERROR,
+    TAG_METRICS_QUERY,
+    TAG_METRICS_SNAPSHOT,
+    TAG_CELLS_QUERY,
+];
 
-// Inner wire tags: one byte framing each element of a variant's payload.
-// Named for the same reason as the frame-level set — repo-lint cross-checks
-// that every inner enum variant's tag is wired through both encode and
-// decode, which a bare literal defeats.
+// Inner wire tags: one byte framing each element of a variant's payload,
+// held to their variants by the same unit test as the frame-level set.
 /// Inner tag of [`CellOp::Insert`] inside `ApplyUpdates`.
 pub const OP_TAG_INSERT: u8 = 0;
 /// Inner tag of [`CellOp::Update`] inside `ApplyUpdates`.
@@ -214,6 +242,10 @@ pub const METRIC_TAG_COUNTER: u8 = 0;
 pub const METRIC_TAG_GAUGE: u8 = 1;
 /// Inner tag of [`obs::MetricValue::Histogram`] inside `MetricsSnapshot`.
 pub const METRIC_TAG_HISTOGRAM: u8 = 2;
+/// Every [`CellOp`] tag.
+pub const CELL_OP_TAGS: [u8; 3] = [OP_TAG_INSERT, OP_TAG_UPDATE, OP_TAG_DELETE];
+/// Every [`obs::MetricValue`] tag.
+pub const METRIC_VALUE_TAGS: [u8; 3] = [METRIC_TAG_COUNTER, METRIC_TAG_GAUGE, METRIC_TAG_HISTOGRAM];
 
 /// Messages of the multi-source protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -1057,11 +1089,7 @@ mod tests {
         }
     }
 
-    /// Every truncation and every single-bit flip of a valid
-    /// `CoverageReply` (inline and stub candidates) and `CellsQuery` is a
-    /// typed error or exactly the value the bytes describe.
-    #[test]
-    fn mutated_coverage_frames_decode_to_what_the_bytes_say() {
+    fn coverage_mutation_frames() -> [Message; 2] {
         let reply = Message::CoverageReply {
             source: 258,
             candidates: vec![
@@ -1090,8 +1118,16 @@ mod tests {
         let fetch = Message::CellsQuery {
             datasets: vec![9_000, 2, 70_000, 0],
         };
+        [reply, fetch]
+    }
+
+    /// Every truncation and every single-bit flip of a valid
+    /// `CoverageReply` (inline and stub candidates) and `CellsQuery` is a
+    /// typed error or exactly the value the bytes describe.
+    #[test]
+    fn mutated_coverage_frames_decode_to_what_the_bytes_say() {
         let (mut typed, mut described) = (0, 0);
-        for message in [reply, fetch] {
+        for message in coverage_mutation_frames() {
             let enc = message.encode();
             assert_eq!(Message::decode(enc.clone()), Ok(message.clone()));
             for cut in 0..enc.len() {
@@ -1968,5 +2004,122 @@ mod tests {
             };
             prop_assert_eq!(Message::decode(m.encode()), Ok(m));
         }
+    }
+
+    /// Where `tag` sits in `list`, which must hold it.
+    fn slot(list: &[u8], tag: u8) -> usize {
+        (list.iter().position(|&t| t == tag)).unwrap_or_else(|| panic!("tag {tag} is unlisted"))
+    }
+
+    /// The frames the mutation sweeps above run on, sorted by a `match` with
+    /// no wildcard arm into the tag their variant encodes with: a new variant
+    /// does not compile until it has a tag here.  Every tag must then lead
+    /// its frames' encoding, have a row in the README protocol table and be
+    /// in `MESSAGE_TAGS`, each of whose tags some frame takes.  Frames that
+    /// round-trip have distinct tags, so the list's are distinct too.
+    #[test]
+    fn every_message_variant_has_a_listed_tag_a_readme_row_and_round_trips() {
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).expect("the repository README");
+        let mut taken = [0; MESSAGE_TAGS.len()];
+        for frames in [
+            &knn_mutation_frames()[..],
+            &mutation_frames(),
+            &remaining_mutation_frames(),
+            &coverage_mutation_frames(),
+        ] {
+            for m in frames {
+                let tag = match m {
+                    Message::OverlapQuery { .. } => TAG_OVERLAP_QUERY,
+                    Message::OverlapReply { .. } => TAG_OVERLAP_REPLY,
+                    Message::CoverageQuery { .. } => TAG_COVERAGE_QUERY,
+                    Message::CoverageReply { .. } => TAG_COVERAGE_REPLY,
+                    Message::ApplyUpdates { .. } => TAG_APPLY_UPDATES,
+                    Message::SummaryRefresh { .. } => TAG_SUMMARY_REFRESH,
+                    Message::KnnQuery { .. } => TAG_KNN_QUERY,
+                    Message::KnnReply { .. } => TAG_KNN_REPLY,
+                    Message::Error { .. } => TAG_ERROR,
+                    Message::MetricsQuery => TAG_METRICS_QUERY,
+                    Message::MetricsSnapshot { .. } => TAG_METRICS_SNAPSHOT,
+                    Message::CellsQuery { .. } => TAG_CELLS_QUERY,
+                };
+                let debug = format!("{m:?}");
+                let name = debug.split([' ', '(']).next().unwrap_or_default();
+                let row = format!("| {tag} | `{name}` |");
+                assert!(readme.contains(&row), "README.md has no row {row}");
+                let encoded = m.encode();
+                assert_eq!(encoded.first(), Some(&tag), "{name}");
+                assert_eq!(Message::decode(encoded).as_ref(), Ok(m));
+                taken[slot(&MESSAGE_TAGS, tag)] += 1;
+            }
+        }
+        assert!(!taken.contains(&0), "a listed tag has no frame: {taken:?}");
+    }
+
+    /// The inner tags on the same terms, over the ops and the metric values
+    /// of those frames, each sent alone: its tag is the byte at `at`, right
+    /// after the header of the batch or snapshot.
+    #[test]
+    fn every_inner_variant_has_a_listed_tag_and_round_trips() {
+        let alone = |m: Message, at: usize, tag: u8| {
+            let encoded = m.encode();
+            assert_eq!(encoded.get(at), Some(&tag), "{m:?}");
+            assert_eq!(Message::decode(encoded), Ok(m));
+        };
+        let (mut ops, mut values) = ([0; CELL_OP_TAGS.len()], [0; METRIC_VALUE_TAGS.len()]);
+        for frame in remaining_mutation_frames() {
+            match frame {
+                Message::ApplyUpdates { ops: batch, .. } => {
+                    for op in batch {
+                        let tag = match op {
+                            CellOp::Insert { .. } => OP_TAG_INSERT,
+                            CellOp::Update { .. } => OP_TAG_UPDATE,
+                            CellOp::Delete(_) => OP_TAG_DELETE,
+                        };
+                        ops[slot(&CELL_OP_TAGS, tag)] += 1;
+                        // The batch tag, θ = 1, one op.
+                        alone(
+                            Message::ApplyUpdates {
+                                resolution: 1,
+                                ops: vec![op],
+                            },
+                            3,
+                            tag,
+                        );
+                    }
+                }
+                Message::MetricsSnapshot { snapshot, .. } => {
+                    for sample in snapshot.samples {
+                        let tag = match sample.value {
+                            obs::MetricValue::Counter(_) => METRIC_TAG_COUNTER,
+                            obs::MetricValue::Gauge(_) => METRIC_TAG_GAUGE,
+                            obs::MetricValue::Histogram { .. } => METRIC_TAG_HISTOGRAM,
+                        };
+                        values[slot(&METRIC_VALUE_TAGS, tag)] += 1;
+                        // The snapshot tag, source 0, one sample: the name "m", no labels.
+                        let (name, labels) = ("m".into(), vec![]);
+                        let samples = vec![obs::MetricSample {
+                            name,
+                            labels,
+                            ..sample
+                        }];
+                        let snapshot = obs::MetricsSnapshot { samples };
+                        alone(
+                            Message::MetricsSnapshot {
+                                source: 0,
+                                snapshot,
+                            },
+                            7,
+                            tag,
+                        );
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            !ops.contains(&0) && !values.contains(&0),
+            "{ops:?} {values:?}"
+        );
     }
 }

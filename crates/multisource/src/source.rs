@@ -1,6 +1,20 @@
 //! A data source: an autonomous holder of spatial datasets with its own
 //! local index, answering the data center's query messages and applying the
 //! center's maintenance batches (Appendix IX-C at deployment scale).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -534,6 +548,56 @@ mod tests {
             &datasets,
             DitsLocalConfig::default(),
         )
+    }
+
+    /// A source's series are the ones `SourceMetrics::new` registers:
+    /// serving one request of every kind adds none, each name is
+    /// Prometheus-shaped and each name has one instrument kind.
+    #[test]
+    fn serving_every_request_kind_registers_no_new_series() {
+        let series = |s: &DataSource| -> Vec<_> {
+            let samples = s.metrics_snapshot().samples.into_iter();
+            (samples.map(|m| (m.name, m.labels, std::mem::discriminant(&m.value)))).collect()
+        };
+        let mut s = source_with_routes();
+        let registered = series(&s);
+        let query = s.index().find_dataset(3).unwrap().1.cells.clone();
+        let requests = [
+            Message::OverlapQuery {
+                query: query.clone(),
+                k: 2,
+            },
+            Message::CoverageQuery {
+                query: query.clone(),
+                k: 2,
+                delta: 1.0,
+            },
+            Message::KnnQuery { query, k: 2 },
+            Message::ApplyUpdates {
+                resolution: 10,
+                ops: vec![CellOp::Delete(3)],
+            },
+            Message::summary_poll(),
+            Message::MetricsQuery,
+            Message::CellsQuery { datasets: vec![4] },
+            Message::OverlapReply {
+                source: 0,
+                results: vec![],
+            },
+        ];
+        let kinds: Vec<usize> = requests.iter().map(request_kind_index).collect();
+        assert_eq!(kinds, (0..REQUEST_KINDS.len()).collect::<Vec<_>>());
+        for request in &requests {
+            s.serve(request);
+        }
+        assert_eq!(series(&s), registered);
+        for (name, _, kind) in &registered {
+            let shaped = name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+                && (name.chars()).all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            assert!(shaped, "metric name {name:?} is not [a-z_][a-z0-9_]*");
+            let two = registered.iter().any(|(n, _, k)| n == name && k != kind);
+            assert!(!two, "{name} has two instrument kinds");
+        }
     }
 
     #[test]

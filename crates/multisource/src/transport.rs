@@ -45,11 +45,25 @@
 //! *instrumentation channel*: they ride in the frame, not in the message, so
 //! opting in or out never changes the protocol bytes the paper's
 //! communication figures count.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -373,10 +387,7 @@ impl<'a> ExclusiveTransport<'a> {
 
 impl SourceTransport for ExclusiveTransport<'_> {
     fn source_ids(&self) -> Vec<SourceId> {
-        let guard = match self.sources.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let guard = self.sources.lock().unwrap_or_else(PoisonError::into_inner);
         let mut ids: Vec<SourceId> = guard.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         ids
@@ -388,10 +399,7 @@ impl SourceTransport for ExclusiveTransport<'_> {
         request: &Message,
         opts: CallOptions,
     ) -> Result<TransportReply, TransportError> {
-        let mut guard = match self.sources.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut guard = self.sources.lock().unwrap_or_else(PoisonError::into_inner);
         let src = guard
             .iter_mut()
             .find(|s| s.id == source)
@@ -735,13 +743,10 @@ pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: S
             }
             Err(e) => {
                 consecutive_failures += 1;
-                eprintln!("source {}: accept failed: {e}", {
-                    let guard = match source.read() {
-                        Ok(guard) => guard,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    guard.id
-                });
+                eprintln!(
+                    "source {}: accept failed: {e}",
+                    source.read().unwrap_or_else(PoisonError::into_inner).id
+                );
                 if consecutive_failures >= 100 {
                     return;
                 }
@@ -811,19 +816,18 @@ fn serve_connection(
             Err(other) => return Err(other),
         };
         let served = if frame.message.mutates() {
-            match source.write() {
-                Ok(mut guard) => guard.serve(&frame.message),
-                Err(poisoned) => poisoned.into_inner().serve(&frame.message),
-            }
+            source
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .serve(&frame.message)
         } else {
             // Read path: summary polls and queries never mutate, so they
             // share the read lock (and the exact dispatch the in-process
             // transport uses).
-            let guard = match source.read() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.serve_readonly(&frame.message)
+            source
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .serve_readonly(&frame.message)
         };
         // Echo the center-assigned trace id (if any) with the measured
         // phase split, and the pipelining correlation id verbatim; the

@@ -23,10 +23,11 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use multisource::transport::{read_frame, write_frame};
+use multisource::transport::{read_frame, write_frame, MAX_FRAME_BYTES};
 use multisource::{
     CallOptions, DataCenter, DataSource, DistributionStrategy, Message, MultiSourceFramework,
-    QueryEngine, SearchError, SearchRequest, SearchResponse, SourceServer, TransportError,
+    QueryEngine, SearchError, SearchRequest, SearchResponse, SourceServer, SourceTransport,
+    TransportError,
 };
 use net::{PoolConfig, PooledTcpTransport};
 use spatial::{SourceId, SpatialDataset};
@@ -368,4 +369,71 @@ fn stalled_source_times_out_and_degrades_identically() {
         pooled.metrics().timeouts.get() >= 1,
         "the pool must count deadline trips"
     );
+}
+
+/// A source answering every request with one corrupt reply frame fails the
+/// call with a typed error — the pool's frame reader refuses the bytes and
+/// drops the connection — well within the request timeout, and a healthy
+/// source on the same pooled transport still answers.
+#[test]
+fn corrupt_reply_frames_fail_the_call_typed_and_spare_a_healthy_source() {
+    let data = build_data(DATA, 31);
+    let fw = framework(&data);
+    let healthy = &fw.sources()[0];
+    let servers = serve_in_threads([healthy]);
+    // One reply per hostile source, 1 to 5, and how the pool reports it.
+    // The last one is cut short: its source closes the connection after it.
+    let oversized = (MAX_FRAME_BYTES as u32 + 1).to_be_bytes();
+    let replies: [(&[u8], &str); 5] = [
+        (&[0, 0, 0, 0], "corrupt frame length"),
+        (&oversized, "corrupt frame length"),
+        (&[0, 0, 0, 3, 0x80, 1, 13], "frame flags"),
+        (&[0, 0, 0, 3, 0, 1, 42], "unknown message tag 42"),
+        (&[0, 0, 0, 100, 0, 1, 13, 0, 0], "connection closed"),
+    ];
+    let hostile: Vec<_> = (1..)
+        .zip(replies)
+        .map(|(id, (reply, _))| {
+            let (reply, cut) = (reply.to_vec(), id == 5);
+            let serve = move |mut stream: TcpStream| {
+                while read_frame(&mut stream).is_ok() {
+                    if std::io::Write::write_all(&mut stream, &reply).is_err() || cut {
+                        return;
+                    }
+                }
+            };
+            (id, spawn_listener(serve))
+        })
+        .collect();
+    let request_timeout = Duration::from_millis(500);
+    let pooled = PooledTcpTransport::with_config(
+        servers.iter().map(SourceServer::endpoint).chain(hostile),
+        PoolConfig {
+            request_timeout,
+            connect_timeout: Duration::from_millis(500),
+            retries: 1,
+            retry_backoff: Duration::from_millis(5),
+            ..PoolConfig::default()
+        },
+    )
+    .expect("pooled transport");
+
+    let poll = Message::summary_poll();
+    for (id, (_, why)) in (1..).zip(replies) {
+        let started = std::time::Instant::now();
+        let outcome = pooled.call(id, &poll, false);
+        assert!(
+            started.elapsed() < request_timeout + Duration::from_secs(1),
+            "source {id}"
+        );
+        let detail = match outcome {
+            Err(TransportError::RetriesExhausted { last, .. }) => last.to_string(),
+            other => panic!("source {id}: {other:?}"),
+        };
+        assert!(detail.contains(why), "source {id}: {detail}");
+    }
+    let reply = pooled
+        .call(0, &poll, false)
+        .expect("the healthy source answers");
+    assert_eq!(reply.message, healthy.serve_readonly(&poll).message);
 }

@@ -21,9 +21,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use multisource::message::{
-    TAG_APPLY_UPDATES, TAG_CELLS_QUERY, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY, TAG_ERROR,
-    TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT, TAG_OVERLAP_QUERY,
-    TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
+    MESSAGE_TAGS, TAG_APPLY_UPDATES, TAG_CELLS_QUERY, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY,
+    TAG_ERROR, TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT,
+    TAG_OVERLAP_QUERY, TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
 };
 use multisource::{
     BatchError, CallOptions, CellOp, DataCenter, DistributionStrategy, ExclusiveTransport,
@@ -701,28 +701,19 @@ fn the_reply_rule_agrees_across_transports() {
 // Wire-robustness fuzzing
 // ---------------------------------------------------------------------------
 
-/// Every protocol tag, so the truncation/bit-flip fuzzers exercise the whole
-/// wire surface.  repo-lint's `wire-tags` rule keeps this list exhaustive: a
-/// new `Message` variant whose tag is missing here fails the analysis job.
-const FUZZ_TAGS: [u8; 12] = [
-    TAG_OVERLAP_QUERY,
-    TAG_OVERLAP_REPLY,
-    TAG_COVERAGE_QUERY,
-    TAG_COVERAGE_REPLY,
-    TAG_APPLY_UPDATES,
-    TAG_SUMMARY_REFRESH,
-    TAG_KNN_QUERY,
-    TAG_KNN_REPLY,
-    TAG_ERROR,
-    TAG_METRICS_QUERY,
-    TAG_METRICS_SNAPSHOT,
-    TAG_CELLS_QUERY,
-];
-
-/// Builds one message of any protocol kind from raw fuzz ingredients.
-fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], code: u16) -> Message {
+/// Builds one message of the kind `MESSAGE_TAGS[kind]` names from raw fuzz
+/// ingredients, so the truncation/bit-flip fuzzers exercise the whole wire
+/// surface: a listed tag with no arm here fails them.
+fn build_message(
+    kind: usize,
+    cells: &[u64],
+    k: usize,
+    delta: f64,
+    ids: &[u32],
+    code: u16,
+) -> Message {
     let query = spatial::CellSet::from_cells(cells.iter().copied());
-    match FUZZ_TAGS[(kind as usize) % FUZZ_TAGS.len()] {
+    match MESSAGE_TAGS[kind] {
         TAG_OVERLAP_QUERY => Message::OverlapQuery { query, k },
         TAG_OVERLAP_REPLY => Message::OverlapReply {
             source: code,
@@ -815,7 +806,7 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
                 ],
             },
         },
-        _ => Message::KnnReply {
+        TAG_KNN_REPLY => Message::KnnReply {
             source: code,
             neighbors: ids
                 .iter()
@@ -825,6 +816,7 @@ fn build_message(kind: u8, cells: &[u64], k: usize, delta: f64, ids: &[u32], cod
                 })
                 .collect(),
         },
+        tag => panic!("build_message cannot build a message with tag {tag}"),
     }
 }
 
@@ -835,7 +827,7 @@ proptest! {
     // never a bogus success.
     #[test]
     fn prop_truncations_fail_closed(
-        kind in 0u8..12,
+        kind in 0..MESSAGE_TAGS.len(),
         cells in proptest::collection::vec(0u64..1_000_000, 0..60),
         k in 0usize..50,
         delta in 0.0f64..30.0,
@@ -860,7 +852,7 @@ proptest! {
     // fail with a typed error -- decode must be total.
     #[test]
     fn prop_bit_flips_never_panic(
-        kind in 0u8..12,
+        kind in 0..MESSAGE_TAGS.len(),
         cells in proptest::collection::vec(0u64..1_000_000, 0..60),
         k in 0usize..50,
         delta in 0.0f64..30.0,

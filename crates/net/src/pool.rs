@@ -28,7 +28,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -121,15 +121,6 @@ struct Slot {
     cv: Condvar,
 }
 
-fn relock<'a, T>(
-    result: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    match result {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl Slot {
     fn new() -> Self {
         Self {
@@ -140,7 +131,7 @@ impl Slot {
 
     /// Resolves the slot (first completion wins; later ones are dropped).
     fn complete(&self, result: Result<DecodedFrame, TransportError>) {
-        let mut state = relock(self.state.lock());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if matches!(*state, SlotState::Pending) {
             *state = SlotState::Done(Box::new(result));
             self.cv.notify_all();
@@ -151,7 +142,7 @@ impl Slot {
     /// never answered (it enforces the real deadline, so this only fires
     /// if the loop itself is wedged or gone).
     fn wait(&self, backstop: Instant) -> Option<Result<DecodedFrame, TransportError>> {
-        let mut state = relock(self.state.lock());
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             match &*state {
                 SlotState::Done(_) => {
@@ -167,25 +158,15 @@ impl Slot {
                         *state = SlotState::Abandoned;
                         return None;
                     }
-                    let (guard, _) = relock2(self.cv.wait_timeout(state, backstop - now));
+                    let (guard, _) = self
+                        .cv
+                        .wait_timeout(state, backstop - now)
+                        .unwrap_or_else(PoisonError::into_inner);
                     state = guard;
                 }
                 SlotState::Abandoned => return None,
             }
         }
-    }
-}
-
-/// What [`Condvar::wait_timeout`] hands back: the re-acquired guard plus the
-/// timeout flag, either cleanly or through the poison wrapper.
-type TimedWait<'a, T> = (MutexGuard<'a, T>, std::sync::WaitTimeoutResult);
-
-fn relock2<'a, T>(
-    result: Result<TimedWait<'a, T>, std::sync::PoisonError<TimedWait<'a, T>>>,
-) -> TimedWait<'a, T> {
-    match result {
-        Ok(pair) => pair,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 
@@ -228,7 +209,7 @@ impl Shared {
     /// Enqueues and wakes the loop; returns `false` after shutdown.
     fn submit(&self, command: Command) -> bool {
         {
-            let mut queue = relock(self.queue.lock());
+            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             if queue.shutdown {
                 return false;
             }
@@ -446,7 +427,11 @@ impl SourceTransport for PooledTcpTransport {
 impl Drop for PooledTcpTransport {
     fn drop(&mut self) {
         {
-            let mut queue = relock(self.shared.queue.lock());
+            let mut queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             queue.shutdown = true;
         }
         let _ = self.shared.waker.wake();
@@ -564,7 +549,11 @@ impl EventLoop {
                 self.shared.waker.drain();
             }
             let (commands, shutdown) = {
-                let mut queue = relock(self.shared.queue.lock());
+                let mut queue = self
+                    .shared
+                    .queue
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
                 (std::mem::take(&mut queue.commands), queue.shutdown)
             };
             if shutdown {

@@ -34,8 +34,8 @@
 //! with slice patterns and checked access, so no kernel can index out of
 //! bounds.
 //!
-//! The packed form is built at most once per set (cached in a [`OnceLock`]
-//! alongside the sorted vec, invalidated by mutation), so batch callers that
+//! The packed form is built at most once per set (cached in a `OnceLock`
+//! alongside the sorted vec, which no `&mut` reaches), so batch callers that
 //! intersect the same sets repeatedly pay the packing cost once and the
 //! popcount price thereafter.  Run `cargo run --release -p bench
 //! --bin bench-runner` to measure the kernels on this machine; see
@@ -53,11 +53,24 @@
 //! run: the full-run `BENCH_*.json` of 2026-10-15 stamped `c119b3d`)
 //! therefore describes a pair — two dense sets of comparable size — that
 //! the serving path's dispatch almost never sees.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use std::convert::identity;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::grid::Grid;
 use crate::mbr::Mbr;
@@ -273,8 +286,20 @@ pub(crate) struct BoundaryIndex {
 const BOUNDARY_BLOCK_SIZE: u32 = 8;
 
 impl BoundaryIndex {
-    fn build(boundary: Vec<(u32, u32)>) -> Self {
-        let mut cells = boundary;
+    /// Groups the boundary cells of `sorted` (a set's cells) into blocks.
+    fn build(sorted: &[CellId]) -> Self {
+        let contains = |x: Option<u32>, y: Option<u32>| {
+            x.zip(y)
+                .is_some_and(|(x, y)| sorted.binary_search(&cell_id(x, y)).is_ok())
+        };
+        let mut cells: Vec<(u32, u32)> = (sorted.iter().map(|&c| cell_coords(c)))
+            .filter(|&(x, y)| {
+                !(contains(x.checked_sub(1), Some(y))
+                    && contains(x.checked_add(1), Some(y))
+                    && contains(Some(x), y.checked_sub(1))
+                    && contains(Some(x), y.checked_add(1)))
+            })
+            .collect();
         let key = |&(x, y): &(u32, u32)| {
             (((x / BOUNDARY_BLOCK_SIZE) as u64) << 32) | (y / BOUNDARY_BLOCK_SIZE) as u64
         };
@@ -318,20 +343,80 @@ impl BoundaryIndex {
 /// intersection kernel reads (see the module docs) and the boundary
 /// decomposition the distance kernel walks.  Equality, ordering of iteration
 /// and the serialized shape are defined by the sorted cells alone.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellSet {
-    cells: Vec<CellId>,
-    packed: OnceLock<PackedCells>,
-    boundary: OnceLock<BoundaryIndex>,
+    cells: frozen::Cells,
 }
 
-impl PartialEq for CellSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.cells == other.cells
+/// The cells of a [`CellSet`] with the two forms cached from them, behind
+/// fields no code outside this module can reach: the cells are read through
+/// `Deref<Target = [CellId]>` and never through a `&mut`, so a set changes
+/// only by being replaced whole, caches and all, and a cache is never older
+/// than the cells it was built from.
+mod frozen {
+    use std::ops::Deref;
+    use std::sync::OnceLock;
+
+    use super::{BoundaryIndex, CellId, PackedCells};
+
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct Cells {
+        sorted: Vec<CellId>,
+        packed: OnceLock<PackedCells>,
+        boundary: OnceLock<BoundaryIndex>,
     }
-}
 
-impl Eq for CellSet {}
+    impl Cells {
+        /// Wraps an already sorted, deduplicated cell vector.
+        pub(super) fn new(sorted: Vec<CellId>) -> Self {
+            debug_assert!(sorted.windows(2).all(|w| matches!(w, [a, b] if a < b)));
+            Self {
+                sorted,
+                packed: OnceLock::new(),
+                boundary: OnceLock::new(),
+            }
+        }
+
+        /// The bit-packed form, built on first use.
+        pub(super) fn packed(&self) -> &PackedCells {
+            self.packed.get_or_init(|| PackedCells::build(&self.sorted))
+        }
+
+        /// The bit-packed form if it has been built.
+        pub(super) fn packed_if_built(&self) -> Option<&PackedCells> {
+            self.packed.get()
+        }
+
+        /// The boundary decomposition, built on first use.
+        pub(super) fn boundary(&self) -> &BoundaryIndex {
+            self.boundary
+                .get_or_init(|| BoundaryIndex::build(&self.sorted))
+        }
+
+        /// Heap bytes of the cells and of whichever caches have been built.
+        pub(super) fn memory_bytes(&self) -> usize {
+            self.sorted.capacity() * std::mem::size_of::<CellId>()
+                + self.packed.get().map_or(0, PackedCells::memory_bytes)
+                + self.boundary.get().map_or(0, BoundaryIndex::memory_bytes)
+        }
+    }
+
+    impl Deref for Cells {
+        type Target = [CellId];
+
+        fn deref(&self) -> &[CellId] {
+            &self.sorted
+        }
+    }
+
+    impl PartialEq for Cells {
+        fn eq(&self, other: &Self) -> bool {
+            self.sorted == other.sorted
+        }
+    }
+
+    impl Eq for Cells {}
+}
 
 impl CellSet {
     /// Creates an empty cell set.
@@ -341,11 +426,8 @@ impl CellSet {
 
     /// Wraps an already sorted, deduplicated cell vector.
     fn from_sorted(cells: Vec<CellId>) -> Self {
-        debug_assert!(cells.windows(2).all(|w| matches!(w, [a, b] if a < b)));
         Self {
-            cells,
-            packed: OnceLock::new(),
-            boundary: OnceLock::new(),
+            cells: frozen::Cells::new(cells),
         }
     }
 
@@ -414,11 +496,6 @@ impl CellSet {
         self.cells.iter().copied()
     }
 
-    /// The cached bit-packed form, building it on first use.
-    fn packed(&self) -> &PackedCells {
-        self.packed.get_or_init(|| PackedCells::build(&self.cells))
-    }
-
     /// The cells decomposed to grid coordinates and sorted by x: what a
     /// [`NeighborProbe`](crate::distance::NeighborProbe) binary-searches.  Not
     /// cached — the probe owns its copy, and the sets probed with (a query, a
@@ -447,7 +524,7 @@ impl CellSet {
     /// minimising pair.  The distance kernel therefore only has to walk each
     /// side's boundary, which for dense blob-like datasets is the perimeter
     /// of the blob rather than its area.  Cached like the packed blocks
-    /// (built at most once, invalidated by mutation).
+    /// (built at most once per set).
     pub fn boundary_coords(&self) -> &[(f64, f64)] {
         &self.boundary_index().coords
     }
@@ -457,26 +534,7 @@ impl CellSet {
     /// kernel.  Block-pair bbox gaps give exact integer lower bounds that
     /// prune almost every block pair before any cell pair is touched.
     pub(crate) fn boundary_index(&self) -> &BoundaryIndex {
-        self.boundary.get_or_init(|| {
-            let boundary: Vec<(u32, u32)> = self
-                .cells
-                .iter()
-                .filter_map(|&c| {
-                    let (x, y) = cell_coords(c);
-                    let interior = x
-                        .checked_sub(1)
-                        .is_some_and(|xl| self.contains(cell_id(xl, y)))
-                        && x.checked_add(1)
-                            .is_some_and(|xr| self.contains(cell_id(xr, y)))
-                        && y.checked_sub(1)
-                            .is_some_and(|yd| self.contains(cell_id(x, yd)))
-                        && y.checked_add(1)
-                            .is_some_and(|yu| self.contains(cell_id(x, yu)));
-                    (!interior).then_some((x, y))
-                })
-                .collect();
-            BoundaryIndex::build(boundary)
-        })
+        self.cells.boundary()
     }
 
     /// Returns `true` when the sets share at least one cell, answered by an
@@ -485,7 +543,7 @@ impl CellSet {
         if self.is_empty() || other.is_empty() {
             return false;
         }
-        self.packed().intersects(other.packed())
+        self.cells.packed().intersects(other.cells.packed())
     }
 
     /// Average member cells per occupied 64-cell block.  Exact once the
@@ -498,7 +556,7 @@ impl CellSet {
         let (Some(first), Some(last)) = (self.cells.first(), self.cells.last()) else {
             return 0.0;
         };
-        if let Some(packed) = self.packed.get() {
+        if let Some(packed) = self.cells.packed_if_built() {
             return self.cells.len() as f64 / packed.blocks.len() as f64;
         }
         let spanned = ((last >> 6) - (first >> 6) + 1) as f64;
@@ -539,7 +597,7 @@ impl CellSet {
             return 0;
         }
         CALLS_PACKED.fetch_add(1, Ordering::Relaxed);
-        self.packed().intersection_size(other.packed())
+        self.cells.packed().intersection_size(other.cells.packed())
     }
 
     /// Linear merge of the two sorted lists. Exposed so benches can time
@@ -613,40 +671,6 @@ impl CellSet {
         self.len() - self.intersection_size(accumulated)
     }
 
-    /// Drops every lazily derived cache (packed blocks, boundary index).
-    /// **Every** `&mut self` method that changes `cells` must call this
-    /// before returning — a stale `OnceLock` silently serves wrong verify
-    /// state.  repo-lint's `cache-invalidation` rule enforces the pairing.
-    fn invalidate_caches(&mut self) {
-        self.packed.take();
-        self.boundary.take();
-    }
-
-    /// Inserts a single cell, keeping the set sorted. Returns `true` when the
-    /// cell was not present before.
-    pub fn insert(&mut self, cell: CellId) -> bool {
-        match self.cells.binary_search(&cell) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.cells.insert(pos, cell);
-                self.invalidate_caches();
-                true
-            }
-        }
-    }
-
-    /// Removes a single cell. Returns `true` when the cell was present.
-    pub fn remove(&mut self, cell: CellId) -> bool {
-        match self.cells.binary_search(&cell) {
-            Ok(pos) => {
-                self.cells.remove(pos);
-                self.invalidate_caches();
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// The MBR of the set in *cell coordinate* space, or `None` for an empty
     /// set.  Index nodes over cell-based datasets operate in this space.
     pub fn mbr_cell_space(&self) -> Option<Mbr> {
@@ -702,8 +726,8 @@ impl CellSet {
     pub fn clip_near_blocks(&self, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
         let mut kept = Vec::new();
         if reach.is_nan() || reach < 1.0 {
-            let mut ahead = blocks.cells.as_slice();
-            for &cell in &self.cells {
+            let mut ahead = blocks.cells();
+            for &cell in self.cells() {
                 let block = block_of(cell, bits);
                 if ahead.first().is_some_and(|&b| b < block) {
                     let behind = ahead.partition_point(|&b| b < block);
@@ -736,9 +760,7 @@ impl CellSet {
     /// An estimate of the heap memory used by this set, in bytes, including
     /// the packed-block and boundary caches when they have been built.
     pub fn memory_bytes(&self) -> usize {
-        self.cells.capacity() * std::mem::size_of::<CellId>()
-            + self.packed.get().map_or(0, PackedCells::memory_bytes)
-            + self.boundary.get().map_or(0, BoundaryIndex::memory_bytes)
+        self.cells.memory_bytes()
     }
 }
 
@@ -1009,27 +1031,16 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_remove_keep_invariants() {
-        let mut s = set(&[5, 10]);
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
-        assert_eq!(s.cells(), &[5, 7, 10]);
-        assert!(s.remove(5));
-        assert!(!s.remove(5));
-        assert_eq!(s.cells(), &[7, 10]);
-    }
-
-    #[test]
     fn mutation_invalidates_the_packed_cache() {
         let mut s: CellSet = (0..256u64).collect();
         let probe: CellSet = (0..512u64).collect();
         assert_eq!(s.intersection_size_packed(&probe), 256);
-        assert!(s.insert(1000));
+        s.union_in_place(&set(&[1000]));
         assert_eq!(s.intersection_size_packed(&probe), 256);
         assert_eq!(s.intersection_size_packed(&set(&[1000])), 1);
-        assert!(s.remove(0));
-        assert_eq!(s.intersection_size_packed(&probe), 255);
-        assert_eq!(s.intersection_size_linear(&probe), 255);
+        s.union_in_place(&(256..300u64).collect());
+        assert_eq!(s.intersection_size_packed(&probe), 300);
+        assert_eq!(s.intersection_size_linear(&probe), 300);
     }
 
     #[test]
@@ -1285,13 +1296,10 @@ mod tests {
     fn boundary_cache_is_invalidated_by_mutation() {
         let mut s = coord_set(&[(1, 1), (1, 0), (1, 2), (0, 1)]);
         assert_eq!(s.boundary_coords().len(), 4); // (1,1) misses (2,1)
-        assert!(s.insert(cell_id(2, 1)));
+        s.union_in_place(&coord_set(&[(2, 1)]));
         // (1,1) is now interior.
         assert_eq!(s.boundary_coords().len(), 4);
         assert!(!s.boundary_coords().contains(&(1.0, 1.0)));
-        assert!(s.remove(cell_id(2, 1)));
-        assert_eq!(s.boundary_coords().len(), 4);
-        assert!(s.boundary_coords().contains(&(1.0, 1.0)));
     }
 
     #[test]

@@ -5,6 +5,20 @@
 //! `((x − x₀)/ν, (y − y₀)/µ)` where `(x₀, y₀)` is the bottom-left corner of
 //! the space and `ν`/`µ` are the cell width/height, and then to an integer
 //! cell ID through the z-order curve.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use crate::error::SpatialError;
 use crate::mbr::Mbr;

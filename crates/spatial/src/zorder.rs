@@ -4,6 +4,20 @@
 //! non-negative integer by interleaving the binary representations of the two
 //! coordinates — the classic z-order curve.  Cell IDs are consecutive in the
 //! range `[0, 2^θ × 2^θ − 1]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 /// Integer identifier of a grid cell, produced by the z-order curve.
 pub type CellId = u64;
