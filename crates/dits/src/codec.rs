@@ -1,6 +1,5 @@
-//! The byte format of integers and cell sets, shared by the persisted index
-//! images ([`crate::persist`]) and the wire messages of the multi-source
-//! framework.
+//! The byte format of integers and cell sets in the wire messages of the
+//! multi-source framework.
 //!
 //! * An integer is an unsigned LEB128 varint: seven bits per byte, low bits
 //!   first, the high bit set on every byte but the last.

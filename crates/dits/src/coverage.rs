@@ -342,6 +342,7 @@ mod tests {
     use super::*;
     use crate::local::DitsLocalConfig;
     use proptest::prelude::*;
+    use spatial::distance::dataset_distance;
     use spatial::satisfies_spatial_connectivity;
     use spatial::zorder::cell_id;
 
@@ -355,6 +356,27 @@ mod tests {
 
     fn cs(coords: &[(u32, u32)]) -> CellSet {
         CellSet::from_cells(coords.iter().map(|&(x, y)| cell_id(x, y)))
+    }
+
+    /// The ids, ascending, that one [`find_connect_set`] walk with the query's
+    /// own probe and MBR geometry finds within `delta` of it.
+    fn within_delta_of_query(index: &DitsLocal, query: &CellSet, delta: f64) -> Vec<DatasetId> {
+        let Some(rect) = query.mbr_cell_space() else {
+            return Vec::new();
+        };
+        let mut connected = Vec::new();
+        find_connect_set(
+            index,
+            &NodeGeometry::from_mbr(rect),
+            &NeighborProbe::new(query),
+            delta,
+            &mut connected,
+            &mut HashSet::new(),
+            &mut SearchStats::new(),
+        );
+        let mut ids: Vec<DatasetId> = connected.iter().map(|n| n.id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Exhaustive-search CJSP solver for tiny instances: tries every subset of at
@@ -432,6 +454,19 @@ mod tests {
         assert!(stats.nodes_visited <= 506, "{stats:?}");
         assert!(stats.exact_computations <= 872, "{stats:?}");
         assert!(stats.candidates <= 370, "{stats:?}");
+    }
+
+    #[test]
+    fn range_returns_exactly_the_datasets_within_delta() {
+        let nodes = vec![node(0, &[(1, 0)]), node(1, &[(3, 0)]), node(2, &[(6, 0)])];
+        let idx = DitsLocal::build(nodes, DitsLocalConfig::default());
+        let query = cs(&[(0, 0)]);
+        assert_eq!(within_delta_of_query(&idx, &query, 3.0), vec![0, 1]);
+        assert_eq!(within_delta_of_query(&idx, &query, 10.0), vec![0, 1, 2]);
+        assert!(within_delta_of_query(&idx, &query, 0.5).is_empty());
+        assert!(within_delta_of_query(&idx, &query, -1.0).is_empty());
+        let empty = DitsLocal::build(Vec::new(), DitsLocalConfig::default());
+        assert!(within_delta_of_query(&empty, &query, 10.0).is_empty());
     }
 
     #[test]
@@ -586,6 +621,31 @@ mod tests {
                 union.union_in_place(c);
             }
             prop_assert_eq!(union.len(), result.coverage);
+        }
+
+        // The one brute-force guard of the δ-range walk, and so of every
+        // caller of `find_connect_set`: CoverageSearch, both `pricing`
+        // searches and the SG+DITS baseline.
+        #[test]
+        fn prop_range_matches_filtered_bruteforce(
+            datasets in proptest::collection::vec(
+                proptest::collection::vec((0u32..32, 0u32..32), 1..6), 1..30),
+            query in proptest::collection::vec((0u32..32, 0u32..32), 1..6),
+            delta in 0.0f64..15.0,
+        ) {
+            let nodes: Vec<DatasetNode> = datasets
+                .iter()
+                .enumerate()
+                .map(|(i, c)| node(i as DatasetId, c))
+                .collect();
+            let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: 4 });
+            let q = cs(&query);
+            let expected: Vec<DatasetId> = nodes
+                .iter()
+                .filter(|n| dataset_distance(&q, &n.cells) <= delta)
+                .map(|n| n.id)
+                .collect();
+            prop_assert_eq!(within_delta_of_query(&idx, &q, delta), expected);
         }
 
         #[test]

@@ -21,8 +21,8 @@
 //! the summary list and build again — a federation has a handful of sources
 //! and a summary changes once per maintenance batch.  A maintained index is
 //! therefore the one `build` makes from the surviving summaries: no drifted,
-//! empty or duplicated leaf exists to account for.  There is no persisted
-//! image either: a center recovers the way it bootstraps, by polling its
+//! empty or duplicated leaf exists to account for.  Nothing is stored on
+//! disk either: a center recovers the way it bootstraps, by polling its
 //! sources for their summaries, which cannot be stale.
 #![cfg_attr(
     not(test),

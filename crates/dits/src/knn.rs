@@ -1,18 +1,15 @@
-//! Nearest-dataset and range queries over DITS-L.
+//! Nearest-dataset queries over DITS-L.
 //!
 //! The paper's two search problems (OJSP / CJSP) are the headline API, but a
 //! dataset-search service built on the same index naturally also answers
 //! "which datasets are *closest* to my query region?" (k-nearest datasets by
-//! the cell-based dataset distance of Definition 6) and "which datasets lie
-//! within δ of it?" (the range query that `FindConnectSet` performs
-//! internally).  Both prune with the Lemma 4 distance bounds:
-//!
-//! * [`nearest_datasets`] — best-first (branch-and-bound) k-NN over the tree,
-//!   expanding nodes in order of their lower distance bound and stopping once
-//!   the bound exceeds the current k-th best exact distance.
-//! * [`range_datasets`] — all datasets within a distance threshold: a thin
-//!   wrapper over [`find_connect_set`], the one δ-range walk, which its
-//!   brute-force proptest therefore guards for every caller.
+//! the cell-based dataset distance of Definition 6).  [`nearest_datasets`]
+//! is best-first (branch-and-bound) k-NN over the tree: it expands nodes in
+//! order of their Lemma 4 lower distance bound and stops once the bound
+//! exceeds the current k-th best exact distance.  "Which datasets lie within
+//! δ of it?" is the δ-range walk of CoverageSearch,
+//! [`find_connect_set`](crate::coverage::find_connect_set), whose brute-force
+//! proptest lives beside it.
 #![cfg_attr(
     not(test),
     deny(
@@ -29,15 +26,14 @@
 )]
 
 use crate::bounds::node_distance_bounds;
-use crate::coverage::find_connect_set;
 use crate::local::{DitsLocal, NodeIdx, NodeKind};
 use crate::node::NodeGeometry;
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
-use spatial::distance::{dataset_distance, dataset_distance_bounded, NeighborProbe};
+use spatial::distance::{dataset_distance, dataset_distance_bounded};
 use spatial::{CellSet, DatasetId};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// One neighbour: a dataset and its exact cell-based distance to the query.
@@ -228,52 +224,6 @@ impl Ord for ResultEntry {
     }
 }
 
-/// Returns every dataset within `delta` (cell units) of the query, sorted by
-/// ascending exact distance.
-///
-/// This is the public form of the connectivity candidate search used by
-/// CoverageSearch: one [`find_connect_set`] walk for the query, then the
-/// exact distance of every dataset it found.
-pub fn range_datasets(
-    index: &DitsLocal,
-    query: &CellSet,
-    delta: f64,
-) -> (Vec<Neighbor>, SearchStats) {
-    let mut stats = SearchStats::new();
-    let Some(rect) = query.mbr_cell_space() else {
-        return (Vec::new(), stats);
-    };
-    if index.dataset_count() == 0 {
-        return (Vec::new(), stats);
-    }
-    let mut connected = Vec::new();
-    find_connect_set(
-        index,
-        &NodeGeometry::from_mbr(rect),
-        &NeighborProbe::new(query),
-        delta,
-        &mut connected,
-        &mut HashSet::new(),
-        &mut stats,
-    );
-    let started = Instant::now();
-    stats.exact_computations += connected.len();
-    let mut out: Vec<Neighbor> = connected
-        .iter()
-        .map(|node| Neighbor {
-            dataset: node.id,
-            distance: dataset_distance(query, &node.cells),
-        })
-        .collect();
-    out.sort_unstable_by(|a, b| {
-        a.distance
-            .total_cmp(&b.distance)
-            .then(a.dataset.cmp(&b.dataset))
-    });
-    crate::phase::add_verify(started.elapsed());
-    (out, stats)
-}
-
 /// Brute-force k-NN over dataset nodes: the correctness oracle for tests.
 pub fn nearest_datasets_bruteforce(
     datasets: &[crate::node::DatasetNode],
@@ -343,23 +293,6 @@ mod tests {
         let idx = DitsLocal::build(vec![node(0, &[(0, 0)])], DitsLocalConfig::default());
         assert!(nearest_datasets(&idx, &CellSet::new(), 3).0.is_empty());
         assert!(nearest_datasets(&idx, &cs(&[(0, 0)]), 0).0.is_empty());
-    }
-
-    #[test]
-    fn range_returns_exactly_the_datasets_within_delta() {
-        let nodes = vec![node(0, &[(1, 0)]), node(1, &[(3, 0)]), node(2, &[(6, 0)])];
-        let idx = DitsLocal::build(nodes, DitsLocalConfig::default());
-        let query = cs(&[(0, 0)]);
-        let (within, _) = range_datasets(&idx, &query, 3.0);
-        let ids: Vec<DatasetId> = within.iter().map(|n| n.dataset).collect();
-        assert_eq!(ids, vec![0, 1]);
-        assert!(within[0].distance <= within[1].distance);
-        let (all, _) = range_datasets(&idx, &query, 10.0);
-        assert_eq!(all.len(), 3);
-        let (none, _) = range_datasets(&idx, &query, 0.5);
-        assert!(none.is_empty());
-        let (negative, _) = range_datasets(&idx, &query, -1.0);
-        assert!(negative.is_empty());
     }
 
     #[test]
@@ -449,36 +382,6 @@ mod tests {
                 nearest_datasets(&idx, &q, k).0,
                 nearest_datasets_bruteforce(&nodes, &q, k)
             );
-        }
-
-        #[test]
-        fn prop_range_matches_filtered_bruteforce(
-            datasets in proptest::collection::vec(
-                proptest::collection::vec((0u32..32, 0u32..32), 1..6), 1..30),
-            query in proptest::collection::vec((0u32..32, 0u32..32), 1..6),
-            delta in 0.0f64..15.0,
-        ) {
-            let nodes: Vec<DatasetNode> = datasets
-                .iter()
-                .enumerate()
-                .map(|(i, c)| node(i as DatasetId, c))
-                .collect();
-            let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: 4 });
-            let q = cs(&query);
-            let (within, _) = range_datasets(&idx, &q, delta);
-            let mut expected: Vec<DatasetId> = nodes
-                .iter()
-                .filter(|n| dataset_distance(&q, &n.cells) <= delta)
-                .map(|n| n.id)
-                .collect();
-            expected.sort_unstable();
-            let mut got: Vec<DatasetId> = within.iter().map(|n| n.dataset).collect();
-            got.sort_unstable();
-            prop_assert_eq!(got, expected);
-            // Every reported distance respects the threshold.
-            for n in &within {
-                prop_assert!(n.distance <= delta + 1e-9);
-            }
         }
     }
 }

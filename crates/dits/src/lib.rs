@@ -37,7 +37,6 @@ pub mod knn;
 pub mod local;
 pub mod node;
 pub mod overlap;
-pub mod persist;
 pub mod phase;
 pub mod sketch;
 pub mod stats;
@@ -49,11 +48,10 @@ pub use coverage::{
 };
 pub use global::{DitsGlobal, SourceSummary};
 pub use inverted::InvertedIndex;
-pub use knn::{nearest_datasets, range_datasets, Neighbor};
+pub use knn::{nearest_datasets, Neighbor};
 pub use local::{DitsLocal, DitsLocalConfig, TraversalLayout};
 pub use node::{DatasetNode, NodeGeometry};
 pub use overlap::{overlap_search, OverlapResult};
-pub use persist::{decode_local, encode_local, load_local, save_local, PersistError};
 pub use phase::{take_phase_timings, PhaseTimings};
 pub use stats::{MaintenanceStats, SearchStats};
 

@@ -28,8 +28,8 @@
 //! stale.  The collapse machinery leaves the orphaned arena slots in place
 //! (the arena never shrinks, like the split path never reuses slots):
 //! orphans are unreachable from the root and cost two empty slots per
-//! collapse until the next full build — a reload from a persisted image is
-//! one — reclaims them.
+//! collapse for as long as the index lives; only a build from scratch (a
+//! source restarted from its data file) starts without them.
 
 use crate::inverted::InvertedIndex;
 use crate::local::{geometry_of, inverted_of, DitsLocal, NodeIdx, NodeKind};
@@ -307,8 +307,11 @@ impl DitsLocal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::{coverage_search, CoverageConfig};
+    use crate::knn::nearest_datasets;
     use crate::local::DitsLocalConfig;
     use crate::overlap::{overlap_search, overlap_search_bruteforce};
+    use crate::ReplayOnPanic;
     use proptest::prelude::*;
     use spatial::zorder::cell_id;
     use spatial::CellSet;
@@ -414,8 +417,111 @@ mod tests {
         );
     }
 
+    /// One maintenance history fully determined by `case_seed`: a scratch
+    /// build, a burst of same-spot inserts (at least one split), random
+    /// inserts, updates and deletes, then one leaf deleted empty (a collapse,
+    /// orphaning arena slots).  The maintained tree must answer like the
+    /// scratch build over its survivors.
+    fn run_maintained_case(case_seed: u64) {
+        let _replay = ReplayOnPanic("run_maintained_case", case_seed);
+        let mut rng = TestRng::from_name(&format!("maintained-{case_seed}"));
+        let shape = || proptest::collection::vec((0u32..48, 0u32..48), 1..8);
+        let config = DitsLocalConfig {
+            leaf_capacity: (1usize..6).generate(&mut rng),
+        };
+        // At most 11 deletes against at least 22 datasets: never a single leaf.
+        let initial = proptest::collection::vec(shape(), 20..40).generate(&mut rng);
+        let ops =
+            proptest::collection::vec((0u8..3, any::<u16>(), shape()), 0..12).generate(&mut rng);
+        let queries = proptest::collection::vec(shape(), 6..7).generate(&mut rng);
+
+        let mut next_id = initial.len() as DatasetId;
+        let mut maintained = DitsLocal::build(
+            initial
+                .iter()
+                .enumerate()
+                .map(|(i, c)| node(i as DatasetId, c))
+                .collect(),
+            config,
+        );
+        let mut stats = MaintenanceStats::new();
+        for _ in 0..=config.leaf_capacity {
+            assert!(maintained.insert_with_stats(node(next_id, &[(20, 20), (21, 20)]), &mut stats));
+            next_id += 1;
+        }
+        for (kind, pick, coords) in ops {
+            let live: Vec<DatasetId> = maintained.dataset_nodes().iter().map(|d| d.id).collect();
+            let target = live[usize::from(pick) % live.len()];
+            match kind {
+                0 => {
+                    assert!(maintained.insert_with_stats(node(next_id, &coords), &mut stats));
+                    next_id += 1;
+                }
+                1 => assert!(maintained.update_with_stats(node(target, &coords), &mut stats)),
+                _ => assert!(maintained.delete_with_stats(target, &mut stats)),
+            }
+        }
+        let live: Vec<DatasetId> = maintained.dataset_nodes().iter().map(|d| d.id).collect();
+        let leaf_of = |id: DatasetId| maintained.find_dataset(id).map(|(leaf, _)| leaf);
+        let doomed: Vec<DatasetId> = live
+            .iter()
+            .copied()
+            .filter(|&id| leaf_of(id) == leaf_of(live[0]))
+            .collect();
+        for id in doomed {
+            assert!(maintained.delete_with_stats(id, &mut stats));
+        }
+        assert!(
+            stats.leaf_splits > 0 && stats.leaf_collapses > 0,
+            "{stats:?}"
+        );
+        assert!(maintained.traversal_layout().len() < maintained.node_count());
+        assert_eq!(maintained.check_invariants(), Ok(()));
+
+        let mut survivors: Vec<DatasetNode> =
+            maintained.dataset_nodes().into_iter().cloned().collect();
+        survivors.sort_unstable_by_key(|d| d.id);
+        let scratch = DitsLocal::build(survivors, config);
+        // No orphan in a scratch build.
+        assert_eq!(scratch.traversal_layout().len(), scratch.node_count());
+
+        let everything = maintained.dataset_count();
+        for q in queries
+            .iter()
+            .map(|c| CellSet::from_cells(c.iter().map(|&(x, y)| cell_id(x, y))))
+        {
+            // OJSP breaks a tie at the k-th overlap by leaf order, so ids are
+            // compared where nothing is cut and overlaps where something is.
+            assert_eq!(
+                overlap_search(&maintained, &q, everything).0,
+                overlap_search(&scratch, &q, everything).0
+            );
+            let overlaps = |index: &DitsLocal| -> Vec<usize> {
+                let (top, _) = overlap_search(index, &q, 3);
+                top.iter().map(|r| r.overlap).collect()
+            };
+            assert_eq!(overlaps(&maintained), overlaps(&scratch));
+            let cover = CoverageConfig::new(4, 6.0);
+            assert_eq!(
+                coverage_search(&maintained, &q, cover).0,
+                coverage_search(&scratch, &q, cover).0
+            );
+            assert_eq!(
+                nearest_datasets(&maintained, &q, 5).0,
+                nearest_datasets(&scratch, &q, 5).0
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_maintained_tree_answers_like_the_scratch_build_of_its_survivors(
+            case_seed in any::<u64>(),
+        ) {
+            run_maintained_case(case_seed);
+        }
+
         #[test]
         fn prop_mixed_updates_preserve_invariants(
             initial in 0usize..30,

@@ -240,9 +240,9 @@ impl DataCenter {
     /// Wraps a global index assembled elsewhere (tests build centers over
     /// hand-made summaries with it).  Such a center holds no sketch, and
     /// clips by rectangles alone until a maintenance exchange has it poll
-    /// for one.  A restarted center does not come back through here: DITS-G
-    /// has no persisted image, and recovery is [`Self::from_transport`] —
-    /// the summary poll it bootstraps with, which cannot be stale.
+    /// for one.  A restarted center does not come back through here: its
+    /// recovery is [`Self::from_transport`] — the summary poll it bootstraps
+    /// with, which cannot be stale.
     pub fn from_global(global: DitsGlobal) -> Self {
         Self {
             global,

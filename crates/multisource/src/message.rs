@@ -3,9 +3,9 @@
 //! The communication cost the paper reports (Figs. 13, 19) is the number of
 //! bytes transferred, so messages are actually serialised into a compact
 //! binary layout (via [`bytes`]) rather than estimated: cell IDs are
-//! delta-encoded as LEB128 varints — the format of [`dits::codec`], shared
-//! with the persisted index images — which rewards the query-clipping
-//! strategy exactly the way a real deployment would.
+//! delta-encoded as LEB128 varints — the format of [`dits::codec`] — which
+//! rewards the query-clipping strategy exactly the way a real deployment
+//! would.
 //!
 //! # Query protocol
 //!

@@ -2,17 +2,12 @@
 //!
 //! Generates a synthetic city transit network, finds rebranded near-duplicate
 //! routes with the overlap joinable search, and plans a transfer network
-//! around a chosen corridor with the coverage joinable search — then persists
-//! the index image a planning service would reload at startup.
+//! around a chosen corridor with the coverage joinable search.
 //!
 //! ```text
 //! cargo run --release --example transit_planning
 //! ```
 
-use joinable_spatial_search::dits::{
-    decode_local, encode_local, DatasetNode, DitsLocal, DitsLocalConfig,
-};
-use joinable_spatial_search::spatial::Grid;
 use joinable_spatial_search::transit::{
     find_near_duplicates, generate_network, plan_transfers, NearDuplicateConfig, NetworkConfig,
     TransferPlanConfig,
@@ -69,23 +64,4 @@ fn main() {
             name, transfer.location.x, transfer.location.y, transfer.distance_cells
         );
     }
-
-    // 4. Persist the index a planning service would serve from — the image
-    //    is the gridded routes, and loading it builds the tree over them —
-    //    and prove the image reloads losslessly.
-    let grid = Grid::global(13).expect("valid resolution");
-    let nodes: Vec<DatasetNode> = network
-        .iter()
-        .filter_map(|r| DatasetNode::from_dataset(&grid, &r.to_dataset(0.005)).ok())
-        .collect();
-    let index = DitsLocal::build(nodes, DitsLocalConfig::default());
-    let image = encode_local(&index);
-    let reloaded = decode_local(&image).expect("image decodes");
-    println!(
-        "\npersisted index image: {} KiB for {} routes; reload check: {} datasets, same tree: {}",
-        image.len() / 1024,
-        index.dataset_count(),
-        reloaded.dataset_count(),
-        reloaded == index
-    );
 }

@@ -1,13 +1,10 @@
 //! Cross-crate integration tests for the extension layers: approximate
-//! search, price-aware combination search, transit applications and index
-//! persistence, all exercised through the public façade exactly the way a
-//! downstream user would.
+//! search, price-aware combination search and transit applications, all
+//! exercised through the public façade exactly the way a downstream user
+//! would.
 
 use joinable_spatial_search::approx_join::{ApproxConfig, ApproxOverlapIndex, LshConfig};
-use joinable_spatial_search::dits::{
-    decode_local, encode_local, nearest_datasets, overlap_search, range_datasets, DatasetNode,
-    DitsLocal, DitsLocalConfig,
-};
+use joinable_spatial_search::dits::{overlap_search, DatasetNode, DitsLocal, DitsLocalConfig};
 use joinable_spatial_search::pricing::{
     budgeted_coverage_search, rank_by_value, BudgetedConfig, PriceBook, PricingModel,
 };
@@ -75,43 +72,6 @@ fn approximate_search_recovers_the_exact_top_k_on_this_corpus() {
             .iter()
             .map(|r| r.overlap as usize)
             .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn persisted_index_keeps_answering_all_query_types() {
-    let grid = Grid::global(12).unwrap();
-    let cells = corpus(&grid, 150);
-    let nodes: Vec<DatasetNode> = cells
-        .iter()
-        .filter_map(|(id, c)| DatasetNode::from_cell_set(*id, c.clone()))
-        .collect();
-    let index = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: 8 });
-    let reloaded = decode_local(&encode_local(&index)).expect("image decodes");
-    // The image holds the datasets; loading builds the tree, and a tree
-    // built from scratch in id order reloads as itself.
-    assert!(
-        reloaded == index,
-        "the reloaded tree differs from the saved one"
-    );
-    let q = query(&grid);
-
-    let (a, _) = overlap_search(&index, &q, 7);
-    let (b, _) = overlap_search(&reloaded, &q, 7);
-    assert_eq!(a, b);
-
-    let (na, _) = nearest_datasets(&index, &q, 4);
-    let (nb, _) = nearest_datasets(&reloaded, &q, 4);
-    assert_eq!(na.len(), nb.len());
-    for (x, y) in na.iter().zip(nb.iter()) {
-        assert!((x.distance - y.distance).abs() < 1e-12);
-    }
-
-    let (ra, _) = range_datasets(&index, &q, 5.0);
-    let (rb, _) = range_datasets(&reloaded, &q, 5.0);
-    assert_eq!(
-        ra.iter().map(|n| n.dataset).collect::<Vec<_>>(),
-        rb.iter().map(|n| n.dataset).collect::<Vec<_>>()
     );
 }
 
