@@ -20,8 +20,9 @@
 //! compared across snapshots:
 //!
 //! * `kernel/intersection/dense-grid` — the word-parallel (popcount) cell
-//!   intersection against the scalar sorted-merge on dense grid sets (the
-//!   one delta).
+//!   intersection against `CellSet::intersection_size`, whose size-only
+//!   dispatch runs the sorted merge on these dense, equal-sized grid sets
+//!   (the one delta).
 //! * `kernel/distance/cached` — the dataset distance kernel over the cached
 //!   packed and boundary state (the bounded variant is parity-checked at its
 //!   own cutoff but not timed: a cutoff equal to the distance never prunes).
@@ -728,7 +729,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     let mut kernels = Vec::new();
     let mut deltas = Vec::new();
 
-    // -- Kernel: dense-grid cell intersection, word-parallel vs scalar ------
+    // -- Kernel: dense-grid cell intersection, word-parallel vs dispatch ----
     eprintln!("[1/9] kernel/intersection/dense-grid");
     let pairs: Vec<(CellSet, CellSet)> = (0..32)
         .map(|i| {
@@ -745,8 +746,8 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     for (a, b) in &pairs {
         assert_eq!(
             a.intersection_size_packed(b),
-            a.intersection_size_linear(b),
-            "packed and scalar kernels disagree"
+            a.intersection_size(b),
+            "packed and adaptive kernels disagree"
         );
     }
     let kernel_samples = samples * 10;
@@ -760,16 +761,6 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             }
         },
     );
-    let scalar = measure(
-        "kernel/intersection/dense-grid/scalar",
-        kernel_samples,
-        pairs.len(),
-        || {
-            for (a, b) in &pairs {
-                std::hint::black_box(a.intersection_size_linear(std::hint::black_box(b)));
-            }
-        },
-    );
     let adaptive = measure(
         "kernel/intersection/dense-grid/adaptive",
         kernel_samples,
@@ -780,8 +771,8 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             }
         },
     );
-    deltas.push(delta("kernel/intersection/dense-grid", &packed, &scalar));
-    kernels.extend([packed, scalar, adaptive]);
+    deltas.push(delta("kernel/intersection/dense-grid", &packed, &adaptive));
+    kernels.extend([packed, adaptive]);
 
     // -- Kernel: dataset distance --------------------------------------------
     eprintln!("[2/9] kernel/distance (cached)");

@@ -130,7 +130,7 @@ impl DitsLocal {
     /// index. `parent` is patched into the created node.
     pub(crate) fn build_subtree(
         &mut self,
-        mut entries: Vec<DatasetNode>,
+        entries: Vec<DatasetNode>,
         parent: Option<NodeIdx>,
     ) -> NodeIdx {
         let geometry = geometry_of(&entries);
@@ -143,22 +143,7 @@ impl DitsLocal {
             });
         }
 
-        // Choose the split dimension: the axis with the maximum MBR width.
-        let dsplit = if geometry.rect.width() >= geometry.rect.height() {
-            0
-        } else {
-            1
-        };
-
-        // Partition by the median pivot on that dimension. Using the median
-        // (select_nth_unstable) rather than the node pivot guarantees both
-        // sides are non-empty, so construction is O(n log n) and always
-        // terminates even for heavily skewed data.
-        let mid = entries.len() / 2;
-        entries.select_nth_unstable_by(mid, |a, b| coord(a, dsplit).total_cmp(&coord(b, dsplit)));
-        let right_entries = entries.split_off(mid);
-        let left_entries = entries;
-
+        let (left_entries, right_entries) = split_at_median(entries, &geometry.rect);
         let idx = self.push_node(TreeNode {
             geometry,
             parent,
@@ -542,12 +527,25 @@ pub(crate) fn geometry_of(entries: &[DatasetNode]) -> NodeGeometry {
     )
 }
 
-/// Coordinate of a dataset node's pivot along dimension `d`.
-fn coord(node: &DatasetNode, d: usize) -> f64 {
-    match d {
-        0 => node.pivot().x,
-        _ => node.pivot().y,
-    }
+/// Algorithm 1's split of an over-full node's `entries`, whose MBR is
+/// `rect`: on the axis of `rect`'s wider side, the entries are partitioned
+/// at the median pivot into a left and a right half.  The median
+/// (`select_nth_unstable`) rather than the node pivot guarantees both halves
+/// are non-empty, so construction is O(n log n) and always terminates even
+/// for heavily skewed data.
+pub(crate) fn split_at_median(
+    mut entries: Vec<DatasetNode>,
+    rect: &Mbr,
+) -> (Vec<DatasetNode>, Vec<DatasetNode>) {
+    let coord: fn(&DatasetNode) -> f64 = if rect.width() >= rect.height() {
+        |node| node.pivot().x
+    } else {
+        |node| node.pivot().y
+    };
+    let mid = entries.len() / 2;
+    entries.select_nth_unstable_by(mid, |a, b| coord(a).total_cmp(&coord(b)));
+    let right = entries.split_off(mid);
+    (entries, right)
 }
 
 #[cfg(test)]

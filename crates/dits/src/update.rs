@@ -32,7 +32,7 @@
 //! source restarted from its data file) starts without them.
 
 use crate::inverted::InvertedIndex;
-use crate::local::{geometry_of, inverted_of, DitsLocal, NodeIdx, NodeKind};
+use crate::local::{geometry_of, inverted_of, split_at_median, DitsLocal, NodeIdx, NodeKind};
 use crate::node::DatasetNode;
 use crate::stats::MaintenanceStats;
 use spatial::DatasetId;
@@ -258,28 +258,7 @@ impl DitsLocal {
         };
         // Rebuild the subtree for these entries; its root replaces the leaf.
         let geometry = geometry_of(&entries);
-        let dsplit = if geometry.rect.width() >= geometry.rect.height() {
-            0
-        } else {
-            1
-        };
-        let mut entries = entries;
-        let mid = entries.len() / 2;
-        entries.select_nth_unstable_by(mid, |a, b| {
-            let ca = if dsplit == 0 {
-                a.pivot().x
-            } else {
-                a.pivot().y
-            };
-            let cb = if dsplit == 0 {
-                b.pivot().x
-            } else {
-                b.pivot().y
-            };
-            ca.total_cmp(&cb)
-        });
-        let right_entries = entries.split_off(mid);
-        let left_entries = entries;
+        let (left_entries, right_entries) = split_at_median(entries, &geometry.rect);
         let left = self.build_subtree(left_entries, Some(leaf));
         let right = self.build_subtree(right_entries, Some(leaf));
         let node = self.node_mut(leaf);
@@ -339,6 +318,38 @@ mod tests {
         assert_eq!(idx.dataset_count(), 3);
         assert!(idx.check_invariants().is_ok());
         assert!(idx.find_dataset(2).is_some());
+    }
+
+    /// One insert into a full single-leaf index splits it into the tree
+    /// Algorithm 1 builds over the same entries in the same order: both run
+    /// the one median split.
+    #[test]
+    fn splitting_a_full_leaf_builds_the_scratch_tree() {
+        // Pivots ranked differently along x and y, spread wider along x at
+        // some capacities and along y at others: a split on another axis or
+        // at another rank builds another tree.
+        let scattered = |id: u32| {
+            let (x, y) = ((id * 37) % 90, (id * 53) % 90);
+            node(id, &[(x, y), (x + 1, y), (x, y + 1)])
+        };
+        for capacity in [1, 2, 3, 5, 10] {
+            let config = DitsLocalConfig {
+                leaf_capacity: capacity,
+            };
+            let entries: Vec<DatasetNode> = (0..=capacity as u32).map(scattered).collect();
+            let mut idx = DitsLocal::build(entries[..capacity].to_vec(), config);
+            assert!(matches!(idx.node(idx.root()).kind, NodeKind::Leaf { .. }));
+            assert!(idx.insert(entries[capacity].clone()));
+            assert!(matches!(
+                idx.node(idx.root()).kind,
+                NodeKind::Internal { .. }
+            ));
+            assert_eq!(
+                idx,
+                DitsLocal::build(entries, config),
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

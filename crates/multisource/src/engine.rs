@@ -57,6 +57,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dits::{Neighbor, SearchStats};
@@ -173,11 +174,6 @@ impl<'a> QueryEngine<'a> {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The number of worker threads a run will actually use.
-    pub fn effective_workers(&self) -> usize {
-        resolve_workers(self.config.workers)
     }
 
     /// The sources this engine can actually deliver to.  Routing intersects
@@ -1101,14 +1097,14 @@ fn assemble_trace(
     trace
 }
 
-/// Resolves a worker-count setting: `0` means one worker per available CPU.
+/// Resolves a worker-count setting: `0` means one worker per available CPU,
+/// asked of the OS once per process (the call takes microseconds).
 fn resolve_workers(configured: usize) -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
     if configured > 0 {
         configured
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
+        *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
 }
 
@@ -1239,10 +1235,14 @@ where
     R: Send,
     F: Fn(&T, &mut WorkerCtx) -> Result<R, SearchError> + Sync,
 {
-    let worker_count = resolve_workers(workers).min(tasks.len());
+    let worker_count = if tasks.len() < MIN_PARALLEL_TASKS {
+        1
+    } else {
+        resolve_workers(workers).min(tasks.len())
+    };
     let mut ctx = WorkerCtx::new(trace);
 
-    if worker_count <= 1 || tasks.len() < MIN_PARALLEL_TASKS {
+    if worker_count <= 1 {
         let mut results = Vec::with_capacity(tasks.len());
         for task in tasks {
             match f(task, &mut ctx) {
@@ -1956,8 +1956,8 @@ mod tests {
         let (fw, queries) = five_source_framework();
         for request in one_request_per_kind(&queries) {
             let kind = request.kind();
-            let seq = fw.engine_with_workers(1).run(&request).unwrap();
-            let par = fw.engine_with_workers(8).run(&request).unwrap();
+            let seq = fw.engine().run(&request.clone().workers(1)).unwrap();
+            let par = fw.engine().run(&request.clone().workers(8)).unwrap();
             assert_eq!(seq.results, par.results, "{kind:?}");
             assert_eq!(
                 seq.comm, par.comm,

@@ -196,18 +196,11 @@ impl MultiSourceFramework {
 
     /// A query engine over this deployment with the configured worker count.
     pub fn engine(&self) -> QueryEngine<'_> {
-        self.engine_with_workers(self.config.workers)
-    }
-
-    /// A query engine over this deployment with an explicit worker count
-    /// (`0` means one per available CPU).  Used by the sequential-vs-parallel
-    /// parity tests.
-    pub fn engine_with_workers(&self, workers: usize) -> QueryEngine<'_> {
         QueryEngine::in_process(
             &self.center,
             &self.sources,
             EngineConfig {
-                workers,
+                workers: self.config.workers,
                 strategy: self.config.strategy,
                 delta_cells: self.config.delta_cells,
                 ..EngineConfig::default()

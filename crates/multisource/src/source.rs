@@ -62,8 +62,7 @@ fn request_kind_index(request: &Message) -> usize {
 /// A data source's observability registry, pre-wired with the instruments
 /// every source maintains: per-kind request counters, a log₂ histogram of
 /// service time, cumulative traversal/verification phase counters and a
-/// dataset-count gauge.  The spatial crate's process-global intersection
-/// kernel counters are folded in as gauges at snapshot time.
+/// dataset-count gauge — every instrument counts this source's own work.
 ///
 /// `Clone` shares the underlying registry (the handles are `Arc`s), so
 /// clones of a [`DataSource`] — e.g. the copy handed to a
@@ -76,7 +75,6 @@ struct SourceMetrics {
     traversal_nanos: obs::Counter,
     verify_nanos: obs::Counter,
     datasets: obs::Gauge,
-    kernel_calls: [obs::Gauge; 3],
 }
 
 impl SourceMetrics {
@@ -90,11 +88,6 @@ impl SourceMetrics {
         let traversal_nanos = registry.counter("source_phase_nanos", &[("phase", "traversal")]);
         let verify_nanos = registry.counter("source_phase_nanos", &[("phase", "verify")]);
         let datasets = registry.gauge("source_datasets", &[]);
-        let kernel_calls = [
-            registry.gauge("spatial_kernel_calls", &[("kernel", "packed")]),
-            registry.gauge("spatial_kernel_calls", &[("kernel", "linear")]),
-            registry.gauge("spatial_kernel_calls", &[("kernel", "galloping")]),
-        ];
         Self {
             registry,
             requests,
@@ -102,7 +95,6 @@ impl SourceMetrics {
             traversal_nanos,
             verify_nanos,
             datasets,
-            kernel_calls,
         }
     }
 
@@ -179,16 +171,10 @@ impl DataSource {
     }
 
     /// A point-in-time snapshot of the source's metrics registry — what a
-    /// [`Message::MetricsQuery`] is answered with.  Gauges (dataset count,
-    /// the process-global intersection-kernel dispatch counters) are
-    /// refreshed here, immediately before the registry is read.
+    /// [`Message::MetricsQuery`] is answered with.  The dataset-count gauge
+    /// is refreshed here, immediately before the registry is read.
     pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
         self.metrics.datasets.set(self.index.dataset_count() as f64);
-        let kernels = spatial::kernel_counters();
-        let [packed, linear, galloping] = &self.metrics.kernel_calls;
-        packed.set(kernels.packed as f64);
-        linear.set(kernels.linear as f64);
-        galloping.set(kernels.galloping as f64);
         self.metrics.registry.snapshot()
     }
 

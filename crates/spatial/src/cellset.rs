@@ -10,49 +10,45 @@
 //! # Performance
 //!
 //! [`intersection_size`](CellSet::intersection_size) (and everything built on
-//! it: `union_size`, `marginal_gain`) picks between three kernels:
+//! it: `union_size`, `marginal_gain`) picks between two kernels by size
+//! alone:
 //!
 //! 1. **Galloping** when the sizes are skewed (`|small| · 16 < |large|`): for
 //!    each cell of the small set, exponentially probe forward in the large
 //!    set's remaining tail — `O(m·log(n/m))`, ideal for a handful of query
 //!    cells against a big indexed dataset.
-//! 2. **Word-parallel popcount** when both sets are dense (≥ 2 cells per
-//!    occupied 64-cell block on average): each set lazily builds and caches a
-//!    bit-packed block representation — 64-bit words keyed by `cell >> 6` —
-//!    and the intersection is a merge over block keys with one `AND` +
-//!    `count_ones` per matching block, processing up to 64 cells per
-//!    instruction.  Z-order IDs make this effective: spatially clustered
-//!    datasets occupy few, well-filled blocks.
-//! 3. **Linear merge** otherwise (comparable sizes, sparse blocks), where the
-//!    packed form would degenerate to one bit per word.
+//! 2. **Linear merge** otherwise, over the two sorted lists.
 //!
-//! Under the three kernels sit two joins over sorted slices, written once:
-//! `merge_join` (the linear kernel, the packed kernel's block merge,
-//! [`intersects`](CellSet::intersects) and
-//! [`intersection`](CellSet::intersection)) and `gallop_join` (the
-//! galloping kernel, over cells or over block keys).  Both walk the slices
-//! with slice patterns and checked access, so no kernel can index out of
-//! bounds.
+//! Beside them sits a **word-parallel popcount** over a bit-packed block
+//! form — 64-bit words keyed by `cell >> 6`, one `AND` + `count_ones` per
+//! matching block, up to 64 cells per instruction.  The dispatch never
+//! takes it; its readers are OverlapSearch's Lemma 2 leaf bound, through
+//! [`intersection_size_packed`](CellSet::intersection_size_packed), and
+//! [`intersects`](CellSet::intersects).  The packed form is built at most
+//! once per set (cached in a `OnceLock` alongside the sorted vec, which no
+//! `&mut` reaches), so a set bounded against many leaves pays the packing
+//! cost once.
 //!
-//! The packed form is built at most once per set (cached in a `OnceLock`
-//! alongside the sorted vec, which no `&mut` reaches), so batch callers that
-//! intersect the same sets repeatedly pay the packing cost once and the
-//! popcount price thereafter.  Run `cargo run --release -p bench
-//! --bin bench-runner` to measure the kernels on this machine; see
+//! Under the kernels sit two joins over sorted slices, written once:
+//! `merge_join` (the linear kernel, the packed block merge and
+//! [`intersects`](CellSet::intersects)) and `gallop_join` (the galloping
+//! kernel, over cells or over block keys).  Both walk the slices with slice
+//! patterns and checked access, so no kernel can index out of bounds.
+//!
+//! Which kernel the serving path reached, in a one-off count taken in
+//! October 2026 with process-wide counters since deleted, over the
+//! federation benchmark's in-process twin (seed 1, Tenth-scale corpus):
+//! OJSP never dispatched — OverlapSearch's Lemma 2 leaf bounds made 56 630
+//! packed calls over 2 000 queries; CJSP's `marginal_gain` dispatched 97.4 %
+//! linear, 1.6 % to a density-chosen packed arm and 1.0 % galloping
+//! (30 600 / 490 / 322 over 64 queries); kNN intersected nothing (its kernel
+//! is `distance`).  That packed arm was then dropped: the merge gives the
+//! same counts, and its CJSP timings moved within the run-to-run spread.
+//! `bench-runner`'s `kernel/intersection/dense-grid` delta times the packed
+//! kernel against this dispatch on two dense sets of comparable size — a
+//! pair the serving path almost never sees; run `cargo run --release -p
+//! bench --bin bench-runner` to measure it on this machine, and see
 //! `BENCH_*.json` at the repository root for the committed trajectory.
-//!
-//! Which kernel the serving path reaches, counted with
-//! [`kernel_counters`] over the federation benchmark's in-process twin
-//! (seed 1, Tenth-scale corpus): OJSP never dispatches — OverlapSearch calls
-//! [`intersection_size_packed`](CellSet::intersection_size_packed) directly
-//! for its Lemma 2 leaf bounds (56 630 calls over 2 000 queries, zero
-//! adaptive dispatches); CJSP's `marginal_gain` dispatches 97.4 % linear,
-//! 1.6 % packed and 1.0 % galloping (30 600 / 490 / 322 over 64 queries);
-//! kNN intersects nothing (its kernel is `distance`).  The speedup of
-//! `bench-runner`'s `kernel/intersection/dense-grid` delta (43.05× in one
-//! run: the full-run `BENCH_*.json` of 2026-10-15 stamped `c119b3d`)
-//! therefore describes a pair — two dense sets of comparable size — that
-//! the serving path's dispatch almost never sees.
 #![cfg_attr(
     not(test),
     deny(
@@ -70,7 +66,6 @@
 
 use std::convert::identity;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::grid::Grid;
 use crate::mbr::Mbr;
@@ -80,43 +75,6 @@ use serde::{Deserialize, Serialize};
 
 /// Size skew ratio above which the galloping kernel is used.
 const GALLOP_SKEW: usize = 16;
-
-/// Minimum average bits per occupied 64-cell block for the word-parallel
-/// kernel to be worthwhile on both operands.
-const PACKED_MIN_DENSITY: f64 = 2.0;
-
-// Process-wide kernel dispatch counters (relaxed: metrics tolerate torn
-// cross-counter views, and a relaxed fetch_add is far below the cost of the
-// cheapest kernel invocation). Cumulative and monotone so they can feed a
-// metrics-registry counter directly.
-static CALLS_PACKED: AtomicU64 = AtomicU64::new(0);
-static CALLS_LINEAR: AtomicU64 = AtomicU64::new(0);
-static CALLS_GALLOPING: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative process-wide counts of intersection-kernel invocations, by
-/// kernel. Covers both adaptive dispatch through
-/// [`intersection_size`](CellSet::intersection_size) and direct calls to the
-/// per-kernel entry points; observability layers (the per-source metrics
-/// registry, `bench-runner`) snapshot these to show which kernel actually
-/// carries a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelCounters {
-    /// Word-parallel popcount kernel invocations.
-    pub packed: u64,
-    /// Linear sorted-merge kernel invocations.
-    pub linear: u64,
-    /// Galloping (skewed-size) kernel invocations.
-    pub galloping: u64,
-}
-
-/// A snapshot of the process-wide [`KernelCounters`].
-pub fn kernel_counters() -> KernelCounters {
-    KernelCounters {
-        packed: CALLS_PACKED.load(Ordering::Relaxed),
-        linear: CALLS_LINEAR.load(Ordering::Relaxed),
-        galloping: CALLS_GALLOPING.load(Ordering::Relaxed),
-    }
-}
 
 /// Calls `on_match` on the elements of `a` and `b` that share a key, in
 /// ascending key order, until it breaks.  Both slices are strictly
@@ -382,11 +340,6 @@ mod frozen {
             self.packed.get_or_init(|| PackedCells::build(&self.sorted))
         }
 
-        /// The bit-packed form if it has been built.
-        pub(super) fn packed_if_built(&self) -> Option<&PackedCells> {
-            self.packed.get()
-        }
-
         /// The boundary decomposition, built on first use.
         pub(super) fn boundary(&self) -> &BoundaryIndex {
             self.boundary
@@ -546,64 +499,34 @@ impl CellSet {
         self.cells.packed().intersects(other.cells.packed())
     }
 
-    /// Average member cells per occupied 64-cell block.  Exact once the
-    /// packed form is cached; before that, a conservative lower bound from
-    /// the spanned block range (occupied blocks ≤ spanned blocks, so the true
-    /// density is at least the estimate's floor counterpart — dense runs are
-    /// recognised either way, and a wrong guess only costs the kernel choice,
-    /// never correctness).
-    fn density_hint(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.cells.first(), self.cells.last()) else {
-            return 0.0;
-        };
-        if let Some(packed) = self.cells.packed_if_built() {
-            return self.cells.len() as f64 / packed.blocks.len() as f64;
-        }
-        let spanned = ((last >> 6) - (first >> 6) + 1) as f64;
-        self.cells.len() as f64 / spanned
-    }
-
-    /// Size of the intersection `|self ∩ other|`.
-    ///
-    /// Adaptive over three kernels — galloping for skewed sizes,
-    /// word-parallel popcount over the cached bit-packed blocks when both
-    /// sets are dense, linear merge otherwise.  See the module-level
-    /// "Performance" section for the selection heuristic.
+    /// Size of the intersection `|self ∩ other|`: the galloping kernel when
+    /// one set is over 16 times the other's size, the linear merge
+    /// otherwise (see the module-level "Performance" section).
     pub fn intersection_size(&self, other: &CellSet) -> usize {
         let (small, large) = if self.len() <= other.len() {
             (self, other)
         } else {
             (other, self)
         };
-        if small.is_empty() {
-            return 0;
-        }
         if small.len() * GALLOP_SKEW < large.len() {
             small.intersection_size_galloping(large)
-        } else if small.density_hint() >= PACKED_MIN_DENSITY
-            && large.density_hint() >= PACKED_MIN_DENSITY
-        {
-            small.intersection_size_packed(large)
         } else {
             small.intersection_size_linear(large)
         }
     }
 
     /// Word-parallel intersection size over the bit-packed block forms,
-    /// building and caching them on first use.  Exposed so tests and benches
-    /// can drive this kernel directly regardless of the density heuristic.
+    /// building and caching them on first use: the count OverlapSearch's
+    /// Lemma 2 leaf bound takes against a leaf's cell keys.
     pub fn intersection_size_packed(&self, other: &CellSet) -> usize {
         if self.is_empty() || other.is_empty() {
             return 0;
         }
-        CALLS_PACKED.fetch_add(1, Ordering::Relaxed);
         self.cells.packed().intersection_size(other.cells.packed())
     }
 
-    /// Linear merge of the two sorted lists. Exposed so benches can time
-    /// it against the packed kernel.
-    pub fn intersection_size_linear(&self, other: &CellSet) -> usize {
-        CALLS_LINEAR.fetch_add(1, Ordering::Relaxed);
+    /// Linear merge of the two sorted lists.
+    fn intersection_size_linear(&self, other: &CellSet) -> usize {
         let mut count = 0;
         let _ = merge_join(&self.cells, &other.cells, identity, |_, _| {
             count += 1;
@@ -614,7 +537,6 @@ impl CellSet {
 
     /// Galloping intersection of `self` (the smaller set) into `other`.
     fn intersection_size_galloping(&self, other: &CellSet) -> usize {
-        CALLS_GALLOPING.fetch_add(1, Ordering::Relaxed);
         let mut count = 0;
         gallop_join(&self.cells, &other.cells, identity, |_, _| count += 1);
         count
@@ -652,16 +574,6 @@ impl CellSet {
     /// In-place union (used by CoverageSearch's merge strategy).
     pub fn union_in_place(&mut self, other: &CellSet) {
         *self = self.union(other);
-    }
-
-    /// The intersection of two cell sets as a new set.
-    pub fn intersection(&self, other: &CellSet) -> CellSet {
-        let mut out = Vec::new();
-        let _ = merge_join(&self.cells, &other.cells, identity, |cell, _| {
-            out.push(cell);
-            ControlFlow::Continue(())
-        });
-        CellSet::from_sorted(out)
     }
 
     /// Marginal gain `g(S_D, R) = |S_D ∪ R| − |R|` of adding this set to an
@@ -902,22 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_counters_count_dispatches() {
-        // Counters are process-global and tests run concurrently, so only
-        // monotone growth by at least the calls made here can be asserted.
-        let before = kernel_counters();
-        let a = set(&[1, 2, 3, 64, 65]);
-        let b = set(&[2, 3, 64, 200]);
-        a.intersection_size_packed(&b);
-        a.intersection_size_linear(&b);
-        a.intersection_size_galloping(&b);
-        let after = kernel_counters();
-        assert!(after.packed > before.packed);
-        assert!(after.linear > before.linear);
-        assert!(after.galloping > before.galloping);
-    }
-
-    #[test]
     fn from_cells_sorts_and_dedups() {
         let s = set(&[9, 3, 3, 11, 9]);
         assert_eq!(s.cells(), &[3, 9, 11]);
@@ -954,7 +850,6 @@ mod tests {
         assert_eq!(a.intersection_size(&b), 2);
         assert_eq!(b.intersection_size(&a), 2);
         assert_eq!(a.union_size(&b), 7);
-        assert_eq!(a.intersection(&b).cells(), &[4, 5]);
     }
 
     #[test]
@@ -981,7 +876,6 @@ mod tests {
         assert_eq!(other.intersection_size_packed(&empty), 0);
         assert_eq!(empty.union_size(&empty), 0);
         assert_eq!(empty.union(&other).cells(), other.cells());
-        assert!(empty.intersection(&other).is_empty());
     }
 
     #[test]
@@ -1057,23 +951,19 @@ mod tests {
     }
 
     #[test]
-    fn density_hint_routes_dense_pairs_to_the_packed_kernel() {
-        // A solid run has ~64 cells per block; two disjoint high-bit blocks
-        // have 1 cell per spanned-block estimate.
-        let dense: CellSet = (0..4096u64).collect();
-        assert!(dense.density_hint() >= PACKED_MIN_DENSITY);
-        let sparse = set(&[0, 1 << 40, 1 << 41, 1 << 42]);
-        assert!(sparse.density_hint() < PACKED_MIN_DENSITY);
-        // Whatever the kernel choice, the answer matches the reference merge.
-        let other: CellSet = (2048..6144u64).collect();
-        assert_eq!(
-            dense.intersection_size(&other),
-            dense.intersection_size_linear(&other)
-        );
-        assert_eq!(
-            sparse.intersection_size(&other),
-            sparse.intersection_size_linear(&other)
-        );
+    fn intersection_size_at_the_gallop_threshold_matches_the_oracle() {
+        // At `|small| · 16 == |large|` the merge runs; one cell more and the
+        // gallop does.  Either way, and in either argument order, the count
+        // is the oracle's.
+        let small = set(&[3, 40, 41, 90]);
+        for large_len in [64u64, 65] {
+            let large: CellSet = (0..large_len * 2).step_by(2).collect();
+            assert_eq!(large.len() as u64, large_len);
+            let truth = oracle_intersection_size(&small, &large);
+            assert_eq!(truth, 2);
+            assert_eq!(small.intersection_size(&large), truth);
+            assert_eq!(large.intersection_size(&small), truth);
+        }
     }
 
     #[test]
@@ -1327,9 +1217,7 @@ mod tests {
             prop_assert_eq!(ca.union_size(&cb), sa.union(&sb).count());
             let u: Vec<u64> = sa.union(&sb).copied().collect();
             prop_assert_eq!(ca.union(&cb).cells().to_vec(), u);
-            let i: Vec<u64> = sa.intersection(&sb).copied().collect();
-            prop_assert_eq!(ca.intersects(&cb), !i.is_empty());
-            prop_assert_eq!(ca.intersection(&cb).cells().to_vec(), i);
+            prop_assert_eq!(ca.intersects(&cb), sa.intersection(&sb).next().is_some());
         }
 
         #[test]

@@ -74,9 +74,8 @@ fn main() {
             .search(&SearchRequest::knn_batch(queries.clone()).k(5))
             .expect("in-process search");
         println!(
-            "\nstrategy {:?} ({} engine workers)\n  OJSP: {} requests, {} bytes, {:.1} ms transmission, {:.1} ms search, {} index nodes visited",
+            "\nstrategy {:?}\n  OJSP: {} requests, {} bytes, {:.1} ms transmission, {:.1} ms search, {} index nodes visited",
             strategy,
-            framework.engine().effective_workers(),
             ojsp.comm.requests,
             ojsp.comm.total_bytes(),
             ojsp.comm.transmission_time_ms(&comm_config),
