@@ -14,8 +14,7 @@
 //! ```
 //!
 //! Every figure prints a tab-separated table whose rows mirror the series of
-//! the corresponding plot; EXPERIMENTS.md records the qualitative shapes the
-//! paper reports next to a captured run of this binary.
+//! the corresponding plot.
 
 use std::time::{Duration, Instant};
 

@@ -1,8 +1,8 @@
 //! `load-gen` — open-loop load generator for the federated deployment.
 //!
-//! Spawns one server per data source (in-process [`SourceServer`] threads by
-//! default, real `source-server` child processes with `--server-bin`), then
-//! fires single-query OJSP / CJSP / kNN requests at it with Poisson
+//! Spawns one `source-server` child process per data source — the binary
+//! next to this one unless `--server-bin` names another — then fires
+//! single-query OJSP / CJSP / kNN requests at the fleet with Poisson
 //! (exponential inter-arrival) timing.  The loop is **open**: arrival times
 //! are scheduled up front from the requested rate, and a request's latency
 //! is measured from its *scheduled* arrival, so a saturated fleet shows up
@@ -10,8 +10,8 @@
 //! (no coordinated omission).
 //!
 //! ```text
+//! cargo build --release -p multisource --bin source-server
 //! load-gen --rate 200 --duration 5 --concurrency 8 --mix 2:1:1
-//! load-gen --server-bin target/release/source-server --rate 100
 //! ```
 //!
 //! The last stdout line is machine-readable:
@@ -24,15 +24,13 @@
 //! query-kind mix draw from the same vendored SplitMix64 generator).
 
 use std::io::{BufRead, Write as _};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bench::ExperimentEnv;
-use multisource::{
-    DataCenter, EngineConfig, FrameworkConfig, QueryEngine, SearchRequest, SourceServer,
-};
+use multisource::{DataCenter, EngineConfig, FrameworkConfig, QueryEngine, SearchRequest};
 use net::PooledTcpTransport;
 use rand::prelude::*;
 use spatial::SourceId;
@@ -40,13 +38,13 @@ use spatial::SourceId;
 const USAGE: &str = "\
 Usage: load-gen [OPTIONS]
 
-Open-loop Poisson load against a loopback source-server fleet.
+Open-loop Poisson load against a loopback fleet of source-server processes.
 
   --rate QPS          mean arrival rate, queries/sec      (default: 200)
   --duration SECS     how long to schedule arrivals for   (default: 5)
   --concurrency N     worker threads issuing requests     (default: 8)
   --mix A:B:C         ojsp:cjsp:knn weight mix            (default: 1:1:1)
-  --server-bin PATH   spawn PATH per source instead of in-process threads
+  --server-bin PATH   the source-server binary            (default: next to load-gen)
   --queries N         distinct query datasets to cycle    (default: 16)
   --k N               top-k per query                     (default: 5)
   --divisor N         datagen scale divisor               (default: 400)
@@ -57,7 +55,7 @@ struct Args {
     duration: f64,
     concurrency: usize,
     mix: [u64; 3],
-    server_bin: Option<String>,
+    server_bin: PathBuf,
     queries: usize,
     k: usize,
     divisor: u32,
@@ -70,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
         duration: 5.0,
         concurrency: 8,
         mix: [1, 1, 1],
-        server_bin: None,
+        server_bin: PathBuf::new(),
         queries: 16,
         k: 5,
         divisor: 400,
@@ -103,7 +101,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--concurrency: {e}"))?
             }
             "--mix" => parsed.mix = parse_mix(&value("--mix")?)?,
-            "--server-bin" => parsed.server_bin = Some(value("--server-bin")?),
+            "--server-bin" => parsed.server_bin = PathBuf::from(value("--server-bin")?),
             "--queries" => {
                 parsed.queries = value("--queries")?
                     .parse()
@@ -135,6 +133,17 @@ fn parse_args() -> Result<Args, String> {
     if parsed.queries == 0 || parsed.k == 0 {
         return Err("--queries and --k must be at least 1".into());
     }
+    if parsed.server_bin.as_os_str().is_empty() {
+        let exe = std::env::current_exe().map_err(|e| format!("locate load-gen: {e}"))?;
+        parsed.server_bin = exe.with_file_name("source-server");
+    }
+    if !parsed.server_bin.is_file() {
+        return Err(format!(
+            "no source-server binary at {}: build it with \
+             `cargo build --release -p multisource --bin source-server`, or pass --server-bin",
+            parsed.server_bin.display()
+        ));
+    }
     Ok(parsed)
 }
 
@@ -155,7 +164,7 @@ fn parse_mix(raw: &str) -> Result<[u64; 3], String> {
 const KIND_NAMES: [&str; 3] = ["ojsp", "cjsp", "knn"];
 
 // ---------------------------------------------------------------------------
-// Fleet: in-process server threads or spawned source-server processes
+// Fleet: spawned source-server processes
 // ---------------------------------------------------------------------------
 
 /// One spawned `source-server` child with its stdin/stdout kept for the
@@ -174,70 +183,44 @@ impl Drop for ServerProcess {
     }
 }
 
-/// The serving side of the benchmark: either [`SourceServer`] threads in
-/// this process or `--server-bin` child processes, reached identically over
-/// loopback TCP.
-enum Fleet {
-    Threads(Vec<SourceServer>),
-    Processes(Vec<ServerProcess>, PathBuf),
+/// The serving side of the benchmark: one `source-server` child per source
+/// over loopback TCP, and the directory holding their data files.
+struct Fleet {
+    servers: Vec<ServerProcess>,
+    dir: PathBuf,
 }
 
 impl Fleet {
     fn endpoints(&self) -> Vec<(SourceId, String)> {
-        match self {
-            Fleet::Threads(servers) => servers.iter().map(SourceServer::endpoint).collect(),
-            Fleet::Processes(servers, _) => servers
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i as SourceId, s.addr.clone()))
-                .collect(),
-        }
+        self.servers
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as SourceId, s.addr.clone()))
+            .collect()
     }
 
-    /// Drains every server gracefully; child processes get the `SHUTDOWN`
-    /// line and are awaited until they confirm `DRAINED`.
-    fn shutdown(self) {
-        match self {
-            Fleet::Threads(servers) => {
-                for server in servers {
-                    server.shutdown();
-                }
+    /// Drains every server gracefully: each child gets the `SHUTDOWN` line
+    /// and is awaited until it confirms `DRAINED`.
+    fn shutdown(mut self) {
+        for server in &mut self.servers {
+            if let Some(mut stdin) = server.stdin.take() {
+                let _ = stdin.write_all(b"SHUTDOWN\n");
             }
-            Fleet::Processes(mut servers, dir) => {
-                for server in &mut servers {
-                    if let Some(mut stdin) = server.stdin.take() {
-                        let _ = stdin.write_all(b"SHUTDOWN\n");
-                    }
-                    let mut line = String::new();
-                    while server.stdout.read_line(&mut line).is_ok_and(|n| n > 0) {
-                        if line.trim() == "DRAINED" {
-                            break;
-                        }
-                        line.clear();
-                    }
-                    let _ = server.child.wait();
+            let mut line = String::new();
+            while server.stdout.read_line(&mut line).is_ok_and(|n| n > 0) {
+                if line.trim() == "DRAINED" {
+                    break;
                 }
-                drop(servers);
-                let _ = std::fs::remove_dir_all(&dir);
+                line.clear();
             }
+            let _ = server.child.wait();
         }
+        drop(self.servers);
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
-fn spawn_fleet(env: &ExperimentEnv, fw_resolution: u32, server_bin: Option<&str>) -> Fleet {
-    let Some(bin) = server_bin else {
-        let fw = env.framework(FrameworkConfig {
-            resolution: fw_resolution,
-            ..FrameworkConfig::default()
-        });
-        let servers = fw
-            .sources()
-            .iter()
-            .map(|s| SourceServer::spawn("127.0.0.1:0", s.clone()).expect("bind loopback"))
-            .collect();
-        return Fleet::Threads(servers);
-    };
-
+fn spawn_fleet(env: &ExperimentEnv, resolution: u32, bin: &Path) -> Fleet {
     let dir = std::env::temp_dir().join(format!("load-gen-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let servers = env
@@ -260,7 +243,7 @@ fn spawn_fleet(env: &ExperimentEnv, fw_resolution: u32, server_bin: Option<&str>
                     "--id",
                     &i.to_string(),
                     "--resolution",
-                    &fw_resolution.to_string(),
+                    &resolution.to_string(),
                     "--listen",
                     "127.0.0.1:0",
                     "--data",
@@ -288,7 +271,7 @@ fn spawn_fleet(env: &ExperimentEnv, fw_resolution: u32, server_bin: Option<&str>
             }
         })
         .collect();
-    Fleet::Processes(servers, dir)
+    Fleet { servers, dir }
 }
 
 // ---------------------------------------------------------------------------
@@ -320,16 +303,11 @@ fn run() -> Result<(), String> {
     );
 
     let env = ExperimentEnv::new(args.divisor, args.seed);
-    let fleet = spawn_fleet(&env, resolution, args.server_bin.as_deref());
+    let fleet = spawn_fleet(&env, resolution, &args.server_bin);
     let endpoints = fleet.endpoints();
     eprintln!(
-        "load-gen: {} sources serving on loopback ({})",
+        "load-gen: {} source-server processes serving on loopback",
         endpoints.len(),
-        if args.server_bin.is_some() {
-            "child processes"
-        } else {
-            "in-process threads"
-        },
     );
 
     // One engine over the pooled transport; the data center bootstraps its

@@ -4,7 +4,7 @@
 //! A [`SearchRequest`] names the search kind (OJSP, CJSP, k-nearest
 //! datasets), carries one query or a whole batch, and tunes execution —
 //! `k`, worker count, distribution strategy, connectivity threshold,
-//! statistics opt-in.  It executes through
+//! degradation mode, tracing.  It executes through
 //! [`MultiSourceFramework::search`](crate::MultiSourceFramework::search)
 //! in-process, or through [`QueryEngine::run`](crate::QueryEngine::run) over
 //! any [`SourceTransport`](crate::SourceTransport) — the request is
@@ -15,7 +15,7 @@
 //! # use spatial::SpatialDataset;
 //! # fn demo(framework: &MultiSourceFramework, query: SpatialDataset) {
 //! let response = framework
-//!     .search(&SearchRequest::ojsp(query).k(10).with_stats(true))
+//!     .search(&SearchRequest::ojsp(query).k(10))
 //!     .expect("in-process search");
 //! let best = &response.overlap().expect("OJSP answers")[0];
 //! println!("{} results, {} bytes moved", best.results.len(), response.comm.total_bytes());
@@ -73,7 +73,6 @@ pub struct SearchRequest {
     strategy: Option<DistributionStrategy>,
     delta_cells: Option<f64>,
     skip_failed_sources: Option<bool>,
-    collect_stats: bool,
     collect_trace: bool,
 }
 
@@ -87,7 +86,6 @@ impl SearchRequest {
             strategy: None,
             delta_cells: None,
             skip_failed_sources: None,
-            collect_stats: true,
             collect_trace: false,
         }
     }
@@ -149,14 +147,6 @@ impl SearchRequest {
         self
     }
 
-    /// Whether sources should report their off-wire search statistics
-    /// (default `true`).  Opting out never changes the counted protocol
-    /// bytes — the statistics ride in the transport frame, not the message.
-    pub fn with_stats(mut self, collect: bool) -> Self {
-        self.collect_stats = collect;
-        self
-    }
-
     /// The requested search kind.
     pub fn kind(&self) -> SearchKind {
         self.kind
@@ -202,17 +192,13 @@ impl SearchRequest {
         self.skip_failed_sources
     }
 
-    /// Whether statistics collection was requested.
-    pub fn wants_stats(&self) -> bool {
-        self.collect_stats
-    }
-
     /// Opt in to structured tracing (default off): the engine assigns a
     /// trace id, propagates it to every contacted source on the transport
     /// frame, and returns a [`SearchResponse::trace`] of timed spans
     /// covering planning, per-shard transport calls, the sources' traversal
-    /// vs. verification split and aggregation.  Like the statistics channel,
-    /// tracing never changes the counted protocol bytes.
+    /// vs. verification split and aggregation.  Like the search statistics,
+    /// which ride the transport frame, tracing never changes the counted
+    /// protocol bytes.
     pub fn with_trace(mut self, collect: bool) -> Self {
         self.collect_trace = collect;
         self
@@ -292,17 +278,19 @@ pub struct SearchResponse {
     pub results: SearchResults,
     /// Communication statistics accumulated over the whole batch.
     pub comm: CommStats,
-    /// Local-search statistics accumulated over every contacted source;
-    /// `None` when the request opted out (or a remote source did not report
-    /// them).
-    pub search: Option<SearchStats>,
+    /// Local-search statistics accumulated over every reply, carried on the
+    /// transport frame next to the message (a source that does not report
+    /// them adds nothing).
+    pub search: SearchStats,
     /// Per-source transport timing, ascending by source id.
     pub per_source: Vec<SourceTiming>,
     /// Sources a degraded run skipped, ascending by source id; always empty
     /// for fail-fast runs.  [`CommStats`] byte and request counters cover
-    /// completed exchanges only (a failed shard moves no accounted bytes),
-    /// while `sources_contacted` counts planned contacts, including the
-    /// sources listed here.  For kNN, which leaves in two waves, a planned
+    /// every exchange a source replied to: a shard the transport failed
+    /// moves no accounted bytes, while one its source answered with an
+    /// error, or with a reply of the wrong kind, is counted like any other.
+    /// `sources_contacted` counts planned contacts, including the sources
+    /// listed here.  For kNN, which leaves in two waves, a planned
     /// contact is a query's first-wave source or a second-wave source whose
     /// lower bound is within the first reply's k-th distance — counted, as
     /// for OJSP, even when the clip leaves nothing to send it.  A CJSP fetch
@@ -363,8 +351,7 @@ mod tests {
             .k(4)
             .workers(2)
             .strategy(DistributionStrategy::Broadcast)
-            .delta_cells(5.0)
-            .with_stats(false);
+            .delta_cells(5.0);
         assert_eq!(r.kind(), SearchKind::Cjsp);
         assert_eq!(r.queries().len(), 1);
         assert_eq!(r.requested_k(), 4);
@@ -374,13 +361,11 @@ mod tests {
             Some(DistributionStrategy::Broadcast)
         );
         assert_eq!(r.requested_delta_cells(), Some(5.0));
-        assert!(!r.wants_stats());
 
         let batch = SearchRequest::knn_batch(vec![q.clone(), q]);
         assert_eq!(batch.kind(), SearchKind::Knn);
         assert_eq!(batch.queries().len(), 2);
         assert_eq!(batch.requested_workers(), None);
-        assert!(batch.wants_stats());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! [`QueryEngine::run`] takes a [`SearchRequest`] and fans it out as one task
 //! per `(query, candidate source)` pair — one source is one shard, matching
 //! the deployment of the paper's Fig. 3 where every data source runs its
-//! local search concurrently.  Tasks are executed by a fixed pool of scoped
-//! worker threads; each worker keeps its *own* [`CommStats`] /
-//! [`SearchStats`] / per-source timing accumulators (no shared counters, no
-//! locks on the hot path) and the per-worker blocks are merged once at the
-//! end, so the reported totals are identical to a sequential run of the same
+//! local search concurrently.  A wave is a map, then a fold: a fixed pool of
+//! scoped worker threads only calls the transport and times each call, and
+//! the replies, back in task order, are accounted into one ledger of
+//! [`CommStats`], [`SearchStats`] and per-source timings on the calling
+//! thread — so the reported totals are those of a sequential run of the same
 //! plan.
 //!
 //! The engine is **transport-agnostic**: it plans entirely from the
@@ -23,9 +23,9 @@
 //! 1. **Plan** (sequential, cheap): route each query through DITS-G (by MBR
 //!    intersection, or by distance bounds for kNN), clip it per candidate
 //!    source, and materialise the request messages.
-//! 2. **Execute** (parallel): serialise requests, deliver them through the
-//!    transport, account bytes — the expensive part, embarrassingly
-//!    parallel.
+//! 2. **Execute** (parallel): deliver the requests through the transport —
+//!    the expensive part, embarrassingly parallel — then account the replies
+//!    in task order.
 //! 3. **Settle**: bucket the replies per query, then merge each bucket into
 //!    the global top-`k` (OJSP, kNN) or run the cross-source greedy
 //!    selection over it (CJSP: [`dits::greedy_cover`], the loop every source
@@ -75,7 +75,7 @@ use crate::comm::CommStats;
 use crate::error::{ConfigError, SearchError, TransportError};
 use crate::message::{CandidateCells, CoverageCandidate, Message};
 use crate::source::DataSource;
-use crate::transport::{CallOptions, InProcessTransport, SourceTransport};
+use crate::transport::{CallOptions, InProcessTransport, SourceTransport, TransportReply};
 
 /// Configuration of the query engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,110 +222,60 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Delivers one request through the transport, accounting bytes, timing
-    /// and statistics, and returns the reply message.  `want_stats` asks the
-    /// source for its off-wire search statistics; like tracing, it never
-    /// changes the counted protocol bytes.
-    fn exchange(
-        &self,
-        source: SourceId,
-        request: &Message,
-        want_stats: bool,
-        ctx: &mut WorkerCtx,
-    ) -> Result<Message, SearchError> {
-        let started = Instant::now();
-        let opts = CallOptions {
-            want_stats,
-            trace: ctx.trace,
-        };
-        let reply = self.transport.get().call_with(source, request, opts)?;
-        let elapsed = started.elapsed();
-        // Sizes come from the transport (the TCP path reads them off the
-        // frames it already moved), so nothing is re-encoded for accounting.
-        ctx.comm.record_request(reply.request_bytes);
-        ctx.comm.record_reply(reply.reply_bytes);
-        ctx.record_timing(
-            source,
-            reply.request_bytes + reply.reply_bytes,
-            elapsed,
-            reply.service.unwrap_or_default(),
-        );
-        if let Some(stats) = reply.search {
-            ctx.search.merge(&stats);
-        }
-        if ctx.trace.is_some() {
-            // Source-side spans carry the source id; the call span is the
-            // transport wall-clock around the whole exchange.
-            ctx.spans.push(obs::Span {
-                name: "call".to_string(),
-                source: Some(source),
-                elapsed,
-            });
-            if let Some(service) = reply.service {
-                ctx.spans.push(obs::Span {
-                    name: "service".to_string(),
-                    source: Some(source),
-                    elapsed: service,
-                });
-            }
-            // A source's phase spans only count if the reply echoes this
-            // run's trace id — a mismatched echo would attribute another
-            // request's phases to this trace.
-            if let Some(trace) = reply.trace.filter(|t| Some(t.trace_id) == ctx.trace) {
-                ctx.spans.push(obs::Span {
-                    name: "traversal".to_string(),
-                    source: Some(source),
-                    elapsed: trace.phases.traversal,
-                });
-                ctx.spans.push(obs::Span {
-                    name: "verify".to_string(),
-                    source: Some(source),
-                    elapsed: trace.phases.verify,
-                });
-            }
-        }
-        match reply.message {
-            Message::Error { code, detail } => Err(TransportError::Remote { code, detail }.into()),
-            message => Ok(message),
-        }
-    }
-
-    /// Executes planned shard tasks — one exchange each, unpacked as `K`'s
-    /// reply — honouring the engine's degradation mode.  Fail-fast (the
-    /// default) aborts the batch on the first shard error; skip-and-report
+    /// Executes planned shard tasks — one transport call each, made on the
+    /// worker pool — then folds the replies, in task order, into `ledger`
+    /// and unpacks each as `K`'s reply, honouring the engine's degradation
+    /// mode.  Fail-fast (the default) returns the first shard error in task
+    /// order, and the pool sends nothing after it; skip-and-report
     /// ([`EngineConfig::skip_failed_sources`]) keeps going, drops the failed
     /// shards' contributions (`None` slots) and records one
     /// [`SourceFailure`] per failed source in `failures`, which a request
     /// carries across its waves — the first error in task order, so the
     /// report is deterministic for a deterministic plan.
     ///
-    /// A failed exchange accounts no [`CommStats`] bytes or requests (the
-    /// transport surfaces the error before anything is recorded), so the
-    /// merged counters describe exactly the completed shards.
+    /// A shard the transport fails accounts nothing: no reply, no bytes.  A
+    /// shard whose source did reply — even with [`Message::Error`] or a
+    /// reply of the wrong kind — moved bytes, and they are counted with its
+    /// timing and statistics.
     fn execute_shards<K: QueryKind>(
         &self,
         tasks: &[ShardTask],
-        want_stats: bool,
-        trace: Option<u64>,
+        ledger: &mut Ledger,
         failures: &mut Vec<SourceFailure>,
-    ) -> Result<ShardOutcome<Vec<K::Item>>, SearchError> {
-        let shard = |task: &ShardTask, ctx: &mut WorkerCtx| {
-            K::items(
-                task,
-                self.exchange(task.source, &task.request, want_stats, ctx)?,
-            )
-            .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
+    ) -> Result<Vec<Option<Vec<K::Item>>>, SearchError> {
+        let transport = self.transport.get();
+        let opts = CallOptions {
+            want_stats: true,
+            trace: ledger.trace,
         };
-        if !self.config.skip_failed_sources {
-            let (results, ctx) = run_parallel(tasks, self.config.workers, trace, shard)?;
-            return Ok((results.into_iter().map(Some).collect(), ctx));
-        }
-        let (per_task, ctx) = run_parallel_core(tasks, self.config.workers, trace, false, shard)?;
-        let results = tasks
-            .iter()
-            .zip(per_task)
-            .map(|(task, result)| match result {
-                Ok(r) => Some(r),
+        let call = |task: &ShardTask| {
+            let started = Instant::now();
+            let reply = transport.call_with(task.source, &task.request, opts);
+            (reply, started.elapsed())
+        };
+        let fail_fast = !self.config.skip_failed_sources;
+        // A fail-fast wave stops at the first call that failed or that its
+        // source answered with an error; the fold below returns that error
+        // (or an earlier one), so a shortened wave never reaches `drive`.
+        let failed = |(reply, _): &(Result<TransportReply, TransportError>, Duration)| {
+            fail_fast
+                && reply
+                    .as_ref()
+                    .map_or(true, |r| matches!(r.message, Message::Error { .. }))
+        };
+        let replies = par_map(tasks, self.config.workers, call, failed)?;
+        let mut results = Vec::with_capacity(replies.len());
+        for (task, (reply, elapsed)) in tasks.iter().zip(replies) {
+            let items = reply
+                .map_err(SearchError::from)
+                .and_then(|reply| ledger.record(task.source, reply, elapsed))
+                .and_then(|message| {
+                    K::items(task, message)
+                        .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
+                });
+            match items {
+                Ok(items) => results.push(Some(items)),
+                Err(error) if fail_fast => return Err(error),
                 Err(error) => {
                     if !failures.iter().any(|f| f.source == task.source) {
                         failures.push(SourceFailure {
@@ -333,11 +283,11 @@ impl<'a> QueryEngine<'a> {
                             error,
                         });
                     }
-                    None
+                    results.push(None);
                 }
-            })
-            .collect();
-        Ok((results, ctx))
+            }
+        }
+        Ok(results)
     }
 
     /// The one pipeline behind [`Self::run`]: plan → execute → bucket →
@@ -451,7 +401,7 @@ impl<'a> QueryEngine<'a> {
         // failures so far, both in task order, so every worker count sends
         // the same waves; every answer ranks through a total order, so the
         // bucket fill order cannot change it.
-        let mut ctx = WorkerCtx::new(trace_id);
+        let mut ledger = Ledger::new(trace_id);
         let mut failures: Vec<SourceFailure> = Vec::new();
         let mut buckets: Vec<Vec<K::Item>> = (0..queries.len()).map(|_| Vec::new()).collect();
         let mut answers: Vec<Option<K::Answer>> = (0..queries.len()).map(|_| None).collect();
@@ -463,9 +413,7 @@ impl<'a> QueryEngine<'a> {
             1
         };
         let last_pass = loop {
-            let (per_task, wave_ctx) =
-                self.execute_shards::<K>(&tasks, request.wants_stats(), trace_id, &mut failures)?;
-            ctx.merge(wave_ctx);
+            let per_task = self.execute_shards::<K>(&tasks, &mut ledger, &mut failures)?;
             for (task, items) in tasks.drain(..).zip(per_task) {
                 let Some(items) = items else { continue };
                 if let Some(bucket) = buckets.get_mut(task.query_idx) {
@@ -473,13 +421,13 @@ impl<'a> QueryEngine<'a> {
                 }
             }
             let pass_started = Instant::now();
-            let (verdicts, _) =
-                run_parallel(&open, settle_workers, None, |&query_idx, _| {
-                    match (plans.get(query_idx), buckets.get(query_idx)) {
-                        (Some(plan), Some(bucket)) => Ok(kind.settle(plan, bucket, &failures, k)),
-                        _ => Err(SearchError::Internal("an open query has no plan")),
-                    }
-                })?;
+            let settle = |&query_idx: &usize| match (plans.get(query_idx), buckets.get(query_idx)) {
+                (Some(plan), Some(bucket)) => Ok(kind.settle(plan, bucket, &failures, k)),
+                _ => Err(SearchError::Internal("an open query has no plan")),
+            };
+            let verdicts = par_map(&open, settle_workers, settle, Result::is_err)?
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()?;
             let mut still_open = Vec::new();
             for (query_idx, verdict) in open.drain(..).zip(verdicts) {
                 let (Some(plan), Some(answer)) =
@@ -520,20 +468,20 @@ impl<'a> QueryEngine<'a> {
             replans.push(pass_started.elapsed());
         };
         failures.sort_by_key(|f| f.source);
-        comm.merge(&ctx.comm);
+        comm.merge(&ledger.comm);
         let answers = answers
             .into_iter()
             .map(|answer| answer.ok_or(SearchError::Internal("a settled query has no answer")))
             .collect::<Result<Vec<_>, _>>()?;
 
-        let spans = std::mem::take(&mut ctx.spans);
         let elapsed = start.elapsed();
-        let trace = trace_id.map(|id| assemble_trace(id, plan_elapsed, &replans, spans, last_pass));
+        let trace =
+            trace_id.map(|id| assemble_trace(id, plan_elapsed, &replans, ledger.spans, last_pass));
         Ok(SearchResponse {
             results: K::results(answers),
             comm,
-            search: request.wants_stats().then_some(ctx.search),
-            per_source: ctx.into_timings(),
+            search: ledger.search,
+            per_source: ledger.per_source.into_values().collect(),
             failures,
             elapsed,
             trace,
@@ -1075,10 +1023,10 @@ fn stalled_stubs<'s>(
 }
 
 /// Assembles a run's [`obs::Trace`] from its phase timings and the spans the
-/// workers collected: `plan` (plus one `replan` per follow-up wave) and
+/// ledger kept: `plan` (plus one `replan` per follow-up wave) and
 /// `aggregate` spans bracket the per-call `call` / `service` /
 /// `traversal` / `verify` spans of every wave, and the whole trace is
-/// canonicalised so span order is deterministic across worker schedules.
+/// canonicalised so center-side spans come first.
 fn assemble_trace(
     id: u64,
     plan: Duration,
@@ -1114,184 +1062,145 @@ fn resolve_workers(configured: usize) -> usize {
 /// single-query convenience wrappers).
 const MIN_PARALLEL_TASKS: usize = 8;
 
-/// What a degradation-aware shard execution produces: one result slot per
-/// task (`None` where the shard's source failed) and the merged per-worker
-/// accumulators.
-type ShardOutcome<R> = (Vec<Option<R>>, WorkerCtx);
-
-/// Per-worker private accumulators: communication bytes, search statistics
-/// and per-source transport timing.  Workers never contend on shared
-/// counters; blocks are merged losslessly after the join.
+/// What a request's exchanges add up to, folded on the calling thread in
+/// task order: communication bytes, search statistics, per-source transport
+/// timing and, when tracing, the per-call spans.
 #[derive(Debug)]
-struct WorkerCtx {
+struct Ledger {
     comm: CommStats,
     search: SearchStats,
-    timings: Vec<(SourceId, usize, Duration, Duration)>,
-    /// The run's trace id, when tracing; workers pass it on every call and
-    /// collect the per-call spans locally (merged after the join, like every
-    /// other accumulator).
+    per_source: BTreeMap<SourceId, SourceTiming>,
+    /// The run's trace id, when tracing: every call carries it, and the
+    /// spans of its replies are kept.
     trace: Option<u64>,
     spans: Vec<obs::Span>,
 }
 
-impl WorkerCtx {
+impl Ledger {
     fn new(trace: Option<u64>) -> Self {
         Self {
             comm: CommStats::new(),
             search: SearchStats::new(),
-            timings: Vec::new(),
+            per_source: BTreeMap::new(),
             trace,
             spans: Vec::new(),
         }
     }
 
-    fn record_timing(
+    /// Accounts one reply a source sent, `elapsed` after its call began —
+    /// bytes, timing, statistics and spans, whatever the reply says — and
+    /// returns its message, or the error a [`Message::Error`] reply carries.
+    fn record(
         &mut self,
         source: SourceId,
-        bytes: usize,
+        reply: TransportReply,
         elapsed: Duration,
-        service: Duration,
-    ) {
-        self.timings.push((source, bytes, elapsed, service));
-    }
-
-    fn merge(&mut self, other: WorkerCtx) {
-        self.comm.merge(&other.comm);
-        self.search.merge(&other.search);
-        self.timings.extend(other.timings);
-        self.spans.extend(other.spans);
-    }
-
-    /// Collapses the raw per-call records into one [`SourceTiming`] per
-    /// source, ascending by source id.
-    fn into_timings(self) -> Vec<SourceTiming> {
-        let mut by_source: BTreeMap<SourceId, SourceTiming> = BTreeMap::new();
-        for (source, bytes, elapsed, service) in self.timings {
-            let entry = by_source.entry(source).or_insert(SourceTiming {
-                source,
-                requests: 0,
-                bytes: 0,
-                elapsed: Duration::ZERO,
-                service: Duration::ZERO,
-            });
-            entry.requests += 1;
-            entry.bytes += bytes;
-            entry.elapsed += elapsed;
-            entry.service += service;
+    ) -> Result<Message, SearchError> {
+        // Sizes come from the transport (the TCP path reads them off the
+        // frames it already moved), so nothing is re-encoded for accounting.
+        self.comm.record_request(reply.request_bytes);
+        self.comm.record_reply(reply.reply_bytes);
+        let timing = self.per_source.entry(source).or_insert(SourceTiming {
+            source,
+            requests: 0,
+            bytes: 0,
+            elapsed: Duration::ZERO,
+            service: Duration::ZERO,
+        });
+        timing.requests += 1;
+        timing.bytes += reply.request_bytes + reply.reply_bytes;
+        timing.elapsed += elapsed;
+        timing.service += reply.service.unwrap_or_default();
+        if let Some(stats) = reply.search {
+            self.search.merge(&stats);
         }
-        by_source.into_values().collect()
+        if self.trace.is_some() {
+            // Source-side spans carry the source id; the call span is the
+            // transport wall-clock around the whole exchange.  A source's
+            // phase spans only count if the reply echoes this run's trace id
+            // — a mismatched echo would attribute another request's phases
+            // to this trace.
+            let phases = reply.trace.filter(|t| Some(t.trace_id) == self.trace);
+            let spans = [
+                ("call", Some(elapsed)),
+                ("service", reply.service),
+                ("traversal", phases.map(|t| t.phases.traversal)),
+                ("verify", phases.map(|t| t.phases.verify)),
+            ];
+            self.spans
+                .extend(spans.into_iter().filter_map(|(name, elapsed)| {
+                    Some(obs::Span {
+                        name: name.to_string(),
+                        source: Some(source),
+                        elapsed: elapsed?,
+                    })
+                }));
+        }
+        match reply.message {
+            Message::Error { code, detail } => Err(TransportError::Remote { code, detail }.into()),
+            message => Ok(message),
+        }
     }
 }
 
-/// Runs `f` over every task on a pool of scoped worker threads, returning
-/// the per-task results **in task order** plus the merged per-worker
-/// accumulators.  The first shard error aborts the batch (remaining workers
-/// drain their current task and stop).
+/// Maps `f` over `tasks` on a pool of scoped worker threads and returns the
+/// results **in task order**, ending at the first result `stop` accepts.
+///
+/// A result `stop` accepts parks the claim cursor past the end, so no task
+/// is started after it; the workers finish the tasks they hold, whose
+/// results are dropped.  The cursor only grows, so every task below the one
+/// that parked it was claimed and ran: the results up to the lowest task
+/// `stop` accepts are all there, on the pool as on the calling thread.  The
+/// only `Err` is a worker that panicked.
 ///
 /// With one worker (or fewer than [`MIN_PARALLEL_TASKS`] tasks) the pool is
 /// bypassed entirely, which doubles as the sequential reference path the
 /// parity tests compare against.
-fn run_parallel<T, R, F>(
-    tasks: &[T],
-    workers: usize,
-    trace: Option<u64>,
-    f: F,
-) -> Result<(Vec<R>, WorkerCtx), SearchError>
+fn par_map<T, R, F, S>(tasks: &[T], workers: usize, f: F, stop: S) -> Result<Vec<R>, SearchError>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T, &mut WorkerCtx) -> Result<R, SearchError> + Sync,
-{
-    let (per_task, ctx) = run_parallel_core(tasks, workers, trace, true, f)?;
-    let mut results = Vec::with_capacity(per_task.len());
-    for result in per_task {
-        // Fail-fast mode surfaces the first shard error as the outer Err,
-        // so every per-task slot is Ok here; stay total regardless.
-        results.push(result?);
-    }
-    Ok((results, ctx))
-}
-
-/// The shared worker-pool core behind [`run_parallel`] (fail-fast) and the
-/// engine's degraded skip-and-report mode.  Returns one `Result` per task,
-/// **in task order**, plus the merged per-worker accumulators.
-///
-/// With `fail_fast` a shard error parks the claim cursor (remaining workers
-/// drain their current task and stop) and the error of the lowest-numbered
-/// failing task becomes the outer `Err`, on the pool as on the calling
-/// thread: the cursor only grows, so every task below the one that parked it
-/// was claimed and ran to completion.  Without it every task runs to
-/// completion and failed shards come back as per-task `Err` values, so one
-/// dead source can never park the batch.
-fn run_parallel_core<T, R, F>(
-    tasks: &[T],
-    workers: usize,
-    trace: Option<u64>,
-    fail_fast: bool,
-    f: F,
-) -> Result<(Vec<Result<R, SearchError>>, WorkerCtx), SearchError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut WorkerCtx) -> Result<R, SearchError> + Sync,
+    F: Fn(&T) -> R + Sync,
+    S: Fn(&R) -> bool + Sync,
 {
     let worker_count = if tasks.len() < MIN_PARALLEL_TASKS {
         1
     } else {
         resolve_workers(workers).min(tasks.len())
     };
-    let mut ctx = WorkerCtx::new(trace);
-
-    if worker_count <= 1 {
-        let mut results = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            match f(task, &mut ctx) {
-                Ok(r) => results.push(Ok(r)),
-                Err(e) if fail_fast => return Err(e),
-                Err(e) => results.push(Err(e)),
+    /// What `ran` yields, through the first result `stop` accepts; `ran` is
+    /// lazy, so on the calling thread nothing runs after it.
+    fn through_stop<R>(ran: impl Iterator<Item = R>, stop: impl Fn(&R) -> bool) -> Vec<R> {
+        let mut results = Vec::new();
+        for result in ran {
+            let stopped = stop(&result);
+            results.push(result);
+            if stopped {
+                break;
             }
         }
-        return Ok((results, ctx));
+        results
+    }
+    if worker_count <= 1 {
+        return Ok(through_stop(tasks.iter().map(f), stop));
     }
 
-    /// What one worker brings home: its indexed per-task results, its
-    /// private accumulators, and the aborting error it hit (if any) with
-    /// its task's index.
-    type WorkerBlock<R> = (
-        Vec<(usize, Result<R, SearchError>)>,
-        WorkerCtx,
-        Option<(usize, SearchError)>,
-    );
-
     let cursor = AtomicUsize::new(0);
-    let worker_blocks: Vec<Result<WorkerBlock<R>, SearchError>> = std::thread::scope(|scope| {
+    let blocks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..worker_count)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local = WorkerCtx::new(trace);
-                    let mut local_results: Vec<(usize, Result<R, SearchError>)> = Vec::new();
-                    let mut error = None;
+                    let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
                         let Some(task) = tasks.get(i) else { break };
-                        match f(task, &mut local) {
-                            Ok(r) => local_results.push((i, Ok(r))),
-                            Err(e) if fail_fast => {
-                                // Park the cursor past the end so idle
-                                // workers stop claiming shards: the batch is
-                                // already doomed, there is no point paying
-                                // for (possibly slow) remaining exchanges.
-                                cursor.store(tasks.len(), Ordering::Relaxed);
-                                error = Some((i, e));
-                                break;
-                            }
-                            Err(e) => local_results.push((i, Err(e))),
+                        let result = f(task);
+                        if stop(&result) {
+                            cursor.store(tasks.len(), Ordering::Relaxed);
                         }
+                        local.push((i, result));
                     }
-                    (local_results, local, error)
+                    local
                 })
             })
             .collect();
@@ -1301,39 +1210,16 @@ where
                 h.join()
                     .map_err(|_| SearchError::Internal("engine worker panicked"))
             })
-            .collect()
-    });
+            .collect::<Result<_, _>>()
+    })?;
 
-    // Lossless merge of the per-worker accumulators; a join failure or (in
-    // fail-fast mode) the shard error of the lowest task aborts the batch.
-    let mut slots: Vec<Option<Result<R, SearchError>>> = (0..tasks.len()).map(|_| None).collect();
-    let mut first_error: Option<(usize, SearchError)> = None;
-    for block in worker_blocks {
-        let (results, local, error) = block?;
-        if let Some((i, e)) = error {
-            if first_error.as_ref().is_none_or(|(first, _)| i < *first) {
-                first_error = Some((i, e));
-            }
-            continue;
-        }
-        ctx.merge(local);
-        for (i, r) in results {
-            if let Some(slot) = slots.get_mut(i) {
-                *slot = Some(r);
-            }
+    let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
+    for (i, result) in blocks.into_iter().flatten() {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(result);
         }
     }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    let mut results = Vec::with_capacity(tasks.len());
-    for slot in slots {
-        match slot {
-            Some(r) => results.push(r),
-            None => return Err(SearchError::Internal("a shard task produced no result")),
-        }
-    }
-    Ok((results, ctx))
+    Ok(through_stop(slots.into_iter().map_while(|slot| slot), stop))
 }
 
 #[cfg(test)]
@@ -1368,78 +1254,81 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_preserves_task_order_and_merges_stats() {
+    fn par_map_returns_results_in_task_order() {
         let tasks: Vec<usize> = (0..100).collect();
-        let (results, ctx) = run_parallel(&tasks, 7, None, |&t, ctx| {
-            ctx.comm.record_request(t);
-            ctx.search.nodes_visited += 1;
-            Ok(t * 2)
-        })
-        .unwrap();
+        let results = par_map(&tasks, 7, |&t| t * 2, |_| false).unwrap();
         assert_eq!(results, (0..100).map(|t| t * 2).collect::<Vec<_>>());
-        assert_eq!(ctx.comm.bytes_to_sources, (0..100).sum::<usize>());
-        assert_eq!(ctx.comm.requests, 100);
-        assert_eq!(ctx.search.nodes_visited, 100);
     }
 
     #[test]
-    fn worker_pool_sequential_path_matches_parallel() {
+    fn par_map_sequential_path_matches_the_pool() {
         let tasks: Vec<usize> = (0..37).collect();
-        let (seq, seq_ctx) = run_parallel(&tasks, 1, None, |&t, ctx| {
-            ctx.comm.record_reply(t + 1);
-            Ok(t + 10)
-        })
-        .unwrap();
-        let (par, par_ctx) = run_parallel(&tasks, 8, None, |&t, ctx| {
-            ctx.comm.record_reply(t + 1);
-            Ok(t + 10)
-        })
-        .unwrap();
+        let seq = par_map(&tasks, 1, |&t| t + 10, |&r| r == 40).unwrap();
+        let par = par_map(&tasks, 8, |&t| t + 10, |&r| r == 40).unwrap();
+        assert_eq!(seq, (10..=40).collect::<Vec<_>>());
         assert_eq!(seq, par);
-        assert_eq!(seq_ctx.comm, par_ctx.comm);
     }
 
     #[test]
-    fn worker_pool_propagates_shard_errors() {
+    fn par_map_ends_at_the_lowest_stopping_task() {
+        let fails = |r: &Result<usize, SearchError>| r.is_err();
         let tasks: Vec<usize> = (0..50).collect();
-        let err = run_parallel(&tasks, 4, None, |&t, _| {
-            if t == 23 {
-                Err(SearchError::Internal("boom"))
-            } else {
-                Ok(t)
-            }
-        })
-        .unwrap_err();
-        assert_eq!(err, SearchError::Internal("boom"));
-        // Two failing shards: the lower task's error wins, whichever worker
-        // claimed it.  Neither fails before both are claimed; the other tasks
-        // take a millisecond each, so the four workers interleave.
+        let results = par_map(
+            &tasks,
+            4,
+            |&t| match t {
+                23 => Err(SearchError::Internal("boom")),
+                _ => Ok(t),
+            },
+            fails,
+        )
+        .unwrap();
+        assert_eq!(results.len(), 24);
+        assert_eq!(results.last(), Some(&Err(SearchError::Internal("boom"))));
+        // Two stopping tasks: the results end at the lower one, whichever
+        // worker claimed it.  Neither returns before both are claimed; the
+        // other tasks take a millisecond each, so the four workers
+        // interleave.
         let tasks: Vec<usize> = (0..40).collect();
         for _ in 0..20 {
             let both_claimed = std::sync::Barrier::new(2);
-            let err = run_parallel(&tasks, 4, None, |&t, _| match t {
-                5 | 30 => {
-                    both_claimed.wait();
-                    Err(SearchError::Internal(if t == 5 { "early" } else { "late" }))
-                }
-                _ => {
-                    std::thread::sleep(Duration::from_millis(1));
-                    Ok(t)
-                }
-            })
-            .unwrap_err();
-            assert_eq!(err, SearchError::Internal("early"));
+            let results = par_map(
+                &tasks,
+                4,
+                |&t| match t {
+                    5 | 30 => {
+                        both_claimed.wait();
+                        Err(SearchError::Internal(if t == 5 { "early" } else { "late" }))
+                    }
+                    _ => {
+                        std::thread::sleep(Duration::from_millis(1));
+                        Ok(t)
+                    }
+                },
+                fails,
+            )
+            .unwrap();
+            let expected: Vec<Result<usize, SearchError>> = (0..5)
+                .map(Ok)
+                .chain([Err(SearchError::Internal("early"))])
+                .collect();
+            assert_eq!(results, expected);
         }
         // Sequential path too.
-        let err = run_parallel(&tasks[..4], 1, None, |&t, _| {
-            if t == 2 {
-                Err(SearchError::Internal("boom"))
-            } else {
-                Ok(t)
-            }
-        })
-        .unwrap_err();
-        assert_eq!(err, SearchError::Internal("boom"));
+        let results = par_map(
+            &tasks[..4],
+            1,
+            |&t| match t {
+                2 => Err(SearchError::Internal("boom")),
+                _ => Ok(t),
+            },
+            fails,
+        )
+        .unwrap();
+        assert_eq!(
+            results,
+            vec![Ok(0), Ok(1), Err(SearchError::Internal("boom"))]
+        );
     }
 
     /// One request per search kind over the same batch, with the `k` each
@@ -1578,7 +1467,7 @@ mod tests {
             .engine()
             .run(&SearchRequest::ojsp_batch(queries).k(5))
             .unwrap();
-        let search = outcome.search.expect("stats are on by default");
+        let search = outcome.search;
         assert!(search.nodes_visited > 0, "engine must surface search stats");
         assert!(search.exact_computations > 0);
         // Per-source timing covers every contacted source.
@@ -1760,11 +1649,34 @@ mod tests {
     }
 
     /// A transport where one source is "dead": every call to it fails with
-    /// a typed timeout, while the rest answer in-process.
+    /// a typed timeout, while the rest answer in-process — except the
+    /// `erring` source, if any, which answers every call with
+    /// [`Message::Error`].  It counts the calls it is asked to make and the
+    /// bytes of the error exchanges.
     #[derive(Debug)]
     struct FaultyTransport<'a> {
         inner: InProcessTransport<'a>,
         dead: SourceId,
+        erring: Option<SourceId>,
+        calls: AtomicUsize,
+        error_bytes: AtomicUsize,
+    }
+
+    impl<'a> FaultyTransport<'a> {
+        fn new(sources: &'a [DataSource], dead: SourceId) -> Self {
+            Self {
+                inner: InProcessTransport::new(sources),
+                dead,
+                erring: None,
+                calls: AtomicUsize::new(0),
+                error_bytes: AtomicUsize::new(0),
+            }
+        }
+
+        /// The calls made so far, and the count starts again.
+        fn take_calls(&self) -> usize {
+            self.calls.swap(0, Ordering::Relaxed)
+        }
     }
 
     impl SourceTransport for FaultyTransport<'_> {
@@ -1777,15 +1689,126 @@ mod tests {
             source: SourceId,
             request: &Message,
             opts: CallOptions,
-        ) -> Result<crate::transport::TransportReply, TransportError> {
+        ) -> Result<TransportReply, TransportError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
             if source == self.dead {
                 return Err(TransportError::Timeout {
                     source,
                     waited: Duration::from_millis(1),
                 });
             }
-            self.inner.call_with(source, request, opts)
+            let reply = self.inner.call_with(source, request, opts)?;
+            if Some(source) != self.erring {
+                return Ok(reply);
+            }
+            let message = Message::Error {
+                code: crate::message::ERR_UNSUPPORTED,
+                detail: "refused by the test".to_string(),
+            };
+            let reply_bytes = message.wire_size();
+            self.error_bytes
+                .fetch_add(reply.request_bytes + reply_bytes, Ordering::Relaxed);
+            Ok(TransportReply {
+                message,
+                reply_bytes,
+                ..reply
+            })
         }
+    }
+
+    /// Fail-fast sends nothing after the first failed shard: on the calling
+    /// thread a wave ends at it, and on the pool each worker finishes at
+    /// most the shard it holds.  Skip-and-report sends every shard.
+    #[test]
+    fn fail_fast_sends_nothing_after_the_first_failed_shard() {
+        let (fw, queries) = five_source_framework();
+        let dead = fw.sources()[2].id;
+        let faulty = FaultyTransport::new(fw.sources(), dead);
+        let engine = QueryEngine::new(fw.center(), &faulty, EngineConfig::default());
+        let broadcast = |queries: &[SpatialDataset]| {
+            SearchRequest::ojsp_batch(queries.to_vec())
+                .k(5)
+                .strategy(DistributionStrategy::Broadcast)
+        };
+
+        // One query to all five sources in source order, the dead one third.
+        let one = broadcast(&queries[..1]).workers(1);
+        assert!(engine.run(&one).is_err());
+        assert_eq!(faulty.take_calls(), 3);
+        let skipped = engine.run(&one.skip_failed_sources(true)).unwrap();
+        assert_eq!(skipped.failures.len(), 1);
+        assert_eq!(faulty.take_calls(), 5);
+
+        // A batch on the pool: the first dead shard is task 2.  The dead
+        // source fails at once, so while its worker parks the cursor the
+        // others can each hold one shard at most.
+        let workers = 2;
+        let batch = broadcast(&queries).workers(workers);
+        let tasks = 5 * queries.len();
+        assert!(tasks >= MIN_PARALLEL_TASKS);
+        for _ in 0..3 {
+            assert!(engine.run(&batch).is_err());
+            let calls = faulty.take_calls();
+            assert!(calls <= 2 + workers, "{calls} calls of {tasks}");
+        }
+        engine.run(&batch.skip_failed_sources(true)).unwrap();
+        assert_eq!(faulty.take_calls(), tasks);
+    }
+
+    /// Which failed shards' bytes count: a source that answered — here with
+    /// [`Message::Error`] — moved bytes, and they are accounted with the
+    /// exchange's timing; a call the transport refused moved none.
+    #[test]
+    fn an_error_reply_is_accounted_and_a_refused_call_is_not() {
+        let (fw, queries) = five_source_framework();
+        let (erring, dead) = (fw.sources()[1].id, fw.sources()[3].id);
+        let faulty = FaultyTransport {
+            erring: Some(erring),
+            ..FaultyTransport::new(fw.sources(), dead)
+        };
+        let request = SearchRequest::ojsp(queries[0].clone())
+            .k(5)
+            .strategy(DistributionStrategy::Broadcast)
+            .skip_failed_sources(true);
+        let degraded = QueryEngine::new(fw.center(), &faulty, EngineConfig::default())
+            .run(&request)
+            .unwrap();
+        let failed: Vec<SourceId> = degraded.failures.iter().map(|f| f.source).collect();
+        assert_eq!(failed, [erring, dead]);
+        assert!(matches!(
+            degraded.failures[0].error,
+            SearchError::Transport(TransportError::Remote { .. })
+        ));
+        assert!(matches!(
+            degraded.failures[1].error,
+            SearchError::Transport(TransportError::Timeout { .. })
+        ));
+
+        // The error exchange is on the ledger, bytes and time; the refused
+        // call is not.
+        let error_bytes = faulty.error_bytes.load(Ordering::Relaxed);
+        let timing = |source| degraded.per_source.iter().find(|t| t.source == source);
+        let answered = timing(erring).expect("the error exchange is timed");
+        assert_eq!((answered.requests, answered.bytes), (1, error_bytes));
+        assert!(answered.elapsed > Duration::ZERO);
+        assert!(timing(dead).is_none());
+        assert_eq!(degraded.comm.requests, 4);
+        assert_eq!(degraded.comm.replies, 4);
+
+        // The other sources' exchanges are those of a run where every
+        // source answers.
+        let healthy = fw.search(&request).unwrap();
+        let others = |response: &SearchResponse| {
+            response
+                .per_source
+                .iter()
+                .filter(|t| t.source != erring && t.source != dead)
+                .map(|t| (t.source, t.requests, t.bytes))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(others(&degraded), others(&healthy));
+        let other_bytes: usize = others(&healthy).iter().map(|&(_, _, bytes)| bytes).sum();
+        assert_eq!(degraded.comm.total_bytes(), other_bytes + error_bytes);
     }
 
     /// In-process sources whose replies claim to come from the next source.
@@ -1802,7 +1825,7 @@ mod tests {
             source: SourceId,
             request: &Message,
             opts: CallOptions,
-        ) -> Result<crate::transport::TransportReply, TransportError> {
+        ) -> Result<TransportReply, TransportError> {
             let mut reply = self.0.call_with(source, request, opts)?;
             if let Message::OverlapReply { source, .. }
             | Message::CoverageReply { source, .. }
@@ -1859,10 +1882,7 @@ mod tests {
     fn degraded_runs_skip_dead_sources_and_report_them() {
         let (fw, queries) = five_source_framework();
         let dead = fw.sources()[0].id;
-        let faulty = FaultyTransport {
-            inner: InProcessTransport::new(fw.sources()),
-            dead,
-        };
+        let faulty = FaultyTransport::new(fw.sources(), dead);
         let healthy: Vec<DataSource> = fw
             .sources()
             .iter()

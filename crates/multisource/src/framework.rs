@@ -285,20 +285,17 @@ mod tests {
         assert_eq!(answers.len(), 1);
         assert!(!answers[0].results.is_empty());
         assert!(ojsp.comm.total_bytes() > 0);
-        assert!(ojsp.search.expect("stats requested").nodes_visited > 0);
+        assert!(ojsp.search.nodes_visited > 0);
         assert!(!ojsp.per_source.is_empty());
 
         let cjsp = fw.search(&SearchRequest::cjsp(query.clone()).k(3)).unwrap();
         let answers = cjsp.coverage().expect("CJSP answers");
         assert!(answers[0].coverage >= answers[0].query_coverage);
 
-        let knn = fw
-            .search(&SearchRequest::knn(query).k(4).with_stats(false))
-            .unwrap();
+        let knn = fw.search(&SearchRequest::knn(query).k(4)).unwrap();
         let answers = knn.knn().expect("kNN answers");
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].neighbors[0].1.distance, 0.0);
-        assert!(knn.search.is_none(), "stats were opted out");
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //!
 //! All query execution flows through the [`engine::QueryEngine`], which fans
 //! every batch out as one task per `(query, candidate source)` shard across
-//! a pool of worker threads and merges per-worker communication / search /
-//! timing statistics at the end.
+//! a pool of worker threads that only call the transport, then accounts the
+//! replies' communication / search / timing statistics in task order.
 //!
 //! Index mutation flows through
 //! [`framework::MultiSourceFramework::apply_updates`] (in-process) or

@@ -252,7 +252,6 @@ fn ojsp(queries: &[SpatialDataset], k: usize, strategy: DistributionStrategy) ->
     SearchRequest::ojsp_batch(queries.to_vec())
         .k(k)
         .strategy(strategy)
-        .with_stats(true)
 }
 
 /// Runs `scenario`, holding every answer to the brute force, the traffic to
@@ -315,10 +314,7 @@ fn run_scenario(transport: Option<&dyn SourceTransport>, scenario: &Scenario) ->
                 }
                 // Fewer query cells never make a source work more.
                 let [_, pruned, clipped] = &responses;
-                let (pruned, clipped) = (
-                    pruned.search.expect("stats"),
-                    clipped.search.expect("stats"),
-                );
+                let (pruned, clipped) = (pruned.search, clipped.search);
                 assert!(clipped.nodes_visited <= pruned.nodes_visited);
                 assert!(clipped.leaves_verified <= pruned.leaves_verified);
                 assert!(clipped.exact_computations <= pruned.exact_computations);

@@ -80,7 +80,7 @@ fn main() {
             ojsp.comm.total_bytes(),
             ojsp.comm.transmission_time_ms(&comm_config),
             ojsp.elapsed.as_secs_f64() * 1e3,
-            ojsp.search.map(|s| s.nodes_visited).unwrap_or(0),
+            ojsp.search.nodes_visited,
         );
         println!(
             "  CJSP: {} requests, {} bytes, {:.1} ms transmission, {:.1} ms search",
