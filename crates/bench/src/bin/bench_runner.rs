@@ -59,10 +59,9 @@ use dits::{
     DitsLocalConfig, InvertedIndex, Neighbor,
 };
 use multisource::{
-    CallOptions, CandidateCells, CommStats, DataCenter, DataSource, DistributionStrategy,
-    FrameworkConfig, InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchRequest,
-    SearchResponse, SearchResults, SourceServer, SourceTransport, TransportError, TransportReply,
-    UpdateOp,
+    CandidateCells, CommStats, DataCenter, DataSource, DistributionStrategy, FrameworkConfig,
+    InProcessTransport, Message, MultiSourceFramework, QueryEngine, SearchRequest, SearchResponse,
+    SearchResults, SourceServer, SourceTransport, TransportError, TransportReply, UpdateOp,
 };
 use net::PooledTcpTransport;
 use spatial::distance::{dataset_distance, dataset_distance_bounded};
@@ -648,13 +647,13 @@ impl SourceTransport for CandidateTap<'_> {
         InProcessTransport::new(self.sources).source_ids()
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
-        let mut reply = InProcessTransport::new(self.sources).call_with(source, request, opts)?;
+        let mut reply = InProcessTransport::new(self.sources).call(source, request, want_stats)?;
         let Message::CoverageReply { candidates, .. } = &mut reply.message else {
             return Ok(reply);
         };

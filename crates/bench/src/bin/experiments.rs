@@ -34,6 +34,12 @@ EXPERIMENT: all | table1 | table2 | fig7 | fig8 | fig9 | fig10 | fig11 |
 --scale N   generate 1/N of the paper's dataset counts (default 20)
 --quick     use a reduced parameter grid and a smaller scale (divisor 100)";
 
+/// The divisor `--scale` names: a positive integer, or `None` when the
+/// value is missing, not a number, or zero.
+fn parse_scale(value: Option<&str>) -> Option<u32> {
+    value?.parse().ok().filter(|&divisor| divisor > 0)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment = "all".to_string();
@@ -47,10 +53,11 @@ fn main() {
                 return;
             }
             "--scale" => {
-                divisor = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(divisor);
+                let Some(scale) = parse_scale(args.get(i + 1).map(String::as_str)) else {
+                    eprintln!("--scale takes a positive integer\n{USAGE}");
+                    std::process::exit(2);
+                };
+                divisor = scale;
                 i += 1;
             }
             "--quick" => quick = true,
@@ -701,5 +708,26 @@ fn maintenance(env: &ExperimentEnv, grid: &ParameterGrid, mode: Maintenance) {
             cells.push(format!("{:.3}", ms(start.elapsed())));
         }
         println!("{beta}\t{}", cells.join("\t"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scale_is_a_positive_integer() {
+        assert_eq!(parse_scale(Some("20")), Some(20));
+        assert_eq!(parse_scale(Some("1")), Some(1));
+        for bad in [
+            None,
+            Some(""),
+            Some("abc"),
+            Some("0"),
+            Some("-3"),
+            Some("2.5"),
+        ] {
+            assert_eq!(parse_scale(bad), None, "{bad:?}");
+        }
     }
 }

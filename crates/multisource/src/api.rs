@@ -69,11 +69,11 @@ pub struct SearchRequest {
     kind: SearchKind,
     queries: Vec<SpatialDataset>,
     k: usize,
-    workers: Option<usize>,
-    strategy: Option<DistributionStrategy>,
-    delta_cells: Option<f64>,
-    skip_failed_sources: Option<bool>,
-    collect_trace: bool,
+    pub(crate) workers: Option<usize>,
+    pub(crate) strategy: Option<DistributionStrategy>,
+    pub(crate) delta_cells: Option<f64>,
+    pub(crate) skip_failed_sources: Option<bool>,
+    pub(crate) collect_trace: bool,
 }
 
 impl SearchRequest {
@@ -162,21 +162,6 @@ impl SearchRequest {
         self.k
     }
 
-    /// The worker-count override, if any.
-    pub fn requested_workers(&self) -> Option<usize> {
-        self.workers
-    }
-
-    /// The strategy override, if any.
-    pub fn requested_strategy(&self) -> Option<DistributionStrategy> {
-        self.strategy
-    }
-
-    /// The δ override, if any.
-    pub fn requested_delta_cells(&self) -> Option<f64> {
-        self.delta_cells
-    }
-
     /// Overrides the engine's degradation mode for this request.  With
     /// `true`, a shard whose source is slow or dead is skipped and reported
     /// in [`SearchResponse::failures`] instead of failing the whole batch —
@@ -187,26 +172,15 @@ impl SearchRequest {
         self
     }
 
-    /// The degradation-mode override, if any.
-    pub fn requested_skip_failed_sources(&self) -> Option<bool> {
-        self.skip_failed_sources
-    }
-
-    /// Opt in to structured tracing (default off): the engine assigns a
-    /// trace id, propagates it to every contacted source on the transport
-    /// frame, and returns a [`SearchResponse::trace`] of timed spans
-    /// covering planning, per-shard transport calls, the sources' traversal
-    /// vs. verification split and aggregation.  Like the search statistics,
-    /// which ride the transport frame, tracing never changes the counted
-    /// protocol bytes.
+    /// Opt in to structured tracing (default off): the engine returns a
+    /// [`SearchResponse::trace`] of timed spans covering planning, per-shard
+    /// transport calls, the sources' traversal vs. verification split and
+    /// aggregation.  The split rides each reply's timing block, next to the
+    /// source's service time; nothing about the trace is sent to a source,
+    /// so tracing never changes the counted protocol bytes.
     pub fn with_trace(mut self, collect: bool) -> Self {
         self.collect_trace = collect;
         self
-    }
-
-    /// Whether a trace was requested.
-    pub fn wants_trace(&self) -> bool {
-        self.collect_trace
     }
 }
 
@@ -355,17 +329,19 @@ mod tests {
         assert_eq!(r.kind(), SearchKind::Cjsp);
         assert_eq!(r.queries().len(), 1);
         assert_eq!(r.requested_k(), 4);
-        assert_eq!(r.requested_workers(), Some(2));
-        assert_eq!(
-            r.requested_strategy(),
-            Some(DistributionStrategy::Broadcast)
-        );
-        assert_eq!(r.requested_delta_cells(), Some(5.0));
+        assert_eq!(r.workers, Some(2));
+        assert_eq!(r.strategy, Some(DistributionStrategy::Broadcast));
+        assert_eq!(r.delta_cells, Some(5.0));
+        assert_eq!(r.skip_failed_sources, None);
+        assert!(!r.collect_trace);
+        let r = r.skip_failed_sources(true).with_trace(true);
+        assert_eq!(r.skip_failed_sources, Some(true));
+        assert!(r.collect_trace);
 
         let batch = SearchRequest::knn_batch(vec![q.clone(), q]);
         assert_eq!(batch.kind(), SearchKind::Knn);
         assert_eq!(batch.queries().len(), 2);
-        assert_eq!(batch.requested_workers(), None);
+        assert_eq!(batch.workers, None);
     }
 
     #[test]

@@ -75,7 +75,7 @@ use crate::comm::CommStats;
 use crate::error::{ConfigError, SearchError, TransportError};
 use crate::message::{CandidateCells, CoverageCandidate, Message};
 use crate::source::DataSource;
-use crate::transport::{CallOptions, InProcessTransport, SourceTransport, TransportReply};
+use crate::transport::{InProcessTransport, SourceTransport, TransportReply};
 
 /// Configuration of the query engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,18 +188,12 @@ impl<'a> QueryEngine<'a> {
     /// and drives it through the one pipeline as its [`SearchKind`].
     pub fn run(&self, request: &SearchRequest) -> Result<SearchResponse, SearchError> {
         let mut config = self.config;
-        if let Some(workers) = request.requested_workers() {
-            config.workers = workers;
-        }
-        if let Some(strategy) = request.requested_strategy() {
-            config.strategy = strategy;
-        }
-        if let Some(delta) = request.requested_delta_cells() {
-            config.delta_cells = delta;
-        }
-        if let Some(skip) = request.requested_skip_failed_sources() {
-            config.skip_failed_sources = skip;
-        }
+        config.workers = request.workers.unwrap_or(config.workers);
+        config.strategy = request.strategy.unwrap_or(config.strategy);
+        config.delta_cells = request.delta_cells.unwrap_or(config.delta_cells);
+        config.skip_failed_sources = request
+            .skip_failed_sources
+            .unwrap_or(config.skip_failed_sources);
         // Every comparison against a δ that is not a number is false: such
         // a request would route to nothing and return an empty answer.
         if !config.delta_cells.is_finite() || config.delta_cells < 0.0 {
@@ -244,13 +238,9 @@ impl<'a> QueryEngine<'a> {
         failures: &mut Vec<SourceFailure>,
     ) -> Result<Vec<Option<Vec<K::Item>>>, SearchError> {
         let transport = self.transport.get();
-        let opts = CallOptions {
-            want_stats: true,
-            trace: ledger.trace,
-        };
         let call = |task: &ShardTask| {
             let started = Instant::now();
-            let reply = transport.call_with(task.source, &task.request, opts);
+            let reply = transport.call(task.source, &task.request, true);
             (reply, started.elapsed())
         };
         let fail_fast = !self.config.skip_failed_sources;
@@ -297,10 +287,10 @@ impl<'a> QueryEngine<'a> {
     /// first — sources held back from the first wave, cells a reply only
     /// named — and that is planned and goes through the same execute →
     /// bucket steps, until every query has its answer.  A traced request
-    /// gets a center-assigned trace id, propagated to every contacted
-    /// source, plus timed spans for planning (`plan`, and one `replan` for
-    /// every pass that left a query open), each transport call, the sources'
-    /// traversal/verification split and aggregation (the last pass).
+    /// gets timed spans for planning (`plan`, and one `replan` for every
+    /// pass that left a query open), each transport call, the sources'
+    /// service time and traversal/verification split (which every reply
+    /// carries next to its statistics) and aggregation (the last pass).
     fn drive<K: QueryKind + Sync>(
         &self,
         kind: &K,
@@ -308,7 +298,6 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<SearchResponse, SearchError> {
         let start = Instant::now();
         let (queries, k) = (request.queries(), request.requested_k());
-        let trace_id = request.wants_trace().then(obs::next_trace_id);
         let strategy = self.config.strategy;
 
         let mut comm = CommStats::new();
@@ -401,7 +390,7 @@ impl<'a> QueryEngine<'a> {
         // failures so far, both in task order, so every worker count sends
         // the same waves; every answer ranks through a total order, so the
         // bucket fill order cannot change it.
-        let mut ledger = Ledger::new(trace_id);
+        let mut ledger = Ledger::new(request.collect_trace);
         let mut failures: Vec<SourceFailure> = Vec::new();
         let mut buckets: Vec<Vec<K::Item>> = (0..queries.len()).map(|_| Vec::new()).collect();
         let mut answers: Vec<Option<K::Answer>> = (0..queries.len()).map(|_| None).collect();
@@ -475,8 +464,9 @@ impl<'a> QueryEngine<'a> {
             .collect::<Result<Vec<_>, _>>()?;
 
         let elapsed = start.elapsed();
-        let trace =
-            trace_id.map(|id| assemble_trace(id, plan_elapsed, &replans, ledger.spans, last_pass));
+        let trace = request
+            .collect_trace
+            .then(|| assemble_trace(plan_elapsed, &replans, ledger.spans, last_pass));
         Ok(SearchResponse {
             results: K::results(answers),
             comm,
@@ -1028,13 +1018,12 @@ fn stalled_stubs<'s>(
 /// `traversal` / `verify` spans of every wave, and the whole trace is
 /// canonicalised so center-side spans come first.
 fn assemble_trace(
-    id: u64,
     plan: Duration,
     replans: &[Duration],
     spans: Vec<obs::Span>,
     aggregate: Duration,
 ) -> obs::Trace {
-    let mut trace = obs::Trace::new(id);
+    let mut trace = obs::Trace::default();
     trace.push("plan", None, plan);
     for &replan in replans {
         trace.push("replan", None, replan);
@@ -1070,14 +1059,13 @@ struct Ledger {
     comm: CommStats,
     search: SearchStats,
     per_source: BTreeMap<SourceId, SourceTiming>,
-    /// The run's trace id, when tracing: every call carries it, and the
-    /// spans of its replies are kept.
-    trace: Option<u64>,
+    /// Whether the run is traced: then the spans of its replies are kept.
+    trace: bool,
     spans: Vec<obs::Span>,
 }
 
 impl Ledger {
-    fn new(trace: Option<u64>) -> Self {
+    fn new(trace: bool) -> Self {
         Self {
             comm: CommStats::new(),
             search: SearchStats::new(),
@@ -1114,18 +1102,17 @@ impl Ledger {
         if let Some(stats) = reply.search {
             self.search.merge(&stats);
         }
-        if self.trace.is_some() {
+        if self.trace {
             // Source-side spans carry the source id; the call span is the
-            // transport wall-clock around the whole exchange.  A source's
-            // phase spans only count if the reply echoes this run's trace id
-            // — a mismatched echo would attribute another request's phases
-            // to this trace.
-            let phases = reply.trace.filter(|t| Some(t.trace_id) == self.trace);
+            // transport wall-clock around the whole exchange.  The phase
+            // split rides the reply's timing block, so it is there exactly
+            // when the service time is.
+            let phases = reply.service.map(|_| reply.phases);
             let spans = [
                 ("call", Some(elapsed)),
                 ("service", reply.service),
-                ("traversal", phases.map(|t| t.phases.traversal)),
-                ("verify", phases.map(|t| t.phases.verify)),
+                ("traversal", phases.map(|p| p.traversal)),
+                ("verify", phases.map(|p| p.verify)),
             ];
             self.spans
                 .extend(spans.into_iter().filter_map(|(name, elapsed)| {
@@ -1560,7 +1547,6 @@ mod tests {
                 "{kind:?}: tracing must not change the counted protocol bytes"
             );
             let trace = traced.trace.expect("trace was requested");
-            assert!(trace.id > 0, "0 is reserved as the no-trace wire marker");
             assert_eq!(trace.spans_named("plan").count(), 1);
             assert_eq!(trace.spans_named("aggregate").count(), 1);
             // One `replan` span per follow-up wave: none for OJSP, kNN's
@@ -1684,11 +1670,11 @@ mod tests {
             self.inner.source_ids()
         }
 
-        fn call_with(
+        fn call(
             &self,
             source: SourceId,
             request: &Message,
-            opts: CallOptions,
+            want_stats: bool,
         ) -> Result<TransportReply, TransportError> {
             self.calls.fetch_add(1, Ordering::Relaxed);
             if source == self.dead {
@@ -1697,7 +1683,7 @@ mod tests {
                     waited: Duration::from_millis(1),
                 });
             }
-            let reply = self.inner.call_with(source, request, opts)?;
+            let reply = self.inner.call(source, request, want_stats)?;
             if Some(source) != self.erring {
                 return Ok(reply);
             }
@@ -1820,13 +1806,13 @@ mod tests {
             self.0.source_ids()
         }
 
-        fn call_with(
+        fn call(
             &self,
             source: SourceId,
             request: &Message,
-            opts: CallOptions,
+            want_stats: bool,
         ) -> Result<TransportReply, TransportError> {
-            let mut reply = self.0.call_with(source, request, opts)?;
+            let mut reply = self.0.call(source, request, want_stats)?;
             if let Message::OverlapReply { source, .. }
             | Message::CoverageReply { source, .. }
             | Message::KnnReply { source, .. } = &mut reply.message

@@ -88,6 +88,6 @@ pub use framework::{FrameworkConfig, MultiSourceFramework};
 pub use message::{CandidateCells, CellOp, CoverageCandidate, Message, UpdateOp};
 pub use source::DataSource;
 pub use transport::{
-    serve_source_until, CallOptions, ExclusiveTransport, InProcessTransport, ServedReply,
-    ShutdownSignal, SourceServer, SourceTrace, SourceTransport, TransportReply,
+    serve_source_until, ExclusiveTransport, InProcessTransport, ServedReply, ShutdownSignal,
+    SourceServer, SourceTransport, TransportReply,
 };

@@ -34,17 +34,16 @@
 //! `flags` bit 0 on a request asks the source to append its off-wire search
 //! statistics to the reply; bits 1/2 on a reply say a
 //! [`SearchStats`]/[`MaintenanceStats`] block follows the message; bit 3 on
-//! a reply says the source's wall-clock service time (one varint of
-//! nanoseconds) follows; bit 4 says a trace block (trace id plus the
-//! traversal/verification phase split, three varints) follows — on a request
-//! the block carries the center-assigned trace id with zeroed phases, on a
-//! reply it echoes that id with the measured phases.  Bit 5 says a
-//! correlation id (one varint) ends the frame: a pipelining transport tags
-//! each request with one and matches replies by the echoed id, so multiple
-//! frames can be in flight on one connection.  All of these are an
-//! *instrumentation channel*: they ride in the frame, not in the message, so
-//! opting in or out never changes the protocol bytes the paper's
-//! communication figures count.
+//! a reply says a timing block follows: the source's wall-clock service time
+//! and its traversal/verification phase split, three varints of
+//! nanoseconds.  Bit 4 is retired and must never be reused: an old peer may
+//! still set it, and such a frame is refused like one with bit 6 or 7.
+//! Bit 5 says a correlation id (one varint) ends the frame: a pipelining
+//! transport tags each request with one and matches replies by the echoed
+//! id, so multiple frames can be in flight on one connection.  All of these
+//! are an *instrumentation channel*: they ride in the frame, not in the
+//! message, so opting in or out never changes the protocol bytes the
+//! paper's communication figures count.
 #![cfg_attr(
     not(test),
     deny(
@@ -80,23 +79,19 @@ const FLAG_WANT_STATS: u8 = 0b0000_0001;
 const FLAG_HAS_SEARCH: u8 = 0b0000_0010;
 /// Reply flag: a [`MaintenanceStats`] block follows the message.
 const FLAG_HAS_MAINTENANCE: u8 = 0b0000_0100;
-/// Reply flag: the source's service time (varint nanoseconds) follows the
-/// statistics blocks.
+/// Reply flag: the timing block (service, traversal and verification
+/// nanoseconds — three varints) follows the statistics blocks.
 const FLAG_HAS_SERVICE: u8 = 0b0000_1000;
-/// Request/reply flag: a trace block (trace id, traversal nanoseconds,
-/// verification nanoseconds — three varints) ends the frame.
-const FLAG_HAS_TRACE: u8 = 0b0001_0000;
 /// Request/reply flag: a pipelining correlation id (one varint) ends the
 /// frame.  The server echoes it verbatim, so a client with several frames
 /// in flight on one connection can match each reply to its request.
 const FLAG_HAS_CORRELATION: u8 = 0b0010_0000;
 /// Every flag a writer sets; a frame with any other bit is refused, so no
-/// two frames read as one.
+/// two frames read as one.  Bit 4 is retired (see the module docs).
 const KNOWN_FLAGS: u8 = FLAG_WANT_STATS
     | FLAG_HAS_SEARCH
     | FLAG_HAS_MAINTENANCE
     | FLAG_HAS_SERVICE
-    | FLAG_HAS_TRACE
     | FLAG_HAS_CORRELATION;
 
 /// Upper bound on one frame body; anything larger is a corrupt length
@@ -125,48 +120,8 @@ pub struct TransportReply {
     /// the call's latency that is *not* transport overhead.  `None` unless
     /// statistics were requested.
     pub service: Option<Duration>,
-    /// The source-side trace echo.  `None` unless the call was traced
-    /// ([`CallOptions::traced`]).
-    pub trace: Option<SourceTrace>,
-}
-
-/// How a transport call should be instrumented: whether the source's
-/// off-wire statistics (and service time) ride back with the reply, and
-/// whether the call carries a center-assigned trace id for the source to
-/// echo together with its traversal/verification phase split.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CallOptions {
-    /// Ask the source to append its search/maintenance statistics and its
-    /// service time to the reply.
-    pub want_stats: bool,
-    /// Center-assigned trace id to propagate on the request frame.
-    pub trace: Option<u64>,
-}
-
-impl CallOptions {
-    /// Options with only the statistics opt-in set.
-    pub fn stats(want_stats: bool) -> Self {
-        Self {
-            want_stats,
-            trace: None,
-        }
-    }
-
-    /// Attaches a center-assigned trace id to the call.
-    pub fn traced(mut self, trace_id: u64) -> Self {
-        self.trace = Some(trace_id);
-        self
-    }
-}
-
-/// The source-side half of a distributed trace: the trace id the center
-/// assigned (echoed by the source, proving correlation across the wire) and
-/// the traversal/verification split the source measured while serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceTrace {
-    /// The center-assigned trace id this reply belongs to.
-    pub trace_id: u64,
-    /// Traversal vs. verification time observed while serving the request.
+    /// Traversal vs. verification time the source observed while serving.
+    /// Zero unless statistics were requested.
     pub phases: PhaseTimings,
 }
 
@@ -183,13 +138,12 @@ pub struct ServedReply {
     /// Source-measured service time of the request (set by
     /// [`DataSource::serve`]/[`DataSource::serve_readonly`]).
     pub service: Option<Duration>,
-    /// Traversal vs. verification split observed while serving.
+    /// Traversal vs. verification split observed while serving; on the
+    /// wire it rides next to `service`.
     pub phases: PhaseTimings,
-    /// Trace id to echo on the reply frame.  The *serving transport* sets
-    /// this from the request frame; the source itself never sees trace ids.
-    pub trace_id: Option<u64>,
-    /// Pipelining correlation id to echo on the reply frame — frame
-    /// plumbing exactly like `trace_id`, set by the serving transport.
+    /// Pipelining correlation id to echo on the reply frame.  The *serving
+    /// transport* sets this from the request frame; the source itself never
+    /// sees it.
     pub correlation_id: Option<u64>,
 }
 
@@ -202,7 +156,6 @@ impl ServedReply {
             maintenance: None,
             service: None,
             phases: PhaseTimings::default(),
-            trace_id: None,
             correlation_id: None,
         }
     }
@@ -230,12 +183,6 @@ impl ServedReply {
         self
     }
 
-    /// Attaches a trace id to echo on the reply frame.
-    pub fn traced(mut self, trace_id: Option<u64>) -> Self {
-        self.trace_id = trace_id;
-        self
-    }
-
     /// Attaches a pipelining correlation id to echo on the reply frame.
     pub fn correlated(mut self, correlation_id: Option<u64>) -> Self {
         self.correlation_id = correlation_id;
@@ -244,23 +191,19 @@ impl ServedReply {
 
     /// The reply as the call asked for it — the one rule every serving
     /// transport applies.  Without `want_stats` every statistics block goes,
-    /// the service time with them (it rides "next to the stats"); the phase
-    /// split stays for the trace, whose id is the call's, as is the
-    /// pipelining `correlation_id`.
-    pub fn as_asked(self, opts: CallOptions, correlation_id: Option<u64>) -> Self {
-        let served = if opts.want_stats {
+    /// the timing (service time and phase split) with them; the pipelining
+    /// `correlation_id` is the call's.
+    pub fn as_asked(self, want_stats: bool, correlation_id: Option<u64>) -> Self {
+        let served = if want_stats {
             self
         } else {
-            ServedReply {
-                phases: self.phases,
-                ..ServedReply::plain(self.message)
-            }
+            ServedReply::plain(self.message)
         };
-        served.traced(opts.trace).correlated(correlation_id)
+        served.correlated(correlation_id)
     }
 
-    fn into_reply(self, opts: CallOptions, request_bytes: usize) -> TransportReply {
-        let served = self.as_asked(opts, None);
+    fn into_reply(self, want_stats: bool, request_bytes: usize) -> TransportReply {
+        let served = self.as_asked(want_stats, None);
         TransportReply {
             reply_bytes: served.message.wire_size(),
             message: served.message,
@@ -268,10 +211,7 @@ impl ServedReply {
             search: served.search,
             maintenance: served.maintenance,
             service: served.service,
-            trace: served.trace_id.map(|trace_id| SourceTrace {
-                trace_id,
-                phases: served.phases,
-            }),
+            phases: served.phases,
         }
     }
 }
@@ -284,28 +224,16 @@ pub trait SourceTransport: fmt::Debug + Sync {
     /// The sources reachable through this transport, ascending by id.
     fn source_ids(&self) -> Vec<SourceId>;
 
-    /// Sends `request` to `source` and waits for the reply, instrumented as
-    /// `opts` asks: statistics/service-time opt-in and an optional trace id
-    /// for the source to echo.  None of it ever changes the counted protocol
-    /// bytes.
-    fn call_with(
-        &self,
-        source: SourceId,
-        request: &Message,
-        opts: CallOptions,
-    ) -> Result<TransportReply, TransportError>;
-
     /// Sends `request` to `source` and waits for the reply.  With
-    /// `want_stats`, the source's off-wire statistics ride back alongside
-    /// the reply (never changing the counted protocol bytes).
+    /// `want_stats`, the source's off-wire statistics, service time and
+    /// phase split ride back alongside the reply (never changing the counted
+    /// protocol bytes).
     fn call(
         &self,
         source: SourceId,
         request: &Message,
         want_stats: bool,
-    ) -> Result<TransportReply, TransportError> {
-        self.call_with(source, request, CallOptions::stats(want_stats))
-    }
+    ) -> Result<TransportReply, TransportError>;
 }
 
 /// The in-process transport: sources are a borrowed slice, a call is a
@@ -343,11 +271,11 @@ impl SourceTransport for InProcessTransport<'_> {
         ids
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         let src = self.find(source)?;
         // A mutating batch cannot be applied through a shared borrow; fail
@@ -358,7 +286,7 @@ impl SourceTransport for InProcessTransport<'_> {
         }
         Ok(src
             .serve_readonly(request)
-            .into_reply(opts, request.wire_size()))
+            .into_reply(want_stats, request.wire_size()))
     }
 }
 
@@ -393,18 +321,20 @@ impl SourceTransport for ExclusiveTransport<'_> {
         ids
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         let mut guard = self.sources.lock().unwrap_or_else(PoisonError::into_inner);
         let src = guard
             .iter_mut()
             .find(|s| s.id == source)
             .ok_or(TransportError::UnknownSource(source))?;
-        Ok(src.serve(request).into_reply(opts, request.wire_size()))
+        Ok(src
+            .serve(request)
+            .into_reply(want_stats, request.wire_size()))
     }
 }
 
@@ -425,8 +355,8 @@ pub struct DecodedFrame {
     pub maintenance: Option<MaintenanceStats>,
     /// Source-reported service time (reply frames only).
     pub service: Option<Duration>,
-    /// Trace block: the trace id plus the phase split (zeroed on requests).
-    pub trace: Option<SourceTrace>,
+    /// Source-reported phase split, read with `service` (zero without it).
+    pub phases: PhaseTimings,
     /// Pipelining correlation id, echoed verbatim by the server.
     pub correlation_id: Option<u64>,
 }
@@ -479,9 +409,6 @@ pub fn write_frame(
     if reply.service.is_some() {
         flags |= FLAG_HAS_SERVICE;
     }
-    if reply.trace_id.is_some() {
-        flags |= FLAG_HAS_TRACE;
-    }
     if reply.correlation_id.is_some() {
         flags |= FLAG_HAS_CORRELATION;
     }
@@ -499,12 +426,9 @@ pub fn write_frame(
         }
     }
     if let Some(service) = reply.service {
-        put_varint(&mut body, service.as_nanos() as u64);
-    }
-    if let Some(trace_id) = reply.trace_id {
-        put_varint(&mut body, trace_id);
-        put_varint(&mut body, reply.phases.traversal.as_nanos() as u64);
-        put_varint(&mut body, reply.phases.verify.as_nanos() as u64);
+        for elapsed in [service, reply.phases.traversal, reply.phases.verify] {
+            put_varint(&mut body, elapsed.as_nanos() as u64);
+        }
     }
     if let Some(correlation_id) = reply.correlation_id {
         put_varint(&mut body, correlation_id);
@@ -571,21 +495,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
     } else {
         None
     };
-    let service = if flags & FLAG_HAS_SERVICE != 0 {
-        Some(Duration::from_nanos(get_varint(&mut body, "service time")?))
+    let (service, phases) = if flags & FLAG_HAS_SERVICE != 0 {
+        let mut nanos = || get_varint(&mut body, "timing").map(Duration::from_nanos);
+        let service = nanos()?;
+        let phases = PhaseTimings {
+            traversal: nanos()?,
+            verify: nanos()?,
+        };
+        (Some(service), phases)
     } else {
-        None
-    };
-    let trace = if flags & FLAG_HAS_TRACE != 0 {
-        let trace_id = get_varint(&mut body, "trace id")?;
-        let traversal = Duration::from_nanos(get_varint(&mut body, "trace traversal")?);
-        let verify = Duration::from_nanos(get_varint(&mut body, "trace verify")?);
-        Some(SourceTrace {
-            trace_id,
-            phases: PhaseTimings { traversal, verify },
-        })
-    } else {
-        None
+        (None, PhaseTimings::default())
     };
     let correlation_id = if flags & FLAG_HAS_CORRELATION != 0 {
         Some(get_varint(&mut body, "correlation id")?)
@@ -603,7 +522,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
         search,
         maintenance,
         service,
-        trace,
+        phases,
         correlation_id,
     })
 }
@@ -829,16 +748,11 @@ fn serve_connection(
                 .unwrap_or_else(PoisonError::into_inner)
                 .serve_readonly(&frame.message)
         };
-        // Echo the center-assigned trace id (if any) with the measured
-        // phase split, and the pipelining correlation id verbatim; the
-        // source itself never sees either.
-        let opts = CallOptions {
-            want_stats: frame.want_stats,
-            trace: frame.trace.map(|t| t.trace_id),
-        };
+        // Echo the pipelining correlation id verbatim; the source itself
+        // never sees it.
         write_frame(
             &mut stream,
-            &served.as_asked(opts, frame.correlation_id),
+            &served.as_asked(frame.want_stats, frame.correlation_id),
             false,
         )?;
     }
@@ -902,7 +816,7 @@ mod tests {
             assert_eq!(frame.search, served.search);
             assert_eq!(frame.maintenance, served.maintenance);
             assert_eq!(frame.service, None);
-            assert_eq!(frame.trace, None);
+            assert_eq!(frame.phases, PhaseTimings::default());
             assert_eq!(frame.correlation_id, None);
         }
     }
@@ -915,7 +829,8 @@ mod tests {
         };
         // The correlation id composes with every other frame block and
         // never changes the counted message bytes.
-        let plain = ServedReply::plain(msg.clone()).traced(Some(11));
+        let plain = ServedReply::plain(msg.clone())
+            .with_timing(Duration::from_nanos(11), PhaseTimings::default());
         let correlated = plain.clone().correlated(Some(u64::MAX));
         let mut plain_buf = Vec::new();
         let plain_bytes = write_frame(&mut plain_buf, &plain, true).unwrap();
@@ -929,7 +844,7 @@ mod tests {
         };
         assert_eq!(frame.message, msg);
         assert_eq!(frame.correlation_id, Some(u64::MAX));
-        assert_eq!(frame.trace.map(|t| t.trace_id), Some(11));
+        assert_eq!(frame.service, Some(Duration::from_nanos(11)));
         // Every truncation of the correlated frame still fails closed.
         for cut in 0..buf.len() {
             assert!(
@@ -949,10 +864,10 @@ mod tests {
             traversal: Duration::from_nanos(1_234),
             verify: Duration::from_nanos(987_654_321),
         };
-        // The reply frame of a traced, pipelined call: every block at once.
+        // The reply frame of a pipelined call with statistics: every block
+        // at once.
         let served = ServedReply::search(msg.clone(), SearchStats::from_array([1, 2, 3, 4, 5, 6]))
             .with_timing(Duration::from_micros(42), phases)
-            .traced(Some(7_000_000_123))
             .correlated(Some(300));
         let mut buf = Vec::new();
         let counted = write_frame(&mut buf, &served, false).unwrap();
@@ -967,13 +882,7 @@ mod tests {
         assert_eq!(frame.search, served.search);
         assert_eq!(frame.correlation_id, Some(300));
         assert_eq!(frame.service, Some(Duration::from_micros(42)));
-        assert_eq!(
-            frame.trace,
-            Some(SourceTrace {
-                trace_id: 7_000_000_123,
-                phases,
-            })
-        );
+        assert_eq!(frame.phases, phases);
         // Every truncation of the extended frame still fails closed.
         for cut in 0..buf.len() {
             assert!(
@@ -1003,7 +912,7 @@ mod tests {
     }
 
     /// A correlated request frame and a reply frame carrying statistics and
-    /// a trace, each as written and read back once.
+    /// timing, each as written and read back once.
     fn request_and_reply_frames() -> [(ServedReply, Vec<u8>); 2] {
         let query = Message::OverlapQuery {
             query: spatial::CellSet::from_cells([1u64, 2, 3]),
@@ -1017,7 +926,7 @@ mod tests {
             },
             SearchStats::from_array([9, 8, 7, 6, 5, 4]),
         )
-        .traced(Some(3));
+        .with_timing(Duration::from_nanos(3), PhaseTimings::default());
         [(request, true), (reply, false)].map(|(served, want_stats)| {
             let mut buf = Vec::new();
             write_frame(&mut buf, &served, want_stats).unwrap();
@@ -1026,13 +935,17 @@ mod tests {
         })
     }
 
-    /// Bits 6 and 7 of the flags byte are set by no writer: a request or a
-    /// reply frame carrying either is refused, not read as the frame
-    /// without it.
+    /// Every bit of the flags byte no writer sets — the retired bit 4 among
+    /// them — is refused on a request or a reply frame, not read as the
+    /// frame without it.
     #[test]
     fn unknown_frame_flags_are_refused() {
+        let unknown: Vec<u32> = (0..8)
+            .filter(|bit| !KNOWN_FLAGS & (1 << bit) != 0)
+            .collect();
+        assert!(unknown.contains(&4), "bit 4 is retired, never reused");
         for (served, buf) in request_and_reply_frames() {
-            for bit in [6, 7] {
+            for &bit in &unknown {
                 let mut raw = buf.clone();
                 // The flags byte follows the four-byte length prefix.
                 raw[4] |= 1 << bit;

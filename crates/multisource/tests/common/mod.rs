@@ -18,7 +18,7 @@ use dits::knn::nearest_datasets_bruteforce;
 use dits::overlap::overlap_search_bruteforce;
 use dits::{DatasetNode, DitsLocalConfig, Neighbor, OverlapResult};
 use multisource::{
-    CallOptions, DataSource, DistributionStrategy, FrameworkConfig, InProcessTransport, Message,
+    DataSource, DistributionStrategy, FrameworkConfig, InProcessTransport, Message,
     MultiSourceFramework, SearchRequest, SearchResponse, SourceServer, SourceTransport,
     TransportError, TransportReply,
 };
@@ -264,16 +264,16 @@ impl SourceTransport for Intercepted<'_> {
         InProcessTransport::new(self.sources).source_ids()
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         if let Some(error) = (self.refuse)(source, request) {
             return Err(error);
         }
-        let mut reply = InProcessTransport::new(self.sources).call_with(source, request, opts)?;
+        let mut reply = InProcessTransport::new(self.sources).call(source, request, want_stats)?;
         (self.rewrite)(source, &mut reply.message);
         reply.reply_bytes = reply.message.wire_size();
         Ok(reply)

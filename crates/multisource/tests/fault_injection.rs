@@ -25,9 +25,8 @@ use std::time::Duration;
 
 use multisource::transport::{read_frame, write_frame, MAX_FRAME_BYTES};
 use multisource::{
-    CallOptions, DataCenter, DataSource, DistributionStrategy, Message, MultiSourceFramework,
-    QueryEngine, SearchError, SearchRequest, SearchResponse, SourceServer, SourceTransport,
-    TransportError,
+    DataCenter, DataSource, DistributionStrategy, Message, MultiSourceFramework, QueryEngine,
+    SearchError, SearchRequest, SearchResponse, SourceServer, SourceTransport, TransportError,
 };
 use net::{PoolConfig, PooledTcpTransport};
 use spatial::{SourceId, SpatialDataset};
@@ -210,13 +209,9 @@ fn spawn_dead_for_fetches(source: DataSource) -> (SourceId, String) {
             if matches!(frame.message, Message::CellsQuery { .. }) {
                 return;
             }
-            let opts = CallOptions {
-                want_stats: frame.want_stats,
-                trace: frame.trace.map(|t| t.trace_id),
-            };
             let served = source
                 .serve_readonly(&frame.message)
-                .as_asked(opts, frame.correlation_id);
+                .as_asked(frame.want_stats, frame.correlation_id);
             if write_frame(&mut stream, &served, false).is_err() {
                 return;
             }

@@ -15,8 +15,8 @@
 
 use dits::knn::nearest_datasets_bruteforce;
 use dits::local::NodeKind;
-use dits::{nearest_datasets, overlap_search, DatasetNode, InvertedIndex};
-use multisource::transport::{CallOptions, TransportReply};
+use dits::{nearest_datasets, overlap_search, DatasetNode, InvertedIndex, PhaseTimings};
+use multisource::transport::TransportReply;
 use multisource::{
     DataCenter, DataSource, EngineConfig, Message, MultiSourceFramework, QueryEngine, SearchError,
     SearchRequest, SourceTransport, TransportError, UpdateOp,
@@ -305,11 +305,11 @@ impl SourceTransport for WireTransport {
         self.sources.lock().unwrap().iter().map(|s| s.id).collect()
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         let request_bytes = request.encode();
         let decoded = Message::decode(request_bytes.clone())?;
@@ -324,10 +324,10 @@ impl SourceTransport for WireTransport {
             message: Message::decode(reply_bytes.clone())?,
             request_bytes: request_bytes.len(),
             reply_bytes: reply_bytes.len(),
-            search: served.search.filter(|_| opts.want_stats),
-            maintenance: served.maintenance.filter(|_| opts.want_stats),
+            search: served.search.filter(|_| want_stats),
+            maintenance: served.maintenance.filter(|_| want_stats),
             service: None,
-            trace: None,
+            phases: PhaseTimings::default(),
         };
         *self.last_reply.lock().unwrap() = Some(reply.clone());
         Ok(reply)

@@ -19,9 +19,9 @@ use std::time::Duration;
 
 use dits::{DitsGlobal, MaintenanceStats, OverlapResult, ReplayOnPanic, SourceSummary};
 use multisource::{
-    CallOptions, CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig,
-    ExclusiveTransport, Message, QueryEngine, SearchError, SearchRequest, SearchResponse,
-    SourceTransport, TransportError, TransportReply, UpdateOp,
+    CommStats, DataCenter, DataSource, DistributionStrategy, EngineConfig, ExclusiveTransport,
+    Message, QueryEngine, SearchError, SearchRequest, SearchResponse, SourceTransport,
+    TransportError, TransportReply, UpdateOp,
 };
 use proptest::prelude::*;
 use spatial::zorder::{cell_coords, cell_id};
@@ -655,14 +655,14 @@ impl SourceTransport for FaultyTransport {
         self.sources().iter().map(|s| s.id).collect()
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         let mut sources = self.sources.lock().expect("sources");
-        let reply = ExclusiveTransport::new(&mut sources).call_with(source, request, opts)?;
+        let reply = ExclusiveTransport::new(&mut sources).call(source, request, want_stats)?;
         if !request.mutates() {
             return Ok(reply);
         }

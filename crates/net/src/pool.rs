@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token, Waker};
 use multisource::transport::{
-    read_frame, write_frame, CallOptions, DecodedFrame, FrameError, ServedReply, SourceTransport,
+    read_frame, write_frame, DecodedFrame, FrameError, ServedReply, SourceTransport,
     TransportReply, MAX_FRAME_BYTES,
 };
 use multisource::{Message, TransportError};
@@ -332,7 +332,7 @@ impl PooledTcpTransport {
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         let source_idx = *self
             .index
@@ -342,10 +342,8 @@ impl PooledTcpTransport {
         let mut frame = Vec::new();
         let request_bytes = write_frame(
             &mut frame,
-            &ServedReply::plain(request.clone())
-                .traced(opts.trace)
-                .correlated(Some(corr_id)),
-            opts.want_stats,
+            &ServedReply::plain(request.clone()).correlated(Some(corr_id)),
+            want_stats,
         )
         .map_err(|e| TransportError::Io(format!("encode for source {source}: {e}")))?;
 
@@ -375,7 +373,7 @@ impl PooledTcpTransport {
                 search: frame.search,
                 maintenance: frame.maintenance,
                 service: frame.service,
-                trace: frame.trace,
+                phases: frame.phases,
             }),
             Some(Err(e)) => Err(e),
             None => Err(TransportError::Timeout {
@@ -391,17 +389,17 @@ impl SourceTransport for PooledTcpTransport {
         self.endpoints.keys().copied().collect()
     }
 
-    fn call_with(
+    fn call(
         &self,
         source: SourceId,
         request: &Message,
-        opts: CallOptions,
+        want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
         let max_attempts = self.config.retries.saturating_add(1);
         let mut backoff = self.config.retry_backoff;
         let mut attempt = 1u32;
         loop {
-            match self.call_once(source, request, opts) {
+            match self.call_once(source, request, want_stats) {
                 Ok(reply) => return Ok(reply),
                 // Only socket-level failures are safely retryable: a
                 // timeout may still be executing remotely, and a remote

@@ -83,10 +83,9 @@ fn pooled_roundtrip_matches_in_process() {
         assert_eq!(a.reply_bytes, b.reply_bytes);
         assert_eq!(a.search, b.search);
         assert_eq!(a.maintenance, b.maintenance);
-        // The service time is wall-clock and cannot be equal.
+        // The service time and phase split are wall-clock and cannot be
+        // equal.
         assert!(a.service.is_some() && b.service.is_some());
-        assert_eq!(a.trace, None);
-        assert_eq!(b.trace, None);
     }
     assert_eq!(
         pooled

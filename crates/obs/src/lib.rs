@@ -11,11 +11,10 @@
 //!   A [`MetricsSnapshot`] is a plain-data copy that can cross a process
 //!   boundary (the `multisource` crate serialises it onto its wire protocol)
 //!   and is read back with [`MetricsSnapshot::find`].
-//! * [`Trace`] — a flat list of named, timed [`Span`]s correlated by a
-//!   center-assigned trace id ([`next_trace_id`]; monotonic, never derived
-//!   from wall-clock time or randomness). The `multisource` engine uses it
-//!   to time plan/route, each per-shard transport call, the source-side
-//!   traversal-vs-verification split, and aggregation.
+//! * [`Trace`] — a flat list of named, timed [`Span`]s of one request. The
+//!   `multisource` engine uses it to time plan/route, each per-shard
+//!   transport call, the source-side traversal-vs-verification split (which
+//!   rides each reply next to its service time), and aggregation.
 
 #![warn(missing_docs)]
 
@@ -25,4 +24,4 @@ pub mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use trace::{next_trace_id, Span, Trace};
+pub use trace::{Span, Trace};

@@ -1,4 +1,4 @@
-//! Structured traces: named, timed spans correlated by a trace id.
+//! Structured traces: named, timed spans of one request.
 //!
 //! A [`Trace`] is deliberately a *flat list* rather than a tree — the query
 //! engine's phases (plan, per-shard calls, source-side traversal/verify,
@@ -7,22 +7,11 @@
 //! request have the same span *structure* (names and sources) even though
 //! the measured durations differ.
 //!
-//! Trace ids come from a process-global monotonic counter
-//! ([`next_trace_id`]) — never from wall-clock time or randomness — so runs
-//! are reproducible and ids are unique within a center process, which is
-//! the scope that assigns them.
+//! A trace belongs to the response it comes back in, so it needs no id:
+//! the spans a source measured reach it with that source's reply.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// A fresh process-unique trace id (monotonic, starting at 1; 0 is reserved
-/// as "no trace" on the wire).
-pub fn next_trace_id() -> u64 {
-    NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One timed phase of a traced request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,26 +25,15 @@ pub struct Span {
     pub elapsed: Duration,
 }
 
-/// A trace: an id plus the spans recorded under it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A trace: the spans recorded for one request.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
-    /// The center-assigned trace id (also propagated to sources on the
-    /// transport frame header).
-    pub id: u64,
     /// Recorded spans. Call [`Trace::canonicalize`] for a deterministic
     /// order.
     pub spans: Vec<Span>,
 }
 
 impl Trace {
-    /// An empty trace with the given id.
-    pub fn new(id: u64) -> Self {
-        Trace {
-            id,
-            spans: Vec::new(),
-        }
-    }
-
     /// Records a span.
     pub fn push(&mut self, name: impl Into<String>, source: Option<u16>, elapsed: Duration) {
         self.spans.push(Span {
@@ -91,7 +69,7 @@ impl Trace {
 
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "trace {}", self.id)?;
+        writeln!(f, "trace")?;
         for span in &self.spans {
             match span.source {
                 Some(s) => writeln!(f, "  {:<20} source={s:<4} {:?}", span.name, span.elapsed)?,
@@ -107,16 +85,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_ids_are_unique_and_nonzero() {
-        let a = next_trace_id();
-        let b = next_trace_id();
-        assert_ne!(a, 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn canonicalize_orders_center_spans_first_then_by_source_and_name() {
-        let mut t = Trace::new(9);
+        let mut t = Trace::default();
         t.push("verify", Some(2), Duration::from_nanos(5));
         t.push("plan", None, Duration::from_nanos(1));
         t.push("call", Some(1), Duration::from_nanos(3));
@@ -140,7 +110,7 @@ mod tests {
 
     #[test]
     fn lookup_helpers_find_spans() {
-        let mut t = Trace::new(1);
+        let mut t = Trace::default();
         t.push("call", Some(1), Duration::from_nanos(3));
         t.push("call", Some(2), Duration::from_nanos(4));
         assert_eq!(t.span("call").unwrap().source, Some(1));
@@ -151,11 +121,11 @@ mod tests {
 
     #[test]
     fn display_renders_one_line_per_span() {
-        let mut t = Trace::new(3);
+        let mut t = Trace::default();
         t.push("plan", None, Duration::from_micros(2));
         t.push("call", Some(0), Duration::from_micros(5));
         let text = format!("{t}");
-        assert!(text.starts_with("trace 3\n"));
+        assert!(text.starts_with("trace\n"));
         assert_eq!(text.lines().count(), 3);
     }
 }
