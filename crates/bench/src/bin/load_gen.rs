@@ -17,8 +17,12 @@
 //! The last stdout line is machine-readable:
 //!
 //! ```text
-//! RESULT sent=1003 completed=1003 errors=0 qps=199.8 p50_ns=812345 p99_ns=2345678
+//! RESULT sent=1003 completed=1003 errors=0 qps=199.8 p50_ns=812345 p99_ns=2345678 retries=0 timeouts=0 backpressure=0
 //! ```
+//!
+//! The last three fields are the pool's counters, what no reply can carry:
+//! calls re-sent after a dropped connection, calls past their deadline and
+//! calls shed by a saturated source.
 //!
 //! Everything is deterministic given `--seed` (data, arrival schedule, and
 //! query-kind mix draw from the same vendored SplitMix64 generator).
@@ -434,17 +438,14 @@ fn run() -> Result<(), String> {
         per_kind.join(", "),
         elapsed.as_secs_f64(),
     );
-    let metrics = transport.metrics();
-    eprintln!(
-        "load-gen: pool retries={} timeouts={} backpressure={}",
-        metrics.retries.get(),
-        metrics.timeouts.get(),
-        metrics.backpressure.get(),
-    );
+    let pool = transport.metrics();
     println!(
         "RESULT sent={} completed={completed} errors={errors} qps={qps:.1} \
-         p50_ns={p50} p99_ns={p99}",
+         p50_ns={p50} p99_ns={p99} retries={} timeouts={} backpressure={}",
         arrivals.len(),
+        pool.retries.get(),
+        pool.timeouts.get(),
+        pool.backpressure.get(),
     );
 
     fleet.shutdown();

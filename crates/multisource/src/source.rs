@@ -16,13 +16,11 @@
     )
 )]
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dits::{
     coverage_search_marked, nearest_datasets, overlap_search, take_phase_timings, CoverageConfig,
-    DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats, PhaseTimings, SearchStats,
-    SourceSummary,
+    DatasetNode, DitsLocal, DitsLocalConfig, MaintenanceStats, SearchStats, SourceSummary,
 };
 use spatial::{CellSet, DatasetId, Grid, SourceId, SpatialDataset, SpatialError};
 
@@ -32,85 +30,6 @@ use crate::message::{
     ERR_UNKNOWN_DATASET, ERR_UNSUPPORTED,
 };
 use crate::transport::ServedReply;
-
-/// The request kinds a source counts separately (the `kind` label of
-/// `source_requests_total`).
-const REQUEST_KINDS: [&str; 8] = [
-    "overlap",
-    "coverage",
-    "knn",
-    "maintenance",
-    "summary",
-    "metrics",
-    "cells",
-    "other",
-];
-
-fn request_kind_index(request: &Message) -> usize {
-    match request {
-        Message::OverlapQuery { .. } => 0,
-        Message::CoverageQuery { .. } => 1,
-        Message::KnnQuery { .. } => 2,
-        _ if request.mutates() => 3,
-        Message::ApplyUpdates { .. } => 4,
-        Message::MetricsQuery => 5,
-        Message::CellsQuery { .. } => 6,
-        _ => 7,
-    }
-}
-
-/// A data source's observability registry, pre-wired with the instruments
-/// every source maintains: per-kind request counters, a log₂ histogram of
-/// service time, cumulative traversal/verification phase counters and a
-/// dataset-count gauge — every instrument counts this source's own work.
-///
-/// `Clone` shares the underlying registry (the handles are `Arc`s), so
-/// clones of a [`DataSource`] — e.g. the copy handed to a
-/// [`SourceServer`](crate::SourceServer) — report into one registry.
-#[derive(Debug, Clone)]
-struct SourceMetrics {
-    registry: Arc<obs::MetricsRegistry>,
-    requests: [obs::Counter; REQUEST_KINDS.len()],
-    service_nanos: obs::Histogram,
-    traversal_nanos: obs::Counter,
-    verify_nanos: obs::Counter,
-    datasets: obs::Gauge,
-}
-
-impl SourceMetrics {
-    fn new() -> Self {
-        let registry = Arc::new(obs::MetricsRegistry::new());
-        let requests = std::array::from_fn(|i| {
-            let kind = REQUEST_KINDS.get(i).copied().unwrap_or("other");
-            registry.counter("source_requests_total", &[("kind", kind)])
-        });
-        let service_nanos = registry.histogram("source_service_nanos", &[]);
-        let traversal_nanos = registry.counter("source_phase_nanos", &[("phase", "traversal")]);
-        let verify_nanos = registry.counter("source_phase_nanos", &[("phase", "verify")]);
-        let datasets = registry.gauge("source_datasets", &[]);
-        Self {
-            registry,
-            requests,
-            service_nanos,
-            traversal_nanos,
-            verify_nanos,
-            datasets,
-        }
-    }
-
-    fn record(&self, request: &Message, service: Duration, phases: PhaseTimings) {
-        if let Some(counter) = self.requests.get(request_kind_index(request)) {
-            counter.inc();
-        }
-        self.service_nanos.observe(service.as_nanos() as u64);
-        if phases.traversal > Duration::ZERO {
-            self.traversal_nanos.add(phases.traversal.as_nanos() as u64);
-        }
-        if phases.verify > Duration::ZERO {
-            self.verify_nanos.add(phases.verify.as_nanos() as u64);
-        }
-    }
-}
 
 /// A validated maintenance operation: its dataset is a non-empty cell set on
 /// this source's grid, with its geometry computed — the form
@@ -130,7 +49,6 @@ pub struct DataSource {
     pub name: String,
     grid: Grid,
     index: DitsLocal,
-    metrics: SourceMetrics,
 }
 
 impl DataSource {
@@ -166,16 +84,7 @@ impl DataSource {
             name: name.into(),
             grid,
             index: DitsLocal::build(nodes, config),
-            metrics: SourceMetrics::new(),
         }
-    }
-
-    /// A point-in-time snapshot of the source's metrics registry — what a
-    /// [`Message::MetricsQuery`] is answered with.  The dataset-count gauge
-    /// is refreshed here, immediately before the registry is read.
-    pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
-        self.metrics.datasets.set(self.index.dataset_count() as f64);
-        self.metrics.registry.snapshot()
     }
 
     /// The source's grid (each source may pick its own resolution).
@@ -388,17 +297,15 @@ impl DataSource {
                     stats,
                 ))
             }
-            // Maintenance, metrics scrapes and cell fetches are dispatched
-            // by [`Self::serve`] / [`Self::serve_readonly`]; replies are
-            // never requests.
+            // Maintenance and cell fetches are dispatched by
+            // [`Self::serve`] / [`Self::serve_readonly`]; replies are never
+            // requests.
             Message::ApplyUpdates { .. }
-            | Message::MetricsQuery
             | Message::CellsQuery { .. }
             | Message::OverlapReply { .. }
             | Message::CoverageReply { .. }
             | Message::SummaryRefresh { .. }
             | Message::KnnReply { .. }
-            | Message::MetricsSnapshot { .. }
             | Message::Error { .. } => None,
         }
     }
@@ -454,14 +361,14 @@ impl DataSource {
                         detail: e.to_string(),
                     }),
                 };
-                self.finish(request, started, reply)
+                finish(started, reply)
             }
             other => self.serve_readonly(other),
         }
     }
 
     /// The read-only half of [`Self::serve`]: summary polls (an empty
-    /// [`Message::ApplyUpdates`] batch), metrics scrapes, cell fetches and
+    /// [`Message::ApplyUpdates`] batch), cell fetches and
     /// query messages, which never mutate the index.  Takes `&self` only — sources answer
     /// concurrent requests from the query engine's worker threads without
     /// any synchronisation, and the shared in-process transport can
@@ -483,10 +390,6 @@ impl DataSource {
                 &MaintenanceStats::new(),
                 self.index.sketch(),
             )),
-            Message::MetricsQuery => ServedReply::plain(Message::MetricsSnapshot {
-                source: self.id,
-                snapshot: self.metrics_snapshot(),
-            }),
             Message::CellsQuery { datasets } => ServedReply::plain(self.cells_of(datasets)),
             other => match self.search(other) {
                 Some((reply, stats)) => ServedReply::search(reply, stats),
@@ -496,19 +399,15 @@ impl DataSource {
                 }),
             },
         };
-        self.finish(request, started, reply)
+        finish(started, reply)
     }
+}
 
-    /// Completes a served request: measures the service time, drains the
-    /// thread-local traversal/verification phase clock the search left
-    /// behind, records both into the source's metrics registry and attaches
-    /// them to the reply so they can ride the frame next to the statistics.
-    fn finish(&self, request: &Message, started: Instant, reply: ServedReply) -> ServedReply {
-        let service = started.elapsed();
-        let phases = take_phase_timings();
-        self.metrics.record(request, service, phases);
-        reply.with_timing(service, phases)
-    }
+/// Completes a served request: attaches its service time and the
+/// traversal/verification phase clock the search left on this thread, so
+/// both ride the frame next to the statistics.
+fn finish(started: Instant, reply: ServedReply) -> ServedReply {
+    reply.with_timing(started.elapsed(), take_phase_timings())
 }
 
 #[cfg(test)]
@@ -534,56 +433,6 @@ mod tests {
             &datasets,
             DitsLocalConfig::default(),
         )
-    }
-
-    /// A source's series are the ones `SourceMetrics::new` registers:
-    /// serving one request of every kind adds none, each name is
-    /// Prometheus-shaped and each name has one instrument kind.
-    #[test]
-    fn serving_every_request_kind_registers_no_new_series() {
-        let series = |s: &DataSource| -> Vec<_> {
-            let samples = s.metrics_snapshot().samples.into_iter();
-            (samples.map(|m| (m.name, m.labels, std::mem::discriminant(&m.value)))).collect()
-        };
-        let mut s = source_with_routes();
-        let registered = series(&s);
-        let query = s.index().find_dataset(3).unwrap().1.cells.clone();
-        let requests = [
-            Message::OverlapQuery {
-                query: query.clone(),
-                k: 2,
-            },
-            Message::CoverageQuery {
-                query: query.clone(),
-                k: 2,
-                delta: 1.0,
-            },
-            Message::KnnQuery { query, k: 2 },
-            Message::ApplyUpdates {
-                resolution: 10,
-                ops: vec![CellOp::Delete(3)],
-            },
-            Message::summary_poll(),
-            Message::MetricsQuery,
-            Message::CellsQuery { datasets: vec![4] },
-            Message::OverlapReply {
-                source: 0,
-                results: vec![],
-            },
-        ];
-        let kinds: Vec<usize> = requests.iter().map(request_kind_index).collect();
-        assert_eq!(kinds, (0..REQUEST_KINDS.len()).collect::<Vec<_>>());
-        for request in &requests {
-            s.serve(request);
-        }
-        assert_eq!(series(&s), registered);
-        for (name, _, kind) in &registered {
-            let shaped = name.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-                && (name.chars()).all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-            assert!(shaped, "metric name {name:?} is not [a-z_][a-z0-9_]*");
-            let two = registered.iter().any(|(n, _, k)| n == name && k != kind);
-            assert!(!two, "{name} has two instrument kinds");
-        }
     }
 
     #[test]
@@ -717,16 +566,6 @@ mod tests {
                 detail: "source 1 holds no dataset 999".to_string(),
             }
         );
-        // Fetches are counted as their own request kind.
-        let snapshot = s.metrics_snapshot();
-        let fetches = snapshot
-            .find("source_requests_total", &[("kind", "cells")])
-            .expect("cells request counter registered");
-        assert!(matches!(fetches.value, obs::MetricValue::Counter(3)));
-        let other = snapshot
-            .find("source_requests_total", &[("kind", "other")])
-            .expect("other request counter registered");
-        assert!(matches!(other.value, obs::MetricValue::Counter(0)));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   served the same checks end to end.
 //! * Observability crosses the wire without perturbing it: a traced request
 //!   yields the same canonical span structure on every transport while the
-//!   counted protocol bytes stay identical to an untraced run, and every
-//!   source's metrics registry answers a `MetricsQuery` scrape.
+//!   counted protocol bytes stay identical to an untraced run, and a reply
+//!   carries its source's service time and phase split exactly when asked.
+//! * A frame a server cannot read, such as one with a retired message tag,
+//!   costs the sender its connection and nothing else.
 
 use std::io::Write as _;
 use std::time::Duration;
@@ -22,8 +24,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use multisource::message::{
     MESSAGE_TAGS, TAG_APPLY_UPDATES, TAG_CELLS_QUERY, TAG_COVERAGE_QUERY, TAG_COVERAGE_REPLY,
-    TAG_ERROR, TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_METRICS_QUERY, TAG_METRICS_SNAPSHOT,
-    TAG_OVERLAP_QUERY, TAG_OVERLAP_REPLY, TAG_SUMMARY_REFRESH,
+    TAG_ERROR, TAG_KNN_QUERY, TAG_KNN_REPLY, TAG_OVERLAP_QUERY, TAG_OVERLAP_REPLY,
+    TAG_SUMMARY_REFRESH,
 };
 use multisource::{
     BatchError, CellOp, DataCenter, DistributionStrategy, ExclusiveTransport, InProcessTransport,
@@ -32,7 +34,7 @@ use multisource::{
 };
 use net::PooledTcpTransport;
 use proptest::prelude::*;
-use spatial::{Point, SourceId, SpatialDataset};
+use spatial::{Point, SpatialDataset};
 
 mod common;
 use common::{
@@ -411,9 +413,9 @@ fn source_server_shutdown_drains_open_connections() {
     // Serve one request so the transport holds an open, idle connection
     // through the shutdown.
     let reply = tcp
-        .call(source_id, &Message::MetricsQuery, false)
+        .call(source_id, &Message::summary_poll(), false)
         .expect("request before shutdown");
-    assert!(matches!(reply.message, Message::MetricsSnapshot { .. }));
+    assert!(matches!(reply.message, Message::SummaryRefresh { .. }));
     assert!(
         tcp.metrics().open_connections.get() >= 1.0,
         "the pool must keep the served connection open"
@@ -427,7 +429,7 @@ fn source_server_shutdown_drains_open_connections() {
     // the listener is gone, so every attempt of the retry budget fails at
     // the socket.
     let err = tcp
-        .call(source_id, &Message::MetricsQuery, false)
+        .call(source_id, &Message::summary_poll(), false)
         .expect_err("a drained server must not accept further requests");
     assert!(
         matches!(
@@ -436,6 +438,38 @@ fn source_server_shutdown_drains_open_connections() {
         ),
         "expected the retry budget spent on I/O failures, got {err:?}"
     );
+}
+
+/// A retired message tag on a live socket is refused, never served: the
+/// server reads a well-formed frame whose message is the single byte 13,
+/// closes that connection without a reply, and keeps answering other
+/// connections.
+#[test]
+fn a_retired_tag_costs_its_connection_and_nothing_else() {
+    use std::io::Read as _;
+    let data = build_data(DATA, 41);
+    let fw = framework(&data);
+    let server = SourceServer::spawn("127.0.0.1:0", fw.sources()[0].clone()).expect("bind");
+    let (source_id, addr) = server.endpoint();
+
+    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // Length prefix 3, then the flags byte (no blocks), the message length
+    // 1 and the message: tag 13 alone.
+    raw.write_all(&[0, 0, 0, 3, 0, 1, 13]).expect("send frame");
+    let mut reply = Vec::new();
+    let read = raw.read_to_end(&mut reply);
+    assert!(
+        matches!(read, Ok(0)),
+        "expected the server to close without a reply, got {read:?} and {reply:?}"
+    );
+
+    let pooled = PooledTcpTransport::new([(source_id, addr)]).expect("pooled transport");
+    let answered = pooled
+        .call(source_id, &Message::summary_poll(), false)
+        .expect("the server still serves other connections");
+    assert!(matches!(answered.message, Message::SummaryRefresh { .. }));
 }
 
 /// The `source-server` binary drains on a `SHUTDOWN` stdin line: it answers
@@ -447,7 +481,7 @@ fn source_server_binary_drains_on_shutdown_line() {
     let mut fleet = spawn_fleet([(11, data[0].1.as_slice())]);
     fleet
         .pooled
-        .call(0, &Message::MetricsQuery, false)
+        .call(0, &Message::summary_poll(), false)
         .expect("request before shutdown");
     let server = &mut fleet.servers[0];
 
@@ -560,68 +594,6 @@ fn traced_span_structure_is_transport_invariant() {
         reference,
         "span structure diverged between in-process and spawned source-server processes"
     );
-}
-
-/// A metrics scrape is one `MetricsQuery` call answered by the source's
-/// registry snapshot.
-fn scrape(transport: &dyn SourceTransport, source: SourceId) -> obs::MetricsSnapshot {
-    match transport.call(source, &Message::MetricsQuery, false) {
-        Ok(reply) => match reply.message {
-            Message::MetricsSnapshot { snapshot, .. } => snapshot,
-            other => panic!("source {source} answered a scrape with {other:?}"),
-        },
-        Err(e) => panic!("source {source} scrape failed: {e}"),
-    }
-}
-
-/// Every source's metrics registry is scrapable through the wire protocol,
-/// over a socket and in process, and both scrapes see the served queries.
-#[test]
-fn metrics_scrape_reads_counters_over_tcp_and_in_process() {
-    let data = build_data(DATA, 5);
-    let fw = framework(&data);
-    let queries = probe_queries(&data);
-    let (tcp, center) = spawn_federation(&fw);
-    let remote = QueryEngine::new(&center, &tcp, *fw.engine().config());
-    // Broadcast so every source demonstrably serves at least one overlap
-    // query before being scraped.
-    remote
-        .run(
-            &SearchRequest::ojsp_batch(queries.clone())
-                .k(5)
-                .strategy(DistributionStrategy::Broadcast),
-        )
-        .expect("OJSP over TCP");
-
-    let served = |snapshot: &obs::MetricsSnapshot| {
-        matches!(
-            snapshot.find("source_requests_total", &[("kind", "overlap")]).map(|s| &s.value),
-            Some(obs::MetricValue::Counter(n)) if *n >= 1
-        )
-    };
-    for source in tcp.source_ids() {
-        let snapshot = scrape(&tcp, source);
-        assert!(
-            served(&snapshot),
-            "source {source} reported no served overlap requests"
-        );
-        assert!(
-            matches!(
-                snapshot.find("source_service_nanos", &[]).map(|s| &s.value),
-                Some(obs::MetricValue::Histogram { count, .. }) if *count >= 1
-            ),
-            "source {source} reported no service-time observations"
-        );
-
-        // The servers cloned `fw`'s sources, which share their registries:
-        // a scrape through the in-process transport sees the queries the
-        // sockets served.
-        let local = scrape(&InProcessTransport::new(fw.sources()), source);
-        assert!(
-            served(&local),
-            "source {source}: the in-process scrape missed the socket-served requests"
-        );
-    }
 }
 
 /// What a reply carries besides its message is what the call asked for —
@@ -754,30 +726,8 @@ fn build_message(
             code,
             detail: format!("fuzz error {code}"),
         },
-        TAG_METRICS_QUERY => Message::MetricsQuery,
         TAG_CELLS_QUERY => Message::CellsQuery {
             datasets: ids.to_vec(),
-        },
-        TAG_METRICS_SNAPSHOT => Message::MetricsSnapshot {
-            source: code,
-            snapshot: obs::MetricsSnapshot {
-                samples: vec![
-                    obs::MetricSample {
-                        name: "fuzz_total".to_string(),
-                        labels: vec![("kind".to_string(), code.to_string())],
-                        value: obs::MetricValue::Counter(k as u64),
-                    },
-                    obs::MetricSample {
-                        name: "fuzz_nanos".to_string(),
-                        labels: Vec::new(),
-                        value: obs::MetricValue::Histogram {
-                            count: ids.len() as u64,
-                            sum: k as u64,
-                            buckets: vec![(3, 1), (7, 2)],
-                        },
-                    },
-                ],
-            },
         },
         TAG_KNN_REPLY => Message::KnnReply {
             source: code,

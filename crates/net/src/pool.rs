@@ -37,7 +37,7 @@ use multisource::transport::{
     TransportReply, MAX_FRAME_BYTES,
 };
 use multisource::{Message, TransportError};
-use obs::{Counter, Gauge, MetricsRegistry};
+use obs::{Counter, Gauge};
 use spatial::SourceId;
 
 /// Tuning knobs of the pooled transport.
@@ -74,31 +74,19 @@ impl Default for PoolConfig {
     }
 }
 
-/// The pool's observability handles, registered once per transport.
-#[derive(Debug, Clone)]
+/// What the pool counts that no reply can carry: the calls it had to
+/// retry, time out or shed, and the connections it holds.  Clones share
+/// the values, so the event loop records and any caller reads.
+#[derive(Debug, Clone, Default)]
 pub struct PoolMetrics {
     /// Currently established connections, across all sources.
     pub open_connections: Gauge,
-    /// Requests currently on the wire awaiting replies, across all sources.
-    pub in_flight: Gauge,
     /// Calls re-submitted after an I/O failure.
     pub retries: Counter,
     /// Calls that hit their reply deadline.
     pub timeouts: Counter,
     /// Calls shed because a source was saturated.
     pub backpressure: Counter,
-}
-
-impl PoolMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        Self {
-            open_connections: registry.gauge("net_pool_open_connections", &[]),
-            in_flight: registry.gauge("net_pool_in_flight", &[]),
-            retries: registry.counter("net_pool_retries_total", &[]),
-            timeouts: registry.counter("net_pool_timeouts_total", &[]),
-            backpressure: registry.counter("net_pool_backpressure_total", &[]),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -256,16 +244,7 @@ impl PooledTcpTransport {
     /// A pooled transport with explicit tuning.
     pub fn with_config(
         endpoints: impl IntoIterator<Item = (SourceId, String)>,
-        config: PoolConfig,
-    ) -> std::io::Result<Self> {
-        Self::with_registry(endpoints, config, Arc::new(MetricsRegistry::new()))
-    }
-
-    /// A pooled transport recording its pool gauges into `registry`.
-    pub fn with_registry(
-        endpoints: impl IntoIterator<Item = (SourceId, String)>,
         mut config: PoolConfig,
-        registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<Self> {
         config.connections_per_source = config.connections_per_source.max(1);
         config.max_in_flight_per_source = config.max_in_flight_per_source.max(1);
@@ -282,7 +261,7 @@ impl PooledTcpTransport {
             queue: Mutex::new(QueueState::default()),
             waker,
         });
-        let metrics = PoolMetrics::new(&registry);
+        let metrics = PoolMetrics::default();
 
         let sources: Vec<SourcePool> = endpoints
             .iter()
@@ -322,7 +301,7 @@ impl PooledTcpTransport {
         &self.endpoints
     }
 
-    /// The pool's observability handles.
+    /// The pool's counters and its open-connection gauge.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.metrics
     }
@@ -584,7 +563,7 @@ impl EventLoop {
             for source_idx in 0..self.sources.len() {
                 self.dispatch(source_idx);
             }
-            self.publish_gauges();
+            self.publish_open_connections();
         }
     }
 
@@ -933,16 +912,14 @@ impl EventLoop {
         }
     }
 
-    fn publish_gauges(&self) {
+    fn publish_open_connections(&self) {
         let open = self
             .sources
             .iter()
             .flat_map(|s| s.conns.iter())
             .filter(|c| matches!(c.state, ConnState::Ready(_)))
             .count();
-        let in_flight: usize = self.sources.iter().map(|s| s.in_flight()).sum();
         self.metrics.open_connections.set(open as f64);
-        self.metrics.in_flight.set(in_flight as f64);
     }
 
     /// Fails every outstanding call and drops every connection.
@@ -960,7 +937,7 @@ impl EventLoop {
                 conn.state = ConnState::Idle;
             }
         }
-        self.publish_gauges();
+        self.publish_open_connections();
     }
 }
 

@@ -170,7 +170,7 @@ fn dead_source_fails_fast_with_retries_exhausted() {
         },
     )
     .expect("transport");
-    let query = Message::MetricsQuery;
+    let query = Message::summary_poll();
     let started = std::time::Instant::now();
     let err = pooled.call(0, &query, false).expect_err("dead source");
     match err {
@@ -198,7 +198,7 @@ fn stalled_source_times_out_with_typed_error() {
     )
     .expect("transport");
     let err = pooled
-        .call(5, &Message::MetricsQuery, false)
+        .call(5, &Message::summary_poll(), false)
         .expect_err("stalled source");
     match err {
         TransportError::Timeout { source, waited } => {
@@ -230,12 +230,12 @@ fn saturated_source_sheds_with_backpressure() {
     let blocked: Vec<_> = (0..2)
         .map(|_| {
             let pooled = Arc::clone(&pooled);
-            std::thread::spawn(move || pooled.call(1, &Message::MetricsQuery, false))
+            std::thread::spawn(move || pooled.call(1, &Message::summary_poll(), false))
         })
         .collect();
     std::thread::sleep(Duration::from_millis(300));
     let err = pooled
-        .call(1, &Message::MetricsQuery, false)
+        .call(1, &Message::summary_poll(), false)
         .expect_err("saturated source");
     assert_eq!(
         err,
@@ -252,31 +252,5 @@ fn saturated_source_sheds_with_backpressure() {
             matches!(result, Err(TransportError::Timeout { .. })),
             "{result:?}"
         );
-    }
-}
-
-#[test]
-fn pool_metrics_register_in_a_shared_registry() {
-    let registry = Arc::new(obs::MetricsRegistry::new());
-    let source = tiny_source(0);
-    let server = SourceServer::spawn("127.0.0.1:0", source.clone()).expect("spawn");
-    let pooled = PooledTcpTransport::with_registry(
-        [server.endpoint()],
-        PoolConfig::default(),
-        Arc::clone(&registry),
-    )
-    .expect("transport");
-    pooled
-        .call(0, &overlap_query(&source, 2), false)
-        .expect("call");
-    let snapshot = registry.snapshot();
-    for name in [
-        "net_pool_open_connections",
-        "net_pool_in_flight",
-        "net_pool_retries_total",
-        "net_pool_timeouts_total",
-        "net_pool_backpressure_total",
-    ] {
-        assert!(snapshot.find(name, &[]).is_some(), "missing {name}");
     }
 }
