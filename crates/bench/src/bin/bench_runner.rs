@@ -28,7 +28,8 @@
 //!   own cutoff but not timed: a cutoff equal to the distance never prunes).
 //! * `kernel/inverted/build`, `kernel/inverted/verify` — building one leaf's
 //!   columnar inverted index from its entries, and one exact verification
-//!   (sorted query merged against a leaf's key column).
+//!   (the query's packed blocks `AND`ed with a leaf's key blocks, each
+//!   shared cell's membership bits counted through the rank directory).
 //! * `batch/ojsp/per-query`, `batch/cjsp/per-query`, `knn/per-query` — the
 //!   per-query search loops over the five local indexes.
 //! * `engine/ojsp/per-query` — the same OJSP batch end to end through the
@@ -744,7 +745,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         .collect();
     for (a, b) in &pairs {
         assert_eq!(
-            a.intersection_size_packed(b),
+            a.packed().intersection_size(b.packed()),
             a.intersection_size(b),
             "packed and adaptive kernels disagree"
         );
@@ -756,7 +757,10 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         pairs.len(),
         || {
             for (a, b) in &pairs {
-                std::hint::black_box(a.intersection_size_packed(std::hint::black_box(b)));
+                std::hint::black_box(
+                    a.packed()
+                        .intersection_size(std::hint::black_box(b).packed()),
+                );
             }
         },
     );
@@ -856,8 +860,10 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         .iter()
         .flat_map(|(entries, _)| entries.iter().map(DatasetNode::coverage))
         .sum();
-    // Measured before any query packs the key columns: the columns alone.
-    let inverted_bytes: usize = leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum();
+    // The leaf columns hold no cache; the verify pass below re-reads this
+    // sum and aborts if a query grew it, so the row cannot miss one.
+    let leaf_bytes = || -> usize { leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum() };
+    let inverted_bytes = leaf_bytes();
     let index = Row::new(
         "",
         [
@@ -917,6 +923,11 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
                 std::hint::black_box(inv.intersection_counts(std::hint::black_box(q)));
             }
         },
+    );
+    assert_eq!(
+        leaf_bytes(),
+        inverted_bytes,
+        "verification grew the leaf columns: the `index` row would miss that memory"
     );
     kernels.extend([inverted_build, inverted_verify]);
 

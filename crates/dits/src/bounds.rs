@@ -29,10 +29,11 @@ use spatial::CellSet;
 
 /// Upper bound of Lemma 2: the number of query cells that appear in the
 /// leaf's inverted index.  No dataset stored in the leaf can intersect the
-/// query in more cells than this.  The key column is a [`CellSet`], so the
-/// bound is one word-parallel AND+popcount against its cached packed form.
+/// query in more cells than this.  The leaf keeps its keys as packed
+/// blocks, so the bound is one word-parallel AND+popcount against the
+/// query's cached packed form.
 pub fn leaf_overlap_upper_bound(inverted: &InvertedIndex, query: &CellSet) -> usize {
-    query.intersection_size_packed(inverted.keys())
+    query.packed().intersection_size(inverted.keys())
 }
 
 /// Lower bound of Lemma 3: the number of query cells whose posting list
@@ -183,7 +184,7 @@ mod tests {
             let ub = leaf_overlap_upper_bound(&inv, &q);
             let lb = leaf_overlap_lower_bound(&inv, &q);
             // The packed bound is the scalar definition of Lemma 2.
-            prop_assert_eq!(ub, q.iter().filter(|&c| inv.keys().contains(c)).count());
+            prop_assert_eq!(ub, q.iter().filter(|&c| inv.posting_list(c).is_some()).count());
             for s in &cell_sets {
                 let exact = s.intersection_size(&q);
                 prop_assert!(lb <= exact && exact <= ub);

@@ -5,19 +5,28 @@
 //! purposes:
 //!
 //! 1. the overlap bounds of Lemmas 2–3 are read off its key set and
-//!    posting-list sizes, and
-//! 2. the exact verification step of OverlapSearch scans the posting lists of
-//!    a candidate leaf once to obtain exact intersection counts for *all*
-//!    datasets in the leaf simultaneously.
+//!    posting lists, and
+//! 2. the exact verification step of OverlapSearch walks the key blocks a
+//!    candidate leaf shares with the query once, obtaining exact
+//!    intersection counts for *all* datasets in the leaf simultaneously.
 //!
-//! The index is three columns (CSR), not a map: `keys`, the sorted distinct
-//! cells, held as a [`CellSet`] because it *is* the Lemma 2 bound set (the
-//! packed-word cache of the bound kernel hangs off the key column itself);
-//! `offsets`, `keys.len() + 1` positions delimiting key `i`'s list as
-//! `postings[offsets[i]..offsets[i + 1]]`; and `postings`, every list back to
-//! back, each ascending by dataset id.  A leaf holds at most `f` datasets,
-//! so the columns come from one k-way merge of the datasets' already-sorted
-//! cell sets and are never patched in place: every mutation rebuilds them.
+//! The index is four columns, not a map:
+//!
+//! * `keys`, the distinct cells as packed 64-cell blocks `(cell >> 6, word)`
+//!   ([`PackedCells`]).  It *is* the Lemma 2 bound set, so the bound is one
+//!   word-parallel intersection with the query's cached packed form.
+//! * `ranks`, one `u32` per block: the number of keys in the blocks before
+//!   it (Jacobson's rank directory).  Key `c` sits at position
+//!   `ranks[b] + popcount(word_b & ((1 << (c & 63)) - 1))` in key order.
+//! * `ids`, the leaf's dataset ids, ascending.
+//! * `members`, `ids.len().div_ceil(8)` bytes per key in key order: bit `j`
+//!   of a key's row is set when the dataset `ids[j]` holds that key.  One
+//!   layout serves every leaf capacity.
+//!
+//! A leaf holds at most `f` datasets, so the columns come from one k-way
+//! merge of the datasets' already-sorted cell sets and are never patched in
+//! place: every mutation rebuilds them.  Nothing is built lazily, so
+//! [`InvertedIndex::memory_bytes`] is the same before and after any query.
 #![cfg_attr(
     not(test),
     deny(
@@ -34,31 +43,23 @@
 )]
 
 use serde::{Deserialize, Serialize};
-use spatial::{CellId, CellSet, DatasetId};
+use spatial::{CellId, CellSet, DatasetId, PackedCells};
 
 /// An inverted index from cell ID to the dataset IDs containing the cell
-/// (columnar; see the module docs).  Two indexes are equal when they hold the
-/// same postings: lists are canonical, ascending by id.
+/// (columnar; see the module docs).  Two indexes are equal when they index
+/// the same cells of the same datasets: every column is canonical.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct InvertedIndex {
-    keys: CellSet,
-    offsets: Vec<u32>,
-    postings: Vec<DatasetId>,
-    /// Number of distinct dataset ids in `postings`.
-    datasets: usize,
+    keys: PackedCells,
+    ranks: Vec<u32>,
+    ids: Vec<DatasetId>,
+    members: Vec<u8>,
 }
 
-/// Index of the first element of the sorted `slice` that is `>= target`,
-/// found by exponential probing from the front: a hop of `d` elements costs
-/// `O(log d)`, so a merge that gallops is never worse than a linear one.
-fn gallop(slice: &[CellId], target: CellId) -> usize {
-    let mut hi = 1usize;
-    while slice.get(hi - 1).is_some_and(|&c| c < target) {
-        hi <<= 1;
-    }
-    let lo = hi >> 1;
-    let window = slice.get(lo..hi.min(slice.len())).unwrap_or(&[]);
-    lo + window.partition_point(|&c| c < target)
+/// Whether bit `slot` of a membership row is set.
+fn holds(row: &[u8], slot: usize) -> bool {
+    row.get(slot / 8)
+        .is_some_and(|byte| byte >> (slot % 8) & 1 == 1)
 }
 
 impl InvertedIndex {
@@ -74,8 +75,6 @@ impl InvertedIndex {
     where
         I: IntoIterator<Item = (DatasetId, &'a CellSet)>,
     {
-        // Cursors are visited in ascending id order, which is what makes
-        // every posting list come out ascending.
         let mut cursors: Vec<(DatasetId, &[CellId])> = entries
             .into_iter()
             .map(|(id, cells)| (id, cells.cells()))
@@ -84,120 +83,160 @@ impl InvertedIndex {
         cursors.sort_by_key(|&(id, _)| id);
         let mut ids: Vec<DatasetId> = cursors.iter().map(|&(id, _)| id).collect();
         ids.dedup();
-        let datasets = ids.len();
+        ids.shrink_to_fit();
+        // A repeated id sits in adjacent cursors and shares one slot.
+        let slots: Vec<usize> = cursors
+            .iter()
+            .map(|(id, _)| ids.partition_point(|d| d < id))
+            .collect();
+        let stride = ids.len().div_ceil(8);
 
-        let total: usize = cursors.iter().map(|(_, cells)| cells.len()).sum();
-        let mut keys: Vec<CellId> = Vec::new();
-        let mut offsets: Vec<u32> = vec![0];
-        let mut postings: Vec<DatasetId> = Vec::with_capacity(total);
-        while let Some(cell) = cursors.iter().filter_map(|(_, c)| c.first().copied()).min() {
-            let start = postings.len();
-            for (id, cells) in cursors.iter_mut() {
+        let mut members: Vec<u8> = Vec::new();
+        let keys = PackedCells::from_sorted(std::iter::from_fn(|| {
+            let cell = cursors
+                .iter()
+                .filter_map(|(_, c)| c.first().copied())
+                .min()?;
+            let row = members.len();
+            members.resize(row + stride, 0);
+            for ((_, cells), &slot) in cursors.iter_mut().zip(&slots) {
                 if let Some((&head, rest)) = cells.split_first() {
                     if head == cell {
                         *cells = rest;
-                        // A repeated id sits in adjacent cursors.
-                        if postings.get(start..).and_then(<[_]>::last) != Some(&*id) {
-                            postings.push(*id);
+                        if let Some(byte) = members.get_mut(row + slot / 8) {
+                            *byte |= 1 << (slot % 8);
                         }
                     }
                 }
             }
-            keys.push(cell);
+            Some(cell)
+        }));
+        members.shrink_to_fit();
+        let mut ranks: Vec<u32> = Vec::with_capacity(keys.blocks().len());
+        let mut before = 0usize;
+        for &(_, word) in keys.blocks() {
             #[expect(
                 clippy::expect_used,
-                reason = "a leaf holds at most `f` datasets, so 2^32 postings would need tens of gigabytes of cell sets in one leaf; wrapping an offset instead would silently corrupt every list after it"
+                reason = "a leaf holds at most `f` datasets, so 2^32 keys would need tens of gigabytes of cell sets in one leaf; wrapping a rank instead would silently misplace every key after it"
             )]
-            offsets.push(u32::try_from(postings.len()).expect("under 2^32 postings per leaf"));
+            ranks.push(u32::try_from(before).expect("under 2^32 keys per leaf"));
+            before += word.count_ones() as usize;
         }
-        if keys.is_empty() {
-            return Self::default();
-        }
-        offsets.shrink_to_fit();
-        postings.shrink_to_fit();
         Self {
-            keys: CellSet::from_cells(keys),
-            offsets,
-            postings,
-            datasets,
+            keys,
+            ranks,
+            ids,
+            members,
         }
+    }
+
+    /// Bytes of membership bits per key.
+    fn stride(&self) -> usize {
+        self.ids.len().div_ceil(8)
     }
 
     /// Number of distinct cells indexed.
     pub fn key_count(&self) -> usize {
-        self.keys.len()
+        self.members.len().checked_div(self.stride()).unwrap_or(0)
     }
 
     /// Returns `true` when no cell is indexed.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.keys.blocks().is_empty()
     }
 
     /// Number of distinct datasets indexed.
     pub fn dataset_count(&self) -> usize {
-        self.datasets
+        self.ids.len()
     }
 
-    /// The posting list of the `i`-th key.
-    fn list_at(&self, i: usize) -> Option<&[DatasetId]> {
-        let start = *self.offsets.get(i)? as usize;
-        let end = *self.offsets.get(i + 1)? as usize;
-        self.postings.get(start..end)
+    /// The indexed dataset ids, ascending: `ids()[0]` is the leaf's
+    /// smallest id.
+    pub fn ids(&self) -> &[DatasetId] {
+        &self.ids
+    }
+
+    /// The key blocks: every cell that appears in at least one indexed
+    /// dataset, packed.  It is the Lemma 2 bound set.
+    pub fn keys(&self) -> &PackedCells {
+        &self.keys
+    }
+
+    /// The position in key order of the cell at bit `bit` of block `block`,
+    /// if that cell is a key: the block's rank plus the keys below the bit.
+    fn position(&self, block: usize, bit: u64) -> Option<usize> {
+        let &(_, word) = self.keys.blocks().get(block)?;
+        let rank = *self.ranks.get(block)? as usize;
+        (word >> bit & 1 == 1).then(|| rank + (word & ((1 << bit) - 1)).count_ones() as usize)
+    }
+
+    /// The membership row of the key at `position`.
+    fn row(&self, position: usize) -> &[u8] {
+        let stride = self.stride();
+        self.members
+            .get(position * stride..(position + 1) * stride)
+            .unwrap_or_default()
     }
 
     /// The posting list of a cell (ascending dataset ids), if the cell is
     /// indexed.
-    pub fn posting_list(&self, cell: CellId) -> Option<&[DatasetId]> {
-        self.list_at(self.keys.cells().binary_search(&cell).ok()?)
-    }
-
-    /// The key column: every cell that appears in at least one indexed
-    /// dataset.  It is the Lemma 2 bound set, and its packed block form is
-    /// cached on first use.
-    pub fn keys(&self) -> &CellSet {
-        &self.keys
+    pub fn posting_list(&self, cell: CellId) -> Option<Vec<DatasetId>> {
+        let block = (self.keys.blocks())
+            .binary_search_by_key(&(cell >> 6), |&(key, _)| key)
+            .ok()?;
+        let row = self.row(self.position(block, cell & 63)?);
+        Some(
+            (self.ids.iter().enumerate())
+                .filter(|&(slot, _)| holds(row, slot))
+                .map(|(_, &id)| id)
+                .collect(),
+        )
     }
 
     /// Exact intersection counts between a query cell set and every dataset
-    /// indexed here: one forward merge of the sorted query against the key
-    /// column, galloping over whichever side is behind, summing the posting
-    /// lists of the cells both hold.
+    /// indexed here: the query's packed blocks are `AND`ed with the key
+    /// blocks, every shared cell is turned into its key position through
+    /// the rank directory, and that key's membership bits are added to one
+    /// counter per dataset.
     ///
     /// Returns `(dataset id, |S_Q ∩ S_D|)` pairs for datasets with a
     /// non-zero intersection, ascending by id.
     pub fn intersection_counts(&self, query: &CellSet) -> Vec<(DatasetId, usize)> {
-        let mut counts: Vec<(DatasetId, usize)> = Vec::with_capacity(self.datasets);
-        let keys = self.keys.cells();
-        let mut rest = query.cells();
-        let mut k = 0usize;
-        while let Some(&cell) = rest.first() {
-            k += gallop(keys.get(k..).unwrap_or(&[]), cell);
-            let Some(&key) = keys.get(k) else {
-                break;
-            };
-            if key != cell {
-                rest = rest.get(gallop(rest, key)..).unwrap_or(&[]);
-                continue;
-            }
-            for &id in self.list_at(k).unwrap_or(&[]) {
-                match counts.iter_mut().find(|(d, _)| *d == id) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((id, 1)),
+        let mut counts = vec![0usize; self.ids.len()];
+        query
+            .packed()
+            .for_each_shared(&self.keys, |block, mut shared| {
+                while shared != 0 {
+                    let bit = u64::from(shared.trailing_zeros());
+                    shared &= shared - 1;
+                    let Some(position) = self.position(block, bit) else {
+                        continue;
+                    };
+                    for (byte_at, &byte) in self.row(position).iter().enumerate() {
+                        let mut byte = byte;
+                        while byte != 0 {
+                            let slot = byte_at * 8 + byte.trailing_zeros() as usize;
+                            byte &= byte - 1;
+                            if let Some(n) = counts.get_mut(slot) {
+                                *n += 1;
+                            }
+                        }
+                    }
                 }
-            }
-            rest = rest.get(1..).unwrap_or(&[]);
-            k += 1;
-        }
-        counts.sort_unstable_by_key(|&(id, _)| id);
-        counts
+            });
+        (self.ids.iter().zip(counts))
+            .filter(|&(_, n)| n > 0)
+            .map(|(&id, n)| (id, n))
+            .collect()
     }
 
     /// Heap memory of the index in bytes (Fig. 8 right): capacity × element
-    /// size of each column, plus the key column's packed cache once built.
+    /// size of each of the four columns.  Nothing is cached beside them.
     pub fn memory_bytes(&self) -> usize {
         self.keys.memory_bytes()
-            + self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.postings.capacity() * std::mem::size_of::<DatasetId>()
+            + self.ranks.capacity() * std::mem::size_of::<u32>()
+            + self.ids.capacity() * std::mem::size_of::<DatasetId>()
+            + self.members.capacity()
     }
 }
 
@@ -277,15 +316,12 @@ mod tests {
         prop_assert_eq!(idx.is_empty(), oracle.postings.is_empty());
         prop_assert_eq!(idx.dataset_count(), oracle.dataset_count());
         for cell in universe {
-            prop_assert_eq!(
-                idx.posting_list(cell).map(<[_]>::to_vec),
-                oracle.posting_list(cell)
-            );
-            prop_assert_eq!(
-                idx.keys().contains(cell),
-                oracle.postings.contains_key(&cell)
-            );
+            prop_assert_eq!(idx.posting_list(cell), oracle.posting_list(cell));
         }
+        // The key blocks hold exactly the oracle's cells.
+        let mut cells: Vec<CellId> = oracle.postings.keys().copied().collect();
+        cells.sort_unstable();
+        prop_assert_eq!(idx.keys(), &PackedCells::from_sorted(cells));
         prop_assert_eq!(
             idx.intersection_counts(query),
             oracle.intersection_counts(query)
@@ -311,13 +347,17 @@ mod tests {
         let d10 = cs(&[20, 22]);
         let idx = InvertedIndex::build([(9u32, &d9), (10u32, &d10)]);
         // Fig. 4(c): posting lists 20 -> {D10}, 22 -> {D9, D10}, 23 -> {D9}.
-        assert_eq!(idx.posting_list(20), Some(&[10u32][..]));
-        assert_eq!(idx.posting_list(22), Some(&[9u32, 10][..]));
-        assert_eq!(idx.posting_list(23), Some(&[9u32][..]));
+        assert_eq!(idx.posting_list(20), Some(vec![10]));
+        assert_eq!(idx.posting_list(22), Some(vec![9, 10]));
+        assert_eq!(idx.posting_list(23), Some(vec![9]));
         assert_eq!(idx.posting_list(99), None);
+        assert_eq!(idx.posting_list(21), None);
         assert_eq!(idx.key_count(), 3);
-        assert!(idx.keys().contains(22));
-        assert!(!idx.keys().contains(21));
+        // One block holds all three keys; one byte per key holds both ids.
+        assert_eq!(idx.keys().blocks(), &[(0, 1 << 20 | 1 << 22 | 1 << 23)]);
+        assert_eq!(idx.ranks, [0]);
+        assert_eq!(idx.ids(), [9, 10]);
+        assert_eq!(idx.members, [0b10, 0b11, 0b01]);
     }
 
     #[test]
@@ -325,7 +365,7 @@ mod tests {
         let a = cs(&[1, 2]);
         let b = cs(&[2, 3]);
         let idx = InvertedIndex::build([(7u32, &a), (3u32, &b)]);
-        assert_eq!(idx.posting_list(2), Some(&[3u32, 7][..]));
+        assert_eq!(idx.posting_list(2), Some(vec![3, 7]));
         assert_eq!(idx, InvertedIndex::build([(3u32, &b), (7u32, &a)]));
     }
 
@@ -345,20 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn gallop_finds_the_first_element_not_below_the_target() {
-        let slice: Vec<u64> = (0..100).map(|i| i * 3).collect();
-        for target in 0..310u64 {
-            let expected = slice.partition_point(|&c| c < target);
-            assert_eq!(gallop(&slice, target), expected, "target {target}");
-        }
-        assert_eq!(gallop(&[], 5), 0);
-    }
-
-    #[test]
     fn add_is_idempotent_per_cell() {
         let a = cs(&[5]);
         let idx = InvertedIndex::build([(1u32, &a), (1u32, &a)]);
-        assert_eq!(idx.posting_list(5), Some(&[1u32][..]));
+        assert_eq!(idx.posting_list(5), Some(vec![1]));
         assert_eq!(idx.dataset_count(), 1);
     }
 
@@ -367,10 +397,10 @@ mod tests {
         let a = cs(&[1, 2]);
         let b = cs(&[2, 3]);
         let idx = InvertedIndex::build([(1u32, &a), (2u32, &b)]);
-        assert_eq!(idx.posting_list(2), Some(&[1u32, 2][..]));
+        assert_eq!(idx.posting_list(2), Some(vec![1, 2]));
         let idx = InvertedIndex::build([(2u32, &b)]);
         assert_eq!(idx.posting_list(1), None);
-        assert_eq!(idx.posting_list(2), Some(&[2u32][..]));
+        assert_eq!(idx.posting_list(2), Some(vec![2]));
         assert_eq!(idx.key_count(), 2);
         let idx = InvertedIndex::build([(2u32, &CellSet::default())]);
         assert!(idx.is_empty());
@@ -381,7 +411,7 @@ mod tests {
     fn memory_estimate_grows_with_content() {
         let a = cs(&(0..50u64).collect::<Vec<_>>());
         let idx = InvertedIndex::build([(1u32, &a)]);
-        assert!(idx.memory_bytes() >= 50 * std::mem::size_of::<CellId>());
+        assert!(idx.memory_bytes() >= 50);
     }
 
     #[test]
@@ -389,21 +419,47 @@ mod tests {
         let a = cs(&(0..300u64).collect::<Vec<_>>());
         let b = cs(&(200..450u64).step_by(2).collect::<Vec<_>>());
         let idx = InvertedIndex::build([(1u32, &a), (2u32, &b)]);
-        let columns =
-            idx.keys.cells().len() * 8 + idx.offsets.capacity() * 4 + idx.postings.capacity() * 4;
+        let columns = idx.keys.blocks().len() * 16
+            + idx.ranks.capacity() * 4
+            + idx.ids.capacity() * 4
+            + idx.members.capacity();
         assert_eq!(idx.memory_bytes(), columns);
-        // Nothing is over-allocated: 375 keys, 376 offsets, 425 postings.
-        assert_eq!(columns, 375 * 8 + 376 * 4 + 425 * 4);
-        // The bound kernel packs the key column on first use; the estimate
-        // grows by exactly that cache.
-        let query = cs(&[250, 251]);
-        assert_eq!(leaf_overlap_upper_bound(&idx, &query), 2);
+        // Nothing is over-allocated: 375 keys in the 8 blocks of cells
+        // 0..=448, 8 ranks, 2 ids, and one membership byte per key.
+        assert_eq!(idx.key_count(), 375);
+        assert_eq!(columns, 8 * 16 + 8 * 4 + 2 * 4 + 375);
+        // Nothing is built lazily: bounds and verification leave the
+        // estimate where it was.
+        let query = cs(&[250, 251, 448]);
+        assert_eq!(leaf_overlap_upper_bound(&idx, &query), 3);
         assert_eq!(leaf_overlap_lower_bound(&idx, &query), 1);
-        assert_eq!(
-            idx.memory_bytes(),
-            columns + (idx.keys.memory_bytes() - 375 * 8)
-        );
-        assert!(idx.memory_bytes() > columns);
+        assert_eq!(idx.intersection_counts(&query), vec![(1, 2), (2, 2)]);
+        assert_eq!(idx.memory_bytes(), columns);
+    }
+
+    #[test]
+    fn ranks_place_keys_across_blocks_and_membership_rows_grow_by_the_byte() {
+        // Nine datasets need two membership bytes per key; dataset 8's bit
+        // is the first of the second byte.
+        let sets: Vec<CellSet> = (0..9u64).map(|i| cs(&[i, 64 * i + 63, 1000])).collect();
+        let idx = InvertedIndex::build(sets.iter().enumerate().map(|(i, s)| (i as u32, s)));
+        assert_eq!(idx.members.len(), idx.key_count() * 2);
+        assert_eq!(idx.posting_list(1000), Some((0..9).collect()));
+        assert_eq!(idx.posting_list(8), Some(vec![8]));
+        assert_eq!(idx.posting_list(575), Some(vec![8]));
+        assert_eq!(idx.posting_list(63), Some(vec![0]));
+        let query = cs(&[0, 8, 63, 575, 1000]);
+        let counts = idx.intersection_counts(&query);
+        assert_eq!(counts.len(), 9);
+        assert_eq!(counts.first(), Some(&(0, 3)));
+        assert_eq!(counts.last(), Some(&(8, 3)));
+        // Every rank is the number of keys before its block.
+        let mut before = 0;
+        for (&(_, word), &rank) in idx.keys().blocks().iter().zip(&idx.ranks) {
+            assert_eq!(rank, before);
+            before += word.count_ones();
+        }
+        assert_eq!(before as usize, idx.key_count());
     }
 
     proptest! {
@@ -448,6 +504,31 @@ mod tests {
                 let idx = InvertedIndex::build(live.iter().map(|(id, set)| (*id, set)));
                 assert_matches_oracle(&idx, &oracle, 0..48, &query)?;
             }
+        }
+
+        // Leaves of 1–70 datasets, so a key's membership row takes 1–9
+        // bytes, with one id given a second cell set: the index holds the
+        // union of its two sets under one slot.
+        #[test]
+        fn prop_wide_leaves_and_a_repeated_id_match_the_hash_map_oracle(
+            sets in proptest::collection::vec(
+                proptest::collection::vec(0u64..300, 0..10), 1..71),
+            again in 0usize..70,
+            extra in proptest::collection::vec(0u64..300, 0..10),
+            query in proptest::collection::vec(0u64..320, 0..60),
+        ) {
+            let sets: Vec<CellSet> = sets.iter().map(|s| cs(s)).collect();
+            let extra = cs(&extra);
+            let again = (again % sets.len()) as DatasetId;
+            let mut oracle = HashOracle::default();
+            for (i, set) in sets.iter().enumerate() {
+                oracle.add(i as DatasetId, set);
+            }
+            oracle.add(again, &extra);
+            let entries = sets.iter().enumerate().map(|(i, s)| (i as DatasetId, s));
+            let idx = InvertedIndex::build(entries.chain([(again, &extra)]));
+            assert_matches_oracle(&idx, &oracle, 0..320, &cs(&query))?;
+            prop_assert_eq!(idx.members.len(), idx.key_count() * idx.dataset_count().div_ceil(8));
         }
     }
 }

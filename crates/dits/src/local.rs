@@ -5,10 +5,10 @@
 //! as the split dimension, dataset nodes are partitioned by the median of
 //! their pivots on that dimension, and the recursion stops when a node holds
 //! at most `f` (the leaf capacity) dataset nodes, at which point an inverted
-//! index over the contained datasets' cells is materialised: three columns
-//! (sorted distinct cells, offsets, dataset ids) merged from the entries'
-//! sorted cell sets and rebuilt, never patched, when the entries change —
-//! see [`crate::inverted`].
+//! index over the contained datasets' cells is materialised: four columns
+//! (packed key blocks, a rank per block, dataset ids, membership bits)
+//! merged from the entries' sorted cell sets and rebuilt, never patched,
+//! when the entries change — see [`crate::inverted`].
 //!
 //! The tree is stored as an arena of [`TreeNode`]s with parent indices, the
 //! "bidirectional pointer structure" the paper relies on for efficient
@@ -39,12 +39,6 @@ impl Default for DitsLocalConfig {
 
 /// Content of a tree node: either an internal node with two children or a
 /// leaf holding dataset nodes plus their inverted index.
-// The Leaf variant is large (the inverted index's key column is an inline
-// `CellSet` with its two cache slots), but boxing it would put a pointer
-// chase on the verification hot path, and internal nodes' hot traversal
-// fields already live in the separate SoA `TraversalLayout` — the arena
-// slack is idle memory, not touched per query.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NodeKind {
     /// Internal node (Definition 13).
@@ -266,9 +260,11 @@ impl DitsLocal {
         depth(&self.nodes, self.root)
     }
 
-    /// Estimated memory footprint of the index in bytes: tree nodes, dataset
-    /// nodes (cell sets) and leaf inverted indexes.  Used for the Fig. 8
-    /// memory comparison.
+    /// Estimated memory footprint of the index in bytes (Fig. 8 right): the
+    /// tree node arena, the dataset nodes' cell sets with whichever caches
+    /// they have built, the leaf inverted indexes — exact, and the same
+    /// before and after any query, since they cache nothing — and the
+    /// traversal layout once built.
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.nodes.capacity() * std::mem::size_of::<TreeNode>();
         for node in &self.nodes {

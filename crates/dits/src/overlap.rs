@@ -5,11 +5,12 @@
 //! subtree whose MBR does not intersect the query MBR.  Each surviving leaf
 //! gets an upper bound on the intersection between the query and *any*
 //! dataset it stores (Lemma 2).  Leaves are then verified in
-//! descending upper-bound order; once `k` results are known and the next
-//! leaf's upper bound cannot beat the current `k`-th best intersection, the
-//! remaining leaves are pruned in batch.  Verification of a leaf scans its
-//! inverted index once, producing exact intersection counts for every
-//! dataset in the leaf simultaneously.
+//! descending upper-bound order; once `k` results are known, a leaf is
+//! skipped when its upper bound, held by its smallest dataset id, cannot
+//! beat the current `k`-th best `(overlap, id)` — so a tie goes to the
+//! smaller id whatever the leaf order.  Verification of a leaf walks, once,
+//! the key blocks its inverted index shares with the query, producing exact
+//! intersection counts for every dataset in the leaf simultaneously.
 #![cfg_attr(
     not(test),
     deny(
@@ -91,8 +92,12 @@ type LeafCandidate = (usize, NodeIdx);
 
 /// Phase 2 of Algorithm 2: sorts the candidate leaves by decreasing upper
 /// bound, then verifies them exactly with a min-heap of the current top-k,
-/// pruning once the next upper bound cannot beat the `k`-th best
-/// intersection.
+/// pruning every leaf that cannot beat the `k`-th best `(overlap, id)`.
+///
+/// A leaf whose upper bound ties the `k`-th best overlap is still verified
+/// when its smallest id is below the `k`-th's: one of its datasets may tie
+/// that overlap with a smaller id, which wins the tie.  So the answer is
+/// the brute-force top-k whatever order the leaves are in.
 fn verify_candidates(
     index: &DitsLocal,
     query: &CellSet,
@@ -105,30 +110,33 @@ fn verify_candidates(
 
     let mut heap: BinaryHeap<Reverse<(usize, Reverse<DatasetId>)>> = BinaryHeap::new();
     for (ub, leaf) in candidates {
-        let kth_best = heap.peek().map_or(0, |Reverse((o, _))| *o);
-        if heap.len() >= k && ub <= kth_best {
-            // No dataset in this or any later leaf can improve the result.
+        let NodeKind::Leaf { inverted, entries } = &index.node(leaf).kind else {
+            continue;
+        };
+        // The best key any dataset of this leaf could have: the upper bound,
+        // held by the leaf's smallest id.
+        let best = (
+            ub,
+            Reverse(inverted.ids().first().copied().unwrap_or(DatasetId::MAX)),
+        );
+        if heap.len() >= k && heap.peek().is_some_and(|Reverse(kth)| best <= *kth) {
             stats.leaves_pruned_by_bounds += 1;
             continue;
         }
         stats.leaves_verified += 1;
-        if let NodeKind::Leaf { inverted, entries } = &index.node(leaf).kind {
-            // Exact verification: one merge of the sorted query against the
-            // leaf's key column yields the intersection count of every
-            // dataset in the leaf that shares a cell with the query.
-            let counts = inverted.intersection_counts(query);
-            stats.exact_computations += entries.len();
-            for (dataset, overlap) in counts {
-                stats.candidates += 1;
-                let entry = Reverse((overlap, Reverse(dataset)));
-                if heap.len() < k {
-                    heap.push(entry);
-                } else if let Some(&Reverse((worst, Reverse(worst_id)))) = heap.peek() {
-                    if overlap > worst || (overlap == worst && dataset < worst_id) {
-                        heap.pop();
-                        heap.push(entry);
-                    }
-                }
+        // Exact verification: one pass over the key blocks the leaf shares
+        // with the query yields the intersection count of every dataset in
+        // the leaf that shares a cell with it.
+        let counts = inverted.intersection_counts(query);
+        stats.exact_computations += entries.len();
+        for (dataset, overlap) in counts {
+            stats.candidates += 1;
+            let key = (overlap, Reverse(dataset));
+            if heap.len() < k {
+                heap.push(Reverse(key));
+            } else if heap.peek().is_some_and(|Reverse(kth)| key > *kth) {
+                heap.pop();
+                heap.push(Reverse(key));
             }
         }
     }
@@ -339,11 +347,61 @@ mod tests {
             let q = cs(&query);
             let (fast, _) = overlap_search(&idx, &q, k);
             let brute = overlap_search_bruteforce(&nodes, &q, k);
-            // Overlap values must match exactly; ids may differ only on ties.
-            prop_assert_eq!(
-                fast.iter().map(|r| r.overlap).collect::<Vec<_>>(),
-                brute.iter().map(|r| r.overlap).collect::<Vec<_>>()
-            );
+            // Ids as well as overlaps: a tie goes to the smaller id.
+            prop_assert_eq!(fast, brute);
         }
+
+        #[test]
+        fn prop_insertion_order_does_not_pick_the_tied_id(
+            datasets in proptest::collection::vec(
+                proptest::collection::vec((0u32..16, 0u32..16), 1..6), 2..40),
+            query in proptest::collection::vec((0u32..16, 0u32..16), 1..10),
+            k in 1usize..6,
+            capacity in 2usize..5,
+        ) {
+            // Small cell sets on a 16×16 grid, so many datasets tie on
+            // overlap and land in different leaves in the two orders.
+            let nodes: Vec<DatasetNode> = datasets
+                .iter()
+                .enumerate()
+                .map(|(i, c)| node(i as DatasetId, c))
+                .collect();
+            let config = DitsLocalConfig { leaf_capacity: capacity };
+            let mut forward = DitsLocal::build(Vec::new(), config);
+            let mut backward = DitsLocal::build(Vec::new(), config);
+            for n in &nodes {
+                forward.insert(n.clone());
+            }
+            for n in nodes.iter().rev() {
+                backward.insert(n.clone());
+            }
+            let q = cs(&query);
+            let (a, _) = overlap_search(&forward, &q, k);
+            let (b, _) = overlap_search(&backward, &q, k);
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(a, overlap_search_bruteforce(&nodes, &q, k));
+        }
+    }
+
+    #[test]
+    fn a_leaf_whose_bound_ties_the_kth_overlap_is_verified_for_a_smaller_id() {
+        // Two leaves of two: {5, 6} bounds the query at 3 cells and is
+        // verified first, making (2, D5) the best; {1, 7} bounds it at 2,
+        // a tie, but holds D1 with overlap 2, which wins the tie.
+        let nodes = vec![
+            node(5, &[(0, 0), (1, 0)]),
+            node(6, &[(3, 0)]),
+            node(1, &[(100, 0), (101, 0)]),
+            node(7, &[(110, 0)]),
+        ];
+        let query = cs(&[(0, 0), (1, 0), (3, 0), (100, 0), (101, 0)]);
+        let expected = vec![OverlapResult {
+            dataset: 1,
+            overlap: 2,
+        }];
+        let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: 2 });
+        assert_eq!(idx.leaves().len(), 2);
+        assert_eq!(overlap_search(&idx, &query, 1).0, expected);
+        assert_eq!(overlap_search_bruteforce(&nodes, &query, 1), expected);
     }
 }

@@ -531,13 +531,26 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
 /// stops the accept loop and *drains* the server — every connection finishes
 /// the frame it is currently serving (request read, reply written) and then
 /// closes between frames, instead of dying mid-frame.  Cloning shares the
-/// flag, so one signal can fan out to the accept loop, its connection
+/// signal, so one signal can fan out to the accept loop, its connection
 /// handlers, and whatever (test, stdin watcher, signal handler) pulls the
 /// trigger.
 #[derive(Clone, Debug, Default)]
 pub struct ShutdownSignal {
-    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    state: std::sync::Arc<SignalState>,
 }
+
+#[derive(Debug, Default)]
+struct SignalState {
+    triggered: std::sync::atomic::AtomicBool,
+    /// The addresses of the listeners whose accept loops wait on this
+    /// signal: a trigger connects to each once, so a blocked `accept`
+    /// returns and sees the flag.
+    listeners: Mutex<Vec<std::net::SocketAddr>>,
+}
+
+/// How long a trigger waits for the loopback connection that wakes an
+/// accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 impl ShutdownSignal {
     /// A fresh, untriggered signal.
@@ -545,19 +558,66 @@ impl ShutdownSignal {
         Self::default()
     }
 
-    /// Requests shutdown.  Idempotent; never blocks.
+    /// Requests shutdown and wakes every accept loop waiting on the signal
+    /// with one loopback connection each.  Idempotent.
     pub fn trigger(&self) {
-        self.flag.store(true, std::sync::atomic::Ordering::Release);
+        self.state
+            .triggered
+            .store(true, std::sync::atomic::Ordering::Release);
+        let listeners = self
+            .state
+            .listeners
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        for addr in listeners.iter() {
+            let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether shutdown has been requested.
     pub fn is_triggered(&self) -> bool {
-        self.flag.load(std::sync::atomic::Ordering::Acquire)
+        self.state
+            .triggered
+            .load(std::sync::atomic::Ordering::Acquire)
+    }
+
+    /// Registers a listener to wake on trigger until the returned guard is
+    /// dropped.  A wildcard address is woken on the loopback address of its
+    /// family.
+    fn wake_listener(&self, mut addr: std::net::SocketAddr) -> WakeGuard<'_> {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        self.state
+            .listeners
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(addr);
+        WakeGuard { signal: self, addr }
     }
 }
 
-/// How often a drained server polls for shutdown: the accept loop between
-/// (non-blocking) accepts, and each idle connection between frames.
+/// Unregisters a listener from its [`ShutdownSignal`] when dropped.
+struct WakeGuard<'a> {
+    signal: &'a ShutdownSignal,
+    addr: std::net::SocketAddr,
+}
+
+impl Drop for WakeGuard<'_> {
+    fn drop(&mut self) {
+        let mut listeners = (self.signal.state.listeners)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(at) = listeners.iter().position(|a| *a == self.addr) {
+            listeners.swap_remove(at);
+        }
+    }
+}
+
+/// How often an idle connection checks for shutdown between frames.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
 /// Upper bound on the drain after shutdown is triggered: connections that
@@ -643,23 +703,28 @@ pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: S
 
     let source = std::sync::Arc::new(std::sync::RwLock::new(source));
     let open_connections = std::sync::Arc::new(AtomicUsize::new(0));
-    // Non-blocking accepts so the loop observes the shutdown signal between
-    // connections instead of parking in `accept` forever.
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("source server: set_nonblocking failed: {e}");
-        return;
-    }
+    // Blocking accepts: a trigger wakes the loop with a connection of its
+    // own, registered before the first look at the flag so none is missed.
+    let _wake = match listener
+        .set_nonblocking(false)
+        .and_then(|()| listener.local_addr())
+    {
+        Ok(addr) => shutdown.wake_listener(addr),
+        Err(e) => {
+            eprintln!("source server: listener unusable: {e}");
+            return;
+        }
+    };
     // Transient accept failures (ECONNABORTED, fd exhaustion under load)
     // must not shut the source down; only a persistently failing listener
     // ends the loop.
     let mut consecutive_failures = 0u32;
     while !shutdown.is_triggered() {
         let stream = match listener.accept() {
+            // The trigger's wake-up, or a peer that raced it: either way
+            // the server is draining and serves no new connection.
+            Ok(_) if shutdown.is_triggered() => break,
             Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(SHUTDOWN_POLL);
-                continue;
-            }
             Err(e) => {
                 consecutive_failures += 1;
                 eprintln!(

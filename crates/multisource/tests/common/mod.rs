@@ -318,24 +318,36 @@ pub struct Fleet {
     pub servers: Vec<ServerProcess>,
 }
 
-/// Spawns a [`Fleet`].  The data files go to a temp dir of its own, removed
-/// once every server has loaded its file: a server loads before it listens.
+/// Spawns a [`Fleet`]: [`spawn_servers`], then a pooled transport over them.
 // Only the suites that spawn the binary.
 #[allow(dead_code)]
 pub fn spawn_fleet<'d>(sources: impl IntoIterator<Item = (u32, &'d [SpatialDataset])>) -> Fleet {
+    let servers = spawn_servers(sources);
+    let endpoints = servers.iter().zip(0..).map(|(s, id)| (id, s.addr.clone()));
+    let pooled = PooledTcpTransport::new(endpoints).expect("pooled transport");
+    Fleet { pooled, servers }
+}
+
+/// Spawns one `source-server` process per `(resolution, datasets)`, ids
+/// ascending from 0, that nothing has connected to yet.  The data files go
+/// to a temp dir of its own, removed once every server has loaded its file:
+/// a server loads before it listens.
+// Only the suites that spawn the binary.
+#[allow(dead_code)]
+pub fn spawn_servers<'d>(
+    sources: impl IntoIterator<Item = (u32, &'d [SpatialDataset])>,
+) -> Vec<ServerProcess> {
     static FLEETS: AtomicUsize = AtomicUsize::new(0);
     let fleet = FLEETS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("fleet-{}-{fleet}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let servers: Vec<ServerProcess> = sources
+    let servers = sources
         .into_iter()
         .zip(0..)
         .map(|((resolution, datasets), id)| spawn_server(id, resolution, &dir, datasets))
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    let endpoints = servers.iter().zip(0..).map(|(s, id)| (id, s.addr.clone()));
-    let pooled = PooledTcpTransport::new(endpoints).expect("pooled transport");
-    Fleet { pooled, servers }
+    servers
 }
 
 /// Spawned `source-server` child with its parsed listen address, killed when

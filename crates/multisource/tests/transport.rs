@@ -39,7 +39,7 @@ use spatial::{Point, SpatialDataset};
 mod common;
 use common::{
     assert_same_response, build_data, every_kind, fetching_cjsp, framework, probe_queries,
-    serve_in_threads, spawn_fleet,
+    serve_in_threads, spawn_fleet, spawn_servers,
 };
 
 /// Three generated sources.
@@ -438,6 +438,55 @@ fn source_server_shutdown_drains_open_connections() {
         ),
         "expected the retry budget spent on I/O failures, got {err:?}"
     );
+}
+
+/// Hang guard for the blocking accept loop: a server nothing ever
+/// connected to drains on shutdown — in process, bound to the loopback or
+/// the wildcard address, and as a `source-server` process.
+#[test]
+fn a_server_that_never_got_a_connection_drains_on_shutdown() {
+    let data = build_data(DATA, 83);
+    let fw = framework(&data);
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = SourceServer::spawn(addr, fw.sources()[0].clone()).expect("bind");
+        let (drained, done) = std::sync::mpsc::channel();
+        let shutting = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = drained.send(());
+        });
+        done.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("a SourceServer on {addr} hung in shutdown"));
+        shutting.join().expect("the shutdown thread");
+    }
+
+    let mut servers = spawn_servers([(11, data[0].1.as_slice())]);
+    let server = &mut servers[0];
+    server
+        .child
+        .stdin
+        .as_mut()
+        .expect("piped stdin")
+        .write_all(b"SHUTDOWN\n")
+        .expect("write shutdown line");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = server.child.try_wait().expect("poll the server") {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a source-server process hung in shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "drained server must exit cleanly");
+    use std::io::BufRead as _;
+    let mut line = String::new();
+    server
+        .stdout
+        .read_line(&mut line)
+        .expect("read drained line");
+    assert_eq!(line.trim(), "DRAINED");
 }
 
 /// A retired message tag on a live socket is refused, never served: the

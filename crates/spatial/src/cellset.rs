@@ -20,14 +20,17 @@
 //! 2. **Linear merge** otherwise, over the two sorted lists.
 //!
 //! Beside them sits a **word-parallel popcount** over a bit-packed block
-//! form — 64-bit words keyed by `cell >> 6`, one `AND` + `count_ones` per
-//! matching block, up to 64 cells per instruction.  The dispatch never
-//! takes it; its readers are OverlapSearch's Lemma 2 leaf bound, through
-//! [`intersection_size_packed`](CellSet::intersection_size_packed), and
-//! [`intersects`](CellSet::intersects).  The packed form is built at most
-//! once per set (cached in a `OnceLock` alongside the sorted vec, which no
-//! `&mut` reaches), so a set bounded against many leaves pays the packing
-//! cost once.
+//! form, [`PackedCells`] — 64-bit words keyed by `cell >> 6`, one `AND` +
+//! `count_ones` per matching block, up to 64 cells per instruction.  The
+//! dispatch never takes it.  Its readers hold a query's packed form
+//! ([`CellSet::packed`]) against a DITS-L leaf's key blocks, which the leaf
+//! keeps in this form alone: OverlapSearch's Lemma 2 leaf bound through
+//! [`PackedCells::intersection_size`], and leaf verification through
+//! [`PackedCells::for_each_shared`], the one walk that count is built on.
+//! [`intersects`](CellSet::intersects) reads it too.  A set's packed form
+//! is built at most once (cached in a `OnceLock` alongside the sorted vec,
+//! which no `&mut` reaches), so a query bounded against many leaves pays the
+//! packing cost once.
 //!
 //! Under the kernels sit two joins over sorted slices, written once:
 //! `merge_join` (the linear kernel, the packed block merge and
@@ -76,28 +79,29 @@ use serde::{Deserialize, Serialize};
 /// Size skew ratio above which the galloping kernel is used.
 const GALLOP_SKEW: usize = 16;
 
-/// Calls `on_match` on the elements of `a` and `b` that share a key, in
-/// ascending key order, until it breaks.  Both slices are strictly
-/// increasing by `key`.
+/// Calls `on_match` on the elements of `a` and `b` that share a key, each
+/// with its position in its slice, in ascending key order, until it breaks.
+/// Both slices are strictly increasing by `key`.
 ///
 /// Two comparisons, not one `cmp`: on x86-64, `Ord::cmp` on integers
 /// compiles to a three-way value that is then branched on again, which made
 /// this loop about 1.5× slower on dense pairs.
 fn merge_join<T: Copy>(
-    mut a: &[T],
-    mut b: &[T],
+    a: &[T],
+    b: &[T],
     key: impl Fn(T) -> u64,
-    mut on_match: impl FnMut(T, T) -> ControlFlow<()>,
+    mut on_match: impl FnMut((usize, T), (usize, T)) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    while let ([x, a_rest @ ..], [y, b_rest @ ..]) = (a, b) {
+    let (mut rest_a, mut rest_b) = (a, b);
+    while let ([x, a_rest @ ..], [y, b_rest @ ..]) = (rest_a, rest_b) {
         let (kx, ky) = (key(*x), key(*y));
         if kx < ky {
-            a = a_rest;
+            rest_a = a_rest;
         } else if kx > ky {
-            b = b_rest;
+            rest_b = b_rest;
         } else {
-            on_match(*x, *y)?;
-            (a, b) = (a_rest, b_rest);
+            on_match((a.len() - rest_a.len(), *x), (b.len() - rest_b.len(), *y))?;
+            (rest_a, rest_b) = (a_rest, b_rest);
         }
     }
     ControlFlow::Continue(())
@@ -106,17 +110,18 @@ fn merge_join<T: Copy>(
 /// Galloping join (Bentley & Yao, 1976): for each element of `small`,
 /// probe the unread tail of `large` at exponentially growing offsets until
 /// one reaches its key, binary-search the last window, and call `on_match`
-/// on a hit.  `O(m·log(n/m))` overall, and it never rescans what it has
-/// passed, which is what makes it profitable even when the skew is
-/// moderate.  Both slices are strictly increasing by `key`.
+/// on a hit, each element with its position in its slice.  `O(m·log(n/m))`
+/// overall, and it never rescans what it has passed, which is what makes it
+/// profitable even when the skew is moderate.  Both slices are strictly
+/// increasing by `key`.
 fn gallop_join<T: Copy>(
     small: &[T],
     large: &[T],
     key: impl Fn(T) -> u64,
-    mut on_match: impl FnMut(T, T),
+    mut on_match: impl FnMut((usize, T), (usize, T)),
 ) {
     let mut tail = large;
-    for &x in small {
+    for (i, &x) in small.iter().enumerate() {
         if tail.is_empty() {
             break;
         }
@@ -134,7 +139,7 @@ fn gallop_join<T: Copy>(
             .unwrap_or_default();
         if let Some((&y, rest)) = tail.split_first() {
             if key(y) == k {
-                on_match(x, y);
+                on_match((i, x), (large.len() - tail.len(), y));
                 tail = rest;
             }
         }
@@ -149,69 +154,96 @@ fn block_key((key, _): Block) -> u64 {
     key
 }
 
-/// Popcount of the `AND` of two matched blocks' words.
-fn shared_cells((_, a): Block, (_, b): Block) -> usize {
-    (a & b).count_ones() as usize
-}
-
-/// Bit-packed block representation of a sorted cell list.  Keys are
-/// strictly increasing, words are never zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct PackedCells {
+/// The bit-packed block form of a sorted cell list: one `(cell >> 6, word)`
+/// pair per occupied 64-cell block, with bit `cell & 63` of the word set for
+/// every member cell.  Keys are strictly increasing, words are never zero.
+///
+/// A [`CellSet`] caches its own ([`CellSet::packed`]); a DITS-L leaf keeps
+/// its key column in this form alone.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PackedCells {
     blocks: Vec<Block>,
 }
 
 impl PackedCells {
-    /// Packs a sorted, deduplicated cell list into blocks.
-    fn build(cells: &[CellId]) -> Self {
+    /// Packs strictly increasing cells into blocks.
+    pub fn from_sorted(cells: impl IntoIterator<Item = CellId>) -> Self {
         let mut blocks: Vec<Block> = Vec::new();
-        for &cell in cells {
+        for cell in cells {
             let key = cell >> 6;
             let bit = 1u64 << (cell & 63);
             match blocks.last_mut() {
-                Some((last, word)) if *last == key => *word |= bit,
-                _ => blocks.push((key, bit)),
+                Some((last, word)) if *last == key => {
+                    debug_assert!(*word < bit, "cells must be strictly increasing");
+                    *word |= bit;
+                }
+                _ => {
+                    debug_assert!(blocks.last().is_none_or(|&(last, _)| last < key));
+                    blocks.push((key, bit));
+                }
             }
         }
+        blocks.shrink_to_fit();
         Self { blocks }
     }
 
-    /// Word-parallel intersection size: merge the two block lists and
-    /// popcount the `AND` of matching words.  Galloping over the larger
-    /// block list when the block counts themselves are skewed.
-    fn intersection_size(&self, other: &PackedCells) -> usize {
-        let (small, large) = if self.blocks.len() <= other.blocks.len() {
-            (&self.blocks, &other.blocks)
-        } else {
-            (&other.blocks, &self.blocks)
+    /// The blocks, ascending by key.
+    pub fn blocks(&self) -> &[(u64, u64)] {
+        &self.blocks
+    }
+
+    /// Calls `on_shared(j, word)` for every block whose words overlap in
+    /// both forms, in ascending key order: `j` is the block's position in
+    /// `other.blocks()` and `word` the `AND` of the two words.  The block
+    /// lists are merged, or the smaller galloped into the larger when their
+    /// lengths are skewed.
+    pub fn for_each_shared(&self, other: &PackedCells, mut on_shared: impl FnMut(usize, u64)) {
+        let (a, b) = (self.blocks.as_slice(), other.blocks.as_slice());
+        let mut on_match = |(_, (_, x)): (usize, Block), (j, (_, y)): (usize, Block)| {
+            if x & y != 0 {
+                on_shared(j, x & y);
+            }
         };
-        let mut count = 0;
-        if small.len() * GALLOP_SKEW < large.len() {
-            gallop_join(small, large, block_key, |a, b| count += shared_cells(a, b));
+        if a.len() * GALLOP_SKEW < b.len() {
+            gallop_join(a, b, block_key, on_match);
+        } else if b.len() * GALLOP_SKEW < a.len() {
+            gallop_join(b, a, block_key, |y, x| on_match(x, y));
         } else {
-            let _ = merge_join(small, large, block_key, |a, b| {
-                count += shared_cells(a, b);
+            let _ = merge_join(a, b, block_key, |x, y| {
+                on_match(x, y);
                 ControlFlow::Continue(())
             });
         }
+    }
+
+    /// Word-parallel intersection size: one `AND` + `count_ones` per block
+    /// both forms hold.
+    pub fn intersection_size(&self, other: &PackedCells) -> usize {
+        let mut count = 0;
+        self.for_each_shared(other, |_, word| count += word.count_ones() as usize);
         count
     }
 
     /// Returns `true` as soon as any block `AND` is non-zero — the
     /// word-parallel "do these sets share a cell?" predicate.
     fn intersects(&self, other: &PackedCells) -> bool {
-        merge_join(&self.blocks, &other.blocks, block_key, |(_, a), (_, b)| {
-            if a & b == 0 {
-                ControlFlow::Continue(())
-            } else {
-                ControlFlow::Break(())
-            }
-        })
+        merge_join(
+            &self.blocks,
+            &other.blocks,
+            block_key,
+            |(_, (_, a)), (_, (_, b))| {
+                if a & b == 0 {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            },
+        )
         .is_break()
     }
 
     /// Heap bytes used by the packed form.
-    fn memory_bytes(&self) -> usize {
+    pub fn memory_bytes(&self) -> usize {
         self.blocks.capacity() * std::mem::size_of::<Block>()
     }
 }
@@ -337,7 +369,8 @@ mod frozen {
 
         /// The bit-packed form, built on first use.
         pub(super) fn packed(&self) -> &PackedCells {
-            self.packed.get_or_init(|| PackedCells::build(&self.sorted))
+            self.packed
+                .get_or_init(|| PackedCells::from_sorted(self.sorted.iter().copied()))
         }
 
         /// The boundary decomposition, built on first use.
@@ -496,7 +529,7 @@ impl CellSet {
         if self.is_empty() || other.is_empty() {
             return false;
         }
-        self.cells.packed().intersects(other.cells.packed())
+        self.packed().intersects(other.packed())
     }
 
     /// Size of the intersection `|self ∩ other|`: the galloping kernel when
@@ -515,14 +548,11 @@ impl CellSet {
         }
     }
 
-    /// Word-parallel intersection size over the bit-packed block forms,
-    /// building and caching them on first use: the count OverlapSearch's
-    /// Lemma 2 leaf bound takes against a leaf's cell keys.
-    pub fn intersection_size_packed(&self, other: &CellSet) -> usize {
-        if self.is_empty() || other.is_empty() {
-            return 0;
-        }
-        self.cells.packed().intersection_size(other.cells.packed())
+    /// The set's bit-packed block form, built on first use and cached: what
+    /// OverlapSearch's Lemma 2 leaf bound and leaf verification hold a query
+    /// against a leaf's key blocks with.
+    pub fn packed(&self) -> &PackedCells {
+        self.cells.packed()
     }
 
     /// Linear merge of the two sorted lists.
@@ -806,6 +836,11 @@ mod tests {
         CellSet::from_cells(ids.iter().copied())
     }
 
+    /// `|a ∩ b|` by the word-parallel kernel over the cached packed forms.
+    fn packed_size(a: &CellSet, b: &CellSet) -> usize {
+        a.packed().intersection_size(b.packed())
+    }
+
     /// `|a ∩ b|` counted through a `BTreeSet`: an oracle that shares no code
     /// with the joins the kernels run on.
     fn oracle_intersection_size(a: &CellSet, b: &CellSet) -> usize {
@@ -860,7 +895,7 @@ mod tests {
         assert_eq!(large.intersection_size(&small), 3);
         assert_eq!(small.intersection_size_galloping(&large), 3);
         assert_eq!(small.intersection_size_linear(&large), 3);
-        assert_eq!(small.intersection_size_packed(&large), 3);
+        assert_eq!(packed_size(&small, &large), 3);
     }
 
     #[test]
@@ -872,8 +907,8 @@ mod tests {
         assert_eq!(other.intersection_size(&empty), 0);
         assert_eq!(empty.intersection_size_linear(&other), 0);
         assert_eq!(empty.intersection_size_galloping(&other), 0);
-        assert_eq!(empty.intersection_size_packed(&other), 0);
-        assert_eq!(other.intersection_size_packed(&empty), 0);
+        assert_eq!(packed_size(&empty, &other), 0);
+        assert_eq!(packed_size(&other, &empty), 0);
         assert_eq!(empty.union_size(&empty), 0);
         assert_eq!(empty.union(&other).cells(), other.cells());
     }
@@ -886,7 +921,7 @@ mod tests {
         assert_eq!(low.intersection_size(&high), 0);
         assert_eq!(low.intersection_size_galloping(&high), 0);
         assert_eq!(high.intersection_size_galloping(&low), 0);
-        assert_eq!(low.intersection_size_packed(&high), 0);
+        assert_eq!(packed_size(&low, &high), 0);
         assert_eq!(low.union_size(&high), 7);
         // Adjacent but not overlapping.
         let a = set(&[1, 3, 5]);
@@ -894,7 +929,7 @@ mod tests {
         assert_eq!(a.intersection_size(&b), 0);
         assert_eq!(a.intersection_size_linear(&b), 0);
         assert_eq!(a.intersection_size_galloping(&b), 0);
-        assert_eq!(a.intersection_size_packed(&b), 0);
+        assert_eq!(packed_size(&a, &b), 0);
     }
 
     #[test]
@@ -906,7 +941,7 @@ mod tests {
         assert_eq!(single.intersection_size(&hit), 1);
         assert_eq!(single.intersection_size(&miss), 0);
         assert_eq!(single.intersection_size_galloping(&hit), 1);
-        assert_eq!(single.intersection_size_packed(&hit), 1);
+        assert_eq!(packed_size(&single, &hit), 1);
         assert_eq!(hit.intersection_size(&single), 1);
         // Last and first element hits exercise the gallop-to-the-end path.
         assert_eq!(set(&[99]).intersection_size_galloping(&hit), 1);
@@ -928,12 +963,12 @@ mod tests {
     fn mutation_invalidates_the_packed_cache() {
         let mut s: CellSet = (0..256u64).collect();
         let probe: CellSet = (0..512u64).collect();
-        assert_eq!(s.intersection_size_packed(&probe), 256);
+        assert_eq!(packed_size(&s, &probe), 256);
         s.union_in_place(&set(&[1000]));
-        assert_eq!(s.intersection_size_packed(&probe), 256);
-        assert_eq!(s.intersection_size_packed(&set(&[1000])), 1);
+        assert_eq!(packed_size(&s, &probe), 256);
+        assert_eq!(packed_size(&s, &set(&[1000])), 1);
         s.union_in_place(&(256..300u64).collect());
-        assert_eq!(s.intersection_size_packed(&probe), 300);
+        assert_eq!(packed_size(&s, &probe), 300);
         assert_eq!(s.intersection_size_linear(&probe), 300);
     }
 
@@ -942,12 +977,12 @@ mod tests {
         let a: CellSet = (0..300u64).collect();
         let b: CellSet = (0..300u64).collect();
         // Build `a`'s packed cache but not `b`'s: still equal both ways.
-        assert_eq!(a.intersection_size_packed(&a), 300);
+        assert_eq!(packed_size(&a, &a), 300);
         assert_eq!(a, b);
         assert_eq!(b, a);
         let c = a.clone();
         assert_eq!(c, a);
-        assert_eq!(c.intersection_size_packed(&b), 300);
+        assert_eq!(packed_size(&c, &b), 300);
     }
 
     #[test]
@@ -1146,7 +1181,7 @@ mod tests {
         let bare = s.memory_bytes();
         assert!(bare >= 100 * 8);
         // Building the packed cache is reflected in the estimate.
-        s.intersection_size_packed(&s);
+        s.packed();
         assert!(s.memory_bytes() > bare);
         // ... and so is the boundary cache.
         let packed_only = s.memory_bytes();
@@ -1296,8 +1331,8 @@ mod tests {
             let cb = CellSet::from_cells(b);
             let truth = oracle_intersection_size(&ca, &cb);
             prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
-            prop_assert_eq!(cb.intersection_size_packed(&ca), truth);
+            prop_assert_eq!(packed_size(&ca, &cb), truth);
+            prop_assert_eq!(packed_size(&cb, &ca), truth);
         }
 
         #[test]
@@ -1312,7 +1347,7 @@ mod tests {
             let cb: CellSet = (start_b..start_b + len_b as u64).collect();
             let truth = oracle_intersection_size(&ca, &cb);
             prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
+            prop_assert_eq!(packed_size(&ca, &cb), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
             prop_assert_eq!(ca.union_size(&cb), ca.len() + cb.len() - truth);
         }
@@ -1328,8 +1363,8 @@ mod tests {
             let rest = CellSet::from_cells(others);
             let truth = oracle_intersection_size(&single, &rest);
             prop_assert_eq!(single.intersection_size_linear(&rest), truth);
-            prop_assert_eq!(single.intersection_size_packed(&rest), truth);
-            prop_assert_eq!(rest.intersection_size_packed(&single), truth);
+            prop_assert_eq!(packed_size(&single, &rest), truth);
+            prop_assert_eq!(packed_size(&rest, &single), truth);
             prop_assert_eq!(single.intersection_size(&rest), truth);
         }
 
@@ -1348,8 +1383,8 @@ mod tests {
                 blocks_b.iter().flat_map(|&hi| lows.iter().map(move |&lo| (hi << 6) | lo)));
             let truth = oracle_intersection_size(&ca, &cb);
             prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
-            prop_assert_eq!(cb.intersection_size_packed(&ca), truth);
+            prop_assert_eq!(packed_size(&ca, &cb), truth);
+            prop_assert_eq!(packed_size(&cb, &ca), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
         }
 
@@ -1367,7 +1402,7 @@ mod tests {
             prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
             prop_assert_eq!(ca.intersection_size_galloping(&cb), truth);
-            prop_assert_eq!(ca.intersection_size_packed(&cb), truth);
+            prop_assert_eq!(packed_size(&ca, &cb), truth);
         }
 
         #[test]

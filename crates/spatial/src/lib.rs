@@ -31,7 +31,7 @@ pub mod mbr;
 pub mod point;
 pub mod zorder;
 
-pub use cellset::CellSet;
+pub use cellset::{CellSet, PackedCells};
 pub use connectivity::{is_directly_connected, satisfies_spatial_connectivity};
 pub use dataset::{DatasetId, SourceId, SourceStats, SpatialDataset};
 pub use distance::{dataset_distance, dataset_distance_within, NeighborProbe};

@@ -65,9 +65,9 @@ fn fig4_leaf_inverted_index_posting_lists() {
     let d9 = CellSet::from_cells([22u64, 23]);
     let d10 = CellSet::from_cells([20u64, 22]);
     let inv = InvertedIndex::build([(9u32, &d9), (10u32, &d10)]);
-    assert_eq!(inv.posting_list(20), Some(&[10u32][..]));
-    assert_eq!(inv.posting_list(22), Some(&[9u32, 10][..]));
-    assert_eq!(inv.posting_list(23), Some(&[9u32][..]));
+    assert_eq!(inv.posting_list(20), Some(vec![10]));
+    assert_eq!(inv.posting_list(22), Some(vec![9, 10]));
+    assert_eq!(inv.posting_list(23), Some(vec![9]));
 }
 
 #[test]
