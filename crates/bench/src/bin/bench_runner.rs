@@ -65,6 +65,7 @@ use multisource::{
     SearchResults, SourceServer, SourceTransport, TransportError, TransportReply, UpdateOp,
 };
 use net::PooledTcpTransport;
+use spatial::cellset::super_block_runs;
 use spatial::distance::{dataset_distance, dataset_distance_bounded};
 use spatial::zorder::cell_id;
 use spatial::{CellSet, SourceId, SpatialDataset};
@@ -91,9 +92,11 @@ Usage: bench-runner [--quick] [--out PATH]
 ///   federated CJSP query, every pick inline against cells on demand;
 /// * `maintenance` — bytes and encode / decode time per op of a fixed 72-op
 ///   batch (24 inserts, updates and deletes against the largest source);
-/// * `phases` — each engine entry's source-side traversal / verify split;
-/// * `index` — leaf inverted indexes, DITS-L bytes and the build's RSS.
-const SCHEMA_VERSION: u64 = 9;
+/// * `phases` — each engine entry's source-side traversal / verify split and
+///   the distance kernel's bound tests per exact distance;
+/// * `index` — leaf inverted indexes, DITS-L bytes, the datasets' verify
+///   state and the build's RSS.
+const SCHEMA_VERSION: u64 = 10;
 
 /// The maintenance row every snapshot must carry, and its batch size.
 const MAINTENANCE_ROW: &str = "maintenance/apply_updates";
@@ -201,6 +204,7 @@ const SECTIONS: [Section; 10] = [
         Field("traversal_ns", Int, AtLeastZero),
         Field("verify_ns", Int, AtLeastZero),
         Field("verify_share", Fixed(4), Share),
+        Field("bound_tests_per_exact", Fixed(1), AtLeastZero),
     ] },
     Section { key: "index", shape: Shape::Object, fields: &[
         Field("leaves", Int, Positive),
@@ -209,6 +213,7 @@ const SECTIONS: [Section; 10] = [
         Field("inverted_bytes", Int, Positive),
         Field("bytes_per_posting", Fixed(2), Positive),
         Field("local_index_bytes", Int, Positive),
+        Field("verify_state_bytes", Int, Positive),
         // 0 is what a machine without procfs reports.
         Field("rss_before_build_mb", Fixed(1), AtLeastZero),
         Field("rss_after_build_mb", Fixed(1), AtLeastZero),
@@ -360,7 +365,8 @@ fn rss_mb() -> f64 {
 }
 
 /// The `phases` row of a traced [`SearchResponse`]: its traversal/verify
-/// split.
+/// split, and the bound tests the distance kernel ran per exact distance
+/// (0 where no distance is computed).
 fn phase_report(name: &str, response: &SearchResponse) -> Row {
     let trace = response.trace.as_ref().expect("run was traced");
     let traversal = trace.total_named("traversal");
@@ -377,6 +383,7 @@ fn phase_report(name: &str, response: &SearchResponse) -> Row {
             traversal.as_nanos() as f64,
             verify.as_nanos() as f64,
             verify_share,
+            response.search.bound_tests as f64 / response.search.exact_computations.max(1) as f64,
         ]
         .map(Json::Number),
     )
@@ -825,7 +832,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     for &(q, c) in &distance_pairs {
         let truth = dataset_distance(q, c);
         assert_eq!(
-            dataset_distance_bounded(q, c, truth),
+            dataset_distance_bounded(q, c, truth).0,
             truth,
             "bounded distance diverged from the exact one at its own cutoff"
         );
@@ -864,6 +871,25 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     // sum and aborts if a query grew it, so the row cannot miss one.
     let leaf_bytes = || -> usize { leaves.iter().map(|(_, inv)| inv.memory_bytes()).sum() };
     let inverted_bytes = leaf_bytes();
+    let local_index_bytes: usize = indexes.iter().map(DitsLocal::memory_bytes).sum();
+    // Every dataset's verify state, built: what kNN verification holds once
+    // it has reached every dataset.  The boundary tiles stay within 16 B a
+    // tile and 24 B a super-block, next to the packed blocks' 16 B a tile.
+    let mut verify_state_bytes = 0;
+    for cells in leaves
+        .iter()
+        .flat_map(|(entries, _)| entries.iter().map(|e| &e.cells))
+    {
+        let bytes = cells.verify_state_bytes();
+        let blocks = cells.packed().blocks();
+        let supers = super_block_runs(blocks, |(key, _)| key).count();
+        assert!(
+            bytes <= 32 * blocks.len() + 24 * supers,
+            "verify state over budget: {bytes} B for {} tiles and {supers} super-blocks",
+            blocks.len()
+        );
+        verify_state_bytes += bytes;
+    }
     let index = Row::new(
         "",
         [
@@ -872,7 +898,8 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             postings as f64,
             inverted_bytes as f64,
             inverted_bytes as f64 / postings.max(1) as f64,
-            indexes.iter().map(DitsLocal::memory_bytes).sum::<usize>() as f64,
+            local_index_bytes as f64,
+            verify_state_bytes as f64,
             rss_before_build_mb,
             rss_after_build_mb,
         ]
@@ -1699,6 +1726,16 @@ mod tests {
             ("index.postings 0", "index[0].postings", |t| {
                 set(t, "postings", "0")
             }),
+            (
+                "index.verify_state_bytes 0",
+                "index[0].verify_state_bytes",
+                |t| set(t, "verify_state_bytes", "0"),
+            ),
+            (
+                "a bound_tests_per_exact of -1",
+                "phases[0].bound_tests_per_exact",
+                |t| set(t, "bound_tests_per_exact", "-1"),
+            ),
             (
                 "a cjsp_comm count of 0",
                 "cjsp_comm[0].exchanges_per_query",

@@ -78,7 +78,7 @@ impl Ord for Frontier {
 /// Verification is *bounded*: each candidate's exact distance is computed
 /// with the current k-th best distance as the kernel's cutoff
 /// ([`dataset_distance_bounded`]), so far candidates abandon after the
-/// block-bound checks.  The answer is the brute-force one, ids included —
+/// box-bound checks, whose number adds up in `SearchStats::bound_tests`.  The answer is the brute-force one, ids included —
 /// candidates whose bounded distance exceeds the cutoff could never enter
 /// the result, and candidates at exactly the cutoff are computed exactly,
 /// preserving tie-breaks (proptested against
@@ -159,8 +159,10 @@ pub fn nearest_datasets(
                         }
                         stats.exact_computations += 1;
                         let verify_started = Instant::now();
-                        let distance = dataset_distance_bounded(query, &entry.cells, worst);
+                        let (distance, bound_tests) =
+                            dataset_distance_bounded(query, &entry.cells, worst);
                         verify_time += verify_started.elapsed();
+                        stats.bound_tests += bound_tests;
                         let entry = ResultEntry {
                             distance,
                             dataset: entry.id,

@@ -109,8 +109,9 @@ impl DatasetNode {
 
     /// Estimated heap memory of the node in bytes (cell set plus the fixed
     /// geometry fields), used by the Fig. 8 memory comparison.  The cell
-    /// set's lazily-built caches — packed words and the boundary
-    /// decomposition of the distance kernel — are counted once built.
+    /// set's lazily-built caches are counted once built: the packed blocks
+    /// (16 B a 64-cell tile) and the distance kernel's boundary tiles beside
+    /// them (at most 16 B a tile and 24 B a 64×64-cell super-block).
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cells.memory_bytes()
     }
@@ -119,6 +120,7 @@ impl DatasetNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial::cellset::super_block_runs;
     use spatial::zorder::cell_id;
     use spatial::GridConfig;
 
@@ -159,17 +161,39 @@ mod tests {
     fn memory_estimate_grows_after_verify_cache_materializes() {
         let n = DatasetNode::from_cell_set(1, cells(&[(0, 0), (3, 1), (7, 9), (2, 2)])).unwrap();
         let cold = n.memory_bytes();
-        // Materialise the cached verify state (the boundary decomposition
-        // the distance kernel walks; a four-cell scatter is all boundary):
-        // the reported footprint must grow, keeping the Fig. 8 memory
+        // Materialise the cached verify state (the packed blocks and the
+        // boundary tiles the distance kernel walks): the reported footprint
+        // must grow by exactly its bytes, keeping the Fig. 8 memory
         // comparison honest.
-        let coords = n.cells.boundary_coords();
-        assert_eq!(coords.len(), n.coverage());
-        let warm = n.memory_bytes();
+        let state = n.cells.verify_state_bytes();
+        assert!(state > 0);
+        assert_eq!(n.memory_bytes(), cold + state);
+    }
+
+    #[test]
+    fn verify_state_stays_within_16_bytes_a_tile_and_24_a_super_block() {
+        // A filled 200×120 rectangle with a hole, and a diagonal route far
+        // from it: interior tiles, boundary tiles and many super-blocks.
+        let mut coords: Vec<(u32, u32)> = (0..200)
+            .flat_map(|x| (0..120).map(move |y| (x, y)))
+            .filter(|&(x, y)| !(50..60).contains(&x) || !(40..45).contains(&y))
+            .collect();
+        coords.extend((0..500).map(|i| (1000 + i, 300 + i)));
+        let n = DatasetNode::from_cell_set(1, cells(&coords)).unwrap();
+        let far = cells(&[(5000, 5000)]);
+        let packed = n.cells.packed().memory_bytes();
+        let cold = n.memory_bytes();
+        assert!(spatial::dataset_distance(&n.cells, &far) > 0.0);
+        let blocks = n.cells.packed().blocks();
+        let supers = super_block_runs(blocks, |(key, _)| key).count();
+        let boundary = n.memory_bytes() - cold;
+        assert!(boundary > 0);
         assert!(
-            warm >= cold + std::mem::size_of_val(coords),
-            "cold {cold} -> warm {warm}"
+            boundary <= 16 * blocks.len() + 24 * supers,
+            "{boundary} B for {} tiles and {supers} super-blocks",
+            blocks.len()
         );
+        assert_eq!(n.cells.verify_state_bytes(), packed + boundary);
     }
 
     #[test]

@@ -20,6 +20,10 @@ pub struct SearchStats {
     pub exact_computations: usize,
     /// Candidate datasets that survived filtering.
     pub candidates: usize,
+    /// Bound tests the distance kernel ran for the exact distances counted
+    /// in `exact_computations`: box-gap tests between super-blocks, tiles
+    /// and super-blocks, and tiles (kNN only).
+    pub bound_tests: usize,
 }
 
 impl SearchStats {
@@ -37,6 +41,7 @@ impl SearchStats {
         self.leaves_verified += other.leaves_verified;
         self.exact_computations += other.exact_computations;
         self.candidates += other.candidates;
+        self.bound_tests += other.bound_tests;
     }
 }
 
@@ -44,7 +49,7 @@ impl SearchStats {
     /// The counters as a fixed-order array, the form the multi-source frame
     /// codec puts on the wire.  Field order is part of the wire contract:
     /// append new counters at the end, never reorder.
-    pub fn to_array(&self) -> [u64; 6] {
+    pub fn to_array(&self) -> [u64; 7] {
         [
             self.nodes_visited as u64,
             self.nodes_pruned as u64,
@@ -52,12 +57,13 @@ impl SearchStats {
             self.leaves_verified as u64,
             self.exact_computations as u64,
             self.candidates as u64,
+            self.bound_tests as u64,
         ]
     }
 
     /// Rebuilds a statistics block from its wire array (see
     /// [`Self::to_array`]).
-    pub fn from_array(a: [u64; 6]) -> Self {
+    pub fn from_array(a: [u64; 7]) -> Self {
         Self {
             nodes_visited: a[0] as usize,
             nodes_pruned: a[1] as usize,
@@ -65,6 +71,7 @@ impl SearchStats {
             leaves_verified: a[3] as usize,
             exact_computations: a[4] as usize,
             candidates: a[5] as usize,
+            bound_tests: a[6] as usize,
         }
     }
 }
@@ -233,6 +240,7 @@ mod tests {
             leaves_verified: 4,
             exact_computations: 5,
             candidates: 6,
+            bound_tests: 7,
         };
         let b = a;
         a.merge(&b);
@@ -242,6 +250,8 @@ mod tests {
         assert_eq!(a.leaves_verified, 8);
         assert_eq!(a.exact_computations, 10);
         assert_eq!(a.candidates, 12);
+        assert_eq!(a.bound_tests, 14);
+        assert_eq!(SearchStats::from_array(a.to_array()), a);
     }
 
     #[test]

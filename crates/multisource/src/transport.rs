@@ -33,7 +33,8 @@
 //!
 //! `flags` bit 0 on a request asks the source to append its off-wire search
 //! statistics to the reply; bits 1/2 on a reply say a
-//! [`SearchStats`]/[`MaintenanceStats`] block follows the message; bit 3 on
+//! [`SearchStats`]/[`MaintenanceStats`] block follows the message (seven and
+//! nine varints, in `to_array` order); bit 3 on
 //! a reply says a timing block follows: the source's wall-clock service time
 //! and its traversal/verification phase split, three varints of
 //! nanoseconds.  Bit 4 is retired and must never be reused: an old peer may
@@ -478,7 +479,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
     let message = Message::decode(body.split_to(msg_len))?;
     let message_bytes = msg_len;
     let search = if flags & FLAG_HAS_SEARCH != 0 {
-        let mut a = [0u64; 6];
+        let mut a = SearchStats::default().to_array();
         for slot in &mut a {
             *slot = get_varint(&mut body, "search stats")?;
         }
@@ -858,7 +859,7 @@ mod tests {
         };
         for (search, maintenance) in [
             (None, None),
-            (Some(SearchStats::from_array([1, 2, 3, 4, 5, 6])), None),
+            (Some(SearchStats::from_array([1, 2, 3, 4, 5, 6, 7])), None),
             (
                 None,
                 Some(MaintenanceStats::from_array([1, 2, 3, 4, 5, 6, 7, 8, 9])),
@@ -931,9 +932,10 @@ mod tests {
         };
         // The reply frame of a pipelined call with statistics: every block
         // at once.
-        let served = ServedReply::search(msg.clone(), SearchStats::from_array([1, 2, 3, 4, 5, 6]))
-            .with_timing(Duration::from_micros(42), phases)
-            .correlated(Some(300));
+        let served =
+            ServedReply::search(msg.clone(), SearchStats::from_array([1, 2, 3, 4, 5, 6, 7]))
+                .with_timing(Duration::from_micros(42), phases)
+                .correlated(Some(300));
         let mut buf = Vec::new();
         let counted = write_frame(&mut buf, &served, false).unwrap();
         let frame = match read_frame(&mut &buf[..]) {
@@ -964,7 +966,7 @@ mod tests {
                 source: 1,
                 results: vec![],
             },
-            SearchStats::from_array([9, 8, 7, 6, 5, 4]),
+            SearchStats::from_array([9, 8, 7, 6, 5, 4, 3]),
         );
         let mut buf = Vec::new();
         write_frame(&mut buf, &served, false).unwrap();
@@ -989,7 +991,7 @@ mod tests {
                 source: 1,
                 results: vec![],
             },
-            SearchStats::from_array([9, 8, 7, 6, 5, 4]),
+            SearchStats::from_array([9, 8, 7, 6, 5, 4, 3]),
         )
         .with_timing(Duration::from_nanos(3), PhaseTimings::default());
         [(request, true), (reply, false)].map(|(served, want_stats)| {

@@ -32,6 +32,15 @@
 //! which no `&mut` reaches), so a query bounded against many leaves pays the
 //! packing cost once.
 //!
+//! Beside the packed blocks a set caches, on first use and once, the
+//! distance kernel's verify state (`BoundaryTiles`): per packed block one
+//! `u64` mask of its *boundary* cells (a 4-neighbour outside the set) and
+//! their exact box, and per 64×64-cell super-block — the blocks sharing
+//! `key >> 6`, one contiguous run ([`super_block_runs`]) — the box of its
+//! boundary cells.  It is found from the packed words alone, with row-major
+//! shifts inside a block and the edge rows of its four neighbours, and keeps
+//! nothing per cell: at most 16 B a block and 24 B a super-block.
+//!
 //! Under the kernels sit two joins over sorted slices, written once:
 //! `merge_join` (the linear kernel, the packed block merge and
 //! [`intersects`](CellSet::intersects)) and `gallop_join` (the galloping
@@ -68,7 +77,7 @@
 )]
 
 use std::convert::identity;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use crate::grid::Grid;
 use crate::mbr::Mbr;
@@ -248,80 +257,208 @@ impl PackedCells {
     }
 }
 
-/// One coarse block of a boundary decomposition: the exact bounding box (in
-/// cell coordinates) of the boundary cells it groups, and the range of
-/// [`BoundaryIndex::coords`] holding them.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BoundaryBlock {
-    pub(crate) min_x: f64,
-    pub(crate) min_y: f64,
-    pub(crate) max_x: f64,
-    pub(crate) max_y: f64,
+/// Bits of a block key that number a block inside its super-block: a
+/// super-block is the 64 consecutive blocks `key >> SUPER_BLOCK_BITS`
+/// names, 64×64 cells in z-order, so in any ascending list of block keys its
+/// blocks form one contiguous run.
+const SUPER_BLOCK_BITS: u32 = 6;
+
+/// The runs of `sorted` (ascending by `key`, a 64-cell block key) that fall
+/// in one super-block, as position ranges in ascending order.  The one
+/// grouping of blocks into super-blocks: the distance kernel's boundary
+/// tiles are built on it, and any other ascending list of block keys (a
+/// sketch's blocks) groups the same way.
+pub fn super_block_runs<'a, T: Copy + 'a>(
+    sorted: &'a [T],
+    key: impl Fn(T) -> u64 + 'a,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let mut start = 0;
+    sorted
+        .chunk_by(move |&a, &b| key(a) >> SUPER_BLOCK_BITS == key(b) >> SUPER_BLOCK_BITS)
+        .map(move |run| {
+            let range = start..start + run.len();
+            start = range.end;
+            range
+        })
+}
+
+/// Bit `i` of a block word is the cell `(x, y)` at entry `i` of this table,
+/// in cells from the block's corner: the z-order of the low six bits.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a const loop bounded by the table's own length; `get_mut` is not const"
+)]
+pub(crate) const TILE_XY: [(u32, u32); 64] = {
+    let mut table = [(0, 0); 64];
+    let mut i = 0;
+    while i < 64 {
+        table[i] = cell_coords(i as CellId);
+        i += 1;
+    }
+    table
+};
+
+/// One occupied 8×8-cell tile of a set, at the same position as its block
+/// in the set's [`PackedCells`]: which of its cells are boundary cells, and
+/// where they lie.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Tile {
+    /// Bit `cell & 63` set for every boundary cell of the tile; 0 when all
+    /// its cells are interior.
+    pub(crate) mask: u64,
+    /// The exact bounding box `[x0, y0, x1, y1]` of the tile's boundary
+    /// cells, corners included, in cells from its super-block's corner.
+    pub(crate) bbox: [u8; 4],
+}
+
+/// One 64×64-cell super-block holding boundary cells: their exact bounding
+/// box and the range of tiles it groups.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SuperBlock {
+    /// `[x0, y0, x1, y1]` in cell coordinates, corners included.
+    pub(crate) bbox: [u32; 4],
+    /// The super-block's tiles are `tiles[start..end]`.
     pub(crate) start: u32,
     pub(crate) end: u32,
 }
 
-/// A set's boundary cells grouped into coarse
-/// [`BOUNDARY_BLOCK_SIZE`]×[`BOUNDARY_BLOCK_SIZE`]-cell blocks — the verify
-/// state the two-level distance kernel walks: block-pair bounding-box gaps
-/// prune in exact integer arithmetic, and only the surviving block pairs are
-/// scanned cell by cell.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct BoundaryIndex {
-    pub(crate) coords: Vec<(f64, f64)>,
-    pub(crate) blocks: Vec<BoundaryBlock>,
+impl SuperBlock {
+    /// The cell coordinates of the super-block's corner: the box lies inside
+    /// the aligned 64×64 square, so its low corner rounds down to it.
+    pub(crate) fn origin(&self) -> (u32, u32) {
+        let [x0, y0, ..] = self.bbox;
+        (x0 & !63, y0 & !63)
+    }
 }
 
-/// Side length (in cells) of one boundary block.
-const BOUNDARY_BLOCK_SIZE: u32 = 8;
+impl Tile {
+    /// The tile's corner, given its super-block's: the box lies inside the
+    /// aligned 8×8 tile.
+    pub(crate) fn origin(&self, (ox, oy): (u32, u32)) -> (u32, u32) {
+        let [x0, y0, ..] = self.bbox;
+        (ox + u32::from(x0 & !7), oy + u32::from(y0 & !7))
+    }
 
-impl BoundaryIndex {
-    /// Groups the boundary cells of `sorted` (a set's cells) into blocks.
-    fn build(sorted: &[CellId]) -> Self {
-        let contains = |x: Option<u32>, y: Option<u32>| {
-            x.zip(y)
-                .is_some_and(|(x, y)| sorted.binary_search(&cell_id(x, y)).is_ok())
+    /// The boundary cells' box in cell coordinates, given the super-block's
+    /// corner.
+    pub(crate) fn bbox(&self, (ox, oy): (u32, u32)) -> [u32; 4] {
+        let [x0, y0, x1, y1] = self.bbox.map(u32::from);
+        [ox + x0, oy + y0, ox + x1, oy + y1]
+    }
+}
+
+/// The verify state of the distance kernel, laid out beside a set's packed
+/// blocks: per occupied tile one boundary mask and box (`tiles`, parallel to
+/// [`PackedCells::blocks`]), and per super-block with boundary cells its box
+/// and tile range (`supers`).  A cell is a *boundary* cell when one of its
+/// 4-neighbours is outside the set, a neighbour off the coordinate space
+/// included.  Nothing is stored per cell: 16 bytes per tile and 24 per
+/// super-block.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct BoundaryTiles {
+    pub(crate) tiles: Vec<Tile>,
+    pub(crate) supers: Vec<SuperBlock>,
+}
+
+/// The row-major form of a block word: bit `8·y + x` for the cell at `(x,
+/// y)` from the tile's corner.
+fn row_major(word: u64) -> u64 {
+    set_bits(word).fold(0, |rows, bit| {
+        let (x, y) = cell_coords(CellId::from(bit));
+        rows | 1 << (8 * y + x)
+    })
+}
+
+/// The set bits of `word`, ascending.
+pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+impl BoundaryTiles {
+    /// Builds the tiles from the set's packed blocks.  A tile's boundary is
+    /// found on its row-major form with shifts: a cell is interior when its
+    /// row-major neighbours are set, those across a tile edge read from the
+    /// edge row or column of the neighbouring tile (four key lookups per
+    /// tile; a tile off the coordinate space is empty).
+    fn build(packed: &PackedCells) -> Self {
+        const COL0: u64 = 0x0101_0101_0101_0101;
+        const COL7: u64 = COL0 << 7;
+        let blocks = packed.blocks();
+        let rows: Vec<u64> = blocks.iter().map(|&(_, word)| row_major(word)).collect();
+        let rows_at = |tx: Option<u32>, ty: Option<u32>| {
+            let key = tx.zip(ty).map(|(x, y)| cell_id(x, y));
+            key.and_then(|key| blocks.binary_search_by_key(&key, |&(k, _)| k).ok())
+                .and_then(|at| rows.get(at).copied())
+                .unwrap_or(0)
         };
-        let mut cells: Vec<(u32, u32)> = (sorted.iter().map(|&c| cell_coords(c)))
-            .filter(|&(x, y)| {
-                !(contains(x.checked_sub(1), Some(y))
-                    && contains(x.checked_add(1), Some(y))
-                    && contains(Some(x), y.checked_sub(1))
-                    && contains(Some(x), y.checked_add(1)))
-            })
-            .collect();
-        let key = |&(x, y): &(u32, u32)| {
-            (((x / BOUNDARY_BLOCK_SIZE) as u64) << 32) | (y / BOUNDARY_BLOCK_SIZE) as u64
-        };
-        cells.sort_unstable_by_key(key);
-        let coords: Vec<(f64, f64)> = cells.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
-        let mut blocks: Vec<BoundaryBlock> = Vec::new();
-        let mut start = 0u32;
-        for run in cells.chunk_by(|a, b| key(a) == key(b)) {
-            // The bounding box in integer cell coordinates, exact in `f64`.
-            let (min_x, min_y, max_x, max_y) = run.iter().fold(
-                (u32::MAX, u32::MAX, 0, 0),
-                |(min_x, min_y, max_x, max_y), &(x, y)| {
-                    (min_x.min(x), min_y.min(y), max_x.max(x), max_y.max(y))
-                },
-            );
-            let end = start + run.len() as u32;
-            blocks.push(BoundaryBlock {
-                min_x: min_x as f64,
-                min_y: min_y as f64,
-                max_x: max_x as f64,
-                max_y: max_y as f64,
-                start,
-                end,
-            });
-            start = end;
+        let mut tiles = Vec::with_capacity(blocks.len());
+        for (&(key, _), &rm) in blocks.iter().zip(&rows) {
+            let (tx, ty) = cell_coords(key);
+            let west = (rm << 1 & !COL0) | (rows_at(tx.checked_sub(1), Some(ty)) >> 7 & COL0);
+            let east = (rm >> 1 & !COL7) | (rows_at(tx.checked_add(1), Some(ty)) << 7 & COL7);
+            let south = (rm << 8) | (rows_at(Some(tx), ty.checked_sub(1)) >> 56);
+            let north = (rm >> 8) | (rows_at(Some(tx), ty.checked_add(1)) << 56);
+            let boundary = rm & !(west & east & south & north);
+            let mask =
+                set_bits(boundary).fold(0, |mask, bit| mask | 1 << cell_id(bit & 7, bit >> 3));
+            // The box in cells from the super-block's corner: rows from the
+            // lowest and highest set bits, columns from the rows OR-ed.
+            let columns = (0..8).fold(0u8, |cols, row| cols | (boundary >> (8 * row)) as u8);
+            let (sx, sy) = ((tx & 7) as u8 * 8, (ty & 7) as u8 * 8);
+            let bbox = if boundary == 0 {
+                [sx, sy, sx, sy]
+            } else {
+                [
+                    sx + columns.trailing_zeros() as u8,
+                    sy + (boundary.trailing_zeros() / 8) as u8,
+                    sx + 7 - columns.leading_zeros() as u8,
+                    sy + (63 - boundary.leading_zeros()) as u8 / 8,
+                ]
+            };
+            tiles.push(Tile { mask, bbox });
         }
-        Self { coords, blocks }
+        let mut supers = Vec::new();
+        for run in super_block_runs(blocks, block_key) {
+            let Some(&(first, _)) = blocks.get(run.start) else {
+                continue;
+            };
+            let (x, y) = cell_coords(first << 6);
+            let origin = (x & !63, y & !63);
+            let boxes = tiles.get(run.clone()).unwrap_or_default();
+            let bbox = (boxes.iter().filter(|t| t.mask != 0)).fold(None, |acc, tile| {
+                let [x0, y0, x1, y1] = tile.bbox(origin);
+                Some(acc.map_or([x0, y0, x1, y1], |[a0, b0, a1, b1]: [u32; 4]| {
+                    [a0.min(x0), b0.min(y0), a1.max(x1), b1.max(y1)]
+                }))
+            });
+            if let Some(bbox) = bbox {
+                supers.push(SuperBlock {
+                    bbox,
+                    start: run.start as u32,
+                    end: run.end as u32,
+                });
+            }
+        }
+        supers.shrink_to_fit();
+        Self { tiles, supers }
+    }
+
+    /// The tiles of `block`.
+    pub(crate) fn tiles_of(&self, block: &SuperBlock) -> &[Tile] {
+        self.tiles
+            .get(block.start as usize..block.end as usize)
+            .unwrap_or_default()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.coords.capacity() * std::mem::size_of::<(f64, f64)>()
-            + self.blocks.capacity() * std::mem::size_of::<BoundaryBlock>()
+        self.tiles.capacity() * std::mem::size_of::<Tile>()
+            + self.supers.capacity() * std::mem::size_of::<SuperBlock>()
     }
 }
 
@@ -330,8 +467,8 @@ impl BoundaryIndex {
 ///
 /// Alongside the sorted vec the set lazily caches two derived forms, each
 /// with a production reader: the bit-packed blocks the word-parallel
-/// intersection kernel reads (see the module docs) and the boundary
-/// decomposition the distance kernel walks.  Equality, ordering of iteration
+/// intersection kernel reads (see the module docs) and, beside them, the
+/// boundary tiles the distance kernel walks.  Equality, ordering of iteration
 /// and the serialized shape are defined by the sorted cells alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellSet {
@@ -347,13 +484,13 @@ mod frozen {
     use std::ops::Deref;
     use std::sync::OnceLock;
 
-    use super::{BoundaryIndex, CellId, PackedCells};
+    use super::{BoundaryTiles, CellId, PackedCells};
 
     #[derive(Debug, Clone, Default)]
     pub(super) struct Cells {
         sorted: Vec<CellId>,
         packed: OnceLock<PackedCells>,
-        boundary: OnceLock<BoundaryIndex>,
+        boundary: OnceLock<BoundaryTiles>,
     }
 
     impl Cells {
@@ -373,17 +510,17 @@ mod frozen {
                 .get_or_init(|| PackedCells::from_sorted(self.sorted.iter().copied()))
         }
 
-        /// The boundary decomposition, built on first use.
-        pub(super) fn boundary(&self) -> &BoundaryIndex {
+        /// The boundary tiles, built on first use from the packed form.
+        pub(super) fn boundary(&self) -> &BoundaryTiles {
             self.boundary
-                .get_or_init(|| BoundaryIndex::build(&self.sorted))
+                .get_or_init(|| BoundaryTiles::build(self.packed()))
         }
 
         /// Heap bytes of the cells and of whichever caches have been built.
         pub(super) fn memory_bytes(&self) -> usize {
             self.sorted.capacity() * std::mem::size_of::<CellId>()
                 + self.packed.get().map_or(0, PackedCells::memory_bytes)
-                + self.boundary.get().map_or(0, BoundaryIndex::memory_bytes)
+                + self.boundary.get().map_or(0, BoundaryTiles::memory_bytes)
         }
     }
 
@@ -499,9 +636,10 @@ impl CellSet {
         v
     }
 
-    /// The coordinates of the set's *boundary* cells — cells with at least
-    /// one 4-neighbour absent from the set — grouped by coarse block (see
-    /// `boundary_index`); not globally sorted.
+    /// The set's *boundary* cells — cells with at least one 4-neighbour
+    /// absent from the set — as boundary masks per tile, grouped by
+    /// super-block with exact bounding boxes: the verify state of the
+    /// two-level distance kernel, built at most once per set.
     ///
     /// For two **disjoint** sets the closest cell pair always joins two
     /// boundary cells: from an interior cell, stepping one cell toward the
@@ -509,18 +647,16 @@ impl CellSet {
     /// squared distance, so an interior cell can never be part of a
     /// minimising pair.  The distance kernel therefore only has to walk each
     /// side's boundary, which for dense blob-like datasets is the perimeter
-    /// of the blob rather than its area.  Cached like the packed blocks
-    /// (built at most once per set).
-    pub fn boundary_coords(&self) -> &[(f64, f64)] {
-        &self.boundary_index().coords
+    /// of the blob rather than its area.
+    pub(crate) fn boundary_tiles(&self) -> &BoundaryTiles {
+        self.cells.boundary()
     }
 
-    /// The cached boundary decomposition, grouped into coarse blocks with
-    /// exact bounding boxes — the verify state of the two-level distance
-    /// kernel.  Block-pair bbox gaps give exact integer lower bounds that
-    /// prune almost every block pair before any cell pair is touched.
-    pub(crate) fn boundary_index(&self) -> &BoundaryIndex {
-        self.cells.boundary()
+    /// Builds the set's verify state — its packed blocks and the boundary
+    /// tiles beside them — where it is not built yet, and returns the heap
+    /// bytes of the two.
+    pub fn verify_state_bytes(&self) -> usize {
+        self.boundary_tiles().memory_bytes() + self.packed().memory_bytes()
     }
 
     /// Returns `true` when the sets share at least one cell, answered by an
@@ -700,7 +836,7 @@ impl CellSet {
     }
 
     /// An estimate of the heap memory used by this set, in bytes, including
-    /// the packed-block and boundary caches when they have been built.
+    /// the packed-block and boundary-tile caches when they have been built.
     pub fn memory_bytes(&self) -> usize {
         self.cells.memory_bytes()
     }
@@ -1185,8 +1321,24 @@ mod tests {
         assert!(s.memory_bytes() > bare);
         // ... and so is the boundary cache.
         let packed_only = s.memory_bytes();
-        assert!(!s.boundary_coords().is_empty());
+        assert_ne!(boundary_cells(&s).count(), 0);
         assert!(s.memory_bytes() > packed_only);
+        assert_eq!(s.memory_bytes(), bare + s.verify_state_bytes());
+    }
+
+    /// The boundary cells' coordinates, read off the tiles' masks.
+    fn boundary_cells(s: &CellSet) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let state = s.boundary_tiles();
+        state.supers.iter().flat_map(move |block| {
+            let origin = block.origin();
+            state.tiles_of(block).iter().flat_map(move |tile| {
+                let (x, y) = tile.origin(origin);
+                set_bits(tile.mask).map(move |bit| {
+                    let (dx, dy) = TILE_XY[bit as usize];
+                    (x + dx, y + dy)
+                })
+            })
+        })
     }
 
     fn coord_set(coords: &[(u32, u32)]) -> CellSet {
@@ -1202,29 +1354,140 @@ mod tests {
                 .flat_map(|x| (0..4).map(move |y| (x, y)))
                 .collect::<Vec<_>>(),
         );
-        let boundary = block.boundary_coords();
+        let boundary: Vec<(u32, u32)> = boundary_cells(&block).collect();
         assert_eq!(boundary.len(), 12);
-        assert!(!boundary.contains(&(1.0, 1.0)));
-        assert!(!boundary.contains(&(2.0, 2.0)));
-        assert!(boundary.contains(&(0.0, 0.0)));
-        assert!(boundary.contains(&(3.0, 2.0)));
+        assert!(!boundary.contains(&(1, 1)));
+        assert!(!boundary.contains(&(2, 2)));
+        assert!(boundary.contains(&(0, 0)));
+        assert!(boundary.contains(&(3, 2)));
         // A thin route is all boundary.
         let route = coord_set(&[(10, 0), (11, 0), (12, 0)]);
-        assert_eq!(route.boundary_coords().len(), 3);
+        assert_eq!(boundary_cells(&route).count(), 3);
         // The origin cell is boundary even though its left/down neighbours
         // would underflow the coordinate space.
         let origin = coord_set(&[(0, 0)]);
-        assert_eq!(origin.boundary_coords(), &[(0.0, 0.0)]);
+        assert_eq!(boundary_cells(&origin).collect::<Vec<_>>(), [(0, 0)]);
+    }
+
+    /// The boundary by its definition: the cells with a 4-neighbour outside
+    /// the set, a neighbour off the coordinate space included.
+    fn oracle_boundary(s: &CellSet) -> BTreeSet<(u32, u32)> {
+        let full: BTreeSet<(u32, u32)> = s.iter().map(cell_coords).collect();
+        let present =
+            |x: Option<u32>, y: Option<u32>| x.zip(y).is_some_and(|cell| full.contains(&cell));
+        full.iter()
+            .copied()
+            .filter(|&(x, y)| {
+                !(present(x.checked_sub(1), Some(y))
+                    && present(x.checked_add(1), Some(y))
+                    && present(Some(x), y.checked_sub(1))
+                    && present(Some(x), y.checked_add(1)))
+            })
+            .collect()
+    }
+
+    /// The masks hold exactly the oracle's cells, once each, and every box
+    /// of a tile or a super-block is the exact box of its boundary cells.
+    fn assert_boundary_state_is_exact(s: &CellSet) {
+        let truth = oracle_boundary(s);
+        let cells: Vec<(u32, u32)> = boundary_cells(s).collect();
+        assert_eq!(cells.iter().copied().collect::<BTreeSet<_>>(), truth);
+        assert_eq!(cells.len(), truth.len(), "a boundary cell listed twice");
+        let state = s.boundary_tiles();
+        assert_eq!(state.tiles.len(), s.packed().blocks().len());
+        let bbox = |cells: &mut dyn Iterator<Item = (u32, u32)>| {
+            cells.fold(None, |acc: Option<[u32; 4]>, (x, y)| {
+                Some(acc.map_or([x, y, x, y], |[x0, y0, x1, y1]| {
+                    [x0.min(x), y0.min(y), x1.max(x), y1.max(y)]
+                }))
+            })
+        };
+        for block in &state.supers {
+            let (ox, oy) = block.origin();
+            let inside = |&(x, y): &(u32, u32)| x & !63 == ox && y & !63 == oy;
+            assert_eq!(
+                Some(block.bbox),
+                bbox(&mut truth.iter().copied().filter(inside))
+            );
+            for tile in state.tiles_of(block).iter().filter(|t| t.mask != 0) {
+                let (tx, ty) = tile.origin((ox, oy));
+                let in_tile = |&(x, y): &(u32, u32)| x & !7 == tx && y & !7 == ty;
+                assert_eq!(
+                    Some(tile.bbox((ox, oy))),
+                    bbox(&mut truth.iter().copied().filter(in_tile))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_at_the_far_corner_of_the_coordinate_space() {
+        // A 3×3 square in the last cells of the space: the neighbours past
+        // `u32::MAX` are off the space, so only the centre is interior.
+        let m = u32::MAX;
+        let square: Vec<(u32, u32)> = (m - 2..=m)
+            .flat_map(|x| (m - 2..=m).map(move |y| (x, y)))
+            .collect();
+        let s = coord_set(&square);
+        assert_eq!(boundary_cells(&s).count(), 8);
+        assert!(!boundary_cells(&s).any(|cell| cell == (m - 1, m - 1)));
+        assert_boundary_state_is_exact(&s);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_boundary_masks_match_the_four_neighbour_definition(
+            theta in 3u32..13,
+            rects in proptest::collection::vec((0u32..4096, 0u32..4096, 1u32..20, 1u32..20), 1..5),
+            holes in proptest::collection::vec((0u32..20, 0u32..20), 0..12),
+        ) {
+            // Filled rectangles on a 2^θ grid, each anchored at x = 0, at
+            // the grid's last column (x = 2^θ − 1, clamped), or a few cells
+            // before a tile edge; the same for y.  Holes punched into the
+            // first make interior cells next to missing ones.
+            let side = 1u32 << theta;
+            let anchor = |v: u32, len: u32| match v % 4 {
+                0 => 0,
+                1 => side.saturating_sub(len / 2),
+                _ => ((v % side) & !7).saturating_sub(v % 5),
+            };
+            let mut cells = BTreeSet::new();
+            let mut first = None;
+            for &(x, y, w, h) in &rects {
+                let (x0, y0) = (anchor(x, w), anchor(y, h));
+                first.get_or_insert((x0, y0));
+                for dx in 0..w {
+                    for dy in 0..h {
+                        cells.insert(((x0 + dx).min(side - 1), (y0 + dy).min(side - 1)));
+                    }
+                }
+            }
+            if let Some((x0, y0)) = first {
+                for &(dx, dy) in &holes {
+                    cells.remove(&((x0 + dx).min(side - 1), (y0 + dy).min(side - 1)));
+                }
+            }
+            let s = coord_set(&cells.into_iter().collect::<Vec<_>>());
+            assert_boundary_state_is_exact(&s);
+        }
+    }
+
+    #[test]
+    fn super_block_runs_group_64_consecutive_block_keys() {
+        let keys = [0u64, 5, 63, 64, 200, 4096, 4097];
+        let runs: Vec<Range<usize>> = super_block_runs(&keys, identity).collect();
+        assert_eq!(runs, [0..3, 3..4, 4..5, 5..7]);
+        assert_eq!(super_block_runs(&[] as &[u64], identity).count(), 0);
     }
 
     #[test]
     fn boundary_cache_is_invalidated_by_mutation() {
         let mut s = coord_set(&[(1, 1), (1, 0), (1, 2), (0, 1)]);
-        assert_eq!(s.boundary_coords().len(), 4); // (1,1) misses (2,1)
+        assert_eq!(boundary_cells(&s).count(), 4); // (1,1) misses (2,1)
         s.union_in_place(&coord_set(&[(2, 1)]));
         // (1,1) is now interior.
-        assert_eq!(s.boundary_coords().len(), 4);
-        assert!(!s.boundary_coords().contains(&(1.0, 1.0)));
+        assert_eq!(boundary_cells(&s).count(), 4);
+        assert!(!boundary_cells(&s).any(|cell| cell == (1, 1)));
     }
 
     #[test]
@@ -1277,10 +1540,8 @@ mod tests {
                     (x as u64, y as u64)
                 })
                 .collect();
-            let boundary: std::collections::BTreeSet<(u64, u64)> = s
-                .boundary_coords()
-                .iter()
-                .map(|&(x, y)| (x as u64, y as u64))
+            let boundary: std::collections::BTreeSet<(u64, u64)> = boundary_cells(&s)
+                .map(|(x, y)| (x as u64, y as u64))
                 .collect();
             prop_assert!(boundary.is_subset(&full));
             // A cell is dropped only when all four neighbours are present.

@@ -13,20 +13,25 @@
 //!
 //! * overlapping sets are detected in word-parallel time (an early-exiting
 //!   `AND` over the packed blocks) and are at distance 0 with no cell scan;
-//! * disjoint sets walk only their cached **boundary** decompositions —
-//!   exact, because the closest pair of two disjoint sets always joins two
-//!   boundary cells — grouped into coarse blocks whose bounding-box gaps
-//!   prune whole block pairs in exact integer arithmetic before any cell
-//!   pair is touched (see `block_distance`).  Together these turn the
-//!   quadratic area × area scan into a handful of block-bound checks plus a
-//!   few perimeter-cell scans, regardless of how far apart the sets are.
+//! * disjoint sets walk only their cached **boundary tiles** — exact,
+//!   because the closest pair of two disjoint sets always joins two
+//!   boundary cells.  Beside each packed 8×8-cell block sits one `u64`
+//!   boundary mask and the exact box of its boundary cells, and each 64×64
+//!   super-block (a contiguous run of blocks in z-order) has a box too; no
+//!   state is kept per cell.  The walk prunes super-block pairs, then tiles
+//!   against super-blocks, then tile pairs by their box gaps in exact
+//!   integer arithmetic, and scans only the surviving tile pairs bit by bit
+//!   (see `Walk::block_distance`).  On the kNN workload of `bench-runner`
+//!   that is about 260 bound tests per exact distance, where one flat pass
+//!   over every pair of boundary blocks took about 15 700.
 //!
 //! [`dataset_distance_bounded`] additionally threads a caller-supplied
-//! cutoff into the block pruning so far-away candidates abandon after the
-//! bound checks instead of scanning cells to completion.
+//! cutoff into the pruning so far-away candidates abandon after the bound
+//! checks instead of scanning cells to completion, and reports how many
+//! bound tests it ran.
 //!
-//! Block ranges, the seed block pair and the probe's x-window are all read
-//! with checked access (`get`), so nothing here can index out of bounds.
+//! Super-blocks, tile ranges and the bit table are all read with checked
+//! access (`get`), so nothing here can index out of bounds.
 #![cfg_attr(
     not(test),
     deny(
@@ -42,7 +47,7 @@
     )
 )]
 
-use crate::cellset::{BoundaryBlock, BoundaryIndex, CellSet};
+use crate::cellset::{set_bits, BoundaryTiles, CellSet, SuperBlock, Tile, TILE_XY};
 use crate::zorder::cell_coords;
 
 /// Exact cell-based dataset distance between two non-empty cell sets.
@@ -51,17 +56,19 @@ use crate::zorder::cell_coords;
 pub fn dataset_distance(a: &CellSet, b: &CellSet) -> f64 {
     // A good-enough threshold of 0 only allows early exit once a distance of
     // exactly zero is found, which cannot be improved upon.
-    best_distance_bounded(a, b, 0.0, f64::INFINITY)
+    best_distance_bounded(a, b, 0.0, f64::INFINITY).0
 }
 
 /// Dataset distance with a caller-supplied `cutoff`: the result is **exact**
 /// whenever the true distance is `≤ cutoff`; when it exceeds the cutoff an
 /// arbitrary value `> cutoff` (possibly `f64::INFINITY`) is returned.
+/// Beside it comes the number of bound tests the kernel ran: box-gap tests
+/// between super-blocks, tiles and super-blocks, and tiles.
 ///
 /// Candidates at exactly the cutoff are still computed exactly, so a kNN
 /// caller passing its current k-th best distance keeps tie-breaking
 /// behaviour identical to the unbounded computation.
-pub fn dataset_distance_bounded(a: &CellSet, b: &CellSet, cutoff: f64) -> f64 {
+pub fn dataset_distance_bounded(a: &CellSet, b: &CellSet, cutoff: f64) -> (f64, usize) {
     best_distance_bounded(a, b, 0.0, cutoff)
 }
 
@@ -72,17 +79,17 @@ pub fn dataset_distance_within(a: &CellSet, b: &CellSet, delta: f64) -> bool {
     if a.is_empty() || b.is_empty() {
         return false;
     }
-    // Block pairs whose bounding boxes are more than δ apart can never
-    // qualify, so the kernel discards them unscanned — this keeps the
-    // predicate cheap even for far-apart datasets, which dominate the
-    // connectivity checks.
-    best_distance_bounded(a, b, delta, delta) <= delta
+    // Boxes more than δ apart can never qualify, so the kernel discards them
+    // unscanned — this keeps the predicate cheap even for far-apart
+    // datasets, which dominate the connectivity checks.
+    best_distance_bounded(a, b, delta, delta).0 <= delta
 }
 
 /// The kernel behind all three entry points: finds the minimum pairwise cell
 /// distance, abandoning the search as soon as a pair at distance ≤
 /// `good_enough` is found, and skipping whatever lies beyond `cutoff` (sound
-/// when the caller only needs distances ≤ cutoff).
+/// when the caller only needs distances ≤ cutoff).  Returns it with the
+/// number of bound tests run.
 ///
 /// Two structural fast paths settle most calls, both exact:
 ///
@@ -91,121 +98,176 @@ pub fn dataset_distance_within(a: &CellSet, b: &CellSet, delta: f64) -> bool {
 ///   This is the common case for the candidates a kNN verifier actually
 ///   reaches, and it never touches a coordinate.
 /// * **Two-level boundary walk** — for disjoint sets the minimising pair
-///   always joins two boundary cells (see [`CellSet::boundary_coords`]), and
-///   the cached boundary decomposition groups those cells into coarse blocks
-///   with exact bounding boxes.  [`block_distance`] prunes whole block pairs
-///   by their bbox gap before any cell pair is touched, which stays cheap
-///   however far apart the two sets are.  Cell coordinates are integers, so
-///   squared distances (and the bbox-gap lower bounds) compute exactly and
-///   the result is bit-identical to the full quadratic minimum.
-fn best_distance_bounded(a: &CellSet, b: &CellSet, good_enough: f64, cutoff: f64) -> f64 {
+///   always joins two boundary cells (see `CellSet::boundary_tiles`), and
+///   the cached boundary tiles group those cells into 8×8 tiles and 64×64
+///   super-blocks with exact bounding boxes.  [`Walk::block_distance`] prunes
+///   whole super-blocks and tiles by their box gaps before any cell pair is
+///   touched, which stays cheap however far apart the two sets are.  Cell
+///   coordinates are integers, so squared distances (and the box-gap lower
+///   bounds) compute exactly and the result is bit-identical to the full
+///   quadratic minimum.
+fn best_distance_bounded(a: &CellSet, b: &CellSet, good_enough: f64, cutoff: f64) -> (f64, usize) {
     if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
+        return (f64::INFINITY, 0);
     }
     if a.intersects(b) {
-        return 0.0;
+        return (0.0, 0);
     }
-    block_distance(a.boundary_index(), b.boundary_index(), good_enough, cutoff)
+    let mut walk = Walk {
+        best: f64::INFINITY,
+        best_sq: f64::INFINITY,
+        good_enough,
+        cutoff,
+        bound_tests: 0,
+    };
+    walk.block_distance(a.boundary_tiles(), b.boundary_tiles());
+    (walk.best, walk.bound_tests)
 }
 
-/// Separation of two closed intervals along one axis (0 when they overlap).
-fn axis_gap(lo1: f64, hi1: f64, lo2: f64, hi2: f64) -> f64 {
-    if lo2 > hi1 {
-        lo2 - hi1
-    } else if lo1 > hi2 {
-        lo1 - hi2
-    } else {
-        0.0
-    }
-}
-
-/// Exact squared lower bound on the distance between any cell of block `a`
-/// and any cell of block `b`: the squared gap between their bounding boxes.
-/// All inputs are integer-valued, so the bound computes exactly in `f64`.
-fn block_gap_sq(a: &BoundaryBlock, b: &BoundaryBlock) -> f64 {
-    let dx = axis_gap(a.min_x, a.max_x, b.min_x, b.max_x);
-    let dy = axis_gap(a.min_y, a.max_y, b.min_y, b.max_y);
+/// Exact squared lower bound on the distance between any cell of box `a`
+/// and any cell of box `b` (`[x0, y0, x1, y1]`, corners included): the
+/// per-axis gaps in integers, squared and summed in `f64` the way a cell
+/// pair's distance is, so it never exceeds the computed distance of any pair
+/// of their cells.
+fn gap_sq([ax0, ay0, ax1, ay1]: [u32; 4], [bx0, by0, bx1, by1]: [u32; 4]) -> f64 {
+    let dx = bx0.saturating_sub(ax1).max(ax0.saturating_sub(bx1)) as f64;
+    let dy = by0.saturating_sub(ay1).max(ay0.saturating_sub(by1)) as f64;
     dx * dx + dy * dy
 }
 
-/// The two-level minimum-distance core over two boundary decompositions.
-///
-/// Pass 1 finds the block pair with the smallest bbox-gap lower bound and
-/// scans it cell by cell to seed `best`.  Pass 2 revisits every block pair,
-/// skipping any whose lower bound already rules it out — `lb_sq ≥ best_sq`
-/// (exact integer compare) or `√lb_sq > cutoff` (monotone correctly-rounded
-/// `sqrt`, so every computed cell distance in the block would also exceed
-/// the cutoff) — and scans the survivors.  With a tight seed almost every
-/// pair is pruned, so the cost is one cheap bound per block pair plus a few
-/// cell scans, independent of how far apart the sets are.
-fn block_distance(a: &BoundaryIndex, b: &BoundaryIndex, good_enough: f64, cutoff: f64) -> f64 {
-    let mut seed = (0usize, 0usize);
-    let mut seed_lb = f64::INFINITY;
-    'seed: for (i, ba) in a.blocks.iter().enumerate() {
-        for (j, bb) in b.blocks.iter().enumerate() {
-            let lb = block_gap_sq(ba, bb);
-            if lb < seed_lb {
-                seed_lb = lb;
-                seed = (i, j);
-                if lb == 0.0 {
-                    break 'seed;
+/// The running state of one two-level walk.
+struct Walk {
+    best: f64,
+    best_sq: f64,
+    good_enough: f64,
+    cutoff: f64,
+    bound_tests: usize,
+}
+
+impl Walk {
+    /// Runs one bound test: `true` when boxes `gap_sq` apart may still hold
+    /// a pair that improves on the best, within the cutoff.  The cutoff is
+    /// tested in the √ domain — `sqrt` is monotone and correctly rounded, so
+    /// every computed cell distance between the boxes also exceeds it —
+    /// never as `gap_sq > cutoff²`, whose rounding can drop a pair tied at
+    /// the cutoff.
+    fn admits(&mut self, gap_sq: f64) -> bool {
+        self.bound_tests += 1;
+        gap_sq < self.best_sq && gap_sq.sqrt() <= self.cutoff
+    }
+
+    /// The two-level minimum-distance core (branch-and-bound closest pair
+    /// over two hierarchies; Hjaltason & Samet, SIGMOD 1998; Corral et al.,
+    /// SIGMOD 2000).
+    ///
+    /// It seeds the best distance from the closest super-block pair, scanned
+    /// in full.  Then, per super-block of `a`, it keeps the super-blocks of
+    /// `b` its box admits; per tile of that super-block, it visits those in
+    /// ascending gap from the tile and stops at the first gap ≥ best; in a
+    /// visited super-block it scans only the tile pairs whose gap is still
+    /// admitted, bit by bit.  Returns early once the best is within
+    /// `good_enough`.
+    fn block_distance(&mut self, a: &BoundaryTiles, b: &BoundaryTiles) {
+        let mut seed = None;
+        let mut seed_gap = f64::INFINITY;
+        'seed: for (i, sa) in a.supers.iter().enumerate() {
+            for (j, sb) in b.supers.iter().enumerate() {
+                self.bound_tests += 1;
+                let gap = gap_sq(sa.bbox, sb.bbox);
+                if gap < seed_gap {
+                    (seed_gap, seed) = (gap, Some((i, j)));
+                    if gap == 0.0 {
+                        break 'seed;
+                    }
+                }
+            }
+        }
+        let Some((si, sj)) = seed else { return };
+        if let (Some(sa), Some(sb)) = (a.supers.get(si), b.supers.get(sj)) {
+            let origin = sa.origin();
+            for tile in a.tiles_of(sa).iter().filter(|t| t.mask != 0) {
+                if self.tile_to_block(tile, origin, b, sb) {
+                    return;
+                }
+            }
+        }
+        let mut near: Vec<&SuperBlock> = Vec::new();
+        let mut order: Vec<(f64, &SuperBlock)> = Vec::new();
+        for (i, sa) in a.supers.iter().enumerate() {
+            near.clear();
+            for (j, sb) in b.supers.iter().enumerate() {
+                if (i, j) != (si, sj) && self.admits(gap_sq(sa.bbox, sb.bbox)) {
+                    near.push(sb);
+                }
+            }
+            if near.is_empty() {
+                continue;
+            }
+            let origin = sa.origin();
+            for tile in a.tiles_of(sa).iter().filter(|t| t.mask != 0) {
+                let bbox = tile.bbox(origin);
+                order.clear();
+                for &sb in &near {
+                    let gap = gap_sq(bbox, sb.bbox);
+                    if self.admits(gap) {
+                        order.push((gap, sb));
+                    }
+                }
+                order.sort_unstable_by(|l, r| l.0.total_cmp(&r.0));
+                for &(gap, sb) in &order {
+                    if gap >= self.best_sq {
+                        break;
+                    }
+                    if self.tile_to_block(tile, origin, b, sb) {
+                        return;
+                    }
                 }
             }
         }
     }
-    let mut best = f64::INFINITY;
-    let mut best_sq = f64::INFINITY;
-    let scan = |ba: &BoundaryBlock, bb: &BoundaryBlock, best: &mut f64, best_sq: &mut f64| {
-        let b_cells = block_cells(b, bb);
-        for &(ax, ay) in block_cells(a, ba) {
-            for &(bx, by) in b_cells {
-                let dx = bx - ax;
-                let dy = by - ay;
-                // Compare in the squared domain; the square root is only
-                // taken when the best pair improves, never per pair.  `sqrt`
-                // is monotone, so the result is identical to comparing
-                // linearly.
-                let d_sq = dx * dx + dy * dy;
-                if d_sq < *best_sq {
-                    *best_sq = d_sq;
-                    *best = d_sq.sqrt();
-                    if *best <= good_enough {
-                        return true;
+
+    /// Scans tile `ta` of `a` (whose super-block's corner is `origin`)
+    /// against every tile of super-block `sb` of `b` its gap admits; `true`
+    /// once the best is within `good_enough`.
+    fn tile_to_block(
+        &mut self,
+        ta: &Tile,
+        origin: (u32, u32),
+        b: &BoundaryTiles,
+        sb: &SuperBlock,
+    ) -> bool {
+        let bbox = ta.bbox(origin);
+        let (ax, ay) = ta.origin(origin);
+        let b_origin = sb.origin();
+        for tb in b.tiles_of(sb).iter().filter(|t| t.mask != 0) {
+            if !self.admits(gap_sq(bbox, tb.bbox(b_origin))) {
+                continue;
+            }
+            let (bx, by) = tb.origin(b_origin);
+            for i in set_bits(ta.mask) {
+                let (dx, dy) = TILE_XY.get(i as usize).copied().unwrap_or_default();
+                let (cx, cy) = ((ax + dx) as f64, (ay + dy) as f64);
+                for j in set_bits(tb.mask) {
+                    let (dx, dy) = TILE_XY.get(j as usize).copied().unwrap_or_default();
+                    let dx = (bx + dx) as f64 - cx;
+                    let dy = (by + dy) as f64 - cy;
+                    // Compare in the squared domain; the square root is
+                    // only taken when the best pair improves, never per
+                    // pair.  `sqrt` is monotone, so the result is identical
+                    // to comparing linearly.
+                    let d_sq = dx * dx + dy * dy;
+                    if d_sq < self.best_sq {
+                        self.best_sq = d_sq;
+                        self.best = d_sq.sqrt();
+                        if self.best <= self.good_enough {
+                            return true;
+                        }
                     }
                 }
             }
         }
         false
-    };
-    if let (Some(ba), Some(bb)) = (a.blocks.get(seed.0), b.blocks.get(seed.1)) {
-        if scan(ba, bb, &mut best, &mut best_sq) {
-            return best;
-        }
     }
-    for (i, ba) in a.blocks.iter().enumerate() {
-        for (j, bb) in b.blocks.iter().enumerate() {
-            if (i, j) == seed {
-                continue;
-            }
-            let lb = block_gap_sq(ba, bb);
-            if lb >= best_sq || lb.sqrt() > cutoff {
-                continue;
-            }
-            if scan(ba, bb, &mut best, &mut best_sq) {
-                return best;
-            }
-        }
-    }
-    best
-}
-
-/// The boundary cells of one block of `index`, in the order the block
-/// range lists them.
-fn block_cells<'a>(index: &'a BoundaryIndex, block: &BoundaryBlock) -> &'a [(f64, f64)] {
-    index
-        .coords
-        .get(block.start as usize..block.end as usize)
-        .unwrap_or_default()
 }
 
 /// A reusable "is anything within δ of this set?" probe.
@@ -320,7 +382,7 @@ mod tests {
         );
         let b = set_from_coords(&[(4, 4)]);
         assert_eq!(dataset_distance(&a, &b), 0.0);
-        assert_eq!(dataset_distance_bounded(&a, &b, 0.5), 0.0);
+        assert_eq!(dataset_distance_bounded(&a, &b, 0.5).0, 0.0);
         assert!(dataset_distance_within(&a, &b, 0.0));
     }
 
@@ -364,13 +426,13 @@ mod tests {
         let a = set_from_coords(&[(0, 0), (10, 0)]);
         let b = set_from_coords(&[(0, 5), (20, 20)]);
         // True distance is 5.0: exact at cutoff 5.0 (the tie case) and above.
-        assert_eq!(dataset_distance_bounded(&a, &b, 5.0), 5.0);
-        assert_eq!(dataset_distance_bounded(&a, &b, 100.0), 5.0);
+        assert_eq!(dataset_distance_bounded(&a, &b, 5.0).0, 5.0);
+        assert_eq!(dataset_distance_bounded(&a, &b, 100.0).0, 5.0);
         // Below the cutoff only the "> cutoff" contract holds.
-        assert!(dataset_distance_bounded(&a, &b, 4.0) > 4.0);
+        assert!(dataset_distance_bounded(&a, &b, 4.0).0 > 4.0);
         assert_eq!(
             dataset_distance_bounded(&CellSet::new(), &b, 10.0),
-            f64::INFINITY
+            (f64::INFINITY, 0)
         );
     }
 
@@ -385,7 +447,80 @@ mod tests {
         assert_eq!(dataset_distance_bruteforce(&a, &b), 1.0);
     }
 
+    #[test]
+    fn the_kernel_counts_its_bound_tests() {
+        let a = set_from_coords(&[(0, 0), (100, 0), (300, 300)]);
+        let b = set_from_coords(&[(0, 5), (200, 200)]);
+        let (distance, tests) = dataset_distance_bounded(&a, &b, f64::INFINITY);
+        assert_eq!(distance, 5.0);
+        // Three super-blocks against two: six pairs to find the seed, its
+        // one tile pair, then the five other pairs, none admitted.
+        assert_eq!(tests, 6 + 1 + 5);
+        // Overlapping or empty sets settle without a bound test.
+        assert_eq!(dataset_distance_bounded(&a, &a, f64::INFINITY), (0.0, 0));
+        assert_eq!(
+            dataset_distance_bounded(&a, &CellSet::new(), 1.0),
+            (f64::INFINITY, 0)
+        );
+    }
+
+    /// The cells of a run of `len` cells from `(x, y)` along a row, a
+    /// column or one of the two diagonals: a long thin set across many
+    /// super-blocks.
+    fn segment((x, y, len, direction): (u32, u32, u32, u32)) -> Vec<(u32, u32)> {
+        (0..len)
+            .map(|i| match direction % 4 {
+                0 => (x + i, y),
+                1 => (x, y + i),
+                2 => (x + i, y + i),
+                _ => (x + i, y + len - i),
+            })
+            .collect()
+    }
+
+    /// Filled rectangles `(x, y, w, h)`.
+    fn blobs(rects: &[(u32, u32, u32, u32)]) -> CellSet {
+        CellSet::from_cells(rects.iter().flat_map(|&(x, y, w, h)| {
+            (x..x + w).flat_map(move |cx| (y..y + h).map(move |cy| cell_id(cx, cy)))
+        }))
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_long_thin_sets_match_the_quadratic_oracle(
+            a in proptest::collection::vec((0u32..1500, 0u32..1500, 64u32..400, 0u32..4), 1..3),
+            b in proptest::collection::vec((0u32..1500, 0u32..1500, 64u32..400, 0u32..4), 1..3),
+            cutoff in 0.0f64..1500.0,
+        ) {
+            let sa = set_from_coords(&a.iter().copied().flat_map(segment).collect::<Vec<_>>());
+            let sb = set_from_coords(&b.iter().copied().flat_map(segment).collect::<Vec<_>>());
+            let brute = dataset_distance_bruteforce(&sa, &sb);
+            prop_assert_eq!(dataset_distance(&sa, &sb), brute);
+            prop_assert_eq!(dataset_distance(&sb, &sa), brute);
+            let bounded = dataset_distance_bounded(&sa, &sb, cutoff).0;
+            if brute <= cutoff {
+                prop_assert_eq!(bounded, brute);
+            } else {
+                prop_assert!(bounded > cutoff);
+            }
+            prop_assert_eq!(dataset_distance_within(&sa, &sb, cutoff), brute <= cutoff);
+        }
+
+        #[test]
+        fn prop_bounded_at_the_true_distance_is_the_true_distance(
+            a in proptest::collection::vec((0u32..700, 0u32..700, 1u32..40, 1u32..40), 1..4),
+            b in proptest::collection::vec((0u32..700, 0u32..700, 1u32..40, 1u32..40), 1..4),
+        ) {
+            // Blobs with interiors, over a dozen super-blocks: at the cutoff
+            // d = dist(a, b) the pair tied at the cutoff must survive the
+            // √-domain test.
+            let (sa, sb) = (blobs(&a), blobs(&b));
+            let d = dataset_distance(&sa, &sb);
+            prop_assert_eq!(dataset_distance_bounded(&sa, &sb, d).0, d);
+            prop_assert!(dataset_distance_within(&sa, &sb, d));
+        }
+
         #[test]
         fn prop_bounded_is_exact_within_cutoff(
             a in proptest::collection::vec((0u32..64, 0u32..64), 1..40),
@@ -395,7 +530,7 @@ mod tests {
             let sa = set_from_coords(&a);
             let sb = set_from_coords(&b);
             let exact = dataset_distance(&sa, &sb);
-            let bounded = dataset_distance_bounded(&sa, &sb, cutoff);
+            let bounded = dataset_distance_bounded(&sa, &sb, cutoff).0;
             if exact <= cutoff {
                 prop_assert_eq!(bounded, exact);
             } else {
@@ -403,7 +538,7 @@ mod tests {
             }
             // Ties at exactly the cutoff are exact.
             if exact.is_finite() {
-                prop_assert_eq!(dataset_distance_bounded(&sa, &sb, exact), exact);
+                prop_assert_eq!(dataset_distance_bounded(&sa, &sb, exact).0, exact);
             }
         }
 

@@ -25,7 +25,7 @@ pub type CellId = u64;
 /// Interleaves the lower 32 bits of `v` with zeros, producing a 64-bit value
 /// whose even bit positions carry `v`'s bits.
 #[inline]
-fn spread_bits(v: u32) -> u64 {
+const fn spread_bits(v: u32) -> u64 {
     let mut x = v as u64;
     x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
     x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
@@ -38,7 +38,7 @@ fn spread_bits(v: u32) -> u64 {
 /// Inverse of [`spread_bits`]: collects the even bit positions of `v` back
 /// into a compact 32-bit value.
 #[inline]
-fn compact_bits(v: u64) -> u32 {
+const fn compact_bits(v: u64) -> u32 {
     let mut x = v & 0x5555_5555_5555_5555;
     x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
     x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
@@ -55,13 +55,13 @@ fn compact_bits(v: u64) -> u32 {
 /// `2i + 1`, so for a `2^θ × 2^θ` grid the IDs form the contiguous range
 /// `[0, 4^θ)`.
 #[inline]
-pub fn cell_id(x: u32, y: u32) -> CellId {
+pub const fn cell_id(x: u32, y: u32) -> CellId {
     spread_bits(x) | (spread_bits(y) << 1)
 }
 
 /// Decodes a z-order cell ID back into its `(x, y)` cell coordinates.
 #[inline]
-pub fn cell_coords(id: CellId) -> (u32, u32) {
+pub const fn cell_coords(id: CellId) -> (u32, u32) {
     (compact_bits(id), compact_bits(id >> 1))
 }
 
