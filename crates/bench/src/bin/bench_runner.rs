@@ -20,11 +20,12 @@
 //! compared across snapshots:
 //!
 //! * `kernel/intersection/dense-grid` — the word-parallel (popcount) cell
-//!   intersection against `CellSet::intersection_size`, whose size-only
-//!   dispatch runs the sorted merge on these dense, equal-sized grid sets
-//!   (the one delta).
-//! * `kernel/distance/cached` — the dataset distance kernel over the cached
-//!   packed and boundary state (the bounded variant is parity-checked at its
+//!   intersection `CellSet::intersection_size` runs, against a two-pointer
+//!   merge of the same dense, equal-sized grid sets as sorted cell lists,
+//!   the layout a `CellSet` kept beside its blocks until schema v11 (the one
+//!   delta).
+//! * `kernel/distance/cached` — the dataset distance kernel over the packed
+//!   blocks and the cached boundary tiles (the bounded variant is parity-checked at its
 //!   own cutoff but not timed: a cutoff equal to the distance never prunes).
 //! * `kernel/inverted/build`, `kernel/inverted/verify` — building one leaf's
 //!   columnar inverted index from its entries, and one exact verification
@@ -68,7 +69,7 @@ use net::PooledTcpTransport;
 use spatial::cellset::super_block_runs;
 use spatial::distance::{dataset_distance, dataset_distance_bounded};
 use spatial::zorder::cell_id;
-use spatial::{CellSet, SourceId, SpatialDataset};
+use spatial::{CellId, CellSet, SourceId, SpatialDataset};
 
 const USAGE: &str = "\
 Usage: bench-runner [--quick] [--out PATH]
@@ -94,9 +95,9 @@ Usage: bench-runner [--quick] [--out PATH]
 ///   batch (24 inserts, updates and deletes against the largest source);
 /// * `phases` — each engine entry's source-side traversal / verify split and
 ///   the distance kernel's bound tests per exact distance;
-/// * `index` — leaf inverted indexes, DITS-L bytes, the datasets' verify
-///   state and the build's RSS.
-const SCHEMA_VERSION: u64 = 10;
+/// * `index` — leaf inverted indexes, DITS-L bytes, the datasets' cell sets
+///   as stored, their verify state and the build's RSS.
+const SCHEMA_VERSION: u64 = 11;
 
 /// The maintenance row every snapshot must carry, and its batch size.
 const MAINTENANCE_ROW: &str = "maintenance/apply_updates";
@@ -213,6 +214,7 @@ const SECTIONS: [Section; 10] = [
         Field("inverted_bytes", Int, Positive),
         Field("bytes_per_posting", Fixed(2), Positive),
         Field("local_index_bytes", Int, Positive),
+        Field("cell_bytes", Int, Positive),
         Field("verify_state_bytes", Int, Positive),
         // 0 is what a machine without procfs reports.
         Field("rss_before_build_mb", Fixed(1), AtLeastZero),
@@ -468,6 +470,23 @@ fn delta(name: &str, new: &Row, baseline: &Row) -> Row {
 /// A dense axis-aligned block of grid cells starting at `(x0, y0)`.
 fn dense_block(x0: u32, y0: u32, w: u32, h: u32) -> CellSet {
     CellSet::from_cells((0..w).flat_map(|dx| (0..h).map(move |dy| cell_id(x0 + dx, y0 + dy))))
+}
+
+/// `|a ∩ b|` by a merge of two sorted cell lists, the loop the deleted
+/// cell-list kernel ran: the delta's baseline.
+fn sorted_merge_size(mut a: &[CellId], mut b: &[CellId]) -> usize {
+    let mut count = 0;
+    while let ([x, a_rest @ ..], [y, b_rest @ ..]) = (a, b) {
+        if x < y {
+            a = a_rest;
+        } else if x > y {
+            b = b_rest;
+        } else {
+            count += 1;
+            (a, b) = (a_rest, b_rest);
+        }
+    }
+    count
 }
 
 /// The rows of one `<family>/comm/*` family: `run` executes the batch under a
@@ -736,7 +755,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     let mut kernels = Vec::new();
     let mut deltas = Vec::new();
 
-    // -- Kernel: dense-grid cell intersection, word-parallel vs dispatch ----
+    // -- Kernel: dense-grid cell intersection, packed blocks vs sorted lists -
     eprintln!("[1/9] kernel/intersection/dense-grid");
     let pairs: Vec<(CellSet, CellSet)> = (0..32)
         .map(|i| {
@@ -750,11 +769,14 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             )
         })
         .collect();
-    for (a, b) in &pairs {
+    let lists: Vec<(Vec<CellId>, Vec<CellId>)> = (pairs.iter())
+        .map(|(a, b)| (a.iter().collect(), b.iter().collect()))
+        .collect();
+    for ((a, b), (la, lb)) in pairs.iter().zip(&lists) {
         assert_eq!(
-            a.packed().intersection_size(b.packed()),
             a.intersection_size(b),
-            "packed and adaptive kernels disagree"
+            sorted_merge_size(la, lb),
+            "packed kernel and sorted-list merge disagree"
         );
     }
     let kernel_samples = samples * 10;
@@ -771,18 +793,18 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             }
         },
     );
-    let adaptive = measure(
-        "kernel/intersection/dense-grid/adaptive",
+    let sorted = measure(
+        "kernel/intersection/dense-grid/sorted-lists",
         kernel_samples,
-        pairs.len(),
+        lists.len(),
         || {
-            for (a, b) in &pairs {
-                std::hint::black_box(a.intersection_size(std::hint::black_box(b)));
+            for (a, b) in &lists {
+                std::hint::black_box(sorted_merge_size(a, std::hint::black_box(b)));
             }
         },
     );
-    deltas.push(delta("kernel/intersection/dense-grid", &packed, &adaptive));
-    kernels.extend([packed, adaptive]);
+    deltas.push(delta("kernel/intersection/dense-grid", &packed, &sorted));
+    kernels.extend([packed, sorted]);
 
     // -- Kernel: dataset distance --------------------------------------------
     eprintln!("[2/9] kernel/distance (cached)");
@@ -798,6 +820,11 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     let indexes: Vec<DitsLocal> = (0..env.source_data.len())
         .map(|s| DitsLocal::build(env.dataset_nodes(s, theta), DitsLocalConfig::default()))
         .collect();
+    // Every dataset's cell set as stored, before any search builds verify
+    // state on it.
+    let cell_bytes: usize = (indexes.iter().flat_map(DitsLocal::dataset_nodes))
+        .map(|node| node.cells.memory_bytes())
+        .sum();
     let nodes_by_source: Vec<Vec<DatasetNode>> = (0..env.source_data.len())
         .map(|s| env.dataset_nodes(s, theta))
         .collect();
@@ -827,8 +854,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         !distance_pairs.is_empty(),
         "distance workload must not be empty"
     );
-    // This pass also materialises the cached packed and boundary state the
-    // row reuses; the bounded kernel must be exact at its own cutoff.
+    // This pass also materialises the cached boundary tiles the row reuses; the bounded kernel must be exact at its own cutoff.
     for &(q, c) in &distance_pairs {
         let truth = dataset_distance(q, c);
         assert_eq!(
@@ -899,6 +925,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             inverted_bytes as f64,
             inverted_bytes as f64 / postings.max(1) as f64,
             local_index_bytes as f64,
+            cell_bytes as f64,
             verify_state_bytes as f64,
             rss_before_build_mb,
             rss_after_build_mb,
@@ -1725,6 +1752,9 @@ mod tests {
             ),
             ("index.postings 0", "index[0].postings", |t| {
                 set(t, "postings", "0")
+            }),
+            ("index.cell_bytes 0", "index[0].cell_bytes", |t| {
+                set(t, "cell_bytes", "0")
             }),
             (
                 "index.verify_state_bytes 0",

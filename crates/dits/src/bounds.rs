@@ -31,7 +31,7 @@ use spatial::CellSet;
 /// leaf's inverted index.  No dataset stored in the leaf can intersect the
 /// query in more cells than this.  The leaf keeps its keys as packed
 /// blocks, so the bound is one word-parallel AND+popcount against the
-/// query's cached packed form.
+/// query's packed blocks.
 pub fn leaf_overlap_upper_bound(inverted: &InvertedIndex, query: &CellSet) -> usize {
     query.packed().intersection_size(inverted.keys())
 }

@@ -99,22 +99,38 @@ pub fn put_cells<B: BufMut>(buf: &mut B, cells: &CellSet) {
 }
 
 /// Reads the cell set [`put_cells`] writes.  The cells arrive strictly
-/// increasing and are wrapped as they are, without a sort or a dedup.
+/// increasing and are packed as they are read, with no sort, no dedup and
+/// no cell list in between.  A repeated cell is reported once every gap has
+/// been read, so a cut-off or malformed gap after it still wins.
 pub fn get_cells<B: Buf>(buf: &mut B) -> Result<CellSet, CodecError> {
     let count = get_varint(buf)?;
     // Every gap takes at least one byte, so a count beyond the bytes left
-    // is a cut-off buffer — known before anything is reserved for it.
+    // is a cut-off buffer — known before anything is read for it.
     if count > buf.remaining() as u64 {
         return Err(CodecError::Truncated);
     }
-    let mut cells = Vec::with_capacity(count as usize);
-    let mut previous: CellId = 0;
-    for _ in 0..count {
-        let gap = get_varint(buf)?;
-        previous = previous.checked_add(gap).ok_or(CodecError::CellOverflow)?;
-        cells.push(previous);
+    let mut failure = None;
+    let mut previous: Option<CellId> = None;
+    let read = (0..count).map_while(|_| {
+        let gap = get_varint(buf).map_err(|e| failure = Some(e)).ok()?;
+        let Some(cell) = previous.map_or(Some(gap), |cell| cell.checked_add(gap)) else {
+            failure = Some(CodecError::CellOverflow);
+            return None;
+        };
+        let repeat = previous == Some(cell);
+        previous = Some(cell);
+        Some((cell, repeat))
+    });
+    let mut repeated = false;
+    let set = CellSet::from_sorted_cells(read.filter_map(|(cell, repeat)| {
+        repeated |= repeat;
+        (!repeat).then_some(cell)
+    }));
+    match failure {
+        Some(e) => Err(e),
+        None if repeated => Err(CodecError::DuplicateCell),
+        None => set.ok_or(CodecError::DuplicateCell),
     }
-    CellSet::from_sorted_cells(cells).ok_or(CodecError::DuplicateCell)
 }
 
 #[cfg(test)]
@@ -179,6 +195,8 @@ mod tests {
         let decode = |mut bytes: &[u8]| get_cells(&mut bytes);
         assert_eq!(decode(&[0]), Ok(CellSet::new()));
         assert_eq!(decode(&[2, 5, 0]), Err(CodecError::DuplicateCell));
+        // A gap cut off after a repeated cell: the cut is what is reported.
+        assert_eq!(decode(&[3, 5, 0, 0x80]), Err(CodecError::Truncated));
         assert_eq!(decode(&[3, 1, 1]), Err(CodecError::Truncated));
         let mut overflow = vec![2];
         overflow.extend(varint(u64::MAX));

@@ -14,7 +14,7 @@
 //!
 //! * `keys`, the distinct cells as packed 64-cell blocks `(cell >> 6, word)`
 //!   ([`PackedCells`]).  It *is* the Lemma 2 bound set, so the bound is one
-//!   word-parallel intersection with the query's cached packed form.
+//!   word-parallel intersection with the query's packed form.
 //! * `ranks`, one `u32` per block: the number of keys in the blocks before
 //!   it (Jacobson's rank directory).  Key `c` sits at position
 //!   `ranks[b] + popcount(word_b & ((1 << (c & 63)) - 1))` in key order.
@@ -69,16 +69,18 @@ impl InvertedIndex {
     }
 
     /// Builds the index of a collection of `(dataset id, cell set)` pairs by
-    /// a k-way merge of the sorted cell sets.  An id given more than once
+    /// a k-way merge of the cell sets' packed blocks: the smallest key any
+    /// set holds next, its words `OR`ed into the key block, then one
+    /// membership row per bit of that block.  An id given more than once
     /// indexes the union of its cell sets.
     pub fn build<'a, I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (DatasetId, &'a CellSet)>,
     {
-        let mut cursors: Vec<(DatasetId, &[CellId])> = entries
+        let mut cursors: Vec<(DatasetId, &[(u64, u64)])> = entries
             .into_iter()
-            .map(|(id, cells)| (id, cells.cells()))
-            .filter(|(_, cells)| !cells.is_empty())
+            .map(|(id, cells)| (id, cells.packed().blocks()))
+            .filter(|(_, blocks)| !blocks.is_empty())
             .collect();
         cursors.sort_by_key(|&(id, _)| id);
         let mut ids: Vec<DatasetId> = cursors.iter().map(|&(id, _)| id).collect();
@@ -92,24 +94,39 @@ impl InvertedIndex {
         let stride = ids.len().div_ceil(8);
 
         let mut members: Vec<u8> = Vec::new();
+        // The block being emitted: its key, the bits still to emit, and the
+        // word each set holding the key brings, by slot.
+        let (mut key, mut rest) = (0, 0u64);
+        let mut words: Vec<(usize, u64)> = Vec::new();
         let keys = PackedCells::from_sorted(std::iter::from_fn(|| {
-            let cell = cursors
-                .iter()
-                .filter_map(|(_, c)| c.first().copied())
-                .min()?;
-            let row = members.len();
-            members.resize(row + stride, 0);
-            for ((_, cells), &slot) in cursors.iter_mut().zip(&slots) {
-                if let Some((&head, rest)) = cells.split_first() {
-                    if head == cell {
-                        *cells = rest;
-                        if let Some(byte) = members.get_mut(row + slot / 8) {
-                            *byte |= 1 << (slot % 8);
+            if rest == 0 {
+                key = (cursors.iter())
+                    .filter_map(|(_, blocks)| blocks.first())
+                    .map(|&(key, _)| key)
+                    .min()?;
+                words.clear();
+                for ((_, blocks), &slot) in cursors.iter_mut().zip(&slots) {
+                    if let Some((&(at, word), tail)) = blocks.split_first() {
+                        if at == key {
+                            words.push((slot, word));
+                            rest |= word;
+                            *blocks = tail;
                         }
                     }
                 }
             }
-            Some(cell)
+            let bit = rest.trailing_zeros();
+            rest &= rest - 1;
+            let row = members.len();
+            members.resize(row + stride, 0);
+            for &(slot, word) in &words {
+                if word >> bit & 1 == 1 {
+                    if let Some(byte) = members.get_mut(row + slot / 8) {
+                        *byte |= 1 << (slot % 8);
+                    }
+                }
+            }
+            Some(key << 6 | u64::from(bit))
         }));
         members.shrink_to_fit();
         let mut ranks: Vec<u32> = Vec::with_capacity(keys.blocks().len());

@@ -108,10 +108,10 @@ impl DatasetNode {
     }
 
     /// Estimated heap memory of the node in bytes (cell set plus the fixed
-    /// geometry fields), used by the Fig. 8 memory comparison.  The cell
-    /// set's lazily-built caches are counted once built: the packed blocks
-    /// (16 B a 64-cell tile) and the distance kernel's boundary tiles beside
-    /// them (at most 16 B a tile and 24 B a 64×64-cell super-block).
+    /// geometry fields), used by the Fig. 8 memory comparison.  The cell set
+    /// is its packed blocks, 16 B an occupied 8×8-cell tile; the distance
+    /// kernel's boundary tiles beside them (at most 16 B a tile and 24 B a
+    /// 64×64-cell super-block) are counted once a kNN search has built them.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.cells.memory_bytes()
     }
@@ -159,15 +159,17 @@ mod tests {
 
     #[test]
     fn memory_estimate_grows_after_verify_cache_materializes() {
+        // Four cells in two 8×8 tiles: two 16-byte blocks, nothing per cell.
         let n = DatasetNode::from_cell_set(1, cells(&[(0, 0), (3, 1), (7, 9), (2, 2)])).unwrap();
         let cold = n.memory_bytes();
-        // Materialise the cached verify state (the packed blocks and the
-        // boundary tiles the distance kernel walks): the reported footprint
-        // must grow by exactly its bytes, keeping the Fig. 8 memory
-        // comparison honest.
+        assert_eq!(cold, std::mem::size_of::<DatasetNode>() + 2 * 16);
+        // Materialise the cached boundary tiles the distance kernel walks:
+        // the reported footprint must grow by exactly their bytes, keeping
+        // the Fig. 8 memory comparison honest.  The verify state is the
+        // blocks, already counted, and the tiles.
         let state = n.cells.verify_state_bytes();
-        assert!(state > 0);
-        assert_eq!(n.memory_bytes(), cold + state);
+        assert!(state > 2 * 16);
+        assert_eq!(n.memory_bytes(), cold + state - 2 * 16);
     }
 
     #[test]
@@ -183,6 +185,8 @@ mod tests {
         let far = cells(&[(5000, 5000)]);
         let packed = n.cells.packed().memory_bytes();
         let cold = n.memory_bytes();
+        assert_eq!(cold, std::mem::size_of::<DatasetNode>() + packed);
+        assert_eq!(packed, 16 * n.cells.packed().blocks().len());
         assert!(spatial::dataset_distance(&n.cells, &far) > 0.0);
         let blocks = n.cells.packed().blocks();
         let supers = super_block_runs(blocks, |(key, _)| key).count();

@@ -77,14 +77,11 @@ mod tests {
         assert_eq!(block_id_bound(u32::MAX), None);
         // Every cell of a θ = 2 grid (ids 0..16) is in block 0.
         let coarse: CellSet = (0..16u64).collect();
-        assert_eq!(coarse.blocks(BLOCK_BITS).cells(), &[0]);
+        assert_eq!(coarse.blocks(BLOCK_BITS), cells(&[(0, 0)]));
         // Two datasets sharing block (1,0): each block once.
         let a = cells(&[(0, 0), (7, 7), (8, 7)]);
         let b = cells(&[(9, 0), (16, 0)]);
-        assert_eq!(
-            blocks_of([&a, &b]).cells(),
-            &[cell_id(0, 0), cell_id(1, 0), cell_id(2, 0)]
-        );
+        assert_eq!(blocks_of([&a, &b]), cells(&[(0, 0), (1, 0), (2, 0)]));
         assert_eq!(blocks_of([]), CellSet::new());
     }
 }

@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use dits::{Neighbor, SearchStats};
 use spatial::distance::NeighborProbe;
-use spatial::{CellSet, DatasetId, SourceId, SpatialDataset};
+use spatial::{CellSet, DatasetId, Mbr, SourceId, SpatialDataset};
 
 use crate::api::{
     SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
@@ -897,28 +897,53 @@ type CandidateKey = (SourceId, DatasetId);
 /// are here: [`dits::greedy_cover`] — the loop every source runs — keyed by
 /// `(source, dataset)`, whose connect step is a linear scan of the
 /// not-yet-connected candidates against the newest member.  Returns the
-/// selected keys in pick order, their gains and the final coverage.
+/// selected keys in pick order, their gains, the final coverage and the
+/// number of δ-tests (`NeighborProbe::within` calls) the scan ran.
+///
+/// Each candidate's cell-space MBR is computed once, and a candidate whose
+/// box lies farther than δ from the newest member's (or the query's) is
+/// not tested: every cell pair is at least the box gap apart on each axis,
+/// and the squared gap is formed in `f64` from integers exactly as `within`
+/// forms a pair's, so the skip never drops a candidate `within` would
+/// accept.  The probe is built only when some candidate passes the box test.
 fn cover_held(
     query_cells: &CellSet,
     candidates: &[CoverageCandidate],
     k: usize,
     delta_cells: f64,
-) -> (Vec<CandidateKey>, Vec<usize>, usize) {
-    let mut unconnected: Vec<(CandidateKey, &CellSet)> = candidates
+) -> (Vec<CandidateKey>, Vec<usize>, usize, usize) {
+    type Held<'c> = (CandidateKey, &'c CellSet, Option<Mbr>);
+    let mut unconnected: Vec<Held> = candidates
         .iter()
         .filter_map(|candidate| match &candidate.cells {
-            CandidateCells::Inline(cells) => Some(((candidate.source, candidate.dataset), cells)),
+            CandidateCells::Inline(cells) => Some((
+                (candidate.source, candidate.dataset),
+                cells,
+                cells.mbr_cell_space(),
+            )),
             CandidateCells::Stub(_) => None,
         })
         .collect();
-    dits::greedy_cover(
+    let query_box = query_cells.mbr_cell_space();
+    let mut delta_tests = 0;
+    let (selected, gains, coverage) = dits::greedy_cover(
         query_cells,
         k,
         &mut SearchStats::new(),
-        |&(key, cells): &(CandidateKey, &CellSet)| (key, cells),
+        |&(key, cells, _): &Held| (key, cells),
         |newest, connected, _| {
-            let probe = NeighborProbe::new(newest.map_or(query_cells, |&(_, cells)| cells));
+            let (probe_cells, probe_box) =
+                newest.map_or((query_cells, query_box), |&(_, cells, mbr)| (cells, mbr));
+            let mut probe = None;
             unconnected.retain(|&candidate| {
+                let near = probe_box
+                    .zip(candidate.2)
+                    .is_some_and(|(a, b)| a.min_distance_squared(&b) <= delta_cells * delta_cells);
+                if !near {
+                    return true;
+                }
+                delta_tests += 1;
+                let probe = probe.get_or_insert_with(|| NeighborProbe::new(probe_cells));
                 let within = probe.within(candidate.1, delta_cells);
                 if within {
                     connected.push(candidate);
@@ -926,7 +951,8 @@ fn cover_held(
                 !within
             });
         },
-    )
+    );
+    (selected, gains, coverage, delta_tests)
 }
 
 /// One query's aggregation over what its bucket holds: the run over the held
@@ -940,7 +966,7 @@ fn aggregate_coverage(
     k: usize,
     delta_cells: f64,
 ) -> Result<AggregatedCoverage, Vec<CandidateKey>> {
-    let (selected, gains, coverage) = cover_held(query_cells, candidates, k, delta_cells);
+    let (selected, gains, coverage, _) = cover_held(query_cells, candidates, k, delta_cells);
     let stubs = open_stubs(candidates, failed);
     let stalled = stalled_stubs(&stubs, &selected, &gains, k);
     if stalled.is_empty() {
@@ -1214,7 +1240,7 @@ mod tests {
     use super::*;
     use crate::framework::{FrameworkConfig, MultiSourceFramework};
     use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
-    use spatial::SpatialDataset;
+    use spatial::{cell_id, SpatialDataset};
 
     fn five_source_framework() -> (MultiSourceFramework, Vec<SpatialDataset>) {
         let config = GeneratorConfig {
@@ -1238,6 +1264,106 @@ mod tests {
             },
         );
         (fw, queries)
+    }
+
+    /// `cover_held` without the box test: every unconnected candidate is
+    /// δ-tested against the newest member, and the tests are counted.
+    fn cover_held_testing_every_candidate(
+        query_cells: &CellSet,
+        candidates: &[CoverageCandidate],
+        k: usize,
+        delta_cells: f64,
+    ) -> (Vec<CandidateKey>, Vec<usize>, usize, usize) {
+        let mut unconnected: Vec<(CandidateKey, &CellSet)> = candidates
+            .iter()
+            .filter_map(|candidate| match &candidate.cells {
+                CandidateCells::Inline(cells) => {
+                    Some(((candidate.source, candidate.dataset), cells))
+                }
+                CandidateCells::Stub(_) => None,
+            })
+            .collect();
+        let mut delta_tests = 0;
+        let (selected, gains, coverage) = dits::greedy_cover(
+            query_cells,
+            k,
+            &mut SearchStats::new(),
+            |&(key, cells): &(CandidateKey, &CellSet)| (key, cells),
+            |newest, connected, _| {
+                let probe = NeighborProbe::new(newest.map_or(query_cells, |&(_, cells)| cells));
+                unconnected.retain(|&candidate| {
+                    delta_tests += 1;
+                    let within = probe.within(candidate.1, delta_cells);
+                    if within {
+                        connected.push(candidate);
+                    }
+                    !within
+                });
+            },
+        );
+        (selected, gains, coverage, delta_tests)
+    }
+
+    /// The box test before each δ-test skips every far candidate and
+    /// changes no pick, no gain and no coverage.
+    #[test]
+    fn the_box_test_skips_far_candidates_and_changes_no_pick() {
+        let square = |x0: u32, y0: u32, side: u32| {
+            CellSet::from_cells(
+                (x0..x0 + side).flat_map(|x| (y0..y0 + side).map(move |y| cell_id(x, y))),
+            )
+        };
+        let inline = |source: SourceId, dataset: DatasetId, cells: CellSet| CoverageCandidate {
+            source,
+            dataset,
+            cells: CandidateCells::Inline(cells),
+        };
+        let query = square(0, 0, 3);
+        // A chain east of the query, 3 cells between links; squares far to
+        // the north-east; one square 3 east and 4 north of the query's
+        // corner (5 away); and a diagonal whose box comes within δ of the
+        // query's while its cells do not.
+        let mut candidates: Vec<CoverageCandidate> = (1..=6)
+            .map(|i| inline(0, i, square(5 * i, 0, 3 + i % 2)))
+            .collect();
+        candidates.extend((0..10).map(|j| inline(1, j, square(200 + 10 * j, 200, 2))));
+        candidates.push(inline(2, 0, square(5, 6, 2)));
+        candidates.push(inline(
+            2,
+            1,
+            CellSet::from_cells((4..=20).map(|x| cell_id(x, 24 - x))),
+        ));
+        candidates.push(CoverageCandidate {
+            source: 2,
+            dataset: 2,
+            cells: CandidateCells::Stub(40),
+        });
+        for k in [1, 3, 8] {
+            let (selected, gains, coverage, tests) = cover_held(&query, &candidates, k, 3.0);
+            let (all_selected, all_gains, all_coverage, all_tests) =
+                cover_held_testing_every_candidate(&query, &candidates, k, 3.0);
+            assert_eq!(selected, all_selected);
+            assert_eq!(gains, all_gains);
+            assert_eq!(coverage, all_coverage);
+            assert!(
+                tests < all_tests,
+                "k = {k}: {tests} δ-tests, {all_tests} without boxes"
+            );
+        }
+        let (selected, _, _, tests) = cover_held(&query, &candidates, 8, 3.0);
+        let (_, _, _, all_tests) = cover_held_testing_every_candidate(&query, &candidates, 8, 3.0);
+        let picks = [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (2, 1),
+            (0, 4),
+            (0, 5),
+            (0, 6),
+            (2, 0),
+        ];
+        assert_eq!(selected, picks);
+        assert_eq!((tests, all_tests), (11, 109));
     }
 
     #[test]

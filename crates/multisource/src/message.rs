@@ -729,9 +729,8 @@ fn get_cells(data: &mut Bytes) -> Result<CellSet, WireError> {
 /// bytes of a cell set.
 fn get_blocks(data: &mut Bytes, resolution: u32) -> Result<CellSet, WireError> {
     let blocks = codec::get_cells(data).map_err(|e| wire_error(e, "sketch block"))?;
-    // Block ids are sorted: the last is the largest.
-    match (blocks.cells().last(), block_id_bound(resolution)) {
-        (Some(&block), Some(bound)) if block >= bound => Err(WireError::OutOfRange("sketch block")),
+    match (blocks.last(), block_id_bound(resolution)) {
+        (Some(block), Some(bound)) if block >= bound => Err(WireError::OutOfRange("sketch block")),
         _ => Ok(blocks),
     }
 }

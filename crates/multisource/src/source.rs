@@ -147,8 +147,7 @@ impl DataSource {
         let mut prepared = Vec::with_capacity(ops.len());
         for op in ops {
             if let CellOp::Insert { dataset, cells } | CellOp::Update { dataset, cells } = op {
-                // Cell sets are sorted: the last cell is the largest.
-                if let Some(&cell) = cells.cells().last() {
+                if let Some(cell) = cells.last() {
                     if cell >= self.grid.cell_count() {
                         return Err(BatchError::CellOutOfGrid {
                             dataset: *dataset,

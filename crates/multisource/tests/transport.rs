@@ -146,7 +146,7 @@ fn bounded_knn_matches_bruteforce_across_transports() {
     let queries = probe_queries(&data);
 
     // Source-level oracle parity: the bounded kernel (threaded k-th-best
-    // cutoff, cached packed and boundary state) vs the brute-force oracle.
+    // cutoff, packed blocks and cached boundary tiles) vs the brute-force oracle.
     for source in fw.sources() {
         let fresh: Vec<DatasetNode> = source
             .index()

@@ -1,66 +1,58 @@
 //! Cell-based datasets (Definition 5).
 //!
-//! A [`CellSet`] is the grid representation of a spatial dataset: the sorted,
-//! deduplicated set of z-order cell IDs that contain at least one of the
-//! dataset's points.  Both joinable-search problems are defined purely on
-//! cell sets — OJSP maximises `|S_Q ∩ S_D|` and CJSP maximises
-//! `|S_Q ∪ (∪ S_Di)|` — so the intersection-size and union-size primitives
-//! here are the hot path of every search algorithm in the repository.
+//! A [`CellSet`] is the grid representation of a spatial dataset: the set of
+//! z-order cell IDs that contain at least one of the dataset's points.  Both
+//! joinable-search problems are defined purely on cell sets — OJSP maximises
+//! `|S_Q ∩ S_D|` and CJSP maximises `|S_Q ∪ (∪ S_Di)|` — so the
+//! intersection-size and union-size primitives here are the hot path of
+//! every search algorithm in the repository.
 //!
-//! # Performance
+//! # Layout
 //!
-//! [`intersection_size`](CellSet::intersection_size) (and everything built on
-//! it: `union_size`, `marginal_gain`) picks between two kernels by size
-//! alone:
+//! A set is stored once, as its bit-packed blocks ([`PackedCells`]): one
+//! `(cell >> 6, word)` pair per occupied 64-cell block — an 8×8-cell tile
+//! of the grid — with bit `cell & 63` of the word set for every member
+//! cell, keys ascending, no word zero.  This is a block-keyed bitmap in the
+//! style of Roaring bitmaps (Chambi, Lemire et al., *Softw. Pract. Exper.*
+//! 2016) with one container kind.  The cell count is stored beside the
+//! blocks.  A cell costs 16 B divided by how many cells share its block
+//! (3.3 on the federation benchmark's corpus: 1 099 671 cells in 330 455
+//! blocks, 4.8 B a cell), where a sorted `u64` list costs 8.
 //!
-//! 1. **Galloping** when the sizes are skewed (`|small| · 16 < |large|`): for
-//!    each cell of the small set, exponentially probe forward in the large
-//!    set's remaining tail — `O(m·log(n/m))`, ideal for a handful of query
-//!    cells against a big indexed dataset.
-//! 2. **Linear merge** otherwise, over the two sorted lists.
+//! Every operation reads the blocks:
 //!
-//! Beside them sits a **word-parallel popcount** over a bit-packed block
-//! form, [`PackedCells`] — 64-bit words keyed by `cell >> 6`, one `AND` +
-//! `count_ones` per matching block, up to 64 cells per instruction.  The
-//! dispatch never takes it.  Its readers hold a query's packed form
-//! ([`CellSet::packed`]) against a DITS-L leaf's key blocks, which the leaf
-//! keeps in this form alone: OverlapSearch's Lemma 2 leaf bound through
-//! [`PackedCells::intersection_size`], and leaf verification through
-//! [`PackedCells::for_each_shared`], the one walk that count is built on.
-//! [`intersects`](CellSet::intersects) reads it too.  A set's packed form
-//! is built at most once (cached in a `OnceLock` alongside the sorted vec,
-//! which no `&mut` reaches), so a query bounded against many leaves pays the
-//! packing cost once.
+//! * [`iter`](CellSet::iter) walks each word by trailing zeros, so cells
+//!   come out ascending; [`contains`](CellSet::contains) is a key binary
+//!   search and a bit test;
+//! * [`intersection_size`](CellSet::intersection_size) (and everything built
+//!   on it: `union_size`, `marginal_gain`) is one `AND` + `count_ones` per
+//!   block both sides hold.  The two block lists are merged, or the smaller
+//!   one galloped into the larger when one is over 16 times longer
+//!   ([`PackedCells::for_each_shared`]);
+//! * [`union`](CellSet::union) merges the blocks, `OR`ing the words of a
+//!   shared key; [`blocks`](CellSet::blocks) at 6 bits or more reads the keys
+//!   alone; [`clip_to_window`](CellSet::clip_to_window) keeps or drops a
+//!   whole tile whose box lies inside or outside the window and tests only
+//!   the cells of a tile across its edge.
 //!
-//! Beside the packed blocks a set caches, on first use and once, the
-//! distance kernel's verify state (`BoundaryTiles`): per packed block one
-//! `u64` mask of its *boundary* cells (a 4-neighbour outside the set) and
-//! their exact box, and per 64×64-cell super-block — the blocks sharing
-//! `key >> 6`, one contiguous run ([`super_block_runs`]) — the box of its
-//! boundary cells.  It is found from the packed words alone, with row-major
-//! shifts inside a block and the edge rows of its four neighbours, and keeps
-//! nothing per cell: at most 16 B a block and 24 B a super-block.
+//! A DITS-L leaf keeps its key column in the same form, and a query is held
+//! against it with [`PackedCells::intersection_size`] (OverlapSearch's
+//! Lemma 2 leaf bound) and [`PackedCells::for_each_shared`] (leaf
+//! verification).
+//!
+//! Beside the blocks a set caches, on first use and once, the distance
+//! kernel's verify state (`BoundaryTiles`): per block one `u64` mask of its
+//! *boundary* cells (a 4-neighbour outside the set) and their exact box,
+//! and per 64×64-cell super-block — the blocks sharing `key >> 6`, one
+//! contiguous run ([`super_block_runs`]) — the box of its boundary cells.
+//! It is found from the packed words alone, with row-major shifts inside a
+//! block and the edge rows of its four neighbours, and keeps nothing per
+//! cell: at most 16 B a block and 24 B a super-block.
 //!
 //! Under the kernels sit two joins over sorted slices, written once:
-//! `merge_join` (the linear kernel, the packed block merge and
-//! [`intersects`](CellSet::intersects)) and `gallop_join` (the galloping
-//! kernel, over cells or over block keys).  Both walk the slices with slice
-//! patterns and checked access, so no kernel can index out of bounds.
-//!
-//! Which kernel the serving path reached, in a one-off count taken in
-//! October 2026 with process-wide counters since deleted, over the
-//! federation benchmark's in-process twin (seed 1, Tenth-scale corpus):
-//! OJSP never dispatched — OverlapSearch's Lemma 2 leaf bounds made 56 630
-//! packed calls over 2 000 queries; CJSP's `marginal_gain` dispatched 97.4 %
-//! linear, 1.6 % to a density-chosen packed arm and 1.0 % galloping
-//! (30 600 / 490 / 322 over 64 queries); kNN intersected nothing (its kernel
-//! is `distance`).  That packed arm was then dropped: the merge gives the
-//! same counts, and its CJSP timings moved within the run-to-run spread.
-//! `bench-runner`'s `kernel/intersection/dense-grid` delta times the packed
-//! kernel against this dispatch on two dense sets of comparable size — a
-//! pair the serving path almost never sees; run `cargo run --release -p
-//! bench --bin bench-runner` to measure it on this machine, and see
-//! `BENCH_*.json` at the repository root for the committed trajectory.
+//! `merge_join` (the block merge and [`intersects`](CellSet::intersects))
+//! and `gallop_join` (the skewed block merge).  Both walk the slices with
+//! slice patterns and checked access, so no kernel can index out of bounds.
 #![cfg_attr(
     not(test),
     deny(
@@ -76,7 +68,6 @@
     )
 )]
 
-use std::convert::identity;
 use std::ops::{ControlFlow, Range};
 
 use crate::grid::Grid;
@@ -85,7 +76,8 @@ use crate::point::Point;
 use crate::zorder::{cell_coords, cell_id, CellId};
 use serde::{Deserialize, Serialize};
 
-/// Size skew ratio above which the galloping kernel is used.
+/// Block-count skew ratio above which two block lists are galloped, not
+/// merged.
 const GALLOP_SKEW: usize = 16;
 
 /// Calls `on_match` on the elements of `a` and `b` that share a key, each
@@ -163,12 +155,17 @@ fn block_key((key, _): Block) -> u64 {
     key
 }
 
-/// The bit-packed block form of a sorted cell list: one `(cell >> 6, word)`
+/// The cells of one block, ascending.
+fn block_cells((key, word): Block) -> impl Iterator<Item = CellId> {
+    set_bits(word).map(move |bit| key << 6 | CellId::from(bit))
+}
+
+/// The bit-packed block form of a set of cells: one `(cell >> 6, word)`
 /// pair per occupied 64-cell block, with bit `cell & 63` of the word set for
 /// every member cell.  Keys are strictly increasing, words are never zero.
 ///
-/// A [`CellSet`] caches its own ([`CellSet::packed`]); a DITS-L leaf keeps
-/// its key column in this form alone.
+/// It is what a [`CellSet`] stores ([`CellSet::packed`]); a DITS-L leaf
+/// keeps its key column in this form too.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PackedCells {
     blocks: Vec<Block>,
@@ -192,6 +189,14 @@ impl PackedCells {
                 }
             }
         }
+        Self::from_blocks(blocks)
+    }
+
+    /// Wraps blocks that are already ascending by key with no zero word,
+    /// releasing the slots they do not fill.
+    fn from_blocks(mut blocks: Vec<Block>) -> Self {
+        debug_assert!(blocks.windows(2).all(|w| matches!(w, [a, b] if a.0 < b.0)));
+        debug_assert!(blocks.iter().all(|&(_, word)| word != 0));
         blocks.shrink_to_fit();
         Self { blocks }
     }
@@ -199,6 +204,15 @@ impl PackedCells {
     /// The blocks, ascending by key.
     pub fn blocks(&self) -> &[(u64, u64)] {
         &self.blocks
+    }
+
+    /// Whether `cell` is set: a key binary search, then a bit test.
+    fn contains(&self, cell: CellId) -> bool {
+        self.blocks
+            .binary_search_by_key(&(cell >> 6), |&(key, _)| key)
+            .ok()
+            .and_then(|at| self.blocks.get(at))
+            .is_some_and(|&(_, word)| word >> (cell & 63) & 1 == 1)
     }
 
     /// Calls `on_shared(j, word)` for every block whose words overlap in
@@ -249,6 +263,20 @@ impl PackedCells {
             },
         )
         .is_break()
+    }
+
+    /// The blocks whose set bits include some id in `lo..=hi`, each word
+    /// masked to the bits in that range: a key binary search at each end.
+    fn range(&self, lo: CellId, hi: CellId) -> impl Iterator<Item = Block> + '_ {
+        let from = self.blocks.partition_point(|&(key, _)| key < lo >> 6);
+        let to = self.blocks.partition_point(|&(key, _)| key <= hi >> 6);
+        let run = self.blocks.get(from..to).unwrap_or_default();
+        run.iter().filter_map(move |&(key, word)| {
+            let low = u64::MAX << if key == lo >> 6 { lo & 63 } else { 0 };
+            let high = u64::MAX >> if key == hi >> 6 { 63 - (hi & 63) } else { 0 };
+            let word = word & low & high;
+            (word != 0).then_some((key, word))
+        })
     }
 
     /// Heap bytes used by the packed form.
@@ -462,79 +490,70 @@ impl BoundaryTiles {
     }
 }
 
-/// A sorted, deduplicated set of grid cell IDs representing a spatial
-/// dataset on a fixed grid.
+/// A set of grid cell IDs representing a spatial dataset on a fixed grid,
+/// stored as its packed blocks (see the module docs).
 ///
-/// Alongside the sorted vec the set lazily caches two derived forms, each
-/// with a production reader: the bit-packed blocks the word-parallel
-/// intersection kernel reads (see the module docs) and, beside them, the
-/// boundary tiles the distance kernel walks.  Equality, ordering of iteration
-/// and the serialized shape are defined by the sorted cells alone.
+/// Beside the blocks the set lazily caches the boundary tiles the distance
+/// kernel walks.  Equality, the ascending order of iteration and the
+/// serialized shape are defined by the cells alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellSet {
     cells: frozen::Cells,
 }
 
-/// The cells of a [`CellSet`] with the two forms cached from them, behind
-/// fields no code outside this module can reach: the cells are read through
-/// `Deref<Target = [CellId]>` and never through a `&mut`, so a set changes
-/// only by being replaced whole, caches and all, and a cache is never older
-/// than the cells it was built from.
+/// The packed blocks of a [`CellSet`], its cell count and the boundary tiles
+/// cached from them, behind fields no code outside this module can reach:
+/// nothing hands out a `&mut` to the blocks, so a set changes only by being
+/// replaced whole, cache and all, and the cache is never older than the
+/// blocks it was built from.
 mod frozen {
-    use std::ops::Deref;
     use std::sync::OnceLock;
 
-    use super::{BoundaryTiles, CellId, PackedCells};
+    use super::{BoundaryTiles, PackedCells};
 
     #[derive(Debug, Clone, Default)]
     pub(super) struct Cells {
-        sorted: Vec<CellId>,
-        packed: OnceLock<PackedCells>,
+        packed: PackedCells,
+        len: usize,
         boundary: OnceLock<BoundaryTiles>,
     }
 
     impl Cells {
-        /// Wraps an already sorted, deduplicated cell vector.
-        pub(super) fn new(sorted: Vec<CellId>) -> Self {
-            debug_assert!(sorted.windows(2).all(|w| matches!(w, [a, b] if a < b)));
+        /// Wraps packed blocks, counting their cells once.
+        pub(super) fn new(packed: PackedCells) -> Self {
+            let len = (packed.blocks().iter())
+                .map(|&(_, word)| word.count_ones() as usize)
+                .sum();
             Self {
-                sorted,
-                packed: OnceLock::new(),
+                packed,
+                len,
                 boundary: OnceLock::new(),
             }
         }
 
-        /// The bit-packed form, built on first use.
         pub(super) fn packed(&self) -> &PackedCells {
-            self.packed
-                .get_or_init(|| PackedCells::from_sorted(self.sorted.iter().copied()))
+            &self.packed
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.len
         }
 
         /// The boundary tiles, built on first use from the packed form.
         pub(super) fn boundary(&self) -> &BoundaryTiles {
             self.boundary
-                .get_or_init(|| BoundaryTiles::build(self.packed()))
+                .get_or_init(|| BoundaryTiles::build(&self.packed))
         }
 
-        /// Heap bytes of the cells and of whichever caches have been built.
+        /// Heap bytes of the blocks and, once built, of the boundary tiles.
         pub(super) fn memory_bytes(&self) -> usize {
-            self.sorted.capacity() * std::mem::size_of::<CellId>()
-                + self.packed.get().map_or(0, PackedCells::memory_bytes)
-                + self.boundary.get().map_or(0, BoundaryTiles::memory_bytes)
-        }
-    }
-
-    impl Deref for Cells {
-        type Target = [CellId];
-
-        fn deref(&self) -> &[CellId] {
-            &self.sorted
+            self.packed.memory_bytes() + self.boundary.get().map_or(0, BoundaryTiles::memory_bytes)
         }
     }
 
     impl PartialEq for Cells {
         fn eq(&self, other: &Self) -> bool {
-            self.sorted == other.sorted
+            self.packed == other.packed
         }
     }
 
@@ -544,25 +563,22 @@ mod frozen {
 impl CellSet {
     /// Creates an empty cell set.
     pub fn new() -> Self {
-        Self::from_sorted(Vec::new())
+        Self::from_packed(PackedCells::default())
     }
 
-    /// Wraps an already sorted, deduplicated cell vector.
-    fn from_sorted(cells: Vec<CellId>) -> Self {
+    fn from_packed(packed: PackedCells) -> Self {
         Self {
-            cells: frozen::Cells::new(cells),
+            cells: frozen::Cells::new(packed),
         }
     }
 
-    /// Shared construction tail: sorts, deduplicates and wraps a candidate
-    /// cell vector (callers pre-reserve capacity for their own source shape),
-    /// releasing the slots the duplicates held — a gridded dataset keeps one
-    /// slot per cell, not one per point.
+    /// Shared construction tail: sorts and deduplicates a candidate cell
+    /// vector, then packs it.  The vector is dropped, so a gridded dataset
+    /// keeps nothing per point.
     fn from_unsorted(mut cells: Vec<CellId>) -> Self {
         cells.sort_unstable();
         cells.dedup();
-        cells.shrink_to_fit();
-        Self::from_sorted(cells)
+        Self::from_packed(PackedCells::from_sorted(cells))
     }
 
     /// Builds a cell set from an arbitrary iterator of cell IDs (sorting and
@@ -574,14 +590,19 @@ impl CellSet {
         Self::from_unsorted(v)
     }
 
-    /// Wraps a cell vector that is already strictly increasing — the shape a
-    /// delta decoder produces — without the sort and dedup of
-    /// [`Self::from_cells`].  Returns `None` when it is not.
-    pub fn from_sorted_cells(cells: Vec<CellId>) -> Option<Self> {
-        cells
-            .windows(2)
-            .all(|w| matches!(w, [a, b] if a < b))
-            .then(|| Self::from_sorted(cells))
+    /// Packs cells that arrive strictly increasing — the order a delta
+    /// decoder produces them in — as they arrive, with no sort, no dedup and
+    /// no cell list in between.  Returns `None` when they are not strictly
+    /// increasing, having read up to the first cell that is not.
+    pub fn from_sorted_cells(cells: impl IntoIterator<Item = CellId>) -> Option<Self> {
+        let mut previous = None;
+        let mut increasing = true;
+        let packed = PackedCells::from_sorted(cells.into_iter().take_while(|&cell| {
+            increasing = previous.is_none_or(|p| p < cell);
+            previous = Some(cell);
+            increasing
+        }));
+        increasing.then(|| Self::from_packed(packed))
     }
 
     /// Builds the cell-based representation `S_{D,Cθ}` of a point dataset on
@@ -601,22 +622,29 @@ impl CellSet {
 
     /// Returns `true` when the set contains no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The sorted cell IDs.
-    pub fn cells(&self) -> &[CellId] {
-        &self.cells
+        self.len() == 0
     }
 
     /// Returns `true` when the set contains `cell`.
     pub fn contains(&self, cell: CellId) -> bool {
-        self.cells.binary_search(&cell).is_ok()
+        self.packed().contains(cell)
     }
 
     /// Iterates over the cell IDs in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.cells.iter().copied()
+        self.packed().blocks().iter().copied().flat_map(block_cells)
+    }
+
+    /// The smallest cell, or `None` for an empty set.
+    pub fn first(&self) -> Option<CellId> {
+        let &(key, word) = self.packed().blocks().first()?;
+        Some(key << 6 | CellId::from(word.trailing_zeros()))
+    }
+
+    /// The largest cell, or `None` for an empty set.
+    pub fn last(&self) -> Option<CellId> {
+        let &(key, word) = self.packed().blocks().last()?;
+        Some(key << 6 | CellId::from(63 - word.leading_zeros()))
     }
 
     /// The cells decomposed to grid coordinates and sorted by x: what a
@@ -625,9 +653,8 @@ impl CellSet {
     /// dataset just selected from the index) are mostly probed once.
     pub(crate) fn decompose_sorted(&self) -> Vec<(f64, f64)> {
         let mut v: Vec<(f64, f64)> = self
-            .cells
             .iter()
-            .map(|&c| {
+            .map(|c| {
                 let (x, y) = cell_coords(c);
                 (x as f64, y as f64)
             })
@@ -652,89 +679,58 @@ impl CellSet {
         self.cells.boundary()
     }
 
-    /// Builds the set's verify state — its packed blocks and the boundary
-    /// tiles beside them — where it is not built yet, and returns the heap
-    /// bytes of the two.
+    /// Builds the set's boundary tiles where they are not built yet, and
+    /// returns the heap bytes of the distance kernel's verify state: the
+    /// packed blocks and the boundary tiles beside them.
     pub fn verify_state_bytes(&self) -> usize {
         self.boundary_tiles().memory_bytes() + self.packed().memory_bytes()
     }
 
     /// Returns `true` when the sets share at least one cell, answered by an
-    /// early-exiting `AND` over the cached word-parallel packed blocks.
+    /// early-exiting `AND` over the packed blocks.
     pub fn intersects(&self, other: &CellSet) -> bool {
-        if self.is_empty() || other.is_empty() {
-            return false;
-        }
         self.packed().intersects(other.packed())
     }
 
-    /// Size of the intersection `|self ∩ other|`: the galloping kernel when
-    /// one set is over 16 times the other's size, the linear merge
-    /// otherwise (see the module-level "Performance" section).
+    /// Size of the intersection `|self ∩ other|`: one `AND` + `count_ones`
+    /// per block both sets hold, the block lists merged or, when one is over
+    /// 16 times longer, galloped ([`PackedCells::intersection_size`]).
     pub fn intersection_size(&self, other: &CellSet) -> usize {
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        if small.len() * GALLOP_SKEW < large.len() {
-            small.intersection_size_galloping(large)
-        } else {
-            small.intersection_size_linear(large)
-        }
+        self.packed().intersection_size(other.packed())
     }
 
-    /// The set's bit-packed block form, built on first use and cached: what
-    /// OverlapSearch's Lemma 2 leaf bound and leaf verification hold a query
-    /// against a leaf's key blocks with.
+    /// The set's bit-packed blocks — the set itself: what OverlapSearch's
+    /// Lemma 2 leaf bound and leaf verification hold a query against a
+    /// leaf's key blocks with.
     pub fn packed(&self) -> &PackedCells {
         self.cells.packed()
     }
 
-    /// Linear merge of the two sorted lists.
-    fn intersection_size_linear(&self, other: &CellSet) -> usize {
-        let mut count = 0;
-        let _ = merge_join(&self.cells, &other.cells, identity, |_, _| {
-            count += 1;
-            ControlFlow::Continue(())
-        });
-        count
-    }
-
-    /// Galloping intersection of `self` (the smaller set) into `other`.
-    fn intersection_size_galloping(&self, other: &CellSet) -> usize {
-        let mut count = 0;
-        gallop_join(&self.cells, &other.cells, identity, |_, _| count += 1);
-        count
-    }
-
-    /// Size of the union `|self ∪ other|` by inclusion–exclusion.
-    ///
-    /// Allocation-free: no per-call buffer is built — the only allocation
-    /// that can ever happen underneath is the one-time packed-block cache
-    /// fill, shared with every other intersection against the same set.
+    /// Size of the union `|self ∪ other|` by inclusion–exclusion, with no
+    /// allocation.
     pub fn union_size(&self, other: &CellSet) -> usize {
         self.len() + other.len() - self.intersection_size(other)
     }
 
-    /// The union of two cell sets as a new set.
+    /// The union of two cell sets as a new set: the block lists merged, the
+    /// words of a key both hold `OR`ed.
     pub fn union(&self, other: &CellSet) -> CellSet {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut a, mut b) = (self.cells(), other.cells());
+        let (mut a, mut b) = (self.packed().blocks(), other.packed().blocks());
+        let mut out = Vec::with_capacity(a.len() + b.len());
         while let ([x, a_rest @ ..], [y, b_rest @ ..]) = (a, b) {
-            let (cell, next) = if x < y {
-                (x, (a_rest, b))
-            } else if x > y {
-                (y, (a, b_rest))
+            let (block, next) = if x.0 < y.0 {
+                (*x, (a_rest, b))
+            } else if x.0 > y.0 {
+                (*y, (a, b_rest))
             } else {
-                (x, (a_rest, b_rest))
+                ((x.0, x.1 | y.1), (a_rest, b_rest))
             };
-            out.push(*cell);
+            out.push(block);
             (a, b) = next;
         }
         out.extend_from_slice(a);
         out.extend_from_slice(b);
-        CellSet::from_sorted(out)
+        CellSet::from_packed(PackedCells::from_blocks(out))
     }
 
     /// In-place union (used by CoverageSearch's merge strategy).
@@ -751,39 +747,86 @@ impl CellSet {
 
     /// The MBR of the set in *cell coordinate* space, or `None` for an empty
     /// set.  Index nodes over cell-based datasets operate in this space.
+    /// Found a block at a time: its tile's corner plus the first and last
+    /// of the columns and rows its word occupies.
     pub fn mbr_cell_space(&self) -> Option<Mbr> {
-        Mbr::from_points(self.cells.iter().map(|&c| {
-            let (x, y) = cell_coords(c);
-            Point::new(x as f64, y as f64)
-        }))
+        let tiles = self.packed().blocks().iter().map(|&(key, word)| {
+            let (x, y) = cell_coords(key << 6);
+            let (columns, rows) = (tile_columns(word), tile_columns(mirror(word)));
+            [
+                x + columns.trailing_zeros(),
+                y + rows.trailing_zeros(),
+                x + 7 - columns.leading_zeros(),
+                y + 7 - rows.leading_zeros(),
+            ]
+        });
+        let [x0, y0, x1, y1] = tiles.reduce(|[a0, b0, a1, b1], [x0, y0, x1, y1]| {
+            [a0.min(x0), b0.min(y0), a1.max(x1), b1.max(y1)]
+        })?;
+        Some(Mbr::new(
+            Point::new(x0 as f64, y0 as f64),
+            Point::new(x1 as f64, y1 as f64),
+        ))
     }
 
     /// Restricts the set to the cells whose coordinates fall inside `window`
     /// (a rectangle in cell-coordinate space).  The multi-source framework
     /// uses this to transmit only the part of a query that can intersect a
     /// candidate source (the paper's second query-distribution strategy).
+    ///
+    /// A block is an 8×8-cell tile: it is kept whole when both corners of
+    /// its box are inside the window, dropped when its box lies wholly to one
+    /// side of it, and tested cell by cell only when it straddles an edge.
+    /// The tests are the per-cell test's own `f64` comparisons, so a window
+    /// with a `NaN` coordinate keeps nothing, as it would cell by cell.
     pub fn clip_to_window(&self, window: &Mbr) -> CellSet {
-        CellSet::from_sorted(
-            self.cells
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    let (x, y) = cell_coords(c);
-                    window.contains_point(&Point::new(x as f64, y as f64))
-                })
-                .collect(),
-        )
+        let inside = |x: u32, y: u32| window.contains_point(&Point::new(x as f64, y as f64));
+        let kept = (self.packed().blocks().iter()).filter_map(|&(key, word)| {
+            let (x0, y0) = cell_coords(key << 6);
+            let (x1, y1) = (x0 + 7, y0 + 7);
+            let word = if inside(x0, y0) && inside(x1, y1) {
+                word
+            } else if (x1 as f64) < window.min.x
+                || (x0 as f64) > window.max.x
+                || (y1 as f64) < window.min.y
+                || (y0 as f64) > window.max.y
+            {
+                0
+            } else {
+                set_bits(word)
+                    .filter(|&bit| {
+                        let (dx, dy) = TILE_XY.get(bit as usize).copied().unwrap_or_default();
+                        inside(x0 + dx, y0 + dy)
+                    })
+                    .fold(0, |kept, bit| kept | 1 << bit)
+            };
+            (word != 0).then_some((key, word))
+        });
+        CellSet::from_packed(PackedCells::from_blocks(kept.collect()))
     }
 
     /// The aligned blocks of `2^bits` consecutive z-order ids the set
     /// touches, as the set of their ids `cell >> bits` (ascending, like the
     /// cells they come from).  For an even `bits` a block is a square of
     /// `2^(bits/2)` cells a side: the cell of the grid `bits / 2` levels
-    /// coarser.
+    /// coarser.  From 6 bits on every cell of a packed block falls in one
+    /// such block, so only the keys are read.
     pub fn blocks(&self, bits: u32) -> CellSet {
-        let mut blocks: Vec<CellId> = self.cells.iter().map(|&c| block_of(c, bits)).collect();
-        blocks.dedup();
-        CellSet::from_sorted(blocks)
+        let mut previous = None;
+        let mut distinct = |block: CellId| previous.replace(block) != Some(block);
+        let packed = match bits.checked_sub(6) {
+            Some(coarser) => PackedCells::from_sorted(
+                (self.packed().blocks().iter())
+                    .map(|&(key, _)| block_of(key, coarser))
+                    .filter(|&block| distinct(block)),
+            ),
+            None => PackedCells::from_sorted(
+                self.iter()
+                    .map(|cell| block_of(cell, bits))
+                    .filter(|&block| distinct(block)),
+            ),
+        };
+        CellSet::from_packed(packed)
     }
 
     /// Restricts the set to the cells within `reach` of some cell of one of
@@ -796,50 +839,87 @@ impl CellSet {
     /// nothing within the k-th distance of the first kNN reply.
     ///
     /// Two cells are 0 or at least 1 apart, so below a reach of 1 a cell is
-    /// kept when its own block is occupied: one forward merge of the two
-    /// sorted sequences, galloping over the blocks between one cell's block
-    /// and the next.  From 1 on, the cells of one block are tested together,
-    /// against the occupied blocks within `reach` of their block only
-    /// (`occupied_near`).
+    /// kept when its own block is occupied: from 6 bits on that is one
+    /// lookup per packed block, whose cells share their block.  From 1 on,
+    /// the cells of one packed block (of the `2^bits` block holding it, from
+    /// 6 bits on) are tested together, against the occupied blocks within
+    /// `reach` of that square only (`occupied_near`).
     pub fn clip_near_blocks(&self, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
-        let mut kept = Vec::new();
+        let occupied = blocks.packed();
+        let own = self.packed().blocks().iter();
         if reach.is_nan() || reach < 1.0 {
-            let mut ahead = blocks.cells();
-            for &cell in self.cells() {
-                let block = block_of(cell, bits);
-                if ahead.first().is_some_and(|&b| b < block) {
-                    let behind = ahead.partition_point(|&b| b < block);
-                    ahead = ahead.get(behind..).unwrap_or_default();
-                }
-                if ahead.first() == Some(&block) {
-                    kept.push(cell);
-                }
-            }
-            return CellSet::from_sorted(kept);
+            let kept = own.filter_map(|&(key, word)| {
+                let word = match bits.checked_sub(6) {
+                    Some(coarser) if occupied.contains(block_of(key, coarser)) => word,
+                    Some(_) => 0,
+                    None => (set_bits(word))
+                        .filter(|&bit| {
+                            occupied.contains(block_of(key << 6 | CellId::from(bit), bits))
+                        })
+                        .fold(0, |kept, bit| kept | 1 << bit),
+                };
+                (word != 0).then_some((key, word))
+            });
+            return CellSet::from_packed(PackedCells::from_blocks(kept.collect()));
         }
         let sides = block_sides(bits);
+        // A square of whole packed blocks: the `2^bits` block from 6 bits
+        // on, the packed block's own tile below.
+        let run_bits = bits.max(6);
+        let run_sides = block_sides(run_bits);
         let mut near = Vec::new();
-        for run in self
-            .cells
-            .chunk_by(|&a, &b| block_of(a, bits) == block_of(b, bits))
-        {
-            let Some(&first) = run.first() else { continue };
-            let around = CellRect::of_block(block_of(first, bits), bits, sides);
-            near.clear();
-            occupied_near(&blocks.cells, bits, sides, around, reach, &mut near);
-            kept.extend(run.iter().copied().filter(|&cell| {
-                let cell = CellRect::of_cell(cell);
-                near.iter().any(|block| block.gap(&cell) <= reach)
-            }));
-        }
-        CellSet::from_sorted(kept)
+        let mut run = None;
+        let kept = own.filter_map(|&(key, word)| {
+            let id = block_of(key, run_bits - 6);
+            if run.replace(id) != Some(id) {
+                near.clear();
+                let around = CellRect::of_block(id, run_bits, run_sides);
+                occupied_near(occupied, bits, sides, around, reach, &mut near);
+            }
+            let word = (set_bits(word))
+                .filter(|&bit| {
+                    let cell = CellRect::of_cell(key << 6 | CellId::from(bit));
+                    near.iter().any(|block| block.gap(&cell) <= reach)
+                })
+                .fold(0, |kept, bit| kept | 1 << bit);
+            (word != 0).then_some((key, word))
+        });
+        CellSet::from_packed(PackedCells::from_blocks(kept.collect()))
     }
 
-    /// An estimate of the heap memory used by this set, in bytes, including
-    /// the packed-block and boundary-tile caches when they have been built.
+    /// An estimate of the heap memory used by this set, in bytes: its packed
+    /// blocks, and the boundary tiles once they have been built.
     pub fn memory_bytes(&self) -> usize {
         self.cells.memory_bytes()
     }
+}
+
+/// The columns of an 8×8 tile (bit `x` for column `x`) that the cells of a
+/// block word occupy.  A bit's position interleaves its cell's coordinates,
+/// x in bits 0, 2, 4 and y in bits 1, 3, 5: the y bits are folded away one
+/// at a time, then the eight survivors (positions 0, 1, 4, 5, 16, 17, 20,
+/// 21) packed together.
+fn tile_columns(word: u64) -> u8 {
+    let word = (word | word >> 2) & 0x3333_3333_3333_3333;
+    let word = (word | word >> 8) & 0x0033_0033_0033_0033;
+    let word = (word | word >> 32) & 0x0033_0033;
+    let word = (word | word >> 2) & 0x000F_000F;
+    ((word | word >> 12) & 0xFF) as u8
+}
+
+/// A block word mirrored across its tile's diagonal, the cell `(x, y)` moved
+/// to `(y, x)`: bits 0 and 1 of every position swapped, then 2 and 3, then 4
+/// and 5, each by one masked exchange of the bits at `p` and `p + d`.
+fn mirror(mut word: u64) -> u64 {
+    for (d, low) in [
+        (1, 0x2222_2222_2222_2222u64),
+        (4, 0x00F0_00F0_00F0_00F0),
+        (16, 0x0000_0000_FFFF_0000),
+    ] {
+        let differ = (word >> d ^ word) & low;
+        word ^= differ ^ differ << d;
+    }
+    word
 }
 
 /// The id of the aligned block of `2^bits` consecutive z-order ids that holds
@@ -904,14 +984,16 @@ impl CellRect {
     }
 }
 
-/// Pushes onto `near` every block of `blocks` (sorted block ids) whose cells
-/// come within `reach` of `around`.  Such a block lies in the window
-/// `around` spans grown by `reach`, and the window is searched the cheaper
-/// of two ways: looking each of its blocks up, or scanning the run of
-/// `blocks` between the ids of its two corners (z-order is monotone in
-/// either coordinate, so every block of the window is in that run).
+/// Pushes onto `near` every block of `blocks` (block ids, packed as a
+/// [`CellSet`] packs cells) whose cells come within `reach` of `around`.
+/// Such a block lies in the window `around` spans grown by `reach`, and the
+/// window is searched the cheaper of two ways: looking each of its blocks
+/// up, or scanning the ids of `blocks` between the ids of its two corners
+/// (z-order is monotone in either coordinate, so every block of the window
+/// is in that range), found by a binary search over the packed keys at each
+/// end.
 fn occupied_near(
-    blocks: &[CellId],
+    blocks: &PackedCells,
     bits: u32,
     sides: (u64, u64),
     around: CellRect,
@@ -929,27 +1011,32 @@ fn occupied_near(
     let (wx1, wy1) = ((around.x1 + grow).min(last), (around.y1 + grow).min(last));
     let coord = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
     let block_at = |x: u64, y: u64| block_of(cell_id(coord(x), coord(y)), bits);
-    let from = blocks.partition_point(|&b| b < block_at(wx0, wy0));
-    let to = blocks.partition_point(|&b| b <= block_at(wx1, wy1));
-    let run = blocks.get(from..to).unwrap_or_default();
+    let (lo, hi) = (block_at(wx0, wy0), block_at(wx1, wy1));
     let (bx0, bx1, by0, by1) = (wx0 / width, wx1 / width, wy0 / height, wy1 / height);
     let window_blocks = (bx1 - bx0 + 1).saturating_mul(by1 - by0 + 1);
+    // Counted only until the range holds as many ids as the window has
+    // blocks, so the count never costs more than the lookups it chooses.
+    let mut in_range = 0u64;
+    let fewer_in_range = blocks.range(lo, hi).all(|(_, word)| {
+        in_range += u64::from(word.count_ones());
+        in_range < window_blocks
+    });
     let mut keep = |rect: CellRect| {
         if rect.gap(&around) <= reach {
             near.push(rect);
         }
     };
-    if window_blocks <= run.len() as u64 {
+    if !fewer_in_range {
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 let block = block_at(bx * width, by * height);
-                if run.binary_search(&block).is_ok() {
+                if blocks.contains(block) {
                     keep(CellRect::of_block(block, bits, sides));
                 }
             }
         }
     } else {
-        for &block in run {
+        for block in blocks.range(lo, hi).flat_map(block_cells) {
             keep(CellRect::of_block(block, bits, sides));
         }
     }
@@ -967,14 +1054,47 @@ mod tests {
     use crate::grid::GridConfig;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use std::convert::identity;
 
     fn set(ids: &[CellId]) -> CellSet {
         CellSet::from_cells(ids.iter().copied())
     }
 
-    /// `|a ∩ b|` by the word-parallel kernel over the cached packed forms.
+    /// `|a ∩ b|` by the word-parallel kernel over the packed forms, which
+    /// picks its arm by block counts.
     fn packed_size(a: &CellSet, b: &CellSet) -> usize {
         a.packed().intersection_size(b.packed())
+    }
+
+    /// `|a ∩ b|` by the block merge, whatever the sizes.
+    fn merged(a: &CellSet, b: &CellSet) -> usize {
+        let mut count = 0;
+        let _ = merge_join(
+            a.packed().blocks(),
+            b.packed().blocks(),
+            block_key,
+            |x, y| {
+                count += (x.1 .1 & y.1 .1).count_ones() as usize;
+                ControlFlow::Continue(())
+            },
+        );
+        count
+    }
+
+    /// `|small ∩ large|` by galloping `small`'s blocks into `large`'s,
+    /// whatever the sizes.
+    fn galloped(small: &CellSet, large: &CellSet) -> usize {
+        let mut count = 0;
+        let (a, b) = (small.packed().blocks(), large.packed().blocks());
+        gallop_join(a, b, block_key, |x, y| {
+            count += (x.1 .1 & y.1 .1).count_ones() as usize;
+        });
+        count
+    }
+
+    /// The cells of `s`, ascending.
+    fn cells(s: &CellSet) -> Vec<CellId> {
+        s.iter().collect()
     }
 
     /// `|a ∩ b|` counted through a `BTreeSet`: an oracle that shares no code
@@ -987,7 +1107,7 @@ mod tests {
     #[test]
     fn from_cells_sorts_and_dedups() {
         let s = set(&[9, 3, 3, 11, 9]);
-        assert_eq!(s.cells(), &[3, 9, 11]);
+        assert_eq!(cells(&s), &[3, 9, 11]);
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
     }
@@ -1011,7 +1131,7 @@ mod tests {
         let d3 = set(&[12, 13]);
         assert_eq!(d1.intersection_size(&d2), 0);
         assert_eq!(d1.union_size(&d2), 4);
-        assert_eq!(d1.union(&d3).cells(), &[9, 11, 12, 13]);
+        assert_eq!(cells(&d1.union(&d3)), &[9, 11, 12, 13]);
     }
 
     #[test]
@@ -1029,8 +1149,8 @@ mod tests {
         let large: CellSet = (0..1000u64).collect();
         assert_eq!(small.intersection_size(&large), 3);
         assert_eq!(large.intersection_size(&small), 3);
-        assert_eq!(small.intersection_size_galloping(&large), 3);
-        assert_eq!(small.intersection_size_linear(&large), 3);
+        assert_eq!(galloped(&small, &large), 3);
+        assert_eq!(merged(&small, &large), 3);
         assert_eq!(packed_size(&small, &large), 3);
     }
 
@@ -1041,12 +1161,12 @@ mod tests {
         assert_eq!(empty.intersection_size(&empty), 0);
         assert_eq!(empty.intersection_size(&other), 0);
         assert_eq!(other.intersection_size(&empty), 0);
-        assert_eq!(empty.intersection_size_linear(&other), 0);
-        assert_eq!(empty.intersection_size_galloping(&other), 0);
+        assert_eq!(merged(&empty, &other), 0);
+        assert_eq!(galloped(&empty, &other), 0);
         assert_eq!(packed_size(&empty, &other), 0);
         assert_eq!(packed_size(&other, &empty), 0);
         assert_eq!(empty.union_size(&empty), 0);
-        assert_eq!(empty.union(&other).cells(), other.cells());
+        assert_eq!(cells(&empty.union(&other)), cells(&other));
     }
 
     #[test]
@@ -1055,16 +1175,16 @@ mod tests {
         let low = set(&[0, 1, 2, 3]);
         let high = set(&[100, 200, 300]);
         assert_eq!(low.intersection_size(&high), 0);
-        assert_eq!(low.intersection_size_galloping(&high), 0);
-        assert_eq!(high.intersection_size_galloping(&low), 0);
+        assert_eq!(galloped(&low, &high), 0);
+        assert_eq!(galloped(&high, &low), 0);
         assert_eq!(packed_size(&low, &high), 0);
         assert_eq!(low.union_size(&high), 7);
         // Adjacent but not overlapping.
         let a = set(&[1, 3, 5]);
         let b = set(&[0, 2, 4, 6]);
         assert_eq!(a.intersection_size(&b), 0);
-        assert_eq!(a.intersection_size_linear(&b), 0);
-        assert_eq!(a.intersection_size_galloping(&b), 0);
+        assert_eq!(merged(&a, &b), 0);
+        assert_eq!(galloped(&a, &b), 0);
         assert_eq!(packed_size(&a, &b), 0);
     }
 
@@ -1076,13 +1196,13 @@ mod tests {
         assert_eq!(single.intersection_size(&single), 1);
         assert_eq!(single.intersection_size(&hit), 1);
         assert_eq!(single.intersection_size(&miss), 0);
-        assert_eq!(single.intersection_size_galloping(&hit), 1);
+        assert_eq!(galloped(&single, &hit), 1);
         assert_eq!(packed_size(&single, &hit), 1);
         assert_eq!(hit.intersection_size(&single), 1);
         // Last and first element hits exercise the gallop-to-the-end path.
-        assert_eq!(set(&[99]).intersection_size_galloping(&hit), 1);
-        assert_eq!(set(&[0]).intersection_size_galloping(&hit), 1);
-        assert_eq!(set(&[100]).intersection_size_galloping(&hit), 0);
+        assert_eq!(galloped(&set(&[99]), &hit), 1);
+        assert_eq!(galloped(&set(&[0]), &hit), 1);
+        assert_eq!(galloped(&set(&[100]), &hit), 0);
     }
 
     #[test]
@@ -1105,15 +1225,15 @@ mod tests {
         assert_eq!(packed_size(&s, &set(&[1000])), 1);
         s.union_in_place(&(256..300u64).collect());
         assert_eq!(packed_size(&s, &probe), 300);
-        assert_eq!(s.intersection_size_linear(&probe), 300);
+        assert_eq!(merged(&s, &probe), 300);
     }
 
     #[test]
     fn equality_and_clone_ignore_the_cache() {
         let a: CellSet = (0..300u64).collect();
         let b: CellSet = (0..300u64).collect();
-        // Build `a`'s packed cache but not `b`'s: still equal both ways.
-        assert_eq!(packed_size(&a, &a), 300);
+        // Build `a`'s boundary cache but not `b`'s: still equal both ways.
+        assert_ne!(boundary_cells(&a).count(), 0);
         assert_eq!(a, b);
         assert_eq!(b, a);
         let c = a.clone();
@@ -1123,13 +1243,14 @@ mod tests {
 
     #[test]
     fn intersection_size_at_the_gallop_threshold_matches_the_oracle() {
-        // At `|small| · 16 == |large|` the merge runs; one cell more and the
-        // gallop does.  Either way, and in either argument order, the count
-        // is the oracle's.
-        let small = set(&[3, 40, 41, 90]);
+        // Four blocks against 64 of one cell each: at `4 · 16 == 64` the
+        // merge runs; one block more and the gallop does.  Either way, and in
+        // either argument order, the count is the oracle's.
+        let small = set(&[3, 40 << 6, 41 << 6 | 7, 90 << 6]);
+        assert_eq!(small.packed().blocks().len(), 4);
         for large_len in [64u64, 65] {
-            let large: CellSet = (0..large_len * 2).step_by(2).collect();
-            assert_eq!(large.len() as u64, large_len);
+            let large: CellSet = (0..large_len).map(|i| (2 * i) << 6).collect();
+            assert_eq!(large.packed().blocks().len() as u64, large_len);
             let truth = oracle_intersection_size(&small, &large);
             assert_eq!(truth, 2);
             assert_eq!(small.intersection_size(&large), truth);
@@ -1153,11 +1274,11 @@ mod tests {
             Point::new(2.0, 2.0),   // out of bounds -> skipped
         ];
         let s = CellSet::from_points(&grid, &pts);
-        assert_eq!(s.cells(), &[0, 3]);
+        assert_eq!(cells(&s), &[0, 3]);
     }
 
-    /// A gridded set keeps one slot per cell: the slots reserved for the
-    /// points that landed in an occupied cell are released.
+    /// A gridded set keeps one 16-byte block per occupied 8×8 tile and
+    /// nothing per point: the slots reserved for the points are released.
     #[test]
     fn from_points_keeps_no_slot_per_duplicate_point() {
         let grid = Grid::new(GridConfig {
@@ -1169,8 +1290,8 @@ mod tests {
         .unwrap();
         let pts = vec![Point::new(0.05, 0.05); 1_000];
         let s = CellSet::from_points(&grid, &pts);
-        assert_eq!(s.cells(), &[0]);
-        assert_eq!(s.memory_bytes(), std::mem::size_of::<CellId>());
+        assert_eq!(cells(&s), &[0]);
+        assert_eq!(s.memory_bytes(), 16);
     }
 
     #[test]
@@ -1179,7 +1300,7 @@ mod tests {
         let s = set(&[0, 1, 3, 12, 15]);
         let window = Mbr::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
         let clipped = s.clip_to_window(&window);
-        assert_eq!(clipped.cells(), &[0, 1, 3]);
+        assert_eq!(cells(&clipped), &[0, 1, 3]);
     }
 
     #[test]
@@ -1194,7 +1315,7 @@ mod tests {
         ]);
         let blocks = s.blocks(6);
         assert_eq!(
-            blocks.cells(),
+            cells(&blocks),
             &[cell_id(0, 0), cell_id(1, 0), cell_id(100 >> 3, 200 >> 3)]
         );
         for reach in [0.0, 0.5, 1.0, 40.0] {
@@ -1213,11 +1334,11 @@ mod tests {
         // out of any small reach.
         let middle = CellSet::from_cells([cell_id(1, 0)]);
         assert_eq!(
-            s.clip_near_blocks(&middle, 6, 0.0).cells(),
+            cells(&s.clip_near_blocks(&middle, 6, 0.0)),
             &[cell_id(8, 0), cell_id(9, 1)]
         );
         assert_eq!(
-            s.clip_near_blocks(&middle, 6, 1.0).cells(),
+            cells(&s.clip_near_blocks(&middle, 6, 1.0)),
             &[cell_id(7, 7), cell_id(8, 0), cell_id(9, 1)]
         );
         // (0, 0) is 8 cells west of the block.
@@ -1230,7 +1351,7 @@ mod tests {
         );
         // Zero bits: a block is a cell; 64 or more: one block holds them all.
         assert_eq!(s.blocks(0), s);
-        assert_eq!(s.blocks(64).cells(), &[0]);
+        assert_eq!(cells(&s.blocks(64)), &[0]);
         assert_eq!(s.clip_near_blocks(&set(&[0]), 80, 0.0), s);
         assert_eq!(s.clip_near_blocks(&set(&[0]), 80, 3.0), s);
     }
@@ -1302,6 +1423,19 @@ mod tests {
         }
     }
 
+    /// Both are unions over a word's bits (`OR`s, shifts and masks, or a
+    /// permutation of bits), so placing every single bit right places every
+    /// word right.
+    #[test]
+    fn tile_columns_and_mirror_place_every_bit() {
+        for bit in 0..64u64 {
+            let (x, y) = cell_coords(bit);
+            assert_eq!(tile_columns(1 << bit), 1 << x, "bit {bit}");
+            assert_eq!(mirror(1 << bit), 1 << cell_id(y, x), "bit {bit}");
+        }
+        assert_eq!(tile_columns(u64::MAX), 0xFF);
+    }
+
     #[test]
     fn mbr_cell_space_bounds_all_cells() {
         let s = set(&[0, 3, 12]); // coords (0,0), (1,1), (2,2)
@@ -1313,17 +1447,18 @@ mod tests {
 
     #[test]
     fn memory_estimate_scales_with_len() {
+        // 100 cells fill two 64-cell blocks: 16 B each, nothing per cell.
         let s: CellSet = (0..100u64).collect();
         let bare = s.memory_bytes();
-        assert!(bare >= 100 * 8);
-        // Building the packed cache is reflected in the estimate.
-        s.packed();
-        assert!(s.memory_bytes() > bare);
-        // ... and so is the boundary cache.
-        let packed_only = s.memory_bytes();
+        assert_eq!(bare, 2 * 16);
+        assert_eq!(bare, s.packed().memory_bytes());
+        let wide: CellSet = (0..100u64).map(|i| i << 6).collect();
+        assert_eq!(wide.memory_bytes(), 100 * 16);
+        // Building the boundary cache is reflected in the estimate, and the
+        // verify state is the blocks and the tiles.
         assert_ne!(boundary_cells(&s).count(), 0);
-        assert!(s.memory_bytes() > packed_only);
-        assert_eq!(s.memory_bytes(), bare + s.verify_state_bytes());
+        assert!(s.memory_bytes() > bare);
+        assert_eq!(s.memory_bytes(), s.verify_state_bytes());
     }
 
     /// The boundary cells' coordinates, read off the tiles' masks.
@@ -1514,7 +1649,7 @@ mod tests {
             prop_assert_eq!(ca.intersection_size(&cb), sa.intersection(&sb).count());
             prop_assert_eq!(ca.union_size(&cb), sa.union(&sb).count());
             let u: Vec<u64> = sa.union(&sb).copied().collect();
-            prop_assert_eq!(ca.union(&cb).cells().to_vec(), u);
+            prop_assert_eq!(cells(&ca.union(&cb)).to_vec(), u);
             prop_assert_eq!(ca.intersects(&cb), sa.intersection(&sb).next().is_some());
         }
 
@@ -1577,9 +1712,9 @@ mod tests {
             let ca = CellSet::from_cells(a);
             let cb = CellSet::from_cells(b);
             let truth = oracle_intersection_size(&ca, &cb);
-            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
-            prop_assert_eq!(ca.intersection_size_galloping(&cb), truth);
-            prop_assert_eq!(cb.intersection_size_galloping(&ca), truth);
+            prop_assert_eq!(merged(&ca, &cb), truth);
+            prop_assert_eq!(galloped(&ca, &cb), truth);
+            prop_assert_eq!(galloped(&cb, &ca), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
         }
 
@@ -1591,7 +1726,7 @@ mod tests {
             let ca = CellSet::from_cells(a);
             let cb = CellSet::from_cells(b);
             let truth = oracle_intersection_size(&ca, &cb);
-            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(merged(&ca, &cb), truth);
             prop_assert_eq!(packed_size(&ca, &cb), truth);
             prop_assert_eq!(packed_size(&cb, &ca), truth);
         }
@@ -1607,7 +1742,7 @@ mod tests {
             let ca: CellSet = (start_a..start_a + len_a as u64).collect();
             let cb: CellSet = (start_b..start_b + len_b as u64).collect();
             let truth = oracle_intersection_size(&ca, &cb);
-            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(merged(&ca, &cb), truth);
             prop_assert_eq!(packed_size(&ca, &cb), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
             prop_assert_eq!(ca.union_size(&cb), ca.len() + cb.len() - truth);
@@ -1623,7 +1758,7 @@ mod tests {
             let single = CellSet::from_cells([cell]);
             let rest = CellSet::from_cells(others);
             let truth = oracle_intersection_size(&single, &rest);
-            prop_assert_eq!(single.intersection_size_linear(&rest), truth);
+            prop_assert_eq!(merged(&single, &rest), truth);
             prop_assert_eq!(packed_size(&single, &rest), truth);
             prop_assert_eq!(packed_size(&rest, &single), truth);
             prop_assert_eq!(single.intersection_size(&rest), truth);
@@ -1643,7 +1778,7 @@ mod tests {
             let cb = CellSet::from_cells(
                 blocks_b.iter().flat_map(|&hi| lows.iter().map(move |&lo| (hi << 6) | lo)));
             let truth = oracle_intersection_size(&ca, &cb);
-            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(merged(&ca, &cb), truth);
             prop_assert_eq!(packed_size(&ca, &cb), truth);
             prop_assert_eq!(packed_size(&cb, &ca), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
@@ -1660,9 +1795,9 @@ mod tests {
             let ca = CellSet::from_cells(small);
             let cb: CellSet = (dense_start..dense_start + dense_len as u64).collect();
             let truth = oracle_intersection_size(&ca, &cb);
-            prop_assert_eq!(ca.intersection_size_linear(&cb), truth);
+            prop_assert_eq!(merged(&ca, &cb), truth);
             prop_assert_eq!(ca.intersection_size(&cb), truth);
-            prop_assert_eq!(ca.intersection_size_galloping(&cb), truth);
+            prop_assert_eq!(galloped(&ca, &cb), truth);
             prop_assert_eq!(packed_size(&ca, &cb), truth);
         }
 
@@ -1675,6 +1810,194 @@ mod tests {
             let cb = CellSet::from_cells(b);
             prop_assert!(ca.marginal_gain(&cb) <= ca.len());
             prop_assert_eq!(ca.marginal_gain(&cb), ca.union_size(&cb) - cb.len());
+        }
+    }
+
+    /// The cell-list body [`CellSet::clip_near_blocks`] had while a set kept
+    /// its sorted cells beside the blocks, kept as the oracle of the packed
+    /// one: a forward merge below a reach of 1, and from 1 on one
+    /// `occupied_near` lookup per `chunk_by` run of cells sharing a block.
+    fn clip_near_sorted(cells: &[CellId], blocks: &[CellId], bits: u32, reach: f64) -> Vec<CellId> {
+        let mut kept = Vec::new();
+        if reach.is_nan() || reach < 1.0 {
+            let mut ahead = blocks;
+            for &cell in cells {
+                let block = block_of(cell, bits);
+                if ahead.first().is_some_and(|&b| b < block) {
+                    let behind = ahead.partition_point(|&b| b < block);
+                    ahead = ahead.get(behind..).unwrap_or_default();
+                }
+                if ahead.first() == Some(&block) {
+                    kept.push(cell);
+                }
+            }
+            return kept;
+        }
+        let sides = block_sides(bits);
+        let mut near = Vec::new();
+        for run in cells.chunk_by(|&a, &b| block_of(a, bits) == block_of(b, bits)) {
+            let Some(&first) = run.first() else { continue };
+            let around = CellRect::of_block(block_of(first, bits), bits, sides);
+            near.clear();
+            occupied_near_sorted(blocks, bits, sides, around, reach, &mut near);
+            kept.extend(run.iter().copied().filter(|&cell| {
+                let cell = CellRect::of_cell(cell);
+                near.iter().any(|block| block.gap(&cell) <= reach)
+            }));
+        }
+        kept
+    }
+
+    /// `occupied_near` over a sorted list of block ids, as it was.
+    fn occupied_near_sorted(
+        blocks: &[CellId],
+        bits: u32,
+        sides: (u64, u64),
+        around: CellRect,
+        reach: f64,
+        near: &mut Vec<CellRect>,
+    ) {
+        let (width, height) = sides;
+        let last = u64::from(u32::MAX);
+        let grow = (reach as u64).min(last);
+        let (wx0, wy0) = (
+            around.x0.saturating_sub(grow),
+            around.y0.saturating_sub(grow),
+        );
+        let (wx1, wy1) = ((around.x1 + grow).min(last), (around.y1 + grow).min(last));
+        let coord = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+        let block_at = |x: u64, y: u64| block_of(cell_id(coord(x), coord(y)), bits);
+        let from = blocks.partition_point(|&b| b < block_at(wx0, wy0));
+        let to = blocks.partition_point(|&b| b <= block_at(wx1, wy1));
+        let run = blocks.get(from..to).unwrap_or_default();
+        let (bx0, bx1, by0, by1) = (wx0 / width, wx1 / width, wy0 / height, wy1 / height);
+        let window_blocks = (bx1 - bx0 + 1).saturating_mul(by1 - by0 + 1);
+        let mut keep = |rect: CellRect| {
+            if rect.gap(&around) <= reach {
+                near.push(rect);
+            }
+        };
+        if window_blocks <= run.len() as u64 {
+            for by in by0..=by1 {
+                for bx in bx0..=bx1 {
+                    let block = block_at(bx * width, by * height);
+                    if run.binary_search(&block).is_ok() {
+                        keep(CellRect::of_block(block, bits, sides));
+                    }
+                }
+            }
+        } else {
+            for &block in run {
+                keep(CellRect::of_block(block, bits, sides));
+            }
+        }
+    }
+
+    /// A cell where the packed layout has an edge, chosen by `(kind, n)`:
+    /// the first or last bit of a block, the first or last block of a
+    /// 64×64 super-block, a few cells from `cell_id(u32::MAX, u32::MAX)`, or
+    /// anywhere in a 24×24 square across tile edges, so blocks hold several
+    /// cells.
+    fn edge_cell((kind, n): (u8, u64)) -> CellId {
+        let end = |bit: u64| if bit & 1 == 0 { 0 } else { 63 };
+        match kind {
+            0 => ((n >> 1) % 128) << 6 | end(n),
+            1 => ((n >> 8) % 16) << 12 | end(n) << 6 | ((n >> 1) % 64),
+            2 => cell_id(u32::MAX - (n % 10) as u32, u32::MAX - (n >> 8) as u32 % 10),
+            _ => cell_id((n % 24) as u32, (n >> 8) as u32 % 24),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_every_operation_matches_a_btreeset(
+            a in proptest::collection::vec((0u8..4, any::<u64>()), 0..90),
+            b in proptest::collection::vec((0u8..4, any::<u64>()), 0..90),
+            corners in (0usize..90, 0usize..90, 0u8..3),
+            bits in 0u32..13,
+            reach_pick in (0usize..7, 0.0f64..1e-6),
+        ) {
+            let (oa, ob): (BTreeSet<CellId>, BTreeSet<CellId>) = (
+                a.iter().map(|&p| edge_cell(p)).collect(),
+                b.iter().map(|&p| edge_cell(p)).collect(),
+            );
+            let (sa, sb) = (
+                CellSet::from_cells(oa.iter().rev().copied()),
+                CellSet::from_cells(ob.iter().copied()),
+            );
+            // Iteration order, length, membership, the ends.
+            prop_assert_eq!(cells(&sa), oa.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(sa.len(), oa.len());
+            prop_assert_eq!(sa.is_empty(), oa.is_empty());
+            prop_assert_eq!(sa.first(), oa.first().copied());
+            prop_assert_eq!(sa.last(), oa.last().copied());
+            for probe in ob.iter().flat_map(|&c| [c.wrapping_sub(1), c, c.wrapping_add(1)]) {
+                prop_assert_eq!(sa.contains(probe), oa.contains(&probe));
+            }
+            prop_assert_eq!(CellSet::from_sorted_cells(oa.iter().copied()), Some(sa.clone()));
+            // Both intersection arms, whichever the sizes pick, and what is
+            // built on them.
+            let shared = oa.intersection(&ob).count();
+            prop_assert_eq!(sa.intersection_size(&sb), shared);
+            prop_assert_eq!(merged(&sa, &sb), shared);
+            prop_assert_eq!(galloped(&sa, &sb), shared);
+            prop_assert_eq!(galloped(&sb, &sa), shared);
+            prop_assert_eq!(sa.intersects(&sb), shared > 0);
+            let union = sa.union(&sb);
+            prop_assert_eq!(cells(&union), oa.union(&ob).copied().collect::<Vec<_>>());
+            prop_assert_eq!(union.len(), oa.union(&ob).count());
+            prop_assert_eq!(sa.marginal_gain(&sb), oa.difference(&ob).count());
+            // Coarser blocks at every level up to 12 bits.
+            for level in 0..=12 {
+                let coarse: Vec<CellId> = oa.iter().map(|&c| c >> level)
+                    .collect::<BTreeSet<_>>().into_iter().collect();
+                prop_assert_eq!(cells(&sa.blocks(level)), coarse);
+            }
+            // The box.
+            let coords: Vec<(u32, u32)> = oa.iter().map(|&c| cell_coords(c)).collect();
+            let mbr = sa.mbr_cell_space();
+            prop_assert_eq!(mbr.is_none(), coords.is_empty());
+            if let Some(m) = mbr {
+                let (xs, ys) = (coords.iter().map(|c| c.0), coords.iter().map(|c| c.1));
+                let corners = (xs.clone().min(), ys.clone().min(), xs.max(), ys.max());
+                let as_coord = |v: f64| Some(v as u32);
+                prop_assert_eq!(
+                    corners,
+                    (as_coord(m.min.x), as_coord(m.min.y), as_coord(m.max.x), as_coord(m.max.y))
+                );
+            }
+            // A window between two of the cells, on cell centres, half a
+            // cell off them, or with a `NaN` corner.
+            let (i, j, offset) = corners;
+            if let (Some(&(x0, y0)), Some(&(x1, y1))) = (
+                coords.get(i % coords.len().max(1)),
+                coords.get(j % coords.len().max(1)),
+            ) {
+                let shift = [0.0, 0.5, f64::NAN][usize::from(offset)];
+                let window = Mbr::new(
+                    Point::new(f64::from(x0.min(x1)) + shift, f64::from(y0.min(y1)) - shift),
+                    Point::new(f64::from(x0.max(x1)) + shift, f64::from(y0.max(y1))),
+                );
+                let inside: Vec<CellId> = oa.iter().copied().filter(|&c| {
+                    let (x, y) = cell_coords(c);
+                    window.contains_point(&Point::new(x as f64, y as f64))
+                }).collect();
+                prop_assert_eq!(cells(&sa.clip_to_window(&window)), inside);
+            }
+            // Near-block clipping below 1, at block multiples and near 300,
+            // against the cell-list body, at 6 bits (the sketch's) and at
+            // `bits`.
+            let (pick, slack) = reach_pick;
+            let reach = [0.0, 0.999, 1.0, 8.0, 16.0 + slack, 64.0, (90_000f64).sqrt() + slack][pick];
+            let listed: Vec<CellId> = oa.iter().copied().collect();
+            for level in [6, bits] {
+                let occupied = sb.blocks(level);
+                prop_assert_eq!(
+                    cells(&sa.clip_near_blocks(&occupied, level, reach)),
+                    clip_near_sorted(&listed, &cells(&occupied), level, reach)
+                );
+            }
         }
     }
 }

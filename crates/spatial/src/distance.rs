@@ -8,7 +8,8 @@
 //! as soon as a pair within a threshold is found (all the connectivity
 //! checks only need `dist ≤ δ`).
 //!
-//! The kernel leans on two pieces of cached per-set verify state, both paid
+//! The kernel leans on two pieces of per-set verify state: the packed
+//! blocks a set is stored as, and boundary tiles cached beside them, paid
 //! for once per set and replaced with it:
 //!
 //! * overlapping sets are detected in word-parallel time (an early-exiting
@@ -94,7 +95,7 @@ pub fn dataset_distance_within(a: &CellSet, b: &CellSet, delta: f64) -> bool {
 /// Two structural fast paths settle most calls, both exact:
 ///
 /// * **Word-parallel overlap check** — sets sharing any cell are at distance
-///   0, settled by an early-exiting `AND` over the cached packed words.
+///   0, settled by an early-exiting `AND` over the packed words.
 ///   This is the common case for the candidates a kNN verifier actually
 ///   reaches, and it never touches a coordinate.
 /// * **Two-level boundary walk** — for disjoint sets the minimising pair

@@ -127,13 +127,20 @@ impl Mbr {
     /// Minimum Euclidean distance between two rectangles (0 when they
     /// intersect).
     pub fn min_distance(&self, other: &Mbr) -> f64 {
+        self.min_distance_squared(other).sqrt()
+    }
+
+    /// The square of [`Self::min_distance`], summed from the per-axis gaps
+    /// before any root is taken: on integer coordinates a cell pair's
+    /// squared distance computed the same way is never below it.
+    pub fn min_distance_squared(&self, other: &Mbr) -> f64 {
         let dx = (self.min.x - other.max.x)
             .max(0.0)
             .max(other.min.x - self.max.x);
         let dy = (self.min.y - other.max.y)
             .max(0.0)
             .max(other.min.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
+        dx * dx + dy * dy
     }
 
     /// The increase in area needed to include `other` (used by the R-tree

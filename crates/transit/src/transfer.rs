@@ -143,7 +143,7 @@ pub fn plan_transfers(
 
 /// The cell of `candidate` closest to `target`, with its distance in cells.
 fn closest_cell(candidate: &CellSet, target: &CellSet) -> (CellId, f64) {
-    let mut best_cell = candidate.cells().first().copied().unwrap_or(0);
+    let mut best_cell = candidate.first().unwrap_or(0);
     let mut best = f64::INFINITY;
     for c in candidate.iter() {
         let (cx, cy) = cell_coords(c);
