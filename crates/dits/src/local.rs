@@ -16,7 +16,7 @@
 
 use crate::inverted::InvertedIndex;
 use crate::node::{DatasetNode, NodeGeometry};
-use crate::sketch::blocks_of;
+use crate::sketch::blocks_of_keys;
 use serde::{Deserialize, Serialize};
 use spatial::{CellSet, DatasetId, Mbr};
 use std::sync::OnceLock;
@@ -202,9 +202,17 @@ impl DitsLocal {
 
     /// The [block sketch](crate::sketch) of the indexed datasets — the
     /// 8×8-cell blocks they touch, sent to the data center beside the root
-    /// geometry — computed from the datasets on every call.
+    /// geometry — read on every call off the key blocks of the reachable
+    /// leaves' inverted indexes, which hold each leaf's distinct cells.
     pub fn sketch(&self) -> CellSet {
-        blocks_of(self.dataset_nodes().into_iter().map(|n| &n.cells))
+        blocks_of_keys(
+            self.leaves()
+                .into_iter()
+                .filter_map(|leaf| match &self.nodes[leaf].kind {
+                    NodeKind::Leaf { inverted, .. } => Some(inverted.keys()),
+                    NodeKind::Internal { .. } => None,
+                }),
+        )
     }
 
     /// Iterates over all leaf arena indices reachable from the root.

@@ -10,9 +10,13 @@
 //! so it need not travel there — the semijoin reduction of distributed joins
 //! applied to the paper's second query-distribution strategy.
 //!
-//! A source keeps no sketch: its sketch is [`blocks_of`] its datasets
-//! ([`DitsLocal::sketch`](crate::DitsLocal::sketch)), computed when it is
-//! asked for.  What the data center holds of a source is a set of block ids
+//! A source keeps no sketch: its sketch is [`blocks_of`] its datasets,
+//! computed when it is asked for ([`DitsLocal::sketch`](crate::DitsLocal::sketch))
+//! and read off the key columns of its DITS-L leaves ([`blocks_of_keys`]):
+//! a leaf's keys are its datasets' distinct cells as packed 64-cell blocks,
+//! and at `BLOCK_BITS = 6` a packed block's key *is* its block id, so each
+//! block shared by a leaf's datasets is read once, not once a dataset.
+//! What the data center holds of a source is a set of block ids
 //! that *contains* that sketch — a superset, grown by the blocks of every
 //! dataset the center sends the source — which is all a filter with no false
 //! negatives needs.
@@ -31,7 +35,7 @@
     )
 )]
 
-use spatial::{CellId, CellSet};
+use spatial::{CellId, CellSet, PackedCells};
 
 /// A block is `2^BLOCK_BITS` consecutive z-order cell ids: an 8×8 square of
 /// cells.  One level finer (4×4) halves what a query sends once more but
@@ -54,6 +58,20 @@ pub fn blocks_of<'a>(datasets: impl IntoIterator<Item = &'a CellSet>) -> CellSet
         blocks.extend(cells.blocks(BLOCK_BITS).iter());
     }
     CellSet::from_cells(blocks)
+}
+
+/// The blocks that any of these packed cell sets touch, read off their keys
+/// alone: a packed block holds the 64 cells `key << 6 ..`, which at
+/// `BLOCK_BITS = 6` is exactly block `key`.  Over the key columns of a
+/// DITS-L's leaves it is [`blocks_of`] the leaves' datasets, since a leaf's
+/// keys are the union of its datasets' cells.
+pub fn blocks_of_keys<'a>(packed: impl IntoIterator<Item = &'a PackedCells>) -> CellSet {
+    const _: () = assert!(BLOCK_BITS == 6, "a packed key is a block id at 6 bits only");
+    CellSet::from_cells(
+        packed
+            .into_iter()
+            .flat_map(|cells| cells.blocks().iter().map(|&(key, _)| key)),
+    )
 }
 
 #[cfg(test)]
@@ -83,5 +101,10 @@ mod tests {
         let b = cells(&[(9, 0), (16, 0)]);
         assert_eq!(blocks_of([&a, &b]), cells(&[(0, 0), (1, 0), (2, 0)]));
         assert_eq!(blocks_of([]), CellSet::new());
+        assert_eq!(
+            blocks_of_keys([a.packed(), b.packed()]),
+            blocks_of([&a, &b])
+        );
+        assert_eq!(blocks_of_keys([]), CellSet::new());
     }
 }

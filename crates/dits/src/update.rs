@@ -290,6 +290,7 @@ mod tests {
     use crate::knn::nearest_datasets;
     use crate::local::DitsLocalConfig;
     use crate::overlap::{overlap_search, overlap_search_bruteforce};
+    use crate::sketch::blocks_of;
     use crate::ReplayOnPanic;
     use proptest::prelude::*;
     use spatial::zorder::cell_id;
@@ -495,6 +496,13 @@ mod tests {
         let scratch = DitsLocal::build(survivors, config);
         // No orphan in a scratch build.
         assert_eq!(scratch.traversal_layout().len(), scratch.node_count());
+        // The sketch read off the reachable leaves' keys is the blocks of every
+        // live dataset's cells, after a bulk build and after splits and
+        // collapses.
+        for index in [&maintained, &scratch] {
+            let cells = blocks_of(index.dataset_nodes().into_iter().map(|n| &n.cells));
+            assert_eq!(index.sketch(), cells);
+        }
 
         let everything = maintained.dataset_count();
         for q in queries

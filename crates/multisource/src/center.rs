@@ -524,10 +524,14 @@ impl DataCenter {
             return Ok(summaries.into_iter().map(|s| (0.0, s)).collect());
         }
         let mut scored: Vec<(f64, f64, SourceSummary)> = Vec::with_capacity(summaries.len());
+        // The query's cell-space rectangle, boxed once per resolution.
+        let mut query_rects: BTreeMap<u32, Option<Mbr>> = BTreeMap::new();
         for s in summaries {
             let grid = grids.get(s.resolution)?;
-            let cells = cells.get(grid, &query.points);
-            let Some(query_rect) = cells.mbr_cell_space() else {
+            let query_rect = *query_rects
+                .entry(s.resolution)
+                .or_insert_with(|| cells.get(grid, &query.points).mbr_cell_space());
+            let Some(query_rect) = query_rect else {
                 // The query grids to nothing: no source can answer it.
                 return Ok(Vec::new());
             };
