@@ -19,8 +19,7 @@ use dits::{
     find_connect_set, greedy_cover, CoverageResult, DatasetNode, DitsLocal, NodeGeometry,
     SearchStats,
 };
-use spatial::distance::NeighborProbe;
-use spatial::{CellSet, DatasetId};
+use spatial::{dataset_distance_within, CellSet, DatasetId};
 use std::collections::HashSet;
 
 /// Runs the standard greedy (SG) coverage search over a flat list of
@@ -45,9 +44,7 @@ pub fn sg_coverage_search(
 
     let mut covered = query.clone();
     // Members of the result set (query first), used for connectivity checks.
-    // Each member carries a pre-sorted probe so the per-candidate distance
-    // test does not re-decompose the member's cells on every scan.
-    let mut members: Vec<NeighborProbe> = vec![NeighborProbe::new(query)];
+    let mut members: Vec<&CellSet> = vec![query];
     let mut selected: HashSet<u32> = HashSet::new();
 
     while result.datasets.len() < k {
@@ -59,7 +56,9 @@ pub fn sg_coverage_search(
             // Direct connectivity to any current member keeps the result set
             // (with the query) spatially connected.
             stats.exact_computations += 1;
-            let connected = members.iter().any(|m| m.within(&candidate.cells, delta));
+            let connected = members
+                .iter()
+                .any(|m| dataset_distance_within(m, &candidate.cells, delta));
             if !connected {
                 continue;
             }
@@ -84,7 +83,7 @@ pub fn sg_coverage_search(
         result.datasets.push(chosen.id);
         result.gains.push(gain);
         covered.union_in_place(&chosen.cells);
-        members.push(NeighborProbe::new(&chosen.cells));
+        members.push(&chosen.cells);
         result.coverage = covered.len();
     }
     (result, stats)
@@ -113,7 +112,7 @@ pub fn sg_dits_coverage_search(
     if index.dataset_count() == 0 {
         return (result, stats);
     }
-    let mut members = vec![(NodeGeometry::from_mbr(rect), NeighborProbe::new(query))];
+    let mut members = vec![(NodeGeometry::from_mbr(rect), query)];
     let mut selected: Vec<DatasetId> = Vec::new();
     (result.datasets, result.gains, result.coverage) = greedy_cover(
         query,
@@ -122,15 +121,15 @@ pub fn sg_dits_coverage_search(
         |node: &&DatasetNode| (node.id, &node.cells),
         |newest, connected, stats| {
             if let Some(node) = newest {
-                members.push((node.geometry, NeighborProbe::new(&node.cells)));
+                members.push((node.geometry, &node.cells));
                 selected.push(node.id);
             }
             // Forget last iteration's connect set; the selected datasets
             // start out seen so no walk hands them back.
             connected.clear();
             let mut seen: HashSet<DatasetId> = selected.iter().copied().collect();
-            for (geometry, probe) in &members {
-                find_connect_set(index, geometry, probe, delta, connected, &mut seen, stats);
+            for &(geometry, cells) in &members {
+                find_connect_set(index, &geometry, cells, delta, connected, &mut seen, stats);
             }
         },
     );
@@ -243,6 +242,22 @@ mod tests {
         }
         let (datasets, query) = lattice_instance();
         assert_three_greedies_agree(&datasets, 8, &query, 10, 3.0);
+    }
+
+    /// A dataset at exactly δ is connected, δ being the `f64` the kernel
+    /// reports (`√13`, whose square rounds below 13) — for dataset 7 through
+    /// a cell pair inside the query's box gap, for dataset 3 at the box
+    /// corner — and all three greedies pick both.
+    #[test]
+    fn a_dataset_at_exactly_delta_is_connected() {
+        let datasets = vec![node(3, &[(2, 13)]), node(7, &[(2, 3), (2, 20)])];
+        let query = cs(&[(0, 0), (0, 10)]);
+        let delta = spatial::dataset_distance(&query, &datasets[1].cells);
+        assert_eq!(delta, 13f64.sqrt());
+        let (result, _) = sg_coverage_search(&datasets, &query, 3, delta);
+        assert_eq!(result.datasets, vec![7, 3]);
+        assert_eq!(result.coverage, 5);
+        assert_three_greedies_agree(&datasets, 4, &query, 3, delta);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   shared cell's membership bits counted through the rank directory).
 //! * `batch/ojsp/per-query`, `batch/cjsp/per-query`, `knn/per-query` — the
 //!   per-query search loops over the five local indexes.
-//! * `engine/ojsp/per-query` — the same OJSP batch end to end through the
-//!   in-process multi-source engine.
+//! * `engine/ojsp/per-query`, `engine/cjsp/per-query` — the same OJSP and
+//!   CJSP batches end to end through the in-process multi-source engine.
 //!
 //! The other sections (one line each on [`SCHEMA_VERSION`]) measure the
 //! federation: the pooled transport over a loopback fleet, what each query
@@ -45,13 +45,15 @@
 //! The suite asserts result parity between every row and its baseline or
 //! oracle before timing it — the transport against the in-process engine,
 //! every strategy's kNN and OJSP answer against the merged per-source brute
-//! force, CJSP with cells on demand against every pick inline, the
-//! maintenance batch over the wire against the raw ops applied in place — so
-//! a snapshot can never report the speed of diverging code.
+//! force, each source's CoverageSearch against the SG greedy, CJSP with
+//! cells on demand against every pick inline, the maintenance batch over the
+//! wire against the raw ops applied in place — so a snapshot can never
+//! report the speed of diverging code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use baselines::sg_coverage_search;
 use bench::ExperimentEnv;
 use dits::knn::nearest_datasets_bruteforce;
 use dits::local::NodeKind;
@@ -996,6 +998,15 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         }
     }));
     let coverage_config = CoverageConfig::new(k, delta_cells);
+    for (index, nodes) in indexes.iter().zip(&nodes_by_source) {
+        for q in &queries {
+            assert_eq!(
+                coverage_search(index, q, coverage_config).0,
+                sg_coverage_search(nodes, q, k, delta_cells).0,
+                "CoverageSearch diverged from the SG greedy"
+            );
+        }
+    }
     kernels.push(measure("batch/cjsp/per-query", samples, batch_ops, || {
         for index in &indexes {
             for q in &queries {
@@ -1023,7 +1034,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     }));
 
     // -- The in-process engine over the full multi-source framework ----------
-    eprintln!("[6/9] engine/ojsp/per-query");
+    eprintln!("[6/9] engine/ojsp + engine/cjsp per-query");
     let in_process_engine = fw.engine();
     let ojsp_request = SearchRequest::ojsp_batch(raw_queries.clone()).k(k);
     kernels.push(measure(
@@ -1032,6 +1043,14 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         raw_queries.len(),
         || {
             std::hint::black_box(in_process_engine.run(&ojsp_request).expect("OJSP"));
+        },
+    ));
+    kernels.push(measure(
+        "engine/cjsp/per-query",
+        samples,
+        raw_queries.len(),
+        || {
+            std::hint::black_box(in_process_engine.run(&cjsp_request).expect("CJSP"));
         },
     ));
 

@@ -11,11 +11,14 @@
 //!
 //! Both pieces exist exactly once, here:
 //!
-//! * [`find_connect_set`] — the Lemma 4 walk for *one* probe, appending to a
-//!   connect set the caller carries.  Definition 6 is a minimum over cell
-//!   pairs, so `dist(D, A ∪ B) ≤ δ ⇔ dist(D, A) ≤ δ ∨ dist(D, B) ≤ δ`: the
-//!   datasets connected to a growing result are the union of the datasets
-//!   connected to its members, and only the newest member ever needs a walk.
+//! * [`find_connect_set`] — the Lemma 4 walk for *one* probe set, appending
+//!   to a connect set the caller carries; a dataset whose bounds leave the
+//!   question open is settled by [`dataset_distance_within`], the two-level
+//!   distance kernel every δ-test in the workspace calls.  Definition 6 is a
+//!   minimum over cell pairs, so `dist(D, A ∪ B) ≤ δ ⇔ dist(D, A) ≤ δ ∨
+//!   dist(D, B) ≤ δ`: the datasets connected to a growing result are the
+//!   union of the datasets connected to its members, and only the newest
+//!   member ever needs a walk.
 //! * [`greedy_cover`] — the max-marginal-gain loop, generic over the
 //!   candidate type, which asks a caller-supplied step to connect the newest
 //!   member and keeps the connect set across iterations.
@@ -45,8 +48,7 @@ use crate::local::{DitsLocal, NodeIdx, NodeKind, TraversalLayout};
 use crate::node::{DatasetNode, NodeGeometry};
 use crate::stats::SearchStats;
 use serde::{Deserialize, Serialize};
-use spatial::distance::NeighborProbe;
-use spatial::{CellSet, DatasetId};
+use spatial::{dataset_distance_within, CellSet, DatasetId};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -81,7 +83,7 @@ pub struct CoverageResult {
 
 /// Runs CoverageSearch (Algorithm 3) over a local index: [`greedy_cover`]
 /// whose connect step is one [`find_connect_set`] walk — with the query
-/// first, then with each selected dataset's own geometry and probe.
+/// first, then with each selected dataset's own geometry and cells.
 pub fn coverage_search(
     index: &DitsLocal,
     query: &CellSet,
@@ -128,7 +130,7 @@ pub fn coverage_search_marked(
             find_connect_set(
                 index,
                 &geometry,
-                &NeighborProbe::new(cells),
+                cells,
                 config.delta,
                 connected,
                 &mut seen,
@@ -158,12 +160,14 @@ pub fn coverage_search_marked(
 /// step may also clear the set and rebuild it for every member so far; the
 /// SG+DITS baseline does.)
 ///
-/// The pick is the connected candidate with the maximum marginal gain, with
-/// the paper's size filter `|S_D| ≥ τ` as a cheap pre-test (a dataset with
-/// fewer cells than the best gain found so far can never match it).  Ties go
-/// to the smaller key `view` reports, so every greedy variant — here, at the
-/// center, SG+DITS, SG — makes identical choices and stays comparable.  The
-/// loop ends after `k` picks or when no connected candidate adds a cell.
+/// The pick is the connected candidate with the maximum marginal gain.  Ties
+/// go to the smaller key `view` reports, so every greedy variant — here, at
+/// the center, SG+DITS, SG — makes identical choices and stays comparable.
+/// The paper's size filter `|S_D| ≥ τ` is a cheap pre-test, tie-aware: a
+/// dataset's gain is at most its size, so one with fewer cells than the best
+/// gain τ found so far can never beat it, nor can one with exactly τ cells
+/// and a larger key.  The loop ends after `k` picks or when no connected
+/// candidate adds a cell.
 ///
 /// Returns the selected keys in pick order, their gains, and the final
 /// coverage `|S_Q ∪ (∪ S_Di)|`.
@@ -187,7 +191,9 @@ pub fn greedy_cover<C, K: Ord>(
         let mut best: Option<(usize, usize, K)> = None;
         for (pos, candidate) in connected.iter().enumerate() {
             let (key, cells) = view(candidate);
-            if best.as_ref().is_some_and(|(_, tau, _)| cells.len() < *tau) {
+            if best.as_ref().is_some_and(|(_, tau, best_key)| {
+                cells.len() < *tau || (cells.len() == *tau && key > *best_key)
+            }) {
                 continue;
             }
             stats.exact_computations += 1;
@@ -215,10 +221,12 @@ pub fn greedy_cover<C, K: Ord>(
     (selected, gains, covered.len())
 }
 
-/// `FindConnectSet` of Algorithm 3 for one probe: appends to `connected`
-/// every dataset node of the index whose cell-based distance to the probe is
-/// at most δ and whose id is not yet in `seen`, pruning subtrees with the
-/// Lemma 4 bounds against `geometry` (the probe set's MBR geometry).
+/// `FindConnectSet` of Algorithm 3 for one probe set: appends to
+/// `connected` every dataset node of the index whose cell-based distance to
+/// `probe` is at most δ and whose id is not yet in `seen`, pruning subtrees
+/// with the Lemma 4 bounds against `geometry` (the probe's MBR geometry).
+/// The exact test is [`dataset_distance_within`], the one δ-predicate every
+/// CJSP site shares.
 ///
 /// `connected` and `seen` are the caller's to carry: a greedy run passes the
 /// same pair for every member it walks with, so a dataset found through an
@@ -229,7 +237,7 @@ pub fn greedy_cover<C, K: Ord>(
 pub fn find_connect_set<'a>(
     index: &'a DitsLocal,
     geometry: &NodeGeometry,
-    probe: &NeighborProbe,
+    probe: &CellSet,
     delta: f64,
     connected: &mut Vec<&'a DatasetNode>,
     seen: &mut HashSet<DatasetId>,
@@ -261,7 +269,7 @@ struct ConnectWalk<'a, 'w> {
     index: &'a DitsLocal,
     layout: &'w TraversalLayout,
     geometry: &'w NodeGeometry,
-    probe: &'w NeighborProbe,
+    probe: &'w CellSet,
     delta: f64,
     connected: &'w mut Vec<&'a DatasetNode>,
     seen: &'w mut HashSet<DatasetId>,
@@ -309,7 +317,7 @@ impl<'a> ConnectWalk<'a, '_> {
             } else {
                 self.stats.exact_computations += 1;
                 let verify_started = Instant::now();
-                let within = self.probe.within(&entry.cells, self.delta);
+                let within = dataset_distance_within(self.probe, &entry.cells, self.delta);
                 self.verify_time += verify_started.elapsed();
                 within
             };
@@ -359,7 +367,7 @@ mod tests {
     }
 
     /// The ids, ascending, that one [`find_connect_set`] walk with the query's
-    /// own probe and MBR geometry finds within `delta` of it.
+    /// own cells and MBR geometry finds within `delta` of it.
     fn within_delta_of_query(index: &DitsLocal, query: &CellSet, delta: f64) -> Vec<DatasetId> {
         let Some(rect) = query.mbr_cell_space() else {
             return Vec::new();
@@ -368,7 +376,7 @@ mod tests {
         find_connect_set(
             index,
             &NodeGeometry::from_mbr(rect),
-            &NeighborProbe::new(query),
+            query,
             delta,
             &mut connected,
             &mut HashSet::new(),
@@ -438,8 +446,9 @@ mod tests {
     }
 
     /// Carrying the connect set only ever removes work: on a fixed instance
-    /// the answer is the one the merged re-probe gave, and no counter exceeds
-    /// what that implementation (commit 23293a7) reported for it.
+    /// the answer is the one the merged re-probe gave (commit 23293a7), and
+    /// no counter exceeds what the carried walk with the tie-aware size
+    /// filter measures on it.
     #[test]
     fn carried_connect_set_does_no_more_work_than_the_merged_reprobe() {
         let (nodes, query) = lattice_instance();
@@ -451,9 +460,27 @@ mod tests {
         );
         assert_eq!(result.gains, vec![11, 10, 10, 10, 9, 9, 10, 10, 11, 9]);
         assert_eq!(result.coverage, 101);
-        assert!(stats.nodes_visited <= 506, "{stats:?}");
-        assert!(stats.exact_computations <= 872, "{stats:?}");
-        assert!(stats.candidates <= 370, "{stats:?}");
+        assert!(stats.nodes_visited <= 332, "{stats:?}");
+        assert!(stats.exact_computations <= 155, "{stats:?}");
+        assert!(stats.candidates <= 66, "{stats:?}");
+    }
+
+    /// A dataset at exactly δ is connected (Definition 7 reads `≤ δ`), with
+    /// δ the very `f64` the kernel reports: `√13`, whose square rounds to
+    /// 12.999999999999998, so a test that compares squared distances
+    /// against `δ·δ` leaves it out.
+    #[test]
+    fn a_dataset_at_exactly_delta_is_connected() {
+        let query = cs(&[(0, 0), (0, 10)]);
+        let nodes = vec![node(3, &[(2, 13)]), node(7, &[(2, 3), (2, 20)])];
+        let delta = dataset_distance(&query, &nodes[1].cells);
+        assert_eq!(delta, 13f64.sqrt());
+        assert!(delta * delta < 13.0);
+        let idx = DitsLocal::build(nodes, DitsLocalConfig::default());
+        assert_eq!(within_delta_of_query(&idx, &query, delta), vec![3, 7]);
+        let (result, _) = coverage_search(&idx, &query, CoverageConfig::new(3, delta));
+        assert_eq!(result.datasets, vec![7, 3]);
+        assert_eq!(result.gains, vec![2, 1]);
     }
 
     #[test]
@@ -626,12 +653,17 @@ mod tests {
         // The one brute-force guard of the δ-range walk, and so of every
         // caller of `find_connect_set`: CoverageSearch, both `pricing`
         // searches and the SG+DITS baseline.
+        //
+        // Half the cases take δ from the instance's own dataset distances, so
+        // a dataset lands exactly on δ: a uniform δ never does.
         #[test]
         fn prop_range_matches_filtered_bruteforce(
             datasets in proptest::collection::vec(
                 proptest::collection::vec((0u32..32, 0u32..32), 1..6), 1..30),
             query in proptest::collection::vec((0u32..32, 0u32..32), 1..6),
-            delta in 0.0f64..15.0,
+            uniform in 0.0f64..15.0,
+            tie in any::<bool>(),
+            pick in any::<usize>(),
         ) {
             let nodes: Vec<DatasetNode> = datasets
                 .iter()
@@ -640,6 +672,11 @@ mod tests {
                 .collect();
             let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: 4 });
             let q = cs(&query);
+            let delta = if tie {
+                dataset_distance(&q, &nodes[pick % nodes.len()].cells)
+            } else {
+                uniform
+            };
             let expected: Vec<DatasetId> = nodes
                 .iter()
                 .filter(|n| dataset_distance(&q, &n.cells) <= delta)

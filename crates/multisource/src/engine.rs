@@ -61,8 +61,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dits::{Neighbor, SearchStats};
-use spatial::distance::NeighborProbe;
-use spatial::{CellSet, DatasetId, Mbr, SourceId, SpatialDataset};
+use spatial::{dataset_distance_within, CellSet, DatasetId, Mbr, SourceId, SpatialDataset};
 
 use crate::api::{
     SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
@@ -898,14 +897,16 @@ type CandidateKey = (SourceId, DatasetId);
 /// `(source, dataset)`, whose connect step is a linear scan of the
 /// not-yet-connected candidates against the newest member.  Returns the
 /// selected keys in pick order, their gains, the final coverage and the
-/// number of δ-tests (`NeighborProbe::within` calls) the scan ran.
+/// number of δ-tests ([`dataset_distance_within`] calls) the scan ran.
 ///
 /// Each candidate's cell-space MBR is computed once, and a candidate whose
 /// box lies farther than δ from the newest member's (or the query's) is
 /// not tested: every cell pair is at least the box gap apart on each axis,
-/// and the squared gap is formed in `f64` from integers exactly as `within`
-/// forms a pair's, so the skip never drops a candidate `within` would
-/// accept.  The probe is built only when some candidate passes the box test.
+/// and the squared gap is formed in `f64` from integers exactly as the
+/// kernel forms a pair's and compared with δ in the √ domain as the kernel
+/// compares its bounds, so the skip never drops a candidate the kernel
+/// would accept.  It also spares building a far candidate's boundary
+/// tiles, which the kernel caches on every set it tests.
 fn cover_held(
     query_cells: &CellSet,
     candidates: &[CoverageCandidate],
@@ -934,17 +935,15 @@ fn cover_held(
         |newest, connected, _| {
             let (probe_cells, probe_box) =
                 newest.map_or((query_cells, query_box), |&(_, cells, mbr)| (cells, mbr));
-            let mut probe = None;
             unconnected.retain(|&candidate| {
                 let near = probe_box
                     .zip(candidate.2)
-                    .is_some_and(|(a, b)| a.min_distance_squared(&b) <= delta_cells * delta_cells);
+                    .is_some_and(|(a, b)| a.min_distance_squared(&b).sqrt() <= delta_cells);
                 if !near {
                     return true;
                 }
                 delta_tests += 1;
-                let probe = probe.get_or_insert_with(|| NeighborProbe::new(probe_cells));
-                let within = probe.within(candidate.1, delta_cells);
+                let within = dataset_distance_within(probe_cells, candidate.1, delta_cells);
                 if within {
                     connected.push(candidate);
                 }
@@ -1290,10 +1289,10 @@ mod tests {
             &mut SearchStats::new(),
             |&(key, cells): &(CandidateKey, &CellSet)| (key, cells),
             |newest, connected, _| {
-                let probe = NeighborProbe::new(newest.map_or(query_cells, |&(_, cells)| cells));
+                let probe_cells = newest.map_or(query_cells, |&(_, cells)| cells);
                 unconnected.retain(|&candidate| {
                     delta_tests += 1;
-                    let within = probe.within(candidate.1, delta_cells);
+                    let within = dataset_distance_within(probe_cells, candidate.1, delta_cells);
                     if within {
                         connected.push(candidate);
                     }
@@ -1364,6 +1363,33 @@ mod tests {
         ];
         assert_eq!(selected, picks);
         assert_eq!((tests, all_tests), (11, 109));
+    }
+
+    /// A candidate at exactly δ is connected, δ being the `f64` the kernel
+    /// reports (`√13`, whose square rounds below 13): one tied on its cells
+    /// inside the query's box gap, and one tied at the box corner, which a
+    /// box test in the squared domain would skip.
+    #[test]
+    fn a_candidate_at_exactly_delta_is_connected() {
+        let query = CellSet::from_cells([cell_id(0, 0), cell_id(0, 10)]);
+        let inline =
+            |source: SourceId, dataset: DatasetId, cells: &[(u32, u32)]| CoverageCandidate {
+                source,
+                dataset,
+                cells: CandidateCells::Inline(CellSet::from_cells(
+                    cells.iter().map(|&(x, y)| cell_id(x, y)),
+                )),
+            };
+        let candidates = [inline(0, 7, &[(2, 3), (2, 20)]), inline(1, 3, &[(2, 13)])];
+        let delta = spatial::dataset_distance(&query, &CellSet::from_cells([cell_id(2, 3)]));
+        assert_eq!(delta, 13f64.sqrt());
+        let expected = (vec![(0, 7), (1, 3)], vec![2, 1], 5);
+        let (selected, gains, coverage, tests) = cover_held(&query, &candidates, 3, delta);
+        assert_eq!((selected, gains, coverage), expected);
+        assert_eq!(tests, 2);
+        let (selected, gains, coverage, _) =
+            cover_held_testing_every_candidate(&query, &candidates, 3, delta);
+        assert_eq!((selected, gains, coverage), expected);
     }
 
     #[test]

@@ -494,7 +494,6 @@ mod tests {
             Message::CoverageReply { source, candidates } => {
                 assert_eq!(source, 1);
                 assert!(candidates.len() <= k);
-                let probe = spatial::distance::NeighborProbe::new(&cells);
                 for c in &candidates {
                     assert_eq!(c.source, 1);
                     // Cells travel with a pick exactly when the query itself
@@ -503,11 +502,11 @@ mod tests {
                     match &c.cells {
                         CandidateCells::Inline(sent) => {
                             assert_eq!(sent, held);
-                            assert!(probe.within(held, delta));
+                            assert!(spatial::dataset_distance_within(&cells, held, delta));
                         }
                         CandidateCells::Stub(size) => {
                             assert_eq!(*size, held.len());
-                            assert!(!probe.within(held, delta));
+                            assert!(!spatial::dataset_distance_within(&cells, held, delta));
                         }
                     }
                 }

@@ -26,7 +26,6 @@
 use crate::model::PriceBook;
 use dits::{find_connect_set, DatasetNode, DitsLocal, NodeGeometry, SearchStats};
 use serde::{Deserialize, Serialize};
-use spatial::distance::NeighborProbe;
 use spatial::{CellSet, DatasetId};
 use std::collections::HashSet;
 
@@ -133,7 +132,7 @@ fn cost_benefit_greedy(
         find_connect_set(
             index,
             &newest.0,
-            &NeighborProbe::new(newest.1),
+            newest.1,
             config.delta,
             &mut connected,
             &mut seen,
@@ -203,12 +202,11 @@ fn best_single_purchase(
     let query_coverage = query.len();
     let rect = query.mbr_cell_space()?;
     let geometry = NodeGeometry::from_mbr(rect);
-    let probe = NeighborProbe::new(query);
     let mut connected: Vec<&DatasetNode> = Vec::new();
     find_connect_set(
         index,
         &geometry,
-        &probe,
+        query,
         config.delta,
         &mut connected,
         &mut HashSet::new(),

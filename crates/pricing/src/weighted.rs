@@ -13,7 +13,6 @@
 
 use dits::{find_connect_set, DatasetNode, DitsLocal, NodeGeometry, SearchStats};
 use serde::{Deserialize, Serialize};
-use spatial::distance::NeighborProbe;
 use spatial::{CellId, CellSet, DatasetId};
 use std::collections::{HashMap, HashSet};
 
@@ -140,7 +139,7 @@ pub fn weighted_coverage_search(
         find_connect_set(
             index,
             &newest.0,
-            &NeighborProbe::new(newest.1),
+            newest.1,
             config.delta,
             &mut connected,
             &mut seen,

@@ -647,22 +647,6 @@ impl CellSet {
         Some(key << 6 | CellId::from(63 - word.leading_zeros()))
     }
 
-    /// The cells decomposed to grid coordinates and sorted by x: what a
-    /// [`NeighborProbe`](crate::distance::NeighborProbe) binary-searches.  Not
-    /// cached — the probe owns its copy, and the sets probed with (a query, a
-    /// dataset just selected from the index) are mostly probed once.
-    pub(crate) fn decompose_sorted(&self) -> Vec<(f64, f64)> {
-        let mut v: Vec<(f64, f64)> = self
-            .iter()
-            .map(|c| {
-                let (x, y) = cell_coords(c);
-                (x as f64, y as f64)
-            })
-            .collect();
-        v.sort_unstable_by(|l, r| l.0.total_cmp(&r.0));
-        v
-    }
-
     /// The set's *boundary* cells — cells with at least one 4-neighbour
     /// absent from the set — as boundary masks per tile, grouped by
     /// super-block with exact bounding boxes: the verify state of the

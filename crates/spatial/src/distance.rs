@@ -5,8 +5,11 @@
 //! cell IDs decomposed back into grid coordinates.  The naive computation is
 //! quadratic; [`dataset_distance`] runs one two-level kernel over each
 //! set's boundary cells instead, and [`dataset_distance_within`] terminates
-//! as soon as a pair within a threshold is found (all the connectivity
-//! checks only need `dist ≤ δ`).
+//! as soon as a pair within a threshold is found.  It is the one
+//! `dist ≤ δ` predicate (Definition 7) of the workspace: spatial
+//! connectivity, DITS-L's `FindConnectSet` walk, the data center's greedy,
+//! the SG baseline and the `pricing` searches all call it, so a distance
+//! that lands exactly on δ gets the same answer everywhere.
 //!
 //! The kernel leans on two pieces of per-set verify state: the packed
 //! blocks a set is stored as, and boundary tiles cached beside them, paid
@@ -49,7 +52,6 @@
 )]
 
 use crate::cellset::{set_bits, BoundaryTiles, CellSet, SuperBlock, Tile, TILE_XY};
-use crate::zorder::cell_coords;
 
 /// Exact cell-based dataset distance between two non-empty cell sets.
 ///
@@ -271,64 +273,10 @@ impl Walk {
     }
 }
 
-/// A reusable "is anything within δ of this set?" probe.
-///
-/// The greedy coverage algorithms test hundreds of candidate datasets against
-/// the *same* (and steadily growing) result set every iteration; re-sorting
-/// that set for each candidate would dominate the run time.  A
-/// [`NeighborProbe`] decomposes and sorts the probe side once and then
-/// answers `within(candidate, δ)` by binary-searching the candidate's cells
-/// into the sorted x-order, with early acceptance on the first close pair.
-#[derive(Debug, Clone)]
-pub struct NeighborProbe {
-    /// Cell coordinates sorted by x.
-    xs: Vec<(f64, f64)>,
-}
-
-impl NeighborProbe {
-    /// Builds a probe over a cell set.  The probe owns its coordinates and
-    /// leaves the set's caches as it found them.
-    pub fn new(cells: &CellSet) -> Self {
-        Self {
-            xs: cells.decompose_sorted(),
-        }
-    }
-
-    /// Returns `true` when the probe set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Returns `true` when `dist(probe, other) ≤ delta`.
-    pub fn within(&self, other: &CellSet, delta: f64) -> bool {
-        if self.xs.is_empty() || other.is_empty() {
-            return false;
-        }
-        for cell in other.iter() {
-            let (cx, cy) = cell_coords(cell);
-            let (cx, cy) = (cx as f64, cy as f64);
-            // All probe cells with x in [cx - delta, cx + delta] are the only
-            // ones that can be within delta of this cell.
-            let start = self.xs.partition_point(|&(x, _)| x < cx - delta);
-            for &(x, y) in self.xs.get(start..).unwrap_or_default() {
-                if x > cx + delta {
-                    break;
-                }
-                let dx = x - cx;
-                let dy = y - cy;
-                if dx * dx + dy * dy <= delta * delta {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zorder::cell_id;
+    use crate::zorder::{cell_coords, cell_id};
     use proptest::prelude::*;
 
     fn set_from_coords(coords: &[(u32, u32)]) -> CellSet {
@@ -402,24 +350,6 @@ mod tests {
         assert_eq!(dataset_distance(&a, &b), 5.0);
         assert!(dataset_distance_within(&a, &b, 5.0));
         assert!(!dataset_distance_within(&a, &b, 4.999));
-    }
-
-    #[test]
-    fn neighbor_probe_matches_within_check() {
-        let a = set_from_coords(&[(0, 0), (10, 0), (20, 5)]);
-        let b = set_from_coords(&[(0, 4), (30, 30)]);
-        let cold = a.memory_bytes();
-        let probe = NeighborProbe::new(&a);
-        assert_eq!(
-            a.memory_bytes(),
-            cold,
-            "a probe must not fill the set's caches"
-        );
-        assert!(probe.within(&b, 4.0));
-        assert!(!probe.within(&b, 3.9));
-        assert!(!NeighborProbe::new(&CellSet::new()).within(&b, 100.0));
-        assert!(!probe.within(&CellSet::new(), 100.0));
-        assert!(NeighborProbe::new(&CellSet::new()).is_empty());
     }
 
     #[test]
@@ -541,18 +471,6 @@ mod tests {
             if exact.is_finite() {
                 prop_assert_eq!(dataset_distance_bounded(&sa, &sb, exact).0, exact);
             }
-        }
-
-        #[test]
-        fn prop_probe_agrees_with_distance_within(
-            a in proptest::collection::vec((0u32..40, 0u32..40), 1..25),
-            b in proptest::collection::vec((0u32..40, 0u32..40), 1..25),
-            delta in 0.0f64..30.0,
-        ) {
-            let sa = set_from_coords(&a);
-            let sb = set_from_coords(&b);
-            let probe = NeighborProbe::new(&sa);
-            prop_assert_eq!(probe.within(&sb, delta), dataset_distance_within(&sa, &sb, delta));
         }
 
         #[test]

@@ -34,7 +34,7 @@ pub mod zorder;
 pub use cellset::{CellSet, PackedCells};
 pub use connectivity::{is_directly_connected, satisfies_spatial_connectivity};
 pub use dataset::{DatasetId, SourceId, SourceStats, SpatialDataset};
-pub use distance::{dataset_distance, dataset_distance_within, NeighborProbe};
+pub use distance::{dataset_distance, dataset_distance_within};
 pub use error::SpatialError;
 pub use grid::{Grid, GridConfig};
 pub use mbr::Mbr;
