@@ -58,7 +58,7 @@ pub fn sg_coverage_search(
             stats.exact_computations += 1;
             let connected = members
                 .iter()
-                .any(|m| dataset_distance_within(m, &candidate.cells, delta));
+                .any(|m| dataset_distance_within(m, &candidate.cells, delta).0);
             if !connected {
                 continue;
             }

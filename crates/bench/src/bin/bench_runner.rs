@@ -33,8 +33,10 @@
 //!   shared cell's membership bits counted through the rank directory).
 //! * `batch/ojsp/per-query`, `batch/cjsp/per-query`, `knn/per-query` — the
 //!   per-query search loops over the five local indexes.
-//! * `engine/ojsp/per-query`, `engine/cjsp/per-query` — the same OJSP and
-//!   CJSP batches end to end through the in-process multi-source engine.
+//! * `engine/ojsp/per-query`, `engine/cjsp/per-query`,
+//!   `engine/knn/per-query` — the same OJSP, CJSP and kNN batches end to end
+//!   through the in-process multi-source engine (kNN's includes the center's
+//!   wave-2 near-block clip).
 //!
 //! The other sections (one line each on [`SCHEMA_VERSION`]) measure the
 //! federation: the pooled transport over a loopback fleet, what each query
@@ -610,17 +612,15 @@ fn summary_bytes_reports(fw: &MultiSourceFramework) -> Vec<Row> {
         .collect()
 }
 
-/// Federated kNN against its oracle, under every distribution strategy:
-/// the answer must be the merge of one brute-force search per source, and
-/// neither requests nor request bytes may grow from `Broadcast` to `Pruned`
-/// to `PrunedClipped`.  Returns what each strategy moved per query.
-fn knn_comm_reports(
+/// The federated kNN answer by brute force: per query, the merge of one
+/// brute-force search per source, ordered by distance, source and dataset.
+fn knn_oracle(
     fw: &MultiSourceFramework,
     nodes_by_source: &[Vec<DatasetNode>],
     queries: &[SpatialDataset],
     k: usize,
-) -> Vec<Row> {
-    let oracle: Vec<Vec<(SourceId, Neighbor)>> = queries
+) -> Vec<Vec<(SourceId, Neighbor)>> {
+    queries
         .iter()
         .map(|query| {
             let mut all: Vec<(SourceId, Neighbor)> = Vec::new();
@@ -637,20 +637,34 @@ fn knn_comm_reports(
             all.truncate(k);
             all
         })
-        .collect();
+        .collect()
+}
+
+/// The neighbours of every answer of a kNN engine run, in query order.
+fn knn_answers(response: &SearchResponse) -> Vec<Vec<(SourceId, Neighbor)>> {
+    (response.knn().expect("a kNN response").iter())
+        .map(|a| a.neighbors.clone())
+        .collect()
+}
+
+/// Federated kNN against its oracle, under every distribution strategy:
+/// the answer must be [`knn_oracle`]'s, and neither requests nor request
+/// bytes may grow from `Broadcast` to `Pruned` to `PrunedClipped`.  Returns
+/// what each strategy moved per query.
+fn knn_comm_reports(
+    fw: &MultiSourceFramework,
+    oracle: &[Vec<(SourceId, Neighbor)>],
+    queries: &[SpatialDataset],
+    k: usize,
+) -> Vec<Row> {
     strategy_comm_reports("knn", queries.len(), |name, strategy| {
         let request = SearchRequest::knn_batch(queries.to_vec())
             .k(k)
             .strategy(strategy);
         let response = fw.engine().run(&request).expect("federated kNN");
-        let answers: Vec<_> = response
-            .knn()
-            .expect("a kNN response")
-            .iter()
-            .map(|a| a.neighbors.clone())
-            .collect();
         assert_eq!(
-            answers, oracle,
+            knn_answers(&response),
+            oracle,
             "{name}: federated kNN diverged from the merged brute force"
         );
         response.comm
@@ -836,7 +850,8 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     // Before any row over the federation is timed: a lost neighbour fails
     // the run here.
     let raw_queries = env.query_datasets(queries_n);
-    let knn_comm = knn_comm_reports(&fw, &nodes_by_source, &raw_queries, k);
+    let knn_truth = knn_oracle(&fw, &nodes_by_source, &raw_queries, k);
+    let knn_comm = knn_comm_reports(&fw, &knn_truth, &raw_queries, k);
     let ojsp_comm = ojsp_comm_reports(&fw, &nodes_by_source, &raw_queries, k);
     let summary_bytes = summary_bytes_reports(&fw);
     let cjsp_request = SearchRequest::cjsp_batch(raw_queries.clone())
@@ -1034,7 +1049,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     }));
 
     // -- The in-process engine over the full multi-source framework ----------
-    eprintln!("[6/9] engine/ojsp + engine/cjsp per-query");
+    eprintln!("[6/9] engine/ojsp + engine/cjsp + engine/knn per-query");
     let in_process_engine = fw.engine();
     let ojsp_request = SearchRequest::ojsp_batch(raw_queries.clone()).k(k);
     kernels.push(measure(
@@ -1053,6 +1068,20 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
             std::hint::black_box(in_process_engine.run(&cjsp_request).expect("CJSP"));
         },
     ));
+    let knn_request = SearchRequest::knn_batch(raw_queries.clone()).k(k);
+    assert_eq!(
+        knn_answers(&in_process_engine.run(&knn_request).expect("kNN")),
+        knn_truth,
+        "engine/knn/per-query diverged from the merged brute force"
+    );
+    kernels.push(measure(
+        "engine/knn/per-query",
+        samples,
+        raw_queries.len(),
+        || {
+            std::hint::black_box(in_process_engine.run(&knn_request).expect("kNN"));
+        },
+    ));
 
     // -- Transport: pooled pipelined TCP over a loopback fleet --------------
     // Every source runs as its own server (real sockets, real frames); the
@@ -1069,7 +1098,6 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     let pooled_center =
         DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
     let pooled_engine = QueryEngine::new(&pooled_center, &pooled, *in_process_engine.config());
-    let knn_request = SearchRequest::knn_batch(raw_queries.clone()).k(k);
     let mut transport = Vec::new();
     for (kind, request) in [("ojsp", &ojsp_request), ("knn", &knn_request)] {
         let truth = in_process_engine.run(request).expect("in-process oracle");
@@ -1181,11 +1209,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         phase_report(
             "engine/knn/per-query",
             &in_process_engine
-                .run(
-                    &SearchRequest::knn_batch(raw_queries.clone())
-                        .k(k)
-                        .with_trace(true),
-                )
+                .run(&knn_request.with_trace(true))
                 .expect("traced kNN"),
         ),
     ];

@@ -317,8 +317,10 @@ impl<'a> ConnectWalk<'a, '_> {
             } else {
                 self.stats.exact_computations += 1;
                 let verify_started = Instant::now();
-                let within = dataset_distance_within(self.probe, &entry.cells, self.delta);
+                let (within, bound_tests) =
+                    dataset_distance_within(self.probe, &entry.cells, self.delta);
                 self.verify_time += verify_started.elapsed();
+                self.stats.bound_tests += bound_tests;
                 within
             };
             if within && self.seen.insert(entry.id) {
@@ -481,6 +483,20 @@ mod tests {
         let (result, _) = coverage_search(&idx, &query, CoverageConfig::new(3, delta));
         assert_eq!(result.datasets, vec![7, 3]);
         assert_eq!(result.gains, vec![2, 1]);
+    }
+
+    #[test]
+    fn the_exact_delta_tests_count_their_bound_tests() {
+        // Candidates disjoint from the query whose boxes leave δ open: each
+        // exact test walks both sets' boundary tiles, and the walk's bound
+        // tests reach the search's statistics.
+        let query = cs(&[(0, 0), (0, 10)]);
+        let nodes = vec![node(3, &[(2, 13)]), node(7, &[(2, 3), (2, 20)])];
+        let idx = DitsLocal::build(nodes, DitsLocalConfig::default());
+        let (result, stats) = coverage_search(&idx, &query, CoverageConfig::new(3, 4.0));
+        assert_eq!(result.datasets, vec![7, 3]);
+        assert!(stats.exact_computations > 0);
+        assert!(stats.bound_tests > 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::inverted::InvertedIndex;
 use crate::node::{DatasetNode, NodeGeometry};
-use crate::sketch::blocks_of_keys;
+use crate::sketch::blocks_of;
 use serde::{Deserialize, Serialize};
 use spatial::{CellSet, DatasetId, Mbr};
 use std::sync::OnceLock;
@@ -205,7 +205,7 @@ impl DitsLocal {
     /// geometry — read on every call off the key blocks of the reachable
     /// leaves' inverted indexes, which hold each leaf's distinct cells.
     pub fn sketch(&self) -> CellSet {
-        blocks_of_keys(
+        blocks_of(
             self.leaves()
                 .into_iter()
                 .filter_map(|leaf| match &self.nodes[leaf].kind {

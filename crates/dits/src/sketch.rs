@@ -10,12 +10,13 @@
 //! so it need not travel there — the semijoin reduction of distributed joins
 //! applied to the paper's second query-distribution strategy.
 //!
-//! A source keeps no sketch: its sketch is [`blocks_of`] its datasets,
-//! computed when it is asked for ([`DitsLocal::sketch`](crate::DitsLocal::sketch))
-//! and read off the key columns of its DITS-L leaves ([`blocks_of_keys`]):
-//! a leaf's keys are its datasets' distinct cells as packed 64-cell blocks,
-//! and at `BLOCK_BITS = 6` a packed block's key *is* its block id, so each
-//! block shared by a leaf's datasets is read once, not once a dataset.
+//! A block is a packed 64-cell block of [`PackedCells`], so a set's block
+//! ids are its packed keys, and [`blocks_of`] reads nothing else.  A source
+//! keeps no sketch: its sketch is [`blocks_of`] the key columns of its
+//! DITS-L leaves, computed when it is asked for
+//! ([`DitsLocal::sketch`](crate::DitsLocal::sketch)): a leaf's keys are its
+//! datasets' distinct cells as packed blocks, so each block shared by a
+//! leaf's datasets is read once, not once a dataset.
 //! What the data center holds of a source is a set of block ids
 //! that *contains* that sketch — a superset, grown by the blocks of every
 //! dataset the center sends the source — which is all a filter with no false
@@ -35,7 +36,7 @@
     )
 )]
 
-use spatial::{CellId, CellSet, PackedCells};
+use spatial::{CellSet, PackedCells};
 
 /// A block is `2^BLOCK_BITS` consecutive z-order cell ids: an 8×8 square of
 /// cells.  One level finer (4×4) halves what a query sends once more but
@@ -50,22 +51,12 @@ pub fn block_id_bound(resolution: u32) -> Option<u64> {
     1u64.checked_shl(resolution.saturating_sub(BLOCK_BITS / 2).saturating_mul(2))
 }
 
-/// The blocks that any of these datasets' cells touch, as one set of block
-/// ids.
-pub fn blocks_of<'a>(datasets: impl IntoIterator<Item = &'a CellSet>) -> CellSet {
-    let mut blocks: Vec<CellId> = Vec::new();
-    for cells in datasets {
-        blocks.extend(cells.blocks(BLOCK_BITS).iter());
-    }
-    CellSet::from_cells(blocks)
-}
-
-/// The blocks that any of these packed cell sets touch, read off their keys
-/// alone: a packed block holds the 64 cells `key << 6 ..`, which at
-/// `BLOCK_BITS = 6` is exactly block `key`.  Over the key columns of a
-/// DITS-L's leaves it is [`blocks_of`] the leaves' datasets, since a leaf's
+/// The blocks that any of these packed cell sets touch, as one set of block
+/// ids, read off their keys alone: a packed block holds the 64 cells
+/// `key << 6 ..`, which is exactly block `key`.  Over the key columns of a
+/// DITS-L's leaves it is the blocks of the leaves' datasets, since a leaf's
 /// keys are the union of its datasets' cells.
-pub fn blocks_of_keys<'a>(packed: impl IntoIterator<Item = &'a PackedCells>) -> CellSet {
+pub fn blocks_of<'a>(packed: impl IntoIterator<Item = &'a PackedCells>) -> CellSet {
     const _: () = assert!(BLOCK_BITS == 6, "a packed key is a block id at 6 bits only");
     CellSet::from_cells(
         packed
@@ -95,16 +86,14 @@ mod tests {
         assert_eq!(block_id_bound(u32::MAX), None);
         // Every cell of a θ = 2 grid (ids 0..16) is in block 0.
         let coarse: CellSet = (0..16u64).collect();
-        assert_eq!(coarse.blocks(BLOCK_BITS), cells(&[(0, 0)]));
+        assert_eq!(blocks_of([coarse.packed()]), cells(&[(0, 0)]));
         // Two datasets sharing block (1,0): each block once.
         let a = cells(&[(0, 0), (7, 7), (8, 7)]);
         let b = cells(&[(9, 0), (16, 0)]);
-        assert_eq!(blocks_of([&a, &b]), cells(&[(0, 0), (1, 0), (2, 0)]));
-        assert_eq!(blocks_of([]), CellSet::new());
         assert_eq!(
-            blocks_of_keys([a.packed(), b.packed()]),
-            blocks_of([&a, &b])
+            blocks_of([a.packed(), b.packed()]),
+            cells(&[(0, 0), (1, 0), (2, 0)])
         );
-        assert_eq!(blocks_of_keys([]), CellSet::new());
+        assert_eq!(blocks_of([]), CellSet::new());
     }
 }

@@ -20,9 +20,9 @@ pub struct SearchStats {
     pub exact_computations: usize,
     /// Candidate datasets that survived filtering.
     pub candidates: usize,
-    /// Bound tests the distance kernel ran for the exact distances counted
-    /// in `exact_computations`: box-gap tests between super-blocks, tiles
-    /// and super-blocks, and tiles (kNN only).
+    /// Bound tests the distance kernel ran for the exact distances and
+    /// δ-tests counted in `exact_computations`: box-gap tests between
+    /// super-blocks, tiles and super-blocks, and tiles (kNN and CJSP).
     pub bound_tests: usize,
 }
 

@@ -500,7 +500,7 @@ mod tests {
         // live dataset's cells, after a bulk build and after splits and
         // collapses.
         for index in [&maintained, &scratch] {
-            let cells = blocks_of(index.dataset_nodes().into_iter().map(|n| &n.cells));
+            let cells = blocks_of(index.dataset_nodes().into_iter().map(|n| n.cells.packed()));
             assert_eq!(index.sketch(), cells);
         }
 

@@ -45,7 +45,7 @@
 use std::collections::BTreeMap;
 
 use dits::bounds::node_distance_bounds;
-use dits::sketch::{blocks_of, BLOCK_BITS};
+use dits::sketch::blocks_of;
 use dits::{DitsGlobal, MaintenanceStats, Neighbor, NodeGeometry, OverlapResult, SourceSummary};
 use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset};
 
@@ -371,7 +371,7 @@ impl DataCenter {
                 detail: e.to_string(),
             })?;
         let entering = blocks_of(ops.iter().filter_map(|op| match op {
-            CellOp::Insert { cells, .. } | CellOp::Update { cells, .. } => Some(cells),
+            CellOp::Insert { cells, .. } | CellOp::Update { cells, .. } => Some(cells.packed()),
             CellOp::Delete(_) => None,
         }));
         let held = self.sketches.entry(source).or_default();
@@ -567,14 +567,18 @@ impl DataCenter {
     /// cells within δ of it (`near_cells_only`: OJSP, where δ is 0 and the
     /// cells are the ones query and datasets *share*; kNN's second wave,
     /// where δ is the first reply's k-th distance), to the cells within δ of
-    /// the blocks the center holds of the source's sketch
-    /// ([`CellSet::clip_near_blocks`]).  Those blocks contain every block the
-    /// source's datasets touch, so a dropped cell is farther than δ from all
-    /// of those datasets: for OJSP it changes no `|S_Q ∩ S_D|` — and no rank,
-    /// since a source reports positive overlaps only — and for kNN no
-    /// distance that can enter the answer (the argument is on the engine's
-    /// `Knn` kind).  CJSP keeps the window: its coverage counts every query
-    /// cell.  Without a sketch of the source the window is all there is.
+    /// the 8×8-cell blocks the center holds of the source's sketch
+    /// ([`CellSet::clip_near_blocks`]: one lookup per query tile at δ 0, and
+    /// from δ 1 on a walk over the sketch's 64×64-cell super-blocks that
+    /// drops, keeps whole or tests cell by cell each query tile by box gaps,
+    /// so only the tiles straddling δ cost cell tests).  Those blocks contain
+    /// every block the source's datasets touch, so a dropped cell is farther
+    /// than δ from all of those datasets: for OJSP it changes no
+    /// `|S_Q ∩ S_D|` — and no rank, since a source reports positive overlaps
+    /// only — and for kNN no distance that can enter the answer (the argument
+    /// is on the engine's `Knn` kind).  CJSP keeps the window: its coverage
+    /// counts every query cell.  Without a sketch of the source the window is
+    /// all there is.
     pub(crate) fn clip_for_source(
         &self,
         summary: &SourceSummary,
@@ -595,9 +599,7 @@ impl DataCenter {
                 );
                 let clipped = cells.clip_to_window(&window);
                 match self.sketches.get(&summary.source) {
-                    Some(blocks) if near_cells_only => {
-                        clipped.clip_near_blocks(blocks, BLOCK_BITS, slack)
-                    }
+                    Some(blocks) if near_cells_only => clipped.clip_near_blocks(blocks, slack),
                     _ => clipped,
                 }
             }

@@ -943,7 +943,7 @@ fn cover_held(
                     return true;
                 }
                 delta_tests += 1;
-                let within = dataset_distance_within(probe_cells, candidate.1, delta_cells);
+                let within = dataset_distance_within(probe_cells, candidate.1, delta_cells).0;
                 if within {
                     connected.push(candidate);
                 }
@@ -1292,7 +1292,7 @@ mod tests {
                 let probe_cells = newest.map_or(query_cells, |&(_, cells)| cells);
                 unconnected.retain(|&candidate| {
                     delta_tests += 1;
-                    let within = dataset_distance_within(probe_cells, candidate.1, delta_cells);
+                    let within = dataset_distance_within(probe_cells, candidate.1, delta_cells).0;
                     if within {
                         connected.push(candidate);
                     }

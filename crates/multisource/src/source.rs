@@ -502,11 +502,11 @@ mod tests {
                     match &c.cells {
                         CandidateCells::Inline(sent) => {
                             assert_eq!(sent, held);
-                            assert!(spatial::dataset_distance_within(&cells, held, delta));
+                            assert!(spatial::dataset_distance_within(&cells, held, delta).0);
                         }
                         CandidateCells::Stub(size) => {
                             assert_eq!(*size, held.len());
-                            assert!(!spatial::dataset_distance_within(&cells, held, delta));
+                            assert!(!spatial::dataset_distance_within(&cells, held, delta).0);
                         }
                     }
                 }

@@ -30,10 +30,14 @@
 //!   one galloped into the larger when one is over 16 times longer
 //!   ([`PackedCells::for_each_shared`]);
 //! * [`union`](CellSet::union) merges the blocks, `OR`ing the words of a
-//!   shared key; [`blocks`](CellSet::blocks) at 6 bits or more reads the keys
-//!   alone; [`clip_to_window`](CellSet::clip_to_window) keeps or drops a
-//!   whole tile whose box lies inside or outside the window and tests only
-//!   the cells of a tile across its edge.
+//!   shared key; a block's key is its 8×8-cell block id, so a set's block
+//!   ids (a source's sketch) are its keys alone;
+//!   [`clip_to_window`](CellSet::clip_to_window) keeps or drops a whole tile
+//!   whose box lies inside or outside the window and tests only the cells of
+//!   a tile across its edge;
+//! * [`clip_near_blocks`](CellSet::clip_near_blocks) walks the packed words
+//!   of a set of block ids, each a 64×64-cell super-block, and drops, keeps
+//!   whole or tests cell by cell each tile by the distance kernel's box gap.
 //!
 //! A DITS-L leaf keeps its key column in the same form, and a query is held
 //! against it with [`PackedCells::intersection_size`] (OverlapSearch's
@@ -70,6 +74,7 @@
 
 use std::ops::{ControlFlow, Range};
 
+use crate::distance::gap_sq;
 use crate::grid::Grid;
 use crate::mbr::Mbr;
 use crate::point::Point;
@@ -265,20 +270,6 @@ impl PackedCells {
         .is_break()
     }
 
-    /// The blocks whose set bits include some id in `lo..=hi`, each word
-    /// masked to the bits in that range: a key binary search at each end.
-    fn range(&self, lo: CellId, hi: CellId) -> impl Iterator<Item = Block> + '_ {
-        let from = self.blocks.partition_point(|&(key, _)| key < lo >> 6);
-        let to = self.blocks.partition_point(|&(key, _)| key <= hi >> 6);
-        let run = self.blocks.get(from..to).unwrap_or_default();
-        run.iter().filter_map(move |&(key, word)| {
-            let low = u64::MAX << if key == lo >> 6 { lo & 63 } else { 0 };
-            let high = u64::MAX >> if key == hi >> 6 { 63 - (hi & 63) } else { 0 };
-            let word = word & low & high;
-            (word != 0).then_some((key, word))
-        })
-    }
-
     /// Heap bytes used by the packed form.
     pub fn memory_bytes(&self) -> usize {
         self.blocks.capacity() * std::mem::size_of::<Block>()
@@ -459,12 +450,9 @@ impl BoundaryTiles {
             let (x, y) = cell_coords(first << 6);
             let origin = (x & !63, y & !63);
             let boxes = tiles.get(run.clone()).unwrap_or_default();
-            let bbox = (boxes.iter().filter(|t| t.mask != 0)).fold(None, |acc, tile| {
-                let [x0, y0, x1, y1] = tile.bbox(origin);
-                Some(acc.map_or([x0, y0, x1, y1], |[a0, b0, a1, b1]: [u32; 4]| {
-                    [a0.min(x0), b0.min(y0), a1.max(x1), b1.max(y1)]
-                }))
-            });
+            let bbox = (boxes.iter().filter(|t| t.mask != 0))
+                .map(|tile| tile.bbox(origin))
+                .reduce(union_box);
             if let Some(bbox) = bbox {
                 supers.push(SuperBlock {
                     bbox,
@@ -731,22 +719,10 @@ impl CellSet {
 
     /// The MBR of the set in *cell coordinate* space, or `None` for an empty
     /// set.  Index nodes over cell-based datasets operate in this space.
-    /// Found a block at a time: its tile's corner plus the first and last
-    /// of the columns and rows its word occupies.
+    /// Found a block at a time, from the box of its cells (`tile_box`).
     pub fn mbr_cell_space(&self) -> Option<Mbr> {
-        let tiles = self.packed().blocks().iter().map(|&(key, word)| {
-            let (x, y) = cell_coords(key << 6);
-            let (columns, rows) = (tile_columns(word), tile_columns(mirror(word)));
-            [
-                x + columns.trailing_zeros(),
-                y + rows.trailing_zeros(),
-                x + 7 - columns.leading_zeros(),
-                y + 7 - rows.leading_zeros(),
-            ]
-        });
-        let [x0, y0, x1, y1] = tiles.reduce(|[a0, b0, a1, b1], [x0, y0, x1, y1]| {
-            [a0.min(x0), b0.min(y0), a1.max(x1), b1.max(y1)]
-        })?;
+        let tiles = self.packed().blocks().iter().copied().map(tile_box);
+        let [x0, y0, x1, y1] = tiles.reduce(union_box)?;
         Some(Mbr::new(
             Point::new(x0 as f64, y0 as f64),
             Point::new(x1 as f64, y1 as f64),
@@ -789,86 +765,95 @@ impl CellSet {
         CellSet::from_packed(PackedCells::from_blocks(kept.collect()))
     }
 
-    /// The aligned blocks of `2^bits` consecutive z-order ids the set
-    /// touches, as the set of their ids `cell >> bits` (ascending, like the
-    /// cells they come from).  For an even `bits` a block is a square of
-    /// `2^(bits/2)` cells a side: the cell of the grid `bits / 2` levels
-    /// coarser.  From 6 bits on every cell of a packed block falls in one
-    /// such block, so only the keys are read.
-    pub fn blocks(&self, bits: u32) -> CellSet {
-        let mut previous = None;
-        let mut distinct = |block: CellId| previous.replace(block) != Some(block);
-        let packed = match bits.checked_sub(6) {
-            Some(coarser) => PackedCells::from_sorted(
-                (self.packed().blocks().iter())
-                    .map(|&(key, _)| block_of(key, coarser))
-                    .filter(|&block| distinct(block)),
-            ),
-            None => PackedCells::from_sorted(
-                self.iter()
-                    .map(|cell| block_of(cell, bits))
-                    .filter(|&block| distinct(block)),
-            ),
-        };
-        CellSet::from_packed(packed)
-    }
-
-    /// Restricts the set to the cells within `reach` of some cell of one of
-    /// `blocks` (ids as [`Self::blocks`] numbers them, for the same `bits`).
+    /// Restricts the set to the cells within `reach` of some cell of an
+    /// occupied block of `blocks`: a set of 8×8-cell block ids (`cell >> 6`,
+    /// the keys of a set's packed blocks), as a source's sketch holds them.
     /// Two cells are as far apart as their coordinates, computed as the
-    /// distance kernel computes it (Definition 6), so a cell within `reach`
-    /// of a cell in an occupied block is always kept.  The multi-source
-    /// framework uses this to keep a query cell from travelling to a source
-    /// that holds nothing near it: nothing in its block (OJSP, `reach` 0), or
-    /// nothing within the k-th distance of the first kNN reply.
+    /// distance kernel computes it (Definition 6), so a cell within `reach` of
+    /// a cell in an occupied block is always kept.  The multi-source framework
+    /// uses this to keep a query cell from travelling to a source that holds
+    /// nothing near it: nothing in its block (OJSP, `reach` 0), or nothing
+    /// within the k-th distance of the first kNN reply.
     ///
-    /// Two cells are 0 or at least 1 apart, so below a reach of 1 a cell is
-    /// kept when its own block is occupied: from 6 bits on that is one
-    /// lookup per packed block, whose cells share their block.  From 1 on,
-    /// the cells of one packed block (of the `2^bits` block holding it, from
-    /// 6 bits on) are tested together, against the occupied blocks within
-    /// `reach` of that square only (`occupied_near`).
-    pub fn clip_near_blocks(&self, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
-        let occupied = blocks.packed();
-        let own = self.packed().blocks().iter();
+    /// Two cells are 0 or at least 1 apart, so below a reach of 1 a tile is
+    /// kept whole when its own block is occupied: one lookup per packed block.
+    /// From 1 on, one walk over the packed words of `blocks`, each a
+    /// 64×64-cell super-block of blocks, narrows three times by box gaps,
+    /// compared in the √ domain as the distance kernel compares them: to the
+    /// words within reach of the set's box, then of each 64×64-cell
+    /// super-block of the set, then of each of its 8×8 tiles.  A tile is
+    /// dropped when no block is within reach of its box, kept whole when some
+    /// block's *farthest* gap from that box is (MINMAXDIST; Roussopoulos,
+    /// Kelley & Vincent, SIGMOD 1995), and tested cell by cell against the
+    /// blocks within reach of its box only when it straddles the reach.
+    pub fn clip_near_blocks(&self, blocks: &CellSet, reach: f64) -> CellSet {
+        let own = self.packed().blocks();
         if reach.is_nan() || reach < 1.0 {
-            let kept = own.filter_map(|&(key, word)| {
-                let word = match bits.checked_sub(6) {
-                    Some(coarser) if occupied.contains(block_of(key, coarser)) => word,
-                    Some(_) => 0,
-                    None => (set_bits(word))
-                        .filter(|&bit| {
-                            occupied.contains(block_of(key << 6 | CellId::from(bit), bits))
-                        })
-                        .fold(0, |kept, bit| kept | 1 << bit),
-                };
-                (word != 0).then_some((key, word))
-            });
-            return CellSet::from_packed(PackedCells::from_blocks(kept.collect()));
+            let kept = own.iter().filter(|&&(key, _)| blocks.contains(key));
+            return CellSet::from_packed(PackedCells::from_blocks(kept.copied().collect()));
         }
-        let sides = block_sides(bits);
-        // A square of whole packed blocks: the `2^bits` block from 6 bits
-        // on, the packed block's own tile below.
-        let run_bits = bits.max(6);
-        let run_sides = block_sides(run_bits);
-        let mut near = Vec::new();
-        let mut run = None;
-        let kept = own.filter_map(|&(key, word)| {
-            let id = block_of(key, run_bits - 6);
-            if run.replace(id) != Some(id) {
-                near.clear();
-                let around = CellRect::of_block(id, run_bits, run_sides);
-                occupied_near(occupied, bits, sides, around, reach, &mut near);
+        let within = |a: [u32; 4], b: [u32; 4]| gap_sq(a, b).sqrt() <= reach;
+        let Some(query) = own.iter().copied().map(tile_box).reduce(union_box) else {
+            return CellSet::new();
+        };
+        // Z-order grows with either coordinate, so the words within reach of
+        // the set's box lie between the keys (a super-block's cells' ids
+        // `>> 12`) of the corners of that box grown by the reach's floor, as
+        // far as a whole cell reaches.
+        let ([x0, y0, x1, y1], grow) = (query, reach as u32);
+        let lo = cell_id(x0.saturating_sub(grow), y0.saturating_sub(grow)) >> 12;
+        let hi = cell_id(x1.saturating_add(grow), y1.saturating_add(grow)) >> 12;
+        let words = blocks.packed().blocks();
+        let from = words.partition_point(|&(key, _)| key < lo);
+        let to = words.partition_point(|&(key, _)| key <= hi);
+        let sketch: Vec<(Block, [u32; 4])> = (words.get(from..to).unwrap_or_default().iter())
+            .map(|&word| (word, blocks_box(tile_box(word))))
+            .filter(|&(_, bbox)| within(query, bbox))
+            .collect();
+        let mut near: Vec<&(Block, [u32; 4])> = Vec::new();
+        let mut straddled: Vec<[u32; 4]> = Vec::new();
+        let mut kept = Vec::new();
+        for run in super_block_runs(own, block_key) {
+            let tiles = own.get(run).unwrap_or_default();
+            let Some(&(first, _)) = tiles.first() else {
+                continue;
+            };
+            let (x, y) = cell_coords(first << 6);
+            let square = [x & !63, y & !63, x | 63, y | 63];
+            near.clear();
+            near.extend(sketch.iter().filter(|&&(_, bbox)| within(square, bbox)));
+            for &(key, word) in tiles {
+                let tile = tile_box((key, word));
+                // The box turned inside out: its gap to a box is the gap of
+                // its cell farthest from that box, which only shrinks as the
+                // box grows, so a super-block too far for it holds no block
+                // near enough.
+                let [x0, y0, x1, y1] = tile;
+                let farthest = [x1, y1, x0, y0];
+                let whole = near.iter().any(|&&(super_block, bbox)| {
+                    within(farthest, bbox)
+                        && block_boxes(super_block).any(|block| within(farthest, block))
+                });
+                let word = if whole {
+                    word
+                } else {
+                    straddled.clear();
+                    straddled.extend(
+                        (near.iter())
+                            .filter(|&&&(_, bbox)| within(tile, bbox))
+                            .flat_map(|&&(super_block, _)| block_boxes(super_block))
+                            .filter(|&block| within(tile, block)),
+                    );
+                    (cell_boxes((key, word)))
+                        .filter(|&(_, cell)| straddled.iter().any(|&block| within(cell, block)))
+                        .fold(0, |kept, (bit, _)| kept | 1 << bit)
+                };
+                if word != 0 {
+                    kept.push((key, word));
+                }
             }
-            let word = (set_bits(word))
-                .filter(|&bit| {
-                    let cell = CellRect::of_cell(key << 6 | CellId::from(bit));
-                    near.iter().any(|block| block.gap(&cell) <= reach)
-                })
-                .fold(0, |kept, bit| kept | 1 << bit);
-            (word != 0).then_some((key, word))
-        });
-        CellSet::from_packed(PackedCells::from_blocks(kept.collect()))
+        }
+        CellSet::from_packed(PackedCells::from_blocks(kept))
     }
 
     /// An estimate of the heap memory used by this set, in bytes: its packed
@@ -906,124 +891,45 @@ fn mirror(mut word: u64) -> u64 {
     word
 }
 
-/// The id of the aligned block of `2^bits` consecutive z-order ids that holds
-/// `cell`; every cell is in block 0 once a block is the whole id space.
-fn block_of(cell: CellId, bits: u32) -> CellId {
-    cell.checked_shr(bits).unwrap_or(0)
+/// The exact box `[x0, y0, x1, y1]` of the cells of one packed block,
+/// corners included: its tile's corner plus the first and last of the
+/// columns and rows its word occupies.  Over a set of block ids it is the
+/// box, in block coordinates, of one super-block's occupied blocks.
+fn tile_box((key, word): Block) -> [u32; 4] {
+    let (x, y) = cell_coords(key << 6);
+    let (columns, rows) = (tile_columns(word), tile_columns(mirror(word)));
+    [
+        x + columns.trailing_zeros(),
+        y + rows.trailing_zeros(),
+        x + 7 - columns.leading_zeros(),
+        y + 7 - rows.leading_zeros(),
+    ]
 }
 
-/// The width and height, in cells, of an aligned block of `2^bits` z-order
-/// ids: one more than the coordinates of block 0's last cell (the whole
-/// coordinate space once a block is all of it).
-fn block_sides(bits: u32) -> (u64, u64) {
-    let last = 1u64.checked_shl(bits).map_or(CellId::MAX, |ids| ids - 1);
-    let (x, y) = cell_coords(last);
-    (u64::from(x) + 1, u64::from(y) + 1)
+/// The box, in cells, of the 8×8-cell blocks spanning the box `[x0, y0, x1,
+/// y1]` in block coordinates.
+fn blocks_box([x0, y0, x1, y1]: [u32; 4]) -> [u32; 4] {
+    [x0 << 3, y0 << 3, x1 << 3 | 7, y1 << 3 | 7]
 }
 
-/// A rectangle of cells, corners included, in cell coordinates.
-#[derive(Debug, Clone, Copy)]
-struct CellRect {
-    x0: u64,
-    y0: u64,
-    x1: u64,
-    y1: u64,
+/// The smallest box holding both boxes.
+fn union_box([a0, b0, a1, b1]: [u32; 4], [x0, y0, x1, y1]: [u32; 4]) -> [u32; 4] {
+    [a0.min(x0), b0.min(y0), a1.max(x1), b1.max(y1)]
 }
 
-impl CellRect {
-    fn of_cell(cell: CellId) -> Self {
-        let (x, y) = cell_coords(cell);
-        let (x, y) = (u64::from(x), u64::from(y));
-        Self {
-            x0: x,
-            y0: y,
-            x1: x,
-            y1: y,
-        }
-    }
-
-    /// The cells of `block`, whose first cell is its id shifted back up.
-    fn of_block(block: CellId, bits: u32, (width, height): (u64, u64)) -> Self {
-        let (x, y) = cell_coords(block.checked_shl(bits).unwrap_or(0));
-        let (x, y) = (u64::from(x), u64::from(y));
-        Self {
-            x0: x,
-            y0: y,
-            x1: x + width - 1,
-            y1: y + height - 1,
-        }
-    }
-
-    /// The distance between the closest cells of the two rectangles, computed
-    /// the way the distance kernel computes the distance of a cell pair —
-    /// exact per-axis gaps, squared, summed and rooted in `f64` — so that it
-    /// never exceeds the computed distance of any pair of their cells.
-    fn gap(&self, other: &CellRect) -> f64 {
-        let axis = |lo: u64, hi: u64, other_lo: u64, other_hi: u64| {
-            other_lo.saturating_sub(hi).max(lo.saturating_sub(other_hi)) as f64
-        };
-        let dx = axis(self.x0, self.x1, other.x0, other.x1);
-        let dy = axis(self.y0, self.y1, other.y0, other.y1);
-        (dx * dx + dy * dy).sqrt()
-    }
+/// Each cell of one packed block as its bit and its one-cell box, ascending.
+fn cell_boxes((key, word): Block) -> impl Iterator<Item = (u32, [u32; 4])> {
+    let (x, y) = cell_coords(key << 6);
+    set_bits(word).map(move |bit| {
+        let (dx, dy) = TILE_XY.get(bit as usize).copied().unwrap_or_default();
+        (bit, [x + dx, y + dy, x + dx, y + dy])
+    })
 }
 
-/// Pushes onto `near` every block of `blocks` (block ids, packed as a
-/// [`CellSet`] packs cells) whose cells come within `reach` of `around`.
-/// Such a block lies in the window `around` spans grown by `reach`, and the
-/// window is searched the cheaper of two ways: looking each of its blocks
-/// up, or scanning the ids of `blocks` between the ids of its two corners
-/// (z-order is monotone in either coordinate, so every block of the window
-/// is in that range), found by a binary search over the packed keys at each
-/// end.
-fn occupied_near(
-    blocks: &PackedCells,
-    bits: u32,
-    sides: (u64, u64),
-    around: CellRect,
-    reach: f64,
-    near: &mut Vec<CellRect>,
-) {
-    let (width, height) = sides;
-    let last = u64::from(u32::MAX);
-    // Coordinates are integers, so `reach` reaches as far as its floor.
-    let grow = (reach as u64).min(last);
-    let (wx0, wy0) = (
-        around.x0.saturating_sub(grow),
-        around.y0.saturating_sub(grow),
-    );
-    let (wx1, wy1) = ((around.x1 + grow).min(last), (around.y1 + grow).min(last));
-    let coord = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
-    let block_at = |x: u64, y: u64| block_of(cell_id(coord(x), coord(y)), bits);
-    let (lo, hi) = (block_at(wx0, wy0), block_at(wx1, wy1));
-    let (bx0, bx1, by0, by1) = (wx0 / width, wx1 / width, wy0 / height, wy1 / height);
-    let window_blocks = (bx1 - bx0 + 1).saturating_mul(by1 - by0 + 1);
-    // Counted only until the range holds as many ids as the window has
-    // blocks, so the count never costs more than the lookups it chooses.
-    let mut in_range = 0u64;
-    let fewer_in_range = blocks.range(lo, hi).all(|(_, word)| {
-        in_range += u64::from(word.count_ones());
-        in_range < window_blocks
-    });
-    let mut keep = |rect: CellRect| {
-        if rect.gap(&around) <= reach {
-            near.push(rect);
-        }
-    };
-    if !fewer_in_range {
-        for by in by0..=by1 {
-            for bx in bx0..=bx1 {
-                let block = block_at(bx * width, by * height);
-                if blocks.contains(block) {
-                    keep(CellRect::of_block(block, bits, sides));
-                }
-            }
-        }
-    } else {
-        for block in blocks.range(lo, hi).flat_map(block_cells) {
-            keep(CellRect::of_block(block, bits, sides));
-        }
-    }
+/// The boxes, in cells, of the 8×8-cell blocks one packed word of block ids
+/// holds.
+fn block_boxes(super_block: Block) -> impl Iterator<Item = [u32; 4]> {
+    cell_boxes(super_block).map(|(_, block)| blocks_box(block))
 }
 
 impl FromIterator<CellId> for CellSet {
@@ -1297,19 +1203,16 @@ mod tests {
             cell_id(9, 1),
             cell_id(100, 200),
         ]);
-        let blocks = s.blocks(6);
+        let blocks = block_ids(&s);
         assert_eq!(
             cells(&blocks),
             &[cell_id(0, 0), cell_id(1, 0), cell_id(100 >> 3, 200 >> 3)]
         );
         for reach in [0.0, 0.5, 1.0, 40.0] {
-            assert_eq!(s.clip_near_blocks(&blocks, 6, reach), s);
+            assert_eq!(s.clip_near_blocks(&blocks, reach), s);
+            assert_eq!(s.clip_near_blocks(&CellSet::new(), reach), CellSet::new());
             assert_eq!(
-                s.clip_near_blocks(&CellSet::new(), 6, reach),
-                CellSet::new()
-            );
-            assert_eq!(
-                CellSet::new().clip_near_blocks(&blocks, 6, reach),
+                CellSet::new().clip_near_blocks(&blocks, reach),
                 CellSet::new()
             );
         }
@@ -1318,42 +1221,48 @@ mod tests {
         // out of any small reach.
         let middle = CellSet::from_cells([cell_id(1, 0)]);
         assert_eq!(
-            cells(&s.clip_near_blocks(&middle, 6, 0.0)),
+            cells(&s.clip_near_blocks(&middle, 0.0)),
             &[cell_id(8, 0), cell_id(9, 1)]
         );
         assert_eq!(
-            cells(&s.clip_near_blocks(&middle, 6, 1.0)),
+            cells(&s.clip_near_blocks(&middle, 1.0)),
             &[cell_id(7, 7), cell_id(8, 0), cell_id(9, 1)]
         );
         // (0, 0) is 8 cells west of the block.
-        assert_eq!(s.clip_near_blocks(&middle, 6, 7.9).len(), 3);
-        assert_eq!(s.clip_near_blocks(&middle, 6, 8.0).len(), 4);
+        assert_eq!(s.clip_near_blocks(&middle, 7.9).len(), 3);
+        assert_eq!(s.clip_near_blocks(&middle, 8.0).len(), 4);
+        // A block in the super-block west of the set's, whose key is lower:
+        // (100, 0) is 37 cells east of the block (56..=63, 0..=7).
+        let east = CellSet::from_cells([cell_id(100, 0)]);
+        let west = CellSet::from_cells([cell_id(60, 0) >> 6]);
+        assert_eq!(east.clip_near_blocks(&west, 37.0), east);
+        assert!(east.clip_near_blocks(&west, 36.9).is_empty());
         // A reach that is not a number reaches no further than the block.
         assert_eq!(
-            s.clip_near_blocks(&middle, 6, f64::NAN),
-            s.clip_near_blocks(&middle, 6, 0.0)
+            s.clip_near_blocks(&middle, f64::NAN),
+            s.clip_near_blocks(&middle, 0.0)
         );
-        // Zero bits: a block is a cell; 64 or more: one block holds them all.
-        assert_eq!(s.blocks(0), s);
-        assert_eq!(cells(&s.blocks(64)), &[0]);
-        assert_eq!(s.clip_near_blocks(&set(&[0]), 80, 0.0), s);
-        assert_eq!(s.clip_near_blocks(&set(&[0]), 80, 3.0), s);
+    }
+
+    /// A set's 8×8-cell block ids: its packed keys.
+    fn block_ids(s: &CellSet) -> CellSet {
+        s.packed().blocks().iter().map(|&(key, _)| key).collect()
     }
 
     /// The oracle of [`CellSet::clip_near_blocks`]: a cell is kept when some
     /// cell of an occupied block lies within `reach` of it, by the integer
-    /// squared distance of their coordinates — every cell of every block
-    /// tried.
-    fn oracle_near_blocks(cells: &CellSet, blocks: &CellSet, bits: u32, reach: f64) -> CellSet {
+    /// squared distance of their coordinates (in `u128`, so no corner of the
+    /// coordinate space overflows it) — every cell of every block tried.
+    fn oracle_near_blocks(cells: &CellSet, blocks: &CellSet, reach: f64) -> CellSet {
         cells
             .iter()
             .filter(|&cell| {
                 let (x, y) = cell_coords(cell);
                 blocks.iter().any(|block| {
-                    (0..1u64 << bits).any(|offset| {
-                        let (bx, by) = cell_coords((block << bits) | offset);
-                        let dx = u64::from(x.abs_diff(bx));
-                        let dy = u64::from(y.abs_diff(by));
+                    (0..64).any(|offset| {
+                        let (bx, by) = cell_coords(block << 6 | offset);
+                        let dx = u128::from(x.abs_diff(bx));
+                        let dy = u128::from(y.abs_diff(by));
                         ((dx * dx + dy * dy) as f64).sqrt() <= reach
                     })
                 })
@@ -1363,11 +1272,10 @@ mod tests {
 
     /// Below a reach of 1 the clip is the block merge: a cell is kept when
     /// its own block is occupied.
-    fn own_blocks(cells: &CellSet, blocks: &CellSet, bits: u32) -> CellSet {
-        let blocks: BTreeSet<CellId> = blocks.iter().collect();
+    fn own_blocks(cells: &CellSet, blocks: &CellSet) -> CellSet {
         cells
             .iter()
-            .filter(|&cell| blocks.contains(&block_of(cell, bits)))
+            .filter(|&cell| blocks.contains(cell >> 6))
             .collect()
     }
 
@@ -1376,8 +1284,8 @@ mod tests {
         // θ = 2: 4×4 cells, all in the one 8×8 block.
         let all: CellSet = (0..16u64).collect();
         for reach in [0.0, 1.0, 2.5, 100.0] {
-            assert_eq!(all.clip_near_blocks(&set(&[0]), 6, reach), all);
-            assert!(all.clip_near_blocks(&CellSet::new(), 6, reach).is_empty());
+            assert_eq!(all.clip_near_blocks(&set(&[0]), reach), all);
+            assert!(all.clip_near_blocks(&CellSet::new(), reach).is_empty());
         }
     }
 
@@ -1386,23 +1294,22 @@ mod tests {
         fn prop_clip_near_blocks_matches_the_oracle(
             cells in proptest::collection::vec((0u32..64, 0u32..64), 0..60),
             occupied in proptest::collection::vec((0u32..64, 0u32..64), 0..12),
-            bits in 0u32..7,
             squared in 0u64..200,
             slack in 0.0f64..1e-6,
         ) {
             let cells = coord_set(&cells);
-            let blocks = coord_set(&occupied).blocks(bits);
+            let blocks = block_ids(&coord_set(&occupied));
             // The reaches kNN clips by: square roots of integers, a hair
             // over.
             let reach = (squared as f64).sqrt() + slack;
             prop_assert_eq!(
-                cells.clip_near_blocks(&blocks, bits, reach),
-                oracle_near_blocks(&cells, &blocks, bits, reach)
+                cells.clip_near_blocks(&blocks, reach),
+                oracle_near_blocks(&cells, &blocks, reach)
             );
             let below_one = reach.min(0.999);
             prop_assert_eq!(
-                cells.clip_near_blocks(&blocks, bits, below_one),
-                own_blocks(&cells, &blocks, bits)
+                cells.clip_near_blocks(&blocks, below_one),
+                own_blocks(&cells, &blocks)
             );
         }
     }
@@ -1797,86 +1704,6 @@ mod tests {
         }
     }
 
-    /// The cell-list body [`CellSet::clip_near_blocks`] had while a set kept
-    /// its sorted cells beside the blocks, kept as the oracle of the packed
-    /// one: a forward merge below a reach of 1, and from 1 on one
-    /// `occupied_near` lookup per `chunk_by` run of cells sharing a block.
-    fn clip_near_sorted(cells: &[CellId], blocks: &[CellId], bits: u32, reach: f64) -> Vec<CellId> {
-        let mut kept = Vec::new();
-        if reach.is_nan() || reach < 1.0 {
-            let mut ahead = blocks;
-            for &cell in cells {
-                let block = block_of(cell, bits);
-                if ahead.first().is_some_and(|&b| b < block) {
-                    let behind = ahead.partition_point(|&b| b < block);
-                    ahead = ahead.get(behind..).unwrap_or_default();
-                }
-                if ahead.first() == Some(&block) {
-                    kept.push(cell);
-                }
-            }
-            return kept;
-        }
-        let sides = block_sides(bits);
-        let mut near = Vec::new();
-        for run in cells.chunk_by(|&a, &b| block_of(a, bits) == block_of(b, bits)) {
-            let Some(&first) = run.first() else { continue };
-            let around = CellRect::of_block(block_of(first, bits), bits, sides);
-            near.clear();
-            occupied_near_sorted(blocks, bits, sides, around, reach, &mut near);
-            kept.extend(run.iter().copied().filter(|&cell| {
-                let cell = CellRect::of_cell(cell);
-                near.iter().any(|block| block.gap(&cell) <= reach)
-            }));
-        }
-        kept
-    }
-
-    /// `occupied_near` over a sorted list of block ids, as it was.
-    fn occupied_near_sorted(
-        blocks: &[CellId],
-        bits: u32,
-        sides: (u64, u64),
-        around: CellRect,
-        reach: f64,
-        near: &mut Vec<CellRect>,
-    ) {
-        let (width, height) = sides;
-        let last = u64::from(u32::MAX);
-        let grow = (reach as u64).min(last);
-        let (wx0, wy0) = (
-            around.x0.saturating_sub(grow),
-            around.y0.saturating_sub(grow),
-        );
-        let (wx1, wy1) = ((around.x1 + grow).min(last), (around.y1 + grow).min(last));
-        let coord = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
-        let block_at = |x: u64, y: u64| block_of(cell_id(coord(x), coord(y)), bits);
-        let from = blocks.partition_point(|&b| b < block_at(wx0, wy0));
-        let to = blocks.partition_point(|&b| b <= block_at(wx1, wy1));
-        let run = blocks.get(from..to).unwrap_or_default();
-        let (bx0, bx1, by0, by1) = (wx0 / width, wx1 / width, wy0 / height, wy1 / height);
-        let window_blocks = (bx1 - bx0 + 1).saturating_mul(by1 - by0 + 1);
-        let mut keep = |rect: CellRect| {
-            if rect.gap(&around) <= reach {
-                near.push(rect);
-            }
-        };
-        if window_blocks <= run.len() as u64 {
-            for by in by0..=by1 {
-                for bx in bx0..=bx1 {
-                    let block = block_at(bx * width, by * height);
-                    if run.binary_search(&block).is_ok() {
-                        keep(CellRect::of_block(block, bits, sides));
-                    }
-                }
-            }
-        } else {
-            for &block in run {
-                keep(CellRect::of_block(block, bits, sides));
-            }
-        }
-    }
-
     /// A cell where the packed layout has an edge, chosen by `(kind, n)`:
     /// the first or last bit of a block, the first or last block of a
     /// 64×64 super-block, a few cells from `cell_id(u32::MAX, u32::MAX)`, or
@@ -1899,7 +1726,6 @@ mod tests {
             a in proptest::collection::vec((0u8..4, any::<u64>()), 0..90),
             b in proptest::collection::vec((0u8..4, any::<u64>()), 0..90),
             corners in (0usize..90, 0usize..90, 0u8..3),
-            bits in 0u32..13,
             reach_pick in (0usize..7, 0.0f64..1e-6),
         ) {
             let (oa, ob): (BTreeSet<CellId>, BTreeSet<CellId>) = (
@@ -1932,12 +1758,6 @@ mod tests {
             prop_assert_eq!(cells(&union), oa.union(&ob).copied().collect::<Vec<_>>());
             prop_assert_eq!(union.len(), oa.union(&ob).count());
             prop_assert_eq!(sa.marginal_gain(&sb), oa.difference(&ob).count());
-            // Coarser blocks at every level up to 12 bits.
-            for level in 0..=12 {
-                let coarse: Vec<CellId> = oa.iter().map(|&c| c >> level)
-                    .collect::<BTreeSet<_>>().into_iter().collect();
-                prop_assert_eq!(cells(&sa.blocks(level)), coarse);
-            }
             // The box.
             let coords: Vec<(u32, u32)> = oa.iter().map(|&c| cell_coords(c)).collect();
             let mbr = sa.mbr_cell_space();
@@ -1970,18 +1790,14 @@ mod tests {
                 prop_assert_eq!(cells(&sa.clip_to_window(&window)), inside);
             }
             // Near-block clipping below 1, at block multiples and near 300,
-            // against the cell-list body, at 6 bits (the sketch's) and at
-            // `bits`.
+            // against the brute force.
             let (pick, slack) = reach_pick;
             let reach = [0.0, 0.999, 1.0, 8.0, 16.0 + slack, 64.0, (90_000f64).sqrt() + slack][pick];
-            let listed: Vec<CellId> = oa.iter().copied().collect();
-            for level in [6, bits] {
-                let occupied = sb.blocks(level);
-                prop_assert_eq!(
-                    cells(&sa.clip_near_blocks(&occupied, level, reach)),
-                    clip_near_sorted(&listed, &cells(&occupied), level, reach)
-                );
-            }
+            let occupied = block_ids(&sb);
+            prop_assert_eq!(
+                sa.clip_near_blocks(&occupied, reach),
+                oracle_near_blocks(&sa, &occupied, reach)
+            );
         }
     }
 }

@@ -20,7 +20,7 @@ use crate::distance::dataset_distance_within;
 /// Returns `true` when the two datasets are directly connected under
 /// threshold `delta` (Definition 7).
 pub fn is_directly_connected(a: &CellSet, b: &CellSet, delta: f64) -> bool {
-    dataset_distance_within(a, b, delta)
+    dataset_distance_within(a, b, delta).0
 }
 
 /// Checks whether a collection of cell sets satisfies spatial connectivity

@@ -31,8 +31,8 @@
 //!
 //! [`dataset_distance_bounded`] additionally threads a caller-supplied
 //! cutoff into the pruning so far-away candidates abandon after the bound
-//! checks instead of scanning cells to completion, and reports how many
-//! bound tests it ran.
+//! checks instead of scanning cells to completion; it and
+//! [`dataset_distance_within`] report how many bound tests they ran.
 //!
 //! Super-blocks, tile ranges and the bit table are all read with checked
 //! access (`get`), so nothing here can index out of bounds.
@@ -76,16 +76,17 @@ pub fn dataset_distance_bounded(a: &CellSet, b: &CellSet, cutoff: f64) -> (f64, 
 }
 
 /// Returns `true` when `dist(a, b) ≤ delta`, terminating as early as
-/// possible.  This is the predicate behind the *directly connected* relation
-/// (Definition 7).
-pub fn dataset_distance_within(a: &CellSet, b: &CellSet, delta: f64) -> bool {
+/// possible, and beside it the number of bound tests the kernel ran.  This
+/// is the predicate behind the *directly connected* relation (Definition 7).
+pub fn dataset_distance_within(a: &CellSet, b: &CellSet, delta: f64) -> (bool, usize) {
     if a.is_empty() || b.is_empty() {
-        return false;
+        return (false, 0);
     }
     // Boxes more than δ apart can never qualify, so the kernel discards them
     // unscanned — this keeps the predicate cheap even for far-apart
     // datasets, which dominate the connectivity checks.
-    best_distance_bounded(a, b, delta, delta).0 <= delta
+    let (distance, bound_tests) = best_distance_bounded(a, b, delta, delta);
+    (distance <= delta, bound_tests)
 }
 
 /// The kernel behind all three entry points: finds the minimum pairwise cell
@@ -131,8 +132,9 @@ fn best_distance_bounded(a: &CellSet, b: &CellSet, good_enough: f64, cutoff: f64
 /// and any cell of box `b` (`[x0, y0, x1, y1]`, corners included): the
 /// per-axis gaps in integers, squared and summed in `f64` the way a cell
 /// pair's distance is, so it never exceeds the computed distance of any pair
-/// of their cells.
-fn gap_sq([ax0, ay0, ax1, ay1]: [u32; 4], [bx0, by0, bx1, by1]: [u32; 4]) -> f64 {
+/// of their cells.  The one box gap of the crate: `CellSet::clip_near_blocks`
+/// tests its boxes with it too.
+pub(crate) fn gap_sq([ax0, ay0, ax1, ay1]: [u32; 4], [bx0, by0, bx1, by1]: [u32; 4]) -> f64 {
     let dx = bx0.saturating_sub(ax1).max(ax0.saturating_sub(bx1)) as f64;
     let dy = by0.saturating_sub(ay1).max(ay0.saturating_sub(by1)) as f64;
     dx * dx + dy * dy
@@ -316,7 +318,7 @@ mod tests {
         let a = set_from_coords(&[(1, 1), (2, 2)]);
         let b = set_from_coords(&[(2, 2), (5, 5)]);
         assert_eq!(dataset_distance(&a, &b), 0.0);
-        assert!(dataset_distance_within(&a, &b, 0.0));
+        assert!(dataset_distance_within(&a, &b, 0.0).0);
     }
 
     #[test]
@@ -332,7 +334,7 @@ mod tests {
         let b = set_from_coords(&[(4, 4)]);
         assert_eq!(dataset_distance(&a, &b), 0.0);
         assert_eq!(dataset_distance_bounded(&a, &b, 0.5).0, 0.0);
-        assert!(dataset_distance_within(&a, &b, 0.0));
+        assert!(dataset_distance_within(&a, &b, 0.0).0);
     }
 
     #[test]
@@ -340,7 +342,7 @@ mod tests {
         let a = CellSet::new();
         let b = set_from_coords(&[(1, 1)]);
         assert_eq!(dataset_distance(&a, &b), f64::INFINITY);
-        assert!(!dataset_distance_within(&a, &b, 100.0));
+        assert!(!dataset_distance_within(&a, &b, 100.0).0);
     }
 
     #[test]
@@ -348,8 +350,8 @@ mod tests {
         let a = set_from_coords(&[(0, 0), (10, 0)]);
         let b = set_from_coords(&[(0, 5), (20, 20)]);
         assert_eq!(dataset_distance(&a, &b), 5.0);
-        assert!(dataset_distance_within(&a, &b, 5.0));
-        assert!(!dataset_distance_within(&a, &b, 4.999));
+        assert!(dataset_distance_within(&a, &b, 5.0).0);
+        assert!(!dataset_distance_within(&a, &b, 4.999).0);
     }
 
     #[test]
@@ -435,7 +437,7 @@ mod tests {
             } else {
                 prop_assert!(bounded > cutoff);
             }
-            prop_assert_eq!(dataset_distance_within(&sa, &sb, cutoff), brute <= cutoff);
+            prop_assert_eq!(dataset_distance_within(&sa, &sb, cutoff).0, brute <= cutoff);
         }
 
         #[test]
@@ -449,7 +451,7 @@ mod tests {
             let (sa, sb) = (blobs(&a), blobs(&b));
             let d = dataset_distance(&sa, &sb);
             prop_assert_eq!(dataset_distance_bounded(&sa, &sb, d).0, d);
-            prop_assert!(dataset_distance_within(&sa, &sb, d));
+            prop_assert!(dataset_distance_within(&sa, &sb, d).0);
         }
 
         #[test]
@@ -507,7 +509,7 @@ mod tests {
             let sa = set_from_coords(&a);
             let sb = set_from_coords(&b);
             let exact = dataset_distance(&sa, &sb);
-            prop_assert_eq!(dataset_distance_within(&sa, &sb, delta), exact <= delta);
+            prop_assert_eq!(dataset_distance_within(&sa, &sb, delta).0, exact <= delta);
         }
     }
 }
