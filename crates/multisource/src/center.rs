@@ -18,15 +18,16 @@
 //! only the query cells within the first reply's k-th distance of both
 //! (`DataCenter::clip_for_source`).
 //!
-//! Maintenance has one way into DITS-G: [`DataCenter::apply_updates`] puts
-//! the summary a source answers a batch with (or removes the source when the
-//! batch emptied it), and the index builds itself over the edited summary
-//! list.  The sketch needs no reply at all: before a batch leaves, the center
-//! adds the blocks of the batch's datasets to the sketch it holds, which
-//! therefore contains the source's sketch whatever becomes of the batch.  A
-//! maintained center is the center [`DataCenter::build`] makes from the
-//! mutated sources, except that its sketches may still hold blocks the
-//! sources have vacated — a few query bytes, never an answer.
+//! A center learns a source only from its [`Message::SummaryRefresh`]es,
+//! and one function folds each into DITS-G and the sketches: the poll every
+//! center bootstraps with ([`DataCenter::from_transport`]) and the reply to
+//! every maintenance exchange ([`DataCenter::apply_updates`]).  A poll
+//! carries the whole sketch; a batch's reply none: before a batch leaves,
+//! the center adds the blocks of its datasets to the sketch it holds, which
+//! therefore contains the source's whatever becomes of the batch.  A
+//! maintained center is the center a fresh poll makes, except that its
+//! sketches may still hold vacated blocks — a few query bytes, never an
+//! answer.
 #![cfg_attr(
     not(test),
     deny(
@@ -52,7 +53,6 @@ use spatial::{CellSet, DatasetId, Grid, Mbr, Point, SourceId, SpatialDataset};
 use crate::comm::CommStats;
 use crate::error::{ConfigError, SearchError, TransportError};
 use crate::message::{CellOp, Message, UpdateOp};
-use crate::source::DataSource;
 use crate::transport::SourceTransport;
 
 /// How the data center distributes a query to the data sources.
@@ -124,30 +124,10 @@ pub(crate) const BOUND_SLACK: f64 = 1e-9;
 /// and 0 where routing is by intersection.
 pub(crate) type RoutedSource = (f64, SourceSummary);
 
-/// Per-resolution grid cache used while planning a batch: sources may index
-/// at their own θ, and `Grid::global` validates the resolution, so building
-/// a grid is fallible and worth doing once per resolution per batch.
-pub(crate) struct GridCache {
-    grids: BTreeMap<u32, Grid>,
-}
-
-impl GridCache {
-    pub(crate) fn new() -> Self {
-        Self {
-            grids: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn get(&mut self, resolution: u32) -> Result<&Grid, SearchError> {
-        match self.grids.entry(resolution) {
-            std::collections::btree_map::Entry::Occupied(entry) => Ok(entry.into_mut()),
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                let grid = Grid::global(resolution)
-                    .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
-                Ok(slot.insert(grid))
-            }
-        }
-    }
+/// The lon/lat grid at a source's resolution θ, which its summary names: a
+/// summary off the wire may name one no grid has.
+pub(crate) fn grid(resolution: u32) -> Result<Grid, SearchError> {
+    Grid::global(resolution).map_err(|e| SearchError::Config(ConfigError::Resolution(e)))
 }
 
 /// Per-query cache of the gridded query cells, keyed by resolution: with a
@@ -188,53 +168,33 @@ struct Refresh {
     dataset_count: u64,
     /// The operations the reply accounts for, applied or rejected.
     ops: u64,
-    blocks: CellSet,
+    /// The source's whole sketch, when the reply answers a summary poll; a
+    /// batch's reply carries none.
+    sketch: Option<CellSet>,
 }
 
 impl DataCenter {
-    /// Builds the data center's global index from the sources' uploaded root
-    /// summaries, and keeps each source's block sketch beside it.
+    /// Bootstraps a data center from an empty DITS-G by polling every source
+    /// reachable through a transport for its root summary and block sketch:
+    /// [`Self::apply_updates`] with an empty batch, the protocol's read-only
+    /// summary poll.  Every center is made so, whether its sources are
+    /// in-process ([`MultiSourceFramework`](crate::MultiSourceFramework)) or
+    /// `source-server` processes on other machines.
     ///
     /// Sources that hold no datasets are not registered: an empty index has
     /// no real root geometry (only a degenerate placeholder at the grid
     /// origin), can answer no query, and would otherwise attract
     /// origin-adjacent queries for nothing.  The maintenance path readmits
-    /// such a source as soon as an applied batch gives it data (see
-    /// [`Self::apply_updates`]).
-    pub fn build(sources: &[DataSource], leaf_capacity: usize) -> Self {
-        let registered = || sources.iter().filter(|s| s.dataset_count() > 0);
-        Self {
-            global: DitsGlobal::build(registered().map(|s| s.summary()).collect(), leaf_capacity),
-            sketches: registered().map(|s| (s.id, s.index().sketch())).collect(),
-        }
-    }
-
-    /// Builds a data center by polling every source reachable through a
-    /// transport for its root summary and its block sketch (an empty
-    /// [`Message::ApplyUpdates`] batch is the protocol's read-only summary
-    /// poll).  This is how a center bootstraps a *federated* deployment: the
-    /// sources may be `source-server` processes on other machines.
-    ///
-    /// Sources reporting zero datasets are skipped, exactly like
-    /// [`Self::build`].
+    /// such a source as soon as an applied batch gives it data.
     pub fn from_transport(
         transport: &dyn SourceTransport,
         leaf_capacity: usize,
     ) -> Result<Self, SearchError> {
-        let mut summaries = Vec::new();
-        let mut sketches = BTreeMap::new();
+        let mut center = Self::from_global(DitsGlobal::build(Vec::new(), leaf_capacity));
         for source in transport.source_ids() {
-            let reply = transport.call(source, &Message::summary_poll(), false)?;
-            let polled = Self::polled(reply.message)?;
-            if polled.dataset_count > 0 {
-                summaries.push(polled.summary);
-                sketches.insert(source, polled.blocks);
-            }
+            center.apply_updates(transport, source, &[])?;
         }
-        Ok(Self {
-            global: DitsGlobal::build(summaries, leaf_capacity),
-            sketches,
-        })
+        Ok(center)
     }
 
     /// Wraps a global index assembled elsewhere (tests build centers over
@@ -280,10 +240,10 @@ impl DataCenter {
     /// rejected, lost or answered twice.  Where the center holds no sketch
     /// of the source (a center made by [`Self::from_global`], a source a
     /// batch emptied), it polls for one before the batch — the poll that
-    /// also reads the resolution of a source DITS-G holds no summary of.  A
-    /// reply that does not account for as many operations as the batch had
-    /// answers some other batch: the center polls for the summary instead
-    /// of folding that reply's.
+    /// also reads the resolution of a source DITS-G holds no summary of.  An
+    /// empty batch is that poll alone.  A reply that does not account for as
+    /// many operations as the batch had answers some other batch: the center
+    /// polls for the summary instead of folding that reply's.
     ///
     /// The exchange is transactional at the batch level: a dataset that
     /// grids to nothing, or a batch the source refuses
@@ -302,56 +262,32 @@ impl DataCenter {
     ) -> Result<MaintenanceOutcome, SearchError> {
         let mut comm = CommStats::new();
         comm.sources_contacted += 1;
-        let (refresh, mut stats) = if ops.is_empty() {
-            (
-                self.poll(transport, source, &mut comm)?,
-                MaintenanceStats::new(),
-            )
+        let mut stats = MaintenanceStats::new();
+        let summary = if ops.is_empty() {
+            self.poll(transport, source, &mut comm, &mut stats)?
         } else {
-            self.send_batch(transport, source, ops, &mut comm)?
+            self.send_batch(transport, source, ops, &mut comm, &mut stats)?
         };
-        // Fold the summary into DITS-G before returning, so the next query
-        // batch is planned against summaries that agree with every local
-        // index.  Either mutator builds the tree over the edited summaries.
-        if refresh.dataset_count == 0 {
-            // The batch emptied the source.  An empty index has only a
-            // degenerate placeholder geometry and can answer no query, so
-            // it is dropped from DITS-G (readmitted when data returns)
-            // instead of attracting origin-adjacent queries for nothing.
-            self.sketches.remove(&source);
-            if self.global.remove_source(source) {
-                stats.global_rebuilds += 1;
-            }
-        } else {
-            // Replaces the source's summary, or registers one for a source
-            // DITS-G does not know: it was empty at build time, or dropped
-            // when a previous batch emptied it, and holds data again.
-            self.global.put_source(refresh.summary);
-            stats.summary_refreshes += 1;
-            stats.global_rebuilds += 1;
-        }
-        // Debug-build hardening: the maintenance path is DITS-G's only
-        // writer, so validate the whole tree after every folded batch.
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(self.global.check_invariants(), Ok(()));
         Ok(MaintenanceOutcome {
-            summary: refresh.summary,
+            summary,
             stats,
             comm,
         })
     }
 
     /// Grids a non-empty batch at `source`'s resolution, grows the sketch
-    /// held of the source by the batch's blocks, sends the batch, and
-    /// returns what the source said of itself after it, with its statistics
-    /// of the batch.  Every exchange is counted in `comm`.
+    /// held of the source by the batch's blocks, sends the batch, and folds
+    /// what the source said of itself after it.  Every exchange is counted
+    /// in `comm`, the source's statistics of the batch and every fold in
+    /// `stats`.
     fn send_batch(
         &mut self,
         transport: &dyn SourceTransport,
         source: SourceId,
         ops: &[UpdateOp],
         comm: &mut CommStats,
-    ) -> Result<(Refresh, MaintenanceStats), SearchError> {
+        stats: &mut MaintenanceStats,
+    ) -> Result<SourceSummary, SearchError> {
         let registered = self
             .global
             .summaries()
@@ -359,10 +295,9 @@ impl DataCenter {
             .find(|s| s.source == source);
         let resolution = match registered {
             Some(summary) if self.sketches.contains_key(&source) => summary.resolution,
-            _ => self.poll(transport, source, comm)?.summary.resolution,
+            _ => self.poll(transport, source, comm, stats)?.resolution,
         };
-        let grid = Grid::global(resolution)
-            .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
+        let grid = grid(resolution)?;
         let ops = ops
             .iter()
             .map(|op| op.grid(&grid))
@@ -380,47 +315,74 @@ impl DataCenter {
         let reply = transport.call(source, &Message::ApplyUpdates { resolution, ops }, true)?;
         comm.record_request(reply.request_bytes);
         comm.record_reply(reply.reply_bytes);
-        let stats = reply.maintenance.unwrap_or_default();
-        let refresh = Self::refreshed_summary(reply.message)?;
+        stats.merge(&reply.maintenance.unwrap_or_default());
+        let refresh = Self::refreshed(reply.message, false)?;
         if refresh.ops == sent {
-            return Ok((refresh, stats));
+            return Ok(self.fold(source, refresh, stats));
         }
         // The reply to another batch, lost or replayed on the way: its
         // summary need not be the source's.
-        Ok((self.poll(transport, source, comm)?, stats))
+        self.poll(transport, source, comm, stats)
     }
 
-    /// Polls `source` for its summary and its whole sketch, which replaces
-    /// whatever sketch the center held of it.  The exchange is counted in
-    /// `comm`.
+    /// Polls `source` for its summary and its whole sketch, and folds them.
+    /// The exchange is counted in `comm`, the fold in `stats`.
     fn poll(
         &mut self,
         transport: &dyn SourceTransport,
         source: SourceId,
         comm: &mut CommStats,
-    ) -> Result<Refresh, SearchError> {
+        stats: &mut MaintenanceStats,
+    ) -> Result<SourceSummary, SearchError> {
         let poll = transport.call(source, &Message::summary_poll(), false)?;
         comm.record_request(poll.request_bytes);
         comm.record_reply(poll.reply_bytes);
-        let polled = Self::polled(poll.message)?;
-        self.sketches.insert(source, polled.blocks.clone());
-        Ok(polled)
+        let refresh = Self::refreshed(poll.message, true)?;
+        Ok(self.fold(source, refresh, stats))
     }
 
-    /// The [`Message::SummaryRefresh`] answering a summary poll: a source
-    /// that holds datasets holds them in some block, so a poll reply with
-    /// datasets and no block is refused.
-    fn polled(reply: Message) -> Result<Refresh, SearchError> {
-        let polled = Self::refreshed_summary(reply)?;
-        if polled.blocks.is_empty() && polled.dataset_count > 0 {
-            return Err(TransportError::UnexpectedReply("the whole sketch").into());
+    /// Folds what `source` said of itself into the center's view of it —
+    /// the one writer of both the sketches and DITS-G's membership, so the
+    /// next query batch is planned against summaries that agree with every
+    /// local index.  A poll's sketch replaces the one held; after a batch the
+    /// sketch grown before it left stays.  Each DITS-G build counts in
+    /// `stats`.
+    fn fold(
+        &mut self,
+        source: SourceId,
+        refresh: Refresh,
+        stats: &mut MaintenanceStats,
+    ) -> SourceSummary {
+        if refresh.dataset_count == 0 {
+            // An empty index has only a degenerate placeholder geometry and
+            // answers no query, so the source leaves DITS-G until data
+            // returns instead of attracting origin-adjacent queries.
+            self.sketches.remove(&source);
+            if self.global.remove_source(source) {
+                stats.global_rebuilds += 1;
+            }
+        } else {
+            if let Some(sketch) = refresh.sketch {
+                self.sketches.insert(source, sketch);
+            }
+            // Replaces the source's summary, or registers one DITS-G does
+            // not know (at bootstrap, or as data returns to a source).
+            self.global.put_source(refresh.summary);
+            stats.summary_refreshes += 1;
+            stats.global_rebuilds += 1;
         }
-        Ok(polled)
+        // Debug-build hardening: this is DITS-G's only writer, so validate
+        // the whole tree after every fold.
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(self.global.check_invariants(), Ok(()));
+        refresh.summary
     }
 
-    /// Unwraps the [`Message::SummaryRefresh`] answering a maintenance batch
-    /// or a summary poll.
-    fn refreshed_summary(reply: Message) -> Result<Refresh, SearchError> {
+    /// Unwraps the [`Message::SummaryRefresh`] answering a summary poll
+    /// (`poll`) or a maintenance batch.  Only a poll's reply carries the
+    /// source's whole sketch, and a source that holds datasets holds them in
+    /// some block, so a poll reply with datasets and no block is refused.
+    fn refreshed(reply: Message, poll: bool) -> Result<Refresh, SearchError> {
         match reply {
             Message::SummaryRefresh {
                 summary,
@@ -428,12 +390,17 @@ impl DataCenter {
                 applied,
                 rejected,
                 blocks,
-            } => Ok(Refresh {
-                summary,
-                dataset_count,
-                ops: applied.saturating_add(rejected),
-                blocks,
-            }),
+            } => {
+                if poll && blocks.is_empty() && dataset_count > 0 {
+                    return Err(TransportError::UnexpectedReply("the whole sketch").into());
+                }
+                Ok(Refresh {
+                    summary,
+                    dataset_count,
+                    ops: applied.saturating_add(rejected),
+                    sketch: poll.then_some(blocks),
+                })
+            }
             Message::Error { code, detail } if code == crate::message::ERR_REJECTED_BATCH => {
                 Err(SearchError::Rejected { detail })
             }
@@ -455,14 +422,10 @@ impl DataCenter {
     /// points, and a point lies up to half a diagonal from the centre of the
     /// cell it grids to — a query wholly inside the outer half of a source's
     /// border cells shares cells with it without the rectangles meeting.
-    pub(crate) fn route_slack_lonlat(
-        &self,
-        delta_cells: f64,
-        grids: &mut GridCache,
-    ) -> Result<f64, SearchError> {
+    pub(crate) fn route_slack_lonlat(&self, delta_cells: f64) -> Result<f64, SearchError> {
         let mut degrees_per_cell: f64 = 0.0;
         for summary in self.global.summaries() {
-            let grid = grids.get(summary.resolution)?;
+            let grid = grid(summary.resolution)?;
             degrees_per_cell = degrees_per_cell.max(grid.cell_width().max(grid.cell_height()));
         }
         Ok((delta_cells.max(0.0) + std::f64::consts::FRAC_1_SQRT_2) * degrees_per_cell)
@@ -513,7 +476,6 @@ impl DataCenter {
         query: &SpatialDataset,
         k: usize,
         strategy: DistributionStrategy,
-        grids: &mut GridCache,
         cells: &mut QueryCellsCache,
     ) -> Result<Vec<RoutedSource>, SearchError> {
         if k == 0 {
@@ -527,15 +489,15 @@ impl DataCenter {
         // The query's cell-space rectangle, boxed once per resolution.
         let mut query_rects: BTreeMap<u32, Option<Mbr>> = BTreeMap::new();
         for s in summaries {
-            let grid = grids.get(s.resolution)?;
+            let grid = grid(s.resolution)?;
             let query_rect = *query_rects
                 .entry(s.resolution)
-                .or_insert_with(|| cells.get(grid, &query.points).mbr_cell_space());
+                .or_insert_with(|| cells.get(&grid, &query.points).mbr_cell_space());
             let Some(query_rect) = query_rect else {
                 // The query grids to nothing: no source can answer it.
                 return Ok(Vec::new());
             };
-            let source_rect = s.cell_space_rect(grid);
+            let source_rect = s.cell_space_rect(&grid);
             let (_, ub) = node_distance_bounds(
                 &NodeGeometry::from_mbr(source_rect),
                 &NodeGeometry::from_mbr(query_rect),
@@ -612,6 +574,7 @@ mod tests {
     use super::*;
     use crate::api::SearchRequest;
     use crate::engine::{EngineConfig, QueryEngine};
+    use crate::source::DataSource;
     use crate::transport::InProcessTransport;
     use dits::DitsLocalConfig;
     use spatial::Grid;
@@ -649,6 +612,11 @@ mod tests {
             DataSource::build(0, "east", grid, &east, DitsLocalConfig::default()),
             DataSource::build(1, "west", grid, &west, DitsLocalConfig::default()),
         ]
+    }
+
+    /// The center a summary poll of `sources` bootstraps.
+    fn polled(sources: &[DataSource]) -> DataCenter {
+        DataCenter::from_transport(&InProcessTransport::new(sources), 4).unwrap()
     }
 
     fn query_in_east() -> SpatialDataset {
@@ -695,7 +663,7 @@ mod tests {
     #[test]
     fn pruned_strategy_contacts_fewer_sources() {
         let sources = two_sources();
-        let center = DataCenter::build(&sources, 4);
+        let center = polled(&sources);
         let query = query_in_east();
         let (_, broadcast) = run_ojsp(
             &center,
@@ -713,7 +681,7 @@ mod tests {
     #[test]
     fn clipping_reduces_bytes_without_changing_results() {
         let sources = two_sources();
-        let center = DataCenter::build(&sources, 4);
+        let center = polled(&sources);
         let query = query_in_east();
         let (res_pruned, comm_pruned) =
             run_ojsp(&center, &sources, &query, 5, DistributionStrategy::Pruned);
@@ -742,7 +710,7 @@ mod tests {
     #[test]
     fn ojsp_aggregates_across_sources() {
         let sources = two_sources();
-        let center = DataCenter::build(&sources, 4);
+        let center = polled(&sources);
         // A query spanning both regions (two clusters of points).
         let mut pts: Vec<Point> = (0..4)
             .map(|j| Point::new(10.0 + j as f64 * 0.05, 50.0))
@@ -773,7 +741,7 @@ mod tests {
     #[test]
     fn cjsp_selects_connected_datasets() {
         let sources = two_sources();
-        let center = DataCenter::build(&sources, 4);
+        let center = polled(&sources);
         let query = query_in_east();
         let (res, comm) = run_cjsp(
             &center,
@@ -795,7 +763,7 @@ mod tests {
     #[test]
     fn empty_query_produces_empty_answer() {
         let sources = two_sources();
-        let center = DataCenter::build(&sources, 4);
+        let center = polled(&sources);
         let query = SpatialDataset::new(1, vec![]);
         let (res, comm) = run_ojsp(
             &center,
@@ -819,20 +787,9 @@ mod tests {
     }
 
     #[test]
-    fn from_transport_matches_direct_build() {
-        let sources = two_sources();
-        let direct = DataCenter::build(&sources, 4);
-        let transport = InProcessTransport::new(&sources);
-        let polled = DataCenter::from_transport(&transport, 4).unwrap();
-        assert_eq!(polled.global().summaries(), direct.global().summaries());
-        assert_eq!(polled.global().source_count(), 2);
-    }
-
-    #[test]
     fn knn_route_keeps_every_source_that_could_matter() {
         let sources = two_sources();
-        let center = DataCenter::build(&sources, 4);
-        let mut grids = GridCache::new();
+        let center = polled(&sources);
         let mut cells = QueryCellsCache::new();
         // k larger than the federation: nothing can be pruned.
         let all = center
@@ -840,7 +797,6 @@ mod tests {
                 &query_in_east(),
                 5,
                 DistributionStrategy::PrunedClipped,
-                &mut grids,
                 &mut cells,
             )
             .unwrap();
@@ -857,7 +813,6 @@ mod tests {
                 &query_in_east(),
                 1,
                 DistributionStrategy::PrunedClipped,
-                &mut grids,
                 &mut cells,
             )
             .unwrap();
@@ -870,7 +825,6 @@ mod tests {
                     &query_in_east(),
                     1,
                     DistributionStrategy::Broadcast,
-                    &mut grids,
                     &mut cells
                 )
                 .unwrap()
@@ -882,7 +836,6 @@ mod tests {
                 &query_in_east(),
                 0,
                 DistributionStrategy::PrunedClipped,
-                &mut grids,
                 &mut cells
             )
             .unwrap()

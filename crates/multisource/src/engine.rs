@@ -67,8 +67,8 @@ use crate::api::{
     SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
 };
 use crate::center::{
-    AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DataCenter, DistributionStrategy,
-    GridCache, QueryCellsCache, RoutedSource, BOUND_SLACK,
+    grid, AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DataCenter, DistributionStrategy,
+    QueryCellsCache, RoutedSource, BOUND_SLACK,
 };
 use crate::comm::CommStats;
 use crate::error::{ConfigError, SearchError, TransportError};
@@ -300,24 +300,22 @@ impl<'a> QueryEngine<'a> {
         let strategy = self.config.strategy;
 
         let mut comm = CommStats::new();
-        let mut grids = GridCache::new();
         // Plans one query's shards for one wave: clips the query per target
         // source and materialises the wire requests.  A routed source counts
         // as contacted even when the clip leaves nothing to send it.
         let mut plan_shards = |tasks: &mut Vec<ShardTask>,
-                               grids: &mut GridCache,
                                plan: &mut QueryPlan,
                                targets: &[RoutedSource],
                                clip_slack: Option<f64>|
          -> Result<(), SearchError> {
             comm.sources_contacted += targets.len();
             for (_, summary) in targets {
-                let grid = grids.get(summary.resolution)?;
-                let full = plan.cells.get(grid, &plan.query.points);
+                let grid = grid(summary.resolution)?;
+                let full = plan.cells.get(&grid, &plan.query.points);
                 let clipped = match clip_slack {
                     Some(slack) => self.center.clip_for_source(
                         summary,
-                        grid,
+                        &grid,
                         full,
                         slack,
                         strategy,
@@ -344,7 +342,7 @@ impl<'a> QueryEngine<'a> {
         // wave; what the kind holds back waits in the query's plan, with its
         // gridded cells, for the replies.
         let reachable = self.reachable_sources();
-        let routing = kind.routing(self.center, &mut grids)?;
+        let routing = kind.routing(self.center)?;
         let mut tasks: Vec<ShardTask> = Vec::new();
         let mut plans: Vec<QueryPlan> = Vec::with_capacity(queries.len());
         for (query_idx, query) in queries.iter().enumerate() {
@@ -363,21 +361,14 @@ impl<'a> QueryEngine<'a> {
                     .map(|summary| (0.0, summary))
                     .collect(),
                 Routing::DistanceBounds => {
-                    self.center
-                        .knn_route(query, k, strategy, &mut grids, &mut plan.cells)?
+                    self.center.knn_route(query, k, strategy, &mut plan.cells)?
                 }
             };
             // A stale summary (a source the transport cannot deliver to) is
             // skipped instead of failing the batch with `UnknownSource`.
             targets.retain(|(_, summary)| reachable.contains(&summary.source));
             plan.held_back = targets.split_off(kind.first_wave(strategy).min(targets.len()));
-            plan_shards(
-                &mut tasks,
-                &mut grids,
-                &mut plan,
-                &targets,
-                kind.clip_slack(),
-            )?;
+            plan_shards(&mut tasks, &mut plan, &targets, kind.clip_slack())?;
             plans.push(plan);
         }
         let plan_elapsed = start.elapsed();
@@ -435,7 +426,7 @@ impl<'a> QueryEngine<'a> {
                         });
                         let (cutoff, _) = kth;
                         let clip = cutoff.is_finite().then_some(cutoff + BOUND_SLACK);
-                        plan_shards(&mut tasks, &mut grids, plan, &targets, clip)?;
+                        plan_shards(&mut tasks, plan, &targets, clip)?;
                     }
                     // Not the query and not a new contact: the sources
                     // named here have already answered it.
@@ -543,7 +534,7 @@ trait QueryKind {
     const NEAR_CELLS_ONLY: bool = false;
 
     /// How queries of this kind are routed.
-    fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError>;
+    fn routing(&self, center: &DataCenter) -> Result<Routing, SearchError>;
 
     /// The slack, in cell units, around a source's root MBR beyond which
     /// query cells are clipped away; `None` sends every source the whole
@@ -596,9 +587,9 @@ impl QueryKind for Ojsp {
     const REPLY: &'static str = "OverlapReply";
     const NEAR_CELLS_ONLY: bool = true;
 
-    fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
+    fn routing(&self, center: &DataCenter) -> Result<Routing, SearchError> {
         Ok(Routing::Intersecting {
-            slack_lonlat: center.route_slack_lonlat(0.0, grids)?,
+            slack_lonlat: center.route_slack_lonlat(0.0)?,
         })
     }
 
@@ -682,9 +673,9 @@ impl QueryKind for Cjsp {
     const KEEPS_QUERY_CELLS: bool = true;
     const SETTLES_ON_THE_POOL: bool = true;
 
-    fn routing(&self, center: &DataCenter, grids: &mut GridCache) -> Result<Routing, SearchError> {
+    fn routing(&self, center: &DataCenter) -> Result<Routing, SearchError> {
         Ok(Routing::Intersecting {
-            slack_lonlat: center.route_slack_lonlat(self.delta, grids)?,
+            slack_lonlat: center.route_slack_lonlat(self.delta)?,
         })
     }
 
@@ -833,7 +824,7 @@ impl QueryKind for Knn {
     const REPLY: &'static str = "KnnReply";
     const NEAR_CELLS_ONLY: bool = true;
 
-    fn routing(&self, _: &DataCenter, _: &mut GridCache) -> Result<Routing, SearchError> {
+    fn routing(&self, _: &DataCenter) -> Result<Routing, SearchError> {
         Ok(Routing::DistanceBounds)
     }
 

@@ -92,11 +92,6 @@ pub enum TransportError {
     },
     /// The source answered with a message of the wrong kind.
     UnexpectedReply(&'static str),
-    /// A mutating request was sent through a shared (read-only) in-process
-    /// transport; maintenance needs
-    /// [`ExclusiveTransport`](crate::transport::ExclusiveTransport) or a
-    /// remote transport.
-    ExclusiveRequired,
     /// The source did not reply within the configured deadline.  The call
     /// may still be executing remotely; the caller must treat the request
     /// as of unknown outcome.
@@ -139,12 +134,6 @@ impl fmt::Display for TransportError {
                 write!(
                     f,
                     "source replied with the wrong message kind (expected {expected})"
-                )
-            }
-            TransportError::ExclusiveRequired => {
-                write!(
-                    f,
-                    "maintenance requests need an exclusive in-process transport or a remote one"
                 )
             }
             TransportError::Timeout { source, waited } => {

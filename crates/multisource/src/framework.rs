@@ -3,12 +3,12 @@
 //! [`MultiSourceFramework`] owns the data sources and the data center,
 //! mirrors the deployment of Fig. 3 and exposes the unified query surface:
 //! build a [`SearchRequest`] (OJSP / CJSP / kNN, single query or batch) and
-//! execute it with [`MultiSourceFramework::search`].  Execution routes
-//! through the [`QueryEngine`] over an
-//! [`InProcessTransport`](crate::InProcessTransport) — the framework plans
-//! nothing itself; it only assembles the deployment and hands requests to
-//! the engine.  The same requests run unchanged against remote sources:
-//! see [`DataCenter::from_transport`] and `net::PooledTcpTransport`.
+//! execute it with [`MultiSourceFramework::search`].  It is the federation
+//! minus the socket: the center's summary poll
+//! ([`DataCenter::from_transport`]) and every [`QueryEngine`] request go
+//! through an [`InProcessTransport`]; the framework plans nothing itself.
+//! The same requests run unchanged against remote sources: bootstrap over
+//! `net::PooledTcpTransport` instead.
 //!
 //! Index maintenance flows through [`MultiSourceFramework::apply_updates`]:
 //! the center grids a batch of [`UpdateOp`]s at the target source's
@@ -42,7 +42,7 @@ use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::{ConfigError, SearchError};
 use crate::message::UpdateOp;
 use crate::source::DataSource;
-use crate::transport::ExclusiveTransport;
+use crate::transport::{ExclusiveTransport, InProcessTransport};
 
 /// Configuration of the whole framework.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,8 +81,7 @@ impl FrameworkConfig {
 
     /// Validates and returns the shared grid of a run.
     fn validated_grid(&self) -> Result<Grid, SearchError> {
-        let grid = Grid::global(self.resolution)
-            .map_err(|e| SearchError::Config(ConfigError::Resolution(e)))?;
+        let grid = crate::center::grid(self.resolution)?;
         if !self.delta_cells.is_finite() || self.delta_cells < 0.0 {
             return Err(SearchError::Config(ConfigError::Delta(self.delta_cells)));
         }
@@ -101,9 +100,10 @@ pub struct MultiSourceFramework {
 
 impl MultiSourceFramework {
     /// Builds the framework: one [`DataSource`] (with its DITS-L) per input
-    /// collection, then the data center's DITS-G from the uploaded root
-    /// summaries.  Returns [`SearchError::Config`] for an invalid
-    /// configuration instead of panicking.
+    /// collection, then the data center by the federated bootstrap, a
+    /// summary poll of every source ([`DataCenter::from_transport`]).
+    /// Returns [`SearchError::Config`] for an invalid configuration instead
+    /// of panicking.
     pub fn try_build(
         source_data: &[(String, Vec<SpatialDataset>)],
         config: FrameworkConfig,
@@ -119,7 +119,8 @@ impl MultiSourceFramework {
                 DataSource::build(i as SourceId, name.clone(), grid, datasets, local_config)
             })
             .collect();
-        let center = DataCenter::build(&sources, config.leaf_capacity);
+        let center =
+            DataCenter::from_transport(&InProcessTransport::new(&sources), config.leaf_capacity)?;
         Ok(Self {
             config,
             grid,

@@ -9,7 +9,7 @@
 //! * [`InProcessTransport`] — the sources live in this process; a call is a
 //!   function call.  Lock-free (`&[DataSource]`), so the engine's worker
 //!   threads fan out without synchronisation.  Serves queries and read-only
-//!   summary polls; mutating maintenance needs [`ExclusiveTransport`].
+//!   summary polls; a source refuses mutating maintenance through it.
 //! * [`ExclusiveTransport`] — in-process with exclusive access
 //!   (`&mut Vec<DataSource>` behind a mutex): the full protocol including
 //!   mutating maintenance batches.
@@ -238,14 +238,12 @@ pub trait SourceTransport: fmt::Debug + Sync {
 }
 
 /// The in-process transport: sources are a borrowed slice, a call is a
-/// function call.  This is the deployment every benchmark and test uses by
-/// default, and it is `Copy` — the engine carries it by value.
-///
-/// Mutating maintenance batches are refused with
-/// [`TransportError::ExclusiveRequired`]; route them through
-/// [`ExclusiveTransport`] (what
-/// [`MultiSourceFramework::apply_updates`](crate::MultiSourceFramework::apply_updates)
-/// does internally).
+/// function call to [`DataSource::serve_readonly`], the read path a TCP
+/// server takes.  Every benchmark and test deployment polls and queries
+/// through it, and it is `Copy` — the engine carries it by value.  A source
+/// answers a mutating batch here with its typed refusal (a caller's
+/// [`TransportError::Remote`]); maintenance goes through
+/// [`ExclusiveTransport`].
 #[derive(Debug, Clone, Copy)]
 pub struct InProcessTransport<'a> {
     sources: &'a [DataSource],
@@ -255,13 +253,6 @@ impl<'a> InProcessTransport<'a> {
     /// A transport over the given sources.
     pub fn new(sources: &'a [DataSource]) -> Self {
         Self { sources }
-    }
-
-    fn find(&self, source: SourceId) -> Result<&'a DataSource, TransportError> {
-        self.sources
-            .iter()
-            .find(|s| s.id == source)
-            .ok_or(TransportError::UnknownSource(source))
     }
 }
 
@@ -278,13 +269,8 @@ impl SourceTransport for InProcessTransport<'_> {
         request: &Message,
         want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
-        let src = self.find(source)?;
-        // A mutating batch cannot be applied through a shared borrow; fail
-        // loudly instead of answering with a protocol error, so the caller
-        // reaches for `ExclusiveTransport`.
-        if request.mutates() {
-            return Err(TransportError::ExclusiveRequired);
-        }
+        let src = self.sources.iter().find(|s| s.id == source);
+        let src = src.ok_or(TransportError::UnknownSource(source))?;
         Ok(src
             .serve_readonly(request)
             .into_reply(want_stats, request.wire_size()))
@@ -690,11 +676,11 @@ impl SourceServer {
 }
 
 /// Accept loop shared by [`SourceServer`] and the `source-server` binary:
-/// serves framed requests against `source` until the listener fails or
-/// `shutdown` triggers.  Then the loop stops accepting, every open
-/// connection finishes the frame it is serving and closes between frames,
-/// and the call returns once all connections have drained (bounded by a
-/// grace period).
+/// serves framed requests against `source` until `shutdown` triggers, or
+/// until the listener keeps failing, which triggers it.  Then the loop stops
+/// accepting, every open connection finishes the frame it is serving and
+/// closes between frames, and the call returns once all connections have
+/// drained (bounded by a grace period).
 ///
 /// Connections are handled on their own threads; the source sits behind a
 /// read-write lock so concurrent queries proceed in parallel while a
@@ -733,7 +719,8 @@ pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: S
                     source.read().unwrap_or_else(PoisonError::into_inner).id
                 );
                 if consecutive_failures >= 100 {
-                    return;
+                    shutdown.trigger();
+                    break;
                 }
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
@@ -1070,8 +1057,10 @@ mod tests {
                 ..
             }
         ));
-        // Mutation needs the exclusive transport.
-        let err = t
+        // Mutation needs the exclusive transport: the source itself refuses
+        // a batch on its read path, and its index stays as it was.
+        let before = sources[0].index().clone();
+        let refused = t
             .call(
                 0,
                 &Message::ApplyUpdates {
@@ -1080,12 +1069,58 @@ mod tests {
                 },
                 false,
             )
-            .unwrap_err();
-        assert_eq!(err, TransportError::ExclusiveRequired);
+            .unwrap();
+        assert!(matches!(
+            refused.message,
+            Message::Error {
+                code: crate::message::ERR_UNSUPPORTED,
+                ..
+            }
+        ));
+        assert_eq!(sources[0].index(), &before);
         assert_eq!(
             t.call(9, &query, false).unwrap_err(),
             TransportError::UnknownSource(9)
         );
+    }
+
+    /// A server that gives up on its listener still drains: a connection in
+    /// the middle of a frame when accepts start failing is answered before
+    /// the accept loop returns.  Shutting the listening socket down for
+    /// reads, through a second handle on it, fails every later accept.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_listener_given_up_on_still_drains() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let breaker = TcpStream::from(std::os::fd::OwnedFd::from(listener.try_clone().unwrap()));
+        let signal = ShutdownSignal::new();
+        let given_up = signal.clone();
+        let server =
+            std::thread::spawn(move || serve_source_until(listener, tiny_source(0), signal));
+        let (mut frame, poll) = (Vec::new(), ServedReply::plain(Message::summary_poll()));
+        write_frame(&mut frame, &poll, false).unwrap();
+        // One whole exchange first, so the connection is the server's.
+        client.write_all(&frame).unwrap();
+        read_frame(&mut client).unwrap();
+        let (head, tail) = frame.split_at(4);
+        client.write_all(head).unwrap();
+        breaker.shutdown(std::net::Shutdown::Read).unwrap();
+        // A hundred failed accepts, ten milliseconds apart, trigger the drain.
+        let started = std::time::Instant::now();
+        while !given_up.is_triggered() {
+            assert!(!server.is_finished(), "returned with a frame in flight");
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "accepts never failed"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(!server.is_finished(), "returned with a frame in flight");
+        client.write_all(tail).unwrap();
+        let reply = read_frame(&mut client).unwrap().message;
+        assert!(matches!(reply, Message::SummaryRefresh { .. }));
+        server.join().unwrap();
     }
 
     #[test]

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use spatial::{Point, SourceId, SpatialDataset};
 
 mod common;
-use common::{dataset, source, with_dead_source, Intercepted, STRATEGIES};
+use common::{dataset, polled_center, source, with_dead_source, Intercepted, STRATEGIES};
 
 /// The protocol before cells travelled on demand, as a transport over
 /// in-process sources: every candidate of a `CoverageReply` comes back with
@@ -177,7 +177,7 @@ fn run_on_demand_case(case_seed: u64) {
     let (sources, queries) = random_federation(&mut rng);
     let k = (0usize..12).generate(&mut rng);
     let delta = (0.0f64..12.0).generate(&mut rng);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let request = SearchRequest::cjsp_batch(queries).k(k).delta_cells(delta);
     for strategy in STRATEGIES {
         assert_exact(&sources, &center, &request.clone().strategy(strategy));
@@ -259,7 +259,7 @@ fn selected(response: &SearchResponse) -> Vec<(SourceId, u32)> {
 fn a_stub_tying_a_pick_is_fetched_only_with_the_smaller_key() {
     // FAR is (1, FAR) against LEFT's (0, LEFT): pick 2 stands unfetched.
     let sources = chain_and_other(1, 0);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let (on_demand, _) = assert_exact(&sources, &center, &cjsp(2, 2.0));
     assert_eq!(selected(&on_demand), [(1, NEAR), (0, LEFT)]);
     assert_eq!(on_demand.comm.requests, 2);
@@ -267,7 +267,7 @@ fn a_stub_tying_a_pick_is_fetched_only_with_the_smaller_key() {
 
     // FAR is (0, FAR) against LEFT's (1, LEFT): it is fetched, and wins.
     let sources = chain_and_other(0, 1);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let (on_demand, _) = assert_exact(&sources, &center, &cjsp(2, 2.0));
     assert_eq!(selected(&on_demand), [(0, NEAR), (0, FAR)]);
     assert_eq!(on_demand.comm.requests, 3);
@@ -280,7 +280,7 @@ fn a_stub_tying_a_pick_is_fetched_only_with_the_smaller_key() {
 #[test]
 fn a_run_short_of_k_fetches_the_stubs_left() {
     let sources = chain_and_other(1, 0);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     for k in [3, 10] {
         let (on_demand, oracle) = assert_exact(&sources, &center, &cjsp(k, 2.0));
         assert_eq!(selected(&on_demand), [(1, NEAR), (0, LEFT), (1, FAR)]);
@@ -296,7 +296,7 @@ fn a_run_short_of_k_fetches_the_stubs_left() {
 #[test]
 fn query_connected_picks_travel_inline_in_one_wave() {
     let sources = chain_and_other(1, 0);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     // δ = 6 reaches FAR from the query; with k = 1 no source picks twice.
     for (k, delta) in [(3, 6.0), (1, 2.0)] {
         let (on_demand, oracle) = assert_exact(&sources, &center, &cjsp(k, delta));
@@ -312,7 +312,7 @@ fn query_connected_picks_travel_inline_in_one_wave() {
 #[test]
 fn an_unrouted_query_sends_nothing() {
     let sources = chain_and_other(1, 0);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let far_away = SearchRequest::cjsp(dataset(900, &[(100, 100)]))
         .k(3)
         .delta_cells(2.0)
@@ -339,7 +339,7 @@ fn a_second_stall_is_a_second_wave() {
         source(1, &[row(LEFT, 997..=999)]),
         source(2, &[column(UP, 1001..=1002), column(ALOFT, 1004..=1009)]),
     ];
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let (on_demand, oracle) = assert_exact(&sources, &center, &cjsp(2, 2.0));
     assert_eq!(selected(&on_demand), [(0, NEAR), (0, MID)]);
     // ALOFT (6) then MID (5): two fetches, one after the other.
@@ -353,7 +353,7 @@ fn a_second_stall_is_a_second_wave() {
 #[test]
 fn a_batch_fetches_in_shared_waves() {
     let sources = chain_and_other(0, 1);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let batch: Vec<SpatialDataset> = (0..8).map(|i| query(900 + i)).collect();
     for size in [1, 8] {
         let request = SearchRequest::cjsp_batch(batch[..size].to_vec())
@@ -383,7 +383,7 @@ fn a_batch_fetches_in_shared_waves() {
 #[test]
 fn knn_and_cjsp_follow_up_through_the_same_loop() {
     let sources = chain_and_other(0, 1);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let engine = QueryEngine::in_process(&center, &sources, EngineConfig::default());
     // The query overlaps the rectangle of source 1 (LEFT), which answers
     // first, and lies one cell from NEAR's: the k-th distance (1) ties
@@ -412,7 +412,7 @@ fn knn_and_cjsp_follow_up_through_the_same_loop() {
 #[test]
 fn a_source_dead_for_the_fetch_degrades_to_what_was_received() {
     let sources = chain_and_other(1, 0);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let faulty = dead_for_fetches(&sources, 1);
     let engine = QueryEngine::new(&center, &faulty, EngineConfig::default());
     let request = cjsp(3, 2.0);

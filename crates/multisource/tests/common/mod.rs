@@ -18,7 +18,7 @@ use dits::knn::nearest_datasets_bruteforce;
 use dits::overlap::overlap_search_bruteforce;
 use dits::{DatasetNode, DitsLocalConfig, Neighbor, OverlapResult};
 use multisource::{
-    DataSource, DistributionStrategy, FrameworkConfig, InProcessTransport, Message,
+    DataCenter, DataSource, DistributionStrategy, FrameworkConfig, InProcessTransport, Message,
     MultiSourceFramework, SearchRequest, SearchResponse, SourceServer, SourceTransport,
     TransportError, TransportReply,
 };
@@ -74,6 +74,15 @@ fn source_at(id: SourceId, resolution: u32, datasets: &[SpatialDataset]) -> Data
         datasets,
         DitsLocalConfig::default(),
     )
+}
+
+/// The center a summary poll of `sources` bootstraps — the only way a center
+/// comes to know its sources, in process as over sockets.
+// Only the suites that hold a center beside their own sources.
+#[allow(dead_code)]
+pub fn polled_center(sources: &[DataSource], leaf_capacity: usize) -> DataCenter {
+    DataCenter::from_transport(&InProcessTransport::new(sources), leaf_capacity)
+        .expect("summary poll")
 }
 
 /// The paper's first `sources` sources, generated from `seed` at scale

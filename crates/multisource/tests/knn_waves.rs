@@ -21,7 +21,9 @@ use spatial::zorder::cell_id;
 use spatial::{Point, SourceId, SpatialDataset};
 
 mod common;
-use common::{build_sources, dataset, merged_knn_bruteforce, source, spawn_fleet, STRATEGIES};
+use common::{
+    build_sources, dataset, merged_knn_bruteforce, polled_center, source, spawn_fleet, STRATEGIES,
+};
 
 fn run(
     center: &DataCenter,
@@ -48,7 +50,7 @@ fn assert_exact_under_every_strategy(
     queries: &[SpatialDataset],
     k: usize,
 ) -> [SearchResponse; 3] {
-    let center = DataCenter::build(sources, 4);
+    let center = polled_center(sources, 4);
     let oracle: Vec<_> = queries
         .iter()
         .map(|q| merged_knn_bruteforce(sources, q, k))
@@ -159,7 +161,7 @@ fn run_two_wave_case(case_seed: u64) {
 /// — and the query bytes the sketch takes off the rectangle clip.
 fn rules_at_work(sources: &[DataSource], queries: &[SpatialDataset], k: usize) -> (usize, usize) {
     let [.., clipped] = assert_exact_under_every_strategy(sources, queries, k);
-    let center = DataCenter::build(sources, 4);
+    let center = polled_center(sources, 4);
     let by_rectangle = DataCenter::from_global(center.global().clone());
     let request = SearchRequest::knn_batch(queries.to_vec()).k(k);
     let (answers, unsketched) = run(&by_rectangle, sources, &request);
@@ -347,7 +349,7 @@ fn a_tie_at_exactly_the_cutoff_is_decided_by_source_id() {
         ),
     ];
     let query = dataset(99, &[(1000, 1000)]);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     for strategy in STRATEGIES {
         let request = SearchRequest::knn(query.clone()).k(1).strategy(strategy);
         let (answers, response) = run(&center, &sources, &request);
@@ -468,7 +470,7 @@ fn a_held_back_source_gets_only_the_cells_within_c_of_its_blocks() {
     );
     assert_eq!(pruned.comm.bytes_to_sources, 2 * sent(&cells));
     let (answers, by_rectangle) = run(
-        &DataCenter::from_global(DataCenter::build(&sources, 4).global().clone()),
+        &DataCenter::from_global(polled_center(&sources, 4).global().clone()),
         &sources,
         &SearchRequest::knn(dataset(99, &cells)).k(1),
     );
@@ -500,7 +502,7 @@ fn a_batch_of_eight_is_eight_batches_of_one() {
         queries.extend(random_federation(&mut rng).1);
     }
     queries.truncate(8);
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     let k = 3;
     let (batched, batch) = run(
         &center,
@@ -555,7 +557,7 @@ fn the_same_knn_batch_says_the_same_on_three_transports() {
         let (specs, queries) = random_specs(&mut rng);
         let k = (1usize..9).generate(&mut rng);
         let sources = build_sources(&specs);
-        let center = DataCenter::build(&sources, 4);
+        let center = polled_center(&sources, 4);
         let in_process = say(
             &QueryEngine::in_process(&center, &sources, EngineConfig::default()),
             &queries,

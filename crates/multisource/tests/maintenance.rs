@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use spatial::{CellSet, Grid, Point, SourceId, SpatialDataset, SpatialError};
 
 mod common;
-use common::{build_data, every_kind, framework};
+use common::{build_data, every_kind, framework, polled_center};
 
 /// All five generated sources, small.
 const DATA: (u32, usize, usize) = (500, 60, 5);
@@ -517,7 +517,7 @@ fn run_wire_case(case_seed: u64) {
             );
         }
     }
-    let twin_center = DataCenter::build(&twins, 10);
+    let twin_center = polled_center(&twins, 10);
     assert_eq!(
         center.global().summaries(),
         twin_center.global().summaries()
@@ -659,8 +659,7 @@ fn a_center_recovers_maintained_summaries_by_polling() {
     // The center recovers the way it bootstraps, by polling the sources,
     // and so cannot come back with a summary from before the batches.
     let global = fw.center().global();
-    let polled = multisource::transport::InProcessTransport::new(fw.sources());
-    let recovered = DataCenter::from_transport(&polled, global.leaf_capacity()).unwrap();
+    let recovered = polled_center(fw.sources(), global.leaf_capacity());
     assert_eq!(recovered.global().summaries(), global.summaries());
     for q in &queries {
         if let Some(rect) = q.mbr() {

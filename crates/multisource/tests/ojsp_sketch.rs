@@ -29,8 +29,8 @@ use spatial::{Point, SourceId, SpatialDataset};
 
 mod common;
 use common::{
-    build_sources, dataset, merged_knn_bruteforce, merged_ojsp_bruteforce, source, spawn_fleet,
-    STRATEGIES,
+    build_sources, dataset, merged_knn_bruteforce, merged_ojsp_bruteforce, polled_center, source,
+    spawn_fleet, STRATEGIES,
 };
 
 type Answer = Vec<(SourceId, OverlapResult)>;
@@ -266,7 +266,7 @@ fn run_scenario(transport: Option<&dyn SourceTransport>, scenario: &Scenario) ->
     let mut sources = build_sources(&scenario.sources);
     let mut center = match transport {
         Some(transport) => DataCenter::from_transport(transport, 4).expect("summary polls"),
-        None => DataCenter::build(&sources, 4),
+        None => polled_center(&sources, 4),
     };
     assert_sketches_follow(&center, &sources);
     let mut said = Vec::new();
@@ -493,7 +493,7 @@ fn run(center: &DataCenter, sources: &[DataSource], request: &SearchRequest) -> 
 #[test]
 fn a_cell_travels_only_to_a_source_with_data_in_its_block() {
     let sources = two_corners();
-    let center = DataCenter::build(&sources, 4);
+    let center = polled_center(&sources, 4);
     // Five cells in the south-west corner block, five in the middle of
     // nowhere, one in the north-east corner.
     let query = dataset(
@@ -562,7 +562,7 @@ fn a_cell_travels_only_to_a_source_with_data_in_its_block() {
 #[test]
 fn cjsp_keeps_the_rectangle_clip() {
     let sources = two_corners();
-    let with_sketch = DataCenter::build(&sources, 4);
+    let with_sketch = polled_center(&sources, 4);
     let without = DataCenter::from_global(with_sketch.global().clone());
     let query = dataset(99, &[(1001, 1001), (1050, 1050), (1099, 1099)]);
     let both = |request: SearchRequest| {
@@ -588,7 +588,7 @@ fn cjsp_keeps_the_rectangle_clip() {
 #[test]
 fn a_center_without_sketches_filters_nothing_until_it_polls() {
     let mut sources = two_corners();
-    let built = DataCenter::build(&sources, 4);
+    let built = polled_center(&sources, 4);
     let mut center = DataCenter::from_global(DitsGlobal::build(built.global().summaries(), 4));
     assert!(center.sketch(0).is_none() && center.sketch(1).is_none());
     let query = dataset(

@@ -67,8 +67,13 @@ fn assert_transport_parity(
     assert_eq!(
         remote_center.global().summaries(),
         fw.center().global().summaries(),
-        "a DITS-G bootstrapped over TCP must equal the locally built one"
+        "a DITS-G bootstrapped over TCP must equal the in-process one"
     );
+    for source in tcp.source_ids() {
+        let sketch = fw.center().sketch(source);
+        assert!(sketch.is_some(), "source {source} holds no sketch");
+        assert_eq!(remote_center.sketch(source), sketch, "source {source}");
+    }
     let remote = QueryEngine::new(&remote_center, tcp, *fw.engine().config());
 
     let broadcast = [
