@@ -22,8 +22,13 @@
 //! * `kernel/intersection/dense-grid` — the word-parallel (popcount) cell
 //!   intersection `CellSet::intersection_size` runs, against a two-pointer
 //!   merge of the same dense, equal-sized grid sets as sorted cell lists,
-//!   the layout a `CellSet` kept beside its blocks until schema v11 (the one
+//!   the layout a `CellSet` kept beside its blocks until schema v11 (a
 //!   delta).
+//! * `build/framework` — `MultiSourceFramework::build` over the five
+//!   sources on the worker pool (`build/framework/pool`, one worker per
+//!   CPU), against the same build on one worker
+//!   (`build/framework/workers-1`); the pool's sources are first asserted
+//!   equal to the one-worker build's (a delta).
 //! * `kernel/distance/cached` — the dataset distance kernel over the packed
 //!   blocks and the cached boundary tiles (the bounded variant is parity-checked at its
 //!   own cutoff but not timed: a cutoff equal to the distance never prunes).
@@ -101,14 +106,23 @@ Usage: bench-runner [--quick] [--out PATH]
 ///   the distance kernel's bound tests per exact distance;
 /// * `index` — leaf inverted indexes, DITS-L bytes, the datasets' cell sets
 ///   as stored, their verify state and the build's RSS.
-const SCHEMA_VERSION: u64 = 11;
+const SCHEMA_VERSION: u64 = 12;
 
 /// The maintenance row every snapshot must carry, and its batch size.
 const MAINTENANCE_ROW: &str = "maintenance/apply_updates";
 const MAINTENANCE_BATCH_OPS: usize = 72;
 
 /// Kernel rows every snapshot must carry.
-const REQUIRED_INDEX_KERNELS: [&str; 2] = ["kernel/inverted/build", "kernel/inverted/verify"];
+const REQUIRED_KERNELS: [&str; 4] = [
+    "kernel/inverted/build",
+    "kernel/inverted/verify",
+    "build/framework/workers-1",
+    "build/framework/pool",
+];
+
+/// Same-run deltas every snapshot must carry: the framework build on the
+/// pool over the same build on one worker.
+const REQUIRED_DELTAS: [&str; 1] = ["build/framework"];
 
 /// Engine entries whose traversal/verify phase split every snapshot must
 /// report — a snapshot that drops one silently loses the trajectory of the
@@ -772,7 +786,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     let mut deltas = Vec::new();
 
     // -- Kernel: dense-grid cell intersection, packed blocks vs sorted lists -
-    eprintln!("[1/9] kernel/intersection/dense-grid");
+    eprintln!("[1/10] kernel/intersection/dense-grid");
     let pairs: Vec<(CellSet, CellSet)> = (0..32)
         .map(|i| {
             let bx = (i as u32 % 8) * 96;
@@ -823,7 +837,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     kernels.extend([packed, sorted]);
 
     // -- Kernel: dataset distance --------------------------------------------
-    eprintln!("[2/9] kernel/distance (cached)");
+    eprintln!("[2/10] kernel/distance (cached)");
     let env = ExperimentEnv::new(divisor, 0xBEEF);
     // The framework is built before anything else allocates, so the resident
     // set around the build is the framework's own.
@@ -893,7 +907,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     kernels.push(distance_cached);
 
     // -- Leaf inverted index: column build and exact verification -----------
-    eprintln!("[3/9] kernel/inverted (leaf column build + verification merge)");
+    eprintln!("[3/10] kernel/inverted (leaf column build + verification merge)");
     let leaves: Vec<(&[DatasetNode], &InvertedIndex)> = indexes
         .iter()
         .flat_map(|index| {
@@ -1003,7 +1017,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     kernels.extend([inverted_build, inverted_verify]);
 
     // -- Batch OJSP / CJSP over the five local indexes ----------------------
-    eprintln!("[4/9] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
+    eprintln!("[4/10] batch/ojsp + batch/cjsp (scale 1/{divisor}, {queries_n} queries)");
 
     kernels.push(measure("batch/ojsp/per-query", samples, batch_ops, || {
         for index in &indexes {
@@ -1030,7 +1044,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         }
     }));
 
-    eprintln!("[5/9] knn/per-query");
+    eprintln!("[5/10] knn/per-query");
     for (index, nodes) in indexes.iter().zip(&nodes_by_source) {
         for q in &queries {
             assert_eq!(
@@ -1049,7 +1063,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     }));
 
     // -- The in-process engine over the full multi-source framework ----------
-    eprintln!("[6/9] engine/ojsp + engine/cjsp + engine/knn per-query");
+    eprintln!("[6/10] engine/ojsp + engine/cjsp + engine/knn per-query");
     let in_process_engine = fw.engine();
     let ojsp_request = SearchRequest::ojsp_batch(raw_queries.clone()).k(k);
     kernels.push(measure(
@@ -1087,7 +1101,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     // Every source runs as its own server (real sockets, real frames); the
     // same workload is answered through the pooled transport, after
     // asserting it matches the in-process oracle bit for bit.
-    eprintln!("[7/9] transport/pooled (loopback fleet)");
+    eprintln!("[7/10] transport/pooled (loopback fleet)");
     let servers: Vec<SourceServer> = fw
         .sources()
         .iter()
@@ -1132,7 +1146,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     }
 
     // -- Maintenance: the ApplyUpdates exchange on a fixed 72-op batch --------
-    eprintln!("[8/9] {MAINTENANCE_ROW} ({MAINTENANCE_BATCH_OPS}-op batch on the wire)");
+    eprintln!("[8/10] {MAINTENANCE_ROW} ({MAINTENANCE_BATCH_OPS}-op batch on the wire)");
     let (target_idx, target) = fw
         .sources()
         .iter()
@@ -1193,7 +1207,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
     // Phase breakdown: one traced run per engine entry splits the sources'
     // time into index traversal vs. candidate verification (the paper's
     // "verification dominates" claim, measured instead of asserted).
-    eprintln!("[9/9] phase breakdown (traced engine runs)");
+    eprintln!("[9/10] phase breakdown (traced engine runs)");
     let traced_ojsp = ojsp_request.clone().with_trace(true);
     let phases = vec![
         phase_report(
@@ -1213,6 +1227,33 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
                 .expect("traced kNN"),
         ),
     ];
+
+    // -- The framework build, on one worker and on the pool ------------------
+    eprintln!("[10/10] build/framework (workers-1 against the pool)");
+    let build_config = |workers| FrameworkConfig {
+        resolution: theta,
+        workers,
+        ..FrameworkConfig::default()
+    };
+    // `fw` was built on the pool.
+    let serial = env.framework(build_config(1));
+    assert_eq!(fw.sources().len(), serial.sources().len());
+    for (got, want) in fw.sources().iter().zip(serial.sources()) {
+        assert!(
+            got.index() == want.index(),
+            "the pool built source {} differently",
+            want.id
+        );
+    }
+    drop(serial);
+    let serial_build = measure("build/framework/workers-1", samples, 1, || {
+        std::hint::black_box(env.framework(build_config(1)));
+    });
+    let pool_build = measure("build/framework/pool", samples, 1, || {
+        std::hint::black_box(env.framework(build_config(0)));
+    });
+    deltas.push(delta("build/framework", &pool_build, &serial_build));
+    kernels.extend([serial_build, pool_build]);
 
     vec![
         kernels,
@@ -1642,7 +1683,8 @@ fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
         }
     }
     let required = [
-        ("kernels", &REQUIRED_INDEX_KERNELS[..]),
+        ("kernels", &REQUIRED_KERNELS[..]),
+        ("deltas", &REQUIRED_DELTAS[..]),
         ("phases", &REQUIRED_PHASES[..]),
         ("maintenance", &[MAINTENANCE_ROW][..]),
     ];
@@ -1774,6 +1816,25 @@ mod tests {
                 "a delta baseline naming no kernel",
                 "names no measured kernel",
                 |t| set(t, "baseline", "\"kernel/none\""),
+            ),
+            ("a delta speedup of 0", "deltas[0].speedup", |t| {
+                set(t, "speedup", "0")
+            }),
+            (
+                "build/framework delta renamed",
+                "deltas missing required row \"build/framework\"",
+                |t| {
+                    let row = "{\"name\": \"build/framework\", \"new\"";
+                    t.replace(row, "{\"name\": \"build/other\", \"new\"")
+                },
+            ),
+            (
+                "build/framework/pool kernel renamed",
+                "\"build/framework/pool\" names no measured kernel",
+                |t| {
+                    let row = "{\"name\": \"build/framework/pool\", \"iters\"";
+                    t.replace(row, "{\"name\": \"build/framework/other\", \"iters\"")
+                },
             ),
             ("verify_share 1.5", "verify_share", |t| {
                 set(t, "verify_share", "1.5")

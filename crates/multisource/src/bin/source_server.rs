@@ -30,9 +30,10 @@
 //! callers learn the ephemeral port.
 //!
 //! Writing a line reading `SHUTDOWN` to the server's stdin drains it
-//! gracefully: the server stops accepting, every connection finishes the
-//! frame it is serving, and the process exits cleanly (printing `DRAINED`)
-//! instead of dying mid-frame.  EOF on stdin is deliberately *not* a
+//! gracefully: the server stops accepting, every connection answers the
+//! request it has read (a peer stalled mid-request is dropped), and the
+//! process exits cleanly (printing `DRAINED`) instead of dying mid-frame.
+//! EOF on stdin is deliberately *not* a
 //! shutdown trigger, so servers spawned with a null or inherited stdin run
 //! forever, exactly as before.
 #![cfg_attr(
@@ -348,7 +349,7 @@ fn run() -> Result<(), String> {
     });
 
     serve_source_until(listener, source, shutdown);
-    // The machine-readable drained line: in-flight frames are answered and
+    // The machine-readable drained line: every request read is answered and
     // every connection is closed.
     println!("DRAINED");
     let _ = std::io::stdout().flush();

@@ -56,8 +56,6 @@
 )]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use dits::{Neighbor, SearchStats};
@@ -75,11 +73,13 @@ use crate::error::{ConfigError, SearchError, TransportError};
 use crate::message::{CandidateCells, CoverageCandidate, Message};
 use crate::source::DataSource;
 use crate::transport::{InProcessTransport, SourceTransport, TransportReply};
+use crate::workers::par_map;
 
 /// Configuration of the query engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Number of worker threads; `0` means one per available CPU.
+    /// Number of workers, the calling thread among them; `0` means one per
+    /// available CPU.
     pub workers: usize,
     /// Query-distribution strategy applied when planning.
     pub strategy: DistributionStrategy,
@@ -1050,23 +1050,6 @@ fn assemble_trace(
     trace
 }
 
-/// Resolves a worker-count setting: `0` means one worker per available CPU,
-/// asked of the OS once per process (the call takes microseconds).
-fn resolve_workers(configured: usize) -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    if configured > 0 {
-        configured
-    } else {
-        *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-    }
-}
-
-/// Below this many tasks a run stays on the calling thread: spawning and
-/// joining OS threads costs tens of microseconds, which swamps the work of a
-/// handful of shard searches (e.g. one query routed to five sources via the
-/// single-query convenience wrappers).
-const MIN_PARALLEL_TASKS: usize = 8;
-
 /// What a request's exchanges add up to, folded on the calling thread in
 /// task order: communication bytes, search statistics, per-source transport
 /// timing and, when tracing, the per-call spans.
@@ -1146,91 +1129,14 @@ impl Ledger {
     }
 }
 
-/// Maps `f` over `tasks` on a pool of scoped worker threads and returns the
-/// results **in task order**, ending at the first result `stop` accepts.
-///
-/// A result `stop` accepts parks the claim cursor past the end, so no task
-/// is started after it; the workers finish the tasks they hold, whose
-/// results are dropped.  The cursor only grows, so every task below the one
-/// that parked it was claimed and ran: the results up to the lowest task
-/// `stop` accepts are all there, on the pool as on the calling thread.  The
-/// only `Err` is a worker that panicked.
-///
-/// With one worker (or fewer than [`MIN_PARALLEL_TASKS`] tasks) the pool is
-/// bypassed entirely, which doubles as the sequential reference path the
-/// parity tests compare against.
-fn par_map<T, R, F, S>(tasks: &[T], workers: usize, f: F, stop: S) -> Result<Vec<R>, SearchError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    S: Fn(&R) -> bool + Sync,
-{
-    let worker_count = if tasks.len() < MIN_PARALLEL_TASKS {
-        1
-    } else {
-        resolve_workers(workers).min(tasks.len())
-    };
-    /// What `ran` yields, through the first result `stop` accepts; `ran` is
-    /// lazy, so on the calling thread nothing runs after it.
-    fn through_stop<R>(ran: impl Iterator<Item = R>, stop: impl Fn(&R) -> bool) -> Vec<R> {
-        let mut results = Vec::new();
-        for result in ran {
-            let stopped = stop(&result);
-            results.push(result);
-            if stopped {
-                break;
-            }
-        }
-        results
-    }
-    if worker_count <= 1 {
-        return Ok(through_stop(tasks.iter().map(f), stop));
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let blocks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..worker_count)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        let result = f(task);
-                        if stop(&result) {
-                            cursor.store(tasks.len(), Ordering::Relaxed);
-                        }
-                        local.push((i, result));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| SearchError::Internal("engine worker panicked"))
-            })
-            .collect::<Result<_, _>>()
-    })?;
-
-    let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-    for (i, result) in blocks.into_iter().flatten() {
-        if let Some(slot) = slots.get_mut(i) {
-            *slot = Some(result);
-        }
-    }
-    Ok(through_stop(slots.into_iter().map_while(|slot| slot), stop))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::{FrameworkConfig, MultiSourceFramework};
+    use crate::workers::MIN_PARALLEL_TASKS;
     use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
     use spatial::{cell_id, SpatialDataset};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn five_source_framework() -> (MultiSourceFramework, Vec<SpatialDataset>) {
         let config = GeneratorConfig {
@@ -1381,84 +1287,6 @@ mod tests {
         let (selected, gains, coverage, _) =
             cover_held_testing_every_candidate(&query, &candidates, 3, delta);
         assert_eq!((selected, gains, coverage), expected);
-    }
-
-    #[test]
-    fn par_map_returns_results_in_task_order() {
-        let tasks: Vec<usize> = (0..100).collect();
-        let results = par_map(&tasks, 7, |&t| t * 2, |_| false).unwrap();
-        assert_eq!(results, (0..100).map(|t| t * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_sequential_path_matches_the_pool() {
-        let tasks: Vec<usize> = (0..37).collect();
-        let seq = par_map(&tasks, 1, |&t| t + 10, |&r| r == 40).unwrap();
-        let par = par_map(&tasks, 8, |&t| t + 10, |&r| r == 40).unwrap();
-        assert_eq!(seq, (10..=40).collect::<Vec<_>>());
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn par_map_ends_at_the_lowest_stopping_task() {
-        let fails = |r: &Result<usize, SearchError>| r.is_err();
-        let tasks: Vec<usize> = (0..50).collect();
-        let results = par_map(
-            &tasks,
-            4,
-            |&t| match t {
-                23 => Err(SearchError::Internal("boom")),
-                _ => Ok(t),
-            },
-            fails,
-        )
-        .unwrap();
-        assert_eq!(results.len(), 24);
-        assert_eq!(results.last(), Some(&Err(SearchError::Internal("boom"))));
-        // Two stopping tasks: the results end at the lower one, whichever
-        // worker claimed it.  Neither returns before both are claimed; the
-        // other tasks take a millisecond each, so the four workers
-        // interleave.
-        let tasks: Vec<usize> = (0..40).collect();
-        for _ in 0..20 {
-            let both_claimed = std::sync::Barrier::new(2);
-            let results = par_map(
-                &tasks,
-                4,
-                |&t| match t {
-                    5 | 30 => {
-                        both_claimed.wait();
-                        Err(SearchError::Internal(if t == 5 { "early" } else { "late" }))
-                    }
-                    _ => {
-                        std::thread::sleep(Duration::from_millis(1));
-                        Ok(t)
-                    }
-                },
-                fails,
-            )
-            .unwrap();
-            let expected: Vec<Result<usize, SearchError>> = (0..5)
-                .map(Ok)
-                .chain([Err(SearchError::Internal("early"))])
-                .collect();
-            assert_eq!(results, expected);
-        }
-        // Sequential path too.
-        let results = par_map(
-            &tasks[..4],
-            1,
-            |&t| match t {
-                2 => Err(SearchError::Internal("boom")),
-                _ => Ok(t),
-            },
-            fails,
-        )
-        .unwrap();
-        assert_eq!(
-            results,
-            vec![Ok(0), Ok(1), Err(SearchError::Internal("boom"))]
-        );
     }
 
     /// One request per search kind over the same batch, with the `k` each

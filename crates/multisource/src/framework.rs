@@ -10,6 +10,12 @@
 //! The same requests run unchanged against remote sources: bootstrap over
 //! `net::PooledTcpTransport` instead.
 //!
+//! The build runs on the same worker pool the engine fans out on
+//! ([`FrameworkConfig::workers`]): the sources' datasets are gridded in
+//! chunks by whichever worker is free, and the worker that grids a source's
+//! last chunk builds its DITS-L, so one source's tree build overlaps the
+//! gridding of the others.  The framework is the one a single worker builds.
+//!
 //! Index maintenance flows through [`MultiSourceFramework::apply_updates`]:
 //! the center grids a batch of [`UpdateOp`]s at the target source's
 //! resolution, the cells travel to that source as a
@@ -33,7 +39,12 @@
     )
 )]
 
-use dits::DitsLocalConfig;
+use std::cmp::Reverse;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+use dits::{DatasetNode, DitsLocalConfig};
 use spatial::{Grid, SourceId, SpatialDataset};
 
 use crate::api::{SearchRequest, SearchResponse};
@@ -43,6 +54,7 @@ use crate::error::{ConfigError, SearchError};
 use crate::message::UpdateOp;
 use crate::source::DataSource;
 use crate::transport::{ExclusiveTransport, InProcessTransport};
+use crate::workers::{on_workers, resolve_workers};
 
 /// Configuration of the whole framework.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +67,10 @@ pub struct FrameworkConfig {
     pub delta_cells: f64,
     /// Query-distribution strategy.
     pub strategy: DistributionStrategy,
-    /// Worker threads of the query engine; `0` means one per available CPU.
+    /// The engine's and the build's workers: how many threads a query
+    /// batch fans out on and [`MultiSourceFramework::try_build`] grids and
+    /// indexes on, the calling thread among them; `0` means one per
+    /// available CPU.
     pub workers: usize,
 }
 
@@ -100,10 +115,13 @@ pub struct MultiSourceFramework {
 
 impl MultiSourceFramework {
     /// Builds the framework: one [`DataSource`] (with its DITS-L) per input
-    /// collection, then the data center by the federated bootstrap, a
-    /// summary poll of every source ([`DataCenter::from_transport`]).
-    /// Returns [`SearchError::Config`] for an invalid configuration instead
-    /// of panicking.
+    /// collection, built on the configured workers (`build_sources`), then
+    /// the data center by the federated bootstrap, a summary poll of every
+    /// source ([`DataCenter::from_transport`]).  The sources are those
+    /// [`DataSource::build`] makes one after another, whatever the worker
+    /// count.  Returns [`SearchError::Config`] for an invalid configuration
+    /// instead of panicking, and [`SearchError::Internal`] if a worker
+    /// panicked.
     pub fn try_build(
         source_data: &[(String, Vec<SpatialDataset>)],
         config: FrameworkConfig,
@@ -112,13 +130,7 @@ impl MultiSourceFramework {
         let local_config = DitsLocalConfig {
             leaf_capacity: config.leaf_capacity,
         };
-        let sources: Vec<DataSource> = source_data
-            .iter()
-            .enumerate()
-            .map(|(i, (name, datasets))| {
-                DataSource::build(i as SourceId, name.clone(), grid, datasets, local_config)
-            })
-            .collect();
+        let sources = build_sources(source_data, grid, local_config, config.workers)?;
         let center =
             DataCenter::from_transport(&InProcessTransport::new(&sources), config.leaf_capacity)?;
         Ok(Self {
@@ -135,7 +147,8 @@ impl MultiSourceFramework {
     ///
     /// # Panics
     ///
-    /// Panics when [`FrameworkConfig::validate`] rejects the configuration.
+    /// Panics when [`Self::try_build`] fails: [`FrameworkConfig::validate`]
+    /// rejects the configuration, or a build worker panicked.
     pub fn build(source_data: &[(String, Vec<SpatialDataset>)], config: FrameworkConfig) -> Self {
         match Self::try_build(source_data, config) {
             Ok(framework) => framework,
@@ -143,7 +156,7 @@ impl MultiSourceFramework {
                 clippy::panic,
                 reason = "documented contract of this test/experiment convenience; library callers use try_build"
             )]
-            Err(e) => panic!("invalid framework configuration: {e}"),
+            Err(e) => panic!("cannot build the framework: {e}"),
         }
     }
 
@@ -210,6 +223,108 @@ impl MultiSourceFramework {
     }
 }
 
+/// A source's datasets are gridded in chunks: runs of consecutive datasets
+/// that end at the first to reach this many points (a source's last chunk
+/// may hold fewer).  Fine enough that whichever worker is free takes the
+/// next, coarse enough that claiming one costs nothing next to gridding it.
+const CHUNK_POINTS: usize = 1 << 14;
+
+/// Builds one [`DataSource`] per collection on `workers` workers
+/// ([`on_workers`]: the calling thread and `workers − 1` threads).
+///
+/// Sources are taken largest first, by point count, and their datasets are
+/// gridded in chunks of [`CHUNK_POINTS`] by whichever worker is free.  The
+/// worker that grids a source's last chunk builds its DITS-L at once
+/// ([`DataSource::from_nodes`]), so one source's tree build overlaps the
+/// gridding of the others.  A source's nodes are concatenated in input
+/// order, the order [`DataSource::build`] grids them in: the order shapes
+/// the tree, so every worker count builds the same sources.
+fn build_sources(
+    source_data: &[(String, Vec<SpatialDataset>)],
+    grid: Grid,
+    config: DitsLocalConfig,
+    workers: usize,
+) -> Result<Vec<DataSource>, SearchError> {
+    let points =
+        |datasets: &[SpatialDataset]| -> usize { datasets.iter().map(|d| d.points.len()).sum() };
+    let mut largest_first: Vec<(usize, &(String, Vec<SpatialDataset>))> =
+        source_data.iter().enumerate().collect();
+    largest_first.sort_by_key(|(_, (_, datasets))| Reverse(points(datasets)));
+    // Every source's chunks, consecutive; a source without datasets has one
+    // empty chunk, so that some worker builds it too.
+    let mut chunks: Vec<(usize, &[SpatialDataset])> = Vec::new();
+    let mut runs: Vec<Range<usize>> = vec![0..0; source_data.len()];
+    for &(source, (_, datasets)) in &largest_first {
+        let first = chunks.len();
+        let mut rest = datasets.as_slice();
+        loop {
+            let mut taken = 0;
+            let end = rest.iter().position(|dataset| {
+                taken += dataset.points.len();
+                taken >= CHUNK_POINTS
+            });
+            let (chunk, after) = rest.split_at(end.map_or(rest.len(), |last| last + 1));
+            chunks.push((source, chunk));
+            rest = after;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        if let Some(run) = runs.get_mut(source) {
+            *run = first..chunks.len();
+        }
+    }
+
+    fn lock<T>(slot: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+        slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+    let gridded: Vec<Mutex<Vec<DatasetNode>>> =
+        chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let left: Vec<AtomicUsize> = runs.iter().map(|run| AtomicUsize::new(run.len())).collect();
+    let cursor = AtomicUsize::new(0);
+    let worker_count = resolve_workers(workers).min(chunks.len()).max(1);
+    let built = on_workers(worker_count, || {
+        let mut built = Vec::new();
+        loop {
+            let claimed = cursor.fetch_add(1, Ordering::Relaxed);
+            let (Some(&(source, datasets)), Some(part)) =
+                (chunks.get(claimed), gridded.get(claimed))
+            else {
+                break built;
+            };
+            *lock(part) = datasets
+                .iter()
+                .filter_map(|d| DatasetNode::from_dataset(&grid, d).ok())
+                .collect();
+            if left.get(source).map(|n| n.fetch_sub(1, Ordering::AcqRel)) != Some(1) {
+                continue;
+            }
+            // This worker gridded the source's last chunk: it builds the index.
+            let (Some(run), Some((name, _))) = (runs.get(source), source_data.get(source)) else {
+                continue;
+            };
+            let mut nodes = Vec::new();
+            for part in gridded.get(run.clone()).unwrap_or_default() {
+                nodes.append(&mut lock(part));
+            }
+            let id = source as SourceId;
+            built.push(DataSource::from_nodes(
+                id,
+                name.clone(),
+                grid,
+                nodes,
+                config,
+            ));
+        }
+    })?;
+    let mut sources: Vec<DataSource> = built.into_iter().flatten().collect();
+    sources.sort_unstable_by_key(|source| source.id);
+    if sources.len() != source_data.len() {
+        return Err(SearchError::Internal("a source was left unbuilt"));
+    }
+    Ok(sources)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +332,7 @@ mod tests {
     use crate::comm::CommConfig;
     use crate::error::{ConfigError, SearchError};
     use datagen::{generate_source, paper_sources, GeneratorConfig, SourceScale};
+    use proptest::Strategy;
     use spatial::Point;
 
     fn tiny_framework(
@@ -244,6 +360,173 @@ mod tests {
             },
         );
         (fw, queries)
+    }
+
+    /// Builds `source_data` on one worker, then on two and on four, and
+    /// holds the pooled builds to the one-worker build and that to
+    /// [`DataSource::build`] run source by source: every DITS-L (its `==`
+    /// compares trees), every sketch the center polled and the DITS-G
+    /// summaries.
+    fn assert_the_pool_builds_the_serial_framework(source_data: &[(String, Vec<SpatialDataset>)]) {
+        let local = DitsLocalConfig { leaf_capacity: 4 };
+        let config = |workers| FrameworkConfig {
+            resolution: 10,
+            leaf_capacity: local.leaf_capacity,
+            workers,
+            ..FrameworkConfig::default()
+        };
+        let serial = MultiSourceFramework::try_build(source_data, config(1)).unwrap();
+        assert_eq!(serial.sources().len(), source_data.len());
+        for (source, (name, datasets)) in serial.sources().iter().zip(source_data) {
+            let alone = DataSource::build(source.id, name.clone(), *serial.grid(), datasets, local);
+            assert_eq!(&source.name, name);
+            assert!(
+                source.index() == alone.index(),
+                "source {}: the trees differ",
+                source.id
+            );
+        }
+        for workers in [2, 4] {
+            let pooled = MultiSourceFramework::try_build(source_data, config(workers)).unwrap();
+            assert_eq!(pooled.sources().len(), serial.sources().len());
+            for (got, want) in pooled.sources().iter().zip(serial.sources()) {
+                let at = format!("workers({workers}), source {}", want.id);
+                assert_eq!(
+                    (got.id, &got.name, got.grid()),
+                    (want.id, &want.name, want.grid())
+                );
+                assert!(got.index() == want.index(), "{at}: the trees differ");
+                let sketch = |fw: &MultiSourceFramework| fw.center().sketch(want.id).cloned();
+                assert!(
+                    sketch(&pooled) == sketch(&serial),
+                    "{at}: the sketches differ"
+                );
+            }
+            assert_eq!(
+                pooled.center().global().summaries(),
+                serial.center().global().summaries(),
+                "workers({workers})"
+            );
+        }
+    }
+
+    /// `count` datasets of `1..=max_points` points each, every one scattered
+    /// over a few cells around its own centre, drawn from `rng`.  One in
+    /// three repeats the points of the dataset before it, so pivots tie and
+    /// the order the tree build meets them in shows in its leaves.
+    fn scattered(
+        rng: &mut proptest::TestRng,
+        count: usize,
+        max_points: usize,
+    ) -> Vec<SpatialDataset> {
+        let mut datasets: Vec<SpatialDataset> = Vec::with_capacity(count);
+        for id in 0..count as u32 {
+            let points = match datasets.last() {
+                Some(before) if (0..3usize).generate(rng) == 0 => before.points.clone(),
+                _ => {
+                    let (lon, lat) = ((-170.0..170.0).generate(rng), (-80.0..80.0).generate(rng));
+                    (0..1 + (0..max_points).generate(rng))
+                        .map(|_| {
+                            Point::new(
+                                lon + (0.0..2.0).generate(rng),
+                                lat + (0.0..2.0).generate(rng),
+                            )
+                        })
+                        .collect()
+                }
+            };
+            datasets.push(SpatialDataset::new(id, points));
+        }
+        datasets
+    }
+
+    /// Datasets whose every point lies east of the grid.
+    fn off_the_grid(count: usize) -> Vec<SpatialDataset> {
+        (0..count)
+            .map(|id| SpatialDataset::new(id as u32, vec![Point::new(200.0 + id as f64, 10.0); 3]))
+            .collect()
+    }
+
+    #[test]
+    fn the_pool_builds_the_serial_framework_in_every_edge_case() {
+        let mut rng = proptest::TestRng::from_name("pool-build-edge-cases");
+        let named = |sources: Vec<Vec<SpatialDataset>>| -> Vec<(String, Vec<SpatialDataset>)> {
+            sources
+                .into_iter()
+                .enumerate()
+                .map(|(i, d)| (format!("s{i}"), d))
+                .collect()
+        };
+        // No sources.
+        assert_the_pool_builds_the_serial_framework(&[]);
+        // A source with no datasets, beside one with some.
+        assert_the_pool_builds_the_serial_framework(&named(vec![
+            vec![],
+            scattered(&mut rng, 9, 40),
+        ]));
+        // A source whose every dataset falls off the grid.
+        assert_the_pool_builds_the_serial_framework(&named(vec![
+            off_the_grid(4),
+            scattered(&mut rng, 5, 40),
+        ]));
+        // More sources than workers, sizes out of order.
+        let many = (0..7)
+            .map(|i| scattered(&mut rng, 2 + 5 * (i % 3), 60))
+            .collect();
+        assert_the_pool_builds_the_serial_framework(&named(many));
+        // A single dataset larger than a chunk, between smaller ones, and a
+        // source that spans several chunks.
+        let mut giant = scattered(&mut rng, 6, 50);
+        let big = SpatialDataset::new(6, vec![Point::new(12.0, 34.0); CHUNK_POINTS + 7]);
+        giant.insert(3, big);
+        let split = scattered(&mut rng, 3 * CHUNK_POINTS / 500, 1_000);
+        assert_the_pool_builds_the_serial_framework(&named(vec![
+            scattered(&mut rng, 4, 30),
+            giant,
+            split,
+        ]));
+    }
+
+    /// One framework input fully determined by `case_seed`: up to seven
+    /// sources, each empty, off the grid, or a few scattered datasets — and
+    /// now and then one dataset larger than a chunk — built on one, two and
+    /// four workers.
+    fn run_build_case(case_seed: u64) {
+        let _replay = dits::ReplayOnPanic("run_build_case", case_seed);
+        let mut rng = proptest::TestRng::from_name(&format!("pool-build-{case_seed}"));
+        let sources = (0..8).generate(&mut rng);
+        let source_data: Vec<(String, Vec<SpatialDataset>)> = (0..sources)
+            .map(|i| {
+                let mut datasets = match (0..6).generate(&mut rng) {
+                    0 => Vec::new(),
+                    1 => off_the_grid(1 + (0..3usize).generate(&mut rng)),
+                    _ => {
+                        let count = 1 + (0..12usize).generate(&mut rng);
+                        scattered(&mut rng, count, 200)
+                    }
+                };
+                if (0..8).generate(&mut rng) == 0 {
+                    let id = datasets.len() as u32;
+                    let points = (0..CHUNK_POINTS + 1 + (0..500usize).generate(&mut rng))
+                        .map(|j| {
+                            Point::new(-60.0 + (j % 97) as f64 * 0.05, 5.0 + (j % 89) as f64 * 0.05)
+                        })
+                        .collect();
+                    let at = (0..datasets.len() + 1).generate(&mut rng);
+                    datasets.insert(at, SpatialDataset::new(id, points));
+                }
+                (format!("s{i}"), datasets)
+            })
+            .collect();
+        assert_the_pool_builds_the_serial_framework(&source_data);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+        #[test]
+        fn prop_the_pool_builds_the_serial_framework(case_seed in proptest::any::<u64>()) {
+            run_build_case(case_seed);
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub mod framework;
 pub mod message;
 pub mod source;
 pub mod transport;
+mod workers;
 
 pub use api::{
     SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,

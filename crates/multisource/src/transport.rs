@@ -515,9 +515,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
 }
 
 /// Cooperative shutdown for [`serve_source_until`]: triggering the signal
-/// stops the accept loop and *drains* the server — every connection finishes
-/// the frame it is currently serving (request read, reply written) and then
-/// closes between frames, instead of dying mid-frame.  Cloning shares the
+/// stops the accept loop and *drains* the server — every connection answers
+/// the request it has read and then closes between frames, instead of dying
+/// mid-frame; a peer that has stalled mid-request is dropped.  Cloning shares the
 /// signal, so one signal can fan out to the accept loop, its connection
 /// handlers, and whatever (test, stdin watcher, signal handler) pulls the
 /// trigger.
@@ -604,13 +604,23 @@ impl Drop for WakeGuard<'_> {
     }
 }
 
-/// How often an idle connection checks for shutdown between frames.
+/// How long a connection's read waits before it looks at the shutdown
+/// signal, between frames and inside one.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
-/// Upper bound on the drain after shutdown is triggered: connections that
-/// have not finished their in-flight frame by then are abandoned to their
-/// detached threads.  Generous — a frame is one request/reply exchange, not
-/// a session.
+/// Whether a read on a socket with a read timeout ended by timing out (the
+/// OS reports it as either kind).
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Upper bound on the drain after shutdown is triggered: connections still
+/// serving a request by then are abandoned to their detached threads.
+/// Generous — a frame is one request/reply exchange, not a session, and a
+/// stalled peer is dropped within a [`SHUTDOWN_POLL`].
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// A data source serving the framed TCP protocol from this process — the
@@ -678,8 +688,9 @@ impl SourceServer {
 /// Accept loop shared by [`SourceServer`] and the `source-server` binary:
 /// serves framed requests against `source` until `shutdown` triggers, or
 /// until the listener keeps failing, which triggers it.  Then the loop stops
-/// accepting, every open connection finishes the frame it is serving and
-/// closes between frames, and the call returns once all connections have
+/// accepting, every open connection answers the request it has read and
+/// closes between frames (a peer stalled mid-request is dropped within a
+/// 25 ms read timeout), and the call returns once all connections have
 /// drained (bounded by a grace period).
 ///
 /// Connections are handled on their own threads; the source sits behind a
@@ -745,30 +756,27 @@ pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: S
 }
 
 /// Serves framed request/reply exchanges on one connection until the peer
-/// hangs up, sends garbage, or `shutdown` triggers between frames.
+/// hangs up, sends garbage, or `shutdown` triggers.
 ///
-/// Shutdown never interrupts an exchange: the connection polls for the
-/// signal only while *waiting* for the next frame (a short-timeout `peek`
-/// that consumes nothing), and a frame whose first byte has arrived is
-/// served and answered before the signal is honoured.
+/// Every read waits at most [`SHUTDOWN_POLL`] and looks at the signal when
+/// it times out.  Between frames (a `peek` that consumes nothing) a
+/// triggered signal closes the connection.  Inside a frame the read resumes
+/// after each timeout, so a slow peer is still served, until the signal
+/// triggers: then a peer that has stalled mid-request is dropped, and its
+/// connection does not outlive the drain.  A request that has fully arrived
+/// is always served and answered.
 fn serve_connection(
     mut stream: TcpStream,
     source: &std::sync::RwLock<DataSource>,
     shutdown: &ShutdownSignal,
 ) -> Result<(), FrameError> {
     let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
     loop {
-        // Idle wait: peek with a timeout so the shutdown signal is observed
-        // between frames without ever consuming (and on timeout losing)
-        // frame bytes.
-        stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
         match stream.peek(&mut [0u8; 1]) {
             Ok(0) => return Ok(()), // clean disconnect between frames
             Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if timed_out(&e) => {
                 if shutdown.is_triggered() {
                     return Ok(());
                 }
@@ -776,13 +784,16 @@ fn serve_connection(
             }
             Err(e) => return Err(FrameError::Io(e)),
         }
-        // A frame has started: read it to completion without a timeout (a
-        // slow peer mid-frame is not an idle connection).
-        stream.set_read_timeout(None)?;
-        let frame = match read_frame(&mut stream) {
+        let mut until_shutdown = UntilShutdown {
+            stream: &stream,
+            shutdown,
+        };
+        let frame = match read_frame(&mut until_shutdown) {
             Ok(frame) => frame,
-            // Clean disconnect between frames.
-            Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            // Clean disconnect between frames, or a stalled peer at shutdown.
+            Err(FrameError::Io(e))
+                if e.kind() == std::io::ErrorKind::UnexpectedEof || timed_out(&e) =>
+            {
                 return Ok(())
             }
             Err(other) => return Err(other),
@@ -808,6 +819,25 @@ fn serve_connection(
             &served.as_asked(frame.want_stats, frame.correlation_id),
             false,
         )?;
+    }
+}
+
+/// A connection's read side while a frame is in flight: a read that times
+/// out ([`SHUTDOWN_POLL`]) is resumed, unless the signal has triggered.  A
+/// timed-out read consumed nothing, so resuming loses no byte.
+struct UntilShutdown<'a> {
+    stream: &'a TcpStream,
+    shutdown: &'a ShutdownSignal,
+}
+
+impl Read for UntilShutdown<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if timed_out(&e) && !self.shutdown.is_triggered() => {}
+                result => return result,
+            }
+        }
     }
 }
 
@@ -1084,10 +1114,12 @@ mod tests {
         );
     }
 
-    /// A server that gives up on its listener still drains: a connection in
-    /// the middle of a frame when accepts start failing is answered before
-    /// the accept loop returns.  Shutting the listening socket down for
-    /// reads, through a second handle on it, fails every later accept.
+    /// A server that gives up on its listener still drains: it triggers the
+    /// signal and waits for its connections instead of returning under
+    /// them, and a connection in the middle of a frame when accepts start
+    /// failing is closed by the drain, well inside the grace.  Shutting the
+    /// listening socket down for reads, through a second handle on it, fails
+    /// every later accept.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_listener_given_up_on_still_drains() {
@@ -1103,8 +1135,7 @@ mod tests {
         // One whole exchange first, so the connection is the server's.
         client.write_all(&frame).unwrap();
         read_frame(&mut client).unwrap();
-        let (head, tail) = frame.split_at(4);
-        client.write_all(head).unwrap();
+        client.write_all(&frame[..4]).unwrap();
         breaker.shutdown(std::net::Shutdown::Read).unwrap();
         // A hundred failed accepts, ten milliseconds apart, trigger the drain.
         let started = std::time::Instant::now();
@@ -1116,11 +1147,63 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(!server.is_finished(), "returned with a frame in flight");
+        let triggered = std::time::Instant::now();
+        server.join().unwrap();
+        assert!(
+            triggered.elapsed() < DRAIN_GRACE / 5,
+            "drained {:?} after the trigger",
+            triggered.elapsed()
+        );
+        assert_closed(&mut client);
+    }
+
+    /// The server's end of `client` is closed: a read sees end of file (or a
+    /// reset) at once, not a timeout.
+    fn assert_closed(client: &mut TcpStream) {
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        match client.read(&mut [0u8; 1]) {
+            Ok(n) => assert_eq!(n, 0, "the connection is still served"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+        }
+    }
+
+    /// A peer that pauses mid-frame is still served; one that stalls there
+    /// is dropped once shutdown triggers, so the server drains at its next
+    /// poll instead of waiting out the grace with the connection thread
+    /// blocked in the frame.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_peer_stalled_mid_frame_does_not_hold_the_drain() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let signal = ShutdownSignal::new();
+        let trigger = signal.clone();
+        let server =
+            std::thread::spawn(move || serve_source_until(listener, tiny_source(0), signal));
+        let (mut frame, poll) = (Vec::new(), ServedReply::plain(Message::summary_poll()));
+        write_frame(&mut frame, &poll, false).unwrap();
+        // A slow peer: two header bytes, a pause of several polls, the rest.
+        let (head, tail) = frame.split_at(2);
+        client.write_all(head).unwrap();
+        std::thread::sleep(SHUTDOWN_POLL * 4);
         client.write_all(tail).unwrap();
         let reply = read_frame(&mut client).unwrap().message;
         assert!(matches!(reply, Message::SummaryRefresh { .. }));
+        // A stalled one: two header bytes, then nothing.
+        client.write_all(head).unwrap();
+        std::thread::sleep(SHUTDOWN_POLL * 4);
+        assert!(!server.is_finished());
+        let triggered = std::time::Instant::now();
+        trigger.trigger();
         server.join().unwrap();
+        assert!(
+            triggered.elapsed() < DRAIN_GRACE / 5,
+            "drained {:?} after the trigger",
+            triggered.elapsed()
+        );
+        assert_closed(&mut client);
     }
 
     #[test]
