@@ -29,6 +29,9 @@
 //!   CPU), against the same build on one worker
 //!   (`build/framework/workers-1`); the pool's sources are first asserted
 //!   equal to the one-worker build's (a delta).
+//! * `build/corpus` — `ExperimentEnv::new`: the five sources generated,
+//!   their dataset bodies split across the CPUs (not a delta: the corpus is
+//!   the same on any number of threads, which datagen's tests hold).
 //! * `kernel/distance/cached` — the dataset distance kernel over the packed
 //!   blocks and the cached boundary tiles (the bounded variant is parity-checked at its
 //!   own cutoff but not timed: a cutoff equal to the distance never prunes).
@@ -106,16 +109,17 @@ Usage: bench-runner [--quick] [--out PATH]
 ///   the distance kernel's bound tests per exact distance;
 /// * `index` — leaf inverted indexes, DITS-L bytes, the datasets' cell sets
 ///   as stored, their verify state and the build's RSS.
-const SCHEMA_VERSION: u64 = 12;
+const SCHEMA_VERSION: u64 = 13;
 
 /// The maintenance row every snapshot must carry, and its batch size.
 const MAINTENANCE_ROW: &str = "maintenance/apply_updates";
 const MAINTENANCE_BATCH_OPS: usize = 72;
 
 /// Kernel rows every snapshot must carry.
-const REQUIRED_KERNELS: [&str; 4] = [
+const REQUIRED_KERNELS: [&str; 5] = [
     "kernel/inverted/build",
     "kernel/inverted/verify",
+    "build/corpus",
     "build/framework/workers-1",
     "build/framework/pool",
 ];
@@ -1228,8 +1232,12 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         ),
     ];
 
-    // -- The framework build, on one worker and on the pool ------------------
-    eprintln!("[10/10] build/framework (workers-1 against the pool)");
+    // -- The corpus, then the framework build on one worker and on the pool --
+    eprintln!("[10/10] build/corpus, build/framework (workers-1 against the pool)");
+    let corpus = measure("build/corpus", samples, 1, || {
+        std::hint::black_box(ExperimentEnv::new(divisor, 0xBEEF));
+    });
+    kernels.push(corpus);
     let build_config = |workers| FrameworkConfig {
         resolution: theta,
         workers,
@@ -1827,6 +1835,11 @@ mod tests {
                     let row = "{\"name\": \"build/framework\", \"new\"";
                     t.replace(row, "{\"name\": \"build/other\", \"new\"")
                 },
+            ),
+            (
+                "build/corpus kernel renamed",
+                "kernels missing required row \"build/corpus\"",
+                |t| t.replace("{\"name\": \"build/corpus\"", "{\"name\": \"build/other\""),
             ),
             (
                 "build/framework/pool kernel renamed",

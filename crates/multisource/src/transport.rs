@@ -604,12 +604,12 @@ impl Drop for WakeGuard<'_> {
     }
 }
 
-/// How long a connection's read waits before it looks at the shutdown
-/// signal, between frames and inside one.
+/// How long a connection's read or write waits before it looks at the
+/// shutdown signal, between frames and inside one.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
-/// Whether a read on a socket with a read timeout ended by timing out (the
-/// OS reports it as either kind).
+/// Whether a read or write on a socket with a timeout ended by timing out
+/// (the OS reports it as either kind).
 fn timed_out(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -689,9 +689,9 @@ impl SourceServer {
 /// serves framed requests against `source` until `shutdown` triggers, or
 /// until the listener keeps failing, which triggers it.  Then the loop stops
 /// accepting, every open connection answers the request it has read and
-/// closes between frames (a peer stalled mid-request is dropped within a
-/// 25 ms read timeout), and the call returns once all connections have
-/// drained (bounded by a grace period).
+/// closes between frames (a peer stalled mid-request, or not reading its
+/// reply, is dropped within a 25 ms read or write timeout), and the call
+/// returns once all connections have drained (bounded by a grace period).
 ///
 /// Connections are handled on their own threads; the source sits behind a
 /// read-write lock so concurrent queries proceed in parallel while a
@@ -758,20 +758,26 @@ pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: S
 /// Serves framed request/reply exchanges on one connection until the peer
 /// hangs up, sends garbage, or `shutdown` triggers.
 ///
-/// Every read waits at most [`SHUTDOWN_POLL`] and looks at the signal when
-/// it times out.  Between frames (a `peek` that consumes nothing) a
-/// triggered signal closes the connection.  Inside a frame the read resumes
-/// after each timeout, so a slow peer is still served, until the signal
-/// triggers: then a peer that has stalled mid-request is dropped, and its
+/// Every read and write waits at most [`SHUTDOWN_POLL`] and looks at the
+/// signal when it times out.  Between frames (a `peek` that consumes
+/// nothing) a triggered signal closes the connection.  Inside a frame the
+/// read or write resumes after each timeout, so a slow peer is still
+/// served, until the signal triggers: then a peer that has stalled
+/// mid-request, or stopped reading its replies, is dropped, and its
 /// connection does not outlive the drain.  A request that has fully arrived
-/// is always served and answered.
+/// is always served, and answered unless its peer stopped reading.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     source: &std::sync::RwLock<DataSource>,
     shutdown: &ShutdownSignal,
 ) -> Result<(), FrameError> {
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
+    stream.set_write_timeout(Some(SHUTDOWN_POLL))?;
+    let mut until_shutdown = UntilShutdown {
+        stream: &stream,
+        shutdown,
+    };
     loop {
         match stream.peek(&mut [0u8; 1]) {
             Ok(0) => return Ok(()), // clean disconnect between frames
@@ -784,10 +790,6 @@ fn serve_connection(
             }
             Err(e) => return Err(FrameError::Io(e)),
         }
-        let mut until_shutdown = UntilShutdown {
-            stream: &stream,
-            shutdown,
-        };
         let frame = match read_frame(&mut until_shutdown) {
             Ok(frame) => frame,
             // Clean disconnect between frames, or a stalled peer at shutdown.
@@ -814,17 +816,23 @@ fn serve_connection(
         };
         // Echo the pipelining correlation id verbatim; the source itself
         // never sees it.
-        write_frame(
-            &mut stream,
+        match write_frame(
+            &mut until_shutdown,
             &served.as_asked(frame.want_stats, frame.correlation_id),
             false,
-        )?;
+        ) {
+            Ok(_) => {}
+            // A peer that stopped reading, dropped at shutdown.
+            Err(e) if timed_out(&e) => return Ok(()),
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
 }
 
-/// A connection's read side while a frame is in flight: a read that times
-/// out ([`SHUTDOWN_POLL`]) is resumed, unless the signal has triggered.  A
-/// timed-out read consumed nothing, so resuming loses no byte.
+/// A connection while a frame is in flight, either way: a read or write that
+/// times out ([`SHUTDOWN_POLL`]) is resumed, unless the signal has
+/// triggered.  A timed-out read consumed nothing and a timed-out write sent
+/// nothing, so resuming loses no byte.
 struct UntilShutdown<'a> {
     stream: &'a TcpStream,
     shutdown: &'a ShutdownSignal,
@@ -838,6 +846,21 @@ impl Read for UntilShutdown<'_> {
                 result => return result,
             }
         }
+    }
+}
+
+impl Write for UntilShutdown<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.write(buf) {
+                Err(e) if timed_out(&e) && !self.shutdown.is_triggered() => {}
+                result => return result,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -1204,6 +1227,47 @@ mod tests {
             triggered.elapsed()
         );
         assert_closed(&mut client);
+    }
+
+    /// A peer that sends requests and never reads the replies fills both
+    /// directions' socket buffers, so the server blocks writing a reply; once
+    /// shutdown triggers, that write gives up within a poll and the server
+    /// drains instead of waiting out the grace.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_peer_that_never_reads_does_not_hold_the_drain() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let signal = ShutdownSignal::new();
+        let trigger = signal.clone();
+        let server =
+            std::thread::spawn(move || serve_source_until(listener, tiny_source(0), signal));
+        let (mut frame, poll) = (Vec::new(), ServedReply::plain(Message::summary_poll()));
+        write_frame(&mut frame, &poll, false).unwrap();
+        // Whole frames only, so the server never sees a torn one.
+        let batch = frame.repeat((64 << 10) / frame.len());
+        client.set_write_timeout(Some(SHUTDOWN_POLL * 4)).unwrap();
+        let started = std::time::Instant::now();
+        loop {
+            match client.write_all(&batch) {
+                Ok(()) => {}
+                Err(e) if timed_out(&e) => break,
+                Err(e) => panic!("writing polls: {e}"),
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "the server kept reading"
+            );
+        }
+        assert!(!server.is_finished());
+        let triggered = std::time::Instant::now();
+        trigger.trigger();
+        server.join().unwrap();
+        assert!(
+            triggered.elapsed() < Duration::from_secs(1),
+            "drained {:?} after the trigger",
+            triggered.elapsed()
+        );
     }
 
     #[test]
