@@ -617,10 +617,11 @@ fn timed_out(e: &std::io::Error) -> bool {
     )
 }
 
-/// Upper bound on the drain after shutdown is triggered: connections still
-/// serving a request by then are abandoned to their detached threads.
-/// Generous — a frame is one request/reply exchange, not a session, and a
-/// stalled peer is dropped within a [`SHUTDOWN_POLL`].
+/// Upper bound on the drain after shutdown is triggered, which otherwise
+/// ends as the last connection thread does: connections still serving a
+/// request by then are abandoned to their detached threads.  Generous — a
+/// frame is one request/reply exchange, not a session, and a stalled peer
+/// is dropped within a [`SHUTDOWN_POLL`].
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// A data source serving the framed TCP protocol from this process — the
@@ -691,16 +692,16 @@ impl SourceServer {
 /// accepting, every open connection answers the request it has read and
 /// closes between frames (a peer stalled mid-request, or not reading its
 /// reply, is dropped within a 25 ms read or write timeout), and the call
-/// returns once all connections have drained (bounded by a grace period).
+/// returns when the last connection thread ends, or after [`DRAIN_GRACE`].
 ///
 /// Connections are handled on their own threads; the source sits behind a
 /// read-write lock so concurrent queries proceed in parallel while a
 /// maintenance batch gets exclusive access.
 pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: ShutdownSignal) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let source = std::sync::Arc::new(std::sync::RwLock::new(source));
-    let open_connections = std::sync::Arc::new(AtomicUsize::new(0));
+    // Every connection thread holds a sender and never sends: the receiver
+    // disconnects when the last of them ends.
+    let (open, drained) = std::sync::mpsc::channel::<()>();
     // Blocking accepts: a trigger wakes the loop with a connection of its
     // own, registered before the first look at the flag so none is missed.
     let _wake = match listener
@@ -740,19 +741,16 @@ pub fn serve_source_until(listener: TcpListener, source: DataSource, shutdown: S
         consecutive_failures = 0;
         let source = std::sync::Arc::clone(&source);
         let signal = shutdown.clone();
-        let open = std::sync::Arc::clone(&open_connections);
-        open.fetch_add(1, Ordering::AcqRel);
+        let open = open.clone();
         std::thread::spawn(move || {
+            let _open = open; // dropped as the thread ends, even by a panic
             let _ = serve_connection(stream, &source, &signal);
-            open.fetch_sub(1, Ordering::AcqRel);
         });
     }
     // Drain: connections notice the signal between frames (via their idle
     // poll) and close themselves; wait for them, but not forever.
-    let drain_started = std::time::Instant::now();
-    while open_connections.load(Ordering::Acquire) > 0 && drain_started.elapsed() < DRAIN_GRACE {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    drop(open);
+    let _ = drained.recv_timeout(DRAIN_GRACE);
 }
 
 /// Serves framed request/reply exchanges on one connection until the peer

@@ -1,14 +1,15 @@
 //! The pooled, pipelined TCP transport.
 //!
 //! One background thread owns every socket and blocks only in
-//! `epoll_wait`; caller threads (the engine's workers) submit pre-encoded
-//! request frames through a command queue and park on a per-request
-//! completion slot.  Per source there is a small pool of nonblocking
-//! connections, each carrying several correlated frames in flight at once
-//! (the server echoes the frame-level correlation id, so replies match
-//! requests without ordering assumptions).  The correlation id rides the
-//! *frame*, not the message, so the protocol bytes `CommStats` counts are
-//! identical to every other transport — the PR 3 invariance suite holds.
+//! `epoll_wait`; caller threads (the engine's workers) send pre-encoded
+//! request frames down an `mpsc` command queue, wake the loop, and wait on
+//! a per-call channel for the one outcome the loop sends back.  Per source
+//! there is a small pool of nonblocking connections, each carrying several
+//! correlated frames in flight at once (the server echoes the frame-level
+//! correlation id, so replies match requests without ordering
+//! assumptions).  The correlation id rides the *frame*, not the message, so
+//! the protocol bytes `CommStats` counts are identical to every other
+//! transport — the cross-transport invariance suite holds.
 //!
 //! Failure policy, in order of preference:
 //!
@@ -28,7 +29,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -90,79 +92,15 @@ pub struct PoolMetrics {
 }
 
 // ---------------------------------------------------------------------------
-// Completion slots
+// Commands
 // ---------------------------------------------------------------------------
 
-enum SlotState {
-    Pending,
-    /// Boxed: a decoded frame is an order of magnitude larger than the
-    /// other variants, and every completion crosses a thread anyway.
-    Done(Box<Result<DecodedFrame, TransportError>>),
-    /// The caller gave up (backstop timeout); a late completion is dropped.
-    Abandoned,
-}
+/// A call's outcome, as the event loop sends it back to the caller.
+type Outcome = Result<DecodedFrame, TransportError>;
 
-/// One submitted call's rendezvous: the event loop completes it, the caller
-/// thread parks on the condvar until then.
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(SlotState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Resolves the slot (first completion wins; later ones are dropped).
-    fn complete(&self, result: Result<DecodedFrame, TransportError>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if matches!(*state, SlotState::Pending) {
-            *state = SlotState::Done(Box::new(result));
-            self.cv.notify_all();
-        }
-    }
-
-    /// Parks until completion or `backstop`; `None` means the event loop
-    /// never answered (it enforces the real deadline, so this only fires
-    /// if the loop itself is wedged or gone).
-    fn wait(&self, backstop: Instant) -> Option<Result<DecodedFrame, TransportError>> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            match &*state {
-                SlotState::Done(_) => {
-                    let done = std::mem::replace(&mut *state, SlotState::Abandoned);
-                    match done {
-                        SlotState::Done(result) => return Some(*result),
-                        _ => return None,
-                    }
-                }
-                SlotState::Pending => {
-                    let now = Instant::now();
-                    if now >= backstop {
-                        *state = SlotState::Abandoned;
-                        return None;
-                    }
-                    let (guard, _) = self
-                        .cv
-                        .wait_timeout(state, backstop - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state = guard;
-                }
-                SlotState::Abandoned => return None,
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Command queue
-// ---------------------------------------------------------------------------
-
-/// One submitted call, as the event loop tracks it.
+/// One submitted call, as the event loop tracks it.  The loop ends it once,
+/// by [`finish`](Self::finish); a job dropped unfinished (the loop thread is
+/// gone) disconnects its caller's receiver instead.
 struct CallJob {
     source_idx: usize,
     corr_id: u64,
@@ -170,7 +108,15 @@ struct CallJob {
     frame: Vec<u8>,
     deadline: Instant,
     submitted: Instant,
-    slot: Arc<Slot>,
+    reply: SyncSender<Outcome>,
+}
+
+impl CallJob {
+    /// Sends the outcome; a caller that gave up has dropped its receiver,
+    /// and the outcome is dropped with it.
+    fn finish(self, outcome: Outcome) {
+        let _ = self.reply.send(outcome);
+    }
 }
 
 enum Command {
@@ -180,31 +126,22 @@ enum Command {
         conn_idx: usize,
         result: std::io::Result<TcpStream>,
     },
+    /// Sent by `Drop`: the loop fails every call and exits.
+    Shutdown,
 }
 
-#[derive(Default)]
-struct QueueState {
-    commands: Vec<Command>,
-    shutdown: bool,
-}
-
+/// The callers' end of the command queue, beside the loop's wake-up.
 struct Shared {
-    queue: Mutex<QueueState>,
+    commands: Sender<Command>,
     waker: Waker,
 }
 
 impl Shared {
-    /// Enqueues and wakes the loop; returns `false` after shutdown.
+    /// Enqueues and wakes the loop; returns `false` once the loop is gone.
     fn submit(&self, command: Command) -> bool {
-        {
-            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            if queue.shutdown {
-                return false;
-            }
-            queue.commands.push(command);
-        }
+        let sent = self.commands.send(command).is_ok();
         let _ = self.waker.wake();
-        true
+        sent
     }
 }
 
@@ -257,10 +194,8 @@ impl PooledTcpTransport {
 
         let poll = Poll::new()?;
         let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState::default()),
-            waker,
-        });
+        let (commands, queue) = mpsc::channel();
+        let shared = Arc::new(Shared { commands, waker });
         let metrics = PoolMetrics::default();
 
         let sources: Vec<SourcePool> = endpoints
@@ -277,6 +212,8 @@ impl PooledTcpTransport {
                     EventLoop {
                         poll,
                         shared,
+                        queue,
+                        chunk: vec![0; READ_CHUNK],
                         sources,
                         config,
                         metrics,
@@ -328,14 +265,14 @@ impl PooledTcpTransport {
 
         let submitted = Instant::now();
         let deadline = submitted + self.config.request_timeout;
-        let slot = Arc::new(Slot::new());
+        let (reply, outcome) = mpsc::sync_channel(1);
         let job = CallJob {
             source_idx,
             corr_id,
             frame,
             deadline,
             submitted,
-            slot: Arc::clone(&slot),
+            reply,
         };
         if !self.shared.submit(Command::Call(job)) {
             return Err(TransportError::Io(format!(
@@ -343,9 +280,9 @@ impl PooledTcpTransport {
             )));
         }
         // The loop enforces `deadline`; the extra second is a backstop in
-        // case the loop thread itself is gone.
-        match slot.wait(deadline + Duration::from_secs(1)) {
-            Some(Ok(frame)) => Ok(TransportReply {
+        // case the loop thread itself is wedged.
+        match outcome.recv_timeout(self.config.request_timeout + Duration::from_secs(1)) {
+            Ok(Ok(frame)) => Ok(TransportReply {
                 message: frame.message,
                 request_bytes,
                 reply_bytes: frame.message_bytes,
@@ -354,11 +291,15 @@ impl PooledTcpTransport {
                 service: frame.service,
                 phases: frame.phases,
             }),
-            Some(Err(e)) => Err(e),
-            None => Err(TransportError::Timeout {
+            Ok(Err(e)) => Err(e),
+            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout {
                 source,
                 waited: submitted.elapsed(),
             }),
+            // The job was dropped unfinished: the loop thread is gone.
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Io(format!(
+                "pooled transport's event loop is gone (source {source})"
+            ))),
         }
     }
 }
@@ -403,15 +344,7 @@ impl SourceTransport for PooledTcpTransport {
 
 impl Drop for PooledTcpTransport {
     fn drop(&mut self) {
-        {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            queue.shutdown = true;
-        }
-        let _ = self.shared.waker.wake();
+        self.shared.submit(Command::Shutdown);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -491,6 +424,9 @@ impl SourcePool {
 struct EventLoop {
     poll: Poll,
     shared: Arc<Shared>,
+    queue: Receiver<Command>,
+    /// The one buffer every socket read lands in.
+    chunk: Vec<u8>,
     sources: Vec<SourcePool>,
     config: PoolConfig,
     metrics: PoolMetrics,
@@ -525,26 +461,7 @@ impl EventLoop {
             if woken {
                 self.shared.waker.drain();
             }
-            let (commands, shutdown) = {
-                let mut queue = self
-                    .shared
-                    .queue
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                (std::mem::take(&mut queue.commands), queue.shutdown)
-            };
-            if shutdown {
-                for command in commands {
-                    if let Command::Call(job) = command {
-                        job.slot.complete(Err(TransportError::Io(
-                            "pooled transport shut down".to_string(),
-                        )));
-                    }
-                }
-                self.shutdown("pooled transport shut down");
-                return;
-            }
-            for command in commands {
+            while let Ok(command) = self.queue.try_recv() {
                 match command {
                     Command::Call(job) => self.admit(job),
                     Command::Connected {
@@ -552,6 +469,10 @@ impl EventLoop {
                         conn_idx,
                         result,
                     } => self.finish_connect(source_idx, conn_idx, result),
+                    Command::Shutdown => {
+                        self.shutdown("pooled transport shut down");
+                        return;
+                    }
                 }
             }
             for event in &fired {
@@ -591,7 +512,7 @@ impl EventLoop {
         let cap = self.config.max_in_flight_per_source;
         if source.in_flight() + source.pending.len() >= cap * 2 {
             self.metrics.backpressure.inc();
-            job.slot.complete(Err(TransportError::Backpressure {
+            job.finish(Err(TransportError::Backpressure {
                 source: source.id,
                 in_flight_cap: cap,
             }));
@@ -695,7 +616,7 @@ impl EventLoop {
         let id = source.id;
         let addr = source.addr.clone();
         for job in source.pending.drain(..) {
-            job.slot.complete(Err(TransportError::Io(format!(
+            job.finish(Err(TransportError::Io(format!(
                 "connect {addr} (source {id}): {detail}"
             ))));
         }
@@ -756,19 +677,18 @@ impl EventLoop {
 
     /// Reads everything available and completes any whole reply frames.
     fn drain_reads(&mut self, source_idx: usize, conn_idx: usize) {
-        let mut chunk = vec![0u8; READ_CHUNK];
         loop {
             let conn = &mut self.sources[source_idx].conns[conn_idx];
             let ConnState::Ready(stream) = &mut conn.state else {
                 return;
             };
-            match stream.read(&mut chunk) {
+            match stream.read(&mut self.chunk) {
                 Ok(0) => {
                     self.fail_conn(source_idx, conn_idx, "connection closed by source");
                     return;
                 }
                 Ok(n) => {
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    conn.read_buf.extend_from_slice(&self.chunk[..n]);
                     if !self.parse_frames(source_idx, conn_idx) {
                         return;
                     }
@@ -812,7 +732,7 @@ impl EventLoop {
                     // completed) calls; dropping them keeps the stream in
                     // sync because correlation, not order, pairs frames.
                     if let Some(job) = matched {
-                        job.slot.complete(Ok(frame));
+                        job.finish(Ok(frame));
                     }
                 }
                 Err(FrameError::Wire(e)) => {
@@ -843,7 +763,7 @@ impl EventLoop {
         conn.write_buf.clear();
         conn.written = 0;
         for (_, job) in conn.in_flight.drain() {
-            job.slot.complete(Err(TransportError::Io(format!(
+            job.finish(Err(TransportError::Io(format!(
                 "exchange with {addr} (source {id}): {detail}"
             ))));
         }
@@ -904,10 +824,8 @@ impl EventLoop {
             }
             for job in expired {
                 self.metrics.timeouts.inc();
-                job.slot.complete(Err(TransportError::Timeout {
-                    source: id,
-                    waited: now.saturating_duration_since(job.submitted),
-                }));
+                let waited = now.saturating_duration_since(job.submitted);
+                job.finish(Err(TransportError::Timeout { source: id, waited }));
             }
         }
     }
@@ -922,18 +840,19 @@ impl EventLoop {
         self.metrics.open_connections.set(open as f64);
     }
 
-    /// Fails every outstanding call and drops every connection.
+    /// Fails every outstanding call, queued ones included, and drops every
+    /// connection.
     fn shutdown(&mut self, detail: &str) {
-        for source in &mut self.sources {
-            for job in source.pending.drain(..) {
-                job.slot
-                    .complete(Err(TransportError::Io(detail.to_string())));
+        let fail = |job: CallJob| job.finish(Err(TransportError::Io(detail.to_string())));
+        for command in self.queue.try_iter() {
+            if let Command::Call(job) = command {
+                fail(job);
             }
+        }
+        for source in &mut self.sources {
+            source.pending.drain(..).for_each(fail);
             for conn in &mut source.conns {
-                for (_, job) in conn.in_flight.drain() {
-                    job.slot
-                        .complete(Err(TransportError::Io(detail.to_string())));
-                }
+                conn.in_flight.drain().for_each(|(_, job)| fail(job));
                 conn.state = ConnState::Idle;
             }
         }

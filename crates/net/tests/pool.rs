@@ -12,7 +12,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dits::DitsLocalConfig;
-use multisource::transport::{InProcessTransport, SourceServer, SourceTransport};
+use multisource::message::ERR_UNSUPPORTED;
+use multisource::transport::{
+    read_frame, write_frame, InProcessTransport, ServedReply, SourceServer, SourceTransport,
+};
 use multisource::{DataSource, Message, TransportError};
 use net::{PoolConfig, PooledTcpTransport};
 use spatial::{Grid, Point, SourceId, SpatialDataset};
@@ -253,4 +256,50 @@ fn saturated_source_sheds_with_backpressure() {
             "{result:?}"
         );
     }
+}
+
+#[test]
+fn a_late_reply_is_dropped_and_the_connection_stays_in_sync() {
+    let answer = |detail: &str| Message::Error {
+        code: ERR_UNSUPPORTED,
+        detail: detail.to_string(),
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let late = answer("late");
+    let prompt = answer("prompt");
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        // The second frame is sent only once the first call has timed out,
+        // so reading it first puts the first answer past its deadline.
+        let first = read_frame(&mut stream).expect("first frame");
+        let second = read_frame(&mut stream).expect("second frame");
+        for (frame, reply) in [(first, late), (second, prompt)] {
+            let reply = ServedReply::plain(reply).correlated(frame.correlation_id);
+            write_frame(&mut stream, &reply, false).expect("reply");
+        }
+        stream
+    });
+    let pooled = PooledTcpTransport::with_config(
+        [(2, addr.to_string())],
+        PoolConfig {
+            connections_per_source: 1,
+            request_timeout: Duration::from_millis(200),
+            retries: 0,
+            ..PoolConfig::default()
+        },
+    )
+    .expect("transport");
+
+    let first = pooled.call(2, &Message::summary_poll(), false);
+    assert!(
+        matches!(first, Err(TransportError::Timeout { source: 2, .. })),
+        "{first:?}"
+    );
+    let second = pooled
+        .call(2, &Message::summary_poll(), false)
+        .expect("second call");
+    assert_eq!(second.message, answer("prompt"));
+    assert_eq!(pooled.metrics().timeouts.get(), 1);
+    drop(server.join().expect("listener"));
 }
