@@ -1101,7 +1101,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         },
     ));
 
-    // -- Transport: pooled pipelined TCP over a loopback fleet --------------
+    // -- Transport: pooled TCP over a loopback fleet --------------------------
     // Every source runs as its own server (real sockets, real frames); the
     // same workload is answered through the pooled transport, after
     // asserting it matches the in-process oracle bit for bit.
@@ -1142,8 +1142,7 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         transport.push(Row::new(timed.name, values));
     }
     // Drain the fleet so the run exits cleanly instead of leaking accept
-    // loops; the pooled transport's connections close once its event loop
-    // drops.
+    // loops; the pooled transport's connections close as it drops.
     drop(pooled);
     for server in servers {
         server.shutdown();

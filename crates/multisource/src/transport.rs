@@ -15,9 +15,9 @@
 //!   mutating maintenance batches.
 //! * `net::PooledTcpTransport` (in `crates/net`, which depends on this
 //!   crate) — each source is a remote process reached over length-prefixed
-//!   frames on pooled, pipelined TCP connections, speaking exactly the bytes
-//!   [`Message::encode`] produces.  [`SourceServer`] (and the
-//!   `source-server` binary) are the other end of that socket.
+//!   frames on pooled TCP connections, one call on a connection at a time,
+//!   speaking exactly the bytes [`Message::encode`] produces.
+//!   [`SourceServer`] (and the `source-server` binary) are the other end.
 //!
 //! Byte accounting ([`CommStats`](crate::CommStats)) counts
 //! [`Message::wire_size`] in both directions regardless of transport — the
@@ -39,9 +39,9 @@
 //! and its traversal/verification phase split, three varints of
 //! nanoseconds.  Bit 4 is retired and must never be reused: an old peer may
 //! still set it, and such a frame is refused like one with bit 6 or 7.
-//! Bit 5 says a correlation id (one varint) ends the frame: a pipelining
-//! transport tags each request with one and matches replies by the echoed
-//! id, so multiple frames can be in flight on one connection.  All of these
+//! Bit 5 says a correlation id (one varint) ends the frame: a client tags
+//! each request with one and matches replies by the echoed id, so a reply
+//! to a call that gave up waiting is told from the next call's.  All of these
 //! are an *instrumentation channel*: they ride in the frame, not in the
 //! message, so opting in or out never changes the protocol bytes the
 //! paper's communication figures count.
@@ -83,9 +83,9 @@ const FLAG_HAS_MAINTENANCE: u8 = 0b0000_0100;
 /// Reply flag: the timing block (service, traversal and verification
 /// nanoseconds — three varints) follows the statistics blocks.
 const FLAG_HAS_SERVICE: u8 = 0b0000_1000;
-/// Request/reply flag: a pipelining correlation id (one varint) ends the
-/// frame.  The server echoes it verbatim, so a client with several frames
-/// in flight on one connection can match each reply to its request.
+/// Request/reply flag: a correlation id (one varint) ends the frame.  The
+/// server echoes it verbatim, so a client can match each reply on a
+/// connection to its request.
 const FLAG_HAS_CORRELATION: u8 = 0b0010_0000;
 /// Every flag a writer sets; a frame with any other bit is refused, so no
 /// two frames read as one.  Bit 4 is retired (see the module docs).
@@ -325,9 +325,9 @@ impl SourceTransport for ExclusiveTransport<'_> {
     }
 }
 
-/// One decoded frame.  Public so out-of-crate transports (the pooled,
-/// pipelined client in `crates/net`) can speak the exact same frames as
-/// the server's `serve_connection`.
+/// One decoded frame.  Public so out-of-crate transports (the pooled
+/// client in `crates/net`) can speak the exact same frames as the server's
+/// `serve_connection`.
 #[derive(Debug)]
 pub struct DecodedFrame {
     /// Request flag: the peer asked for statistics on the reply.
@@ -375,7 +375,7 @@ impl From<WireError> for FrameError {
 /// size of the message itself (the protocol bytes `CommStats` counts).
 ///
 /// Public for out-of-crate transports; `w` can be a plain `Vec<u8>` when
-/// the caller manages its own (e.g. nonblocking) socket writes.
+/// the caller writes the frame to its socket itself.
 pub fn write_frame(
     w: &mut impl Write,
     reply: &ServedReply,
@@ -440,7 +440,7 @@ pub fn write_frame(
 }
 
 /// Reads one frame.  Public for out-of-crate transports; `r` can be a byte
-/// slice when the caller accumulates nonblocking reads in its own buffer.
+/// slice when the caller accumulates socket reads in its own buffer.
 pub fn read_frame(r: &mut impl Read) -> Result<DecodedFrame, FrameError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -692,7 +692,7 @@ impl SourceServer {
 /// accepting, every open connection answers the request it has read and
 /// closes between frames (a peer stalled mid-request, or not reading its
 /// reply, is dropped within a 25 ms read or write timeout), and the call
-/// returns when the last connection thread ends, or after [`DRAIN_GRACE`].
+/// returns when the last connection thread ends, or after `DRAIN_GRACE`.
 ///
 /// Connections are handled on their own threads; the source sits behind a
 /// read-write lock so concurrent queries proceed in parallel while a

@@ -1,9 +1,9 @@
-//! Event-driven federation transport.
+//! Federation transport over TCP.
 //!
-//! [`PooledTcpTransport`] implements `multisource::SourceTransport` over a
-//! single epoll readiness loop (the vendored `mio` stand-in): per-source
-//! connection pooling, request pipelining with frame-level correlation IDs,
-//! per-source in-flight caps with backpressure, configurable timeouts, and
+//! [`PooledTcpTransport`] implements `multisource::SourceTransport` over
+//! blocking std sockets, each call's exchange on the calling thread:
+//! per-source connection pooling, frame-level correlation ids, per-source
+//! in-flight caps with backpressure, configurable timeouts, and
 //! retry-with-backoff — all surfaced as typed `TransportError` variants so
 //! the engine can skip-and-report a dead source instead of parking a batch.
 

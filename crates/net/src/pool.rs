@@ -1,39 +1,35 @@
-//! The pooled, pipelined TCP transport.
+//! The pooled TCP transport.
 //!
-//! One background thread owns every socket and blocks only in
-//! `epoll_wait`; caller threads (the engine's workers) send pre-encoded
-//! request frames down an `mpsc` command queue, wake the loop, and wait on
-//! a per-call channel for the one outcome the loop sends back.  Per source
-//! there is a small pool of nonblocking connections, each carrying several
-//! correlated frames in flight at once (the server echoes the frame-level
-//! correlation id, so replies match requests without ordering
-//! assumptions).  The correlation id rides the *frame*, not the message, so
-//! the protocol bytes `CommStats` counts are identical to every other
-//! transport — the cross-transport invariance suite holds.
+//! A call does its exchange on the calling thread (an engine worker): it
+//! checks a connection out of its source's pool (or opens one), writes its
+//! request frame, reads until the reply frame that echoes its correlation
+//! id, and checks the connection back in.  The id keeps the stream in step
+//! after a call that gave up waiting: the next call drops the late reply.
+//! It rides the *frame*, not the message, so the protocol bytes `CommStats`
+//! counts are identical to every other transport.
 //!
 //! Failure policy, in order of preference:
 //!
-//! * a refused/reset connection fails only the calls on it, typed as
+//! * a refused/reset connection fails only the call on it, typed as
 //!   [`TransportError::Io`] and retried with backoff up to the configured
 //!   attempt budget ([`TransportError::RetriesExhausted`] when spent);
 //! * a source that stops answering trips the per-call deadline, typed as
 //!   [`TransportError::Timeout`] (never retried: the request may still be
-//!   executing remotely);
-//! * a saturated source — in-flight cap reached *and* the admission queue
-//!   full — sheds new calls immediately as
+//!   executing remotely).  A request write that times out leaves part of a
+//!   frame on the wire, so that one connection is dropped;
+//! * a saturated source — every permitted call running *and* as many again
+//!   waiting — sheds new calls immediately as
 //!   [`TransportError::Backpressure`], so a slow source never parks every
 //!   caller thread.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mio::{Events, Interest, Poll, Token, Waker};
 use multisource::transport::{
     read_frame, write_frame, DecodedFrame, FrameError, ServedReply, SourceTransport,
     TransportReply, MAX_FRAME_BYTES,
@@ -46,11 +42,12 @@ use spatial::SourceId;
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Connections kept per source.  The server serves one frame at a time
-    /// per connection, so this bounds per-source parallelism; pipelining
-    /// on each connection hides connect/teardown and syscall latency.
+    /// per connection and a call holds its connection for its whole
+    /// exchange, so this bounds per-source parallelism.
     pub connections_per_source: usize,
-    /// Per-source in-flight cap.  Calls beyond it queue (up to the same
-    /// bound again) and then shed as [`TransportError::Backpressure`].
+    /// Per-source in-flight cap (with `connections_per_source`, the lower
+    /// bounds the calls that run at once).  Calls beyond it wait, up to the
+    /// same bound again, and then shed as [`TransportError::Backpressure`].
     pub max_in_flight_per_source: usize,
     /// Per-call reply deadline, measured from submission.
     pub request_timeout: Duration,
@@ -78,7 +75,7 @@ impl Default for PoolConfig {
 
 /// What the pool counts that no reply can carry: the calls it had to
 /// retry, time out or shed, and the connections it holds.  Clones share
-/// the values, so the event loop records and any caller reads.
+/// the values, so the calls record and any caller reads.
 #[derive(Debug, Clone, Default)]
 pub struct PoolMetrics {
     /// Currently established connections, across all sources.
@@ -91,81 +88,26 @@ pub struct PoolMetrics {
     pub backpressure: Counter,
 }
 
-// ---------------------------------------------------------------------------
-// Commands
-// ---------------------------------------------------------------------------
+/// Socket read size; a frame larger than this arrives across reads.
+const READ_CHUNK: usize = 64 * 1024;
 
-/// A call's outcome, as the event loop sends it back to the caller.
-type Outcome = Result<DecodedFrame, TransportError>;
-
-/// One submitted call, as the event loop tracks it.  The loop ends it once,
-/// by [`finish`](Self::finish); a job dropped unfinished (the loop thread is
-/// gone) disconnects its caller's receiver instead.
-struct CallJob {
-    source_idx: usize,
-    corr_id: u64,
-    /// Full wire frame, length prefix included.
-    frame: Vec<u8>,
-    deadline: Instant,
-    submitted: Instant,
-    reply: SyncSender<Outcome>,
-}
-
-impl CallJob {
-    /// Sends the outcome; a caller that gave up has dropped its receiver,
-    /// and the outcome is dropped with it.
-    fn finish(self, outcome: Outcome) {
-        let _ = self.reply.send(outcome);
-    }
-}
-
-enum Command {
-    Call(CallJob),
-    Connected {
-        source_idx: usize,
-        conn_idx: usize,
-        result: std::io::Result<TcpStream>,
-    },
-    /// Sent by `Drop`: the loop fails every call and exits.
-    Shutdown,
-}
-
-/// The callers' end of the command queue, beside the loop's wake-up.
-struct Shared {
-    commands: Sender<Command>,
-    waker: Waker,
-}
-
-impl Shared {
-    /// Enqueues and wakes the loop; returns `false` once the loop is gone.
-    fn submit(&self, command: Command) -> bool {
-        let sent = self.commands.send(command).is_ok();
-        let _ = self.waker.wake();
-        sent
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The transport handle
-// ---------------------------------------------------------------------------
-
-/// Pooled, pipelined TCP implementation of
-/// [`SourceTransport`] — see the module docs for the
-/// architecture and failure policy.
+/// Pooled TCP implementation of [`SourceTransport`] — see the module docs
+/// for the exchange and the failure policy.
 pub struct PooledTcpTransport {
-    shared: Arc<Shared>,
-    endpoints: BTreeMap<SourceId, String>,
-    index: HashMap<SourceId, usize>,
+    sources: BTreeMap<SourceId, Source>,
     config: PoolConfig,
     next_corr: AtomicU64,
     metrics: PoolMetrics,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// Connections open across every source; the gauge shows it, and the
+    /// lock keeps two calls from publishing out of order.
+    open: Mutex<usize>,
 }
 
 impl fmt::Debug for PooledTcpTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let endpoints: BTreeMap<_, _> = self.sources.iter().map(|(id, s)| (id, &s.addr)).collect();
         f.debug_struct("PooledTcpTransport")
-            .field("endpoints", &self.endpoints)
+            .field("endpoints", &endpoints)
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -173,7 +115,7 @@ impl fmt::Debug for PooledTcpTransport {
 
 impl PooledTcpTransport {
     /// A pooled transport over `(source id, "host:port")` endpoints with
-    /// default tuning.
+    /// default tuning.  Nothing is connected until a call needs it.
     pub fn new(endpoints: impl IntoIterator<Item = (SourceId, String)>) -> std::io::Result<Self> {
         Self::with_config(endpoints, PoolConfig::default())
     }
@@ -185,57 +127,21 @@ impl PooledTcpTransport {
     ) -> std::io::Result<Self> {
         config.connections_per_source = config.connections_per_source.max(1);
         config.max_in_flight_per_source = config.max_in_flight_per_source.max(1);
-        let endpoints: BTreeMap<SourceId, String> = endpoints.into_iter().collect();
-        let index: HashMap<SourceId, usize> = endpoints
-            .keys()
-            .enumerate()
-            .map(|(idx, id)| (*id, idx))
-            .collect();
-
-        let poll = Poll::new()?;
-        let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
-        let (commands, queue) = mpsc::channel();
-        let shared = Arc::new(Shared { commands, waker });
-        let metrics = PoolMetrics::default();
-
-        let sources: Vec<SourcePool> = endpoints
-            .iter()
-            .map(|(id, addr)| SourcePool::new(*id, addr.clone(), config.connections_per_source))
-            .collect();
-        let handle = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name("net-pool".into())
-                .spawn(move || {
-                    EventLoop {
-                        poll,
-                        shared,
-                        queue,
-                        chunk: vec![0; READ_CHUNK],
-                        sources,
-                        config,
-                        metrics,
-                    }
-                    .run()
-                })?
+        let source = |addr| Source {
+            addr,
+            state: Mutex::default(),
+            freed: Condvar::new(),
         };
-
         Ok(Self {
-            shared,
-            endpoints,
-            index,
+            sources: endpoints
+                .into_iter()
+                .map(|(id, a)| (id, source(a)))
+                .collect(),
             config,
             next_corr: AtomicU64::new(1),
-            metrics,
-            handle: Some(handle),
+            metrics: PoolMetrics::default(),
+            open: Mutex::new(0),
         })
-    }
-
-    /// The registered endpoints.
-    pub fn endpoints(&self) -> &BTreeMap<SourceId, String> {
-        &self.endpoints
     }
 
     /// The pool's counters and its open-connection gauge.
@@ -243,17 +149,14 @@ impl PooledTcpTransport {
         &self.metrics
     }
 
-    /// One submission: encode, enqueue, park until the loop answers.
+    /// One attempt: encode, exchange, type the outcome.
     fn call_once(
         &self,
         source: SourceId,
         request: &Message,
         want_stats: bool,
     ) -> Result<TransportReply, TransportError> {
-        let source_idx = *self
-            .index
-            .get(&source)
-            .ok_or(TransportError::UnknownSource(source))?;
+        let pool = (self.sources.get(&source)).ok_or(TransportError::UnknownSource(source))?;
         let corr_id = self.next_corr.fetch_add(1, Ordering::Relaxed);
         let mut frame = Vec::new();
         let request_bytes = write_frame(
@@ -265,24 +168,8 @@ impl PooledTcpTransport {
 
         let submitted = Instant::now();
         let deadline = submitted + self.config.request_timeout;
-        let (reply, outcome) = mpsc::sync_channel(1);
-        let job = CallJob {
-            source_idx,
-            corr_id,
-            frame,
-            deadline,
-            submitted,
-            reply,
-        };
-        if !self.shared.submit(Command::Call(job)) {
-            return Err(TransportError::Io(format!(
-                "pooled transport shut down (source {source})"
-            )));
-        }
-        // The loop enforces `deadline`; the extra second is a backstop in
-        // case the loop thread itself is wedged.
-        match outcome.recv_timeout(self.config.request_timeout + Duration::from_secs(1)) {
-            Ok(Ok(frame)) => Ok(TransportReply {
+        match self.exchange(pool, &frame, corr_id, deadline) {
+            Ok(frame) => Ok(TransportReply {
                 message: frame.message,
                 request_bytes,
                 reply_bytes: frame.message_bytes,
@@ -291,22 +178,66 @@ impl PooledTcpTransport {
                 service: frame.service,
                 phases: frame.phases,
             }),
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => Err(TransportError::Timeout {
-                source,
-                waited: submitted.elapsed(),
-            }),
-            // The job was dropped unfinished: the loop thread is gone.
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Io(format!(
-                "pooled transport's event loop is gone (source {source})"
+            Err(Failure::Shed) => {
+                self.metrics.backpressure.inc();
+                Err(TransportError::Backpressure {
+                    source,
+                    in_flight_cap: self.config.max_in_flight_per_source,
+                })
+            }
+            Err(Failure::Late | Failure::Cut) => {
+                self.metrics.timeouts.inc();
+                Err(TransportError::Timeout {
+                    source,
+                    waited: submitted.elapsed(),
+                })
+            }
+            Err(Failure::Broken(detail)) => Err(TransportError::Io(format!(
+                "exchange with {} (source {source}): {detail}",
+                pool.addr
             ))),
         }
+    }
+
+    /// Sends `frame` on a connection of `pool`'s, opened here if it has
+    /// none idle, and reads the reply; a connection out of step is dropped.
+    fn exchange(
+        &self,
+        pool: &Source,
+        frame: &[u8],
+        corr_id: u64,
+        deadline: Instant,
+    ) -> Result<DecodedFrame, Failure> {
+        let mut hold = pool.check_out(&self.config, deadline)?;
+        let conn = match &mut hold.conn {
+            Some(conn) => conn,
+            None => {
+                let left = remaining(deadline).ok_or(Failure::Late)?;
+                let conn = Conn::open(&pool.addr, left.min(self.config.connect_timeout))
+                    .map_err(|e| Failure::Broken(format!("connect: {e}")))?;
+                self.count_open(1);
+                hold.conn.insert(conn)
+            }
+        };
+        let outcome = conn.exchange(frame, corr_id, deadline);
+        if !matches!(outcome, Ok(_) | Err(Failure::Late)) {
+            hold.conn = None;
+            self.count_open(-1);
+        }
+        outcome
+    }
+
+    /// Moves the open-connection count, and the gauge with it.
+    fn count_open(&self, delta: isize) {
+        let mut open = lock(&self.open);
+        *open = open.saturating_add_signed(delta);
+        self.metrics.open_connections.set(*open as f64);
     }
 }
 
 impl SourceTransport for PooledTcpTransport {
     fn source_ids(&self) -> Vec<SourceId> {
-        self.endpoints.keys().copied().collect()
+        self.sources.keys().copied().collect()
     }
 
     fn call(
@@ -342,556 +273,193 @@ impl SourceTransport for PooledTcpTransport {
     }
 }
 
-impl Drop for PooledTcpTransport {
-    fn drop(&mut self) {
-        self.shared.submit(Command::Shutdown);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+/// Why an exchange ended without its reply.
+enum Failure {
+    /// The source is saturated: the call is shed before it waits.
+    Shed,
+    /// The deadline passed with the stream in step; the connection goes
+    /// back to the pool.
+    Late,
+    /// The request write timed out, leaving part of a frame on the wire;
+    /// the connection is dropped.
+    Cut,
+    /// The connection failed, or carried bytes that are no frame.
+    Broken(String),
+}
+
+/// One source's connections and the calls that hold or wait for one.
+struct Source {
+    addr: String,
+    state: Mutex<Checkout>,
+    /// Signalled each time a call gives its hold back.
+    freed: Condvar,
+}
+
+#[derive(Default)]
+struct Checkout {
+    /// Connections no call holds.
+    idle: Vec<Conn>,
+    /// Calls holding a connection, or opening one.
+    busy: usize,
+    /// Calls waiting for one.
+    waiting: usize,
+}
+
+impl Source {
+    /// Admits a call, waiting for a free hold until `deadline`.  The hold
+    /// carries an idle connection, or none when the caller is to open one,
+    /// which the cap leaves room for: holds never outnumber
+    /// `connections_per_source`.
+    fn check_out(&self, config: &PoolConfig, deadline: Instant) -> Result<Hold<'_>, Failure> {
+        let cap = config.max_in_flight_per_source;
+        let mut state = lock(&self.state);
+        if state.busy + state.waiting >= cap.saturating_mul(2) {
+            return Err(Failure::Shed);
         }
+        state.waiting += 1;
+        let limit = cap.min(config.connections_per_source);
+        let left = remaining(deadline).unwrap_or_default();
+        let (mut state, wait) = (self.freed)
+            .wait_timeout_while(state, left, |state| state.busy >= limit)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.waiting -= 1;
+        if wait.timed_out() {
+            return Err(Failure::Late);
+        }
+        state.busy += 1;
+        let conn = state.idle.pop();
+        Ok(Hold { pool: self, conn })
     }
 }
 
-// ---------------------------------------------------------------------------
-// The event loop
-// ---------------------------------------------------------------------------
-
-const WAKER_TOKEN: Token = Token(0);
-/// Socket read chunk; frames larger than this arrive across iterations.
-const READ_CHUNK: usize = 64 * 1024;
-/// Poll tick when nothing has a nearer deadline.
-const IDLE_TICK: Duration = Duration::from_millis(500);
-
-enum ConnState {
-    /// No socket and no connect in progress.
-    Idle,
-    /// A connector thread is establishing the socket.
-    Connecting,
-    /// Registered with the poller and carrying traffic.
-    Ready(TcpStream),
+/// A call's admission to its source; dropping it gives the connection, if
+/// any is left, back to the pool.
+struct Hold<'a> {
+    pool: &'a Source,
+    conn: Option<Conn>,
 }
 
+impl Drop for Hold<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.pool.state);
+        state.busy -= 1;
+        state.idle.extend(self.conn.take());
+        drop(state);
+        self.pool.freed.notify_one();
+    }
+}
+
+/// A blocking connection to one source.
 struct Conn {
-    state: ConnState,
-    token: Token,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    written: usize,
-    /// Registered interest, to skip redundant `reregister` syscalls.
-    registered: Option<Interest>,
-    /// Correlation id → job, for every frame sent on this connection and
-    /// not yet answered.
-    in_flight: HashMap<u64, CallJob>,
+    stream: TcpStream,
+    /// Received bytes are `buf[..filled]`: what is past the last whole
+    /// frame taken, so a deadline that falls mid-reply loses nothing.
+    buf: Vec<u8>,
+    filled: usize,
 }
 
 impl Conn {
-    fn new(token: Token) -> Self {
-        Self {
-            state: ConnState::Idle,
-            token,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            written: 0,
-            registered: None,
-            in_flight: HashMap::new(),
-        }
-    }
-}
-
-struct SourcePool {
-    id: SourceId,
-    addr: String,
-    conns: Vec<Conn>,
-    /// Admitted but not yet dispatched calls (no ready connection or the
-    /// in-flight cap is reached).
-    pending: VecDeque<CallJob>,
-}
-
-impl SourcePool {
-    fn new(id: SourceId, addr: String, conns_per_source: usize) -> Self {
-        Self {
-            id,
-            addr,
-            conns: Vec::with_capacity(conns_per_source),
-            pending: VecDeque::new(),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.conns.iter().map(|c| c.in_flight.len()).sum()
-    }
-}
-
-struct EventLoop {
-    poll: Poll,
-    shared: Arc<Shared>,
-    queue: Receiver<Command>,
-    /// The one buffer every socket read lands in.
-    chunk: Vec<u8>,
-    sources: Vec<SourcePool>,
-    config: PoolConfig,
-    metrics: PoolMetrics,
-}
-
-impl EventLoop {
-    fn run(mut self) {
-        let cps = self.config.connections_per_source;
-        for (source_idx, source) in self.sources.iter_mut().enumerate() {
-            for conn_idx in 0..cps {
-                source
-                    .conns
-                    .push(Conn::new(Token(1 + source_idx * cps + conn_idx)));
-            }
-        }
-        let mut events = Events::with_capacity(256);
-        loop {
-            let timeout = self.next_tick();
-            if self.poll.poll(&mut events, Some(timeout)).is_err() {
-                // An unusable poller cannot make progress; fail everything
-                // rather than spin.
-                self.shutdown("event loop poller failed");
-                return;
-            }
-            let fired: Vec<mio::Event> = events.iter().collect();
-            let mut woken = false;
-            for event in &fired {
-                if event.token() == WAKER_TOKEN {
-                    woken = true;
-                }
-            }
-            if woken {
-                self.shared.waker.drain();
-            }
-            while let Ok(command) = self.queue.try_recv() {
-                match command {
-                    Command::Call(job) => self.admit(job),
-                    Command::Connected {
-                        source_idx,
-                        conn_idx,
-                        result,
-                    } => self.finish_connect(source_idx, conn_idx, result),
-                    Command::Shutdown => {
-                        self.shutdown("pooled transport shut down");
-                        return;
-                    }
-                }
-            }
-            for event in &fired {
-                if event.token() != WAKER_TOKEN {
-                    self.handle_io(event);
-                }
-            }
-            self.expire_deadlines();
-            for source_idx in 0..self.sources.len() {
-                self.dispatch(source_idx);
-            }
-            self.publish_open_connections();
-        }
-    }
-
-    /// Poll timeout: the nearest outstanding deadline, clamped to the idle
-    /// tick.
-    fn next_tick(&self) -> Duration {
-        let now = Instant::now();
-        let mut tick = IDLE_TICK;
-        for source in &self.sources {
-            for job in source
-                .pending
-                .iter()
-                .chain(source.conns.iter().flat_map(|c| c.in_flight.values()))
-            {
-                tick = tick.min(job.deadline.saturating_duration_since(now));
-            }
-        }
-        tick.max(Duration::from_millis(1))
-    }
-
-    /// Admission control: a source carries at most `cap` calls in flight
-    /// plus `cap` queued; anything beyond sheds immediately.
-    fn admit(&mut self, job: CallJob) {
-        let source = &mut self.sources[job.source_idx];
-        let cap = self.config.max_in_flight_per_source;
-        if source.in_flight() + source.pending.len() >= cap * 2 {
-            self.metrics.backpressure.inc();
-            job.finish(Err(TransportError::Backpressure {
-                source: source.id,
-                in_flight_cap: cap,
-            }));
-            return;
-        }
-        source.pending.push_back(job);
-    }
-
-    /// Moves pending calls onto ready connections, least-loaded first,
-    /// until the in-flight cap is reached; initiates connects when the
-    /// pool has pending work but no (or too few) ready connections.
-    fn dispatch(&mut self, source_idx: usize) {
-        let cap = self.config.max_in_flight_per_source;
-        loop {
-            let source = &mut self.sources[source_idx];
-            if source.pending.is_empty() || source.in_flight() >= cap {
-                break;
-            }
-            let target = source
-                .conns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| matches!(c.state, ConnState::Ready(_)))
-                .min_by_key(|(_, c)| c.in_flight.len())
-                .map(|(idx, _)| idx);
-            let Some(conn_idx) = target else {
-                break;
-            };
-            let Some(job) = source.pending.pop_front() else {
-                break;
-            };
-            let conn = &mut source.conns[conn_idx];
-            conn.write_buf.extend_from_slice(&job.frame);
-            conn.in_flight.insert(job.corr_id, job);
-            self.reconcile_interest(source_idx, conn_idx);
-        }
-        // Connect escalation: one connector per idle slot while pending
-        // work exists, so a cold pool warms up in parallel.
-        let source = &mut self.sources[source_idx];
-        if !source.pending.is_empty() {
-            let addr = source.addr.clone();
-            let timeout = self.config.connect_timeout;
-            for conn_idx in 0..source.conns.len() {
-                if matches!(source.conns[conn_idx].state, ConnState::Idle) {
-                    source.conns[conn_idx].state = ConnState::Connecting;
-                    spawn_connector(&self.shared, source_idx, conn_idx, addr.clone(), timeout);
-                }
-            }
-        }
-    }
-
-    fn finish_connect(
-        &mut self,
-        source_idx: usize,
-        conn_idx: usize,
-        result: std::io::Result<TcpStream>,
-    ) {
-        match result {
-            Ok(stream) => {
-                let token = self.sources[source_idx].conns[conn_idx].token;
-                let registered = stream
-                    .set_nonblocking(true)
-                    .and_then(|()| stream.set_nodelay(true))
-                    .and_then(|()| {
-                        self.poll
-                            .registry()
-                            .register(&stream, token, Interest::READABLE)
+    /// Connects to the first address `addr` resolves to that accepts.
+    fn open(addr: &str, timeout: Duration) -> std::io::Result<Self> {
+        let mut last = std::io::Error::new(ErrorKind::AddrNotAvailable, "resolved to no address");
+        for resolved in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&resolved, timeout) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    return Ok(Self {
+                        stream,
+                        buf: Vec::new(),
+                        filled: 0,
                     });
-                let conn = &mut self.sources[source_idx].conns[conn_idx];
-                match registered {
-                    Ok(()) => {
-                        conn.state = ConnState::Ready(stream);
-                        conn.registered = Some(Interest::READABLE);
-                        self.dispatch(source_idx);
-                    }
-                    Err(_) => {
-                        conn.state = ConnState::Idle;
-                        self.fail_if_unreachable(source_idx, "could not register connection");
-                    }
                 }
-            }
-            Err(e) => {
-                self.sources[source_idx].conns[conn_idx].state = ConnState::Idle;
-                self.fail_if_unreachable(source_idx, &e.to_string());
+                Err(e) => last = e,
             }
         }
+        Err(last)
     }
 
-    /// When a connect fails and nothing else is ready or in progress, the
-    /// source is unreachable *now* — fail the queued calls instead of
-    /// letting them ripen into timeouts.
-    fn fail_if_unreachable(&mut self, source_idx: usize, detail: &str) {
-        let source = &mut self.sources[source_idx];
-        let reachable = source
-            .conns
-            .iter()
-            .any(|c| !matches!(c.state, ConnState::Idle));
-        if reachable {
-            return;
-        }
-        let id = source.id;
-        let addr = source.addr.clone();
-        for job in source.pending.drain(..) {
-            job.finish(Err(TransportError::Io(format!(
-                "connect {addr} (source {id}): {detail}"
-            ))));
-        }
-    }
-
-    fn handle_io(&mut self, event: &mio::Event) {
-        let cps = self.config.connections_per_source;
-        let raw = event.token().0;
-        if raw == 0 {
-            return;
-        }
-        let source_idx = (raw - 1) / cps;
-        let conn_idx = (raw - 1) % cps;
-        if source_idx >= self.sources.len() {
-            return;
-        }
-        if event.is_error() {
-            self.fail_conn(source_idx, conn_idx, "socket error");
-            return;
-        }
-        if event.is_writable() && self.flush_writes(source_idx, conn_idx).is_err() {
-            return;
-        }
-        if event.is_readable() {
-            self.drain_reads(source_idx, conn_idx);
-        }
-    }
-
-    /// Writes as much buffered frame data as the socket accepts; `Err`
-    /// means the connection died (and was failed).
-    fn flush_writes(&mut self, source_idx: usize, conn_idx: usize) -> Result<(), ()> {
+    /// Writes `frame` and reads until the reply that echoes `corr_id`,
+    /// each by `deadline`.
+    fn exchange(
+        &mut self,
+        frame: &[u8],
+        corr_id: u64,
+        deadline: Instant,
+    ) -> Result<DecodedFrame, Failure> {
+        let left = remaining(deadline).ok_or(Failure::Late)?;
+        (self.stream.set_write_timeout(Some(left)))
+            .and_then(|()| self.stream.write_all(frame))
+            .map_err(|e| failure(e, Failure::Cut, "write"))?;
         loop {
-            let conn = &mut self.sources[source_idx].conns[conn_idx];
-            let ConnState::Ready(stream) = &mut conn.state else {
-                return Ok(());
-            };
-            if conn.written >= conn.write_buf.len() {
-                conn.write_buf.clear();
-                conn.written = 0;
-                self.reconcile_interest(source_idx, conn_idx);
-                return Ok(());
+            while let Some(reply) = self.take_frame()? {
+                // Any other id answers an earlier call on this connection
+                // that gave up waiting.
+                if reply.correlation_id == Some(corr_id) {
+                    return Ok(reply);
+                }
             }
-            match stream.write(&conn.write_buf[conn.written..]) {
-                Ok(0) => {
-                    self.fail_conn(source_idx, conn_idx, "write returned 0");
-                    return Err(());
-                }
-                Ok(n) => conn.written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.fail_conn(source_idx, conn_idx, &format!("write: {e}"));
-                    return Err(());
-                }
+            if self.buf.len() - self.filled < READ_CHUNK {
+                self.buf.resize(self.filled + READ_CHUNK, 0);
+            }
+            let left = remaining(deadline).ok_or(Failure::Late)?;
+            let read = self
+                .stream
+                .set_read_timeout(Some(left))
+                .and_then(|()| self.stream.read(&mut self.buf[self.filled..]));
+            match read {
+                Ok(0) => return Err(Failure::Broken("connection closed by source".into())),
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(failure(e, Failure::Late, "read")),
             }
         }
     }
 
-    /// Reads everything available and completes any whole reply frames.
-    fn drain_reads(&mut self, source_idx: usize, conn_idx: usize) {
-        loop {
-            let conn = &mut self.sources[source_idx].conns[conn_idx];
-            let ConnState::Ready(stream) = &mut conn.state else {
-                return;
-            };
-            match stream.read(&mut self.chunk) {
-                Ok(0) => {
-                    self.fail_conn(source_idx, conn_idx, "connection closed by source");
-                    return;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&self.chunk[..n]);
-                    if !self.parse_frames(source_idx, conn_idx) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.fail_conn(source_idx, conn_idx, &format!("read: {e}"));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Decodes every complete frame in the read buffer; `false` means the
-    /// connection was failed (garbage on the wire).
-    fn parse_frames(&mut self, source_idx: usize, conn_idx: usize) -> bool {
-        loop {
-            let conn = &mut self.sources[source_idx].conns[conn_idx];
-            let buf = &conn.read_buf;
-            if buf.len() < 4 {
-                return true;
-            }
-            let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if len == 0 || len > MAX_FRAME_BYTES {
-                self.fail_conn(source_idx, conn_idx, "corrupt frame length");
-                return false;
-            }
-            if buf.len() < 4 + len {
-                return true;
-            }
-            let frame = read_frame(&mut &buf[..4 + len]);
-            let conn = &mut self.sources[source_idx].conns[conn_idx];
-            conn.read_buf.drain(..4 + len);
-            match frame {
-                Ok(frame) => {
-                    let matched = frame
-                        .correlation_id
-                        .and_then(|corr| conn.in_flight.remove(&corr));
-                    // Unmatched replies belong to timed-out (already
-                    // completed) calls; dropping them keeps the stream in
-                    // sync because correlation, not order, pairs frames.
-                    if let Some(job) = matched {
-                        job.finish(Ok(frame));
-                    }
-                }
-                Err(FrameError::Wire(e)) => {
-                    self.fail_conn(source_idx, conn_idx, &format!("reply decode: {e}"));
-                    return false;
-                }
-                Err(FrameError::Io(e)) => {
-                    self.fail_conn(source_idx, conn_idx, &format!("reply framing: {e}"));
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Tears one connection down, failing every call in flight on it with
-    /// a retryable I/O error.
-    fn fail_conn(&mut self, source_idx: usize, conn_idx: usize, detail: &str) {
-        let source = &mut self.sources[source_idx];
-        let id = source.id;
-        let addr = source.addr.clone();
-        let conn = &mut source.conns[conn_idx];
-        if let ConnState::Ready(stream) = &conn.state {
-            let _ = self.poll.registry().deregister(stream);
-        }
-        conn.state = ConnState::Idle;
-        conn.registered = None;
-        conn.read_buf.clear();
-        conn.write_buf.clear();
-        conn.written = 0;
-        for (_, job) in conn.in_flight.drain() {
-            job.finish(Err(TransportError::Io(format!(
-                "exchange with {addr} (source {id}): {detail}"
-            ))));
-        }
-    }
-
-    /// Keeps the registered interest in sync with whether the connection
-    /// has unflushed writes.
-    fn reconcile_interest(&mut self, source_idx: usize, conn_idx: usize) {
-        let conn = &mut self.sources[source_idx].conns[conn_idx];
-        let ConnState::Ready(stream) = &conn.state else {
-            return;
+    /// Decodes the whole frame at the front of the received bytes, if one
+    /// has arrived, and keeps what follows it.
+    fn take_frame(&mut self) -> Result<Option<DecodedFrame>, Failure> {
+        let received = &self.buf[..self.filled];
+        let Some(head) = received.first_chunk::<4>() else {
+            return Ok(None);
         };
-        let wanted = if conn.written < conn.write_buf.len() {
-            Interest::READABLE | Interest::WRITABLE
-        } else {
-            Interest::READABLE
+        let len = u32::from_be_bytes(*head) as usize;
+        if len == 0 || len > MAX_FRAME_BYTES {
+            return Err(Failure::Broken("corrupt frame length".into()));
+        }
+        let Some(mut whole) = received.get(..4 + len) else {
+            return Ok(None);
         };
-        if conn.registered != Some(wanted)
-            && self
-                .poll
-                .registry()
-                .reregister(stream, conn.token, wanted)
-                .is_ok()
-        {
-            conn.registered = Some(wanted);
-        }
-        // Level-triggered: data queued while the socket is already
-        // writable must be pushed now, not on the next readiness edge.
-        if wanted.is_writable() {
-            let _ = self.flush_writes(source_idx, conn_idx);
-        }
-    }
-
-    /// Completes every call whose deadline has passed with a typed
-    /// timeout.
-    fn expire_deadlines(&mut self) {
-        let now = Instant::now();
-        for source in &mut self.sources {
-            let id = source.id;
-            let mut expired: Vec<CallJob> = Vec::new();
-            for conn in &mut source.conns {
-                let overdue: Vec<u64> = conn
-                    .in_flight
-                    .iter()
-                    .filter(|(_, job)| job.deadline <= now)
-                    .map(|(corr, _)| *corr)
-                    .collect();
-                for corr in overdue {
-                    if let Some(job) = conn.in_flight.remove(&corr) {
-                        expired.push(job);
-                    }
-                }
-            }
-            while let Some(pos) = source.pending.iter().position(|job| job.deadline <= now) {
-                if let Some(job) = source.pending.remove(pos) {
-                    expired.push(job);
-                }
-            }
-            for job in expired {
-                self.metrics.timeouts.inc();
-                let waited = now.saturating_duration_since(job.submitted);
-                job.finish(Err(TransportError::Timeout { source: id, waited }));
-            }
-        }
-    }
-
-    fn publish_open_connections(&self) {
-        let open = self
-            .sources
-            .iter()
-            .flat_map(|s| s.conns.iter())
-            .filter(|c| matches!(c.state, ConnState::Ready(_)))
-            .count();
-        self.metrics.open_connections.set(open as f64);
-    }
-
-    /// Fails every outstanding call, queued ones included, and drops every
-    /// connection.
-    fn shutdown(&mut self, detail: &str) {
-        let fail = |job: CallJob| job.finish(Err(TransportError::Io(detail.to_string())));
-        for command in self.queue.try_iter() {
-            if let Command::Call(job) = command {
-                fail(job);
-            }
-        }
-        for source in &mut self.sources {
-            source.pending.drain(..).for_each(fail);
-            for conn in &mut source.conns {
-                conn.in_flight.drain().for_each(|(_, job)| fail(job));
-                conn.state = ConnState::Idle;
-            }
-        }
-        self.publish_open_connections();
+        let frame = read_frame(&mut whole).map_err(|e| {
+            Failure::Broken(match e {
+                FrameError::Wire(e) => format!("reply decode: {e}"),
+                FrameError::Io(e) => format!("reply framing: {e}"),
+            })
+        })?;
+        self.buf.copy_within(4 + len..self.filled, 0);
+        self.filled -= 4 + len;
+        Ok(Some(frame))
     }
 }
 
-/// Establishes one connection off the event loop thread (std's connect is
-/// blocking) and posts the outcome back through the command queue.
-fn spawn_connector(
-    shared: &Arc<Shared>,
-    source_idx: usize,
-    conn_idx: usize,
-    addr: String,
-    timeout: Duration,
-) {
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        let result = connect_with_timeout(&addr, timeout);
-        shared.submit(Command::Connected {
-            source_idx,
-            conn_idx,
-            result,
-        });
-    });
+/// What is left of `deadline`; `None` once nothing is (a zero socket
+/// timeout would mean no timeout at all).
+fn remaining(deadline: Instant) -> Option<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
 }
 
-fn connect_with_timeout(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last = Some(e),
-        }
+/// A failed `what` as its failure: `on_timeout` for a socket timeout, which
+/// Unix says as `WouldBlock` and Windows as `TimedOut`.
+fn failure(e: std::io::Error, on_timeout: Failure, what: &str) -> Failure {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => on_timeout,
+        _ => Failure::Broken(format!("{what}: {e}")),
     }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::AddrNotAvailable,
-            format!("{addr} resolved to no addresses"),
-        )
-    }))
+}
+
+/// Every update under a pool lock leaves its data valid, so a panic
+/// elsewhere while one was held poisons nothing.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

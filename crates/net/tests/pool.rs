@@ -1,12 +1,13 @@
 //! Behavioural tests of the pooled transport: reply correctness under
-//! pipelining, typed failure modes (dead source, stalled source,
-//! saturation), and the pool's observability counters.
+//! concurrent callers and cut replies, typed failure modes (dead source,
+//! stalled source, saturation), and the pool's observability counters.
 //!
 //! Full cross-transport invariance (byte-identical answers, CommStats,
 //! SearchStats vs in-process, spawned server binaries) lives in
 //! `crates/multisource/tests/transport.rs`, which dev-depends on this
 //! crate.
 
+use std::io::Write;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,11 +15,12 @@ use std::time::Duration;
 use dits::DitsLocalConfig;
 use multisource::message::ERR_UNSUPPORTED;
 use multisource::transport::{
-    read_frame, write_frame, InProcessTransport, ServedReply, SourceServer, SourceTransport,
+    read_frame, write_frame, DecodedFrame, InProcessTransport, ServedReply, SourceServer,
+    SourceTransport,
 };
 use multisource::{DataSource, Message, TransportError};
 use net::{PoolConfig, PooledTcpTransport};
-use spatial::{Grid, Point, SourceId, SpatialDataset};
+use spatial::{CellSet, Grid, Point, SourceId, SpatialDataset};
 
 fn tiny_source(id: SourceId) -> DataSource {
     let grid = Grid::global(10).expect("grid");
@@ -301,5 +303,85 @@ fn a_late_reply_is_dropped_and_the_connection_stays_in_sync() {
         .expect("second call");
     assert_eq!(second.message, answer("prompt"));
     assert_eq!(pooled.metrics().timeouts.get(), 1);
+    drop(server.join().expect("listener"));
+}
+
+/// `request`'s message sent back as its reply frame.
+fn echo(request: DecodedFrame) -> Vec<u8> {
+    let mut frame = Vec::new();
+    let reply = ServedReply::plain(request.message).correlated(request.correlation_id);
+    write_frame(&mut frame, &reply, false).expect("encode");
+    frame
+}
+
+/// A loopback listener, and a pool of one connection to it as source 3,
+/// without retries.
+fn one_connection(request_timeout: Duration) -> (TcpListener, PooledTcpTransport) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let config = PoolConfig {
+        connections_per_source: 1,
+        request_timeout,
+        retries: 0,
+        ..PoolConfig::default()
+    };
+    let pooled = PooledTcpTransport::with_config([(3, addr)], config).expect("transport");
+    (listener, pooled)
+}
+
+#[test]
+fn a_reply_cut_by_the_deadline_leaves_the_connection_in_step() {
+    let (listener, pooled) = one_connection(Duration::from_millis(200));
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let late = echo(read_frame(&mut stream).expect("first frame"));
+        let (head, tail) = late.split_at(late.len() / 2);
+        stream.write_all(head).expect("first half");
+        // The second frame is sent only once the first call has timed out,
+        // so the rest of the first reply arrives past its deadline.
+        let prompt = echo(read_frame(&mut stream).expect("second frame"));
+        stream.write_all(tail).expect("second half");
+        stream.write_all(&prompt).expect("reply");
+        stream
+    });
+
+    let ids = (0..64).collect();
+    let first = Message::CellsQuery { datasets: ids };
+    let late = pooled
+        .call(3, &first, false)
+        .expect_err("past the deadline");
+    assert!(matches!(late, TransportError::Timeout { .. }), "{late:?}");
+    let poll = Message::summary_poll();
+    assert_eq!(pooled.call(3, &poll, false).expect("in step").message, poll);
+    assert_eq!(pooled.metrics().timeouts.get(), 1);
+    assert_eq!(pooled.metrics().open_connections.get(), 1.0);
+    drop(server.join().expect("listener"));
+}
+
+#[test]
+fn a_request_write_that_times_out_drops_only_its_connection() {
+    let (listener, pooled) = one_connection(Duration::from_millis(300));
+    let server = std::thread::spawn(move || {
+        // The first connection is held open and never read.
+        let (stalled, _) = listener.accept().expect("first accept");
+        let (mut served, _) = listener.accept().expect("second accept");
+        let reply = echo(read_frame(&mut served).expect("frame"));
+        served.write_all(&reply).expect("reply");
+        (stalled, served)
+    });
+
+    // 16 Mi cells one apart: a request frame of just over 16 MiB, more than
+    // the socket buffers hold while the peer never reads.
+    let cells = CellSet::from_sorted_cells(0..16 << 20).expect("sorted cells");
+    let huge = Message::OverlapQuery { query: cells, k: 1 };
+    let cut = pooled.call(3, &huge, false).expect_err("write timeout");
+    assert!(matches!(cut, TransportError::Timeout { .. }), "{cut:?}");
+    assert_eq!(pooled.metrics().open_connections.get(), 0.0);
+    let poll = Message::summary_poll();
+    assert_eq!(
+        pooled.call(3, &poll, false).expect("reopened").message,
+        poll
+    );
+    assert_eq!(pooled.metrics().open_connections.get(), 1.0);
     drop(server.join().expect("listener"));
 }
