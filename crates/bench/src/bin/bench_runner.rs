@@ -61,7 +61,7 @@
 //! report the speed of diverging code.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use baselines::sg_coverage_search;
 use bench::ExperimentEnv;
@@ -70,7 +70,7 @@ use dits::local::NodeKind;
 use dits::overlap::overlap_search_bruteforce;
 use dits::{
     coverage_search, nearest_datasets, overlap_search, CoverageConfig, DatasetNode, DitsLocal,
-    DitsLocalConfig, InvertedIndex, Neighbor,
+    DitsLocalConfig, InvertedIndex, Neighbor, PhaseTimings,
 };
 use multisource::{
     CandidateCells, CommStats, DataCenter, DataSource, DistributionStrategy, FrameworkConfig,
@@ -388,26 +388,22 @@ fn rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// The `phases` row of a traced [`SearchResponse`]: its traversal/verify
-/// split, and the bound tests the distance kernel ran per exact distance
-/// (0 where no distance is computed).
+/// The `phases` row of a [`SearchResponse`], folded from its records: the
+/// sources' traversal/verify split, and the bound tests the distance kernel
+/// ran per exact distance (0 where no distance is computed).
 fn phase_report(name: &str, response: &SearchResponse) -> Row {
-    let trace = response.trace.as_ref().expect("run was traced");
-    let traversal = trace.total_named("traversal");
-    let verify = trace.total_named("verify");
-    let total = traversal + verify;
-    let verify_share = if total > Duration::ZERO {
-        verify.as_secs_f64() / total.as_secs_f64()
-    } else {
-        0.0
-    };
+    let mut phases = PhaseTimings::default();
+    for shard in &response.shards {
+        phases.merge(&shard.phases);
+    }
+    let search = response.search();
     Row::new(
         name,
         [
-            traversal.as_nanos() as f64,
-            verify.as_nanos() as f64,
-            verify_share,
-            response.search.bound_tests as f64 / response.search.exact_computations.max(1) as f64,
+            phases.traversal.as_nanos() as f64,
+            phases.verify.as_nanos() as f64,
+            phases.verify_share().unwrap_or(0.0),
+            search.bound_tests as f64 / search.exact_computations.max(1) as f64,
         ]
         .map(Json::Number),
     )
@@ -1207,29 +1203,20 @@ fn run_suite(quick: bool) -> Vec<Vec<Row>> {
         .map(Json::Number),
     );
 
-    // Phase breakdown: one traced run per engine entry splits the sources'
-    // time into index traversal vs. candidate verification (the paper's
+    // Phase breakdown: one run per engine entry splits the sources' time
+    // into index traversal vs. candidate verification (the paper's
     // "verification dominates" claim, measured instead of asserted).
-    eprintln!("[9/10] phase breakdown (traced engine runs)");
-    let traced_ojsp = ojsp_request.clone().with_trace(true);
-    let phases = vec![
-        phase_report(
-            "engine/ojsp/per-query",
-            &in_process_engine.run(&traced_ojsp).expect("traced OJSP"),
-        ),
-        phase_report(
-            "engine/cjsp/per-query",
-            &in_process_engine
-                .run(&cjsp_request.with_trace(true))
-                .expect("traced CJSP"),
-        ),
-        phase_report(
-            "engine/knn/per-query",
-            &in_process_engine
-                .run(&knn_request.with_trace(true))
-                .expect("traced kNN"),
-        ),
-    ];
+    eprintln!("[9/10] phase breakdown (engine runs' records)");
+    let phases: Vec<Row> = [
+        ("ojsp", &ojsp_request),
+        ("cjsp", &cjsp_request),
+        ("knn", &knn_request),
+    ]
+    .map(|(kind, request)| {
+        let response = in_process_engine.run(request).expect("engine run");
+        phase_report(&format!("engine/{kind}/per-query"), &response)
+    })
+    .into();
 
     // -- The corpus, then the framework build on one worker and on the pool --
     eprintln!("[10/10] build/corpus, build/framework (workers-1 against the pool)");

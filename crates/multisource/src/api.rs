@@ -4,11 +4,16 @@
 //! A [`SearchRequest`] names the search kind (OJSP, CJSP, k-nearest
 //! datasets), carries one query or a whole batch, and tunes execution —
 //! `k`, worker count, distribution strategy, connectivity threshold,
-//! degradation mode, tracing.  It executes through
+//! degradation mode.  It executes through
 //! [`MultiSourceFramework::search`](crate::MultiSourceFramework::search)
 //! in-process, or through [`QueryEngine::run`](crate::QueryEngine::run) over
 //! any [`SourceTransport`](crate::SourceTransport) — the request is
 //! transport-agnostic by construction.
+//!
+//! A [`SearchResponse`] carries, next to its answers, one [`ShardRecord`]
+//! for every exchange a source answered and one [`WaveRecord`] for every
+//! wave: every cost of the run — bytes, rounds, the sources' time and their
+//! search counters — is a fold of them.
 //!
 //! ```no_run
 //! # use multisource::{SearchRequest, MultiSourceFramework, FrameworkConfig};
@@ -38,7 +43,7 @@
 
 use std::time::Duration;
 
-use dits::SearchStats;
+use dits::{PhaseTimings, SearchStats};
 use spatial::{SourceId, SpatialDataset};
 
 use crate::center::{AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DistributionStrategy};
@@ -73,7 +78,6 @@ pub struct SearchRequest {
     pub(crate) strategy: Option<DistributionStrategy>,
     pub(crate) delta_cells: Option<f64>,
     pub(crate) skip_failed_sources: Option<bool>,
-    pub(crate) collect_trace: bool,
 }
 
 impl SearchRequest {
@@ -86,7 +90,6 @@ impl SearchRequest {
             strategy: None,
             delta_cells: None,
             skip_failed_sources: None,
-            collect_trace: false,
         }
     }
 
@@ -171,17 +174,6 @@ impl SearchRequest {
         self.skip_failed_sources = Some(skip);
         self
     }
-
-    /// Opt in to structured tracing (default off): the engine returns a
-    /// [`SearchResponse::trace`] of timed spans covering planning, per-shard
-    /// transport calls, the sources' traversal vs. verification split and
-    /// aggregation.  The split rides each reply's timing block, next to the
-    /// source's service time; nothing about the trace is sent to a source,
-    /// so tracing never changes the counted protocol bytes.
-    pub fn with_trace(mut self, collect: bool) -> Self {
-        self.collect_trace = collect;
-        self
-    }
 }
 
 /// Typed per-query answers of a [`SearchResponse`], one variant per
@@ -212,22 +204,47 @@ impl SearchResults {
     }
 }
 
-/// Time and volume spent talking to one source over a whole request.
+/// One exchange a source answered: the wave and query it served, the bytes
+/// each way, its time and what the source's search counted.
+///
+/// A shard the transport failed leaves no record; one its source answered
+/// with an error, or with a reply of the wrong kind, does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceTiming {
-    /// The source.
+pub struct ShardRecord {
+    /// The wave the request left in: an index into
+    /// [`SearchResponse::waves`].
+    pub wave: usize,
+    /// The query of the batch it served.
+    pub query: usize,
+    /// The source that answered.
     pub source: SourceId,
-    /// Requests sent to it.
-    pub requests: usize,
-    /// Protocol bytes exchanged with it (both directions).
-    pub bytes: usize,
-    /// Wall-clock time spent in transport calls to it (includes the
-    /// source's local search time).
-    pub elapsed: Duration,
-    /// The part of `elapsed` the source itself reported serving — the
-    /// remainder is transport overhead (framing, sockets, scheduling).
-    /// Zero when the source did not report service times.
+    /// Wire size of the request message, in bytes.
+    pub request_bytes: usize,
+    /// Wire size of the reply message, in bytes.
+    pub reply_bytes: usize,
+    /// Wall-clock time of the transport call, the source's service
+    /// included.
+    pub call: Duration,
+    /// The part of `call` the source reported serving — the rest is
+    /// transport overhead (framing, sockets, scheduling).  Zero when the
+    /// source did not report it.
     pub service: Duration,
+    /// The source's split of `service` into index traversal and exact
+    /// verification.
+    pub phases: PhaseTimings,
+    /// The source's local-search statistics (zero when it reported none).
+    pub search: SearchStats,
+}
+
+/// The center's time around one wave's calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaveRecord {
+    /// Planning the wave: routing and clipping every query for the first;
+    /// for a follow-up, turning the previous wave's verdicts into requests.
+    pub plan: Duration,
+    /// Settling the bucket of every query still open once the wave's
+    /// replies are in: its answer, or what must be sent first.
+    pub settle: Duration,
 }
 
 /// One source a degraded run could not get an answer from: the shard(s)
@@ -250,14 +267,14 @@ pub struct SourceFailure {
 pub struct SearchResponse {
     /// Per-query answers, in query order.
     pub results: SearchResults,
-    /// Communication statistics accumulated over the whole batch.
+    /// Communication statistics accumulated over the whole batch: its
+    /// bytes, requests and replies are the fold of [`Self::shards`].
     pub comm: CommStats,
-    /// Local-search statistics accumulated over every reply, carried on the
-    /// transport frame next to the message (a source that does not report
-    /// them adds nothing).
-    pub search: SearchStats,
-    /// Per-source transport timing, ascending by source id.
-    pub per_source: Vec<SourceTiming>,
+    /// One record per exchange a source answered, in the order the waves
+    /// sent them — task order within a wave, whatever the worker count.
+    pub shards: Vec<ShardRecord>,
+    /// One record per wave: the first, then one per follow-up.
+    pub waves: Vec<WaveRecord>,
     /// Sources a degraded run skipped, ascending by source id; always empty
     /// for fail-fast runs.  [`CommStats`] byte and request counters cover
     /// every exchange a source replied to: a shard the transport failed
@@ -275,15 +292,21 @@ pub struct SearchResponse {
     pub failures: Vec<SourceFailure>,
     /// Wall-clock time spent planning, searching and aggregating.
     pub elapsed: Duration,
-    /// The structured trace of the run; `None` unless the request opted in
-    /// with [`SearchRequest::with_trace`].
-    pub trace: Option<obs::Trace>,
 }
 
 impl SearchResponse {
     /// Whether every planned shard completed (no source was skipped).
     pub fn is_complete(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// The local-search statistics of every reply, summed.
+    pub fn search(&self) -> SearchStats {
+        let mut total = SearchStats::new();
+        for shard in &self.shards {
+            total.merge(&shard.search);
+        }
+        total
     }
 }
 
@@ -333,10 +356,8 @@ mod tests {
         assert_eq!(r.strategy, Some(DistributionStrategy::Broadcast));
         assert_eq!(r.delta_cells, Some(5.0));
         assert_eq!(r.skip_failed_sources, None);
-        assert!(!r.collect_trace);
-        let r = r.skip_failed_sources(true).with_trace(true);
+        let r = r.skip_failed_sources(true);
         assert_eq!(r.skip_failed_sources, Some(true));
-        assert!(r.collect_trace);
 
         let batch = SearchRequest::knn_batch(vec![q.clone(), q]);
         assert_eq!(batch.kind(), SearchKind::Knn);

@@ -6,10 +6,10 @@
 //! the deployment of the paper's Fig. 3 where every data source runs its
 //! local search concurrently.  A wave is a map, then a fold: a fixed pool of
 //! scoped worker threads only calls the transport and times each call, and
-//! the replies, back in task order, are accounted into one ledger of
-//! [`CommStats`], [`SearchStats`] and per-source timings on the calling
-//! thread — so the reported totals are those of a sequential run of the same
-//! plan.
+//! the replies, back in task order, are recorded on the calling thread as
+//! one [`ShardRecord`] each — so the records, and the [`CommStats`] and
+//! [`SearchStats`] folded from them, are those of a sequential run of the
+//! same plan.
 //!
 //! The engine is **transport-agnostic**: it plans entirely from the
 //! [`SourceSummary`](dits::SourceSummary)s in DITS-G and executes every
@@ -62,7 +62,8 @@ use dits::{Neighbor, SearchStats};
 use spatial::{dataset_distance_within, CellSet, DatasetId, Mbr, SourceId, SpatialDataset};
 
 use crate::api::{
-    SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
+    SearchKind, SearchRequest, SearchResponse, SearchResults, ShardRecord, SourceFailure,
+    WaveRecord,
 };
 use crate::center::{
     grid, AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DataCenter, DistributionStrategy,
@@ -215,25 +216,26 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Executes planned shard tasks — one transport call each, made on the
-    /// worker pool — then folds the replies, in task order, into `ledger`
-    /// and unpacks each as `K`'s reply, honouring the engine's degradation
-    /// mode.  Fail-fast (the default) returns the first shard error in task
-    /// order, and the pool sends nothing after it; skip-and-report
-    /// ([`EngineConfig::skip_failed_sources`]) keeps going, drops the failed
-    /// shards' contributions (`None` slots) and records one
+    /// Executes the planned shard tasks of wave `wave` — one transport call
+    /// each, made on the worker pool — then records the replies, in task
+    /// order, in `shards` and unpacks each as `K`'s reply, honouring the
+    /// engine's degradation mode.  Fail-fast (the default) returns the first
+    /// shard error in task order, and the pool sends nothing after it;
+    /// skip-and-report ([`EngineConfig::skip_failed_sources`]) keeps going,
+    /// drops the failed shards' contributions (`None` slots) and records one
     /// [`SourceFailure`] per failed source in `failures`, which a request
     /// carries across its waves — the first error in task order, so the
     /// report is deterministic for a deterministic plan.
     ///
-    /// A shard the transport fails accounts nothing: no reply, no bytes.  A
+    /// A shard the transport fails leaves no record: no reply, no bytes.  A
     /// shard whose source did reply — even with [`Message::Error`] or a
-    /// reply of the wrong kind — moved bytes, and they are counted with its
+    /// reply of the wrong kind — moved bytes, and is recorded with its
     /// timing and statistics.
     fn execute_shards<K: QueryKind>(
         &self,
+        wave: usize,
         tasks: &[ShardTask],
-        ledger: &mut Ledger,
+        shards: &mut Vec<ShardRecord>,
         failures: &mut Vec<SourceFailure>,
     ) -> Result<Vec<Option<Vec<K::Item>>>, SearchError> {
         let transport = self.transport.get();
@@ -254,10 +256,10 @@ impl<'a> QueryEngine<'a> {
         };
         let replies = par_map(tasks, self.config.workers, call, failed)?;
         let mut results = Vec::with_capacity(replies.len());
-        for (task, (reply, elapsed)) in tasks.iter().zip(replies) {
+        for (task, (reply, call)) in tasks.iter().zip(replies) {
             let items = reply
                 .map_err(SearchError::from)
-                .and_then(|reply| ledger.record(task.source, reply, elapsed))
+                .and_then(|reply| record(shards, wave, task, reply, call))
                 .and_then(|message| {
                     K::items(task, message)
                         .ok_or_else(|| TransportError::UnexpectedReply(K::REPLY).into())
@@ -285,11 +287,9 @@ impl<'a> QueryEngine<'a> {
     /// ([`QueryKind::settle`]) into its answer or into what must be sent
     /// first — sources held back from the first wave, cells a reply only
     /// named — and that is planned and goes through the same execute →
-    /// bucket steps, until every query has its answer.  A traced request
-    /// gets timed spans for planning (`plan`, and one `replan` for every
-    /// pass that left a query open), each transport call, the sources'
-    /// service time and traversal/verification split (which every reply
-    /// carries next to its statistics) and aggregation (the last pass).
+    /// bucket steps, until every query has its answer.  Every wave leaves a
+    /// [`WaveRecord`] of the center's time planning and settling it, and
+    /// every reply a [`ShardRecord`].
     fn drive<K: QueryKind + Sync>(
         &self,
         kind: &K,
@@ -371,7 +371,7 @@ impl<'a> QueryEngine<'a> {
             plan_shards(&mut tasks, &mut plan, &targets, kind.clip_slack())?;
             plans.push(plan);
         }
-        let plan_elapsed = start.elapsed();
+        let mut planned_in = start.elapsed();
 
         // Execute one task per (query, source) shard, in parallel, and
         // bucket the replies per query; then settle every open query's
@@ -380,26 +380,27 @@ impl<'a> QueryEngine<'a> {
         // failures so far, both in task order, so every worker count sends
         // the same waves; every answer ranks through a total order, so the
         // bucket fill order cannot change it.
-        let mut ledger = Ledger::new(request.collect_trace);
+        let mut waves: Vec<WaveRecord> = Vec::new();
+        let mut shards: Vec<ShardRecord> = Vec::new();
         let mut failures: Vec<SourceFailure> = Vec::new();
         let mut buckets: Vec<Vec<K::Item>> = (0..queries.len()).map(|_| Vec::new()).collect();
         let mut answers: Vec<Option<K::Answer>> = (0..queries.len()).map(|_| None).collect();
         let mut open: Vec<usize> = (0..queries.len()).collect();
-        let mut replans: Vec<Duration> = Vec::new();
         let settle_workers = if K::SETTLES_ON_THE_POOL {
             self.config.workers
         } else {
             1
         };
-        let last_pass = loop {
-            let per_task = self.execute_shards::<K>(&tasks, &mut ledger, &mut failures)?;
+        loop {
+            let per_task =
+                self.execute_shards::<K>(waves.len(), &tasks, &mut shards, &mut failures)?;
             for (task, items) in tasks.drain(..).zip(per_task) {
                 let Some(items) = items else { continue };
                 if let Some(bucket) = buckets.get_mut(task.query_idx) {
                     bucket.extend(items);
                 }
             }
-            let pass_started = Instant::now();
+            let settle_started = Instant::now();
             let settle = |&query_idx: &usize| match (plans.get(query_idx), buckets.get(query_idx)) {
                 (Some(plan), Some(bucket)) => Ok(kind.settle(plan, bucket, &failures, k)),
                 _ => Err(SearchError::Internal("an open query has no plan")),
@@ -407,6 +408,11 @@ impl<'a> QueryEngine<'a> {
             let verdicts = par_map(&open, settle_workers, settle, Result::is_err)?
                 .into_iter()
                 .collect::<Result<Vec<_>, _>>()?;
+            let settled_at = Instant::now();
+            waves.push(WaveRecord {
+                plan: planned_in,
+                settle: settled_at - settle_started,
+            });
             let mut still_open = Vec::new();
             for (query_idx, verdict) in open.drain(..).zip(verdicts) {
                 let (Some(plan), Some(answer)) =
@@ -442,29 +448,27 @@ impl<'a> QueryEngine<'a> {
             }
             open = still_open;
             if open.is_empty() {
-                break pass_started.elapsed();
+                break;
             }
-            replans.push(pass_started.elapsed());
-        };
+            planned_in = settled_at.elapsed();
+        }
         failures.sort_by_key(|f| f.source);
-        comm.merge(&ledger.comm);
+        for shard in &shards {
+            comm.record_request(shard.request_bytes);
+            comm.record_reply(shard.reply_bytes);
+        }
         let answers = answers
             .into_iter()
             .map(|answer| answer.ok_or(SearchError::Internal("a settled query has no answer")))
             .collect::<Result<Vec<_>, _>>()?;
 
-        let elapsed = start.elapsed();
-        let trace = request
-            .collect_trace
-            .then(|| assemble_trace(plan_elapsed, &replans, ledger.spans, last_pass));
         Ok(SearchResponse {
             results: K::results(answers),
             comm,
-            search: ledger.search,
-            per_source: ledger.per_source.into_values().collect(),
+            shards,
+            waves,
             failures,
-            elapsed,
-            trace,
+            elapsed: start.elapsed(),
         })
     }
 }
@@ -1028,104 +1032,32 @@ fn stalled_stubs<'s>(
     stubs.get(..k - selected.len()).unwrap_or(stubs)
 }
 
-/// Assembles a run's [`obs::Trace`] from its phase timings and the spans the
-/// ledger kept: `plan` (plus one `replan` per follow-up wave) and
-/// `aggregate` spans bracket the per-call `call` / `service` /
-/// `traversal` / `verify` spans of every wave, and the whole trace is
-/// canonicalised so center-side spans come first.
-fn assemble_trace(
-    plan: Duration,
-    replans: &[Duration],
-    spans: Vec<obs::Span>,
-    aggregate: Duration,
-) -> obs::Trace {
-    let mut trace = obs::Trace::default();
-    trace.push("plan", None, plan);
-    for &replan in replans {
-        trace.push("replan", None, replan);
-    }
-    trace.spans.extend(spans);
-    trace.push("aggregate", None, aggregate);
-    trace.canonicalize();
-    trace
-}
-
-/// What a request's exchanges add up to, folded on the calling thread in
-/// task order: communication bytes, search statistics, per-source transport
-/// timing and, when tracing, the per-call spans.
-#[derive(Debug)]
-struct Ledger {
-    comm: CommStats,
-    search: SearchStats,
-    per_source: BTreeMap<SourceId, SourceTiming>,
-    /// Whether the run is traced: then the spans of its replies are kept.
-    trace: bool,
-    spans: Vec<obs::Span>,
-}
-
-impl Ledger {
-    fn new(trace: bool) -> Self {
-        Self {
-            comm: CommStats::new(),
-            search: SearchStats::new(),
-            per_source: BTreeMap::new(),
-            trace,
-            spans: Vec::new(),
-        }
-    }
-
-    /// Accounts one reply a source sent, `elapsed` after its call began —
-    /// bytes, timing, statistics and spans, whatever the reply says — and
-    /// returns its message, or the error a [`Message::Error`] reply carries.
-    fn record(
-        &mut self,
-        source: SourceId,
-        reply: TransportReply,
-        elapsed: Duration,
-    ) -> Result<Message, SearchError> {
-        // Sizes come from the transport (the TCP path reads them off the
-        // frames it already moved), so nothing is re-encoded for accounting.
-        self.comm.record_request(reply.request_bytes);
-        self.comm.record_reply(reply.reply_bytes);
-        let timing = self.per_source.entry(source).or_insert(SourceTiming {
-            source,
-            requests: 0,
-            bytes: 0,
-            elapsed: Duration::ZERO,
-            service: Duration::ZERO,
-        });
-        timing.requests += 1;
-        timing.bytes += reply.request_bytes + reply.reply_bytes;
-        timing.elapsed += elapsed;
-        timing.service += reply.service.unwrap_or_default();
-        if let Some(stats) = reply.search {
-            self.search.merge(&stats);
-        }
-        if self.trace {
-            // Source-side spans carry the source id; the call span is the
-            // transport wall-clock around the whole exchange.  The phase
-            // split rides the reply's timing block, so it is there exactly
-            // when the service time is.
-            let phases = reply.service.map(|_| reply.phases);
-            let spans = [
-                ("call", Some(elapsed)),
-                ("service", reply.service),
-                ("traversal", phases.map(|p| p.traversal)),
-                ("verify", phases.map(|p| p.verify)),
-            ];
-            self.spans
-                .extend(spans.into_iter().filter_map(|(name, elapsed)| {
-                    Some(obs::Span {
-                        name: name.to_string(),
-                        source: Some(source),
-                        elapsed: elapsed?,
-                    })
-                }));
-        }
-        match reply.message {
-            Message::Error { code, detail } => Err(TransportError::Remote { code, detail }.into()),
-            message => Ok(message),
-        }
+/// Records one reply a source sent to `task` in wave `wave`, `call` after
+/// the call began — bytes, timing and statistics, whatever the reply says —
+/// and returns its message, or the error a [`Message::Error`] reply carries.
+/// Sizes come from the transport (the TCP path reads them off the frames it
+/// already moved), so nothing is re-encoded for accounting.
+fn record(
+    shards: &mut Vec<ShardRecord>,
+    wave: usize,
+    task: &ShardTask,
+    reply: TransportReply,
+    call: Duration,
+) -> Result<Message, SearchError> {
+    shards.push(ShardRecord {
+        wave,
+        query: task.query_idx,
+        source: task.source,
+        request_bytes: reply.request_bytes,
+        reply_bytes: reply.reply_bytes,
+        call,
+        service: reply.service.unwrap_or_default(),
+        phases: reply.phases,
+        search: reply.search.unwrap_or_default(),
+    });
+    match reply.message {
+        Message::Error { code, detail } => Err(TransportError::Remote { code, detail }.into()),
+        message => Ok(message),
     }
 }
 
@@ -1425,19 +1357,22 @@ mod tests {
             .engine()
             .run(&SearchRequest::ojsp_batch(queries).k(5))
             .unwrap();
-        let search = outcome.search;
+        let search = outcome.search();
         assert!(search.nodes_visited > 0, "engine must surface search stats");
         assert!(search.exact_computations > 0);
-        // Per-source timing covers every contacted source.
-        assert!(!outcome.per_source.is_empty());
-        assert_eq!(
-            outcome.per_source.iter().map(|t| t.requests).sum::<usize>(),
-            outcome.comm.requests
-        );
-        assert_eq!(
-            outcome.per_source.iter().map(|t| t.bytes).sum::<usize>(),
-            outcome.comm.total_bytes()
-        );
+        assert_comm_folds_the_records(&outcome);
+    }
+
+    /// The bytes, requests and replies of `response.comm` are those of its
+    /// records.
+    fn assert_comm_folds_the_records(response: &SearchResponse) {
+        let mut folded = CommStats::new();
+        for shard in &response.shards {
+            folded.record_request(shard.request_bytes);
+            folded.record_reply(shard.reply_bytes);
+        }
+        folded.sources_contacted = response.comm.sources_contacted;
+        assert_eq!(folded, response.comm);
     }
 
     #[test]
@@ -1502,96 +1437,70 @@ mod tests {
         assert!(batch.comm.bytes_to_sources < broadcast.comm.bytes_to_sources);
     }
 
-    /// Tracing is opt-in, assembles center-side and per-source spans, and
-    /// never changes the answers or the counted protocol bytes.
+    /// Every run records one shard per exchanged request — its wave, its
+    /// query, its source's service time and phase split — and one wave per
+    /// round: one for OJSP, two for kNN, and for CJSP as many as it took to
+    /// fetch the cells its greedy stalled on.
     #[test]
-    fn traced_requests_return_spans_without_changing_bytes() {
+    fn shard_records_account_every_exchange() {
         let (fw, queries) = five_source_framework();
         for request in one_request_per_kind(&queries) {
             let kind = request.kind();
-            let plain = fw.search(&request).unwrap();
-            assert!(plain.trace.is_none(), "{kind:?}: tracing must be opt-in");
-            let traced = fw.search(&request.with_trace(true)).unwrap();
-            assert_eq!(plain.results, traced.results, "{kind:?}");
-            assert_eq!(
-                plain.comm, traced.comm,
-                "{kind:?}: tracing must not change the counted protocol bytes"
-            );
-            let trace = traced.trace.expect("trace was requested");
-            assert_eq!(trace.spans_named("plan").count(), 1);
-            assert_eq!(trace.spans_named("aggregate").count(), 1);
-            // One `replan` span per follow-up wave: none for OJSP, kNN's
-            // second round (not empty here: the first wave is one request
-            // per query), and for CJSP as many as it took to fetch the
-            // cells its greedy stalled on — here at least one.
-            let replans = trace.spans_named("replan").count();
+            let response = fw.search(&request).unwrap();
+            assert_comm_folds_the_records(&response);
+            let follow_ups = response.waves.len() - 1;
             match kind {
-                SearchKind::Ojsp => assert_eq!(replans, 0),
+                SearchKind::Ojsp => assert_eq!(follow_ups, 0),
                 SearchKind::Knn => {
-                    assert_eq!(replans, 1);
-                    assert!(traced.comm.requests > queries.len());
+                    assert_eq!(follow_ups, 1);
+                    assert!(response.comm.requests > queries.len());
                 }
                 SearchKind::Cjsp => {
-                    assert!(replans >= 1, "the fixture's CJSP batch fetches no cells");
+                    assert!(follow_ups >= 1, "the fixture's CJSP batch fetches no cells");
                     // A fetch is no new contact.
-                    assert!(traced.comm.requests >= traced.comm.sources_contacted + replans);
+                    assert!(response.comm.requests >= response.comm.sources_contacted + follow_ups);
                 }
             }
-            // One call/service/traversal/verify span per exchanged request,
-            // each naming the source it was measured on.
-            for name in ["call", "service", "traversal", "verify"] {
-                assert_eq!(
-                    trace.spans_named(name).count(),
-                    traced.comm.requests,
-                    "{kind:?}"
-                );
-                assert!(trace.spans_named(name).all(|s| s.source.is_some()));
-            }
-            // Canonical order puts center-side spans first.
-            assert_eq!(trace.spans[0].source, None);
-            assert!(trace.total_named("traversal") > Duration::ZERO, "{kind:?}");
-            // Service time surfaced per source, bounded by the transport
-            // time, and summed over both waves.
+            // Every wave sent something, in order, for a query of the batch.
+            let waves: Vec<usize> = response.shards.iter().map(|s| s.wave).collect();
+            assert!(waves.windows(2).all(|w| w[0] <= w[1]), "{kind:?}");
+            assert_eq!(waves.last(), Some(&follow_ups), "{kind:?}");
+            assert!(response.shards.iter().all(|s| s.query < queries.len()));
+            // Service time bounded by the call, split by the source.
             assert!(
-                traced
-                    .per_source
+                response
+                    .shards
                     .iter()
-                    .all(|t| t.service > Duration::ZERO && t.service <= t.elapsed),
+                    .all(|s| s.service > Duration::ZERO && s.service <= s.call),
                 "{kind:?}"
             );
-            assert_eq!(
-                traced.per_source.iter().map(|t| t.requests).sum::<usize>(),
-                traced.comm.requests,
-                "{kind:?}"
-            );
+            let traversal: Duration = response.shards.iter().map(|s| s.phases.traversal).sum();
+            assert!(traversal > Duration::ZERO, "{kind:?}");
         }
     }
 
-    /// On one worker the spans are disjoint intervals of the request — plan,
-    /// every call of the first wave, then a replan and the calls it planned
-    /// for every follow-up wave, aggregate — so together they never exceed
-    /// its wall-clock time and leave only the engine's bookkeeping between
-    /// them uncovered.  Held for kNN's second wave and for CJSP's fetches.
+    /// On one worker the recorded times are disjoint intervals of the
+    /// request — every wave's plan, its calls, its settle — so together they
+    /// never exceed its wall-clock time and leave only the engine's
+    /// bookkeeping between them uncovered.  Held for kNN's second wave and
+    /// for CJSP's fetches.
     #[test]
     fn two_wave_span_time_covers_the_request() {
         let (fw, queries) = five_source_framework();
         let [_, cjsp, knn] = one_request_per_kind(&queries);
         for request in [knn, cjsp] {
-            let request = request.workers(1).with_trace(true);
-            span_time_covers(&fw, &request);
+            span_time_covers(&fw, &request.workers(1));
         }
     }
 
     fn span_time_covers(fw: &MultiSourceFramework, request: &SearchRequest) {
         let kind = request.kind();
         let coverage = |response: &SearchResponse| {
-            let trace = response.trace.as_ref().expect("trace was requested");
-            let covered: Duration = ["plan", "call", "replan", "aggregate"]
-                .iter()
-                .map(|name| trace.total_named(name))
-                .sum();
-            assert!(trace.spans_named("replan").count() >= 1, "{kind:?}");
-            assert!(covered <= response.elapsed, "{kind:?}: spans overlap");
+            let center: Duration = response.waves.iter().map(|w| w.plan + w.settle).sum();
+            let calls: Duration = response.shards.iter().map(|s| s.call).sum();
+            let covered = center + calls;
+            assert!(response.waves.len() >= 2, "{kind:?}");
+            assert!(covered <= response.elapsed, "{kind:?}: records overlap");
             covered.as_secs_f64() / response.elapsed.as_secs_f64()
         };
         // The best of a few runs: a preemption inside one of the gaps says
@@ -1601,7 +1510,7 @@ mod tests {
             .fold(0.0, f64::max);
         assert!(
             best >= 0.9,
-            "{kind:?}: spans cover only {best:.3} of the request"
+            "{kind:?}: records cover only {best:.3} of the request"
         );
     }
 
@@ -1744,11 +1653,17 @@ mod tests {
         // The error exchange is on the ledger, bytes and time; the refused
         // call is not.
         let error_bytes = faulty.error_bytes.load(Ordering::Relaxed);
-        let timing = |source| degraded.per_source.iter().find(|t| t.source == source);
-        let answered = timing(erring).expect("the error exchange is timed");
-        assert_eq!((answered.requests, answered.bytes), (1, error_bytes));
-        assert!(answered.elapsed > Duration::ZERO);
-        assert!(timing(dead).is_none());
+        let records = |source| {
+            let shards = degraded.shards.iter().filter(move |s| s.source == source);
+            shards.collect::<Vec<_>>()
+        };
+        let [answered] = records(erring)[..] else {
+            panic!("the error exchange is recorded once")
+        };
+        let bytes = answered.request_bytes + answered.reply_bytes;
+        assert_eq!(bytes, error_bytes);
+        assert!(answered.call > Duration::ZERO);
+        assert!(records(dead).is_empty());
         assert_eq!(degraded.comm.requests, 4);
         assert_eq!(degraded.comm.replies, 4);
 
@@ -1757,14 +1672,17 @@ mod tests {
         let healthy = fw.search(&request).unwrap();
         let others = |response: &SearchResponse| {
             response
-                .per_source
+                .shards
                 .iter()
-                .filter(|t| t.source != erring && t.source != dead)
-                .map(|t| (t.source, t.requests, t.bytes))
+                .filter(|s| s.source != erring && s.source != dead)
+                .map(|s| (s.wave, s.query, s.source, s.request_bytes, s.reply_bytes))
                 .collect::<Vec<_>>()
         };
         assert_eq!(others(&degraded), others(&healthy));
-        let other_bytes: usize = others(&healthy).iter().map(|&(_, _, bytes)| bytes).sum();
+        let other_bytes: usize = others(&healthy)
+            .iter()
+            .map(|&(.., to, from)| to + from)
+            .sum();
         assert_eq!(degraded.comm.total_bytes(), other_bytes + error_bytes);
     }
 
@@ -1911,15 +1829,11 @@ mod tests {
                     "{kind:?}"
                 );
                 assert_eq!(degraded.comm.requests, oracle.comm.requests, "{kind:?}");
-                assert_eq!(degraded.search, oracle.search, "{kind:?}");
+                assert_eq!(degraded.search(), oracle.search(), "{kind:?}");
             }
             // Either way the counters cover the completed shards only.
-            let timed = |field: fn(&SourceTiming) -> usize| {
-                degraded.per_source.iter().map(field).sum::<usize>()
-            };
-            assert_eq!(timed(|t| t.requests), degraded.comm.requests, "{kind:?}");
-            assert_eq!(timed(|t| t.bytes), degraded.comm.total_bytes(), "{kind:?}");
-            assert!(degraded.per_source.iter().all(|t| t.source != dead));
+            assert_comm_folds_the_records(&degraded);
+            assert!(degraded.shards.iter().all(|s| s.source != dead));
             assert!(degraded.comm.sources_contacted > oracle.comm.sources_contacted);
             assert!(oracle.failures.is_empty());
         }
@@ -1941,9 +1855,25 @@ mod tests {
                 "{kind:?}: CommStats must merge to identical totals"
             );
             assert_eq!(
-                seq.search, par.search,
+                seq.search(),
+                par.search(),
                 "{kind:?}: SearchStats must merge to identical totals"
             );
+            let timing_free = |response: &SearchResponse| {
+                let shard = |s: &ShardRecord| {
+                    (
+                        s.wave,
+                        s.query,
+                        s.source,
+                        s.request_bytes,
+                        s.reply_bytes,
+                        s.search,
+                    )
+                };
+                response.shards.iter().map(shard).collect::<Vec<_>>()
+            };
+            assert_eq!(timing_free(&seq), timing_free(&par), "{kind:?}");
+            assert_eq!(seq.waves.len(), par.waves.len(), "{kind:?}");
         }
     }
 }

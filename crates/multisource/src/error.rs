@@ -108,7 +108,8 @@ pub enum TransportError {
     Backpressure {
         /// The saturated source.
         source: SourceId,
-        /// The in-flight cap that was hit.
+        /// The most calls that run on the source at once: the cap that
+        /// binds, the lower of the pool's in-flight and connection caps.
         in_flight_cap: usize,
     },
     /// Every retry attempt failed; `last` is the error of the final

@@ -569,8 +569,8 @@ mod tests {
         assert_eq!(answers.len(), 1);
         assert!(!answers[0].results.is_empty());
         assert!(ojsp.comm.total_bytes() > 0);
-        assert!(ojsp.search.nodes_visited > 0);
-        assert!(!ojsp.per_source.is_empty());
+        assert!(ojsp.search().nodes_visited > 0);
+        assert!(!ojsp.shards.is_empty());
 
         let cjsp = fw.search(&SearchRequest::cjsp(query.clone()).k(3)).unwrap();
         let answers = cjsp.coverage().expect("CJSP answers");

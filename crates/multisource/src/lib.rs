@@ -43,8 +43,9 @@
 //!
 //! All query execution flows through the [`engine::QueryEngine`], which fans
 //! every batch out as one task per `(query, candidate source)` shard across
-//! a pool of worker threads that only call the transport, then accounts the
-//! replies' communication / search / timing statistics in task order.
+//! a pool of worker threads that only call the transport, then records each
+//! reply, in task order, as one [`ShardRecord`] of its wave, query, source,
+//! bytes, time and search statistics: the response's costs are their fold.
 //!
 //! Index mutation flows through
 //! [`framework::MultiSourceFramework::apply_updates`] (in-process) or
@@ -76,7 +77,8 @@ pub mod transport;
 mod workers;
 
 pub use api::{
-    SearchKind, SearchRequest, SearchResponse, SearchResults, SourceFailure, SourceTiming,
+    SearchKind, SearchRequest, SearchResponse, SearchResults, ShardRecord, SourceFailure,
+    WaveRecord,
 };
 pub use center::{
     AggregatedCoverage, AggregatedKnn, AggregatedOverlap, DataCenter, DistributionStrategy,

@@ -238,15 +238,12 @@ fn chain_and_other(chain: SourceId, other: SourceId) -> Vec<DataSource> {
 }
 
 fn cjsp(k: usize, delta: f64) -> SearchRequest {
-    SearchRequest::cjsp(query(900))
-        .k(k)
-        .delta_cells(delta)
-        .with_trace(true)
+    SearchRequest::cjsp(query(900)).k(k).delta_cells(delta)
 }
 
+/// The follow-up waves of a run.
 fn replans(response: &SearchResponse) -> usize {
-    let trace = response.trace.as_ref().expect("trace was requested");
-    trace.spans_named("replan").count()
+    response.waves.len() - 1
 }
 
 fn selected(response: &SearchResponse) -> Vec<(SourceId, u32)> {
@@ -315,8 +312,7 @@ fn an_unrouted_query_sends_nothing() {
     let center = polled_center(&sources, 4);
     let far_away = SearchRequest::cjsp(dataset(900, &[(100, 100)]))
         .k(3)
-        .delta_cells(2.0)
-        .with_trace(true);
+        .delta_cells(2.0);
     let (on_demand, _) = assert_exact(&sources, &center, &far_away);
     assert!(selected(&on_demand).is_empty());
     assert_eq!(on_demand.comm.requests, 0);
@@ -358,8 +354,7 @@ fn a_batch_fetches_in_shared_waves() {
     for size in [1, 8] {
         let request = SearchRequest::cjsp_batch(batch[..size].to_vec())
             .k(2)
-            .delta_cells(2.0)
-            .with_trace(true);
+            .delta_cells(2.0);
         let (on_demand, _) = assert_exact(&sources, &center, &request);
         assert_eq!(replans(&on_demand), 1, "batch of {size}");
         assert_eq!(on_demand.comm.requests, 3 * size);
@@ -367,13 +362,15 @@ fn a_batch_fetches_in_shared_waves() {
         for answer in answers(&on_demand) {
             assert_eq!(answer.selected, [(0, NEAR), (0, FAR)]);
         }
-        // The fetches are summed into the per-source timings with the
-        // queries they follow.
-        let requests_to = |source: SourceId| {
-            let timing = on_demand.per_source.iter().find(|t| t.source == source);
-            timing.expect("both sources answered").requests
+        // Every query's fetch goes to source 0 in the follow-up wave.
+        let records = |wave, source| {
+            let shards = on_demand.shards.iter();
+            shards
+                .filter(|s| (s.wave, s.source) == (wave, source))
+                .count()
         };
-        assert_eq!((requests_to(0), requests_to(1)), (2 * size, size));
+        assert_eq!((records(0, 0), records(0, 1)), (size, size));
+        assert_eq!((records(1, 0), records(1, 1)), (size, 0));
     }
 }
 
@@ -390,7 +387,7 @@ fn knn_and_cjsp_follow_up_through_the_same_loop() {
     // source 0's lower bound, and the smaller id keeps source 0 in play.
     let both_sides = dataset(900, &[(998, 1001), (1000, 1000)]);
     let knn = engine
-        .run(&SearchRequest::knn(both_sides).k(1).with_trace(true))
+        .run(&SearchRequest::knn(both_sides).k(1))
         .expect("in-process kNN");
     assert_eq!(replans(&knn), 1);
     assert_eq!(knn.comm.requests, 2);

@@ -16,10 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use datagen::{generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale};
 use dits::knn::nearest_datasets_bruteforce;
 use dits::overlap::overlap_search_bruteforce;
-use dits::{DatasetNode, DitsLocalConfig, Neighbor, OverlapResult};
+use dits::{DatasetNode, DitsLocalConfig, Neighbor, OverlapResult, SearchStats};
 use multisource::{
-    DataCenter, DataSource, DistributionStrategy, FrameworkConfig, InProcessTransport, Message,
-    MultiSourceFramework, SearchRequest, SearchResponse, SourceServer, SourceTransport,
+    CommStats, DataCenter, DataSource, DistributionStrategy, FrameworkConfig, InProcessTransport,
+    Message, MultiSourceFramework, SearchRequest, SearchResponse, SourceServer, SourceTransport,
     TransportError, TransportReply,
 };
 use net::PooledTcpTransport;
@@ -153,17 +153,59 @@ pub fn fetching_cjsp() -> (Vec<(String, Vec<SpatialDataset>)>, SearchRequest) {
     (data, SearchRequest::cjsp_batch(queries).k(3))
 }
 
-/// Holds `remote` to `local`: the same answers, byte counts and search
-/// statistics.
+/// Holds `remote` to `local`: the same answers, byte counts and records
+/// up to their times, and each one's counts the fold of its records.
 // Only the suites that compare deployments.
 #[allow(dead_code)]
 pub fn assert_same_response(local: &SearchResponse, remote: &SearchResponse, what: &str) {
     assert_eq!(local.results, remote.results, "{what}: answers diverged");
     assert_eq!(local.comm, remote.comm, "{what}: byte accounting diverged");
     assert_eq!(
-        local.search, remote.search,
-        "{what}: search statistics diverged"
+        timing_free(local),
+        timing_free(remote),
+        "{what}: records diverged"
     );
+    assert_eq!(
+        local.waves.len(),
+        remote.waves.len(),
+        "{what}: waves diverged"
+    );
+    assert_comm_folds_the_records(local);
+    assert_comm_folds_the_records(remote);
+}
+
+/// The records of `response` without their times, in response order: wave,
+/// query, source, bytes each way and the source's search statistics.
+// Only the suites that compare deployments.
+#[allow(dead_code)]
+pub fn timing_free(
+    response: &SearchResponse,
+) -> Vec<(usize, usize, SourceId, usize, usize, SearchStats)> {
+    let record = |s: &multisource::ShardRecord| {
+        (
+            s.wave,
+            s.query,
+            s.source,
+            s.request_bytes,
+            s.reply_bytes,
+            s.search,
+        )
+    };
+    response.shards.iter().map(record).collect()
+}
+
+/// Holds the bytes, requests and replies of `response.comm` to the fold of
+/// its records.
+// Only the suites that compare deployments.
+#[allow(dead_code)]
+pub fn assert_comm_folds_the_records(response: &SearchResponse) {
+    let mut folded = CommStats::new();
+    for shard in &response.shards {
+        folded.record_request(shard.request_bytes);
+        folded.record_reply(shard.reply_bytes);
+    }
+    folded.sources_contacted = response.comm.sources_contacted;
+    assert_eq!(folded, response.comm, "comm is not the fold of the records");
 }
 
 /// The OJSP oracle: every source's brute force at its own resolution, merged

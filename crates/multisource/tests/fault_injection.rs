@@ -34,7 +34,7 @@ use spatial::{SourceId, SpatialDataset};
 mod common;
 use common::{
     assert_same_response, build_data, every_kind, fetching_cjsp, framework, probe_queries,
-    serve_in_threads, with_dead_source, Intercepted,
+    serve_in_threads, timing_free, with_dead_source, Intercepted,
 };
 
 /// Three generated sources, small.
@@ -192,6 +192,12 @@ fn dead_first_wave_source_degrades_knn_identically() {
     let degraded = degrades_like_the_oracle(&fw, (&pooled, &center), dead, false, &request);
     let survivors = &fw.sources()[1..];
     assert_eq!(degraded.comm.requests, survivors.len() * queries.len());
+    // The failed first wave leaves no record; the survivors answered the
+    // second.
+    assert!(degraded
+        .shards
+        .iter()
+        .all(|s| s.source != dead && s.wave == 1));
     let oracle = QueryEngine::in_process(fw.center(), survivors, *fw.engine().config())
         .run(&request.strategy(DistributionStrategy::Broadcast))
         .expect("survivors alone");
@@ -264,13 +270,21 @@ fn source_dead_for_the_fetch_degrades_identically_in_process_and_pooled() {
     let center =
         DataCenter::from_transport(&pooled, fw.config().leaf_capacity).expect("summary poll");
     let degraded = degrades_like_the_oracle(&fw, (&pooled, &center), dead, true, &request);
-    // The member's first-wave reply was received and counts; only its
-    // fetches are missing from the degraded run.
+    // The member's first-wave replies were received and keep their records;
+    // only its fetches, which the transport failed, leave none.
     assert_eq!(
         degraded.comm.sources_contacted,
         healthy.comm.sources_contacted
     );
-    assert!(degraded.per_source.iter().any(|t| t.source == dead));
+    let records_of_dead = |response: &SearchResponse, waves: usize| {
+        let records = timing_free(response).into_iter();
+        let records = records.filter(|&(wave, _, source, ..)| source == dead && wave < waves);
+        records.collect::<Vec<_>>()
+    };
+    let answered = records_of_dead(&healthy, 1);
+    assert!(!answered.is_empty());
+    assert_eq!(records_of_dead(&degraded, usize::MAX), answered);
+    assert!(records_of_dead(&healthy, usize::MAX).len() > answered.len());
     assert!(degraded.comm.requests < healthy.comm.requests);
 }
 

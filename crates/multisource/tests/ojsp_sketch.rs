@@ -314,7 +314,7 @@ fn run_scenario(transport: Option<&dyn SourceTransport>, scenario: &Scenario) ->
                 }
                 // Fewer query cells never make a source work more.
                 let [_, pruned, clipped] = &responses;
-                let (pruned, clipped) = (pruned.search, clipped.search);
+                let (pruned, clipped) = (pruned.search(), clipped.search());
                 assert!(clipped.nodes_visited <= pruned.nodes_visited);
                 assert!(clipped.leaves_verified <= pruned.leaves_verified);
                 assert!(clipped.exact_computations <= pruned.exact_computations);

@@ -11,10 +11,10 @@
 //!   transactional semantics.
 //! * The `source-server` *binary* is spawned as real child processes and
 //!   served the same checks end to end.
-//! * Observability crosses the wire without perturbing it: a traced request
-//!   yields the same canonical span structure on every transport while the
-//!   counted protocol bytes stay identical to an untraced run, and a reply
-//!   carries its source's service time and phase split exactly when asked.
+//! * Observability crosses the wire without perturbing it: a request records
+//!   the same exchanges (wave, query, source, bytes, search statistics) on
+//!   every transport, and a reply carries its source's service time and
+//!   phase split exactly when asked.
 //! * A frame a server cannot read, such as one with a retired message tag,
 //!   costs the sender its connection and nothing else.
 
@@ -39,7 +39,7 @@ use spatial::{Point, SpatialDataset};
 mod common;
 use common::{
     assert_same_response, build_data, every_kind, fetching_cjsp, framework, probe_queries,
-    serve_in_threads, spawn_fleet, spawn_servers,
+    serve_in_threads, spawn_fleet, spawn_servers, timing_free,
 };
 
 /// Three generated sources.
@@ -210,7 +210,7 @@ fn unreachable_sources_are_skipped_not_fatal() {
         let response = engine.run(&request).expect("partial fleet still answers");
         assert_eq!(response.results.len(), queries.len());
         // Nothing was routed to the missing source.
-        assert!(response.per_source.iter().all(|t| t.source < 2));
+        assert!(response.shards.iter().all(|s| s.source < 2));
     }
 }
 
@@ -562,92 +562,46 @@ fn source_server_binary_drains_on_shutdown_line() {
 // Observability across transports
 // ---------------------------------------------------------------------------
 
-/// A trace's canonical span structure: the `(source, name)` pairs, which must
-/// be deployment-independent even though the measured durations are not.
-fn span_structure(trace: &obs::Trace) -> Vec<(Option<u16>, String)> {
-    trace
-        .spans
-        .iter()
-        .map(|s| (s.source, s.name.clone()))
-        .collect()
-}
-
-/// Runs the same request untraced and traced through one engine, asserting
-/// tracing changes nothing observable but the trace itself, and returns the
-/// trace.
-fn run_traced(
-    engine: &QueryEngine,
-    request: &SearchRequest,
-    deployment: &str,
-) -> (multisource::SearchResponse, obs::Trace) {
-    let plain = engine.run(request).expect("untraced run");
-    assert!(
-        plain.trace.is_none(),
-        "{deployment}: tracing must be opt-in"
-    );
-    let traced = engine
-        .run(&request.clone().with_trace(true))
-        .expect("traced run");
-    assert_eq!(
-        plain.results, traced.results,
-        "{deployment}: tracing changed the answers"
-    );
-    assert_eq!(
-        plain.comm, traced.comm,
-        "{deployment}: tracing changed the counted protocol bytes"
-    );
-    let trace = traced.trace.clone().expect("trace was requested");
-    (traced, trace)
-}
-
-/// The cross-transport invariance check of the observability layer: the
-/// in-process deployment, `SourceServer` threads over loopback TCP, and
-/// spawned `source-server` child processes must all produce the *same
-/// canonical span structure* for the same traced request — and the
-/// source-side phase spans, which ride each reply's timing block, must
-/// survive the real socket.
+/// The cross-transport invariance of the records: the in-process
+/// deployment, `SourceServer` threads over loopback TCP and spawned
+/// `source-server` processes record the same exchanges — wave, query,
+/// source, bytes each way, search statistics — for the same request of every
+/// kind, and the sources' traversal/verification split, which rides each
+/// reply's timing block, survives the real socket.
 #[test]
-fn traced_span_structure_is_transport_invariant() {
+fn shard_records_are_transport_invariant() {
     let data = build_data(DATA, 21);
     let fw = framework(&data);
     let queries = probe_queries(&data);
-    let request = SearchRequest::ojsp_batch(queries.clone()).k(5);
 
-    // In-process reference.
-    let engine = fw.engine();
-    let (_, local_trace) = run_traced(&engine, &request, "in-process");
-    let reference = span_structure(&local_trace);
-    assert!(
-        local_trace.spans_named("traversal").count() > 0,
-        "source-side phase spans must be present"
-    );
-
-    // SourceServer threads over loopback TCP.
-    let (tcp, center) = spawn_federation(&fw);
-    let remote = QueryEngine::new(&center, &tcp, *fw.engine().config());
-    let (_, tcp_trace) = run_traced(&remote, &request, "loopback TCP");
-    assert_eq!(
-        span_structure(&tcp_trace),
-        reference,
-        "span structure diverged between in-process and loopback TCP"
-    );
-    assert!(
-        tcp_trace.total_named("traversal") + tcp_trace.total_named("verify") > Duration::ZERO,
-        "phase measurements must survive the socket round-trip"
-    );
-
-    // Spawned source-server binaries.
+    let (tcp, tcp_center) = spawn_federation(&fw);
     let fleet = spawn_fleet(data.iter().map(|(_, d)| (11, d.as_slice())));
-    let spawned = &fleet.pooled;
-    let center =
-        DataCenter::from_transport(spawned, fw.config().leaf_capacity).expect("summary poll");
-    let remote = QueryEngine::new(&center, spawned, *fw.engine().config());
-    let (_, spawned_trace) = run_traced(&remote, &request, "spawned binary");
-    assert_eq!(
-        span_structure(&spawned_trace),
-        reference,
-        "span structure diverged between in-process and spawned source-server processes"
-    );
+    let spawned_center =
+        DataCenter::from_transport(&fleet.pooled, fw.config().leaf_capacity).expect("summary poll");
+    let config = *fw.engine().config();
+    let deployments = [
+        ("loopback TCP", QueryEngine::new(&tcp_center, &tcp, config)),
+        (
+            "spawned binary",
+            QueryEngine::new(&spawned_center, &fleet.pooled, config),
+        ),
+    ];
+    for request in every_kind(&queries) {
+        let local = fw.engine().run(&request).expect("in-process run");
+        assert!(!timing_free(&local).is_empty(), "{:?}", request.kind());
+        for (deployment, engine) in &deployments {
+            let remote = engine.run(&request).expect("remote run");
+            let what = format!("{:?} in process against {deployment}", request.kind());
+            assert_same_response(&local, &remote, &what);
+            let split: Duration = (remote.shards.iter())
+                .map(|s| s.phases.traversal + s.phases.verify)
+                .sum();
+            assert!(
+                split > Duration::ZERO,
+                "{what}: phase measurements must survive the socket round-trip"
+            );
+        }
+    }
 }
 
 /// What a reply carries besides its message is what the call asked for —

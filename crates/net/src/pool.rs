@@ -73,6 +73,14 @@ impl Default for PoolConfig {
     }
 }
 
+impl PoolConfig {
+    /// The calls that run at once per source: the lower of the two caps.
+    fn running_cap(&self) -> usize {
+        self.max_in_flight_per_source
+            .min(self.connections_per_source)
+    }
+}
+
 /// What the pool counts that no reply can carry: the calls it had to
 /// retry, time out or shed, and the connections it holds.  Clones share
 /// the values, so the calls record and any caller reads.
@@ -182,7 +190,7 @@ impl PooledTcpTransport {
                 self.metrics.backpressure.inc();
                 Err(TransportError::Backpressure {
                     source,
-                    in_flight_cap: self.config.max_in_flight_per_source,
+                    in_flight_cap: self.config.running_cap(),
                 })
             }
             Err(Failure::Late | Failure::Cut) => {
@@ -317,7 +325,7 @@ impl Source {
             return Err(Failure::Shed);
         }
         state.waiting += 1;
-        let limit = cap.min(config.connections_per_source);
+        let limit = config.running_cap();
         let left = remaining(deadline).unwrap_or_default();
         let (mut state, wait) = (self.freed)
             .wait_timeout_while(state, left, |state| state.busy >= limit)

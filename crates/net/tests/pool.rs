@@ -260,6 +260,56 @@ fn saturated_source_sheds_with_backpressure() {
     }
 }
 
+/// The shed names the cap that binds: with one connection, one call runs
+/// however many the in-flight cap would allow.
+#[test]
+fn backpressure_reports_the_calls_that_run_at_once() {
+    let addr = stalled_listener();
+    let pooled = Arc::new(
+        PooledTcpTransport::with_config(
+            [(1, addr.to_string())],
+            PoolConfig {
+                connections_per_source: 1,
+                max_in_flight_per_source: 2,
+                request_timeout: Duration::from_secs(2),
+                retries: 0,
+                ..PoolConfig::default()
+            },
+        )
+        .expect("transport"),
+    );
+    // One call runs on the connection and three wait: twice the in-flight
+    // cap admitted.
+    let blocked: Vec<_> = (0..4)
+        .map(|_| {
+            let pooled = Arc::clone(&pooled);
+            std::thread::spawn(move || pooled.call(1, &Message::summary_poll(), false))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let err = pooled
+        .call(1, &Message::summary_poll(), false)
+        .expect_err("saturated source");
+    assert_eq!(
+        err,
+        TransportError::Backpressure {
+            source: 1,
+            in_flight_cap: 1
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "source 1 is saturated (1 requests in flight)"
+    );
+    for handle in blocked {
+        let result = handle.join().expect("join");
+        assert!(
+            matches!(result, Err(TransportError::Timeout { .. })),
+            "{result:?}"
+        );
+    }
+}
+
 #[test]
 fn a_late_reply_is_dropped_and_the_connection_stays_in_sync() {
     let answer = |detail: &str| Message::Error {

@@ -14,6 +14,9 @@
 //! cargo run --release --example federated_tcp
 //! ```
 
+use std::collections::BTreeMap;
+use std::time::Duration;
+
 use joinable_spatial_search::datagen::{
     generate_source, paper_sources, select_queries, GeneratorConfig, SourceScale,
 };
@@ -98,13 +101,24 @@ fn main() {
             response.comm.total_bytes(),
             response.elapsed.as_secs_f64() * 1e3,
         );
-        for timing in &response.per_source {
+        // Each source's share of the run, folded from the exchange records.
+        let mut by_source = BTreeMap::new();
+        for shard in &response.shards {
+            let (requests, bytes, call, service) =
+                by_source
+                    .entry(shard.source)
+                    .or_insert((0, 0, Duration::ZERO, Duration::ZERO));
+            *requests += 1;
+            *bytes += shard.request_bytes + shard.reply_bytes;
+            *call += shard.call;
+            *service += shard.service;
+        }
+        for (source, (requests, bytes, call, service)) in by_source {
             println!(
-                "      source {}: {} requests, {} bytes, {:.2} ms on the wire",
-                timing.source,
-                timing.requests,
-                timing.bytes,
-                timing.elapsed.as_secs_f64() * 1e3,
+                "      source {source}: {requests} requests, {bytes} bytes, \
+                 {:.2} ms on the wire ({:.2} ms serving)",
+                call.as_secs_f64() * 1e3,
+                service.as_secs_f64() * 1e3,
             );
         }
     }
